@@ -103,7 +103,7 @@ pub struct AdaptiveRun {
 /// Optimize `query` with the budgeted degradation ladder. See the crate
 /// docs for the rung semantics; `opts.plan_budget` (0 = default, clamped
 /// to [`budget_floor`]) caps the plans built, `opts.dominance` tunes the
-/// pruning, `opts.threads` is ignored (budget enforcement is sequential).
+/// pruning.
 ///
 /// Panics like the exact engine when the query graph is disconnected or
 /// over-constrained (no complete plan exists).

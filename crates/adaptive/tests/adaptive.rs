@@ -21,7 +21,6 @@ const TOPOLOGIES: [Topology; 5] = [
 fn opts(plan_budget: u64) -> OptimizeOptions {
     OptimizeOptions {
         explain: false,
-        threads: 1,
         plan_budget,
         ..OptimizeOptions::default()
     }

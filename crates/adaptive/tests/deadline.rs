@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 fn base() -> OptimizeOptions {
     OptimizeOptions {
         explain: false,
-        threads: 1,
         ..OptimizeOptions::default()
     }
 }

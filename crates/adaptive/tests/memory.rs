@@ -22,7 +22,6 @@ const UNIT_SLACK: u64 = UNIT_MAX_PLANS * (ARENA_ROW_BYTES as u64 + 4096);
 fn base() -> OptimizeOptions {
     OptimizeOptions {
         explain: false,
-        threads: 1,
         ..OptimizeOptions::default()
     }
 }

@@ -1,12 +1,14 @@
 //! Bench smoke: one tiny fig15 configuration, emitted as machine-readable
-//! JSON so CI can archive a perf trajectory across PRs.
+//! JSON. `BENCH_smoke.json` is a CI smoke artifact — single-shot cells a
+//! few milliseconds long, there to show that every surface still runs and
+//! roughly how fast. The performance record is `BENCHMARK.json` +
+//! `perfbench/`; no claim should rest on a number from this file.
 //!
 //! Usage: `bench_smoke [--out PATH] [--diff PREV_PATH]`.
 //! Runs EA-Prune, EA-All and DPhyp through the same `run_sweep` harness as
-//! the figure binaries (identical seed schedule), once at `threads=1` and
-//! once at `threads=max` (at least 4, so the layered parallel engine is
-//! exercised even on small CI boxes), and records plans/sec, mean runtime
-//! and memo statistics per `(algorithm, n, threads)` cell.
+//! the figure binaries (identical seed schedule) and records plans/sec,
+//! mean runtime and memo statistics per `(algorithm, n)` cell; the
+//! `Serve[*]`/`Overload[*]` cells run at 1 and `threads_max` client threads.
 //!
 //! `--diff` compares plans/sec against a previously archived file and
 //! prints the deltas — **warn-only**: it never fails the run, it just
@@ -14,7 +16,7 @@
 
 use dpnext::adaptive::optimize_adaptive_run;
 use dpnext::Optimizer;
-use dpnext_bench::{run_sweep, serial_fraction, AlgoSpec, SweepResult};
+use dpnext_bench::{run_sweep, AlgoSpec};
 use dpnext_core::{optimize_with, recost_plan, Algorithm, OptContext, OptimizeOptions};
 use dpnext_serve::{FaultInjector, OptimizerService, ServeError, ServiceConfig};
 use dpnext_workload::{
@@ -44,9 +46,7 @@ const LARGE_BUDGET: u64 = 50_000;
 /// paths — `cold` (no cache, no pool: every request a full optimize in a
 /// fresh memo), `pooled` (no cache, arena pool on: full optimize in a
 /// recycled memo) and `cached` (one hot shape: all but the first request
-/// served from the plan cache) — at client-thread counts 1 and max. The
-/// in-service optimizer runs `threads(1)` so client concurrency is the
-/// measured axis.
+/// served from the plan cache) — at client-thread counts 1 and max.
 const SERVE_N: usize = 6;
 const SERVE_SHAPES: usize = 8;
 const SERVE_REQUESTS_PER_CLIENT: usize = 64;
@@ -85,6 +85,8 @@ const OVERLOAD_PRESSURE_BUDGET: u64 = 48 << 10;
 struct SmokeCell {
     algo: String,
     n: usize,
+    /// Client threads driving the cell (1 everywhere but the
+    /// `Serve[*]`/`Overload[*]` cells).
     threads: usize,
     queries: usize,
     runtime_us: f64,
@@ -93,8 +95,6 @@ struct SmokeCell {
     arena: f64,
     width: f64,
     hit_rate: f64,
-    worker_nanos: f64,
-    replay_nanos: f64,
     /// Plan budget enforced on the cell's runs (0 = unbudgeted exact
     /// algorithm).
     budget: u64,
@@ -129,14 +129,6 @@ fn latency_percentile_us(sorted_nanos: &[u64], q: f64) -> f64 {
     sorted_nanos[rank] as f64 / 1e3
 }
 
-impl SmokeCell {
-    /// Share of engine time in the merge + replay phase (0 at
-    /// threads = 1, where everything is build work).
-    fn replay_share(&self) -> f64 {
-        serial_fraction(self.worker_nanos, self.replay_nanos)
-    }
-}
-
 fn main() {
     let mut out_path = "BENCH_smoke.json".to_string();
     let mut diff_path: Option<String> = None;
@@ -155,68 +147,34 @@ fn main() {
         AlgoSpec::new(Algorithm::EaAll, max_n),
         AlgoSpec::new(Algorithm::DPhyp, max_n),
     ];
-    // threads=1 is the sequential baseline; the second run exercises the
-    // layered parallel engine — at least 4 workers even when the box has
-    // fewer cores (oversubscription is honest data, not a hazard: results
-    // are bit-identical, only the wall clock moves).
-    let t_max = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .max(4);
-    let runs: Vec<(usize, SweepResult)> = [1usize, t_max]
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                run_sweep(&SIZES, QUERIES, SEED, &algos, GenConfig::paper, t),
-            )
-        })
-        .collect();
+    let result = run_sweep(&SIZES, QUERIES, SEED, &algos, GenConfig::paper);
 
     let mut cells: Vec<SmokeCell> = Vec::new();
-    for (threads, result) in &runs {
-        for (ai, spec) in result.algos.iter().enumerate() {
-            for (si, n) in result.sizes.iter().enumerate() {
-                let Some(cell) = &result.cells[ai][si] else {
-                    continue;
-                };
-                let runtime_s = cell.mean_runtime.as_secs_f64();
-                let plans_per_sec = cell.mean_plans_built / runtime_s.max(1e-12);
-                // Hot-path readout: the three numbers the enumeration
-                // speed work tracks per cell — raw plan throughput, the
-                // Amdahl share of the merge+replay phase, and the LPT
-                // balance of the parallel bucketing/replay fan-out.
-                let extra = format!(
-                    ", \"hotpath\": {{ \"plans_per_sec\": {:.0}, \
-                     \"replay_share\": {:.4}, \"lpt_imbalance_x100\": {:.0}, \
-                     \"par_bucket_strata\": {:.2} }}",
-                    plans_per_sec,
-                    cell.serial_fraction(),
-                    cell.mean_lpt_imbalance_x100,
-                    cell.mean_par_bucket_strata,
-                );
-                cells.push(SmokeCell {
-                    algo: spec.algo.name(),
-                    n: *n,
-                    threads: *threads,
-                    queries: QUERIES,
-                    runtime_us: runtime_s * 1e6,
-                    plans_built: cell.mean_plans_built,
-                    plans_per_sec,
-                    arena: cell.mean_arena_plans,
-                    width: cell.mean_peak_class_width,
-                    hit_rate: cell.mean_prune_hit_rate,
-                    worker_nanos: cell.mean_worker_nanos,
-                    replay_nanos: cell.mean_replay_nanos,
-                    budget: 0,
-                    modes: String::new(),
-                    queries_per_sec: 0.0,
-                    drift_geomean: 0.0,
-                    extra,
-                    degradation: None,
-                    latency_p99_us: 0.0,
-                });
-            }
+    for (ai, spec) in result.algos.iter().enumerate() {
+        for (si, n) in result.sizes.iter().enumerate() {
+            let Some(cell) = &result.cells[ai][si] else {
+                continue;
+            };
+            let runtime_s = cell.mean_runtime.as_secs_f64();
+            cells.push(SmokeCell {
+                algo: spec.algo.name(),
+                n: *n,
+                threads: 1,
+                queries: QUERIES,
+                runtime_us: runtime_s * 1e6,
+                plans_built: cell.mean_plans_built,
+                plans_per_sec: cell.mean_plans_built / runtime_s.max(1e-12),
+                arena: cell.mean_arena_plans,
+                width: cell.mean_peak_class_width,
+                hit_rate: cell.mean_prune_hit_rate,
+                budget: 0,
+                modes: String::new(),
+                queries_per_sec: 0.0,
+                drift_geomean: 0.0,
+                extra: String::new(),
+                degradation: None,
+                latency_p99_us: 0.0,
+            });
         }
     }
 
@@ -226,6 +184,12 @@ fn main() {
         }
     }
 
+    // At least 4 clients even when the box has fewer cores: contention on
+    // the shared service is what the multi-client cells are for.
+    let t_max = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .max(4);
     for client_threads in [1usize, t_max] {
         for mode in [ServeMode::Cold, ServeMode::Pooled, ServeMode::Cached] {
             cells.push(serve_cell(mode, client_threads));
@@ -270,7 +234,7 @@ fn main() {
         if c.queries_per_sec > 0.0 {
             let _ = write!(budget, ", \"queries_per_sec\": {:.0}", c.queries_per_sec);
         }
-        // Per-cell extra block (serving counters or the hot-path readout).
+        // Per-cell extra block (serving counters, drift, degradation mix).
         budget.push_str(&c.extra);
         let _ = write!(
             json,
@@ -278,8 +242,7 @@ fn main() {
              \"queries\": {}, \"mean_runtime_us\": {:.3}, \
              \"mean_plans_built\": {:.1}, \"plans_per_sec\": {:.0}, \
              \"mean_arena_plans\": {:.1}, \"mean_peak_class_width\": {:.1}, \
-             \"mean_prune_hit_rate\": {:.4}, \"worker_nanos\": {:.0}, \
-             \"replay_nanos\": {:.0}{budget} }}",
+             \"mean_prune_hit_rate\": {:.4}{budget} }}",
             c.algo,
             c.n,
             c.threads,
@@ -289,9 +252,7 @@ fn main() {
             c.plans_per_sec,
             c.arena,
             c.width,
-            c.hit_rate,
-            c.worker_nanos,
-            c.replay_nanos
+            c.hit_rate
         );
     }
     json.push_str("\n  ]\n}\n");
@@ -306,9 +267,7 @@ fn main() {
 }
 
 /// One large-query cell: `Algorithm::Adaptive` over `LARGE_QUERIES` random
-/// queries of one (topology, n) with the pinned `LARGE_BUDGET`. Sequential
-/// by construction (budget enforcement is a streaming fold), so the cell
-/// reports `threads = 1`.
+/// queries of one (topology, n) with the pinned `LARGE_BUDGET`.
 fn adaptive_cell(topo: Topology, tag: &str, n: usize) -> SmokeCell {
     let cfg = GenConfig::topology(n, topo);
     let opt = Optimizer::new(Algorithm::Adaptive)
@@ -362,8 +321,6 @@ fn adaptive_cell(topo: Topology, tag: &str, n: usize) -> SmokeCell {
         arena: arena / m,
         width: width / m,
         hit_rate: hits / m,
-        worker_nanos: 0.0,
-        replay_nanos: 0.0,
         budget: LARGE_BUDGET,
         modes: format!(
             "exact:{},partial-exact:{},linearized:{},greedy:{}",
@@ -397,7 +354,6 @@ fn robust_cell(strategy: &str, budget: u64, topo: Topology, tag: &str, q: f64) -
     let cfg = GenConfig::topology(ROBUST_N, topo);
     let opts = OptimizeOptions {
         explain: false,
-        threads: 1,
         plan_budget: budget,
         ..OptimizeOptions::default()
     };
@@ -448,8 +404,6 @@ fn robust_cell(strategy: &str, budget: u64, topo: Topology, tag: &str, q: f64) -
         arena: 0.0,
         width: 0.0,
         hit_rate: 0.0,
-        worker_nanos: 0.0,
-        replay_nanos: 0.0,
         budget,
         modes: String::new(),
         queries_per_sec: 0.0,
@@ -509,10 +463,8 @@ fn serve_cell(mode: ServeMode, client_threads: usize) -> SmokeCell {
         },
         ServeMode::Cached => ServiceConfig::default(),
     };
-    let service = OptimizerService::with_config(
-        Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
-        config,
-    );
+    let service =
+        OptimizerService::with_config(Optimizer::new(Algorithm::EaPrune).explain(false), config);
 
     let plans = AtomicU64::new(0);
     let latencies = std::sync::Mutex::new(Vec::with_capacity(total));
@@ -554,8 +506,6 @@ fn serve_cell(mode: ServeMode, client_threads: usize) -> SmokeCell {
         arena: 0.0,
         width: 0.0,
         hit_rate: 0.0,
-        worker_nanos: 0.0,
-        replay_nanos: 0.0,
         budget: 0,
         modes: String::new(),
         queries_per_sec: total as f64 / runtime.max(1e-12),
@@ -579,7 +529,7 @@ fn overload_cell(client_threads: usize) -> SmokeCell {
     let total = OVERLOAD_REQUESTS_PER_CLIENT * client_threads;
     let mix = request_mix(&MixConfig::uniform(SERVE_SHAPES, SERVE_N), total, SEED);
     let service = OptimizerService::with_config(
-        Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
+        Optimizer::new(Algorithm::EaPrune).explain(false),
         ServiceConfig {
             cache_capacity: 0, // every request must reach the gate
             pool_capacity: client_threads,
@@ -677,8 +627,6 @@ fn overload_cell(client_threads: usize) -> SmokeCell {
         arena: 0.0,
         width: 0.0,
         hit_rate: 0.0,
-        worker_nanos: 0.0,
-        replay_nanos: 0.0,
         budget: 0,
         modes: String::new(),
         queries_per_sec: ok as f64 / runtime.max(1e-12),
@@ -695,8 +643,6 @@ struct PrevCell {
     n: usize,
     threads: usize,
     plans_per_sec: f64,
-    /// `None` for pre-phase-split archives (fields absent).
-    replay_share: Option<f64>,
     /// `None` for non-robustness cells and pre-robustness archives.
     drift_geomean: Option<f64>,
     /// Degradation-cause counts in [`SmokeCell::degradation`] order;
@@ -763,9 +709,8 @@ fn degradation_shift(old: [f64; 4], new: [u64; 4]) -> String {
 }
 
 /// Parse a previously archived `BENCH_smoke.json` (our own line-per-cell
-/// format; pre-threads files lack the `threads` field and are treated as
-/// `threads=1`, pre-phase-split files lack the `*_nanos` fields) and
-/// print warn-only plans/sec and replay-share deltas.
+/// format) and print warn-only plans/sec deltas. Cells of the archive
+/// with no counterpart in this run are ignored.
 fn diff_against(prev_path: &str, cells: &[SmokeCell]) {
     let Ok(prev) = std::fs::read_to_string(prev_path) else {
         eprintln!("perf-diff: cannot read {prev_path}; skipping comparison");
@@ -783,19 +728,11 @@ fn diff_against(prev_path: &str, cells: &[SmokeCell]) {
             continue;
         };
         let threads = field_num(line, "\"threads\": ").unwrap_or(1.0);
-        let replay_share = match (
-            field_num(line, "\"worker_nanos\": "),
-            field_num(line, "\"replay_nanos\": "),
-        ) {
-            (Some(w), Some(r)) => Some(serial_fraction(w, r)),
-            _ => None,
-        };
         old.push(PrevCell {
             algo,
             n: n as usize,
             threads: threads as usize,
             plans_per_sec: pps,
-            replay_share,
             drift_geomean: field_num(line, "\"drift_geomean\": "),
             degradation: parse_degradation(line),
             latency_p99_us: field_num(line, "\"latency_p99_us\": "),
@@ -812,8 +749,8 @@ fn diff_against(prev_path: &str, cells: &[SmokeCell]) {
             .find(|p| p.algo == c.algo && p.n == c.n && p.threads == c.threads)
         else {
             // Warn-only by design: a cell absent from the archive is a
-            // freshly added measurement (new algorithm, size or phase
-            // field), not a regression — the next run's archive has it.
+            // freshly added measurement (new algorithm or size), not a
+            // regression — the next run's archive has it.
             eprintln!(
                 "  {:<10} n={} threads={}: new cell, no baseline in the previous artifact",
                 c.algo, c.n, c.threads
@@ -826,10 +763,6 @@ fn diff_against(prev_path: &str, cells: &[SmokeCell]) {
         } else {
             ""
         };
-        // Replay-share trajectory: the serial fraction the
-        // class-partitioned replay attacks. Only meaningful at
-        // threads > 1 (streaming reports 0/0) and against archives that
-        // already carry the phase fields.
         // Robustness trajectory: plan drift under q-error is a quality
         // property, so a growing geomean means the optimizer became more
         // sensitive to misestimation — worth a look even when plans/sec
@@ -866,22 +799,9 @@ fn diff_against(prev_path: &str, cells: &[SmokeCell]) {
             }
             _ => String::new(),
         };
-        let share = match prev.replay_share {
-            Some(old_share) if c.threads > 1 => {
-                let new_share = 100.0 * c.replay_share();
-                let old_share = 100.0 * old_share;
-                let warn = if new_share > old_share + 5.0 {
-                    "  ⚠ serial section growing?"
-                } else {
-                    ""
-                };
-                format!(", replay share {old_share:.1}% → {new_share:.1}%{warn}")
-            }
-            _ => String::new(),
-        };
         eprintln!(
             "  {:<10} n={} threads={}: {:.0}k → {:.0}k plans/s \
-             ({delta:+.1}%){marker}{drift}{tail}{share}{mix}",
+             ({delta:+.1}%){marker}{drift}{tail}{mix}",
             c.algo,
             c.n,
             c.threads,

@@ -1,16 +1,11 @@
 //! Figure 15: average plan cost of DPhyp relative to EA-Prune/EA-All
 //! (the gain of eager aggregation), over random operator trees.
 //!
-//! Usage: `fig15 [--queries N] [--min N] [--max N] [--seed S] [--threads T]`.
+//! Usage: `fig15 [--queries N] [--min N] [--max N] [--seed S]`.
 //! Paper setting: 10 000 queries per size, sizes 3..13. Defaults are
-//! laptop-friendly; pass larger values to tighten the averages. With
-//! an explicit `--threads T > 1` the sweep additionally runs at
-//! `threads=1` and reports the plans/s speedup per cell (results are
-//! bit-identical).
+//! laptop-friendly; pass larger values to tighten the averages.
 
-use dpnext_bench::{
-    maybe_print_threads_compare, print_memo_table, print_table, run_sweep, AlgoSpec, Args,
-};
+use dpnext_bench::{print_memo_table, print_table, run_sweep, AlgoSpec, Args};
 use dpnext_core::Algorithm;
 use dpnext_workload::GenConfig;
 
@@ -26,7 +21,6 @@ fn main() {
         args.seed,
         &algos,
         GenConfig::paper,
-        args.threads,
     );
     println!(
         "{}",
@@ -53,6 +47,4 @@ fn main() {
         )
     );
     println!("{}", print_memo_table(&result));
-
-    maybe_print_threads_compare("Fig. 15", &args, &algos, &result, GenConfig::paper);
 }

@@ -24,7 +24,6 @@ fn main() {
         args.seed,
         &algos,
         GenConfig::paper,
-        args.threads,
     );
     println!(
         "{}",

@@ -2,12 +2,9 @@
 //! slightly faster because eager plans expose key constraints that make
 //! the top grouping obsolete, §5.3).
 //!
-//! Usage: `fig18 [--queries N] [--min N] [--max N] [--seed S] [--threads T]`.
-//! With an explicit `--threads T > 1` the sweep additionally runs at
-//! `threads=1` and reports the plans/s speedup per cell (results are
-//! bit-identical).
+//! Usage: `fig18 [--queries N] [--min N] [--max N] [--seed S]`.
 
-use dpnext_bench::{maybe_print_threads_compare, print_memo_table, run_sweep, AlgoSpec, Args};
+use dpnext_bench::{print_memo_table, run_sweep, AlgoSpec, Args};
 use dpnext_core::Algorithm;
 use dpnext_workload::GenConfig;
 
@@ -23,7 +20,6 @@ fn main() {
         args.seed,
         &algos,
         GenConfig::paper,
-        args.threads,
     );
     println!("# Fig. 18 — runtime of H1 and H2 (F = 1.03), and their ratio");
     println!(
@@ -39,6 +35,4 @@ fn main() {
     }
     println!();
     println!("{}", print_memo_table(&result));
-
-    maybe_print_threads_compare("Fig. 18", &args, &algos, &result, GenConfig::paper);
 }

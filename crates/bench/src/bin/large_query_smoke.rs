@@ -40,7 +40,6 @@ fn main() {
     }
     let opts = OptimizeOptions {
         explain: false,
-        threads: 1,
         plan_budget: budget,
         ..OptimizeOptions::default()
     };

@@ -46,7 +46,7 @@ fn main() {
 }
 
 fn quiet_optimizer() -> Optimizer {
-    Optimizer::new(Algorithm::EaPrune).threads(1).explain(false)
+    Optimizer::new(Algorithm::EaPrune).explain(false)
 }
 
 /// Part A: bounded admission and ledger accounting under a synchronized

@@ -68,7 +68,6 @@ fn deadline_part() {
             let q = generate_query(&GenConfig::topology(DEADLINE_N, topo), 2);
             let opts = OptimizeOptions {
                 explain: false,
-                threads: 1,
                 deadline: Some(deadline),
                 ..OptimizeOptions::default()
             };
@@ -124,7 +123,7 @@ fn hammer_part() {
     );
 
     let service = OptimizerService::with_config(
-        Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
+        Optimizer::new(Algorithm::EaPrune).explain(false),
         ServiceConfig {
             cache_capacity: 0, // every request must actually run (and may fault)
             pool_capacity: 4,

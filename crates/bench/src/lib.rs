@@ -7,7 +7,4 @@
 
 pub mod sweep;
 
-pub use sweep::{
-    maybe_print_threads_compare, print_memo_table, print_table, print_threads_compare, run_sweep,
-    serial_fraction, AlgoSpec, Args, Cell, SweepResult,
-};
+pub use sweep::{print_memo_table, print_table, run_sweep, AlgoSpec, Args, Cell, SweepResult};

@@ -4,7 +4,7 @@
 //! sample size here is configurable).
 
 use dpnext::Optimizer;
-use dpnext_core::{resolve_threads, Algorithm};
+use dpnext_core::Algorithm;
 use dpnext_workload::{generate_query, GenConfig};
 use std::time::Duration;
 
@@ -45,38 +45,6 @@ pub struct Cell {
     pub mean_peak_class_width: f64,
     /// Mean dominance-prune hit-rate (0 when the algorithm never prunes).
     pub mean_prune_hit_rate: f64,
-    /// Mean nanoseconds in the plan-building phase (workers + inline
-    /// strata; the whole enumeration on the streaming path).
-    pub mean_worker_nanos: f64,
-    /// Mean nanoseconds in the merge + per-class replay phase (0 on the
-    /// streaming path).
-    pub mean_replay_nanos: f64,
-    /// Mean LPT partition imbalance of the class-partitioned replay:
-    /// heaviest worker load as a percentage of a perfect split (100 =
-    /// perfectly balanced, worst stratum per run; 0 when nothing
-    /// replayed in parallel).
-    pub mean_lpt_imbalance_x100: f64,
-    /// Mean number of strata whose candidate bucketing ran fanned-out.
-    pub mean_par_bucket_strata: f64,
-}
-
-/// Share of instrumented engine time in the merge + replay phase — the
-/// Amdahl serial fraction of the layered engine, on (possibly averaged)
-/// phase nanoseconds. The one definition every bench-side readout uses;
-/// mirrors `MemoStats::serial_fraction` on the raw per-run counters.
-pub fn serial_fraction(worker_nanos: f64, replay_nanos: f64) -> f64 {
-    let total = worker_nanos + replay_nanos;
-    if total <= 0.0 {
-        return 0.0;
-    }
-    replay_nanos / total
-}
-
-impl Cell {
-    /// [`serial_fraction`] over this cell's mean phase times.
-    pub fn serial_fraction(&self) -> f64 {
-        serial_fraction(self.mean_worker_nanos, self.mean_replay_nanos)
-    }
 }
 
 /// Results of a sweep: `cells[algo_index][size_index]` (None where the
@@ -89,16 +57,13 @@ pub struct SweepResult {
 
 /// Run the sweep. For every size, `queries` seeds are drawn; the same
 /// query is fed to every algorithm. The *first* algorithm serves as the
-/// reference for relative costs. `threads` is the enumeration-engine
-/// fan-out (`1` = sequential streaming engine, `0` = all cores); results
-/// are bit-identical across thread counts, only runtimes change.
+/// reference for relative costs.
 pub fn run_sweep(
     sizes: &[usize],
     queries: usize,
     base_seed: u64,
     algos: &[AlgoSpec],
     gen_cfg: impl Fn(usize) -> GenConfig,
-    threads: usize,
 ) -> SweepResult {
     let mut cells: Vec<Vec<Option<Cell>>> = vec![vec![None; sizes.len()]; algos.len()];
     for (si, &n) in sizes.iter().enumerate() {
@@ -109,10 +74,6 @@ pub fn run_sweep(
         let mut arena: Vec<f64> = vec![0.0; algos.len()];
         let mut width: Vec<f64> = vec![0.0; algos.len()];
         let mut hits: Vec<f64> = vec![0.0; algos.len()];
-        let mut worker_ns: Vec<f64> = vec![0.0; algos.len()];
-        let mut replay_ns: Vec<f64> = vec![0.0; algos.len()];
-        let mut lpt: Vec<f64> = vec![0.0; algos.len()];
-        let mut par_strata: Vec<f64> = vec![0.0; algos.len()];
         for q in 0..queries {
             let seed = base_seed
                 .wrapping_add(n as u64 * 1_000_003)
@@ -123,20 +84,13 @@ pub fn run_sweep(
                     continue;
                 }
                 // EXPLAIN rendering off: sweeps time the search itself.
-                let r = Optimizer::new(spec.algo)
-                    .explain(false)
-                    .threads(threads)
-                    .optimize(&query);
+                let r = Optimizer::new(spec.algo).explain(false).optimize(&query);
                 costs[ai].push(r.plan.cost);
                 times[ai] += r.elapsed;
                 plans[ai] += r.plans_built as f64;
                 arena[ai] += r.memo.arena_plans as f64;
                 width[ai] += r.memo.peak_class_width as f64;
                 hits[ai] += r.memo.prune_hit_rate();
-                worker_ns[ai] += r.memo.worker_nanos as f64;
-                replay_ns[ai] += r.memo.replay_nanos as f64;
-                lpt[ai] += r.memo.lpt_imbalance_x100 as f64;
-                par_strata[ai] += r.memo.par_bucket_strata as f64;
             }
         }
         for (ai, spec) in algos.iter().enumerate() {
@@ -164,10 +118,6 @@ pub fn run_sweep(
                 mean_arena_plans: arena[ai] / m as f64,
                 mean_peak_class_width: width[ai] / m as f64,
                 mean_prune_hit_rate: hits[ai] / m as f64,
-                mean_worker_nanos: worker_ns[ai] / m as f64,
-                mean_replay_nanos: replay_ns[ai] / m as f64,
-                mean_lpt_imbalance_x100: lpt[ai] / m as f64,
-                mean_par_bucket_strata: par_strata[ai] / m as f64,
             });
         }
     }
@@ -219,83 +169,13 @@ pub fn print_memo_table(result: &SweepResult) -> String {
     )
 }
 
-/// Plans-per-second comparison of two sweeps of the same shape — the
-/// standard "threads=1 vs threads=N" readout of the figure binaries.
-/// Cells are `base → par (speedup×)`.
-pub fn print_threads_compare(title: &str, base: &SweepResult, par: &SweepResult) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
-    out.push_str(&format!("{:>4}", "n"));
-    for spec in &base.algos {
-        out.push_str(&format!(" {:>28}", spec.algo.name()));
-    }
-    out.push('\n');
-    let pps = |c: &Cell| c.mean_plans_built / c.mean_runtime.as_secs_f64().max(1e-12);
-    for (si, n) in base.sizes.iter().enumerate() {
-        out.push_str(&format!("{n:>4}"));
-        for (ai, _) in base.algos.iter().enumerate() {
-            match (&base.cells[ai][si], &par.cells[ai][si]) {
-                (Some(b), Some(p)) => {
-                    let (bp, pp) = (pps(b), pps(p));
-                    out.push_str(&format!(
-                        " {:>28}",
-                        format!("{:.0}k → {:.0}k ({:.2}×)", bp / 1e3, pp / 1e3, pp / bp)
-                    ));
-                }
-                _ => out.push_str(&format!(" {:>28}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// If an explicit `--threads T > 1` was passed, rerun the sweep at
-/// `threads = 1` and print the plans/s comparison against `result` —
-/// opt-in, because the baseline sweep doubles the figure's runtime.
-/// Results are bit-identical across thread counts; only plans/s moves.
-pub fn maybe_print_threads_compare(
-    figure: &str,
-    args: &Args,
-    algos: &[AlgoSpec],
-    result: &SweepResult,
-    gen_cfg: impl Fn(usize) -> GenConfig,
-) {
-    if args.threads <= 1 {
-        return;
-    }
-    let threads = resolve_threads(args.threads);
-    let seq = run_sweep(&args.sizes(), args.queries, args.seed, algos, gen_cfg, 1);
-    println!(
-        "{}",
-        print_threads_compare(
-            &format!("{figure} — plans/s, threads=1 → threads={threads}"),
-            &seq,
-            result,
-        )
-    );
-    println!(
-        "{}",
-        print_table(
-            &format!(
-                "{figure} — replay serial fraction at threads={threads} \
-                 (share of engine time in the merge+replay phase)"
-            ),
-            result,
-            |c| format!("{:.1}%", 100.0 * c.serial_fraction()),
-        )
-    );
-}
-
 /// Tiny command-line parsing:
-/// `--queries N --min N --max N --seed N --threads N`.
+/// `--queries N --min N --max N --seed N`.
 pub struct Args {
     pub queries: usize,
     pub min_n: usize,
     pub max_n: usize,
     pub seed: u64,
-    /// Enumeration fan-out; `0` = all cores (the facade default).
-    pub threads: usize,
 }
 
 impl Args {
@@ -305,7 +185,6 @@ impl Args {
             min_n: default_min,
             max_n: default_max,
             seed: 42,
-            threads: 0,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -317,10 +196,7 @@ impl Args {
                 "--min" => args.min_n = v.parse().expect("--min"),
                 "--max" => args.max_n = v.parse().expect("--max"),
                 "--seed" => args.seed = v.parse().expect("--seed"),
-                "--threads" => args.threads = v.parse().expect("--threads"),
-                other => panic!(
-                    "unknown flag {other} (supported: --queries --min --max --seed --threads)"
-                ),
+                other => panic!("unknown flag {other} (supported: --queries --min --max --seed)"),
             }
         }
         args
@@ -342,7 +218,7 @@ mod tests {
             AlgoSpec::new(Algorithm::H1, 20),
             AlgoSpec::new(Algorithm::EaPrune, 5),
         ];
-        let r = run_sweep(&[3, 6], 4, 7, &algos, GenConfig::paper, 1);
+        let r = run_sweep(&[3, 6], 4, 7, &algos, GenConfig::paper);
         assert_eq!(2, r.sizes.len());
         // EA-Prune capped at 5: missing for n = 6.
         assert!(r.cells[2][0].is_some());
@@ -356,27 +232,5 @@ mod tests {
         let table = print_table("t", &r, |c| format!("{:.3}", c.mean_rel_cost));
         assert!(table.contains("DPhyp"));
         assert!(table.contains('-'));
-    }
-
-    #[test]
-    fn sweep_results_identical_across_thread_counts() {
-        let algos = [
-            AlgoSpec::new(Algorithm::EaPrune, 6),
-            AlgoSpec::new(Algorithm::DPhyp, 6),
-        ];
-        let seq = run_sweep(&[5, 6], 3, 42, &algos, GenConfig::paper, 1);
-        let par = run_sweep(&[5, 6], 3, 42, &algos, GenConfig::paper, 4);
-        for ai in 0..algos.len() {
-            for si in 0..2 {
-                let (s, p) = (
-                    seq.cells[ai][si].as_ref().unwrap(),
-                    par.cells[ai][si].as_ref().unwrap(),
-                );
-                assert_eq!(s.mean_cost.to_bits(), p.mean_cost.to_bits());
-                assert_eq!(s.mean_plans_built, p.mean_plans_built);
-            }
-        }
-        let table = print_threads_compare("1 vs 4", &seq, &par);
-        assert!(table.contains('×'));
     }
 }

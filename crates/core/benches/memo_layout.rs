@@ -3,10 +3,10 @@
 //! loop of the enumeration — every candidate plan is compared against
 //! every resident of its class, reading only `set`/`card`/`cost`/flags.
 //! The SoA layout packs exactly those fields into a 40-byte `PlanHot`
-//! row and mirrors residents into a contiguous scratch, so a fold scan
-//! walks one tight array; the AoS reference below folds over fat
-//! `MemoPlan` structs (inline `KeyInfo`, `AggState`, visible-attribute
-//! vectors), which is the layout the memo had before the split.
+//! row, so a fold scan touches only the hot lane; the AoS reference below
+//! folds over fat `MemoPlan` structs (inline `KeyInfo`, `AggState`,
+//! visible-attribute vectors), which is the layout the memo had before
+//! the split.
 //!
 //! Run with `cargo bench --bench memo_layout`; CI compiles it on every
 //! PR (`cargo bench --no-run`) and archives the binary so the perf
@@ -16,7 +16,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpnext_algebra::schema::AttrId;
 use dpnext_core::aggstate::AggState;
 use dpnext_core::memo::{
-    prune_fold_slice, ClassTally, DominanceKind, Memo, MemoPlan, PlanId, PlanNode,
+    prune_insert_ids, DominanceKind, Memo, MemoPlan, MemoStats, PlanId, PlanNode,
 };
 use dpnext_hypergraph::NodeSet;
 use dpnext_keys::{KeyInfo, KeySet};
@@ -36,11 +36,10 @@ impl Lcg {
 
 /// In a real enumeration one class's plans are interleaved with every
 /// other class's in the shared arena — consecutive members of a class
-/// sit at irregular offsets (whatever the stratum happened to produce
+/// sit at irregular offsets (whatever the enumeration happened to build
 /// between them), not adjacent and not on a fixed stride the hardware
 /// prefetcher could lock onto. The AoS fold pays that scatter on every
-/// resident re-scan; the SoA fold reads 40-byte hot rows (and mirrors
-/// residents into a contiguous scratch).
+/// resident re-scan; the SoA fold reads 40-byte hot rows.
 ///
 /// Cost and cardinality are LCG-varied so dominance is decided late
 /// (exercising the scan); ~25% of plans are duplicate-free with small
@@ -84,8 +83,7 @@ fn filler_plan(rng: &mut Lcg) -> MemoPlan {
 /// Like [`arena`], but the class's candidates sit on an anti-correlated
 /// cost/cardinality frontier — no plan dominates any other, so the class
 /// grows to full width and every candidate scans every resident. This is
-/// the wide-Pareto-class regime EA-All's `MultiBest` policy produces,
-/// and the case the contiguous `rows` scratch is built for.
+/// the wide-Pareto-class regime EA-All's `MultiBest` policy produces.
 fn frontier_arena(n: usize, seed: u64) -> (Vec<MemoPlan>, Vec<usize>) {
     let (mut plans, candidates) = arena(n, seed);
     for (rank, &i) in candidates.iter().enumerate() {
@@ -116,7 +114,7 @@ fn dominates_fat(a: &MemoPlan, b: &MemoPlan, kind: DominanceKind) -> bool {
 }
 
 /// AoS reference fold: same reject/evict/append order as
-/// `prune_fold_slice`, over fat structs addressed by arena index.
+/// `prune_insert_ids`, over fat structs addressed by arena index.
 fn fold_fat(plans: &[MemoPlan], candidates: &[usize], kind: DominanceKind) -> usize {
     let mut class: Vec<usize> = Vec::new();
     'next: for &id in candidates {
@@ -130,6 +128,24 @@ fn fold_fat(plans: &[MemoPlan], candidates: &[usize], kind: DominanceKind) -> us
         class.push(id);
     }
     class.len()
+}
+
+/// SoA fold: the memo's own `prune_insert_ids`, one candidate at a time
+/// into the caller's (cleared) class vector.
+fn fold_soa(memo: &Memo, class: &mut Vec<PlanId>, candidates: &[PlanId], kind: DominanceKind) {
+    class.clear();
+    let mut stats = MemoStats::default();
+    for &id in candidates {
+        prune_insert_ids(
+            memo.hot_plans(),
+            memo.cold_plans(),
+            class,
+            id,
+            kind,
+            true,
+            &mut stats,
+        );
+    }
 }
 
 fn bench_dominance_fold(c: &mut Criterion) {
@@ -164,18 +180,7 @@ fn bench_dominance_fold(c: &mut Criterion) {
             // comparison below does identical dominance work.
             {
                 let mut class = Vec::new();
-                let mut rows = Vec::new();
-                let mut tally = ClassTally::default();
-                prune_fold_slice(
-                    memo.hot_plans(),
-                    memo.cold_plans(),
-                    &mut class,
-                    &mut rows,
-                    &ids,
-                    kind,
-                    true,
-                    &mut tally,
-                );
+                fold_soa(&memo, &mut class, &ids, kind);
                 assert_eq!(class.len(), fold_fat(&plans, &aos_ids, kind));
             }
 
@@ -185,20 +190,8 @@ fn bench_dominance_fold(c: &mut Criterion) {
 
             group.bench_function(format!("soa_hot_rows_{kname}_{label}"), |b| {
                 let mut class = Vec::new();
-                let mut rows = Vec::new();
                 b.iter(|| {
-                    class.clear();
-                    let mut tally = ClassTally::default();
-                    prune_fold_slice(
-                        memo.hot_plans(),
-                        memo.cold_plans(),
-                        &mut class,
-                        &mut rows,
-                        black_box(&ids),
-                        kind,
-                        true,
-                        &mut tally,
-                    );
+                    fold_soa(&memo, &mut class, black_box(&ids), kind);
                     black_box(class.len())
                 })
             });

@@ -5,35 +5,20 @@
 //! (Fig. 10) and H2 (Fig. 12) are all instances of the engine with a
 //! different `ClassPolicy`.
 //!
-//! The engine has two interchangeable drivers:
-//!
-//! * **streaming** (`threads = 1`): walk the DPhyp csg-cmp-pair stream in
-//!   emission order and feed the policy directly — exactly the historical
-//!   sequential path;
-//! * **layered** (`threads > 1`): stratify the stream by `|S1 ∪ S2|`
-//!   ([`dpnext_hypergraph::stratify_ccps`]), fan each stratum's pairs out
-//!   over `std::thread::scope` workers building into thread-local
-//!   [`MemoShard`]s, merge the shards while **bucketing** the recorded
-//!   candidates by target class, then fan the per-class streams back out
-//!   over the worker pool: plan classes are independent per `NodeSet`
-//!   (dominance/keep-best only ever compares within a class), so the
-//!   folds commute across classes, and within each class candidates
-//!   apply in the original sequential unit order. Because a stratum only
-//!   reads plan classes frozen by earlier strata, this makes costs, class
-//!   contents, dominance outcomes and `plans_built` bit-identical to the
-//!   streaming driver for any thread count (the parity suite pins this).
+//! The engine is one loop: walk the DPhyp csg-cmp-pair stream in emission
+//! order and hand every pair to `process_pair`, which builds the plans of
+//! each `(orientation, t1, t2)` work unit and feeds them to the policy. A
+//! `take` hook is asked before every unit; the exact algorithms take
+//! everything, [`BudgetedSearch`] refuses once its plan budget, deadline
+//! or byte budget is spent — a refusal ends the pair.
 
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
-use crate::fxhash::{FxHashMap, FxHasher};
-use crate::memo::{
-    prune_fold_slice, prune_insert_ids, ClassBuckets, ClassTally, DominanceKind, Memo, MemoShard,
-    MemoStats, PlanCold, PlanHot, PlanId, PlanStore, ShardRemap,
-};
+use crate::memo::{DominanceKind, Memo, MemoStats, PlanId};
 use crate::optrees::op_trees;
 use crate::plan::{apply_staged, make_scan, stage_apply};
 use dpnext_conflict::applicable_ops_into;
-use dpnext_hypergraph::{enumerate_ccps, stratify_ccps, NodeSet};
+use dpnext_hypergraph::{enumerate_ccps, NodeSet};
 use dpnext_query::{OpKind, Query};
 use std::time::{Duration, Instant};
 
@@ -89,7 +74,7 @@ pub struct Optimized {
     /// Plans retained in the DP table at the end.
     pub retained_plans: u64,
     /// Memo statistics: arena size, peak class width, prune hit-rate,
-    /// layering/threading of the enumeration.
+    /// budget and degradation of an adaptive run.
     pub memo: MemoStats,
     /// Time spent searching (EXPLAIN rendering excluded).
     pub elapsed: Duration,
@@ -103,11 +88,6 @@ pub struct OptimizeOptions {
     pub dominance: DominanceKind,
     /// Render the EXPLAIN string (skip for pure benchmarking runs).
     pub explain: bool,
-    /// Worker threads for the enumeration engine: `1` is the exact
-    /// sequential streaming path, `0` resolves to the machine's available
-    /// parallelism. Any value yields bit-identical costs, class contents
-    /// and `plans_built`.
-    pub threads: usize,
     /// Plan budget for [`Algorithm::Adaptive`]: the maximum number of
     /// plans (joins + groupings) the search may construct across every
     /// rung of its degradation ladder. `0` means the adaptive default
@@ -145,23 +125,11 @@ impl Default for OptimizeOptions {
         OptimizeOptions {
             dominance: DominanceKind::Full,
             explain: true,
-            threads: 0,
             plan_budget: 0,
             deadline: None,
             memory_budget: 0,
             fault_unit_delay: None,
         }
-    }
-}
-
-/// Resolve the `threads` knob: `0` means all available cores.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
     }
 }
 
@@ -209,14 +177,13 @@ pub fn optimize_into(
 ) -> Optimized {
     memo.reset();
     let ctx = OptContext::new(query.clone());
-    let threads = resolve_threads(opts.threads);
     let start = Instant::now();
     let ((plan, logical), retained, plans_built) = match algo {
-        Algorithm::DPhyp => run_single(&ctx, memo, false, None, threads),
-        Algorithm::H1 => run_single(&ctx, memo, true, None, threads),
-        Algorithm::H2(f) => run_single(&ctx, memo, true, Some(f), threads),
-        Algorithm::EaAll => run_multi(&ctx, memo, None, threads),
-        Algorithm::EaPrune => run_multi(&ctx, memo, Some(opts.dominance), threads),
+        Algorithm::DPhyp => run_single(&ctx, memo, false, None),
+        Algorithm::H1 => run_single(&ctx, memo, true, None),
+        Algorithm::H2(f) => run_single(&ctx, memo, true, Some(f)),
+        Algorithm::EaAll => run_multi(&ctx, memo, None),
+        Algorithm::EaPrune => run_multi(&ctx, memo, Some(opts.dominance)),
         // dpnext-core cannot depend on dpnext-adaptive (it is the other
         // way around); the facade routes this variant before we get here.
         Algorithm::Adaptive => panic!(
@@ -245,7 +212,7 @@ pub fn optimize_into(
 /// Reusable per-pair buffers of the enumeration hot loop: orientation and
 /// class snapshots live here so processing a csg-cmp-pair allocates
 /// nothing (beyond the plans themselves).
-struct PairBufs {
+pub(crate) struct PairBufs {
     /// `applicable_ops_into` output.
     apps: Vec<(usize, bool)>,
     /// Deduplicated operator indices crossing the cut.
@@ -261,7 +228,7 @@ struct PairBufs {
 }
 
 impl PairBufs {
-    fn new() -> PairBufs {
+    pub(crate) fn new() -> PairBufs {
         PairBufs {
             apps: Vec::new(),
             uniq: Vec::new(),
@@ -319,126 +286,46 @@ fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut Pair
 /// What a plan class keeps, and what happens to complete plans — the only
 /// part in which the five generators differ. The engine drives the
 /// enumeration; the policy decides retention.
-///
-/// `Sync` because the class-partitioned replay shares `&self` across the
-/// per-class fold workers ([`ClassPolicy::fold_insert`] is read-only on
-/// the policy).
-trait ClassPolicy: Sync {
+pub(crate) trait ClassPolicy {
     /// Generate all eager-aggregation variants (`OpTrees`, Fig. 6) or only
     /// the plain operator tree (the DPhyp baseline)?
     fn eager(&self) -> bool;
     /// A new plan for the (incomplete) class `s` was built.
-    fn insert(&mut self, ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId);
+    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId);
     /// A plan covering the full relation set with every operator applied.
     /// Returns whether the policy kept a reference to `id`; when no plan
-    /// of a full-set pair is kept, the engine rolls the arena back.
-    fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool;
-    /// Per-class equivalent of [`ClassPolicy::insert`]: fold one recorded
-    /// candidate into the detached class vector `class`, reading plan
-    /// data from the frozen, fully merged memo and tallying counters per
-    /// fold. Folds for different classes run concurrently — retention may
-    /// depend only on plan data and the class itself, never on mutable
-    /// policy state (hence `&self`). Within one class the replay applies
-    /// candidates in the original sequential unit order, so the folded
-    /// class is bit-identical to what streaming `insert`s build.
-    fn fold_insert(
-        &self,
-        ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    );
-    /// Fold a whole class's unit-sorted candidate slice in one call — the
-    /// batched form of [`ClassPolicy::fold_insert`] the replay actually
-    /// drives, so policies can amortize per-candidate setup across the
-    /// slice (dominance pruning mirrors the residents' hot rows into the
-    /// caller-owned `rows` scratch once per class instead of chasing
-    /// arena indices per candidate). Must be semantically identical to
-    /// folding the candidates one by one; the default does exactly that.
-    fn fold_class(
-        &self,
-        ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        rows: &mut Vec<PlanHot>,
-        candidates: &[PlanId],
-        tally: &mut ClassTally,
-    ) {
-        let _ = rows;
-        for &id in candidates {
-            self.fold_insert(ctx, memo, class, id, tally);
-        }
-    }
-    /// Replay-path equivalent of [`ClassPolicy::complete`]. The replay
-    /// never rolls the merged arena back (losing plans were already
-    /// reclaimed worker-locally), so shared memo access suffices.
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool;
-    /// Does `complete` keep every complete plan unconditionally? Workers
-    /// then record all complete plans instead of pre-filtering with the
-    /// worker-local keep-best (and never roll their shard back).
-    fn keeps_all_completes(&self) -> bool {
-        false
-    }
-    /// Whether the layered driver may run this policy: [`WorkerSink`]
-    /// pre-filters complete plans with a worker-local strict-`<`
-    /// finalized-cost keep-best, which is lossless only when `complete`
-    /// itself keeps exactly the strict-cost winners (the keep-best
-    /// policies) or keeps everything ([`ClassPolicy::keeps_all_completes`],
-    /// which disables the pre-filter). Policies that retain a non-trivial
-    /// subset of complete plans (top-k, tolerance acceptance) must return
-    /// `false`; the engine then stays on the streaming driver regardless
-    /// of the `threads` knob.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-}
-
-/// Where the plans of one csg-cmp-pair go: the streaming driver feeds the
-/// policy and memo directly; layered workers record candidates (plus a
-/// local keep-best for rollback) for the deterministic merge replay.
-trait PairSink<S: PlanStore> {
-    /// The engine is about to build the plans of work unit `unit` — one
-    /// `(t1, t2)` subplan combination in the stratum-global enumeration
-    /// order. Workers tag their candidates with it so the merge can
-    /// interleave the streams back into sequential order.
-    fn begin_unit(&mut self, unit: u64);
-    fn insert(&mut self, ctx: &OptContext, store: &mut S, s: NodeSet, id: PlanId);
-    /// Returns whether the sink kept a reference to the complete plan.
-    fn complete(&mut self, ctx: &OptContext, store: &mut S, id: PlanId) -> bool;
+    /// of a work unit is kept, the engine rolls the arena back.
+    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool;
 }
 
 /// Build the plan variants of one csg-cmp-pair: for each orientation,
 /// pair up the retained subplans of both sides, construct the policy's
-/// tree variants, and hand them to the sink. Complete plans never enter a
-/// class; unless the sink keeps one, the whole `(t1, t2)` application is
-/// rolled back — on EA-All the losing complete plans outnumber the
+/// tree variants, and hand them to the policy. Complete plans never enter
+/// a class; unless the policy keeps one, the whole `(t1, t2)` application
+/// is rolled back — on EA-All the losing complete plans outnumber the
 /// retained state by an order of magnitude.
 ///
-/// Every `(orientation, t1, t2)` combination is one **work unit**,
-/// numbered by `unit` across the whole stratum. `take` decides whether
-/// this caller builds the unit (it also sees the store, so budgeted
-/// callers can read live resource state like [`Memo::live_bytes`]) — the
-/// streaming driver takes everything, layered workers take their
-/// `unit ≡ worker (mod threads)` share. Unit
-/// numbering depends only on frozen class snapshots and the (pure)
-/// orientation computation, so every worker counts identically; combos
-/// are the grain of the fan-out because the heavy strata of the EA
-/// searches hold few pairs with enormous subplan grids.
+/// Every `(orientation, t1, t2)` combination is one **work unit**, counted
+/// in the caller's `unit`. Before building a unit the engine asks
+/// `take(unit, memo)` (the hook sees the memo so a budgeted caller can
+/// read live resource state like [`Memo::live_bytes`]). A refusal means
+/// *stop*: the rest of the pair is abandoned and `false` is returned, so
+/// the pair's plan set is incomplete. The per-pair snapshots of both
+/// classes are plain `PlanId` copies into `bufs` — no plan data is cloned.
 #[allow(clippy::too_many_arguments)]
-fn process_pair<S: PlanStore, K: PairSink<S>>(
+pub(crate) fn process_pair<P: ClassPolicy>(
     ctx: &OptContext,
     scratch: &mut Scratch,
     bufs: &mut PairBufs,
-    store: &mut S,
-    sink: &mut K,
-    eager: bool,
+    memo: &mut Memo,
+    policy: &mut P,
     s1: NodeSet,
     s2: NodeSet,
     full: NodeSet,
     unit: &mut u64,
-    take: &mut impl FnMut(u64, &S) -> bool,
-) {
+    take: &mut impl FnMut(u64, &Memo) -> bool,
+) -> bool {
+    let eager = policy.eager();
     orientations_into(ctx, s1, s2, bufs);
     let PairBufs {
         orients,
@@ -450,9 +337,9 @@ fn process_pair<S: PlanStore, K: PairSink<S>>(
     } = bufs;
     for &(sl, sr, op) in orients.iter() {
         lefts.clear();
-        lefts.extend_from_slice(store.plan_class(sl));
+        lefts.extend_from_slice(memo.class(sl));
         rights.clear();
-        rights.extend_from_slice(store.plan_class(sr));
+        rights.extend_from_slice(memo.class(sr));
         if lefts.is_empty() || rights.is_empty() {
             continue;
         }
@@ -464,600 +351,85 @@ fn process_pair<S: PlanStore, K: PairSink<S>>(
         let staged = stage_apply(ctx, scratch, op, extra, sl);
         for &t1 in lefts.iter() {
             for &t2 in rights.iter() {
-                let u = *unit;
-                *unit += 1;
-                if !take(u, store) {
-                    continue;
+                if !take(*unit, memo) {
+                    return false;
                 }
-                sink.begin_unit(u);
-                let mark = (s == full).then(|| store.plan_count());
+                *unit += 1;
+                let mark = (s == full).then(|| memo.arena_len());
                 trees.clear();
+                // The constructors this loop calls (`op_trees`,
+                // `apply_staged`, `make_group`, and `final_numbers` behind
+                // `complete`) are `#[inline]` so they are compiled into
+                // this codegen unit; without that the benchmark's
+                // ea-prune-paper p99 reads ~5% higher.
                 if eager {
-                    op_trees(ctx, scratch, store, &staged, t1, t2, trees);
-                } else if let Some(t) = apply_staged(ctx, scratch, store, &staged, t1, t2) {
+                    op_trees(ctx, scratch, memo, &staged, t1, t2, trees);
+                } else if let Some(t) = apply_staged(ctx, scratch, memo, &staged, t1, t2) {
                     trees.push(t);
                 }
                 let mut kept = false;
                 for &t in trees.iter() {
                     if s == full {
-                        if all_ops_applied(ctx, store[t].applied) {
-                            kept |= sink.complete(ctx, store, t);
+                        if all_ops_applied(ctx, memo[t].applied) {
+                            kept |= policy.complete(ctx, memo, t);
                         }
                     } else {
-                        sink.insert(ctx, store, s, t);
+                        policy.insert(memo, s, t);
                     }
                 }
                 if let Some(mark) = mark {
                     if !kept {
-                        store.truncate_plans(mark);
+                        memo.truncate(mark);
                     }
                 }
             }
         }
     }
+    true
 }
 
-/// The streaming sink: candidates go straight to the policy.
-struct PolicySink<'a, P: ClassPolicy> {
-    policy: &'a mut P,
-}
-
-impl<P: ClassPolicy> PairSink<Memo> for PolicySink<'_, P> {
-    fn begin_unit(&mut self, _unit: u64) {}
-
-    fn insert(&mut self, ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId) {
-        self.policy.insert(ctx, memo, s, id);
-    }
-
-    fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool {
-        self.policy.complete(ctx, memo, id)
-    }
-}
-
-/// A layered worker's sink: class candidates and surviving complete plans
-/// are recorded (tagged with their work unit) for the merge replay; a
-/// worker-local keep-best drives the arena rollback so losing complete
-/// plans are reclaimed without cross-thread coordination. Collect-all
-/// policies (`keep_all`) retain every complete plan instead.
-#[derive(Default)]
-struct WorkerSink {
-    unit: u64,
-    inserts: Vec<(u64, NodeSet, PlanId)>,
-    completes: Vec<(u64, PlanId)>,
-    best_cost: Option<f64>,
-    keep_all: bool,
-}
-
-impl WorkerSink {
-    fn new(keep_all: bool) -> WorkerSink {
-        WorkerSink {
-            keep_all,
-            ..WorkerSink::default()
-        }
-    }
-}
-
-impl PairSink<MemoShard<'_>> for WorkerSink {
-    fn begin_unit(&mut self, unit: u64) {
-        self.unit = unit;
-    }
-
-    fn insert(&mut self, _ctx: &OptContext, _store: &mut MemoShard<'_>, s: NodeSet, id: PlanId) {
-        self.inserts.push((self.unit, s, id));
-    }
-
-    fn complete(&mut self, ctx: &OptContext, store: &mut MemoShard<'_>, id: PlanId) -> bool {
-        if self.keep_all {
-            self.completes.push((self.unit, id));
-            return true;
-        }
-        let (cost, _, _) = final_numbers(ctx, store, id);
-        if self.best_cost.is_none_or(|b| cost < b) {
-            self.best_cost = Some(cost);
-            self.completes.push((self.unit, id));
-            return true;
-        }
-        false
-    }
-}
-
-/// Everything one worker hands back from a stratum.
-struct WorkerOut {
-    /// The shard's locally built plan rows, split hot/cold like the
-    /// shared arena they will be appended to.
-    hot: Vec<PlanHot>,
-    cold: Vec<PlanCold>,
-    peak: usize,
-    inserts: Vec<(u64, NodeSet, PlanId)>,
-    completes: Vec<(u64, PlanId)>,
-    plans_built: u64,
-    attrs_used: u32,
-    units: u64,
-    /// The worker's scratch, returned so its warm `G⁺` cache survives
-    /// into the next stratum (G⁺ is a pure function of the query).
-    scratch: Scratch,
-}
-
-/// One worker: walk the whole stratum's unit enumeration (cheap — the
-/// per-pair orientation probe against frozen classes) and build every
-/// `unit ≡ worker (mod threads)` combination against the frozen shared
-/// memo. Unit-granular striping is what load-balances the EA searches,
-/// whose heaviest strata hold only a handful of pairs with huge subplan
-/// grids.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    ctx: &OptContext,
-    shared: &Memo,
-    pairs: &[(NodeSet, NodeSet)],
-    worker: usize,
-    threads: usize,
-    mut scratch: Scratch,
-    eager: bool,
-    keep_all: bool,
-    full: NodeSet,
-) -> WorkerOut {
-    // The scratch is reused across strata; report this stratum's delta.
-    let built_before = scratch.plans_built;
-    let mut bufs = PairBufs::new();
-    let mut shard = MemoShard::new(shared);
-    let mut sink = WorkerSink::new(keep_all);
-    let mut unit = 0u64;
-    let w = worker as u64;
-    let t = threads as u64;
-    let mut take = move |u: u64, _: &MemoShard<'_>| u % t == w;
-    for &(s1, s2) in pairs {
-        process_pair(
-            ctx,
-            &mut scratch,
-            &mut bufs,
-            &mut shard,
-            &mut sink,
-            eager,
-            s1,
-            s2,
-            full,
-            &mut unit,
-            &mut take,
-        );
-    }
-    let peak = shard.peak();
-    let plans_built = scratch.plans_built - built_before;
-    let attrs_used = scratch.attrs_used();
-    let (hot, cold) = shard.into_local();
-    WorkerOut {
-        hot,
-        cold,
-        peak,
-        inserts: sink.inserts,
-        completes: sink.completes,
-        plans_built,
-        attrs_used,
-        units: unit,
-        scratch,
-    }
-}
-
-/// Fan-out threshold: a stratum below this many subplan combinations is
-/// processed inline — thread spawn plus merge costs more than the work.
-const PAR_MIN_COMBOS: usize = 256;
-
-/// Fan-out threshold of the class-partitioned replay: below this many
-/// recorded candidates the per-class folds run inline on the merging
-/// thread — spawning would cost more than the dominance checks.
-const PAR_MIN_REPLAY: usize = 256;
-
-/// The layered driver: strata in ascending union size; within a stratum,
-/// work units fan out round-robin over scoped worker threads, the shard
-/// merge buckets the recorded candidates by target class, and the
-/// per-class candidate streams fan back out over scoped workers — within
-/// a class candidates apply in original unit order, so every observable
-/// outcome matches the streaming driver bit for bit.
-/// Memory note: unlike the streaming driver, this materializes the whole
-/// csg-cmp-pair stream (16 bytes/pair). That is only significant where
-/// `#ccp` is astronomically large — and every pair also costs at least
-/// one plan construction (~µs), so any graph whose pair list strains
-/// memory is already out of wall-clock reach; a lazy stratifier is listed
-/// in the ROADMAP should that change.
-fn enumerate_layered<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    scratch: &mut Scratch,
-    policy: &mut P,
-    threads: usize,
-) {
-    let eager = policy.eager();
-    let keep_all = policy.keeps_all_completes();
-    let n = ctx.query.table_count();
-    let full = NodeSet::full(n);
-    let strata = stratify_ccps(&ctx.cq.graph);
-    // Widest fan-out actually spawned (1 = every stratum ran inline),
-    // recorded after the loop.
-    let mut fanout_used = 1u64;
-    // Phase instrumentation: plan-building (worker/inline) time vs
-    // merge+replay time, and the widest per-class replay fan-out.
-    let mut worker_nanos = 0u64;
-    let mut replay_nanos = 0u64;
-    let mut peak_replay_classes = 0u64;
-    // Global fresh-attribute cursor: inline strata allocate from it
-    // directly; fanned-out strata interleave it across workers (ids ≡
-    // worker mod t). Ids differ between thread counts but never collide,
-    // and nothing observable depends on them (fresh columns have unknown
-    // statistics).
-    let mut next_attr = ctx.first_fresh_attr();
-    let mut bufs = PairBufs::new();
-    // Per-worker scratches persist across strata so the warm G⁺ caches
-    // (pure functions of the query) are not recomputed every layer.
-    let mut pool: Vec<Option<Scratch>> = (0..threads).map(|_| None).collect();
-    for (stratum_idx, pairs) in strata.strata.iter().filter(|p| !p.is_empty()).enumerate() {
-        // Work-unit estimate for the stratum: subplan combinations over
-        // the frozen classes. Orientations can double it (commutative
-        // operators emit both directions), so this is a ×2-accurate
-        // estimate, not a bound — good enough for the fan-out decision.
-        let combos: usize = pairs
-            .iter()
-            .map(|&(s1, s2)| memo.class(s1).len() * memo.class(s2).len())
-            .sum();
-        let t = threads.min(combos.max(1));
-        if t < 2 || combos < PAR_MIN_COMBOS {
-            // Inline: identical to one worker plus immediate replay.
-            let t0 = Instant::now();
-            scratch.set_attr_base(next_attr);
-            let mut sink = PolicySink {
-                policy: &mut *policy,
-            };
-            let mut unit = 0u64;
-            let mut take = |_: u64, _: &Memo| true;
-            for &(s1, s2) in pairs {
-                process_pair(
-                    ctx, scratch, &mut bufs, memo, &mut sink, eager, s1, s2, full, &mut unit,
-                    &mut take,
-                );
-            }
-            next_attr += scratch.attrs_used();
-            let dt = t0.elapsed().as_nanos() as u64;
-            worker_nanos += dt;
-            dpnext_obs::emit_span(
-                "engine.stratum.worker",
-                dt,
-                &[
-                    ("stratum", stratum_idx as u64),
-                    ("pairs", pairs.len() as u64),
-                    ("combos", combos as u64),
-                    ("fanout", 1),
-                ],
-            );
-            continue;
-        }
-        fanout_used = fanout_used.max(t as u64);
-        let t0 = Instant::now();
-        let shared: &Memo = memo;
-        let scratches: Vec<Scratch> = pool
-            .iter_mut()
-            .take(t)
-            .enumerate()
-            .map(|(w, slot)| {
-                let mut s = slot
-                    .take()
-                    .unwrap_or_else(|| Scratch::with_attr_base(next_attr));
-                // Interleaved ids: worker w allocates next_attr + w + k·t,
-                // disjoint across workers from one shared cursor.
-                s.set_attr_stride(next_attr + w as u32, t as u32);
-                s
-            })
-            .collect();
-        let outs: Vec<WorkerOut> = std::thread::scope(|sc| {
-            let handles: Vec<_> = scratches
-                .into_iter()
-                .enumerate()
-                .map(|(w, ws)| {
-                    sc.spawn(move || {
-                        run_worker(ctx, shared, pairs, w, t, ws, eager, keep_all, full)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enumeration worker panicked"))
-                .collect()
-        });
-        let dt = t0.elapsed().as_nanos() as u64;
-        worker_nanos += dt;
-        dpnext_obs::emit_span(
-            "engine.stratum.worker",
-            dt,
-            &[
-                ("stratum", stratum_idx as u64),
-                ("pairs", pairs.len() as u64),
-                ("combos", combos as u64),
-                ("fanout", t as u64),
-            ],
-        );
-        let t1 = Instant::now();
-        // Advance the cursor past the interleaved block actually used:
-        // worker w's largest id is < next_attr + w + t·used_w, so
-        // t × max(used) covers every worker.
-        let max_used = outs.iter().map(|o| o.attrs_used).max().unwrap_or(0);
-        next_attr = u32::try_from(u64::from(next_attr) + u64::from(max_used) * t as u64)
-            .expect("fresh-attribute space (u32) exhausted");
-        // Merge: shards append in worker order (ids shift as a block —
-        // this arena splice is the only irreducibly serial step)...
-        memo.record_shard_peak(outs.iter().map(|o| o.peak as u64).sum());
-        let base = memo.arena_len();
-        let mut buckets = ClassBuckets::default();
-        let mut outs = outs;
-        let mut remaps: Vec<ShardRemap> = Vec::with_capacity(outs.len());
-        for (w, out) in outs.iter_mut().enumerate() {
-            scratch.plans_built += out.plans_built;
-            let hot = std::mem::take(&mut out.hot);
-            let cold = std::mem::take(&mut out.cold);
-            remaps.push(memo.append_shard(hot, cold, base));
-            pool[w] = Some(std::mem::replace(
-                &mut out.scratch,
-                Scratch::with_attr_base(0),
-            ));
-        }
-        // ...then the recorded candidate streams are remapped and grouped
-        // by target class. On wide strata the bucketing itself fans out
-        // over the worker pool, hash-partitioned by class (each class is
-        // owned by exactly one bucket worker, which scans the shards in
-        // worker order — the shard-major per-class order the replay's
-        // unit sort depends on is preserved exactly).
-        let candidates: usize = outs.iter().map(|o| o.inserts.len()).sum();
-        if t >= 2 && candidates >= PAR_MIN_REPLAY {
-            memo.record_par_bucket_stratum();
-            bucket_parallel(&outs, &remaps, t, &mut buckets);
-        } else {
-            for (out, &remap) in outs.iter().zip(&remaps) {
-                for &(unit, s, id) in &out.inserts {
-                    buckets
-                        .classes
-                        .entry(s)
-                        .or_default()
-                        .push((unit, remap.apply(id)));
-                }
-            }
-        }
-        for (out, &remap) in outs.iter().zip(&remaps) {
-            for &(unit, id) in &out.completes {
-                buckets.completes.push((unit, remap.apply(id)));
-            }
-        }
-        let units = outs.first().map(|o| o.units).unwrap_or(0);
-        debug_assert!(outs.iter().all(|o| o.units == units));
-        // ...and the per-class streams fold concurrently (sequential unit
-        // order *within* each class), reproducing the streaming outcome.
-        let par_classes = replay_buckets(ctx, memo, policy, buckets, t);
-        peak_replay_classes = peak_replay_classes.max(par_classes);
-        let dt = t1.elapsed().as_nanos() as u64;
-        replay_nanos += dt;
-        dpnext_obs::emit_span(
-            "engine.stratum.replay",
-            dt,
-            &[
-                ("stratum", stratum_idx as u64),
-                ("candidates", candidates as u64),
-                ("par_classes", par_classes),
-            ],
-        );
-    }
-    memo.record_layering(strata.layer_count(), strata.peak_layer_pairs(), fanout_used);
-    memo.record_phases(worker_nanos, replay_nanos, peak_replay_classes);
-}
-
-/// The bucket worker owning class `s` under a `fanout`-way hash
-/// partition. Deterministic (seeded FxHash of the node set), so every
-/// thread count produces the same ownership — only *who* buckets a class
-/// changes, never the bucket contents.
-fn class_bucket(s: NodeSet, fanout: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    s.hash(&mut h);
-    (h.finish() as usize) % fanout
-}
-
-/// Fan the merge-candidate bucketing over scoped workers: worker `b` owns
-/// every class hashing to bucket `b` and scans all shards' insert streams
-/// in worker order, so each per-class candidate list comes out in the
-/// same shard-major order the serial bucketing produces. Classes are
-/// disjoint across workers, hence the partial maps merge by plain moves.
-fn bucket_parallel(
-    outs: &[WorkerOut],
-    remaps: &[ShardRemap],
-    fanout: usize,
-    buckets: &mut ClassBuckets,
-) {
-    let partials: Vec<FxHashMap<NodeSet, Vec<(u64, PlanId)>>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..fanout)
-            .map(|b| {
-                sc.spawn(move || {
-                    let mut map: FxHashMap<NodeSet, Vec<(u64, PlanId)>> = FxHashMap::default();
-                    for (out, &remap) in outs.iter().zip(remaps) {
-                        for &(unit, s, id) in &out.inserts {
-                            if class_bucket(s, fanout) == b {
-                                map.entry(s).or_default().push((unit, remap.apply(id)));
-                            }
-                        }
-                    }
-                    map
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bucketing worker panicked"))
-            .collect()
-    });
-    for map in partials {
-        for (s, cands) in map {
-            debug_assert!(!buckets.classes.contains_key(&s));
-            buckets.classes.insert(s, cands);
-        }
-    }
-}
-
-/// Replay one stratum's bucketed candidate streams against the policy.
-///
-/// Plan classes are independent per `NodeSet` — the Fig. 13 dominance
-/// test and the keep-best comparisons only ever look at plans *within*
-/// one class — so the per-class folds commute across classes and can run
-/// concurrently on the scoped worker pool. Each bucket is first restored
-/// to the original sequential unit order (stable sort by unit: a unit's
-/// candidates come from the single worker that owned it and stay
-/// contiguous), so costs, class contents, dominance outcomes and counter
-/// totals are bit-identical to the streaming driver for any fan-out.
-/// Counters accrue in per-fold [`ClassTally`]s reduced at install time.
-///
-/// Complete (full-set) plans are only ever produced by the final stratum,
-/// which feeds no classes; their keep-best over finalized costs resolves
-/// ties to the earliest unit, so that stream replays serially in unit
-/// order. Returns the number of classes folded concurrently (0 when the
-/// replay ran inline below [`PAR_MIN_REPLAY`]).
-/// One detached class bucket: target set plus unit-tagged candidates.
-type ClassBucket = (NodeSet, Vec<(u64, PlanId)>);
-
-fn replay_buckets<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    policy: &mut P,
-    mut buckets: ClassBuckets,
-    threads: usize,
-) -> u64 {
-    // A stratum produces either class candidates (union < full set) or
-    // complete plans (final stratum), never both.
-    debug_assert!(buckets.classes.is_empty() || buckets.completes.is_empty());
-    let n_classes = buckets.classes.len();
-    let fanout = threads.min(n_classes);
-    let candidates: usize = buckets.candidate_count();
-    let mut entries: Vec<ClassBucket> = buckets.classes.drain().collect();
-    let mut par_classes = 0u64;
-    if fanout >= 2 && candidates >= PAR_MIN_REPLAY {
-        par_classes = n_classes as u64;
-        // Deterministic LPT assignment: heaviest buckets first, each onto
-        // the least-loaded worker (ties to the lowest worker index).
-        entries.sort_unstable_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        let mut chunks: Vec<Vec<ClassBucket>> = (0..fanout).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; fanout];
-        for entry in entries {
-            let w = (0..fanout).min_by_key(|&w| load[w]).unwrap();
-            load[w] += entry.1.len();
-            chunks[w].push(entry);
-        }
-        // LPT skew: how far the heaviest worker exceeds its fair share
-        // (100 = perfectly balanced). Candidates > 0 here (>= the fan-out
-        // threshold).
-        let max_load = load.iter().copied().max().unwrap_or(0) as u64;
-        memo.record_replay_imbalance(max_load * fanout as u64 * 100 / candidates as u64);
-        let shared: &Memo = memo;
-        let pol: &P = policy;
-        let folded: Vec<Vec<(NodeSet, Vec<PlanId>, ClassTally)>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| sc.spawn(move || fold_classes(ctx, shared, pol, chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replay worker panicked"))
-                .collect()
-        });
-        // Install in set order: counters are commutative sums/maxima, the
-        // sort just keeps the operation sequence deterministic.
-        let mut flat: Vec<_> = folded.into_iter().flatten().collect();
-        flat.sort_unstable_by_key(|&(s, _, _)| s);
-        for (s, ids, tally) in flat {
-            memo.install_class(s, ids, &tally);
-        }
-    } else {
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        for (s, ids, tally) in fold_classes(ctx, memo, policy, entries) {
-            memo.install_class(s, ids, &tally);
-        }
-    }
-    // Stable by unit: same-unit completes are contiguous already.
-    buckets.completes.sort_by_key(|&(u, _)| u);
-    for &(_, id) in &buckets.completes {
-        policy.fold_complete(ctx, memo, id);
-    }
-    par_classes
-}
-
-/// Fold each class's candidate stream (restored to unit order) into its
-/// final id list without touching the shared memo — the unit of work of
-/// the class-partitioned replay.
-fn fold_classes<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &Memo,
-    policy: &P,
-    chunk: Vec<ClassBucket>,
-) -> Vec<(NodeSet, Vec<PlanId>, ClassTally)> {
-    // Worker-local scratch reused across the chunk's classes: the hot-row
-    // mirror of the batched dominance fold and the untagged candidate ids.
-    let mut rows: Vec<PlanHot> = Vec::new();
-    let mut ids: Vec<PlanId> = Vec::new();
-    chunk
-        .into_iter()
-        .map(|(s, mut cands)| {
-            cands.sort_by_key(|&(u, _)| u);
-            ids.clear();
-            ids.extend(cands.iter().map(|&(_, id)| id));
-            let mut class = Vec::new();
-            let mut tally = ClassTally::default();
-            policy.fold_class(ctx, memo, &mut class, &mut rows, &ids, &mut tally);
-            (s, class, tally)
-        })
-        .collect()
-}
-
-/// The streaming driver: seed scan classes, then walk every csg-cmp-pair
-/// in DPhyp emission order and feed the policy directly. Plan classes are
-/// id lists in the memo; the per-pair snapshots are plain `PlanId` copies
-/// into reusable scratch buffers — no plan data is ever cloned.
-fn enumerate_streaming<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    scratch: &mut Scratch,
-    policy: &mut P,
-) {
-    let n = ctx.query.table_count();
-    let full = NodeSet::full(n);
-    let eager = policy.eager();
-    let mut bufs = PairBufs::new();
-    let mut sink = PolicySink { policy };
-    let mut unit = 0u64;
-    let mut take = |_: u64, _: &Memo| true;
-    enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-        process_pair(
-            ctx, scratch, &mut bufs, memo, &mut sink, eager, s1, s2, full, &mut unit, &mut take,
-        );
-    });
-}
-
-/// Seed the singleton scan classes, then run the requested driver.
+/// Seed the singleton scan classes, then walk every csg-cmp-pair in DPhyp
+/// emission order through [`process_pair`], taking every work unit.
 /// Returns the total number of plans built.
-fn run_engine<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    policy: &mut P,
-    threads: usize,
-) -> u64 {
+fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P) -> u64 {
     let mut scratch = Scratch::new(ctx);
     let n = ctx.query.table_count();
     for i in 0..n {
         let id = make_scan(ctx, memo, i);
         memo.class_push(NodeSet::single(i), id);
     }
-    // Policies whose complete() keeps a non-trivial subset of complete
-    // plans cannot use the layered driver (see ClassPolicy::parallel_safe).
-    let threads = if policy.parallel_safe() { threads } else { 1 };
     if n > 1 {
-        if threads <= 1 {
-            memo.record_layering(0, 0, 1);
-            let t0 = Instant::now();
-            enumerate_streaming(ctx, memo, &mut scratch, policy);
-            // Streaming is all build work: the phase split degenerates to
-            // a zero replay share.
-            memo.record_phases(t0.elapsed().as_nanos() as u64, 0, 0);
-        } else {
-            enumerate_layered(ctx, memo, &mut scratch, policy, threads);
+        // The clock is read only when a trace wants the span.
+        let t0 = dpnext_obs::tracing_enabled().then(Instant::now);
+        let full = NodeSet::full(n);
+        let mut bufs = PairBufs::new();
+        let (mut ccps, mut units) = (0u64, 0u64);
+        let mut take = |_: u64, _: &Memo| true;
+        enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+            ccps += 1;
+            process_pair(
+                ctx,
+                &mut scratch,
+                &mut bufs,
+                memo,
+                policy,
+                s1,
+                s2,
+                full,
+                &mut units,
+                &mut take,
+            );
+        });
+        if let Some(t0) = t0 {
+            dpnext_obs::emit_span(
+                "engine.enumerate",
+                t0.elapsed().as_nanos() as u64,
+                &[
+                    ("ccps", ccps),
+                    ("units", units),
+                    ("plans_built", scratch.plans_built),
+                ],
+            );
         }
     }
     scratch.plans_built
@@ -1093,7 +465,7 @@ impl ClassPolicy for SingleBest {
         self.eager
     }
 
-    fn insert(&mut self, _ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId) {
+    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
         match memo.class(s).first().copied() {
             None => memo.class_push(s, id),
             Some(cur) => {
@@ -1104,37 +476,14 @@ impl ClassPolicy for SingleBest {
         }
     }
 
-    fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        match class.first().copied() {
-            None => class.push(id),
-            Some(cur) => {
-                if compare_adjusted(memo, id, cur, self.factor) {
-                    class[0] = id;
-                }
-            }
-        }
-        tally.peak_class_width = tally.peak_class_width.max(1);
-    }
-
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
+    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
         keep_best(&mut self.best, ctx, memo, id)
     }
 }
 
 /// Multi-plan policy: EA-All (`prune = None`, Fig. 9) and EA-Prune
 /// (`prune = Some(kind)`, Figs. 13/14).
-struct MultiBest {
+pub(crate) struct MultiBest {
     prune: Option<DominanceKind>,
     guard_groupjoin: bool,
     /// Cheapest complete plan so far, by final cost; compiled to a
@@ -1142,76 +491,31 @@ struct MultiBest {
     best: Option<(f64, PlanId)>,
 }
 
+impl MultiBest {
+    /// The policy for `ctx`'s query; the groupjoin guard of the dominance
+    /// test is on exactly when the query contains groupjoins.
+    pub(crate) fn new(ctx: &OptContext, prune: Option<DominanceKind>) -> MultiBest {
+        MultiBest {
+            prune,
+            guard_groupjoin: ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin),
+            best: None,
+        }
+    }
+}
+
 impl ClassPolicy for MultiBest {
     fn eager(&self) -> bool {
         true
     }
 
-    fn insert(&mut self, _ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId) {
+    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
         match self.prune {
             Some(kind) => memo.class_prune_insert(s, id, kind, self.guard_groupjoin),
             None => memo.class_push(s, id),
         }
     }
 
-    fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        match self.prune {
-            Some(kind) => prune_insert_ids(
-                memo.hot_plans(),
-                memo.cold_plans(),
-                class,
-                id,
-                kind,
-                self.guard_groupjoin,
-                tally,
-            ),
-            None => {
-                class.push(id);
-                tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-            }
-        }
-    }
-
-    fn fold_class(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        rows: &mut Vec<PlanHot>,
-        candidates: &[PlanId],
-        tally: &mut ClassTally,
-    ) {
-        match self.prune {
-            Some(kind) => prune_fold_slice(
-                memo.hot_plans(),
-                memo.cold_plans(),
-                class,
-                rows,
-                candidates,
-                kind,
-                self.guard_groupjoin,
-                tally,
-            ),
-            // EA-All keeps everything: one bulk append, width tallied once.
-            None => {
-                class.extend_from_slice(candidates);
-                tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-            }
-        }
-    }
-
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
+    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
         keep_best(&mut self.best, ctx, memo, id)
     }
 }
@@ -1227,36 +531,12 @@ impl ClassPolicy for CollectAll {
         true
     }
 
-    fn insert(&mut self, _ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId) {
+    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
         memo.class_push(s, id);
     }
 
-    fn complete(&mut self, _ctx: &OptContext, _memo: &mut Memo, id: PlanId) -> bool {
+    fn complete(&mut self, _ctx: &OptContext, _memo: &Memo, id: PlanId) -> bool {
         self.complete.push(id);
-        true
-    }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        _memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        class.push(id);
-        tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-    }
-
-    fn fold_complete(&mut self, _ctx: &OptContext, _memo: &Memo, id: PlanId) -> bool {
-        self.complete.push(id);
-        true
-    }
-
-    // Keeps every complete plan: the workers record all of them instead
-    // of pre-filtering with the worker-local keep-best, which makes the
-    // layered driver lossless for this policy too.
-    fn keeps_all_completes(&self) -> bool {
         true
     }
 }
@@ -1266,14 +546,13 @@ fn run_single(
     memo: &mut Memo,
     eager: bool,
     factor: Option<f64>,
-    threads: usize,
 ) -> ((FinalPlan, PlanId), u64, u64) {
     let mut policy = SingleBest {
         eager,
         factor,
         best: None,
     };
-    let plans_built = run_engine(ctx, memo, &mut policy, threads);
+    let plans_built = run_engine(ctx, memo, &mut policy);
     if ctx.query.table_count() == 1 {
         return finalize_single_table(ctx, memo, plans_built);
     }
@@ -1284,10 +563,10 @@ fn run_single(
         // Eager single-plan search can dead-end when a groupjoin's right
         // side only has a pre-aggregated plan; fall back to the baseline
         // (plans built during the dead-ended attempt stay counted; the
-        // dead-ended memo is wiped, matching the old drop-and-restart).
+        // dead-ended memo is wiped).
         None if eager => {
             memo.reset();
-            let (best, retained, fallback_built) = run_single(ctx, memo, false, None, threads);
+            let (best, retained, fallback_built) = run_single(ctx, memo, false, None);
             (best, retained, plans_built + fallback_built)
         }
         None => panic!("no plan found: query graph disconnected or over-constrained"),
@@ -1298,15 +577,9 @@ fn run_multi(
     ctx: &OptContext,
     memo: &mut Memo,
     prune: Option<DominanceKind>,
-    threads: usize,
 ) -> ((FinalPlan, PlanId), u64, u64) {
-    let guard_groupjoin = ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin);
-    let mut policy = MultiBest {
-        prune,
-        guard_groupjoin,
-        best: None,
-    };
-    let plans_built = run_engine(ctx, memo, &mut policy, threads);
+    let mut policy = MultiBest::new(ctx, prune);
+    let plans_built = run_engine(ctx, memo, &mut policy);
     if ctx.query.table_count() == 1 {
         return finalize_single_table(ctx, memo, plans_built);
     }
@@ -1334,21 +607,12 @@ fn finalize_single_table(
 /// against executed results. Exponential — small queries only. Returns the
 /// memo owning the plans plus every enumerated id (partial and complete).
 pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
-    all_subplans_with(query, 1)
-}
-
-/// [`all_subplans`] with an explicit enumeration fan-out. The collect-all
-/// policy is layered-capable (workers record every complete plan, see
-/// `ClassPolicy::keeps_all_completes`), so class contents, the complete
-/// stream and `plans_built` are identical for any thread count — only
-/// arena positions (hence raw `PlanId` values) differ.
-pub fn all_subplans_with(query: &Query, threads: usize) -> (OptContext, Memo, Vec<PlanId>) {
     let ctx = OptContext::new(query.clone());
     let mut memo = Memo::new();
     let mut policy = CollectAll {
         complete: Vec::new(),
     };
-    run_engine(&ctx, &mut memo, &mut policy, threads);
+    run_engine(&ctx, &mut memo, &mut policy);
     let mut plans = memo.retained_ids();
     plans.extend(policy.complete);
     (ctx, memo, plans)
@@ -1368,8 +632,9 @@ pub const UNIT_MAX_PLANS: u64 = 6;
 /// anything whose pairs read only already-populated classes), and the
 /// search feeds each pair through the same `op_trees`/dominance machinery
 /// as [`Algorithm::EaPrune`], guaranteeing `plans_built <= budget`
-/// throughout. This is the core hook the `dpnext-adaptive` large-query
-/// ladder drives; it always runs the sequential streaming path.
+/// throughout — the same `process_pair` the exact algorithms run, with a
+/// `take` hook that refuses once a limit is reached. This is what the
+/// `dpnext-adaptive` large-query ladder drives.
 pub struct BudgetedSearch<'a> {
     ctx: &'a OptContext,
     memo: Memo,
@@ -1446,7 +711,6 @@ impl<'a> BudgetedSearch<'a> {
     /// the `plans_built` accounting of the unbudgeted engine). Seeds the
     /// singleton scan classes.
     pub fn new(ctx: &'a OptContext, dominance: DominanceKind, budget: u64) -> BudgetedSearch<'a> {
-        let guard_groupjoin = ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin);
         let mut memo = Memo::new();
         let n = ctx.query.table_count();
         for i in 0..n {
@@ -1458,11 +722,7 @@ impl<'a> BudgetedSearch<'a> {
             memo,
             scratch: Scratch::new(ctx),
             bufs: PairBufs::new(),
-            policy: MultiBest {
-                prune: Some(dominance),
-                guard_groupjoin,
-                best: None,
-            },
+            policy: MultiBest::new(ctx, Some(dominance)),
             budget,
             exhausted: false,
             deadline: None,
@@ -1589,10 +849,11 @@ impl<'a> BudgetedSearch<'a> {
     /// Process one candidate pair under the budget: build every operator
     /// tree of every subplan combination (with all eager-aggregation
     /// variants), insert into the target class with dominance pruning, and
-    /// keep-best complete plans. Work units beyond the remaining budget's
-    /// unit allowance are skipped; if any were, the search is marked
-    /// exhausted and `false` is returned (the pair's plan set is then
-    /// incomplete and downstream results must not claim optimality).
+    /// keep-best complete plans. The first work unit the plan budget's
+    /// unit allowance, the deadline or the memory budget refuses ends the
+    /// pair: the search is marked exhausted and `false` is returned (the
+    /// pair's plan set is then incomplete and downstream results must not
+    /// claim optimality).
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
     pub fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
@@ -1625,26 +886,20 @@ impl<'a> BudgetedSearch<'a> {
         let mut mem_hit = false;
         let live_probe = &mut self.live_probe;
         let mut take = |u: u64, memo: &Memo| {
-            // Mid-run memory visibility (ROADMAP PR 9 residual): publish
-            // live bytes into the process gauge once per work unit, so
-            // global pressure is observable between pool check-ins.
+            // Mid-run memory visibility: publish live bytes into the
+            // process gauge once per work unit, so global pressure is
+            // observable between pool check-ins.
             live_probe.record(memo.live_bytes());
             if u >= allowed {
                 return false;
             }
-            if let Some(dl) = deadline {
-                if hit || Instant::now() >= dl {
-                    hit = true;
-                    return false;
-                }
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                hit = true;
+                return false;
             }
-            if let Some(mb) = memory_budget {
-                // Live bytes only grow between rollbacks, so once hit the
-                // pair stays aborted (the flag mirrors the deadline latch).
-                if mem_hit || memo.live_bytes() >= mb {
-                    mem_hit = true;
-                    return false;
-                }
+            if memory_budget.is_some_and(|mb| memo.live_bytes() >= mb) {
+                mem_hit = true;
+                return false;
             }
             if let Some(d) = unit_delay {
                 // Injected fault: a pathologically slow enumeration.
@@ -1655,16 +910,12 @@ impl<'a> BudgetedSearch<'a> {
             }
             true
         };
-        let mut sink = PolicySink {
-            policy: &mut self.policy,
-        };
-        process_pair(
+        let completed = process_pair(
             self.ctx,
             &mut self.scratch,
             &mut self.bufs,
             &mut self.memo,
-            &mut sink,
-            true,
+            &mut self.policy,
             s1,
             s2,
             self.full,
@@ -1672,20 +923,12 @@ impl<'a> BudgetedSearch<'a> {
             &mut take,
         );
         debug_assert!(self.scratch.plans_built <= self.budget);
-        if hit {
-            self.deadline_hit = true;
+        if !completed {
             self.exhausted = true;
-            false
-        } else if mem_hit {
-            self.memory_hit = true;
-            self.exhausted = true;
-            false
-        } else if unit > allowed {
-            self.exhausted = true;
-            false
-        } else {
-            true
+            self.deadline_hit |= hit;
+            self.memory_hit |= mem_hit;
         }
+        completed
     }
 
     /// Tear the search apart into its outcome.

@@ -1,12 +1,10 @@
 //! Shared optimization context: the conflicted query, attribute statistics,
 //! grouping attributes `G⁺(S)` and aggregate metadata.
 //!
-//! [`OptContext`] is immutable after construction and `Sync`, so the
-//! layered parallel engine can share one reference across worker threads.
-//! All per-run mutable state — the fresh-attribute allocator, the memoized
-//! `G⁺(S)` cache, the plans-built counter and the hot-path scratch buffers
-//! — lives in [`Scratch`], of which every worker owns its own instance
-//! (contention-free by construction; counters are summed at merge time).
+//! [`OptContext`] is immutable after construction. All per-run mutable
+//! state — the fresh-attribute allocator, the memoized `G⁺(S)` cache, the
+//! plans-built counter and the hot-path scratch buffers — lives in
+//! [`Scratch`], which the enumeration owns next to its memo.
 
 use crate::fxhash::FxHashMap;
 use dpnext_algebra::{AttrId, CmpOp};
@@ -36,13 +34,6 @@ pub struct OptContext {
     /// from which [`Scratch`] allocators hand out partial/count columns.
     first_fresh: u32,
 }
-
-// The layered engine shares `&OptContext` across `std::thread::scope`
-// workers; keep the context free of interior mutability.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<OptContext>()
-};
 
 impl OptContext {
     /// Derive the full optimization context (conflict detection,
@@ -201,22 +192,11 @@ impl OptContext {
     }
 }
 
-/// Per-worker mutable state of one enumeration: the fresh-attribute
-/// allocator, the memoized `G⁺(S)` cache, the plans-built counter, and the
-/// predicate-term scratch buffer of [`crate::plan::make_apply`]. The
-/// sequential engine owns exactly one; the layered engine hands each
-/// worker thread its own (with a disjoint attribute range), so nothing
-/// here is ever contended.
+/// Mutable state of one enumeration: the fresh-attribute allocator, the
+/// memoized `G⁺(S)` cache, the plans-built counter, and the predicate-term
+/// scratch buffer of [`crate::plan::make_apply`].
 pub struct Scratch {
-    /// Next fresh attribute id; advances by `step` per allocation, so the
-    /// layered engine's workers can interleave disjoint ids (worker `w`
-    /// of `t` hands out `base + w + k·t`) without pre-partitioning the
-    /// id space.
     next_attr: u32,
-    step: u32,
-    attrs_used: u32,
-    // Arc (not Rc) so a worker's scratch — and its warm G⁺ cache — can be
-    // carried across the per-stratum thread spawns of the layered engine.
     gplus_cache: FxHashMap<NodeSet, Arc<Vec<AttrId>>>,
     /// Plans constructed (joins + groupings) by this scratch's owner.
     pub plans_built: u64,
@@ -226,60 +206,25 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// Scratch for a sequential run: fresh attributes start right above
-    /// the query's own.
+    /// Scratch for one run: fresh attributes start right above the
+    /// query's own.
     pub fn new(ctx: &OptContext) -> Scratch {
-        Scratch::with_attr_base(ctx.first_fresh_attr())
-    }
-
-    /// Scratch whose fresh attributes start at `base`.
-    pub fn with_attr_base(base: u32) -> Scratch {
         Scratch {
-            next_attr: base,
-            step: 1,
-            attrs_used: 0,
+            next_attr: ctx.first_fresh_attr(),
             gplus_cache: FxHashMap::default(),
             plans_built: 0,
             terms: Vec::new(),
         }
     }
 
-    /// Allocate the next fresh attribute id (stride-aware, so parallel
-    /// workers draw from disjoint sequences).
+    /// Allocate the next fresh attribute id.
     pub fn fresh_attr(&mut self) -> AttrId {
         let id = AttrId(self.next_attr);
         self.next_attr = self
             .next_attr
-            .checked_add(self.step)
+            .checked_add(1)
             .expect("fresh-attribute space (u32) exhausted");
-        self.attrs_used += 1;
         id
-    }
-
-    /// Restart fresh-attribute allocation at `base` with stride 1,
-    /// resetting the usage counter (the memoized `G⁺` cache survives —
-    /// it is a pure function of the query). The layered engine uses this
-    /// to keep its inline (non-fanned-out) strata on the global
-    /// attribute cursor.
-    pub fn set_attr_base(&mut self, base: u32) {
-        self.set_attr_stride(base, 1);
-    }
-
-    /// Restart allocation at `base` handing out `base, base+step,
-    /// base+2·step, …` — worker `w` of `t` uses `(base+w, t)` so the
-    /// workers of one stratum interleave pairwise-disjoint ids from a
-    /// shared cursor instead of pre-partitioning the id space (which
-    /// would shrink it geometrically with every fanned-out stratum).
-    pub fn set_attr_stride(&mut self, base: u32, step: u32) {
-        debug_assert!(step >= 1);
-        self.next_attr = base;
-        self.step = step;
-        self.attrs_used = 0;
-    }
-
-    /// Fresh attributes handed out so far.
-    pub fn attrs_used(&self) -> u32 {
-        self.attrs_used
     }
 
     /// Record one constructed plan in the scratch counter.
@@ -290,8 +235,7 @@ impl Scratch {
     /// Memoized `G⁺(S)` (§4.2); see [`OptContext::compute_gplus`].
     ///
     /// Returns a borrow of the cached vector: a cache hit is one map
-    /// probe — no `Arc` refcount traffic on the enumeration hot path
-    /// (every worker owns its scratch, so the borrow never contends).
+    /// probe — no `Arc` refcount traffic on the enumeration hot path.
     /// Callers that need the scratch again while holding the attributes
     /// use [`Scratch::gplus_arc`].
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {

@@ -4,7 +4,7 @@
 
 use crate::aggstate::AggPos;
 use crate::context::OptContext;
-use crate::memo::{Memo, PlanId, PlanNode, PlanStore};
+use crate::memo::{Memo, PlanId, PlanNode};
 use std::fmt::Write;
 
 /// Render an annotated explanation of a logical plan.

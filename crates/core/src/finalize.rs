@@ -3,7 +3,7 @@
 
 use crate::aggstate::{final_agg_vector, final_map_exprs};
 use crate::context::OptContext;
-use crate::memo::{PlanId, PlanNode, PlanStore};
+use crate::memo::{Memo, PlanId, PlanNode};
 use dpnext_algebra::AlgExpr;
 use dpnext_cost::{distinct_in, grouping_card};
 use dpnext_keys::needs_grouping;
@@ -26,7 +26,7 @@ pub struct FinalPlan {
 /// Compile a DP plan into an executable algebra tree. Outerjoins receive
 /// the `F¹({⊥})`/`c : 1` default vectors for every pre-aggregated column of
 /// a padded side (the generalized outerjoins of §2.2).
-pub fn compile<S: PlanStore + ?Sized>(ctx: &OptContext, memo: &S, id: PlanId) -> AlgExpr {
+pub fn compile(ctx: &OptContext, memo: &Memo, id: PlanId) -> AlgExpr {
     let plan = memo.plan(id);
     match &plan.cold.node {
         PlanNode::Scan { table } => AlgExpr::scan(ctx.query.tables[*table].alias.clone()),
@@ -93,11 +93,8 @@ pub fn compile<S: PlanStore + ?Sized>(ctx: &OptContext, memo: &S, id: PlanId) ->
 /// EA-All the losing complete plans outnumber the winners by orders of
 /// magnitude, so deferring tree compilation to the single final winner
 /// takes the whole `compile` walk off the enumeration hot path.
-pub fn final_numbers<S: PlanStore + ?Sized>(
-    ctx: &OptContext,
-    memo: &S,
-    id: PlanId,
-) -> (f64, f64, bool) {
+#[inline]
+pub fn final_numbers(ctx: &OptContext, memo: &Memo, id: PlanId) -> (f64, f64, bool) {
     let plan = memo.plan(id);
     let Some(g) = &ctx.query.grouping else {
         return (plan.hot.cost, plan.hot.card, false);
@@ -119,7 +116,7 @@ pub fn final_numbers<S: PlanStore + ?Sized>(
 /// with the state-adjusted aggregation vector, or — when `G` contains a
 /// key of a duplicate-free result — replace it by a map + projection
 /// (Eqv. 42, `InsertTopLevelPlan` of Fig. 9).
-pub fn finalize<S: PlanStore + ?Sized>(ctx: &OptContext, memo: &S, id: PlanId) -> FinalPlan {
+pub fn finalize(ctx: &OptContext, memo: &Memo, id: PlanId) -> FinalPlan {
     let plan = memo.plan(id);
     let mut root = compile(ctx, memo, id);
     let (cost, card, top_grouping) = final_numbers(ctx, memo, id);

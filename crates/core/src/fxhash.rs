@@ -6,7 +6,7 @@
 //! dependency cycle); this module is the core-crate face of it. Every
 //! `NodeSet`- or attribute-keyed map on the enumeration hot path — the
 //! memo's plan classes, the memoized `G⁺` cache, the context's
-//! origin/distinct statistics, the replay buckets — hashes through
+//! origin/distinct statistics — hashes through
 //! [`FxHasher`] instead of the standard library's SipHash: the keys are
 //! one or two machine words and produced by the optimizer itself, so
 //! HashDoS resistance is irrelevant and the multiply-xor mix wins the

@@ -35,9 +35,8 @@ pub mod validate;
 mod tests;
 
 pub use algo::{
-    all_subplans, all_subplans_with, applied_ops_mask, optimize, optimize_into, optimize_with,
-    optimize_with_pruning, resolve_threads, Algorithm, BudgetedOutcome, BudgetedSearch,
-    OptimizeOptions, Optimized, UNIT_MAX_PLANS,
+    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, optimize_with_pruning,
+    Algorithm, BudgetedOutcome, BudgetedSearch, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
 pub use context::{OptContext, Scratch};
 pub use explain::explain;
@@ -45,9 +44,8 @@ pub use finalize::{compile, finalize, FinalPlan};
 pub use fusion::fuse_groupjoins;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
-    AdaptiveMode, ClassBuckets, ClassTally, Degradation, DominanceKind, Memo, MemoPlan, MemoShard,
-    MemoStats, PlanCold, PlanHot, PlanId, PlanNode, PlanRef, PlanStore, ShardRemap,
-    ARENA_ROW_BYTES,
+    AdaptiveMode, Degradation, DominanceKind, Memo, MemoPlan, MemoStats, PlanCold, PlanHot, PlanId,
+    PlanNode, PlanRef, ARENA_ROW_BYTES,
 };
 pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
 pub use recost::{recost_plan, Recosted};

@@ -80,7 +80,7 @@ pub enum PlanNode {
 /// A plan plus its derived logical properties — the construction /
 /// transfer representation. The memo stores it split into a [`PlanHot`]
 /// and a [`PlanCold`] row; read both back through
-/// [`PlanStore::plan`] / [`PlanRef`].
+/// [`Memo::plan`] / [`PlanRef`].
 #[derive(Debug, Clone)]
 pub struct MemoPlan {
     /// The root operator; children are arena ids.
@@ -186,7 +186,7 @@ impl PlanHot {
 }
 
 /// The materialization payload of one plan: everything dominance does not
-/// read on its fast path. Reached through [`PlanStore::plan`].
+/// read on its fast path. Reached through [`Memo::plan`].
 #[derive(Debug, Clone)]
 pub struct PlanCold {
     /// The root operator; children are arena ids.
@@ -201,11 +201,11 @@ pub struct PlanCold {
 
 impl PlanCold {
     /// Estimated heap bytes owned by this row's payload vectors, counted
-    /// by *length* (not capacity) so the estimate is identical wherever
-    /// the row was built (streaming memo, worker shard). Nested heap of
-    /// aggregate expressions is not chased — the estimate feeds the
-    /// memory-budget abort, which needs a cheap, monotone, deterministic
-    /// proxy for arena footprint, not an allocator-exact census.
+    /// by *length* (not capacity) so the estimate does not depend on the
+    /// allocator's growth policy. Nested heap of aggregate expressions is
+    /// not chased — the estimate feeds the memory-budget abort, which
+    /// needs a cheap, monotone, deterministic proxy for arena footprint,
+    /// not an allocator-exact census.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
         let node = match &self.node {
@@ -377,7 +377,9 @@ impl std::fmt::Display for AdaptiveMode {
 }
 
 /// Aggregate statistics of one memo, reported on [`crate::Optimized`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Every field is a deterministic function of the query and the options,
+/// so two runs can be compared with `==`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Plans held in the arena at the end of the run: the retained DP
     /// state plus every evicted/replaced *partial* plan. Partial plans
@@ -395,38 +397,6 @@ pub struct MemoStats {
     pub prune_rejected: u64,
     /// Incumbents evicted because the new plan dominates them.
     pub prune_evicted: u64,
-    /// DP layers (strata by `|S1 ∪ S2|`) the layered engine processed;
-    /// 0 on the streaming (threads = 1) path.
-    pub layers: u64,
-    /// Widest stratum: csg-cmp-pairs in the largest single layer — the
-    /// fan-out bound for intra-layer parallelism.
-    pub peak_layer_pairs: u64,
-    /// Widest worker fan-out actually spawned by the layered engine
-    /// (1 = sequential, or every stratum ran inline below the fan-out
-    /// threshold).
-    pub threads_used: u64,
-    /// Nanoseconds spent building plans: the fanned-out worker phase of
-    /// the layered engine plus its inline strata, or the whole
-    /// enumeration on the streaming (threads = 1) path.
-    pub worker_nanos: u64,
-    /// Nanoseconds spent in the merge + replay phase of the layered
-    /// engine (shard append, class bucketing, per-class folds). With the
-    /// class-partitioned replay only the shard append remains serial;
-    /// the bucketing and the folds fan out. 0 on the streaming path.
-    pub replay_nanos: u64,
-    /// Most plan classes replayed concurrently in one stratum by the
-    /// class-partitioned replay (0 = every replay ran serially).
-    pub peak_replay_classes: u64,
-    /// Worst LPT load imbalance observed across parallel replays, as
-    /// `max_worker_load · fanout · 100 / total_candidates`: 100 means the
-    /// most loaded replay worker carried exactly its fair share, `k·100`
-    /// that it carried `k×` its share (skewed strata). 0 when no replay
-    /// ever fanned out.
-    pub lpt_imbalance_x100: u64,
-    /// Strata whose merge-candidate *bucketing* (grouping the shard
-    /// streams by target class) itself fanned out over the worker pool
-    /// instead of running on the merge thread.
-    pub par_bucket_strata: u64,
     /// Effective plan budget enforced by a budgeted search (the requested
     /// budget clamped up to the greedy floor); 0 when the run was not
     /// budgeted. When non-zero, `plans_built <= plan_budget` holds.
@@ -458,41 +428,6 @@ impl MemoStats {
         }
         (self.prune_rejected + self.prune_evicted) as f64 / self.prune_attempts as f64
     }
-
-    /// Reduce one per-class fold tally into the shared statistics.
-    fn merge_tally(&mut self, tally: &ClassTally) {
-        self.prune_attempts += tally.prune_attempts;
-        self.prune_rejected += tally.prune_rejected;
-        self.prune_evicted += tally.prune_evicted;
-        self.peak_class_width = self.peak_class_width.max(tally.peak_class_width);
-    }
-
-    /// Share of the instrumented engine time spent in the merge + replay
-    /// phase — the Amdahl serial fraction the class-partitioned replay
-    /// attacks. 0 when nothing was instrumented (streaming path).
-    pub fn serial_fraction(&self) -> f64 {
-        let total = self.worker_nanos + self.replay_nanos;
-        if total == 0 {
-            return 0.0;
-        }
-        self.replay_nanos as f64 / total as f64
-    }
-}
-
-/// Per-worker counters of the class-partitioned replay: one tally per
-/// fold, reduced into [`MemoStats`] when the class is installed — so
-/// concurrent per-class folds never contend on the shared statistics.
-/// All fields are sums or maxima, hence commutative across classes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassTally {
-    /// Dominance tests performed.
-    pub prune_attempts: u64,
-    /// Candidate plans rejected on arrival.
-    pub prune_rejected: u64,
-    /// Resident plans evicted by a dominating arrival.
-    pub prune_evicted: u64,
-    /// Widest plan class observed.
-    pub peak_class_width: u64,
 }
 
 /// The hot half of the dominance test: everything decidable from two
@@ -555,10 +490,10 @@ pub fn dominates(
 /// `PruneDominatedPlans` (Fig. 13) against a detached class vector:
 /// drop `id` if an incumbent dominates it, otherwise evict every
 /// incumbent it dominates and append it. Plan data is read from the
-/// split `hot`/`cold` arenas; counters go to `tally`. This is the
-/// one-candidate form — [`Memo::class_prune_insert`] (streaming) calls
-/// it; the per-class replay folds use the batched
-/// [`prune_fold_slice`].
+/// split `hot`/`cold` arenas; the prune counters and the class-width
+/// peak accrue in `stats`. [`Memo::class_prune_insert`] is the in-memo
+/// form; this one is public so the `memo_layout` bench can time the fold
+/// over a class of its own making.
 pub fn prune_insert_ids(
     hot: &[PlanHot],
     cold: &[PlanCold],
@@ -566,9 +501,9 @@ pub fn prune_insert_ids(
     id: PlanId,
     kind: DominanceKind,
     guard_groupjoin: bool,
-    tally: &mut ClassTally,
+    stats: &mut MemoStats,
 ) {
-    tally.prune_attempts += 1;
+    stats.prune_attempts += 1;
     let new = hot[id.index()];
     for &old in class.iter() {
         if dominates_split(
@@ -580,7 +515,7 @@ pub fn prune_insert_ids(
             kind,
             guard_groupjoin,
         ) {
-            tally.prune_rejected += 1;
+            stats.prune_rejected += 1;
             return;
         }
     }
@@ -596,103 +531,9 @@ pub fn prune_insert_ids(
             guard_groupjoin,
         )
     });
-    tally.prune_evicted += (before - class.len()) as u64;
+    stats.prune_evicted += (before - class.len()) as u64;
     class.push(id);
-    tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-}
-
-/// Fold a whole slice of unit-sorted candidates into one class — the
-/// batched form of [`prune_insert_ids`] the class-partitioned replay
-/// runs. Semantically identical to folding the candidates one by one
-/// (same retain order, same tally), but the resident plans' hot rows are
-/// mirrored into the caller-owned `rows` scratch so every dominance scan
-/// walks one contiguous 40-byte-stride array instead of chasing arena
-/// indices; evictions compact `class` and `rows` in lockstep.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_fold_slice(
-    hot: &[PlanHot],
-    cold: &[PlanCold],
-    class: &mut Vec<PlanId>,
-    rows: &mut Vec<PlanHot>,
-    candidates: &[PlanId],
-    kind: DominanceKind,
-    guard_groupjoin: bool,
-    tally: &mut ClassTally,
-) {
-    rows.clear();
-    rows.extend(class.iter().map(|&id| hot[id.index()]));
-    'next: for &id in candidates {
-        tally.prune_attempts += 1;
-        let new = hot[id.index()];
-        for (old, &old_id) in rows.iter().zip(class.iter()) {
-            if dominates_split(old, &new, cold, old_id, id, kind, guard_groupjoin) {
-                tally.prune_rejected += 1;
-                continue 'next;
-            }
-        }
-        // Order-preserving lockstep compaction of (class, rows). Copies
-        // start only after the first eviction (like `Vec::retain`) — the
-        // common no-eviction pass writes nothing.
-        let before = class.len();
-        let mut w = 0;
-        for i in 0..before {
-            if !dominates_split(&new, &rows[i], cold, id, class[i], kind, guard_groupjoin) {
-                if w != i {
-                    class[w] = class[i];
-                    rows[w] = rows[i];
-                }
-                w += 1;
-            }
-        }
-        class.truncate(w);
-        rows.truncate(w);
-        tally.prune_evicted += (before - w) as u64;
-        class.push(id);
-        rows.push(new);
-        tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-    }
-}
-
-/// Append-and-read access to a plan arena — the interface the plan
-/// constructors ([`crate::plan`], [`crate::optrees`]) and the finalizer
-/// build against. Implemented by the [`Memo`] itself (sequential engine)
-/// and by [`MemoShard`] (a worker's thread-local arena layered over the
-/// frozen shared memo).
-///
-/// Indexing (`store[id]`) yields the [`PlanHot`] row — the fields the
-/// enumeration hot path reads; [`PlanStore::plan`] materializes the full
-/// [`PlanRef`] when the cold payload is needed.
-pub trait PlanStore: Index<PlanId, Output = PlanHot> {
-    /// Store a plan, returning its id (does not touch any class).
-    fn push_plan(&mut self, plan: MemoPlan) -> PlanId;
-
-    /// Ids handed out so far: the next push returns `PlanId(plan_count())`.
-    fn plan_count(&self) -> usize;
-
-    /// Roll the store back to `len` plans, reclaiming everything pushed
-    /// since. Callers must guarantee no retained id references a
-    /// truncated plan.
-    fn truncate_plans(&mut self, len: usize);
-
-    /// The plan class of `s` visible to the enumeration: the live classes
-    /// of the [`Memo`], the frozen pre-stratum classes of a [`MemoShard`].
-    fn plan_class(&self, s: NodeSet) -> &[PlanId];
-
-    /// Both rows of one plan (hot + cold payload).
-    fn plan(&self, id: PlanId) -> PlanRef<'_>;
-
-    /// `Eagerness` of a plan (§4.5): the number of grouping operators that
-    /// are a direct child of the topmost join operator.
-    fn eagerness(&self, id: PlanId) -> u32 {
-        match &self.plan(id).cold.node {
-            PlanNode::Apply { left, right, .. } => {
-                let l = self[*left].is_group() as u32;
-                let r = self[*right].is_group() as u32;
-                l + r
-            }
-            _ => 0,
-        }
-    }
+    stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
 }
 
 /// The split arena plus the plan classes built over it.
@@ -722,37 +563,30 @@ impl Index<PlanId> for Memo {
     }
 }
 
-impl PlanStore for Memo {
+impl Memo {
+    /// Both rows of one plan (hot + cold payload); indexing (`memo[id]`)
+    /// yields the [`PlanHot`] row alone.
     #[inline]
-    fn push_plan(&mut self, plan: MemoPlan) -> PlanId {
-        self.push(plan)
-    }
-
-    #[inline]
-    fn plan_count(&self) -> usize {
-        self.hot.len()
-    }
-
-    #[inline]
-    fn truncate_plans(&mut self, len: usize) {
-        self.truncate(len)
-    }
-
-    #[inline]
-    fn plan_class(&self, s: NodeSet) -> &[PlanId] {
-        self.class(s)
-    }
-
-    #[inline]
-    fn plan(&self, id: PlanId) -> PlanRef<'_> {
+    pub fn plan(&self, id: PlanId) -> PlanRef<'_> {
         PlanRef {
             hot: &self.hot[id.index()],
             cold: &self.cold[id.index()],
         }
     }
-}
 
-impl Memo {
+    /// `Eagerness` of a plan (§4.5): the number of grouping operators that
+    /// are a direct child of the topmost join operator.
+    pub fn eagerness(&self, id: PlanId) -> u32 {
+        match &self.cold[id.index()].node {
+            PlanNode::Apply { left, right, .. } => {
+                let l = self[*left].is_group() as u32;
+                let r = self[*right].is_group() as u32;
+                l + r
+            }
+            _ => 0,
+        }
+    }
+
     /// Arena/class capacity floor kept through [`Memo::reset`]: shrinking
     /// below this saves nothing worth a re-malloc on the next run.
     const MIN_RETAINED_CAPACITY: usize = 1024;
@@ -867,111 +701,6 @@ impl Memo {
         self.cold.truncate(len);
     }
 
-    /// Merge one worker's thread-local shard into the shared arena.
-    ///
-    /// `base` is the shared arena length every shard of the stratum was
-    /// layered on. Plans are appended in shard order; child references
-    /// `>= base` point into the shard itself (workers never see each
-    /// other's plans) and are shifted by the shard's final offset, while
-    /// references `< base` address the frozen shared prefix and pass
-    /// through untouched. Returns the translation to apply to the shard's
-    /// provisional ids (the candidate lists recorded by the worker).
-    pub fn append_shard(
-        &mut self,
-        hot: Vec<PlanHot>,
-        cold: Vec<PlanCold>,
-        base: usize,
-    ) -> ShardRemap {
-        debug_assert!(base <= self.hot.len());
-        debug_assert_eq!(hot.len(), cold.len());
-        let delta = self.hot.len() - base;
-        let remap = ShardRemap { base, delta };
-        self.hot.reserve(hot.len());
-        self.cold.reserve(cold.len());
-        self.hot.extend_from_slice(&hot);
-        for mut row in cold {
-            match &mut row.node {
-                PlanNode::Scan { .. } => {}
-                PlanNode::Apply { left, right, .. } => {
-                    *left = remap.apply(*left);
-                    *right = remap.apply(*right);
-                }
-                PlanNode::Group { input, .. } => {
-                    *input = remap.apply(*input);
-                }
-            }
-            self.cold_heap_bytes += row.heap_bytes();
-            self.cold.push(row);
-        }
-        self.stats.live_bytes_peak = self.stats.live_bytes_peak.max(self.live_bytes());
-        remap
-    }
-
-    /// [`Memo::append_shard`] plus candidate bucketing: append the
-    /// shard's plans, then translate its recorded candidate streams to
-    /// merged ids and group the class candidates by target `NodeSet` in
-    /// `buckets`. Plan classes are independent per `NodeSet` (the Fig. 13
-    /// dominance test only ever compares plans within one class), so the
-    /// buckets can later fold concurrently — this grouping is what the
-    /// class-partitioned parallel replay fans out over. On wide strata
-    /// the engine skips this serial form and fans the bucketing itself
-    /// over the workers (see `enumerate_layered`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_shard_bucketed(
-        &mut self,
-        hot: Vec<PlanHot>,
-        cold: Vec<PlanCold>,
-        base: usize,
-        inserts: &[(u64, NodeSet, PlanId)],
-        completes: &[(u64, PlanId)],
-        buckets: &mut ClassBuckets,
-    ) {
-        let remap = self.append_shard(hot, cold, base);
-        for &(unit, s, id) in inserts {
-            buckets
-                .classes
-                .entry(s)
-                .or_default()
-                .push((unit, remap.apply(id)));
-        }
-        for &(unit, id) in completes {
-            buckets.completes.push((unit, remap.apply(id)));
-        }
-    }
-
-    /// Record layering statistics of the layered engine (a no-op for the
-    /// streaming path, which reports `layers = 0`, `threads_used = 1`).
-    pub fn record_layering(&mut self, layers: u64, peak_layer_pairs: u64, threads: u64) {
-        self.stats.layers = layers;
-        self.stats.peak_layer_pairs = peak_layer_pairs;
-        self.stats.threads_used = threads;
-    }
-
-    /// Record the phase split of one enumeration: time spent building
-    /// plans (`worker_nanos`), time spent merging and replaying
-    /// (`replay_nanos`), and the widest per-class replay fan-out.
-    pub fn record_phases(
-        &mut self,
-        worker_nanos: u64,
-        replay_nanos: u64,
-        peak_replay_classes: u64,
-    ) {
-        self.stats.worker_nanos = worker_nanos;
-        self.stats.replay_nanos = replay_nanos;
-        self.stats.peak_replay_classes = peak_replay_classes;
-    }
-
-    /// Fold one parallel replay's LPT assignment skew into the stats
-    /// (keeps the worst stratum; see [`MemoStats::lpt_imbalance_x100`]).
-    pub fn record_replay_imbalance(&mut self, imbalance_x100: u64) {
-        self.stats.lpt_imbalance_x100 = self.stats.lpt_imbalance_x100.max(imbalance_x100);
-    }
-
-    /// Count one stratum whose merge-candidate bucketing fanned out.
-    pub fn record_par_bucket_stratum(&mut self) {
-        self.stats.par_bucket_strata += 1;
-    }
-
     /// Record the outcome of a budgeted search: the effective plan and
     /// memory budgets, the per-cause degradation flags and the adaptive
     /// ladder rung that won.
@@ -1024,14 +753,6 @@ impl Memo {
         Ok(())
     }
 
-    /// Fold the peak arena size of concurrently live worker shards into
-    /// the peak statistic: while a stratum runs, the shared prefix and
-    /// every shard are alive at once.
-    pub fn record_shard_peak(&mut self, shard_peak_sum: u64) {
-        let live = self.hot.len() as u64 + shard_peak_sum;
-        self.stats.arena_peak = self.stats.arena_peak.max(live);
-    }
-
     /// The plan class of `s` (empty when no plan covers `s` yet).
     #[inline]
     pub fn class(&self, s: NodeSet) -> &[PlanId] {
@@ -1063,7 +784,6 @@ impl Memo {
         kind: DominanceKind,
         guard_groupjoin: bool,
     ) {
-        let mut tally = ClassTally::default();
         let class = self.classes.entry(s).or_default();
         prune_insert_ids(
             &self.hot,
@@ -1072,9 +792,8 @@ impl Memo {
             id,
             kind,
             guard_groupjoin,
-            &mut tally,
+            &mut self.stats,
         );
-        self.stats.merge_tally(&tally);
     }
 
     /// Shrink the class of `s` to its representative member(s): the
@@ -1114,24 +833,8 @@ impl Memo {
         }
     }
 
-    /// Install a class produced by a detached (per-class replay) fold and
-    /// fold its counter tally into the shared statistics. The class must
-    /// not exist yet — every union size is produced by exactly one
-    /// stratum, so a stratum's target classes always start empty.
-    pub fn install_class(&mut self, s: NodeSet, ids: Vec<PlanId>, tally: &ClassTally) {
-        self.stats.merge_tally(tally);
-        if ids.is_empty() {
-            return;
-        }
-        let prev = self.classes.insert(s, ids);
-        debug_assert!(
-            prev.is_none_or(|p| p.is_empty()),
-            "install_class would clobber a non-empty class for {s}"
-        );
-    }
-
-    /// Every hot row in arena order — read access for the detached
-    /// per-class folds, which run against a frozen (fully merged) arena.
+    /// Every hot row in arena order — with [`Memo::cold_plans`], the
+    /// slices [`prune_insert_ids`] folds a detached class against.
     #[inline]
     pub fn hot_plans(&self) -> &[PlanHot] {
         &self.hot
@@ -1182,154 +885,6 @@ impl Memo {
             arena_peak: self.stats.arena_peak.max(self.hot.len() as u64),
             live_bytes_peak: self.stats.live_bytes_peak.max(self.live_bytes()),
             ..self.stats
-        }
-    }
-}
-
-/// One stratum's merged candidate streams, grouped for the
-/// class-partitioned replay ([`Memo::append_shard_bucketed`]).
-///
-/// Candidates arrive shard-major (worker 0's stream, then worker 1's, …),
-/// each shard stream in ascending work-unit order; a stable per-class
-/// sort by unit therefore restores the exact sequential fold order —
-/// all candidates of one unit come from the single worker that owned it
-/// and stay contiguous.
-#[derive(Debug, Default)]
-pub struct ClassBuckets {
-    /// Target class → unit-tagged candidate ids (merged, shard-major).
-    pub classes: FxHashMap<NodeSet, Vec<(u64, PlanId)>>,
-    /// Complete (full-set) plans surviving the worker filters,
-    /// unit-tagged and shard-major like the class streams.
-    pub completes: Vec<(u64, PlanId)>,
-}
-
-impl ClassBuckets {
-    /// Total class candidates across all buckets.
-    pub fn candidate_count(&self) -> usize {
-        self.classes.values().map(Vec::len).sum()
-    }
-}
-
-/// Shard-id translation returned by [`Memo::append_shard`]: provisional
-/// ids at or above the shard's base shift to their merged position,
-/// references into the frozen shared prefix pass through.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRemap {
-    base: usize,
-    delta: usize,
-}
-
-impl ShardRemap {
-    /// Translate a shard-local plan id into the merged arena.
-    #[inline]
-    pub fn apply(self, id: PlanId) -> PlanId {
-        if id.index() >= self.base {
-            PlanId::from_index(id.index() + self.delta)
-        } else {
-            id
-        }
-    }
-}
-
-/// A worker's thread-local plan arena, layered over the shared [`Memo`].
-///
-/// During one stratum of the layered engine the shared memo is frozen:
-/// workers only read plans and classes below `base` (= the shared arena
-/// length at stratum start) and push new plans into their own local
-/// hot/cold vectors, with provisional ids `base + local index`. Because
-/// every shard uses the same `base` and workers never see each other's
-/// plans, a provisional id `>= base` always refers to the owning shard;
-/// the merge ([`Memo::append_shard`]) shifts those references to final
-/// positions.
-pub struct MemoShard<'a> {
-    shared: &'a Memo,
-    base: usize,
-    local_hot: Vec<PlanHot>,
-    local_cold: Vec<PlanCold>,
-    /// Largest local arena observed (before rollbacks), for peak stats.
-    peak: usize,
-}
-
-impl<'a> MemoShard<'a> {
-    /// Layer a fresh shard over `shared` (frozen for the stratum).
-    pub fn new(shared: &'a Memo) -> MemoShard<'a> {
-        MemoShard {
-            shared,
-            base: shared.arena_len(),
-            local_hot: Vec::new(),
-            local_cold: Vec::new(),
-            peak: 0,
-        }
-    }
-
-    /// The frozen plan class of `s` from the shared memo.
-    #[inline]
-    pub fn class(&self, s: NodeSet) -> &[PlanId] {
-        self.shared.class(s)
-    }
-
-    /// Largest local plan count observed.
-    pub fn peak(&self) -> usize {
-        self.peak.max(self.local_hot.len())
-    }
-
-    /// Tear the shard apart into its locally built hot/cold rows
-    /// (rollbacks already applied) for [`Memo::append_shard`].
-    pub fn into_local(self) -> (Vec<PlanHot>, Vec<PlanCold>) {
-        (self.local_hot, self.local_cold)
-    }
-}
-
-impl Index<PlanId> for MemoShard<'_> {
-    type Output = PlanHot;
-
-    #[inline]
-    fn index(&self, id: PlanId) -> &PlanHot {
-        if id.index() < self.base {
-            &self.shared[id]
-        } else {
-            &self.local_hot[id.index() - self.base]
-        }
-    }
-}
-
-impl PlanStore for MemoShard<'_> {
-    #[inline]
-    fn push_plan(&mut self, plan: MemoPlan) -> PlanId {
-        let id = PlanId::from_index(self.base + self.local_hot.len());
-        let (hot, cold) = plan.split();
-        self.local_hot.push(hot);
-        self.local_cold.push(cold);
-        id
-    }
-
-    #[inline]
-    fn plan_count(&self) -> usize {
-        self.base + self.local_hot.len()
-    }
-
-    #[inline]
-    fn truncate_plans(&mut self, len: usize) {
-        debug_assert!(len >= self.base);
-        self.peak = self.peak.max(self.local_hot.len());
-        self.local_hot.truncate(len - self.base);
-        self.local_cold.truncate(len - self.base);
-    }
-
-    #[inline]
-    fn plan_class(&self, s: NodeSet) -> &[PlanId] {
-        self.shared.class(s)
-    }
-
-    #[inline]
-    fn plan(&self, id: PlanId) -> PlanRef<'_> {
-        if id.index() < self.base {
-            self.shared.plan(id)
-        } else {
-            PlanRef {
-                hot: &self.local_hot[id.index() - self.base],
-                cold: &self.local_cold[id.index() - self.base],
-            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the up-to-four join trees with all valid eager-aggregation variants.
 
 use crate::context::{OptContext, Scratch};
-use crate::memo::{PlanId, PlanStore};
+use crate::memo::{Memo, PlanId};
 use crate::plan::{apply_staged, make_group, StagedApply};
 use dpnext_keys::needs_grouping;
 use dpnext_query::OpKind;
@@ -30,13 +30,14 @@ fn may_push(op: OpKind) -> (bool, bool) {
 /// * usefulness: grouping is skipped when `G⁺` already contains a key of a
 ///   duplicate-free `t` (Fig. 6 lines 10/15: `NeedsGrouping(G⁺ᵢ, …)`),
 /// * no double grouping: `Γ(Γ(e))` never helps.
-fn pushable<S: PlanStore>(ctx: &OptContext, scratch: &mut Scratch, store: &S, t: PlanId) -> bool {
-    let hot = &store[t];
+#[inline]
+fn pushable(ctx: &OptContext, scratch: &mut Scratch, memo: &Memo, t: PlanId) -> bool {
+    let hot = &memo[t];
     if !ctx.has_grouping() || hot.is_group() || !ctx.can_group(hot.set) {
         return false;
     }
     let set = hot.set;
-    let keyinfo = &store.plan(t).cold.keyinfo;
+    let keyinfo = &memo.plan(t).cold.keyinfo;
     // Borrowed cache hit: no Arc clone on this per-candidate-pair path.
     let gplus = scratch.gplus(ctx, set);
     needs_grouping(gplus, keyinfo)
@@ -47,10 +48,11 @@ fn pushable<S: PlanStore>(ctx: &OptContext, scratch: &mut Scratch, store: &S, t:
 /// `t1 ◦ Γ(t2)`, `Γ(t1) ◦ Γ(t2)` — Fig. 8 (a)–(d). `out` is a
 /// caller-owned scratch buffer so the hot enumeration loop allocates
 /// nothing per pair.
-pub fn op_trees<S: PlanStore>(
+#[inline]
+pub fn op_trees(
     ctx: &OptContext,
     scratch: &mut Scratch,
-    store: &mut S,
+    memo: &mut Memo,
     staged: &StagedApply,
     t1: PlanId,
     t2: PlanId,
@@ -58,25 +60,25 @@ pub fn op_trees<S: PlanStore>(
 ) {
     let (left_ok, right_ok) = may_push(staged.kind);
 
-    if let Some(p) = apply_staged(ctx, scratch, store, staged, t1, t2) {
+    if let Some(p) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
         out.push(p);
     }
     let g1 =
-        (left_ok && pushable(ctx, scratch, store, t1)).then(|| make_group(ctx, scratch, store, t1));
-    let g2 = (right_ok && pushable(ctx, scratch, store, t2))
-        .then(|| make_group(ctx, scratch, store, t2));
+        (left_ok && pushable(ctx, scratch, memo, t1)).then(|| make_group(ctx, scratch, memo, t1));
+    let g2 =
+        (right_ok && pushable(ctx, scratch, memo, t2)).then(|| make_group(ctx, scratch, memo, t2));
     if let Some(g1) = g1 {
-        if let Some(p) = apply_staged(ctx, scratch, store, staged, g1, t2) {
+        if let Some(p) = apply_staged(ctx, scratch, memo, staged, g1, t2) {
             out.push(p);
         }
     }
     if let Some(g2) = g2 {
-        if let Some(p) = apply_staged(ctx, scratch, store, staged, t1, g2) {
+        if let Some(p) = apply_staged(ctx, scratch, memo, staged, t1, g2) {
             out.push(p);
         }
     }
     if let (Some(g1), Some(g2)) = (g1, g2) {
-        if let Some(p) = apply_staged(ctx, scratch, store, staged, g1, g2) {
+        if let Some(p) = apply_staged(ctx, scratch, memo, staged, g1, g2) {
             out.push(p);
         }
     }

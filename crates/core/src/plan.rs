@@ -1,7 +1,5 @@
 //! Plan constructors: build scan / apply / grouping nodes with their
-//! derived logical properties directly into a [`PlanStore`] — the shared
-//! [`crate::memo::Memo`] arena on the sequential path, a thread-local
-//! [`crate::memo::MemoShard`] inside the layered engine's workers.
+//! derived logical properties directly into the [`Memo`] arena.
 //!
 //! Operator applications are split into a **staging** step
 //! ([`stage_apply`]: orient and merge the predicate terms, fold the
@@ -14,7 +12,7 @@
 
 use crate::aggstate::{build_group_aggs, AggState};
 use crate::context::{OptContext, Scratch};
-use crate::memo::{MemoPlan, PlanId, PlanNode, PlanStore};
+use crate::memo::{Memo, MemoPlan, PlanId, PlanNode};
 use dpnext_algebra::{AttrId, JoinPred};
 use dpnext_cost::{distinct_in, grouping_card, join_card};
 use dpnext_hypergraph::NodeSet;
@@ -23,10 +21,10 @@ use dpnext_query::OpKind;
 use std::sync::Arc;
 
 /// Build a scan plan for table occurrence `i`.
-pub fn make_scan<S: PlanStore>(ctx: &OptContext, store: &mut S, i: usize) -> PlanId {
+pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
     let t = &ctx.query.tables[i];
     let keys = KeySet::from_keys(t.keys.iter().cloned());
-    store.push_plan(MemoPlan {
+    memo.push(MemoPlan {
         node: PlanNode::Scan { table: i },
         set: NodeSet::single(i),
         card: t.card,
@@ -175,17 +173,18 @@ pub fn stage_apply(
 /// when required attributes are unavailable (structurally prevented,
 /// checked defensively) or a groupjoin would consume a pre-aggregated
 /// right side.
-pub fn apply_staged<S: PlanStore>(
+#[inline]
+pub fn apply_staged(
     ctx: &OptContext,
     scratch: &mut Scratch,
-    store: &mut S,
+    memo: &mut Memo,
     staged: &StagedApply,
     left_id: PlanId,
     right_id: PlanId,
 ) -> Option<PlanId> {
     let op = &ctx.cq.ops[staged.op_idx];
     let kind = staged.kind;
-    let (left, right) = (store.plan(left_id), store.plan(right_id));
+    let (left, right) = (memo.plan(left_id), memo.plan(right_id));
     // Groupjoins evaluate their aggregates over raw right-side tuples: a
     // pre-aggregated right side would aggregate groups instead.
     if kind == OpKind::GroupJoin && right.hot.has_grouping() {
@@ -258,7 +257,7 @@ pub fn apply_staged<S: PlanStore>(
     let has_grouping = left.hot.has_grouping() || right.hot.has_grouping();
 
     scratch.count_plan();
-    Some(store.push_plan(MemoPlan {
+    Some(memo.push(MemoPlan {
         node: PlanNode::Apply {
             op: kind,
             pred: Arc::clone(&staged.pred),
@@ -282,34 +281,35 @@ pub fn apply_staged<S: PlanStore>(
 /// applies in one call. The enumeration hot loop uses
 /// [`stage_apply`] + [`apply_staged`] directly to amortize the staging
 /// over a whole candidate grid.
-pub fn make_apply<S: PlanStore>(
+pub fn make_apply(
     ctx: &OptContext,
     scratch: &mut Scratch,
-    store: &mut S,
+    memo: &mut Memo,
     op_idx: usize,
     extra: &[usize],
     left_id: PlanId,
     right_id: PlanId,
 ) -> Option<PlanId> {
-    let staged = stage_apply(ctx, scratch, op_idx, extra, store[left_id].set);
-    apply_staged(ctx, scratch, store, &staged, left_id, right_id)
+    let staged = stage_apply(ctx, scratch, op_idx, extra, memo[left_id].set);
+    apply_staged(ctx, scratch, memo, &staged, left_id, right_id)
 }
 
 /// Wrap a plan in an eager-aggregation grouping over `G⁺(S)`.
 ///
 /// Callers must have checked `ctx.can_group(input.set)` and the usefulness
 /// condition (`NeedsGrouping`); this constructor only assembles the node.
-pub fn make_group<S: PlanStore>(
+#[inline]
+pub fn make_group(
     ctx: &OptContext,
     scratch: &mut Scratch,
-    store: &mut S,
+    memo: &mut Memo,
     input_id: PlanId,
 ) -> PlanId {
-    let s = store[input_id].set;
+    let s = memo[input_id].set;
     // Owning handle: `build_group_aggs` below needs the scratch mutably
     // while the grouping attributes are still in use.
     let gattrs = scratch.gplus_arc(ctx, s);
-    let input = store.plan(input_id);
+    let input = memo.plan(input_id);
     debug_assert!(
         gattrs.iter().all(|a| input.cold.visible.contains(a)),
         "G⁺({s}) not fully visible"
@@ -340,5 +340,5 @@ pub fn make_group<S: PlanStore>(
         applied,
     };
     scratch.count_plan();
-    store.push_plan(node)
+    memo.push(node)
 }

@@ -23,7 +23,7 @@
 
 use crate::context::{OptContext, Scratch};
 use crate::finalize::final_numbers;
-use crate::memo::{Memo, PlanId, PlanNode, PlanStore};
+use crate::memo::{Memo, PlanId, PlanNode};
 use crate::plan::{make_apply, make_group, make_scan};
 
 /// The true-stat numbers of a rebuilt plan (see [`recost_plan`]): the full
@@ -45,11 +45,7 @@ pub struct Recosted {
 /// indices); only statistics may differ. Errors describe a structural
 /// mismatch — a plan that cannot be rebuilt was not produced from a
 /// stats-only perturbation of `ctx`'s query.
-pub fn recost_plan<S: PlanStore + ?Sized>(
-    ctx: &OptContext,
-    src: &S,
-    id: PlanId,
-) -> Result<Recosted, String> {
+pub fn recost_plan(ctx: &OptContext, src: &Memo, id: PlanId) -> Result<Recosted, String> {
     let mut memo = Memo::new();
     let mut scratch = Scratch::new(ctx);
     let new_id = rebuild(ctx, src, id, &mut memo, &mut scratch)?;
@@ -58,9 +54,9 @@ pub fn recost_plan<S: PlanStore + ?Sized>(
 }
 
 /// Recursively rebuild `id` of `src` into `memo`, returning the new id.
-fn rebuild<S: PlanStore + ?Sized>(
+fn rebuild(
     ctx: &OptContext,
-    src: &S,
+    src: &Memo,
     id: PlanId,
     memo: &mut Memo,
     scratch: &mut Scratch,

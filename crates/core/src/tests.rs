@@ -6,7 +6,7 @@ use crate::aggstate::{AggPos, AggState};
 use crate::algo::applied_ops_mask;
 use crate::context::{OptContext, Scratch};
 use crate::finalize::finalize;
-use crate::memo::{Memo, PlanId, PlanStore};
+use crate::memo::{Memo, PlanId};
 use crate::optrees::op_trees;
 use crate::plan::{make_apply, make_group, make_scan, stage_apply};
 use dpnext_algebra::{AggCall, AggKind, AttrGen, AttrId, Expr, JoinPred, Value};
@@ -149,7 +149,7 @@ mod context {
         let mut sc = Scratch::new(&ctx);
         let f = sc.fresh_attr();
         assert!(f.0 > 51);
-        assert_eq!(1, sc.attrs_used());
+        assert_eq!(f.0 + 1, sc.fresh_attr().0);
     }
 }
 
@@ -453,6 +453,48 @@ mod finalization {
         let f = finalize(&ctx, &memo, j);
         assert!(!f.top_grouping);
         assert_eq!(memo[j].cost, f.cost);
+    }
+}
+
+mod engine {
+    use super::*;
+    use crate::algo::{process_pair, MultiBest, PairBufs};
+    use crate::memo::DominanceKind;
+
+    /// A refused work unit ends the pair: the hook is asked once, not once
+    /// per cell of the `|L|·|R|` subplan grid.
+    #[test]
+    fn refused_unit_stops_the_grid_walk() {
+        let ctx = two_table_ctx(OpKind::Join);
+        let mut memo = Memo::new();
+        for table in 0..2 {
+            for _ in 0..64 {
+                let id = make_scan(&ctx, &mut memo, table);
+                memo.class_push(NodeSet::single(table), id);
+            }
+        }
+        let mut sc = Scratch::new(&ctx);
+        let mut policy = MultiBest::new(&ctx, Some(DominanceKind::Full));
+        let (mut unit, mut asked) = (0u64, 0u64);
+        let completed = process_pair(
+            &ctx,
+            &mut sc,
+            &mut PairBufs::new(),
+            &mut memo,
+            &mut policy,
+            NodeSet::single(0),
+            NodeSet::single(1),
+            NodeSet::full(2),
+            &mut unit,
+            &mut |_, _| {
+                asked += 1;
+                false
+            },
+        );
+        assert!(!completed);
+        assert_eq!(1, asked, "a refusal at unit 0 must not walk the 64x64 grid");
+        assert_eq!((0, 0), (unit, sc.plans_built));
+        assert_eq!(128, memo.arena_len());
     }
 }
 

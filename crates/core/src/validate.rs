@@ -11,7 +11,7 @@
 
 use crate::algo::applied_ops_mask;
 use crate::context::OptContext;
-use crate::memo::{PlanId, PlanNode, PlanStore};
+use crate::memo::{Memo, PlanId, PlanNode};
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpKind;
 
@@ -31,11 +31,7 @@ use dpnext_query::OpKind;
 ///   `has_grouping` flags are consistent.
 ///
 /// Returns a description of the first violation found.
-pub fn validate_subplan<S: PlanStore + ?Sized>(
-    ctx: &OptContext,
-    store: &S,
-    id: PlanId,
-) -> Result<(), String> {
+pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<(), String> {
     let plan = store.plan(id);
     let hot = plan.hot;
     if !hot.cost.is_finite() || hot.cost < 0.0 {
@@ -195,11 +191,7 @@ pub fn validate_subplan<S: PlanStore + ?Sized>(
 /// [`validate_subplan`] plus the completeness conditions: the plan covers
 /// every relation of the query (each exactly once — implied by coverage
 /// plus the per-node disjointness checks) and applies every operator.
-pub fn validate_complete_plan<S: PlanStore + ?Sized>(
-    ctx: &OptContext,
-    store: &S,
-    id: PlanId,
-) -> Result<(), String> {
+pub fn validate_complete_plan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<(), String> {
     validate_subplan(ctx, store, id)?;
     let plan = &store[id];
     let full = NodeSet::full(ctx.query.table_count());

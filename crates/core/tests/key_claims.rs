@@ -5,7 +5,7 @@
 //! no duplicates. Wrong key claims would make `NeedsGrouping` drop
 //! necessary groupings — this test pins the soundness boundary.
 
-use dpnext_core::{all_subplans, compile, PlanStore};
+use dpnext_core::{all_subplans, compile};
 use dpnext_workload::{generate_data, generate_query, GenConfig, OpWeights};
 
 #[test]

@@ -7,18 +7,13 @@
 //! retention behavior changed.
 
 use dpnext_core::{
-    all_subplans_with, optimize, optimize_with, Algorithm as A, Memo, OptimizeOptions, PlanStore,
+    all_subplans, optimize, optimize_with, Algorithm as A, BudgetedSearch, DominanceKind, Memo,
+    OptContext, OptimizeOptions,
 };
+use dpnext_hypergraph::enumerate_ccps;
 use dpnext_query::Query;
 use dpnext_workload::{generate_query, GenConfig};
 use proptest::prelude::*;
-
-fn with_threads(threads: usize) -> OptimizeOptions {
-    OptimizeOptions {
-        threads,
-        ..OptimizeOptions::default()
-    }
-}
 
 #[derive(Clone, Copy)]
 enum Cfg {
@@ -229,174 +224,50 @@ fn engine_matches_seed_goldens_bit_for_bit() {
     }
 }
 
-/// The layered parallel engine must reproduce the same seed goldens: the
-/// stratified evaluation order and the worker/merge replay may not change
-/// a single observable bit, for any thread count.
+/// Same engine, different hook: a [`BudgetedSearch`] whose budget is never
+/// reached, fed the full csg-cmp-pair stream, runs the very loop
+/// `optimize_with(EaPrune)` runs — so cost, plan counts and every prune
+/// counter must agree bit for bit, not just within a tolerance.
 #[test]
-fn layered_engine_matches_goldens_at_2_and_8_threads() {
-    for &threads in &[2usize, 8] {
-        for &(cfg, n, seed, algo, cost_bits, plans_built, retained) in GOLDEN {
-            let query = generate_query(&cfg.config(n), seed);
-            let r = optimize_with(&query, algo, &with_threads(threads));
-            assert_eq!(
-                cost_bits,
-                r.plan.cost.to_bits(),
-                "cost diverges at threads={threads} (n={n}, seed={seed}, {}): {} vs {}",
-                algo.name(),
-                f64::from_bits(cost_bits),
-                r.plan.cost
-            );
-            assert_eq!(
-                plans_built,
-                r.plans_built,
-                "plans_built diverges at threads={threads} (n={n}, seed={seed}, {})",
-                algo.name()
-            );
-            assert_eq!(
-                retained,
-                r.retained_plans,
-                "retained_plans diverges at threads={threads} (n={n}, seed={seed}, {})",
-                algo.name()
-            );
+fn unbounded_budgeted_search_equals_ea_prune_bit_for_bit() {
+    for &(cfg, n, seed, algo, ..) in GOLDEN {
+        if algo != A::EaPrune {
+            continue;
         }
-    }
-}
-
-/// Wide-but-cheap queries (single-plan classes, many pairs per stratum)
-/// push the layered engine past its fan-out threshold even for the
-/// heuristics, covering the worker/merge path the small goldens reach
-/// only with the EA searches.
-#[test]
-fn layered_workers_match_streaming_on_wide_queries() {
-    for n in [10usize, 12] {
-        for seed in [1000u64, 1001] {
-            let query = generate_query(&GenConfig::paper(n), seed);
-            for algo in [A::DPhyp, A::H1, A::H2(1.03), A::EaPrune] {
-                let seq = optimize_with(&query, algo, &with_threads(1));
-                let par = optimize_with(&query, algo, &with_threads(4));
-                assert_eq!(
-                    seq.plan.cost.to_bits(),
-                    par.plan.cost.to_bits(),
-                    "cost diverges (n={n}, seed={seed}, {})",
-                    algo.name()
-                );
-                assert_eq!(seq.plans_built, par.plans_built, "n={n} seed={seed}");
-                assert_eq!(seq.retained_plans, par.retained_plans, "n={n} seed={seed}");
-            }
-        }
-    }
-}
-
-/// Observable signature of a collect-all enumeration, independent of
-/// arena positions (raw `PlanId`s differ between drivers): per-class
-/// plan sequences and the complete-plan stream, both order-preserving,
-/// projected to (set, cost, card, applied-mask) tuples.
-type PlanSig = (u64, u64, u64, u64);
-
-fn collect_all_signature(
-    query: &Query,
-    threads: usize,
-) -> (Vec<(u64, Vec<PlanSig>)>, Vec<PlanSig>) {
-    let (_ctx, memo, plans) = all_subplans_with(query, threads);
-    let sig = |memo: &Memo, id| {
-        let p = &memo[id];
-        (p.set.0, p.cost.to_bits(), p.card.to_bits(), p.applied)
-    };
-    let classes = memo
-        .classes_sorted()
-        .into_iter()
-        .map(|(s, ids)| (s.0, ids.iter().map(|&id| sig(&memo, id)).collect()))
-        .collect();
-    // `all_subplans` returns the retained ids first, then the complete
-    // stream in enumeration order.
-    let retained = memo.retained() as usize;
-    let completes = plans[retained..].iter().map(|&id| sig(&memo, id)).collect();
-    (classes, completes)
-}
-
-/// Golden for the class-partitioned replay: a paper-workload query whose
-/// widest stratum buckets enough candidates that dozens of plan classes
-/// fold concurrently — and the outcome still matches the streaming driver
-/// bit for bit.
-#[test]
-fn wide_stratum_replays_many_classes_concurrently() {
-    let query = generate_query(&GenConfig::paper(11), 1000);
-    let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
-    let par = optimize_with(&query, A::EaPrune, &with_threads(8));
-    assert!(
-        par.memo.peak_replay_classes >= 8,
-        "expected a wide parallel replay, got {} classes",
-        par.memo.peak_replay_classes
-    );
-    assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
-    assert_eq!(seq.plans_built, par.plans_built);
-    assert_eq!(seq.retained_plans, par.retained_plans);
-    assert_eq!(
-        seq.memo.prune_attempts, par.memo.prune_attempts,
-        "per-worker prune tallies must reduce to the streaming totals"
-    );
-    assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
-    assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
-    assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
-    // The phase split is instrumented on both drivers; the streaming
-    // driver reports a zero replay share.
-    assert!(par.memo.worker_nanos > 0 && par.memo.replay_nanos > 0);
-    assert!(seq.memo.worker_nanos > 0 && seq.memo.replay_nanos == 0);
-}
-
-/// Golden for the fanned-out merge bucketing: a stratum wide enough that
-/// grouping the shards' candidate streams by target class itself runs on
-/// the worker pool (hash-partitioned by class). The engine must record
-/// that it did — and the result must still match streaming bit for bit,
-/// with the LPT imbalance counter showing a sane (>= fair-share) reading.
-#[test]
-fn wide_stratum_buckets_candidates_in_parallel() {
-    let query = generate_query(&GenConfig::paper(11), 1000);
-    let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
-    let par = optimize_with(&query, A::EaPrune, &with_threads(8));
-    assert!(
-        par.memo.par_bucket_strata >= 1,
-        "expected at least one stratum to fan its bucketing out, got {}",
-        par.memo.par_bucket_strata
-    );
-    // The LPT skew statistic is recorded whenever a replay fanned out;
-    // the most loaded worker carries at least its fair share (100).
-    assert!(
-        par.memo.lpt_imbalance_x100 >= 100,
-        "LPT imbalance below fair share: {}",
-        par.memo.lpt_imbalance_x100
-    );
-    assert!(seq.memo.par_bucket_strata == 0 && seq.memo.lpt_imbalance_x100 == 0);
-    assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
-    assert_eq!(seq.plans_built, par.plans_built);
-    assert_eq!(seq.retained_plans, par.retained_plans);
-    assert_eq!(seq.memo.prune_attempts, par.memo.prune_attempts);
-    assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
-    assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
-    assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
-}
-
-/// The collect-all policy is layered-capable too (workers record every
-/// complete plan): class contents and the complete stream — as content
-/// signatures, since arena positions legitimately differ — must match the
-/// streaming driver exactly.
-#[test]
-fn collect_all_matches_streaming_across_thread_counts() {
-    // Exponential policy: small queries only. The paper workload's
-    // collect-all classes are wide enough that mid strata exceed the
-    // fan-out threshold even at these sizes.
-    for n in [5usize, 6] {
-        for seed in [1000u64, 1001, 1002] {
-            let query = generate_query(&GenConfig::paper(n), seed);
-            let seq = collect_all_signature(&query, 1);
-            for threads in [2usize, 8] {
-                let par = collect_all_signature(&query, threads);
-                assert_eq!(
-                    seq, par,
-                    "collect-all diverges (n={n}, seed={seed}, threads={threads})"
-                );
-            }
-        }
+        let query = generate_query(&cfg.config(n), seed);
+        let exact = optimize(&query, A::EaPrune);
+        let ctx = OptContext::new(query.clone());
+        let mut search = BudgetedSearch::new(&ctx, DominanceKind::Full, u64::MAX);
+        enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+            assert!(search.process(s1, s2), "an unbounded budget refused a pair");
+        });
+        let out = search.finish();
+        let what = format!("n={n}, seed={seed}");
+        assert!(!out.exhausted, "{what}");
+        let (best, _) = out.best.expect("the full stream yields a complete plan");
+        assert_eq!(exact.plan.cost.to_bits(), best.cost.to_bits(), "{what}");
+        assert_eq!(exact.plans_built, out.plans_built, "{what}: plans_built");
+        assert_eq!(
+            exact.retained_plans,
+            out.memo.retained(),
+            "{what}: retained"
+        );
+        let (e, b) = (exact.memo, out.memo.stats());
+        assert_eq!(
+            (
+                e.prune_attempts,
+                e.prune_rejected,
+                e.prune_evicted,
+                e.peak_class_width
+            ),
+            (
+                b.prune_attempts,
+                b.prune_rejected,
+                b.prune_evicted,
+                b.peak_class_width
+            ),
+            "{what}: prune counters"
+        );
     }
 }
 
@@ -422,85 +293,25 @@ proptest! {
 }
 
 proptest! {
-    // Heavier generators (EA-All up to 7 relations, three thread counts
-    // each): fewer cases keep the default `cargo test` fast while the
-    // 2–7 relation range still reaches deep multi-stratum fan-outs.
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The thread count is not allowed to influence anything observable:
-    /// costs, plans built, retained DP state and the reduced prune
-    /// counters are bit-identical across `threads ∈ {1, 2, 8}` for all
-    /// five algorithms — which exercise both keep-best policies — under
-    /// the class-partitioned replay.
-    #[test]
-    fn thread_count_never_changes_results(n in 2usize..=7, seed in 0u64..1_000_000) {
-        let query = generate_query(&GenConfig::oracle(n), seed);
-        for algo in [A::DPhyp, A::H1, A::H2(1.03), A::EaAll, A::EaPrune] {
-            let seq = optimize_with(&query, algo, &with_threads(1));
-            for threads in [2usize, 8] {
-                let par = optimize_with(&query, algo, &with_threads(threads));
-                prop_assert_eq!(
-                    seq.plan.cost.to_bits(), par.plan.cost.to_bits(),
-                    "cost diverges at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name()
-                );
-                prop_assert_eq!(seq.plans_built, par.plans_built,
-                    "plans_built diverges at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name());
-                prop_assert_eq!(seq.retained_plans, par.retained_plans,
-                    "retained_plans diverges at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name());
-                prop_assert_eq!(seq.memo.prune_attempts, par.memo.prune_attempts,
-                    "prune_attempts diverges at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name());
-                prop_assert_eq!(
-                    seq.memo.prune_rejected + seq.memo.prune_evicted,
-                    par.memo.prune_rejected + par.memo.prune_evicted,
-                    "prune outcomes diverge at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name());
-                prop_assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width,
-                    "peak_class_width diverges at threads={} (n={}, seed={}, {})",
-                    threads, n, seed, algo.name());
-            }
-        }
-    }
-
-    /// The third policy — collect-all — under the same contract: class
-    /// contents and the complete stream match streaming for any thread
-    /// count on random 2–7 table queries.
-    #[test]
-    fn collect_all_thread_parity(n in 2usize..=7, seed in 0u64..1_000_000) {
-        let query = generate_query(&GenConfig::oracle(n), seed);
-        let seq = collect_all_signature(&query, 1);
-        for threads in [2usize, 8] {
-            let par = collect_all_signature(&query, threads);
-            prop_assert_eq!(
-                &seq, &par,
-                "collect-all diverges at threads={} (n={}, seed={})",
-                threads, n, seed
-            );
-        }
-    }
 
     /// Invariant of the split (hot/cold) arena layout: the flag bits the
     /// dominance fast path reads from the 40-byte hot row must be a
     /// faithful mirror of the cold payload they were derived from, for
-    /// every plan any driver builds — a stale or miscopied flag would
+    /// every plan the engine builds — a stale or miscopied flag would
     /// silently change pruning outcomes without failing any cost golden.
     #[test]
     fn hot_rows_mirror_cold_payload(n in 2usize..=6, seed in 0u64..1_000_000) {
         let query = generate_query(&GenConfig::oracle(n), seed);
-        for threads in [1usize, 2, 8] {
-            let (_ctx, memo, plans) = all_subplans_with(&query, threads);
-            for &id in &plans {
-                let plan = memo.plan(id);
-                prop_assert_eq!(
-                    plan.hot.duplicate_free(), plan.cold.keyinfo.duplicate_free,
-                    "dup-free flag diverges from keyinfo (n={}, seed={}, threads={})",
-                    n, seed, threads
-                );
-                prop_assert_eq!(plan.hot.set, memo[id].set);
-            }
+        let (_ctx, memo, plans) = all_subplans(&query);
+        for &id in &plans {
+            let plan = memo.plan(id);
+            prop_assert_eq!(
+                plan.hot.duplicate_free(), plan.cold.keyinfo.duplicate_free,
+                "dup-free flag diverges from keyinfo (n={}, seed={})",
+                n, seed
+            );
+            prop_assert_eq!(plan.hot.set, memo[id].set);
         }
     }
 }

@@ -10,7 +10,6 @@ use std::time::Duration;
 fn opts(explain: bool) -> OptimizeOptions {
     OptimizeOptions {
         explain,
-        threads: 1,
         ..OptimizeOptions::default()
     }
 }

@@ -121,6 +121,9 @@ impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> Enumerator<'_, F> {
 /// stratum-`k` pair reads live in strata `< k`: pairs **within** one
 /// stratum are data-independent and may be evaluated in any order — the
 /// monotone-DP structure layered/parallel evaluation exploits.
+// perfbench-only: nothing in the workspace calls this any more; the frozen
+// benchmark times it as `hypergraph.stratify_us`. Delete with `CcpStrata`
+// once perfbench retires that metric (see ROADMAP).
 pub fn stratify_ccps(graph: &Hypergraph) -> CcpStrata {
     let n = graph.node_count();
     let mut strata: Vec<Vec<(NodeSet, NodeSet)>> = vec![Vec::new(); n + 1];
@@ -131,6 +134,7 @@ pub fn stratify_ccps(graph: &Hypergraph) -> CcpStrata {
 }
 
 /// The result of [`stratify_ccps`]: one pair list per union size.
+// perfbench-only, like `stratify_ccps`.
 #[derive(Debug, Clone, Default)]
 pub struct CcpStrata {
     /// `strata[k]` = pairs whose union covers exactly `k` nodes. Indices

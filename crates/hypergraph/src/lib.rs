@@ -13,8 +13,9 @@ pub mod graph;
 pub use bitset::NodeSet;
 pub use dpccp::{count_ccps_simple, enumerate_ccps_simple, SimpleGraph};
 pub use dphyp::{
-    count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps, stratify_ccps,
-    try_enumerate_ccps, CcpStrata,
+    count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps, try_enumerate_ccps,
 };
+// perfbench-only
+pub use dphyp::{stratify_ccps, CcpStrata};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::{Hyperedge, Hypergraph};

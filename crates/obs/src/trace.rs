@@ -235,9 +235,9 @@ pub fn span(name: &'static str) -> Span {
 
 /// Record an already-measured interval as a closed span (start back-dated
 /// by `dur_nanos` from now), parented under the calling thread's current
-/// span. This is how the layered engine turns its existing
-/// `worker_nanos`/`replay_nanos` phase timers into per-stratum spans
-/// without double-instrumenting the hot loop. No-op when tracing is off.
+/// span. This is how the enumeration engine reports a whole run as one
+/// `engine.enumerate` span carrying its final counters, without holding
+/// a span guard across the hot loop. No-op when tracing is off.
 pub fn emit_span(name: &'static str, dur_nanos: u64, tags: &[(&'static str, u64)]) {
     if !tracing_enabled() {
         return;

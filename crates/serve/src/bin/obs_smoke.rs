@@ -68,7 +68,7 @@ fn main() {
 
     let service = Arc::new(
         OptimizerService::with_config(
-            Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
+            Optimizer::new(Algorithm::EaPrune).explain(false),
             ServiceConfig {
                 pool_capacity: THREADS,
                 deadline: Some(Duration::from_millis(50)),

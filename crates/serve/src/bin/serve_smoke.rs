@@ -31,7 +31,7 @@ fn throughput_check() {
     let query = generate_query(&GenConfig::paper(N), SEED);
 
     let cold = OptimizerService::with_config(
-        Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
+        Optimizer::new(Algorithm::EaPrune).explain(false),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 0,
@@ -41,8 +41,7 @@ fn throughput_check() {
     );
     let cold_pps = plans_per_sec(&cold, &query, THROUGHPUT_REQUESTS);
 
-    let cached =
-        OptimizerService::new(Optimizer::new(Algorithm::EaPrune).threads(1).explain(false));
+    let cached = OptimizerService::new(Optimizer::new(Algorithm::EaPrune).explain(false));
     cached.optimize(&query).unwrap(); // warm: the one and only miss
     let cached_pps = plans_per_sec(&cached, &query, THROUGHPUT_REQUESTS);
 
@@ -77,7 +76,7 @@ fn plans_per_sec(service: &OptimizerService, query: &dpnext_query::Query, reques
 /// reuse.
 fn pool_warmup_check() {
     let service = OptimizerService::with_config(
-        Optimizer::new(Algorithm::EaPrune).threads(1).explain(false),
+        Optimizer::new(Algorithm::EaPrune).explain(false),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,

@@ -44,7 +44,7 @@
 //! every counter above lives in a [`dpnext_obs::Registry`] cell shared
 //! with [`ServiceStats`] — the two can never disagree — alongside
 //! latency / queue-wait / byte **histograms**; the request path emits
-//! **trace spans** (`serve.request` down to `engine.stratum.*`) when a
+//! **trace spans** (`serve.request` down to `engine.enumerate`) when a
 //! [`dpnext_obs::TraceSink`] is installed, and is span-free and
 //! allocation-free when not; an opt-in **scrape endpoint**
 //! ([`MetricsServer`], [`ServiceConfig::metrics_addr`]) serves

@@ -348,7 +348,7 @@ mod tests {
         // ever goes back to unconditional capacity retention, the final
         // bound below fails.
         let pool = MemoPool::new(1);
-        let opt = Optimizer::new(Algorithm::EaAll).threads(1).explain(false);
+        let opt = Optimizer::new(Algorithm::EaAll).explain(false);
         let big = generate_query(&GenConfig::paper(6), 42);
         let small = generate_query(&GenConfig::paper(3), 42);
 
@@ -423,7 +423,7 @@ mod tests {
 
         let pool = MemoPool::new(2);
         let q = generate_query(&GenConfig::paper(3), 1);
-        let opt = Optimizer::new(Algorithm::EaPrune).threads(1).explain(false);
+        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
         {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&q, &mut memo);
@@ -447,7 +447,7 @@ mod tests {
         let ledger = Arc::new(ResourceLedger::new(0));
         let pool = MemoPool::with_ledger(2, ledger.clone());
         let q = generate_query(&GenConfig::paper(4), 7);
-        let opt = Optimizer::new(Algorithm::EaPrune).threads(1).explain(false);
+        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
         let parked_footprint = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&q, &mut memo);
@@ -479,7 +479,7 @@ mod tests {
         let ledger = Arc::new(ResourceLedger::new(0));
         let pool = MemoPool::with_ledger(4, ledger.clone());
         let q = generate_query(&GenConfig::paper(4), 7);
-        let opt = Optimizer::new(Algorithm::EaPrune).threads(1).explain(false);
+        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
         let destroyed = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&q, &mut memo);

@@ -5,8 +5,8 @@
 //! Prometheus text, and the overload retry hint must come from measured
 //! service times within its documented bounds.
 
-use dpnext::{Algorithm as A, Degradation, MemoStats, Optimized, Optimizer};
-use dpnext_obs::{lint_prometheus_text, MetricValue, RingSink, TraceLevel};
+use dpnext::{Algorithm as A, Optimized, Optimizer};
+use dpnext_obs::{lint_prometheus_text, MetricValue, RingSink, TagValue, TraceLevel};
 use dpnext_serve::{OptimizerService, ServeError, ServiceConfig};
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig, Topology};
 use std::io::{Read, Write};
@@ -26,24 +26,6 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
     trace_lock().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The run-deterministic subset of [`MemoStats`] (drops the wall-clock
-/// `worker_nanos` / `replay_nanos` instrumentation).
-#[allow(clippy::type_complexity)]
-fn det_stats(s: &MemoStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, Degradation) {
-    (
-        s.arena_plans,
-        s.arena_peak,
-        s.peak_class_width,
-        s.prune_attempts,
-        s.prune_rejected,
-        s.prune_evicted,
-        s.layers,
-        s.peak_layer_pairs,
-        s.plan_budget,
-        s.degradation,
-    )
-}
-
 fn assert_bit_identical(cold: &Optimized, traced: &Optimized, what: &str) {
     assert_eq!(
         cold.plan.cost.to_bits(),
@@ -56,11 +38,7 @@ fn assert_bit_identical(cold: &Optimized, traced: &Optimized, what: &str) {
         "{what}: card"
     );
     assert_eq!(cold.plans_built, traced.plans_built, "{what}: plans_built");
-    assert_eq!(
-        det_stats(&cold.memo),
-        det_stats(&traced.memo),
-        "{what}: memo stats"
-    );
+    assert_eq!(cold.memo, traced.memo, "{what}: memo stats");
     assert_eq!(cold.explain, traced.explain, "{what}: explain");
 }
 
@@ -128,6 +106,48 @@ fn traced_golden_grid_is_bit_identical_and_every_span_closes() {
         spans.iter().all(|s| s.end_nanos >= s.start_nanos),
         "span clocks must be monotone"
     );
+}
+
+/// The enumeration's span sits on the path every request runs: a traced
+/// cache miss carries exactly one `engine.enumerate` below its
+/// `serve.request`, tagged with the `plans_built` the reply reports; the
+/// cache hit that follows never reaches the engine.
+#[test]
+fn traced_miss_carries_one_engine_enumerate_span() {
+    let _guard = locked();
+    let sink = Arc::new(RingSink::new(256));
+    dpnext_obs::install_sink(sink.clone());
+    dpnext_obs::set_trace_level(TraceLevel::Spans);
+
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
+    let query = generate_query(&GenConfig::paper(6), 1000);
+    let miss = service.optimize(&query).expect("no faults injected");
+    let hit = service.optimize(&query).expect("no faults injected");
+
+    dpnext_obs::set_trace_level(TraceLevel::Off);
+    dpnext_obs::clear_sink();
+    assert!(!miss.cache_hit && hit.cache_hit);
+
+    let spans = sink.take();
+    let engine: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "engine.enumerate")
+        .collect();
+    assert_eq!(1, engine.len(), "one engine run for one cache miss");
+    assert_eq!(
+        Some(&TagValue::U64(miss.result.plans_built)),
+        engine[0].tag("plans_built")
+    );
+    // Walk up to the root: it must be the miss's `serve.request`.
+    let mut at = engine[0];
+    while at.parent != 0 {
+        at = spans
+            .iter()
+            .find(|s| s.id == at.parent)
+            .expect("parent span was recorded");
+    }
+    assert_eq!("serve.request", at.name);
+    assert_eq!(Some(&TagValue::Str("optimized")), at.tag("outcome"));
 }
 
 /// The acceptance identity of the tentpole: after a 4-thread hammer,
@@ -281,7 +301,7 @@ fn scrape_endpoint_serves_lint_clean_text_and_stats_json() {
 fn retry_hint_is_measured_and_bounded() {
     let _guard = locked();
     let service = Arc::new(OptimizerService::with_config(
-        Optimizer::new(A::EaPrune).threads(1).explain(false),
+        Optimizer::new(A::EaPrune).explain(false),
         ServiceConfig {
             cache_capacity: 0, // every request must reach the gate
             max_concurrent: 1,

@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn quiet_optimizer(algo: A) -> Optimizer {
-    Optimizer::new(algo).threads(1).explain(false)
+    Optimizer::new(algo).explain(false)
 }
 
 /// The acceptance identity: a synchronized burst of N requests over an
@@ -22,7 +22,13 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     const N: usize = 16;
     let service = Arc::new(OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
+        // A never-reached deadline routes the runs through the budgeted
+        // search, where the per-unit delay applies: every admitted run
+        // then outlasts the burst's arrival window on any machine, so the
+        // rejection below does not depend on scheduler timing.
+        quiet_optimizer(A::EaPrune)
+            .deadline(Some(Duration::from_secs(600)))
+            .fault_unit_delay(Some(Duration::from_micros(200))),
         ServiceConfig {
             cache_capacity: 0, // every request must reach the gate
             pool_capacity: 4,

@@ -9,7 +9,7 @@ use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::time::Duration;
 
 fn quiet_optimizer(algo: A) -> Optimizer {
-    Optimizer::new(algo).threads(1).explain(false)
+    Optimizer::new(algo).explain(false)
 }
 
 /// N requests with K injected panics: exactly N−K succeed, every panic

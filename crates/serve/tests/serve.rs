@@ -3,28 +3,10 @@
 //! invalidate, counters must stay consistent under concurrent load, and
 //! pooled memo reuse must not leak state between runs.
 
-use dpnext::{Algorithm as A, Degradation, MemoStats, Optimized, Optimizer};
+use dpnext::{Algorithm as A, Optimized, Optimizer};
 use dpnext_serve::{OptimizerService, ServiceConfig};
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig};
 use std::sync::Arc;
-
-/// The run-deterministic subset of [`MemoStats`] (drops the wall-clock
-/// `worker_nanos` / `replay_nanos` instrumentation).
-#[allow(clippy::type_complexity)]
-fn det_stats(s: &MemoStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, Degradation) {
-    (
-        s.arena_plans,
-        s.arena_peak,
-        s.peak_class_width,
-        s.prune_attempts,
-        s.prune_rejected,
-        s.prune_evicted,
-        s.layers,
-        s.peak_layer_pairs,
-        s.plan_budget,
-        s.degradation,
-    )
-}
 
 fn assert_bit_identical(cold: &Optimized, served: &Optimized, what: &str) {
     assert_eq!(
@@ -42,11 +24,7 @@ fn assert_bit_identical(cold: &Optimized, served: &Optimized, what: &str) {
         cold.retained_plans, served.retained_plans,
         "{what}: retained"
     );
-    assert_eq!(
-        det_stats(&cold.memo),
-        det_stats(&served.memo),
-        "{what}: memo stats"
-    );
+    assert_eq!(cold.memo, served.memo, "{what}: memo stats");
     assert_eq!(cold.explain, served.explain, "{what}: explain");
 }
 

@@ -41,7 +41,6 @@ pub struct Optimizer {
     algorithm: Algorithm,
     dominance: DominanceKind,
     explain: bool,
-    threads: usize,
     plan_budget: u64,
     deadline: Option<Duration>,
     memory_budget: u64,
@@ -51,15 +50,12 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// A facade running `algorithm` with the paper's defaults: `Full`
-    /// dominance pruning and EXPLAIN/stats rendering enabled. The
-    /// enumeration engine uses all available cores by default; see
-    /// [`Optimizer::threads`].
+    /// dominance pruning and EXPLAIN/stats rendering enabled.
     pub fn new(algorithm: Algorithm) -> Optimizer {
         Optimizer {
             algorithm,
             dominance: DominanceKind::Full,
             explain: true,
-            threads: 0,
             plan_budget: 0,
             deadline: None,
             memory_budget: 0,
@@ -76,7 +72,7 @@ impl Optimizer {
     }
 
     /// Switch the algorithm while keeping every other knob (catalog,
-    /// dominance, threads, budgets). The serving layer uses this to
+    /// dominance, budgets). The serving layer uses this to
     /// re-route a circuit-broken shape onto the adaptive greedy rung
     /// without rebuilding its configuration.
     pub fn algorithm(mut self, algorithm: Algorithm) -> Optimizer {
@@ -84,13 +80,11 @@ impl Optimizer {
         self
     }
 
-    /// Worker threads for the enumeration engine: `1` runs the exact
-    /// sequential path, `0` (the default) resolves to the machine's
-    /// available parallelism. Plan costs, class contents, dominance
-    /// outcomes and `plans_built` are bit-identical for every setting —
-    /// only wall-clock time changes.
-    pub fn threads(mut self, threads: usize) -> Optimizer {
-        self.threads = threads;
+    // perfbench-only: the frozen benchmark still calls this setter (with 1
+    // and 2); the enumeration has one engine, so the count is ignored.
+    // Delete once perfbench retires `core.t2_speedup` (see ROADMAP).
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Optimizer {
         self
     }
 
@@ -229,7 +223,6 @@ impl Optimizer {
         OptimizeOptions {
             dominance: self.dominance,
             explain: self.explain,
-            threads: self.threads,
             plan_budget: self.plan_budget,
             deadline: self.deadline,
             memory_budget: self.memory_budget,
