@@ -108,11 +108,29 @@ pub struct AdaptiveRun {
 /// Panics like the exact engine when the query graph is disconnected or
 /// over-constrained (no complete plan exists).
 pub fn optimize_adaptive(query: &Query, opts: &OptimizeOptions) -> Optimized {
-    optimize_adaptive_run(query, opts).optimized
+    optimize_adaptive_into(query, opts, &mut Memo::new())
+}
+
+/// [`optimize_adaptive`] running inside a caller-supplied [`Memo`] — the
+/// pooled entry point, the ladder's counterpart of
+/// [`dpnext_core::optimize_into`]. The memo is reset first, so results and
+/// statistics are bit-identical to a fresh run; its arena, lane and class
+/// capacity is reused, and it comes back holding the run's plans, so a
+/// caller that meters its memo (the serving layer's ledger) meters the one
+/// that did the work. Should the ladder panic, `memo` is left empty.
+pub fn optimize_adaptive_into(query: &Query, opts: &OptimizeOptions, memo: &mut Memo) -> Optimized {
+    let run = optimize_adaptive_run_in(query, opts, std::mem::take(memo));
+    *memo = run.memo;
+    run.optimized
 }
 
 /// [`optimize_adaptive`] returning the whole [`AdaptiveRun`].
 pub fn optimize_adaptive_run(query: &Query, opts: &OptimizeOptions) -> AdaptiveRun {
+    optimize_adaptive_run_in(query, opts, Memo::new())
+}
+
+/// [`optimize_adaptive_run`] with the search running in `memo`.
+fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -> AdaptiveRun {
     let ctx = OptContext::new(query.clone());
     let n = ctx.query.table_count();
     let memory_budget = (opts.memory_budget != 0).then_some(opts.memory_budget);
@@ -134,7 +152,7 @@ pub fn optimize_adaptive_run(query: &Query, opts: &OptimizeOptions) -> AdaptiveR
     let mut ladder_span = dpnext_obs::span("adaptive.optimize");
     ladder_span.tag_u64("n", n as u64);
     ladder_span.tag_u64("plan_budget", budget);
-    let mut search = BudgetedSearch::new(&ctx, opts.dominance, budget);
+    let mut search = BudgetedSearch::new_in(&ctx, memo, opts.dominance, budget);
     search.set_unit_delay(opts.fault_unit_delay);
     let mut mode = AdaptiveMode::Greedy;
     let mut degr = Degradation::default();

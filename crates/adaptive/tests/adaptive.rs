@@ -3,9 +3,12 @@
 //! every winning plan, hard budget enforcement, and the large-query
 //! acceptance scenarios (30-relation clique and star).
 
-use dpnext_adaptive::{budget_floor, optimize_adaptive_run, DEFAULT_PLAN_BUDGET};
+use dpnext_adaptive::{
+    budget_floor, optimize_adaptive, optimize_adaptive_into, optimize_adaptive_run,
+    DEFAULT_PLAN_BUDGET,
+};
 use dpnext_core::{
-    optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, OptimizeOptions,
+    optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, Memo, OptimizeOptions,
 };
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::time::Instant;
@@ -173,5 +176,35 @@ fn tiny_queries() {
         let run = optimize_adaptive_run(&q, &opts(0));
         validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
         assert_eq!(AdaptiveMode::Exact, run.optimized.memo.adaptive_mode);
+    }
+}
+
+/// The ladder runs *in* the caller's memo: whatever the memo held, the
+/// result and statistics equal a fresh run's, the memo comes back holding
+/// the run's plans (so a pool's ledger meters the memo that did the work),
+/// and a repeat of the same query grows nothing (the decaying high-water
+/// marks may still release what the earlier, different query left behind).
+#[test]
+fn pooled_memo_is_the_one_the_ladder_runs_in() {
+    let mut memo = Memo::new();
+    let mut warmed = 0;
+    for (n, seed) in [(8usize, 1u64), (30, 2), (30, 2), (30, 2)] {
+        let q = generate_query(&GenConfig::topology(n, Topology::Star), seed);
+        let fresh = optimize_adaptive(&q, &opts(20_000));
+        let pooled = optimize_adaptive_into(&q, &opts(20_000), &mut memo);
+        assert_eq!(fresh.plan.cost.to_bits(), pooled.plan.cost.to_bits());
+        assert_eq!(fresh.plans_built, pooled.plans_built);
+        assert_eq!(fresh.memo, pooled.memo, "n={n}: pooled statistics diverge");
+        assert_eq!(pooled.memo.arena_plans, memo.arena_len() as u64);
+        memo.check_invariants().unwrap();
+        if warmed != 0 {
+            assert!(
+                memo.footprint_bytes() <= warmed,
+                "a repeat run grew the memo"
+            );
+        }
+        if n == 30 {
+            warmed = memo.footprint_bytes();
+        }
     }
 }

@@ -15,9 +15,14 @@ use proptest::prelude::*;
 
 /// Budget overshoot tolerance: the byte meter is consulted once per
 /// enumeration work unit, so a run may exceed its budget by at most one
-/// unit's plans — [`UNIT_MAX_PLANS`] arena rows plus their cold payloads
-/// (keys, aggregates, visible sets; generously over-estimated here).
-const UNIT_SLACK: u64 = UNIT_MAX_PLANS * (ARENA_ROW_BYTES as u64 + 4096);
+/// unit's plans — [`UNIT_MAX_PLANS`] pairs of arena rows plus what each
+/// plan appends to the lanes. A plan appends at most its whole payload
+/// (visible attributes at 4 bytes, 8 bytes plus attributes per key, 16
+/// bytes per aggregate position and count column; less when it shares an
+/// input's span). The largest payload of any plan these queries produce is
+/// 504 bytes (the 30-relation star: some 90 visible attributes); twice
+/// that is allowed per plan.
+const UNIT_SLACK: u64 = UNIT_MAX_PLANS * (ARENA_ROW_BYTES as u64 + 1024);
 
 fn base() -> OptimizeOptions {
     OptimizeOptions {

@@ -3,7 +3,8 @@
 //!
 //! Every plan carries, per original aggregate, a position
 //! (`Raw` or `Partial{col, scope}`) plus the list of active *count columns*
-//! `(scope, col)` with pairwise-disjoint scopes. Introducing a grouping
+//! `(scope, col)` with pairwise-disjoint scopes — two plain sequences the
+//! memo keeps in its lanes ([`AggRef`] is the view over them). Introducing a grouping
 //! applies `F¹ ∘ (c : count(*))` to its own side's aggregates and the
 //! `F ⊗ c` duplicate adjustment of §2.1.3 to everything duplicate
 //! sensitive:
@@ -17,6 +18,7 @@
 //!   (Eqvs. 34–36).
 
 use crate::context::{OptContext, Scratch};
+use crate::memo::{Lanes, Span};
 use dpnext_algebra::{AggCall, AggKind, AttrId, Expr, Value};
 use dpnext_hypergraph::NodeSet;
 
@@ -34,70 +36,19 @@ pub enum AggPos {
     },
 }
 
-/// The aggregation state of a plan.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AggState {
+/// The aggregation state of a plan, borrowed: two slices, wherever they
+/// live (an owned [`AggState`] or the memo's lanes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AggRef<'a> {
     /// Indexed like the query's normalized aggregation vector.
     /// `count(*)` aggregates stay `Raw` forever: their value is derived
     /// from the count columns (`count(*) = sum(Π cᵢ)`).
-    pub pos: Vec<AggPos>,
+    pub pos: &'a [AggPos],
     /// Active count columns with pairwise-disjoint scopes.
-    pub counts: Vec<(NodeSet, AttrId)>,
+    pub counts: &'a [(NodeSet, AttrId)],
 }
 
-impl AggState {
-    /// The state of a base-table plan: every aggregate raw, no counts.
-    pub fn fresh(n_aggs: usize) -> Self {
-        AggState {
-            pos: vec![AggPos::Raw; n_aggs],
-            counts: Vec::new(),
-        }
-    }
-
-    /// Merge the states of two joined plans (disjoint relation sets).
-    pub fn merge(&self, other: &AggState) -> AggState {
-        debug_assert_eq!(self.pos.len(), other.pos.len());
-        let pos = self
-            .pos
-            .iter()
-            .zip(&other.pos)
-            .map(|(l, r)| match (l, r) {
-                (AggPos::Raw, AggPos::Raw) => AggPos::Raw,
-                (p @ AggPos::Partial { .. }, AggPos::Raw) => *p,
-                (AggPos::Raw, p @ AggPos::Partial { .. }) => *p,
-                (AggPos::Partial { .. }, AggPos::Partial { .. }) => {
-                    unreachable!("aggregate partially computed on both sides of a join")
-                }
-            })
-            .collect();
-        let mut counts = Vec::with_capacity(self.counts.len() + other.counts.len());
-        counts.extend_from_slice(&self.counts);
-        counts.extend_from_slice(&other.counts);
-        AggState { pos, counts }
-    }
-
-    /// Drop the state contributed by a vanishing right side (semijoin /
-    /// antijoin): its count columns and partials disappear with the
-    /// attributes. Sound because the operators do not duplicate left
-    /// tuples, so no `⊗` adjustment is lost.
-    pub fn keep_left(&self, left_set: NodeSet) -> AggState {
-        let pos = self
-            .pos
-            .iter()
-            .map(|p| match p {
-                AggPos::Partial { scope, .. } if !scope.is_subset_of(left_set) => AggPos::Raw,
-                other => *other,
-            })
-            .collect();
-        let counts = self
-            .counts
-            .iter()
-            .copied()
-            .filter(|(scope, _)| scope.is_subset_of(left_set))
-            .collect();
-        AggState { pos, counts }
-    }
-
+impl AggRef<'_> {
     /// The multiplicity expression `Π cᵢ` over all count columns, if any.
     pub fn multiplier(&self) -> Option<Expr> {
         product(self.counts.iter().map(|&(_, c)| c))
@@ -123,7 +74,7 @@ impl AggState {
     /// outerjoin: `F¹({⊥})` and `c : 1` (Eqvs. 11/12, 14/15, 20/21, …).
     pub fn padding_defaults(&self, aggs: &[AggCall]) -> Vec<(AttrId, Value)> {
         let mut out = Vec::new();
-        for &(_, c) in &self.counts {
+        for &(_, c) in self.counts {
             out.push((c, Value::Int(1)));
         }
         for (i, p) in self.pos.iter().enumerate() {
@@ -132,6 +83,47 @@ impl AggState {
             }
         }
         out
+    }
+}
+
+/// Where an aggregate lives after joining a plan holding it at `l` with
+/// one holding it at `r` (disjoint relation sets).
+#[inline]
+pub(crate) fn merge_one(l: AggPos, r: AggPos) -> AggPos {
+    match (l, r) {
+        (p, AggPos::Raw) | (AggPos::Raw, p) => p,
+        (AggPos::Partial { .. }, AggPos::Partial { .. }) => {
+            unreachable!("aggregate partially computed on both sides of a join")
+        }
+    }
+}
+
+/// The aggregation state of a plan, owned — how the context holds a scan's
+/// state and how tests and benches write one down; the memo keeps the same
+/// two sequences in its lanes ([`AggRef`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct AggState {
+    /// See [`AggRef::pos`].
+    pub pos: Vec<AggPos>,
+    /// See [`AggRef::counts`].
+    pub counts: Vec<(NodeSet, AttrId)>,
+}
+
+impl AggState {
+    /// The state of a base-table plan: every aggregate raw, no counts.
+    pub fn fresh(n_aggs: usize) -> Self {
+        AggState {
+            pos: vec![AggPos::Raw; n_aggs],
+            counts: Vec::new(),
+        }
+    }
+
+    /// The borrowed view the read-only operations live on.
+    pub fn as_ref(&self) -> AggRef<'_> {
+        AggRef {
+            pos: &self.pos,
+            counts: &self.counts,
+        }
     }
 }
 
@@ -167,86 +159,110 @@ fn count_times(arg: &Expr, m: Option<&Expr>, out: AttrId) -> AggCall {
     }
 }
 
-/// The aggregate calls a new grouping node must compute for one original
-/// aggregate, plus its new position. `None` when the aggregate is
-/// untouched by a grouping over `s`.
-fn group_one(
-    ctx: &OptContext,
-    scratch: &mut Scratch,
-    i: usize,
-    state: &AggState,
-    s: NodeSet,
-) -> Option<(AggCall, AggPos)> {
-    let call = &ctx.aggs()[i];
-    if call.kind == AggKind::CountStar {
-        return None; // derived from the count columns
+/// Does a grouping over `s` rewrite original aggregate `i`? `count(*)` is
+/// derived from the count columns, and an aggregate whose arguments lie
+/// outside `s` is untouched.
+fn grouped_here(ctx: &OptContext, i: usize, s: NodeSet) -> bool {
+    if ctx.aggs()[i].kind == AggKind::CountStar {
+        return false;
     }
     let org = ctx.agg_origin[i];
     if org.is_empty() || !org.is_subset_of(s) {
         debug_assert!(!org.intersects(s), "can_group must reject split aggregates");
-        return None;
+        return false;
     }
-    let out = scratch.fresh_attr();
-    let arg = call
-        .arg
-        .as_ref()
-        .expect("non-count(*) aggregate needs an argument");
-    let new_call = match state.pos[i] {
-        AggPos::Raw => {
-            let m = state.multiplier();
-            match call.kind {
-                AggKind::Min | AggKind::Max => AggCall::new(out, call.kind, arg.clone()),
-                AggKind::Sum => AggCall::new(out, AggKind::Sum, times(arg.clone(), m.as_ref())),
-                AggKind::Count => count_times(arg, m.as_ref(), out),
-                other => unreachable!("grouping over non-decomposable aggregate {other}"),
-            }
-        }
-        AggPos::Partial { col, scope } => {
-            let m = state.multiplier_excluding(scope);
-            match call.kind.combine() {
-                AggKind::Min => AggCall::new(out, AggKind::Min, Expr::attr(col)),
-                AggKind::Max => AggCall::new(out, AggKind::Max, Expr::attr(col)),
-                _ => AggCall::new(out, AggKind::Sum, times(Expr::attr(col), m.as_ref())),
-            }
-        }
-    };
-    Some((new_call, AggPos::Partial { col: out, scope: s }))
+    true
 }
 
-/// Build the aggregation vector of a pushed-down grouping `Γ_{G⁺(S); F¹ ∘
-/// (c : count(*))}` over a plan with state `state` covering `s`.
-/// Returns `(agg calls, new state)`.
-pub fn build_group_aggs(
+/// Derive the aggregation state after a pushed-down grouping `Γ_{G⁺(S);
+/// F¹ ∘ (c : count(*))}` over a plan covering `s` whose positions are the
+/// run `input_pos` of the position lane, and append it to the lanes: one
+/// fresh column for the new count, then one per rewritten aggregate in
+/// vector order. The fresh columns also go to the tail of the attribute
+/// lane in that order (the caller is assembling the grouping's visible
+/// attributes there). Returns the new `(positions, counts)` spans. Only
+/// the state is derived here — the enumeration never needs the aggregate
+/// *calls*; [`group_agg_calls`] rebuilds them for a plan that is compiled.
+pub fn push_grouped_state(
     ctx: &OptContext,
     scratch: &mut Scratch,
-    state: &AggState,
+    lanes: &mut Lanes,
+    input_pos: Span,
     s: NodeSet,
-) -> (Vec<AggCall>, AggState) {
+) -> (Span, Span) {
     let c_new = scratch.fresh_attr();
-    let count_call = match state.multiplier() {
+    lanes.attrs.push(c_new);
+    let counts = Span::new(lanes.counts.len(), 1);
+    lanes.counts.push((s, c_new));
+    let pos = Span::new(lanes.agg_pos.len(), input_pos.len as usize);
+    lanes.agg_pos.reserve(pos.len as usize);
+    for (i, at) in input_pos.range().enumerate() {
+        let p = if grouped_here(ctx, i, s) {
+            let col = scratch.fresh_attr();
+            lanes.attrs.push(col);
+            AggPos::Partial { col, scope: s }
+        } else {
+            lanes.agg_pos[at]
+        };
+        lanes.agg_pos.push(p);
+    }
+    (pos, counts)
+}
+
+/// The aggregation vector of the grouping node that took a plan covering
+/// `s` from state `input` to state `output` (as [`push_grouped_state`]
+/// derived it): the count column first, then the rewritten aggregates,
+/// each landing in the column `output` recorded for it.
+pub fn group_agg_calls(
+    ctx: &OptContext,
+    input: AggRef<'_>,
+    output: AggRef<'_>,
+    s: NodeSet,
+) -> Vec<AggCall> {
+    let &[(_, c_new)] = output.counts else {
+        panic!("a grouping leaves exactly one count column");
+    };
+    let mut calls = vec![match input.multiplier() {
         None => AggCall::count_star(c_new),
         Some(m) => AggCall::new(c_new, AggKind::Sum, m),
-    };
-    let mut calls = vec![count_call];
-    let mut pos = state.pos.clone();
-    for (i, slot) in pos.iter_mut().enumerate() {
-        if let Some((call, p)) = group_one(ctx, scratch, i, state, s) {
-            calls.push(call);
-            *slot = p;
+    }];
+    for (i, call) in ctx.aggs().iter().enumerate() {
+        if !grouped_here(ctx, i, s) {
+            continue;
         }
+        let AggPos::Partial { col: out, .. } = output.pos[i] else {
+            panic!("rewritten aggregate {i} has no partial column");
+        };
+        let arg = call
+            .arg
+            .as_ref()
+            .expect("non-count(*) aggregate needs an argument");
+        calls.push(match input.pos[i] {
+            AggPos::Raw => {
+                let m = input.multiplier();
+                match call.kind {
+                    AggKind::Min | AggKind::Max => AggCall::new(out, call.kind, arg.clone()),
+                    AggKind::Sum => AggCall::new(out, AggKind::Sum, times(arg.clone(), m.as_ref())),
+                    AggKind::Count => count_times(arg, m.as_ref(), out),
+                    other => unreachable!("grouping over non-decomposable aggregate {other}"),
+                }
+            }
+            AggPos::Partial { col, scope } => {
+                let m = input.multiplier_excluding(scope);
+                match call.kind.combine() {
+                    AggKind::Min => AggCall::new(out, AggKind::Min, Expr::attr(col)),
+                    AggKind::Max => AggCall::new(out, AggKind::Max, Expr::attr(col)),
+                    _ => AggCall::new(out, AggKind::Sum, times(Expr::attr(col), m.as_ref())),
+                }
+            }
+        });
     }
-    (
-        calls,
-        AggState {
-            pos,
-            counts: vec![(s, c_new)],
-        },
-    )
+    calls
 }
 
 /// The final aggregation vector for the top grouping `Γ_G` over a plan in
 /// state `state` — every aggregate lands in its original output attribute.
-pub fn final_agg_vector(ctx: &OptContext, state: &AggState) -> Vec<AggCall> {
+pub fn final_agg_vector(ctx: &OptContext, state: AggRef<'_>) -> Vec<AggCall> {
     let m = state.multiplier();
     let mut calls = Vec::with_capacity(ctx.aggs().len());
     for (i, call) in ctx.aggs().iter().enumerate() {
@@ -293,7 +309,7 @@ pub fn final_agg_vector(ctx: &OptContext, state: &AggState) -> Vec<AggCall> {
 /// (Eqv. 42: `Γ_{G;F}(e) ≡ Π_C(χ_F̂(e))` when `G` contains a key and `e`
 /// is duplicate-free): each group holds exactly one tuple, which may still
 /// stand for `Π cᵢ` original tuples.
-pub fn final_map_exprs(ctx: &OptContext, state: &AggState) -> Vec<(AttrId, Expr)> {
+pub fn final_map_exprs(ctx: &OptContext, state: AggRef<'_>) -> Vec<(AttrId, Expr)> {
     let m = state.multiplier();
     let one_or_m = || m.clone().unwrap_or_else(|| Expr::int(1));
     let mut exts = Vec::with_capacity(ctx.aggs().len());

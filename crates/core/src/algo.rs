@@ -16,7 +16,7 @@ use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::memo::{DominanceKind, Memo, MemoStats, PlanId};
 use crate::optrees::op_trees;
-use crate::plan::{apply_staged, make_scan, stage_apply};
+use crate::plan::{apply_staged, make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
 use dpnext_hypergraph::{enumerate_ccps, NodeSet};
 use dpnext_query::{OpKind, Query};
@@ -168,7 +168,8 @@ pub fn optimize_with(query: &Query, algo: Algorithm, opts: &OptimizeOptions) -> 
 /// memo can be recycled immediately after this returns.
 ///
 /// Panics on [`Algorithm::Adaptive`] like [`optimize_with`] does: the
-/// budgeted ladder lives above dpnext-core and owns its own memos.
+/// budgeted ladder lives above dpnext-core
+/// (`dpnext_adaptive::optimize_adaptive_into` is its pooled entry point).
 pub fn optimize_into(
     query: &Query,
     algo: Algorithm,
@@ -210,8 +211,9 @@ pub fn optimize_into(
 }
 
 /// Reusable per-pair buffers of the enumeration hot loop: orientation and
-/// class snapshots live here so processing a csg-cmp-pair allocates
-/// nothing (beyond the plans themselves).
+/// class snapshots and the staged cut live here, and the plans themselves
+/// go to the memo's lanes, so processing a csg-cmp-pair allocates nothing
+/// once the buffers have grown.
 pub(crate) struct PairBufs {
     /// `applicable_ops_into` output.
     apps: Vec<(usize, bool)>,
@@ -225,6 +227,8 @@ pub(crate) struct PairBufs {
     lefts: Vec<PlanId>,
     rights: Vec<PlanId>,
     trees: Vec<PlanId>,
+    /// The cut constants of the orientation being applied.
+    staged: StagedApply,
 }
 
 impl PairBufs {
@@ -237,6 +241,7 @@ impl PairBufs {
             lefts: Vec::new(),
             rights: Vec::new(),
             trees: Vec::new(),
+            staged: StagedApply::default(),
         }
     }
 }
@@ -333,6 +338,7 @@ pub(crate) fn process_pair<P: ClassPolicy>(
         lefts,
         rights,
         trees,
+        staged,
         ..
     } = bufs;
     for &(sl, sr, op) in orients.iter() {
@@ -348,14 +354,14 @@ pub(crate) fn process_pair<P: ClassPolicy>(
         // merged selectivity, distinct products and applied bits are
         // identical for every `(t1, t2)` combination of the grid, so the
         // per-plan application does none of that work.
-        let staged = stage_apply(ctx, scratch, op, extra, sl);
+        stage_apply(ctx, memo, staged, op, extra, sl);
         for &t1 in lefts.iter() {
             for &t2 in rights.iter() {
                 if !take(*unit, memo) {
                     return false;
                 }
                 *unit += 1;
-                let mark = (s == full).then(|| memo.arena_len());
+                let mark = (s == full).then(|| memo.mark());
                 trees.clear();
                 // The constructors this loop calls (`op_trees`,
                 // `apply_staged`, `make_group`, and `final_numbers` behind
@@ -363,8 +369,8 @@ pub(crate) fn process_pair<P: ClassPolicy>(
                 // this codegen unit; without that the benchmark's
                 // ea-prune-paper p99 reads ~5% higher.
                 if eager {
-                    op_trees(ctx, scratch, memo, &staged, t1, t2, trees);
-                } else if let Some(t) = apply_staged(ctx, scratch, memo, &staged, t1, t2) {
+                    op_trees(ctx, scratch, memo, staged, t1, t2, trees);
+                } else if let Some(t) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
                     trees.push(t);
                 }
                 let mut kept = false;
@@ -394,10 +400,7 @@ pub(crate) fn process_pair<P: ClassPolicy>(
 fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P) -> u64 {
     let mut scratch = Scratch::new(ctx);
     let n = ctx.query.table_count();
-    for i in 0..n {
-        let id = make_scan(ctx, memo, i);
-        memo.class_push(NodeSet::single(i), id);
-    }
+    seed_scans(ctx, memo);
     if n > 1 {
         // The clock is read only when a trace wants the span.
         let t0 = dpnext_obs::tracing_enabled().then(Instant::now);
@@ -433,6 +436,14 @@ fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P)
         }
     }
     scratch.plans_built
+}
+
+/// Seed the singleton scan classes.
+fn seed_scans(ctx: &OptContext, memo: &mut Memo) {
+    for i in 0..ctx.query.table_count() {
+        let id = make_scan(ctx, memo, i);
+        memo.class_push(NodeSet::single(i), id);
+    }
 }
 
 /// Keep the cheapest finalized plan (ties resolved to the earlier one).
@@ -708,15 +719,27 @@ pub struct BudgetedOutcome {
 impl<'a> BudgetedSearch<'a> {
     /// A fresh search over `ctx` with dominance pruning `dominance` and a
     /// hard cap of `budget` constructed plans (scans are free, matching
-    /// the `plans_built` accounting of the unbudgeted engine). Seeds the
-    /// singleton scan classes.
+    /// the `plans_built` accounting of the unbudgeted engine), in a memo
+    /// of its own. Seeds the singleton scan classes.
     pub fn new(ctx: &'a OptContext, dominance: DominanceKind, budget: u64) -> BudgetedSearch<'a> {
-        let mut memo = Memo::new();
+        BudgetedSearch::new_in(ctx, Memo::new(), dominance, budget)
+    }
+
+    /// [`BudgetedSearch::new`] running in the caller's `memo` — a pooled
+    /// one, typically, `mem::take`n in and handed back by
+    /// [`BudgetedSearch::finish`] — so its arena, lane and class capacity
+    /// is reused and whoever accounts the memo accounts the one that did
+    /// the work. The memo is [`Memo::reset`] first: results and statistics
+    /// do not depend on what it held.
+    pub fn new_in(
+        ctx: &'a OptContext,
+        mut memo: Memo,
+        dominance: DominanceKind,
+        budget: u64,
+    ) -> BudgetedSearch<'a> {
+        memo.reset();
+        seed_scans(ctx, &mut memo);
         let n = ctx.query.table_count();
-        for i in 0..n {
-            let id = make_scan(ctx, &mut memo, i);
-            memo.class_push(NodeSet::single(i), id);
-        }
         BudgetedSearch {
             ctx,
             memo,

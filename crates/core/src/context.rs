@@ -2,16 +2,17 @@
 //! grouping attributes `G⁺(S)` and aggregate metadata.
 //!
 //! [`OptContext`] is immutable after construction. All per-run mutable
-//! state — the fresh-attribute allocator, the memoized `G⁺(S)` cache, the
-//! plans-built counter and the hot-path scratch buffers — lives in
-//! [`Scratch`], which the enumeration owns next to its memo.
+//! state — the fresh-attribute allocator, the memoized `G⁺(S)` cache and
+//! the plans-built counter — lives in [`Scratch`], which the enumeration
+//! owns next to its memo.
 
+use crate::aggstate::AggState;
 use crate::fxhash::FxHashMap;
-use dpnext_algebra::{AttrId, CmpOp};
+use dpnext_algebra::AttrId;
 use dpnext_conflict::{detect, ConflictedQuery};
 use dpnext_hypergraph::NodeSet;
+use dpnext_keys::{KeySet, Span};
 use dpnext_query::Query;
-use std::sync::Arc;
 
 /// Context shared by all plan constructors during one optimization run.
 pub struct OptContext {
@@ -23,13 +24,25 @@ pub struct OptContext {
     pub origins: FxHashMap<AttrId, NodeSet>,
     /// Base distinct counts for table attributes.
     pub base_distinct: FxHashMap<AttrId, f64>,
-    /// Grouping attributes `G` of the query (empty when no grouping).
+    /// Grouping attributes `G` of the query as a set: sorted and
+    /// deduplicated once here, so the per-plan `NeedsGrouping` test runs
+    /// on it as it is (empty when no grouping). The query's own `group_by`
+    /// keeps the written order for estimates and output.
     pub group_by: Vec<AttrId>,
     /// Per normalized aggregate: the attributes its argument references.
     pub agg_args: Vec<Vec<AttrId>>,
     /// Per normalized aggregate: union of argument origins (empty for
     /// `count(*)`).
     pub agg_origin: Vec<NodeSet>,
+    /// Per operator: the attributes its groupjoin aggregates reference
+    /// (empty for every other operator).
+    pub gj_args: Vec<Vec<AttrId>>,
+    /// Per table occurrence: its declared candidate keys, normalized and
+    /// minimal — what a scan of it carries.
+    pub table_keys: Vec<KeySet>,
+    /// The aggregation state of a plan without groupings (a scan's): every
+    /// aggregate raw, no count columns.
+    pub fresh_agg: AggState,
     /// First attribute id above every catalog/query attribute — the base
     /// from which [`Scratch`] allocators hand out partial/count columns.
     first_fresh: u32,
@@ -40,7 +53,7 @@ impl OptContext {
     /// attribute origins, base statistics) for one query.
     pub fn new(query: Query) -> Self {
         let cq = detect(&query);
-        // Applied-operator tracking uses a u64 bitmask (`MemoPlan::applied`);
+        // Applied-operator tracking uses a u64 bitmask (`PlanHot::applied`);
         // beyond 64 operators the `1 << op_idx` shifts would wrap silently
         // and `all_ops_applied` could accept plans that dropped a predicate.
         assert!(
@@ -59,10 +72,12 @@ impl OptContext {
         for &a in origins.keys() {
             max_attr = max_attr.max(a.0);
         }
-        let (group_by, aggs) = match &query.grouping {
+        let (mut group_by, aggs) = match &query.grouping {
             Some(g) => (g.group_by.clone(), g.aggs.clone()),
             None => (Vec::new(), Vec::new()),
         };
+        group_by.sort_unstable();
+        group_by.dedup();
         for call in &aggs {
             max_attr = max_attr.max(call.out.0);
         }
@@ -84,7 +99,20 @@ impl OptContext {
                 })
             })
             .collect();
+        let table_keys = query
+            .tables
+            .iter()
+            .map(|t| KeySet::from_keys(t.keys.iter().cloned()))
+            .collect();
+        let gj_args = cq
+            .ops
+            .iter()
+            .map(|op| op.gj_aggs.iter().flat_map(|c| c.referenced()).collect())
+            .collect();
         OptContext {
+            gj_args,
+            table_keys,
+            fresh_agg: AggState::fresh(aggs.len()),
             query,
             cq,
             origins,
@@ -137,19 +165,27 @@ impl OptContext {
     /// predicate (or groupjoin aggregate) of an operator that is not fully
     /// contained in `S` (§4.2's `G⁺ᵢ = Gᵢ ∪ Jᵢ`, closed under the whole
     /// remaining query so the equivalences stay applicable above `S`).
+    /// Sorted and duplicate-free.
     pub fn compute_gplus(&self, s: NodeSet) -> Vec<AttrId> {
-        let mut attrs: Vec<AttrId> = Vec::new();
-        let mut push = |a: AttrId, origins: &FxHashMap<AttrId, NodeSet>| {
-            if let Some(org) = origins.get(&a) {
-                if org.is_subset_of(s) && !attrs.contains(&a) {
-                    attrs.push(a);
+        let mut attrs = Vec::new();
+        self.push_gplus(s, &mut attrs);
+        attrs
+    }
+
+    /// Append `G⁺(S)` to `out` and return where it landed.
+    fn push_gplus(&self, s: NodeSet, out: &mut Vec<AttrId>) -> Span {
+        let start = out.len();
+        let mut push = |a: AttrId| {
+            if let Some(org) = self.origins.get(&a) {
+                if org.is_subset_of(s) && !out[start..].contains(&a) {
+                    out.push(a);
                 }
             }
         };
         for &a in &self.group_by {
-            push(a, &self.origins);
+            push(a);
         }
-        for op in &self.cq.ops {
+        for (op, gj_args) in self.cq.ops.iter().zip(&self.gj_args) {
             // An operator is applied inside every plan for S as soon as its
             // hyperedge (L-TES ∪ R-TES) lies within S — that is its
             // earliest application point under reordering, not its original
@@ -157,17 +193,16 @@ impl OptContext {
             if op.l_tes.union(op.r_tes).is_subset_of(s) {
                 continue;
             }
-            for a in op.pred.all_attrs() {
-                push(a, &self.origins);
+            for &(l, _, r) in &op.pred.terms {
+                push(l);
+                push(r);
             }
-            for call in &op.gj_aggs {
-                for a in call.referenced() {
-                    push(a, &self.origins);
-                }
+            for &a in gj_args {
+                push(a);
             }
         }
-        attrs.sort_unstable();
-        attrs
+        out[start..].sort_unstable();
+        Span::new(start, out.len() - start)
     }
 
     /// May a plan covering `s` be grouped at all? Every aggregate whose
@@ -193,16 +228,15 @@ impl OptContext {
 }
 
 /// Mutable state of one enumeration: the fresh-attribute allocator, the
-/// memoized `G⁺(S)` cache, the plans-built counter, and the predicate-term
-/// scratch buffer of [`crate::plan::make_apply`].
+/// memoized `G⁺(S)` cache and the plans-built counter.
 pub struct Scratch {
     next_attr: u32,
-    gplus_cache: FxHashMap<NodeSet, Arc<Vec<AttrId>>>,
+    /// `S` → where `G⁺(S)` sits in `gplus_attrs`.
+    gplus_cache: FxHashMap<NodeSet, Span>,
+    /// Every memoized `G⁺(S)`, back to back.
+    gplus_attrs: Vec<AttrId>,
     /// Plans constructed (joins + groupings) by this scratch's owner.
     pub plans_built: u64,
-    /// Scratch for the oriented, merged predicate terms of `make_apply`:
-    /// terms are staged here so failed applications allocate nothing.
-    pub terms: Vec<(AttrId, CmpOp, AttrId)>,
 }
 
 impl Scratch {
@@ -212,8 +246,8 @@ impl Scratch {
         Scratch {
             next_attr: ctx.first_fresh_attr(),
             gplus_cache: FxHashMap::default(),
+            gplus_attrs: Vec::new(),
             plans_built: 0,
-            terms: Vec::new(),
         }
     }
 
@@ -232,25 +266,17 @@ impl Scratch {
         self.plans_built += 1;
     }
 
-    /// Memoized `G⁺(S)` (§4.2); see [`OptContext::compute_gplus`].
+    /// Memoized `G⁺(S)` (§4.2); see [`OptContext::compute_gplus`]. Sorted
+    /// and duplicate-free.
     ///
-    /// Returns a borrow of the cached vector: a cache hit is one map
-    /// probe — no `Arc` refcount traffic on the enumeration hot path.
-    /// Callers that need the scratch again while holding the attributes
-    /// use [`Scratch::gplus_arc`].
+    /// Returns a borrow of the cached attributes: a hit is one map probe,
+    /// a miss appends to the cache's one attribute vector — no allocation
+    /// per set.
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
+        let attrs = &mut self.gplus_attrs;
         self.gplus_cache
             .entry(s)
-            .or_insert_with(|| Arc::new(ctx.compute_gplus(s)))
-    }
-
-    /// Owning variant of [`Scratch::gplus`] for callers that must keep
-    /// using the scratch (e.g. to allocate fresh attributes) while the
-    /// grouping attributes are alive — clones the cache's `Arc`.
-    pub fn gplus_arc(&mut self, ctx: &OptContext, s: NodeSet) -> Arc<Vec<AttrId>> {
-        self.gplus_cache
-            .entry(s)
-            .or_insert_with(|| Arc::new(ctx.compute_gplus(s)))
-            .clone()
+            .or_insert_with(|| ctx.push_gplus(s, attrs))
+            .of(&self.gplus_attrs)
     }
 }

@@ -22,23 +22,28 @@ pub fn explain(ctx: &OptContext, memo: &Memo, id: PlanId) -> String {
 fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut String) {
     let plan = memo.plan(id);
     let pad = "  ".repeat(depth);
-    let label = match &plan.cold.node {
-        PlanNode::Scan { table } => format!("{pad}Scan {}", ctx.query.tables[*table].alias),
-        PlanNode::Apply { op, pred, .. } => format!("{pad}{op} [{pred}]"),
+    let label = match plan.cold.node {
+        PlanNode::Scan { table } => {
+            format!("{pad}Scan {}", ctx.query.tables[table as usize].alias)
+        }
+        PlanNode::Apply { op, pred, .. } => {
+            format!("{pad}{op} [{}]", plan.lanes.join_pred(pred))
+        }
         PlanNode::Group { attrs, .. } => {
-            let attrs: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
+            let attrs: Vec<String> = attrs
+                .of(&plan.lanes.attrs)
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
             format!("{pad}Γ [{}]", attrs.join(","))
         }
     };
     let mut props = Vec::new();
-    if plan.cold.keyinfo.duplicate_free {
+    if plan.hot.duplicate_free() {
         props.push("dup-free".to_string());
     }
-    if !plan.cold.keyinfo.keys.is_empty() {
+    if !plan.keys().is_empty() {
         let keys: Vec<String> = plan
-            .cold
-            .keyinfo
-            .keys
             .keys()
             .iter()
             .map(|k| {
@@ -48,9 +53,8 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
             .collect();
         props.push(format!("keys={}", keys.join(" ")));
     }
-    let partials = plan
-        .cold
-        .agg
+    let agg = plan.agg();
+    let partials = agg
         .pos
         .iter()
         .filter(|p| matches!(p, AggPos::Partial { .. }))
@@ -58,8 +62,8 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
     if partials > 0 {
         props.push(format!("{partials} partial agg(s)"));
     }
-    if !plan.cold.agg.counts.is_empty() {
-        props.push(format!("{} count col(s)", plan.cold.agg.counts.len()));
+    if !agg.counts.is_empty() {
+        props.push(format!("{} count col(s)", agg.counts.len()));
     }
     let _ = writeln!(
         out,
@@ -68,12 +72,12 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
         plan.hot.cost,
         props.join(", ")
     );
-    match &plan.cold.node {
+    match plan.cold.node {
         PlanNode::Scan { .. } => {}
         PlanNode::Apply { left, right, .. } => {
-            walk(ctx, memo, *left, depth + 1, out);
-            walk(ctx, memo, *right, depth + 1, out);
+            walk(ctx, memo, left, depth + 1, out);
+            walk(ctx, memo, right, depth + 1, out);
         }
-        PlanNode::Group { input, .. } => walk(ctx, memo, *input, depth + 1, out),
+        PlanNode::Group { input, .. } => walk(ctx, memo, input, depth + 1, out),
     }
 }

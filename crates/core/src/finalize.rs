@@ -1,7 +1,7 @@
 //! Finalization: add (or eliminate, §3.2) the top grouping, and compile
 //! plans into executable algebra trees.
 
-use crate::aggstate::{final_agg_vector, final_map_exprs};
+use crate::aggstate::{final_agg_vector, final_map_exprs, group_agg_calls};
 use crate::context::OptContext;
 use crate::memo::{Memo, PlanId, PlanNode};
 use dpnext_algebra::AlgExpr;
@@ -28,23 +28,25 @@ pub struct FinalPlan {
 /// a padded side (the generalized outerjoins of §2.2).
 pub fn compile(ctx: &OptContext, memo: &Memo, id: PlanId) -> AlgExpr {
     let plan = memo.plan(id);
-    match &plan.cold.node {
-        PlanNode::Scan { table } => AlgExpr::scan(ctx.query.tables[*table].alias.clone()),
-        PlanNode::Group { attrs, aggs, input } => AlgExpr::GroupBy {
-            input: Box::new(compile(ctx, memo, *input)),
-            attrs: attrs.clone(),
-            aggs: aggs.clone(),
+    match plan.cold.node {
+        PlanNode::Scan { table } => AlgExpr::scan(ctx.query.tables[table as usize].alias.clone()),
+        // The node stores no aggregation vector: the two states around it
+        // determine the calls.
+        PlanNode::Group { attrs, input } => AlgExpr::GroupBy {
+            input: Box::new(compile(ctx, memo, input)),
+            attrs: attrs.of(&plan.lanes.attrs).to_vec(),
+            aggs: group_agg_calls(ctx, memo.plan(input).agg(), plan.agg(), plan.hot.set),
         },
         PlanNode::Apply {
             op,
+            op_idx,
             pred,
-            gj_aggs,
             left,
             right,
         } => {
-            let l = Box::new(compile(ctx, memo, *left));
-            let r = Box::new(compile(ctx, memo, *right));
-            let pred = pred.as_ref().clone();
+            let l = Box::new(compile(ctx, memo, left));
+            let r = Box::new(compile(ctx, memo, right));
+            let pred = plan.lanes.join_pred(pred);
             match op {
                 OpKind::Join => AlgExpr::InnerJoin {
                     left: l,
@@ -65,20 +67,20 @@ pub fn compile(ctx: &OptContext, memo: &Memo, id: PlanId) -> AlgExpr {
                     left: l,
                     right: r,
                     pred,
-                    defaults: memo.plan(*right).cold.agg.padding_defaults(ctx.aggs()),
+                    defaults: memo.plan(right).agg().padding_defaults(ctx.aggs()),
                 },
                 OpKind::FullOuter => AlgExpr::FullOuterJoin {
                     left: l,
                     right: r,
                     pred,
-                    d1: memo.plan(*left).cold.agg.padding_defaults(ctx.aggs()),
-                    d2: memo.plan(*right).cold.agg.padding_defaults(ctx.aggs()),
+                    d1: memo.plan(left).agg().padding_defaults(ctx.aggs()),
+                    d2: memo.plan(right).agg().padding_defaults(ctx.aggs()),
                 },
                 OpKind::GroupJoin => AlgExpr::GroupJoin {
                     left: l,
                     right: r,
                     pred,
-                    aggs: gj_aggs.clone(),
+                    aggs: ctx.cq.ops[op_idx as usize].gj_aggs.clone(),
                     empty_defaults: vec![],
                 },
             }
@@ -99,13 +101,13 @@ pub fn final_numbers(ctx: &OptContext, memo: &Memo, id: PlanId) -> (f64, f64, bo
     let Some(g) = &ctx.query.grouping else {
         return (plan.hot.cost, plan.hot.card, false);
     };
-    if needs_grouping(&g.group_by, &plan.cold.keyinfo) {
-        let distincts: Vec<f64> = g
-            .group_by
-            .iter()
-            .map(|&a| distinct_in(ctx.distinct(a), plan.hot.card))
-            .collect();
-        let gcard = grouping_card(plan.hot.card, &distincts);
+    if needs_grouping(&ctx.group_by, plan.hot.duplicate_free(), plan.keys()) {
+        let gcard = grouping_card(
+            plan.hot.card,
+            g.group_by
+                .iter()
+                .map(|&a| distinct_in(ctx.distinct(a), plan.hot.card)),
+        );
         (plan.hot.cost + gcard, gcard, true)
     } else {
         (plan.hot.cost, plan.hot.card, false)
@@ -130,7 +132,7 @@ pub fn finalize(ctx: &OptContext, memo: &Memo, id: PlanId) -> FinalPlan {
     };
 
     if top_grouping {
-        let aggs = final_agg_vector(ctx, &plan.cold.agg);
+        let aggs = final_agg_vector(ctx, plan.agg());
         root = AlgExpr::GroupBy {
             input: Box::new(root),
             attrs: g.group_by.clone(),
@@ -139,7 +141,7 @@ pub fn finalize(ctx: &OptContext, memo: &Memo, id: PlanId) -> FinalPlan {
     } else {
         // Each group holds exactly one tuple: a map computes the aggregate
         // values per row; the duplicate-preserving projection is free.
-        let exts = final_map_exprs(ctx, &plan.cold.agg);
+        let exts = final_map_exprs(ctx, plan.agg());
         if !exts.is_empty() {
             root = AlgExpr::Map {
                 input: Box::new(root),

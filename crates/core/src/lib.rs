@@ -44,8 +44,8 @@ pub use finalize::{compile, finalize, FinalPlan};
 pub use fusion::fuse_groupjoins;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
-    AdaptiveMode, Degradation, DominanceKind, Memo, MemoPlan, MemoStats, PlanCold, PlanHot, PlanId,
-    PlanNode, PlanRef, ARENA_ROW_BYTES,
+    AdaptiveMode, Degradation, DominanceKind, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot,
+    PlanId, PlanNode, PlanRef, Span, Term, ARENA_ROW_BYTES,
 };
 pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
 pub use recost::{recost_plan, Recosted};

@@ -3,27 +3,33 @@
 //! the memo, and dominance pruning (Fig. 13) operates on ids without
 //! cloning plan-class vectors.
 //!
-//! The arena is split structure-of-arrays into a **hot** lane
+//! The arena is split structure-of-arrays into a **hot** row
 //! ([`PlanHot`]: set, cardinality, cost, applied mask, key/grouping
 //! flags — everything the dominance test of Def. 4 reads) and a **cold**
-//! lane ([`PlanCold`]: the operator tree, key sets, aggregation state and
-//! visible attributes — touched only on materialization, key implication
-//! and plan construction). A class scan for pruning walks a few dozen
-//! 40-byte hot rows instead of dragging whole plan payloads through the
-//! cache; see `docs/ARCHITECTURE.md` § "memo data layout".
+//! row ([`PlanCold`]: the operator node plus `(start, len)` [`Span`]s
+//! naming the plan's key set, aggregation state and visible attributes).
+//! Both rows are `Copy`. The variable-length payloads themselves live in
+//! five append-only **lanes** ([`Lanes`]) owned by the memo, so building a
+//! plan is a handful of `extend_from_slice`s, and rolling plans back
+//! ([`Memo::truncate`]), clearing the memo ([`Memo::reset`]) or dropping it
+//! runs no per-plan destructor. A row whose derived property *is* an
+//! input's property copies the input's span instead of the data; see
+//! `docs/ARCHITECTURE.md` § "Memo data layout" for why LIFO rollback keeps
+//! that sound.
 //!
 //! The memo is the optimizer's single source of truth for DP state; the
 //! enumeration engine in [`crate::algo`] only decides *which* plans to
 //! build and which ids a class keeps.
 
-use crate::aggstate::AggState;
+use crate::aggstate::{AggPos, AggRef};
 use crate::fxhash::FxHashMap;
-use dpnext_algebra::{AggCall, AttrId, JoinPred};
+use dpnext_algebra::{AttrId, CmpOp, JoinPred};
 use dpnext_hypergraph::NodeSet;
-use dpnext_keys::KeyInfo;
+use dpnext_keys::{KeySet, KeysRef};
 use dpnext_query::OpKind;
 use std::ops::Index;
-use std::sync::Arc;
+
+pub use dpnext_keys::Span;
 
 /// Index of a plan in the memo arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,104 +48,45 @@ impl PlanId {
     }
 }
 
-/// One operator of a plan tree; children are arena indices.
-#[derive(Debug, Clone)]
+/// One oriented predicate term `left attribute ∘ right attribute`.
+pub type Term = (AttrId, CmpOp, AttrId);
+
+/// One operator of a plan tree; children are arena indices, variable-length
+/// parts are spans into the memo's [`Lanes`].
+#[derive(Debug, Clone, Copy)]
 pub enum PlanNode {
     /// Scan of a table occurrence.
     Scan {
         /// Index into the query's table vector.
-        table: usize,
+        table: u32,
     },
     /// A binary operator application with the (oriented, merged) predicate.
     Apply {
         /// Operator kind (join, outer join, groupjoin, ...).
         op: OpKind,
-        /// The merged predicate, oriented left-to-right. Shared: every
-        /// plan of one orientation applies the identical predicate, so
-        /// the enumeration stages it once per orientation and each plan
-        /// holds a reference instead of a cloned term vector.
-        pred: Arc<JoinPred>,
-        /// Aggregates evaluated inline when `op` is a groupjoin.
-        gj_aggs: Vec<AggCall>,
+        /// Index of the primary operator into the conflicted query's
+        /// list — where a groupjoin's aggregates are read from.
+        op_idx: u8,
+        /// The merged predicate, oriented left-to-right, in
+        /// [`Lanes::terms`]. Every plan of one orientation applies the
+        /// identical predicate, so the enumeration stages it once per
+        /// orientation and each plan holds the same span.
+        pred: Span,
         /// Left input plan.
         left: PlanId,
         /// Right input plan.
         right: PlanId,
     },
-    /// An eager-aggregation grouping `Γ_{G⁺(S); F¹ ∘ (c : count(*))}`.
+    /// An eager-aggregation grouping `Γ_{G⁺(S); F¹ ∘ (c : count(*))}`. Its
+    /// aggregation vector is not stored: [`crate::finalize::compile`]
+    /// rebuilds it for the one winner from the input's and this plan's
+    /// aggregation state.
     Group {
-        /// Grouping attributes `G⁺(S)`.
-        attrs: Vec<AttrId>,
-        /// Partial aggregates plus the mandatory count column.
-        aggs: Vec<AggCall>,
+        /// Grouping attributes `G⁺(S)`, in [`Lanes::attrs`].
+        attrs: Span,
         /// The plan being grouped.
         input: PlanId,
     },
-}
-
-/// A plan plus its derived logical properties — the construction /
-/// transfer representation. The memo stores it split into a [`PlanHot`]
-/// and a [`PlanCold`] row; read both back through
-/// [`Memo::plan`] / [`PlanRef`].
-#[derive(Debug, Clone)]
-pub struct MemoPlan {
-    /// The root operator; children are arena ids.
-    pub node: PlanNode,
-    /// Relations covered.
-    pub set: NodeSet,
-    /// Estimated output cardinality.
-    pub card: f64,
-    /// Accumulated `C_out`.
-    pub cost: f64,
-    /// Candidate keys + duplicate-freeness.
-    pub keyinfo: KeyInfo,
-    /// Aggregation state (positions of original aggregates, count columns).
-    pub agg: AggState,
-    /// Attributes visible in the output.
-    pub visible: Vec<AttrId>,
-    /// Whether any `Group` node occurs in the tree.
-    pub has_grouping: bool,
-    /// Bitmask of applied operators (indices into the conflicted query's
-    /// operator list). A complete plan must apply every operator exactly
-    /// once; this is asserted before finalization.
-    pub applied: u64,
-}
-
-impl MemoPlan {
-    /// Whether the root operator is an eager-aggregation grouping.
-    pub fn is_group(&self) -> bool {
-        matches!(self.node, PlanNode::Group { .. })
-    }
-
-    /// Split into the hot/cold arena rows.
-    #[inline]
-    pub fn split(self) -> (PlanHot, PlanCold) {
-        let mut flags = 0u8;
-        if self.has_grouping {
-            flags |= PlanHot::HAS_GROUPING;
-        }
-        if self.keyinfo.duplicate_free {
-            flags |= PlanHot::DUP_FREE;
-        }
-        if matches!(self.node, PlanNode::Group { .. }) {
-            flags |= PlanHot::IS_GROUP;
-        }
-        (
-            PlanHot {
-                set: self.set,
-                card: self.card,
-                cost: self.cost,
-                applied: self.applied,
-                flags,
-            },
-            PlanCold {
-                node: self.node,
-                keyinfo: self.keyinfo,
-                agg: self.agg,
-                visible: self.visible,
-            },
-        )
-    }
 }
 
 /// The dominance-relevant properties of one plan, packed into a 40-byte
@@ -154,7 +101,9 @@ pub struct PlanHot {
     pub card: f64,
     /// Accumulated `C_out`.
     pub cost: f64,
-    /// Bitmask of applied operators.
+    /// Bitmask of applied operators (indices into the conflicted query's
+    /// operator list). A complete plan must apply every operator exactly
+    /// once; this is asserted before finalization.
     pub applied: u64,
     /// Packed `HAS_GROUPING` / `DUP_FREE` / `IS_GROUP` bits.
     flags: u8,
@@ -165,14 +114,36 @@ impl PlanHot {
     const DUP_FREE: u8 = 2;
     const IS_GROUP: u8 = 4;
 
+    /// A hot row; `has_grouping`, `duplicate_free` and `is_group` are
+    /// packed into the flag byte.
+    #[inline]
+    pub fn new(
+        set: NodeSet,
+        card: f64,
+        cost: f64,
+        applied: u64,
+        has_grouping: bool,
+        duplicate_free: bool,
+        is_group: bool,
+    ) -> PlanHot {
+        PlanHot {
+            set,
+            card,
+            cost,
+            applied,
+            flags: (has_grouping as u8 * Self::HAS_GROUPING)
+                | (duplicate_free as u8 * Self::DUP_FREE)
+                | (is_group as u8 * Self::IS_GROUP),
+        }
+    }
+
     /// Whether any `Group` node occurs in the plan tree.
     #[inline]
     pub fn has_grouping(&self) -> bool {
         self.flags & Self::HAS_GROUPING != 0
     }
 
-    /// Whether the plan's output is duplicate-free
-    /// (mirrors `keyinfo.duplicate_free` of the cold row).
+    /// Whether the plan's output is duplicate-free.
     #[inline]
     pub fn duplicate_free(&self) -> bool {
         self.flags & Self::DUP_FREE != 0
@@ -186,77 +157,196 @@ impl PlanHot {
 }
 
 /// The materialization payload of one plan: everything dominance does not
-/// read on its fast path. Reached through [`Memo::plan`].
-#[derive(Debug, Clone)]
+/// read on its fast path, as a `Copy` row of spans into the memo's
+/// [`Lanes`]. Resolve them through [`Memo::plan`] / [`PlanRef`].
+#[derive(Debug, Clone, Copy)]
 pub struct PlanCold {
     /// The root operator; children are arena ids.
     pub node: PlanNode,
-    /// Candidate keys + duplicate-freeness.
-    pub keyinfo: KeyInfo,
-    /// Aggregation state (positions of original aggregates, count columns).
-    pub agg: AggState,
-    /// Attributes visible in the output.
-    pub visible: Vec<AttrId>,
+    /// Candidate keys: a run of [`Lanes::keys`].
+    pub keys: Span,
+    /// Per original aggregate, where it lives: a run of [`Lanes::agg_pos`].
+    pub agg_pos: Span,
+    /// Active count columns: a run of [`Lanes::counts`].
+    pub counts: Span,
+    /// Attributes visible in the output: a run of [`Lanes::attrs`].
+    pub visible: Span,
 }
 
-impl PlanCold {
-    /// Estimated heap bytes owned by this row's payload vectors, counted
-    /// by *length* (not capacity) so the estimate does not depend on the
-    /// allocator's growth policy. Nested heap of aggregate expressions is
-    /// not chased — the estimate feeds the memory-budget abort, which
-    /// needs a cheap, monotone, deterministic proxy for arena footprint,
-    /// not an allocator-exact census.
+// Both rows must stay plain data: `truncate`, `reset` and dropping a memo
+// rely on there being no per-plan destructor.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<PlanHot>();
+    assert_copy::<PlanCold>();
+};
+
+/// Bytes one arena slot occupies in the two row arrays (the payload the
+/// row's spans name is counted by the lanes).
+pub const ARENA_ROW_BYTES: usize = size_of::<PlanHot>() + size_of::<PlanCold>();
+
+/// Number of payload lanes.
+const LANES: usize = 5;
+
+/// Element size of each lane, in [`Lanes::lens`] order.
+const LANE_ELEM_BYTES: [usize; LANES] = [
+    size_of::<AttrId>(),
+    size_of::<Span>(),
+    size_of::<AggPos>(),
+    size_of::<(NodeSet, AttrId)>(),
+    size_of::<Term>(),
+];
+
+/// Append `items` to `lane` and return where they landed.
+#[inline]
+fn append<T: Copy>(lane: &mut Vec<T>, items: &[T]) -> Span {
+    let span = Span::new(lane.len(), items.len());
+    lane.extend_from_slice(items);
+    span
+}
+
+fn lane_bytes(lens: [usize; LANES]) -> usize {
+    lens.iter().zip(LANE_ELEM_BYTES).map(|(l, b)| l * b).sum()
+}
+
+/// The append-only payload lanes of a memo. A [`PlanCold`] row names its
+/// payloads by [`Span`]; a span either lies at the lane's tail when the row
+/// is pushed (the row *owns* it) or repeats a span of an input plan (the
+/// row *shares* it). Inputs have smaller ids than the plans built from
+/// them and rollback is LIFO, so shared data always outlives its sharers.
+#[derive(Debug, Default)]
+pub struct Lanes {
+    /// Visible attribute sets, key attributes, grouping attributes.
+    pub attrs: Vec<AttrId>,
+    /// One span into `attrs` per candidate key; a key set is a run of
+    /// these.
+    pub keys: Vec<Span>,
+    /// Aggregate positions, one run per plan, indexed like the query's
+    /// normalized aggregation vector.
+    pub agg_pos: Vec<AggPos>,
+    /// Count columns `(scope, column)`.
+    pub counts: Vec<(NodeSet, AttrId)>,
+    /// Oriented predicate terms, one run per staged cut orientation.
+    pub terms: Vec<Term>,
+}
+
+impl Lanes {
+    /// Current length of every lane.
+    pub fn lens(&self) -> [usize; LANES] {
+        [
+            self.attrs.len(),
+            self.keys.len(),
+            self.agg_pos.len(),
+            self.counts.len(),
+            self.terms.len(),
+        ]
+    }
+
+    fn capacities(&self) -> [usize; LANES] {
+        [
+            self.attrs.capacity(),
+            self.keys.capacity(),
+            self.agg_pos.capacity(),
+            self.counts.capacity(),
+            self.terms.capacity(),
+        ]
+    }
+
+    fn truncate(&mut self, lens: [usize; LANES]) {
+        self.attrs.truncate(lens[0]);
+        self.keys.truncate(lens[1]);
+        self.agg_pos.truncate(lens[2]);
+        self.counts.truncate(lens[3]);
+        self.terms.truncate(lens[4]);
+    }
+
+    /// Release capacity above `targets` (per lane, in elements).
+    fn shrink_to(&mut self, targets: [usize; LANES]) {
+        self.attrs.shrink_to(targets[0]);
+        self.keys.shrink_to(targets[1]);
+        self.agg_pos.shrink_to(targets[2]);
+        self.counts.shrink_to(targets[3]);
+        self.terms.shrink_to(targets[4]);
+    }
+
+    /// The key set a row's `keys` span names.
     #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        let node = match &self.node {
-            PlanNode::Scan { .. } => 0,
-            PlanNode::Apply { gj_aggs, .. } => gj_aggs.len() * size_of::<AggCall>(),
-            PlanNode::Group { attrs, aggs, .. } => {
-                attrs.len() * size_of::<AttrId>() + aggs.len() * size_of::<AggCall>()
-            }
-        };
-        let keys: usize = self
-            .keyinfo
-            .keys
-            .keys()
-            .iter()
-            .map(|k| size_of::<Vec<AttrId>>() + k.len() * size_of::<AttrId>())
-            .sum();
-        let agg = self.agg.pos.len() * size_of::<crate::aggstate::AggPos>()
-            + self.agg.counts.len() * size_of::<(NodeSet, AttrId)>();
-        node + keys + agg + self.visible.len() * size_of::<AttrId>()
+    pub fn key_set(&self, keys: Span) -> KeysRef<'_> {
+        KeysRef::new(keys.of(&self.keys), &self.attrs)
+    }
+
+    /// The aggregation state a row's `agg_pos` / `counts` spans name.
+    #[inline]
+    pub fn agg(&self, cold: &PlanCold) -> AggRef<'_> {
+        AggRef {
+            pos: cold.agg_pos.of(&self.agg_pos),
+            counts: cold.counts.of(&self.counts),
+        }
+    }
+
+    /// The predicate an `Apply` node's `pred` span names, as an owned value.
+    pub fn join_pred(&self, pred: Span) -> JoinPred {
+        JoinPred {
+            terms: pred.of(&self.terms).to_vec(),
+        }
+    }
+
+    /// Append `attrs` to the attribute lane.
+    #[inline]
+    pub(crate) fn push_attrs(&mut self, attrs: &[AttrId]) -> Span {
+        append(&mut self.attrs, attrs)
+    }
+
+    /// Append a copy of `keys` (compacted: one attribute run per key).
+    pub(crate) fn push_key_set(&mut self, keys: KeysRef<'_>) -> Span {
+        let span = Span::new(self.keys.len(), keys.len());
+        for k in keys.iter() {
+            let key = self.push_attrs(k);
+            self.keys.push(key);
+        }
+        span
     }
 }
 
-/// Bytes one arena slot occupies in the SoA lanes themselves (hot row +
-/// cold row struct, excluding the cold row's heap payload).
-pub const ARENA_ROW_BYTES: usize = size_of::<PlanHot>() + size_of::<PlanCold>();
-
-/// A borrowed view of one plan's hot and cold rows.
+/// A borrowed view of one plan: its two rows plus the lanes their spans
+/// point into.
 #[derive(Clone, Copy)]
 pub struct PlanRef<'a> {
     /// The dominance-relevant properties.
     pub hot: &'a PlanHot,
-    /// The materialization payload.
+    /// The materialization payload (spans into `lanes`).
     pub cold: &'a PlanCold,
+    /// The memo's payload lanes.
+    pub lanes: &'a Lanes,
 }
 
-impl PlanRef<'_> {
-    /// Reassemble an owned [`MemoPlan`] (clones the cold payload) — for
-    /// callers that construct new plans from existing ones.
-    pub fn to_plan(&self) -> MemoPlan {
-        MemoPlan {
-            node: self.cold.node.clone(),
-            set: self.hot.set,
-            card: self.hot.card,
-            cost: self.hot.cost,
-            keyinfo: self.cold.keyinfo.clone(),
-            agg: self.cold.agg.clone(),
-            visible: self.cold.visible.clone(),
-            has_grouping: self.hot.has_grouping(),
-            applied: self.hot.applied,
-        }
+impl<'a> PlanRef<'a> {
+    /// Candidate keys of the plan's output.
+    #[inline]
+    pub fn keys(&self) -> KeysRef<'a> {
+        self.lanes.key_set(self.cold.keys)
     }
+
+    /// Aggregation state (positions of original aggregates, count columns).
+    #[inline]
+    pub fn agg(&self) -> AggRef<'a> {
+        self.lanes.agg(self.cold)
+    }
+
+    /// Attributes visible in the output.
+    #[inline]
+    pub fn visible(&self) -> &'a [AttrId] {
+        self.cold.visible.of(&self.lanes.attrs)
+    }
+}
+
+/// A rollback point: the arena length and every lane length at one moment
+/// ([`Memo::mark`]). Comparable, so a test can assert a rollback restored
+/// the exact state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoMark {
+    rows: usize,
+    lanes: [usize; LANES],
 }
 
 /// Which conditions the dominance test of Def. 4 applies. `Full` is the
@@ -407,8 +497,8 @@ pub struct MemoStats {
     /// greedy rung runs unchecked, like it ignores the clock).
     pub memory_budget: u64,
     /// Largest [`Memo::live_bytes`] observed during the run — arena rows
-    /// plus cold-side heap estimates, before rollbacks reclaimed losing
-    /// complete plans.
+    /// plus payload-lane bytes, before rollbacks reclaimed losing complete
+    /// plans.
     pub live_bytes_peak: u64,
     /// Why the budgeted search fell short of its deepest rung, split by
     /// cause (gate, mid-stream budget abort, deadline abort); all-false
@@ -449,34 +539,14 @@ fn dominates_hot(a: &PlanHot, b: &PlanHot, kind: DominanceKind, guard_groupjoin:
     }
 }
 
-/// Dominance test over split arenas: hot fast path first, cold key
-/// implication only when everything else already holds (and only for
-/// [`DominanceKind::Full`]).
-#[inline]
-fn dominates_split(
-    a_hot: &PlanHot,
-    b_hot: &PlanHot,
-    cold: &[PlanCold],
-    a: PlanId,
-    b: PlanId,
-    kind: DominanceKind,
-    guard_groupjoin: bool,
-) -> bool {
-    if !dominates_hot(a_hot, b_hot, kind, guard_groupjoin) {
-        return false;
-    }
-    kind != DominanceKind::Full
-        || cold[a.index()]
-            .keyinfo
-            .keys
-            .implies(&cold[b.index()].keyinfo.keys)
-}
-
 /// Dominance (Def. 4): `a` dominates `b` when it is at most as expensive,
 /// at most as large, duplicate-free whenever `b` is, and its key set
 /// implies `b`'s (the practical weakening of `FD⁺(a) ⊇ FD⁺(b)` suggested
 /// in §4.6). In the presence of groupjoins a pre-aggregated plan must not
-/// shadow a raw plan (the groupjoin needs raw right inputs).
+/// shadow a raw plan (the groupjoin needs raw right inputs). The hot rows
+/// decide first; the key sets are read only when everything else already
+/// holds (and only for [`DominanceKind::Full`]).
+#[inline]
 pub fn dominates(
     a: PlanRef<'_>,
     b: PlanRef<'_>,
@@ -484,74 +554,82 @@ pub fn dominates(
     guard_groupjoin: bool,
 ) -> bool {
     dominates_hot(a.hot, b.hot, kind, guard_groupjoin)
-        && (kind != DominanceKind::Full || a.cold.keyinfo.keys.implies(&b.cold.keyinfo.keys))
+        && (kind != DominanceKind::Full || a.keys().implies(b.keys()))
 }
 
 /// `PruneDominatedPlans` (Fig. 13) against a detached class vector:
 /// drop `id` if an incumbent dominates it, otherwise evict every
 /// incumbent it dominates and append it. Plan data is read from the
-/// split `hot`/`cold` arenas; the prune counters and the class-width
-/// peak accrue in `stats`. [`Memo::class_prune_insert`] is the in-memo
-/// form; this one is public so the `memo_layout` bench can time the fold
-/// over a class of its own making.
+/// split `hot`/`cold` arenas and the `lanes`; the prune counters and the
+/// class-width peak accrue in `stats`. [`Memo::class_prune_insert`] is the
+/// in-memo form; this one is public so the `memo_layout` bench can time
+/// the fold over a class of its own making.
+#[allow(clippy::too_many_arguments)]
 pub fn prune_insert_ids(
     hot: &[PlanHot],
     cold: &[PlanCold],
+    lanes: &Lanes,
     class: &mut Vec<PlanId>,
     id: PlanId,
     kind: DominanceKind,
     guard_groupjoin: bool,
     stats: &mut MemoStats,
 ) {
+    let plan = |id: PlanId| PlanRef {
+        hot: &hot[id.index()],
+        cold: &cold[id.index()],
+        lanes,
+    };
     stats.prune_attempts += 1;
-    let new = hot[id.index()];
+    let new = plan(id);
     for &old in class.iter() {
-        if dominates_split(
-            &hot[old.index()],
-            &new,
-            cold,
-            old,
-            id,
-            kind,
-            guard_groupjoin,
-        ) {
+        if dominates(plan(old), new, kind, guard_groupjoin) {
             stats.prune_rejected += 1;
             return;
         }
     }
     let before = class.len();
-    class.retain(|&old| {
-        !dominates_split(
-            &new,
-            &hot[old.index()],
-            cold,
-            id,
-            old,
-            kind,
-            guard_groupjoin,
-        )
-    });
+    class.retain(|&old| !dominates(new, plan(old), kind, guard_groupjoin));
     stats.prune_evicted += (before - class.len()) as u64;
     class.push(id);
     stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
 }
 
-/// The split arena plus the plan classes built over it.
+/// Fold this run's `peak` demand into the decaying high-water mark `hw`
+/// (`hw = peak.max(hw / 2)`) and return the capacity worth keeping for the
+/// next run: twice the mark, never under [`Memo::MIN_RETAINED_CAPACITY`].
+fn retained_capacity(hw: &mut usize, peak: usize) -> usize {
+    *hw = peak.max(*hw / 2);
+    (*hw * 2).max(Memo::MIN_RETAINED_CAPACITY)
+}
+
+/// The split arena, its payload lanes and the plan classes built over it.
 #[derive(Debug, Default)]
 pub struct Memo {
     hot: Vec<PlanHot>,
     cold: Vec<PlanCold>,
-    classes: FxHashMap<NodeSet, Vec<PlanId>>,
+    pub(crate) lanes: Lanes,
+    /// Output buffer of the key-set combination rules; a combined key set
+    /// is built here and copied compactly into the lanes.
+    pub(crate) key_buf: KeySet,
+    /// Node set → index of the class's id list in `class_lists`, handed
+    /// out in creation order.
+    classes: FxHashMap<NodeSet, u32>,
+    /// The id lists of `classes`, followed by emptied lists of earlier
+    /// runs kept for their allocation.
+    class_lists: Vec<Vec<PlanId>>,
     stats: MemoStats,
+    /// Largest lane lengths seen before a rollback cut them back (the
+    /// lanes' counterpart of `MemoStats::arena_peak`).
+    lane_peak: [usize; LANES],
     /// Decaying high-water marks surviving [`Memo::reset`] — they bound
     /// how much allocation a pooled memo is allowed to carry across runs
     /// (not part of [`MemoStats`]: statistics reset per run).
     arena_high_water: usize,
+    lane_high_water: [usize; LANES],
     class_high_water: usize,
-    /// Running sum of [`PlanCold::heap_bytes`] over the cold lane —
-    /// maintained incrementally on push/truncate so [`Memo::live_bytes`]
-    /// is O(1) and can be checked once per enumeration work unit.
-    cold_heap_bytes: usize,
+    /// Set by [`Memo::retaining`]: [`Memo::reset`] releases nothing.
+    retain_all: bool,
 }
 
 impl Index<PlanId> for Memo {
@@ -563,32 +641,49 @@ impl Index<PlanId> for Memo {
     }
 }
 
+/// The id list of class `s`, created (or recycled from an earlier run)
+/// on first use.
+fn class_list<'a>(
+    classes: &mut FxHashMap<NodeSet, u32>,
+    lists: &'a mut Vec<Vec<PlanId>>,
+    s: NodeSet,
+) -> &'a mut Vec<PlanId> {
+    let next = classes.len() as u32;
+    let slot = *classes.entry(s).or_insert(next) as usize;
+    if slot == lists.len() {
+        lists.push(Vec::new());
+    }
+    &mut lists[slot]
+}
+
 impl Memo {
-    /// Both rows of one plan (hot + cold payload); indexing (`memo[id]`)
-    /// yields the [`PlanHot`] row alone.
+    /// Both rows of one plan plus the lanes their spans resolve in;
+    /// indexing (`memo[id]`) yields the [`PlanHot`] row alone.
     #[inline]
     pub fn plan(&self, id: PlanId) -> PlanRef<'_> {
         PlanRef {
             hot: &self.hot[id.index()],
             cold: &self.cold[id.index()],
+            lanes: &self.lanes,
         }
     }
 
     /// `Eagerness` of a plan (§4.5): the number of grouping operators that
     /// are a direct child of the topmost join operator.
     pub fn eagerness(&self, id: PlanId) -> u32 {
-        match &self.cold[id.index()].node {
+        match self.cold[id.index()].node {
             PlanNode::Apply { left, right, .. } => {
-                let l = self[*left].is_group() as u32;
-                let r = self[*right].is_group() as u32;
+                let l = self[left].is_group() as u32;
+                let r = self[right].is_group() as u32;
                 l + r
             }
             _ => 0,
         }
     }
 
-    /// Arena/class capacity floor kept through [`Memo::reset`]: shrinking
-    /// below this saves nothing worth a re-malloc on the next run.
+    /// Capacity floor (in elements) every buffer keeps through
+    /// [`Memo::reset`]: shrinking below this saves nothing worth a
+    /// re-malloc on the next run.
     const MIN_RETAINED_CAPACITY: usize = 1024;
 
     /// An empty memo.
@@ -596,40 +691,76 @@ impl Memo {
         Memo::default()
     }
 
+    /// An empty memo whose [`Memo::reset`] keeps every buffer at the
+    /// capacity it has grown to instead of letting it decay: the scratch
+    /// memo of a single owner that bounds its lifetime (the
+    /// `dpnext::Optimizer` facade parks one between calls and drops it
+    /// with itself). Under the decaying mark a request that recurs less
+    /// often than every other run finds its capacity released and pays the
+    /// page faults of growing it again — a cost that then depends on which
+    /// requests ran before it. Pools that outlive their callers keep the
+    /// default and stay bounded by recent demand.
+    pub fn retaining() -> Memo {
+        Memo {
+            retain_all: true,
+            ..Memo::default()
+        }
+    }
+
     /// Clear the memo for reuse, keeping (bounded) allocations.
     ///
-    /// Every piece of per-run state is wiped: plans, classes and the
-    /// whole [`MemoStats`] block — including the rollback high-water
+    /// Every piece of per-run state is wiped: plans, lanes, classes and
+    /// the whole [`MemoStats`] block — including the rollback high-water
     /// mark `arena_peak` and the prune counters, which would otherwise
     /// leak into the next run's report. A run on a reset memo produces
     /// bit-identical results and statistics to a run on a fresh one;
     /// only *capacity* carries over, which is the point: pooled
-    /// back-to-back optimizations skip the re-malloc.
+    /// back-to-back optimizations skip the re-malloc. Nothing here walks
+    /// the plans — rows and lane elements are plain data.
     ///
     /// Capacity is not kept unconditionally: a single huge query would
-    /// otherwise pin worst-case arena and class-map footprint on the
+    /// otherwise pin worst-case arena, lane and class footprint on the
     /// pooled memo forever. A decaying high-water mark (`hw = peak.max(hw/2)`
-    /// per reset) tracks recent demand, and capacity above `2·hw` is
-    /// released — repeat-heavy steady state keeps its warm allocation,
-    /// while an outlier's footprint halves away within a few resets.
+    /// per reset) tracks recent demand of the arena, of each lane and of
+    /// the class table, and capacity above `2·hw` is released —
+    /// repeat-heavy steady state keeps its warm allocation, while an
+    /// outlier's footprint halves away within a few resets. The class id
+    /// lists are emptied and kept for the next run's classes; their
+    /// buffers go when the arena shrinks. A [`Memo::retaining`] memo skips
+    /// the release and keeps its high-water capacity.
     pub fn reset(&mut self) {
         let arena_peak = (self.stats.arena_peak as usize).max(self.hot.len());
-        self.arena_high_water = arena_peak.max(self.arena_high_water / 2);
-        self.class_high_water = self.classes.len().max(self.class_high_water / 2);
+        let arena_target = retained_capacity(&mut self.arena_high_water, arena_peak);
+        let lens = self.lanes.lens();
+        let lane_targets: [usize; LANES] = std::array::from_fn(|i| {
+            let peak = self.lane_peak[i].max(lens[i]);
+            retained_capacity(&mut self.lane_high_water[i], peak)
+        });
+        let class_target = retained_capacity(&mut self.class_high_water, self.classes.len());
+        if !self.retain_all && self.hot.capacity() > arena_target {
+            // Id lists hold at most one id per arena row, so their
+            // buffers are a fixed fraction of what the arena pins: let
+            // them go when (and only when) the arena itself is cut back.
+            self.class_lists.clear();
+        }
+        for list in self.class_lists.iter_mut().take(self.classes.len()) {
+            list.clear();
+        }
         self.hot.clear();
         self.cold.clear();
+        self.lanes.truncate([0; LANES]);
         self.classes.clear();
         self.stats = MemoStats::default();
-        self.cold_heap_bytes = 0;
-        let arena_target = (self.arena_high_water * 2).max(Self::MIN_RETAINED_CAPACITY);
-        if self.hot.capacity() > arena_target {
-            self.hot.shrink_to(arena_target);
-            self.cold.shrink_to(arena_target);
+        self.lane_peak = [0; LANES];
+        if self.retain_all {
+            return;
         }
-        let class_target = (self.class_high_water * 2).max(Self::MIN_RETAINED_CAPACITY);
-        if self.classes.capacity() > class_target {
-            self.classes.shrink_to(class_target);
-        }
+        self.hot.shrink_to(arena_target);
+        self.cold.shrink_to(arena_target);
+        self.lanes.shrink_to(lane_targets);
+        self.classes.shrink_to(class_target);
+        self.class_lists.truncate(class_target);
+        self.class_lists.shrink_to(class_target);
     }
 
     /// Allocated arena capacity in plans (diagnostic for arena pooling:
@@ -638,42 +769,65 @@ impl Memo {
         self.hot.capacity()
     }
 
-    /// Store a plan in the arena (does not touch any class).
+    /// Store a plan's rows in the arena (does not touch any class). Every
+    /// span of `cold` must lie inside its lane; the constructors in
+    /// [`crate::plan`] write the payload first and push the row last.
     #[inline]
-    pub fn push(&mut self, plan: MemoPlan) -> PlanId {
+    pub fn push_row(&mut self, hot: PlanHot, cold: PlanCold) -> PlanId {
         let id = PlanId::from_index(self.hot.len());
-        let (hot, cold) = plan.split();
-        self.cold_heap_bytes += cold.heap_bytes();
         self.hot.push(hot);
         self.cold.push(cold);
-        self.stats.live_bytes_peak = self.stats.live_bytes_peak.max(self.live_bytes());
         id
     }
 
-    /// Estimated bytes of *live* plan state: both SoA lanes at their
-    /// current length plus the cold rows' heap payloads
-    /// ([`PlanCold::heap_bytes`]). O(1) — the heap term is a running
-    /// counter — so the budgeted search can check it once per work unit.
-    /// Class id lists and lane over-capacity are not counted; see
+    /// Store a plan given its payload by value: copies `keys`, `agg` and
+    /// `visible` to the lanes' tails and pushes the rows. The transfer form
+    /// for plans that derive nothing from an input — scans, and whatever a
+    /// test or bench makes up; the operator constructors write the lanes
+    /// directly so they can share input spans.
+    pub fn push_plan(
+        &mut self,
+        hot: PlanHot,
+        node: PlanNode,
+        keys: KeysRef<'_>,
+        agg: AggRef<'_>,
+        visible: &[AttrId],
+    ) -> PlanId {
+        let lanes = &mut self.lanes;
+        let cold = PlanCold {
+            node,
+            keys: lanes.push_key_set(keys),
+            agg_pos: append(&mut lanes.agg_pos, agg.pos),
+            counts: append(&mut lanes.counts, agg.counts),
+            visible: lanes.push_attrs(visible),
+        };
+        self.push_row(hot, cold)
+    }
+
+    /// Bytes of *live* plan state: both row arrays and every lane at their
+    /// current length. O(1), so the budgeted search can check it once per
+    /// work unit. Class id lists and over-capacity are not counted; see
     /// [`Memo::footprint_bytes`] for the allocation-side view.
     #[inline]
     pub fn live_bytes(&self) -> u64 {
-        (self.hot.len() * ARENA_ROW_BYTES + self.cold_heap_bytes) as u64
+        (self.hot.len() * ARENA_ROW_BYTES + lane_bytes(self.lanes.lens())) as u64
     }
 
-    /// Estimated bytes this memo *holds allocated*: lane capacities (not
-    /// lengths) plus the live cold heap and the class map's table. This is
-    /// what a parked memo pins between runs — the quantity the serving
-    /// layer's global ledger accounts.
+    /// Bytes this memo *holds allocated*: row-array, lane and class-list
+    /// capacities (not lengths) plus the class map's table. This is what a
+    /// parked memo pins between runs — the quantity the serving layer's
+    /// global ledger accounts.
     pub fn footprint_bytes(&self) -> u64 {
-        let lanes = self.hot.capacity() * ARENA_ROW_BYTES;
-        let classes = self.classes.capacity() * (size_of::<NodeSet>() + size_of::<Vec<PlanId>>())
+        let rows = self.hot.capacity() * size_of::<PlanHot>()
+            + self.cold.capacity() * size_of::<PlanCold>();
+        let classes = self.classes.capacity() * (size_of::<NodeSet>() + size_of::<u32>())
+            + self.class_lists.capacity() * size_of::<Vec<PlanId>>()
             + self
-                .classes
-                .values()
+                .class_lists
+                .iter()
                 .map(|v| v.capacity() * size_of::<PlanId>())
                 .sum::<usize>();
-        (lanes + self.cold_heap_bytes + classes) as u64
+        (rows + lane_bytes(self.lanes.capacities()) + classes) as u64
     }
 
     /// Number of plans in the arena.
@@ -681,24 +835,45 @@ impl Memo {
         self.hot.len()
     }
 
-    /// Roll the arena back to `len` entries, discarding plans pushed since.
+    /// The payload lanes, for resolving spans of [`Memo::cold_plans`] rows.
+    #[inline]
+    pub fn lanes(&self) -> &Lanes {
+        &self.lanes
+    }
+
+    /// The current rollback point: arena length plus every lane length.
+    #[inline]
+    pub fn mark(&self) -> MemoMark {
+        MemoMark {
+            rows: self.hot.len(),
+            lanes: self.lanes.lens(),
+        }
+    }
+
+    /// Roll the arena and the lanes back to `mark`, discarding the plans
+    /// pushed since — a handful of length stores, whatever the number of
+    /// plans dropped.
     ///
     /// Callers must guarantee that no class and no retained id references
     /// a truncated plan. The enumeration engine uses this to reclaim
     /// complete (full-set) plans that lost the cost comparison — they are
     /// never inserted into a class, and on EA-All they outnumber retained
-    /// plans by an order of magnitude.
-    pub fn truncate(&mut self, len: usize) {
-        debug_assert!(len <= self.hot.len());
+    /// plans by an order of magnitude. A surviving plan cannot lose
+    /// payload to this: whatever its spans name was in the lanes before
+    /// the plan was pushed, hence before `mark`.
+    pub fn truncate(&mut self, mark: MemoMark) {
+        debug_assert!(mark.rows <= self.hot.len());
+        // Live bytes only ever shrink here and in `reset`, so the peaks
+        // need no per-push bookkeeping.
         self.stats.arena_peak = self.stats.arena_peak.max(self.hot.len() as u64);
-        // Reclaim the truncated rows' heap estimate: O(rows dropped),
-        // proportional to the plans that were built — never a full-arena
-        // walk.
-        for row in &self.cold[len..] {
-            self.cold_heap_bytes -= row.heap_bytes();
+        self.stats.live_bytes_peak = self.stats.live_bytes_peak.max(self.live_bytes());
+        let lens = self.lanes.lens();
+        for (peak, len) in self.lane_peak.iter_mut().zip(lens) {
+            *peak = (*peak).max(len);
         }
-        self.hot.truncate(len);
-        self.cold.truncate(len);
+        self.hot.truncate(mark.rows);
+        self.cold.truncate(mark.rows);
+        self.lanes.truncate(mark.lanes);
     }
 
     /// Record the outcome of a budgeted search: the effective plan and
@@ -718,12 +893,17 @@ impl Memo {
     }
 
     /// Check the structural invariants a healthy memo upholds: the hot and
-    /// cold arenas are index-aligned, and every class entry points at an
-    /// arena row whose `NodeSet` matches the class key. A memo that fails
-    /// this was corrupted mid-run (e.g. truncated while classes still
-    /// referenced the tail) and must not be reused — [`Memo::reset`] does
-    /// not repair dangling *capacity* state reads would trip over first.
-    /// Returns a description of the first violation found.
+    /// cold arenas are index-aligned; every span of every live row lies
+    /// inside its lane, and — walking the rows in id order with a per-lane
+    /// cursor at the end of what earlier rows wrote — either at or past the
+    /// cursor (the row owns it) or wholly before it (the row shares it, so
+    /// its owner has a smaller [`PlanId`]); children precede their
+    /// parents; and every class entry points at an arena row whose
+    /// `NodeSet` matches the class key. A memo that fails this was
+    /// corrupted mid-run (e.g. truncated while classes still referenced
+    /// the tail) and must not be reused — [`Memo::reset`] does not repair
+    /// dangling *capacity* state reads would trip over first. Returns a
+    /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.hot.len() != self.cold.len() {
             return Err(format!(
@@ -732,7 +912,67 @@ impl Memo {
                 self.cold.len()
             ));
         }
-        for (set, ids) in &self.classes {
+        let lens = self.lanes.lens();
+        let mut cursor = [0usize; LANES];
+        for (i, cold) in self.cold.iter().enumerate() {
+            let mut written = cursor;
+            let mut check = |lane: usize, what: &str, span: Span| {
+                if span.end() > lens[lane] {
+                    return Err(format!(
+                        "plan {i}: {what} span {span:?} runs past its lane (length {})",
+                        lens[lane]
+                    ));
+                }
+                let start = span.start as usize;
+                if !span.is_empty() && start < cursor[lane] && span.end() > cursor[lane] {
+                    return Err(format!(
+                        "plan {i}: {what} span {span:?} straddles the data of earlier plans \
+                         (ending at {})",
+                        cursor[lane]
+                    ));
+                }
+                written[lane] = written[lane].max(span.end());
+                Ok(())
+            };
+            check(0, "visible", cold.visible)?;
+            check(1, "keys", cold.keys)?;
+            check(2, "agg_pos", cold.agg_pos)?;
+            check(3, "counts", cold.counts)?;
+            let children = match cold.node {
+                PlanNode::Scan { .. } => [None, None],
+                PlanNode::Apply {
+                    pred, left, right, ..
+                } => {
+                    // Staged before the rows of its grid, shared by all.
+                    if pred.end() > lens[4] {
+                        return Err(format!("plan {i}: predicate span {pred:?} past its lane"));
+                    }
+                    [Some(left), Some(right)]
+                }
+                PlanNode::Group { attrs, input } => {
+                    check(0, "grouping attributes", attrs)?;
+                    [Some(input), None]
+                }
+            };
+            for key in cold.keys.of(&self.lanes.keys) {
+                check(0, "key", *key)?;
+            }
+            if let Some(child) = children.into_iter().flatten().find(|c| c.index() >= i) {
+                return Err(format!(
+                    "plan {i} has child {} at or after itself",
+                    child.index()
+                ));
+            }
+            cursor = written;
+        }
+        if self.classes.len() > self.class_lists.len() {
+            return Err(format!(
+                "{} classes over {} id lists",
+                self.classes.len(),
+                self.class_lists.len()
+            ));
+        }
+        for (set, ids) in self.class_entries() {
             for &id in ids {
                 let Some(hot) = self.hot.get(id.index()) else {
                     return Err(format!(
@@ -741,7 +981,7 @@ impl Memo {
                         self.hot.len()
                     ));
                 };
-                if hot.set != *set {
+                if hot.set != set {
                     return Err(format!(
                         "class {set:?} holds plan {} whose set is {:?}",
                         id.index(),
@@ -753,22 +993,32 @@ impl Memo {
         Ok(())
     }
 
+    /// Every class with its id list, in hash order.
+    fn class_entries(&self) -> impl Iterator<Item = (NodeSet, &[PlanId])> {
+        self.classes
+            .iter()
+            .map(|(&s, &slot)| (s, self.class_lists[slot as usize].as_slice()))
+    }
+
     /// The plan class of `s` (empty when no plan covers `s` yet).
     #[inline]
     pub fn class(&self, s: NodeSet) -> &[PlanId] {
-        self.classes.get(&s).map(Vec::as_slice).unwrap_or(&[])
+        match self.classes.get(&s) {
+            Some(&slot) => &self.class_lists[slot as usize],
+            None => &[],
+        }
     }
 
     /// Append `id` to the class of `s` unconditionally.
     pub fn class_push(&mut self, s: NodeSet, id: PlanId) {
-        let class = self.classes.entry(s).or_default();
+        let class = class_list(&mut self.classes, &mut self.class_lists, s);
         class.push(id);
         self.stats.peak_class_width = self.stats.peak_class_width.max(class.len() as u64);
     }
 
     /// Make `id` the sole member of the class of `s` (single-plan DP).
     pub fn class_set_single(&mut self, s: NodeSet, id: PlanId) {
-        let class = self.classes.entry(s).or_default();
+        let class = class_list(&mut self.classes, &mut self.class_lists, s);
         class.clear();
         class.push(id);
         self.stats.peak_class_width = self.stats.peak_class_width.max(1);
@@ -784,10 +1034,11 @@ impl Memo {
         kind: DominanceKind,
         guard_groupjoin: bool,
     ) {
-        let class = self.classes.entry(s).or_default();
+        let class = class_list(&mut self.classes, &mut self.class_lists, s);
         prune_insert_ids(
             &self.hot,
             &self.cold,
+            &self.lanes,
             class,
             id,
             kind,
@@ -804,9 +1055,10 @@ impl Memo {
     /// uses this to keep its per-component state GOO-sized (one or two
     /// plans) instead of letting class widths compound across merges.
     pub fn class_shrink_to_best(&mut self, s: NodeSet, keep_raw: bool) {
-        let Some(class) = self.classes.get_mut(&s) else {
+        let Some(&slot) = self.classes.get(&s) else {
             return;
         };
+        let class = &mut self.class_lists[slot as usize];
         let best = class.iter().copied().min_by(|&a, &b| {
             self.hot[a.index()]
                 .cost
@@ -833,8 +1085,9 @@ impl Memo {
         }
     }
 
-    /// Every hot row in arena order — with [`Memo::cold_plans`], the
-    /// slices [`prune_insert_ids`] folds a detached class against.
+    /// Every hot row in arena order — with [`Memo::cold_plans`] and
+    /// [`Memo::lanes`], what [`prune_insert_ids`] folds a detached class
+    /// against.
     #[inline]
     pub fn hot_plans(&self) -> &[PlanHot] {
         &self.hot
@@ -851,11 +1104,7 @@ impl Memo {
     /// view of the DP state for tests and diagnostics (the map itself
     /// iterates in hash order).
     pub fn classes_sorted(&self) -> Vec<(NodeSet, &[PlanId])> {
-        let mut all: Vec<(NodeSet, &[PlanId])> = self
-            .classes
-            .iter()
-            .map(|(&s, ids)| (s, ids.as_slice()))
-            .collect();
+        let mut all: Vec<(NodeSet, &[PlanId])> = self.class_entries().collect();
         all.sort_unstable_by_key(|&(s, _)| s);
         all
     }
@@ -867,13 +1116,16 @@ impl Memo {
 
     /// Total plans retained across all classes.
     pub fn retained(&self) -> u64 {
-        self.classes.values().map(|v| v.len() as u64).sum()
+        self.class_entries().map(|(_, v)| v.len() as u64).sum()
     }
 
     /// Every id retained in some class, in ascending arena order (the
     /// class map itself iterates in hash order — sort for determinism).
     pub fn retained_ids(&self) -> Vec<PlanId> {
-        let mut ids: Vec<PlanId> = self.classes.values().flatten().copied().collect();
+        let mut ids: Vec<PlanId> = self
+            .class_entries()
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
         ids.sort_unstable();
         ids
     }

@@ -36,11 +36,9 @@ fn pushable(ctx: &OptContext, scratch: &mut Scratch, memo: &Memo, t: PlanId) -> 
     if !ctx.has_grouping() || hot.is_group() || !ctx.can_group(hot.set) {
         return false;
     }
-    let set = hot.set;
-    let keyinfo = &memo.plan(t).cold.keyinfo;
-    // Borrowed cache hit: no Arc clone on this per-candidate-pair path.
-    let gplus = scratch.gplus(ctx, set);
-    needs_grouping(gplus, keyinfo)
+    // `G⁺(S)` is memoized sorted, which is what the key test wants.
+    let gplus = scratch.gplus(ctx, hot.set);
+    needs_grouping(gplus, hot.duplicate_free(), memo.plan(t).keys())
 }
 
 /// Build all operator trees for `t1 ◦ t2` (physical orientation, staged

@@ -1,5 +1,9 @@
 //! Plan constructors: build scan / apply / grouping nodes with their
-//! derived logical properties directly into the [`Memo`] arena.
+//! derived logical properties directly into the [`Memo`] arena. A
+//! constructor appends the new plan's payload to the memo's lanes — or
+//! copies an input's span where the derived property *is* the input's —
+//! and pushes the two `Copy` rows last; nothing is allocated per plan
+//! beyond the lanes' amortised growth.
 //!
 //! Operator applications are split into a **staging** step
 //! ([`stage_apply`]: orient and merge the predicate terms, fold the
@@ -10,31 +14,36 @@
 //! then applies across the whole `t1 × t2` candidate grid, so the hot
 //! loop does no per-plan predicate cloning or re-orientation.
 
-use crate::aggstate::{build_group_aggs, AggState};
+use crate::aggstate::{merge_one, push_grouped_state, AggPos, AggRef};
 use crate::context::{OptContext, Scratch};
-use crate::memo::{Memo, MemoPlan, PlanId, PlanNode};
-use dpnext_algebra::{AttrId, JoinPred};
+use crate::memo::{Memo, PlanCold, PlanHot, PlanId, PlanNode, Span, Term};
+use dpnext_algebra::{AttrId, CmpOp};
 use dpnext_cost::{distinct_in, grouping_card, join_card};
 use dpnext_hypergraph::NodeSet;
-use dpnext_keys::{grouping_keys, infer_join_keys_presorted, KeyInfo, KeySet};
+use dpnext_keys::{infer_join_keys_presorted, join_duplicate_free, JoinKeys, KeysRef};
 use dpnext_query::OpKind;
-use std::sync::Arc;
 
 /// Build a scan plan for table occurrence `i`.
 pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
     let t = &ctx.query.tables[i];
-    let keys = KeySet::from_keys(t.keys.iter().cloned());
-    memo.push(MemoPlan {
-        node: PlanNode::Scan { table: i },
-        set: NodeSet::single(i),
-        card: t.card,
-        cost: 0.0, // scans are free under C_out
-        keyinfo: KeyInfo::base(keys),
-        agg: AggState::fresh(ctx.aggs().len()),
-        visible: t.attrs.clone(),
-        has_grouping: false,
-        applied: 0,
-    })
+    let keys = ctx.table_keys[i].as_ref();
+    let hot = PlanHot::new(
+        NodeSet::single(i),
+        t.card,
+        0.0, // scans are free under C_out
+        0,
+        false,
+        // SQL key declarations imply duplicate-freeness (§3.2 remark).
+        !keys.is_empty(),
+        false,
+    );
+    memo.push_plan(
+        hot,
+        PlanNode::Scan { table: i as u32 },
+        keys,
+        ctx.fresh_agg.as_ref(),
+        &t.attrs,
+    )
 }
 
 /// Cap a cardinality estimate by the key-implied bound: a duplicate-free
@@ -46,12 +55,12 @@ pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
 /// keyed plan could forfeit a reduction the dominated raw plan kept).
 /// The cap is constant in the input cardinalities, so estimates stay
 /// monotone as the pruning proof requires.
-fn key_bounded_card(ctx: &OptContext, card: f64, keyinfo: &KeyInfo) -> f64 {
-    if !keyinfo.duplicate_free {
+fn key_bounded_card(ctx: &OptContext, card: f64, duplicate_free: bool, keys: KeysRef<'_>) -> f64 {
+    if !duplicate_free {
         return card;
     }
     let mut bounded = card;
-    for key in keyinfo.keys.keys() {
+    for key in keys.iter() {
         // Unknown distinct counts are infinite: no cap from such keys.
         let bound: f64 = key.iter().map(|&a| ctx.distinct(a).max(1.0)).product();
         bounded = bounded.min(bound);
@@ -60,11 +69,7 @@ fn key_bounded_card(ctx: &OptContext, card: f64, keyinfo: &KeyInfo) -> f64 {
 }
 
 /// Orient one predicate term so its left attribute comes from `left_set`.
-fn orient_term(
-    ctx: &OptContext,
-    (l, op, r): (AttrId, dpnext_algebra::CmpOp, AttrId),
-    left_set: NodeSet,
-) -> (AttrId, dpnext_algebra::CmpOp, AttrId) {
+fn orient_term(ctx: &OptContext, (l, op, r): Term, left_set: NodeSet) -> Term {
     if ctx.origin(l).is_subset_of(left_set) {
         (l, op, r)
     } else {
@@ -74,15 +79,17 @@ fn orient_term(
 }
 
 /// The cut-level constants of one operator application: identical for
-/// every plan pair of one orientation, computed once by [`stage_apply`].
+/// every plan pair of one orientation, filled in by [`stage_apply`]. The
+/// value is reusable — staging the next cut overwrites it in place and
+/// keeps its two attribute buffers.
 pub struct StagedApply {
     /// Index of the primary operator into the conflicted query's list.
     pub op_idx: usize,
     /// Operator kind (join, outer join, groupjoin, ...).
     pub kind: OpKind,
-    /// Oriented, merged predicate — shared (`Arc`) by every plan built
-    /// from this staging, instead of cloned per plan.
-    pub pred: Arc<JoinPred>,
+    /// Oriented, merged predicate in the memo's term lane — every plan
+    /// built from this staging carries the same span.
+    pub pred: Span,
     /// Merged selectivity (primary × extra same-cut inner joins).
     pub sel: f64,
     /// Product of the left predicate attributes' distinct counts.
@@ -102,70 +109,78 @@ pub struct StagedApply {
     pub right_attrs: Vec<AttrId>,
 }
 
+impl Default for StagedApply {
+    /// A blank staging for [`stage_apply`] to fill.
+    fn default() -> StagedApply {
+        StagedApply {
+            op_idx: 0,
+            kind: OpKind::Join,
+            pred: Span::default(),
+            sel: 1.0,
+            d_left: 1.0,
+            d_right: 1.0,
+            applied_bits: 0,
+            pred_equi: false,
+            left_attrs: Vec::new(),
+            right_attrs: Vec::new(),
+        }
+    }
+}
+
 /// Stage operator `op_idx` (plus any extra inner-join edges crossing the
 /// same cut, for cyclic queries) for application with `left_set` as the
-/// physical left side: orient and merge all predicate terms, fold the
-/// selectivities and take the per-side distinct products. Every plan of
-/// one orientation shares the staged values — all plans in a class cover
-/// the same relation set, so term orientation and attribute origins
-/// cannot differ across the candidate grid.
+/// physical left side, into `staged`: orient and merge all predicate terms
+/// (appended to the memo's term lane), fold the selectivities and take the
+/// per-side distinct products. Every plan of one orientation shares the
+/// staged values — all plans in a class cover the same relation set, so
+/// term orientation and attribute origins cannot differ across the
+/// candidate grid.
 pub fn stage_apply(
     ctx: &OptContext,
-    scratch: &mut Scratch,
+    memo: &mut Memo,
+    staged: &mut StagedApply,
     op_idx: usize,
     extra: &[usize],
     left_set: NodeSet,
-) -> StagedApply {
+) {
     let op = &ctx.cq.ops[op_idx];
-    // Merge and orient all predicates crossing this cut — staged in the
-    // scratch buffer, cloned once into the shared predicate.
-    scratch.terms.clear();
+    let lane = &mut memo.lanes.terms;
+    let start = lane.len();
+    // Merge and orient all predicates crossing this cut.
     let mut sel = op.sel;
     let mut applied_bits = 1u64 << op_idx;
-    for t in &op.pred.terms {
-        scratch.terms.push(orient_term(ctx, *t, left_set));
-    }
+    lane.extend(op.pred.terms.iter().map(|t| orient_term(ctx, *t, left_set)));
     for &ei in extra {
         let e = &ctx.cq.ops[ei];
         debug_assert_eq!(OpKind::Join, e.op, "only inner joins may share a cut");
         sel *= e.sel;
-        for t in &e.pred.terms {
-            scratch.terms.push(orient_term(ctx, *t, left_set));
-        }
+        lane.extend(e.pred.terms.iter().map(|t| orient_term(ctx, *t, left_set)));
         applied_bits |= 1u64 << ei;
     }
-    let pred = Arc::new(JoinPred {
-        terms: scratch.terms.clone(),
-    });
+    let terms = &lane[start..];
+    staged.op_idx = op_idx;
+    staged.kind = op.op;
+    staged.pred = Span::new(start, terms.len());
+    staged.sel = sel;
     // Distinct join-value counts per side (products of the base distinct
-    // counts of the predicate attributes) for the match probability.
-    let d_left: f64 = pred.left_attrs().iter().map(|&a| ctx.distinct(a)).product();
-    let d_right: f64 = pred
-        .right_attrs()
-        .iter()
-        .map(|&a| ctx.distinct(a))
-        .product();
+    // counts of the predicate attributes, in term order) for the match
+    // probability.
+    staged.d_left = terms.iter().map(|&(l, _, _)| ctx.distinct(l)).product();
+    staged.d_right = terms.iter().map(|&(_, _, r)| ctx.distinct(r)).product();
+    staged.applied_bits = applied_bits;
     // Pre-digest the predicate for the per-pair key inference: equi
     // classification plus sorted, deduplicated per-side attribute sets.
-    let pred_equi = pred.is_equi() && !pred.terms.is_empty();
-    let mut left_attrs = pred.left_attrs();
-    let mut right_attrs = pred.right_attrs();
-    left_attrs.sort_unstable();
-    left_attrs.dedup();
-    right_attrs.sort_unstable();
-    right_attrs.dedup();
-    StagedApply {
-        op_idx,
-        kind: op.op,
-        pred,
-        sel,
-        d_left,
-        d_right,
-        applied_bits,
-        pred_equi,
-        left_attrs,
-        right_attrs,
-    }
+    staged.pred_equi = !terms.is_empty() && terms.iter().all(|&(_, cmp, _)| cmp == CmpOp::Eq);
+    assign_normalized(&mut staged.left_attrs, terms.iter().map(|t| t.0));
+    assign_normalized(&mut staged.right_attrs, terms.iter().map(|t| t.2));
+}
+
+/// Make `side` the sorted, deduplicated set of `attrs`.
+fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>) {
+    side.clear();
+    side.extend(attrs);
+    side.sort_unstable();
+    side.dedup();
 }
 
 /// Apply a staged operator on two plans. `left`/`right` are already in
@@ -184,96 +199,151 @@ pub fn apply_staged(
 ) -> Option<PlanId> {
     let op = &ctx.cq.ops[staged.op_idx];
     let kind = staged.kind;
-    let (left, right) = (memo.plan(left_id), memo.plan(right_id));
+    // The rows are `Copy`: take them out, then write the lanes freely.
+    let (left, right) = (memo[left_id], memo[right_id]);
+    let (lcold, rcold) = (*memo.plan(left_id).cold, *memo.plan(right_id).cold);
     // Groupjoins evaluate their aggregates over raw right-side tuples: a
     // pre-aggregated right side would aggregate groups instead.
-    if kind == OpKind::GroupJoin && right.hot.has_grouping() {
+    if kind == OpKind::GroupJoin && right.has_grouping() {
         return None;
     }
+    let lanes = &mut memo.lanes;
     // Defensive visibility check — per plan, not per cut: a pushed-down
     // grouping changes which attributes its side exposes.
-    for &(l, _, r) in &staged.pred.terms {
-        if !left.cold.visible.contains(&l) || !right.cold.visible.contains(&r) {
+    let (lvisible, rvisible) = (
+        lcold.visible.of(&lanes.attrs),
+        rcold.visible.of(&lanes.attrs),
+    );
+    for &(l, _, r) in staged.pred.of(&lanes.terms) {
+        if !lvisible.contains(&l) || !rvisible.contains(&r) {
             return None;
         }
     }
-    for call in &op.gj_aggs {
-        for a in call.referenced() {
-            if !right.cold.visible.contains(&a) {
-                return None;
-            }
-        }
+    if !ctx.gj_args[staged.op_idx]
+        .iter()
+        .all(|a| rvisible.contains(a))
+    {
+        return None;
     }
 
-    let set = left.hot.set.union(right.hot.set);
     let raw_card = join_card(
         kind,
-        left.hot.card,
-        right.hot.card,
+        left.card,
+        right.card,
         staged.sel,
         staged.d_left,
         staged.d_right,
     );
-    let keyinfo = infer_join_keys_presorted(
+    let (lkeys, rkeys) = (lanes.key_set(lcold.keys), lanes.key_set(rcold.keys));
+    let source = infer_join_keys_presorted(
         kind,
-        &left.cold.keyinfo,
-        &right.cold.keyinfo,
+        lkeys,
+        rkeys,
         staged.pred_equi,
         &staged.left_attrs,
         &staged.right_attrs,
+        &mut memo.key_buf,
     );
-    let card = key_bounded_card(ctx, raw_card, &keyinfo);
-    let cost = left.hot.cost + right.hot.cost + card;
-    let agg = if kind.preserves_right() {
-        left.cold.agg.merge(&right.cold.agg)
-    } else {
+    let duplicate_free = join_duplicate_free(kind, left.duplicate_free(), right.duplicate_free());
+    let derived = match source {
+        JoinKeys::Left => lkeys,
+        JoinKeys::Right => rkeys,
+        JoinKeys::Built => memo.key_buf.as_ref(),
+    };
+    let card = key_bounded_card(ctx, raw_card, duplicate_free, derived);
+    let cost = left.cost + right.cost + card;
+    // Where a derived property *is* an input's property the new row names
+    // the input's span; only combinations are written out.
+    let keys = match source {
+        JoinKeys::Left => lcold.keys,
+        JoinKeys::Right => rcold.keys,
+        JoinKeys::Built => lanes.push_key_set(memo.key_buf.as_ref()),
+    };
+    let (agg_pos, counts) = if !kind.preserves_right() || !right.has_grouping() {
         // Semi/anti/groupjoin keep only left tuples, so the merged state
-        // restricted to the left set collapses to the left state: left
+        // restricted to the left set collapses to the left state (left
         // scopes are subsets of `left.set` by construction, right scopes
-        // are disjoint from it.
-        debug_assert_eq!(
-            left.cold.agg.merge(&right.cold.agg).keep_left(left.hot.set),
-            left.cold.agg
-        );
-        left.cold.agg.clone()
-    };
-    let right_visible: &[AttrId] = if kind.preserves_right() {
-        &right.cold.visible
+        // are disjoint from it); and a right side without any grouping
+        // contributes the fresh state, the identity of the merge.
+        debug_assert!(if kind.preserves_right() {
+            is_fresh(lanes.agg(&rcold))
+        } else {
+            confined_to(lanes.agg(&lcold), left.set)
+        });
+        (lcold.agg_pos, lcold.counts)
+    } else if !left.has_grouping() {
+        debug_assert!(is_fresh(lanes.agg(&lcold)));
+        (rcold.agg_pos, rcold.counts)
     } else {
-        &[]
+        let pos = &mut lanes.agg_pos;
+        let merged = Span::new(pos.len(), lcold.agg_pos.len as usize);
+        pos.reserve(merged.len as usize);
+        for (l, r) in lcold.agg_pos.range().zip(rcold.agg_pos.range()) {
+            let m = merge_one(pos[l], pos[r]);
+            pos.push(m);
+        }
+        let start = lanes.counts.len();
+        lanes.counts.extend_from_within(lcold.counts.range());
+        lanes.counts.extend_from_within(rcold.counts.range());
+        (merged, Span::new(start, lanes.counts.len() - start))
     };
-    let mut visible =
-        Vec::with_capacity(left.cold.visible.len() + right_visible.len() + op.gj_aggs.len());
-    visible.extend_from_slice(&left.cold.visible);
-    visible.extend_from_slice(right_visible);
-    visible.extend(op.gj_aggs.iter().map(|c| c.out));
+    let visible = if kind.preserves_right() || !op.gj_aggs.is_empty() {
+        let attrs = &mut lanes.attrs;
+        let start = attrs.len();
+        attrs.extend_from_within(lcold.visible.range());
+        if kind.preserves_right() {
+            attrs.extend_from_within(rcold.visible.range());
+        }
+        attrs.extend(op.gj_aggs.iter().map(|c| c.out));
+        Span::new(start, attrs.len() - start)
+    } else {
+        lcold.visible
+    };
 
     debug_assert_eq!(
-        left.hot.applied & right.hot.applied,
+        left.applied & right.applied,
         0,
         "operator applied twice across join inputs"
     );
-    let applied = left.hot.applied | right.hot.applied | staged.applied_bits;
-    let has_grouping = left.hot.has_grouping() || right.hot.has_grouping();
-
     scratch.count_plan();
-    Some(memo.push(MemoPlan {
+    let hot = PlanHot::new(
+        left.set.union(right.set),
+        card,
+        cost,
+        left.applied | right.applied | staged.applied_bits,
+        left.has_grouping() || right.has_grouping(),
+        duplicate_free,
+        false,
+    );
+    let cold = PlanCold {
         node: PlanNode::Apply {
             op: kind,
-            pred: Arc::clone(&staged.pred),
-            gj_aggs: op.gj_aggs.clone(),
+            op_idx: staged.op_idx as u8,
+            pred: staged.pred,
             left: left_id,
             right: right_id,
         },
-        set,
-        card,
-        cost,
-        keyinfo,
-        agg,
+        keys,
+        agg_pos,
+        counts,
         visible,
-        has_grouping,
-        applied,
-    }))
+    };
+    Some(memo.push_row(hot, cold))
+}
+
+/// No aggregate partially computed, no count column: the state of a plan
+/// without any grouping below it.
+fn is_fresh(agg: AggRef<'_>) -> bool {
+    agg.counts.is_empty() && agg.pos.iter().all(|p| *p == AggPos::Raw)
+}
+
+/// Every count column and partial aggregate was produced within `set`.
+fn confined_to(agg: AggRef<'_>, set: NodeSet) -> bool {
+    agg.counts.iter().all(|&(scope, _)| scope.is_subset_of(set))
+        && agg.pos.iter().all(|p| match *p {
+            AggPos::Raw => true,
+            AggPos::Partial { scope, .. } => scope.is_subset_of(set),
+        })
 }
 
 /// Apply operator `op_idx` (plus any extra inner-join edges crossing the
@@ -290,7 +360,8 @@ pub fn make_apply(
     left_id: PlanId,
     right_id: PlanId,
 ) -> Option<PlanId> {
-    let staged = stage_apply(ctx, scratch, op_idx, extra, memo[left_id].set);
+    let mut staged = StagedApply::default();
+    stage_apply(ctx, memo, &mut staged, op_idx, extra, memo[left_id].set);
     apply_staged(ctx, scratch, memo, &staged, left_id, right_id)
 }
 
@@ -305,40 +376,47 @@ pub fn make_group(
     memo: &mut Memo,
     input_id: PlanId,
 ) -> PlanId {
-    let s = memo[input_id].set;
-    // Owning handle: `build_group_aggs` below needs the scratch mutably
-    // while the grouping attributes are still in use.
-    let gattrs = scratch.gplus_arc(ctx, s);
-    let input = memo.plan(input_id);
+    let input = memo[input_id];
+    let icold = *memo.plan(input_id).cold;
+    let s = input.set;
+    let lanes = &mut memo.lanes;
+    // One run of the attribute lane serves three purposes: `G⁺(S)` is the
+    // node's grouping attributes, its single key, and — followed by the
+    // count column and the partial aggregates — its visible attributes.
+    let attrs = lanes.push_attrs(scratch.gplus(ctx, s));
     debug_assert!(
-        gattrs.iter().all(|a| input.cold.visible.contains(a)),
+        attrs
+            .of(&lanes.attrs)
+            .iter()
+            .all(|a| icold.visible.of(&lanes.attrs).contains(a)),
         "G⁺({s}) not fully visible"
     );
-    let (aggs, state) = build_group_aggs(ctx, scratch, &input.cold.agg, s);
-    let distincts: Vec<f64> = gattrs
-        .iter()
-        .map(|&a| distinct_in(ctx.distinct(a), input.hot.card))
-        .collect();
-    let card = grouping_card(input.hot.card, &distincts);
-    let cost = input.hot.cost + card;
-    let mut visible: Vec<AttrId> = gattrs.to_vec();
-    visible.extend(aggs.iter().map(|c| c.out));
-    let applied = input.hot.applied;
-    let node = MemoPlan {
-        node: PlanNode::Group {
-            attrs: gattrs.to_vec(),
-            aggs,
-            input: input_id,
-        },
-        set: s,
-        card,
-        cost,
-        keyinfo: grouping_keys(&gattrs),
-        agg: state,
-        visible,
-        has_grouping: true,
-        applied,
-    };
+    let card = grouping_card(
+        input.card,
+        attrs
+            .of(&lanes.attrs)
+            .iter()
+            .map(|&a| distinct_in(ctx.distinct(a), input.card)),
+    );
+    let (agg_pos, counts) = push_grouped_state(ctx, scratch, lanes, icold.agg_pos, s);
+    let visible = Span::new(
+        attrs.start as usize,
+        lanes.attrs.len() - attrs.start as usize,
+    );
+    let keys = Span::new(lanes.keys.len(), 1);
+    lanes.keys.push(attrs);
     scratch.count_plan();
-    memo.push(node)
+    memo.push_row(
+        PlanHot::new(s, card, input.cost + card, input.applied, true, true, true),
+        PlanCold {
+            node: PlanNode::Group {
+                attrs,
+                input: input_id,
+            },
+            keys,
+            agg_pos,
+            counts,
+            visible,
+        },
+    )
 }

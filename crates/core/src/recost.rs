@@ -62,17 +62,15 @@ fn rebuild(
     scratch: &mut Scratch,
 ) -> Result<PlanId, String> {
     let plan = src.plan(id);
-    match &plan.cold.node {
-        PlanNode::Scan { table } => Ok(make_scan(ctx, memo, *table)),
+    match plan.cold.node {
+        PlanNode::Scan { table } => Ok(make_scan(ctx, memo, table as usize)),
         PlanNode::Group { input, .. } => {
-            let input = *input;
             let new_input = rebuild(ctx, src, input, memo, scratch)?;
             Ok(make_group(ctx, scratch, memo, new_input))
         }
         PlanNode::Apply {
             op, left, right, ..
         } => {
-            let (op, left, right) = (*op, *left, *right);
             let applied = plan.hot.applied;
             let l_applied = src.plan(left).hot.applied;
             let r_applied = src.plan(right).hot.applied;

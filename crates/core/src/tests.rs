@@ -8,7 +8,7 @@ use crate::context::{OptContext, Scratch};
 use crate::finalize::finalize;
 use crate::memo::{Memo, PlanId};
 use crate::optrees::op_trees;
-use crate::plan::{make_apply, make_group, make_scan, stage_apply};
+use crate::plan::{make_apply, make_group, make_scan, stage_apply, StagedApply};
 use dpnext_algebra::{AggCall, AggKind, AttrGen, AttrId, Expr, JoinPred, Value};
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::{GroupSpec, OpKind, OpTree, Query, QueryTable};
@@ -27,7 +27,8 @@ fn op_tree_ids(
     t2: PlanId,
 ) -> Vec<PlanId> {
     let mut out = Vec::new();
-    let staged = stage_apply(ctx, sc, op_idx, &[], memo[t1].set);
+    let mut staged = StagedApply::default();
+    stage_apply(ctx, memo, &mut staged, op_idx, &[], memo[t1].set);
     op_trees(ctx, sc, memo, &staged, t1, t2, &mut out);
     out
 }
@@ -87,29 +88,25 @@ mod context {
     fn gplus_is_cached() {
         let ctx = two_table_ctx(OpKind::Join);
         let mut sc = Scratch::new(&ctx);
-        let p1 = sc.gplus_arc(&ctx, NodeSet::single(0));
-        let p2 = sc.gplus_arc(&ctx, NodeSet::single(0));
-        // A hit returns the memoized allocation, not a recomputation.
-        assert!(std::sync::Arc::ptr_eq(&p1, &p2));
+        let p1 = sc.gplus(&ctx, NodeSet::single(0)).as_ptr();
+        let p2 = sc.gplus(&ctx, NodeSet::single(0)).as_ptr();
+        // A hit returns the memoized attributes, not a recomputation.
+        assert_eq!(p1, p2);
     }
 
     #[test]
     fn gplus_hit_borrows_the_memoized_value() {
-        // The borrowing accessor must serve hits from the same cache the
-        // owning accessor fills (and vice versa), and agree with the
-        // uncached computation — pins that neither path recomputes.
+        // Every set's `G⁺` sits in the cache's one attribute vector: a
+        // hit must agree with the uncached computation, and memoizing a
+        // second set must leave the first one's value intact.
         let ctx = two_table_ctx(OpKind::Join);
-        let s = NodeSet::single(0);
         let mut sc = Scratch::new(&ctx);
-        let owned = sc.gplus_arc(&ctx, s);
-        assert_eq!(owned.as_slice(), sc.gplus(&ctx, s));
-        assert_eq!(ctx.compute_gplus(s), sc.gplus(&ctx, s));
-        // Warming via the borrow also feeds the Arc accessor.
-        let mut sc2 = Scratch::new(&ctx);
-        assert_eq!(ctx.compute_gplus(s), sc2.gplus(&ctx, s));
-        let warm = sc2.gplus_arc(&ctx, s);
-        let again = sc2.gplus_arc(&ctx, s);
-        assert!(std::sync::Arc::ptr_eq(&warm, &again));
+        for s in [NodeSet::single(0), NodeSet::single(1), NodeSet::full(2)] {
+            assert_eq!(ctx.compute_gplus(s), sc.gplus(&ctx, s));
+        }
+        for s in [NodeSet::single(0), NodeSet::single(1), NodeSet::full(2)] {
+            assert_eq!(ctx.compute_gplus(s), sc.gplus(&ctx, s));
+        }
     }
 
     #[test]
@@ -158,41 +155,65 @@ mod aggstate {
 
     #[test]
     fn merge_prefers_partials() {
-        let raw = AggState::fresh(2);
-        let mut grouped = AggState::fresh(2);
-        grouped.pos[1] = AggPos::Partial {
-            col: a(60),
-            scope: NodeSet::single(1),
-        };
-        grouped.counts.push((NodeSet::single(1), a(61)));
-        let merged = raw.merge(&grouped);
-        assert_eq!(AggPos::Raw, merged.pos[0]);
-        assert!(matches!(merged.pos[1], AggPos::Partial { .. }));
-        assert_eq!(1, merged.counts.len());
+        let ctx = two_table_ctx(OpKind::Join);
+        let mut memo = Memo::new();
+        let mut sc = Scratch::new(&ctx);
+        let l = make_scan(&ctx, &mut memo, 0);
+        let r = make_scan(&ctx, &mut memo, 1);
+        let gl = make_group(&ctx, &mut sc, &mut memo, l);
+        let gr = make_group(&ctx, &mut sc, &mut memo, r);
+        // Both sides grouped: sum(a3) stays where the right side put it,
+        // count(*) stays raw, and both count columns survive, left first.
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], gl, gr).unwrap();
+        let (agg, right) = (memo.plan(j).agg(), memo.plan(gr).agg());
+        assert_eq!(AggPos::Raw, agg.pos[0]);
+        assert_eq!(right.pos[1], agg.pos[1]);
+        assert!(matches!(agg.pos[1], AggPos::Partial { .. }));
+        let scopes: Vec<NodeSet> = agg.counts.iter().map(|&(s, _)| s).collect();
+        assert_eq!(vec![NodeSet::single(0), NodeSet::single(1)], scopes);
+        // A raw side is the identity of the merge: the join shares the
+        // grouped side's state instead of writing a copy.
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, gr).unwrap();
+        let (join, grouped) = (memo.plan(j).cold, memo.plan(gr).cold);
+        assert_eq!(
+            (grouped.agg_pos, grouped.counts),
+            (join.agg_pos, join.counts)
+        );
     }
 
     #[test]
     fn keep_left_drops_right_state() {
-        let mut st = AggState::fresh(1);
-        st.counts.push((NodeSet::single(1), a(61)));
-        st.counts.push((NodeSet::single(0), a(62)));
-        let kept = st.keep_left(NodeSet::single(0));
-        assert_eq!(vec![(NodeSet::single(0), a(62))], kept.counts);
+        // A semijoin's result holds left tuples only: whatever the right
+        // side pre-aggregated vanishes with its attributes.
+        let ctx = two_table_ctx(OpKind::Semi);
+        let mut memo = Memo::new();
+        let mut sc = Scratch::new(&ctx);
+        let l = make_scan(&ctx, &mut memo, 0);
+        let r = make_scan(&ctx, &mut memo, 1);
+        let gl = make_group(&ctx, &mut sc, &mut memo, l);
+        let gr = make_group(&ctx, &mut sc, &mut memo, r);
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, gr).unwrap();
+        assert!(!memo.plan(j).agg().is_grouped());
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], gl, gr).unwrap();
+        assert_eq!(memo.plan(gl).agg(), memo.plan(j).agg());
+        assert_eq!(1, memo.plan(j).agg().counts.len());
     }
 
     #[test]
     fn multiplier_products() {
         let mut st = AggState::fresh(0);
-        assert!(st.multiplier().is_none());
+        assert!(st.as_ref().multiplier().is_none());
         st.counts.push((NodeSet::single(0), a(60)));
-        assert_eq!(Expr::attr(a(60)), st.multiplier().unwrap());
+        assert_eq!(Expr::attr(a(60)), st.as_ref().multiplier().unwrap());
         st.counts.push((NodeSet::single(1), a(61)));
-        let m = st.multiplier().unwrap();
+        let m = st.as_ref().multiplier().unwrap();
         assert_eq!(Expr::attr(a(60)).mul(Expr::attr(a(61))), m);
         // Excluding one scope removes exactly its column.
         assert_eq!(
             Expr::attr(a(61)),
-            st.multiplier_excluding(NodeSet::single(0)).unwrap()
+            st.as_ref()
+                .multiplier_excluding(NodeSet::single(0))
+                .unwrap()
         );
     }
 
@@ -212,7 +233,7 @@ mod aggstate {
             col: a(62),
             scope: NodeSet::single(1),
         };
-        let d = st.padding_defaults(&aggs);
+        let d = st.as_ref().padding_defaults(&aggs);
         assert!(d.contains(&(a(60), Value::Int(1)))); // count column → 1
         assert!(d.contains(&(a(61), Value::Null))); // sum partial → NULL
         assert!(d.contains(&(a(62), Value::Int(0)))); // count partial → 0
@@ -229,7 +250,7 @@ mod plans {
         let s = make_scan(&ctx, &mut memo, 0);
         assert_eq!(100.0, memo[s].card);
         assert_eq!(0.0, memo[s].cost); // scans free under C_out
-        assert!(memo.plan(s).cold.keyinfo.duplicate_free);
+        assert!(memo[s].duplicate_free());
         assert_eq!(0, memo[s].applied);
     }
 
@@ -274,8 +295,8 @@ mod plans {
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
         let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
-        assert!(memo.plan(j).cold.keyinfo.duplicate_free);
-        assert!(memo.plan(j).cold.keyinfo.keys.some_key_within(&[a(3)]));
+        assert!(memo[j].duplicate_free());
+        assert!(memo.plan(j).keys().some_key_within_sorted(&[a(3)]));
         // Raw estimate 100 × 50 × 0.1 = 500; the key {a3} bounds it at
         // d(a3) = 50.
         assert_eq!(50.0, memo[j].card);
@@ -291,7 +312,7 @@ mod plans {
         let g = make_group(&ctx, &mut sc, &mut memo, l);
         // G⁺({0}) = {a1} with 10 distinct values.
         assert_eq!(10.0, memo[g].card);
-        assert!(memo.plan(g).cold.keyinfo.duplicate_free);
+        assert!(memo[g].duplicate_free());
         assert!(memo[g].has_grouping());
         // Grouping the small side: G⁺({1}) = {a2} with 25 distinct values.
         let r = make_scan(&ctx, &mut memo, 1);
@@ -308,12 +329,10 @@ mod plans {
         let r = make_scan(&ctx, &mut memo, 1);
         let g = make_group(&ctx, &mut sc, &mut memo, r);
         // sum(a3) is partialed; count(*) stays raw (derived from counts).
-        assert!(matches!(
-            memo.plan(g).cold.agg.pos[1],
-            AggPos::Partial { .. }
-        ));
-        assert_eq!(AggPos::Raw, memo.plan(g).cold.agg.pos[0]);
-        assert_eq!(1, memo.plan(g).cold.agg.counts.len());
+        let agg = memo.plan(g).agg();
+        assert!(matches!(agg.pos[1], AggPos::Partial { .. }));
+        assert_eq!(AggPos::Raw, agg.pos[0]);
+        assert_eq!(1, agg.counts.len());
     }
 
     #[test]

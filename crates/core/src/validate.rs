@@ -40,12 +40,13 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
     if !hot.card.is_finite() || hot.card < 0.0 {
         return Err(format!("plan {id:?} has invalid cardinality {}", hot.card));
     }
-    match &plan.cold.node {
+    match plan.cold.node {
         PlanNode::Scan { table } => {
-            if *table >= ctx.query.table_count() {
+            let table = table as usize;
+            if table >= ctx.query.table_count() {
                 return Err(format!("scan of unknown table occurrence {table}"));
             }
-            if hot.set != NodeSet::single(*table) {
+            if hot.set != NodeSet::single(table) {
                 return Err(format!("scan of table {table} covers set {}", hot.set));
             }
             if hot.applied != 0 {
@@ -63,9 +64,9 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             right,
             ..
         } => {
-            validate_subplan(ctx, store, *left)?;
-            validate_subplan(ctx, store, *right)?;
-            let (l, r) = (&store[*left], &store[*right]);
+            validate_subplan(ctx, store, left)?;
+            validate_subplan(ctx, store, right)?;
+            let (l, r) = (&store[left], &store[right]);
             if !l.set.is_disjoint(r.set) {
                 return Err(format!(
                     "apply joins overlapping inputs {} and {}",
@@ -93,7 +94,7 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                 let info = &ctx.cq.ops[idx];
                 if info.op != OpKind::Join {
                     primaries += 1;
-                    if info.op != *op {
+                    if info.op != op {
                         return Err(format!(
                             "operator {idx} ({}) applied under a {op} node",
                             info.op
@@ -120,20 +121,19 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             if primaries > 1 {
                 return Err("multiple non-inner operators merged at one cut".into());
             }
-            if *op != OpKind::Join && here.count_ones() > 1 {
+            if op != OpKind::Join && here.count_ones() > 1 {
                 return Err(format!("extra operators merged into a {op} application"));
             }
-            if *op == OpKind::GroupJoin && r.has_grouping() {
+            if op == OpKind::GroupJoin && r.has_grouping() {
                 return Err("groupjoin applied to a pre-aggregated right input".into());
             }
-            for &a in &pred.left_attrs() {
-                if !store.plan(*left).cold.visible.contains(&a) {
+            let (lvisible, rvisible) = (store.plan(left).visible(), store.plan(right).visible());
+            for &(a, _, b) in pred.of(&plan.lanes.terms) {
+                if !lvisible.contains(&a) {
                     return Err(format!("predicate attribute {a} not visible on the left"));
                 }
-            }
-            for &a in &pred.right_attrs() {
-                if !store.plan(*right).cold.visible.contains(&a) {
-                    return Err(format!("predicate attribute {a} not visible on the right"));
+                if !rvisible.contains(&b) {
+                    return Err(format!("predicate attribute {b} not visible on the right"));
                 }
             }
             if hot.has_grouping() != (l.has_grouping() || r.has_grouping()) {
@@ -148,8 +148,8 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             Ok(())
         }
         PlanNode::Group { attrs, input, .. } => {
-            validate_subplan(ctx, store, *input)?;
-            let inp = &store[*input];
+            validate_subplan(ctx, store, input)?;
+            let inp = &store[input];
             if inp.is_group() {
                 return Err("grouping stacked directly on a grouping".into());
             }
@@ -168,7 +168,8 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                     hot.set
                 ));
             }
-            if *attrs != ctx.compute_gplus(hot.set) {
+            let attrs = attrs.of(&plan.lanes.attrs);
+            if attrs != ctx.compute_gplus(hot.set) {
                 return Err(format!(
                     "grouping attributes {attrs:?} differ from G⁺({})",
                     hot.set
@@ -215,7 +216,7 @@ pub fn validate_complete_plan(ctx: &OptContext, store: &Memo, id: PlanId) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::{Memo, MemoPlan, PlanNode};
+    use crate::memo::{Memo, PlanCold, PlanHot, PlanNode};
     use crate::plan::{make_apply, make_scan};
     use crate::Scratch;
     use dpnext_algebra::{AttrGen, AttrId, JoinPred};
@@ -261,11 +262,11 @@ mod tests {
         let r = make_scan(&ctx, &mut memo, 1);
         let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
         // Corrupt the tree: the right child now covers relation 0 too.
-        let mut bogus = memo.plan(j).to_plan();
+        let mut bogus = *memo.plan(j).cold;
         if let PlanNode::Apply { right, .. } = &mut bogus.node {
             *right = l;
         }
-        let id = memo.push(bogus);
+        let id = memo.push_row(memo[j], bogus);
         let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
         assert!(err.contains("overlapping"), "{err}");
     }
@@ -278,9 +279,9 @@ mod tests {
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
         let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
-        let mut bogus = memo.plan(j).to_plan();
+        let mut bogus = memo[j];
         bogus.applied = 0;
-        let id = memo.push(bogus);
+        let id = memo.push_row(bogus, *memo.plan(j).cold);
         // The apply node no longer applies anything at its cut.
         let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
         assert!(err.contains("applies no operator"), "{err}");
@@ -292,18 +293,24 @@ mod tests {
         let mut memo = Memo::new();
         let l = make_scan(&ctx, &mut memo, 0);
         // A hand-rolled grouping with the wrong grouping attributes.
-        let scan = memo.plan(l).to_plan();
-        let bogus = MemoPlan {
+        let scan = memo[l];
+        let hot = PlanHot::new(
+            scan.set,
+            scan.card,
+            scan.cost + scan.card,
+            scan.applied,
+            true,
+            true,
+            true,
+        );
+        let cold = PlanCold {
             node: PlanNode::Group {
-                attrs: vec![a(3)],
-                aggs: vec![],
+                attrs: memo.lanes.push_attrs(&[a(3)]),
                 input: l,
             },
-            has_grouping: true,
-            cost: scan.cost + scan.card,
-            ..scan
+            ..*memo.plan(l).cold
         };
-        let id = memo.push(bogus);
+        let id = memo.push_row(hot, cold);
         let err = validate_subplan(&ctx, &memo, id).unwrap_err();
         assert!(err.contains("differ from G⁺"), "{err}");
     }
@@ -319,11 +326,11 @@ mod tests {
         // Swap the children: the inner join is commutative, so the TES
         // check passes both ways — but the predicate attribute visibility
         // flags the swap (left attrs now come from the right child).
-        let mut bogus = memo.plan(j).to_plan();
+        let mut bogus = *memo.plan(j).cold;
         if let PlanNode::Apply { left, right, .. } = &mut bogus.node {
             std::mem::swap(left, right);
         }
-        let id = memo.push(bogus);
+        let id = memo.push_row(memo[j], bogus);
         assert!(validate_complete_plan(&ctx, &memo, id).is_err());
     }
 }

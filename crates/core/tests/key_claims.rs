@@ -20,7 +20,7 @@ fn claimed_keys_hold_on_executed_results() {
             for &id in &plans {
                 let plan = memo.plan(id);
                 let rel = compile(&ctx, &memo, id).eval(&db);
-                if plan.cold.keyinfo.duplicate_free {
+                if plan.hot.duplicate_free() {
                     assert!(
                         rel.is_duplicate_free(),
                         "plan claims duplicate-freeness but result has duplicates \
@@ -28,11 +28,11 @@ fn claimed_keys_hold_on_executed_results() {
                         compile(&ctx, &memo, id)
                     );
                 }
-                for key in plan.cold.keyinfo.keys.keys() {
+                for key in plan.keys().iter() {
                     // A key claim additionally requires duplicate-freeness
                     // to be meaningful for NeedsGrouping; check the
                     // combination the optimizer actually relies on.
-                    if !plan.cold.keyinfo.duplicate_free {
+                    if !plan.hot.duplicate_free() {
                         continue;
                     }
                     let proj = dpnext_algebra::ops::project(&rel, key, false);

@@ -8,7 +8,7 @@
 
 use dpnext_core::{
     all_subplans, optimize, optimize_with, Algorithm as A, BudgetedSearch, DominanceKind, Memo,
-    OptContext, OptimizeOptions,
+    OptContext, OptimizeOptions, PlanNode,
 };
 use dpnext_hypergraph::enumerate_ccps;
 use dpnext_query::Query;
@@ -297,21 +297,38 @@ proptest! {
 
     /// Invariant of the split (hot/cold) arena layout: the flag bits the
     /// dominance fast path reads from the 40-byte hot row must be a
-    /// faithful mirror of the cold payload they were derived from, for
-    /// every plan the engine builds — a stale or miscopied flag would
-    /// silently change pruning outcomes without failing any cost golden.
+    /// faithful mirror of the cold row they were derived with, for every
+    /// plan the engine builds — a stale or miscopied flag would silently
+    /// change pruning outcomes without failing any cost golden — and every
+    /// cold row's spans must resolve inside the memo's lanes.
     #[test]
     fn hot_rows_mirror_cold_payload(n in 2usize..=6, seed in 0u64..1_000_000) {
         let query = generate_query(&GenConfig::oracle(n), seed);
         let (_ctx, memo, plans) = all_subplans(&query);
+        prop_assert_eq!(Ok(()), memo.check_invariants());
         for &id in &plans {
             let plan = memo.plan(id);
+            let (is_group, grouped_below) = match plan.cold.node {
+                PlanNode::Scan { .. } => (false, false),
+                PlanNode::Apply { left, right, .. } => {
+                    (false, memo[left].has_grouping() || memo[right].has_grouping())
+                }
+                PlanNode::Group { .. } => (true, true),
+            };
             prop_assert_eq!(
-                plan.hot.duplicate_free(), plan.cold.keyinfo.duplicate_free,
-                "dup-free flag diverges from keyinfo (n={}, seed={})",
+                (plan.hot.is_group(), plan.hot.has_grouping()), (is_group, grouped_below),
+                "grouping flags diverge from the plan tree (n={}, seed={})",
                 n, seed
             );
-            prop_assert_eq!(plan.hot.set, memo[id].set);
+            // Only a grouping below can leave count columns or partials.
+            prop_assert!(
+                grouped_below || !plan.agg().is_grouped(),
+                "count columns without a grouping (n={}, seed={})",
+                n, seed
+            );
+            // A key claim is only ever used together with the dup-free
+            // flag; a grouping's output has both.
+            prop_assert!(!is_group || (plan.hot.duplicate_free() && plan.keys().len() == 1));
         }
     }
 }
@@ -378,4 +395,39 @@ fn pooled_memo_reuse_matches_fresh_stats() {
         // run: capacity stays at the high-water mark of the query set.
         assert!(memo.arena_capacity() > 0);
     }
+}
+
+/// A [`Memo::retaining`] memo is the default memo minus the release: the
+/// same results and statistics as a fresh run, and an outlier's capacity
+/// still there after a stream of small queries — where the default
+/// memo's decaying mark has let it go.
+#[test]
+fn retaining_memo_keeps_capacity_through_small_runs() {
+    let opts = OptimizeOptions::default();
+    let big = generate_query(&GenConfig::paper(6), 42);
+    let small = generate_query(&GenConfig::paper(3), 42);
+    let (mut kept, mut decayed) = (Memo::retaining(), Memo::new());
+    dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut kept);
+    dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut decayed);
+    let (capacity, footprint) = (kept.arena_capacity(), kept.footprint_bytes());
+    assert_eq!(capacity, decayed.arena_capacity());
+    for _ in 0..12 {
+        dpnext_core::optimize_into(&small, A::EaAll, &opts, &mut kept);
+        dpnext_core::optimize_into(&small, A::EaAll, &opts, &mut decayed);
+    }
+    assert_eq!(capacity, kept.arena_capacity());
+    // (A small run may grow a class list the big one left short.)
+    let settled = kept.footprint_bytes();
+    assert!(settled >= footprint);
+    assert!(decayed.arena_capacity() < capacity);
+
+    let fresh = optimize_with(&big, A::EaAll, &opts);
+    let again = dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut kept);
+    assert_eq!(fresh.plan.cost.to_bits(), again.plan.cost.to_bits());
+    assert_eq!(fresh.plans_built, again.plans_built);
+    assert_eq!(fresh.memo.arena_peak, again.memo.arena_peak);
+    assert_eq!(fresh.memo.live_bytes_peak, again.memo.live_bytes_peak);
+    assert_eq!(settled, kept.footprint_bytes(), "the rerun grew nothing");
+    kept.check_invariants()
+        .expect("retaining memo stays consistent");
 }

@@ -51,14 +51,16 @@ pub fn join_card(op: OpKind, lcard: f64, rcard: f64, sel: f64, d_left: f64, d_ri
 /// Estimated number of groups of `Γ_G(e)`: the product of the grouping
 /// attributes' distinct counts, capped by the input cardinality.
 /// `distincts` are the per-attribute counts already capped by their own
-/// relations.
-pub fn grouping_card(input_card: f64, distincts: &[f64]) -> f64 {
-    if distincts.is_empty() {
+/// relations; they are folded as they arrive, so callers pass the mapping
+/// iterator itself instead of collecting it.
+pub fn grouping_card(input_card: f64, distincts: impl IntoIterator<Item = f64>) -> f64 {
+    let mut distincts = distincts.into_iter().peekable();
+    if distincts.peek().is_none() {
         // Γ_∅ produces a single (global) group for non-empty input.
         return input_card.min(1.0);
     }
     let mut groups = 1.0f64;
-    for &d in distincts {
+    for d in distincts {
         groups *= d.max(1.0);
         if groups >= input_card {
             return input_card;
@@ -151,11 +153,11 @@ mod tests {
 
     #[test]
     fn grouping_card_caps() {
-        assert_eq!(10.0, grouping_card(1000.0, &[10.0]));
-        assert_eq!(100.0, grouping_card(1000.0, &[10.0, 10.0]));
-        assert_eq!(1000.0, grouping_card(1000.0, &[100.0, 100.0]));
-        assert_eq!(1.0, grouping_card(1000.0, &[]));
-        assert_eq!(0.0, grouping_card(0.0, &[]));
+        assert_eq!(10.0, grouping_card(1000.0, [10.0]));
+        assert_eq!(100.0, grouping_card(1000.0, [10.0, 10.0]));
+        assert_eq!(1000.0, grouping_card(1000.0, [100.0, 100.0]));
+        assert_eq!(1.0, grouping_card(1000.0, []));
+        assert_eq!(0.0, grouping_card(0.0, []));
     }
 
     #[test]

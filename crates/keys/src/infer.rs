@@ -1,7 +1,7 @@
 //! Bottom-up key propagation through join operators (§2.3) and the
 //! `NeedsGrouping` test (Fig. 7).
 
-use crate::keyset::KeySet;
+use crate::keyset::{KeySet, KeysRef};
 use dpnext_algebra::{AttrId, JoinPred};
 use dpnext_query::OpKind;
 
@@ -30,6 +30,19 @@ impl KeyInfo {
     }
 }
 
+/// Where the key set of a join result comes from (§2.3): two of the
+/// rules hand an input's `κ` through unchanged, so a caller that stores
+/// key sets by reference can share the input's instead of copying it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKeys {
+    /// `κ(e1)`: the left input's keys survive as they are.
+    Left,
+    /// `κ(e2)`: the right input's keys survive as they are.
+    Right,
+    /// A combination of both sides' keys, written to the output buffer.
+    Built,
+}
+
 /// `κ` propagation for a binary operator (§2.3.1–§2.3.4).
 ///
 /// `pred` must be canonicalized (left terms from the left input). Only
@@ -43,85 +56,89 @@ pub fn infer_join_keys(op: OpKind, left: &KeyInfo, right: &KeyInfo, pred: &JoinP
     left_attrs.dedup();
     right_attrs.sort_unstable();
     right_attrs.dedup();
-    infer_join_keys_presorted(op, left, right, equi, &left_attrs, &right_attrs)
-}
-
-/// [`infer_join_keys`] with the predicate pre-digested: `equi` says
-/// whether the predicate is a non-empty conjunction of equalities, and
-/// `left_attrs` / `right_attrs` are its per-side attribute sets, sorted
-/// and deduplicated. The enumeration stages these once per cut
-/// orientation ([`stage_apply`]'s contract) and calls this per plan pair,
-/// so the `A_i is a key` cover tests (§2.3) allocate nothing.
-///
-/// [`stage_apply`]: ../dpnext_core/plan/fn.stage_apply.html
-pub fn infer_join_keys_presorted(
-    op: OpKind,
-    left: &KeyInfo,
-    right: &KeyInfo,
-    equi: bool,
-    left_attrs: &[AttrId],
-    right_attrs: &[AttrId],
-) -> KeyInfo {
-    let l_covers = equi && left.keys.some_key_within_sorted(left_attrs);
-    let r_covers = equi && right.keys.some_key_within_sorted(right_attrs);
-    let dup_free = left.duplicate_free && right.duplicate_free;
-    match op {
-        OpKind::Join => {
-            let keys = match (l_covers, r_covers) {
-                // Both join-attribute sets contain keys: all keys survive.
-                (true, true) => left.keys.union(&right.keys),
-                // A1 key, A2 not: every e2 tuple meets at most one e1 tuple.
-                (true, false) => right.keys.clone(),
-                (false, true) => left.keys.clone(),
-                (false, false) => left.keys.pairwise(&right.keys),
-            };
-            KeyInfo {
-                keys,
-                duplicate_free: dup_free,
-            }
-        }
-        OpKind::LeftOuter => {
-            // If A2 is a key of e2, every e1 tuple appears exactly once.
-            let keys = if r_covers {
-                left.keys.clone()
-            } else {
-                left.keys.pairwise(&right.keys)
-            };
-            KeyInfo {
-                keys,
-                duplicate_free: dup_free,
-            }
-        }
-        OpKind::FullOuter => {
-            // Regardless of the predicate: pairwise combination only.
-            KeyInfo {
-                keys: left.keys.pairwise(&right.keys),
-                duplicate_free: dup_free,
-            }
-        }
-        // Semijoin / antijoin / groupjoin: the right side disappears and
-        // no left tuple is duplicated: κ(e1) (§2.3.4).
-        OpKind::Semi | OpKind::Anti | OpKind::GroupJoin => KeyInfo {
-            keys: left.keys.clone(),
-            duplicate_free: left.duplicate_free,
+    let mut built = KeySet::empty();
+    let source = infer_join_keys_presorted(
+        op,
+        left.keys.as_ref(),
+        right.keys.as_ref(),
+        equi,
+        &left_attrs,
+        &right_attrs,
+        &mut built,
+    );
+    KeyInfo {
+        keys: match source {
+            JoinKeys::Left => left.keys.clone(),
+            JoinKeys::Right => right.keys.clone(),
+            JoinKeys::Built => built,
         },
+        duplicate_free: join_duplicate_free(op, left.duplicate_free, right.duplicate_free),
     }
 }
 
-/// Keys after `Γ_{G;F}`: the grouping attributes form a key and the result
-/// is duplicate-free.
-pub fn grouping_keys(group_attrs: &[AttrId]) -> KeyInfo {
-    KeyInfo {
-        keys: KeySet::from_keys([group_attrs.to_vec()]),
-        duplicate_free: true,
+/// Duplicate-freeness of `left op right`: semijoin / antijoin / groupjoin
+/// emit each left tuple at most once, every other operator needs both
+/// inputs duplicate-free.
+#[inline]
+pub fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
+    match op {
+        OpKind::Join | OpKind::LeftOuter | OpKind::FullOuter => left && right,
+        OpKind::Semi | OpKind::Anti | OpKind::GroupJoin => left,
+    }
+}
+
+/// [`infer_join_keys`] with the predicate pre-digested and the key sets
+/// borrowed: `equi` says whether the predicate is a non-empty conjunction
+/// of equalities, and `left_attrs` / `right_attrs` are its per-side
+/// attribute sets, sorted and deduplicated. The enumeration stages these
+/// once per cut orientation ([`stage_apply`]'s contract) and calls this per
+/// plan pair. A combined key set is written to `built` (cleared first, its
+/// allocation reused); when an input's keys survive unchanged `built` is
+/// not touched and the result names the input.
+///
+/// [`stage_apply`]: ../dpnext_core/plan/fn.stage_apply.html
+#[inline]
+pub fn infer_join_keys_presorted(
+    op: OpKind,
+    left: KeysRef<'_>,
+    right: KeysRef<'_>,
+    equi: bool,
+    left_attrs: &[AttrId],
+    right_attrs: &[AttrId],
+    built: &mut KeySet,
+) -> JoinKeys {
+    let l_covers = equi && left.some_key_within_sorted(left_attrs);
+    let r_covers = equi && right.some_key_within_sorted(right_attrs);
+    match (op, l_covers, r_covers) {
+        // Both join-attribute sets contain keys: all keys survive.
+        (OpKind::Join, true, true) => {
+            built.assign_union(left, right);
+            JoinKeys::Built
+        }
+        // A1 key, A2 not: every e2 tuple meets at most one e1 tuple.
+        (OpKind::Join, true, false) => JoinKeys::Right,
+        // If A2 is a key of e2, every e1 tuple appears exactly once.
+        (OpKind::Join | OpKind::LeftOuter, _, true) => JoinKeys::Left,
+        // The general rule — and the full outerjoin's only one,
+        // regardless of the predicate: pairwise combination.
+        (OpKind::Join | OpKind::LeftOuter | OpKind::FullOuter, _, _) => {
+            built.assign_pairwise(left, right);
+            JoinKeys::Built
+        }
+        // Semijoin / antijoin / groupjoin: the right side disappears and
+        // no left tuple is duplicated: κ(e1) (§2.3.4).
+        (OpKind::Semi | OpKind::Anti | OpKind::GroupJoin, _, _) => JoinKeys::Left,
     }
 }
 
 /// `NeedsGrouping(G, T)` (Fig. 7): grouping on `G` is needed unless some
 /// key of `T` is contained in `G` *and* `T` is duplicate-free — then every
-/// group holds exactly one tuple (§3.2).
-pub fn needs_grouping(group_attrs: &[AttrId], info: &KeyInfo) -> bool {
-    !(info.duplicate_free && info.keys.some_key_within(group_attrs))
+/// group holds exactly one tuple (§3.2). `group_attrs` must be sorted and
+/// deduplicated (`G⁺(S)` is by construction; the optimizer sorts the
+/// query's `G` once per run).
+#[inline]
+pub fn needs_grouping(group_attrs: &[AttrId], duplicate_free: bool, keys: KeysRef<'_>) -> bool {
+    !(duplicate_free && keys.some_key_within_sorted(group_attrs))
 }
 
 #[cfg(test)]
@@ -208,16 +225,25 @@ mod tests {
 
     #[test]
     fn needs_grouping_tests() {
-        let info = grouping_keys(&[a(0), a(1)]);
+        // After `Γ_{a0,a1}`: the grouping attributes form a key, no duplicates.
+        let info = KeyInfo::base(KeySet::from_keys([vec![a(0), a(1)]]));
         // G contains the key {a0,a1}: no grouping needed.
-        assert!(!needs_grouping(&[a(0), a(1), a(2)], &info));
+        assert!(!needs_grouping(
+            &[a(0), a(1), a(2)],
+            true,
+            info.keys.as_ref()
+        ));
         // G misses part of the key.
-        assert!(needs_grouping(&[a(0)], &info));
+        assert!(needs_grouping(&[a(0)], true, info.keys.as_ref()));
         // Duplicates possible: grouping needed even if key within G.
         let dup = KeyInfo {
             keys: KeySet::from_keys([vec![a(0)]]),
             duplicate_free: false,
         };
-        assert!(needs_grouping(&[a(0)], &dup));
+        assert!(needs_grouping(
+            &[a(0)],
+            dup.duplicate_free,
+            dup.keys.as_ref()
+        ));
     }
 }

@@ -1,9 +1,64 @@
 //! Candidate key sets `κ(e)` and their propagation rules (§2.3).
+//!
+//! A key set is stored **flat**: one attribute vector holding every key
+//! back to back plus one [`Span`] per key. The owned form is [`KeySet`];
+//! [`KeysRef`] is the borrowed view every read-only operation runs on, so
+//! the same code serves an owned set and a window into somebody else's
+//! lanes (the optimizer's memo keeps the keys of all its plans in two
+//! shared vectors). Building a derived key set reuses a caller-supplied
+//! `KeySet` as the output buffer — no allocation once it has grown.
 
 use dpnext_algebra::AttrId;
+use std::ops::Range;
 
 /// A candidate key: a sorted set of attributes.
 pub type Key = Vec<AttrId>;
+
+/// A `(start, len)` window into an append-only vector ("lane").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    /// Index of the first element.
+    pub start: u32,
+    /// Number of elements.
+    pub len: u32,
+}
+
+impl Span {
+    /// The window `[start, start + len)`; panics when it does not fit `u32`.
+    #[inline]
+    pub fn new(start: usize, len: usize) -> Span {
+        // `end` fitting implies both fields fit.
+        u32::try_from(start + len).expect("lane overflows u32");
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+
+    /// The index range this span covers.
+    #[inline]
+    pub fn range(self) -> Range<usize> {
+        self.start as usize..self.end()
+    }
+
+    /// One past the last index covered.
+    #[inline]
+    pub fn end(self) -> usize {
+        self.start as usize + self.len as usize
+    }
+
+    /// Whether the span covers nothing.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The elements of `lane` this span covers.
+    #[inline]
+    pub fn of<T>(self, lane: &[T]) -> &[T] {
+        &lane[self.range()]
+    }
+}
 
 fn normalize(mut k: Key) -> Key {
     k.sort_unstable();
@@ -28,14 +83,83 @@ fn is_subset(a: &[AttrId], b: &[AttrId]) -> bool {
     true
 }
 
-/// A set of candidate keys, kept minimal (no key is a superset of another).
+/// A borrowed key set: `spans[i]` delimits key `i` inside `attrs`. `Copy`,
+/// two slices wide.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeysRef<'a> {
+    spans: &'a [Span],
+    attrs: &'a [AttrId],
+}
+
+impl<'a> KeysRef<'a> {
+    /// View the keys `spans` delimit inside `attrs`. Every key must be
+    /// sorted and deduplicated and the set minimal — what [`KeySet`]
+    /// maintains and what a copy of its keys preserves.
+    #[inline]
+    pub fn new(spans: &'a [Span], attrs: &'a [AttrId]) -> KeysRef<'a> {
+        KeysRef { spans, attrs }
+    }
+
+    /// Number of keys.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.spans.len()
+    }
+
+    /// No key known.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The keys, in insertion order.
+    #[inline]
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a [AttrId]> + Clone {
+        self.spans.iter().map(move |s| s.of(self.attrs))
+    }
+
+    /// Is there a key contained in `attrs`? (`∃k ∈ κ(T), k ⊆ G` — the
+    /// test of `NeedsGrouping`, Fig. 7.) `attrs` must be sorted and
+    /// deduplicated; the enumeration normalizes a cut's join attributes
+    /// and every `G⁺(S)` once and runs this per plan pair.
+    pub fn some_key_within_sorted(self, attrs: &[AttrId]) -> bool {
+        debug_assert!(
+            attrs.windows(2).all(|w| w[0] < w[1]),
+            "attrs not normalized"
+        );
+        self.iter().any(|k| is_subset(k, attrs))
+    }
+
+    /// Key-set implication: every key of `other` is implied by (a subset
+    /// key in) `self`. Used as the practical weakening of the
+    /// `FD⁺(T1) ⊇ FD⁺(T2)` dominance condition (§4.6).
+    pub fn implies(self, other: KeysRef<'_>) -> bool {
+        other
+            .iter()
+            .all(|ko| self.iter().any(|ks| is_subset(ks, ko)))
+    }
+}
+
+/// An owned set of candidate keys, kept minimal (no key is a superset of
+/// another).
 ///
 /// `κ` is a set of sets; an empty `KeySet` means *no key known* — every
 /// rule below degrades gracefully to that.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct KeySet {
-    keys: Vec<Key>,
+    spans: Vec<Span>,
+    /// Key attributes back to back. An evicted key leaves its attributes
+    /// behind as a hole; [`KeySet::clear`] reclaims them.
+    attrs: Vec<AttrId>,
 }
+
+impl PartialEq for KeySet {
+    fn eq(&self, other: &KeySet) -> bool {
+        self.keys().eq(other.keys())
+    }
+}
+
+impl Eq for KeySet {}
 
 impl KeySet {
     pub fn empty() -> Self {
@@ -50,74 +174,114 @@ impl KeySet {
         s
     }
 
+    /// Forget every key, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.spans.clear();
+        self.attrs.clear();
+    }
+
     /// Insert a key, maintaining minimality.
     pub fn insert(&mut self, key: Key) {
-        let key = normalize(key);
-        if self.keys.iter().any(|k| is_subset(k, &key)) {
-            return; // an existing key already implies it
+        self.insert_sorted(&normalize(key));
+    }
+
+    /// [`Self::insert`] for a key that is already sorted and deduplicated.
+    pub fn insert_sorted(&mut self, key: &[AttrId]) {
+        debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "key not normalized");
+        let start = self.attrs.len();
+        self.attrs.extend_from_slice(key);
+        self.admit_tail(start);
+    }
+
+    /// Insert `k1 ∪ k2` (both sorted and deduplicated).
+    fn insert_union(&mut self, k1: &[AttrId], k2: &[AttrId]) {
+        let start = self.attrs.len();
+        let (mut i, mut j) = (0, 0);
+        while i < k1.len() && j < k2.len() {
+            let (x, y) = (k1[i], k2[j]);
+            self.attrs.push(x.min(y));
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
         }
-        self.keys.retain(|k| !is_subset(&key, k));
-        self.keys.push(key);
+        self.attrs.extend_from_slice(&k1[i..]);
+        self.attrs.extend_from_slice(&k2[j..]);
+        self.admit_tail(start);
+    }
+
+    /// Make the candidate key `attrs[start..]` a member, or drop it when
+    /// an existing key already implies it.
+    fn admit_tail(&mut self, start: usize) {
+        let (held, candidate) = self.attrs.split_at(start);
+        if self.spans.iter().any(|s| is_subset(s.of(held), candidate)) {
+            self.attrs.truncate(start);
+            return;
+        }
+        self.spans.retain(|s| !is_subset(candidate, s.of(held)));
+        self.spans.push(Span::new(start, candidate.len()));
+    }
+
+    /// The borrowed view all read-only operations run on.
+    #[inline]
+    pub fn as_ref(&self) -> KeysRef<'_> {
+        KeysRef::new(&self.spans, &self.attrs)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.spans.is_empty()
     }
 
-    pub fn keys(&self) -> &[Key] {
-        &self.keys
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.spans.len()
     }
 
-    /// Is there a key contained in `attrs`? (`∃k ∈ κ(T), k ⊆ G` —
-    /// the test of `NeedsGrouping`, Fig. 7.)
+    /// The keys, in insertion order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &[AttrId]> + Clone {
+        self.as_ref().iter()
+    }
+
+    /// [`KeysRef::some_key_within_sorted`] for unnormalized `attrs`.
     pub fn some_key_within(&self, attrs: &[AttrId]) -> bool {
-        let attrs = normalize(attrs.to_vec());
-        self.some_key_within_sorted(&attrs)
+        self.as_ref()
+            .some_key_within_sorted(&normalize(attrs.to_vec()))
     }
 
-    /// [`Self::some_key_within`] for callers that already hold `attrs`
-    /// sorted and deduplicated: no allocation, no re-sort. The enumeration
-    /// hot path normalizes a cut's join attributes once per staging and
-    /// runs this per plan pair.
-    pub fn some_key_within_sorted(&self, attrs: &[AttrId]) -> bool {
-        debug_assert!(
-            attrs.windows(2).all(|w| w[0] < w[1]),
-            "attrs not normalized"
-        );
-        self.keys.iter().any(|k| is_subset(k, attrs))
-    }
-
-    /// Key-set implication: every key of `other` is implied by (a subset
-    /// key in) `self`. Used as the practical weakening of the
-    /// `FD⁺(T1) ⊇ FD⁺(T2)` dominance condition (§4.6).
+    /// See [`KeysRef::implies`].
     pub fn implies(&self, other: &KeySet) -> bool {
-        other
-            .keys
-            .iter()
-            .all(|ko| self.keys.iter().any(|ks| is_subset(ks, ko)))
+        self.as_ref().implies(other.as_ref())
     }
 
-    /// `κ(e1) ∪ κ(e2)`: every key of either side stays a key
+    /// Become `κ(e1) ∪ κ(e2)`: every key of either side stays a key
     /// (inner equi-join where both sides' join attributes contain keys).
-    pub fn union(&self, other: &KeySet) -> KeySet {
-        let mut out = self.clone();
-        for k in &other.keys {
-            out.insert(k.clone());
+    pub fn assign_union(&mut self, left: KeysRef<'_>, right: KeysRef<'_>) {
+        self.clear();
+        for k in left.iter().chain(right.iter()) {
+            self.insert_sorted(k);
         }
+    }
+
+    /// Become `⋃_{k1,k2} k1 ∪ k2`: pairwise key combination (the general
+    /// join rule). Empty if either side has no keys.
+    pub fn assign_pairwise(&mut self, left: KeysRef<'_>, right: KeysRef<'_>) {
+        self.clear();
+        for k1 in left.iter() {
+            for k2 in right.iter() {
+                self.insert_union(k1, k2);
+            }
+        }
+    }
+
+    /// [`Self::assign_union`] into a new set.
+    pub fn union(&self, other: &KeySet) -> KeySet {
+        let mut out = KeySet::empty();
+        out.assign_union(self.as_ref(), other.as_ref());
         out
     }
 
-    /// `⋃_{k1,k2} k1 ∪ k2`: pairwise key combination (the general join
-    /// rule). Empty if either side has no keys.
+    /// [`Self::assign_pairwise`] into a new set.
     pub fn pairwise(&self, other: &KeySet) -> KeySet {
         let mut out = KeySet::empty();
-        for k1 in &self.keys {
-            for k2 in &other.keys {
-                let mut k = k1.clone();
-                k.extend_from_slice(k2);
-                out.insert(k);
-            }
-        }
+        out.assign_pairwise(self.as_ref(), other.as_ref());
         out
     }
 
@@ -125,7 +289,11 @@ impl KeySet {
     /// (used when projections drop columns).
     pub fn restrict_to(&self, attrs: &[AttrId]) -> KeySet {
         let attrs = normalize(attrs.to_vec());
-        KeySet::from_keys(self.keys.iter().filter(|k| is_subset(k, &attrs)).cloned())
+        let mut out = KeySet::empty();
+        for k in self.keys().filter(|k| is_subset(k, &attrs)) {
+            out.insert_sorted(k);
+        }
+        out
     }
 }
 
@@ -142,10 +310,10 @@ mod tests {
         let mut s = KeySet::empty();
         s.insert(vec![a(0), a(1)]);
         s.insert(vec![a(0)]); // subsumes the first
-        assert_eq!(1, s.keys().len());
-        assert_eq!(vec![a(0)], s.keys()[0]);
+        assert_eq!(1, s.len());
+        assert_eq!(Some(&[a(0)][..]), s.keys().next());
         s.insert(vec![a(0), a(2)]); // already implied
-        assert_eq!(1, s.keys().len());
+        assert_eq!(1, s.len());
     }
 
     #[test]
@@ -161,7 +329,7 @@ mod tests {
         let l = KeySet::from_keys([vec![a(0)]]);
         let r = KeySet::from_keys([vec![a(1)], vec![a(2)]]);
         let p = l.pairwise(&r);
-        assert_eq!(2, p.keys().len());
+        assert_eq!(2, p.len());
         assert!(p.some_key_within(&[a(0), a(1)]));
         assert!(p.some_key_within(&[a(0), a(2)]));
         assert!(l.pairwise(&KeySet::empty()).is_empty());
@@ -182,7 +350,7 @@ mod tests {
     fn restriction() {
         let s = KeySet::from_keys([vec![a(0)], vec![a(1), a(2)]]);
         let r = s.restrict_to(&[a(1), a(2), a(3)]);
-        assert_eq!(1, r.keys().len());
+        assert_eq!(1, r.len());
         assert!(r.some_key_within(&[a(1), a(2)]));
     }
 
@@ -193,5 +361,33 @@ mod tests {
         let u = l.union(&r);
         assert!(u.some_key_within(&[a(0)]));
         assert!(u.some_key_within(&[a(1)]));
+    }
+
+    #[test]
+    fn flat_storage_matches_key_by_key_semantics() {
+        // Unsorted, duplicated input is normalized.
+        let mut s = KeySet::empty();
+        s.insert(vec![a(3), a(1), a(3), a(2)]);
+        assert_eq!(vec![&[a(1), a(2), a(3)][..]], s.keys().collect::<Vec<_>>());
+        // Evicting a key leaves a hole in the storage, not in the set:
+        // equality and iteration see keys only.
+        s.insert(vec![a(2)]);
+        assert_eq!(KeySet::from_keys([vec![a(2)]]), s);
+        // Pairwise combination merges sorted keys without duplicates and
+        // keeps the result minimal.
+        let l = KeySet::from_keys([vec![a(0), a(2)], vec![a(5)]]);
+        let r = KeySet::from_keys([vec![a(2), a(4)], vec![a(5)]]);
+        let p = l.pairwise(&r);
+        assert_eq!(
+            vec![&[a(0), a(2), a(4)][..], &[a(5)][..]],
+            p.keys().collect::<Vec<_>>()
+        );
+        // A borrowed view over foreign storage behaves like the owned set.
+        let attrs = [a(9), a(0), a(2), a(4), a(5)];
+        let spans = [Span::new(1, 3), Span::new(4, 1)];
+        let view = KeysRef::new(&spans, &attrs);
+        assert!(view.implies(p.as_ref()) && p.as_ref().implies(view));
+        assert!(view.some_key_within_sorted(&[a(1), a(5)]));
+        assert!(!view.some_key_within_sorted(&[a(0), a(2)]));
     }
 }

@@ -10,6 +10,7 @@ pub mod keyset;
 
 pub use fd::{Fd, FdSet};
 pub use infer::{
-    grouping_keys, infer_join_keys, infer_join_keys_presorted, needs_grouping, KeyInfo,
+    infer_join_keys, infer_join_keys_presorted, join_duplicate_free, needs_grouping, JoinKeys,
+    KeyInfo,
 };
-pub use keyset::{Key, KeySet};
+pub use keyset::{Key, KeySet, KeysRef, Span};

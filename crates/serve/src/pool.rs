@@ -429,7 +429,7 @@ mod tests {
             opt.optimize_pooled(&q, &mut memo);
             // Corrupt the memo: the classes now reference plans past the
             // arena end, exactly the half-reset shape check-in must catch.
-            memo.truncate(0);
+            memo.truncate(dpnext::Memo::new().mark());
         } // drop -> park -> validation (panics in debug builds)
         let stats = pool.stats();
         assert_eq!(1, stats.rejected_invalid);

@@ -15,12 +15,11 @@
 //! ```
 
 use dpnext_catalog::{tpch_catalog, Catalog};
-use dpnext_core::{
-    optimize_into, optimize_with, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized,
-};
+use dpnext_core::{optimize_into, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
-use std::sync::{Arc, OnceLock};
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Builder-style facade over the whole workspace: pick an algorithm, tune
@@ -36,6 +35,15 @@ use std::time::Duration;
 /// `Send + Sync`) — the property the `dpnext-serve` service layer builds
 /// on. Binding SQL does not mutate the catalog: the same text against
 /// the same catalog always binds to bit-identical attribute ids.
+///
+/// [`Optimizer::optimize`] and the `optimize_sql*` calls run in a scratch
+/// memo the optimizer parks between calls (one per concurrent caller), so
+/// a request finds the arena and lanes at the capacity the largest earlier
+/// request grew them to: it takes no page fault for memo growth and costs
+/// the same whichever request ran before it. The scratch holds at most
+/// twice the memo footprint of the largest query this optimizer has run
+/// and goes when the optimizer is dropped; a clone starts with none.
+/// Callers that manage memos themselves use [`Optimizer::optimize_pooled`].
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     algorithm: Algorithm,
@@ -46,6 +54,30 @@ pub struct Optimizer {
     memory_budget: u64,
     fault_unit_delay: Option<Duration>,
     catalog: OnceLock<Arc<Catalog>>,
+    scratch: Scratch,
+}
+
+/// The memos parked between [`Optimizer::optimize`] calls.
+#[derive(Default)]
+struct Scratch(Mutex<Vec<Memo>>);
+
+impl Scratch {
+    fn parked(&self) -> std::sync::MutexGuard<'_, Vec<Memo>> {
+        // A memo is only ever pushed or popped whole: nothing to repair.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
+}
+
+impl fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Scratch({} parked)", self.parked().len())
+    }
 }
 
 impl Optimizer {
@@ -61,6 +93,7 @@ impl Optimizer {
             memory_budget: 0,
             fault_unit_delay: None,
             catalog: OnceLock::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -166,21 +199,15 @@ impl Optimizer {
         self.catalog.get_or_init(|| Arc::new(tpch_catalog()))
     }
 
-    /// Optimize an already-constructed [`Query`].
+    /// Optimize an already-constructed [`Query`], in this optimizer's
+    /// scratch memo (see the type's documentation).
     pub fn optimize(&self, query: &Query) -> Optimized {
-        let opts = self.options();
-        match self.algorithm {
-            // The budgeted ladder lives above dpnext-core (see the crate
-            // layering note on `Algorithm::Adaptive`), so the facade is
-            // the dispatch point. Deadline- and memory-budget-bearing
-            // requests also route here: only the ladder can abort
-            // mid-enumeration.
-            Algorithm::Adaptive => dpnext_adaptive::optimize_adaptive(query, &opts),
-            _ if self.deadline.is_some() || self.memory_budget != 0 => {
-                dpnext_adaptive::optimize_adaptive(query, &opts)
-            }
-            algo => optimize_with(query, algo, &opts),
-        }
+        let parked = self.scratch.parked().pop();
+        let mut memo = parked.unwrap_or_else(Memo::retaining);
+        // A panicking run unwinds past the push: its memo is dropped.
+        let optimized = self.optimize_pooled(query, &mut memo);
+        self.scratch.parked().push(memo);
+        optimized
     }
 
     /// Full pipeline from SQL text: parse, bind, optimize.
@@ -199,21 +226,22 @@ impl Optimizer {
 
     /// [`Optimizer::optimize`] running inside a caller-supplied [`Memo`]
     /// (see [`dpnext_core::optimize_into`]): results and statistics are
-    /// bit-identical to a fresh run, only the arena allocation is reused.
-    ///
-    /// [`Algorithm::Adaptive`] manages its own memos inside the budget
-    /// ladder, so for that variant the supplied memo is reset but left
-    /// empty and the call behaves exactly like [`Optimizer::optimize`].
+    /// bit-identical to a fresh run, only the memo's allocations are
+    /// reused — for every algorithm, the adaptive ladder included, so a
+    /// pooled memo is the one the request actually ran in.
     pub fn optimize_pooled(&self, query: &Query, memo: &mut Memo) -> Optimized {
         let opts = self.options();
         match self.algorithm {
-            Algorithm::Adaptive => {
-                memo.reset();
-                dpnext_adaptive::optimize_adaptive(query, &opts)
-            }
-            _ if self.deadline.is_some() || self.memory_budget != 0 => {
-                memo.reset();
-                dpnext_adaptive::optimize_adaptive(query, &opts)
+            // The budgeted ladder lives above dpnext-core (see the crate
+            // layering note on `Algorithm::Adaptive`), so the facade is
+            // the dispatch point. Deadline- and memory-budget-bearing
+            // requests also route here: only the ladder can abort
+            // mid-enumeration.
+            algo if algo == Algorithm::Adaptive
+                || self.deadline.is_some()
+                || self.memory_budget != 0 =>
+            {
+                dpnext_adaptive::optimize_adaptive_into(query, &opts, memo)
             }
             algo => optimize_into(query, algo, &opts, memo),
         }

@@ -3,7 +3,7 @@
 //! plan generation → compilation → execution.
 
 use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights};
-use dpnext::{Algorithm, DominanceKind, Optimized, Optimizer};
+use dpnext::{Algorithm, DominanceKind, Memo, Optimized, Optimizer};
 use dpnext_query::Query;
 
 /// The workspace tests route through the `Optimizer` facade.
@@ -179,6 +179,33 @@ fn optimizer_facade_builder_knobs() {
         .optimize(&query);
     assert!(cost_only.retained_plans <= full.retained_plans);
     assert!(!full.explain.is_empty());
+}
+
+#[test]
+fn optimizer_scratch_memo_changes_no_result() {
+    // A big query, a small one, the big one again: the parked memo has
+    // served a different query, and a larger one, before each rerun.
+    let queries = [
+        generate_query(&GenConfig::paper(6), 42),
+        generate_query(&GenConfig::paper(3), 42),
+        generate_query(&GenConfig::paper(6), 42),
+    ];
+    for algo in [Algorithm::EaAll, Algorithm::EaPrune, Algorithm::Adaptive] {
+        let opt = Optimizer::new(algo);
+        assert!(format!("{opt:?}").contains("Scratch(0 parked)"));
+        for query in &queries {
+            let parked = opt.optimize(query);
+            let fresh = opt.optimize_pooled(query, &mut Memo::new());
+            assert_eq!(fresh.plan.cost.to_bits(), parked.plan.cost.to_bits());
+            assert_eq!(fresh.plans_built, parked.plans_built);
+            assert_eq!(fresh.retained_plans, parked.retained_plans);
+            assert_eq!(fresh.memo, parked.memo);
+            assert_eq!(fresh.explain, parked.explain);
+        }
+        // One caller, one memo; it belongs to this optimizer alone.
+        assert!(format!("{opt:?}").contains("Scratch(1 parked)"));
+        assert!(format!("{:?}", opt.clone()).contains("Scratch(0 parked)"));
+    }
 }
 
 #[test]
