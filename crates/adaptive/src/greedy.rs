@@ -50,7 +50,7 @@ pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyO
         })
         .collect();
     let mut apps: Vec<(usize, bool)> = Vec::new();
-    while comps.len() > 1 && !search.exhausted() {
+    while comps.len() > 1 && search.exhausted().is_none() {
         // The applicable pair with the smallest estimated join result.
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..comps.len() {
@@ -81,7 +81,7 @@ pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyO
         comps[i].set = union;
         comps[i].order.extend(jorder);
     }
-    if comps.len() == 1 && search.has_best() {
+    if comps.len() == 1 && search.best_cost().is_some() {
         return GreedyOutcome {
             order: std::mem::take(&mut comps[0].order),
             fell_back: false,

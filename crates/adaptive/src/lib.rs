@@ -6,46 +6,39 @@
 //! switch to greedy/linearized construction under an enumeration budget.
 //!
 //! [`optimize_adaptive`] runs a three-rung ladder on one shared
-//! [`BudgetedSearch`] (one memo, one plan counter, one hard budget):
+//! [`BudgetedSearch`] (one memo, one plan counter) under one
+//! [`Budget`] — plans, wall clock and live memo bytes, each armed or
+//! absent:
 //!
-//! 1. **Greedy** (always): a GOO-style pass merging the component pair
-//!    with the smallest estimated join result, exploring the paper's
-//!    eager/lazy aggregation variants at every merge. Cheap — the
-//!    effective budget is clamped to a floor that always fits it — and
-//!    its merge tree yields the linear relation order for rung 3.
-//! 2. **Exact DP**: attempted only when a capped csg-cmp-pair count
-//!    ([`count_ccps_capped`]) shows the full DPhyp stream plausibly fits,
-//!    and run under **half** the remaining budget (the rest is reserved
-//!    for rung 3, so an aborted exact stream cannot starve it); aborted
-//!    mid-stream the moment its sub-budget runs out. Completing this rung
-//!    makes the result the EA-Prune optimum; an aborted stream's plans
-//!    still compete (reported as `PartialExact` when one wins).
-//! 3. **Linearized DP**: exact DP restricted to connected contiguous
-//!    intervals of the greedy linear order (`O(n³)` splits instead of
-//!    exponential), never worse than the greedy plan because every greedy
-//!    merge appears as an interval split.
+//! 1. **Greedy** (always), under the plan limit alone: a GOO-style pass
+//!    merging the component pair with the smallest estimated join result,
+//!    exploring the paper's eager/lazy aggregation variants at every
+//!    merge. Cheap — the plan limit is clamped to a floor that always fits
+//!    it — and its merge tree yields the linear relation order for rung 3.
+//!    It consults neither the clock nor the byte meter, so a valid plan
+//!    exists before either can bind: a run *degrades*, it never fails.
+//! 2. **Exact DP**, under [`Budget::split`] — half of what is left of
+//!    every armed resource, so an aborted exact stream cannot starve
+//!    rung 3. With a plan limit it is attempted only when a capped
+//!    csg-cmp-pair count ([`count_ccps_capped`]) shows the full DPhyp
+//!    stream plausibly fits that half; without one there is no gate.
+//!    Completing this rung makes the result the EA-Prune optimum; an
+//!    aborted stream's plans still compete (reported as `PartialExact`
+//!    when one wins).
+//! 3. **Linearized DP**, under all that is left: exact DP restricted to
+//!    connected contiguous intervals of the greedy linear order (`O(n³)`
+//!    splits instead of exponential), never worse than the greedy plan
+//!    because every greedy merge appears as an interval split.
 //!
 //! Every rung funnels through the same engine (`op_trees`, dominance
-//! pruning, `C_out`), so aggregation placement stays explored at scale,
-//! and `plans_built <= plan_budget` holds no matter which rung wins —
-//! [`dpnext_core::MemoStats::plan_budget`],
-//! [`dpnext_core::MemoStats::degradation`] (gate vs mid-stream budget
-//! abort vs deadline abort) and [`dpnext_core::MemoStats::adaptive_mode`]
-//! report what happened.
-//!
-//! A wall-clock [`OptimizeOptions::deadline`] rides the same ladder: the
-//! exact and linearized rungs run under sub-deadlines checked once per
-//! enumeration work unit (overshoot bounded by one unit), and the greedy
-//! floor guarantees a valid plan exists before the clock is ever
-//! consulted — a deadlined run *degrades*, it never fails.
-//!
-//! A per-request [`OptimizeOptions::memory_budget`] (bytes of live memo
-//! state, [`dpnext_core::Memo::live_bytes`]) rides it the same way: the
-//! exact rung runs under half the remaining byte headroom (mirroring the
-//! 50/50 plan-budget split), the linearized rung under the full budget,
-//! both checked once per work unit; the greedy rung runs unchecked, like
-//! it ignores the clock, so a valid plan always exists. The abort is
-//! recorded as [`Degradation::memory_aborted`].
+//! pruning, `C_out`), so aggregation placement stays explored at scale.
+//! The budget is checked once per pair and once per enumeration work
+//! unit: `plans_built <= plan_budget` holds no matter which rung wins, and
+//! a deadline or byte limit is overshot by at most one unit
+//! ([`UNIT_MAX_PLANS`] plans). [`dpnext_core::MemoStats::plan_budget`],
+//! [`dpnext_core::MemoStats::degradation`] (gate, or the resource that
+//! ran out mid-stream: plans, deadline, bytes) and
+//! [`dpnext_core::MemoStats::adaptive_mode`] report what happened.
 //!
 //! This crate sits **above** `dpnext-core` (it drives the core's budgeted
 //! engine hook); the `dpnext::Optimizer` facade dispatches
@@ -58,8 +51,8 @@ pub use greedy::{greedy_join, traversal_order, GreedyOutcome};
 pub use linear::linearized_dp;
 
 use dpnext_core::{
-    explain, finalize, AdaptiveMode, BudgetedSearch, Degradation, Memo, OptContext,
-    OptimizeOptions, Optimized, PlanId, UNIT_MAX_PLANS,
+    explain, finalize, AdaptiveMode, Budget, BudgetedSearch, Degradation, Exhausted, Memo,
+    OptContext, OptimizeOptions, Optimized, PlanId, UNIT_MAX_PLANS,
 };
 use dpnext_hypergraph::{count_ccps_capped, try_enumerate_ccps, NodeSet};
 use dpnext_query::Query;
@@ -68,12 +61,6 @@ use std::time::Instant;
 
 /// Default plan budget when [`OptimizeOptions::plan_budget`] is 0.
 pub const DEFAULT_PLAN_BUDGET: u64 = 100_000;
-
-/// Effective plan budget for deadline-only runs
-/// ([`OptimizeOptions::deadline`] set, [`OptimizeOptions::plan_budget`]
-/// left 0): practically unbounded, so wall-clock time — not the plan
-/// counter — is the binding resource the ladder degrades on.
-pub const DEADLINE_PLAN_BUDGET: u64 = 1 << 42;
 
 /// The smallest budget the ladder accepts for an `n`-relation query:
 /// enough for the greedy pass (and its canonical-tree fallback) to finish
@@ -129,59 +116,111 @@ pub fn optimize_adaptive_run(query: &Query, opts: &OptimizeOptions) -> AdaptiveR
     optimize_adaptive_run_in(query, opts, Memo::new())
 }
 
+/// The ladder's state between rungs: the one search every rung feeds, and
+/// why the run has fallen short so far.
+struct Ladder<'a> {
+    search: BudgetedSearch<'a>,
+    degr: Degradation,
+}
+
+impl Ladder<'_> {
+    /// Record why a rung stopped short — the one place a cause becomes a
+    /// [`Degradation`] flag — and name it for the rung span's `outcome` tag.
+    fn degrade(&mut self, cause: Exhausted) -> &'static str {
+        let (flag, outcome) = match cause {
+            Exhausted::Plans => (&mut self.degr.budget_aborted, "budget-aborted"),
+            Exhausted::Deadline => (&mut self.degr.deadline_aborted, "deadline-aborted"),
+            Exhausted::Bytes => (&mut self.degr.memory_aborted, "memory-aborted"),
+        };
+        *flag = true;
+        outcome
+    }
+
+    /// One rung: re-arm the search with the rung's `budget`, run it inside
+    /// its span, tag the span with `outcome` and `plans_built`, and record
+    /// why it stopped short, if it did. `rung` returns `false` when it
+    /// declined to start (the exact rung's gate). Returns whether the rung
+    /// ran to completion.
+    fn rung(
+        &mut self,
+        name: &'static str,
+        budget: Budget,
+        rung: impl FnOnce(&mut BudgetedSearch<'_>) -> bool,
+    ) -> bool {
+        let mut span = dpnext_obs::span(name);
+        self.search.rearm(budget);
+        let stopped = if rung(&mut self.search) {
+            self.search.exhausted().map(|cause| self.degrade(cause))
+        } else {
+            // The gate is a budget decision too: the result will come from
+            // a shallower rung than this one.
+            self.degr.budget_gated = true;
+            Some("budget-gated")
+        };
+        span.tag_str("outcome", stopped.unwrap_or("completed"));
+        span.tag_u64("plans_built", self.search.plans_built());
+        stopped.is_none()
+    }
+}
+
 /// [`optimize_adaptive_run`] with the search running in `memo`.
 fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -> AdaptiveRun {
     let ctx = OptContext::new(query.clone());
     let n = ctx.query.table_count();
-    let memory_budget = (opts.memory_budget != 0).then_some(opts.memory_budget);
-    // A resource-only run (deadline and/or memory budget set, plan budget
-    // left 0) gets a practically unbounded plan budget: the clock or the
-    // byte meter, not the counter, drives degradation.
-    let resource_only =
-        (opts.deadline.is_some() || memory_budget.is_some()) && opts.plan_budget == 0;
-    let requested = if opts.plan_budget != 0 {
-        opts.plan_budget
-    } else if resource_only {
-        DEADLINE_PLAN_BUDGET
-    } else {
-        DEFAULT_PLAN_BUDGET
-    };
-    let budget = requested.max(budget_floor(n));
     let start = Instant::now();
+    let bytes = (opts.memory_budget != 0).then_some(opts.memory_budget);
+    // A run that names a deadline or a byte budget but no plan budget has
+    // no plan limit: the clock or the byte meter, not the counter, drives
+    // degradation. Otherwise the plan limit is the requested (or default)
+    // budget, clamped up to the greedy floor.
+    let plans = match opts.plan_budget {
+        0 if opts.deadline.is_some() || bytes.is_some() => None,
+        0 => Some(DEFAULT_PLAN_BUDGET.max(budget_floor(n))),
+        requested => Some(requested.max(budget_floor(n))),
+    };
     let deadline = opts.deadline.map(|d| start + d);
+    let full = Budget {
+        plans,
+        deadline,
+        bytes,
+    };
     let mut ladder_span = dpnext_obs::span("adaptive.optimize");
     ladder_span.tag_u64("n", n as u64);
-    ladder_span.tag_u64("plan_budget", budget);
-    let mut search = BudgetedSearch::new_in(&ctx, memo, opts.dominance, budget);
-    search.set_unit_delay(opts.fault_unit_delay);
-    let mut mode = AdaptiveMode::Greedy;
-    let mut degr = Degradation::default();
-    if n == 1 {
-        mode = AdaptiveMode::Exact; // the scan is the (optimal) plan
-    } else {
-        // Rung 1: greedy, always run to completion without consulting the
-        // clock — the budget floor guarantees it fits, and its plan is
-        // what makes every deadlined request *degrade* instead of fail.
-        let mut rung_span = dpnext_obs::span("adaptive.rung.greedy");
-        let greedy = greedy_join(&mut search, &ctx);
-        rung_span.tag_u64("plans_built", search.plans_built());
-        drop(rung_span);
-        if search.exhausted() {
-            degr.budget_aborted = true;
-        }
-        search.reset_exhausted();
-        let best_after_greedy = search.best_cost();
-        if deadline.is_some_and(|dl| Instant::now() >= dl) {
-            // The clock ran out during the guaranteed rung: the greedy
-            // plan ships as-is.
-            degr.deadline_aborted = true;
-        } else if memory_budget.is_some_and(|mb| search.live_bytes() >= mb) {
-            // The guaranteed rung alone filled the byte budget: its plan
-            // ships as-is — deeper rungs could only grow the memo.
-            degr.memory_aborted = true;
+    ladder_span.tag_u64("plan_budget", plans.unwrap_or(0));
+    // Every rung arms its own budget (see `Ladder::rung`).
+    let mut ladder = Ladder {
+        search: BudgetedSearch::new_in(&ctx, memo, opts.dominance, Budget::default()),
+        degr: Degradation::default(),
+    };
+    ladder.search.set_unit_delay(opts.fault_unit_delay);
+    // What a single scan is, and what a completed exact rung leaves.
+    let mut mode = AdaptiveMode::Exact;
+    if n > 1 {
+        // Rung 1 runs under the plan limit alone: the budget floor
+        // guarantees greedy fits, and its plan is what makes every
+        // deadlined or byte-budgeted request *degrade* instead of fail.
+        let plans_only = Budget {
+            plans,
+            ..Budget::default()
+        };
+        let mut order = Vec::new();
+        ladder.rung("adaptive.rung.greedy", plans_only, |search| {
+            order = greedy_join(search, &ctx).order;
+            true
+        });
+        let best_after_greedy = ladder.search.best_cost();
+        let (spent, live) = (
+            ladder.search.plans_built(),
+            ladder.search.memo().live_bytes(),
+        );
+        if let Some(cause) = full.exhausted_at(spent, live) {
+            // The clock ran out during the guaranteed rung, or it alone
+            // filled the byte budget: the greedy plan ships as-is.
+            ladder.degrade(cause);
+            mode = AdaptiveMode::Greedy;
         } else {
-            // Rung 2: the full exact stream, under HALF the remaining
-            // budget — an aborted exact run must not starve the
+            // Rung 2: the full exact stream, under HALF of what is left of
+            // every resource — an aborted exact run must not starve the
             // linearized rung, which is the one strategy that reliably
             // beats greedy when exact DP does not fit (class widths can
             // blow the budget mid-stream on topologies the pair-count
@@ -189,99 +228,41 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
             // costs at most ~allowance probe steps, never the full
             // exponential walk; it stays optimistic (it cannot know class
             // widths) — the per-pair budget enforcement is what actually
-            // bounds the work. Deadline-only runs skip the gate entirely:
-            // their huge budget would make the capped pre-count itself
-            // the blowup, and the mid-stream deadline abort subsumes it.
-            let full_budget = search.budget();
-            let reserve = search.remaining() / 2;
-            let cap = (search.remaining() - reserve) / UNIT_MAX_PLANS;
-            let mut done = false;
-            let mut rung_span = dpnext_obs::span("adaptive.rung.exact");
-            let gate_open = resource_only || count_ccps_capped(&ctx.cq.graph, cap).is_some();
-            if gate_open {
-                search.set_budget(full_budget - reserve);
-                if let Some(dl) = deadline {
-                    // Sub-deadline at the midpoint of the remaining time:
-                    // mirrors the 50/50 budget split, so an endless exact
-                    // stream cannot starve the linearized rung of clock.
-                    let now = Instant::now();
-                    search.set_deadline(Some(now + dl.saturating_duration_since(now) / 2));
+            // bounds the work. Without a plan limit there is no gate: no
+            // allowance caps the pre-count, and the mid-stream deadline or
+            // byte abort subsumes it.
+            let half = full.split(spent, live);
+            let exact_done = ladder.rung("adaptive.rung.exact", half, |search| {
+                let gate = half.plans.map(|cap| (cap - spent) / UNIT_MAX_PLANS);
+                if gate.is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none()) {
+                    return false;
                 }
-                if let Some(mb) = memory_budget {
-                    // Sub-budget at the midpoint of the remaining byte
-                    // headroom — the same 50/50 reservation, so an exact
-                    // stream aborted for memory leaves the linearized
-                    // rung room to improve on greedy.
-                    let live = search.live_bytes();
-                    search.set_memory_budget(Some(live + (mb - live) / 2));
-                }
-                let flow = try_enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+                let _ = try_enumerate_ccps(&ctx.cq.graph, |s1, s2| {
                     if search.process(s1, s2) {
                         ControlFlow::Continue(())
                     } else {
                         ControlFlow::Break(())
                     }
                 });
-                search.set_budget(full_budget);
-                if flow.is_continue() && !search.exhausted() {
-                    mode = AdaptiveMode::Exact;
-                    done = true;
-                    rung_span.tag_str("outcome", "completed");
-                } else {
-                    if search.deadline_hit() {
-                        degr.deadline_aborted = true;
-                        rung_span.tag_str("outcome", "deadline-aborted");
-                    } else if search.memory_hit() {
-                        degr.memory_aborted = true;
-                        rung_span.tag_str("outcome", "memory-aborted");
-                    } else {
-                        degr.budget_aborted = true;
-                        rung_span.tag_str("outcome", "budget-aborted");
-                    }
-                    search.reset_exhausted();
-                }
-            } else {
-                // The gate itself is a budget decision: the result will
-                // come from a shallower rung than exact DP.
-                degr.budget_gated = true;
-                rung_span.tag_str("outcome", "budget-gated");
-            }
-            rung_span.tag_u64("plans_built", search.plans_built());
-            drop(rung_span);
-            // Rung 3: interval DP over the greedy linear order, under the
-            // full remaining deadline. The reported mode is the rung that
-            // actually produced the winning plan — keep-best costs only
-            // ever improve, so stage snapshots identify the producer even
-            // when a rung was aborted partway.
-            if !done {
-                let best_after_exact = search.best_cost();
-                search.set_deadline(deadline);
-                search.set_memory_budget(memory_budget);
-                let mut rung_span = dpnext_obs::span("adaptive.rung.linearized");
-                let lin_done = linearized_dp(&mut search, &ctx, &greedy.order);
-                if !lin_done {
-                    if search.deadline_hit() {
-                        degr.deadline_aborted = true;
-                        rung_span.tag_str("outcome", "deadline-aborted");
-                    } else if search.memory_hit() {
-                        degr.memory_aborted = true;
-                        rung_span.tag_str("outcome", "memory-aborted");
-                    } else {
-                        degr.budget_aborted = true;
-                        rung_span.tag_str("outcome", "budget-aborted");
-                    }
-                    search.reset_exhausted();
-                } else {
-                    rung_span.tag_str("outcome", "completed");
-                }
-                rung_span.tag_u64("plans_built", search.plans_built());
-                drop(rung_span);
+                true
+            });
+            // Rung 3: interval DP over the greedy linear order, under all
+            // that is left. The reported mode is the rung that actually
+            // produced the winning plan — keep-best costs only ever
+            // improve, so stage snapshots identify the producer even when
+            // a rung was aborted partway.
+            if !exact_done {
+                let best_after_exact = ladder.search.best_cost();
+                let lin_done = ladder.rung("adaptive.rung.linearized", full, |search| {
+                    linearized_dp(search, &ctx, &order);
+                    true
+                });
                 let improved = |before: Option<f64>, after: Option<f64>| match (before, after) {
                     (Some(b), Some(a)) => a < b,
                     (None, Some(_)) => true,
                     _ => false,
                 };
-                mode = if improved(best_after_exact, search.best_cost()) {
+                mode = if improved(best_after_exact, ladder.search.best_cost()) {
                     AdaptiveMode::Linearized
                 } else if improved(best_after_greedy, best_after_exact) {
                     AdaptiveMode::PartialExact
@@ -296,16 +277,7 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
             }
         }
     }
-    if search.exhausted() {
-        // Belt-and-braces: an abort path that forgot to attribute itself.
-        if search.deadline_hit() {
-            degr.deadline_aborted = true;
-        } else if search.memory_hit() {
-            degr.memory_aborted = true;
-        } else {
-            degr.budget_aborted = true;
-        }
-    }
+    let Ladder { search, degr } = ladder;
     let outcome = search.finish();
     let mut memo = outcome.memo;
     let (plan, winner) = if n == 1 {
@@ -316,7 +288,7 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
             .best
             .expect("no plan found: query graph disconnected or over-constrained")
     };
-    memo.record_budget(budget, opts.memory_budget, degr, mode);
+    memo.record_budget(plans.unwrap_or(0), opts.memory_budget, degr, mode);
     if ladder_span.is_recording() {
         ladder_span.tag_text("mode", mode.to_string());
         ladder_span.tag_text("degradation", degr.to_string());

@@ -77,10 +77,10 @@ fn expired_deadline_ships_the_greedy_plan() {
     validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
 }
 
-/// With ample time a deadline-only run completes the exact rung (the
-/// huge [`dpnext_adaptive::DEADLINE_PLAN_BUDGET`] makes the clock the
-/// only binding resource) and reproduces the EA-Prune optimum bit for
-/// bit, with no degradation recorded.
+/// With ample time a deadline-only run completes the exact rung (it has
+/// no plan limit, so the clock is the only binding resource) and
+/// reproduces the EA-Prune optimum bit for bit, with no degradation
+/// recorded.
 #[test]
 fn ample_deadline_still_reaches_the_exact_optimum() {
     let q = generate_query(&GenConfig::paper(6), 4);

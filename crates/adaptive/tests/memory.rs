@@ -94,9 +94,9 @@ fn exhausted_budget_ships_the_greedy_plan() {
     validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
 }
 
-/// With ample bytes a budget-only run completes the exact rung (the huge
-/// resource-only plan budget makes the byte meter the only binding
-/// resource) and reproduces the unconstrained EA-Prune optimum bit for
+/// With ample bytes a budget-only run completes the exact rung (it has no
+/// plan limit, so the byte meter is the only binding resource) and
+/// reproduces the unconstrained EA-Prune optimum bit for
 /// bit, with no degradation recorded — the acceptance pin that a
 /// non-binding budget changes nothing.
 #[test]

@@ -12,6 +12,7 @@
 //! everything, [`BudgetedSearch`] refuses once its plan budget, deadline
 //! or byte budget is spent — a refusal ends the pair.
 
+use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::memo::{DominanceKind, Memo, MemoStats, PlanId};
@@ -652,51 +653,62 @@ pub struct BudgetedSearch<'a> {
     scratch: Scratch,
     bufs: PairBufs,
     policy: MultiBest,
-    budget: u64,
-    exhausted: bool,
-    deadline: Option<Instant>,
-    deadline_hit: bool,
-    memory_budget: Option<u64>,
-    memory_hit: bool,
-    unit_delay: Option<Duration>,
+    meter: Meter,
     full: NodeSet,
-    live_probe: LiveBytesProbe,
 }
 
-/// This search's RAII contribution to the process-wide live-bytes gauge
-/// ([`dpnext_obs::global_live_bytes`]): remembers the bytes last
-/// published and withdraws them on drop. Delta-based publishing makes
-/// concurrent searches sum correctly, and the drop reconciliation means
-/// a search abandoned mid-run (panic unwind, quarantine) cannot leak its
-/// contribution into the gauge forever. Observation only — enforcement
-/// stays with the per-search memory budget and the serving ledger.
-struct LiveBytesProbe {
+/// What a [`BudgetedSearch`] consults before every pair and every work
+/// unit: its budget, why it stopped (once it has), the fault-injection
+/// delay — and, fed on the way, this search's RAII contribution to the
+/// process-wide live-bytes gauge ([`dpnext_obs::global_live_bytes`]): it
+/// remembers the bytes last published and withdraws them on drop.
+/// Delta-based publishing makes concurrent searches sum correctly, and
+/// the drop reconciliation means a search abandoned mid-run (panic
+/// unwind, quarantine) cannot leak its contribution into the gauge
+/// forever. The gauge is observation only — enforcement stays with the
+/// budget and the serving ledger.
+struct Meter {
+    budget: Budget,
+    exhausted: Option<Exhausted>,
+    unit_delay: Option<Duration>,
     gauge: std::sync::Arc<dpnext_obs::Gauge>,
     reported: u64,
 }
 
-impl LiveBytesProbe {
-    fn new() -> LiveBytesProbe {
-        LiveBytesProbe {
-            gauge: dpnext_obs::global_live_bytes(),
-            reported: 0,
-        }
-    }
-
-    /// Publish the current live-byte count (one O(1) read and one relaxed
-    /// atomic op — cheap enough for work-unit granularity).
-    #[inline]
-    fn record(&mut self, live: u64) {
+impl Meter {
+    /// May a work unit start that brings the search to at most `plans`
+    /// plans? A refusal records its cause. Out of line on purpose: the
+    /// caller is the engine's one large inlined loop, and the hook's live
+    /// values in its register allocation cost the benchmark's
+    /// adaptive-large 2–10% depending on how they were spelled.
+    #[inline(never)]
+    fn take(&mut self, plans: u64, memo: &Memo) -> bool {
+        // Mid-run memory visibility: publish live bytes into the process
+        // gauge once per work unit (one O(1) read and one relaxed atomic
+        // op), so global pressure is observable between pool check-ins.
+        let live = memo.live_bytes();
         if live >= self.reported {
             self.gauge.add(live - self.reported);
         } else {
             self.gauge.sub(self.reported - live);
         }
         self.reported = live;
+        self.exhausted = self.budget.exhausted_at(plans, live);
+        if self.exhausted.is_some() {
+            return false;
+        }
+        if let Some(d) = self.unit_delay {
+            // Injected fault: a pathologically slow enumeration.
+            let t0 = Instant::now();
+            while t0.elapsed() < d {
+                std::hint::spin_loop();
+            }
+        }
+        true
     }
 }
 
-impl Drop for LiveBytesProbe {
+impl Drop for Meter {
     fn drop(&mut self) {
         self.gauge.sub(self.reported);
     }
@@ -717,25 +729,19 @@ pub struct BudgetedOutcome {
 }
 
 impl<'a> BudgetedSearch<'a> {
-    /// A fresh search over `ctx` with dominance pruning `dominance` and a
-    /// hard cap of `budget` constructed plans (scans are free, matching
-    /// the `plans_built` accounting of the unbudgeted engine), in a memo
-    /// of its own. Seeds the singleton scan classes.
-    pub fn new(ctx: &'a OptContext, dominance: DominanceKind, budget: u64) -> BudgetedSearch<'a> {
-        BudgetedSearch::new_in(ctx, Memo::new(), dominance, budget)
-    }
-
-    /// [`BudgetedSearch::new`] running in the caller's `memo` — a pooled
+    /// A fresh search over `ctx` with dominance pruning `dominance` under
+    /// `budget` (scans are free, matching the `plans_built` accounting of
+    /// the unbudgeted engine), running in the caller's `memo` — a pooled
     /// one, typically, `mem::take`n in and handed back by
     /// [`BudgetedSearch::finish`] — so its arena, lane and class capacity
     /// is reused and whoever accounts the memo accounts the one that did
     /// the work. The memo is [`Memo::reset`] first: results and statistics
-    /// do not depend on what it held.
+    /// do not depend on what it held. Seeds the singleton scan classes.
     pub fn new_in(
         ctx: &'a OptContext,
         mut memo: Memo,
         dominance: DominanceKind,
-        budget: u64,
+        budget: Budget,
     ) -> BudgetedSearch<'a> {
         memo.reset();
         seed_scans(ctx, &mut memo);
@@ -746,15 +752,14 @@ impl<'a> BudgetedSearch<'a> {
             scratch: Scratch::new(ctx),
             bufs: PairBufs::new(),
             policy: MultiBest::new(ctx, Some(dominance)),
-            budget,
-            exhausted: false,
-            deadline: None,
-            deadline_hit: false,
-            memory_budget: None,
-            memory_hit: false,
-            unit_delay: None,
+            meter: Meter {
+                budget,
+                exhausted: None,
+                unit_delay: None,
+                gauge: dpnext_obs::global_live_bytes(),
+                reported: 0,
+            },
             full: NodeSet::full(n),
-            live_probe: LiveBytesProbe::new(),
         }
     }
 
@@ -763,82 +768,29 @@ impl<'a> BudgetedSearch<'a> {
         self.scratch.plans_built
     }
 
-    /// Budget still available.
-    pub fn remaining(&self) -> u64 {
-        self.budget.saturating_sub(self.scratch.plans_built)
+    /// Why a pair was skipped or truncated, if one was. Until
+    /// [`BudgetedSearch::rearm`] the search builds nothing more.
+    pub fn exhausted(&self) -> Option<Exhausted> {
+        self.meter.exhausted
     }
 
-    /// The hard cap this search enforces.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Replace the enforced cap. Ladder-style callers temporarily lower
-    /// it to run one rung under a sub-budget (reserving the rest for a
-    /// cheaper fallback strategy) and restore the full cap afterwards.
-    /// Must never drop below what is already spent.
-    pub fn set_budget(&mut self, budget: u64) {
-        debug_assert!(budget >= self.scratch.plans_built);
-        self.budget = budget;
-    }
-
-    /// Whether a pair has been skipped or truncated for lack of budget.
-    pub fn exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Arm (or clear, with `None`) a wall-clock deadline. Checked once per
-    /// enumeration work unit inside [`BudgetedSearch::process`], so a pair
-    /// in flight overshoots by at most one unit (≤ [`UNIT_MAX_PLANS`]
-    /// plans). Also clears the deadline-hit marker, so ladder callers can
-    /// arm a fresh sub-deadline per rung.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-        self.deadline_hit = false;
-    }
-
-    /// Whether the most recent exhaustion was caused by the deadline (as
-    /// opposed to the plan budget). Cleared by [`BudgetedSearch::set_deadline`].
-    pub fn deadline_hit(&self) -> bool {
-        self.deadline_hit
-    }
-
-    /// Arm (or clear, with `None`) a memory budget in bytes of live memo
-    /// state ([`Memo::live_bytes`]). Checked once per enumeration work
-    /// unit and once per pair inside [`BudgetedSearch::process`], exactly
-    /// like the deadline, so overshoot is bounded by one unit's plans
-    /// (≤ [`UNIT_MAX_PLANS`], each with a bounded payload). Also clears
-    /// the memory-hit marker, so ladder callers can arm a fresh headroom
-    /// split per rung.
-    pub fn set_memory_budget(&mut self, budget: Option<u64>) {
-        self.memory_budget = budget;
-        self.memory_hit = false;
-    }
-
-    /// Whether the most recent exhaustion was caused by the memory budget
-    /// (as opposed to the plan budget or deadline). Cleared by
-    /// [`BudgetedSearch::set_memory_budget`].
-    pub fn memory_hit(&self) -> bool {
-        self.memory_hit
-    }
-
-    /// Current live bytes of the search's memo (see [`Memo::live_bytes`]).
-    pub fn live_bytes(&self) -> u64 {
-        self.memo.live_bytes()
+    /// Continue under `budget` (whose plan limit must cover what is already
+    /// spent) and forget why the search stopped. Ladder-style callers run
+    /// one strategy under [`Budget::split`], keep the memo, and spend the
+    /// rest on a cheaper one: an abandoned strategy's partial classes stay
+    /// valid (every plan in them is real), they just stop being complete.
+    pub fn rearm(&mut self, budget: Budget) {
+        debug_assert!(budget
+            .plans
+            .is_none_or(|cap| cap >= self.scratch.plans_built));
+        self.meter.budget = budget;
+        self.meter.exhausted = None;
     }
 
     /// Fault-injection hook: busy-wait `delay` before every enumeration
     /// work unit (see [`OptimizeOptions::fault_unit_delay`]).
     pub fn set_unit_delay(&mut self, delay: Option<Duration>) {
-        self.unit_delay = delay;
-    }
-
-    /// Clear the exhaustion marker. For ladder-style callers that abandon
-    /// an exhausted rung but keep the memo and spend the remaining budget
-    /// on a cheaper strategy — the abandoned rung's partial classes stay
-    /// valid (every plan in them is real), they just stop being complete.
-    pub fn reset_exhausted(&mut self) {
-        self.exhausted = false;
+        self.meter.unit_delay = delay;
     }
 
     /// Read access to the memo (classes, plan data) for pair selection.
@@ -856,11 +808,6 @@ impl<'a> BudgetedSearch<'a> {
         self.policy.best.map(|(cost, _)| cost)
     }
 
-    /// Whether any complete plan has been found.
-    pub fn has_best(&self) -> bool {
-        self.policy.best.is_some()
-    }
-
     /// Shrink the class of `s` to its greedy representative(s); see
     /// [`Memo::class_shrink_to_best`]. The groupjoin guard is applied
     /// exactly when the query contains groupjoins.
@@ -872,67 +819,29 @@ impl<'a> BudgetedSearch<'a> {
     /// Process one candidate pair under the budget: build every operator
     /// tree of every subplan combination (with all eager-aggregation
     /// variants), insert into the target class with dominance pruning, and
-    /// keep-best complete plans. The first work unit the plan budget's
-    /// unit allowance, the deadline or the memory budget refuses ends the
-    /// pair: the search is marked exhausted and `false` is returned (the
-    /// pair's plan set is then incomplete and downstream results must not
-    /// claim optimality).
+    /// keep-best complete plans. The budget is checked once per pair and
+    /// once per work unit, a unit counting as [`UNIT_MAX_PLANS`] plans, so
+    /// the plan limit is never exceeded and the deadline and the byte
+    /// limit are overshot by at most one unit. The first refusal ends the
+    /// pair: the cause is recorded and `false` is returned (the pair's plan
+    /// set is then incomplete and downstream results must not claim
+    /// optimality).
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
     pub fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
-        if self.exhausted {
+        // Per-pair check: a stopped search stays stopped, and even a
+        // stream of pairs with no applicable operator (which never asks
+        // for a unit) stays resource-bounded.
+        let spent = self.scratch.plans_built;
+        let meter = &mut self.meter;
+        meter.exhausted = meter
+            .exhausted
+            .or_else(|| meter.budget.exhausted_at(spent, self.memo.live_bytes()));
+        if meter.exhausted.is_some() {
             return false;
         }
-        // Per-pair deadline/memory checks: even a stream of pairs with no
-        // applicable operator (which never enters the per-unit closure
-        // below) stays resource-bounded.
-        if let Some(dl) = self.deadline {
-            if Instant::now() >= dl {
-                self.deadline_hit = true;
-                self.exhausted = true;
-                return false;
-            }
-        }
-        if let Some(mb) = self.memory_budget {
-            if self.memo.live_bytes() >= mb {
-                self.memory_hit = true;
-                self.exhausted = true;
-                return false;
-            }
-        }
-        let allowed = self.remaining() / UNIT_MAX_PLANS;
         let mut unit = 0u64;
-        let deadline = self.deadline;
-        let memory_budget = self.memory_budget;
-        let unit_delay = self.unit_delay;
-        let mut hit = false;
-        let mut mem_hit = false;
-        let live_probe = &mut self.live_probe;
-        let mut take = |u: u64, memo: &Memo| {
-            // Mid-run memory visibility: publish live bytes into the
-            // process gauge once per work unit, so global pressure is
-            // observable between pool check-ins.
-            live_probe.record(memo.live_bytes());
-            if u >= allowed {
-                return false;
-            }
-            if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                hit = true;
-                return false;
-            }
-            if memory_budget.is_some_and(|mb| memo.live_bytes() >= mb) {
-                mem_hit = true;
-                return false;
-            }
-            if let Some(d) = unit_delay {
-                // Injected fault: a pathologically slow enumeration.
-                let t0 = Instant::now();
-                while t0.elapsed() < d {
-                    std::hint::spin_loop();
-                }
-            }
-            true
-        };
+        let mut take = |u: u64, memo: &Memo| meter.take(spent + (u + 1) * UNIT_MAX_PLANS, memo);
         let completed = process_pair(
             self.ctx,
             &mut self.scratch,
@@ -945,12 +854,11 @@ impl<'a> BudgetedSearch<'a> {
             &mut unit,
             &mut take,
         );
-        debug_assert!(self.scratch.plans_built <= self.budget);
-        if !completed {
-            self.exhausted = true;
-            self.deadline_hit |= hit;
-            self.memory_hit |= mem_hit;
-        }
+        debug_assert!(self
+            .meter
+            .budget
+            .plans
+            .is_none_or(|cap| self.scratch.plans_built <= cap));
         completed
     }
 
@@ -965,7 +873,7 @@ impl<'a> BudgetedSearch<'a> {
             memo: self.memo,
             best,
             plans_built: self.scratch.plans_built,
-            exhausted: self.exhausted,
+            exhausted: self.meter.exhausted.is_some(),
         }
     }
 }

@@ -20,6 +20,7 @@
 
 pub mod aggstate;
 pub mod algo;
+pub mod budget;
 pub mod context;
 pub mod explain;
 pub mod finalize;
@@ -38,6 +39,7 @@ pub use algo::{
     all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, optimize_with_pruning,
     Algorithm, BudgetedOutcome, BudgetedSearch, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
+pub use budget::{Budget, Exhausted};
 pub use context::{OptContext, Scratch};
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};

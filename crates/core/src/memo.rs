@@ -389,13 +389,13 @@ pub enum AdaptiveMode {
     Greedy,
 }
 
-/// Why (and how) a budgeted/deadlined run fell short of its deepest rung.
-///
-/// The former single `budget_exhausted` flag, split by *cause*: a rung can
-/// be gated off up front by the ccp count estimate, aborted mid-stream by
-/// the plan budget, or aborted mid-stream by a wall-clock deadline. All
-/// flags `false` means the run completed its deepest rung (or was never
-/// budgeted at all).
+/// Why (and how) a budgeted run fell short of its deepest rung, by cause —
+/// four of them: a rung can be gated off up front by the ccp count
+/// estimate, or aborted mid-stream by whichever resource of its
+/// [`crate::Budget`] ran out first — the plan budget, the wall-clock
+/// deadline or the byte budget. Only the cause that tripped is set, not
+/// the limits that were merely armed. All flags `false` means the run
+/// completed its deepest rung (or was never budgeted at all).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Degradation {
     /// The exact rung was skipped up front: the capped ccp pre-count
@@ -488,8 +488,9 @@ pub struct MemoStats {
     /// Incumbents evicted because the new plan dominates them.
     pub prune_evicted: u64,
     /// Effective plan budget enforced by a budgeted search (the requested
-    /// budget clamped up to the greedy floor); 0 when the run was not
-    /// budgeted. When non-zero, `plans_built <= plan_budget` holds.
+    /// budget clamped up to the greedy floor); 0 when the run had no plan
+    /// limit — not budgeted at all, or bounded by a deadline or a byte
+    /// budget only. When non-zero, `plans_built <= plan_budget` holds.
     pub plan_budget: u64,
     /// Memory budget (bytes) enforced by a budgeted search; 0 when the
     /// run was not memory-budgeted. When non-zero, the checked rungs stop
@@ -501,8 +502,9 @@ pub struct MemoStats {
     /// plans.
     pub live_bytes_peak: u64,
     /// Why the budgeted search fell short of its deepest rung, split by
-    /// cause (gate, mid-stream budget abort, deadline abort); all-false
-    /// when the deepest rung completed or the run was not budgeted.
+    /// cause (gate, mid-stream plan-budget abort, deadline abort, memory
+    /// abort); all-false when the deepest rung completed or the run was
+    /// not budgeted.
     pub degradation: Degradation,
     /// Which adaptive ladder rung produced the plan (`None` for
     /// non-adaptive runs).

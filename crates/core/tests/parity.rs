@@ -7,8 +7,8 @@
 //! retention behavior changed.
 
 use dpnext_core::{
-    all_subplans, optimize, optimize_with, Algorithm as A, BudgetedSearch, DominanceKind, Memo,
-    OptContext, OptimizeOptions, PlanNode,
+    all_subplans, optimize, optimize_with, Algorithm as A, Budget, BudgetedSearch, DominanceKind,
+    Memo, OptContext, OptimizeOptions, PlanNode,
 };
 use dpnext_hypergraph::enumerate_ccps;
 use dpnext_query::Query;
@@ -237,7 +237,8 @@ fn unbounded_budgeted_search_equals_ea_prune_bit_for_bit() {
         let query = generate_query(&cfg.config(n), seed);
         let exact = optimize(&query, A::EaPrune);
         let ctx = OptContext::new(query.clone());
-        let mut search = BudgetedSearch::new(&ctx, DominanceKind::Full, u64::MAX);
+        let mut search =
+            BudgetedSearch::new_in(&ctx, Memo::new(), DominanceKind::Full, Budget::default());
         enumerate_ccps(&ctx.cq.graph, |s1, s2| {
             assert!(search.process(s1, s2), "an unbounded budget refused a pair");
         });

@@ -107,7 +107,7 @@ pub use govern::{
     ResourceLedger, ShapeBreaker,
 };
 pub use pool::{MemoPool, PoolStats, PooledMemo};
-pub use scrape::MetricsServer;
+pub use scrape::{MetricsServer, SCRAPE_TIMEOUT};
 pub use service::{
     OptimizerService, ServeError, ServeResult, ServiceConfig, ServiceStats, SHED_UTILIZATION,
 };

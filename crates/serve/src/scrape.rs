@@ -11,8 +11,10 @@
 //! The endpoint is opt-in (see
 //! [`ServiceConfig::metrics_addr`](crate::ServiceConfig::metrics_addr))
 //! and entirely out of band: the request path of the service never
-//! touches it, and a wedged scraper can at worst stall this one thread
-//! for the read timeout.
+//! touches it, and a wedged scraper — one that sends nothing, drips its
+//! request a byte at a time, or never reads the response — can at worst
+//! stall this one thread for [`SCRAPE_TIMEOUT`]: the deadline covers the
+//! whole connection, not each `read` or `write` call.
 
 use crate::OptimizerService;
 use std::io::{Read, Write};
@@ -20,11 +22,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long one connection may take to deliver its request line before
-/// the server gives up on it.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// How long one connection may take, from accept to the last response
+/// byte, before the server drops it.
+pub const SCRAPE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Handle to a running scrape endpoint. Dropping it (or calling
 /// [`MetricsServer::stop`]) shuts the server down and joins its thread.
@@ -97,13 +99,23 @@ fn serve_loop(listener: &TcpListener, service: &OptimizerService, stop: &AtomicB
     }
 }
 
+/// What is left until `deadline`, as the timeout of the next socket call
+/// (a zero timeout is not one the socket API accepts).
+fn time_left(deadline: Instant) -> std::io::Result<Duration> {
+    match deadline.saturating_duration_since(Instant::now()) {
+        Duration::ZERO => Err(std::io::ErrorKind::TimedOut.into()),
+        left => Ok(left),
+    }
+}
+
 fn handle_conn(conn: &mut TcpStream, service: &OptimizerService) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(READ_TIMEOUT))?;
+    let deadline = Instant::now() + SCRAPE_TIMEOUT;
     // Read until the header-terminating blank line (clients may split
     // the request across writes), EOF, or a size bound.
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     loop {
+        conn.set_read_timeout(Some(time_left(deadline)?))?;
         let n = conn.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -128,10 +140,17 @@ fn handle_conn(conn: &mut TcpStream, service: &OptimizerService) -> std::io::Res
             "try /metrics or /stats.json\n".to_string(),
         ),
     };
-    write!(
-        conn,
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    conn.flush()
+    );
+    let mut unsent = response.as_bytes();
+    while !unsent.is_empty() {
+        conn.set_write_timeout(Some(time_left(deadline)?))?;
+        match conn.write(unsent)? {
+            0 => return Err(std::io::ErrorKind::WriteZero.into()),
+            n => unsent = &unsent[n..],
+        }
+    }
+    Ok(())
 }

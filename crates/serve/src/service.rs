@@ -11,7 +11,7 @@ use crate::govern::{
 use crate::pool::{MemoPool, PoolStats};
 use crate::scrape::MetricsServer;
 use dpnext::{Algorithm, Optimized, Optimizer};
-use dpnext_core::{AdaptiveMode, FxBuildHasher};
+use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
 use dpnext_obs::{Counter, Histogram, Registry};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
@@ -343,7 +343,7 @@ impl OptimizerService {
         );
         let plans_built = registry.histogram(
             "dpnext_plans_built",
-            "Arena plans held at the end of each completed optimizer run.",
+            "Plans constructed (joins + groupings) by each completed optimizer run.",
         );
         let live_bytes_peak = registry.histogram(
             "dpnext_live_bytes_peak",
@@ -404,22 +404,48 @@ impl OptimizerService {
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Tighten an admitted request's resource knobs under memory
-    /// pressure: the effective deadline halves, and the effective memory
-    /// budget becomes the smaller of half the configured budget and the
-    /// remaining headroom under the cap (floored at 1/16 of the cap so a
-    /// fully saturated ledger still leaves room for the greedy rung).
-    fn shed_tighten(&self, mut opt: Optimizer) -> Optimizer {
-        if let Some(d) = self.config.deadline {
-            opt = opt.deadline(Some(d / 2));
+    /// What one admitted request runs as: the configured algorithm and
+    /// options, tightened under memory pressure (`shed`), overridden by an
+    /// injected fault — or, with the shape's breaker open, the greedy floor.
+    fn request_limits(
+        &self,
+        open_served: bool,
+        shed: bool,
+        fault: Fault,
+    ) -> (Algorithm, OptimizeOptions) {
+        let (algorithm, mut opts) = self.optimizer.configured();
+        if open_served {
+            // The adaptive ladder with a plan budget of 1 clamps to the
+            // greedy floor, needs no clock or byte meter, and cannot fail
+            // the way the shape has been failing.
+            opts.plan_budget = 1;
+            opts.deadline = None;
+            opts.memory_budget = 0;
+            return (Algorithm::Adaptive, opts);
         }
-        let cap = self.ledger.cap();
-        let headroom = cap.saturating_sub(self.ledger.bytes()).max(cap / 16);
-        let budget = match self.config.memory_budget {
-            0 => headroom,
-            b => (b / 2).min(headroom),
-        };
-        opt.memory_budget(budget.max(1))
+        if shed {
+            // The effective deadline halves, and the effective memory
+            // budget becomes the smaller of half the configured budget and
+            // the remaining headroom under the cap (floored at 1/16 of the
+            // cap so a fully saturated ledger still leaves room for the
+            // greedy rung).
+            if let Some(d) = self.config.deadline {
+                opts.deadline = Some(d / 2);
+            }
+            let cap = self.ledger.cap();
+            let headroom = cap.saturating_sub(self.ledger.bytes()).max(cap / 16);
+            opts.memory_budget = match self.config.memory_budget {
+                0 => headroom,
+                b => (b / 2).min(headroom),
+            }
+            .max(1);
+        }
+        match (fault, &self.faults) {
+            (Fault::Slow, Some(inj)) => opts.fault_unit_delay = Some(inj.slow_unit_delay()),
+            (Fault::MemoryPressure, Some(inj)) => opts.memory_budget = inj.pressure_budget_bytes(),
+            _ => {}
+        }
+        (algorithm, opts)
     }
 
     /// Optimize an already-bound [`Query`], serving from the cache when
@@ -520,46 +546,12 @@ impl OptimizerService {
         // The closure borrows the memo mutably; `AssertUnwindSafe` is
         // sound *because* of the quarantine below — on a panic the memo's
         // (possibly torn) state is destroyed, never observed again.
+        let (algorithm, options) = self.request_limits(open_served, shed, fault);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if fault == Fault::Panic {
                 panic!("injected fault: optimizer panic (request {request})");
             }
-            if open_served {
-                // Breaker open: serve the greedy rung — the adaptive
-                // ladder with a plan budget of 1 clamps to the greedy
-                // floor, needs no clock or byte meter, and cannot fail
-                // the way the shape has been failing.
-                return self
-                    .optimizer
-                    .clone()
-                    .algorithm(Algorithm::Adaptive)
-                    .plan_budget(1)
-                    .deadline(None)
-                    .memory_budget(0)
-                    .optimize_pooled(query, &mut memo);
-            }
-            if !shed && fault == Fault::None {
-                return self.optimizer.optimize_pooled(query, &mut memo);
-            }
-            let mut opt = self.optimizer.clone();
-            if shed {
-                opt = self.shed_tighten(opt);
-            }
-            let inj = self.faults.as_ref();
-            match fault {
-                Fault::Slow => {
-                    let delay = inj.expect("slow fault implies injector").slow_unit_delay();
-                    opt = opt.fault_unit_delay(Some(delay));
-                }
-                Fault::MemoryPressure => {
-                    let budget = inj
-                        .expect("pressure fault implies injector")
-                        .pressure_budget_bytes();
-                    opt = opt.memory_budget(budget);
-                }
-                Fault::None | Fault::Panic => {}
-            }
-            opt.optimize_pooled(query, &mut memo)
+            dpnext::optimize_into(query, algorithm, &options, &mut memo)
         }));
         match outcome {
             Ok(optimized) => {
@@ -567,7 +559,7 @@ impl OptimizerService {
                 let degradation = optimized.memo.degradation;
                 let stats = &optimized.memo;
                 self.service_time.observe(svc_nanos);
-                self.plans_built.observe(stats.arena_plans);
+                self.plans_built.observe(optimized.plans_built);
                 self.live_bytes_peak.observe(stats.live_bytes_peak);
                 self.rungs[rung_index(stats.adaptive_mode)].inc();
                 if opt_span.is_recording() {
@@ -587,7 +579,7 @@ impl OptimizerService {
                 if req_span.is_recording() {
                     req_span.tag_str("outcome", "optimized");
                     req_span.tag_text("degradation", degradation.to_string());
-                    req_span.tag_u64("plans_built", optimized.memo.arena_plans);
+                    req_span.tag_u64("plans_built", optimized.plans_built);
                     req_span.tag_u64("live_bytes_peak", optimized.memo.live_bytes_peak);
                 }
                 let result = Arc::new(optimized);

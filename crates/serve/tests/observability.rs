@@ -7,12 +7,12 @@
 
 use dpnext::{Algorithm as A, Optimized, Optimizer};
 use dpnext_obs::{lint_prometheus_text, MetricValue, RingSink, TagValue, TraceLevel};
-use dpnext_serve::{OptimizerService, ServeError, ServiceConfig};
+use dpnext_serve::{OptimizerService, ServeError, ServiceConfig, SCRAPE_TIMEOUT};
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig, Topology};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tracing level, sink and the span-open/close counters are process
 /// globals: every test in this binary serializes on this lock so one
@@ -148,6 +148,10 @@ fn traced_miss_carries_one_engine_enumerate_span() {
     }
     assert_eq!("serve.request", at.name);
     assert_eq!(Some(&TagValue::Str("optimized")), at.tag("outcome"));
+    // One trace, one meaning of `plans_built`: plans constructed, at the
+    // root as in the engine's span (not the arena rows left at the end).
+    assert_eq!(engine[0].tag("plans_built"), at.tag("plans_built"));
+    assert_ne!(miss.result.plans_built, miss.result.memo.arena_plans);
 }
 
 /// The acceptance identity of the tentpole: after a 4-thread hammer,
@@ -290,6 +294,67 @@ fn scrape_endpoint_serves_lint_clean_text_and_stats_json() {
 
     let (head, _) = get("/nope");
     assert!(head.starts_with("HTTP/1.0 404"), "bad status: {head}");
+    server.stop();
+}
+
+/// The endpoint bounds the *connection*, not each `read()`: a peer that
+/// connects and says nothing, and one that drips its request a byte at a
+/// time (each byte well inside any per-read timeout), are both dropped
+/// within [`SCRAPE_TIMEOUT`], and the scrape queued behind them is
+/// answered.
+#[test]
+fn scrape_endpoint_drops_stalled_and_dripping_peers() {
+    let _guard = locked();
+    let service = Arc::new(OptimizerService::with_config(
+        Optimizer::new(A::EaPrune),
+        ServiceConfig {
+            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+            ..ServiceConfig::default()
+        },
+    ));
+    let server = service
+        .serve_metrics()
+        .expect("metrics_addr is configured")
+        .expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    // One connection's deadline plus scheduling slack.
+    let bound = SCRAPE_TIMEOUT + Duration::from_millis(1500);
+    let scrape = || {
+        let mut conn = TcpStream::connect(addr).expect("connect scrape endpoint");
+        conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.0 200"), "bad status");
+    };
+
+    // Stalled: holds the only scrape thread until the deadline drops it.
+    let started = Instant::now();
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    scrape();
+    assert!(started.elapsed() < bound, "stalled peer held the endpoint");
+    let mut rest = Vec::new();
+    stalled.read_to_end(&mut rest).expect("dropped, not reset");
+    assert!(rest.is_empty(), "a peer that asked nothing is told nothing");
+
+    // Dripping: a byte every 50 ms would take minutes to reach the 8 KiB
+    // request bound; the deadline cuts it off mid-request.
+    let started = Instant::now();
+    let mut dripping = TcpStream::connect(addr).expect("connect");
+    let dripper = std::thread::spawn(move || {
+        let mut sent = 0usize;
+        while dripping.write_all(b"G").is_ok() && sent < 8192 {
+            sent += 1;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        sent
+    });
+    scrape();
+    assert!(started.elapsed() < bound, "dripping peer held the endpoint");
+    let sent = dripper.join().unwrap();
+    assert!(
+        sent < 8192,
+        "the dripper was cut off, not read to the bound"
+    );
     server.stop();
 }
 

@@ -19,4 +19,4 @@ mod optimizer;
 pub use dpnext_core::{
     AdaptiveMode, Algorithm, Degradation, DominanceKind, Memo, MemoStats, Optimized,
 };
-pub use optimizer::Optimizer;
+pub use optimizer::{optimize_into, Optimizer};

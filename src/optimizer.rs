@@ -15,7 +15,7 @@
 //! ```
 
 use dpnext_catalog::{tpch_catalog, Catalog};
-use dpnext_core::{optimize_into, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
+use dpnext_core::{Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::fmt;
@@ -47,12 +47,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     algorithm: Algorithm,
-    dominance: DominanceKind,
-    explain: bool,
-    plan_budget: u64,
-    deadline: Option<Duration>,
-    memory_budget: u64,
-    fault_unit_delay: Option<Duration>,
+    options: OptimizeOptions,
     catalog: OnceLock<Arc<Catalog>>,
     scratch: Scratch,
 }
@@ -86,12 +81,7 @@ impl Optimizer {
     pub fn new(algorithm: Algorithm) -> Optimizer {
         Optimizer {
             algorithm,
-            dominance: DominanceKind::Full,
-            explain: true,
-            plan_budget: 0,
-            deadline: None,
-            memory_budget: 0,
-            fault_unit_delay: None,
+            options: OptimizeOptions::default(),
             catalog: OnceLock::new(),
             scratch: Scratch::default(),
         }
@@ -100,7 +90,7 @@ impl Optimizer {
     /// Override the dominance criterion used by [`Algorithm::EaPrune`]
     /// (the weaker kinds prune harder but can lose the optimal plan).
     pub fn dominance(mut self, kind: DominanceKind) -> Optimizer {
-        self.dominance = kind;
+        self.options.dominance = kind;
         self
     }
 
@@ -130,7 +120,7 @@ impl Optimizer {
     /// and `plans_built` never exceeds it. Ignored by the exact
     /// algorithms.
     pub fn plan_budget(mut self, budget: u64) -> Optimizer {
-        self.plan_budget = budget;
+        self.options.plan_budget = budget;
         self
     }
 
@@ -145,7 +135,7 @@ impl Optimizer {
     /// unit. `None` (the default) changes nothing: unconstrained runs are
     /// bit-identical to an optimizer without the knob.
     pub fn deadline(mut self, deadline: Option<Duration>) -> Optimizer {
-        self.deadline = deadline;
+        self.options.deadline = deadline;
         self
     }
 
@@ -160,7 +150,7 @@ impl Optimizer {
     /// (the default) changes nothing: unconstrained runs stay
     /// bit-identical.
     pub fn memory_budget(mut self, bytes: u64) -> Optimizer {
-        self.memory_budget = bytes;
+        self.options.memory_budget = bytes;
         self
     }
 
@@ -169,14 +159,14 @@ impl Optimizer {
     /// slow enumeration. Exists so deadline/degradation paths are testable
     /// deterministically (see `robustness_smoke`); never set in production.
     pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
-        self.fault_unit_delay = delay;
+        self.options.fault_unit_delay = delay;
         self
     }
 
     /// Toggle EXPLAIN rendering on the result (disable for benchmarking
     /// loops; the memo statistics are always collected).
     pub fn explain(mut self, on: bool) -> Optimizer {
-        self.explain = on;
+        self.options.explain = on;
         self
     }
 
@@ -225,36 +215,41 @@ impl Optimizer {
     }
 
     /// [`Optimizer::optimize`] running inside a caller-supplied [`Memo`]
-    /// (see [`dpnext_core::optimize_into`]): results and statistics are
-    /// bit-identical to a fresh run, only the memo's allocations are
-    /// reused — for every algorithm, the adaptive ladder included, so a
-    /// pooled memo is the one the request actually ran in.
+    /// (see [`optimize_into`]): results and statistics are bit-identical to
+    /// a fresh run, only the memo's allocations are reused — for every
+    /// algorithm, the adaptive ladder included, so a pooled memo is the
+    /// one the request actually ran in.
     pub fn optimize_pooled(&self, query: &Query, memo: &mut Memo) -> Optimized {
-        let opts = self.options();
-        match self.algorithm {
-            // The budgeted ladder lives above dpnext-core (see the crate
-            // layering note on `Algorithm::Adaptive`), so the facade is
-            // the dispatch point. Deadline- and memory-budget-bearing
-            // requests also route here: only the ladder can abort
-            // mid-enumeration.
-            algo if algo == Algorithm::Adaptive
-                || self.deadline.is_some()
-                || self.memory_budget != 0 =>
-            {
-                dpnext_adaptive::optimize_adaptive_into(query, &opts, memo)
-            }
-            algo => optimize_into(query, algo, &opts, memo),
-        }
+        optimize_into(query, self.algorithm, &self.options, memo)
     }
 
-    fn options(&self) -> OptimizeOptions {
-        OptimizeOptions {
-            dominance: self.dominance,
-            explain: self.explain,
-            plan_budget: self.plan_budget,
-            deadline: self.deadline,
-            memory_budget: self.memory_budget,
-            fault_unit_delay: self.fault_unit_delay,
-        }
+    /// The algorithm and options every run of this optimizer uses — what a
+    /// serving layer starts from when it derives one request's limits and
+    /// hands them to [`optimize_into`].
+    pub fn configured(&self) -> (Algorithm, OptimizeOptions) {
+        (self.algorithm, self.options)
+    }
+}
+
+/// Whether a run of `algorithm` under `options` goes down the adaptive
+/// ladder: the ladder lives above dpnext-core (see the crate layering note
+/// on [`Algorithm::Adaptive`]), and a deadline or a byte budget turns any
+/// algorithm choice into it — only the ladder can abort mid-enumeration.
+fn rides_ladder(algorithm: Algorithm, options: &OptimizeOptions) -> bool {
+    algorithm == Algorithm::Adaptive || options.deadline.is_some() || options.memory_budget != 0
+}
+
+/// Run `algorithm` under `options` inside `memo`: [`dpnext_core::optimize_into`]
+/// plus the ladder, the one place the two are told apart.
+pub fn optimize_into(
+    query: &Query,
+    algorithm: Algorithm,
+    options: &OptimizeOptions,
+    memo: &mut Memo,
+) -> Optimized {
+    if rides_ladder(algorithm, options) {
+        dpnext_adaptive::optimize_adaptive_into(query, options, memo)
+    } else {
+        dpnext_core::optimize_into(query, algorithm, options, memo)
     }
 }
