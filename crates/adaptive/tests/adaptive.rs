@@ -1,7 +1,7 @@
 //! Integration tests for the budgeted degradation ladder: plan quality
 //! against the exact optimum on small queries, structural validity of
 //! every winning plan, hard budget enforcement, and the large-query
-//! acceptance scenarios (30-relation clique and star).
+//! acceptance scenarios (30 relations, every explicit topology).
 
 use dpnext_adaptive::{
     budget_floor, optimize_adaptive, optimize_adaptive_into, optimize_adaptive_run,
@@ -105,24 +105,39 @@ fn budget_is_a_hard_cap() {
     );
 }
 
-/// The acceptance scenario: a 30-relation clique optimizes within a tight
-/// budget, fast, with a valid plan and `plans_built <= budget` proven by
-/// the stats.
+/// The acceptance scenario: 30-relation queries of every explicit
+/// topology — the clique this test is named for, and chain, star and
+/// mixed — optimize within a tight budget, fast, with a valid plan and
+/// `plans_built <= budget` proven by the stats.
 #[test]
 fn thirty_relation_clique_within_budget() {
-    let q = generate_query(&GenConfig::topology(30, Topology::Clique), 0);
-    let start = Instant::now();
-    let run = optimize_adaptive_run(&q, &opts(20_000));
-    let elapsed = start.elapsed();
-    let stats = run.optimized.memo;
-    assert_eq!(20_000, stats.plan_budget);
-    assert!(run.optimized.plans_built <= 20_000);
-    assert_ne!(stats.adaptive_mode, AdaptiveMode::None);
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
-    assert!(
-        elapsed.as_secs_f64() < 5.0,
-        "30-relation clique took {elapsed:?} (budget demands < 5s)"
-    );
+    for topo in [
+        Topology::Chain,
+        Topology::Star,
+        Topology::Clique,
+        Topology::Mixed,
+    ] {
+        for seed in 0..3u64 {
+            let q = generate_query(&GenConfig::topology(30, topo), seed);
+            let start = Instant::now();
+            let run = optimize_adaptive_run(&q, &opts(20_000));
+            let elapsed = start.elapsed();
+            let stats = run.optimized.memo;
+            assert_eq!(20_000, stats.plan_budget);
+            assert!(
+                run.optimized.plans_built <= 20_000,
+                "{topo:?} seed={seed}: plans_built {} exceeds the budget",
+                run.optimized.plans_built
+            );
+            assert_ne!(stats.adaptive_mode, AdaptiveMode::None);
+            validate_complete_plan(&run.ctx, &run.memo, run.winner)
+                .unwrap_or_else(|e| panic!("invalid plan ({topo:?} seed={seed}): {e}"));
+            assert!(
+                elapsed.as_secs_f64() < 5.0,
+                "30-relation {topo:?} seed={seed} took {elapsed:?} (budget demands < 5s)"
+            );
+        }
+    }
 }
 
 /// A 30-relation star is the expressible enumeration worst case

@@ -117,7 +117,7 @@ pub struct OptimizeOptions {
     /// enumeration work unit of a budgeted search, simulating a
     /// pathologically slow enumeration so deadline/degradation paths are
     /// testable deterministically. `None` (the default) disables it; never
-    /// set outside tests and smoke binaries.
+    /// set outside tests.
     pub fault_unit_delay: Option<Duration>,
 }
 

@@ -30,7 +30,7 @@
 //! cost when tracing is off (pinned by the `disabled_path` regression
 //! test with a counting allocator). Enable with
 //! [`set_trace_level`]`(`[`TraceLevel::Spans`]`)` and install a sink:
-//! [`RingSink`] for tests, [`JsonLinesSink`] for CI artifacts.
+//! [`RingSink`] for tests, [`JsonLinesSink`] for trace files.
 //!
 //! ## Metrics
 //!

@@ -76,9 +76,9 @@ pub fn spans_opened() -> u64 {
 
 /// Spans closed since process start. Every opened span closes when its
 /// guard drops — even on a panic unwinding through it — so after
-/// quiescence `spans_opened() == spans_closed()`; the `obs_smoke` CI
-/// binary fails hard when they disagree (a leaked guard or a span held
-/// across a request boundary).
+/// quiescence `spans_opened() == spans_closed()`; the faulted hammer in
+/// `crates/serve/tests/observability.rs` fails when they disagree (a
+/// leaked guard or a span held across a request boundary).
 pub fn spans_closed() -> u64 {
     SPANS_CLOSED.load(Ordering::Relaxed)
 }
@@ -361,9 +361,9 @@ impl TraceSink for RingSink {
 }
 
 /// A line-protocol JSON sink: one [`SpanRecord::render_json_line`] object
-/// per line, for CI trace artifacts (`OBS_trace.jsonl`). Write errors
-/// are swallowed (a sink must never panic mid-drop); call
-/// [`JsonLinesSink::flush`] and check the result at shutdown.
+/// per line, for trace files. Write errors are swallowed (a sink must
+/// never panic mid-drop); call [`JsonLinesSink::flush`] and check the
+/// result at shutdown.
 pub struct JsonLinesSink<W: Write + Send> {
     out: Mutex<W>,
 }

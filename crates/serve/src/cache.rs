@@ -51,10 +51,11 @@ struct Shard {
 
 /// A sharded map from [`CacheKey`] to optimized results.
 ///
-/// `capacity` is the total entry budget, split evenly across the
-/// shards; `0` disables the cache entirely (every lookup misses without
-/// counting, every insert is dropped) — the knob the cold benchmark
-/// cells use. Keys are exact encodings, so the cache can never return a
+/// `capacity` is the total entry budget, split evenly across the 16
+/// shards with each share rounded up, so the cache holds up to
+/// `16 · ⌈capacity / 16⌉` plans (16 for a capacity of 1); `0` disables
+/// the cache entirely (every lookup misses without counting, every
+/// insert is dropped). Keys are exact encodings, so the cache can never return a
 /// plan for a different query than the one asked.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
@@ -69,7 +70,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (0 disables caching).
+    /// A cache holding at most `⌈capacity / 16⌉` plans in each of its 16
+    /// shards — up to `16 · ⌈capacity / 16⌉` in total, which is `capacity`
+    /// only when that is a multiple of 16 (0 disables caching).
     pub fn new(capacity: usize) -> PlanCache {
         let shards = if capacity == 0 {
             Vec::new()

@@ -106,9 +106,9 @@ impl FaultInjector {
     }
 
     /// Restrict the schedule to request indices in `[start, end)`;
-    /// requests outside the window always run clean. The recovery half of
-    /// the overload smoke lives on this: inject faults for the first K
-    /// requests, then assert breakers close once the window passes.
+    /// requests outside the window always run clean. The breaker-recovery
+    /// test (`tests/overload.rs`) lives on this: inject faults for the
+    /// first K requests, then assert breakers close once the window passes.
     pub fn with_window(mut self, start: u64, end: u64) -> FaultInjector {
         assert!(start < end, "empty fault window");
         self.window = Some((start, end));
@@ -144,36 +144,6 @@ impl FaultInjector {
     /// The live-byte budget a [`Fault::MemoryPressure`] request runs under.
     pub fn pressure_budget_bytes(&self) -> u64 {
         self.pressure_budget_bytes
-    }
-}
-
-/// A deterministic burst arrival schedule: requests arrive in bursts of
-/// `burst_size` separated by `gap`. Pure arithmetic — the overload smoke
-/// and tests derive each request's arrival offset from its index instead
-/// of sleeping on a wall clock they cannot control.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstSchedule {
-    burst_size: u64,
-    gap: Duration,
-}
-
-impl BurstSchedule {
-    /// Bursts of `burst_size` requests (≥ 1), `gap` apart.
-    pub fn new(burst_size: u64, gap: Duration) -> BurstSchedule {
-        assert!(burst_size > 0, "empty burst");
-        BurstSchedule { burst_size, gap }
-    }
-
-    /// When request number `request` arrives, as an offset from the start
-    /// of the run: every request of burst `k = request / burst_size`
-    /// arrives together at `k * gap`.
-    pub fn arrival_offset(&self, request: u64) -> Duration {
-        self.gap * (request / self.burst_size) as u32
-    }
-
-    /// The burst index request number `request` belongs to.
-    pub fn burst_of(&self, request: u64) -> u64 {
-        request / self.burst_size
     }
 }
 
@@ -232,17 +202,5 @@ mod tests {
             .count();
         // 50% over 100 in-window draws: well within [20%, 80%].
         assert!((20..=80).contains(&pressured), "pressure count {pressured}");
-    }
-
-    #[test]
-    fn burst_schedule_is_pure_arithmetic() {
-        let sched = BurstSchedule::new(4, Duration::from_millis(10));
-        assert_eq!(Duration::ZERO, sched.arrival_offset(3));
-        assert_eq!(Duration::from_millis(10), sched.arrival_offset(4));
-        assert_eq!(Duration::from_millis(20), sched.arrival_offset(11));
-        assert_eq!(
-            (0, 1, 2),
-            (sched.burst_of(3), sched.burst_of(4), sched.burst_of(11))
-        );
     }
 }

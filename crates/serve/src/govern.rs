@@ -146,7 +146,8 @@ pub struct GateStats {
     /// queue were full.
     pub rejected: u64,
     /// High-water mark of concurrently queued requests — bounded by
-    /// `max_queued` by construction; the overload smoke asserts it.
+    /// `max_queued` by construction; `tests/overload.rs` asserts it under
+    /// a synchronized burst.
     pub queued_peak: u64,
 }
 

@@ -100,7 +100,7 @@ mod scrape;
 mod service;
 
 pub use cache::{CacheKey, CacheStats, PlanCache};
-pub use fault::{BurstSchedule, Fault, FaultInjector};
+pub use fault::{Fault, FaultInjector};
 pub use fingerprint::{fingerprint_query, QueryShape};
 pub use govern::{
     AdmissionGate, BreakerDecision, BreakerStats, GatePermit, GateStats, LedgerStats,

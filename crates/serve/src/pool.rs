@@ -205,14 +205,17 @@ impl MemoPool {
             // Re-measure: the run may have grown (or reset-shrunk) the
             // arena since checkout. The parked memo stays registered at
             // its new footprint until the next checkout re-adopts it.
+            // The books are settled *before* the memo is published: once
+            // it is on the free list another thread may check it out and
+            // release it, and a (saturating) release that overtakes this
+            // registration would be clamped and leave the ledger high.
             let parked_footprint = memo.footprint_bytes();
-            free.push(memo);
-            drop(free);
-            self.pooled.add(1);
             if let Some(ledger) = &self.ledger {
                 ledger.add(parked_footprint);
                 ledger.sub(accounted);
             }
+            self.pooled.add(1);
+            free.push(memo);
         } else {
             drop(free);
             self.release(accounted);

@@ -31,7 +31,9 @@ pub const SHED_UTILIZATION: f64 = 0.75;
 /// Capacity knobs of an [`OptimizerService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Total plans the cache may hold; 0 disables caching.
+    /// Plans the cache may hold, rounded up to a whole number per shard:
+    /// up to `16 · ⌈cache_capacity / 16⌉` stay resident (see
+    /// [`PlanCache::new`]); 0 disables caching.
     pub cache_capacity: usize,
     /// Idle memos the arena pool may park; 0 disables pooling. Sizing it
     /// at the worker-thread count keeps steady-state serving free of
@@ -167,7 +169,8 @@ pub struct ServeResult {
 /// Point-in-time service counters ([`OptimizerService::stats`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceStats {
-    /// Requests accepted (`optimize` + `optimize_sql` calls).
+    /// Requests accepted (`optimize` + `optimize_sql` calls, including
+    /// SQL texts that failed to parse or bind).
     pub requests: u64,
     /// Current statistics epoch.
     pub epoch: u64,
@@ -219,14 +222,17 @@ pub struct OptimizerService {
     registry: Arc<Registry>,
     requests: Arc<Counter>,
     panics: Arc<Counter>,
+    /// `optimize_sql` calls whose text failed to parse or bind.
+    sql_errors: Arc<Counter>,
     deadline_degraded: Arc<Counter>,
     memory_degraded: Arc<Counter>,
     shed: Arc<Counter>,
     /// Completed optimizer runs by final adaptive mode, indexed by
     /// [`rung_index`]. `dpnext_rung_total{mode=...}` in the registry.
     rungs: [Arc<Counter>; 5],
-    /// End-to-end `optimize()` latency, every return path (hit, miss,
-    /// overload-reject, panic).
+    /// End-to-end request latency, every return path (hit, miss,
+    /// overload-reject, panic, SQL error). A SQL request's clock starts
+    /// before its text is parsed.
     request_latency: Arc<Histogram>,
     /// Optimizer-call wall time of completed (non-cached, non-panicked)
     /// runs. Its p50 feeds the overload retry hint.
@@ -305,6 +311,10 @@ impl OptimizerService {
             "dpnext_panics_total",
             "Requests whose optimizer call panicked (contained and quarantined).",
         );
+        let sql_errors = registry.counter(
+            "dpnext_sql_errors_total",
+            "optimize_sql calls whose text failed to parse or bind.",
+        );
         let shed = registry.counter(
             "dpnext_shed_total",
             "Admitted requests run under load-shed-tightened resource knobs.",
@@ -362,6 +372,7 @@ impl OptimizerService {
             registry,
             requests,
             panics,
+            sql_errors,
             deadline_degraded,
             memory_degraded,
             shed,
@@ -378,8 +389,9 @@ impl OptimizerService {
     /// Arm deterministic fault injection (see [`FaultInjector`]): each
     /// request consults the schedule by its request index and may run with
     /// an injected panic, an injected slow enumeration, or an injected
-    /// memory-pressure budget. For tests and the `robustness_smoke` /
-    /// `overload_smoke` CI binaries; never arm this in production.
+    /// memory-pressure budget. For tests (`tests/robustness.rs`,
+    /// `tests/overload.rs`, `tests/observability.rs`); never arm this in
+    /// production.
     pub fn with_fault_injection(mut self, faults: FaultInjector) -> OptimizerService {
         self.faults = Some(faults);
         self
@@ -470,7 +482,12 @@ impl OptimizerService {
     ///    (the result's `memo.degradation` says why; degraded plans skip
     ///    the cache).
     pub fn optimize(&self, query: &Query) -> Result<ServeResult, ServeError> {
-        let started = Instant::now();
+        self.optimize_from(Instant::now(), query)
+    }
+
+    /// [`OptimizerService::optimize`] for a request that arrived at
+    /// `started` (a SQL request arrives before it is parsed).
+    fn optimize_from(&self, started: Instant, query: &Query) -> Result<ServeResult, ServeError> {
         let request = self.requests.fetch_inc();
         let mut req_span = dpnext_obs::span("serve.request");
         let epoch = self.epoch();
@@ -656,8 +673,23 @@ impl OptimizerService {
     /// Like [`OptimizerService::optimize_sql`], additionally returning
     /// the bound query for callers that execute the plan.
     pub fn optimize_sql_bound(&self, sql: &str) -> Result<(BoundQuery, ServeResult), ServeError> {
-        let bound = bind_sql(sql, self.optimizer.catalog())?;
-        let result = self.optimize(&bound.query)?;
+        let started = Instant::now();
+        let bound = match bind_sql(sql, self.optimizer.catalog()) {
+            Ok(bound) => bound,
+            Err(e) => {
+                // A rejected text is still a request: it is counted, timed
+                // and traced like every other return path.
+                let request = self.requests.fetch_inc();
+                let mut req_span = dpnext_obs::span("serve.request");
+                req_span.tag_u64("request", request);
+                req_span.tag_str("outcome", "sql_error");
+                self.sql_errors.inc();
+                self.request_latency
+                    .observe(started.elapsed().as_nanos() as u64);
+                return Err(ServeError::Sql(e));
+            }
+        };
+        let result = self.optimize_from(started, &bound.query)?;
         Ok((bound, result))
     }
 

@@ -6,8 +6,13 @@
 //! service times within its documented bounds.
 
 use dpnext::{Algorithm as A, Optimized, Optimizer};
-use dpnext_obs::{lint_prometheus_text, MetricValue, RingSink, TagValue, TraceLevel};
-use dpnext_serve::{OptimizerService, ServeError, ServiceConfig, SCRAPE_TIMEOUT};
+use dpnext_obs::{
+    lint_prometheus_text, HistogramSnapshot, MetricValue, MetricsSnapshot, RingSink, TagValue,
+    TraceLevel,
+};
+use dpnext_serve::{
+    Fault, FaultInjector, OptimizerService, ServeError, ServiceConfig, SCRAPE_TIMEOUT,
+};
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig, Topology};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -24,6 +29,18 @@ fn trace_lock() -> &'static Mutex<()> {
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
     trace_lock().lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn histogram(snapshot: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
+    match snapshot
+        .family(name)
+        .unwrap_or_else(|| panic!("{name} missing"))
+        .series[0]
+        .1
+    {
+        MetricValue::Histogram(ref h) => *h,
+        ref other => panic!("{name}: expected a histogram, got {other:?}"),
+    }
 }
 
 fn assert_bit_identical(cold: &Optimized, traced: &Optimized, what: &str) {
@@ -154,37 +171,94 @@ fn traced_miss_carries_one_engine_enumerate_span() {
     assert_ne!(miss.result.plans_built, miss.result.memo.arena_plans);
 }
 
-/// The acceptance identity of the tentpole: after a 4-thread hammer,
-/// the registry's histograms and counters agree *exactly* with
-/// [`ServiceStats`] — same cells, no sampling, no drift — and the
-/// rendered text passes the Prometheus format lint.
+/// The acceptance identity of the tentpole: after a 4-thread hammer —
+/// traced, through a bounded gate, with injected panics, slow units and
+/// memory pressure under a service deadline — the registry's histograms
+/// and counters agree *exactly* with [`ServiceStats`] and with what the
+/// clients saw (same cells, no sampling, no drift), the rendered text
+/// passes the Prometheus format lint, and at quiescence every book
+/// balances: no span open, nobody queued, no live bytes, every memo
+/// parked or quarantined, the ledger holding what is parked and nothing
+/// else.
 #[test]
 fn hammer_histograms_reconcile_exactly_with_stats() {
+    const POOL: usize = 4;
     let _guard = locked();
     let threads = 4;
     let per_thread = 32;
-    let mix = request_mix(&MixConfig::hot(6, 4), threads * per_thread, 99);
-    let service = Arc::new(OptimizerService::new(Optimizer::new(A::EaPrune)));
+    let total = (threads * per_thread) as u64;
+    // Wide enough that most of the requests miss the cache and reach the
+    // fault schedule (hits bypass it), narrow enough that hits still happen.
+    let mix = request_mix(&MixConfig::uniform(64, 6), threads * per_thread, 99);
+    let injector = |seed| {
+        FaultInjector::new(seed, 150_000, 100_000, Duration::from_micros(50))
+            .with_memory_pressure(150_000, 48 << 10)
+    };
+    // The schedule is a pure function of (seed, request index): take the
+    // first seed under which the `POOL` requests after the hammer all
+    // panic, so that they quarantine — and thereby weigh — whatever the
+    // hammer leaves parked.
+    let seed = (0u64..)
+        .find(|&s| (total..total + POOL as u64).all(|i| injector(s).fault_for(i) == Fault::Panic))
+        .unwrap();
+    let service = Arc::new(
+        OptimizerService::with_config(
+            Optimizer::new(A::EaPrune),
+            ServiceConfig {
+                // No more memos than the pool parks: none is discarded
+                // over capacity, so every created one stays on the books.
+                pool_capacity: POOL,
+                max_concurrent: 2,
+                max_queued: 1,
+                deadline: Some(Duration::from_millis(50)),
+                ..ServiceConfig::default()
+            },
+        )
+        .with_fault_injection(injector(seed)),
+    );
+    dpnext_obs::install_sink(Arc::new(RingSink::new(64)));
+    dpnext_obs::set_trace_level(TraceLevel::Spans);
 
+    // (hits, panicked, rejected) as the clients saw them.
+    let seen = Mutex::new((0u64, 0u64, 0u64));
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let service = &service;
-            let mix = &mix;
+            let (service, mix, seen) = (&service, &mix, &seen);
             scope.spawn(move || {
                 let chunk = &mix.schedule()[t * per_thread..(t + 1) * per_thread];
+                let (mut hits, mut panicked, mut rejected) = (0, 0, 0);
                 for &shape in chunk {
-                    service
-                        .optimize(&mix.shapes()[shape])
-                        .expect("no faults injected");
+                    match service.optimize(&mix.shapes()[shape]) {
+                        Ok(r) => hits += r.cache_hit as u64,
+                        Err(ServeError::Panicked(_)) => panicked += 1,
+                        Err(ServeError::Overloaded { .. }) => rejected += 1,
+                        Err(e) => panic!("unexpected error kind: {e}"),
+                    }
                 }
+                let mut seen = seen.lock().unwrap();
+                *seen = (seen.0 + hits, seen.1 + panicked, seen.2 + rejected);
             });
         }
     });
+    dpnext_obs::set_trace_level(TraceLevel::Off);
+    dpnext_obs::clear_sink();
+    let (hits, panicked, rejected) = seen.into_inner().unwrap();
+    assert!(hits > 0, "repeated shapes must produce cache hits");
+    assert!(panicked > 0, "the 15% panic rate went unseen");
 
     let stats = service.stats();
     let snapshot = service.registry().snapshot();
-    let total = (threads * per_thread) as u64;
     assert_eq!(total, stats.requests);
+    assert_eq!(
+        (hits, panicked, rejected),
+        (stats.cache.hits, stats.panics, stats.gate.rejected),
+        "the service's books must match what the clients saw"
+    );
+    assert_eq!(stats.panics, snapshot.counter_total("dpnext_panics_total"));
+    assert_eq!(
+        stats.gate.rejected,
+        snapshot.counter_total("dpnext_gate_rejected_total")
+    );
     assert_eq!(
         total,
         snapshot.counter_total("dpnext_requests_total"),
@@ -203,15 +277,7 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
         snapshot.counter_total("dpnext_gate_admitted_total")
     );
 
-    let hist = |name: &str| match snapshot
-        .family(name)
-        .unwrap_or_else(|| panic!("{name} missing"))
-        .series[0]
-        .1
-    {
-        MetricValue::Histogram(ref h) => *h,
-        ref other => panic!("{name}: expected a histogram, got {other:?}"),
-    };
+    let hist = |name: &str| histogram(&snapshot, name);
     let latency = hist("dpnext_request_latency_nanos");
     assert_eq!(
         total, latency.count,
@@ -242,6 +308,82 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
 
     let text = service.metrics_text();
     lint_prometheus_text(&text).expect("rendered exposition must lint clean");
+
+    // Quiescence: every book balances.
+    assert_eq!(
+        dpnext_obs::spans_opened(),
+        dpnext_obs::spans_closed(),
+        "a return path left a span open"
+    );
+    let gauge = |name: &str| match snapshot
+        .family(name)
+        .unwrap_or_else(|| panic!("{name} missing"))
+        .series[0]
+        .1
+    {
+        MetricValue::Gauge { value, .. } => value,
+        ref other => panic!("{name}: expected a gauge, got {other:?}"),
+    };
+    assert_eq!(0, gauge("dpnext_gate_queued"));
+    assert_eq!(0, gauge("dpnext_live_bytes_midrun"));
+    assert_eq!(stats.panics, stats.pool.quarantined);
+    assert_eq!(
+        stats.pool.created,
+        stats.pool.pooled + stats.pool.quarantined + stats.pool.rejected_invalid,
+        "a memo is parked, quarantined or rejected — never lost"
+    );
+    // Weigh what is parked: each of the next requests panics (see `seed`)
+    // before its run touches the parked memo it checked out, and the
+    // quarantine tallies that memo's footprint. The ledger must have held
+    // exactly that sum, and must hold nothing once the pool is empty.
+    for i in 0..stats.pool.pooled {
+        let unseen = generate_query(&GenConfig::paper(5), i);
+        let drained = service.optimize(&unseen);
+        assert!(matches!(drained, Err(ServeError::Panicked(_))));
+    }
+    let drained = service.stats();
+    assert_eq!(0, drained.pool.pooled);
+    assert_eq!(
+        stats.ledger.bytes,
+        drained.ledger.quarantined_bytes - stats.ledger.quarantined_bytes,
+        "the ledger must hold exactly the footprints of the parked memos"
+    );
+    assert_eq!(0, drained.ledger.bytes);
+}
+
+/// A text that fails to parse or bind is still a request: counted, timed
+/// and traced like every other return path, and turned away before it
+/// reaches the cache, the gate or the pool.
+#[test]
+fn sql_errors_are_on_the_books() {
+    let _guard = locked();
+    let sink = Arc::new(RingSink::new(16));
+    dpnext_obs::install_sink(sink.clone());
+    dpnext_obs::set_trace_level(TraceLevel::Spans);
+
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
+    for sql in ["select broken from", "select x.nope from no_such_table x"] {
+        let err = service.optimize_sql(sql);
+        assert!(matches!(err, Err(ServeError::Sql(_))), "{sql}: {err:?}");
+    }
+
+    dpnext_obs::set_trace_level(TraceLevel::Off);
+    dpnext_obs::clear_sink();
+    let stats = service.stats();
+    let snapshot = service.registry().snapshot();
+    assert_eq!(2, stats.requests);
+    assert_eq!(2, snapshot.counter_total("dpnext_sql_errors_total"));
+    let latency = histogram(&snapshot, "dpnext_request_latency_nanos");
+    assert_eq!(stats.requests, latency.count);
+    assert_eq!(0, stats.cache.hits + stats.cache.misses);
+    assert_eq!(0, stats.gate.admitted + stats.gate.rejected);
+    assert_eq!(0, stats.pool.created);
+    let spans = sink.take();
+    assert_eq!(2, spans.len(), "one serve.request per rejected text");
+    for span in &spans {
+        assert_eq!("serve.request", span.name);
+        assert_eq!(Some(&TagValue::Str("sql_error")), span.tag("outcome"));
+    }
 }
 
 /// The scrape endpoint end to end: bind an ephemeral port, scrape

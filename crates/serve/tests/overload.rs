@@ -17,26 +17,40 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 /// The acceptance identity: a synchronized burst of N requests over an
 /// admission cap of 4 (2 concurrent + 2 queued) splits exactly into
 /// admitted successes and fast `Overloaded` rejections — no request is
-/// lost, none panics, and the wait queue never grows past its bound.
+/// lost, none panics, and the wait queue never grows past its bound. Every
+/// request runs under an injected memory-pressure budget, so the admitted
+/// ones degrade instead of failing and the byte ledger stays under its cap.
 #[test]
 fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     const N: usize = 16;
-    let service = Arc::new(OptimizerService::with_config(
-        // A never-reached deadline routes the runs through the budgeted
-        // search, where the per-unit delay applies: every admitted run
-        // then outlasts the burst's arrival window on any machine, so the
-        // rejection below does not depend on scheduler timing.
-        quiet_optimizer(A::EaPrune)
-            .deadline(Some(Duration::from_secs(600)))
-            .fault_unit_delay(Some(Duration::from_micros(200))),
-        ServiceConfig {
-            cache_capacity: 0, // every request must reach the gate
-            pool_capacity: 4,
-            max_concurrent: 2,
-            max_queued: 2,
-            ..ServiceConfig::default()
-        },
-    ));
+    // Generous: the 2 checked-out + 4 parked memos of 9-relation runs peak
+    // far below it, so a breach can only mean the accounting leaked.
+    // The 16 KiB pressure budget is under the smallest of the 16 queries'
+    // unpressured live peak (20 688 bytes), so every admitted run aborts.
+    const LEDGER_CAP: u64 = 256 << 20;
+    let inj =
+        FaultInjector::new(0xCAFE, 0, 0, Duration::ZERO).with_memory_pressure(1_000_000, 16 << 10);
+    let service = Arc::new(
+        OptimizerService::with_config(
+            // A never-reached deadline routes the runs through the budgeted
+            // search, where the per-unit delay applies: every admitted run
+            // (some 15 work units before its 16 KiB pressure budget aborts
+            // it) then outlasts the burst's arrival window on any machine,
+            // so the rejection below does not depend on scheduler timing.
+            quiet_optimizer(A::EaPrune)
+                .deadline(Some(Duration::from_secs(600)))
+                .fault_unit_delay(Some(Duration::from_micros(500))),
+            ServiceConfig {
+                cache_capacity: 0, // every request must reach the gate
+                pool_capacity: 4,
+                max_concurrent: 2,
+                max_queued: 2,
+                memory_cap_bytes: LEDGER_CAP,
+                ..ServiceConfig::default()
+            },
+        )
+        .with_fault_injection(inj),
+    );
     let barrier = Arc::new(Barrier::new(N));
     let handles: Vec<_> = (0..N)
         .map(|i| {
@@ -81,6 +95,16 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
         "wait queue grew past its bound: {}",
         stats.gate.queued_peak
     );
+    assert!(
+        stats.ledger.peak <= LEDGER_CAP,
+        "ledger peak {} breached the {LEDGER_CAP}-byte cap",
+        stats.ledger.peak
+    );
+    assert_eq!(
+        ok, stats.memory_degraded,
+        "every admitted request ran under the injected pressure budget"
+    );
+    assert!(stats.memory_degraded > 0);
 }
 
 /// Breaker lifecycle under windowed memory-pressure faults: two

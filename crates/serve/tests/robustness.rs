@@ -12,19 +12,24 @@ fn quiet_optimizer(algo: A) -> Optimizer {
     Optimizer::new(algo).explain(false)
 }
 
-/// N requests with K injected panics: exactly N−K succeed, every panic
-/// is contained to its own request, every memo live during a panic is
-/// quarantined, and the pool never re-issues a poisoned memo.
+/// N requests with K injected panics next to injected slow enumerations,
+/// under a service deadline that keeps the slow ones bounded: exactly N−K
+/// succeed, every panic is contained to its own request, every memo live
+/// during a panic is quarantined, and the pool never re-issues a poisoned
+/// memo.
 #[test]
 fn fault_hammer_survives_and_quarantines() {
     let n_requests = 64u64;
-    let inj = FaultInjector::new(0xBEEF, 250_000, 0, Duration::ZERO);
-    let expected_panics = (0..n_requests)
-        .filter(|&i| inj.fault_for(i) == Fault::Panic)
-        .count() as u64;
+    let inj = FaultInjector::new(0xBEEF, 250_000, 100_000, Duration::from_micros(50));
+    let count = |kind: Fault| {
+        (0..n_requests)
+            .filter(|&i| inj.fault_for(i) == kind)
+            .count() as u64
+    };
+    let expected_panics = count(Fault::Panic);
     assert!(
-        expected_panics > 0,
-        "seed must schedule at least one fault for the test to mean anything"
+        expected_panics > 0 && count(Fault::Slow) > 0,
+        "seed must schedule both fault kinds for the test to mean anything"
     );
     // Cache off so every request actually runs the optimizer (and can
     // fault); pool on so quarantine has a free list to protect.
@@ -33,7 +38,7 @@ fn fault_hammer_survives_and_quarantines() {
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,
-            deadline: None,
+            deadline: Some(Duration::from_millis(25)),
             ..ServiceConfig::default()
         },
     )
@@ -44,11 +49,15 @@ fn fault_hammer_survives_and_quarantines() {
     std::panic::set_hook(Box::new(|_| {}));
     let (mut ok, mut panicked) = (0u64, 0u64);
     for i in 0..n_requests {
-        let q = generate_query(&GenConfig::paper(3 + (i as usize % 3)), i);
+        // 6-10 relations over mixed topologies: small enough that clean
+        // runs finish fast, big enough that a slow fault hits the ladder.
+        let topo = [Topology::Chain, Topology::Star, Topology::Mixed][(i % 3) as usize];
+        let q = generate_query(&GenConfig::topology(6 + (i as usize % 5), topo), i);
         match service.optimize(&q) {
             Ok(r) => {
                 ok += 1;
                 assert!(!r.cache_hit);
+                assert!(r.result.plan.cost.is_finite(), "request {i}");
             }
             Err(ServeError::Panicked(msg)) => {
                 panicked += 1;

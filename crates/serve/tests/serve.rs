@@ -150,6 +150,17 @@ fn concurrent_hammer_consistent_counters() {
     assert!(stats.cache.misses >= distinct);
     assert!(stats.cache.entries <= distinct);
     assert!(stats.cache.hits > 0, "hot mix must produce hits");
+
+    // Every shape the hammer served is warm now: one more pass over them
+    // is all hits and runs no optimizer.
+    for &shape in mix.schedule() {
+        let warm = service.optimize(&mix.shapes()[shape]).unwrap();
+        assert!(warm.cache_hit, "shape {shape}: a warmed shape must hit");
+    }
+    let warmed = service.stats();
+    assert_eq!(stats.cache.hits + total, warmed.cache.hits);
+    assert_eq!(stats.cache.misses, warmed.cache.misses);
+    assert_eq!(stats.pool.created, warmed.pool.created);
 }
 
 #[test]

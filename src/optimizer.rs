@@ -157,7 +157,8 @@ impl Optimizer {
     /// Fault-injection hook: busy-wait this long before every enumeration
     /// work unit of a budgeted/adaptive run, simulating a pathologically
     /// slow enumeration. Exists so deadline/degradation paths are testable
-    /// deterministically (see `robustness_smoke`); never set in production.
+    /// deterministically (see `crates/adaptive/tests/deadline.rs`); never
+    /// set in production.
     pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
         self.options.fault_unit_delay = delay;
         self
