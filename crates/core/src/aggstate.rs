@@ -183,6 +183,7 @@ fn grouped_here(ctx: &OptContext, i: usize, s: NodeSet) -> bool {
 /// attributes there). Returns the new `(positions, counts)` spans. Only
 /// the state is derived here — the enumeration never needs the aggregate
 /// *calls*; [`group_agg_calls`] rebuilds them for a plan that is compiled.
+#[inline]
 pub fn push_grouped_state(
     ctx: &OptContext,
     scratch: &mut Scratch,

@@ -2,12 +2,13 @@
 //! the arena-backed [`Memo`]: the DPhyp baseline (Fig. 5, no eager
 //! aggregation), complete enumeration EA-All (Fig. 9), the
 //! optimality-preserving EA-Prune (Figs. 13/14), and the heuristics H1
-//! (Fig. 10) and H2 (Fig. 12) are all instances of the engine with a
-//! different `ClassPolicy`.
+//! (Fig. 10) and H2 (Fig. 12) are all runs of the engine that differ only
+//! in the relation their plan classes are thinned by ([`ThinBy`]).
 //!
 //! The engine is one loop: walk the DPhyp csg-cmp-pair stream in emission
 //! order and hand every pair to `process_pair`, which builds the plans of
-//! each `(orientation, t1, t2)` work unit and feeds them to the policy. A
+//! each `(orientation, t1, t2)` work unit and folds them into their class
+//! ([`Memo::fold`]); complete plans compete on final cost instead. A
 //! `take` hook is asked before every unit; the exact algorithms take
 //! everything, [`BudgetedSearch`] refuses once its plan budget, deadline
 //! or byte budget is spent — a refusal ends the pair.
@@ -15,7 +16,7 @@
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
-use crate::memo::{DominanceKind, Memo, MemoStats, PlanId};
+use crate::memo::{DominanceKind, Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::op_trees;
 use crate::plan::{apply_staged, make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
@@ -139,19 +140,6 @@ pub fn optimize(query: &Query, algo: Algorithm) -> Optimized {
     optimize_with(query, algo, &OptimizeOptions::default())
 }
 
-/// EA-Prune with a configurable dominance criterion (ablation interface;
-/// `DominanceKind::Full` is exactly [`Algorithm::EaPrune`]).
-pub fn optimize_with_pruning(query: &Query, kind: DominanceKind) -> Optimized {
-    optimize_with(
-        query,
-        Algorithm::EaPrune,
-        &OptimizeOptions {
-            dominance: kind,
-            ..OptimizeOptions::default()
-        },
-    )
-}
-
 /// Optimize `query` with explicit [`OptimizeOptions`].
 pub fn optimize_with(query: &Query, algo: Algorithm, opts: &OptimizeOptions) -> Optimized {
     let mut memo = Memo::new();
@@ -181,11 +169,11 @@ pub fn optimize_into(
     let ctx = OptContext::new(query.clone());
     let start = Instant::now();
     let ((plan, logical), retained, plans_built) = match algo {
-        Algorithm::DPhyp => run_single(&ctx, memo, false, None),
-        Algorithm::H1 => run_single(&ctx, memo, true, None),
-        Algorithm::H2(f) => run_single(&ctx, memo, true, Some(f)),
-        Algorithm::EaAll => run_multi(&ctx, memo, None),
-        Algorithm::EaPrune => run_multi(&ctx, memo, Some(opts.dominance)),
+        Algorithm::DPhyp => run(&ctx, memo, ThinBy::Cheapest(None), false),
+        Algorithm::H1 => run(&ctx, memo, ThinBy::Cheapest(None), true),
+        Algorithm::H2(f) => run(&ctx, memo, ThinBy::Cheapest(Some(f)), true),
+        Algorithm::EaAll => run(&ctx, memo, ThinBy::Nothing, true),
+        Algorithm::EaPrune => run(&ctx, memo, ThinBy::dominance(&ctx, opts.dominance), true),
         // dpnext-core cannot depend on dpnext-adaptive (it is the other
         // way around); the facade routes this variant before we get here.
         Algorithm::Adaptive => panic!(
@@ -289,27 +277,16 @@ fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut Pair
     }
 }
 
-/// What a plan class keeps, and what happens to complete plans — the only
-/// part in which the five generators differ. The engine drives the
-/// enumeration; the policy decides retention.
-pub(crate) trait ClassPolicy {
-    /// Generate all eager-aggregation variants (`OpTrees`, Fig. 6) or only
-    /// the plain operator tree (the DPhyp baseline)?
-    fn eager(&self) -> bool;
-    /// A new plan for the (incomplete) class `s` was built.
-    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId);
-    /// A plan covering the full relation set with every operator applied.
-    /// Returns whether the policy kept a reference to `id`; when no plan
-    /// of a work unit is kept, the engine rolls the arena back.
-    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool;
-}
-
 /// Build the plan variants of one csg-cmp-pair: for each orientation,
-/// pair up the retained subplans of both sides, construct the policy's
-/// tree variants, and hand them to the policy. Complete plans never enter
-/// a class; unless the policy keeps one, the whole `(t1, t2)` application
-/// is rolled back — on EA-All the losing complete plans outnumber the
-/// retained state by an order of magnitude.
+/// pair up the retained subplans of both sides, construct the tree
+/// variants — all eager-aggregation variants (`OpTrees`, Fig. 6) when
+/// `eager`, else only the plain operator tree of the DPhyp baseline — and
+/// fold each into its class under `thin_by`. Complete plans (the full
+/// relation set with every operator applied) never enter a class: they go
+/// to `complete`, which says whether it kept a reference, and unless one
+/// is kept the whole `(t1, t2)` application is rolled back — on EA-All the
+/// losing complete plans outnumber the retained state by an order of
+/// magnitude.
 ///
 /// Every `(orientation, t1, t2)` combination is one **work unit**, counted
 /// in the caller's `unit`. Before building a unit the engine asks
@@ -319,19 +296,20 @@ pub(crate) trait ClassPolicy {
 /// the pair's plan set is incomplete. The per-pair snapshots of both
 /// classes are plain `PlanId` copies into `bufs` — no plan data is cloned.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_pair<P: ClassPolicy>(
+pub(crate) fn process_pair(
     ctx: &OptContext,
     scratch: &mut Scratch,
     bufs: &mut PairBufs,
     memo: &mut Memo,
-    policy: &mut P,
+    thin_by: ThinBy,
+    eager: bool,
     s1: NodeSet,
     s2: NodeSet,
     full: NodeSet,
     unit: &mut u64,
     take: &mut impl FnMut(u64, &Memo) -> bool,
+    complete: &mut impl FnMut(&Memo, PlanId) -> bool,
 ) -> bool {
-    let eager = policy.eager();
     orientations_into(ctx, s1, s2, bufs);
     let PairBufs {
         orients,
@@ -365,10 +343,13 @@ pub(crate) fn process_pair<P: ClassPolicy>(
                 let mark = (s == full).then(|| memo.mark());
                 trees.clear();
                 // The constructors this loop calls (`op_trees`,
-                // `apply_staged`, `make_group`, and `final_numbers` behind
-                // `complete`) are `#[inline]` so they are compiled into
-                // this codegen unit; without that the benchmark's
-                // ea-prune-paper p99 reads ~5% higher.
+                // `apply_staged`, `make_group`, `Memo::fold`, and
+                // `final_numbers` behind `complete`) and what those call
+                // per plan in other modules (the `OptContext`/`Scratch`
+                // accessors, `push_grouped_state`) are `#[inline]` so they
+                // are compiled into this codegen unit; without that the
+                // benchmark's ea-prune-paper p99 reads 3–5% higher, and
+                // which module an edit lands in decides whether it does.
                 if eager {
                     op_trees(ctx, scratch, memo, staged, t1, t2, trees);
                 } else if let Some(t) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
@@ -378,10 +359,10 @@ pub(crate) fn process_pair<P: ClassPolicy>(
                 for &t in trees.iter() {
                     if s == full {
                         if all_ops_applied(ctx, memo[t].applied) {
-                            kept |= policy.complete(ctx, memo, t);
+                            kept |= complete(memo, t);
                         }
                     } else {
-                        policy.insert(memo, s, t);
+                        memo.fold(s, t, thin_by);
                     }
                 }
                 if let Some(mark) = mark {
@@ -398,7 +379,13 @@ pub(crate) fn process_pair<P: ClassPolicy>(
 /// Seed the singleton scan classes, then walk every csg-cmp-pair in DPhyp
 /// emission order through [`process_pair`], taking every work unit.
 /// Returns the total number of plans built.
-fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P) -> u64 {
+fn run_engine(
+    ctx: &OptContext,
+    memo: &mut Memo,
+    thin_by: ThinBy,
+    eager: bool,
+    complete: &mut impl FnMut(&Memo, PlanId) -> bool,
+) -> u64 {
     let mut scratch = Scratch::new(ctx);
     let n = ctx.query.table_count();
     seed_scans(ctx, memo);
@@ -416,12 +403,14 @@ fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P)
                 &mut scratch,
                 &mut bufs,
                 memo,
-                policy,
+                thin_by,
+                eager,
                 s1,
                 s2,
                 full,
                 &mut units,
                 &mut take,
+                complete,
             );
         });
         if let Some(t0) = t0 {
@@ -443,7 +432,18 @@ fn run_engine<P: ClassPolicy>(ctx: &OptContext, memo: &mut Memo, policy: &mut P)
 fn seed_scans(ctx: &OptContext, memo: &mut Memo) {
     for i in 0..ctx.query.table_count() {
         let id = make_scan(ctx, memo, i);
-        memo.class_push(NodeSet::single(i), id);
+        memo.fold(NodeSet::single(i), id, ThinBy::Nothing);
+    }
+}
+
+impl ThinBy {
+    /// The dominance relation of `kind` for `ctx`'s query; its groupjoin
+    /// guard is on exactly when the query contains groupjoins.
+    pub fn dominance(ctx: &OptContext, kind: DominanceKind) -> ThinBy {
+        ThinBy::Dominance {
+            kind,
+            guard_groupjoin: ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin),
+        }
     }
 }
 
@@ -462,156 +462,36 @@ fn keep_best(best: &mut Option<(f64, PlanId)>, ctx: &OptContext, memo: &Memo, id
     false
 }
 
-/// Single-plan-per-class policy: DPhyp baseline (`eager = false`), H1
-/// (`eager = true`), H2 (`factor = Some(F)`, Fig. 12).
-struct SingleBest {
-    eager: bool,
-    factor: Option<f64>,
-    /// Cheapest complete plan so far, by final cost; compiled to a
-    /// [`FinalPlan`] only once the run ends.
-    best: Option<(f64, PlanId)>,
-}
-
-impl ClassPolicy for SingleBest {
-    fn eager(&self) -> bool {
-        self.eager
-    }
-
-    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
-        match memo.class(s).first().copied() {
-            None => memo.class_push(s, id),
-            Some(cur) => {
-                if compare_adjusted(memo, id, cur, self.factor) {
-                    memo.class_set_single(s, id);
-                }
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
-}
-
-/// Multi-plan policy: EA-All (`prune = None`, Fig. 9) and EA-Prune
-/// (`prune = Some(kind)`, Figs. 13/14).
-pub(crate) struct MultiBest {
-    prune: Option<DominanceKind>,
-    guard_groupjoin: bool,
-    /// Cheapest complete plan so far, by final cost; compiled to a
-    /// [`FinalPlan`] only once the run ends.
-    best: Option<(f64, PlanId)>,
-}
-
-impl MultiBest {
-    /// The policy for `ctx`'s query; the groupjoin guard of the dominance
-    /// test is on exactly when the query contains groupjoins.
-    pub(crate) fn new(ctx: &OptContext, prune: Option<DominanceKind>) -> MultiBest {
-        MultiBest {
-            prune,
-            guard_groupjoin: ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin),
-            best: None,
-        }
-    }
-}
-
-impl ClassPolicy for MultiBest {
-    fn eager(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
-        match self.prune {
-            Some(kind) => memo.class_prune_insert(s, id, kind, self.guard_groupjoin),
-            None => memo.class_push(s, id),
-        }
-    }
-
-    fn complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
-}
-
-/// Collect-everything policy for [`all_subplans`]: every class keeps every
-/// plan and complete plans are gathered instead of finalized.
-struct CollectAll {
-    complete: Vec<PlanId>,
-}
-
-impl ClassPolicy for CollectAll {
-    fn eager(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, memo: &mut Memo, s: NodeSet, id: PlanId) {
-        memo.class_push(s, id);
-    }
-
-    fn complete(&mut self, _ctx: &OptContext, _memo: &Memo, id: PlanId) -> bool {
-        self.complete.push(id);
-        true
-    }
-}
-
-fn run_single(
+/// One exact run: thin every class by `thin_by`, keep the cheapest
+/// complete plan, compile it. Returns the winner with its memo id, the
+/// plans retained in the classes and the plans built.
+fn run(
     ctx: &OptContext,
     memo: &mut Memo,
+    thin_by: ThinBy,
     eager: bool,
-    factor: Option<f64>,
 ) -> ((FinalPlan, PlanId), u64, u64) {
-    let mut policy = SingleBest {
-        eager,
-        factor,
-        best: None,
-    };
-    let plans_built = run_engine(ctx, memo, &mut policy);
-    if ctx.query.table_count() == 1 {
-        return finalize_single_table(ctx, memo, plans_built);
-    }
-    let retained = memo.class_count();
-    match policy.best {
-        // Deferred finalization: compile the single winner's tree now.
-        Some((_, id)) => ((finalize(ctx, memo, id), id), retained, plans_built),
+    let mut best = None;
+    let plans_built = run_engine(ctx, memo, thin_by, eager, &mut |memo, id| {
+        keep_best(&mut best, ctx, memo, id)
+    });
+    let id = match best {
+        Some((_, id)) => id,
+        // Degenerate single-table query: the scan is the complete plan.
+        None if ctx.query.table_count() == 1 => memo.class(NodeSet::full(1))[0],
         // Eager single-plan search can dead-end when a groupjoin's right
         // side only has a pre-aggregated plan; fall back to the baseline
         // (plans built during the dead-ended attempt stay counted; the
         // dead-ended memo is wiped).
         None if eager => {
             memo.reset();
-            let (best, retained, fallback_built) = run_single(ctx, memo, false, None);
-            (best, retained, plans_built + fallback_built)
+            let (best, retained, fallback_built) = run(ctx, memo, ThinBy::Cheapest(None), false);
+            return (best, retained, plans_built + fallback_built);
         }
         None => panic!("no plan found: query graph disconnected or over-constrained"),
-    }
-}
-
-fn run_multi(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    prune: Option<DominanceKind>,
-) -> ((FinalPlan, PlanId), u64, u64) {
-    let mut policy = MultiBest::new(ctx, prune);
-    let plans_built = run_engine(ctx, memo, &mut policy);
-    if ctx.query.table_count() == 1 {
-        return finalize_single_table(ctx, memo, plans_built);
-    }
-    let retained = memo.retained();
-    let (_, id) = policy
-        .best
-        .expect("no plan found: query graph disconnected or over-constrained");
+    };
     // Deferred finalization: compile the single winner's tree now.
-    ((finalize(ctx, memo, id), id), retained, plans_built)
-}
-
-/// Degenerate single-table query: the scan is the complete plan.
-fn finalize_single_table(
-    ctx: &OptContext,
-    memo: &Memo,
-    plans_built: u64,
-) -> ((FinalPlan, PlanId), u64, u64) {
-    let id = memo.class(NodeSet::full(1))[0];
-    let plan = finalize(ctx, memo, id);
-    ((plan, id), 1, plans_built)
+    ((finalize(ctx, memo, id), id), memo.retained(), plans_built)
 }
 
 /// Enumerate every plan EA-All would consider, for diagnostics and for
@@ -621,12 +501,14 @@ fn finalize_single_table(
 pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
     let ctx = OptContext::new(query.clone());
     let mut memo = Memo::new();
-    let mut policy = CollectAll {
-        complete: Vec::new(),
-    };
-    run_engine(&ctx, &mut memo, &mut policy);
+    // Complete plans are gathered, all of them, instead of competing.
+    let mut complete = Vec::new();
+    run_engine(&ctx, &mut memo, ThinBy::Nothing, true, &mut |_, id| {
+        complete.push(id);
+        true
+    });
     let mut plans = memo.retained_ids();
-    plans.extend(policy.complete);
+    plans.extend(complete);
     (ctx, memo, plans)
 }
 
@@ -652,7 +534,10 @@ pub struct BudgetedSearch<'a> {
     memo: Memo,
     scratch: Scratch,
     bufs: PairBufs,
-    policy: MultiBest,
+    thin_by: ThinBy,
+    /// Cheapest complete plan so far, by final cost; compiled to a
+    /// [`FinalPlan`] only once the search ends.
+    best: Option<(f64, PlanId)>,
     meter: Meter,
     full: NodeSet,
 }
@@ -751,7 +636,8 @@ impl<'a> BudgetedSearch<'a> {
             memo,
             scratch: Scratch::new(ctx),
             bufs: PairBufs::new(),
-            policy: MultiBest::new(ctx, Some(dominance)),
+            thin_by: ThinBy::dominance(ctx, dominance),
+            best: None,
             meter: Meter {
                 budget,
                 exhausted: None,
@@ -805,15 +691,21 @@ impl<'a> BudgetedSearch<'a> {
 
     /// Cost of the cheapest complete plan seen so far.
     pub fn best_cost(&self) -> Option<f64> {
-        self.policy.best.map(|(cost, _)| cost)
+        self.best.map(|(cost, _)| cost)
     }
 
     /// Shrink the class of `s` to its greedy representative(s); see
     /// [`Memo::class_shrink_to_best`]. The groupjoin guard is applied
     /// exactly when the query contains groupjoins.
     pub fn shrink_class_to_best(&mut self, s: NodeSet) {
-        self.memo
-            .class_shrink_to_best(s, self.policy.guard_groupjoin);
+        let keep_raw = matches!(
+            self.thin_by,
+            ThinBy::Dominance {
+                guard_groupjoin: true,
+                ..
+            }
+        );
+        self.memo.class_shrink_to_best(s, keep_raw);
     }
 
     /// Process one candidate pair under the budget: build every operator
@@ -842,17 +734,20 @@ impl<'a> BudgetedSearch<'a> {
         }
         let mut unit = 0u64;
         let mut take = |u: u64, memo: &Memo| meter.take(spent + (u + 1) * UNIT_MAX_PLANS, memo);
+        let (ctx, best) = (self.ctx, &mut self.best);
         let completed = process_pair(
-            self.ctx,
+            ctx,
             &mut self.scratch,
             &mut self.bufs,
             &mut self.memo,
-            &mut self.policy,
+            self.thin_by,
+            true,
             s1,
             s2,
             self.full,
             &mut unit,
             &mut take,
+            &mut |memo, id| keep_best(best, ctx, memo, id),
         );
         debug_assert!(self
             .meter
@@ -866,7 +761,6 @@ impl<'a> BudgetedSearch<'a> {
     pub fn finish(self) -> BudgetedOutcome {
         // Deferred finalization: compile the winner's tree once, here.
         let best = self
-            .policy
             .best
             .map(|(_, id)| (finalize(self.ctx, &self.memo, id), id));
         BudgetedOutcome {
@@ -900,22 +794,4 @@ pub fn applied_ops_mask(n_ops: usize) -> u64 {
 /// and discarded.
 fn all_ops_applied(ctx: &OptContext, applied: u64) -> bool {
     applied == applied_ops_mask(ctx.cq.ops.len())
-}
-
-/// `CompareAdjustedCosts` (Fig. 12): should `new` replace `old`?
-/// Without a factor this is the plain cost comparison of H1 (Fig. 10).
-fn compare_adjusted(memo: &Memo, new: PlanId, old: PlanId, factor: Option<f64>) -> bool {
-    let (nc, oc) = (memo[new].cost, memo[old].cost);
-    let Some(f) = factor else {
-        return nc < oc;
-    };
-    let (en, eo) = (memo.eagerness(new), memo.eagerness(old));
-    if en == eo {
-        nc < oc
-    } else if en < eo {
-        // `new` is less eager: its cost is adjusted (penalized) by F.
-        f * nc < oc
-    } else {
-        nc < f * oc
-    }
 }

@@ -48,6 +48,21 @@ pub struct OptContext {
     first_fresh: u32,
 }
 
+/// [`Query::attr_origins`] under reordering. A groupjoin's outputs exist
+/// as soon as the groupjoin is applied, and that is wherever its hyperedge
+/// fits — which can be a smaller set than its original subtree. `G⁺(S)`
+/// must see them from there on, or a grouping pushed onto such an `S` drops
+/// an attribute a later predicate still needs.
+fn attr_origins(query: &Query, cq: &ConflictedQuery) -> FxHashMap<AttrId, NodeSet> {
+    let mut origins = query.attr_origins();
+    for op in &cq.ops {
+        for call in &op.gj_aggs {
+            origins.insert(call.out, op.l_tes.union(op.r_tes));
+        }
+    }
+    origins
+}
+
 impl OptContext {
     /// Derive the full optimization context (conflict detection,
     /// attribute origins, base statistics) for one query.
@@ -61,7 +76,7 @@ impl OptContext {
             "query has {} operators; applied-operator tracking supports at most 64",
             cq.ops.len()
         );
-        let origins = query.attr_origins();
+        let origins = attr_origins(&query, &cq);
         let mut base_distinct = FxHashMap::default();
         for t in &query.tables {
             for (i, &a) in t.attrs.iter().enumerate() {
@@ -125,6 +140,7 @@ impl OptContext {
     }
 
     /// The normalized aggregation vector of the query.
+    #[inline]
     pub fn aggs(&self) -> &[dpnext_algebra::AggCall] {
         self.query
             .grouping
@@ -134,6 +150,7 @@ impl OptContext {
     }
 
     /// Whether the query has a `GROUP BY` (or scalar-aggregate) block.
+    #[inline]
     pub fn has_grouping(&self) -> bool {
         self.query.grouping.is_some()
     }
@@ -145,6 +162,7 @@ impl OptContext {
     }
 
     /// Node set an attribute originates from; panics on unknown ids.
+    #[inline]
     pub fn origin(&self, a: AttrId) -> NodeSet {
         *self
             .origins
@@ -154,6 +172,7 @@ impl OptContext {
 
     /// Base distinct count of an attribute (infinite when unknown, e.g.
     /// groupjoin outputs — grouping on them then gives no reduction).
+    #[inline]
     pub fn distinct(&self, a: AttrId) -> f64 {
         self.base_distinct.get(&a).copied().unwrap_or(f64::INFINITY)
     }
@@ -209,6 +228,7 @@ impl OptContext {
     /// arguments lie inside `s` must be decomposable (§2.1.2); aggregates
     /// split across the boundary (impossible for single-table arguments)
     /// also forbid grouping.
+    #[inline]
     pub fn can_group(&self, s: NodeSet) -> bool {
         for (i, call) in self.aggs().iter().enumerate() {
             let org = self.agg_origin[i];
@@ -252,6 +272,7 @@ impl Scratch {
     }
 
     /// Allocate the next fresh attribute id.
+    #[inline]
     pub fn fresh_attr(&mut self) -> AttrId {
         let id = AttrId(self.next_attr);
         self.next_attr = self
@@ -262,6 +283,7 @@ impl Scratch {
     }
 
     /// Record one constructed plan in the scratch counter.
+    #[inline]
     pub fn count_plan(&mut self) {
         self.plans_built += 1;
     }
@@ -272,6 +294,7 @@ impl Scratch {
     /// Returns a borrow of the cached attributes: a hit is one map probe,
     /// a miss appends to the cache's one attribute vector — no allocation
     /// per set.
+    #[inline]
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
         let attrs = &mut self.gplus_attrs;
         self.gplus_cache

@@ -36,8 +36,8 @@ pub mod validate;
 mod tests;
 
 pub use algo::{
-    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, optimize_with_pruning,
-    Algorithm, BudgetedOutcome, BudgetedSearch, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
+    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, Algorithm,
+    BudgetedOutcome, BudgetedSearch, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
 pub use budget::{Budget, Exhausted};
 pub use context::{OptContext, Scratch};
@@ -47,7 +47,7 @@ pub use fusion::fuse_groupjoins;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
     AdaptiveMode, Degradation, DominanceKind, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot,
-    PlanId, PlanNode, PlanRef, Span, Term, ARENA_ROW_BYTES,
+    PlanId, PlanNode, PlanRef, Span, Term, ThinBy, ARENA_ROW_BYTES,
 };
 pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
 pub use recost::{recost_plan, Recosted};

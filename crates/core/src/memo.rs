@@ -1,7 +1,7 @@
 //! The arena-backed DP memo: plans are [`PlanId`] indices into a
 //! contiguous arena, plan classes are per-[`NodeSet`] id lists owned by
-//! the memo, and dominance pruning (Fig. 13) operates on ids without
-//! cloning plan-class vectors.
+//! the memo, and a class is thinned by one step, [`Memo::fold`], under
+//! whichever relation ([`ThinBy`]) the generator runs with.
 //!
 //! The arena is split structure-of-arrays into a **hot** row
 //! ([`PlanHot`]: set, cardinality, cost, applied mask, key/grouping
@@ -19,7 +19,7 @@
 //!
 //! The memo is the optimizer's single source of truth for DP state; the
 //! enumeration engine in [`crate::algo`] only decides *which* plans to
-//! build and which ids a class keeps.
+//! build and which relation the classes are thinned by.
 
 use crate::aggstate::{AggPos, AggRef};
 use crate::fxhash::FxHashMap;
@@ -512,8 +512,11 @@ pub struct MemoStats {
 }
 
 impl MemoStats {
-    /// Fraction of pruned insertions that did any work (rejected the new
-    /// plan or evicted an incumbent). 0 when pruning never ran.
+    /// Prune hits per attempt: candidates rejected plus *incumbents*
+    /// evicted, over dominance folds attempted. One accepted candidate can
+    /// evict several incumbents, so this is not a share of the insertions;
+    /// it stays at most 1 because an evicted incumbent was itself an
+    /// accepted attempt. 0 when pruning never ran.
     pub fn prune_hit_rate(&self) -> f64 {
         if self.prune_attempts == 0 {
             return 0.0;
@@ -522,11 +525,77 @@ impl MemoStats {
     }
 }
 
-/// The hot half of the dominance test: everything decidable from two
-/// [`PlanHot`] rows. `Full` dominance additionally requires the cold-side
-/// key implication, checked by the callers *after* this passes — the
-/// `&&` order matches the original single-struct test exactly, so the
-/// split changes no outcome.
+/// The relation a plan class is thinned by — the one thing in which the
+/// five generators of §4 differ. `a ≼ b` ("`a` precedes `b`") says that a
+/// class holding `a` has no use for `b`; [`Memo::fold`] is the one step
+/// that thins a class by it. Pruning with a relation keeps the optimum
+/// only if the relation is monotone under every plan constructor
+/// (`p ≼ q ⇒ op(p, r) ≼ op(q, r)`): `crates/core/tests/thinning.rs` holds
+/// [`DominanceKind::Full`] to that and records where the weaker kinds
+/// break it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ThinBy {
+    /// The empty relation — nothing precedes anything: a class keeps every
+    /// plan (EA-All, Fig. 9).
+    Nothing,
+    /// The total cost order, ties to the earlier plan: a class keeps its
+    /// one cheapest plan (DPhyp, Fig. 5; H1, Fig. 10). With a tolerance
+    /// factor `F` the costs are compared eagerness-adjusted
+    /// (`CompareAdjustedCosts` of H2, Fig. 12).
+    Cheapest(Option<f64>),
+    /// Dominance (Def. 4; EA-Prune, Figs. 13/14): `a` is at most as
+    /// expensive and at most as large as `b`, duplicate-free whenever `b`
+    /// is, and its key set implies `b`'s (the practical weakening of
+    /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6) — or whichever of these
+    /// `kind` asks for.
+    Dominance {
+        /// Which of the conditions apply.
+        kind: DominanceKind,
+        /// In the presence of groupjoins a pre-aggregated plan must not
+        /// shadow a raw one (the groupjoin needs raw right inputs).
+        guard_groupjoin: bool,
+    },
+}
+
+impl ThinBy {
+    /// Whether `a ≼ b`, for two plans of `memo`.
+    pub fn precedes(self, memo: &Memo, a: PlanId, b: PlanId) -> bool {
+        self.precedes_in(&memo.hot, &memo.cold, &memo.lanes, a, b)
+    }
+
+    /// [`ThinBy::precedes`] on the borrowed parts of a memo, the form
+    /// [`Memo::fold`] can call while it edits a class. Dominance decides
+    /// on the hot rows first; the key sets are read only when everything
+    /// else already holds (and only for [`DominanceKind::Full`]).
+    #[inline]
+    fn precedes_in(
+        self,
+        hot: &[PlanHot],
+        cold: &[PlanCold],
+        lanes: &Lanes,
+        a: PlanId,
+        b: PlanId,
+    ) -> bool {
+        match self {
+            ThinBy::Nothing => false,
+            // `b` has to beat `a` strictly to be worth keeping.
+            ThinBy::Cheapest(factor) => !adjusted_less(hot, cold, b, a, factor),
+            ThinBy::Dominance {
+                kind,
+                guard_groupjoin,
+            } => {
+                dominates_hot(&hot[a.index()], &hot[b.index()], kind, guard_groupjoin)
+                    && (kind != DominanceKind::Full
+                        || lanes
+                            .key_set(cold[a.index()].keys)
+                            .implies(lanes.key_set(cold[b.index()].keys)))
+            }
+        }
+    }
+}
+
+/// Everything of the dominance test that is decidable from two
+/// [`PlanHot`] rows.
 #[inline]
 fn dominates_hot(a: &PlanHot, b: &PlanHot, kind: DominanceKind, guard_groupjoin: bool) -> bool {
     if guard_groupjoin && a.has_grouping() && !b.has_grouping() {
@@ -541,60 +610,40 @@ fn dominates_hot(a: &PlanHot, b: &PlanHot, kind: DominanceKind, guard_groupjoin:
     }
 }
 
-/// Dominance (Def. 4): `a` dominates `b` when it is at most as expensive,
-/// at most as large, duplicate-free whenever `b` is, and its key set
-/// implies `b`'s (the practical weakening of `FD⁺(a) ⊇ FD⁺(b)` suggested
-/// in §4.6). In the presence of groupjoins a pre-aggregated plan must not
-/// shadow a raw plan (the groupjoin needs raw right inputs). The hot rows
-/// decide first; the key sets are read only when everything else already
-/// holds (and only for [`DominanceKind::Full`]).
+/// `CompareAdjustedCosts` (Fig. 12): is `new` cheaper than `old`? Without
+/// a factor this is the plain cost comparison of H1 (Fig. 10).
 #[inline]
-pub fn dominates(
-    a: PlanRef<'_>,
-    b: PlanRef<'_>,
-    kind: DominanceKind,
-    guard_groupjoin: bool,
-) -> bool {
-    dominates_hot(a.hot, b.hot, kind, guard_groupjoin)
-        && (kind != DominanceKind::Full || a.keys().implies(b.keys()))
-}
-
-/// `PruneDominatedPlans` (Fig. 13) against a detached class vector:
-/// drop `id` if an incumbent dominates it, otherwise evict every
-/// incumbent it dominates and append it. Plan data is read from the
-/// split `hot`/`cold` arenas and the `lanes`; the prune counters and the
-/// class-width peak accrue in `stats`. [`Memo::class_prune_insert`] is the
-/// in-memo form; this one is public so the `memo_layout` bench can time
-/// the fold over a class of its own making.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_insert_ids(
+fn adjusted_less(
     hot: &[PlanHot],
     cold: &[PlanCold],
-    lanes: &Lanes,
-    class: &mut Vec<PlanId>,
-    id: PlanId,
-    kind: DominanceKind,
-    guard_groupjoin: bool,
-    stats: &mut MemoStats,
-) {
-    let plan = |id: PlanId| PlanRef {
-        hot: &hot[id.index()],
-        cold: &cold[id.index()],
-        lanes,
+    new: PlanId,
+    old: PlanId,
+    factor: Option<f64>,
+) -> bool {
+    let (nc, oc) = (hot[new.index()].cost, hot[old.index()].cost);
+    let Some(f) = factor else {
+        return nc < oc;
     };
-    stats.prune_attempts += 1;
-    let new = plan(id);
-    for &old in class.iter() {
-        if dominates(plan(old), new, kind, guard_groupjoin) {
-            stats.prune_rejected += 1;
-            return;
-        }
+    let (en, eo) = (eagerness(hot, cold, new), eagerness(hot, cold, old));
+    if en == eo {
+        nc < oc
+    } else if en < eo {
+        // `new` is less eager: its cost is adjusted (penalized) by F.
+        f * nc < oc
+    } else {
+        nc < f * oc
     }
-    let before = class.len();
-    class.retain(|&old| !dominates(new, plan(old), kind, guard_groupjoin));
-    stats.prune_evicted += (before - class.len()) as u64;
-    class.push(id);
-    stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
+}
+
+/// `Eagerness` of a plan (§4.5): the number of grouping operators that are
+/// a direct child of the topmost join operator.
+fn eagerness(hot: &[PlanHot], cold: &[PlanCold], id: PlanId) -> u32 {
+    match cold[id.index()].node {
+        PlanNode::Apply { left, right, .. } => {
+            hot[left.index()].is_group() as u32 + hot[right.index()].is_group() as u32
+        }
+        _ => 0,
+    }
 }
 
 /// Fold this run's `peak` demand into the decaying high-water mark `hw`
@@ -643,21 +692,6 @@ impl Index<PlanId> for Memo {
     }
 }
 
-/// The id list of class `s`, created (or recycled from an earlier run)
-/// on first use.
-fn class_list<'a>(
-    classes: &mut FxHashMap<NodeSet, u32>,
-    lists: &'a mut Vec<Vec<PlanId>>,
-    s: NodeSet,
-) -> &'a mut Vec<PlanId> {
-    let next = classes.len() as u32;
-    let slot = *classes.entry(s).or_insert(next) as usize;
-    if slot == lists.len() {
-        lists.push(Vec::new());
-    }
-    &mut lists[slot]
-}
-
 impl Memo {
     /// Both rows of one plan plus the lanes their spans resolve in;
     /// indexing (`memo[id]`) yields the [`PlanHot`] row alone.
@@ -673,14 +707,7 @@ impl Memo {
     /// `Eagerness` of a plan (§4.5): the number of grouping operators that
     /// are a direct child of the topmost join operator.
     pub fn eagerness(&self, id: PlanId) -> u32 {
-        match self.cold[id.index()].node {
-            PlanNode::Apply { left, right, .. } => {
-                let l = self[left].is_group() as u32;
-                let r = self[right].is_group() as u32;
-                l + r
-            }
-            _ => 0,
-        }
+        eagerness(&self.hot, &self.cold, id)
     }
 
     /// Capacity floor (in elements) every buffer keeps through
@@ -835,12 +862,6 @@ impl Memo {
     /// Number of plans in the arena.
     pub fn arena_len(&self) -> usize {
         self.hot.len()
-    }
-
-    /// The payload lanes, for resolving spans of [`Memo::cold_plans`] rows.
-    #[inline]
-    pub fn lanes(&self) -> &Lanes {
-        &self.lanes
     }
 
     /// The current rollback point: arena length plus every lane length.
@@ -1011,42 +1032,50 @@ impl Memo {
         }
     }
 
-    /// Append `id` to the class of `s` unconditionally.
-    pub fn class_push(&mut self, s: NodeSet, id: PlanId) {
-        let class = class_list(&mut self.classes, &mut self.class_lists, s);
+    /// The one thinning step (`PruneDominatedPlans`, Fig. 13, for any
+    /// [`ThinBy`]): drop the candidate `id` if an incumbent of the class
+    /// of `s` precedes it, otherwise evict every incumbent it precedes and
+    /// append it. Returns whether `id` is now a member. Under the empty
+    /// relation this is a push, under a total order the class never
+    /// exceeds one plan. The prune counters of [`MemoStats`] count
+    /// dominance tests only.
+    #[inline]
+    pub fn fold(&mut self, s: NodeSet, id: PlanId, by: ThinBy) -> bool {
+        let Memo {
+            hot,
+            cold,
+            lanes,
+            classes,
+            class_lists,
+            stats,
+            ..
+        } = self;
+        // The id list of `s`, created (or recycled from an earlier run) on
+        // first use.
+        let next = classes.len() as u32;
+        let slot = *classes.entry(s).or_insert(next) as usize;
+        if slot == class_lists.len() {
+            class_lists.push(Vec::new());
+        }
+        let class = &mut class_lists[slot];
+        let precedes = |a, b| by.precedes_in(hot, cold, lanes, a, b);
+        // Under the empty relation nothing is compared: EA-All's classes
+        // run to thousands of plans and a walk per push would be quadratic.
+        let thin = !matches!(by, ThinBy::Nothing);
+        let counted = matches!(by, ThinBy::Dominance { .. }) as u64;
+        stats.prune_attempts += counted;
+        if thin && class.iter().any(|&old| precedes(old, id)) {
+            stats.prune_rejected += counted;
+            return false;
+        }
+        let before = class.len();
+        if thin {
+            class.retain(|&old| !precedes(id, old));
+        }
+        stats.prune_evicted += counted * (before - class.len()) as u64;
         class.push(id);
-        self.stats.peak_class_width = self.stats.peak_class_width.max(class.len() as u64);
-    }
-
-    /// Make `id` the sole member of the class of `s` (single-plan DP).
-    pub fn class_set_single(&mut self, s: NodeSet, id: PlanId) {
-        let class = class_list(&mut self.classes, &mut self.class_lists, s);
-        class.clear();
-        class.push(id);
-        self.stats.peak_class_width = self.stats.peak_class_width.max(1);
-    }
-
-    /// `PruneDominatedPlans` (Fig. 13) on ids: drop `id` if an incumbent
-    /// of the class dominates it, otherwise evict every incumbent it
-    /// dominates and append it.
-    pub fn class_prune_insert(
-        &mut self,
-        s: NodeSet,
-        id: PlanId,
-        kind: DominanceKind,
-        guard_groupjoin: bool,
-    ) {
-        let class = class_list(&mut self.classes, &mut self.class_lists, s);
-        prune_insert_ids(
-            &self.hot,
-            &self.cold,
-            &self.lanes,
-            class,
-            id,
-            kind,
-            guard_groupjoin,
-            &mut self.stats,
-        );
+        stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
+        true
     }
 
     /// Shrink the class of `s` to its representative member(s): the
@@ -1087,21 +1116,6 @@ impl Memo {
         }
     }
 
-    /// Every hot row in arena order — with [`Memo::cold_plans`] and
-    /// [`Memo::lanes`], what [`prune_insert_ids`] folds a detached class
-    /// against.
-    #[inline]
-    pub fn hot_plans(&self) -> &[PlanHot] {
-        &self.hot
-    }
-
-    /// Every cold row in arena order (index-aligned with
-    /// [`Memo::hot_plans`]).
-    #[inline]
-    pub fn cold_plans(&self) -> &[PlanCold] {
-        &self.cold
-    }
-
     /// Snapshot of all plan classes sorted by node set — a deterministic
     /// view of the DP state for tests and diagnostics (the map itself
     /// iterates in hash order).
@@ -1109,11 +1123,6 @@ impl Memo {
         let mut all: Vec<(NodeSet, &[PlanId])> = self.class_entries().collect();
         all.sort_unstable_by_key(|&(s, _)| s);
         all
-    }
-
-    /// Number of classes holding at least one plan.
-    pub fn class_count(&self) -> u64 {
-        self.classes.len() as u64
     }
 
     /// Total plans retained across all classes.

@@ -477,8 +477,8 @@ mod finalization {
 
 mod engine {
     use super::*;
-    use crate::algo::{process_pair, MultiBest, PairBufs};
-    use crate::memo::DominanceKind;
+    use crate::algo::{process_pair, PairBufs};
+    use crate::memo::ThinBy;
 
     /// A refused work unit ends the pair: the hook is asked once, not once
     /// per cell of the `|L|·|R|` subplan grid.
@@ -489,18 +489,18 @@ mod engine {
         for table in 0..2 {
             for _ in 0..64 {
                 let id = make_scan(&ctx, &mut memo, table);
-                memo.class_push(NodeSet::single(table), id);
+                memo.fold(NodeSet::single(table), id, ThinBy::Nothing);
             }
         }
         let mut sc = Scratch::new(&ctx);
-        let mut policy = MultiBest::new(&ctx, Some(DominanceKind::Full));
         let (mut unit, mut asked) = (0u64, 0u64);
         let completed = process_pair(
             &ctx,
             &mut sc,
             &mut PairBufs::new(),
             &mut memo,
-            &mut policy,
+            ThinBy::Nothing,
+            true,
             NodeSet::single(0),
             NodeSet::single(1),
             NodeSet::full(2),
@@ -509,6 +509,7 @@ mod engine {
                 asked += 1;
                 false
             },
+            &mut |_, _| unreachable!("no unit was taken"),
         );
         assert!(!completed);
         assert_eq!(1, asked, "a refusal at unit 0 must not walk the 64x64 grid");

@@ -224,6 +224,28 @@ fn engine_matches_seed_goldens_bit_for_bit() {
     }
 }
 
+/// The books of the fold on every EA-Prune cell: the scans are seeded,
+/// every other retained plan was an accepted dominance fold that was not
+/// evicted since — `retained − scans = attempts − rejected − evicted`. This
+/// is what keeps `prune_hit_rate` at most 1, and what an arena rollback of
+/// rejected candidates has to preserve.
+#[test]
+fn ea_prune_fold_counters_balance_against_retained_plans() {
+    for &(cfg, n, seed, algo, ..) in GOLDEN {
+        if algo != A::EaPrune {
+            continue;
+        }
+        let r = optimize(&generate_query(&cfg.config(n), seed), algo);
+        let m = r.memo;
+        assert_eq!(
+            r.retained_plans - n as u64,
+            m.prune_attempts - m.prune_rejected - m.prune_evicted,
+            "n={n}, seed={seed}: {m:?}"
+        );
+        assert!(m.prune_hit_rate() <= 1.0, "n={n}, seed={seed}");
+    }
+}
+
 /// Same engine, different hook: a [`BudgetedSearch`] whose budget is never
 /// reached, fed the full csg-cmp-pair stream, runs the very loop
 /// `optimize_with(EaPrune)` runs — so cost, plan counts and every prune

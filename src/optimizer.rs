@@ -94,15 +94,6 @@ impl Optimizer {
         self
     }
 
-    /// Switch the algorithm while keeping every other knob (catalog,
-    /// dominance, budgets). The serving layer uses this to
-    /// re-route a circuit-broken shape onto the adaptive greedy rung
-    /// without rebuilding its configuration.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Optimizer {
-        self.algorithm = algorithm;
-        self
-    }
-
     // perfbench-only: the frozen benchmark still calls this setter (with 1
     // and 2); the enumeration has one engine, so the count is ignored.
     // Delete once perfbench retires `core.t2_speedup` (see ROADMAP).
