@@ -13,7 +13,8 @@
 //! parent id, so a request trace reconstructs as a tree:
 //!
 //! ```text
-//! serve.request                       shape_hash=0x7c1f cache_hit=0
+//! serve.request                       shape_hash=0x7c1f outcome=optimized
+//! ├─ serve.bind                       (SQL door only: parse + bind)
 //! ├─ serve.cache_probe
 //! ├─ serve.admission                  (duration = queue wait)
 //! └─ serve.optimize
@@ -30,7 +31,8 @@
 //! cost when tracing is off (pinned by the `disabled_path` regression
 //! test with a counting allocator). Enable with
 //! [`set_trace_level`]`(`[`TraceLevel::Spans`]`)` and install a sink:
-//! [`RingSink`] for tests, [`JsonLinesSink`] for trace files.
+//! [`RingSink`] keeps the most recent spans in memory; anything else (a
+//! trace file, say) is a few lines over the [`TraceSink`] trait.
 //!
 //! ## Metrics
 //!
@@ -54,7 +56,6 @@ pub use metrics::{
     HistogramSnapshot, MetricKind, MetricValue, MetricsSnapshot, Registry, HIST_BUCKETS,
 };
 pub use trace::{
-    clear_sink, emit_span, install_sink, now_nanos, set_trace_level, span, spans_closed,
-    spans_opened, trace_level, tracing_enabled, JsonLinesSink, RingSink, Span, SpanRecord,
-    TagValue, TraceLevel, TraceSink,
+    clear_sink, emit_span, install_sink, set_trace_level, span, spans_closed, spans_opened,
+    tracing_enabled, RingSink, Span, SpanRecord, TagValue, TraceLevel, TraceSink,
 };

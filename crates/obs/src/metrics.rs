@@ -162,18 +162,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Number of observations so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    #[inline]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
     /// Point-in-time copy of the buckets and totals. Taken cell-by-cell
     /// without a lock, so under concurrent writes the copy can be a few
     /// observations torn — fine for monitoring, which is its only use.
@@ -198,16 +186,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
 impl HistogramSnapshot {
     /// Upper bound of the bucket containing the `q`-quantile
     /// (`0.0 < q <= 1.0`), i.e. an over-estimate by at most one bucket
@@ -229,30 +207,6 @@ impl HistogramSnapshot {
             }
         }
         u64::MAX
-    }
-
-    /// The median (see [`HistogramSnapshot::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// The 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// The 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Exact mean of all observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 }
 
@@ -297,6 +251,7 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
+#[derive(Clone)]
 enum Handle {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -349,13 +304,14 @@ impl Registry {
         Registry::default()
     }
 
+    /// The handle registered under `(name, labels)`: the existing one,
+    /// or `fresh` after registering it.
     fn get_or_insert(
         &self,
         name: &'static str,
         help: &'static str,
         labels: &[(&'static str, &'static str)],
-        make: impl FnOnce() -> Handle,
-        kind: MetricKind,
+        fresh: Handle,
     ) -> Handle {
         let mut entries = self.entries.lock().unwrap();
         if let Some(e) = entries
@@ -363,29 +319,19 @@ impl Registry {
             .find(|e| e.name == name && e.labels == labels)
         {
             assert_eq!(
-                kind,
+                fresh.kind(),
                 e.handle.kind(),
                 "metric {name} re-registered with a different kind"
             );
-            return match &e.handle {
-                Handle::Counter(c) => Handle::Counter(c.clone()),
-                Handle::Gauge(g) => Handle::Gauge(g.clone()),
-                Handle::Histogram(h) => Handle::Histogram(h.clone()),
-            };
+            return e.handle.clone();
         }
-        let handle = make();
-        let clone = match &handle {
-            Handle::Counter(c) => Handle::Counter(c.clone()),
-            Handle::Gauge(g) => Handle::Gauge(g.clone()),
-            Handle::Histogram(h) => Handle::Histogram(h.clone()),
-        };
         entries.push(Entry {
             name,
             help,
             labels: labels.to_vec(),
-            handle,
+            handle: fresh.clone(),
         });
-        clone
+        fresh
     }
 
     /// Register (or fetch) an unlabeled counter.
@@ -400,16 +346,7 @@ impl Registry {
         help: &'static str,
         labels: &[(&'static str, &'static str)],
     ) -> Arc<Counter> {
-        match self.get_or_insert(
-            name,
-            help,
-            labels,
-            || Handle::Counter(Arc::new(Counter::new())),
-            MetricKind::Counter,
-        ) {
-            Handle::Counter(c) => c,
-            _ => unreachable!(),
-        }
+        self.register_counter(name, help, labels, Arc::new(Counter::new()))
     }
 
     /// Register an existing counter handle (a component-owned cell the
@@ -423,38 +360,8 @@ impl Registry {
         labels: &[(&'static str, &'static str)],
         counter: Arc<Counter>,
     ) -> Arc<Counter> {
-        match self.get_or_insert(
-            name,
-            help,
-            labels,
-            || Handle::Counter(counter),
-            MetricKind::Counter,
-        ) {
+        match self.get_or_insert(name, help, labels, Handle::Counter(counter)) {
             Handle::Counter(c) => c,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Register (or fetch) an unlabeled gauge.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Register (or fetch) a labeled gauge.
-    pub fn gauge_with(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &'static str)],
-    ) -> Arc<Gauge> {
-        match self.get_or_insert(
-            name,
-            help,
-            labels,
-            || Handle::Gauge(Arc::new(Gauge::new())),
-            MetricKind::Gauge,
-        ) {
-            Handle::Gauge(g) => g,
             _ => unreachable!(),
         }
     }
@@ -470,13 +377,7 @@ impl Registry {
         labels: &[(&'static str, &'static str)],
         gauge: Arc<Gauge>,
     ) -> Arc<Gauge> {
-        match self.get_or_insert(
-            name,
-            help,
-            labels,
-            || Handle::Gauge(gauge),
-            MetricKind::Gauge,
-        ) {
+        match self.get_or_insert(name, help, labels, Handle::Gauge(gauge)) {
             Handle::Gauge(g) => g,
             _ => unreachable!(),
         }
@@ -484,23 +385,8 @@ impl Registry {
 
     /// Register (or fetch) an unlabeled histogram.
     pub fn histogram(&self, name: &'static str, help: &'static str) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[])
-    }
-
-    /// Register (or fetch) a labeled histogram.
-    pub fn histogram_with(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &'static str)],
-    ) -> Arc<Histogram> {
-        match self.get_or_insert(
-            name,
-            help,
-            labels,
-            || Handle::Histogram(Arc::new(Histogram::new())),
-            MetricKind::Histogram,
-        ) {
+        let fresh = Handle::Histogram(Arc::new(Histogram::new()));
+        match self.get_or_insert(name, help, &[], fresh) {
             Handle::Histogram(h) => h,
             _ => unreachable!(),
         }
@@ -547,32 +433,32 @@ pub struct MetricsSnapshot {
     pub families: Vec<FamilySnapshot>,
 }
 
-fn render_labels(out: &mut String, labels: &[(&str, &str)], extra: Option<(&str, &str)>) {
-    if labels.is_empty() && extra.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+/// Write one sample line: `name[suffix][{labels[,le="…"]}] value`.
+fn render_sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(&str, &str)],
+    le: Option<&str>,
+    value: u64,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let mut sep = '{';
+    for (k, v) in labels.iter().copied().chain(le.map(|le| ("le", le))) {
+        out.push(sep);
+        sep = ',';
         out.push_str(k);
         out.push_str("=\"");
         out.push_str(v);
         out.push('"');
     }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(v);
-        out.push('"');
+    if sep == ',' {
+        out.push('}');
     }
-    out.push('}');
+    out.push(' ');
+    out.push_str(&value.to_string());
+    out.push('\n');
 }
 
 impl MetricsSnapshot {
@@ -619,18 +505,10 @@ impl MetricsSnapshot {
             for (labels, value) in &f.series {
                 match value {
                     MetricValue::Counter(c) => {
-                        out.push_str(f.name);
-                        render_labels(&mut out, labels, None);
-                        out.push(' ');
-                        out.push_str(&c.to_string());
-                        out.push('\n');
+                        render_sample(&mut out, f.name, "", labels, None, *c)
                     }
                     MetricValue::Gauge { value, .. } => {
-                        out.push_str(f.name);
-                        render_labels(&mut out, labels, None);
-                        out.push(' ');
-                        out.push_str(&value.to_string());
-                        out.push('\n');
+                        render_sample(&mut out, f.name, "", labels, None, *value)
                     }
                     MetricValue::Histogram(h) => {
                         let mut cum = 0u64;
@@ -639,26 +517,11 @@ impl MetricsSnapshot {
                             if b == 0 && i < HIST_BUCKETS - 1 {
                                 continue;
                             }
-                            out.push_str(f.name);
-                            out.push_str("_bucket");
                             let le = bucket_le(i);
-                            render_labels(&mut out, labels, Some(("le", &le)));
-                            out.push(' ');
-                            out.push_str(&cum.to_string());
-                            out.push('\n');
+                            render_sample(&mut out, f.name, "_bucket", labels, Some(&le), cum);
                         }
-                        out.push_str(f.name);
-                        out.push_str("_sum");
-                        render_labels(&mut out, labels, None);
-                        out.push(' ');
-                        out.push_str(&h.sum.to_string());
-                        out.push('\n');
-                        out.push_str(f.name);
-                        out.push_str("_count");
-                        render_labels(&mut out, labels, None);
-                        out.push(' ');
-                        out.push_str(&h.count.to_string());
-                        out.push('\n');
+                        render_sample(&mut out, f.name, "_sum", labels, None, h.sum);
+                        render_sample(&mut out, f.name, "_count", labels, None, h.count);
                     }
                 }
             }
@@ -674,12 +537,7 @@ impl MetricsSnapshot {
                 out.push_str("_peak gauge\n");
                 for (labels, value) in &f.series {
                     if let MetricValue::Gauge { peak, .. } = value {
-                        out.push_str(f.name);
-                        out.push_str("_peak");
-                        render_labels(&mut out, labels, None);
-                        out.push(' ');
-                        out.push_str(&peak.to_string());
-                        out.push('\n');
+                        render_sample(&mut out, f.name, "_peak", labels, None, *peak);
                     }
                 }
             }
@@ -889,11 +747,10 @@ mod tests {
         assert_eq!(100, s.count);
         assert_eq!(90 * 1000 + 10 * 1_000_000, s.sum);
         // 1000 lands in bucket 10 (le 1023); 1_000_000 in bucket 20.
-        assert_eq!(1023, s.p50());
-        assert_eq!(1023, s.p90());
-        assert_eq!((1u64 << 20) - 1, s.p99());
-        assert!((s.mean() - 100_900.0).abs() < 1e-9);
-        assert_eq!(0, HistogramSnapshot::default().quantile(0.5));
+        assert_eq!(1023, s.quantile(0.50));
+        assert_eq!(1023, s.quantile(0.90));
+        assert_eq!((1u64 << 20) - 1, s.quantile(0.99));
+        assert_eq!(0, Histogram::new().snapshot().quantile(0.5));
     }
 
     #[test]
@@ -936,25 +793,48 @@ mod tests {
     fn render_text_passes_lint() {
         let r = Registry::new();
         r.counter("dpnext_requests_total", "Requests.").add(7);
-        r.gauge("dpnext_queue_depth", "Waiters.").set(2);
-        let h = r.histogram_with(
-            "dpnext_latency_nanos",
-            "Request latency.",
-            &[("path", "serve")],
-        );
+        r.register_gauge(
+            "dpnext_queue_depth",
+            "Waiters.",
+            &[],
+            Arc::new(Gauge::new()),
+        )
+        .set(2);
+        r.counter_with("dpnext_rung_total", "Rungs.", &[("mode", "exact")])
+            .add(4);
+        let h = r.histogram("dpnext_latency_nanos", "Request latency.");
         h.observe(0);
         h.observe(900);
         h.observe(u64::MAX);
         let text = r.snapshot().render_text();
         lint_prometheus_text(&text).expect("rendered text must lint clean");
         assert!(text.contains("# TYPE dpnext_latency_nanos histogram\n"));
-        assert!(text.contains("dpnext_latency_nanos_bucket{path=\"serve\",le=\"0\"} 1\n"));
-        assert!(text.contains("dpnext_latency_nanos_bucket{path=\"serve\",le=\"1023\"} 2\n"));
-        assert!(text.contains("dpnext_latency_nanos_bucket{path=\"serve\",le=\"+Inf\"} 3\n"));
-        assert!(text.contains("dpnext_latency_nanos_count{path=\"serve\"} 3\n"));
+        assert!(text.contains("dpnext_rung_total{mode=\"exact\"} 4\n"));
+        assert!(text.contains("dpnext_latency_nanos_bucket{le=\"0\"} 1\n"));
+        assert!(text.contains("dpnext_latency_nanos_bucket{le=\"1023\"} 2\n"));
+        assert!(text.contains("dpnext_latency_nanos_bucket{le=\"+Inf\"} 3\n"));
+        assert!(text.contains("dpnext_latency_nanos_count 3\n"));
         assert!(text.contains("dpnext_queue_depth 2\n"));
         assert!(text.contains("dpnext_queue_depth_peak 2\n"));
         assert!(text.ends_with('\n'));
+
+        // A histogram series carrying labels of its own: `le` joins them.
+        let labelled = MetricsSnapshot {
+            families: vec![FamilySnapshot {
+                name: "dpnext_latency_nanos",
+                help: "Request latency.",
+                kind: MetricKind::Histogram,
+                series: vec![(
+                    vec![("path", "serve")],
+                    MetricValue::Histogram(h.snapshot()),
+                )],
+            }],
+        }
+        .render_text();
+        lint_prometheus_text(&labelled).expect("labelled histogram must lint clean");
+        assert!(labelled.contains("dpnext_latency_nanos_bucket{path=\"serve\",le=\"0\"} 1\n"));
+        assert!(labelled.contains("dpnext_latency_nanos_bucket{path=\"serve\",le=\"+Inf\"} 3\n"));
+        assert!(labelled.contains("dpnext_latency_nanos_count{path=\"serve\"} 3\n"));
     }
 
     #[test]

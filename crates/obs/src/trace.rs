@@ -2,7 +2,6 @@
 //! and a disabled path that costs one atomic load.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -31,7 +30,7 @@ fn epoch() -> Instant {
 }
 
 /// Nanoseconds since the process trace epoch (monotonic).
-pub fn now_nanos() -> u64 {
+fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -40,14 +39,6 @@ pub fn now_nanos() -> u64 {
 /// stay inert even if the level rises before they drop.
 pub fn set_trace_level(level: TraceLevel) {
     LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// The current global trace level.
-pub fn trace_level() -> TraceLevel {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => TraceLevel::Off,
-        _ => TraceLevel::Spans,
-    }
 }
 
 /// Whether spans are currently recorded — one relaxed atomic load, the
@@ -95,16 +86,6 @@ pub enum TagValue {
     Text(String),
 }
 
-impl std::fmt::Display for TagValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TagValue::U64(v) => write!(f, "{v}"),
-            TagValue::Str(s) => f.write_str(s),
-            TagValue::Text(s) => f.write_str(s),
-        }
-    }
-}
-
 /// A closed span, as delivered to a [`TraceSink`].
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -132,55 +113,6 @@ impl SpanRecord {
     pub fn tag(&self, key: &str) -> Option<&TagValue> {
         self.tags.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
-
-    /// Render as one line-protocol JSON object (the `JsonLinesSink`
-    /// format): `{"id":..,"parent":..,"name":"..","start_ns":..,
-    /// "dur_ns":..,"tags":{..}}`.
-    pub fn render_json_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"tags\":{{",
-            self.id,
-            self.parent,
-            self.name,
-            self.start_nanos,
-            self.dur_nanos()
-        );
-        for (i, (k, v)) in self.tags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match v {
-                TagValue::U64(n) => {
-                    let _ = write!(out, "\"{k}\":{n}");
-                }
-                TagValue::Str(s) => {
-                    let _ = write!(out, "\"{k}\":\"{}\"", escape_json(s));
-                }
-                TagValue::Text(s) => {
-                    let _ = write!(out, "\"{k}\":\"{}\"", escape_json(s));
-                }
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Where closed spans go. Implementations must be cheap and must never
@@ -329,24 +261,9 @@ impl RingSink {
         }
     }
 
-    /// Copy of the current contents, oldest first.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.buf.lock().unwrap().iter().cloned().collect()
-    }
-
     /// Drain and return the current contents, oldest first.
     pub fn take(&self) -> Vec<SpanRecord> {
         self.buf.lock().unwrap().drain(..).collect()
-    }
-
-    /// Spans currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -357,45 +274,6 @@ impl TraceSink for RingSink {
             buf.pop_front();
         }
         buf.push_back(span.clone());
-    }
-}
-
-/// A line-protocol JSON sink: one [`SpanRecord::render_json_line`] object
-/// per line, for trace files. Write errors are swallowed (a sink must
-/// never panic mid-drop); call [`JsonLinesSink::flush`] and check the
-/// result at shutdown.
-pub struct JsonLinesSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl JsonLinesSink<io::BufWriter<std::fs::File>> {
-    /// A sink writing to a freshly created (truncated) file.
-    pub fn create(path: &str) -> io::Result<Self> {
-        Ok(JsonLinesSink::new(io::BufWriter::new(
-            std::fs::File::create(path)?,
-        )))
-    }
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// A sink writing to `out`.
-    pub fn new(out: W) -> JsonLinesSink<W> {
-        JsonLinesSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) -> io::Result<()> {
-        self.out.lock().unwrap().flush()
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
-    fn record(&self, span: &SpanRecord) {
-        let line = span.render_json_line();
-        let mut out = self.out.lock().unwrap();
-        let _ = writeln!(out, "{line}");
     }
 }
 
@@ -479,26 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn json_line_escapes_and_shapes() {
-        let rec = SpanRecord {
-            id: 7,
-            parent: 0,
-            name: "x",
-            start_nanos: 10,
-            end_nanos: 25,
-            tags: vec![
-                ("n", TagValue::U64(3)),
-                ("cause", TagValue::Text("a\"b".to_string())),
-            ],
-        };
-        assert_eq!(
-            "{\"id\":7,\"parent\":0,\"name\":\"x\",\"start_ns\":10,\"dur_ns\":15,\
-             \"tags\":{\"n\":3,\"cause\":\"a\\\"b\"}}",
-            rec.render_json_line()
-        );
-    }
-
-    #[test]
     fn ring_sink_bounds_capacity() {
         let ring = RingSink::new(2);
         for i in 0..5u64 {
@@ -511,7 +369,7 @@ mod tests {
                 tags: Vec::new(),
             });
         }
-        let spans = ring.snapshot();
+        let spans = ring.take();
         assert_eq!(2, spans.len());
         assert_eq!(3, spans[0].start_nanos, "oldest spans evicted first");
     }

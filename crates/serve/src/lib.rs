@@ -4,54 +4,80 @@
 //! [`dpnext::Optimizer`] facade for workloads that optimize many queries
 //! back to back — potentially from many threads at once.
 //!
-//! The service adds two layers the one-shot facade does not have:
+//! Every request — [`OptimizerService::optimize`] on a bound query,
+//! [`OptimizerService::optimize_sql`] on text — walks one pipeline. Each
+//! stage below is one private method of the service; where a stage has a
+//! trace span it is named, and so are the registry cells the stage owns
+//! (every cell is shared with [`ServiceStats`], so `/metrics`,
+//! `/stats.json` and [`OptimizerService::stats`] can never disagree; see
+//! `docs/OBSERVABILITY.md`). A stage that ends the request returns early;
+//! the later stages never see it.
 //!
-//! * a **plan cache** ([`PlanCache`]) keyed on the canonical shape of
-//!   the query ([`QueryShape`]) plus a catalog/statistics *epoch*, so a
-//!   repeated query returns its previously optimized plan without
-//!   running the DP at all, and
-//! * a **memo arena pool** ([`MemoPool`]) so cache-missing
-//!   optimizations reuse the plan arena of an earlier run instead of
-//!   re-allocating it ([`dpnext_core::optimize_into`]).
+//! **Arrive.** The request is counted in (`dpnext_requests_total`; the
+//! count before it is its index into a [`FaultInjector`] schedule), its
+//! clock starts and its root span `serve.request` opens. Both live in one
+//! private request value whose drop is the only code that tags the root's
+//! `outcome` and observes `dpnext_request_latency_nanos` — so every way
+//! out of the pipeline, an unwinding panic included, is on the books
+//! exactly once.
 //!
-//! Both layers are observable: hit/miss/eviction counters on the cache,
-//! created/reused/high-water counters on the pool, all surfaced by
-//! [`OptimizerService::stats`].
+//! **Bind** (SQL door only; span `serve.bind`). The text is parsed and
+//! bound against the wrapped optimizer's catalog. A rejected text ends the
+//! request as [`ServeError::Sql`], counted in `dpnext_sql_errors_total`,
+//! before it reaches the cache, the gate or the pool.
 //!
-//! On top sits a **robustness layer** (PR 8): every optimizer call runs
-//! inside `catch_unwind`, so a panic is contained to its request — the
-//! request's memo is **quarantined** (destroyed, never parked back into
-//! the pool) and only that caller sees [`ServeError::Panicked`]; an
-//! optional per-request **deadline** ([`ServiceConfig::deadline`]) rides
-//! the adaptive degradation ladder, so a pressured request returns a
-//! valid-but-degraded plan instead of timing out; and a seeded
-//! [`FaultInjector`] makes both paths deterministically testable in CI.
+//! **Probe** (span `serve.cache_probe`). The query is fingerprinted into
+//! its canonical [`QueryShape`]; shape plus statistics epoch is the
+//! [`CacheKey`], built once and borrowed by every later stage. A hit in
+//! the [`PlanCache`] (`dpnext_cache_{hits,misses}_total`) ends the request
+//! with the previously optimized plan: it runs no DP, takes no gate slot
+//! and allocates nothing beyond the fingerprint.
 //!
-//! PR 9 adds **resource governance** (the `govern` types): a per-request
-//! **memory budget** ([`ServiceConfig::memory_budget`]) that aborts
-//! enumeration when live memo bytes cross it (same ladder, new
-//! `memory_aborted` cause); a process-wide **byte ledger**
-//! ([`ResourceLedger`]) across pooled *and* checked-out memos —
-//! quarantined footprints are released and tallied, never lost — with a
-//! load-shed policy that tightens effective deadlines/budgets as the
-//! ledger approaches [`ServiceConfig::memory_cap_bytes`]; a bounded
-//! **admission gate** ([`AdmissionGate`]) rejecting excess arrivals fast
-//! with [`ServeError::Overloaded`] and a retry hint; and a per-shape
-//! **circuit breaker** ([`ShapeBreaker`]) that serves repeatedly failing
-//! shapes from the greedy rung until a half-open probe succeeds.
+//! **Admit** (span `serve.admission`, whose duration is the queue wait).
+//! A miss takes a slot of the bounded [`AdmissionGate`]
+//! (`dpnext_gate_{admitted,rejected}_total`, `dpnext_gate_queued`,
+//! `dpnext_queue_wait_nanos`), waiting in line if [`ServiceConfig::max_queued`]
+//! allows. A saturated gate ends the request fast as
+//! [`ServeError::Overloaded`], with a retry hint priced from measured
+//! service times.
 //!
-//! PR 10 makes all of it **observable** (see `docs/OBSERVABILITY.md`):
-//! every counter above lives in a [`dpnext_obs::Registry`] cell shared
-//! with [`ServiceStats`] — the two can never disagree — alongside
-//! latency / queue-wait / byte **histograms**; the request path emits
-//! **trace spans** (`serve.request` down to `engine.enumerate`) when a
-//! [`dpnext_obs::TraceSink`] is installed, and is span-free and
-//! allocation-free when not; an opt-in **scrape endpoint**
-//! ([`MetricsServer`], [`ServiceConfig::metrics_addr`]) serves
-//! `/metrics` (Prometheus text) and `/stats.json` from one blocking
-//! thread; and the overload retry hint is now *measured* — p50 of the
-//! service-time histogram times the gate's line length — instead of a
-//! fixed per-request guess.
+//! **Limits.** One place settles what the request runs as. It starts from
+//! the algorithm, deadline and memory budget of the wrapped
+//! [`dpnext::Optimizer`] — a request's limits are set there, not on
+//! [`ServiceConfig`]. The shape's [`ShapeBreaker`] may be open, which
+//! swaps the run for the adaptive ladder's greedy floor
+//! (`dpnext_breaker_events_total{event="open_served"|"probe"}`). Above
+//! [`SHED_UTILIZATION`] of [`ServiceConfig::memory_cap_bytes`] on the
+//! [`ResourceLedger`] the request is shed (`dpnext_shed_total`): its
+//! deadline halves and its memory budget shrinks to the headroom left —
+//! shedding only ever tightens. An injected [`Fault`] overrides last.
+//!
+//! **Run** (span `serve.optimize`). One `dpnext::optimize_into` call
+//! inside a memo checked out of the [`MemoPool`] (`dpnext_pool_*`,
+//! `dpnext_ledger_*`) and inside `catch_unwind`. A deadline- or
+//! memory-pressured run degrades down the adaptive ladder and still
+//! returns a valid plan; a completed run observes
+//! `dpnext_service_time_nanos`, `dpnext_plans_built` and
+//! `dpnext_live_bytes_peak` and parks its memo. A panic is contained to
+//! its request: the memo is **quarantined** (destroyed, its footprint
+//! released from the ledger and tallied, never parked again),
+//! `dpnext_panics_total` counts it and only this caller sees
+//! [`ServeError::Panicked`].
+//!
+//! **Publish.** The breaker hears how a full-quality run went (panics and
+//! deadline or memory aborts count towards tripping the shape;
+//! `dpnext_breaker_events_total{event="trip"|"reopen"|"close"}`), the
+//! rung that produced the plan and any degradation are counted
+//! (`dpnext_rung_total`, `dpnext_degraded_total`), and a full-quality
+//! plan is inserted into the cache for later arrivals of the shape
+//! (`dpnext_cache_evictions_total`). Degraded and open-served plans are
+//! valid but stay out of the cache, so a later uncontended arrival
+//! re-optimizes.
+//!
+//! Out of band, an opt-in scrape endpoint ([`MetricsServer`],
+//! [`ServiceConfig::metrics_addr`]) serves the registry as Prometheus
+//! text and [`ServiceStats`] as JSON from one blocking thread the request
+//! path never touches.
 //!
 //! ## Quickstart
 //!

@@ -3,16 +3,16 @@
 
 use crate::cache::{CacheKey, CacheStats, PlanCache};
 use crate::fault::{Fault, FaultInjector};
-use crate::fingerprint::fingerprint_query;
+use crate::fingerprint::{fingerprint_query, QueryShape};
 use crate::govern::{
-    AdmissionGate, BreakerDecision, BreakerStats, GateStats, LedgerStats, ResourceLedger,
-    ShapeBreaker,
+    AdmissionGate, BreakerDecision, BreakerStats, GatePermit, GateStats, LedgerStats,
+    ResourceLedger, ShapeBreaker,
 };
 use crate::pool::{MemoPool, PoolStats};
 use crate::scrape::MetricsServer;
 use dpnext::{Algorithm, Optimized, Optimizer};
 use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
-use dpnext_obs::{Counter, Histogram, Registry};
+use dpnext_obs::{Counter, Histogram, Registry, Span};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::hash::BuildHasher;
@@ -28,7 +28,10 @@ use std::time::{Duration, Instant};
 /// degrades plan quality before it degrades availability.
 pub const SHED_UTILIZATION: f64 = 0.75;
 
-/// Capacity knobs of an [`OptimizerService`].
+/// Capacity and governance knobs of an [`OptimizerService`]. What one
+/// request may spend — its deadline and memory budget — is not set here:
+/// those are the limits of the [`Optimizer`] the service wraps
+/// ([`Optimizer::deadline`], [`Optimizer::memory_budget`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Plans the cache may hold, rounded up to a whole number per shard:
@@ -39,24 +42,6 @@ pub struct ServiceConfig {
     /// at the worker-thread count keeps steady-state serving free of
     /// arena allocation.
     pub pool_capacity: usize,
-    /// Per-request wall-clock deadline. When set, every optimization runs
-    /// through the adaptive degradation ladder (see
-    /// [`Optimizer::deadline`]): a request that would blow the deadline
-    /// *degrades* — exact → partial-exact → linearized → greedy — and
-    /// still returns a structurally valid plan, with the degradation
-    /// recorded in the result's `memo.degradation` and counted in
-    /// [`ServiceStats::deadline_degraded`]. Deadline-degraded plans are
-    /// not cached (a later uncontended request should get the full-quality
-    /// plan). `None` (the default) leaves requests unconstrained and
-    /// bit-identical to a service without the knob.
-    pub deadline: Option<Duration>,
-    /// Per-request memory budget in live memo bytes (see
-    /// [`Optimizer::memory_budget`]). Like the deadline, a non-zero budget
-    /// rides the degradation ladder: the request aborts enumeration the
-    /// moment live bytes reach the budget and ships the best valid plan so
-    /// far, counted in [`ServiceStats::memory_degraded`] and kept out of
-    /// the cache. 0 (the default) leaves requests unconstrained.
-    pub memory_budget: u64,
     /// Admission control: at most this many requests optimize at once
     /// (0 = unlimited, the gate is transparent). Cache hits bypass the
     /// gate — they consume no optimizer resources.
@@ -67,10 +52,11 @@ pub struct ServiceConfig {
     pub max_queued: usize,
     /// Soft cap on process-wide memo bytes (parked + checked out),
     /// tracked by the service's [`ResourceLedger`]. When utilization
-    /// crosses [`SHED_UTILIZATION`], the load-shed policy tightens the
-    /// effective deadline (halved) and memory budget (halved, floored at
-    /// the remaining headroom) of every admitted request. 0 (the default)
-    /// disables shedding; the ledger still counts.
+    /// crosses [`SHED_UTILIZATION`], the load-shed policy tightens every
+    /// admitted request: its deadline halves, and its memory budget
+    /// becomes the headroom left under the cap, or half its own budget
+    /// when that is smaller. 0 (the default) disables shedding; the
+    /// ledger still counts.
     pub memory_cap_bytes: u64,
     /// Consecutive failures (panic, deadline abort or memory abort) after
     /// which one query shape's circuit breaker trips open and arrivals of
@@ -96,8 +82,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 1024,
             pool_capacity: 32,
-            deadline: None,
-            memory_budget: 0,
             max_concurrent: 0,
             max_queued: 0,
             memory_cap_bytes: 0,
@@ -148,7 +132,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 impl From<SqlError> for ServeError {
-    fn from(e: SqlError) -> ServeError {
+    fn from(e: SqlError) -> Self {
         ServeError::Sql(e)
     }
 }
@@ -258,6 +242,32 @@ fn rung_index(mode: AdaptiveMode) -> usize {
     }
 }
 
+/// One request on the books, from arrival to reply.
+/// [`OptimizerService::arrive`] counts it in; dropping it counts it out —
+/// the only place the root span's `outcome` is tagged and
+/// `dpnext_request_latency_nanos` is observed — so every way out of the
+/// pipeline is counted exactly once, an unwind included.
+struct Request<'s> {
+    request_latency: &'s Histogram,
+    /// Arrival order (`dpnext_requests_total` before this request), which
+    /// is also the request's index into the fault schedule.
+    index: u64,
+    arrived: Instant,
+    /// The `serve.request` root; every stage's span is its child.
+    span: Span,
+    /// The stage that ends the request names how it ended; `"aborted"`
+    /// survives only an unwind outside `catch_unwind`.
+    outcome: &'static str,
+}
+
+impl Drop for Request<'_> {
+    fn drop(&mut self) {
+        self.span.tag_str("outcome", self.outcome);
+        let nanos = self.arrived.elapsed().as_nanos() as u64;
+        self.request_latency.observe(nanos);
+    }
+}
+
 /// Bounds on the measured overload retry hint.
 const RETRY_HINT_MIN: Duration = Duration::from_millis(1);
 const RETRY_HINT_MAX: Duration = Duration::from_secs(5);
@@ -272,16 +282,9 @@ impl OptimizerService {
         OptimizerService::with_config(optimizer, ServiceConfig::default())
     }
 
-    /// A service with explicit capacities, per-request resource limits
-    /// and governance knobs.
+    /// A service with explicit capacities and governance knobs. Requests
+    /// run under `optimizer`'s own deadline and memory budget.
     pub fn with_config(optimizer: Optimizer, config: ServiceConfig) -> OptimizerService {
-        let mut optimizer = match config.deadline {
-            Some(d) => optimizer.deadline(Some(d)),
-            None => optimizer,
-        };
-        if config.memory_budget != 0 {
-            optimizer = optimizer.memory_budget(config.memory_budget);
-        }
         let ledger = Arc::new(ResourceLedger::new(config.memory_cap_bytes));
         let cache = PlanCache::new(config.cache_capacity);
         let pool = MemoPool::with_ledger(config.pool_capacity, ledger.clone());
@@ -303,63 +306,10 @@ impl OptimizerService {
             &[],
             dpnext_obs::global_live_bytes(),
         );
-        let requests = registry.counter(
-            "dpnext_requests_total",
-            "Requests accepted (optimize + optimize_sql calls).",
-        );
-        let panics = registry.counter(
-            "dpnext_panics_total",
-            "Requests whose optimizer call panicked (contained and quarantined).",
-        );
-        let sql_errors = registry.counter(
-            "dpnext_sql_errors_total",
-            "optimize_sql calls whose text failed to parse or bind.",
-        );
-        let shed = registry.counter(
-            "dpnext_shed_total",
-            "Admitted requests run under load-shed-tightened resource knobs.",
-        );
         const DEGRADED_HELP: &str =
             "Completed requests that shipped a degraded plan, by abort cause.";
-        let deadline_degraded = registry.counter_with(
-            "dpnext_degraded_total",
-            DEGRADED_HELP,
-            &[("cause", "deadline")],
-        );
-        let memory_degraded = registry.counter_with(
-            "dpnext_degraded_total",
-            DEGRADED_HELP,
-            &[("cause", "memory")],
-        );
-        const RUNG_HELP: &str = "Completed optimizer runs by final adaptive-ladder mode.";
-        let rungs = [
-            registry.counter_with("dpnext_rung_total", RUNG_HELP, &[("mode", "none")]),
-            registry.counter_with("dpnext_rung_total", RUNG_HELP, &[("mode", "exact")]),
-            registry.counter_with("dpnext_rung_total", RUNG_HELP, &[("mode", "partial-exact")]),
-            registry.counter_with("dpnext_rung_total", RUNG_HELP, &[("mode", "linearized")]),
-            registry.counter_with("dpnext_rung_total", RUNG_HELP, &[("mode", "greedy")]),
-        ];
-        let request_latency = registry.histogram(
-            "dpnext_request_latency_nanos",
-            "End-to-end optimize() latency in nanoseconds, every return path.",
-        );
-        let service_time = registry.histogram(
-            "dpnext_service_time_nanos",
-            "Optimizer-call wall time in nanoseconds of completed runs.",
-        );
-        let queue_wait = registry.histogram(
-            "dpnext_queue_wait_nanos",
-            "Nanoseconds admitted requests spent waiting at the admission gate.",
-        );
-        let plans_built = registry.histogram(
-            "dpnext_plans_built",
-            "Plans constructed (joins + groupings) by each completed optimizer run.",
-        );
-        let live_bytes_peak = registry.histogram(
-            "dpnext_live_bytes_peak",
-            "Peak live memo bytes per completed optimizer run.",
-        );
-
+        // Field order below is registration order, which is the order the
+        // families render in on `/metrics`.
         OptimizerService {
             optimizer,
             cache,
@@ -369,19 +319,60 @@ impl OptimizerService {
             breaker,
             config,
             epoch: AtomicU64::new(0),
+            requests: registry.counter(
+                "dpnext_requests_total",
+                "Requests accepted (optimize + optimize_sql calls).",
+            ),
+            panics: registry.counter(
+                "dpnext_panics_total",
+                "Requests whose optimizer call panicked (contained and quarantined).",
+            ),
+            sql_errors: registry.counter(
+                "dpnext_sql_errors_total",
+                "optimize_sql calls whose text failed to parse or bind.",
+            ),
+            shed: registry.counter(
+                "dpnext_shed_total",
+                "Admitted requests run under load-shed-tightened resource knobs.",
+            ),
+            deadline_degraded: registry.counter_with(
+                "dpnext_degraded_total",
+                DEGRADED_HELP,
+                &[("cause", "deadline")],
+            ),
+            memory_degraded: registry.counter_with(
+                "dpnext_degraded_total",
+                DEGRADED_HELP,
+                &[("cause", "memory")],
+            ),
+            rungs: ["none", "exact", "partial-exact", "linearized", "greedy"].map(|mode| {
+                registry.counter_with(
+                    "dpnext_rung_total",
+                    "Completed optimizer runs by final adaptive-ladder mode.",
+                    &[("mode", mode)],
+                )
+            }),
+            request_latency: registry.histogram(
+                "dpnext_request_latency_nanos",
+                "End-to-end optimize() latency in nanoseconds, every return path.",
+            ),
+            service_time: registry.histogram(
+                "dpnext_service_time_nanos",
+                "Optimizer-call wall time in nanoseconds of completed runs.",
+            ),
+            queue_wait: registry.histogram(
+                "dpnext_queue_wait_nanos",
+                "Nanoseconds admitted requests spent waiting at the admission gate.",
+            ),
+            plans_built: registry.histogram(
+                "dpnext_plans_built",
+                "Plans constructed (joins + groupings) by each completed optimizer run.",
+            ),
+            live_bytes_peak: registry.histogram(
+                "dpnext_live_bytes_peak",
+                "Peak live memo bytes per completed optimizer run.",
+            ),
             registry,
-            requests,
-            panics,
-            sql_errors,
-            deadline_degraded,
-            memory_degraded,
-            shed,
-            rungs,
-            request_latency,
-            service_time,
-            queue_wait,
-            plans_built,
-            live_bytes_peak,
             faults: None,
         }
     }
@@ -416,9 +407,141 @@ impl OptimizerService {
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// What one admitted request runs as: the configured algorithm and
-    /// options, tightened under memory pressure (`shed`), overridden by an
-    /// injected fault — or, with the shape's breaker open, the greedy floor.
+    /// Optimize an already-bound [`Query`], serving from the cache when
+    /// the shape was optimized before under the current epoch. A miss
+    /// passes the admission gate (or is turned away with
+    /// [`ServeError::Overloaded`]), runs under the limits its shape's
+    /// breaker, the ledger and the wrapped [`Optimizer`] allow, and is
+    /// published for later arrivals unless it was degraded on the way. A
+    /// panic in the optimizer reaches only this caller, as
+    /// [`ServeError::Panicked`]. The crate docs walk the stages.
+    pub fn optimize(&self, query: &Query) -> Result<ServeResult, ServeError> {
+        self.serve(self.arrive(), query)
+    }
+
+    /// Full pipeline from SQL text: parse, bind against the facade's
+    /// catalog, then [`OptimizerService::optimize`]. Caching operates on
+    /// the *bound* query, so differently spelled but identically bound
+    /// texts share one entry.
+    pub fn optimize_sql(&self, sql: &str) -> Result<ServeResult, ServeError> {
+        self.optimize_sql_bound(sql).map(|(_, r)| r)
+    }
+
+    /// Like [`OptimizerService::optimize_sql`], additionally returning
+    /// the bound query for callers that execute the plan.
+    pub fn optimize_sql_bound(&self, sql: &str) -> Result<(BoundQuery, ServeResult), ServeError> {
+        let mut req = self.arrive();
+        let bound = self.bind(&mut req, sql)?;
+        let result = self.serve(req, &bound.query)?;
+        Ok((bound, result))
+    }
+
+    /// The request pipeline both front doors enter, one stage per line.
+    /// Every way out — a reply, a `?`, an unwind — drops `req`, which
+    /// closes the books on the request.
+    fn serve(&self, mut req: Request<'_>, query: &Query) -> Result<ServeResult, ServeError> {
+        let (key, hit) = self.probe(&mut req, query);
+        if let Some(result) = hit {
+            req.outcome = "cache_hit";
+            return Ok(ServeResult {
+                result,
+                cache_hit: true,
+                epoch: key.epoch,
+            });
+        }
+        let _permit = self.admit(&mut req)?;
+        let (decision, shed, fault) = self.limits(&req, &key.shape);
+        let ran = self.run(&mut req, query, decision, shed, fault);
+        self.publish(&mut req, key, decision, ran)
+    }
+
+    /// Arrive: count the request in and open its root span. A SQL request
+    /// arrives before its text is parsed.
+    fn arrive(&self) -> Request<'_> {
+        let arrived = Instant::now();
+        let index = self.requests.fetch_inc();
+        let mut span = dpnext_obs::span("serve.request");
+        span.tag_u64("request", index);
+        Request {
+            request_latency: &self.request_latency,
+            index,
+            arrived,
+            span,
+            outcome: "aborted",
+        }
+    }
+
+    /// Bind (SQL door only): parse the text and bind it against the
+    /// catalog. A rejected text is still a request — counted, timed and
+    /// traced — that ends here, before the cache, the gate or the pool.
+    fn bind(&self, req: &mut Request<'_>, sql: &str) -> Result<BoundQuery, ServeError> {
+        let _span = dpnext_obs::span("serve.bind");
+        bind_sql(sql, self.optimizer.catalog()).map_err(|e| {
+            req.outcome = "sql_error";
+            self.sql_errors.inc();
+            ServeError::Sql(e)
+        })
+    }
+
+    /// Probe: fingerprint the query into its cache key and look it up.
+    /// Hits consume no optimizer resources, so the cache comes before the
+    /// gate: a burst of hits must never be turned away. The later stages
+    /// borrow the key's shape; it is built once.
+    fn probe(&self, req: &mut Request<'_>, query: &Query) -> (CacheKey, Option<Arc<Optimized>>) {
+        let key = CacheKey {
+            epoch: self.epoch(),
+            shape: fingerprint_query(query),
+        };
+        if req.span.is_recording() {
+            let hash = FxBuildHasher::default().hash_one(&key.shape);
+            req.span.tag_u64("shape_hash", hash);
+        }
+        let _span = dpnext_obs::span("serve.cache_probe");
+        let hit = self.cache.lookup(&key);
+        (key, hit)
+    }
+
+    /// Admit: take a gate slot, waiting in line for one if the queue has
+    /// room; a saturated gate turns the request away fast.
+    fn admit(&self, req: &mut Request<'_>) -> Result<GatePermit<'_>, ServeError> {
+        let waited = Instant::now();
+        let admitted = {
+            let _span = dpnext_obs::span("serve.admission");
+            self.gate.admit()
+        };
+        admitted
+            .inspect(|_| self.queue_wait.observe(waited.elapsed().as_nanos() as u64))
+            .map_err(|line| {
+                req.outcome = "overloaded";
+                req.span.tag_u64("line", u64::from(line));
+                ServeError::Overloaded {
+                    retry_after_hint: self.retry_hint(line),
+                }
+            })
+    }
+
+    /// Limits: ask the shape's breaker, the ledger and the fault schedule
+    /// about this request. Their three answers are all that sets what it
+    /// may spend: [`Self::request_limits`] turns them into the one
+    /// `(Algorithm, OptimizeOptions)` the run stage optimizes under.
+    fn limits(&self, req: &Request<'_>, shape: &QueryShape) -> (BreakerDecision, bool, Fault) {
+        let decision = self.breaker.decide(shape);
+        let fault = self
+            .faults
+            .map_or(Fault::None, |inj| inj.fault_for(req.index));
+        let shed = decision != BreakerDecision::Open
+            && self.ledger.cap() != 0
+            && self.ledger.utilization() >= SHED_UTILIZATION;
+        if shed {
+            self.shed.inc();
+        }
+        (decision, shed, fault)
+    }
+
+    /// What one admitted request runs as: the wrapped optimizer's
+    /// algorithm and options, tightened under memory pressure (`shed`),
+    /// overridden by an injected fault — or, with the shape's breaker
+    /// open, the greedy floor.
     fn request_limits(
         &self,
         open_served: bool,
@@ -436,17 +559,15 @@ impl OptimizerService {
             return (Algorithm::Adaptive, opts);
         }
         if shed {
-            // The effective deadline halves, and the effective memory
-            // budget becomes the smaller of half the configured budget and
-            // the remaining headroom under the cap (floored at 1/16 of the
-            // cap so a fully saturated ledger still leaves room for the
-            // greedy rung).
-            if let Some(d) = self.config.deadline {
-                opts.deadline = Some(d / 2);
-            }
+            // Shedding only ever tightens what the request already had:
+            // its deadline halves, and its memory budget becomes the
+            // headroom left under the cap (floored at 1/16 of the cap so a
+            // fully saturated ledger still leaves room for the greedy
+            // rung), or half its own budget when that is smaller.
+            opts.deadline = opts.deadline.map(|d| d / 2);
             let cap = self.ledger.cap();
             let headroom = cap.saturating_sub(self.ledger.bytes()).max(cap / 16);
-            opts.memory_budget = match self.config.memory_budget {
+            opts.memory_budget = match opts.memory_budget {
                 0 => headroom,
                 b => (b / 2).min(headroom),
             }
@@ -460,187 +581,118 @@ impl OptimizerService {
         (algorithm, opts)
     }
 
-    /// Optimize an already-bound [`Query`], serving from the cache when
-    /// the shape was optimized before under the current epoch.
-    ///
-    /// A cache miss walks the governance pipeline in order:
-    ///
-    /// 1. **Admission** — with `max_concurrent` configured, the request
-    ///    takes a gate slot (or waits as one of `max_queued`); a
-    ///    saturated gate rejects fast with [`ServeError::Overloaded`].
-    /// 2. **Circuit breaker** — a shape with a tripped breaker is served
-    ///    straight from the adaptive greedy rung (cheap, valid, skips the
-    ///    cache) instead of failing the same way again.
-    /// 3. **Load shed** — above [`SHED_UTILIZATION`] of the memory cap,
-    ///    effective deadlines and memory budgets tighten.
-    /// 4. **Isolation** — the optimizer call runs inside `catch_unwind`:
-    ///    a panic anywhere in enumeration is contained to this request —
-    ///    its memo is quarantined (footprint released from the ledger and
-    ///    tallied), the panic is counted, and only this caller sees
-    ///    [`ServeError::Panicked`]. Deadline- or memory-pressured
-    ///    requests degrade down the adaptive ladder instead of timing out
-    ///    (the result's `memo.degradation` says why; degraded plans skip
-    ///    the cache).
-    pub fn optimize(&self, query: &Query) -> Result<ServeResult, ServeError> {
-        self.optimize_from(Instant::now(), query)
-    }
-
-    /// [`OptimizerService::optimize`] for a request that arrived at
-    /// `started` (a SQL request arrives before it is parsed).
-    fn optimize_from(&self, started: Instant, query: &Query) -> Result<ServeResult, ServeError> {
-        let request = self.requests.fetch_inc();
-        let mut req_span = dpnext_obs::span("serve.request");
-        let epoch = self.epoch();
-        let shape = fingerprint_query(query);
-        if req_span.is_recording() {
-            req_span.tag_u64("request", request);
-            req_span.tag_u64("shape_hash", FxBuildHasher::default().hash_one(&shape));
-        }
-        let key = CacheKey {
-            epoch,
-            shape: shape.clone(),
-        };
-        // Cache first: hits consume no optimizer resources, so a burst of
-        // hits must never be turned away by the gate.
-        let probe = {
-            let _probe_span = dpnext_obs::span("serve.cache_probe");
-            self.cache.lookup(&key)
-        };
-        if let Some(result) = probe {
-            req_span.tag_str("outcome", "cache_hit");
-            self.request_latency
-                .observe(started.elapsed().as_nanos() as u64);
-            return Ok(ServeResult {
-                result,
-                cache_hit: true,
-                epoch,
-            });
-        }
-        let waited = Instant::now();
-        let admitted = {
-            let _wait_span = dpnext_obs::span("serve.admission");
-            self.gate.admit()
-        };
-        let _permit = match admitted {
-            Ok(permit) => {
-                self.queue_wait.observe(waited.elapsed().as_nanos() as u64);
-                permit
-            }
-            Err(line) => {
-                let retry_after_hint = self.retry_hint(line);
-                req_span.tag_str("outcome", "overloaded");
-                req_span.tag_u64("line", u64::from(line));
-                self.request_latency
-                    .observe(started.elapsed().as_nanos() as u64);
-                return Err(ServeError::Overloaded { retry_after_hint });
-            }
-        };
-        let decision = self.breaker.decide(&shape);
-        let open_served = decision == BreakerDecision::Open;
-        let fault = match &self.faults {
-            Some(inj) => inj.fault_for(request),
-            None => Fault::None,
-        };
-        let shed =
-            !open_served && self.ledger.cap() != 0 && self.ledger.utilization() >= SHED_UTILIZATION;
-        if shed {
-            self.shed.inc();
-        }
+    /// Run: one `optimize_into` call inside a pooled memo and inside
+    /// `catch_unwind`. A panic anywhere in enumeration is contained to this
+    /// request: its memo is quarantined (footprint released from the ledger
+    /// and tallied, never parked again) and only this caller sees
+    /// [`ServeError::Panicked`]. The memo of a completed run is parked
+    /// when this stage returns, before anything is published.
+    fn run(
+        &self,
+        req: &mut Request<'_>,
+        query: &Query,
+        decision: BreakerDecision,
+        shed: bool,
+        fault: Fault,
+    ) -> Result<Optimized, ServeError> {
+        let (algorithm, options) =
+            self.request_limits(decision == BreakerDecision::Open, shed, fault);
         let mut memo = self.pool.checkout();
-        let svc_started = Instant::now();
-        let mut opt_span = dpnext_obs::span("serve.optimize");
-        if opt_span.is_recording() {
-            opt_span.tag_str(
-                "breaker",
-                match decision {
-                    BreakerDecision::Closed => "closed",
-                    BreakerDecision::Open => "open",
-                    BreakerDecision::Probe => "probe",
-                },
-            );
-            opt_span.tag_u64("shed", u64::from(shed));
-        }
+        let started = Instant::now();
+        let mut span = dpnext_obs::span("serve.optimize");
+        span.tag_str(
+            "breaker",
+            match decision {
+                BreakerDecision::Closed => "closed",
+                BreakerDecision::Open => "open",
+                BreakerDecision::Probe => "probe",
+            },
+        );
+        span.tag_u64("shed", u64::from(shed));
         // The closure borrows the memo mutably; `AssertUnwindSafe` is
         // sound *because* of the quarantine below — on a panic the memo's
         // (possibly torn) state is destroyed, never observed again.
-        let (algorithm, options) = self.request_limits(open_served, shed, fault);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
             if fault == Fault::Panic {
-                panic!("injected fault: optimizer panic (request {request})");
+                panic!("injected fault: optimizer panic (request {})", req.index);
             }
             dpnext::optimize_into(query, algorithm, &options, &mut memo)
         }));
-        match outcome {
+        match ran {
             Ok(optimized) => {
-                let svc_nanos = svc_started.elapsed().as_nanos() as u64;
-                let degradation = optimized.memo.degradation;
                 let stats = &optimized.memo;
-                self.service_time.observe(svc_nanos);
+                self.service_time
+                    .observe(started.elapsed().as_nanos() as u64);
                 self.plans_built.observe(optimized.plans_built);
                 self.live_bytes_peak.observe(stats.live_bytes_peak);
-                self.rungs[rung_index(stats.adaptive_mode)].inc();
-                if opt_span.is_recording() {
-                    opt_span.tag_str("outcome", "completed");
-                    opt_span.tag_text("mode", stats.adaptive_mode.to_string());
-                    opt_span.tag_text("degradation", degradation.to_string());
+                if span.is_recording() {
+                    span.tag_str("outcome", "completed");
+                    span.tag_text("mode", stats.adaptive_mode.to_string());
+                    span.tag_text("degradation", stats.degradation.to_string());
                 }
-                drop(opt_span);
-                drop(memo); // park the arena before publishing
-                if !open_served {
-                    self.breaker.report(
-                        &shape,
-                        decision == BreakerDecision::Probe,
-                        !degradation.resource_aborted(),
-                    );
-                }
-                if req_span.is_recording() {
-                    req_span.tag_str("outcome", "optimized");
-                    req_span.tag_text("degradation", degradation.to_string());
-                    req_span.tag_u64("plans_built", optimized.plans_built);
-                    req_span.tag_u64("live_bytes_peak", optimized.memo.live_bytes_peak);
-                }
-                let result = Arc::new(optimized);
-                if degradation.deadline_aborted {
-                    self.deadline_degraded.inc();
-                }
-                if degradation.memory_aborted {
-                    self.memory_degraded.inc();
-                }
-                if open_served || degradation.resource_aborted() {
-                    // A degraded plan is valid but below full quality:
-                    // keep it out of the cache so a later, uncontended
-                    // arrival re-optimizes.
-                } else {
-                    self.cache.insert(key, result.clone());
-                }
-                self.request_latency
-                    .observe(started.elapsed().as_nanos() as u64);
-                Ok(ServeResult {
-                    result,
-                    cache_hit: false,
-                    epoch,
-                })
+                Ok(optimized)
             }
             Err(payload) => {
-                opt_span.tag_str("outcome", "panicked");
-                drop(opt_span);
+                span.tag_str("outcome", "panicked");
+                drop(span);
                 memo.quarantine();
                 self.panics.inc();
-                if !open_served {
-                    self.breaker
-                        .report(&shape, decision == BreakerDecision::Probe, false);
-                }
+                req.outcome = "panicked";
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_string());
-                req_span.tag_str("outcome", "panicked");
-                self.request_latency
-                    .observe(started.elapsed().as_nanos() as u64);
                 Err(ServeError::Panicked(msg))
             }
         }
+    }
+
+    /// Publish: tell the shape's breaker how the run went (an open-served
+    /// run says nothing about full quality and is not reported), count
+    /// what the run shipped, and cache a full-quality plan for later
+    /// arrivals of the shape.
+    fn publish(
+        &self,
+        req: &mut Request<'_>,
+        key: CacheKey,
+        decision: BreakerDecision,
+        ran: Result<Optimized, ServeError>,
+    ) -> Result<ServeResult, ServeError> {
+        let open_served = decision == BreakerDecision::Open;
+        if !open_served {
+            let clean = matches!(&ran, Ok(o) if !o.memo.degradation.resource_aborted());
+            let probe = decision == BreakerDecision::Probe;
+            self.breaker.report(&key.shape, probe, clean);
+        }
+        let optimized = ran?;
+        let stats = &optimized.memo;
+        let degradation = stats.degradation;
+        self.rungs[rung_index(stats.adaptive_mode)].inc();
+        if degradation.deadline_aborted {
+            self.deadline_degraded.inc();
+        }
+        if degradation.memory_aborted {
+            self.memory_degraded.inc();
+        }
+        req.outcome = "optimized";
+        if req.span.is_recording() {
+            req.span.tag_text("degradation", degradation.to_string());
+            req.span.tag_u64("plans_built", optimized.plans_built);
+            req.span.tag_u64("live_bytes_peak", stats.live_bytes_peak);
+        }
+        let epoch = key.epoch;
+        let result = Arc::new(optimized);
+        // A degraded plan is valid but below full quality: keep it out of
+        // the cache so a later, uncontended arrival re-optimizes.
+        if !open_served && !degradation.resource_aborted() {
+            self.cache.insert(key, result.clone());
+        }
+        Ok(ServeResult {
+            result,
+            cache_hit: false,
+            epoch,
+        })
     }
 
     /// Back-off suggestion for a rejected arrival: the p50 of measured
@@ -660,37 +712,6 @@ impl OptimizerService {
         } else {
             Duration::from_nanos(nanos as u64).max(RETRY_HINT_MIN)
         }
-    }
-
-    /// Full pipeline from SQL text: parse, bind against the facade's
-    /// catalog, then [`OptimizerService::optimize`]. Caching operates on
-    /// the *bound* query, so differently spelled but identically bound
-    /// texts share one entry.
-    pub fn optimize_sql(&self, sql: &str) -> Result<ServeResult, ServeError> {
-        self.optimize_sql_bound(sql).map(|(_, r)| r)
-    }
-
-    /// Like [`OptimizerService::optimize_sql`], additionally returning
-    /// the bound query for callers that execute the plan.
-    pub fn optimize_sql_bound(&self, sql: &str) -> Result<(BoundQuery, ServeResult), ServeError> {
-        let started = Instant::now();
-        let bound = match bind_sql(sql, self.optimizer.catalog()) {
-            Ok(bound) => bound,
-            Err(e) => {
-                // A rejected text is still a request: it is counted, timed
-                // and traced like every other return path.
-                let request = self.requests.fetch_inc();
-                let mut req_span = dpnext_obs::span("serve.request");
-                req_span.tag_u64("request", request);
-                req_span.tag_str("outcome", "sql_error");
-                self.sql_errors.inc();
-                self.request_latency
-                    .observe(started.elapsed().as_nanos() as u64);
-                return Err(ServeError::Sql(e));
-            }
-        };
-        let result = self.optimize_from(started, &bound.query)?;
-        Ok((bound, result))
     }
 
     /// Current counters across the request path, cache, pool and the
@@ -782,5 +803,151 @@ impl ServiceStats {
             self.breaker.closes,
             self.breaker.open_shapes,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const KIB: u64 = 1 << 10;
+    const MIB: u64 = 1 << 20;
+    const GIB: u64 = 1 << 30;
+
+    /// A service whose requests run under `deadline` and `budget` (set
+    /// where they belong, on the wrapped optimizer), shedding against `cap`.
+    fn service(deadline: Option<Duration>, budget: u64, cap: u64) -> OptimizerService {
+        OptimizerService::with_config(
+            Optimizer::new(Algorithm::EaPrune)
+                .deadline(deadline)
+                .memory_budget(budget),
+            ServiceConfig {
+                memory_cap_bytes: cap,
+                ..ServiceConfig::default()
+            },
+        )
+    }
+
+    fn ms(millis: u64) -> Option<Duration> {
+        Some(Duration::from_millis(millis))
+    }
+
+    #[test]
+    fn request_limits_table() {
+        let limited = service(ms(40), MIB, GIB);
+        let (base_algorithm, base) = limited.optimizer.configured();
+
+        // Neither shed nor faulted: what the optimizer was configured with.
+        let (algorithm, opts) = limited.request_limits(false, false, Fault::None);
+        assert_eq!(base_algorithm, algorithm);
+        assert_eq!((ms(40), MIB), (opts.deadline, opts.memory_budget));
+
+        // Open-served: the greedy floor, no clock, no byte meter.
+        let (algorithm, opts) = limited.request_limits(true, false, Fault::None);
+        assert_eq!(Algorithm::Adaptive, algorithm);
+        assert_eq!(
+            (1, None, 0),
+            (opts.plan_budget, opts.deadline, opts.memory_budget)
+        );
+
+        // Shed: the request's own limits, halved.
+        let (algorithm, opts) = limited.request_limits(false, true, Fault::None);
+        assert_eq!(base_algorithm, algorithm);
+        assert_eq!(ms(20), opts.deadline, "shedding halves the deadline");
+        assert!(
+            (1..=512 * KIB).contains(&opts.memory_budget),
+            "shedding may not raise a 1 MiB budget: {}",
+            opts.memory_budget
+        );
+        assert_eq!(base.plan_budget, opts.plan_budget);
+
+        // An injected fault overrides last, shed or not.
+        let delay = Duration::from_micros(7);
+        let faulted = service(ms(40), MIB, GIB).with_fault_injection(
+            FaultInjector::new(0, 0, 0, delay).with_memory_pressure(0, 2 * MIB),
+        );
+        for shed in [false, true] {
+            let (_, opts) = faulted.request_limits(false, shed, Fault::Slow);
+            assert_eq!(Some(delay), opts.fault_unit_delay);
+            let (_, opts) = faulted.request_limits(false, shed, Fault::MemoryPressure);
+            assert_eq!(2 * MIB, opts.memory_budget);
+            assert_eq!(None, opts.fault_unit_delay);
+        }
+    }
+
+    /// `/metrics` lists families in registration order, and the
+    /// service-owned cells register as `with_config`'s struct literal
+    /// evaluates: reordering its fields must not reshuffle the exposition.
+    #[test]
+    fn service_families_render_in_registration_order() {
+        let text = service(None, 0, 0).metrics_text();
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter_map(|rest| rest.split(' ').next())
+            .collect();
+        let first = families
+            .iter()
+            .position(|name| *name == "dpnext_requests_total")
+            .expect("dpnext_requests_total is registered");
+        assert_eq!(
+            [
+                "dpnext_requests_total",
+                "dpnext_panics_total",
+                "dpnext_sql_errors_total",
+                "dpnext_shed_total",
+                "dpnext_degraded_total",
+                "dpnext_rung_total",
+                "dpnext_request_latency_nanos",
+                "dpnext_service_time_nanos",
+                "dpnext_queue_wait_nanos",
+                "dpnext_plans_built",
+                "dpnext_live_bytes_peak",
+            ],
+            families[first..]
+        );
+    }
+
+    /// Counted in means counted out, even when a panic unwinds through
+    /// the service outside the run stage's `catch_unwind`.
+    #[test]
+    fn an_unwinding_request_is_counted_out() {
+        let service = service(None, 0, 0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _req = service.arrive();
+            // Unwinds like a panic, without the hook's message.
+            std::panic::resume_unwind(Box::new("between stages"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(1, service.requests.get());
+        assert_eq!(1, service.request_latency.snapshot().count);
+    }
+
+    /// Whatever the request's limits, the cap and the ledger's fill, a
+    /// shed request never gets more time or more bytes than it had.
+    #[test]
+    fn shedding_never_loosens() {
+        for deadline in [None, ms(1), ms(40)] {
+            for budget in [0, 1, 2, 4 * KIB, MIB, u64::MAX] {
+                for cap in [1, MIB, GIB] {
+                    let service = service(deadline, budget, cap);
+                    for held in [0, cap / 2, cap, 2 * cap] {
+                        service.ledger.add(held);
+                        let (_, opts) = service.request_limits(false, true, Fault::None);
+                        service.ledger.sub(held);
+                        let case = format!("{deadline:?} / {budget} B under {held} of {cap}");
+                        assert_eq!(deadline.map(|d| d / 2), opts.deadline, "{case}");
+                        assert!(opts.memory_budget >= 1, "{case}: shed to zero is unlimited");
+                        if budget != 0 {
+                            assert!(
+                                opts.memory_budget <= budget,
+                                "{case}: raised to {}",
+                                opts.memory_budget
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

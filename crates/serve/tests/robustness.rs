@@ -34,11 +34,10 @@ fn fault_hammer_survives_and_quarantines() {
     // Cache off so every request actually runs the optimizer (and can
     // fault); pool on so quarantine has a free list to protect.
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
+        quiet_optimizer(A::EaPrune).deadline(Some(Duration::from_millis(25))),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,
-            deadline: Some(Duration::from_millis(25)),
             ..ServiceConfig::default()
         },
     )
@@ -95,11 +94,10 @@ fn fault_hammer_survives_and_quarantines() {
 fn deadline_pressured_requests_degrade_and_skip_the_cache() {
     let q = generate_query(&GenConfig::topology(30, Topology::Star), 2);
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
+        quiet_optimizer(A::EaPrune).deadline(Some(Duration::from_millis(10))),
         ServiceConfig {
             cache_capacity: 1024,
             pool_capacity: 4,
-            deadline: Some(Duration::from_millis(10)),
             ..ServiceConfig::default()
         },
     );
@@ -126,11 +124,10 @@ fn slow_fault_rides_the_degradation_ladder() {
     let inj = FaultInjector::new(1, 0, 1_000_000, Duration::from_micros(200));
     let q = generate_query(&GenConfig::topology(10, Topology::Chain), 0);
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
+        quiet_optimizer(A::EaPrune).deadline(Some(Duration::from_millis(5))),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 2,
-            deadline: Some(Duration::from_millis(5)),
             ..ServiceConfig::default()
         },
     )
@@ -158,7 +155,6 @@ fn unconstrained_requests_stay_bit_identical() {
         ServiceConfig {
             cache_capacity: 16,
             pool_capacity: 2,
-            deadline: None,
             ..ServiceConfig::default()
         },
     );

@@ -173,7 +173,6 @@ fn pooled_reoptimize_reports_fresh_stats() {
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,
-            deadline: None,
             ..ServiceConfig::default()
         },
     );
