@@ -17,7 +17,7 @@
 //! conflict detection guarantees to be applicable.
 
 use dpnext_conflict::applicable_ops_into;
-use dpnext_core::{BudgetedSearch, Memo, OptContext};
+use dpnext_core::{Memo, OptContext, Search};
 use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::{OpKind, OpTree};
@@ -29,19 +29,12 @@ struct Component {
     order: Vec<usize>,
 }
 
-/// What the greedy pass hands back to the ladder.
-pub struct GreedyOutcome {
-    /// Linearization of the relations: the greedy merge tree's traversal
-    /// order (or the canonical tree's, after a fallback).
-    pub order: Vec<usize>,
-    /// Whether the canonical-tree fallback had to run.
-    pub fell_back: bool,
-}
-
 /// Run the greedy pass on `search`. On success the memo holds a complete
 /// plan (the search's keep-best) and one or two representative plans per
-/// greedy subtree class; the returned order linearizes the merge tree.
-pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyOutcome {
+/// greedy subtree class. Returns the linearization of the relations: the
+/// greedy merge tree's traversal order (or the canonical tree's, after a
+/// fallback).
+pub fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
     let n = ctx.query.table_count();
     let mut comps: Vec<Component> = (0..n)
         .map(|i| Component {
@@ -70,7 +63,7 @@ pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyO
         };
         let union = comps[i].set.union(comps[j].set);
         search.process(comps[i].set, comps[j].set);
-        if union != NodeSet::full(n) && search.class_len(union) == 0 {
+        if union != NodeSet::full(n) && search.memo().class(union).is_empty() {
             break; // every variant was rejected: dead end
         }
         // GOO keeps one plan per component (plus a raw alternative when
@@ -82,17 +75,15 @@ pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyO
         comps[i].order.extend(jorder);
     }
     if comps.len() == 1 && search.best_cost().is_some() {
-        return GreedyOutcome {
-            order: std::mem::take(&mut comps[0].order),
-            fell_back: false,
-        };
+        return comps.swap_remove(0).order;
     }
     // Fallback: replay the canonical operator tree bottom-up. Operators
     // are collected in post-order, so every operator's input classes are
     // populated (by scans or by earlier operators) when it is processed.
     for k in 0..ctx.cq.ops.len() {
         let op = &ctx.cq.ops[k];
-        if search.class_len(op.left_rels) == 0 || search.class_len(op.right_rels) == 0 {
+        let memo = search.memo();
+        if memo.class(op.left_rels).is_empty() || memo.class(op.right_rels).is_empty() {
             continue; // an earlier application dead-ended; no plan here
         }
         search.process(op.left_rels, op.right_rels);
@@ -101,10 +92,7 @@ pub fn greedy_join(search: &mut BudgetedSearch<'_>, ctx: &OptContext) -> GreedyO
             search.shrink_class_to_best(union);
         }
     }
-    GreedyOutcome {
-        order: traversal_order(&ctx.query.tree),
-        fell_back: true,
-    }
+    traversal_order(&ctx.query.tree)
 }
 
 /// Relations in left-to-right traversal order of an operator tree: every

@@ -5,9 +5,10 @@
 //! up to ~10 relations and hopeless at 30, where production optimizers
 //! switch to greedy/linearized construction under an enumeration budget.
 //!
-//! [`optimize_adaptive`] runs a three-rung ladder on one shared
-//! [`BudgetedSearch`] (one memo, one plan counter) under one
-//! [`Budget`] — plans, wall clock and live memo bytes, each armed or
+//! [`optimize_adaptive`] feeds three csg-cmp-pair streams, one per rung,
+//! to one [`Search`] (one memo, one plan counter, one best complete plan)
+//! — the EA-Prune search `dpnext_core::optimize_into` runs, under one
+//! [`Budget`] of plans, wall clock and live memo bytes, each armed or
 //! absent:
 //!
 //! 1. **Greedy** (always), under the plan limit alone: a GOO-style pass
@@ -17,9 +18,9 @@
 //!    it — and its merge tree yields the linear relation order for rung 3.
 //!    It consults neither the clock nor the byte meter, so a valid plan
 //!    exists before either can bind: a run *degrades*, it never fails.
-//! 2. **Exact DP**, under [`Budget::split`] — half of what is left of
-//!    every armed resource, so an aborted exact stream cannot starve
-//!    rung 3. With a plan limit it is attempted only when a capped
+//! 2. **Exact DP** ([`Search::enumerate`], the whole DPhyp stream), under
+//!    [`Budget::split`] — half of what is left of every armed resource, so
+//!    an aborted exact stream cannot starve rung 3. With a plan limit it is attempted only when a capped
 //!    csg-cmp-pair count ([`count_ccps_capped`]) shows the full DPhyp
 //!    stream plausibly fits that half; without one there is no gate.
 //!    Completing this rung makes the result the EA-Prune optimum; an
@@ -31,7 +32,8 @@
 //!    because every greedy merge appears as an interval split.
 //!
 //! Every rung funnels through the same engine (`op_trees`, dominance
-//! pruning, `C_out`), so aggregation placement stays explored at scale.
+//! pruning, `C_out`), so aggregation placement stays explored at scale,
+//! and the run ends in the search's one epilogue ([`Search::finish`]).
 //! The budget is checked once per pair and once per enumeration work
 //! unit: `plans_built <= plan_budget` holds no matter which rung wins, and
 //! a deadline or byte limit is overshot by at most one unit
@@ -40,23 +42,22 @@
 //! ran out mid-stream: plans, deadline, bytes) and
 //! [`dpnext_core::MemoStats::adaptive_mode`] report what happened.
 //!
-//! This crate sits **above** `dpnext-core` (it drives the core's budgeted
-//! engine hook); the `dpnext::Optimizer` facade dispatches
+//! This crate sits **above** `dpnext-core` (it drives the core's
+//! [`Search`]); the `dpnext::Optimizer` facade dispatches
 //! `Algorithm::Adaptive` here.
 
 mod greedy;
 mod linear;
 
-pub use greedy::{greedy_join, traversal_order, GreedyOutcome};
+pub use greedy::{greedy_join, traversal_order};
 pub use linear::linearized_dp;
 
 use dpnext_core::{
-    explain, finalize, AdaptiveMode, Budget, BudgetedSearch, Degradation, Exhausted, Memo,
-    OptContext, OptimizeOptions, Optimized, PlanId, UNIT_MAX_PLANS,
+    AdaptiveMode, Budget, Degradation, Exhausted, Memo, OptContext, OptimizeOptions, Optimized,
+    PlanId, Search, ThinBy, UNIT_MAX_PLANS,
 };
-use dpnext_hypergraph::{count_ccps_capped, try_enumerate_ccps, NodeSet};
+use dpnext_hypergraph::count_ccps_capped;
 use dpnext_query::Query;
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Default plan budget when [`OptimizeOptions::plan_budget`] is 0.
@@ -102,24 +103,30 @@ pub fn optimize_adaptive(query: &Query, opts: &OptimizeOptions) -> Optimized {
 /// pooled entry point, the ladder's counterpart of
 /// [`dpnext_core::optimize_into`]. The memo is reset first, so results and
 /// statistics are bit-identical to a fresh run; its arena, lane and class
-/// capacity is reused, and it comes back holding the run's plans, so a
-/// caller that meters its memo (the serving layer's ledger) meters the one
-/// that did the work. Should the ladder panic, `memo` is left empty.
+/// capacity is reused, and it holds the run's plans however the run ends,
+/// so a caller that meters its memo (the serving layer's ledger) meters
+/// the one that did the work.
 pub fn optimize_adaptive_into(query: &Query, opts: &OptimizeOptions, memo: &mut Memo) -> Optimized {
-    let run = optimize_adaptive_run_in(query, opts, std::mem::take(memo));
-    *memo = run.memo;
-    run.optimized
+    climb(&OptContext::new(query.clone()), opts, memo).0
 }
 
 /// [`optimize_adaptive`] returning the whole [`AdaptiveRun`].
 pub fn optimize_adaptive_run(query: &Query, opts: &OptimizeOptions) -> AdaptiveRun {
-    optimize_adaptive_run_in(query, opts, Memo::new())
+    let ctx = OptContext::new(query.clone());
+    let mut memo = Memo::new();
+    let (optimized, winner) = climb(&ctx, opts, &mut memo);
+    AdaptiveRun {
+        optimized,
+        ctx,
+        memo,
+        winner,
+    }
 }
 
 /// The ladder's state between rungs: the one search every rung feeds, and
 /// why the run has fallen short so far.
 struct Ladder<'a> {
-    search: BudgetedSearch<'a>,
+    search: Search<'a>,
     degr: Degradation,
 }
 
@@ -145,7 +152,7 @@ impl Ladder<'_> {
         &mut self,
         name: &'static str,
         budget: Budget,
-        rung: impl FnOnce(&mut BudgetedSearch<'_>) -> bool,
+        rung: impl FnOnce(&mut Search<'_>) -> bool,
     ) -> bool {
         let mut span = dpnext_obs::span(name);
         self.search.rearm(budget);
@@ -163,11 +170,10 @@ impl Ladder<'_> {
     }
 }
 
-/// [`optimize_adaptive_run`] with the search running in `memo`.
-fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -> AdaptiveRun {
-    let ctx = OptContext::new(query.clone());
+/// The ladder over `ctx`'s query in `memo`: one search, three rungs, the
+/// search's epilogue. Returns the result and the winner's memo id.
+fn climb(ctx: &OptContext, opts: &OptimizeOptions, memo: &mut Memo) -> (Optimized, PlanId) {
     let n = ctx.query.table_count();
-    let start = Instant::now();
     let bytes = (opts.memory_budget != 0).then_some(opts.memory_budget);
     // A run that names a deadline or a byte budget but no plan budget has
     // no plan limit: the clock or the byte meter, not the counter, drives
@@ -178,18 +184,19 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
         0 => Some(DEFAULT_PLAN_BUDGET.max(budget_floor(n))),
         requested => Some(requested.max(budget_floor(n))),
     };
-    let deadline = opts.deadline.map(|d| start + d);
     let full = Budget {
         plans,
-        deadline,
+        deadline: opts.deadline.map(|d| Instant::now() + d),
         bytes,
     };
     let mut ladder_span = dpnext_obs::span("adaptive.optimize");
     ladder_span.tag_u64("n", n as u64);
     ladder_span.tag_u64("plan_budget", plans.unwrap_or(0));
-    // Every rung arms its own budget (see `Ladder::rung`).
+    // The search arms nothing; every rung arms its own budget (see
+    // `Ladder::rung`).
+    let thin_by = ThinBy::dominance(ctx, opts.dominance);
     let mut ladder = Ladder {
-        search: BudgetedSearch::new_in(&ctx, memo, opts.dominance, Budget::default()),
+        search: Search::new(ctx, memo, thin_by, true),
         degr: Degradation::default(),
     };
     ladder.search.set_unit_delay(opts.fault_unit_delay);
@@ -205,7 +212,7 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
         };
         let mut order = Vec::new();
         ladder.rung("adaptive.rung.greedy", plans_only, |search| {
-            order = greedy_join(search, &ctx).order;
+            order = greedy_join(search, ctx);
             true
         });
         let best_after_greedy = ladder.search.best_cost();
@@ -237,13 +244,7 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
                 if gate.is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none()) {
                     return false;
                 }
-                let _ = try_enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-                    if search.process(s1, s2) {
-                        ControlFlow::Continue(())
-                    } else {
-                        ControlFlow::Break(())
-                    }
-                });
+                search.enumerate();
                 true
             });
             // Rung 3: interval DP over the greedy linear order, under all
@@ -254,7 +255,7 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
             if !exact_done {
                 let best_after_exact = ladder.search.best_cost();
                 let lin_done = ladder.rung("adaptive.rung.linearized", full, |search| {
-                    linearized_dp(search, &ctx, &order);
+                    linearized_dp(search, ctx, &order);
                     true
                 });
                 let improved = |before: Option<f64>, after: Option<f64>| match (before, after) {
@@ -278,43 +279,18 @@ fn optimize_adaptive_run_in(query: &Query, opts: &OptimizeOptions, memo: Memo) -
         }
     }
     let Ladder { search, degr } = ladder;
-    let outcome = search.finish();
-    let mut memo = outcome.memo;
-    let (plan, winner) = if n == 1 {
-        let id = memo.class(NodeSet::full(1))[0];
-        (finalize(&ctx, &memo, id), id)
-    } else {
-        outcome
-            .best
-            .expect("no plan found: query graph disconnected or over-constrained")
-    };
-    memo.record_budget(plans.unwrap_or(0), opts.memory_budget, degr, mode);
     if ladder_span.is_recording() {
         ladder_span.tag_text("mode", mode.to_string());
         ladder_span.tag_text("degradation", degr.to_string());
-        ladder_span.tag_u64("plans_built", outcome.plans_built);
-        ladder_span.tag_u64("live_bytes_peak", memo.stats().live_bytes_peak);
+        ladder_span.tag_u64("plans_built", search.plans_built());
+        ladder_span.tag_u64("live_bytes_peak", search.memo().stats().live_bytes_peak);
     }
     drop(ladder_span);
-    // Search time excludes EXPLAIN rendering, like the exact engine.
-    let elapsed = start.elapsed();
-    let explain = if opts.explain {
-        explain(&ctx, &memo, winner)
-    } else {
-        String::new()
-    };
-    let optimized = Optimized {
-        plan,
-        explain,
-        plans_built: outcome.plans_built,
-        retained_plans: memo.retained(),
-        memo: memo.stats(),
-        elapsed,
-    };
-    AdaptiveRun {
-        optimized,
-        ctx,
-        memo,
-        winner,
-    }
+    let (mut optimized, winner) = search.finish(opts.explain);
+    // What the ladder made of the search, on the statistics of the result.
+    optimized.memo.plan_budget = plans.unwrap_or(0);
+    optimized.memo.memory_budget = opts.memory_budget;
+    optimized.memo.degradation = degr;
+    optimized.memo.adaptive_mode = mode;
+    (optimized, winner)
 }

@@ -12,14 +12,14 @@
 //! Because the greedy tree's merges all appear as splits, the linearized
 //! optimum is never worse than the greedy plan.
 
-use dpnext_core::{BudgetedSearch, OptContext};
+use dpnext_core::{OptContext, Search};
 use dpnext_hypergraph::NodeSet;
 
 /// Run interval DP over `order` on `search`, bottom-up by interval
 /// length. Returns `true` when every split was processed within the
 /// budget; `false` when the budget ran out (the search keeps the best
 /// complete plan seen so far, typically the greedy one).
-pub fn linearized_dp(search: &mut BudgetedSearch<'_>, ctx: &OptContext, order: &[usize]) -> bool {
+pub fn linearized_dp(search: &mut Search<'_>, ctx: &OptContext, order: &[usize]) -> bool {
     let n = order.len();
     debug_assert_eq!(n, ctx.query.table_count());
     // prefix[i] = set of the first i relations of the order, so the set
@@ -42,7 +42,7 @@ pub fn linearized_dp(search: &mut BudgetedSearch<'_>, ctx: &OptContext, order: &
             for split in start + 1..end {
                 let a = interval(start, split);
                 let b = interval(split, end);
-                if search.class_len(a) == 0 || search.class_len(b) == 0 {
+                if search.memo().class(a).is_empty() || search.memo().class(b).is_empty() {
                     continue;
                 }
                 if !search.process(a, b) {

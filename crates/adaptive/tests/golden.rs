@@ -12,8 +12,8 @@
 //! after a *deliberate* change, empty the table and copy the rows the
 //! failing test prints.
 
-use dpnext_adaptive::optimize_adaptive;
-use dpnext_core::{optimize_with, Algorithm, OptimizeOptions, Optimized};
+use dpnext_adaptive::{optimize_adaptive, optimize_adaptive_into};
+use dpnext_core::{optimize_with, Algorithm, Memo, OptimizeOptions, Optimized};
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::time::Duration;
 
@@ -170,9 +170,13 @@ const GOLDEN: &[Row] = &[
     (Mixed, 30, P(200000), 0x40f85562834af2fb, 23293, 1523, 200000, "linearized", "budget-gated", 6632372),
 ];
 
+/// Every row runs in one caller-held memo, which must come back from each
+/// run — whichever rung and cause ended it — structurally sound
+/// ([`Memo::check_invariants`], a real check in release builds too).
 #[test]
 fn ladder_reproduces_the_recorded_grid() {
     let mut actual = Vec::new();
+    let mut memo = Memo::new();
     for topo in [Chain, Star, Clique, Mixed] {
         for n in [8usize, 12, 20, 30] {
             let query = generate_query(&GenConfig::topology(n, topo), SEED);
@@ -181,7 +185,9 @@ fn ladder_reproduces_the_recorded_grid() {
                 arms.extend([D, B]);
             }
             for arm in arms {
-                let run = optimize_adaptive(&query, &options(arm));
+                let run = optimize_adaptive_into(&query, &options(arm), &mut memo);
+                memo.check_invariants()
+                    .unwrap_or_else(|e| panic!("{topo:?} n={n} {arm:?}: {e}"));
                 let got = outcome(&run);
                 match arm {
                     // The tight budget is what trips: arming a deadline and

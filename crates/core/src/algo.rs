@@ -1,17 +1,21 @@
-//! The plan generators of §4, reduced to **one** enumeration engine over
-//! the arena-backed [`Memo`]: the DPhyp baseline (Fig. 5, no eager
+//! The plan generators of §4, reduced to **one** search over the
+//! arena-backed [`Memo`]: the DPhyp baseline (Fig. 5, no eager
 //! aggregation), complete enumeration EA-All (Fig. 9), the
 //! optimality-preserving EA-Prune (Figs. 13/14), and the heuristics H1
-//! (Fig. 10) and H2 (Fig. 12) are all runs of the engine that differ only
-//! in the relation their plan classes are thinned by ([`ThinBy`]).
+//! (Fig. 10) and H2 (Fig. 12) are all [`Search`]es that differ only in the
+//! relation their plan classes are thinned by ([`ThinBy`]) and in whether
+//! they push groupings down (`eager`).
 //!
-//! The engine is one loop: walk the DPhyp csg-cmp-pair stream in emission
-//! order and hand every pair to `process_pair`, which builds the plans of
-//! each `(orientation, t1, t2)` work unit and folds them into their class
-//! ([`Memo::fold`]); complete plans compete on final cost instead. A
-//! `take` hook is asked before every unit; the exact algorithms take
-//! everything, [`BudgetedSearch`] refuses once its plan budget, deadline
-//! or byte budget is spent — a refusal ends the pair.
+//! A search is *fed csg-cmp-pair streams*: [`Search::enumerate`] walks the
+//! whole DPhyp stream in emission order, and a caller with a stream of its
+//! own (greedy merges, interval splits) feeds [`Search::process`] pair by
+//! pair. Either way every pair goes to `process_pair`, which builds the
+//! plans of each `(orientation, t1, t2)` work unit and folds them into
+//! their class ([`Memo::fold`]); complete plans compete on final cost
+//! instead. A search whose [`Budget`] arms something asks it before every
+//! unit and stops at the first refusal; an exact run is a search with
+//! nothing armed. [`Search::finish`] is the one epilogue: winner,
+//! finalization, elapsed time, EXPLAIN, [`Optimized`].
 
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
@@ -20,8 +24,9 @@ use crate::memo::{DominanceKind, Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::op_trees;
 use crate::plan::{apply_staged, make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
-use dpnext_hypergraph::{enumerate_ccps, NodeSet};
+use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
 use dpnext_query::{OpKind, Query};
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// The available plan-generation algorithms.
@@ -83,6 +88,13 @@ pub struct Optimized {
 }
 
 /// Knobs of [`optimize_with`] beyond the algorithm choice.
+///
+/// `plan_budget`, `deadline`, `memory_budget` and `fault_unit_delay` are
+/// read by the one kind of run that arms a [`Budget`]: the adaptive ladder
+/// (`dpnext_adaptive`), which is where the `Optimizer` facade sends
+/// [`Algorithm::Adaptive`] and every request that names a deadline or a
+/// byte budget. [`optimize_into`] arms nothing, so under it they change
+/// nothing; left at their defaults they change nothing anywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
     /// Dominance criterion used by [`Algorithm::EaPrune`] (ablation
@@ -90,35 +102,26 @@ pub struct OptimizeOptions {
     pub dominance: DominanceKind,
     /// Render the EXPLAIN string (skip for pure benchmarking runs).
     pub explain: bool,
-    /// Plan budget for [`Algorithm::Adaptive`]: the maximum number of
-    /// plans (joins + groupings) the search may construct across every
-    /// rung of its degradation ladder. `0` means the adaptive default
+    /// The maximum number of plans (joins + groupings) the ladder may
+    /// construct across all its rungs. `0` means the adaptive default
     /// (`dpnext_adaptive::DEFAULT_PLAN_BUDGET`); requests below the
-    /// greedy floor are clamped up so a valid plan always fits. The exact
-    /// algorithms ignore this knob.
+    /// greedy floor are clamped up so a valid plan always fits.
     pub plan_budget: u64,
-    /// Wall-clock deadline for the whole optimization. Honored by the
-    /// budgeted/adaptive path ([`BudgetedSearch`] checks it once per
-    /// enumeration work unit, bounding overshoot to one unit); the exact
-    /// engines ignore it, so callers that want deadline semantics must
-    /// route deadline-bearing requests through the adaptive ladder — the
-    /// `Optimizer` facade does exactly that. `None` (the default) changes
-    /// nothing: unconstrained runs stay bit-identical.
+    /// Wall-clock deadline for the whole optimization, checked once per
+    /// enumeration work unit (overshoot is bounded by one unit) and
+    /// recorded as [`crate::Degradation::deadline_aborted`]. `None` (the
+    /// default): no deadline.
     pub deadline: Option<Duration>,
     /// Memory budget (bytes of live memo state, see
-    /// [`crate::Memo::live_bytes`]) for the whole optimization. Honored by
-    /// the budgeted/adaptive path exactly like [`OptimizeOptions::deadline`]:
-    /// checked once per enumeration work unit, overshoot bounded by one
-    /// unit's plans, degradation recorded as
-    /// [`crate::Degradation::memory_aborted`]. The exact engines ignore
-    /// it, so the `Optimizer` facade routes memory-budgeted requests
-    /// through the adaptive ladder. `0` (the default) disables the budget.
+    /// [`crate::Memo::live_bytes`]) for the whole optimization, checked
+    /// like the deadline (overshoot bounded by one unit's plans) and
+    /// recorded as [`crate::Degradation::memory_aborted`]. `0` (the
+    /// default): no byte budget.
     pub memory_budget: u64,
     /// Fault-injection hook: an artificial busy-wait inserted before every
-    /// enumeration work unit of a budgeted search, simulating a
-    /// pathologically slow enumeration so deadline/degradation paths are
-    /// testable deterministically. `None` (the default) disables it; never
-    /// set outside tests.
+    /// enumeration work unit, simulating a pathologically slow enumeration
+    /// so deadline/degradation paths are testable deterministically.
+    /// `None` (the default) disables it; never set outside tests.
     pub fault_unit_delay: Option<Duration>,
 }
 
@@ -153,8 +156,11 @@ pub fn optimize_with(query: &Query, algo: Algorithm, opts: &OptimizeOptions) -> 
 /// The memo is [`Memo::reset`] before the run, so results and statistics
 /// are bit-identical to [`optimize_with`] regardless of what the memo
 /// held before; only the arena *capacity* (the allocation) is reused.
-/// The winning [`crate::FinalPlan`] owns its compiled expression, so the
-/// memo can be recycled immediately after this returns.
+/// It comes back holding the plans of the run, whichever way the run
+/// ended; the winning [`crate::FinalPlan`] owns its compiled expression,
+/// so the memo can be recycled immediately after this returns.
+///
+/// The run is a [`Search`] with nothing armed, fed the whole DPhyp stream.
 ///
 /// Panics on [`Algorithm::Adaptive`] like [`optimize_with`] does: the
 /// budgeted ladder lives above dpnext-core
@@ -165,15 +171,13 @@ pub fn optimize_into(
     opts: &OptimizeOptions,
     memo: &mut Memo,
 ) -> Optimized {
-    memo.reset();
     let ctx = OptContext::new(query.clone());
-    let start = Instant::now();
-    let ((plan, logical), retained, plans_built) = match algo {
-        Algorithm::DPhyp => run(&ctx, memo, ThinBy::Cheapest(None), false),
-        Algorithm::H1 => run(&ctx, memo, ThinBy::Cheapest(None), true),
-        Algorithm::H2(f) => run(&ctx, memo, ThinBy::Cheapest(Some(f)), true),
-        Algorithm::EaAll => run(&ctx, memo, ThinBy::Nothing, true),
-        Algorithm::EaPrune => run(&ctx, memo, ThinBy::dominance(&ctx, opts.dominance), true),
+    let (thin_by, eager) = match algo {
+        Algorithm::DPhyp => (ThinBy::Cheapest(None), false),
+        Algorithm::H1 => (ThinBy::Cheapest(None), true),
+        Algorithm::H2(f) => (ThinBy::Cheapest(Some(f)), true),
+        Algorithm::EaAll => (ThinBy::Nothing, true),
+        Algorithm::EaPrune => (ThinBy::dominance(&ctx, opts.dominance), true),
         // dpnext-core cannot depend on dpnext-adaptive (it is the other
         // way around); the facade routes this variant before we get here.
         Algorithm::Adaptive => panic!(
@@ -181,28 +185,24 @@ pub fn optimize_into(
              use dpnext::Optimizer or dpnext_adaptive::optimize_adaptive"
         ),
     };
-    // Capture the search time *before* rendering: EXPLAIN is presentation,
-    // not optimization, and must not inflate the reported elapsed time.
-    let elapsed = start.elapsed();
-    let explain = if opts.explain {
-        crate::explain::explain(&ctx, memo, logical)
-    } else {
-        String::new()
-    };
-    Optimized {
-        plan,
-        explain,
-        plans_built,
-        retained_plans: retained,
-        memo: memo.stats(),
-        elapsed,
+    let mut search = Search::new(&ctx, memo, thin_by, eager);
+    search.enumerate();
+    if eager && search.winner().is_none() {
+        // Eager single-plan search can dead-end when a groupjoin's right
+        // side only has a pre-aggregated plan; fall back to the baseline
+        // (plans built during the dead-ended attempt stay counted; the
+        // dead-ended memo is wiped).
+        search.restart(ThinBy::Cheapest(None), false);
+        search.enumerate();
     }
+    search.finish(opts.explain).0
 }
 
 /// Reusable per-pair buffers of the enumeration hot loop: orientation and
 /// class snapshots and the staged cut live here, and the plans themselves
 /// go to the memo's lanes, so processing a csg-cmp-pair allocates nothing
 /// once the buffers have grown.
+#[derive(Default)]
 pub(crate) struct PairBufs {
     /// `applicable_ops_into` output.
     apps: Vec<(usize, bool)>,
@@ -218,21 +218,6 @@ pub(crate) struct PairBufs {
     trees: Vec<PlanId>,
     /// The cut constants of the orientation being applied.
     staged: StagedApply,
-}
-
-impl PairBufs {
-    pub(crate) fn new() -> PairBufs {
-        PairBufs {
-            apps: Vec::new(),
-            uniq: Vec::new(),
-            orients: Vec::new(),
-            extra: Vec::new(),
-            lefts: Vec::new(),
-            rights: Vec::new(),
-            trees: Vec::new(),
-            staged: StagedApply::default(),
-        }
-    }
 }
 
 /// All ways to apply operators to the csg-cmp-pair `(s1, s2)`, written
@@ -290,7 +275,7 @@ fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut Pair
 ///
 /// Every `(orientation, t1, t2)` combination is one **work unit**, counted
 /// in the caller's `unit`. Before building a unit the engine asks
-/// `take(unit, memo)` (the hook sees the memo so a budgeted caller can
+/// `take(unit, memo)` (the hook sees the memo so an armed search can
 /// read live resource state like [`Memo::live_bytes`]). A refusal means
 /// *stop*: the rest of the pair is abandoned and `false` is returned, so
 /// the pair's plan set is incomplete. The per-pair snapshots of both
@@ -306,6 +291,7 @@ pub(crate) fn process_pair(
     s1: NodeSet,
     s2: NodeSet,
     full: NodeSet,
+    all_ops: u64,
     unit: &mut u64,
     take: &mut impl FnMut(u64, &Memo) -> bool,
     complete: &mut impl FnMut(&Memo, PlanId) -> bool,
@@ -358,7 +344,10 @@ pub(crate) fn process_pair(
                 let mut kept = false;
                 for &t in trees.iter() {
                     if s == full {
-                        if all_ops_applied(ctx, memo[t].applied) {
+                        // A plan reaching the full relation set with an
+                        // operator missing (possible only for pathological
+                        // hyperedge/cut interactions) is invalid: dropped.
+                        if memo[t].applied == all_ops {
                             kept |= complete(memo, t);
                         }
                     } else {
@@ -374,58 +363,6 @@ pub(crate) fn process_pair(
         }
     }
     true
-}
-
-/// Seed the singleton scan classes, then walk every csg-cmp-pair in DPhyp
-/// emission order through [`process_pair`], taking every work unit.
-/// Returns the total number of plans built.
-fn run_engine(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    thin_by: ThinBy,
-    eager: bool,
-    complete: &mut impl FnMut(&Memo, PlanId) -> bool,
-) -> u64 {
-    let mut scratch = Scratch::new(ctx);
-    let n = ctx.query.table_count();
-    seed_scans(ctx, memo);
-    if n > 1 {
-        // The clock is read only when a trace wants the span.
-        let t0 = dpnext_obs::tracing_enabled().then(Instant::now);
-        let full = NodeSet::full(n);
-        let mut bufs = PairBufs::new();
-        let (mut ccps, mut units) = (0u64, 0u64);
-        let mut take = |_: u64, _: &Memo| true;
-        enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-            ccps += 1;
-            process_pair(
-                ctx,
-                &mut scratch,
-                &mut bufs,
-                memo,
-                thin_by,
-                eager,
-                s1,
-                s2,
-                full,
-                &mut units,
-                &mut take,
-                complete,
-            );
-        });
-        if let Some(t0) = t0 {
-            dpnext_obs::emit_span(
-                "engine.enumerate",
-                t0.elapsed().as_nanos() as u64,
-                &[
-                    ("ccps", ccps),
-                    ("units", units),
-                    ("plans_built", scratch.plans_built),
-                ],
-            );
-        }
-    }
-    scratch.plans_built
 }
 
 /// Seed the singleton scan classes.
@@ -462,38 +399,6 @@ fn keep_best(best: &mut Option<(f64, PlanId)>, ctx: &OptContext, memo: &Memo, id
     false
 }
 
-/// One exact run: thin every class by `thin_by`, keep the cheapest
-/// complete plan, compile it. Returns the winner with its memo id, the
-/// plans retained in the classes and the plans built.
-fn run(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    thin_by: ThinBy,
-    eager: bool,
-) -> ((FinalPlan, PlanId), u64, u64) {
-    let mut best = None;
-    let plans_built = run_engine(ctx, memo, thin_by, eager, &mut |memo, id| {
-        keep_best(&mut best, ctx, memo, id)
-    });
-    let id = match best {
-        Some((_, id)) => id,
-        // Degenerate single-table query: the scan is the complete plan.
-        None if ctx.query.table_count() == 1 => memo.class(NodeSet::full(1))[0],
-        // Eager single-plan search can dead-end when a groupjoin's right
-        // side only has a pre-aggregated plan; fall back to the baseline
-        // (plans built during the dead-ended attempt stay counted; the
-        // dead-ended memo is wiped).
-        None if eager => {
-            memo.reset();
-            let (best, retained, fallback_built) = run(ctx, memo, ThinBy::Cheapest(None), false);
-            return (best, retained, plans_built + fallback_built);
-        }
-        None => panic!("no plan found: query graph disconnected or over-constrained"),
-    };
-    // Deferred finalization: compile the single winner's tree now.
-    ((finalize(ctx, memo, id), id), memo.retained(), plans_built)
-}
-
 /// Enumerate every plan EA-All would consider, for diagnostics and for
 /// property tests that validate per-plan claims (keys, duplicate-freeness)
 /// against executed results. Exponential — small queries only. Returns the
@@ -501,57 +406,69 @@ fn run(
 pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
     let ctx = OptContext::new(query.clone());
     let mut memo = Memo::new();
-    // Complete plans are gathered, all of them, instead of competing.
-    let mut complete = Vec::new();
-    run_engine(&ctx, &mut memo, ThinBy::Nothing, true, &mut |_, id| {
-        complete.push(id);
-        true
-    });
+    let mut search = Search::new(&ctx, &mut memo, ThinBy::Nothing, true);
+    // No set counts as complete: the plans of the full set are folded into
+    // a class like any other — all of them kept — instead of competing.
+    let (full, all_ops) = (search.full, search.all_ops);
+    search.full = NodeSet::EMPTY;
+    search.enumerate();
+    drop(search);
     let mut plans = memo.retained_ids();
-    plans.extend(complete);
+    plans.retain(|&id| memo[id].set != full || memo[id].applied == all_ops);
     (ctx, memo, plans)
 }
 
 /// Hard upper bound on the plans one enumeration work unit (one
 /// `(orientation, t1, t2)` subplan combination) can construct: `op_trees`
 /// builds at most the plain apply, two pushed-down groupings and three
-/// grouped applies (Fig. 8 (a)–(d)). The budgeted search uses this to
+/// grouped applies (Fig. 8 (a)–(d)). An armed search uses this to
 /// translate a plan budget into a unit allowance without mid-unit
 /// bookkeeping.
 pub const UNIT_MAX_PLANS: u64 = 6;
 
-/// A budget-enforcing, pair-at-a-time frontend over the multi-plan
-/// enumeration engine: the caller supplies the csg-cmp-pair stream (the
-/// full DPhyp stream, greedy merges, interval splits of a linear order —
-/// anything whose pairs read only already-populated classes), and the
-/// search feeds each pair through the same `op_trees`/dominance machinery
-/// as [`Algorithm::EaPrune`], guaranteeing `plans_built <= budget`
-/// throughout — the same `process_pair` the exact algorithms run, with a
-/// `take` hook that refuses once a limit is reached. This is what the
-/// `dpnext-adaptive` large-query ladder drives.
-pub struct BudgetedSearch<'a> {
+/// One plan search: a memo whose classes are thinned by one relation, the
+/// cheapest complete plan seen, and a [`Budget`] that may arm nothing.
+///
+/// The caller supplies the csg-cmp-pair stream — [`Search::enumerate`] for
+/// the whole DPhyp stream, [`Search::process`] pair by pair for anything
+/// else whose pairs read only already-populated classes (greedy merges,
+/// interval splits of a linear order) — and [`Search::finish`] turns the
+/// search into its [`Optimized`]. With a budget armed
+/// ([`Search::rearm`]) `plans_built <= budget` holds throughout and the
+/// first refusal stops the stream; with nothing armed this is the exact
+/// algorithm its `thin_by`/`eager` name. The `dpnext-adaptive` ladder runs
+/// three streams into one search; [`optimize_into`] runs one.
+pub struct Search<'a> {
     ctx: &'a OptContext,
-    memo: Memo,
+    memo: &'a mut Memo,
     scratch: Scratch,
     bufs: PairBufs,
     thin_by: ThinBy,
+    eager: bool,
     /// Cheapest complete plan so far, by final cost; compiled to a
     /// [`FinalPlan`] only once the search ends.
     best: Option<(f64, PlanId)>,
     meter: Meter,
+    /// The set whose plans are complete: they compete on final cost instead
+    /// of entering a class ([`all_subplans`] alone sets it to no set).
     full: NodeSet,
+    /// `applied` of a plan that applied every operator of the query.
+    all_ops: u64,
+    /// Work units built.
+    units: u64,
+    started: Instant,
 }
 
-/// What a [`BudgetedSearch`] consults before every pair and every work
-/// unit: its budget, why it stopped (once it has), the fault-injection
-/// delay — and, fed on the way, this search's RAII contribution to the
-/// process-wide live-bytes gauge ([`dpnext_obs::global_live_bytes`]): it
-/// remembers the bytes last published and withdraws them on drop.
-/// Delta-based publishing makes concurrent searches sum correctly, and
-/// the drop reconciliation means a search abandoned mid-run (panic
-/// unwind, quarantine) cannot leak its contribution into the gauge
-/// forever. The gauge is observation only — enforcement stays with the
-/// budget and the serving ledger.
+/// What a [`Search`] consults before every pair and, while something is
+/// armed, before every work unit: its budget, why it stopped (once it
+/// has), the fault-injection delay — and, fed on the way, this search's
+/// RAII contribution to the process-wide live-bytes gauge
+/// ([`dpnext_obs::global_live_bytes`]): it remembers the bytes last
+/// published and withdraws them on drop. Delta-based publishing makes
+/// concurrent searches sum correctly, and the drop reconciliation means a
+/// search abandoned mid-run (panic unwind, quarantine) cannot leak its
+/// contribution into the gauge forever. The gauge is observation only —
+/// enforcement stays with the budget and the serving ledger.
 struct Meter {
     budget: Budget,
     exhausted: Option<Exhausted>,
@@ -599,54 +516,54 @@ impl Drop for Meter {
     }
 }
 
-/// What a finished [`BudgetedSearch`] hands back.
-pub struct BudgetedOutcome {
-    /// The memo owning every plan the search built.
-    pub memo: Memo,
-    /// The cheapest complete plan seen, with its memo id (`None` when no
-    /// pair produced a complete plan — disconnected graph or exhaustion
-    /// before the first full-set pair).
-    pub best: Option<(FinalPlan, PlanId)>,
-    /// Plans constructed in total; never exceeds the budget.
-    pub plans_built: u64,
-    /// Whether some pair was skipped or truncated for lack of budget.
-    pub exhausted: bool,
-}
-
-impl<'a> BudgetedSearch<'a> {
-    /// A fresh search over `ctx` with dominance pruning `dominance` under
-    /// `budget` (scans are free, matching the `plans_built` accounting of
-    /// the unbudgeted engine), running in the caller's `memo` — a pooled
-    /// one, typically, `mem::take`n in and handed back by
-    /// [`BudgetedSearch::finish`] — so its arena, lane and class capacity
-    /// is reused and whoever accounts the memo accounts the one that did
-    /// the work. The memo is [`Memo::reset`] first: results and statistics
-    /// do not depend on what it held. Seeds the singleton scan classes.
-    pub fn new_in(
+impl<'a> Search<'a> {
+    /// A fresh search over `ctx` whose classes are thinned by `thin_by`,
+    /// pushing groupings down when `eager`, with nothing armed (scans are
+    /// free in the `plans_built` accounting), running in the caller's
+    /// `memo` — a pooled one, typically — so its arena, lane and class
+    /// capacity is reused and whoever accounts the memo accounts the one
+    /// that did the work, however the search ends. The memo is
+    /// [`Memo::reset`] first: results and statistics do not depend on what
+    /// it held. Starts the clock [`Optimized::elapsed`] is read from and
+    /// seeds the singleton scan classes.
+    pub fn new(
         ctx: &'a OptContext,
-        mut memo: Memo,
-        dominance: DominanceKind,
-        budget: Budget,
-    ) -> BudgetedSearch<'a> {
+        memo: &'a mut Memo,
+        thin_by: ThinBy,
+        eager: bool,
+    ) -> Search<'a> {
+        let started = Instant::now();
         memo.reset();
-        seed_scans(ctx, &mut memo);
-        let n = ctx.query.table_count();
-        BudgetedSearch {
+        seed_scans(ctx, memo);
+        Search {
             ctx,
             memo,
             scratch: Scratch::new(ctx),
-            bufs: PairBufs::new(),
-            thin_by: ThinBy::dominance(ctx, dominance),
+            bufs: PairBufs::default(),
+            thin_by,
+            eager,
             best: None,
             meter: Meter {
-                budget,
+                budget: Budget::default(),
                 exhausted: None,
                 unit_delay: None,
                 gauge: dpnext_obs::global_live_bytes(),
                 reported: 0,
             },
-            full: NodeSet::full(n),
+            full: NodeSet::full(ctx.query.table_count()),
+            all_ops: applied_ops_mask(ctx.cq.ops.len()),
+            units: 0,
+            started,
         }
+    }
+
+    /// Start over as another algorithm in the wiped memo. The clock keeps
+    /// running and the plans built so far stay counted; the scratch carries
+    /// over (its `G⁺` cache depends on the query alone).
+    fn restart(&mut self, thin_by: ThinBy, eager: bool) {
+        self.memo.reset();
+        seed_scans(self.ctx, self.memo);
+        (self.thin_by, self.eager, self.best) = (thin_by, eager, None);
     }
 
     /// Plans constructed so far (joins + groupings).
@@ -655,7 +572,7 @@ impl<'a> BudgetedSearch<'a> {
     }
 
     /// Why a pair was skipped or truncated, if one was. Until
-    /// [`BudgetedSearch::rearm`] the search builds nothing more.
+    /// [`Search::rearm`] the search builds nothing more.
     pub fn exhausted(&self) -> Option<Exhausted> {
         self.meter.exhausted
     }
@@ -681,12 +598,7 @@ impl<'a> BudgetedSearch<'a> {
 
     /// Read access to the memo (classes, plan data) for pair selection.
     pub fn memo(&self) -> &Memo {
-        &self.memo
-    }
-
-    /// Width of the plan class of `s`.
-    pub fn class_len(&self, s: NodeSet) -> usize {
-        self.memo.class(s).len()
+        self.memo
     }
 
     /// Cost of the cheapest complete plan seen so far.
@@ -708,19 +620,34 @@ impl<'a> BudgetedSearch<'a> {
         self.memo.class_shrink_to_best(s, keep_raw);
     }
 
-    /// Process one candidate pair under the budget: build every operator
-    /// tree of every subplan combination (with all eager-aggregation
-    /// variants), insert into the target class with dominance pruning, and
-    /// keep-best complete plans. The budget is checked once per pair and
-    /// once per work unit, a unit counting as [`UNIT_MAX_PLANS`] plans, so
-    /// the plan limit is never exceeded and the deadline and the byte
-    /// limit are overshot by at most one unit. The first refusal ends the
-    /// pair: the cause is recorded and `false` is returned (the pair's plan
-    /// set is then incomplete and downstream results must not claim
-    /// optimality).
+    /// Process one candidate pair: build every operator tree of every
+    /// subplan combination (with all eager-aggregation variants when
+    /// `eager`), fold each into the target class under `thin_by`, and
+    /// keep-best complete plans. The budget is checked once per pair and,
+    /// while it (or the fault delay) arms anything, once per work unit, a
+    /// unit counting as [`UNIT_MAX_PLANS`] plans, so the plan limit is
+    /// never exceeded and the deadline and the byte limit are overshot by
+    /// at most one unit. The first refusal ends the pair: the cause is
+    /// recorded and `false` is returned (the pair's plan set is then
+    /// incomplete and downstream results must not claim optimality). A
+    /// search with nothing armed pays nothing per unit and publishes
+    /// nothing to the live-bytes gauge.
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
     pub fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
+        // Decided once per pair, so that the unit loop of a search with
+        // nothing armed is compiled without the hook: testing a run-time
+        // flag per unit instead read 1% slower on the benchmark's
+        // ea-prune-paper, in 10 of 10 interleaved pairs.
+        if self.meter.budget != Budget::default() || self.meter.unit_delay.is_some() {
+            self.feed::<true>(s1, s2)
+        } else {
+            self.feed::<false>(s1, s2)
+        }
+    }
+
+    /// [`Search::process`], asking the meter before every unit iff `ARMED`.
+    fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
         // Per-pair check: a stopped search stays stopped, and even a
         // stream of pairs with no applicable operator (which never asks
         // for a unit) stays resource-bounded.
@@ -732,20 +659,23 @@ impl<'a> BudgetedSearch<'a> {
         if meter.exhausted.is_some() {
             return false;
         }
-        let mut unit = 0u64;
-        let mut take = |u: u64, memo: &Memo| meter.take(spent + (u + 1) * UNIT_MAX_PLANS, memo);
+        let units = self.units;
+        let mut take = |u: u64, memo: &Memo| {
+            !ARMED || meter.take(spent + (u - units + 1) * UNIT_MAX_PLANS, memo)
+        };
         let (ctx, best) = (self.ctx, &mut self.best);
         let completed = process_pair(
             ctx,
             &mut self.scratch,
             &mut self.bufs,
-            &mut self.memo,
+            self.memo,
             self.thin_by,
-            true,
+            self.eager,
             s1,
             s2,
             self.full,
-            &mut unit,
+            self.all_ops,
+            &mut self.units,
             &mut take,
             &mut |memo, id| keep_best(best, ctx, memo, id),
         );
@@ -757,25 +687,78 @@ impl<'a> BudgetedSearch<'a> {
         completed
     }
 
-    /// Tear the search apart into its outcome.
-    pub fn finish(self) -> BudgetedOutcome {
-        // Deferred finalization: compile the winner's tree once, here.
-        let best = self
-            .best
-            .map(|(_, id)| (finalize(self.ctx, &self.memo, id), id));
-        BudgetedOutcome {
-            memo: self.memo,
-            best,
-            plans_built: self.scratch.plans_built,
-            exhausted: self.meter.exhausted.is_some(),
+    /// Feed the search the whole DPhyp csg-cmp-pair stream, in emission
+    /// order, up to the first refused pair. Returns whether the stream was
+    /// walked to its end. The walk is one `engine.enumerate` span, tagged
+    /// with the pairs and units walked and the search's `plans_built` at
+    /// its end (inert, and free, with tracing off).
+    pub fn enumerate(&mut self) -> bool {
+        let mut span = dpnext_obs::span("engine.enumerate");
+        let (mut ccps, units) = (0u64, self.units);
+        let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
+            ccps += 1;
+            if self.process(s1, s2) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        span.tag_u64("ccps", ccps);
+        span.tag_u64("units", self.units - units);
+        span.tag_u64("plans_built", self.scratch.plans_built);
+        walk.is_continue()
+    }
+
+    /// The cheapest complete plan seen, if any pair produced one.
+    fn winner(&self) -> Option<PlanId> {
+        match self.best {
+            Some((_, id)) => Some(id),
+            // Degenerate single-table query: the scan is the complete plan.
+            None if self.ctx.query.table_count() == 1 => Some(self.memo.class(self.full)[0]),
+            None => None,
         }
+    }
+
+    /// The one epilogue of every run: compile the winner (deferred to here,
+    /// so only one plan ever pays the `compile` walk), stop the clock,
+    /// render EXPLAIN if asked, and report. Returns the winner's memo id
+    /// next to the result, for callers that go on to inspect the plan in
+    /// the memo the search borrowed.
+    ///
+    /// Panics when no pair produced a complete plan: the query graph is
+    /// disconnected or over-constrained (or the budget ran out before the
+    /// first full-set pair — the ladder's greedy floor rules that out).
+    pub fn finish(self, explain: bool) -> (Optimized, PlanId) {
+        let Some(id) = self.winner() else {
+            panic!("no plan found: query graph disconnected or over-constrained")
+        };
+        let plan = finalize(self.ctx, self.memo, id);
+        // Capture the search time *before* rendering: EXPLAIN is
+        // presentation, not optimization, and must not inflate the
+        // reported elapsed time.
+        let elapsed = self.started.elapsed();
+        let explain = if explain {
+            crate::explain::explain(self.ctx, self.memo, id)
+        } else {
+            String::new()
+        };
+        let optimized = Optimized {
+            plan,
+            explain,
+            plans_built: self.scratch.plans_built,
+            retained_plans: self.memo.retained(),
+            memo: self.memo.stats(),
+            elapsed,
+        };
+        (optimized, id)
     }
 }
 
-/// The width-safe all-operators-applied mask: `n_ops` low bits set.
-/// `u64` tracking caps the operator count at 64; [`OptContext::new`]
-/// asserts the bound so a too-wide query fails loudly instead of letting
-/// `1 << op_idx` wrap and corrupt the bookkeeping.
+/// The width-safe all-operators-applied mask: `n_ops` low bits set — the
+/// `applied` of a complete plan, which must have applied every operator of
+/// the query exactly once. `u64` tracking caps the operator count at 64;
+/// [`OptContext::new`] asserts the bound so a too-wide query fails loudly
+/// instead of letting `1 << op_idx` wrap and corrupt the bookkeeping.
 pub fn applied_ops_mask(n_ops: usize) -> u64 {
     assert!(
         n_ops <= 64,
@@ -786,12 +769,4 @@ pub fn applied_ops_mask(n_ops: usize) -> u64 {
     } else {
         u64::MAX >> (64 - n_ops)
     }
-}
-
-/// A complete plan must have applied every operator of the query exactly
-/// once — a plan reaching the full relation set with a missing predicate
-/// (possible only for pathological hyperedge/cut interactions) is invalid
-/// and discarded.
-fn all_ops_applied(ctx: &OptContext, applied: u64) -> bool {
-    applied == applied_ops_mask(ctx.cq.ops.len())
 }

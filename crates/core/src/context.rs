@@ -70,7 +70,8 @@ impl OptContext {
         let cq = detect(&query);
         // Applied-operator tracking uses a u64 bitmask (`PlanHot::applied`);
         // beyond 64 operators the `1 << op_idx` shifts would wrap silently
-        // and `all_ops_applied` could accept plans that dropped a predicate.
+        // and the all-operators-applied test (against `applied_ops_mask`)
+        // could accept plans that dropped a predicate.
         assert!(
             cq.ops.len() <= 64,
             "query has {} operators; applied-operator tracking supports at most 64",

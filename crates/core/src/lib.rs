@@ -37,7 +37,7 @@ mod tests;
 
 pub use algo::{
     all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, Algorithm,
-    BudgetedOutcome, BudgetedSearch, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
+    OptimizeOptions, Optimized, Search, UNIT_MAX_PLANS,
 };
 pub use budget::{Budget, Exhausted};
 pub use context::{OptContext, Scratch};

@@ -468,7 +468,9 @@ impl std::fmt::Display for AdaptiveMode {
 
 /// Aggregate statistics of one memo, reported on [`crate::Optimized`].
 /// Every field is a deterministic function of the query and the options,
-/// so two runs can be compared with `==`.
+/// so two runs can be compared with `==`. The budget, degradation and rung
+/// fields describe what a ladder made of its search: the ladder writes
+/// them on its result, and they keep their defaults everywhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Plans held in the arena at the end of the run: the retained DP
@@ -897,22 +899,6 @@ impl Memo {
         self.hot.truncate(mark.rows);
         self.cold.truncate(mark.rows);
         self.lanes.truncate(mark.lanes);
-    }
-
-    /// Record the outcome of a budgeted search: the effective plan and
-    /// memory budgets, the per-cause degradation flags and the adaptive
-    /// ladder rung that won.
-    pub fn record_budget(
-        &mut self,
-        plan_budget: u64,
-        memory_budget: u64,
-        degradation: Degradation,
-        mode: AdaptiveMode,
-    ) {
-        self.stats.plan_budget = plan_budget;
-        self.stats.memory_budget = memory_budget;
-        self.stats.degradation = degradation;
-        self.stats.adaptive_mode = mode;
     }
 
     /// Check the structural invariants a healthy memo upholds: the hot and

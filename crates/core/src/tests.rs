@@ -497,13 +497,14 @@ mod engine {
         let completed = process_pair(
             &ctx,
             &mut sc,
-            &mut PairBufs::new(),
+            &mut PairBufs::default(),
             &mut memo,
             ThinBy::Nothing,
             true,
             NodeSet::single(0),
             NodeSet::single(1),
             NodeSet::full(2),
+            applied_ops_mask(ctx.cq.ops.len()),
             &mut unit,
             &mut |_, _| {
                 asked += 1;

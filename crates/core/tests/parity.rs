@@ -7,10 +7,9 @@
 //! retention behavior changed.
 
 use dpnext_core::{
-    all_subplans, optimize, optimize_with, Algorithm as A, Budget, BudgetedSearch, DominanceKind,
-    Memo, OptContext, OptimizeOptions, PlanNode,
+    all_subplans, optimize, optimize_into, optimize_with, Algorithm as A, Memo, OptimizeOptions,
+    PlanNode,
 };
-use dpnext_hypergraph::enumerate_ccps;
 use dpnext_query::Query;
 use dpnext_workload::{generate_query, GenConfig};
 use proptest::prelude::*;
@@ -196,11 +195,17 @@ const GOLDEN: &[(Cfg, usize, u64, A, u64, u64, u64)] = &[
     (Cfg::Paper, 6, 1002, A::EaPrune, 0x40a4c5b3c08ee228, 292, 26),
 ];
 
+/// Every row runs in one caller-held memo, which must come back from each
+/// run structurally sound ([`Memo::check_invariants`] — a real check in
+/// release builds too, where the `slow-oracle` job runs this).
 #[test]
 fn engine_matches_seed_goldens_bit_for_bit() {
+    let mut memo = Memo::new();
     for &(cfg, n, seed, algo, cost_bits, plans_built, retained) in GOLDEN {
         let query = generate_query(&cfg.config(n), seed);
-        let r = optimize(&query, algo);
+        let r = optimize_into(&query, algo, &OptimizeOptions::default(), &mut memo);
+        memo.check_invariants()
+            .unwrap_or_else(|e| panic!("n={n}, seed={seed}, {}: {e}", algo.name()));
         assert_eq!(
             cost_bits,
             r.plan.cost.to_bits(),
@@ -243,54 +248,6 @@ fn ea_prune_fold_counters_balance_against_retained_plans() {
             "n={n}, seed={seed}: {m:?}"
         );
         assert!(m.prune_hit_rate() <= 1.0, "n={n}, seed={seed}");
-    }
-}
-
-/// Same engine, different hook: a [`BudgetedSearch`] whose budget is never
-/// reached, fed the full csg-cmp-pair stream, runs the very loop
-/// `optimize_with(EaPrune)` runs — so cost, plan counts and every prune
-/// counter must agree bit for bit, not just within a tolerance.
-#[test]
-fn unbounded_budgeted_search_equals_ea_prune_bit_for_bit() {
-    for &(cfg, n, seed, algo, ..) in GOLDEN {
-        if algo != A::EaPrune {
-            continue;
-        }
-        let query = generate_query(&cfg.config(n), seed);
-        let exact = optimize(&query, A::EaPrune);
-        let ctx = OptContext::new(query.clone());
-        let mut search =
-            BudgetedSearch::new_in(&ctx, Memo::new(), DominanceKind::Full, Budget::default());
-        enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-            assert!(search.process(s1, s2), "an unbounded budget refused a pair");
-        });
-        let out = search.finish();
-        let what = format!("n={n}, seed={seed}");
-        assert!(!out.exhausted, "{what}");
-        let (best, _) = out.best.expect("the full stream yields a complete plan");
-        assert_eq!(exact.plan.cost.to_bits(), best.cost.to_bits(), "{what}");
-        assert_eq!(exact.plans_built, out.plans_built, "{what}: plans_built");
-        assert_eq!(
-            exact.retained_plans,
-            out.memo.retained(),
-            "{what}: retained"
-        );
-        let (e, b) = (exact.memo, out.memo.stats());
-        assert_eq!(
-            (
-                e.prune_attempts,
-                e.prune_rejected,
-                e.prune_evicted,
-                e.peak_class_width
-            ),
-            (
-                b.prune_attempts,
-                b.prune_rejected,
-                b.prune_evicted,
-                b.peak_class_width
-            ),
-            "{what}: prune counters"
-        );
     }
 }
 
@@ -374,7 +331,7 @@ fn pooled_memo_reuse_matches_fresh_stats() {
         for pass in 0..2 {
             for (i, query) in queries.iter().enumerate() {
                 let fresh = optimize_with(query, algo, &opts);
-                let pooled = dpnext_core::optimize_into(query, algo, &opts, &mut memo);
+                let pooled = optimize_into(query, algo, &opts, &mut memo);
                 let what = format!("{} query {i} pass {pass}", algo.name());
                 assert_eq!(
                     fresh.plan.cost.to_bits(),
@@ -430,13 +387,13 @@ fn retaining_memo_keeps_capacity_through_small_runs() {
     let big = generate_query(&GenConfig::paper(6), 42);
     let small = generate_query(&GenConfig::paper(3), 42);
     let (mut kept, mut decayed) = (Memo::retaining(), Memo::new());
-    dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut kept);
-    dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut decayed);
+    optimize_into(&big, A::EaAll, &opts, &mut kept);
+    optimize_into(&big, A::EaAll, &opts, &mut decayed);
     let (capacity, footprint) = (kept.arena_capacity(), kept.footprint_bytes());
     assert_eq!(capacity, decayed.arena_capacity());
     for _ in 0..12 {
-        dpnext_core::optimize_into(&small, A::EaAll, &opts, &mut kept);
-        dpnext_core::optimize_into(&small, A::EaAll, &opts, &mut decayed);
+        optimize_into(&small, A::EaAll, &opts, &mut kept);
+        optimize_into(&small, A::EaAll, &opts, &mut decayed);
     }
     assert_eq!(capacity, kept.arena_capacity());
     // (A small run may grow a class list the big one left short.)
@@ -445,7 +402,7 @@ fn retaining_memo_keeps_capacity_through_small_runs() {
     assert!(decayed.arena_capacity() < capacity);
 
     let fresh = optimize_with(&big, A::EaAll, &opts);
-    let again = dpnext_core::optimize_into(&big, A::EaAll, &opts, &mut kept);
+    let again = optimize_into(&big, A::EaAll, &opts, &mut kept);
     assert_eq!(fresh.plan.cost.to_bits(), again.plan.cost.to_bits());
     assert_eq!(fresh.plans_built, again.plans_built);
     assert_eq!(fresh.memo.arena_peak, again.memo.arena_peak);

@@ -3,9 +3,8 @@
 //! ([`recost_plan`]), against the true EA-Prune optimum.
 
 use dpnext_core::{
-    optimize, recost_plan, Algorithm, Budget, BudgetedSearch, DominanceKind, Memo, OptContext,
+    optimize, recost_plan, Algorithm, DominanceKind, Memo, OptContext, Search, ThinBy,
 };
-use dpnext_hypergraph::enumerate_ccps;
 use dpnext_workload::{perturbed_pair, GenConfig, Topology};
 
 /// At q = 1 the perturbation is the identity, so rebuilding the chosen
@@ -23,25 +22,19 @@ fn recosted_plan_never_beats_the_true_optimum() {
                 let true_optimum = optimize(&truth, Algorithm::EaPrune).plan.cost;
 
                 // EA-Prune on the perturbed twin, keeping the memo and the
-                // winner's id (an unbounded budgeted search over the full
-                // pair stream is that algorithm, bit for bit).
+                // winner's id: the search `optimize_into` runs.
                 let ctx = OptContext::new(perturbed);
-                let mut search = BudgetedSearch::new_in(
-                    &ctx,
-                    Memo::new(),
-                    DominanceKind::Full,
-                    Budget::default(),
-                );
-                enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-                    assert!(search.process(s1, s2), "{what}: unbounded budget refused");
-                });
-                let out = search.finish();
-                let (chosen, winner) = out.best.expect("a complete plan");
+                let mut memo = Memo::new();
+                let thin_by = ThinBy::dominance(&ctx, DominanceKind::Full);
+                let mut search = Search::new(&ctx, &mut memo, thin_by, true);
+                assert!(search.enumerate(), "{what}: nothing armed, yet refused");
+                let (chosen, winner) = search.finish(false);
 
-                let recosted = recost_plan(&OptContext::new(truth), &out.memo, winner)
+                let recosted = recost_plan(&OptContext::new(truth), &memo, winner)
                     .unwrap_or_else(|e| panic!("{what}: recost failed: {e}"));
                 if q == 1.0 {
-                    assert_eq!(chosen.cost.to_bits(), recosted.cost.to_bits(), "{what}");
+                    let chosen = chosen.plan.cost;
+                    assert_eq!(chosen.to_bits(), recosted.cost.to_bits(), "{what}");
                     assert_eq!(true_optimum.to_bits(), recosted.cost.to_bits(), "{what}");
                 } else {
                     assert!(recosted.cost.is_finite(), "{what}: {}", recosted.cost);

@@ -5,13 +5,13 @@
 //! algorithm, cited as \[8\] in the paper).
 
 pub mod bitset;
-pub mod dpccp;
+#[cfg(test)]
+mod dpccp;
 pub mod dphyp;
 pub mod fxhash;
 pub mod graph;
 
 pub use bitset::NodeSet;
-pub use dpccp::{count_ccps_simple, enumerate_ccps_simple, SimpleGraph};
 pub use dphyp::{
     count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps, try_enumerate_ccps,
 };

@@ -1,14 +1,12 @@
 //! # dpnext-keys
 //!
-//! Key and functional-dependency inference (§2.3): candidate-key
-//! propagation rules for every join operator, the `NeedsGrouping` test
-//! (Fig. 7), and FD closures backing the dominance pruning of §4.6.
+//! Key inference (§2.3): candidate-key propagation rules for every join
+//! operator and the `NeedsGrouping` test (Fig. 7) — the key sets the
+//! dominance pruning of §4.6 compares.
 
-pub mod fd;
 pub mod infer;
 pub mod keyset;
 
-pub use fd::{Fd, FdSet};
 pub use infer::{
     infer_join_keys, infer_join_keys_presorted, join_duplicate_free, needs_grouping, JoinKeys,
     KeyInfo,

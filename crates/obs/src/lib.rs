@@ -21,6 +21,7 @@
 //!    └─ adaptive.optimize             n=30 budget=50000
 //!       ├─ adaptive.rung.greedy
 //!       ├─ adaptive.rung.exact        outcome=budget-aborted
+//!       │  └─ engine.enumerate        ccps=1873 units=3921
 //!       └─ adaptive.rung.linearized   outcome=completed
 //! ```
 //!
@@ -56,6 +57,6 @@ pub use metrics::{
     HistogramSnapshot, MetricKind, MetricValue, MetricsSnapshot, Registry, HIST_BUCKETS,
 };
 pub use trace::{
-    clear_sink, emit_span, install_sink, set_trace_level, span, spans_closed, spans_opened,
-    tracing_enabled, RingSink, Span, SpanRecord, TagValue, TraceLevel, TraceSink,
+    clear_sink, install_sink, set_trace_level, span, spans_closed, spans_opened, RingSink, Span,
+    SpanRecord, TagValue, TraceLevel, TraceSink,
 };

@@ -44,7 +44,7 @@ pub fn set_trace_level(level: TraceLevel) {
 /// Whether spans are currently recorded — one relaxed atomic load, the
 /// whole cost of instrumented code when tracing is off.
 #[inline]
-pub fn tracing_enabled() -> bool {
+fn tracing_enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) != 0
 }
 
@@ -165,32 +165,6 @@ pub fn span(name: &'static str) -> Span {
     }
 }
 
-/// Record an already-measured interval as a closed span (start back-dated
-/// by `dur_nanos` from now), parented under the calling thread's current
-/// span. This is how the enumeration engine reports a whole run as one
-/// `engine.enumerate` span carrying its final counters, without holding
-/// a span guard across the hot loop. No-op when tracing is off.
-pub fn emit_span(name: &'static str, dur_nanos: u64, tags: &[(&'static str, u64)]) {
-    if !tracing_enabled() {
-        return;
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    SPANS_OPENED.fetch_add(1, Ordering::Relaxed);
-    let end = now_nanos();
-    let record = SpanRecord {
-        id,
-        parent: CURRENT.with(|c| c.get()),
-        name,
-        start_nanos: end.saturating_sub(dur_nanos),
-        end_nanos: end,
-        tags: tags.iter().map(|&(k, v)| (k, TagValue::U64(v))).collect(),
-    };
-    SPANS_CLOSED.fetch_add(1, Ordering::Relaxed);
-    if let Some(sink) = SINK.read().unwrap().as_ref() {
-        sink.record(&record);
-    }
-}
-
 impl Span {
     /// Whether this span actually records (tracing was on at creation).
     /// Gate any tag computation that would itself allocate on this.
@@ -300,7 +274,6 @@ mod tests {
         assert!(!s.is_recording());
         s.tag_u64("k", 1);
         drop(s);
-        emit_span("test.inert.emit", 123, &[("k", 1)]);
         assert_eq!(opened, spans_opened(), "inert spans must not be counted");
     }
 
@@ -317,22 +290,17 @@ mod tests {
                 let mut child = span("test.child");
                 child.tag_str("outcome", "completed");
             }
-            emit_span("test.synthetic", 1_000, &[("pairs", 3)]);
         }
         set_trace_level(TraceLevel::Off);
         clear_sink();
         let spans = ring.take();
-        assert_eq!(3, spans.len());
-        // Children close before their parent: child, synthetic, root.
+        assert_eq!(2, spans.len());
+        // Children close before their parent: child, root.
         assert_eq!("test.child", spans[0].name);
-        assert_eq!("test.synthetic", spans[1].name);
-        assert_eq!("test.root", spans[2].name);
-        let root_id = spans[2].id;
-        assert_eq!(root_id, spans[0].parent, "child must parent to root");
-        assert_eq!(root_id, spans[1].parent, "emit must parent to root");
-        assert_eq!(Some(&TagValue::U64(6)), spans[2].tag("n"));
+        assert_eq!("test.root", spans[1].name);
+        assert_eq!(spans[1].id, spans[0].parent, "child must parent to root");
+        assert_eq!(Some(&TagValue::U64(6)), spans[1].tag("n"));
         assert_eq!(Some(&TagValue::Str("completed")), spans[0].tag("outcome"));
-        assert!(spans[1].dur_nanos() >= 1_000);
         assert_eq!(spans_opened(), spans_closed());
     }
 

@@ -128,47 +128,53 @@ fn traced_golden_grid_is_bit_identical_and_every_span_closes() {
 /// The enumeration's span sits on the path every request runs: a traced
 /// cache miss carries exactly one `engine.enumerate` below its
 /// `serve.request`, tagged with the `plans_built` the reply reports; the
-/// cache hit that follows never reaches the engine.
+/// cache hit that follows never reaches the engine. The walk of the whole
+/// DPhyp stream is the same one whether it is all of an exact run or the
+/// exact rung of a ladder whose gate admits it — only its parent differs.
 #[test]
 fn traced_miss_carries_one_engine_enumerate_span() {
     let _guard = locked();
-    let sink = Arc::new(RingSink::new(256));
-    dpnext_obs::install_sink(sink.clone());
-    dpnext_obs::set_trace_level(TraceLevel::Spans);
+    for (algorithm, parent) in [
+        (A::EaPrune, "serve.optimize"),
+        (A::Adaptive, "adaptive.rung.exact"),
+    ] {
+        let sink = Arc::new(RingSink::new(256));
+        dpnext_obs::install_sink(sink.clone());
+        dpnext_obs::set_trace_level(TraceLevel::Spans);
 
-    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
-    let query = generate_query(&GenConfig::paper(6), 1000);
-    let miss = service.optimize(&query).expect("no faults injected");
-    let hit = service.optimize(&query).expect("no faults injected");
+        let service = OptimizerService::new(Optimizer::new(algorithm));
+        let query = generate_query(&GenConfig::paper(6), 1000);
+        let miss = service.optimize(&query).expect("no faults injected");
+        let hit = service.optimize(&query).expect("no faults injected");
 
-    dpnext_obs::set_trace_level(TraceLevel::Off);
-    dpnext_obs::clear_sink();
-    assert!(!miss.cache_hit && hit.cache_hit);
+        dpnext_obs::set_trace_level(TraceLevel::Off);
+        dpnext_obs::clear_sink();
+        assert!(!miss.cache_hit && hit.cache_hit);
 
-    let spans = sink.take();
-    let engine: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "engine.enumerate")
-        .collect();
-    assert_eq!(1, engine.len(), "one engine run for one cache miss");
-    assert_eq!(
-        Some(&TagValue::U64(miss.result.plans_built)),
-        engine[0].tag("plans_built")
-    );
-    // Walk up to the root: it must be the miss's `serve.request`.
-    let mut at = engine[0];
-    while at.parent != 0 {
-        at = spans
+        let spans = sink.take();
+        let engine: Vec<_> = spans
             .iter()
-            .find(|s| s.id == at.parent)
-            .expect("parent span was recorded");
+            .filter(|s| s.name == "engine.enumerate")
+            .collect();
+        assert_eq!(1, engine.len(), "one engine run for one cache miss");
+        assert_eq!(
+            Some(&TagValue::U64(miss.result.plans_built)),
+            engine[0].tag("plans_built")
+        );
+        // Walk up to the root: it must be the miss's `serve.request`.
+        let above = |s: &SpanRecord| spans.iter().find(|p| p.id == s.parent);
+        let mut at = above(engine[0]).expect("parent span was recorded");
+        assert_eq!(parent, at.name);
+        while at.parent != 0 {
+            at = above(at).expect("parent span was recorded");
+        }
+        assert_eq!("serve.request", at.name);
+        assert_eq!(Some(&TagValue::Str("optimized")), at.tag("outcome"));
+        // One trace, one meaning of `plans_built`: plans constructed, at the
+        // root as in the engine's span (not the arena rows left at the end).
+        assert_eq!(engine[0].tag("plans_built"), at.tag("plans_built"));
+        assert_ne!(miss.result.plans_built, miss.result.memo.arena_plans);
     }
-    assert_eq!("serve.request", at.name);
-    assert_eq!(Some(&TagValue::Str("optimized")), at.tag("outcome"));
-    // One trace, one meaning of `plans_built`: plans constructed, at the
-    // root as in the engine's span (not the arena rows left at the end).
-    assert_eq!(engine[0].tag("plans_built"), at.tag("plans_built"));
-    assert_ne!(miss.result.plans_built, miss.result.memo.arena_plans);
 }
 
 /// The acceptance identity of the tentpole: after a 4-thread hammer —
@@ -352,7 +358,9 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
 
 /// A text that fails to parse or bind is still a request: counted, timed
 /// and traced like every other return path, and turned away before it
-/// reaches the cache, the gate or the pool.
+/// reaches the cache, the gate or the pool. The last two texts name a
+/// column a semi-/antijoin hides; they used to bind and then unwind
+/// through the service from `Query::new` (`outcome=aborted`).
 #[test]
 fn sql_errors_are_on_the_books() {
     let _guard = locked();
@@ -361,7 +369,15 @@ fn sql_errors_are_on_the_books() {
     dpnext_obs::set_trace_level(TraceLevel::Spans);
 
     let service = OptimizerService::new(Optimizer::new(A::EaPrune));
-    for sql in ["select broken from", "select x.nope from no_such_table x"] {
+    let texts = [
+        "select broken from",
+        "select x.nope from no_such_table x",
+        "select n.n_name, sum(s.s_acctbal) from nation n semi join supplier s \
+         on n.n_nationkey = s.s_nationkey group by n.n_name",
+        "select n.n_name, count(*) from region r anti join nation n \
+         on r.r_regionkey = n.n_regionkey group by n.n_name",
+    ];
+    for sql in texts {
         let err = service.optimize_sql(sql);
         assert!(matches!(err, Err(ServeError::Sql(_))), "{sql}: {err:?}");
     }
@@ -370,8 +386,8 @@ fn sql_errors_are_on_the_books() {
     dpnext_obs::clear_sink();
     let stats = service.stats();
     let snapshot = service.registry().snapshot();
-    assert_eq!(2, stats.requests);
-    assert_eq!(2, snapshot.counter_total("dpnext_sql_errors_total"));
+    assert_eq!(4, stats.requests);
+    assert_eq!(4, snapshot.counter_total("dpnext_sql_errors_total"));
     let latency = histogram(&snapshot, "dpnext_request_latency_nanos");
     assert_eq!(stats.requests, latency.count);
     assert_eq!(0, stats.cache.hits + stats.cache.misses);
@@ -379,7 +395,7 @@ fn sql_errors_are_on_the_books() {
     assert_eq!(0, stats.pool.created);
     let spans = sink.take();
     let roots: Vec<_> = spans.iter().filter(|s| s.name == "serve.request").collect();
-    assert_eq!(2, roots.len(), "one serve.request per rejected text");
+    assert_eq!(4, roots.len(), "one serve.request per rejected text");
     for span in roots {
         assert_eq!(Some(&TagValue::Str("sql_error")), span.tag("outcome"));
     }

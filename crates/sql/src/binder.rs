@@ -38,6 +38,7 @@ pub fn bind(ast: &AstQuery, catalog: &Catalog) -> Result<BoundQuery, SqlError> {
         gen,
         tables: Vec::new(),
         occurrences: Vec::new(),
+        hidden: Vec::new(),
     };
     let tree = binder.from(&ast.from)?;
 
@@ -129,6 +130,12 @@ struct Binder<'a> {
     gen: dpnext_algebra::AttrGen,
     tables: Vec<QueryTable>,
     occurrences: Vec<(String, String, HashMap<String, AttrId>)>,
+    /// `(occurrences, join)` per semi-/antijoin bound so far: the
+    /// occurrences of its right side, whose columns it hides from
+    /// everything resolved after it — the joins above it, GROUP BY, the
+    /// select list ([`OpTree::visible_attrs`] is the same rule on the
+    /// bound tree, and `Query::new` asserts it).
+    hidden: Vec<(std::ops::Range<usize>, &'static str)>,
 }
 
 impl Binder<'_> {
@@ -191,8 +198,14 @@ impl Binder<'_> {
                     AstJoinKind::Inner => OpKind::Join,
                     AstJoinKind::LeftOuter => OpKind::LeftOuter,
                     AstJoinKind::FullOuter => OpKind::FullOuter,
-                    AstJoinKind::Semi => OpKind::Semi,
-                    AstJoinKind::Anti => OpKind::Anti,
+                    AstJoinKind::Semi => {
+                        self.hidden.push((lend..rend, "a semi join"));
+                        OpKind::Semi
+                    }
+                    AstJoinKind::Anti => {
+                        self.hidden.push((lend..rend, "an anti join"));
+                        OpKind::Anti
+                    }
                 };
                 Ok(OpTree::binary_sel(op, pred, sel, ltree, rtree))
             }
@@ -204,7 +217,21 @@ impl Binder<'_> {
         self.resolve_with_occ(q).map(|(a, _)| a)
     }
 
+    /// Resolve a column to its attribute and table occurrence. A column
+    /// of an occurrence some already-bound semi- or antijoin has on its
+    /// right side does not exist above that join: rejected.
     fn resolve_with_occ(&self, q: &QName) -> Result<(AttrId, usize), SqlError> {
+        let (attr, occ) = self.lookup(q)?;
+        match self.hidden.iter().find(|(occs, _)| occs.contains(&occ)) {
+            Some((_, join)) => Err(SqlError::new(format!(
+                "column {q} is not visible here: {} is on the right side of {join}",
+                self.occurrences[occ].1
+            ))),
+            None => Ok((attr, occ)),
+        }
+    }
+
+    fn lookup(&self, q: &QName) -> Result<(AttrId, usize), SqlError> {
         match &q.qualifier {
             Some(alias) => {
                 let (i, (_, _, mapping)) = self
@@ -253,4 +280,63 @@ fn term_selectivity(tables: &[QueryTable], l: AttrId, r: AttrId, op: CmpOp) -> f
             .unwrap_or(1.0)
     };
     1.0 / d(l).max(d(r)).max(1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::plan;
+    use dpnext_catalog::tpch_catalog;
+
+    /// A semi- or antijoin's right side does not exist above the join. A
+    /// text that names one of its columns there is a binder error naming
+    /// the column and the join — it used to bind and trip an assertion of
+    /// `Query::new` (grouped) or the optimizer (in a join condition), or be
+    /// accepted silently (ungrouped).
+    #[test]
+    fn columns_hidden_by_a_semi_or_anti_join_are_rejected() {
+        let catalog = tpch_catalog();
+        for (text, column, join) in [
+            (
+                "select n.n_name, sum(s.s_acctbal) from nation n semi join supplier s \
+                 on n.n_nationkey = s.s_nationkey group by n.n_name",
+                "s.s_acctbal",
+                "a semi join",
+            ),
+            (
+                "select n.n_name, count(*) from region r anti join nation n \
+                 on r.r_regionkey = n.n_regionkey group by n.n_name",
+                "n.n_name",
+                "an anti join",
+            ),
+            (
+                "select s.s_acctbal from nation n semi join supplier s \
+                 on n.n_nationkey = s.s_nationkey",
+                "s.s_acctbal",
+                "a semi join",
+            ),
+            (
+                "select n.n_name from (nation n semi join supplier s \
+                 on n.n_nationkey = s.s_nationkey) join customer c \
+                 on s.s_nationkey = c.c_nationkey",
+                "s.s_nationkey",
+                "a semi join",
+            ),
+        ] {
+            let Err(error) = plan(text, &catalog) else {
+                panic!("bound: {text}")
+            };
+            let message = error.to_string();
+            assert!(
+                message.contains(column) && message.contains(join),
+                "{text}: {message}"
+            );
+        }
+        // The join's own condition and its left side stay nameable.
+        plan(
+            "select n.n_name, count(*) from nation n semi join supplier s \
+             on n.n_nationkey = s.s_nationkey group by n.n_name",
+            &catalog,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+    }
 }

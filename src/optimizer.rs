@@ -117,11 +117,12 @@ impl Optimizer {
 
     /// Wall-clock deadline per optimization. A deadline turns *any*
     /// algorithm choice into the adaptive degradation ladder
-    /// (`dpnext_adaptive::optimize_adaptive`): the exact engines have no
-    /// abort points, so honoring a deadline means riding the abortable
-    /// budgeted enumeration — the run degrades exact → partial-exact →
-    /// linearized → greedy as the clock runs out and always returns a
-    /// structurally valid plan, with `memo.degradation` recording why.
+    /// (`dpnext_adaptive::optimize_adaptive`): an exact run arms no
+    /// budget, and a search stopped mid-stream needs the ladder's other
+    /// rungs to have a plan to ship — the run degrades exact →
+    /// partial-exact → linearized → greedy as the clock runs out and always
+    /// returns a structurally valid plan, with `memo.degradation` recording
+    /// why.
     /// Overshoot past the deadline is bounded by one enumeration work
     /// unit. `None` (the default) changes nothing: unconstrained runs are
     /// bit-identical to an optimizer without the knob.
@@ -133,21 +134,19 @@ impl Optimizer {
     /// Per-request memory budget in bytes of live memo state
     /// ([`dpnext_core::Memo::live_bytes`]). Like a deadline, a non-zero
     /// budget turns *any* algorithm choice into the adaptive degradation
-    /// ladder: the exact engines have no abort points, so honoring the
-    /// budget means riding the abortable budgeted enumeration — the run
-    /// degrades the moment live bytes reach the budget (overshoot bounded
-    /// by one work unit's plans) and always returns a structurally valid
-    /// plan, with `memo.degradation.memory_aborted` recording why. `0`
-    /// (the default) changes nothing: unconstrained runs stay
-    /// bit-identical.
+    /// ladder, for the same reason: the run degrades the moment live bytes
+    /// reach the budget (overshoot bounded by one work unit's plans) and
+    /// always returns a structurally valid plan, with
+    /// `memo.degradation.memory_aborted` recording why. `0` (the default)
+    /// changes nothing: unconstrained runs stay bit-identical.
     pub fn memory_budget(mut self, bytes: u64) -> Optimizer {
         self.options.memory_budget = bytes;
         self
     }
 
     /// Fault-injection hook: busy-wait this long before every enumeration
-    /// work unit of a budgeted/adaptive run, simulating a pathologically
-    /// slow enumeration. Exists so deadline/degradation paths are testable
+    /// work unit of a ladder run, simulating a pathologically slow
+    /// enumeration. Exists so deadline/degradation paths are testable
     /// deterministically (see `crates/adaptive/tests/deadline.rs`); never
     /// set in production.
     pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
@@ -226,13 +225,16 @@ impl Optimizer {
 /// Whether a run of `algorithm` under `options` goes down the adaptive
 /// ladder: the ladder lives above dpnext-core (see the crate layering note
 /// on [`Algorithm::Adaptive`]), and a deadline or a byte budget turns any
-/// algorithm choice into it — only the ladder can abort mid-enumeration.
+/// algorithm choice into it — only the ladder arms a budget, and only it
+/// has a plan to ship when the budget stops the search mid-stream.
 fn rides_ladder(algorithm: Algorithm, options: &OptimizeOptions) -> bool {
     algorithm == Algorithm::Adaptive || options.deadline.is_some() || options.memory_budget != 0
 }
 
 /// Run `algorithm` under `options` inside `memo`: [`dpnext_core::optimize_into`]
-/// plus the ladder, the one place the two are told apart.
+/// plus the ladder, the one place the two are told apart. Either is one
+/// `dpnext_core::Search` borrowing `memo`, which therefore holds what the
+/// run grew it to even when the run panics.
 pub fn optimize_into(
     query: &Query,
     algorithm: Algorithm,

@@ -3,8 +3,9 @@
 //! plan generation → compilation → execution.
 
 use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights};
-use dpnext::{Algorithm, DominanceKind, Memo, Optimized, Optimizer};
+use dpnext::{AdaptiveMode, Algorithm, DominanceKind, Memo, Optimized, Optimizer};
 use dpnext_query::Query;
+use std::time::Duration;
 
 /// The workspace tests route through the `Optimizer` facade.
 fn optimize(query: &Query, algo: Algorithm) -> Optimized {
@@ -49,6 +50,76 @@ fn all_algorithms_agree_on_results_across_sizes() {
             }
         }
     }
+}
+
+/// The ladder's plans are *run*, not just validated: whatever rung a plan
+/// comes from and whatever stopped the rungs above it, it must return what
+/// the canonical plan returns. The configurations are chosen to reach
+/// every shipping rung and every [`dpnext::core::Exhausted`] cause, and the
+/// test says so, so it cannot shrink to one rung unnoticed; it also counts
+/// the reference results that have rows, because agreeing on empty bags
+/// proves nothing.
+#[test]
+fn ladder_plans_agree_on_results_across_rungs_and_causes() {
+    let adaptive = || Optimizer::new(Algorithm::Adaptive);
+    let ea_prune = || Optimizer::new(Algorithm::EaPrune);
+    let configs = [
+        ("adaptive", adaptive()),
+        ("greedy floor", adaptive().plan_budget(1)),
+        ("tight plan budget", adaptive().plan_budget(2_000)),
+        (
+            "expired deadline",
+            ea_prune().deadline(Some(Duration::ZERO)),
+        ),
+        ("one byte", ea_prune().memory_budget(1)),
+        (
+            "slow units, 1ms",
+            ea_prune()
+                .fault_unit_delay(Some(Duration::from_micros(5)))
+                .deadline(Some(Duration::from_millis(1))),
+        ),
+    ];
+    let mut modes = Vec::new();
+    let mut causes = dpnext::Degradation::default();
+    let (mut references, mut with_rows) = (0, 0);
+    for n in [4usize, 6, 8] {
+        let mut cfg = GenConfig::oracle(n);
+        cfg.ops = OpWeights::mixed();
+        for seed in 900..906 {
+            let query = generate_query(&cfg, seed);
+            let db = generate_data(&query, 7, 0.2, seed);
+            let reference = query.canonical_plan().eval(&db);
+            references += 1;
+            with_rows += usize::from(!reference.is_empty());
+            for (name, optimizer) in &configs {
+                let opt = optimizer.optimize(&query);
+                let (mode, degradation) = (opt.memo.adaptive_mode, opt.memo.degradation);
+                assert!(
+                    opt.plan.root.eval(&db).bag_eq(&reference),
+                    "{name} on n={n} seed={seed}: {mode} plan, {degradation}"
+                );
+                modes.push(mode);
+                causes.budget_aborted |= degradation.budget_aborted;
+                causes.deadline_aborted |= degradation.deadline_aborted;
+                causes.memory_aborted |= degradation.memory_aborted;
+            }
+        }
+    }
+    for mode in [
+        AdaptiveMode::Exact,
+        AdaptiveMode::Linearized,
+        AdaptiveMode::Greedy,
+    ] {
+        assert!(modes.contains(&mode), "no {mode} plan was run");
+    }
+    assert!(
+        causes.budget_aborted && causes.deadline_aborted && causes.memory_aborted,
+        "a cause was never reached: {causes}"
+    );
+    assert!(
+        3 * with_rows >= references,
+        "only {with_rows} of {references} reference results have rows"
+    );
 }
 
 #[test]
