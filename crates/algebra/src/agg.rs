@@ -244,9 +244,6 @@ fn distinct_values(arg: &Expr, schema: &Schema, group: &[&Tuple]) -> Vec<Value> 
     out
 }
 
-/// An aggregation vector `F = (b1 : f1, …, bk : fk)`.
-pub type AggVec = Vec<AggCall>;
-
 /// Splittability check (Def. 1): every aggregate references attributes of
 /// only one side. `count(*)` references nothing and splits either way
 /// (special case *S1*).

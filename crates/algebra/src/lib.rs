@@ -26,7 +26,7 @@ pub mod relation;
 pub mod schema;
 pub mod value;
 
-pub use agg::{AggCall, AggKind, AggVec};
+pub use agg::{AggCall, AggKind};
 pub use eval::{AlgExpr, Database};
 pub use expr::{CmpOp, Expr, JoinPred};
 pub use grouping::{group_by, group_by_theta};

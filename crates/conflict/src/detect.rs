@@ -11,7 +11,6 @@ use crate::tables::{assoc, l_asscom, r_asscom};
 use dpnext_algebra::{AggCall, AttrId, JoinPred};
 use dpnext_hypergraph::{Hyperedge, Hypergraph, NodeSet};
 use dpnext_query::{OpKind, OpTree, Query};
-use std::collections::HashMap;
 
 /// A conflict rule `when → then`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,22 +278,6 @@ pub fn applicable_ops_into(
     out.dedup();
 }
 
-/// Statistics over the conflict representation (useful for tests and
-/// diagnostics).
-pub fn conflict_stats(cq: &ConflictedQuery) -> HashMap<&'static str, usize> {
-    let mut m = HashMap::new();
-    m.insert("operators", cq.ops.len());
-    m.insert("rules", cq.ops.iter().map(|o| o.rules.len()).sum());
-    m.insert(
-        "complex_edges",
-        cq.ops
-            .iter()
-            .filter(|o| o.l_tes.len() > 1 || o.r_tes.len() > 1)
-            .count(),
-    );
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,20 +438,5 @@ mod tests {
         let found = applicable_ops(&cq, NodeSet::single(0), NodeSet::single(1));
         assert_eq!(vec![(0, false), (0, true)], found);
         assert!(applicable_ops(&cq, NodeSet::single(0), NodeSet::EMPTY).is_empty());
-    }
-
-    #[test]
-    fn stats() {
-        let tree = OpTree::binary(
-            OpKind::Join,
-            JoinPred::eq(a(0), a(1)),
-            OpTree::rel(0),
-            OpTree::rel(1),
-        );
-        let q = Query::new(tables(2), tree, None);
-        let cq = detect(&q);
-        let s = conflict_stats(&cq);
-        assert_eq!(1, s["operators"]);
-        assert_eq!(0, s["rules"]);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! `memo_layout_construct`: plan construction — `apply_staged` over a
 //! fixed 64×64 class pair, i.e. exactly the per-pair work of
-//! `process_pair` between staging a cut and folding its plans.
+//! the search's unit loop between staging a cut and folding its plans.
 //!
 //! Run with `cargo bench --bench memo_layout`; CI compiles it on every
 //! PR (`cargo bench --no-run`) and smoke-runs it once, so the perf surface
@@ -172,8 +172,8 @@ fn construct_ctx() -> OptContext {
     OptContext::new(Query::new(vec![t0, t1], tree, Some(spec)))
 }
 
-/// Plan construction as `process_pair` runs it: the cut staged once, then
-/// `apply_staged` across a 64×64 grid of scans (4,096 joins per
+/// Plan construction as the search's unit loop runs it: the cut staged
+/// once, then `apply_staged` across a 64×64 grid of scans (4,096 joins per
 /// iteration), rolled back to the mark afterwards so every iteration
 /// writes the same lane region — the steady state of a warmed-up memo.
 fn bench_construct(c: &mut Criterion) {

@@ -2,20 +2,21 @@
 //! arena-backed [`Memo`]: the DPhyp baseline (Fig. 5, no eager
 //! aggregation), complete enumeration EA-All (Fig. 9), the
 //! optimality-preserving EA-Prune (Figs. 13/14), and the heuristics H1
-//! (Fig. 10) and H2 (Fig. 12) are all [`Search`]es that differ only in the
+//! (Fig. 10) and H2 (Fig. 12) are all `Search`es that differ only in the
 //! relation their plan classes are thinned by ([`ThinBy`]) and in whether
-//! they push groupings down (`eager`).
+//! they push groupings down (`eager`); the budgeted ladder
+//! ([`crate::ladder`]) is the EA-Prune search under a budget.
 //!
-//! A search is *fed csg-cmp-pair streams*: [`Search::enumerate`] walks the
-//! whole DPhyp stream in emission order, and a caller with a stream of its
-//! own (greedy merges, interval splits) feeds [`Search::process`] pair by
-//! pair. Either way every pair goes to `process_pair`, which builds the
-//! plans of each `(orientation, t1, t2)` work unit and folds them into
-//! their class ([`Memo::fold`]); complete plans compete on final cost
-//! instead. A search whose [`Budget`] arms something asks it before every
-//! unit and stops at the first refusal; an exact run is a search with
-//! nothing armed. [`Search::finish`] is the one epilogue: winner,
-//! finalization, elapsed time, EXPLAIN, [`Optimized`].
+//! A search is *fed csg-cmp-pair streams*: `Search::enumerate` walks the
+//! whole DPhyp stream in emission order, and the ladder's greedy merges
+//! and interval splits feed `Search::process` pair by pair. Either way the
+//! search builds the plans of each `(orientation, t1, t2)` work unit of the
+//! pair and folds them into their class ([`Memo::fold`]); complete plans
+//! compete on final cost instead. A search whose budget arms something
+//! asks it before every unit and stops at the first refusal; an exact run
+//! is a search with nothing armed. `Search::finish` is the one epilogue:
+//! winner, finalization, elapsed time, EXPLAIN, [`Optimized`].
+//! [`optimize_into`] is the one runner of every [`Algorithm`].
 
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
@@ -44,12 +45,10 @@ pub enum Algorithm {
     /// H1 with eagerness-adjusted cost comparison and tolerance factor `F`
     /// (Fig. 12).
     H2(f64),
-    /// Budgeted large-query ladder: exact DP when the csg-cmp-pair stream
-    /// fits [`OptimizeOptions::plan_budget`], else linearized DP over the
-    /// greedy linear order, else the greedy plan itself. Implemented by
-    /// the `dpnext-adaptive` crate and dispatched by the `dpnext`
-    /// `Optimizer` facade — [`optimize_with`] itself panics on this
-    /// variant to keep the crate layering acyclic.
+    /// Budgeted large-query ladder ([`crate::ladder`]): exact DP when the
+    /// csg-cmp-pair stream fits [`OptimizeOptions::plan_budget`], else
+    /// linearized DP over the greedy linear order, else the greedy plan
+    /// itself.
     Adaptive,
 }
 
@@ -90,11 +89,13 @@ pub struct Optimized {
 /// Knobs of [`optimize_with`] beyond the algorithm choice.
 ///
 /// `plan_budget`, `deadline`, `memory_budget` and `fault_unit_delay` are
-/// read by the one kind of run that arms a [`Budget`]: the adaptive ladder
-/// (`dpnext_adaptive`), which is where the `Optimizer` facade sends
-/// [`Algorithm::Adaptive`] and every request that names a deadline or a
-/// byte budget. [`optimize_into`] arms nothing, so under it they change
-/// nothing; left at their defaults they change nothing anywhere.
+/// read by the one kind of run that arms a budget, the adaptive ladder
+/// ([`crate::ladder`]). A run climbs the ladder when its algorithm is
+/// [`Algorithm::Adaptive`] **or** it names a deadline or a byte budget
+/// under any algorithm: only the ladder has a plan to ship when a budget
+/// stops the search mid-stream, and it is an EA-Prune search, so an
+/// H1/H2/DPhyp/EA-All choice is then not honoured. Every other run arms
+/// nothing; left at their defaults the four change nothing anywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
     /// Dominance criterion used by [`Algorithm::EaPrune`] (ablation
@@ -104,8 +105,9 @@ pub struct OptimizeOptions {
     pub explain: bool,
     /// The maximum number of plans (joins + groupings) the ladder may
     /// construct across all its rungs. `0` means the adaptive default
-    /// (`dpnext_adaptive::DEFAULT_PLAN_BUDGET`); requests below the
-    /// greedy floor are clamped up so a valid plan always fits.
+    /// ([`crate::ladder::DEFAULT_PLAN_BUDGET`]); requests below the greedy
+    /// floor ([`crate::ladder::budget_floor`]) are clamped up so a valid
+    /// plan always fits.
     pub plan_budget: u64,
     /// Wall-clock deadline for the whole optimization, checked once per
     /// enumeration work unit (overshoot is bounded by one unit) and
@@ -151,41 +153,51 @@ pub fn optimize_with(query: &Query, algo: Algorithm, opts: &OptimizeOptions) -> 
 
 /// [`optimize_with`] running inside a caller-supplied [`Memo`] — the
 /// pooled entry point for serving layers that recycle arena allocations
-/// across back-to-back optimizations.
+/// across back-to-back optimizations, and the one runner of every
+/// [`Algorithm`] under every [`OptimizeOptions`] value.
 ///
 /// The memo is [`Memo::reset`] before the run, so results and statistics
 /// are bit-identical to [`optimize_with`] regardless of what the memo
 /// held before; only the arena *capacity* (the allocation) is reused.
 /// It comes back holding the plans of the run, whichever way the run
-/// ended; the winning [`crate::FinalPlan`] owns its compiled expression,
-/// so the memo can be recycled immediately after this returns.
-///
-/// The run is a [`Search`] with nothing armed, fed the whole DPhyp stream.
-///
-/// Panics on [`Algorithm::Adaptive`] like [`optimize_with`] does: the
-/// budgeted ladder lives above dpnext-core
-/// (`dpnext_adaptive::optimize_adaptive_into` is its pooled entry point).
+/// ended (a panic included); the winning [`crate::FinalPlan`] owns its
+/// compiled expression, so the memo can be recycled immediately after
+/// this returns.
 pub fn optimize_into(
     query: &Query,
     algo: Algorithm,
     opts: &OptimizeOptions,
     memo: &mut Memo,
 ) -> Optimized {
-    let ctx = OptContext::new(query.clone());
-    let (thin_by, eager) = match algo {
-        Algorithm::DPhyp => (ThinBy::Cheapest(None), false),
-        Algorithm::H1 => (ThinBy::Cheapest(None), true),
-        Algorithm::H2(f) => (ThinBy::Cheapest(Some(f)), true),
-        Algorithm::EaAll => (ThinBy::Nothing, true),
-        Algorithm::EaPrune => (ThinBy::dominance(&ctx, opts.dominance), true),
-        // dpnext-core cannot depend on dpnext-adaptive (it is the other
-        // way around); the facade routes this variant before we get here.
-        Algorithm::Adaptive => panic!(
-            "Algorithm::Adaptive is implemented by the dpnext-adaptive crate; \
-             use dpnext::Optimizer or dpnext_adaptive::optimize_adaptive"
-        ),
+    optimize_prepared(&OptContext::new(query.clone()), algo, opts, memo).0
+}
+
+/// [`optimize_into`] over a prepared context, returning the winner's memo
+/// id next to the result — for callers that go on to inspect the plan in
+/// `memo` ([`crate::validate_complete_plan`], [`crate::recost_plan`]).
+///
+/// An exact run is a search with nothing armed, fed the whole DPhyp
+/// stream; which runs climb the ladder instead is said at
+/// [`OptimizeOptions`].
+pub fn optimize_prepared(
+    ctx: &OptContext,
+    algo: Algorithm,
+    opts: &OptimizeOptions,
+    memo: &mut Memo,
+) -> (Optimized, PlanId) {
+    let exact = match algo {
+        Algorithm::DPhyp => Some((ThinBy::Cheapest(None), false)),
+        Algorithm::H1 => Some((ThinBy::Cheapest(None), true)),
+        Algorithm::H2(f) => Some((ThinBy::Cheapest(Some(f)), true)),
+        Algorithm::EaAll => Some((ThinBy::Nothing, true)),
+        Algorithm::EaPrune => Some((ThinBy::dominance(ctx, opts.dominance), true)),
+        Algorithm::Adaptive => None,
     };
-    let mut search = Search::new(&ctx, memo, thin_by, eager);
+    let unbudgeted = opts.deadline.is_none() && opts.memory_budget == 0;
+    let Some((thin_by, eager)) = exact.filter(|_| unbudgeted) else {
+        return crate::ladder::climb(ctx, opts, memo);
+    };
+    let mut search = Search::new(ctx, memo, thin_by, eager);
     search.enumerate();
     if eager && search.winner().is_none() {
         // Eager single-plan search can dead-end when a groupjoin's right
@@ -195,7 +207,7 @@ pub fn optimize_into(
         search.restart(ThinBy::Cheapest(None), false);
         search.enumerate();
     }
-    search.finish(opts.explain).0
+    search.finish(opts.explain)
 }
 
 /// Reusable per-pair buffers of the enumeration hot loop: orientation and
@@ -203,7 +215,7 @@ pub fn optimize_into(
 /// go to the memo's lanes, so processing a csg-cmp-pair allocates nothing
 /// once the buffers have grown.
 #[derive(Default)]
-pub(crate) struct PairBufs {
+struct PairBufs {
     /// `applicable_ops_into` output.
     apps: Vec<(usize, bool)>,
     /// Deduplicated operator indices crossing the cut.
@@ -260,109 +272,6 @@ fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut Pair
         orients.push((s1, s2, primary));
         orients.push((s2, s1, primary));
     }
-}
-
-/// Build the plan variants of one csg-cmp-pair: for each orientation,
-/// pair up the retained subplans of both sides, construct the tree
-/// variants — all eager-aggregation variants (`OpTrees`, Fig. 6) when
-/// `eager`, else only the plain operator tree of the DPhyp baseline — and
-/// fold each into its class under `thin_by`. Complete plans (the full
-/// relation set with every operator applied) never enter a class: they go
-/// to `complete`, which says whether it kept a reference, and unless one
-/// is kept the whole `(t1, t2)` application is rolled back — on EA-All the
-/// losing complete plans outnumber the retained state by an order of
-/// magnitude.
-///
-/// Every `(orientation, t1, t2)` combination is one **work unit**, counted
-/// in the caller's `unit`. Before building a unit the engine asks
-/// `take(unit, memo)` (the hook sees the memo so an armed search can
-/// read live resource state like [`Memo::live_bytes`]). A refusal means
-/// *stop*: the rest of the pair is abandoned and `false` is returned, so
-/// the pair's plan set is incomplete. The per-pair snapshots of both
-/// classes are plain `PlanId` copies into `bufs` — no plan data is cloned.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_pair(
-    ctx: &OptContext,
-    scratch: &mut Scratch,
-    bufs: &mut PairBufs,
-    memo: &mut Memo,
-    thin_by: ThinBy,
-    eager: bool,
-    s1: NodeSet,
-    s2: NodeSet,
-    full: NodeSet,
-    all_ops: u64,
-    unit: &mut u64,
-    take: &mut impl FnMut(u64, &Memo) -> bool,
-    complete: &mut impl FnMut(&Memo, PlanId) -> bool,
-) -> bool {
-    orientations_into(ctx, s1, s2, bufs);
-    let PairBufs {
-        orients,
-        extra,
-        lefts,
-        rights,
-        trees,
-        staged,
-        ..
-    } = bufs;
-    for &(sl, sr, op) in orients.iter() {
-        lefts.clear();
-        lefts.extend_from_slice(memo.class(sl));
-        rights.clear();
-        rights.extend_from_slice(memo.class(sr));
-        if lefts.is_empty() || rights.is_empty() {
-            continue;
-        }
-        let s = sl.union(sr);
-        // Stage the cut once per orientation: predicate orientation,
-        // merged selectivity, distinct products and applied bits are
-        // identical for every `(t1, t2)` combination of the grid, so the
-        // per-plan application does none of that work.
-        stage_apply(ctx, memo, staged, op, extra, sl);
-        for &t1 in lefts.iter() {
-            for &t2 in rights.iter() {
-                if !take(*unit, memo) {
-                    return false;
-                }
-                *unit += 1;
-                let mark = (s == full).then(|| memo.mark());
-                trees.clear();
-                // The constructors this loop calls (`op_trees`,
-                // `apply_staged`, `make_group`, `Memo::fold`, and
-                // `final_numbers` behind `complete`) and what those call
-                // per plan in other modules (the `OptContext`/`Scratch`
-                // accessors, `push_grouped_state`) are `#[inline]` so they
-                // are compiled into this codegen unit; without that the
-                // benchmark's ea-prune-paper p99 reads 3–5% higher, and
-                // which module an edit lands in decides whether it does.
-                if eager {
-                    op_trees(ctx, scratch, memo, staged, t1, t2, trees);
-                } else if let Some(t) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
-                    trees.push(t);
-                }
-                let mut kept = false;
-                for &t in trees.iter() {
-                    if s == full {
-                        // A plan reaching the full relation set with an
-                        // operator missing (possible only for pathological
-                        // hyperedge/cut interactions) is invalid: dropped.
-                        if memo[t].applied == all_ops {
-                            kept |= complete(memo, t);
-                        }
-                    } else {
-                        memo.fold(s, t, thin_by);
-                    }
-                }
-                if let Some(mark) = mark {
-                    if !kept {
-                        memo.truncate(mark);
-                    }
-                }
-            }
-        }
-    }
-    true
 }
 
 /// Seed the singleton scan classes.
@@ -436,9 +345,9 @@ pub const UNIT_MAX_PLANS: u64 = 6;
 /// search into its [`Optimized`]. With a budget armed
 /// ([`Search::rearm`]) `plans_built <= budget` holds throughout and the
 /// first refusal stops the stream; with nothing armed this is the exact
-/// algorithm its `thin_by`/`eager` name. The `dpnext-adaptive` ladder runs
-/// three streams into one search; [`optimize_into`] runs one.
-pub struct Search<'a> {
+/// algorithm its `thin_by`/`eager` name. The ladder ([`crate::ladder`])
+/// runs three streams into one search; an exact run one.
+pub(crate) struct Search<'a> {
     ctx: &'a OptContext,
     memo: &'a mut Memo,
     scratch: Scratch,
@@ -526,7 +435,7 @@ impl<'a> Search<'a> {
     /// [`Memo::reset`] first: results and statistics do not depend on what
     /// it held. Starts the clock [`Optimized::elapsed`] is read from and
     /// seeds the singleton scan classes.
-    pub fn new(
+    pub(crate) fn new(
         ctx: &'a OptContext,
         memo: &'a mut Memo,
         thin_by: ThinBy,
@@ -567,13 +476,13 @@ impl<'a> Search<'a> {
     }
 
     /// Plans constructed so far (joins + groupings).
-    pub fn plans_built(&self) -> u64 {
+    pub(crate) fn plans_built(&self) -> u64 {
         self.scratch.plans_built
     }
 
     /// Why a pair was skipped or truncated, if one was. Until
     /// [`Search::rearm`] the search builds nothing more.
-    pub fn exhausted(&self) -> Option<Exhausted> {
+    pub(crate) fn exhausted(&self) -> Option<Exhausted> {
         self.meter.exhausted
     }
 
@@ -582,7 +491,7 @@ impl<'a> Search<'a> {
     /// one strategy under [`Budget::split`], keep the memo, and spend the
     /// rest on a cheaper one: an abandoned strategy's partial classes stay
     /// valid (every plan in them is real), they just stop being complete.
-    pub fn rearm(&mut self, budget: Budget) {
+    pub(crate) fn rearm(&mut self, budget: Budget) {
         debug_assert!(budget
             .plans
             .is_none_or(|cap| cap >= self.scratch.plans_built));
@@ -592,24 +501,24 @@ impl<'a> Search<'a> {
 
     /// Fault-injection hook: busy-wait `delay` before every enumeration
     /// work unit (see [`OptimizeOptions::fault_unit_delay`]).
-    pub fn set_unit_delay(&mut self, delay: Option<Duration>) {
+    pub(crate) fn set_unit_delay(&mut self, delay: Option<Duration>) {
         self.meter.unit_delay = delay;
     }
 
     /// Read access to the memo (classes, plan data) for pair selection.
-    pub fn memo(&self) -> &Memo {
+    pub(crate) fn memo(&self) -> &Memo {
         self.memo
     }
 
     /// Cost of the cheapest complete plan seen so far.
-    pub fn best_cost(&self) -> Option<f64> {
+    pub(crate) fn best_cost(&self) -> Option<f64> {
         self.best.map(|(cost, _)| cost)
     }
 
     /// Shrink the class of `s` to its greedy representative(s); see
     /// [`Memo::class_shrink_to_best`]. The groupjoin guard is applied
     /// exactly when the query contains groupjoins.
-    pub fn shrink_class_to_best(&mut self, s: NodeSet) {
+    pub(crate) fn shrink_class_to_best(&mut self, s: NodeSet) {
         let keep_raw = matches!(
             self.thin_by,
             ThinBy::Dominance {
@@ -634,19 +543,38 @@ impl<'a> Search<'a> {
     /// nothing to the live-bytes gauge.
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
-    pub fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
+    pub(crate) fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
         // Decided once per pair, so that the unit loop of a search with
-        // nothing armed is compiled without the hook: testing a run-time
-        // flag per unit instead read 1% slower on the benchmark's
+        // nothing armed is compiled without the meter call: testing a
+        // run-time flag per unit instead read 1% slower on the benchmark's
         // ea-prune-paper, in 10 of 10 interleaved pairs.
-        if self.meter.budget != Budget::default() || self.meter.unit_delay.is_some() {
+        let meter = &self.meter;
+        let completed = if meter.budget != Budget::default() || meter.unit_delay.is_some() {
             self.feed::<true>(s1, s2)
         } else {
             self.feed::<false>(s1, s2)
-        }
+        };
+        let cap = self.meter.budget.plans;
+        debug_assert!(cap.is_none_or(|cap| self.scratch.plans_built <= cap));
+        completed
     }
 
-    /// [`Search::process`], asking the meter before every unit iff `ARMED`.
+    /// [`Search::process`], asking the meter before every unit iff `ARMED`:
+    /// for each orientation of the pair, pair up the retained subplans of
+    /// both sides, construct the tree variants — all eager-aggregation
+    /// variants (`OpTrees`, Fig. 6) when `eager`, else only the plain
+    /// operator tree of the DPhyp baseline — and fold each into its class
+    /// under `thin_by`. Complete plans (the full relation set with every
+    /// operator applied) never enter a class: they compete on final cost,
+    /// and unless one becomes the best the whole `(t1, t2)` application is
+    /// rolled back — on EA-All the losing complete plans outnumber the
+    /// retained state by an order of magnitude.
+    ///
+    /// Every `(orientation, t1, t2)` combination is one **work unit**,
+    /// counted in `units`. A refusal means *stop*: the rest of the pair is
+    /// abandoned and `false` is returned, so the pair's plan set is
+    /// incomplete. The per-pair snapshots of both classes are plain
+    /// `PlanId` copies into `bufs` — no plan data is cloned.
     fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
         // Per-pair check: a stopped search stays stopped, and even a
         // stream of pairs with no applicable operator (which never asks
@@ -659,32 +587,83 @@ impl<'a> Search<'a> {
         if meter.exhausted.is_some() {
             return false;
         }
-        let units = self.units;
-        let mut take = |u: u64, memo: &Memo| {
-            !ARMED || meter.take(spent + (u - units + 1) * UNIT_MAX_PLANS, memo)
-        };
-        let (ctx, best) = (self.ctx, &mut self.best);
-        let completed = process_pair(
-            ctx,
-            &mut self.scratch,
-            &mut self.bufs,
-            self.memo,
-            self.thin_by,
-            self.eager,
-            s1,
-            s2,
-            self.full,
-            self.all_ops,
-            &mut self.units,
-            &mut take,
-            &mut |memo, id| keep_best(best, ctx, memo, id),
-        );
-        debug_assert!(self
-            .meter
-            .budget
-            .plans
-            .is_none_or(|cap| self.scratch.plans_built <= cap));
-        completed
+        let (ctx, thin_by, eager) = (self.ctx, self.thin_by, self.eager);
+        let (full, all_ops, first_unit) = (self.full, self.all_ops, self.units);
+        let (memo, scratch) = (&mut *self.memo, &mut self.scratch);
+        orientations_into(ctx, s1, s2, &mut self.bufs);
+        let PairBufs {
+            orients,
+            extra,
+            lefts,
+            rights,
+            trees,
+            staged,
+            ..
+        } = &mut self.bufs;
+        for &(sl, sr, op) in orients.iter() {
+            lefts.clear();
+            lefts.extend_from_slice(memo.class(sl));
+            rights.clear();
+            rights.extend_from_slice(memo.class(sr));
+            if lefts.is_empty() || rights.is_empty() {
+                continue;
+            }
+            let s = sl.union(sr);
+            // Stage the cut once per orientation: predicate orientation,
+            // merged selectivity, distinct products and applied bits are
+            // identical for every `(t1, t2)` combination of the grid, so the
+            // per-plan application does none of that work.
+            stage_apply(ctx, memo, staged, op, extra, sl);
+            for &t1 in lefts.iter() {
+                for &t2 in rights.iter() {
+                    if ARMED {
+                        // A unit counts as `UNIT_MAX_PLANS` plans, so the
+                        // plan limit is never exceeded mid-unit.
+                        let units = self.units - first_unit + 1;
+                        if !meter.take(spent + units * UNIT_MAX_PLANS, memo) {
+                            return false;
+                        }
+                    }
+                    self.units += 1;
+                    let mark = (s == full).then(|| memo.mark());
+                    trees.clear();
+                    // The constructors this loop calls (`op_trees`,
+                    // `apply_staged`, `make_group`, `Memo::fold`, and
+                    // `final_numbers` behind `keep_best`) and what those
+                    // call per plan in other modules (the
+                    // `OptContext`/`Scratch` accessors,
+                    // `push_grouped_state`) are `#[inline]` so they are
+                    // compiled into this codegen unit; without that the
+                    // benchmark's ea-prune-paper p99 reads 3–5% higher, and
+                    // which module an edit lands in decides whether it does.
+                    if eager {
+                        op_trees(ctx, scratch, memo, staged, t1, t2, trees);
+                    } else if let Some(t) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
+                        trees.push(t);
+                    }
+                    let mut kept = false;
+                    for &t in trees.iter() {
+                        if s == full {
+                            // A plan reaching the full relation set with an
+                            // operator missing (possible only for
+                            // pathological hyperedge/cut interactions) is
+                            // invalid: dropped.
+                            if memo[t].applied == all_ops {
+                                kept |= keep_best(&mut self.best, ctx, memo, t);
+                            }
+                        } else {
+                            memo.fold(s, t, thin_by);
+                        }
+                    }
+                    if let Some(mark) = mark {
+                        if !kept {
+                            memo.truncate(mark);
+                        }
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Feed the search the whole DPhyp csg-cmp-pair stream, in emission
@@ -692,7 +671,7 @@ impl<'a> Search<'a> {
     /// walked to its end. The walk is one `engine.enumerate` span, tagged
     /// with the pairs and units walked and the search's `plans_built` at
     /// its end (inert, and free, with tracing off).
-    pub fn enumerate(&mut self) -> bool {
+    pub(crate) fn enumerate(&mut self) -> bool {
         let mut span = dpnext_obs::span("engine.enumerate");
         let (mut ccps, units) = (0u64, self.units);
         let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
@@ -728,7 +707,7 @@ impl<'a> Search<'a> {
     /// Panics when no pair produced a complete plan: the query graph is
     /// disconnected or over-constrained (or the budget ran out before the
     /// first full-set pair — the ladder's greedy floor rules that out).
-    pub fn finish(self, explain: bool) -> (Optimized, PlanId) {
+    pub(crate) fn finish(self, explain: bool) -> (Optimized, PlanId) {
         let Some(id) = self.winner() else {
             panic!("no plan found: query graph disconnected or over-constrained")
         };

@@ -10,7 +10,7 @@ use std::time::Instant;
 /// left `None` is not limited at all — there is no "huge number" standing
 /// in for "no limit". `Budget::default()` arms nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Budget {
+pub(crate) struct Budget {
     /// Most plans (joins + groupings; scans are free) the search may have
     /// constructed in total.
     pub plans: Option<u64>,
@@ -23,7 +23,7 @@ pub struct Budget {
 
 /// The resource of a [`Budget`] that ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exhausted {
+pub(crate) enum Exhausted {
     /// The plan limit.
     Plans,
     /// The deadline.

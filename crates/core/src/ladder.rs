@@ -1,15 +1,14 @@
-//! # dpnext-adaptive
-//!
 //! The large-query subsystem: budgeted plan search with graceful
 //! degradation, so the optimizer **never blows up** — exact DP is superb
 //! up to ~10 relations and hopeless at 30, where production optimizers
 //! switch to greedy/linearized construction under an enumeration budget.
+//! [`crate::optimize_into`] sends [`crate::Algorithm::Adaptive`] here, and
+//! every run that names a deadline or a byte budget.
 //!
-//! [`optimize_adaptive`] feeds three csg-cmp-pair streams, one per rung,
-//! to one [`Search`] (one memo, one plan counter, one best complete plan)
-//! — the EA-Prune search `dpnext_core::optimize_into` runs, under one
-//! [`Budget`] of plans, wall clock and live memo bytes, each armed or
-//! absent:
+//! `climb` feeds three csg-cmp-pair streams, one per rung, to one
+//! `Search` (one memo, one plan counter, one best complete plan) — the
+//! EA-Prune search an exact run is, under one `Budget` of plans, wall
+//! clock and live memo bytes, each armed or absent:
 //!
 //! 1. **Greedy** (always), under the plan limit alone: a GOO-style pass
 //!    merging the component pair with the smallest estimated join result,
@@ -18,11 +17,12 @@
 //!    it — and its merge tree yields the linear relation order for rung 3.
 //!    It consults neither the clock nor the byte meter, so a valid plan
 //!    exists before either can bind: a run *degrades*, it never fails.
-//! 2. **Exact DP** ([`Search::enumerate`], the whole DPhyp stream), under
-//!    [`Budget::split`] — half of what is left of every armed resource, so
-//!    an aborted exact stream cannot starve rung 3. With a plan limit it is attempted only when a capped
-//!    csg-cmp-pair count ([`count_ccps_capped`]) shows the full DPhyp
-//!    stream plausibly fits that half; without one there is no gate.
+//! 2. **Exact DP** (`Search::enumerate`, the whole DPhyp stream), under
+//!    `Budget::split` — half of what is left of every armed resource, so
+//!    an aborted exact stream cannot starve rung 3. With a plan limit it
+//!    is attempted only when a capped csg-cmp-pair count
+//!    ([`count_ccps_capped`]) shows the full DPhyp stream plausibly fits
+//!    that half; without one there is no gate.
 //!    Completing this rung makes the result the EA-Prune optimum; an
 //!    aborted stream's plans still compete (reported as `PartialExact`
 //!    when one wins).
@@ -33,31 +33,25 @@
 //!
 //! Every rung funnels through the same engine (`op_trees`, dominance
 //! pruning, `C_out`), so aggregation placement stays explored at scale,
-//! and the run ends in the search's one epilogue ([`Search::finish`]).
+//! and the run ends in the search's one epilogue (`Search::finish`).
 //! The budget is checked once per pair and once per enumeration work
 //! unit: `plans_built <= plan_budget` holds no matter which rung wins, and
 //! a deadline or byte limit is overshot by at most one unit
-//! ([`UNIT_MAX_PLANS`] plans). [`dpnext_core::MemoStats::plan_budget`],
-//! [`dpnext_core::MemoStats::degradation`] (gate, or the resource that
-//! ran out mid-stream: plans, deadline, bytes) and
-//! [`dpnext_core::MemoStats::adaptive_mode`] report what happened.
-//!
-//! This crate sits **above** `dpnext-core` (it drives the core's
-//! [`Search`]); the `dpnext::Optimizer` facade dispatches
-//! `Algorithm::Adaptive` here.
+//! ([`UNIT_MAX_PLANS`] plans). [`crate::MemoStats::plan_budget`],
+//! [`crate::MemoStats::degradation`] (gate, or the resource that ran out
+//! mid-stream: plans, deadline, bytes) and
+//! [`crate::MemoStats::adaptive_mode`] report what happened.
 
 mod greedy;
 mod linear;
 
-pub use greedy::{greedy_join, traversal_order};
-pub use linear::linearized_dp;
-
-use dpnext_core::{
-    AdaptiveMode, Budget, Degradation, Exhausted, Memo, OptContext, OptimizeOptions, Optimized,
-    PlanId, Search, ThinBy, UNIT_MAX_PLANS,
-};
+use crate::algo::{OptimizeOptions, Optimized, Search, UNIT_MAX_PLANS};
+use crate::budget::{Budget, Exhausted};
+use crate::context::OptContext;
+use crate::memo::{AdaptiveMode, Degradation, Memo, PlanId, ThinBy};
 use dpnext_hypergraph::count_ccps_capped;
-use dpnext_query::Query;
+use greedy::greedy_join;
+use linear::linearized_dp;
 use std::time::Instant;
 
 /// Default plan budget when [`OptimizeOptions::plan_budget`] is 0.
@@ -69,58 +63,10 @@ pub const DEFAULT_PLAN_BUDGET: u64 = 100_000;
 /// combinations in two orientations, [`UNIT_MAX_PLANS`] plans each, for
 /// both passes. Requests below the floor are clamped up, so a valid plan
 /// always fits; the clamped value is what
-/// [`dpnext_core::MemoStats::plan_budget`] reports and what `plans_built`
-/// never exceeds.
+/// [`crate::MemoStats::plan_budget`] reports and what `plans_built` never
+/// exceeds.
 pub fn budget_floor(n: usize) -> u64 {
     128 * n.max(1) as u64
-}
-
-/// One adaptive optimization with full access to the search state, for
-/// tests and diagnostics that want to validate or inspect the winning
-/// plan ([`dpnext_core::validate_complete_plan`] needs the memo and id).
-pub struct AdaptiveRun {
-    pub optimized: Optimized,
-    /// The optimization context (owns a clone of the query).
-    pub ctx: OptContext,
-    /// The memo owning every plan the ladder built.
-    pub memo: Memo,
-    /// Memo id of the winning complete plan.
-    pub winner: PlanId,
-}
-
-/// Optimize `query` with the budgeted degradation ladder. See the crate
-/// docs for the rung semantics; `opts.plan_budget` (0 = default, clamped
-/// to [`budget_floor`]) caps the plans built, `opts.dominance` tunes the
-/// pruning.
-///
-/// Panics like the exact engine when the query graph is disconnected or
-/// over-constrained (no complete plan exists).
-pub fn optimize_adaptive(query: &Query, opts: &OptimizeOptions) -> Optimized {
-    optimize_adaptive_into(query, opts, &mut Memo::new())
-}
-
-/// [`optimize_adaptive`] running inside a caller-supplied [`Memo`] — the
-/// pooled entry point, the ladder's counterpart of
-/// [`dpnext_core::optimize_into`]. The memo is reset first, so results and
-/// statistics are bit-identical to a fresh run; its arena, lane and class
-/// capacity is reused, and it holds the run's plans however the run ends,
-/// so a caller that meters its memo (the serving layer's ledger) meters
-/// the one that did the work.
-pub fn optimize_adaptive_into(query: &Query, opts: &OptimizeOptions, memo: &mut Memo) -> Optimized {
-    climb(&OptContext::new(query.clone()), opts, memo).0
-}
-
-/// [`optimize_adaptive`] returning the whole [`AdaptiveRun`].
-pub fn optimize_adaptive_run(query: &Query, opts: &OptimizeOptions) -> AdaptiveRun {
-    let ctx = OptContext::new(query.clone());
-    let mut memo = Memo::new();
-    let (optimized, winner) = climb(&ctx, opts, &mut memo);
-    AdaptiveRun {
-        optimized,
-        ctx,
-        memo,
-        winner,
-    }
 }
 
 /// The ladder's state between rungs: the one search every rung feeds, and
@@ -172,7 +118,16 @@ impl Ladder<'_> {
 
 /// The ladder over `ctx`'s query in `memo`: one search, three rungs, the
 /// search's epilogue. Returns the result and the winner's memo id.
-fn climb(ctx: &OptContext, opts: &OptimizeOptions, memo: &mut Memo) -> (Optimized, PlanId) {
+///
+/// `opts.plan_budget` (0 = [`DEFAULT_PLAN_BUDGET`], clamped to
+/// [`budget_floor`]) caps the plans built, `opts.dominance` tunes the
+/// pruning. Panics like an exact run when the query graph is disconnected
+/// or over-constrained (no complete plan exists).
+pub(crate) fn climb(
+    ctx: &OptContext,
+    opts: &OptimizeOptions,
+    memo: &mut Memo,
+) -> (Optimized, PlanId) {
     let n = ctx.query.table_count();
     let bytes = (opts.memory_budget != 0).then_some(opts.memory_budget);
     // A run that names a deadline or a byte budget but no plan budget has

@@ -16,8 +16,10 @@
 //! the query's canonical operator tree bottom-up — the one merge sequence
 //! conflict detection guarantees to be applicable.
 
+use crate::algo::Search;
+use crate::context::OptContext;
+use crate::memo::Memo;
 use dpnext_conflict::applicable_ops_into;
-use dpnext_core::{Memo, OptContext, Search};
 use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::{OpKind, OpTree};
@@ -34,7 +36,7 @@ struct Component {
 /// greedy subtree class. Returns the linearization of the relations: the
 /// greedy merge tree's traversal order (or the canonical tree's, after a
 /// fallback).
-pub fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
+pub(super) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
     let n = ctx.query.table_count();
     let mut comps: Vec<Component> = (0..n)
         .map(|i| Component {
@@ -97,7 +99,7 @@ pub fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
 
 /// Relations in left-to-right traversal order of an operator tree: every
 /// subtree maps to a contiguous interval of the result.
-pub fn traversal_order(tree: &OpTree) -> Vec<usize> {
+fn traversal_order(tree: &OpTree) -> Vec<usize> {
     fn walk(t: &OpTree, out: &mut Vec<usize>) {
         match t {
             OpTree::Rel(i) => out.push(*i),

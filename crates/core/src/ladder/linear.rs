@@ -12,14 +12,15 @@
 //! Because the greedy tree's merges all appear as splits, the linearized
 //! optimum is never worse than the greedy plan.
 
-use dpnext_core::{OptContext, Search};
+use crate::algo::Search;
+use crate::context::OptContext;
 use dpnext_hypergraph::NodeSet;
 
 /// Run interval DP over `order` on `search`, bottom-up by interval
 /// length. Returns `true` when every split was processed within the
 /// budget; `false` when the budget ran out (the search keeps the best
 /// complete plan seen so far, typically the greedy one).
-pub fn linearized_dp(search: &mut Search<'_>, ctx: &OptContext, order: &[usize]) -> bool {
+pub(super) fn linearized_dp(search: &mut Search<'_>, ctx: &OptContext, order: &[usize]) -> bool {
     let n = order.len();
     debug_assert_eq!(n, ctx.query.table_count());
     // prefix[i] = set of the first i relations of the order, so the set

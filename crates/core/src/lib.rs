@@ -11,7 +11,9 @@
 //! * [`Algorithm::EaPrune`] — with optimality-preserving dominance pruning
 //!   (Figs. 13/14),
 //! * [`Algorithm::H1`] / [`Algorithm::H2`] — the two heuristics
-//!   (Figs. 10/12).
+//!   (Figs. 10/12),
+//! * [`Algorithm::Adaptive`] — EA-Prune under a budget of plans, time and
+//!   bytes, degrading exact → linearized → greedy ([`ladder`]).
 //!
 //! Optimized plans compile into executable [`dpnext_algebra::AlgExpr`]
 //! trees, so every transformation can be validated against the canonical
@@ -20,12 +22,13 @@
 
 pub mod aggstate;
 pub mod algo;
-pub mod budget;
+mod budget;
 pub mod context;
 pub mod explain;
 pub mod finalize;
 pub mod fusion;
 pub mod fxhash;
+pub mod ladder;
 pub mod memo;
 pub mod optrees;
 pub mod plan;
@@ -36,10 +39,9 @@ pub mod validate;
 mod tests;
 
 pub use algo::{
-    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_with, Algorithm,
-    OptimizeOptions, Optimized, Search, UNIT_MAX_PLANS,
+    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_prepared, optimize_with,
+    Algorithm, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
-pub use budget::{Budget, Exhausted};
 pub use context::{OptContext, Scratch};
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};

@@ -365,8 +365,8 @@ pub enum DominanceKind {
 }
 
 /// Which rung of the adaptive degradation ladder produced the final plan
-/// (`Algorithm::Adaptive`, see the `dpnext-adaptive` crate). `None` for
-/// every non-adaptive run.
+/// (`Algorithm::Adaptive`, see [`crate::ladder`]). `None` for every run
+/// that did not climb it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdaptiveMode {
     /// Not an adaptive run (or the ladder never ran).
@@ -391,9 +391,9 @@ pub enum AdaptiveMode {
 
 /// Why (and how) a budgeted run fell short of its deepest rung, by cause —
 /// four of them: a rung can be gated off up front by the ccp count
-/// estimate, or aborted mid-stream by whichever resource of its
-/// [`crate::Budget`] ran out first — the plan budget, the wall-clock
-/// deadline or the byte budget. Only the cause that tripped is set, not
+/// estimate, or aborted mid-stream by whichever resource of its budget
+/// ran out first — the plan budget, the wall-clock deadline or the byte
+/// budget. Only the cause that tripped is set, not
 /// the limits that were merely armed. All flags `false` means the run
 /// completed its deepest rung (or was never budgeted at all).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -477,45 +477,26 @@ mod finalization {
 
 mod engine {
     use super::*;
-    use crate::algo::{process_pair, PairBufs};
+    use crate::algo::Search;
+    use crate::budget::{Budget, Exhausted};
     use crate::memo::ThinBy;
 
-    /// A refused work unit ends the pair: the hook is asked once, not once
-    /// per cell of the `|L|·|R|` subplan grid.
+    /// A refused work unit ends the pair and builds nothing: under a plan
+    /// limit of zero the first unit of the pair is refused, the cause is
+    /// recorded, and the arena holds nothing but the seeded scans.
     #[test]
     fn refused_unit_stops_the_grid_walk() {
         let ctx = two_table_ctx(OpKind::Join);
         let mut memo = Memo::new();
-        for table in 0..2 {
-            for _ in 0..64 {
-                let id = make_scan(&ctx, &mut memo, table);
-                memo.fold(NodeSet::single(table), id, ThinBy::Nothing);
-            }
-        }
-        let mut sc = Scratch::new(&ctx);
-        let (mut unit, mut asked) = (0u64, 0u64);
-        let completed = process_pair(
-            &ctx,
-            &mut sc,
-            &mut PairBufs::default(),
-            &mut memo,
-            ThinBy::Nothing,
-            true,
-            NodeSet::single(0),
-            NodeSet::single(1),
-            NodeSet::full(2),
-            applied_ops_mask(ctx.cq.ops.len()),
-            &mut unit,
-            &mut |_, _| {
-                asked += 1;
-                false
-            },
-            &mut |_, _| unreachable!("no unit was taken"),
-        );
-        assert!(!completed);
-        assert_eq!(1, asked, "a refusal at unit 0 must not walk the 64x64 grid");
-        assert_eq!((0, 0), (unit, sc.plans_built));
-        assert_eq!(128, memo.arena_len());
+        let mut search = Search::new(&ctx, &mut memo, ThinBy::Nothing, true);
+        search.rearm(Budget {
+            plans: Some(0),
+            ..Budget::default()
+        });
+        assert!(!search.process(NodeSet::single(0), NodeSet::single(1)));
+        assert_eq!(Some(Exhausted::Plans), search.exhausted());
+        assert_eq!(0, search.plans_built());
+        assert_eq!(2, search.memo().arena_len());
     }
 }
 

@@ -7,7 +7,7 @@
 //! The enumeration engine establishes these invariants by construction;
 //! the validator re-derives them from the plan tree so tests can hold
 //! *any* plan producer — the exact DP, the heuristics, and especially the
-//! budgeted/greedy paths of `dpnext-adaptive` — to the same contract.
+//! budgeted/greedy paths of the ladder — to the same contract.
 
 use crate::algo::applied_ops_mask;
 use crate::context::OptContext;

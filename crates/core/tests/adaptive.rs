@@ -3,12 +3,10 @@
 //! every winning plan, hard budget enforcement, and the large-query
 //! acceptance scenarios (30 relations, every explicit topology).
 
-use dpnext_adaptive::{
-    budget_floor, optimize_adaptive, optimize_adaptive_into, optimize_adaptive_run,
-    DEFAULT_PLAN_BUDGET,
-};
+use dpnext_core::ladder::{budget_floor, DEFAULT_PLAN_BUDGET};
 use dpnext_core::{
-    optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, Memo, OptimizeOptions,
+    optimize_into, optimize_prepared, optimize_with, validate_complete_plan, AdaptiveMode,
+    Algorithm, Memo, OptContext, OptimizeOptions,
 };
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::time::Instant;
@@ -42,18 +40,20 @@ fn adaptive_never_beats_the_exact_optimum() {
             for seed in 0..4u64 {
                 let q = generate_query(&GenConfig::topology(n, topo), seed);
                 let exact = optimize_with(&q, Algorithm::EaPrune, &o);
-                let run = optimize_adaptive_run(&q, &o);
-                validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap_or_else(|e| {
+                let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+                let (optimized, winner) =
+                    optimize_prepared(&ctx, Algorithm::Adaptive, &o, &mut memo);
+                validate_complete_plan(&ctx, &memo, winner).unwrap_or_else(|e| {
                     panic!("invalid adaptive plan ({topo:?} n={n} seed={seed}): {e}")
                 });
-                let (a, e) = (run.optimized.plan.cost, exact.plan.cost);
+                let (a, e) = (optimized.plan.cost, exact.plan.cost);
                 assert!(
                     a >= e * (1.0 - 1e-9),
                     "adaptive cost {a} beats the exact optimum {e} ({topo:?} n={n} seed={seed})"
                 );
-                let stats = run.optimized.memo;
+                let stats = optimized.memo;
                 assert!(stats.plan_budget > 0);
-                assert!(run.optimized.plans_built <= stats.plan_budget);
+                assert!(optimized.plans_built <= stats.plan_budget);
                 if stats.adaptive_mode == AdaptiveMode::Exact {
                     assert!(
                         (a - e).abs() <= e.abs() * 1e-9,
@@ -81,22 +81,24 @@ fn budget_is_a_hard_cap() {
     let q = generate_query(&GenConfig::topology(12, Topology::Star), 1);
     let floor = budget_floor(12);
     for requested in [1u64, floor, 2_000, 10_000] {
-        let run = optimize_adaptive_run(&q, &opts(requested));
-        let stats = run.optimized.memo;
+        let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+        let (optimized, winner) =
+            optimize_prepared(&ctx, Algorithm::Adaptive, &opts(requested), &mut memo);
+        let stats = optimized.memo;
         assert_eq!(stats.plan_budget, requested.max(floor));
         assert!(
-            run.optimized.plans_built <= stats.plan_budget,
+            optimized.plans_built <= stats.plan_budget,
             "plans_built {} exceeds budget {} (requested {requested})",
-            run.optimized.plans_built,
+            optimized.plans_built,
             stats.plan_budget
         );
-        validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+        validate_complete_plan(&ctx, &memo, winner).unwrap();
         assert_ne!(stats.adaptive_mode, AdaptiveMode::None);
     }
     // At the floor the deeper rungs cannot fit on a 12-relation star:
     // the run must degrade and say so.
-    let run = optimize_adaptive_run(&q, &opts(floor));
-    let stats = run.optimized.memo;
+    let optimized = optimize_with(&q, Algorithm::Adaptive, &opts(floor));
+    let stats = optimized.memo;
     assert_ne!(stats.adaptive_mode, AdaptiveMode::Exact);
     assert!(stats.degradation.any());
     assert!(
@@ -120,17 +122,19 @@ fn thirty_relation_clique_within_budget() {
         for seed in 0..3u64 {
             let q = generate_query(&GenConfig::topology(30, topo), seed);
             let start = Instant::now();
-            let run = optimize_adaptive_run(&q, &opts(20_000));
+            let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+            let (optimized, winner) =
+                optimize_prepared(&ctx, Algorithm::Adaptive, &opts(20_000), &mut memo);
             let elapsed = start.elapsed();
-            let stats = run.optimized.memo;
+            let stats = optimized.memo;
             assert_eq!(20_000, stats.plan_budget);
             assert!(
-                run.optimized.plans_built <= 20_000,
+                optimized.plans_built <= 20_000,
                 "{topo:?} seed={seed}: plans_built {} exceeds the budget",
-                run.optimized.plans_built
+                optimized.plans_built
             );
             assert_ne!(stats.adaptive_mode, AdaptiveMode::None);
-            validate_complete_plan(&run.ctx, &run.memo, run.winner)
+            validate_complete_plan(&ctx, &memo, winner)
                 .unwrap_or_else(|e| panic!("invalid plan ({topo:?} seed={seed}): {e}"));
             assert!(
                 elapsed.as_secs_f64() < 5.0,
@@ -147,16 +151,18 @@ fn thirty_relation_clique_within_budget() {
 fn thirty_relation_star_degrades_gracefully() {
     let q = generate_query(&GenConfig::topology(30, Topology::Star), 2);
     let start = Instant::now();
-    let run = optimize_adaptive_run(&q, &opts(20_000));
+    let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+    let (optimized, winner) =
+        optimize_prepared(&ctx, Algorithm::Adaptive, &opts(20_000), &mut memo);
     let elapsed = start.elapsed();
-    let stats = run.optimized.memo;
+    let stats = optimized.memo;
     assert_ne!(
         stats.adaptive_mode,
         AdaptiveMode::Exact,
         "exact DP cannot fit a 30-relation star in 20k plans"
     );
-    assert!(run.optimized.plans_built <= stats.plan_budget);
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+    assert!(optimized.plans_built <= stats.plan_budget);
+    validate_complete_plan(&ctx, &memo, winner).unwrap();
     assert!(elapsed.as_secs_f64() < 5.0, "star took {elapsed:?}");
 }
 
@@ -171,16 +177,22 @@ fn thirty_relation_chain_stays_exact() {
     cfg.ops = dpnext_workload::OpWeights::inner_only();
     cfg.with_grouping = false;
     let q = generate_query(&cfg, 3);
-    let run = optimize_adaptive_run(&q, &opts(10 * DEFAULT_PLAN_BUDGET));
-    assert_eq!(AdaptiveMode::Exact, run.optimized.memo.adaptive_mode);
-    assert!(!run.optimized.memo.degradation.any());
+    let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+    let (optimized, winner) = optimize_prepared(
+        &ctx,
+        Algorithm::Adaptive,
+        &opts(10 * DEFAULT_PLAN_BUDGET),
+        &mut memo,
+    );
+    assert_eq!(AdaptiveMode::Exact, optimized.memo.adaptive_mode);
+    assert!(!optimized.memo.degradation.any());
     let exact = optimize_with(&q, Algorithm::EaPrune, &opts(0));
     assert_eq!(
         exact.plan.cost.to_bits(),
-        run.optimized.plan.cost.to_bits(),
+        optimized.plan.cost.to_bits(),
         "completed exact rung must reproduce the EA-Prune optimum"
     );
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+    validate_complete_plan(&ctx, &memo, winner).unwrap();
 }
 
 /// Degenerate sizes run through the ladder too.
@@ -188,9 +200,10 @@ fn thirty_relation_chain_stays_exact() {
 fn tiny_queries() {
     for n in [1usize, 2] {
         let q = generate_query(&GenConfig::paper(n), 5);
-        let run = optimize_adaptive_run(&q, &opts(0));
-        validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
-        assert_eq!(AdaptiveMode::Exact, run.optimized.memo.adaptive_mode);
+        let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+        let (optimized, winner) = optimize_prepared(&ctx, Algorithm::Adaptive, &opts(0), &mut memo);
+        validate_complete_plan(&ctx, &memo, winner).unwrap();
+        assert_eq!(AdaptiveMode::Exact, optimized.memo.adaptive_mode);
     }
 }
 
@@ -205,8 +218,8 @@ fn pooled_memo_is_the_one_the_ladder_runs_in() {
     let mut warmed = 0;
     for (n, seed) in [(8usize, 1u64), (30, 2), (30, 2), (30, 2)] {
         let q = generate_query(&GenConfig::topology(n, Topology::Star), seed);
-        let fresh = optimize_adaptive(&q, &opts(20_000));
-        let pooled = optimize_adaptive_into(&q, &opts(20_000), &mut memo);
+        let fresh = optimize_with(&q, Algorithm::Adaptive, &opts(20_000));
+        let pooled = optimize_into(&q, Algorithm::Adaptive, &opts(20_000), &mut memo);
         assert_eq!(fresh.plan.cost.to_bits(), pooled.plan.cost.to_bits());
         assert_eq!(fresh.plans_built, pooled.plans_built);
         assert_eq!(fresh.memo, pooled.memo, "n={n}: pooled statistics diverge");

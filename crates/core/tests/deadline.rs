@@ -4,9 +4,9 @@
 //! never beats the exact optimum, with the abort attributed to the
 //! deadline in [`dpnext_core::MemoStats::degradation`].
 
-use dpnext_adaptive::optimize_adaptive_run;
 use dpnext_core::{
-    optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, OptimizeOptions,
+    optimize_prepared, optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, Memo,
+    OptContext, OptimizeOptions,
 };
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use proptest::prelude::*;
@@ -48,15 +48,17 @@ proptest! {
         if unit_delay_micros > 0 {
             o.fault_unit_delay = Some(Duration::from_micros(unit_delay_micros));
         }
-        let run = optimize_adaptive_run(&q, &o);
-        if let Err(e) = validate_complete_plan(&run.ctx, &run.memo, run.winner) {
+        let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+        let (optimized, winner) =
+            optimize_prepared(&ctx, Algorithm::Adaptive, &o, &mut memo);
+        if let Err(e) = validate_complete_plan(&ctx, &memo, winner) {
             prop_assert!(
                 false,
                 "invalid deadlined plan ({topo:?} n={n} seed={seed} dl={deadline_micros}us): {e}"
             );
         }
         let exact = optimize_with(&q, Algorithm::EaPrune, &base());
-        let (a, e) = (run.optimized.plan.cost, exact.plan.cost);
+        let (a, e) = (optimized.plan.cost, exact.plan.cost);
         prop_assert!(
             a >= e * (1.0 - 1e-9),
             "deadlined cost {a} beats the exact optimum {e} \
@@ -70,11 +72,17 @@ proptest! {
 #[test]
 fn expired_deadline_ships_the_greedy_plan() {
     let q = generate_query(&GenConfig::topology(12, Topology::Star), 0);
-    let run = optimize_adaptive_run(&q, &deadlined(Duration::ZERO));
-    let stats = run.optimized.memo;
+    let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+    let (optimized, winner) = optimize_prepared(
+        &ctx,
+        Algorithm::Adaptive,
+        &deadlined(Duration::ZERO),
+        &mut memo,
+    );
+    let stats = optimized.memo;
     assert!(stats.degradation.deadline_aborted);
     assert_eq!(AdaptiveMode::Greedy, stats.adaptive_mode);
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+    validate_complete_plan(&ctx, &memo, winner).unwrap();
 }
 
 /// With ample time a deadline-only run completes the exact rung (it has
@@ -84,14 +92,14 @@ fn expired_deadline_ships_the_greedy_plan() {
 #[test]
 fn ample_deadline_still_reaches_the_exact_optimum() {
     let q = generate_query(&GenConfig::paper(6), 4);
-    let run = optimize_adaptive_run(&q, &deadlined(Duration::from_secs(60)));
-    let stats = run.optimized.memo;
+    let optimized = optimize_with(&q, Algorithm::Adaptive, &deadlined(Duration::from_secs(60)));
+    let stats = optimized.memo;
     assert_eq!(AdaptiveMode::Exact, stats.adaptive_mode);
     assert!(!stats.degradation.any());
     let exact = optimize_with(&q, Algorithm::EaPrune, &base());
     assert_eq!(
         exact.plan.cost.to_bits(),
-        run.optimized.plan.cost.to_bits(),
+        optimized.plan.cost.to_bits(),
         "completed exact rung under a deadline must reproduce the optimum"
     );
 }
@@ -108,9 +116,11 @@ fn thirty_relation_star_respects_its_deadline() {
             let q = generate_query(&GenConfig::topology(30, topo), 2);
             let deadline = Duration::from_millis(deadline_ms);
             let start = Instant::now();
-            let run = optimize_adaptive_run(&q, &deadlined(deadline));
+            let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+            let (optimized, winner) =
+                optimize_prepared(&ctx, Algorithm::Adaptive, &deadlined(deadline), &mut memo);
             let elapsed = start.elapsed();
-            let stats = run.optimized.memo;
+            let stats = optimized.memo;
             if topo == Topology::Star {
                 assert!(
                     stats.degradation.deadline_aborted,
@@ -118,7 +128,7 @@ fn thirty_relation_star_respects_its_deadline() {
                     stats.degradation
                 );
             }
-            validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap_or_else(|e| {
+            validate_complete_plan(&ctx, &memo, winner).unwrap_or_else(|e| {
                 panic!("invalid deadlined plan ({topo:?} {deadline_ms}ms): {e}")
             });
             // Overshoot is bounded by one enumeration work unit plus

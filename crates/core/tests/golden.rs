@@ -12,8 +12,7 @@
 //! after a *deliberate* change, empty the table and copy the rows the
 //! failing test prints.
 
-use dpnext_adaptive::{optimize_adaptive, optimize_adaptive_into};
-use dpnext_core::{optimize_with, Algorithm, Memo, OptimizeOptions, Optimized};
+use dpnext_core::{optimize_into, optimize_with, Algorithm, Memo, OptimizeOptions, Optimized};
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::time::Duration;
 
@@ -185,7 +184,7 @@ fn ladder_reproduces_the_recorded_grid() {
                 arms.extend([D, B]);
             }
             for arm in arms {
-                let run = optimize_adaptive_into(&query, &options(arm), &mut memo);
+                let run = optimize_into(&query, Algorithm::Adaptive, &options(arm), &mut memo);
                 memo.check_invariants()
                     .unwrap_or_else(|e| panic!("{topo:?} n={n} {arm:?}: {e}"));
                 let got = outcome(&run);
@@ -194,8 +193,9 @@ fn ladder_reproduces_the_recorded_grid() {
                     // a byte budget that never bind changes nothing, and in
                     // particular adds no cause to the degradation.
                     P(budget) if TIGHT.contains(&budget) => {
-                        let all = optimize_adaptive(
+                        let all = optimize_with(
                             &query,
+                            Algorithm::Adaptive,
                             &OptimizeOptions {
                                 deadline: Some(AMPLE_DEADLINE),
                                 memory_budget: AMPLE_BYTES,

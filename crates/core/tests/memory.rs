@@ -5,10 +5,9 @@
 //! abort to memory in [`dpnext_core::MemoStats::degradation`]. The
 //! mirror of `deadline.rs`, with the byte meter in place of the clock.
 
-use dpnext_adaptive::optimize_adaptive_run;
 use dpnext_core::{
-    optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, OptimizeOptions,
-    ARENA_ROW_BYTES, UNIT_MAX_PLANS,
+    optimize_prepared, optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, Memo,
+    OptContext, OptimizeOptions, ARENA_ROW_BYTES, UNIT_MAX_PLANS,
 };
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use proptest::prelude::*;
@@ -57,14 +56,16 @@ proptest! {
         let topo = [Topology::Chain, Topology::Star, Topology::Clique][topo_ix];
         let q = generate_query(&GenConfig::topology(n, topo), seed);
         let budget = budget_kib * 1024;
-        let run = optimize_adaptive_run(&q, &budgeted(budget));
-        if let Err(e) = validate_complete_plan(&run.ctx, &run.memo, run.winner) {
+        let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+        let (optimized, winner) =
+            optimize_prepared(&ctx, Algorithm::Adaptive, &budgeted(budget), &mut memo);
+        if let Err(e) = validate_complete_plan(&ctx, &memo, winner) {
             prop_assert!(
                 false,
                 "invalid budgeted plan ({topo:?} n={n} seed={seed} mb={budget_kib}KiB): {e}"
             );
         }
-        let stats = run.optimized.memo;
+        let stats = optimized.memo;
         prop_assert_eq!(budget, stats.memory_budget, "budget must be recorded");
         prop_assert!(
             stats.live_bytes_peak <= budget + UNIT_SLACK,
@@ -73,7 +74,7 @@ proptest! {
             stats.live_bytes_peak, budget
         );
         let exact = optimize_with(&q, Algorithm::EaPrune, &base());
-        let (a, e) = (run.optimized.plan.cost, exact.plan.cost);
+        let (a, e) = (optimized.plan.cost, exact.plan.cost);
         prop_assert!(
             a >= e * (1.0 - 1e-9),
             "budgeted cost {a} beats the exact optimum {e} \
@@ -87,11 +88,12 @@ proptest! {
 #[test]
 fn exhausted_budget_ships_the_greedy_plan() {
     let q = generate_query(&GenConfig::topology(12, Topology::Star), 0);
-    let run = optimize_adaptive_run(&q, &budgeted(1));
-    let stats = run.optimized.memo;
+    let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+    let (optimized, winner) = optimize_prepared(&ctx, Algorithm::Adaptive, &budgeted(1), &mut memo);
+    let stats = optimized.memo;
     assert!(stats.degradation.memory_aborted);
     assert_eq!(AdaptiveMode::Greedy, stats.adaptive_mode);
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+    validate_complete_plan(&ctx, &memo, winner).unwrap();
 }
 
 /// With ample bytes a budget-only run completes the exact rung (it has no
@@ -102,14 +104,14 @@ fn exhausted_budget_ships_the_greedy_plan() {
 #[test]
 fn ample_budget_stays_bit_identical_to_unconstrained() {
     let q = generate_query(&GenConfig::paper(6), 4);
-    let run = optimize_adaptive_run(&q, &budgeted(1 << 40));
-    let stats = run.optimized.memo;
+    let optimized = optimize_with(&q, Algorithm::Adaptive, &budgeted(1 << 40));
+    let stats = optimized.memo;
     assert_eq!(AdaptiveMode::Exact, stats.adaptive_mode);
     assert!(!stats.degradation.any());
     let exact = optimize_with(&q, Algorithm::EaPrune, &base());
     assert_eq!(
         exact.plan.cost.to_bits(),
-        run.optimized.plan.cost.to_bits(),
+        optimized.plan.cost.to_bits(),
         "completed exact rung under an ample budget must reproduce the optimum"
     );
 }
@@ -123,13 +125,15 @@ fn ample_budget_stays_bit_identical_to_unconstrained() {
 fn thirty_relation_star_respects_memory_budget() {
     let q = generate_query(&GenConfig::topology(30, Topology::Star), 2);
     let budget = 2 << 20;
-    let run = optimize_adaptive_run(&q, &budgeted(budget));
-    let stats = run.optimized.memo;
+    let (ctx, mut memo) = (OptContext::new(q.clone()), Memo::new());
+    let (optimized, winner) =
+        optimize_prepared(&ctx, Algorithm::Adaptive, &budgeted(budget), &mut memo);
+    let stats = optimized.memo;
     assert!(
         stats.degradation.memory_aborted,
         "exact DP cannot fit 29·2^28 pairs in 2 MiB of live plans"
     );
-    validate_complete_plan(&run.ctx, &run.memo, run.winner).unwrap();
+    validate_complete_plan(&ctx, &memo, winner).unwrap();
     assert!(
         stats.live_bytes_peak <= budget + UNIT_SLACK,
         "live-byte peak {} blew past the 2 MiB budget",

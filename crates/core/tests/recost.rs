@@ -3,7 +3,7 @@
 //! ([`recost_plan`]), against the true EA-Prune optimum.
 
 use dpnext_core::{
-    optimize, recost_plan, Algorithm, DominanceKind, Memo, OptContext, Search, ThinBy,
+    optimize, optimize_prepared, recost_plan, Algorithm, Memo, OptContext, OptimizeOptions,
 };
 use dpnext_workload::{perturbed_pair, GenConfig, Topology};
 
@@ -22,13 +22,12 @@ fn recosted_plan_never_beats_the_true_optimum() {
                 let true_optimum = optimize(&truth, Algorithm::EaPrune).plan.cost;
 
                 // EA-Prune on the perturbed twin, keeping the memo and the
-                // winner's id: the search `optimize_into` runs.
+                // winner's id.
                 let ctx = OptContext::new(perturbed);
                 let mut memo = Memo::new();
-                let thin_by = ThinBy::dominance(&ctx, DominanceKind::Full);
-                let mut search = Search::new(&ctx, &mut memo, thin_by, true);
-                assert!(search.enumerate(), "{what}: nothing armed, yet refused");
-                let (chosen, winner) = search.finish(false);
+                let opts = OptimizeOptions::default();
+                let (chosen, winner) =
+                    optimize_prepared(&ctx, Algorithm::EaPrune, &opts, &mut memo);
 
                 let recosted = recost_plan(&OptContext::new(truth), &memo, winner)
                     .unwrap_or_else(|e| panic!("{what}: recost failed: {e}"));

@@ -77,14 +77,6 @@ pub fn distinct_in(base_distinct: f64, card: f64) -> f64 {
     base_distinct.min(card).max(1.0)
 }
 
-/// The `C_out` cost function (§4.4): the sum of intermediate result sizes;
-/// single-table scans are free. This helper returns the cost contribution
-/// of one operator given its output cardinality.
-#[inline]
-pub fn cout_contribution(output_card: f64) -> f64 {
-    output_card
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,5 +7,5 @@
 pub mod card;
 pub mod perturb;
 
-pub use card::{cout_contribution, distinct_in, grouping_card, join_card, match_probability};
+pub use card::{distinct_in, grouping_card, join_card, match_probability};
 pub use perturb::StatsPerturbation;

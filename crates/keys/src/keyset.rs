@@ -284,17 +284,6 @@ impl KeySet {
         out.assign_pairwise(self.as_ref(), other.as_ref());
         out
     }
-
-    /// Restrict to keys fully contained in the surviving attribute set
-    /// (used when projections drop columns).
-    pub fn restrict_to(&self, attrs: &[AttrId]) -> KeySet {
-        let attrs = normalize(attrs.to_vec());
-        let mut out = KeySet::empty();
-        for k in self.keys().filter(|k| is_subset(k, &attrs)) {
-            out.insert_sorted(k);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -344,14 +333,6 @@ mod tests {
         assert!(strong.implies(&KeySet::empty()));
         assert!(KeySet::empty().implies(&KeySet::empty()));
         assert!(!KeySet::empty().implies(&strong));
-    }
-
-    #[test]
-    fn restriction() {
-        let s = KeySet::from_keys([vec![a(0)], vec![a(1), a(2)]]);
-        let r = s.restrict_to(&[a(1), a(2), a(3)]);
-        assert_eq!(1, r.len());
-        assert!(r.some_key_within(&[a(1), a(2)]));
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! guard — **zero allocations, no clock read, no lock** — so
 //! instrumented code is bit-identical in behavior and unmeasurable in
 //! cost when tracing is off (pinned by the `disabled_path` regression
-//! test with a counting allocator). Enable with
-//! [`set_trace_level`]`(`[`TraceLevel::Spans`]`)` and install a sink:
-//! [`RingSink`] keeps the most recent spans in memory; anything else (a
-//! trace file, say) is a few lines over the [`TraceSink`] trait.
+//! test with a counting allocator). Tracing is on while a sink is
+//! installed ([`install_sink`], [`clear_sink`]): [`RingSink`] keeps the
+//! most recent spans in memory; anything else (a trace file, say) is a few
+//! lines over the [`TraceSink`] trait.
 //!
 //! ## Metrics
 //!
@@ -57,6 +57,6 @@ pub use metrics::{
     HistogramSnapshot, MetricKind, MetricValue, MetricsSnapshot, Registry, HIST_BUCKETS,
 };
 pub use trace::{
-    clear_sink, install_sink, set_trace_level, span, spans_closed, spans_opened, RingSink, Span,
-    SpanRecord, TagValue, TraceLevel, TraceSink,
+    clear_sink, install_sink, span, spans_closed, spans_opened, RingSink, Span, SpanRecord,
+    TagValue, TraceSink,
 };

@@ -2,21 +2,15 @@
 //! and a disabled path that costs one atomic load.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-/// How much the tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceLevel {
-    /// Record nothing. [`span`] returns an inert guard without reading
-    /// the clock or allocating — the production default.
-    Off,
-    /// Record spans and deliver them to the installed sink on close.
-    Spans,
-}
-
-static LEVEL: AtomicU8 = AtomicU8::new(0);
+/// Whether a sink is installed, mirrored out of [`SINK`] (both change
+/// under its write lock) so the disabled path reads one relaxed atomic and
+/// takes no lock. It publishes nothing: a recording span reaches the sink
+/// through the lock.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static SPANS_OPENED: AtomicU64 = AtomicU64::new(0);
 static SPANS_CLOSED: AtomicU64 = AtomicU64::new(0);
@@ -34,30 +28,32 @@ fn now_nanos() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Set the global trace level. Spans already in flight close normally
-/// (their open is always balanced by a close); spans created while `Off`
-/// stay inert even if the level rises before they drop.
-pub fn set_trace_level(level: TraceLevel) {
-    LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// Whether spans are currently recorded — one relaxed atomic load, the
 /// whole cost of instrumented code when tracing is off.
 #[inline]
 fn tracing_enabled() -> bool {
-    LEVEL.load(Ordering::Relaxed) != 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Install the global sink closed spans are delivered to (replacing any
-/// previous one). The sink alone records nothing — raise the level with
-/// [`set_trace_level`] too.
+/// Turn tracing on: install the global sink closed spans are delivered to
+/// (replacing any previous one). Tracing is on exactly while a sink is
+/// installed; with none — the production default — [`span`] returns an
+/// inert guard without reading the clock or allocating. Spans created
+/// while off stay inert even if a sink arrives before they drop.
 pub fn install_sink(sink: Arc<dyn TraceSink>) {
-    *SINK.write().unwrap() = Some(sink);
+    let mut slot = SINK.write().unwrap();
+    *slot = Some(sink);
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Remove and return the installed sink, if any.
+/// Turn tracing off: remove and return the installed sink, if any. Spans
+/// already in flight close normally (their open is always balanced by a
+/// close, and counted); they are delivered to whatever sink is installed
+/// when they do.
 pub fn clear_sink() -> Option<Arc<dyn TraceSink>> {
-    SINK.write().unwrap().take()
+    let mut slot = SINK.write().unwrap();
+    ENABLED.store(false, Ordering::Relaxed);
+    slot.take()
 }
 
 /// Spans opened since process start (only counted while tracing is on).
@@ -255,7 +251,7 @@ impl TraceSink for RingSink {
 mod tests {
     use super::*;
 
-    /// The trace tests mutate process-global state (level + sink), so
+    /// The trace tests mutate process-global state (the sink), so
     /// they serialize on one mutex instead of racing each other.
     fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
@@ -268,7 +264,6 @@ mod tests {
     #[test]
     fn disabled_span_is_inert() {
         let _guard = trace_lock();
-        set_trace_level(TraceLevel::Off);
         let opened = spans_opened();
         let mut s = span("test.inert");
         assert!(!s.is_recording());
@@ -282,7 +277,6 @@ mod tests {
         let _guard = trace_lock();
         let ring = Arc::new(RingSink::new(16));
         install_sink(ring.clone());
-        set_trace_level(TraceLevel::Spans);
         {
             let mut root = span("test.root");
             root.tag_u64("n", 6);
@@ -291,7 +285,6 @@ mod tests {
                 child.tag_str("outcome", "completed");
             }
         }
-        set_trace_level(TraceLevel::Off);
         clear_sink();
         let spans = ring.take();
         assert_eq!(2, spans.len());
@@ -309,12 +302,10 @@ mod tests {
         let _guard = trace_lock();
         let ring = Arc::new(RingSink::new(16));
         install_sink(ring.clone());
-        set_trace_level(TraceLevel::Spans);
         let unwound = std::panic::catch_unwind(|| {
             let _s = span("test.unwound");
             panic!("injected");
         });
-        set_trace_level(TraceLevel::Off);
         clear_sink();
         assert!(unwound.is_err());
         assert!(

@@ -32,8 +32,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_tracing_and_metric_hot_paths_allocate_nothing() {
-    dpnext_obs::set_trace_level(dpnext_obs::TraceLevel::Off);
-
     // Warm up everything that lazily allocates on first touch, so the
     // measured window sees only the steady-state hot paths.
     let gauge = dpnext_obs::global_live_bytes();

@@ -34,15 +34,6 @@ impl OpKind {
     pub fn preserves_right(self) -> bool {
         matches!(self, OpKind::Join | OpKind::LeftOuter | OpKind::FullOuter)
     }
-
-    /// Can the operator produce NULL-padded tuples on the given side?
-    pub fn pads_left(self) -> bool {
-        matches!(self, OpKind::FullOuter)
-    }
-
-    pub fn pads_right(self) -> bool {
-        matches!(self, OpKind::LeftOuter | OpKind::FullOuter)
-    }
 }
 
 impl fmt::Display for OpKind {
@@ -249,9 +240,6 @@ mod tests {
         assert!(OpKind::FullOuter.is_commutative());
         assert!(!OpKind::LeftOuter.is_commutative());
         assert!(!OpKind::Semi.preserves_right());
-        assert!(OpKind::LeftOuter.pads_right());
-        assert!(!OpKind::LeftOuter.pads_left());
-        assert!(OpKind::FullOuter.pads_left());
     }
 
     #[test]

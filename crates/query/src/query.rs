@@ -104,11 +104,6 @@ impl Query {
         origins
     }
 
-    /// The table occurrence providing `attr`, if it is a base attribute.
-    pub fn table_of_attr(&self, attr: AttrId) -> Option<usize> {
-        self.tables.iter().position(|t| t.has_attr(attr))
-    }
-
     /// The canonical (unoptimized) executable plan: the initial operator
     /// tree followed by the top grouping, post map and output projection —
     /// exactly how a system without grouping reordering would run it.
@@ -281,7 +276,6 @@ mod tests {
         let origins = q.attr_origins();
         assert_eq!(NodeSet::single(0), origins[&a(1)]);
         assert_eq!(NodeSet::single(1), origins[&a(3)]);
-        assert_eq!(Some(1), q.table_of_attr(a(2)));
     }
 
     #[test]

@@ -74,8 +74,8 @@
 //! valid but stay out of the cache, so a later uncontended arrival
 //! re-optimizes.
 //!
-//! Out of band, an opt-in scrape endpoint ([`MetricsServer`],
-//! [`ServiceConfig::metrics_addr`]) serves the registry as Prometheus
+//! Out of band, an opt-in scrape endpoint ([`MetricsServer::spawn`] on
+//! the `Arc`'d service and an address) serves the registry as Prometheus
 //! text and [`ServiceStats`] as JSON from one blocking thread the request
 //! path never touches.
 //!

@@ -8,13 +8,13 @@
 //!   ([`OptimizerService::metrics_text`]).
 //! * `GET /stats.json` — [`ServiceStats`](crate::ServiceStats) as JSON.
 //!
-//! The endpoint is opt-in (see
-//! [`ServiceConfig::metrics_addr`](crate::ServiceConfig::metrics_addr))
-//! and entirely out of band: the request path of the service never
-//! touches it, and a wedged scraper — one that sends nothing, drips its
-//! request a byte at a time, or never reads the response — can at worst
-//! stall this one thread for [`SCRAPE_TIMEOUT`]: the deadline covers the
-//! whole connection, not each `read` or `write` call.
+//! The endpoint is opt-in (it exists once its owner calls
+//! [`MetricsServer::spawn`]) and entirely out of band: the request path of
+//! the service never touches it, and a wedged scraper — one that sends
+//! nothing, drips its request a byte at a time, or never reads the
+//! response — can at worst stall this one thread for [`SCRAPE_TIMEOUT`]:
+//! the deadline covers the whole connection, not each `read` or `write`
+//! call.
 
 use crate::OptimizerService;
 use std::io::{Read, Write};

@@ -9,14 +9,12 @@ use crate::govern::{
     ResourceLedger, ShapeBreaker,
 };
 use crate::pool::{MemoPool, PoolStats};
-use crate::scrape::MetricsServer;
 use dpnext::{Algorithm, Optimized, Optimizer};
 use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
 use dpnext_obs::{Counter, Histogram, Registry, Span};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::hash::BuildHasher;
-use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,14 +65,6 @@ pub struct ServiceConfig {
     /// promoted to a full-quality half-open probe (success closes the
     /// breaker, failure re-opens it).
     pub breaker_cooldown: Duration,
-    /// Address for the scrape endpoint ([`MetricsServer`]): `GET
-    /// /metrics` serves the registry in Prometheus text format, `GET
-    /// /stats.json` the [`ServiceStats`] as JSON. Opt-in and out of band:
-    /// the endpoint only exists after the owner calls
-    /// [`OptimizerService::serve_metrics`] on the `Arc`'d service (one
-    /// blocking thread; the request path never touches it). `None` (the
-    /// default) disables it. Use port 0 to bind an ephemeral port.
-    pub metrics_addr: Option<SocketAddr>,
 }
 
 impl Default for ServiceConfig {
@@ -87,7 +77,6 @@ impl Default for ServiceConfig {
             memory_cap_bytes: 0,
             breaker_threshold: 0,
             breaker_cooldown: Duration::from_millis(250),
-            metrics_addr: None,
         }
     }
 }
@@ -196,7 +185,6 @@ pub struct ServiceStats {
 /// the crate docs for the cache-key semantics and the governance layer.
 pub struct OptimizerService {
     optimizer: Optimizer,
-    config: ServiceConfig,
     cache: PlanCache,
     pool: MemoPool,
     ledger: Arc<ResourceLedger>,
@@ -317,7 +305,6 @@ impl OptimizerService {
             ledger,
             gate,
             breaker,
-            config,
             epoch: AtomicU64::new(0),
             requests: registry.counter(
                 "dpnext_requests_total",
@@ -743,15 +730,6 @@ impl OptimizerService {
     /// `GET /metrics` on the scrape endpoint serves.
     pub fn metrics_text(&self) -> String {
         self.registry.snapshot().render_text()
-    }
-
-    /// Start the scrape endpoint on [`ServiceConfig::metrics_addr`].
-    /// Returns `None` when no address was configured. The server owns one
-    /// blocking thread and stops when the returned handle drops.
-    pub fn serve_metrics(self: &Arc<Self>) -> Option<std::io::Result<MetricsServer>> {
-        self.config
-            .metrics_addr
-            .map(|addr| MetricsServer::spawn(self.clone(), addr))
     }
 }
 

@@ -36,7 +36,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn cache_hit_allocates_exactly_what_the_fingerprint_allocates() {
-    dpnext_obs::set_trace_level(dpnext_obs::TraceLevel::Off);
     let query = generate_query(&GenConfig::paper(6), 3);
     let service = OptimizerService::new(Optimizer::new(Algorithm::EaPrune));
 

@@ -8,10 +8,11 @@
 use dpnext::{Algorithm as A, Optimized, Optimizer};
 use dpnext_obs::{
     lint_prometheus_text, HistogramSnapshot, MetricValue, MetricsSnapshot, RingSink, SpanRecord,
-    TagValue, TraceLevel,
+    TagValue,
 };
 use dpnext_serve::{
-    Fault, FaultInjector, OptimizerService, ServeError, ServeResult, ServiceConfig, SCRAPE_TIMEOUT,
+    Fault, FaultInjector, MetricsServer, OptimizerService, ServeError, ServeResult, ServiceConfig,
+    SCRAPE_TIMEOUT,
 };
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig, Topology};
 use std::io::{Read, Write};
@@ -19,7 +20,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Tracing level, sink and the span-open/close counters are process
+/// The trace sink and the span-open/close counters are process
 /// globals: every test in this binary serializes on this lock so one
 /// test's open spans never leak into another's bookkeeping.
 fn trace_lock() -> &'static Mutex<()> {
@@ -87,7 +88,6 @@ fn traced_golden_grid_is_bit_identical_and_every_span_closes() {
 
     let sink = Arc::new(RingSink::new(4096));
     dpnext_obs::install_sink(sink.clone());
-    dpnext_obs::set_trace_level(TraceLevel::Spans);
     let open_before = dpnext_obs::spans_opened() - dpnext_obs::spans_closed();
 
     let service = OptimizerService::new(Optimizer::new(A::EaPrune));
@@ -98,7 +98,6 @@ fn traced_golden_grid_is_bit_identical_and_every_span_closes() {
         assert_bit_identical(cold, &served.result, &what);
     }
 
-    dpnext_obs::set_trace_level(TraceLevel::Off);
     dpnext_obs::clear_sink();
     let open_after = dpnext_obs::spans_opened() - dpnext_obs::spans_closed();
     assert_eq!(
@@ -140,14 +139,12 @@ fn traced_miss_carries_one_engine_enumerate_span() {
     ] {
         let sink = Arc::new(RingSink::new(256));
         dpnext_obs::install_sink(sink.clone());
-        dpnext_obs::set_trace_level(TraceLevel::Spans);
 
         let service = OptimizerService::new(Optimizer::new(algorithm));
         let query = generate_query(&GenConfig::paper(6), 1000);
         let miss = service.optimize(&query).expect("no faults injected");
         let hit = service.optimize(&query).expect("no faults injected");
 
-        dpnext_obs::set_trace_level(TraceLevel::Off);
         dpnext_obs::clear_sink();
         assert!(!miss.cache_hit && hit.cache_hit);
 
@@ -222,7 +219,6 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
         .with_fault_injection(injector(seed)),
     );
     dpnext_obs::install_sink(Arc::new(RingSink::new(64)));
-    dpnext_obs::set_trace_level(TraceLevel::Spans);
 
     // (hits, panicked, rejected) as the clients saw them.
     let seen = Mutex::new((0u64, 0u64, 0u64));
@@ -245,7 +241,6 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
             });
         }
     });
-    dpnext_obs::set_trace_level(TraceLevel::Off);
     dpnext_obs::clear_sink();
     let (hits, panicked, rejected) = seen.into_inner().unwrap();
     assert!(hits > 0, "repeated shapes must produce cache hits");
@@ -366,7 +361,6 @@ fn sql_errors_are_on_the_books() {
     let _guard = locked();
     let sink = Arc::new(RingSink::new(16));
     dpnext_obs::install_sink(sink.clone());
-    dpnext_obs::set_trace_level(TraceLevel::Spans);
 
     let service = OptimizerService::new(Optimizer::new(A::EaPrune));
     let texts = [
@@ -382,7 +376,6 @@ fn sql_errors_are_on_the_books() {
         assert!(matches!(err, Err(ServeError::Sql(_))), "{sql}: {err:?}");
     }
 
-    dpnext_obs::set_trace_level(TraceLevel::Off);
     dpnext_obs::clear_sink();
     let stats = service.stats();
     let snapshot = service.registry().snapshot();
@@ -459,7 +452,6 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     let _guard = locked();
     let sink = Arc::new(RingSink::new(4096));
     dpnext_obs::install_sink(sink.clone());
-    dpnext_obs::set_trace_level(TraceLevel::Spans);
     let quiet = || Optimizer::new(A::EaPrune).explain(false);
     let query = generate_query(&GenConfig::paper(5), 1);
 
@@ -548,7 +540,6 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     assert_eq!(Some(&TagValue::Str("open")), run.tag("breaker"));
     assert_eq!(1, service.stats().breaker.open_served);
 
-    dpnext_obs::set_trace_level(TraceLevel::Off);
     dpnext_obs::clear_sink();
 }
 
@@ -558,20 +549,12 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
 #[test]
 fn scrape_endpoint_serves_lint_clean_text_and_stats_json() {
     let _guard = locked();
-    let service = Arc::new(OptimizerService::with_config(
-        Optimizer::new(A::EaPrune),
-        ServiceConfig {
-            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
-            ..ServiceConfig::default()
-        },
-    ));
+    let service = Arc::new(OptimizerService::new(Optimizer::new(A::EaPrune)));
     for seed in 0..3 {
         let q = generate_query(&GenConfig::paper(4), seed);
         service.optimize(&q).expect("no faults injected");
     }
-    let server = service
-        .serve_metrics()
-        .expect("metrics_addr is configured")
+    let server = MetricsServer::spawn(service.clone(), "127.0.0.1:0".parse().unwrap())
         .expect("bind 127.0.0.1:0");
     let addr = server.local_addr();
 
@@ -613,16 +596,8 @@ fn scrape_endpoint_serves_lint_clean_text_and_stats_json() {
 #[test]
 fn scrape_endpoint_drops_stalled_and_dripping_peers() {
     let _guard = locked();
-    let service = Arc::new(OptimizerService::with_config(
-        Optimizer::new(A::EaPrune),
-        ServiceConfig {
-            metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
-            ..ServiceConfig::default()
-        },
-    ));
-    let server = service
-        .serve_metrics()
-        .expect("metrics_addr is configured")
+    let service = Arc::new(OptimizerService::new(Optimizer::new(A::EaPrune)));
+    let server = MetricsServer::spawn(service.clone(), "127.0.0.1:0".parse().unwrap())
         .expect("bind 127.0.0.1:0");
     let addr = server.local_addr();
     // One connection's deadline plus scheduling slack.

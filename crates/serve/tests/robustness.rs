@@ -6,6 +6,7 @@
 use dpnext::{Algorithm as A, Optimizer};
 use dpnext_serve::{Fault, FaultInjector, OptimizerService, ServeError, ServiceConfig};
 use dpnext_workload::{generate_query, GenConfig, Topology};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
 fn quiet_optimizer(algo: A) -> Optimizer {
@@ -167,4 +168,150 @@ fn unconstrained_requests_stay_bit_identical() {
     assert_eq!(cold.plans_built, served.result.plans_built);
     assert!(!served.result.memo.degradation.deadline_aborted);
     assert_eq!(0, service.stats().deadline_degraded);
+}
+
+/// The statements the SQL fuzz mutates: between them `join`, `semi` and
+/// `anti join`, `left` and `full outer join`, nested parentheses, an `and`
+/// condition, `avg`, `count(distinct ..)` and scalar aggregates.
+const FUZZ_SEEDS: [&str; 7] = [
+    "select ns.n_name, nc.n_name, count(*) \
+     from (nation ns join supplier s on ns.n_nationkey = s.s_nationkey) \
+     full outer join (nation nc join customer c on nc.n_nationkey = c.c_nationkey) \
+     on ns.n_nationkey = nc.n_nationkey group by ns.n_name, nc.n_name",
+    "select r.r_name, count(*), min(c.c_acctbal) \
+     from region r join nation n on r.r_regionkey = n.n_regionkey \
+     join (customer c anti join orders o on c.c_custkey = o.o_custkey) \
+     on n.n_nationkey = c.c_nationkey group by r.r_name",
+    "select n.n_name, count(*) from nation n semi join supplier s \
+     on n.n_nationkey = s.s_nationkey group by n.n_name",
+    "select c.c_mktsegment, count(o.o_orderkey), sum(l.l_quantity) \
+     from customer c left outer join orders o on c.c_custkey = o.o_custkey \
+     left outer join lineitem l on o.o_orderkey = l.l_orderkey group by c.c_mktsegment",
+    "select c.c_mktsegment, max(s.s_acctbal) from customer c join supplier s \
+     on c.c_nationkey = s.s_nationkey and c.c_acctbal = s.s_acctbal group by c.c_mktsegment",
+    "select n.n_name, avg(s.s_acctbal), count(distinct s.s_nationkey) \
+     from nation n join supplier s on n.n_nationkey = s.s_nationkey group by n.n_name",
+    "select count(*), sum(l.l_quantity), max(o.o_totalprice) \
+     from orders o join lineitem l on o.o_orderkey = l.l_orderkey \
+     semi join customer c on o.o_custkey = c.c_custkey",
+];
+
+/// What the byte-level edits splice in: quotes, parentheses, a two-byte
+/// letter, the no-break space and NEL (whitespace to Unicode, not to SQL),
+/// a literal no integer type holds, and the punctuation of the grammar.
+const FUZZ_SPLICES: [&str; 12] = [
+    "'",
+    "\"",
+    "(",
+    ")",
+    "é",
+    "\u{a0}",
+    "\u{85}",
+    "12345678901234567890",
+    ",",
+    ".",
+    "*",
+    "=",
+];
+
+/// Words (qualified names whole) and punctuation of `text`, in order,
+/// whitespace dropped.
+fn fuzz_tokens(text: &str) -> Vec<&str> {
+    let word = |c: char| c.is_alphanumeric() || c == '_' || c == '.';
+    let mut tokens = Vec::new();
+    let mut rest = text.trim_start();
+    while let Some(first) = rest.chars().next() {
+        let len = if word(first) {
+            rest.find(|c| !word(c)).unwrap_or(rest.len())
+        } else {
+            first.len_utf8()
+        };
+        tokens.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    tokens
+}
+
+/// The SQL door fails closed: seeded token- and byte-level mutants of the
+/// seed statements — most of them garbage, some of them other valid
+/// statements — get a plan or a `ServeError::Sql` through the service,
+/// never a panic, and every rejected text is on the books.
+#[test]
+fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
+    const MUTANTS: u64 = 20_000;
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut below = move |n: usize| rng.gen_range(0..n);
+    let service = OptimizerService::new(quiet_optimizer(A::EaPrune));
+    let (mut planned, mut rejected) = (0u64, 0u64);
+    for _ in 0..MUTANTS {
+        let seed = FUZZ_SEEDS[below(FUZZ_SEEDS.len())];
+        // Inserted and replacing tokens come from the statement itself, so
+        // some mutants name its own tables and columns in new places.
+        let pool = fuzz_tokens(seed);
+        let mut text = seed.to_string();
+        for _ in 0..1 + below(3) {
+            // A char boundary of the current text, for the byte-level edits.
+            let cut = text.floor_char_boundary(below(text.len() + 1));
+            match below(7) {
+                edit @ 0..=3 => {
+                    let mut tokens = fuzz_tokens(&text);
+                    if tokens.is_empty() {
+                        continue;
+                    }
+                    let (at, other) = (below(tokens.len()), below(tokens.len()));
+                    match edit {
+                        0 => drop(tokens.remove(at)),
+                        1 => tokens.insert(at, pool[below(pool.len())]),
+                        2 => {
+                            // Like for like (a qualified name, a word, a
+                            // punctuation mark): stays near the grammar.
+                            let kind =
+                                |t: &str| (t.contains('.'), t.starts_with(char::is_alphabetic));
+                            let like: Vec<_> = pool
+                                .iter()
+                                .filter(|t| kind(t) == kind(tokens[at]))
+                                .collect();
+                            if !like.is_empty() {
+                                tokens[at] = like[below(like.len())];
+                            }
+                        }
+                        _ => tokens.swap(at, other),
+                    }
+                    text = tokens.join(" ");
+                }
+                4 => text.truncate(cut),
+                edit => {
+                    // Splice in, or overwrite the char at `cut` with, a piece.
+                    let until = match text[cut..].chars().next() {
+                        Some(c) if edit == 5 => cut + c.len_utf8(),
+                        _ => cut,
+                    };
+                    text.replace_range(cut..until, FUZZ_SPLICES[below(FUZZ_SPLICES.len())]);
+                }
+            }
+        }
+        match service.optimize_sql(&text) {
+            Ok(reply) => {
+                planned += 1;
+                assert!(reply.result.plan.cost.is_finite(), "{text}");
+            }
+            Err(ServeError::Sql(_)) => rejected += 1,
+            Err(e) => panic!("{text}: {e}"),
+        }
+    }
+    println!("{planned} of {MUTANTS} mutants bound, {rejected} were SQL errors");
+    assert!(
+        100 * planned >= MUTANTS,
+        "only {planned} of {MUTANTS} mutants bound: the generator has decayed into noise"
+    );
+    let stats = service.stats();
+    assert_eq!(MUTANTS, stats.requests);
+    assert_eq!(
+        rejected,
+        service
+            .registry()
+            .snapshot()
+            .counter_total("dpnext_sql_errors_total")
+    );
+    assert_eq!((0, 0), (stats.panics, stats.pool.quarantined));
 }

@@ -14,7 +14,12 @@ pub struct BoundQuery {
     /// `(catalog table, alias, column mapping)` per occurrence, in table
     /// index order.
     pub occurrences: Vec<(String, String, HashMap<String, AttrId>)>,
-    /// Human-readable labels of the output columns.
+    /// Human-readable labels of the select list, in item order. For a
+    /// grouped statement they label the plan's output column for column
+    /// ([`GroupSpec::output`] is the select list). An *ungrouped* statement
+    /// has no projection at all (`Query::grouping` is `None`): its plan
+    /// returns every visible column of the join, whatever the select list
+    /// names, so there the labels do not line up with the result.
     pub output_names: Vec<String>,
 }
 
@@ -55,11 +60,15 @@ pub fn bind(ast: &AstQuery, catalog: &Catalog) -> Result<BoundQuery, SqlError> {
     let mut aggs: Vec<AggCall> = Vec::new();
     let mut output_names = Vec::new();
     let mut plain_columns: Vec<AttrId> = Vec::new();
+    // The select list's attributes in item order: a plain column's id, an
+    // aggregate's output.
+    let mut select_list: Vec<AttrId> = Vec::new();
     for item in &ast.items {
         match item {
             AstItem::Column(q) => {
                 let a = binder.resolve(q)?;
                 plain_columns.push(a);
+                select_list.push(a);
                 output_names.push(q.to_string());
             }
             AstItem::Agg {
@@ -70,6 +79,7 @@ pub fn bind(ast: &AstQuery, catalog: &Catalog) -> Result<BoundQuery, SqlError> {
             } => {
                 let kind = agg_kind(func, *distinct)?;
                 let out = gen.fresh();
+                select_list.push(out);
                 let call = match arg {
                     None => AggCall::count_star(out),
                     Some(q) => AggCall::new(out, kind, Expr::attr(binder.resolve(q)?)),
@@ -85,15 +95,26 @@ pub fn bind(ast: &AstQuery, catalog: &Catalog) -> Result<BoundQuery, SqlError> {
 
     let has_grouping = !ast.group_by.is_empty() || !aggs.is_empty();
     let grouping = if has_grouping {
-        // SQL rule: plain select columns must be grouping columns.
-        for &c in &plain_columns {
+        // SQL rule: plain select columns must be grouping columns. Output
+        // columns are identified by attribute, so each at most once.
+        for (i, &c) in plain_columns.iter().enumerate() {
             if !group_by.contains(&c) {
                 return Err(SqlError::new(format!(
                     "column {c} must appear in GROUP BY or inside an aggregate"
                 )));
             }
+            if plain_columns[..i].contains(&c) {
+                return Err(SqlError::new(format!(
+                    "column {c} appears twice in the select list"
+                )));
+            }
         }
-        Some(GroupSpec::new(group_by, aggs, &mut gen))
+        // `GroupSpec::new` lists GROUP BY order, then the aggregates; the
+        // final projection yields the select list, in order, and nothing
+        // else.
+        let mut spec = GroupSpec::new(group_by, aggs, &mut gen);
+        spec.output = select_list;
+        Some(spec)
     } else {
         None
     };
@@ -338,5 +359,26 @@ mod tests {
             &catalog,
         )
         .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// A select list in "GROUP BY order, then the aggregates" form — the
+    /// form of every statement in the benchmark's corpus — binds to the
+    /// output `GroupSpec::new` builds by itself: grouping attributes, then
+    /// each user-visible aggregate's output (`avg`'s is its post-map column).
+    #[test]
+    fn group_by_order_then_aggregates_is_the_default_output() {
+        let bound = plan(
+            "select n.n_name, n.n_regionkey, count(*), avg(s.s_acctbal) \
+             from nation n join supplier s on n.n_nationkey = s.s_nationkey \
+             group by n.n_name, n.n_regionkey",
+            &tpch_catalog(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let g = bound.query.grouping.expect("grouped");
+        let nation = &bound.occurrences[0].2;
+        assert_eq!(vec![nation["n_name"], nation["n_regionkey"]], g.group_by);
+        let mut default_output = g.group_by.clone();
+        default_output.extend([g.aggs[0].out, g.post[0].0]);
+        assert_eq!(default_output, g.output);
     }
 }

@@ -159,3 +159,59 @@ fn semi_and_anti_join_queries() {
     let opt = optimize(&bound.query, Algorithm::EaPrune);
     assert!(opt.plan.root.eval(&db).bag_eq(&reference));
 }
+
+/// A grouped statement's labels sit over their own columns: the executed
+/// plan yields the select list, in order, and nothing else — whatever order
+/// GROUP BY names the grouping columns in, and whether or not it selects
+/// them.
+#[test]
+fn grouped_select_list_labels_its_own_columns() {
+    let catalog = tpch_catalog();
+    for (select, group_by) in [
+        ("count(*), n.n_name", "n.n_name"),
+        ("count(*)", "n.n_name"),
+        (
+            "n.n_regionkey, n.n_name, count(*)",
+            "n.n_name, n.n_regionkey",
+        ),
+    ] {
+        let text = format!(
+            "select {select} from nation n join supplier s on n.n_nationkey = s.s_nationkey \
+             group by {group_by}"
+        );
+        let bound = plan(&text, &catalog).unwrap();
+        let occs: Vec<_> = bound
+            .occurrences
+            .iter()
+            .enumerate()
+            .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
+            .collect();
+        let db = generate_database(0.002, 11, &occs);
+        let alias = |i: usize| bound.query.tables[i].alias.clone();
+        let join_rows = bound.query.tree.to_alg(&alias).eval(&db).len() as i64;
+        let result = optimize(&bound.query, Algorithm::EaPrune)
+            .plan
+            .root
+            .eval(&db);
+        assert_eq!(bound.output_names.len(), result.schema().len(), "{text}");
+        for (label, &attr) in bound.output_names.iter().zip(result.schema().attrs()) {
+            match label.strip_prefix("n.") {
+                // A plain column: the attribute of nation's occurrence.
+                Some(column) => assert_eq!(bound.occurrences[0].2[column], attr, "{text}: {label}"),
+                // The count: the column whose values sum to the join's rows.
+                None => {
+                    let counted: i64 = (0..result.len())
+                        .map(|row| result.value(row, attr).as_int().expect("a count"))
+                        .sum();
+                    assert_eq!(join_rows, counted, "{text}: {label}");
+                }
+            }
+        }
+    }
+    // Output columns are identified by attribute: a repeat cannot be labelled.
+    assert!(plan(
+        "select n_name, n_name, count(*) from nation group by n_name",
+        &catalog
+    )
+    .is_err());
+}

@@ -2,7 +2,6 @@
 //! entry point running the full pipeline `SQL text → parse/bind → Query →
 //! memo DP → Optimized` in one call.
 
-pub use dpnext_adaptive as adaptive;
 pub use dpnext_algebra as algebra;
 pub use dpnext_catalog as catalog;
 pub use dpnext_conflict as conflict;
@@ -17,6 +16,6 @@ pub use dpnext_workload as workload;
 mod optimizer;
 
 pub use dpnext_core::{
-    AdaptiveMode, Algorithm, Degradation, DominanceKind, Memo, MemoStats, Optimized,
+    optimize_into, AdaptiveMode, Algorithm, Degradation, DominanceKind, Memo, MemoStats, Optimized,
 };
-pub use optimizer::{optimize_into, Optimizer};
+pub use optimizer::Optimizer;

@@ -15,7 +15,7 @@
 //! ```
 
 use dpnext_catalog::{tpch_catalog, Catalog};
-use dpnext_core::{Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
+use dpnext_core::{optimize_into, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::fmt;
@@ -102,27 +102,24 @@ impl Optimizer {
         self
     }
 
-    /// Plan budget for [`Algorithm::Adaptive`]: the maximum number of
-    /// plans the search may build across its exact → linearized → greedy
-    /// degradation ladder. `0` (the default) uses
-    /// `dpnext_adaptive::DEFAULT_PLAN_BUDGET`; requests below the greedy
-    /// floor are clamped up so a valid plan always fits. The stats on the
-    /// result prove the cap: `memo.plan_budget` is the effective budget
-    /// and `plans_built` never exceeds it. Ignored by the exact
-    /// algorithms.
+    /// Plan budget of a ladder run ([`OptimizeOptions::plan_budget`]): the
+    /// maximum number of plans the search may build across its exact →
+    /// linearized → greedy degradation ladder. `0` (the default) uses
+    /// [`dpnext_core::ladder::DEFAULT_PLAN_BUDGET`]; requests below the
+    /// greedy floor are clamped up so a valid plan always fits. The stats
+    /// on the result prove the cap: `memo.plan_budget` is the effective
+    /// budget and `plans_built` never exceeds it.
     pub fn plan_budget(mut self, budget: u64) -> Optimizer {
         self.options.plan_budget = budget;
         self
     }
 
-    /// Wall-clock deadline per optimization. A deadline turns *any*
-    /// algorithm choice into the adaptive degradation ladder
-    /// (`dpnext_adaptive::optimize_adaptive`): an exact run arms no
-    /// budget, and a search stopped mid-stream needs the ladder's other
-    /// rungs to have a plan to ship — the run degrades exact →
-    /// partial-exact → linearized → greedy as the clock runs out and always
-    /// returns a structurally valid plan, with `memo.degradation` recording
-    /// why.
+    /// Wall-clock deadline per optimization
+    /// ([`OptimizeOptions::deadline`]). A deadline turns *any* algorithm
+    /// choice into the adaptive degradation ladder: the run degrades exact
+    /// → partial-exact → linearized → greedy as the clock runs out and
+    /// always returns a structurally valid plan, with `memo.degradation`
+    /// recording why.
     /// Overshoot past the deadline is bounded by one enumeration work
     /// unit. `None` (the default) changes nothing: unconstrained runs are
     /// bit-identical to an optimizer without the knob.
@@ -134,11 +131,11 @@ impl Optimizer {
     /// Per-request memory budget in bytes of live memo state
     /// ([`dpnext_core::Memo::live_bytes`]). Like a deadline, a non-zero
     /// budget turns *any* algorithm choice into the adaptive degradation
-    /// ladder, for the same reason: the run degrades the moment live bytes
-    /// reach the budget (overshoot bounded by one work unit's plans) and
-    /// always returns a structurally valid plan, with
-    /// `memo.degradation.memory_aborted` recording why. `0` (the default)
-    /// changes nothing: unconstrained runs stay bit-identical.
+    /// ladder: the run degrades the moment live bytes reach the budget
+    /// (overshoot bounded by one work unit's plans) and always returns a
+    /// structurally valid plan, with `memo.degradation.memory_aborted`
+    /// recording why. `0` (the default) changes nothing: unconstrained
+    /// runs stay bit-identical.
     pub fn memory_budget(mut self, bytes: u64) -> Optimizer {
         self.options.memory_budget = bytes;
         self
@@ -147,7 +144,7 @@ impl Optimizer {
     /// Fault-injection hook: busy-wait this long before every enumeration
     /// work unit of a ladder run, simulating a pathologically slow
     /// enumeration. Exists so deadline/degradation paths are testable
-    /// deterministically (see `crates/adaptive/tests/deadline.rs`); never
+    /// deterministically (see `crates/core/tests/deadline.rs`); never
     /// set in production.
     pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
         self.options.fault_unit_delay = delay;
@@ -219,31 +216,5 @@ impl Optimizer {
     /// hands them to [`optimize_into`].
     pub fn configured(&self) -> (Algorithm, OptimizeOptions) {
         (self.algorithm, self.options)
-    }
-}
-
-/// Whether a run of `algorithm` under `options` goes down the adaptive
-/// ladder: the ladder lives above dpnext-core (see the crate layering note
-/// on [`Algorithm::Adaptive`]), and a deadline or a byte budget turns any
-/// algorithm choice into it — only the ladder arms a budget, and only it
-/// has a plan to ship when the budget stops the search mid-stream.
-fn rides_ladder(algorithm: Algorithm, options: &OptimizeOptions) -> bool {
-    algorithm == Algorithm::Adaptive || options.deadline.is_some() || options.memory_budget != 0
-}
-
-/// Run `algorithm` under `options` inside `memo`: [`dpnext_core::optimize_into`]
-/// plus the ladder, the one place the two are told apart. Either is one
-/// `dpnext_core::Search` borrowing `memo`, which therefore holds what the
-/// run grew it to even when the run panics.
-pub fn optimize_into(
-    query: &Query,
-    algorithm: Algorithm,
-    options: &OptimizeOptions,
-    memo: &mut Memo,
-) -> Optimized {
-    if rides_ladder(algorithm, options) {
-        dpnext_adaptive::optimize_adaptive_into(query, options, memo)
-    } else {
-        dpnext_core::optimize_into(query, algorithm, options, memo)
     }
 }

@@ -2,9 +2,10 @@
 //! through the facade crate: query construction → conflict detection →
 //! plan generation → compilation → execution.
 
-use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights};
+use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights, Topology};
 use dpnext::{AdaptiveMode, Algorithm, DominanceKind, Memo, Optimized, Optimizer};
 use dpnext_query::Query;
+use dpnext_serve::OptimizerService;
 use std::time::Duration;
 
 /// The workspace tests route through the `Optimizer` facade.
@@ -55,7 +56,7 @@ fn all_algorithms_agree_on_results_across_sizes() {
 /// The ladder's plans are *run*, not just validated: whatever rung a plan
 /// comes from and whatever stopped the rungs above it, it must return what
 /// the canonical plan returns. The configurations are chosen to reach
-/// every shipping rung and every [`dpnext::core::Exhausted`] cause, and the
+/// every shipping rung and every resource a budget can run out of, and the
 /// test says so, so it cannot shrink to one rung unnoticed; it also counts
 /// the reference results that have rows, because agreeing on empty bags
 /// proves nothing.
@@ -120,6 +121,105 @@ fn ladder_plans_agree_on_results_across_rungs_and_causes() {
         3 * with_rows >= references,
         "only {with_rows} of {references} reference results have rows"
     );
+}
+
+/// One `(Algorithm, OptimizeOptions)` value means one thing at every door:
+/// the core entry point, the facade's re-export into a fresh memo, the
+/// `Optimizer` in its scratch memo and in a caller's dirty one, and a
+/// service miss all run the same search — exact or ladder — and report the
+/// same cost bits, plan counts and memo statistics.
+#[test]
+fn every_door_runs_the_same_search() {
+    let rows = |n: usize| {
+        let new = Optimizer::new;
+        let mut rows = vec![
+            ("EaPrune", new(Algorithm::EaPrune)),
+            ("H1", new(Algorithm::H1)),
+            ("Adaptive", new(Algorithm::Adaptive)),
+            (
+                "Adaptive, 2000 plans",
+                new(Algorithm::Adaptive).plan_budget(2_000),
+            ),
+            (
+                "EaPrune, 1 h",
+                new(Algorithm::EaPrune).deadline(Some(Duration::from_secs(3600))),
+            ),
+            (
+                "EaPrune, expired deadline",
+                new(Algorithm::EaPrune).deadline(Some(Duration::ZERO)),
+            ),
+            (
+                "EaPrune, 1 TiB",
+                new(Algorithm::EaPrune).memory_budget(1 << 40),
+            ),
+            ("DPhyp, 1 byte", new(Algorithm::DPhyp).memory_budget(1)),
+        ];
+        if n == 4 {
+            rows.push(("EaAll", new(Algorithm::EaAll)));
+        }
+        rows
+    };
+    let queries = [
+        generate_query(&GenConfig::paper(4), 3),
+        generate_query(&GenConfig::paper(8), 3),
+        generate_query(&GenConfig::topology(8, Topology::Star), 3),
+    ];
+    // A caller's memo, holding an unrelated run's plans from the start.
+    let mut dirty = Memo::new();
+    Optimizer::new(Algorithm::H1).optimize_pooled(&queries[1], &mut dirty);
+    let mut degraded = Vec::new();
+    for query in &queries {
+        let n = query.table_count();
+        for (name, optimizer) in rows(n) {
+            let (algo, opts) = optimizer.configured();
+            let service = OptimizerService::new(optimizer.clone());
+            let served = service.optimize(query).expect("no faults injected");
+            assert!(!served.cache_hit);
+            let doors = [
+                (
+                    "core::optimize_with",
+                    dpnext::core::optimize_with(query, algo, &opts),
+                ),
+                (
+                    "optimize_into",
+                    dpnext::optimize_into(query, algo, &opts, &mut Memo::new()),
+                ),
+                ("Optimizer::optimize", optimizer.optimize(query)),
+                (
+                    "Optimizer::optimize_pooled",
+                    optimizer.optimize_pooled(query, &mut dirty),
+                ),
+                ("OptimizerService", Optimized::clone(&served.result)),
+            ];
+            let pinned = |o: &Optimized| {
+                (
+                    o.plan.cost.to_bits(),
+                    o.plans_built,
+                    o.retained_plans,
+                    o.memo,
+                )
+            };
+            let want = pinned(&doors[0].1);
+            for (door, got) in &doors[1..] {
+                assert_eq!(want, pinned(got), "{name}, n={n}: {door}");
+            }
+            // Budgeted rows climbed the ladder, at every door; the rest did
+            // not.
+            let budgeted =
+                algo == Algorithm::Adaptive || opts.deadline.is_some() || opts.memory_budget != 0;
+            assert_eq!(
+                budgeted,
+                want.3.adaptive_mode != AdaptiveMode::None,
+                "{name}"
+            );
+            if want.3.degradation.any() {
+                degraded.push(name);
+            }
+        }
+    }
+    for name in ["EaPrune, expired deadline", "DPhyp, 1 byte"] {
+        assert!(degraded.contains(&name), "{name} never degraded");
+    }
 }
 
 #[test]
