@@ -38,8 +38,10 @@ pub struct Cell {
     /// outliers").
     pub max_rel_cost: f64,
     pub mean_plans_built: f64,
-    /// Mean memo arena size at the end (retained DP state plus evicted
-    /// partial plans, which stay alive as children of later plans).
+    /// Mean memo arena size at the end: the retained DP state plus what
+    /// rollback cannot reach (evicted incumbents, which stay alive as
+    /// children of later plans, and the groupings under kept trees);
+    /// refused candidates are popped as the search goes.
     pub mean_arena_plans: f64,
     /// Mean peak plan-class width.
     pub mean_peak_class_width: f64,

@@ -11,8 +11,9 @@
 //! whole DPhyp stream in emission order, and the ladder's greedy merges
 //! and interval splits feed `Search::process` pair by pair. Either way the
 //! search builds the plans of each `(orientation, t1, t2)` work unit of the
-//! pair and folds them into their class ([`Memo::fold`]); complete plans
-//! compete on final cost instead. A search whose budget arms something
+//! pair and folds them into their class ([`Memo::fold`]), popping a refused
+//! one off the arena before it builds the next; complete plans compete on
+//! final cost instead. A search whose budget arms something
 //! asks it before every unit and stops at the first refusal; an exact run
 //! is a search with nothing armed. `Search::finish` is the one epilogue:
 //! winner, finalization, elapsed time, EXPLAIN, [`Optimized`].
@@ -23,7 +24,7 @@ use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::memo::{DominanceKind, Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::op_trees;
-use crate::plan::{apply_staged, make_scan, stage_apply, StagedApply};
+use crate::plan::{make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
 use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
 use dpnext_query::{OpKind, Query};
@@ -227,7 +228,6 @@ struct PairBufs {
     extra: Vec<usize>,
     lefts: Vec<PlanId>,
     rights: Vec<PlanId>,
-    trees: Vec<PlanId>,
     /// The cut constants of the orientation being applied.
     staged: StagedApply,
 }
@@ -296,6 +296,17 @@ impl ThinBy {
 /// Keep the cheapest finalized plan (ties resolved to the earlier one).
 /// Returns whether `id` became the new best.
 fn keep_best(best: &mut Option<(f64, PlanId)>, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
+    // A plan's `C_out` is a lower bound of its final cost (the top
+    // grouping only adds to it), so a plan already that expensive has
+    // lost. The full comparison reads the keys and the cardinality of a
+    // row built a moment ago — since the unit offers each tree as it is
+    // built — and its branches resolve only once those are computed; the
+    // bound settles nearly every losing complete plan on one hot-row field
+    // (ea-all-paper `latency_geomean_us` ×1.030 without it, in 10 of 10
+    // interleaved pairs).
+    if best.is_some_and(|(b, _)| memo[id].cost >= b) {
+        return false;
+    }
     // Compare by final cost only ([`final_numbers`]): compiling the
     // winner's algebra tree is deferred to the end of the run, so the
     // orders-of-magnitude more numerous losing complete plans never pay
@@ -330,7 +341,8 @@ pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
 /// Hard upper bound on the plans one enumeration work unit (one
 /// `(orientation, t1, t2)` subplan combination) can construct: `op_trees`
 /// builds at most the plain apply, two pushed-down groupings and three
-/// grouped applies (Fig. 8 (a)–(d)). An armed search uses this to
+/// grouped applies (Fig. 8 (a)–(d)) — and, popping what is refused, never
+/// holds more than those above what it keeps. An armed search uses this to
 /// translate a plan budget into a unit allowance without mid-unit
 /// bookkeeping.
 pub const UNIT_MAX_PLANS: u64 = 6;
@@ -561,14 +573,18 @@ impl<'a> Search<'a> {
 
     /// [`Search::process`], asking the meter before every unit iff `ARMED`:
     /// for each orientation of the pair, pair up the retained subplans of
-    /// both sides, construct the tree variants — all eager-aggregation
-    /// variants (`OpTrees`, Fig. 6) when `eager`, else only the plain
-    /// operator tree of the DPhyp baseline — and fold each into its class
-    /// under `thin_by`. Complete plans (the full relation set with every
-    /// operator applied) never enter a class: they compete on final cost,
-    /// and unless one becomes the best the whole `(t1, t2)` application is
-    /// rolled back — on EA-All the losing complete plans outnumber the
-    /// retained state by an order of magnitude.
+    /// both sides and run the one work unit, [`op_trees`]: it constructs the
+    /// tree variants — all eager-aggregation variants (`OpTrees`, Fig. 6)
+    /// when `eager`, else only the plain operator tree of the DPhyp
+    /// baseline — and offers each, while it is the arena's newest row, to
+    /// its class under `thin_by`; a tree the class refuses is popped before
+    /// the next one is built, so the arena holds what the classes keep (and
+    /// the incumbents they evicted since), not what the search built.
+    /// Complete plans (the full relation set with every operator applied)
+    /// never enter a class: they compete on final cost, and unless one
+    /// becomes the best the whole `(t1, t2)` unit is rolled back at once —
+    /// on EA-All the losing complete plans outnumber the retained state by
+    /// an order of magnitude.
     ///
     /// Every `(orientation, t1, t2)` combination is one **work unit**,
     /// counted in `units`. A refusal means *stop*: the rest of the pair is
@@ -596,7 +612,6 @@ impl<'a> Search<'a> {
             extra,
             lefts,
             rights,
-            trees,
             staged,
             ..
         } = &mut self.bufs;
@@ -625,40 +640,46 @@ impl<'a> Search<'a> {
                         }
                     }
                     self.units += 1;
+                    // A full-set unit is popped once, whole, unless it
+                    // produced a new best; below the full set `op_trees`
+                    // pops each tree its class refuses. Popping the losing
+                    // complete trees one by one as well read +4.3%
+                    // `latency_p50_us` and +4.7% `latency_geomean_us` on
+                    // the benchmark's ea-all-paper (its units are the
+                    // cheapest; 10 interleaved pairs against this shape)
+                    // for 10,092 bytes of `peak_live_bytes`, and a new best
+                    // is rare enough that what it buries does not register.
                     let mark = (s == full).then(|| memo.mark());
-                    trees.clear();
+                    let mut new_best = false;
                     // The constructors this loop calls (`op_trees`,
-                    // `apply_staged`, `make_group`, `Memo::fold`, and
-                    // `final_numbers` behind `keep_best`) and what those
-                    // call per plan in other modules (the
-                    // `OptContext`/`Scratch` accessors,
+                    // `apply_staged`, `make_group`, `Memo::fold`,
+                    // `Memo::mark`, `Memo::truncate`, and `final_numbers`
+                    // behind `keep_best`) and what those call per plan in
+                    // other modules (the `OptContext`/`Scratch` accessors,
                     // `push_grouped_state`) are `#[inline]` so they are
                     // compiled into this codegen unit; without that the
                     // benchmark's ea-prune-paper p99 reads 3–5% higher, and
                     // which module an edit lands in decides whether it does.
-                    if eager {
-                        op_trees(ctx, scratch, memo, staged, t1, t2, trees);
-                    } else if let Some(t) = apply_staged(ctx, scratch, memo, staged, t1, t2) {
-                        trees.push(t);
-                    }
-                    let mut kept = false;
-                    for &t in trees.iter() {
-                        if s == full {
-                            // A plan reaching the full relation set with an
-                            // operator missing (possible only for
-                            // pathological hyperedge/cut interactions) is
-                            // invalid: dropped.
-                            if memo[t].applied == all_ops {
-                                kept |= keep_best(&mut self.best, ctx, memo, t);
-                            }
-                        } else {
-                            memo.fold(s, t, thin_by);
+                    op_trees(ctx, scratch, memo, staged, t1, t2, eager, |memo, t| {
+                        if s != full {
+                            return memo.fold(s, t, thin_by);
                         }
-                    }
-                    if let Some(mark) = mark {
-                        if !kept {
-                            memo.truncate(mark);
+                        // A plan reaching the full relation set with an
+                        // operator missing (possible only for pathological
+                        // hyperedge/cut interactions) is invalid: it goes
+                        // with the unit.
+                        if memo[t].applied == all_ops {
+                            new_best |= keep_best(&mut self.best, ctx, memo, t);
                         }
+                        true
+                    });
+                    if let Some(mark) = mark.filter(|_| !new_best) {
+                        debug_assert!(
+                            memo.class(s).last().is_none_or(|&id| mark.covers(id))
+                                && self.best.is_none_or(|(_, id)| mark.covers(id)),
+                            "popping a unit whose row a class or the best plan names"
+                        );
+                        memo.truncate(mark);
                     }
                 }
             }

@@ -249,7 +249,10 @@ impl OptContext {
 }
 
 /// Mutable state of one enumeration: the fresh-attribute allocator, the
-/// memoized `G⁺(S)` cache and the plans-built counter.
+/// memoized `G⁺(S)` cache and the plans-built counter. A clone continues
+/// from the same fresh attribute, so two constructions from one starting
+/// state can be compared value for value.
+#[derive(Clone)]
 pub struct Scratch {
     next_attr: u32,
     /// `S` → where `G⁺(S)` sits in `gplus_attrs`.

@@ -349,6 +349,15 @@ pub struct MemoMark {
     lanes: [usize; LANES],
 }
 
+impl MemoMark {
+    /// Whether the plan `id` was in the arena when the mark was taken, so a
+    /// rollback to the mark leaves it in place.
+    #[inline]
+    pub fn covers(&self, id: PlanId) -> bool {
+        id.index() < self.rows
+    }
+}
+
 /// Which conditions the dominance test of Def. 4 applies. `Full` is the
 /// paper's (optimality-preserving) criterion; the weaker variants exist
 /// for the ablation study in `dpnext-bench` — they prune harder but can
@@ -473,11 +482,13 @@ impl std::fmt::Display for AdaptiveMode {
 /// them on its result, and they keep their defaults everywhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Plans held in the arena at the end of the run: the retained DP
-    /// state plus every evicted/replaced *partial* plan. Partial plans
-    /// can be children of later plans (including the winner), so only
-    /// losing *complete* plans are reclaimed during enumeration —
-    /// reclaiming evicted partials would need reference counting.
+    /// Rows held in the arena at the end of the run: what the classes
+    /// retain, plus what LIFO rollback cannot reach — incumbents a later
+    /// candidate evicted (they may be children of later plans, the winner
+    /// included), former best complete plans, and the pushed-down grouping
+    /// sub-nodes under a kept tree. A candidate its class refuses and a
+    /// complete plan that loses the cost comparison are popped during
+    /// enumeration, before anything is built on top of them.
     pub arena_plans: u64,
     /// Largest arena size observed (live DP state + transient plans).
     pub arena_peak: u64,
@@ -500,8 +511,9 @@ pub struct MemoStats {
     /// greedy rung runs unchecked, like it ignores the clock).
     pub memory_budget: u64,
     /// Largest [`Memo::live_bytes`] observed during the run — arena rows
-    /// plus payload-lane bytes, before rollbacks reclaimed losing complete
-    /// plans.
+    /// plus payload-lane bytes, sampled before every rollback (a refused
+    /// candidate is counted until it is popped) and when statistics are
+    /// read.
     pub live_bytes_peak: u64,
     /// Why the budgeted search fell short of its deepest rung, split by
     /// cause (gate, mid-stream plan-budget abort, deadline abort, memory
@@ -866,6 +878,12 @@ impl Memo {
         self.hot.len()
     }
 
+    /// The id of every row in the arena, in build order — what the classes
+    /// retain and whatever else rollback left in place.
+    pub fn arena_ids(&self) -> impl Iterator<Item = PlanId> {
+        (0..self.hot.len()).map(PlanId::from_index)
+    }
+
     /// The current rollback point: arena length plus every lane length.
     #[inline]
     pub fn mark(&self) -> MemoMark {
@@ -880,12 +898,16 @@ impl Memo {
     /// plans dropped.
     ///
     /// Callers must guarantee that no class and no retained id references
-    /// a truncated plan. The enumeration engine uses this to reclaim
-    /// complete (full-set) plans that lost the cost comparison — they are
-    /// never inserted into a class, and on EA-All they outnumber retained
-    /// plans by an order of magnitude. A surviving plan cannot lose
-    /// payload to this: whatever its spans name was in the lanes before
-    /// the plan was pushed, hence before `mark`.
+    /// a truncated plan. The enumeration engine is on this path once per
+    /// refused candidate: below the full set a tree its class refuses is
+    /// popped before the next row is built ([`crate::optrees::op_trees`]),
+    /// and a full-set work unit is popped whole unless one of its complete
+    /// plans became the best — on EA-Prune nine candidates in ten, on
+    /// EA-All the losing complete plans, which outnumber retained plans by
+    /// an order of magnitude. A surviving plan cannot lose payload to
+    /// this: whatever its spans name was in the lanes before the plan was
+    /// pushed, hence before `mark`.
+    #[inline]
     pub fn truncate(&mut self, mark: MemoMark) {
         debug_assert!(mark.rows <= self.hot.len());
         // Live bytes only ever shrink here and in `reset`, so the peaks
@@ -908,10 +930,12 @@ impl Memo {
     /// cursor (the row owns it) or wholly before it (the row shares it, so
     /// its owner has a smaller [`PlanId`]); children precede their
     /// parents; and every class entry points at an arena row whose
-    /// `NodeSet` matches the class key. A memo that fails this was
-    /// corrupted mid-run (e.g. truncated while classes still referenced
-    /// the tail) and must not be reused — [`Memo::reset`] does not repair
-    /// dangling *capacity* state reads would trip over first. Returns a
+    /// `NodeSet` matches the class key, no id twice in one class (what a
+    /// class shows when a row it still named was popped and the slot
+    /// re-filled by the next kept tree of the same set). A memo that fails
+    /// this was corrupted mid-run (e.g. truncated while classes still
+    /// referenced the tail) and must not be reused — [`Memo::reset`] does
+    /// not repair dangling *capacity* state reads would trip over first. Returns a
     /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.hot.len() != self.cold.len() {
@@ -981,7 +1005,17 @@ impl Memo {
                 self.class_lists.len()
             ));
         }
+        let mut sorted = Vec::new();
         for (set, ids) in self.class_entries() {
+            sorted.clear();
+            sorted.extend_from_slice(ids);
+            sorted.sort_unstable();
+            if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!(
+                    "class {set:?} holds plan {} twice",
+                    twice[0].index()
+                ));
+            }
             for &id in ids {
                 let Some(hot) = self.hot.get(id.index()) else {
                     return Err(format!(

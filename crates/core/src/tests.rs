@@ -29,7 +29,10 @@ fn op_tree_ids(
     let mut out = Vec::new();
     let mut staged = StagedApply::default();
     stage_apply(ctx, memo, &mut staged, op_idx, &[], memo[t1].set);
-    op_trees(ctx, sc, memo, &staged, t1, t2, &mut out);
+    op_trees(ctx, sc, memo, &staged, t1, t2, true, |_, t| {
+        out.push(t);
+        true
+    });
     out
 }
 
@@ -477,9 +480,10 @@ mod finalization {
 
 mod engine {
     use super::*;
-    use crate::algo::Search;
+    use crate::algo::{optimize_prepared, Algorithm, OptimizeOptions, Search};
     use crate::budget::{Budget, Exhausted};
-    use crate::memo::ThinBy;
+    use crate::memo::{PlanNode, ThinBy};
+    use dpnext_workload::{generate_query, GenConfig};
 
     /// A refused work unit ends the pair and builds nothing: under a plan
     /// limit of zero the first unit of the pair is refused, the cause is
@@ -497,6 +501,44 @@ mod engine {
         assert_eq!(Some(Exhausted::Plans), search.exhausted());
         assert_eq!(0, search.plans_built());
         assert_eq!(2, search.memo().arena_len());
+    }
+
+    /// The arena's conservation law, next to the class one `parity.rs`
+    /// pins: a candidate its class refuses is popped, so after an EA-Prune
+    /// run every operator row below the full set is one a dominance fold
+    /// accepted — their number is `prune_attempts − prune_rejected` exactly
+    /// (the scans are folded under `ThinBy::Nothing`, which counts nothing)
+    /// — and a grouping is there for a kept tree or a kept complete unit,
+    /// at most one per side.
+    #[test]
+    fn arena_holds_what_the_folds_accepted() {
+        for (n, seed) in [6, 8].into_iter().flat_map(|n| (0..4).map(move |s| (n, s))) {
+            let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
+            let mut memo = Memo::new();
+            let options = OptimizeOptions::default();
+            let (run, _) = optimize_prepared(&ctx, Algorithm::EaPrune, &options, &mut memo);
+            let (mut partial, mut applies, mut groups) = (0u64, 0u64, 0u64);
+            for id in memo.arena_ids() {
+                match memo.plan(id).cold.node {
+                    PlanNode::Scan { .. } => {}
+                    PlanNode::Group { .. } => groups += 1,
+                    PlanNode::Apply { .. } => {
+                        applies += 1;
+                        partial += u64::from(memo[id].set != NodeSet::full(n));
+                    }
+                }
+            }
+            let stats = run.memo;
+            assert_eq!(
+                stats.prune_attempts - stats.prune_rejected,
+                partial,
+                "n={n}, seed={seed}: {stats:?}"
+            );
+            assert!(
+                groups <= 2 * applies,
+                "n={n}, seed={seed}: {groups} > 2·{applies}"
+            );
+        }
     }
 }
 

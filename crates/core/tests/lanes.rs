@@ -1,16 +1,19 @@
 //! Rollback and span sharing of the memo's payload lanes: under random
-//! interleavings of scans, groupings, operator applications, marks and
-//! LIFO rollbacks, `Memo::truncate` restores the exact state at the mark
-//! (arena length, every lane length, live bytes), and every plan that
-//! survives still reads back the payload it was built with — including
-//! plans that *share* an input's key set, aggregation state or visible
-//! attributes instead of owning a copy.
+//! interleavings of scans, groupings, operator applications, whole engine
+//! work units that pop what they are refused, marks and LIFO rollbacks,
+//! `Memo::truncate` restores the exact state at the mark (arena length,
+//! every lane length, live bytes), and every plan that survives still
+//! reads back the payload it was built with — including plans that *share*
+//! an input's key set, aggregation state or visible attributes instead of
+//! owning a copy.
 
 use dpnext_algebra::AttrId;
 use dpnext_conflict::applicable_ops_into;
 use dpnext_core::aggstate::AggPos;
+use dpnext_core::optrees::op_trees;
 use dpnext_core::{
-    make_apply, make_group, make_scan, Memo, MemoMark, OptContext, PlanId, PlanNode, Scratch, Term,
+    make_apply, make_group, make_scan, stage_apply, Memo, MemoMark, OptContext, PlanId, PlanNode,
+    Scratch, StagedApply, Term,
 };
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpKind;
@@ -64,6 +67,49 @@ fn payload(memo: &Memo, id: PlanId) -> Payload {
     }
 }
 
+/// The operator, if any, that can join the plans `l` and `r` as they are.
+fn joining(ctx: &OptContext, memo: &Memo, l: PlanId, r: PlanId) -> Option<usize> {
+    let (sl, sr) = (memo[l].set, memo[r].set);
+    let mut apps = Vec::new();
+    if sl.is_disjoint(sr) {
+        applicable_ops_into(&ctx.cq, sl, sr, &mut apps);
+    }
+    let unswapped = apps.iter().find(|&&(_, swapped)| !swapped);
+    unswapped.map(|&(op, _)| op)
+}
+
+/// A tree of a work unit as a value: its own payload without the ids of its
+/// inputs — a grouping built inside the unit sits wherever the pops before
+/// it left the arena's end — and the inputs' payloads in their place.
+fn tree(memo: &Memo, id: PlanId) -> (Payload, Vec<Payload>) {
+    let mut top = payload(memo, id);
+    let inputs = std::mem::take(&mut top.node.2);
+    (top, inputs.iter().map(|&t| payload(memo, t)).collect())
+}
+
+/// One engine work unit over `l` and `r`: `op_trees` under an offer that
+/// keeps the calls whose bit is set in `mask`. Returns how many trees were
+/// offered and the kept ones by call number.
+fn unit(
+    ctx: &OptContext,
+    scratch: &mut Scratch,
+    memo: &mut Memo,
+    staged: &StagedApply,
+    (l, r): (PlanId, PlanId),
+    mask: u8,
+) -> (u8, Vec<(u8, PlanId)>) {
+    let (mut offered, mut kept) = (0u8, Vec::new());
+    op_trees(ctx, scratch, memo, staged, l, r, true, |_, t| {
+        let keep = mask >> offered & 1 == 1;
+        if keep {
+            kept.push((offered, t));
+        }
+        offered += 1;
+        keep
+    });
+    (offered, kept)
+}
+
 /// One rollback point: the memo's mark, its live bytes then, and how many
 /// plans were alive.
 struct Checkpoint {
@@ -79,7 +125,10 @@ proptest! {
     fn rollback_restores_lanes_and_survivors_keep_their_payload(
         n in 2usize..=5,
         seed in 0u64..10_000,
-        steps in proptest::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..160),
+        steps in proptest::collection::vec(
+            (0u8..9, 0usize..1_000, 0usize..1_000, 0u8..16),
+            1..160,
+        ),
     ) {
         let mut cfg = GenConfig::oracle(n);
         cfg.ops = OpWeights::mixed();
@@ -89,8 +138,8 @@ proptest! {
         // Every live plan with the payload it had when it was built.
         let mut live: Vec<(PlanId, Payload)> = Vec::new();
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut apps = Vec::new();
-        for (kind, x, y) in steps {
+        let mut staged = StagedApply::default();
+        for (kind, x, y, mask) in steps {
             let built = match kind {
                 0 => Some(make_scan(&ctx, &mut memo, x % n)),
                 1 if !live.is_empty() => {
@@ -100,16 +149,9 @@ proptest! {
                         .then(|| make_group(&ctx, &mut scratch, &mut memo, t))
                 }
                 2..=5 if !live.is_empty() => {
-                    // Any two live plans some operator can join as they are.
                     let (l, r) = (live[x % live.len()].0, live[y % live.len()].0);
-                    let (sl, sr) = (memo[l].set, memo[r].set);
-                    apps.clear();
-                    if sl.is_disjoint(sr) {
-                        applicable_ops_into(&ctx.cq, sl, sr, &mut apps);
-                    }
-                    apps.iter()
-                        .find(|&&(_, swapped)| !swapped)
-                        .and_then(|&(op, _)| make_apply(&ctx, &mut scratch, &mut memo, op, &[], l, r))
+                    joining(&ctx, &memo, l, r)
+                        .and_then(|op| make_apply(&ctx, &mut scratch, &mut memo, op, &[], l, r))
                 }
                 6 => {
                     checkpoints.push(Checkpoint {
@@ -126,6 +168,48 @@ proptest! {
                         prop_assert_eq!(at.mark, memo.mark(), "lane lengths not restored");
                         prop_assert_eq!(at.live_bytes, memo.live_bytes());
                         prop_assert_eq!(live.len(), memo.arena_len());
+                    }
+                    None
+                }
+                8 if !live.is_empty() => {
+                    // One whole work unit over two live plans, refusing the
+                    // trees `mask` names: what it keeps reads as if built
+                    // alone, and what it refuses leaves nothing behind.
+                    let (l, r) = (live[x % live.len()].0, live[y % live.len()].0);
+                    if let Some(op) = joining(&ctx, &memo, l, r) {
+                        let left_set = memo[l].set;
+                        stage_apply(&ctx, &mut memo, &mut staged, op, &[], left_set);
+                        let (before, bytes, rows) =
+                            (memo.mark(), memo.live_bytes(), memo.arena_len());
+                        // Each tree kept alone, from the same starting state.
+                        let mut alone = Vec::new();
+                        for call in 0..4 {
+                            let mut scratch = scratch.clone();
+                            let (_, kept) =
+                                unit(&ctx, &mut scratch, &mut memo, &staged, (l, r), 1 << call);
+                            alone.push((
+                                kept.first().map(|&(_, t)| tree(&memo, t)),
+                                scratch.plans_built,
+                            ));
+                            memo.truncate(before);
+                        }
+                        let (offered, kept) =
+                            unit(&ctx, &mut scratch, &mut memo, &staged, (l, r), mask);
+                        for (_, plans_built) in &alone {
+                            prop_assert_eq!(scratch.plans_built, *plans_built, "mask-dependent");
+                        }
+                        if mask & ((1 << offered) - 1) == 0 {
+                            prop_assert_eq!(before, memo.mark(), "a refused unit left rows");
+                            prop_assert_eq!(bytes, memo.live_bytes());
+                        }
+                        for (call, t) in kept {
+                            prop_assert_eq!(alone[call as usize].0.as_ref(), Some(&tree(&memo, t)));
+                        }
+                        // Whatever the unit left — kept trees and the groupings
+                        // under them — lives on like any other plan.
+                        for id in memo.arena_ids().skip(rows) {
+                            live.push((id, payload(&memo, id)));
+                        }
                     }
                     None
                 }

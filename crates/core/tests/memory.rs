@@ -140,3 +140,32 @@ fn thirty_relation_star_respects_memory_budget() {
         stats.live_bytes_peak
     );
 }
+
+/// A byte budget buys what the arena holds, and the arena holds what the
+/// classes keep. Under budgets at which a search that kept every refused
+/// candidate stopped short, the 12-relation mixed query now sees the exact
+/// rung through (it shipped a `linearized` / `memory-aborted` plan, 0.8%
+/// costlier), and the 12-relation chain gets far enough to ship the
+/// EA-Prune optimum, 31 451.21 (it shipped the greedy plan, 16.5% costlier).
+#[test]
+fn same_bytes_buy_a_deeper_rung() {
+    let optimum = |q| optimize_with(q, Algorithm::EaPrune, &base()).plan.cost;
+
+    let q = generate_query(&GenConfig::topology(12, Topology::Mixed), 1);
+    let optimized = optimize_with(&q, Algorithm::Adaptive, &budgeted(512 << 10));
+    let stats = optimized.memo;
+    assert_eq!(AdaptiveMode::Exact, stats.adaptive_mode);
+    assert!(!stats.degradation.any(), "{}", stats.degradation);
+    assert_eq!(optimum(&q).to_bits(), optimized.plan.cost.to_bits());
+
+    let q = generate_query(&GenConfig::topology(12, Topology::Chain), 1);
+    let optimized = optimize_with(&q, Algorithm::Adaptive, &budgeted(256 << 10));
+    assert_eq!(
+        optimum(&q).to_bits(),
+        optimized.plan.cost.to_bits(),
+        "{} ({}, {})",
+        optimized.plan.cost,
+        optimized.memo.adaptive_mode,
+        optimized.memo.degradation
+    );
+}

@@ -125,7 +125,11 @@ fn first_violation(query: &Query, kind: DominanceKind) -> Option<String> {
                     for (t, out) in [(p, &mut of_p), (q, &mut of_q)] {
                         let (t1, t2) = if thinned_left { (t, r) } else { (r, t) };
                         out.clear();
-                        op_trees(&ctx, &mut scratch, &mut memo, &staged, t1, t2, out);
+                        let keep = |_: &mut Memo, t| {
+                            out.push(t);
+                            true
+                        };
+                        op_trees(&ctx, &mut scratch, &mut memo, &staged, t1, t2, true, keep);
                     }
                     if let Some(&tq) = of_q
                         .iter()

@@ -113,7 +113,7 @@ fn main() {
     let best = Optimizer::new(Algorithm::EaPrune).optimize(&query);
     println!("\noptimal plan (EA-Prune):\n{}", best.plan.root);
     println!(
-        "memo: {} arena plans, peak class width {}, prune hit-rate {:.0}%",
+        "memo: {} rows held, peak class width {}, prune hit-rate {:.0}%",
         best.memo.arena_plans,
         best.memo.peak_class_width,
         100.0 * best.memo.prune_hit_rate()

@@ -50,7 +50,7 @@ fn main() {
         bound.output_names
     );
     println!(
-        "memo: {} arena plans (peak {}), prune hit-rate {:.0}%",
+        "memo: {} rows held (peak {}), prune hit-rate {:.0}%",
         best.memo.arena_plans,
         best.memo.arena_peak,
         100.0 * best.memo.prune_hit_rate()
