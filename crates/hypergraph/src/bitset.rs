@@ -2,10 +2,17 @@
 
 use std::fmt;
 
+/// The most relations (table occurrences) one query may have: the width of
+/// a [`NodeSet`]. The one statement of the limit — [`crate::Hypergraph::new`]
+/// asserts it, and the SQL parser turns a statement over it away before
+/// anything is built for it.
+pub const MAX_RELATIONS: usize = u64::BITS as usize;
+
 /// A set of hypergraph nodes (relations), represented as a 64-bit mask.
 ///
-/// The paper's experiments go up to 20 relations; 64 is a comfortable cap
-/// and keeps every set operation a single machine instruction.
+/// The paper's experiments go up to 20 relations; 64 ([`MAX_RELATIONS`]) is
+/// a comfortable cap and keeps every set operation a single machine
+/// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeSet(pub u64);
 
@@ -15,15 +22,15 @@ impl NodeSet {
     /// The singleton `{i}`.
     #[inline]
     pub fn single(i: usize) -> NodeSet {
-        debug_assert!(i < 64);
+        debug_assert!(i < MAX_RELATIONS);
         NodeSet(1u64 << i)
     }
 
     /// `{0, 1, …, n-1}`.
     #[inline]
     pub fn full(n: usize) -> NodeSet {
-        debug_assert!(n <= 64);
-        if n == 64 {
+        debug_assert!(n <= MAX_RELATIONS);
+        if n == MAX_RELATIONS {
             NodeSet(u64::MAX)
         } else {
             NodeSet((1u64 << n) - 1)

@@ -7,7 +7,7 @@
 //! hyperedges) used to cross-validate the DPhyp enumerator: on a simple
 //! graph both must emit exactly the same pairs.
 
-use crate::bitset::NodeSet;
+use crate::bitset::{NodeSet, MAX_RELATIONS};
 
 /// A simple undirected graph over `n` nodes, as adjacency sets.
 #[derive(Debug, Clone)]
@@ -17,7 +17,7 @@ pub struct SimpleGraph {
 
 impl SimpleGraph {
     pub fn new(n: usize) -> Self {
-        assert!(n <= 64);
+        assert!(n <= MAX_RELATIONS);
         SimpleGraph {
             adj: vec![NodeSet::EMPTY; n],
         }

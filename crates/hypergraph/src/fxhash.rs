@@ -7,9 +7,11 @@
 //! attribute ids are one `u32` — for which SipHash's per-lookup setup and
 //! finalization dominate the probe cost. The multiply-xor mix below
 //! hashes such a key in a couple of ALU instructions. It is *not*
-//! HashDoS-resistant; every keyed map in this workspace is fed by the
-//! optimizer itself (relation bitsets, attribute ids), never by untrusted
-//! input, so the resistance would buy nothing.
+//! HashDoS-resistant; the optimizer's own maps are fed by the optimizer
+//! itself (relation bitsets, attribute ids), never by untrusted input, so
+//! the resistance would buy nothing there. The one map keyed by outside
+//! input — the serving layer's statement map — bounds a probe by its
+//! per-shard capacity instead (`dpnext_serve::ShardedFifo`).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

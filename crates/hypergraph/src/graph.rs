@@ -1,6 +1,6 @@
 //! Query hypergraphs (Def. 3 context).
 
-use crate::bitset::NodeSet;
+use crate::bitset::{NodeSet, MAX_RELATIONS};
 
 /// A hyperedge `(u, v)`: two disjoint, non-empty hypernodes.
 ///
@@ -56,7 +56,10 @@ pub struct Hypergraph {
 
 impl Hypergraph {
     pub fn new(n: usize) -> Self {
-        assert!(n <= 64, "at most 64 relations supported");
+        assert!(
+            n <= MAX_RELATIONS,
+            "at most {MAX_RELATIONS} relations supported"
+        );
         Hypergraph {
             n,
             edges: Vec::new(),

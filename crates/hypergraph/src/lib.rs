@@ -11,7 +11,7 @@ pub mod dphyp;
 pub mod fxhash;
 pub mod graph;
 
-pub use bitset::NodeSet;
+pub use bitset::{NodeSet, MAX_RELATIONS};
 pub use dphyp::{
     count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps, try_enumerate_ccps,
 };

@@ -1,17 +1,34 @@
-//! The canonicalized plan cache: sharded, FIFO-evicting, counter-instrumented.
+//! The service's two caches — bound statements by their text, plans by
+//! their shape — as two instances of one sharded, FIFO-evicting,
+//! counter-instrumented map.
 
 use crate::fingerprint::QueryShape;
 use dpnext::Optimized;
 use dpnext_core::{FxBuildHasher, FxHashMap};
 use dpnext_obs::{Counter, Registry};
+use dpnext_sql::BoundQuery;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards (power of two). Lookups on
-/// different shards never contend; a single hot shape contends only on
+/// different shards never contend; a single hot key contends only on
 /// its own shard's mutex, held for one map probe.
 const SHARDS: usize = 16;
+
+/// The longest statement, in bytes, the [`FrontMap`] remembers. A longer
+/// one is served like any other; it is parsed and bound every time it
+/// arrives. Together with the entry budget this bounds what the map keeps
+/// resident: at most `16 · ⌈cache_capacity / 16⌉` entries (1,024 at the
+/// default), each one text of at most this length plus the query it binds
+/// to, which has at most [`MAX_RELATIONS`](dpnext::hypergraph::MAX_RELATIONS)
+/// table occurrences. Measured on the TPC-H catalog, 64 occurrences of its
+/// widest table bind to 68 KiB (bound query and shape), so the worst case
+/// at the default capacity is 1,024 × (8 + 68) KiB = 76 MiB; the
+/// statements the benchmark's corpus sends (2–8 tables, 120–440 bytes)
+/// hold 2.4–8.2 KiB each, 8 MiB for a full map of the largest.
+pub const FRONT_TEXT_MAX: usize = 8 << 10;
 
 /// The full cache key: the query's canonical shape plus the statistics
 /// epoch it was optimized under.
@@ -33,9 +50,10 @@ pub struct CacheKey {
 /// Point-in-time cache counters, all monotone except `entries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a cached plan.
+    /// Lookups that returned a cached value.
     pub hits: u64,
-    /// Lookups that found nothing (the caller then optimizes + inserts).
+    /// Lookups that found nothing (the caller then does the work and
+    /// inserts).
     pub misses: u64,
     /// Entries dropped to keep the cache within capacity.
     pub evictions: u64,
@@ -43,22 +61,30 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-struct Shard {
-    map: FxHashMap<CacheKey, Arc<Optimized>>,
+struct Shard<K, V> {
+    map: FxHashMap<K, V>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<CacheKey>,
+    order: VecDeque<K>,
 }
 
-/// A sharded map from [`CacheKey`] to optimized results.
+/// A sharded map with FIFO eviction and hit / miss / eviction counters.
+/// The service holds two: the [`PlanCache`] and the [`FrontMap`].
 ///
 /// `capacity` is the total entry budget, split evenly across the 16
-/// shards with each share rounded up, so the cache holds up to
-/// `16 · ⌈capacity / 16⌉` plans (16 for a capacity of 1); `0` disables
-/// the cache entirely (every lookup misses without counting, every
-/// insert is dropped). Keys are exact encodings, so the cache can never return a
-/// plan for a different query than the one asked.
-pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
+/// shards with each share rounded up, so the map holds up to
+/// `16 · ⌈capacity / 16⌉` entries (16 for a capacity of 1); `0` disables
+/// it entirely (every lookup misses without counting, every insert is
+/// dropped). Keys are compared exactly, so a lookup can never return the
+/// value of a different key than the one asked.
+///
+/// Keys are hashed with the in-tree Fx hasher, which is not
+/// HashDoS-resistant — and the [`FrontMap`]'s keys are text from outside
+/// the program. What a sender of colliding keys can buy is bounded by the
+/// eviction rule, not by the hasher: a shard never holds more than
+/// `⌈capacity / 16⌉` entries (64 at the default capacity), so a probe
+/// compares against at most that many keys however they were chosen.
+pub struct ShardedFifo<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_cap: usize,
     hasher: FxBuildHasher,
     // Registry-backed counter cells (PR 10): the same cells back
@@ -69,11 +95,70 @@ pub struct PlanCache {
     evictions: Arc<Counter>,
 }
 
+/// Optimized results by [`CacheKey`]: shape plus statistics epoch.
+pub type PlanCache = ShardedFifo<CacheKey, Arc<Optimized>>;
+
+/// Bound statements and their shapes by the exact bytes of their text —
+/// no trimming, no case folding: two texts share an entry only if they are
+/// byte-equal (differently spelled texts of one query still meet in the
+/// [`PlanCache`], at their shape). Only texts that parsed and bound are
+/// ever entered, and none longer than [`FRONT_TEXT_MAX`].
+pub type FrontMap = ShardedFifo<Arc<str>, (Arc<BoundQuery>, QueryShape)>;
+
 impl PlanCache {
-    /// A cache holding at most `⌈capacity / 16⌉` plans in each of its 16
+    /// Expose this cache's counter cells in `registry` (under
+    /// `dpnext_cache_*`). The registry snapshot and [`CacheStats`] read
+    /// the same cells afterwards.
+    pub fn register_metrics(&self, registry: &Registry) {
+        self.register_counters(
+            registry,
+            [
+                (
+                    "dpnext_cache_hits_total",
+                    "Plan-cache lookups served from the cache.",
+                ),
+                (
+                    "dpnext_cache_misses_total",
+                    "Plan-cache lookups that found nothing.",
+                ),
+                (
+                    "dpnext_cache_evictions_total",
+                    "Plan-cache entries dropped to stay within capacity.",
+                ),
+            ],
+        );
+    }
+}
+
+impl FrontMap {
+    /// Expose this map's counter cells in `registry` (under
+    /// `dpnext_front_*`).
+    pub fn register_metrics(&self, registry: &Registry) {
+        self.register_counters(
+            registry,
+            [
+                (
+                    "dpnext_front_hits_total",
+                    "SQL statements served their bound query by exact text, unparsed.",
+                ),
+                (
+                    "dpnext_front_misses_total",
+                    "SQL statements not in the front map, sent to the parser and binder.",
+                ),
+                (
+                    "dpnext_front_evictions_total",
+                    "Front-map entries dropped to stay within capacity.",
+                ),
+            ],
+        );
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
+    /// A map holding at most `⌈capacity / 16⌉` entries in each of its 16
     /// shards — up to `16 · ⌈capacity / 16⌉` in total, which is `capacity`
-    /// only when that is a multiple of 16 (0 disables caching).
-    pub fn new(capacity: usize) -> PlanCache {
+    /// only when that is a multiple of 16 (0 disables it).
+    pub fn new(capacity: usize) -> Self {
         let shards = if capacity == 0 {
             Vec::new()
         } else {
@@ -86,7 +171,7 @@ impl PlanCache {
                 })
                 .collect()
         };
-        PlanCache {
+        ShardedFifo {
             shards,
             per_shard_cap: capacity.div_ceil(SHARDS).max(1),
             hasher: FxBuildHasher::default(),
@@ -96,28 +181,16 @@ impl PlanCache {
         }
     }
 
-    /// Expose this cache's counter cells in `registry` (under
-    /// `dpnext_cache_*`). The registry snapshot and [`CacheStats`] read
-    /// the same cells afterwards.
-    pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_counter(
-            "dpnext_cache_hits_total",
-            "Plan-cache lookups served from the cache.",
-            &[],
-            self.hits.clone(),
-        );
-        registry.register_counter(
-            "dpnext_cache_misses_total",
-            "Plan-cache lookups that found nothing.",
-            &[],
-            self.misses.clone(),
-        );
-        registry.register_counter(
-            "dpnext_cache_evictions_total",
-            "Plan-cache entries dropped to stay within capacity.",
-            &[],
-            self.evictions.clone(),
-        );
+    /// Register the hit, miss and eviction cells under the given
+    /// `(name, help)` pairs, in that order.
+    fn register_counters(&self, registry: &Registry, names: [(&'static str, &'static str); 3]) {
+        for ((name, help), cell) in
+            names
+                .into_iter()
+                .zip([&self.hits, &self.misses, &self.evictions])
+        {
+            registry.register_counter(name, help, &[], cell.clone());
+        }
     }
 
     /// Whether caching is enabled (a non-zero capacity was configured).
@@ -125,14 +198,19 @@ impl PlanCache {
         !self.shards.is_empty()
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard<K, V>> {
         let h = self.hasher.hash_one(key);
         &self.shards[(h as usize) & (SHARDS - 1)]
     }
 
     /// Look `key` up, counting a hit or a miss. Returns `None` without
-    /// counting when the cache is disabled.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<Optimized>> {
+    /// counting when the map is disabled. The key may be any borrowed form
+    /// of `K` — a `&str` probes an `Arc<str>`-keyed map without allocating.
+    pub fn lookup<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if !self.enabled() {
             return None;
         }
@@ -154,8 +232,8 @@ impl PlanCache {
 
     /// Insert `value` under `key`, evicting oldest-first if the shard is
     /// over budget. Re-inserting an existing key replaces the value
-    /// without growing the FIFO. No-op when the cache is disabled.
-    pub fn insert(&self, key: CacheKey, value: Arc<Optimized>) {
+    /// without growing the FIFO. No-op when the map is disabled.
+    pub fn insert(&self, key: K, value: V) {
         if !self.enabled() {
             return;
         }

@@ -11,6 +11,7 @@
 
 use dpnext_algebra::{AggCall, Expr, JoinPred, Value};
 use dpnext_query::{OpTree, Query};
+use std::sync::Arc;
 
 /// The canonical shape of a query: an exact encoding of every
 /// optimizer-visible detail, used as the plan-cache key.
@@ -18,9 +19,13 @@ use dpnext_query::{OpTree, Query};
 /// Equality is exact (no hash truncation); `f64` statistics compare by
 /// bit pattern, so `-0.0`/`0.0` and NaN payload differences are treated
 /// as distinct — the conservative direction for a cache.
+///
+/// The encoding is shared, not owned: a clone is a reference count, so the
+/// shape the service's front map stores with a bound statement becomes a
+/// request's cache key without being copied.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryShape {
-    words: Box<[u64]>,
+    words: Arc<[u64]>,
 }
 
 impl QueryShape {
@@ -57,7 +62,7 @@ pub fn fingerprint_query(query: &Query) -> QueryShape {
     };
     enc.query(query);
     QueryShape {
-        words: enc.words.into_boxed_slice(),
+        words: enc.words.into(),
     }
 }
 
@@ -229,7 +234,8 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpnext_workload::{generate_query, GenConfig};
+    use dpnext_algebra::AggKind;
+    use dpnext_workload::{generate_query, GenConfig, Topology};
 
     #[test]
     fn distinct_seeds_distinct_shapes() {
@@ -249,5 +255,99 @@ mod tests {
         let mut tweaked = q.clone();
         tweaked.tables[0].card *= 2.0;
         assert_ne!(fingerprint_query(&q), fingerprint_query(&tweaked));
+    }
+
+    /// `query` with one field changed, once per kind of field the encoding
+    /// covers. A tweak that does not apply (no key to drop, a one-column
+    /// output) returns the query unchanged, which the caller's `iff` covers
+    /// from the other side. The results need not be valid queries: the
+    /// fingerprint reads fields, it does not validate.
+    fn single_field_tweaks(query: &Query) -> Vec<Query> {
+        let tweak = |edit: &dyn Fn(&mut Query)| {
+            let mut q = query.clone();
+            edit(&mut q);
+            q
+        };
+        let root = |q: &mut Query, edit: &dyn Fn(&mut JoinPred, &mut f64)| {
+            if let OpTree::Binary { pred, sel, .. } = &mut q.tree {
+                edit(pred, sel);
+            }
+        };
+        vec![
+            tweak(&|q| q.tables[0].card *= 2.0),
+            tweak(&|q| *q.tables.last_mut().unwrap().distinct.last_mut().unwrap() += 1.0),
+            tweak(&|q| root(q, &|_, sel| *sel *= 0.5)),
+            tweak(&|q| {
+                let t = &mut q.tables[0];
+                t.keys.push(vec![*t.attrs.last().unwrap()]);
+            }),
+            tweak(&|q| {
+                if let Some(t) = q.tables.iter_mut().find(|t| !t.keys.is_empty()) {
+                    t.keys.pop();
+                }
+            }),
+            tweak(&|q| q.tables[0].alias.push('x')),
+            tweak(&|q| q.tables[0].alias = q.tables[0].alias.to_uppercase()),
+            tweak(&|q| root(q, &|pred, _| pred.terms[0].1 = dpnext_algebra::CmpOp::Lt)),
+            tweak(&|q| {
+                let call = &mut q.grouping.as_mut().unwrap().aggs[0];
+                call.kind = match call.kind {
+                    AggKind::Min => AggKind::Max,
+                    _ => AggKind::Min,
+                };
+            }),
+            tweak(&|q| q.grouping = None),
+            tweak(&|q| q.grouping.as_mut().unwrap().output.rotate_left(1)),
+        ]
+    }
+
+    /// The shape's contract, which the plan cache and the service's front
+    /// map both stand on: two queries get equal shapes **iff** they are the
+    /// same query. `Query`'s derived `Debug` is the independent encoding of
+    /// the same fields the shape is held against (`f64`'s `Debug` is the
+    /// shortest text that round-trips, so distinct bits print distinctly).
+    #[test]
+    fn shapes_are_equal_iff_the_queries_are() {
+        use std::collections::HashMap;
+        let mut configs: Vec<GenConfig> = (3..=7).map(GenConfig::paper).collect();
+        configs.extend(
+            [
+                Topology::Chain,
+                Topology::Star,
+                Topology::Clique,
+                Topology::Mixed,
+            ]
+            .map(|t| GenConfig::topology(6, t)),
+        );
+        // Both directions at once, over every pair: a shape names one text
+        // and a text names one shape.
+        let mut text_of: HashMap<QueryShape, String> = HashMap::new();
+        let mut shape_of: HashMap<String, QueryShape> = HashMap::new();
+        let mut tweaked = 0;
+        for config in &configs {
+            for seed in 0..40 {
+                let base = generate_query(config, seed);
+                let variants = single_field_tweaks(&base);
+                let base_text = format!("{base:?}");
+                tweaked += variants
+                    .iter()
+                    .filter(|q| format!("{q:?}") != base_text)
+                    .count();
+                for query in std::iter::once(base).chain(variants) {
+                    let (text, shape) = (format!("{query:?}"), fingerprint_query(&query));
+                    let named = text_of.entry(shape.clone()).or_insert_with(|| text.clone());
+                    assert_eq!(*named, text, "two queries share one shape");
+                    let drawn = shape_of.entry(text).or_insert_with(|| shape.clone());
+                    assert_eq!(*drawn, shape, "one query has two shapes");
+                }
+            }
+        }
+        assert_eq!(text_of.len(), shape_of.len());
+        // Nearly every tweak applies to nearly every query (a table without
+        // a key and a one-column output are the exceptions).
+        assert!(
+            tweaked >= 10 * 9 * 40,
+            "only {tweaked} tweaks changed a query"
+        );
     }
 }

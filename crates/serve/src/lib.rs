@@ -21,17 +21,28 @@
 //! out of the pipeline, an unwinding panic included, is on the books
 //! exactly once.
 //!
-//! **Bind** (SQL door only; span `serve.bind`). The text is parsed and
-//! bound against the wrapped optimizer's catalog. A rejected text ends the
-//! request as [`ServeError::Sql`], counted in `dpnext_sql_errors_total`,
-//! before it reaches the cache, the gate or the pool.
+//! **Bind** (SQL door only; span `serve.bind`, tagged `front=hit|miss`).
+//! The statement's exact bytes are looked up in the [`FrontMap`]
+//! (`dpnext_front_{hits,misses,evictions}_total`). A hit hands back the
+//! bound query and the [`QueryShape`] an earlier arrival of the same text
+//! left there, and nothing is parsed. On a miss the text is parsed, bound
+//! against the wrapped optimizer's catalog and fingerprinted, once, and
+//! the three are published for the next arrival (unless the text is
+//! longer than [`FRONT_TEXT_MAX`]: it is served, not remembered). A
+//! rejected text ends the request as [`ServeError::Sql`], counted in
+//! `dpnext_sql_errors_total`, before it reaches the cache, the gate or the
+//! pool; errors are never entered into the map, so the text is parsed,
+//! rejected and counted again every time it arrives. The other door,
+//! [`OptimizerService::optimize`], has a query already and fingerprints it
+//! on arrival.
 //!
-//! **Probe** (span `serve.cache_probe`). The query is fingerprinted into
-//! its canonical [`QueryShape`]; shape plus statistics epoch is the
-//! [`CacheKey`], built once and borrowed by every later stage. A hit in
+//! **Probe** (span `serve.cache_probe`). The shape the door computed or
+//! found, plus the statistics epoch, is the [`CacheKey`], built once and
+//! borrowed by every later stage. A hit in
 //! the [`PlanCache`] (`dpnext_cache_{hits,misses}_total`) ends the request
-//! with the previously optimized plan: it runs no DP, takes no gate slot
-//! and allocates nothing beyond the fingerprint.
+//! with the previously optimized plan: it runs no DP and takes no gate
+//! slot. A hit on a bound query allocates what its fingerprint allocates;
+//! a hit on a repeat statement allocates nothing.
 //!
 //! **Admit** (span `serve.admission`, whose duration is the queue wait).
 //! A miss takes a slot of the bounded [`AdmissionGate`]
@@ -106,14 +117,29 @@
 //!
 //! ## Cache-key semantics
 //!
-//! The key is the *bound query*, not the SQL text: two texts that bind
+//! Two levels, two instances of one map ([`ShardedFifo`]), sized alike by
+//! [`ServiceConfig::cache_capacity`].
+//!
+//! **Bytes → bound query + shape** (the [`FrontMap`]). The key is the
+//! statement's text, byte for byte — no trimming, no case folding, nothing
+//! to get wrong: two texts share an entry only if they are equal. An entry
+//! is valid for the service's lifetime, *because* the catalog behind
+//! [`dpnext::Optimizer::catalog`] is immutable (`Catalog` has no interior
+//! mutability and the service holds its one `Arc`) and binding is a
+//! deterministic function of the text and the catalog. This level knows
+//! nothing of the statistics epoch.
+//!
+//! **(Epoch, shape) → plan** (the [`PlanCache`]). The key is the *bound
+//! query*, not the SQL text: two texts that bind
 //! to the same tables, predicates, cardinalities and grouping share one
-//! entry (binding is deterministic since the catalog is never mutated
-//! by it). Statistics changes are **not** detected — after updating
+//! plan, however they are spelled — whitespace and keyword case do not
+//! reach the shape; an alias's case does. Statistics changes are **not**
+//! detected — after updating
 //! catalog statistics out of band, call
 //! [`OptimizerService::bump_stats_epoch`], which moves every new lookup
 //! to a fresh epoch and turns the first arrival of each shape into a
-//! miss. Superseded entries age out of the FIFO shards.
+//! miss: it is re-optimized, never re-bound. Superseded entries age out
+//! of the FIFO shards.
 
 #![warn(missing_docs)]
 
@@ -125,7 +151,7 @@ mod pool;
 mod scrape;
 mod service;
 
-pub use cache::{CacheKey, CacheStats, PlanCache};
+pub use cache::{CacheKey, CacheStats, FrontMap, PlanCache, ShardedFifo, FRONT_TEXT_MAX};
 pub use fault::{Fault, FaultInjector};
 pub use fingerprint::{fingerprint_query, QueryShape};
 pub use govern::{

@@ -1,7 +1,7 @@
 //! The optimizer service: cache, pool and resource governance wired
 //! around a shared [`Optimizer`].
 
-use crate::cache::{CacheKey, CacheStats, PlanCache};
+use crate::cache::{CacheKey, CacheStats, FrontMap, PlanCache, FRONT_TEXT_MAX};
 use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
 use crate::govern::{
@@ -34,7 +34,9 @@ pub const SHED_UTILIZATION: f64 = 0.75;
 pub struct ServiceConfig {
     /// Plans the cache may hold, rounded up to a whole number per shard:
     /// up to `16 · ⌈cache_capacity / 16⌉` stay resident (see
-    /// [`PlanCache::new`]); 0 disables caching.
+    /// [`PlanCache::new`]); 0 disables caching. The [`FrontMap`] — bound
+    /// statements by their text — holds as many entries and is off when
+    /// the cache is.
     pub cache_capacity: usize,
     /// Idle memos the arena pool may park; 0 disables pooling. Sizing it
     /// at the worker-thread count keeps steady-state serving free of
@@ -178,13 +180,16 @@ pub struct ServiceStats {
 /// [`Arc`]) between any number of threads; every method takes `&self`.
 ///
 /// Each request is keyed by the canonical shape of its (bound) query
-/// plus the current statistics epoch. Hits return the previously
+/// plus the current statistics epoch; a SQL statement seen before gets
+/// its bound query and shape from the front map, by its text, instead of
+/// being parsed again. Hits return the previously
 /// optimized result; misses pass the admission gate, consult the shape's
 /// circuit breaker, then run the wrapped [`Optimizer`] inside a pooled
 /// memo and publish the result for later arrivals of the same shape. See
 /// the crate docs for the cache-key semantics and the governance layer.
 pub struct OptimizerService {
     optimizer: Optimizer,
+    front: FrontMap,
     cache: PlanCache,
     pool: MemoPool,
     ledger: Arc<ResourceLedger>,
@@ -274,6 +279,7 @@ impl OptimizerService {
     /// run under `optimizer`'s own deadline and memory budget.
     pub fn with_config(optimizer: Optimizer, config: ServiceConfig) -> OptimizerService {
         let ledger = Arc::new(ResourceLedger::new(config.memory_cap_bytes));
+        let front = FrontMap::new(config.cache_capacity);
         let cache = PlanCache::new(config.cache_capacity);
         let pool = MemoPool::with_ledger(config.pool_capacity, ledger.clone());
         let gate = AdmissionGate::new(config.max_concurrent, config.max_queued);
@@ -283,6 +289,7 @@ impl OptimizerService {
         // gate, breaker) are *adopted* so `ServiceStats` and the scrape
         // endpoint read the same memory and can never disagree.
         let registry = Arc::new(Registry::new());
+        front.register_metrics(&registry);
         cache.register_metrics(&registry);
         pool.register_metrics(&registry);
         ledger.register_metrics(&registry);
@@ -300,6 +307,7 @@ impl OptimizerService {
         // families render in on `/metrics`.
         OptimizerService {
             optimizer,
+            front,
             cache,
             pool,
             ledger,
@@ -390,6 +398,13 @@ impl OptimizerService {
     /// re-optimizes. Returns the new epoch. Entries of earlier epochs
     /// are unreachable and age out FIFO; they are deliberately not
     /// cleared (see [`CacheKey`]).
+    ///
+    /// A bump re-optimizes and never re-binds: the epoch is part of the
+    /// plan-cache key only, and the front map's bound statements stay
+    /// valid because the catalog they were bound against
+    /// ([`Optimizer::catalog`]) cannot change under a running service.
+    /// Whoever makes statistics swappable in place must give the front
+    /// map the epoch too.
     pub fn bump_stats_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -403,31 +418,43 @@ impl OptimizerService {
     /// panic in the optimizer reaches only this caller, as
     /// [`ServeError::Panicked`]. The crate docs walk the stages.
     pub fn optimize(&self, query: &Query) -> Result<ServeResult, ServeError> {
-        self.serve(self.arrive(), query)
+        self.serve(self.arrive(), query, fingerprint_query(query))
     }
 
     /// Full pipeline from SQL text: parse, bind against the facade's
-    /// catalog, then [`OptimizerService::optimize`]. Caching operates on
-    /// the *bound* query, so differently spelled but identically bound
-    /// texts share one entry.
+    /// catalog, then what [`OptimizerService::optimize`] does. A statement
+    /// sent before, byte for byte, skips the parser and the binder (the
+    /// front map has its bound query); the plan cache operates on the
+    /// *bound* query, so differently spelled but identically bound texts
+    /// share one plan.
     pub fn optimize_sql(&self, sql: &str) -> Result<ServeResult, ServeError> {
         self.optimize_sql_bound(sql).map(|(_, r)| r)
     }
 
     /// Like [`OptimizerService::optimize_sql`], additionally returning
-    /// the bound query for callers that execute the plan.
-    pub fn optimize_sql_bound(&self, sql: &str) -> Result<(BoundQuery, ServeResult), ServeError> {
+    /// the bound query — shared with the front map — for callers that
+    /// execute the plan.
+    pub fn optimize_sql_bound(
+        &self,
+        sql: &str,
+    ) -> Result<(Arc<BoundQuery>, ServeResult), ServeError> {
         let mut req = self.arrive();
-        let bound = self.bind(&mut req, sql)?;
-        let result = self.serve(req, &bound.query)?;
+        let (bound, shape) = self.bind(&mut req, sql)?;
+        let result = self.serve(req, &bound.query, shape)?;
         Ok((bound, result))
     }
 
-    /// The request pipeline both front doors enter, one stage per line.
-    /// Every way out — a reply, a `?`, an unwind — drops `req`, which
-    /// closes the books on the request.
-    fn serve(&self, mut req: Request<'_>, query: &Query) -> Result<ServeResult, ServeError> {
-        let (key, hit) = self.probe(&mut req, query);
+    /// The request pipeline both front doors enter, one stage per line,
+    /// with the shape the door computed (or found). Every way out — a
+    /// reply, a `?`, an unwind — drops `req`, which closes the books on the
+    /// request.
+    fn serve(
+        &self,
+        mut req: Request<'_>,
+        query: &Query,
+        shape: QueryShape,
+    ) -> Result<ServeResult, ServeError> {
+        let (key, hit) = self.probe(&mut req, shape);
         if let Some(result) = hit {
             req.outcome = "cache_hit";
             return Ok(ServeResult {
@@ -458,26 +485,49 @@ impl OptimizerService {
         }
     }
 
-    /// Bind (SQL door only): parse the text and bind it against the
-    /// catalog. A rejected text is still a request — counted, timed and
-    /// traced — that ends here, before the cache, the gate or the pool.
-    fn bind(&self, req: &mut Request<'_>, sql: &str) -> Result<BoundQuery, ServeError> {
-        let _span = dpnext_obs::span("serve.bind");
-        bind_sql(sql, self.optimizer.catalog()).map_err(|e| {
+    /// Bind (SQL door only): the statement's bound query and shape — from
+    /// the front map if these exact bytes were bound before, else by
+    /// parsing the text, binding it against the catalog, fingerprinting the
+    /// result and publishing all three for the next arrival of the text. A
+    /// rejected text is still a request — counted, timed and traced — that
+    /// ends here, before the cache, the gate or the pool; it is never
+    /// entered, so it is rejected, and counted, every time it arrives.
+    fn bind(
+        &self,
+        req: &mut Request<'_>,
+        sql: &str,
+    ) -> Result<(Arc<BoundQuery>, QueryShape), ServeError> {
+        let mut span = dpnext_obs::span("serve.bind");
+        if let Some(entry) = self.front.lookup(sql) {
+            span.tag_str("front", "hit");
+            return Ok(entry);
+        }
+        span.tag_str("front", "miss");
+        let bound = bind_sql(sql, self.optimizer.catalog()).map_err(|e| {
             req.outcome = "sql_error";
             self.sql_errors.inc();
             ServeError::Sql(e)
-        })
+        })?;
+        let shape = fingerprint_query(&bound.query);
+        let entry = (Arc::new(bound), shape);
+        if sql.len() <= FRONT_TEXT_MAX {
+            self.front.insert(Arc::from(sql), entry.clone());
+        }
+        Ok(entry)
     }
 
-    /// Probe: fingerprint the query into its cache key and look it up.
-    /// Hits consume no optimizer resources, so the cache comes before the
-    /// gate: a burst of hits must never be turned away. The later stages
-    /// borrow the key's shape; it is built once.
-    fn probe(&self, req: &mut Request<'_>, query: &Query) -> (CacheKey, Option<Arc<Optimized>>) {
+    /// Probe: the shape and the statistics epoch are the cache key; look
+    /// it up. Hits consume no optimizer resources, so the cache comes
+    /// before the gate: a burst of hits must never be turned away. The
+    /// later stages borrow the key's shape.
+    fn probe(
+        &self,
+        req: &mut Request<'_>,
+        shape: QueryShape,
+    ) -> (CacheKey, Option<Arc<Optimized>>) {
         let key = CacheKey {
             epoch: self.epoch(),
-            shape: fingerprint_query(query),
+            shape,
         };
         if req.span.is_recording() {
             let hash = FxBuildHasher::default().hash_one(&key.shape);
@@ -868,6 +918,22 @@ mod tests {
             .iter()
             .position(|name| *name == "dpnext_requests_total")
             .expect("dpnext_requests_total is registered");
+        let front = families
+            .iter()
+            .position(|name| *name == "dpnext_front_hits_total")
+            .expect("dpnext_front_hits_total is registered");
+        assert_eq!(
+            [
+                "dpnext_front_hits_total",
+                "dpnext_front_misses_total",
+                "dpnext_front_evictions_total",
+                "dpnext_cache_hits_total",
+                "dpnext_cache_misses_total",
+                "dpnext_cache_evictions_total",
+            ],
+            families[front..front + 6],
+            "the statement map is probed before the plan cache and listed before it"
+        );
         assert_eq!(
             [
                 "dpnext_requests_total",

@@ -430,14 +430,17 @@ fn one_request(
 }
 
 /// The root covers the request it names: a SQL request's one `serve.bind`
-/// child starts after the root and fits inside it.
-fn assert_root_covers_bind(spans: &[SpanRecord]) {
+/// child starts after the root and fits inside it. The child says whether
+/// the front map had the text (`front=hit`) or it was parsed and bound
+/// (`front=miss`).
+fn assert_root_covers_bind(spans: &[SpanRecord], front: &'static str) {
     let root = spans.iter().find(|s| s.name == "serve.request").unwrap();
     let binds: Vec<_> = spans.iter().filter(|s| s.name == "serve.bind").collect();
     assert_eq!(1, binds.len(), "one serve.bind per SQL request");
     assert_eq!(root.id, binds[0].parent);
     assert!(root.start_nanos <= binds[0].start_nanos);
     assert!(root.dur_nanos() >= binds[0].dur_nanos());
+    assert_eq!(Some(&TagValue::Str(front)), binds[0].tag("front"));
 }
 
 /// One request per way out of the pipeline — hit, miss, degraded,
@@ -463,14 +466,23 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     assert!(hit.unwrap().cache_hit);
     let (miss, spans) = one_request(&service, &sink, "optimized", || service.optimize_sql(SQL));
     assert!(!miss.unwrap().cache_hit);
-    assert_root_covers_bind(&spans);
+    assert_root_covers_bind(&spans, "miss");
     let (hit, spans) = one_request(&service, &sink, "cache_hit", || service.optimize_sql(SQL));
     assert!(hit.unwrap().cache_hit);
-    assert_root_covers_bind(&spans);
-    let (rejected, _) = one_request(&service, &sink, "sql_error", || {
+    assert_root_covers_bind(&spans, "hit");
+    // A front hit's tree is the root, its bind and its probe; nothing of
+    // the parser's or the optimizer's.
+    let mut names: Vec<_> = spans.iter().map(|s| s.name).collect();
+    names.sort_unstable();
+    assert_eq!(
+        ["serve.bind", "serve.cache_probe", "serve.request"],
+        names[..]
+    );
+    let (rejected, spans) = one_request(&service, &sink, "sql_error", || {
         service.optimize_sql("select broken from")
     });
     assert!(matches!(rejected, Err(ServeError::Sql(_))));
+    assert_root_covers_bind(&spans, "miss");
 
     // A panic in the optimizer.
     let service = OptimizerService::new(quiet()).with_fault_injection(FaultInjector::new(

@@ -4,9 +4,12 @@
 //! are untouched by either mechanism.
 
 use dpnext::{Algorithm as A, Optimizer};
-use dpnext_serve::{Fault, FaultInjector, OptimizerService, ServeError, ServiceConfig};
+use dpnext_serve::{
+    fingerprint_query, Fault, FaultInjector, OptimizerService, ServeError, ServiceConfig,
+};
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn quiet_optimizer(algo: A) -> Optimizer {
@@ -232,71 +235,135 @@ fn fuzz_tokens(text: &str) -> Vec<&str> {
     tokens
 }
 
-/// The SQL door fails closed: seeded token- and byte-level mutants of the
-/// seed statements — most of them garbage, some of them other valid
-/// statements — get a plan or a `ServeError::Sql` through the service,
-/// never a panic, and every rejected text is on the books.
-#[test]
-fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
-    const MUTANTS: u64 = 20_000;
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let mut below = move |n: usize| rng.gen_range(0..n);
-    let service = OptimizerService::new(quiet_optimizer(A::EaPrune));
-    let (mut planned, mut rejected) = (0u64, 0u64);
-    for _ in 0..MUTANTS {
-        let seed = FUZZ_SEEDS[below(FUZZ_SEEDS.len())];
-        // Inserted and replacing tokens come from the statement itself, so
-        // some mutants name its own tables and columns in new places.
-        let pool = fuzz_tokens(seed);
-        let mut text = seed.to_string();
-        for _ in 0..1 + below(3) {
-            // A char boundary of the current text, for the byte-level edits.
-            let cut = text.floor_char_boundary(below(text.len() + 1));
-            match below(7) {
-                edit @ 0..=3 => {
-                    let mut tokens = fuzz_tokens(&text);
-                    if tokens.is_empty() {
-                        continue;
-                    }
-                    let (at, other) = (below(tokens.len()), below(tokens.len()));
-                    match edit {
-                        0 => drop(tokens.remove(at)),
-                        1 => tokens.insert(at, pool[below(pool.len())]),
-                        2 => {
-                            // Like for like (a qualified name, a word, a
-                            // punctuation mark): stays near the grammar.
-                            let kind =
-                                |t: &str| (t.contains('.'), t.starts_with(char::is_alphabetic));
-                            let like: Vec<_> = pool
-                                .iter()
-                                .filter(|t| kind(t) == kind(tokens[at]))
-                                .collect();
-                            if !like.is_empty() {
-                                tokens[at] = like[below(like.len())];
-                            }
+/// One seeded mutant of one of the [`FUZZ_SEEDS`]: one to three token- or
+/// byte-level edits. Most mutants are garbage, some are other valid
+/// statements.
+fn fuzz_mutant(below: &mut impl FnMut(usize) -> usize) -> String {
+    let seed = FUZZ_SEEDS[below(FUZZ_SEEDS.len())];
+    // Inserted and replacing tokens come from the statement itself, so
+    // some mutants name its own tables and columns in new places.
+    let pool = fuzz_tokens(seed);
+    let mut text = seed.to_string();
+    for _ in 0..1 + below(3) {
+        // A char boundary of the current text, for the byte-level edits.
+        let cut = text.floor_char_boundary(below(text.len() + 1));
+        match below(7) {
+            edit @ 0..=3 => {
+                let mut tokens = fuzz_tokens(&text);
+                if tokens.is_empty() {
+                    continue;
+                }
+                let (at, other) = (below(tokens.len()), below(tokens.len()));
+                match edit {
+                    0 => drop(tokens.remove(at)),
+                    1 => tokens.insert(at, pool[below(pool.len())]),
+                    2 => {
+                        // Like for like (a qualified name, a word, a
+                        // punctuation mark): stays near the grammar.
+                        let kind = |t: &str| (t.contains('.'), t.starts_with(char::is_alphabetic));
+                        let like: Vec<_> = pool
+                            .iter()
+                            .filter(|t| kind(t) == kind(tokens[at]))
+                            .collect();
+                        if !like.is_empty() {
+                            tokens[at] = like[below(like.len())];
                         }
-                        _ => tokens.swap(at, other),
                     }
-                    text = tokens.join(" ");
+                    _ => tokens.swap(at, other),
                 }
-                4 => text.truncate(cut),
-                edit => {
-                    // Splice in, or overwrite the char at `cut` with, a piece.
-                    let until = match text[cut..].chars().next() {
-                        Some(c) if edit == 5 => cut + c.len_utf8(),
-                        _ => cut,
-                    };
-                    text.replace_range(cut..until, FUZZ_SPLICES[below(FUZZ_SPLICES.len())]);
-                }
+                text = tokens.join(" ");
+            }
+            4 => text.truncate(cut),
+            edit => {
+                // Splice in, or overwrite the char at `cut` with, a piece.
+                let until = match text[cut..].chars().next() {
+                    Some(c) if edit == 5 => cut + c.len_utf8(),
+                    _ => cut,
+                };
+                text.replace_range(cut..until, FUZZ_SPLICES[below(FUZZ_SPLICES.len())]);
             }
         }
-        match service.optimize_sql(&text) {
-            Ok(reply) => {
+    }
+    text
+}
+
+/// The fuzz's mutant stream: the same 20,000 texts for every test that
+/// draws it.
+const MUTANTS: u64 = 20_000;
+
+fn fuzz_mutants() -> impl Iterator<Item = String> {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut below = move |n: usize| rng.gen_range(0..n);
+    (0..MUTANTS).map(move |_| fuzz_mutant(&mut below))
+}
+
+/// `select n0.n_name from nation n0 join nation n1 on ... join ...`: a
+/// chain of `tables` occurrences of `nation`, each joined to the one
+/// before it on the key. Every intermediate result has 25 rows.
+fn nation_chain(tables: usize) -> String {
+    let mut text = String::from("select n0.n_name from nation n0");
+    for i in 1..tables {
+        text += &format!(
+            " join nation n{i} on n{}.n_nationkey = n{i}.n_nationkey",
+            i - 1
+        );
+    }
+    text
+}
+
+/// The SQL door fails closed: seeded token- and byte-level mutants of the
+/// seed statements get a plan or a `ServeError::Sql` through the service,
+/// never a panic, and every rejected text is on the books. Every mutant is
+/// sent twice, which holds the front map to its contract: the second
+/// arrival of a text gets what a cold parse + bind + optimize of the same
+/// bytes gets — the very plan the first arrival got, without being parsed
+/// — and a rejected text is rejected, and counted, again. Last, the texts
+/// a parser must refuse by size: they used to overflow the stack (an
+/// abort no `catch_unwind` contains) or reach the optimizer and panic there.
+#[test]
+fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
+    let service = OptimizerService::new(quiet_optimizer(A::EaPrune));
+    let counter = |name: &str| service.registry().snapshot().counter_total(name);
+    // The registered cell itself (a registry hands out the existing handle
+    // of a name): read twice per mutant, where a snapshot is too dear.
+    let front_hits = service.registry().counter("dpnext_front_hits_total", "");
+    let (mut planned, mut rejected) = (0u64, 0u64);
+    for text in fuzz_mutants() {
+        let first = service.optimize_sql_bound(&text);
+        let hits = front_hits.get();
+        let second = service.optimize_sql_bound(&text);
+        match (first, second) {
+            (Ok((bound, reply)), Ok((bound_again, again))) => {
                 planned += 1;
                 assert!(reply.result.plan.cost.is_finite(), "{text}");
+                assert!(again.cache_hit, "{text}");
+                assert!(Arc::ptr_eq(&reply.result, &again.result), "{text}");
+                assert!(Arc::ptr_eq(&bound, &bound_again), "{text}");
+                assert_eq!(hits + 1, front_hits.get(), "{text}");
+                let cold = dpnext::sql::plan(&text, service.optimizer().catalog()).unwrap();
+                assert_eq!(cold.output_names, bound.output_names, "{text}");
+                assert_eq!(cold.occurrences, bound.occurrences, "{text}");
+                assert_eq!(
+                    service
+                        .optimizer()
+                        .optimize(&cold.query)
+                        .plan
+                        .cost
+                        .to_bits(),
+                    again.result.plan.cost.to_bits(),
+                    "{text}"
+                );
             }
-            Err(ServeError::Sql(_)) => rejected += 1,
-            Err(e) => panic!("{text}: {e}"),
+            (Err(ServeError::Sql(e)), Err(ServeError::Sql(again))) => {
+                rejected += 1;
+                assert_eq!(e, again, "{text}");
+                assert_eq!(hits, front_hits.get(), "{text}");
+            }
+            (first, second) => panic!(
+                "{text}: {:?}, then {:?}",
+                first.map(|(_, r)| r),
+                second.map(|(_, r)| r)
+            ),
         }
     }
     println!("{planned} of {MUTANTS} mutants bound, {rejected} were SQL errors");
@@ -305,13 +372,152 @@ fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
         "only {planned} of {MUTANTS} mutants bound: the generator has decayed into noise"
     );
     let stats = service.stats();
-    assert_eq!(MUTANTS, stats.requests);
-    assert_eq!(
-        rejected,
-        service
-            .registry()
-            .snapshot()
-            .counter_total("dpnext_sql_errors_total")
-    );
+    assert_eq!(2 * MUTANTS, stats.requests);
+    assert_eq!(2 * rejected, counter("dpnext_sql_errors_total"));
+    // Every SQL request probes the front map once. A rejected text is one
+    // of its misses — it was sent to the parser — and is never entered.
+    let (hits, misses) = (front_hits.get(), counter("dpnext_front_misses_total"));
+    assert_eq!(stats.requests, hits + misses);
+    assert!(hits >= planned && misses >= 2 * rejected);
     assert_eq!((0, 0), (stats.panics, stats.pool.quarantined));
+
+    // Too deep and too long, on an eighth of a default thread's stack:
+    // 10,000 parentheses, and 5,000 joins (a quarter of a megabyte of
+    // text). And one table more than a node set holds.
+    let deep = format!(
+        "select n.n_name from {}nation n{}",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    let oversized = [deep, nation_chain(5_001), nation_chain(65)];
+    let before = (service.stats(), counter("dpnext_sql_errors_total"));
+    std::thread::scope(|scope| {
+        let small_stack = std::thread::Builder::new().stack_size(256 << 10);
+        let sent = small_stack.spawn_scoped(scope, || {
+            for text in &oversized {
+                let reply = service.optimize_sql(text);
+                assert!(matches!(reply, Err(ServeError::Sql(_))), "{reply:?}");
+            }
+        });
+        sent.unwrap().join().unwrap();
+    });
+    let after = service.stats();
+    assert_eq!(before.1 + 3, counter("dpnext_sql_errors_total"));
+    assert_eq!(before.0.pool.created, after.pool.created);
+    assert_eq!(before.0.gate.admitted, after.gate.admitted);
+    assert_eq!((0, 0), (after.panics, after.pool.quarantined));
+}
+
+/// A text that is refused for its size never reaches the cache, the gate
+/// or the pool — and the largest statement that is not refused, 64 tables,
+/// still gets its plan.
+#[test]
+fn the_sql_door_fails_closed_on_size() {
+    // A small plan budget keeps the 64-table run short in a debug build;
+    // every join order of this chain costs the same.
+    let service = OptimizerService::new(quiet_optimizer(A::Adaptive).plan_budget(2_000));
+    let reply = service.optimize_sql(&nation_chain(65));
+    assert!(matches!(reply, Err(ServeError::Sql(_))), "{reply:?}");
+    let stats = service.stats();
+    assert_eq!(
+        (0, 0, 0),
+        (stats.panics, stats.pool.created, stats.gate.admitted)
+    );
+    assert_eq!(0, stats.cache.hits + stats.cache.misses);
+
+    let widest = service
+        .optimize_sql(&nation_chain(64))
+        .expect("64 tables bind");
+    // 63 joins of 25 rows each.
+    assert_eq!(63.0 * 25.0, widest.result.plan.cost);
+    assert_eq!(1, service.stats().pool.created);
+}
+
+/// `text` spelled differently in the two ways the dialect ignores: every
+/// run of ASCII whitespace becomes another run (and the text gains some at
+/// both ends), and every keyword changes case.
+fn respelled(text: &str) -> String {
+    let mut out = String::from("\n ");
+    let mut rest = text;
+    while !rest.is_empty() {
+        let space = rest
+            .find(|c: char| !c.is_ascii_whitespace())
+            .unwrap_or(rest.len());
+        if space > 0 {
+            out.push_str(" \t\r\n");
+            rest = &rest[space..];
+            continue;
+        }
+        let word = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if word == 0 {
+            let c = rest.chars().next().unwrap();
+            out.push(c);
+            rest = &rest[c.len_utf8()..];
+            continue;
+        }
+        // The parser's own list: matched in any case wherever they stand,
+        // and never a table alias (no seed statement says `as`), so their
+        // case cannot reach the bound query.
+        let keyword = dpnext::sql::parser::RESERVED
+            .iter()
+            .any(|k| rest[..word].eq_ignore_ascii_case(k));
+        for c in rest[..word].chars() {
+            out.push(match c {
+                c if !keyword => c,
+                c if c.is_ascii_lowercase() => c.to_ascii_uppercase(),
+                c => c.to_ascii_lowercase(),
+            });
+        }
+        rest = &rest[word..];
+    }
+    out.push_str("\t ");
+    out
+}
+
+/// The half of the shape's contract that faces SQL text: texts that differ
+/// only in whitespace or keyword case bind to equal shapes (or are both
+/// rejected), so they share one plan-cache entry however they are spelled.
+/// What is *not* equal is the reason the service keys its front map on the
+/// statement's bytes and normalises nothing: an alias's case is
+/// `QueryTable::alias`, hence part of the shape, and table and column
+/// names are matched exactly.
+#[test]
+fn respelled_sql_binds_to_the_same_shape() {
+    let catalog = dpnext::catalog::tpch_catalog();
+    let shape_of = |text: &str| {
+        dpnext::sql::plan(text, &catalog)
+            .ok()
+            .map(|bound| fingerprint_query(&bound.query))
+    };
+    let mut bound = 0u64;
+    for text in FUZZ_SEEDS
+        .iter()
+        .map(|s| s.to_string())
+        .chain(fuzz_mutants())
+    {
+        let other = respelled(&text);
+        assert_ne!(text, other);
+        let (shape, respelled_shape) = (shape_of(&text), shape_of(&other));
+        assert_eq!(shape, respelled_shape, "{text:?} vs {other:?}");
+        bound += u64::from(shape.is_some());
+    }
+    assert!(bound >= FUZZ_SEEDS.len() as u64 + MUTANTS / 100);
+
+    let shape = |text: &str| shape_of(text).unwrap_or_else(|| panic!("rejected: {text}"));
+    let spelled = shape(FUZZ_SEEDS[2]);
+    // The aggregate's name is matched like a keyword where it is one.
+    assert_eq!(
+        spelled,
+        shape(&FUZZ_SEEDS[2].replace("count(*)", "COUNT ( * )"))
+    );
+    // An alias's case is the bound query's: a different shape.
+    let upper_alias = FUZZ_SEEDS[2]
+        .replace("n.", "N.")
+        .replace("nation n ", "nation N ");
+    assert_ne!(spelled, shape(&upper_alias));
+    // A table's or a column's name in another case names nothing.
+    assert_eq!(None, shape_of(&FUZZ_SEEDS[2].replace("nation", "NATION")));
+    assert_eq!(None, shape_of(&FUZZ_SEEDS[2].replace("n_name", "N_NAME")));
 }

@@ -1,10 +1,11 @@
 //! Service-level correctness: cached results must be bit-identical to
 //! cold optimizations across the golden parity grid, epoch bumps must
-//! invalidate, counters must stay consistent under concurrent load, and
-//! pooled memo reuse must not leak state between runs.
+//! invalidate plans (and only plans), counters must stay consistent under
+//! concurrent load, pooled memo reuse must not leak state between runs,
+//! and a served plan must return the statement's result.
 
 use dpnext::{Algorithm as A, Optimized, Optimizer};
-use dpnext_serve::{OptimizerService, ServiceConfig};
+use dpnext_serve::{OptimizerService, ServiceConfig, FRONT_TEXT_MAX};
 use dpnext_workload::{generate_query, request_mix, GenConfig, MixConfig};
 use std::sync::Arc;
 
@@ -226,4 +227,153 @@ fn sql_requests_share_cache_entries() {
     assert!(!a.cache_hit);
     assert!(b.cache_hit, "identically bound SQL must share the entry");
     assert!(service.optimize_sql("select broken from").is_err());
+}
+
+const NATION_SUPPLIER: &str = "select n.n_name, count(*) from nation n join supplier s \
+                               on n.n_nationkey = s.s_nationkey group by n.n_name";
+
+/// The three `dpnext_front_*` counters: (hits, misses, evictions).
+fn front_counters(service: &OptimizerService) -> (u64, u64, u64) {
+    let snapshot = service.registry().snapshot();
+    (
+        snapshot.counter_total("dpnext_front_hits_total"),
+        snapshot.counter_total("dpnext_front_misses_total"),
+        snapshot.counter_total("dpnext_front_evictions_total"),
+    )
+}
+
+/// The two levels of the cache invalidate separately: the statistics epoch
+/// is part of a plan's key and no part of a bound statement's, so after a
+/// bump a repeat statement is re-optimized without being parsed again.
+#[test]
+fn epoch_bump_reoptimizes_and_does_not_rebind() {
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
+    let (bound, cold) = service.optimize_sql_bound(NATION_SUPPLIER).unwrap();
+    assert!(!cold.cache_hit);
+    assert_eq!((0, 1, 0), front_counters(&service));
+
+    service.bump_stats_epoch();
+    let (rebound, bumped) = service.optimize_sql_bound(NATION_SUPPLIER).unwrap();
+    assert!(
+        !bumped.cache_hit,
+        "a new epoch's first arrival re-optimizes"
+    );
+    assert_eq!(1, bumped.epoch);
+    assert!(Arc::ptr_eq(&bound, &rebound), "and is not bound again");
+    assert_eq!((1, 1, 0), front_counters(&service));
+    assert_bit_identical(&cold.result, &bumped.result, "across epochs");
+
+    let warm = service.optimize_sql(NATION_SUPPLIER).unwrap();
+    assert!(warm.cache_hit);
+    assert_eq!((2, 1, 0), front_counters(&service));
+    assert_eq!((1, 2), {
+        let cache = service.stats().cache;
+        (cache.hits, cache.misses)
+    });
+}
+
+/// The front map takes its size from `cache_capacity`, like the plan
+/// cache: 0 switches both off, and a small one evicts.
+#[test]
+fn front_map_is_sized_by_cache_capacity() {
+    let with_capacity = |cache_capacity| {
+        OptimizerService::with_config(
+            Optimizer::new(A::EaPrune),
+            ServiceConfig {
+                cache_capacity,
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let off = with_capacity(0);
+    for _ in 0..2 {
+        assert!(!off.optimize_sql(NATION_SUPPLIER).unwrap().cache_hit);
+    }
+    assert_eq!((0, 0, 0), front_counters(&off));
+    assert_eq!(0, off.stats().cache.entries);
+    assert_eq!(2, off.stats().pool.created + off.stats().pool.reused);
+
+    // 40 spellings of one statement: 40 front entries wanted, one plan.
+    // One slot per shard holds at most 16 of them.
+    let tiny = with_capacity(1);
+    for pad in 0..40 {
+        let text = NATION_SUPPLIER.replacen(' ', &" ".repeat(1 + pad), 1);
+        assert_eq!(pad > 0, tiny.optimize_sql(&text).unwrap().cache_hit);
+    }
+    let (hits, misses, evictions) = front_counters(&tiny);
+    assert_eq!((0, 40), (hits, misses));
+    assert!(evictions > 0, "40 inserts into 16 slots must evict");
+    assert!(misses - evictions <= 16, "{} entries", misses - evictions);
+}
+
+/// A statement longer than `FRONT_TEXT_MAX` is served, just not
+/// remembered: it is parsed on every arrival, and still shares its plan.
+#[test]
+fn overlong_statements_are_served_and_not_remembered() {
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
+    let padded = |len: usize| {
+        let text = format!(
+            "{NATION_SUPPLIER}{}",
+            " ".repeat(len - NATION_SUPPLIER.len())
+        );
+        assert_eq!(len, text.len());
+        text
+    };
+    let at_cap = padded(FRONT_TEXT_MAX);
+    assert!(!service.optimize_sql(&at_cap).unwrap().cache_hit);
+    assert!(service.optimize_sql(&at_cap).unwrap().cache_hit);
+    assert_eq!((1, 1, 0), front_counters(&service));
+
+    let over = padded(FRONT_TEXT_MAX + 1);
+    for _ in 0..2 {
+        assert!(service.optimize_sql(&over).unwrap().cache_hit);
+    }
+    assert_eq!((1, 3, 0), front_counters(&service), "bound both times");
+}
+
+/// Plans served through the service — the miss that optimizes in a pooled
+/// memo and the hit that comes out of both caches — are *run*: on a
+/// generated database each returns what the statement's canonical plan
+/// returns. Three statements of the benchmark's corpus: the paper's
+/// introductory query, the semi join and the outer-join chain.
+#[test]
+fn served_plans_return_the_canonical_result() {
+    let corpus = [
+        "select ns.n_name, nc.n_name, count(*) \
+         from (nation ns join supplier s on ns.n_nationkey = s.s_nationkey) \
+         full outer join (nation nc join customer c on nc.n_nationkey = c.c_nationkey) \
+         on ns.n_nationkey = nc.n_nationkey group by ns.n_name, nc.n_name",
+        "select n.n_name, count(*) from nation n semi join supplier s \
+         on n.n_nationkey = s.s_nationkey group by n.n_name",
+        "select n.n_name, min(l.l_shipdate), max(o.o_totalprice), count(c.c_custkey) \
+         from nation n join supplier s on n.n_nationkey = s.s_nationkey \
+         left outer join lineitem l on s.s_suppkey = l.l_suppkey \
+         left outer join orders o on l.l_orderkey = o.o_orderkey \
+         left outer join customer c on o.o_custkey = c.c_custkey group by n.n_name",
+    ];
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
+    for (seed, sql) in corpus.into_iter().enumerate() {
+        let (bound, miss) = service.optimize_sql_bound(sql).unwrap();
+        let (rebound, hit) = service.optimize_sql_bound(sql).unwrap();
+        assert!(!miss.cache_hit && hit.cache_hit, "{sql}");
+        assert!(Arc::ptr_eq(&bound, &rebound), "{sql}");
+        let occurrences: Vec<_> = bound
+            .occurrences
+            .iter()
+            .zip(&bound.query.tables)
+            .map(|((table, _, columns), occurrence)| (table.as_str(), occurrence, columns))
+            .collect();
+        let db = dpnext::catalog::generate_database(0.002, seed as u64, &occurrences);
+        let reference = bound.query.canonical_plan().eval(&db);
+        assert!(
+            !reference.is_empty(),
+            "{sql}: an empty result checks nothing"
+        );
+        for served in [miss, hit] {
+            assert!(
+                served.result.plan.root.eval(&db).bag_eq(&reference),
+                "{sql}"
+            );
+        }
+    }
 }

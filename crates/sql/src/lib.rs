@@ -28,4 +28,4 @@ pub mod parser;
 pub use ast::{AstFrom, AstItem, AstJoinKind, AstQuery, QName};
 pub use binder::{bind, plan, BoundQuery};
 pub use lexer::{lex, SqlError, Token};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};

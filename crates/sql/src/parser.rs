@@ -14,15 +14,34 @@
 //! cmp        := qname (= | <> | != | <= | >= | < | >) qname
 //! qname      := ident ['.' ident]
 //! ```
+//!
+//! Two size limits make the grammar's only recursion (`term` →
+//! `from_expr` → `term`, once per `(`) and every recursion over what it
+//! builds bounded, whatever text arrives: a `FROM` clause names at most
+//! [`MAX_RELATIONS`] tables — what the optimizer's node sets hold — and
+//! nests parentheses at most [`MAX_NESTING`] deep. A statement over either
+//! is a [`SqlError`]; without them a few kilobytes of `(` overflow the
+//! stack, which no `catch_unwind` contains.
 
 use crate::ast::{AstComparison, AstFrom, AstItem, AstJoinKind, AstQuery, QName};
 use crate::lexer::{lex, SqlError, Token};
 use dpnext_algebra::CmpOp;
+use dpnext_hypergraph::MAX_RELATIONS;
+
+/// The deepest parenthesis nesting a `FROM` clause may have. A join tree
+/// over [`MAX_RELATIONS`] tables needs fewer levels than it has tables, so
+/// the limit only ever refuses redundant parentheses.
+pub const MAX_NESTING: usize = MAX_RELATIONS;
 
 /// Parse a query string into an AST.
 pub fn parse(input: &str) -> Result<AstQuery, SqlError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        tables: 0,
+        nesting: 0,
+    };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return Err(SqlError::new(format!(
@@ -36,10 +55,17 @@ pub fn parse(input: &str) -> Result<AstQuery, SqlError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Table occurrences parsed so far (at most [`MAX_RELATIONS`]).
+    tables: usize,
+    /// Parentheses of the `FROM` clause open around `pos` (at most
+    /// [`MAX_NESTING`]).
+    nesting: usize,
 }
 
 const AGG_FUNCS: [&str; 5] = ["count", "sum", "min", "max", "avg"];
-const RESERVED: [&str; 15] = [
+/// The dialect's keywords, matched without regard to case wherever they
+/// stand. None of them can be a table alias unless `AS` introduces it.
+pub const RESERVED: [&str; 15] = [
     "select", "from", "group", "by", "join", "inner", "left", "full", "outer", "semi", "anti",
     "on", "and", "as", "distinct",
 ];
@@ -211,12 +237,25 @@ impl Parser {
 
     fn term(&mut self) -> Result<AstFrom, SqlError> {
         if self.peek() == Some(&Token::LParen) {
+            if self.nesting == MAX_NESTING {
+                return Err(SqlError::new(format!(
+                    "parentheses nested more than {MAX_NESTING} deep"
+                )));
+            }
             self.pos += 1;
+            self.nesting += 1;
             let inner = self.from_expr()?;
+            self.nesting -= 1;
             self.expect(&Token::RParen)?;
             return Ok(inner);
         }
         let name = self.ident()?;
+        if self.tables == MAX_RELATIONS {
+            return Err(SqlError::new(format!(
+                "more than {MAX_RELATIONS} tables in one statement"
+            )));
+        }
+        self.tables += 1;
         // Optional alias: `t a`, `t as a` — but not a following keyword.
         let alias = if self.eat_kw("as") {
             Some(self.ident()?)
@@ -356,6 +395,45 @@ mod tests {
         );
         // "group" must not be swallowed as a table alias.
         assert_eq!(1, q.group_by.len());
+    }
+
+    /// `select t0.a from t0 join t1 on t0.a = t1.a join ...`, `n` tables.
+    fn chain(n: usize) -> String {
+        let mut text = String::from("select t0.a from t0");
+        for i in 1..n {
+            text += &format!(" join t{i} on t{}.a = t{i}.a", i - 1);
+        }
+        text
+    }
+
+    /// `select a from ((...(t)...))`, `depth` parentheses.
+    fn nested(depth: usize) -> String {
+        format!("select a from {}t{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn a_statement_names_at_most_max_relations_tables() {
+        assert!(parse(&chain(MAX_RELATIONS)).is_ok());
+        let error = parse(&chain(MAX_RELATIONS + 1)).unwrap_err();
+        assert!(error.message.contains("more than 64 tables"), "{error}");
+        // Refused at the 65th table, not after the other 4,935.
+        assert!(parse(&chain(5_000)).is_err());
+    }
+
+    #[test]
+    fn parentheses_nest_at_most_max_nesting_deep() {
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let error = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(error.message.contains("more than 64 deep"), "{error}");
+        // Siblings do not add up: the limit is on depth.
+        let siblings = format!("select a from (t0){}", " join (t1) on a = b".repeat(40));
+        assert!(parse(&siblings).is_ok());
+        // Depth 10,000 overflowed a 2 MiB stack; here it has an eighth of one.
+        let deep = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| parse(&nested(10_000)))
+            .unwrap();
+        assert!(deep.join().unwrap().is_err());
     }
 
     #[test]

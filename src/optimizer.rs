@@ -166,6 +166,14 @@ impl Optimizer {
     /// Like [`Optimizer::with_catalog`], but sharing an existing
     /// [`Arc`]-held catalog (several optimizers, or an optimizer and a
     /// serving layer, can point at the same statistics).
+    ///
+    /// The catalog is fixed from here on: `Catalog` has no interior
+    /// mutability and a built `Optimizer` offers no way to swap it. The
+    /// serving layer relies on that — `dpnext_serve::OptimizerService`
+    /// remembers a statement's bound query by its text for the service's
+    /// lifetime, and only its plans carry a statistics epoch. Making the
+    /// statistics behind a live optimizer swappable means keying that map
+    /// by epoch as well.
     pub fn with_shared_catalog(mut self, catalog: Arc<Catalog>) -> Optimizer {
         self.catalog = OnceLock::from(catalog);
         self
