@@ -174,15 +174,28 @@ fn grouped_here(ctx: &OptContext, i: usize, s: NodeSet) -> bool {
     true
 }
 
+/// The fresh columns a grouping pushed onto a plan covering `s` takes: the
+/// new count plus one per aggregate it rewrites. [`push_grouped_state`]
+/// allocates exactly these, and a work unit settled by the complete-plan
+/// bound advances the allocator by them for each grouping it does not
+/// build ([`crate::optrees::settle`]).
+#[inline]
+pub(crate) fn grouping_columns(ctx: &OptContext, s: NodeSet) -> u32 {
+    1 + (0..ctx.aggs().len())
+        .filter(|&i| grouped_here(ctx, i, s))
+        .count() as u32
+}
+
 /// Derive the aggregation state after a pushed-down grouping `Γ_{G⁺(S);
 /// F¹ ∘ (c : count(*))}` over a plan covering `s` whose positions are the
 /// run `input_pos` of the position lane, and append it to the lanes: one
 /// fresh column for the new count, then one per rewritten aggregate in
-/// vector order. The fresh columns also go to the tail of the attribute
-/// lane in that order (the caller is assembling the grouping's visible
-/// attributes there). Returns the new `(positions, counts)` spans. Only
-/// the state is derived here — the enumeration never needs the aggregate
-/// *calls*; [`group_agg_calls`] rebuilds them for a plan that is compiled.
+/// vector order (`grouping_columns` consecutive ids). The fresh columns
+/// also go to the tail of the attribute lane in that order (the caller is
+/// assembling the grouping's visible attributes there). Returns the new
+/// `(positions, counts)` spans. Only the state is derived here — the
+/// enumeration never needs the aggregate *calls*; [`group_agg_calls`]
+/// rebuilds them for a plan that is compiled.
 #[inline]
 pub fn push_grouped_state(
     ctx: &OptContext,
@@ -191,7 +204,8 @@ pub fn push_grouped_state(
     input_pos: Span,
     s: NodeSet,
 ) -> (Span, Span) {
-    let c_new = scratch.fresh_attr();
+    let c_new = scratch.fresh_attrs(grouping_columns(ctx, s));
+    let mut col = c_new;
     lanes.attrs.push(c_new);
     let counts = Span::new(lanes.counts.len(), 1);
     lanes.counts.push((s, c_new));
@@ -199,7 +213,7 @@ pub fn push_grouped_state(
     lanes.agg_pos.reserve(pos.len as usize);
     for (i, at) in input_pos.range().enumerate() {
         let p = if grouped_here(ctx, i, s) {
-            let col = scratch.fresh_attr();
+            col.0 += 1;
             lanes.attrs.push(col);
             AggPos::Partial { col, scope: s }
         } else {

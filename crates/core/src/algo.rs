@@ -23,7 +23,7 @@ use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::memo::{DominanceKind, Memo, MemoStats, PlanId, ThinBy};
-use crate::optrees::op_trees;
+use crate::optrees::{op_trees, settle};
 use crate::plan::{make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
 use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
@@ -76,7 +76,10 @@ pub struct Optimized {
     /// cardinality/cost estimates, keys, aggregation state). Empty when
     /// rendering was disabled via [`OptimizeOptions::explain`].
     pub explain: String,
-    /// Plans constructed during the search (joins + groupings).
+    /// Plans (joins + groupings) the search accounted for: each was either
+    /// built, or belongs to a full-set work unit the complete-plan bound
+    /// settled unbuilt and is counted as building that unit would have
+    /// counted it — so the number does not depend on the bound.
     pub plans_built: u64,
     /// Plans retained in the DP table at the end.
     pub retained_plans: u64,
@@ -216,16 +219,16 @@ pub fn optimize_prepared(
 /// go to the memo's lanes, so processing a csg-cmp-pair allocates nothing
 /// once the buffers have grown.
 #[derive(Default)]
-struct PairBufs {
+pub(crate) struct PairBufs {
     /// `applicable_ops_into` output.
     apps: Vec<(usize, bool)>,
     /// Deduplicated operator indices crossing the cut.
     uniq: Vec<usize>,
     /// Orientations `(left set, right set, primary operator)`.
-    orients: Vec<(NodeSet, NodeSet, usize)>,
+    pub(crate) orients: Vec<(NodeSet, NodeSet, usize)>,
     /// Extra inner-join edges crossing the same cut (cyclic queries);
     /// shared by every orientation of the pair.
-    extra: Vec<usize>,
+    pub(crate) extra: Vec<usize>,
     lefts: Vec<PlanId>,
     rights: Vec<PlanId>,
     /// The cut constants of the orientation being applied.
@@ -239,7 +242,7 @@ struct PairBufs {
 /// all inner joins their predicates are merged into one application. A mix
 /// of inner and non-inner edges on one cut is rejected (never produced by
 /// the paper's workloads).
-fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut PairBufs) {
+pub(crate) fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut PairBufs) {
     let PairBufs {
         apps,
         uniq,
@@ -301,9 +304,11 @@ fn keep_best(best: &mut Option<(f64, PlanId)>, ctx: &OptContext, memo: &Memo, id
     // lost. The full comparison reads the keys and the cardinality of a
     // row built a moment ago — since the unit offers each tree as it is
     // built — and its branches resolve only once those are computed; the
-    // bound settles nearly every losing complete plan on one hot-row field
-    // (ea-all-paper `latency_geomean_us` ×1.030 without it, in 10 of 10
-    // interleaved pairs).
+    // bound settles a losing complete plan on one hot-row field (PR 21:
+    // ea-all-paper `latency_geomean_us` ×1.030 without it, in 10 of 10
+    // interleaved pairs). It sees only the units the complete-plan bound
+    // of `Search::feed` let through: those whose two inputs together cost
+    // less than the best.
     if best.is_some_and(|(b, _)| memo[id].cost >= b) {
         return false;
     }
@@ -375,8 +380,10 @@ pub(crate) struct Search<'a> {
     full: NodeSet,
     /// `applied` of a plan that applied every operator of the query.
     all_ops: u64,
-    /// Work units built.
+    /// Work units walked.
     units: u64,
+    /// Work units the complete-plan bound settled without building.
+    bounded: u64,
     started: Instant,
 }
 
@@ -474,6 +481,7 @@ impl<'a> Search<'a> {
             full: NodeSet::full(ctx.query.table_count()),
             all_ops: applied_ops_mask(ctx.cq.ops.len()),
             units: 0,
+            bounded: 0,
             started,
         }
     }
@@ -581,10 +589,23 @@ impl<'a> Search<'a> {
     /// the next one is built, so the arena holds what the classes keep (and
     /// the incumbents they evicted since), not what the search built.
     /// Complete plans (the full relation set with every operator applied)
-    /// never enter a class: they compete on final cost, and unless one
-    /// becomes the best the whole `(t1, t2)` unit is rolled back at once —
-    /// on EA-All the losing complete plans outnumber the retained state by
-    /// an order of magnitude.
+    /// never enter a class: they compete on final cost, and one is kept
+    /// only if it became the best (`keep_best`) — popped like any refused
+    /// tree otherwise.
+    ///
+    /// Before that, the **complete-plan bound**: every tree of a full-set
+    /// unit costs at least `cost(t1) + cost(t2)` — `C_out` adds a
+    /// cardinality, a pushed-down grouping another, neither is negative,
+    /// and IEEE addition is monotone, so the rounded sums keep the order.
+    /// Once that sum reaches the best final cost seen, `keep_best` would
+    /// refuse every one of them on its first line, so the unit is
+    /// [`settle`]d instead of built: counted in `plans_built` as building
+    /// it would have counted it, with the fresh-attribute allocator moved
+    /// past what its groupings would have taken, and counted in `bounded`.
+    /// The winner, every fold, the counts and the ids of what is built
+    /// later are the same as if the unit had been built and popped; only
+    /// fewer rows are ever live (on EA-All the losing complete plans
+    /// outnumber the retained state by an order of magnitude).
     ///
     /// Every `(orientation, t1, t2)` combination is one **work unit**,
     /// counted in `units`. A refusal means *stop*: the rest of the pair is
@@ -624,6 +645,7 @@ impl<'a> Search<'a> {
                 continue;
             }
             let s = sl.union(sr);
+            let complete = s == full;
             // Stage the cut once per orientation: predicate orientation,
             // merged selectivity, distinct products and applied bits are
             // identical for every `(t1, t2)` combination of the grid, so the
@@ -640,19 +662,20 @@ impl<'a> Search<'a> {
                         }
                     }
                     self.units += 1;
-                    // A full-set unit is popped once, whole, unless it
-                    // produced a new best; below the full set `op_trees`
-                    // pops each tree its class refuses. Popping the losing
-                    // complete trees one by one as well read +4.3%
-                    // `latency_p50_us` and +4.7% `latency_geomean_us` on
-                    // the benchmark's ea-all-paper (its units are the
-                    // cheapest; 10 interleaved pairs against this shape)
-                    // for 10,092 bytes of `peak_live_bytes`, and a new best
-                    // is rare enough that what it buries does not register.
-                    let mark = (s == full).then(|| memo.mark());
-                    let mut new_best = false;
+                    // The complete-plan bound: a full-set unit none of
+                    // whose trees can win is settled — accounted as
+                    // building it would be, and not built.
+                    if complete
+                        && self
+                            .best
+                            .is_some_and(|(b, _)| memo[t1].cost + memo[t2].cost >= b)
+                    {
+                        self.bounded += 1;
+                        settle(ctx, scratch, memo, staged, t1, t2, eager);
+                        continue;
+                    }
                     // The constructors this loop calls (`op_trees`,
-                    // `apply_staged`, `make_group`, `Memo::fold`,
+                    // `settle`, `apply_staged`, `make_group`, `Memo::fold`,
                     // `Memo::mark`, `Memo::truncate`, and `final_numbers`
                     // behind `keep_best`) and what those call per plan in
                     // other modules (the `OptContext`/`Scratch` accessors,
@@ -661,26 +684,15 @@ impl<'a> Search<'a> {
                     // benchmark's ea-prune-paper p99 reads 3–5% higher, and
                     // which module an edit lands in decides whether it does.
                     op_trees(ctx, scratch, memo, staged, t1, t2, eager, |memo, t| {
-                        if s != full {
+                        if !complete {
                             return memo.fold(s, t, thin_by);
                         }
-                        // A plan reaching the full relation set with an
-                        // operator missing (possible only for pathological
-                        // hyperedge/cut interactions) is invalid: it goes
-                        // with the unit.
-                        if memo[t].applied == all_ops {
-                            new_best |= keep_best(&mut self.best, ctx, memo, t);
-                        }
-                        true
+                        // A complete plan is kept if it became the best. One
+                        // reaching the full relation set with an operator
+                        // missing (possible only for pathological
+                        // hyperedge/cut interactions) is invalid.
+                        memo[t].applied == all_ops && keep_best(&mut self.best, ctx, memo, t)
                     });
-                    if let Some(mark) = mark.filter(|_| !new_best) {
-                        debug_assert!(
-                            memo.class(s).last().is_none_or(|&id| mark.covers(id))
-                                && self.best.is_none_or(|(_, id)| mark.covers(id)),
-                            "popping a unit whose row a class or the best plan names"
-                        );
-                        memo.truncate(mark);
-                    }
                 }
             }
         }
@@ -694,7 +706,7 @@ impl<'a> Search<'a> {
     /// its end (inert, and free, with tracing off).
     pub(crate) fn enumerate(&mut self) -> bool {
         let mut span = dpnext_obs::span("engine.enumerate");
-        let (mut ccps, units) = (0u64, self.units);
+        let (mut ccps, units, bounded) = (0u64, self.units, self.bounded);
         let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
             ccps += 1;
             if self.process(s1, s2) {
@@ -705,6 +717,7 @@ impl<'a> Search<'a> {
         });
         span.tag_u64("ccps", ccps);
         span.tag_u64("units", self.units - units);
+        span.tag_u64("bounded", self.bounded - bounded);
         span.tag_u64("plans_built", self.scratch.plans_built);
         walk.is_continue()
     }

@@ -278,10 +278,16 @@ impl Scratch {
     /// Allocate the next fresh attribute id.
     #[inline]
     pub fn fresh_attr(&mut self) -> AttrId {
+        self.fresh_attrs(1)
+    }
+
+    /// Allocate `n` consecutive fresh attribute ids; returns the first.
+    #[inline]
+    pub(crate) fn fresh_attrs(&mut self, n: u32) -> AttrId {
         let id = AttrId(self.next_attr);
         self.next_attr = self
             .next_attr
-            .checked_add(1)
+            .checked_add(n)
             .expect("fresh-attribute space (u32) exhausted");
         id
     }
@@ -300,10 +306,28 @@ impl Scratch {
     /// per set.
     #[inline]
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
+        self.gplus_span(ctx, s).of(&self.gplus_attrs)
+    }
+
+    /// `G⁺(S1)` and `G⁺(S2)` at once; see [`Scratch::gplus`].
+    #[inline]
+    pub(crate) fn gplus_pair(
+        &mut self,
+        ctx: &OptContext,
+        s1: NodeSet,
+        s2: NodeSet,
+    ) -> [&[AttrId]; 2] {
+        let spans = [self.gplus_span(ctx, s1), self.gplus_span(ctx, s2)];
+        spans.map(|span| span.of(&self.gplus_attrs))
+    }
+
+    /// Where the memoized `G⁺(S)` sits in `gplus_attrs`.
+    #[inline]
+    fn gplus_span(&mut self, ctx: &OptContext, s: NodeSet) -> Span {
         let attrs = &mut self.gplus_attrs;
-        self.gplus_cache
+        *self
+            .gplus_cache
             .entry(s)
             .or_insert_with(|| ctx.push_gplus(s, attrs))
-            .of(&self.gplus_attrs)
     }
 }

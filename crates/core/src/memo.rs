@@ -899,14 +899,13 @@ impl Memo {
     ///
     /// Callers must guarantee that no class and no retained id references
     /// a truncated plan. The enumeration engine is on this path once per
-    /// refused candidate: below the full set a tree its class refuses is
-    /// popped before the next row is built ([`crate::optrees::op_trees`]),
-    /// and a full-set work unit is popped whole unless one of its complete
-    /// plans became the best — on EA-Prune nine candidates in ten, on
-    /// EA-All the losing complete plans, which outnumber retained plans by
-    /// an order of magnitude. A surviving plan cannot lose payload to
-    /// this: whatever its spans name was in the lanes before the plan was
-    /// pushed, hence before `mark`.
+    /// refused candidate: a tree its class refuses — or, at the full set, a
+    /// complete plan that did not become the best — is popped before the
+    /// next row is built ([`crate::optrees::op_trees`]); on EA-Prune nine
+    /// candidates in ten. (Most losing complete plans are never built: the
+    /// complete-plan bound settles their unit first.) A surviving plan
+    /// cannot lose payload to this: whatever its spans name was in the
+    /// lanes before the plan was pushed, hence before `mark`.
     #[inline]
     pub fn truncate(&mut self, mark: MemoMark) {
         debug_assert!(mark.rows <= self.hot.len());

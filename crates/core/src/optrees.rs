@@ -2,9 +2,11 @@
 //! the up-to-four join trees with all valid eager-aggregation variants —
 //! each offered to the caller as it is built and popped again if refused.
 
+use crate::aggstate::grouping_columns;
 use crate::context::{OptContext, Scratch};
 use crate::memo::{Memo, MemoMark, PlanId};
 use crate::plan::{apply_staged, make_group, StagedApply};
+use dpnext_algebra::AttrId;
 use dpnext_keys::needs_grouping;
 use dpnext_query::OpKind;
 
@@ -42,6 +44,26 @@ fn pushable(ctx: &OptContext, scratch: &mut Scratch, memo: &Memo, t: PlanId) -> 
     needs_grouping(gplus, hot.duplicate_free(), memo.plan(t).keys())
 }
 
+/// Does the unit `t1 ◦ t2` of an operator of `kind` push a grouping onto
+/// `t1`, onto `t2`? The one decision, for the unit that builds its trees
+/// ([`op_trees`]) and for the one the complete-plan bound settles
+/// ([`settle`]).
+#[inline]
+fn pushes(
+    ctx: &OptContext,
+    scratch: &mut Scratch,
+    memo: &Memo,
+    kind: OpKind,
+    t1: PlanId,
+    t2: PlanId,
+) -> (bool, bool) {
+    let (left_ok, right_ok) = may_push(kind);
+    (
+        left_ok && pushable(ctx, scratch, memo, t1),
+        right_ok && pushable(ctx, scratch, memo, t2),
+    )
+}
+
 /// The work unit of the search: every operator tree of `t1 ◦ t2` (physical
 /// orientation, staged cut constants in `staged`), each **built, offered
 /// and — if refused — popped** before the next one is built, so no row is
@@ -54,10 +76,11 @@ fn pushable(ctx: &OptContext, scratch: &mut Scratch, memo: &Memo, t: PlanId) -> 
 /// ```
 ///
 /// `offer` is handed each tree while it is the newest row of the arena and
-/// says whether to keep it (the search folds it into its class; a test
-/// collects it). A pushed-down grouping goes with its last user: `Γ(t2)`
-/// when neither tree over it was kept, then `Γ(t1)` likewise once nothing
-/// kept lies above it (under a kept `t1 ◦ Γ(t2)` it stays). Rollback is
+/// says whether to keep it (the search folds it into its class, or keeps a
+/// complete plan that became the best; a test collects it). A pushed-down
+/// grouping goes with its last user: `Γ(t2)` when neither tree over it was
+/// kept, then `Γ(t1)` likewise once nothing kept lies above it (under a
+/// kept `t1 ◦ Γ(t2)` it stays). Rollback is
 /// LIFO, so this is sound for any `offer` that keeps no reference to a tree
 /// it refuses; see `docs/ARCHITECTURE.md` § "The span-sharing rule".
 #[inline]
@@ -99,12 +122,10 @@ pub fn op_trees(
     }
     // A grouping is remembered with the mark under it: what to roll back to
     // once its last user is gone.
-    let (left_ok, right_ok) = may_push(staged.kind);
-    let g1 = (left_ok && pushable(ctx, scratch, memo, t1))
-        .then(|| (memo.mark(), make_group(ctx, scratch, memo, t1)));
+    let (push1, push2) = pushes(ctx, scratch, memo, staged.kind, t1, t2);
+    let g1 = push1.then(|| (memo.mark(), make_group(ctx, scratch, memo, t1)));
     let kept1 = g1.is_some_and(|(_, g1)| apply(scratch, memo, g1, t2));
-    let g2 = (right_ok && pushable(ctx, scratch, memo, t2))
-        .then(|| (memo.mark(), make_group(ctx, scratch, memo, t2)));
+    let g2 = push2.then(|| (memo.mark(), make_group(ctx, scratch, memo, t2)));
     let mut kept2 = false;
     if let Some((under_g2, g2)) = g2 {
         kept2 = apply(scratch, memo, t1, g2);
@@ -118,4 +139,48 @@ pub fn op_trees(
     if let Some((under_g1, _)) = g1.filter(|_| !kept1 && !kept2) {
         pop(memo, under_g1);
     }
+}
+
+/// Account for the unit `t1 ◦ t2` as [`op_trees`] would with an `offer`
+/// that refuses every tree, building none of them: `plans_built` grows by
+/// the trees `op_trees` would construct and the fresh-attribute allocator
+/// moves past the columns its groupings would take, so whatever is built
+/// next gets the ids it would have got. The memo is not touched. Every
+/// decision is the one `op_trees` asks for — `pushes`,
+/// [`StagedApply::refuses`], `grouping_columns` — with `G⁺(S)` standing
+/// in for what a `Γ(t)` exposes: its fresh columns lie above every query
+/// attribute, so no predicate or groupjoin argument names them.
+#[inline]
+pub(crate) fn settle(
+    ctx: &OptContext,
+    scratch: &mut Scratch,
+    memo: &Memo,
+    staged: &StagedApply,
+    t1: PlanId,
+    t2: PlanId,
+    eager: bool,
+) {
+    let (s1, s2, grouped2) = (memo[t1].set, memo[t2].set, memo[t2].has_grouping());
+    let (v1, v2) = (memo.plan(t1).visible(), memo.plan(t2).visible());
+    let terms = &memo.lanes.terms;
+    let builds = |left: &[AttrId], right: &[AttrId], right_grouped: bool| {
+        u64::from(!staged.refuses(ctx, terms, left, right, right_grouped))
+    };
+    let mut plans = builds(v1, v2, grouped2);
+    if eager {
+        let (push1, push2) = pushes(ctx, scratch, memo, staged.kind, t1, t2);
+        if push1 {
+            scratch.fresh_attrs(grouping_columns(ctx, s1));
+            plans += 1 + builds(scratch.gplus(ctx, s1), v2, grouped2);
+        }
+        if push2 {
+            scratch.fresh_attrs(grouping_columns(ctx, s2));
+            plans += 1 + builds(v1, scratch.gplus(ctx, s2), true);
+            if push1 {
+                let [g1, g2] = scratch.gplus_pair(ctx, s1, s2);
+                plans += builds(g1, g2, true);
+            }
+        }
+    }
+    scratch.plans_built += plans;
 }

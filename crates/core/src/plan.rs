@@ -175,6 +175,38 @@ pub fn stage_apply(
     assign_normalized(&mut staged.right_attrs, terms.iter().map(|t| t.2));
 }
 
+impl StagedApply {
+    /// Would [`apply_staged`] refuse this cut on inputs exposing
+    /// `left_visible` and `right_visible`, the right one pre-aggregated iff
+    /// `right_grouped`? It does when a groupjoin would consume a
+    /// pre-aggregated right side (its aggregates would run over groups, not
+    /// raw tuples), and — defensively, since structure prevents it — when
+    /// a predicate attribute or a groupjoin argument is not visible on its
+    /// side: per plan, not per cut, because a pushed-down grouping changes
+    /// which attributes its side exposes. The one statement of these tests:
+    /// a work unit settled by the complete-plan bound asks it about the
+    /// trees it does not build ([`crate::optrees::settle`]).
+    #[inline]
+    pub(crate) fn refuses(
+        &self,
+        ctx: &OptContext,
+        terms: &[Term],
+        left_visible: &[AttrId],
+        right_visible: &[AttrId],
+        right_grouped: bool,
+    ) -> bool {
+        (self.kind == OpKind::GroupJoin && right_grouped)
+            || self
+                .pred
+                .of(terms)
+                .iter()
+                .any(|&(l, _, r)| !left_visible.contains(&l) || !right_visible.contains(&r))
+            || !ctx.gj_args[self.op_idx]
+                .iter()
+                .all(|a| right_visible.contains(a))
+    }
+}
+
 /// Make `side` the sorted, deduplicated set of `attrs`.
 fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>) {
     side.clear();
@@ -185,9 +217,8 @@ fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>
 
 /// Apply a staged operator on two plans. `left`/`right` are already in
 /// physical orientation (the staging's `left_set` side). Returns `None`
-/// when required attributes are unavailable (structurally prevented,
-/// checked defensively) or a groupjoin would consume a pre-aggregated
-/// right side.
+/// when `StagedApply::refuses` the pair: a groupjoin over a pre-aggregated
+/// right side, or an attribute it needs not visible.
 #[inline]
 pub fn apply_staged(
     ctx: &OptContext,
@@ -202,27 +233,12 @@ pub fn apply_staged(
     // The rows are `Copy`: take them out, then write the lanes freely.
     let (left, right) = (memo[left_id], memo[right_id]);
     let (lcold, rcold) = (*memo.plan(left_id).cold, *memo.plan(right_id).cold);
-    // Groupjoins evaluate their aggregates over raw right-side tuples: a
-    // pre-aggregated right side would aggregate groups instead.
-    if kind == OpKind::GroupJoin && right.has_grouping() {
-        return None;
-    }
     let lanes = &mut memo.lanes;
-    // Defensive visibility check — per plan, not per cut: a pushed-down
-    // grouping changes which attributes its side exposes.
     let (lvisible, rvisible) = (
         lcold.visible.of(&lanes.attrs),
         rcold.visible.of(&lanes.attrs),
     );
-    for &(l, _, r) in staged.pred.of(&lanes.terms) {
-        if !lvisible.contains(&l) || !rvisible.contains(&r) {
-            return None;
-        }
-    }
-    if !ctx.gj_args[staged.op_idx]
-        .iter()
-        .all(|a| rvisible.contains(a))
-    {
+    if staged.refuses(ctx, &lanes.terms, lvisible, rvisible, right.has_grouping()) {
         return None;
     }
 

@@ -480,10 +480,117 @@ mod finalization {
 
 mod engine {
     use super::*;
-    use crate::algo::{optimize_prepared, Algorithm, OptimizeOptions, Search};
+    use crate::algo::{
+        optimize_prepared, orientations_into, Algorithm, OptimizeOptions, PairBufs, Search,
+    };
     use crate::budget::{Budget, Exhausted};
     use crate::memo::{PlanNode, ThinBy};
-    use dpnext_workload::{generate_query, GenConfig};
+    use crate::optrees::settle;
+    use dpnext_hypergraph::enumerate_ccps;
+    use dpnext_workload::{generate_query, GenConfig, OpWeights};
+
+    /// The complete-plan bound settles a full-set unit by counting what
+    /// `op_trees` would build, so the two must agree on every unit the bound
+    /// can meet: from one `Scratch`, building every tree of the unit (an
+    /// offer that refuses them all, so each is popped) and settling it
+    /// leave the same `plans_built` and the same next fresh attribute.
+    /// Swept over every full-set `(orientation, t1, t2)` unit of an EA-All
+    /// run (wide classes) and of an H2 run (one plan per class), 40 seeds
+    /// each of `oracle(2..=max_n)`, `paper(3..=max_n)` and `oracle` with
+    /// groupjoins; the sweep must meet a groupjoin refusal and a grouping
+    /// pushed onto each side, or it proves less than it says.
+    fn settle_counts_what_op_trees_builds(max_n: usize) {
+        let groupjoins = |n| GenConfig {
+            ops: OpWeights::with_groupjoins(),
+            ..GenConfig::oracle(n)
+        };
+        let configs = (2..=max_n)
+            .map(GenConfig::oracle)
+            .chain((3..=max_n).map(GenConfig::paper))
+            .chain((2..=max_n).map(groupjoins));
+        let options = OptimizeOptions {
+            explain: false,
+            ..OptimizeOptions::default()
+        };
+        let (mut units, mut gj_refusals, mut pushed) = (0u64, 0u64, [false; 2]);
+        let (mut bufs, mut staged) = (PairBufs::default(), StagedApply::default());
+        for (cfg, seed) in configs.flat_map(|cfg| (0..40).map(move |seed| (cfg.clone(), seed))) {
+            let ctx = OptContext::new(generate_query(&cfg, seed));
+            let full = NodeSet::full(ctx.query.table_count());
+            let mut pairs = Vec::new();
+            enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+                if s1.union(s2) == full {
+                    pairs.push((s1, s2));
+                }
+            });
+            for algo in [Algorithm::EaAll, Algorithm::H2(1.03)] {
+                // The classes below the full set are final once the run
+                // ends: they are the ones its full-set units read.
+                let mut memo = Memo::new();
+                optimize_prepared(&ctx, algo, &options, &mut memo);
+                let mut scratch = Scratch::new(&ctx);
+                for &(s1, s2) in &pairs {
+                    orientations_into(&ctx, s1, s2, &mut bufs);
+                    for &(sl, sr, op) in &bufs.orients {
+                        stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
+                        let (lefts, rights) = (memo.class(sl).to_vec(), memo.class(sr).to_vec());
+                        for (t1, t2) in lefts
+                            .iter()
+                            .flat_map(|&l| rights.iter().map(move |&r| (l, r)))
+                        {
+                            units += 1;
+                            gj_refusals += u64::from(
+                                staged.kind == OpKind::GroupJoin && memo[t2].has_grouping(),
+                            );
+                            let mut settled = scratch.clone();
+                            settle(&ctx, &mut settled, &memo, &staged, t1, t2, true);
+                            op_trees(
+                                &ctx,
+                                &mut scratch,
+                                &mut memo,
+                                &staged,
+                                t1,
+                                t2,
+                                true,
+                                |memo, t| {
+                                    if let PlanNode::Apply { left, right, .. } =
+                                        memo.plan(t).cold.node
+                                    {
+                                        pushed[0] |= left != t1 && memo[left].is_group();
+                                        pushed[1] |= right != t2 && memo[right].is_group();
+                                    }
+                                    false
+                                },
+                            );
+                            assert_eq!(
+                                (scratch.plans_built, scratch.fresh_attr()),
+                                (settled.plans_built, settled.fresh_attr()),
+                                "{} on {cfg:?}, seed {seed}: unit {sl} ◦ {sr}",
+                                algo.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(gj_refusals > 0, "no groupjoin refusal in {units} units");
+        assert_eq!([true, true], pushed, "a grouping pushed onto each side");
+    }
+
+    /// [`settle_counts_what_op_trees_builds`] up to five relations: the
+    /// 150k units a debug build checks in seconds.
+    #[test]
+    fn settling_a_unit_counts_what_building_it_builds() {
+        settle_counts_what_op_trees_builds(5);
+    }
+
+    /// The same sweep up to seven relations, 14M units (~10 s in release,
+    /// minutes in debug): the CI `slow-oracle` job runs it.
+    #[test]
+    #[ignore]
+    fn settling_a_unit_counts_what_building_it_builds_at_paper_scale() {
+        settle_counts_what_op_trees_builds(7);
+    }
 
     /// A refused work unit ends the pair and builds nothing: under a plan
     /// limit of zero the first unit of the pair is refused, the cause is

@@ -12,11 +12,16 @@
 //! after a *deliberate* change, empty the table and copy the rows the
 //! failing test prints.
 //!
-//! The tenth column, `live_bytes_peak`, was re-recorded — it alone — when
-//! the search began popping a refused candidate before building the next
-//! one: the rule of that re-record was "the nine other columns of all 72
-//! rows byte-identical to `84e85da`'s, every new peak lower than the one
-//! it replaces" (÷1.96 … ÷22.6, geomean ÷4.25).
+//! The tenth column, `live_bytes_peak`, is the one that may be re-recorded
+//! on its own, and only under this rule: the nine other columns of all 72
+//! rows stay byte-identical to `84e85da`'s, and every new peak is at most
+//! the one it replaces. It was, twice: when the search began popping a
+//! refused candidate before building the next one (PR 21; ÷1.96 … ÷22.6,
+//! geomean ÷4.25), and when a full-set work unit that cannot beat the best
+//! complete plan stopped being built at all and a losing complete plan
+//! began to be popped like any other refused tree (PR 25, the complete-plan
+//! bound: 63 rows lower, 9 unchanged, none higher; ÷1.00 … ÷1.145, geomean
+//! ÷1.024).
 
 use dpnext_core::{optimize_into, optimize_with, Algorithm, Memo, OptimizeOptions, Optimized};
 use dpnext_workload::{generate_query, GenConfig, Topology};
@@ -101,78 +106,78 @@ type Row = (
 
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
-    (Chain, 8, P(1), 0x40d864af8873373c, 987, 72, 1024, "greedy", "budget-aborted", 34012),
-    (Chain, 8, P(2000), 0x40d6c02a480f230a, 1995, 87, 2000, "partial-exact", "budget-aborted", 52016),
-    (Chain, 8, P(20000), 0x40d1e133da50cef8, 1350, 87, 20000, "exact", "none", 52648),
-    (Chain, 8, P(200000), 0x40d1e133da50cef8, 1350, 87, 200000, "exact", "none", 52648),
-    (Chain, 8, D, 0x40d1e133da50cef8, 1350, 87, 0, "exact", "none", 52648),
-    (Chain, 8, B, 0x40d1e133da50cef8, 1350, 87, 0, "exact", "none", 52648),
-    (Chain, 12, P(1), 0x40dfcdc6284986fa, 1060, 71, 1536, "linearized", "budget-gated", 38652),
-    (Chain, 12, P(2000), 0x40e1e50d4058d928, 1992, 161, 2000, "greedy", "budget-aborted", 63636),
-    (Chain, 12, P(20000), 0x40deb6cd92d7dc88, 7564, 284, 20000, "exact", "none", 151612),
-    (Chain, 12, P(200000), 0x40deb6cd92d7dc88, 7564, 284, 200000, "exact", "none", 151612),
-    (Chain, 20, P(1), 0x40f339a78ef9284e, 2527, 202, 2560, "greedy", "budget-gated+budget-aborted", 87172),
-    (Chain, 20, P(2000), 0x40f339a78ef9284e, 2527, 202, 2560, "greedy", "budget-gated+budget-aborted", 87172),
-    (Chain, 20, P(20000), 0x40f339a78ef9284e, 19992, 571, 20000, "greedy", "budget-aborted", 400312),
-    (Chain, 20, P(200000), 0x40f2bb3632a9ef3a, 185355, 1269, 200000, "linearized", "budget-aborted", 1905948),
+    (Chain, 8, P(1), 0x40d864af8873373c, 987, 72, 1024, "greedy", "budget-aborted", 33112),
+    (Chain, 8, P(2000), 0x40d6c02a480f230a, 1995, 87, 2000, "partial-exact", "budget-aborted", 49804),
+    (Chain, 8, P(20000), 0x40d1e133da50cef8, 1350, 87, 20000, "exact", "none", 49480),
+    (Chain, 8, P(200000), 0x40d1e133da50cef8, 1350, 87, 200000, "exact", "none", 49480),
+    (Chain, 8, D, 0x40d1e133da50cef8, 1350, 87, 0, "exact", "none", 49480),
+    (Chain, 8, B, 0x40d1e133da50cef8, 1350, 87, 0, "exact", "none", 49480),
+    (Chain, 12, P(1), 0x40dfcdc6284986fa, 1060, 71, 1536, "linearized", "budget-gated", 37068),
+    (Chain, 12, P(2000), 0x40e1e50d4058d928, 1992, 161, 2000, "greedy", "budget-aborted", 62692),
+    (Chain, 12, P(20000), 0x40deb6cd92d7dc88, 7564, 284, 20000, "exact", "none", 148844),
+    (Chain, 12, P(200000), 0x40deb6cd92d7dc88, 7564, 284, 200000, "exact", "none", 148844),
+    (Chain, 20, P(1), 0x40f339a78ef9284e, 2527, 202, 2560, "greedy", "budget-gated+budget-aborted", 86804),
+    (Chain, 20, P(2000), 0x40f339a78ef9284e, 2527, 202, 2560, "greedy", "budget-gated+budget-aborted", 86804),
+    (Chain, 20, P(20000), 0x40f339a78ef9284e, 19992, 571, 20000, "greedy", "budget-aborted", 399944),
+    (Chain, 20, P(200000), 0x40f2bb3632a9ef3a, 185355, 1269, 200000, "linearized", "budget-aborted", 1904176),
     (Chain, 30, P(1), 0x40d71b8dd8125b4f, 3836, 258, 3840, "greedy", "budget-gated+budget-aborted", 134128),
     (Chain, 30, P(2000), 0x40d71b8dd8125b4f, 3836, 258, 3840, "greedy", "budget-gated+budget-aborted", 134128),
-    (Chain, 30, P(20000), 0x40c52238fabe5bcd, 15965, 840, 20000, "linearized", "budget-aborted", 481540),
-    (Chain, 30, P(200000), 0x40bc424459bbd0b2, 28463, 1242, 200000, "exact", "none", 936440),
+    (Chain, 30, P(20000), 0x40c52238fabe5bcd, 15965, 840, 20000, "linearized", "budget-aborted", 478900),
+    (Chain, 30, P(200000), 0x40bc424459bbd0b2, 28463, 1242, 200000, "exact", "none", 934456),
     (Star, 8, P(1), 0x403c551be43b3c65, 249, 36, 1024, "linearized", "budget-gated", 16336),
     (Star, 8, P(2000), 0x403c551be43b3c65, 249, 36, 2000, "linearized", "budget-gated", 16336),
     (Star, 8, P(20000), 0x403c551be43b3c65, 10384, 882, 20000, "linearized", "budget-aborted", 528432),
-    (Star, 8, P(200000), 0x403c551be43b3c65, 13361, 919, 200000, "exact", "none", 611532),
-    (Star, 8, D, 0x403c551be43b3c65, 13361, 919, 0, "exact", "none", 611532),
-    (Star, 8, B, 0x403c551be43b3c65, 13361, 919, 0, "exact", "none", 611532),
-    (Star, 12, P(1), 0x403b2f4d98d300e9, 623, 85, 1536, "linearized", "budget-gated", 34852),
-    (Star, 12, P(2000), 0x403b2f4d98d300e9, 623, 85, 2000, "linearized", "budget-gated", 34852),
-    (Star, 12, P(20000), 0x403b2f4d98d300e9, 623, 85, 20000, "linearized", "budget-gated", 34852),
-    (Star, 12, P(200000), 0x403aa633ddfc8dab, 101154, 6964, 200000, "linearized", "budget-aborted", 3104444),
+    (Star, 8, P(200000), 0x403c551be43b3c65, 13361, 919, 200000, "exact", "none", 610988),
+    (Star, 8, D, 0x403c551be43b3c65, 13361, 919, 0, "exact", "none", 610988),
+    (Star, 8, B, 0x403c551be43b3c65, 13361, 919, 0, "exact", "none", 610988),
+    (Star, 12, P(1), 0x403b2f4d98d300e9, 623, 85, 1536, "linearized", "budget-gated", 34488),
+    (Star, 12, P(2000), 0x403b2f4d98d300e9, 623, 85, 2000, "linearized", "budget-gated", 34488),
+    (Star, 12, P(20000), 0x403b2f4d98d300e9, 623, 85, 20000, "linearized", "budget-gated", 34488),
+    (Star, 12, P(200000), 0x403aa633ddfc8dab, 101154, 6964, 200000, "linearized", "budget-aborted", 3103592),
     (Star, 20, P(1), 0x4018f265cc7ebab1, 1980, 242, 2560, "linearized", "budget-gated", 107636),
     (Star, 20, P(2000), 0x4018f265cc7ebab1, 1980, 242, 2560, "linearized", "budget-gated", 107636),
     (Star, 20, P(20000), 0x4018f265cc7ebab1, 1980, 242, 20000, "linearized", "budget-gated", 107636),
     (Star, 20, P(200000), 0x4018f265cc7ebab1, 1980, 242, 200000, "linearized", "budget-gated", 107636),
-    (Star, 30, P(1), 0x40a8dd8eb040d53c, 3143, 603, 3840, "greedy", "budget-gated+budget-aborted", 255256),
-    (Star, 30, P(2000), 0x40a8dd8eb040d53c, 3143, 603, 3840, "greedy", "budget-gated+budget-aborted", 255256),
-    (Star, 30, P(20000), 0x40a8dd8eb040d53c, 8738, 1265, 20000, "linearized", "budget-gated", 486888),
-    (Star, 30, P(200000), 0x40a8dd8eb040d53c, 8738, 1265, 200000, "linearized", "budget-gated", 486888),
-    (Clique, 8, P(1), 0x409c90174f835062, 244, 25, 1024, "exact", "none", 13104),
-    (Clique, 8, P(2000), 0x409c90174f835062, 244, 25, 2000, "exact", "none", 13104),
-    (Clique, 8, P(20000), 0x409c90174f835062, 244, 25, 20000, "exact", "none", 13104),
-    (Clique, 8, P(200000), 0x409c90174f835062, 244, 25, 200000, "exact", "none", 13104),
-    (Clique, 8, D, 0x409c90174f835062, 244, 25, 0, "exact", "none", 13104),
-    (Clique, 8, B, 0x409c90174f835062, 244, 25, 0, "exact", "none", 13104),
-    (Clique, 12, P(1), 0x40801ba4b969490d, 632, 67, 1536, "exact", "none", 39188),
-    (Clique, 12, P(2000), 0x40801ba4b969490d, 632, 67, 2000, "exact", "none", 39188),
-    (Clique, 12, P(20000), 0x40801ba4b969490d, 632, 67, 20000, "exact", "none", 39188),
-    (Clique, 12, P(200000), 0x40801ba4b969490d, 632, 67, 200000, "exact", "none", 39188),
-    (Clique, 20, P(1), 0x40a6fa3e719f4d5d, 2488, 154, 2560, "greedy", "budget-aborted", 113664),
-    (Clique, 20, P(2000), 0x40a6fa3e719f4d5d, 2488, 154, 2560, "greedy", "budget-aborted", 113664),
-    (Clique, 20, P(20000), 0x40a6fa3e719f4d5d, 1370, 154, 20000, "exact", "none", 109124),
-    (Clique, 20, P(200000), 0x40a6fa3e719f4d5d, 1370, 154, 200000, "exact", "none", 109124),
-    (Clique, 30, P(1), 0x40c1c243812de6f3, 3828, 336, 3840, "greedy", "budget-aborted", 233296),
-    (Clique, 30, P(2000), 0x40c1c243812de6f3, 3828, 336, 3840, "greedy", "budget-aborted", 233296),
-    (Clique, 30, P(20000), 0x40c1c243812de6f3, 2718, 381, 20000, "exact", "none", 247776),
-    (Clique, 30, P(200000), 0x40c1c243812de6f3, 2718, 381, 200000, "exact", "none", 247776),
-    (Mixed, 8, P(1), 0x408e32004faf1224, 896, 72, 1024, "linearized", "budget-aborted", 33400),
-    (Mixed, 8, P(2000), 0x408e32004faf1224, 1364, 110, 2000, "linearized", "budget-aborted", 50048),
-    (Mixed, 8, P(20000), 0x408e32004faf1224, 2012, 119, 20000, "exact", "none", 60416),
-    (Mixed, 8, P(200000), 0x408e32004faf1224, 2012, 119, 200000, "exact", "none", 60416),
-    (Mixed, 8, D, 0x408e32004faf1224, 2012, 119, 0, "exact", "none", 60416),
-    (Mixed, 8, B, 0x408e32004faf1224, 2012, 119, 0, "exact", "none", 60416),
-    (Mixed, 12, P(1), 0x40ffbf207c3949b5, 1481, 135, 1536, "greedy", "budget-aborted", 46144),
-    (Mixed, 12, P(2000), 0x40ffbf207c3949b5, 1996, 192, 2000, "greedy", "budget-aborted", 65380),
-    (Mixed, 12, P(20000), 0x40ff80bec6d67eb8, 9495, 501, 20000, "exact", "none", 221628),
-    (Mixed, 12, P(200000), 0x40ff80bec6d67eb8, 9495, 501, 200000, "exact", "none", 221628),
-    (Mixed, 20, P(1), 0x40c2370b91c5bf6b, 2535, 114, 2560, "greedy", "budget-aborted", 68032),
-    (Mixed, 20, P(2000), 0x40c2370b91c5bf6b, 2535, 114, 2560, "greedy", "budget-aborted", 68032),
-    (Mixed, 20, P(20000), 0x40bf34bb65242ab0, 19997, 665, 20000, "linearized", "budget-aborted", 547784),
-    (Mixed, 20, P(200000), 0x40b1b6fc33c9a955, 11761, 666, 200000, "exact", "none", 551120),
-    (Mixed, 30, P(1), 0x4102ba4729cf8d12, 3830, 306, 3840, "greedy", "budget-gated+budget-aborted", 181380),
-    (Mixed, 30, P(2000), 0x4102ba4729cf8d12, 3830, 306, 3840, "greedy", "budget-gated+budget-aborted", 181380),
-    (Mixed, 30, P(20000), 0x4102ba4729cf8d12, 19067, 1350, 20000, "greedy", "budget-gated+budget-aborted", 1094384),
-    (Mixed, 30, P(200000), 0x40f85562834af2fb, 23293, 1523, 200000, "linearized", "budget-gated", 1466548),
+    (Star, 30, P(1), 0x40a8dd8eb040d53c, 3143, 603, 3840, "greedy", "budget-gated+budget-aborted", 254840),
+    (Star, 30, P(2000), 0x40a8dd8eb040d53c, 3143, 603, 3840, "greedy", "budget-gated+budget-aborted", 254840),
+    (Star, 30, P(20000), 0x40a8dd8eb040d53c, 8738, 1265, 20000, "linearized", "budget-gated", 485724),
+    (Star, 30, P(200000), 0x40a8dd8eb040d53c, 8738, 1265, 200000, "linearized", "budget-gated", 485724),
+    (Clique, 8, P(1), 0x409c90174f835062, 244, 25, 1024, "exact", "none", 11440),
+    (Clique, 8, P(2000), 0x409c90174f835062, 244, 25, 2000, "exact", "none", 11440),
+    (Clique, 8, P(20000), 0x409c90174f835062, 244, 25, 20000, "exact", "none", 11440),
+    (Clique, 8, P(200000), 0x409c90174f835062, 244, 25, 200000, "exact", "none", 11440),
+    (Clique, 8, D, 0x409c90174f835062, 244, 25, 0, "exact", "none", 11440),
+    (Clique, 8, B, 0x409c90174f835062, 244, 25, 0, "exact", "none", 11440),
+    (Clique, 12, P(1), 0x40801ba4b969490d, 632, 67, 1536, "exact", "none", 38524),
+    (Clique, 12, P(2000), 0x40801ba4b969490d, 632, 67, 2000, "exact", "none", 38524),
+    (Clique, 12, P(20000), 0x40801ba4b969490d, 632, 67, 20000, "exact", "none", 38524),
+    (Clique, 12, P(200000), 0x40801ba4b969490d, 632, 67, 200000, "exact", "none", 38524),
+    (Clique, 20, P(1), 0x40a6fa3e719f4d5d, 2488, 154, 2560, "greedy", "budget-aborted", 112784),
+    (Clique, 20, P(2000), 0x40a6fa3e719f4d5d, 2488, 154, 2560, "greedy", "budget-aborted", 112784),
+    (Clique, 20, P(20000), 0x40a6fa3e719f4d5d, 1370, 154, 20000, "exact", "none", 108152),
+    (Clique, 20, P(200000), 0x40a6fa3e719f4d5d, 1370, 154, 200000, "exact", "none", 108152),
+    (Clique, 30, P(1), 0x40c1c243812de6f3, 3828, 336, 3840, "greedy", "budget-aborted", 231808),
+    (Clique, 30, P(2000), 0x40c1c243812de6f3, 3828, 336, 3840, "greedy", "budget-aborted", 231808),
+    (Clique, 30, P(20000), 0x40c1c243812de6f3, 2718, 381, 20000, "exact", "none", 243904),
+    (Clique, 30, P(200000), 0x40c1c243812de6f3, 2718, 381, 200000, "exact", "none", 243904),
+    (Mixed, 8, P(1), 0x408e32004faf1224, 896, 72, 1024, "linearized", "budget-aborted", 31996),
+    (Mixed, 8, P(2000), 0x408e32004faf1224, 1364, 110, 2000, "linearized", "budget-aborted", 48652),
+    (Mixed, 8, P(20000), 0x408e32004faf1224, 2012, 119, 20000, "exact", "none", 58816),
+    (Mixed, 8, P(200000), 0x408e32004faf1224, 2012, 119, 200000, "exact", "none", 58816),
+    (Mixed, 8, D, 0x408e32004faf1224, 2012, 119, 0, "exact", "none", 58816),
+    (Mixed, 8, B, 0x408e32004faf1224, 2012, 119, 0, "exact", "none", 58816),
+    (Mixed, 12, P(1), 0x40ffbf207c3949b5, 1481, 135, 1536, "greedy", "budget-aborted", 45760),
+    (Mixed, 12, P(2000), 0x40ffbf207c3949b5, 1996, 192, 2000, "greedy", "budget-aborted", 64996),
+    (Mixed, 12, P(20000), 0x40ff80bec6d67eb8, 9495, 501, 20000, "exact", "none", 220308),
+    (Mixed, 12, P(200000), 0x40ff80bec6d67eb8, 9495, 501, 200000, "exact", "none", 220308),
+    (Mixed, 20, P(1), 0x40c2370b91c5bf6b, 2535, 114, 2560, "greedy", "budget-aborted", 66980),
+    (Mixed, 20, P(2000), 0x40c2370b91c5bf6b, 2535, 114, 2560, "greedy", "budget-aborted", 66980),
+    (Mixed, 20, P(20000), 0x40bf34bb65242ab0, 19997, 665, 20000, "linearized", "budget-aborted", 544784),
+    (Mixed, 20, P(200000), 0x40b1b6fc33c9a955, 11761, 666, 200000, "exact", "none", 545728),
+    (Mixed, 30, P(1), 0x4102ba4729cf8d12, 3830, 306, 3840, "greedy", "budget-gated+budget-aborted", 181040),
+    (Mixed, 30, P(2000), 0x4102ba4729cf8d12, 3830, 306, 3840, "greedy", "budget-gated+budget-aborted", 181040),
+    (Mixed, 30, P(20000), 0x4102ba4729cf8d12, 19067, 1350, 20000, "greedy", "budget-gated+budget-aborted", 1094044),
+    (Mixed, 30, P(200000), 0x40f85562834af2fb, 23293, 1523, 200000, "linearized", "budget-gated", 1464896),
 ];
 
 /// Every row runs in one caller-held memo, which must come back from each

@@ -21,7 +21,7 @@
 //!    └─ adaptive.optimize             n=30 budget=50000
 //!       ├─ adaptive.rung.greedy
 //!       ├─ adaptive.rung.exact        outcome=budget-aborted
-//!       │  └─ engine.enumerate        ccps=1873 units=3921
+//!       │  └─ engine.enumerate        ccps=1873 units=3921 bounded=0
 //!       └─ adaptive.rung.linearized   outcome=completed
 //! ```
 //!

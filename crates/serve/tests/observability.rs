@@ -126,8 +126,9 @@ fn traced_golden_grid_is_bit_identical_and_every_span_closes() {
 
 /// The enumeration's span sits on the path every request runs: a traced
 /// cache miss carries exactly one `engine.enumerate` below its
-/// `serve.request`, tagged with the `plans_built` the reply reports; the
-/// cache hit that follows never reaches the engine. The walk of the whole
+/// `serve.request`, tagged with the `plans_built` the reply reports and
+/// with the `bounded` units among the `units` it walked; the cache hit
+/// that follows never reaches the engine. The walk of the whole
 /// DPhyp stream is the same one whether it is all of an exact run or the
 /// exact rung of a ladder whose gate admits it — only its parent differs.
 #[test]
@@ -158,6 +159,17 @@ fn traced_miss_carries_one_engine_enumerate_span() {
             Some(&TagValue::U64(miss.result.plans_built)),
             engine[0].tag("plans_built")
         );
+        // The units the complete-plan bound settled are among those walked,
+        // and on this query the bound settles some.
+        let count = |tag| match engine[0].tag(tag) {
+            Some(&TagValue::U64(n)) => n,
+            other => panic!("{tag}: {other:?}"),
+        };
+        let (units, bounded) = (count("units"), count("bounded"));
+        assert!(bounded <= units, "{algorithm:?}: {bounded} > {units}");
+        if algorithm == A::EaPrune {
+            assert!(bounded > 0, "the bound settled nothing of {units} units");
+        }
         // Walk up to the root: it must be the miss's `serve.request`.
         let above = |s: &SpanRecord| spans.iter().find(|p| p.id == s.parent);
         let mut at = above(engine[0]).expect("parent span was recorded");
@@ -167,8 +179,9 @@ fn traced_miss_carries_one_engine_enumerate_span() {
         }
         assert_eq!("serve.request", at.name);
         assert_eq!(Some(&TagValue::Str("optimized")), at.tag("outcome"));
-        // One trace, one meaning of `plans_built`: plans constructed, at the
-        // root as in the engine's span (not the arena rows left at the end).
+        // One trace, one meaning of `plans_built`: plans accounted for, at
+        // the root as in the engine's span (not the arena rows left at the
+        // end).
         assert_eq!(engine[0].tag("plans_built"), at.tag("plans_built"));
         assert_ne!(miss.result.plans_built, miss.result.memo.arena_plans);
     }

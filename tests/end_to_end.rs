@@ -5,7 +5,7 @@
 use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights, Topology};
 use dpnext::{AdaptiveMode, Algorithm, DominanceKind, Memo, Optimized, Optimizer};
 use dpnext_query::Query;
-use dpnext_serve::OptimizerService;
+use dpnext_serve::{OptimizerService, ServiceConfig};
 use std::time::Duration;
 
 /// The workspace tests route through the `Optimizer` facade.
@@ -119,6 +119,92 @@ fn ladder_plans_agree_on_results_across_rungs_and_causes() {
     );
     assert!(
         3 * with_rows >= references,
+        "only {with_rows} of {references} reference results have rows"
+    );
+}
+
+/// What the service's miss path serves is *run*, too. With the plan cache
+/// off every request runs the optimizer in a pooled memo that last held
+/// the previous request's plans; each exact algorithm, and a ladder whose
+/// plan budget the gate refuses the exact rung, must return what the
+/// canonical plan returns on every explicit topology and the oracle
+/// generator at n ∈ {4, 6, 8} (EA-All at n ≤ 6: one 8-relation star takes
+/// it minutes in a debug build). The complete-plan bound decides what
+/// every search builds at the full set, so this executes its winners from
+/// a recycled memo. Like the ladder test above, it says which paths it
+/// took: a gated run, a memo reused by every request after the first,
+/// reference results with rows.
+#[test]
+fn pooled_and_gated_plans_agree_on_results() {
+    let mut optimizers: Vec<_> = [
+        Algorithm::DPhyp,
+        Algorithm::EaAll,
+        Algorithm::EaPrune,
+        Algorithm::H1,
+        Algorithm::H2(1.03),
+    ]
+    .map(Optimizer::new)
+    .into();
+    optimizers.push(Optimizer::new(Algorithm::Adaptive).plan_budget(1));
+    let uncached = ServiceConfig {
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    };
+    let mut services: Vec<_> = optimizers
+        .into_iter()
+        .map(|o| (OptimizerService::with_config(o, uncached), 0u64))
+        .collect();
+    let topologies = [
+        Topology::Chain,
+        Topology::Star,
+        Topology::Clique,
+        Topology::Mixed,
+    ];
+    let (mut gated, mut references, mut with_rows) = (false, 0, 0);
+    for n in [4usize, 6, 8] {
+        // Oracle-sized tables and no NULL join values, so the joins of the
+        // generated data do not die out (outerjoins still pad with NULLs).
+        let configs = topologies
+            .map(|t| GenConfig {
+                card_range: (2.0, 8.0),
+                ..GenConfig::topology(n, t)
+            })
+            .into_iter()
+            .chain([GenConfig::oracle(n)]);
+        for (cfg, seed) in configs.flat_map(|cfg| (0..2).map(move |seed| (cfg.clone(), seed))) {
+            let query = generate_query(&cfg, seed);
+            let db = generate_data(&query, 8, 0.0, seed);
+            let reference = query.canonical_plan().eval(&db);
+            references += 1;
+            with_rows += usize::from(!reference.is_empty());
+            for (service, requests) in &mut services {
+                let algorithm = service.optimizer().configured().0;
+                if algorithm == Algorithm::EaAll && n > 6 {
+                    continue;
+                }
+                let served = service.optimize(&query).expect("no faults injected");
+                *requests += 1;
+                let opt = &served.result;
+                assert!(!served.cache_hit);
+                assert!(
+                    opt.plan.root.eval(&db).bag_eq(&reference),
+                    "{} on {:?} n={n} seed={seed}: {} plan, {}",
+                    algorithm.name(),
+                    cfg.topology,
+                    opt.memo.adaptive_mode,
+                    opt.memo.degradation
+                );
+                gated |= opt.memo.degradation.budget_gated;
+            }
+        }
+    }
+    assert!(gated, "no adaptive run was budget-gated");
+    for (service, requests) in &services {
+        let pool = service.stats().pool;
+        assert_eq!((1, requests - 1), (pool.created, pool.reused));
+    }
+    assert!(
+        2 * with_rows >= references,
         "only {with_rows} of {references} reference results have rows"
     );
 }
