@@ -2,7 +2,8 @@
 //!
 //! Optimized plans are compiled into [`AlgExpr`] trees and evaluated against
 //! a [`Database`] of named base relations. This is the execution substrate
-//! used in place of the paper's HyPer / commercial systems (see DESIGN.md).
+//! used in place of the paper's HyPer / commercial systems (see
+//! `docs/ARCHITECTURE.md`).
 
 use crate::agg::AggCall;
 use crate::expr::{CmpOp, Expr, JoinPred};
@@ -193,16 +194,6 @@ impl AlgExpr {
         }
     }
 
-    /// Number of operators in the tree (scans excluded).
-    pub fn operator_count(&self) -> usize {
-        let own = usize::from(!matches!(self, AlgExpr::Scan(_)));
-        own + self
-            .children()
-            .iter()
-            .map(|c| c.operator_count())
-            .sum::<usize>()
-    }
-
     /// Number of grouping operators (Γ) in the tree.
     pub fn grouping_count(&self) -> usize {
         let own = usize::from(matches!(self, AlgExpr::GroupBy { .. }));
@@ -391,7 +382,6 @@ mod tests {
             attrs: vec![a(0)],
             aggs: vec![],
         };
-        assert_eq!(2, tree.operator_count());
         assert_eq!(1, tree.grouping_count());
     }
 

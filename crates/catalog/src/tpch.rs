@@ -5,7 +5,7 @@
 //! public SF-1 numbers. The data generator produces scaled-down but
 //! distribution-faithful instances (sequential keys, uniform foreign keys)
 //! for executing plans on the algebra interpreter — our substitute for the
-//! paper's HyPer measurements (see DESIGN.md).
+//! paper's HyPer measurements (see `docs/ARCHITECTURE.md`).
 
 use crate::catalog::Catalog;
 use dpnext_algebra::{AttrId, Database, Relation, Value};

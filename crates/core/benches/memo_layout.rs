@@ -3,7 +3,7 @@
 //! `memo_layout_fold`: the thinning step [`Memo::fold`] under dominance
 //! (`PruneDominatedPlans`, Fig. 13) — every candidate plan is compared
 //! against every resident of its class, reading only the 40-byte `PlanHot`
-//! rows (and, for `Full` dominance, the key spans in the lanes). This is
+//! rows (and, once those hold, the key spans in the lanes). This is
 //! the harness a SIMD fold would be measured in.
 //!
 //! `memo_layout_construct`: plan construction — `apply_staged` over a
@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpnext_algebra::schema::AttrId;
 use dpnext_algebra::{AggCall, AggKind, AttrGen, Expr, JoinPred};
 use dpnext_core::aggstate::AggState;
-use dpnext_core::memo::{DominanceKind, Memo, PlanHot, PlanId, PlanNode, ThinBy};
+use dpnext_core::memo::{Memo, PlanHot, PlanId, PlanNode, ThinBy};
 use dpnext_core::{apply_staged, make_scan, stage_apply, OptContext, Scratch, StagedApply};
 use dpnext_hypergraph::NodeSet;
 use dpnext_keys::{KeyInfo, KeySet};
@@ -39,8 +39,8 @@ impl Lcg {
 
 /// Push one made-up plan. Cost and cardinality are LCG-varied so dominance
 /// is decided late (exercising the scan), and ~25% of the plans are
-/// duplicate-free with small key sets so the `Full`-dominance cold path
-/// fires realistically — unless `at` pins the plan to a `(cost, card)`
+/// duplicate-free with small key sets so the dominance test's key-set
+/// path fires realistically — unless `at` pins the plan to a `(cost, card)`
 /// point, without keys or grouping.
 fn push_plan(memo: &mut Memo, rng: &mut Lcg, at: Option<(f64, f64)>) -> PlanId {
     let r = rng.next();
@@ -109,35 +109,29 @@ fn bench_dominance_fold(c: &mut Criterion) {
         ("frontier256", 256usize, true),
         ("frontier1024", 1024usize, true),
     ] {
-        for (kname, kind) in [
-            ("costcard", DominanceKind::CostCard),
-            ("full", DominanceKind::Full),
-        ] {
-            let by = ThinBy::Dominance {
-                kind,
-                guard_groupjoin: true,
-            };
-            let mut memo = Memo::new();
-            let ids = class_candidates(&mut memo, n, 42, frontier);
-            // Every pass folds the candidates into a class of its own, as
-            // the enumeration meets every class: empty. Returns its width.
-            let mut classes = 0u64;
-            let mut fold_class = move || {
-                classes += 1;
-                let class = NodeSet(classes);
-                for &id in black_box(&ids) {
-                    memo.fold(class, id, by);
-                }
-                memo.class(class).len()
-            };
-            // Sanity: nothing on a frontier precedes anything else.
-            let width = fold_class();
-            assert!(width > 0 && (!frontier || width == n), "{label}: {width}");
+        let by = ThinBy::Dominance {
+            guard_groupjoin: true,
+        };
+        let mut memo = Memo::new();
+        let ids = class_candidates(&mut memo, n, 42, frontier);
+        // Every pass folds the candidates into a class of its own, as the
+        // enumeration meets every class: empty. Returns its width.
+        let mut classes = 0u64;
+        let mut fold_class = move || {
+            classes += 1;
+            let class = NodeSet(classes);
+            for &id in black_box(&ids) {
+                memo.fold(class, id, by);
+            }
+            memo.class(class).len()
+        };
+        // Sanity: nothing on a frontier precedes anything else.
+        let width = fold_class();
+        assert!(width > 0 && (!frontier || width == n), "{label}: {width}");
 
-            group.bench_function(format!("fold_{kname}_{label}"), |b| {
-                b.iter(|| black_box(fold_class()))
-            });
-        }
+        group.bench_function(format!("fold_full_{label}"), |b| {
+            b.iter(|| black_box(fold_class()))
+        });
     }
     group.finish();
 }

@@ -22,7 +22,7 @@
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
-use crate::memo::{DominanceKind, Memo, MemoStats, PlanId, ThinBy};
+use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::{op_trees, settle};
 use crate::plan::{make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
@@ -99,12 +99,11 @@ pub struct Optimized {
 /// under any algorithm: only the ladder has a plan to ship when a budget
 /// stops the search mid-stream, and it is an EA-Prune search, so an
 /// H1/H2/DPhyp/EA-All choice is then not honoured. Every other run arms
-/// nothing; left at their defaults the four change nothing anywhere.
+/// nothing and reads none of the four. The fifth field, `explain`, only
+/// decides whether the result carries its EXPLAIN text; the plan is the
+/// same either way.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
-    /// Dominance criterion used by [`Algorithm::EaPrune`] (ablation
-    /// interface; the paper's criterion is [`DominanceKind::Full`]).
-    pub dominance: DominanceKind,
     /// Render the EXPLAIN string (skip for pure benchmarking runs).
     pub explain: bool,
     /// The maximum number of plans (joins + groupings) the ladder may
@@ -134,7 +133,6 @@ pub struct OptimizeOptions {
 impl Default for OptimizeOptions {
     fn default() -> Self {
         OptimizeOptions {
-            dominance: DominanceKind::Full,
             explain: true,
             plan_budget: 0,
             deadline: None,
@@ -194,7 +192,7 @@ pub fn optimize_prepared(
         Algorithm::H1 => Some((ThinBy::Cheapest(None), true)),
         Algorithm::H2(f) => Some((ThinBy::Cheapest(Some(f)), true)),
         Algorithm::EaAll => Some((ThinBy::Nothing, true)),
-        Algorithm::EaPrune => Some((ThinBy::dominance(ctx, opts.dominance), true)),
+        Algorithm::EaPrune => Some((ThinBy::dominance(ctx), true)),
         Algorithm::Adaptive => None,
     };
     let unbudgeted = opts.deadline.is_none() && opts.memory_budget == 0;
@@ -286,11 +284,10 @@ fn seed_scans(ctx: &OptContext, memo: &mut Memo) {
 }
 
 impl ThinBy {
-    /// The dominance relation of `kind` for `ctx`'s query; its groupjoin
+    /// The dominance relation (Def. 4) for `ctx`'s query; its groupjoin
     /// guard is on exactly when the query contains groupjoins.
-    pub fn dominance(ctx: &OptContext, kind: DominanceKind) -> ThinBy {
+    pub fn dominance(ctx: &OptContext) -> ThinBy {
         ThinBy::Dominance {
-            kind,
             guard_groupjoin: ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin),
         }
     }
@@ -542,8 +539,7 @@ impl<'a> Search<'a> {
         let keep_raw = matches!(
             self.thin_by,
             ThinBy::Dominance {
-                guard_groupjoin: true,
-                ..
+                guard_groupjoin: true
             }
         );
         self.memo.class_shrink_to_best(s, keep_raw);

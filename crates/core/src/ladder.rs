@@ -149,7 +149,7 @@ pub(crate) fn climb(
     ladder_span.tag_u64("plan_budget", plans.unwrap_or(0));
     // The search arms nothing; every rung arms its own budget (see
     // `Ladder::rung`).
-    let thin_by = ThinBy::dominance(ctx, opts.dominance);
+    let thin_by = ThinBy::dominance(ctx);
     let mut ladder = Ladder {
         search: Search::new(ctx, memo, thin_by, true),
         degr: Degradation::default(),

@@ -26,7 +26,6 @@ mod budget;
 pub mod context;
 pub mod explain;
 pub mod finalize;
-pub mod fusion;
 pub mod fxhash;
 pub mod ladder;
 pub mod memo;
@@ -45,11 +44,10 @@ pub use algo::{
 pub use context::{OptContext, Scratch};
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};
-pub use fusion::fuse_groupjoins;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
-    AdaptiveMode, Degradation, DominanceKind, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot,
-    PlanId, PlanNode, PlanRef, Span, Term, ThinBy, ARENA_ROW_BYTES,
+    AdaptiveMode, Degradation, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot, PlanId,
+    PlanNode, PlanRef, Span, Term, ThinBy, ARENA_ROW_BYTES,
 };
 pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
 pub use recost::{recost_plan, Recosted};

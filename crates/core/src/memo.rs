@@ -358,21 +358,6 @@ impl MemoMark {
     }
 }
 
-/// Which conditions the dominance test of Def. 4 applies. `Full` is the
-/// paper's (optimality-preserving) criterion; the weaker variants exist
-/// for the ablation study in `dpnext-bench` — they prune harder but can
-/// lose the optimal plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DominanceKind {
-    /// Cost + cardinality + duplicate-freeness + key implication (§4.6).
-    Full,
-    /// Cost + cardinality only (ignores functional dependencies).
-    CostCard,
-    /// Cost only (Bellman-style pruning; equivalent to keeping the single
-    /// cheapest plan per class when ties collapse).
-    CostOnly,
-}
-
 /// Which rung of the adaptive degradation ladder produced the final plan
 /// (`Algorithm::Adaptive`, see [`crate::ladder`]). `None` for every run
 /// that did not climb it.
@@ -545,8 +530,9 @@ impl MemoStats {
 /// that thins a class by it. Pruning with a relation keeps the optimum
 /// only if the relation is monotone under every plan constructor
 /// (`p ≼ q ⇒ op(p, r) ≼ op(q, r)`): `crates/core/tests/thinning.rs` holds
-/// [`DominanceKind::Full`] to that and records where the weaker kinds
-/// break it.
+/// [`ThinBy::Dominance`] to that, and records test-local weakenings of it
+/// (cost only; cost and cardinality) that break it and so can lose the
+/// optimum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThinBy {
     /// The empty relation — nothing precedes anything: a class keeps every
@@ -560,11 +546,8 @@ pub enum ThinBy {
     /// Dominance (Def. 4; EA-Prune, Figs. 13/14): `a` is at most as
     /// expensive and at most as large as `b`, duplicate-free whenever `b`
     /// is, and its key set implies `b`'s (the practical weakening of
-    /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6) — or whichever of these
-    /// `kind` asks for.
+    /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6).
     Dominance {
-        /// Which of the conditions apply.
-        kind: DominanceKind,
         /// In the presence of groupjoins a pre-aggregated plan must not
         /// shadow a raw one (the groupjoin needs raw right inputs).
         guard_groupjoin: bool,
@@ -580,7 +563,7 @@ impl ThinBy {
     /// [`ThinBy::precedes`] on the borrowed parts of a memo, the form
     /// [`Memo::fold`] can call while it edits a class. Dominance decides
     /// on the hot rows first; the key sets are read only when everything
-    /// else already holds (and only for [`DominanceKind::Full`]).
+    /// else already holds.
     #[inline]
     fn precedes_in(
         self,
@@ -594,15 +577,11 @@ impl ThinBy {
             ThinBy::Nothing => false,
             // `b` has to beat `a` strictly to be worth keeping.
             ThinBy::Cheapest(factor) => !adjusted_less(hot, cold, b, a, factor),
-            ThinBy::Dominance {
-                kind,
-                guard_groupjoin,
-            } => {
-                dominates_hot(&hot[a.index()], &hot[b.index()], kind, guard_groupjoin)
-                    && (kind != DominanceKind::Full
-                        || lanes
-                            .key_set(cold[a.index()].keys)
-                            .implies(lanes.key_set(cold[b.index()].keys)))
+            ThinBy::Dominance { guard_groupjoin } => {
+                dominates_hot(&hot[a.index()], &hot[b.index()], guard_groupjoin)
+                    && lanes
+                        .key_set(cold[a.index()].keys)
+                        .implies(lanes.key_set(cold[b.index()].keys))
             }
         }
     }
@@ -611,17 +590,11 @@ impl ThinBy {
 /// Everything of the dominance test that is decidable from two
 /// [`PlanHot`] rows.
 #[inline]
-fn dominates_hot(a: &PlanHot, b: &PlanHot, kind: DominanceKind, guard_groupjoin: bool) -> bool {
+fn dominates_hot(a: &PlanHot, b: &PlanHot, guard_groupjoin: bool) -> bool {
     if guard_groupjoin && a.has_grouping() && !b.has_grouping() {
         return false;
     }
-    match kind {
-        DominanceKind::CostOnly => a.cost <= b.cost,
-        DominanceKind::CostCard => a.cost <= b.cost && a.card <= b.card,
-        DominanceKind::Full => {
-            a.cost <= b.cost && a.card <= b.card && (a.duplicate_free() || !b.duplicate_free())
-        }
-    }
+    a.cost <= b.cost && a.card <= b.card && (a.duplicate_free() || !b.duplicate_free())
 }
 
 /// `CompareAdjustedCosts` (Fig. 12): is `new` cheaper than `old`? Without

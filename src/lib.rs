@@ -16,6 +16,6 @@ pub use dpnext_workload as workload;
 mod optimizer;
 
 pub use dpnext_core::{
-    optimize_into, AdaptiveMode, Algorithm, Degradation, DominanceKind, Memo, MemoStats, Optimized,
+    optimize_into, AdaptiveMode, Algorithm, Degradation, Memo, MemoStats, Optimized,
 };
 pub use optimizer::Optimizer;

@@ -15,16 +15,16 @@
 //! ```
 
 use dpnext_catalog::{tpch_catalog, Catalog};
-use dpnext_core::{optimize_into, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
+use dpnext_core::{optimize_into, Algorithm, Memo, OptimizeOptions, Optimized};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-/// Builder-style facade over the whole workspace: pick an algorithm, tune
-/// the dominance criterion and stats rendering, then optimize [`Query`]
-/// values or SQL text in one call.
+/// Builder-style facade over the whole workspace: pick an algorithm, set
+/// its budgets and EXPLAIN rendering, then optimize [`Query`] values or SQL
+/// text in one call.
 ///
 /// The catalog used for SQL binding defaults to the TPC-H schema
 /// ([`dpnext_catalog::tpch_catalog`]) and is built lazily on the first
@@ -76,8 +76,8 @@ impl fmt::Debug for Scratch {
 }
 
 impl Optimizer {
-    /// A facade running `algorithm` with the paper's defaults: `Full`
-    /// dominance pruning and EXPLAIN/stats rendering enabled.
+    /// A facade running `algorithm` with the default options: no budget
+    /// and EXPLAIN rendering enabled.
     pub fn new(algorithm: Algorithm) -> Optimizer {
         Optimizer {
             algorithm,
@@ -85,13 +85,6 @@ impl Optimizer {
             catalog: OnceLock::new(),
             scratch: Scratch::default(),
         }
-    }
-
-    /// Override the dominance criterion used by [`Algorithm::EaPrune`]
-    /// (the weaker kinds prune harder but can lose the optimal plan).
-    pub fn dominance(mut self, kind: DominanceKind) -> Optimizer {
-        self.options.dominance = kind;
-        self
     }
 
     // perfbench-only: the frozen benchmark still calls this setter (with 1

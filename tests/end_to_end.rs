@@ -3,7 +3,7 @@
 //! plan generation → compilation → execution.
 
 use dpnext::workload::{generate_data, generate_query, GenConfig, OpWeights, Topology};
-use dpnext::{AdaptiveMode, Algorithm, DominanceKind, Memo, Optimized, Optimizer};
+use dpnext::{AdaptiveMode, Algorithm, Memo, Optimized, Optimizer};
 use dpnext_query::Query;
 use dpnext_serve::{OptimizerService, ServiceConfig};
 use std::time::Duration;
@@ -427,15 +427,10 @@ fn optimizer_facade_builder_knobs() {
     assert!(quiet.explain.is_empty());
     assert!(quiet.memo.arena_plans > 0);
     assert!(quiet.memo.prune_attempts > 0);
-
-    // Dominance override: weaker criteria must never retain more plans
-    // than the paper's full criterion.
-    let full = Optimizer::new(Algorithm::EaPrune).optimize(&query);
-    let cost_only = Optimizer::new(Algorithm::EaPrune)
-        .dominance(DominanceKind::CostOnly)
-        .optimize(&query);
-    assert!(cost_only.retained_plans <= full.retained_plans);
-    assert!(!full.explain.is_empty());
+    assert!(!Optimizer::new(Algorithm::EaPrune)
+        .optimize(&query)
+        .explain
+        .is_empty());
 }
 
 #[test]
