@@ -79,7 +79,10 @@ pub struct Optimized {
     /// Plans (joins + groupings) the search accounted for: each was either
     /// built, or belongs to a full-set work unit the complete-plan bound
     /// settled unbuilt and is counted as building that unit would have
-    /// counted it — so the number does not depend on the bound.
+    /// counted it — so the number does not depend on that bound. A
+    /// ladder's exact rung also skips interior units by the greedy plan's
+    /// cost; those build nothing and count nothing, so a ladder run's
+    /// number does depend on the interior bound.
     pub plans_built: u64,
     /// Plans retained in the DP table at the end.
     pub retained_plans: u64,
@@ -379,7 +382,8 @@ pub(crate) struct Search<'a> {
     all_ops: u64,
     /// Work units walked.
     units: u64,
-    /// Work units the complete-plan bound settled without building.
+    /// Work units the complete-plan bound settled, or the interior bound
+    /// skipped, without building.
     bounded: u64,
     started: Instant,
 }
@@ -560,15 +564,24 @@ impl<'a> Search<'a> {
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
     pub(crate) fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
+        self.pair(s1, s2, false)
+    }
+
+    /// [`Search::process`], bounding interior work by the best complete
+    /// plan iff `interior` and something is armed: the ladder's exact rung
+    /// ([`Search::enumerate`] under a budget). A search with nothing armed
+    /// never bounds below the full set, whoever feeds it.
+    fn pair(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
         // Decided once per pair, so that the unit loop of a search with
-        // nothing armed is compiled without the meter call: testing a
-        // run-time flag per unit instead read 1% slower on the benchmark's
-        // ea-prune-paper, in 10 of 10 interleaved pairs.
+        // nothing armed is compiled without the meter call (or the
+        // interior bound): testing a run-time flag per unit instead read
+        // 1% slower on the benchmark's ea-prune-paper, in 10 of 10
+        // interleaved pairs.
         let meter = &self.meter;
         let completed = if meter.budget != Budget::default() || meter.unit_delay.is_some() {
-            self.feed::<true>(s1, s2)
+            self.feed::<true>(s1, s2, interior)
         } else {
-            self.feed::<false>(s1, s2)
+            self.feed::<false>(s1, s2, false)
         };
         let cap = self.meter.budget.plans;
         debug_assert!(cap.is_none_or(|cap| self.scratch.plans_built <= cap));
@@ -603,12 +616,24 @@ impl<'a> Search<'a> {
     /// fewer rows are ever live (on EA-All the losing complete plans
     /// outnumber the retained state by an order of magnitude).
     ///
+    /// With `interior` (read only when `ARMED`), the **interior bound** as
+    /// well: a subplan costs no more than any complete plan above it, by
+    /// the same two lines, so below the full set a unit with
+    /// `cost(t1) + cost(t2) ≥ best` is
+    /// *skipped* — nothing built, nothing counted in `plans_built` or
+    /// charged to the budget, counted in `bounded` — and a candidate with
+    /// `cost ≥ best` is refused before [`Memo::fold`]. The class members
+    /// cheaper than `best` are the ones an unbounded walk keeps (anything
+    /// that evicts or refuses a cheaper one costs no more than it), so the
+    /// walk finds every complete plan cheaper than `best` that it would
+    /// otherwise, and the winner's cost is the same.
+    ///
     /// Every `(orientation, t1, t2)` combination is one **work unit**,
     /// counted in `units`. A refusal means *stop*: the rest of the pair is
     /// abandoned and `false` is returned, so the pair's plan set is
     /// incomplete. The per-pair snapshots of both classes are plain
     /// `PlanId` copies into `bufs` — no plan data is cloned.
-    fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
+    fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
         // Per-pair check: a stopped search stays stopped, and even a
         // stream of pairs with no applicable operator (which never asks
         // for a unit) stays resource-bounded.
@@ -621,7 +646,9 @@ impl<'a> Search<'a> {
             return false;
         }
         let (ctx, thin_by, eager) = (self.ctx, self.thin_by, self.eager);
-        let (full, all_ops, first_unit) = (self.full, self.all_ops, self.units);
+        let (full, all_ops) = (self.full, self.all_ops);
+        // Units of this pair charged to the budget so far.
+        let mut charged = 0u64;
         let (memo, scratch) = (&mut *self.memo, &mut self.scratch);
         orientations_into(ctx, s1, s2, &mut self.bufs);
         let PairBufs {
@@ -642,6 +669,13 @@ impl<'a> Search<'a> {
             }
             let s = sl.union(sr);
             let complete = s == full;
+            // The interior bound's ceiling: only a complete plan moves
+            // `best`, so it stays put for the whole of an interior pair.
+            let ceiling = if ARMED && interior && !complete {
+                self.best.map(|(b, _)| b)
+            } else {
+                None
+            };
             // Stage the cut once per orientation: predicate orientation,
             // merged selectivity, distinct products and applied bits are
             // identical for every `(t1, t2)` combination of the grid, so the
@@ -649,11 +683,19 @@ impl<'a> Search<'a> {
             stage_apply(ctx, memo, staged, op, extra, sl);
             for &t1 in lefts.iter() {
                 for &t2 in rights.iter() {
+                    // The interior bound: a unit none of whose trees can
+                    // lie under a cheaper winner is skipped — not built,
+                    // not counted, not charged.
+                    if ceiling.is_some_and(|b| memo[t1].cost + memo[t2].cost >= b) {
+                        self.units += 1;
+                        self.bounded += 1;
+                        continue;
+                    }
                     if ARMED {
                         // A unit counts as `UNIT_MAX_PLANS` plans, so the
                         // plan limit is never exceeded mid-unit.
-                        let units = self.units - first_unit + 1;
-                        if !meter.take(spent + units * UNIT_MAX_PLANS, memo) {
+                        charged += 1;
+                        if !meter.take(spent + charged * UNIT_MAX_PLANS, memo) {
                             return false;
                         }
                     }
@@ -681,7 +723,8 @@ impl<'a> Search<'a> {
                     // which module an edit lands in decides whether it does.
                     op_trees(ctx, scratch, memo, staged, t1, t2, eager, |memo, t| {
                         if !complete {
-                            return memo.fold(s, t, thin_by);
+                            return ceiling.is_none_or(|b| memo[t].cost < b)
+                                && memo.fold(s, t, thin_by);
                         }
                         // A complete plan is kept if it became the best. One
                         // reaching the full relation set with an operator
@@ -697,15 +740,18 @@ impl<'a> Search<'a> {
 
     /// Feed the search the whole DPhyp csg-cmp-pair stream, in emission
     /// order, up to the first refused pair. Returns whether the stream was
-    /// walked to its end. The walk is one `engine.enumerate` span, tagged
-    /// with the pairs and units walked and the search's `plans_built` at
-    /// its end (inert, and free, with tracing off).
+    /// walked to its end. Under a budget — the ladder's exact rung, which
+    /// the greedy rung's plan precedes — the walk bounds interior work
+    /// too (see [`Search::feed`]). The walk is one `engine.enumerate`
+    /// span, tagged with the pairs and units walked, the units the bounds
+    /// spared, and the search's `plans_built` at its end (inert, and free,
+    /// with tracing off).
     pub(crate) fn enumerate(&mut self) -> bool {
         let mut span = dpnext_obs::span("engine.enumerate");
         let (mut ccps, units, bounded) = (0u64, self.units, self.bounded);
         let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
             ccps += 1;
-            if self.process(s1, s2) {
+            if self.pair(s1, s2, true) {
                 ControlFlow::Continue(())
             } else {
                 ControlFlow::Break(())

@@ -23,9 +23,15 @@
 //!    is attempted only when a capped csg-cmp-pair count
 //!    ([`count_ccps_capped`]) shows the full DPhyp stream plausibly fits
 //!    that half; without one there is no gate.
-//!    Completing this rung makes the result the EA-Prune optimum; an
-//!    aborted stream's plans still compete (reported as `PartialExact`
-//!    when one wins).
+//!    The walk is bounded by the best complete plan — the greedy one
+//!    until it finds a cheaper one: an interior work unit whose inputs
+//!    together cost as much is skipped (not built, not charged), and an
+//!    interior candidate that costs as much is refused before its class
+//!    sees it. `C_out` only grows up a plan, so neither could lie under a
+//!    cheaper winner, and the budget buys more of the stream.
+//!    Completing this rung makes the result the EA-Prune optimum (to the
+//!    bit); an aborted stream's plans still compete (reported as
+//!    `PartialExact` when one wins).
 //! 3. **Linearized DP**, under all that is left: exact DP restricted to
 //!    connected contiguous intervals of the greedy linear order (`O(n³)`
 //!    splits instead of exponential), never worse than the greedy plan
@@ -120,9 +126,9 @@ impl Ladder<'_> {
 /// search's epilogue. Returns the result and the winner's memo id.
 ///
 /// `opts.plan_budget` (0 = [`DEFAULT_PLAN_BUDGET`], clamped to
-/// [`budget_floor`]) caps the plans built, `opts.dominance` tunes the
-/// pruning. Panics like an exact run when the query graph is disconnected
-/// or over-constrained (no complete plan exists).
+/// [`budget_floor`]) caps the plans built. Panics like an exact run when
+/// the query graph is disconnected or over-constrained (no complete plan
+/// exists).
 pub(crate) fn climb(
     ctx: &OptContext,
     opts: &OptimizeOptions,

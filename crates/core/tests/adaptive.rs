@@ -27,16 +27,17 @@ fn opts(plan_budget: u64) -> OptimizeOptions {
     }
 }
 
-/// On n ≤ 8 queries of every topology the adaptive result is a valid plan
+/// On n ≤ 10 queries of every topology the adaptive result is a valid plan
 /// whose cost never beats the exact EA-Prune optimum; when the exact rung
-/// completes within the budget the costs agree exactly. The measured
-/// quality ratio is recorded on the test output.
+/// completes within the budget the costs agree to the bit — the interior
+/// bound the exact rung walks under skips nothing a cheaper plan needs.
+/// The measured quality ratio is recorded on the test output.
 #[test]
 fn adaptive_never_beats_the_exact_optimum() {
     let o = opts(0);
     let (mut ratios, mut worst) = (Vec::new(), 1.0f64);
     for topo in TOPOLOGIES {
-        for n in [3usize, 5, 8] {
+        for n in [3usize, 5, 8, 10] {
             for seed in 0..4u64 {
                 let q = generate_query(&GenConfig::topology(n, topo), seed);
                 let exact = optimize_with(&q, Algorithm::EaPrune, &o);
@@ -55,9 +56,10 @@ fn adaptive_never_beats_the_exact_optimum() {
                 assert!(stats.plan_budget > 0);
                 assert!(optimized.plans_built <= stats.plan_budget);
                 if stats.adaptive_mode == AdaptiveMode::Exact {
-                    assert!(
-                        (a - e).abs() <= e.abs() * 1e-9,
-                        "exact rung completed but costs differ: {a} vs {e}"
+                    assert_eq!(
+                        a.to_bits(),
+                        e.to_bits(),
+                        "exact rung completed but costs differ: {a} vs {e} ({topo:?} n={n} seed={seed})"
                     );
                 }
                 let ratio = if e > 0.0 { a / e } else { 1.0 };

@@ -18,11 +18,11 @@
 //! ├─ serve.cache_probe
 //! ├─ serve.admission                  (duration = queue wait)
 //! └─ serve.optimize
-//!    └─ adaptive.optimize             n=30 budget=50000
+//!    └─ adaptive.optimize             n=20 plan_budget=50000
 //!       ├─ adaptive.rung.greedy
 //!       ├─ adaptive.rung.exact        outcome=budget-aborted
-//!       │  └─ engine.enumerate        ccps=1873 units=3921 bounded=0
-//!       └─ adaptive.rung.linearized   outcome=completed
+//!       │  └─ engine.enumerate        ccps=238 units=5187 bounded=182
+//!       └─ adaptive.rung.linearized   outcome=budget-aborted
 //! ```
 //!
 //! Tracing is **off by default** and the disabled path is deliberately

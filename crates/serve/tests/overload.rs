@@ -25,20 +25,22 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     const N: usize = 16;
     // Generous: the 2 checked-out + 4 parked memos of 9-relation runs peak
     // far below it, so a breach can only mean the accounting leaked.
-    // The 8 KiB pressure budget is under the smallest of the 16 queries'
-    // unpressured live peaks (9 876 … 25 824 bytes — of an arena that holds
-    // what the classes keep, not what the search built), so every admitted
-    // run aborts, after 78 … 117 plans.
+    // The 4 KiB pressure budget is under the smallest of the 16 queries'
+    // unpressured live peaks (6 024 … 8 036 bytes — of an arena that holds
+    // what the classes keep, and of an exact rung that skips what the
+    // greedy plan already beats), so every admitted run aborts: the greedy
+    // rung alone fills it, after 40 … 84 plans.
     const LEDGER_CAP: u64 = 256 << 20;
     let inj =
-        FaultInjector::new(0xCAFE, 0, 0, Duration::ZERO).with_memory_pressure(1_000_000, 8 << 10);
+        FaultInjector::new(0xCAFE, 0, 0, Duration::ZERO).with_memory_pressure(1_000_000, 4 << 10);
     let service = Arc::new(
         OptimizerService::with_config(
             // A never-reached deadline routes the runs through the budgeted
             // search, where the per-unit delay applies: every admitted run
-            // (some 15 work units before its 8 KiB pressure budget aborts
-            // it) then outlasts the burst's arrival window on any machine,
-            // so the rejection below does not depend on scheduler timing.
+            // (the greedy rung's 16 work units before its 4 KiB pressure
+            // budget aborts it) then outlasts the burst's arrival window on
+            // any machine, so the rejection below does not depend on
+            // scheduler timing.
             quiet_optimizer(A::EaPrune)
                 .deadline(Some(Duration::from_secs(600)))
                 .fault_unit_delay(Some(Duration::from_micros(500))),
