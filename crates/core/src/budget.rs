@@ -1,11 +1,11 @@
-//! The one resource budget of a [`crate::Search`]: how many plans it may
+//! The one resource budget of a [`crate::algo::Search`]: how many plans it may
 //! build, until when, and in how many live memo bytes — one `Copy` value
 //! with one check ([`Budget::exhausted_at`]), one way to halve it
 //! ([`Budget::split`]) and one cause when it runs out ([`Exhausted`]).
 
 use std::time::Instant;
 
-/// How much of a csg-cmp-pair stream a [`crate::Search`] may consume:
+/// How much of a csg-cmp-pair stream a [`crate::algo::Search`] may consume:
 /// one value for the three resources a request can run out of. A resource
 /// left `None` is not limited at all — there is no "huge number" standing
 /// in for "no limit". `Budget::default()` arms nothing.

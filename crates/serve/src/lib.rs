@@ -52,16 +52,11 @@
 //! [`ServeError::Overloaded`], with a retry hint priced from measured
 //! service times.
 //!
-//! **Limits.** One place settles what the request runs as. It starts from
-//! the algorithm, deadline and memory budget of the wrapped
+//! **Limits.** One place settles what the request runs as: the
+//! algorithm, deadline and memory budget of the wrapped
 //! [`dpnext::Optimizer`] — a request's limits are set there, not on
-//! [`ServiceConfig`]. The shape's [`ShapeBreaker`] may be open, which
-//! swaps the run for the adaptive ladder's greedy floor
-//! (`dpnext_breaker_events_total{event="open_served"|"probe"}`). Above
-//! [`SHED_UTILIZATION`] of [`ServiceConfig::memory_cap_bytes`] on the
-//! [`ResourceLedger`] the request is shed (`dpnext_shed_total`): its
-//! deadline halves and its memory budget shrinks to the headroom left —
-//! shedding only ever tightens. An injected [`Fault`] overrides last.
+//! [`ServiceConfig`] — overridden only by the [`Fault`] a
+//! [`FaultInjector`] schedules for it.
 //!
 //! **Run** (span `serve.optimize`). One `dpnext::optimize_into` call
 //! inside a memo checked out of the [`MemoPool`] (`dpnext_pool_*`,
@@ -71,19 +66,15 @@
 //! `dpnext_service_time_nanos`, `dpnext_plans_built` and
 //! `dpnext_live_bytes_peak` and parks its memo. A panic is contained to
 //! its request: the memo is **quarantined** (destroyed, its footprint
-//! released from the ledger and tallied, never parked again),
+//! released from the [`ResourceLedger`] and tallied, never parked again),
 //! `dpnext_panics_total` counts it and only this caller sees
 //! [`ServeError::Panicked`].
 //!
-//! **Publish.** The breaker hears how a full-quality run went (panics and
-//! deadline or memory aborts count towards tripping the shape;
-//! `dpnext_breaker_events_total{event="trip"|"reopen"|"close"}`), the
-//! rung that produced the plan and any degradation are counted
-//! (`dpnext_rung_total`, `dpnext_degraded_total`), and a full-quality
-//! plan is inserted into the cache for later arrivals of the shape
-//! (`dpnext_cache_evictions_total`). Degraded and open-served plans are
-//! valid but stay out of the cache, so a later uncontended arrival
-//! re-optimizes.
+//! **Publish.** The rung that produced the plan and any degradation are
+//! counted (`dpnext_rung_total`, `dpnext_degraded_total`), and a
+//! full-quality plan is inserted into the cache for later arrivals of the
+//! shape (`dpnext_cache_evictions_total`). A degraded plan is valid but
+//! stays out of the cache, so a later uncontended arrival re-optimizes.
 //!
 //! Out of band, an opt-in scrape endpoint ([`MetricsServer::spawn`] on
 //! the `Arc`'d service and an address) serves the registry as Prometheus
@@ -154,12 +145,7 @@ mod service;
 pub use cache::{CacheKey, CacheStats, FrontMap, PlanCache, ShardedFifo, FRONT_TEXT_MAX};
 pub use fault::{Fault, FaultInjector};
 pub use fingerprint::{fingerprint_query, QueryShape};
-pub use govern::{
-    AdmissionGate, BreakerDecision, BreakerStats, GatePermit, GateStats, LedgerStats,
-    ResourceLedger, ShapeBreaker,
-};
+pub use govern::{AdmissionGate, GatePermit, GateStats, LedgerStats, ResourceLedger};
 pub use pool::{MemoPool, PoolStats, PooledMemo};
 pub use scrape::{MetricsServer, SCRAPE_TIMEOUT};
-pub use service::{
-    OptimizerService, ServeError, ServeResult, ServiceConfig, ServiceStats, SHED_UTILIZATION,
-};
+pub use service::{OptimizerService, ServeError, ServeResult, ServiceConfig, ServiceStats};

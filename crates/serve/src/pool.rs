@@ -447,7 +447,7 @@ mod tests {
         use dpnext_core::Algorithm;
         use dpnext_workload::{generate_query, GenConfig};
 
-        let ledger = Arc::new(ResourceLedger::new(0));
+        let ledger = Arc::new(ResourceLedger::new());
         let pool = MemoPool::with_ledger(2, ledger.clone());
         let q = generate_query(&GenConfig::paper(4), 7);
         let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
@@ -479,7 +479,7 @@ mod tests {
         use dpnext_core::Algorithm;
         use dpnext_workload::{generate_query, GenConfig};
 
-        let ledger = Arc::new(ResourceLedger::new(0));
+        let ledger = Arc::new(ResourceLedger::new());
         let pool = MemoPool::with_ledger(4, ledger.clone());
         let q = generate_query(&GenConfig::paper(4), 7);
         let opt = Optimizer::new(Algorithm::EaPrune).explain(false);

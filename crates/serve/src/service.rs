@@ -4,10 +4,7 @@
 use crate::cache::{CacheKey, CacheStats, FrontMap, PlanCache, FRONT_TEXT_MAX};
 use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
-use crate::govern::{
-    AdmissionGate, BreakerDecision, BreakerStats, GatePermit, GateStats, LedgerStats,
-    ResourceLedger, ShapeBreaker,
-};
+use crate::govern::{AdmissionGate, GatePermit, GateStats, LedgerStats, ResourceLedger};
 use crate::pool::{MemoPool, PoolStats};
 use dpnext::{Algorithm, Optimized, Optimizer};
 use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
@@ -20,13 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Ledger utilization at which the load-shed policy engages: above this
-/// fraction of [`ServiceConfig::memory_cap_bytes`], admitted requests run
-/// under tightened deadlines and memory budgets so memory pressure
-/// degrades plan quality before it degrades availability.
-pub const SHED_UTILIZATION: f64 = 0.75;
-
-/// Capacity and governance knobs of an [`OptimizerService`]. What one
+/// Capacity and admission knobs of an [`OptimizerService`]. What one
 /// request may spend — its deadline and memory budget — is not set here:
 /// those are the limits of the [`Optimizer`] the service wraps
 /// ([`Optimizer::deadline`], [`Optimizer::memory_budget`]).
@@ -50,23 +41,6 @@ pub struct ServiceConfig {
     /// rejects further arrivals fast with [`ServeError::Overloaded`].
     /// Only meaningful with a non-zero `max_concurrent`.
     pub max_queued: usize,
-    /// Soft cap on process-wide memo bytes (parked + checked out),
-    /// tracked by the service's [`ResourceLedger`]. When utilization
-    /// crosses [`SHED_UTILIZATION`], the load-shed policy tightens every
-    /// admitted request: its deadline halves, and its memory budget
-    /// becomes the headroom left under the cap, or half its own budget
-    /// when that is smaller. 0 (the default) disables shedding; the
-    /// ledger still counts.
-    pub memory_cap_bytes: u64,
-    /// Consecutive failures (panic, deadline abort or memory abort) after
-    /// which one query shape's circuit breaker trips open and arrivals of
-    /// that shape are served straight from the greedy rung. 0 (the
-    /// default) disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before one arrival is
-    /// promoted to a full-quality half-open probe (success closes the
-    /// breaker, failure re-opens it).
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -76,9 +50,6 @@ impl Default for ServiceConfig {
             pool_capacity: 32,
             max_concurrent: 0,
             max_queued: 0,
-            memory_cap_bytes: 0,
-            breaker_threshold: 0,
-            breaker_cooldown: Duration::from_millis(250),
         }
     }
 }
@@ -100,7 +71,7 @@ pub enum ServeError {
     /// completions (the service-time histogram) times the current line
     /// length, clamped to [1 ms, 5 s]. Before any completion has been
     /// measured the service falls back to a fixed 10 ms-per-request
-    /// estimate. Retrying after the hint (with jitter) spreads the load
+    /// estimate, clamped the same way. Retrying after the hint (with jitter) spreads the load
     /// instead of stampeding the gate.
     Overloaded {
         /// Suggested client back-off before retrying.
@@ -163,17 +134,11 @@ pub struct ServiceStats {
     /// Requests that hit their memory budget and shipped a degraded (but
     /// valid) plan; such plans bypass the cache.
     pub memory_degraded: u64,
-    /// Admitted requests that ran under load-shed-tightened deadlines /
-    /// memory budgets because ledger utilization crossed
-    /// [`SHED_UTILIZATION`].
-    pub shed: u64,
     /// Admission-gate counters (admitted / fast-rejected / queue peak).
     pub gate: GateStats,
     /// Process-wide memo byte accounting, including the footprints of
     /// quarantined memos (they are released *and tallied*, never lost).
     pub ledger: LedgerStats,
-    /// Per-shape circuit-breaker counters.
-    pub breaker: BreakerStats,
 }
 
 /// A concurrent optimizer frontend: share one instance (behind an
@@ -182,11 +147,11 @@ pub struct ServiceStats {
 /// Each request is keyed by the canonical shape of its (bound) query
 /// plus the current statistics epoch; a SQL statement seen before gets
 /// its bound query and shape from the front map, by its text, instead of
-/// being parsed again. Hits return the previously
-/// optimized result; misses pass the admission gate, consult the shape's
-/// circuit breaker, then run the wrapped [`Optimizer`] inside a pooled
-/// memo and publish the result for later arrivals of the same shape. See
-/// the crate docs for the cache-key semantics and the governance layer.
+/// being parsed again. Hits return the previously optimized result;
+/// misses pass the admission gate, then run the wrapped [`Optimizer`]
+/// inside a pooled memo and publish the result for later arrivals of the
+/// same shape. See the crate docs for the cache-key semantics and the
+/// governance layer.
 pub struct OptimizerService {
     optimizer: Optimizer,
     front: FrontMap,
@@ -194,7 +159,6 @@ pub struct OptimizerService {
     pool: MemoPool,
     ledger: Arc<ResourceLedger>,
     gate: AdmissionGate,
-    breaker: ShapeBreaker,
     epoch: AtomicU64,
     registry: Arc<Registry>,
     requests: Arc<Counter>,
@@ -203,7 +167,6 @@ pub struct OptimizerService {
     sql_errors: Arc<Counter>,
     deadline_degraded: Arc<Counter>,
     memory_degraded: Arc<Counter>,
-    shed: Arc<Counter>,
     /// Completed optimizer runs by final adaptive mode, indexed by
     /// [`rung_index`]. `dpnext_rung_total{mode=...}` in the registry.
     rungs: [Arc<Counter>; 5],
@@ -275,26 +238,24 @@ impl OptimizerService {
         OptimizerService::with_config(optimizer, ServiceConfig::default())
     }
 
-    /// A service with explicit capacities and governance knobs. Requests
+    /// A service with explicit capacities and admission knobs. Requests
     /// run under `optimizer`'s own deadline and memory budget.
     pub fn with_config(optimizer: Optimizer, config: ServiceConfig) -> OptimizerService {
-        let ledger = Arc::new(ResourceLedger::new(config.memory_cap_bytes));
+        let ledger = Arc::new(ResourceLedger::new());
         let front = FrontMap::new(config.cache_capacity);
         let cache = PlanCache::new(config.cache_capacity);
         let pool = MemoPool::with_ledger(config.pool_capacity, ledger.clone());
         let gate = AdmissionGate::new(config.max_concurrent, config.max_queued);
-        let breaker = ShapeBreaker::new(config.breaker_threshold, config.breaker_cooldown);
 
         // One registry per service: component cells (cache, pool, ledger,
-        // gate, breaker) are *adopted* so `ServiceStats` and the scrape
-        // endpoint read the same memory and can never disagree.
+        // gate) are *adopted* so `ServiceStats` and the scrape endpoint
+        // read the same memory and can never disagree.
         let registry = Arc::new(Registry::new());
         front.register_metrics(&registry);
         cache.register_metrics(&registry);
         pool.register_metrics(&registry);
         ledger.register_metrics(&registry);
         gate.register_metrics(&registry);
-        breaker.register_metrics(&registry);
         registry.register_gauge(
             "dpnext_live_bytes_midrun",
             "Live memo bytes of in-flight optimizer runs, sampled at work-unit granularity.",
@@ -312,7 +273,6 @@ impl OptimizerService {
             pool,
             ledger,
             gate,
-            breaker,
             epoch: AtomicU64::new(0),
             requests: registry.counter(
                 "dpnext_requests_total",
@@ -325,10 +285,6 @@ impl OptimizerService {
             sql_errors: registry.counter(
                 "dpnext_sql_errors_total",
                 "optimize_sql calls whose text failed to parse or bind.",
-            ),
-            shed: registry.counter(
-                "dpnext_shed_total",
-                "Admitted requests run under load-shed-tightened resource knobs.",
             ),
             deadline_degraded: registry.counter_with(
                 "dpnext_degraded_total",
@@ -412,10 +368,9 @@ impl OptimizerService {
     /// Optimize an already-bound [`Query`], serving from the cache when
     /// the shape was optimized before under the current epoch. A miss
     /// passes the admission gate (or is turned away with
-    /// [`ServeError::Overloaded`]), runs under the limits its shape's
-    /// breaker, the ledger and the wrapped [`Optimizer`] allow, and is
-    /// published for later arrivals unless it was degraded on the way. A
-    /// panic in the optimizer reaches only this caller, as
+    /// [`ServeError::Overloaded`]), runs under the wrapped [`Optimizer`]'s
+    /// limits, and is published for later arrivals unless it was degraded
+    /// on the way. A panic in the optimizer reaches only this caller, as
     /// [`ServeError::Panicked`]. The crate docs walk the stages.
     pub fn optimize(&self, query: &Query) -> Result<ServeResult, ServeError> {
         self.serve(self.arrive(), query, fingerprint_query(query))
@@ -464,9 +419,9 @@ impl OptimizerService {
             });
         }
         let _permit = self.admit(&mut req)?;
-        let (decision, shed, fault) = self.limits(&req, &key.shape);
-        let ran = self.run(&mut req, query, decision, shed, fault);
-        self.publish(&mut req, key, decision, ran)
+        let (algorithm, options, fault) = self.limits(&req);
+        let ran = self.run(&mut req, query, algorithm, &options, fault);
+        self.publish(&mut req, key, ran)
     }
 
     /// Arrive: count the request in and open its root span. A SQL request
@@ -557,65 +512,22 @@ impl OptimizerService {
             })
     }
 
-    /// Limits: ask the shape's breaker, the ledger and the fault schedule
-    /// about this request. Their three answers are all that sets what it
-    /// may spend: [`Self::request_limits`] turns them into the one
-    /// `(Algorithm, OptimizeOptions)` the run stage optimizes under.
-    fn limits(&self, req: &Request<'_>, shape: &QueryShape) -> (BreakerDecision, bool, Fault) {
-        let decision = self.breaker.decide(shape);
-        let fault = self
-            .faults
-            .map_or(Fault::None, |inj| inj.fault_for(req.index));
-        let shed = decision != BreakerDecision::Open
-            && self.ledger.cap() != 0
-            && self.ledger.utilization() >= SHED_UTILIZATION;
-        if shed {
-            self.shed.inc();
-        }
-        (decision, shed, fault)
-    }
-
-    /// What one admitted request runs as: the wrapped optimizer's
-    /// algorithm and options, tightened under memory pressure (`shed`),
-    /// overridden by an injected fault — or, with the shape's breaker
-    /// open, the greedy floor.
-    fn request_limits(
-        &self,
-        open_served: bool,
-        shed: bool,
-        fault: Fault,
-    ) -> (Algorithm, OptimizeOptions) {
+    /// Limits: what this request runs as — the wrapped optimizer's
+    /// algorithm and options, overridden by the fault the schedule injects
+    /// into it, if any. A request's deadline and memory budget are set on
+    /// the [`Optimizer`] and nowhere else.
+    fn limits(&self, req: &Request<'_>) -> (Algorithm, OptimizeOptions, Fault) {
         let (algorithm, mut opts) = self.optimizer.configured();
-        if open_served {
-            // The adaptive ladder with a plan budget of 1 clamps to the
-            // greedy floor, needs no clock or byte meter, and cannot fail
-            // the way the shape has been failing.
-            opts.plan_budget = 1;
-            opts.deadline = None;
-            opts.memory_budget = 0;
-            return (Algorithm::Adaptive, opts);
+        let Some(inj) = &self.faults else {
+            return (algorithm, opts, Fault::None);
+        };
+        let fault = inj.fault_for(req.index);
+        match fault {
+            Fault::Slow => opts.fault_unit_delay = Some(inj.slow_unit_delay()),
+            Fault::MemoryPressure => opts.memory_budget = inj.pressure_budget_bytes(),
+            Fault::None | Fault::Panic => {}
         }
-        if shed {
-            // Shedding only ever tightens what the request already had:
-            // its deadline halves, and its memory budget becomes the
-            // headroom left under the cap (floored at 1/16 of the cap so a
-            // fully saturated ledger still leaves room for the greedy
-            // rung), or half its own budget when that is smaller.
-            opts.deadline = opts.deadline.map(|d| d / 2);
-            let cap = self.ledger.cap();
-            let headroom = cap.saturating_sub(self.ledger.bytes()).max(cap / 16);
-            opts.memory_budget = match opts.memory_budget {
-                0 => headroom,
-                b => (b / 2).min(headroom),
-            }
-            .max(1);
-        }
-        match (fault, &self.faults) {
-            (Fault::Slow, Some(inj)) => opts.fault_unit_delay = Some(inj.slow_unit_delay()),
-            (Fault::MemoryPressure, Some(inj)) => opts.memory_budget = inj.pressure_budget_bytes(),
-            _ => {}
-        }
-        (algorithm, opts)
+        (algorithm, opts, fault)
     }
 
     /// Run: one `optimize_into` call inside a pooled memo and inside
@@ -628,24 +540,13 @@ impl OptimizerService {
         &self,
         req: &mut Request<'_>,
         query: &Query,
-        decision: BreakerDecision,
-        shed: bool,
+        algorithm: Algorithm,
+        options: &OptimizeOptions,
         fault: Fault,
     ) -> Result<Optimized, ServeError> {
-        let (algorithm, options) =
-            self.request_limits(decision == BreakerDecision::Open, shed, fault);
         let mut memo = self.pool.checkout();
         let started = Instant::now();
         let mut span = dpnext_obs::span("serve.optimize");
-        span.tag_str(
-            "breaker",
-            match decision {
-                BreakerDecision::Closed => "closed",
-                BreakerDecision::Open => "open",
-                BreakerDecision::Probe => "probe",
-            },
-        );
-        span.tag_u64("shed", u64::from(shed));
         // The closure borrows the memo mutably; `AssertUnwindSafe` is
         // sound *because* of the quarantine below — on a panic the memo's
         // (possibly torn) state is destroyed, never observed again.
@@ -653,7 +554,7 @@ impl OptimizerService {
             if fault == Fault::Panic {
                 panic!("injected fault: optimizer panic (request {})", req.index);
             }
-            dpnext::optimize_into(query, algorithm, &options, &mut memo)
+            dpnext::optimize_into(query, algorithm, options, &mut memo)
         }));
         match ran {
             Ok(optimized) => {
@@ -685,23 +586,14 @@ impl OptimizerService {
         }
     }
 
-    /// Publish: tell the shape's breaker how the run went (an open-served
-    /// run says nothing about full quality and is not reported), count
-    /// what the run shipped, and cache a full-quality plan for later
-    /// arrivals of the shape.
+    /// Publish: count what the run shipped, and cache a full-quality plan
+    /// for later arrivals of the shape.
     fn publish(
         &self,
         req: &mut Request<'_>,
         key: CacheKey,
-        decision: BreakerDecision,
         ran: Result<Optimized, ServeError>,
     ) -> Result<ServeResult, ServeError> {
-        let open_served = decision == BreakerDecision::Open;
-        if !open_served {
-            let clean = matches!(&ran, Ok(o) if !o.memo.degradation.resource_aborted());
-            let probe = decision == BreakerDecision::Probe;
-            self.breaker.report(&key.shape, probe, clean);
-        }
         let optimized = ran?;
         let stats = &optimized.memo;
         let degradation = stats.degradation;
@@ -722,7 +614,7 @@ impl OptimizerService {
         let result = Arc::new(optimized);
         // A degraded plan is valid but below full quality: keep it out of
         // the cache so a later, uncontended arrival re-optimizes.
-        if !open_served && !degradation.resource_aborted() {
+        if !degradation.resource_aborted() {
             self.cache.insert(key, result.clone());
         }
         Ok(ServeResult {
@@ -735,24 +627,22 @@ impl OptimizerService {
     /// Back-off suggestion for a rejected arrival: the p50 of measured
     /// service times multiplied by the gate's current line length (the
     /// expected drain time of everything ahead of a retry), clamped to
-    /// [`RETRY_HINT_MIN`, `RETRY_HINT_MAX`]. Falls back to a fixed
-    /// per-request estimate until the first completion is measured.
+    /// [`RETRY_HINT_MIN`, `RETRY_HINT_MAX`]. Until the first completion is
+    /// measured, a fixed per-request estimate stands in for the p50,
+    /// clamped the same way.
     fn retry_hint(&self, line: u32) -> Duration {
-        let line = line.max(1);
         let snap = self.service_time.snapshot();
-        if snap.count == 0 {
-            return RETRY_HINT_FALLBACK_PER_REQUEST * line;
-        }
-        let nanos = u128::from(snap.quantile(0.5)) * u128::from(line);
-        if nanos >= RETRY_HINT_MAX.as_nanos() {
-            RETRY_HINT_MAX
+        let per_request = if snap.count == 0 {
+            RETRY_HINT_FALLBACK_PER_REQUEST.as_nanos()
         } else {
-            Duration::from_nanos(nanos as u64).max(RETRY_HINT_MIN)
-        }
+            u128::from(snap.quantile(0.5))
+        };
+        let nanos = per_request * u128::from(line.max(1));
+        Duration::from_nanos(nanos.min(RETRY_HINT_MAX.as_nanos()) as u64).max(RETRY_HINT_MIN)
     }
 
     /// Current counters across the request path, cache, pool and the
-    /// governance layer (gate, ledger, breaker).
+    /// governance layer (gate, ledger).
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             requests: self.requests.get(),
@@ -762,10 +652,8 @@ impl OptimizerService {
             panics: self.panics.get(),
             deadline_degraded: self.deadline_degraded.get(),
             memory_degraded: self.memory_degraded.get(),
-            shed: self.shed.get(),
             gate: self.gate.stats(),
             ledger: self.ledger.stats(),
-            breaker: self.breaker.stats(),
         }
     }
 
@@ -790,22 +678,18 @@ impl ServiceStats {
         format!(
             concat!(
                 "{{\"requests\":{},\"epoch\":{},\"panics\":{},",
-                "\"deadline_degraded\":{},\"memory_degraded\":{},\"shed\":{},",
+                "\"deadline_degraded\":{},\"memory_degraded\":{},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
                 "\"pool\":{{\"created\":{},\"reused\":{},\"pooled\":{},\"pooled_peak\":{},",
                 "\"arena_peak_capacity\":{},\"quarantined\":{},\"rejected_invalid\":{}}},",
                 "\"gate\":{{\"admitted\":{},\"rejected\":{},\"queued_peak\":{}}},",
-                "\"ledger\":{{\"bytes\":{},\"peak\":{},\"cap\":{},",
-                "\"quarantined_bytes\":{}}},",
-                "\"breaker\":{{\"trips\":{},\"reopens\":{},\"open_served\":{},",
-                "\"probes\":{},\"closes\":{},\"open_shapes\":{}}}}}"
+                "\"ledger\":{{\"bytes\":{},\"peak\":{},\"quarantined_bytes\":{}}}}}"
             ),
             self.requests,
             self.epoch,
             self.panics,
             self.deadline_degraded,
             self.memory_degraded,
-            self.shed,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
@@ -822,14 +706,7 @@ impl ServiceStats {
             self.gate.queued_peak,
             self.ledger.bytes,
             self.ledger.peak,
-            self.ledger.cap,
             self.ledger.quarantined_bytes,
-            self.breaker.trips,
-            self.breaker.reopens,
-            self.breaker.open_served,
-            self.breaker.probes,
-            self.breaker.closes,
-            self.breaker.open_shapes,
         )
     }
 }
@@ -838,21 +715,15 @@ impl ServiceStats {
 mod tests {
     use super::*;
 
-    const KIB: u64 = 1 << 10;
     const MIB: u64 = 1 << 20;
-    const GIB: u64 = 1 << 30;
 
-    /// A service whose requests run under `deadline` and `budget` (set
-    /// where they belong, on the wrapped optimizer), shedding against `cap`.
-    fn service(deadline: Option<Duration>, budget: u64, cap: u64) -> OptimizerService {
-        OptimizerService::with_config(
+    /// A service whose requests run under `deadline` and `budget`, set
+    /// where they belong: on the wrapped optimizer.
+    fn service(deadline: Option<Duration>, budget: u64) -> OptimizerService {
+        OptimizerService::new(
             Optimizer::new(Algorithm::EaPrune)
                 .deadline(deadline)
                 .memory_budget(budget),
-            ServiceConfig {
-                memory_cap_bytes: cap,
-                ..ServiceConfig::default()
-            },
         )
     }
 
@@ -860,47 +731,51 @@ mod tests {
         Some(Duration::from_millis(millis))
     }
 
+    /// The limits of the next request to arrive at `service`.
+    fn next_limits(service: &OptimizerService) -> (Algorithm, OptimizeOptions, Fault) {
+        service.limits(&service.arrive())
+    }
+
     #[test]
     fn request_limits_table() {
-        let limited = service(ms(40), MIB, GIB);
+        // Unfaulted: exactly what the optimizer was configured with.
+        let limited = service(ms(40), MIB);
         let (base_algorithm, base) = limited.optimizer.configured();
-
-        // Neither shed nor faulted: what the optimizer was configured with.
-        let (algorithm, opts) = limited.request_limits(false, false, Fault::None);
+        let (algorithm, opts, fault) = next_limits(&limited);
+        assert_eq!(Fault::None, fault);
         assert_eq!(base_algorithm, algorithm);
         assert_eq!((ms(40), MIB), (opts.deadline, opts.memory_budget));
-
-        // Open-served: the greedy floor, no clock, no byte meter.
-        let (algorithm, opts) = limited.request_limits(true, false, Fault::None);
-        assert_eq!(Algorithm::Adaptive, algorithm);
-        assert_eq!(
-            (1, None, 0),
-            (opts.plan_budget, opts.deadline, opts.memory_budget)
-        );
-
-        // Shed: the request's own limits, halved.
-        let (algorithm, opts) = limited.request_limits(false, true, Fault::None);
-        assert_eq!(base_algorithm, algorithm);
-        assert_eq!(ms(20), opts.deadline, "shedding halves the deadline");
-        assert!(
-            (1..=512 * KIB).contains(&opts.memory_budget),
-            "shedding may not raise a 1 MiB budget: {}",
-            opts.memory_budget
-        );
         assert_eq!(base.plan_budget, opts.plan_budget);
 
-        // An injected fault overrides last, shed or not.
+        // An injected fault overrides the configured limits.
         let delay = Duration::from_micros(7);
-        let faulted = service(ms(40), MIB, GIB).with_fault_injection(
-            FaultInjector::new(0, 0, 0, delay).with_memory_pressure(0, 2 * MIB),
+        let slow =
+            service(ms(40), MIB).with_fault_injection(FaultInjector::new(0, 0, 1_000_000, delay));
+        let (algorithm, opts, fault) = next_limits(&slow);
+        assert_eq!((Fault::Slow, base_algorithm), (fault, algorithm));
+        assert_eq!(Some(delay), opts.fault_unit_delay);
+        assert_eq!((ms(40), MIB), (opts.deadline, opts.memory_budget));
+
+        let pressured = service(ms(40), MIB).with_fault_injection(
+            FaultInjector::new(0, 0, 0, delay).with_memory_pressure(1_000_000, 2 * MIB),
         );
-        for shed in [false, true] {
-            let (_, opts) = faulted.request_limits(false, shed, Fault::Slow);
-            assert_eq!(Some(delay), opts.fault_unit_delay);
-            let (_, opts) = faulted.request_limits(false, shed, Fault::MemoryPressure);
-            assert_eq!(2 * MIB, opts.memory_budget);
-            assert_eq!(None, opts.fault_unit_delay);
-        }
+        let (_, opts, fault) = next_limits(&pressured);
+        assert_eq!(Fault::MemoryPressure, fault);
+        assert_eq!(2 * MIB, opts.memory_budget);
+        assert_eq!(None, opts.fault_unit_delay);
+    }
+
+    /// The hint stays inside its documented bounds before any completion
+    /// is measured, however long the line.
+    #[test]
+    fn unmeasured_retry_hint_is_clamped() {
+        let service = service(None, 0);
+        assert_eq!(
+            RETRY_HINT_MIN.max(RETRY_HINT_FALLBACK_PER_REQUEST),
+            service.retry_hint(0)
+        );
+        assert!(service.retry_hint(1_000) <= RETRY_HINT_MAX);
+        assert_eq!(RETRY_HINT_MAX, service.retry_hint(u32::MAX));
     }
 
     /// `/metrics` lists families in registration order, and the
@@ -908,7 +783,7 @@ mod tests {
     /// evaluates: reordering its fields must not reshuffle the exposition.
     #[test]
     fn service_families_render_in_registration_order() {
-        let text = service(None, 0, 0).metrics_text();
+        let text = service(None, 0).metrics_text();
         let families: Vec<&str> = text
             .lines()
             .filter_map(|line| line.strip_prefix("# TYPE "))
@@ -939,7 +814,6 @@ mod tests {
                 "dpnext_requests_total",
                 "dpnext_panics_total",
                 "dpnext_sql_errors_total",
-                "dpnext_shed_total",
                 "dpnext_degraded_total",
                 "dpnext_rung_total",
                 "dpnext_request_latency_nanos",
@@ -956,7 +830,7 @@ mod tests {
     /// the service outside the run stage's `catch_unwind`.
     #[test]
     fn an_unwinding_request_is_counted_out() {
-        let service = service(None, 0, 0);
+        let service = service(None, 0);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _req = service.arrive();
             // Unwinds like a panic, without the hook's message.
@@ -965,33 +839,5 @@ mod tests {
         assert!(unwound.is_err());
         assert_eq!(1, service.requests.get());
         assert_eq!(1, service.request_latency.snapshot().count);
-    }
-
-    /// Whatever the request's limits, the cap and the ledger's fill, a
-    /// shed request never gets more time or more bytes than it had.
-    #[test]
-    fn shedding_never_loosens() {
-        for deadline in [None, ms(1), ms(40)] {
-            for budget in [0, 1, 2, 4 * KIB, MIB, u64::MAX] {
-                for cap in [1, MIB, GIB] {
-                    let service = service(deadline, budget, cap);
-                    for held in [0, cap / 2, cap, 2 * cap] {
-                        service.ledger.add(held);
-                        let (_, opts) = service.request_limits(false, true, Fault::None);
-                        service.ledger.sub(held);
-                        let case = format!("{deadline:?} / {budget} B under {held} of {cap}");
-                        assert_eq!(deadline.map(|d| d / 2), opts.deadline, "{case}");
-                        assert!(opts.memory_budget >= 1, "{case}: shed to zero is unlimited");
-                        if budget != 0 {
-                            assert!(
-                                opts.memory_budget <= budget,
-                                "{case}: raised to {}",
-                                opts.memory_budget
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -457,7 +457,7 @@ fn assert_root_covers_bind(spans: &[SpanRecord], front: &'static str) {
 }
 
 /// One request per way out of the pipeline — hit, miss, degraded,
-/// open-served, turned away, panicked, rejected text, and both SQL
+/// turned away, panicked, rejected text, and both SQL
 /// successes — each is one root span with the right `outcome` and one
 /// latency sample.
 #[test]
@@ -511,16 +511,14 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     assert!(matches!(panicked, Err(ServeError::Panicked(_))));
 
     // Request 0 of a one-slot, no-queue service runs slow enough to hit
-    // its deadline. While it holds the slot, request 1 is turned away; its
-    // deadline abort then trips the shape's breaker, which serves request 2.
+    // its deadline. While it holds the slot, request 1 is turned away; the
+    // degraded plan request 0 ships stays out of the cache.
     let chain = generate_query(&GenConfig::topology(12, Topology::Chain), 0);
     let service = OptimizerService::with_config(
         quiet().deadline(Some(Duration::from_millis(300))),
         ServiceConfig {
             max_concurrent: 1,
             max_queued: 0,
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(600),
             ..ServiceConfig::default()
         },
     )
@@ -550,20 +548,12 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
         roots[0].tag("degradation")
     );
     let stats = service.stats();
-    assert_eq!(
-        (2, 1, 0),
-        (stats.requests, stats.breaker.trips, stats.cache.entries)
-    );
+    assert_eq!((2, 0), (stats.requests, stats.cache.entries));
     let latency = histogram(
         &service.registry().snapshot(),
         "dpnext_request_latency_nanos",
     );
     assert_eq!(2, latency.count);
-    let (open, spans) = one_request(&service, &sink, "optimized", || service.optimize(&chain));
-    assert!(!open.unwrap().cache_hit);
-    let run = spans.iter().find(|s| s.name == "serve.optimize").unwrap();
-    assert_eq!(Some(&TagValue::Str("open")), run.tag("breaker"));
-    assert_eq!(1, service.stats().breaker.open_served);
 
     dpnext_obs::clear_sink();
 }
@@ -611,6 +601,76 @@ fn scrape_endpoint_serves_lint_clean_text_and_stats_json() {
     let (head, _) = get("/nope");
     assert!(head.starts_with("HTTP/1.0 404"), "bad status: {head}");
     server.stop();
+}
+
+/// The leaves of a nested object written as JSON (`{"k":1,"o":{"j":2}}`)
+/// or as a derived `Debug` (`T { k: 1, o: U { j: 2 } }`), as
+/// `("o.j", "2")` pairs in order. Panics on an unbalanced brace.
+fn leaves(text: &str) -> Vec<(String, String)> {
+    let mut tokens = Vec::new();
+    for piece in text.split(|c: char| c.is_whitespace() || matches!(c, '"' | ':' | ',')) {
+        let mut rest = piece;
+        while let Some(at) = rest.find(['{', '}']) {
+            tokens.extend([&rest[..at], &rest[at..=at]]);
+            rest = &rest[at + 1..];
+        }
+        tokens.push(rest);
+    }
+    tokens.retain(|t| !t.is_empty());
+    let (mut path, mut key, mut out) = (Vec::new(), None::<&str>, Vec::new());
+    for (i, token) in tokens.iter().enumerate() {
+        match *token {
+            "{" => path.push(key.take().unwrap_or("")),
+            "}" => assert!(path.pop().is_some(), "unbalanced '}}' in {text}"),
+            // A `Debug` struct name: before its `{`, where a value (or the
+            // whole object) goes.
+            _ if tokens.get(i + 1) == Some(&"{") && (key.is_some() || path.is_empty()) => {}
+            word => match key.take() {
+                None => key = Some(word),
+                Some(k) => {
+                    let prefix: Vec<&str> =
+                        path.iter().copied().filter(|p| !p.is_empty()).collect();
+                    out.push((
+                        [prefix.as_slice(), &[k]].concat().join("."),
+                        word.to_string(),
+                    ));
+                }
+            },
+        }
+    }
+    assert!(
+        path.is_empty() && key.is_none(),
+        "unbalanced '{{' in {text}"
+    );
+    out
+}
+
+/// `/stats.json` is a well-formed object with exactly one key per
+/// [`ServiceStats`] counter: its leaves are the struct's fields, each
+/// once, with the same values, so a counter added to (or removed from)
+/// the struct without its JSON key fails here.
+#[test]
+fn stats_json_has_one_key_per_service_stats_counter() {
+    let _guard = locked();
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune).explain(false));
+    for seed in [0, 1, 1] {
+        service
+            .optimize(&generate_query(&GenConfig::paper(4), seed))
+            .expect("no faults injected");
+    }
+    let stats = service.stats();
+    let json = stats.render_json();
+    assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+    let mut rendered = leaves(&json);
+    rendered.sort();
+    let mut keys: Vec<&str> = rendered.iter().map(|(k, _)| k.as_str()).collect();
+    keys.dedup();
+    assert_eq!(rendered.len(), keys.len(), "duplicate keys in {json}");
+    assert!(keys.contains(&"cache.hits") && keys.contains(&"ledger.quarantined_bytes"));
+
+    let mut fields = leaves(&format!("{stats:?}"));
+    fields.sort();
+    assert_eq!(fields, rendered, "ServiceStats vs its JSON");
 }
 
 /// The endpoint bounds the *connection*, not each `read()`: a peer that
