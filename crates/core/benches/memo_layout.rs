@@ -3,8 +3,10 @@
 //! `memo_layout_fold`: the thinning step [`Memo::fold`] under dominance
 //! (`PruneDominatedPlans`, Fig. 13) — every candidate plan is compared
 //! against every resident of its class, reading only the 40-byte `PlanHot`
-//! rows (and, once those hold, the key spans in the lanes). This is
-//! the harness a SIMD fold would be measured in.
+//! rows (and, once those hold, the key spans in the lanes). The `keyed`
+//! class measures that key-set tail alone: cost and cardinality dominance
+//! hold for every pair, the keys never imply, and the rows' key signatures
+//! settle most pairs without reading the lanes.
 //!
 //! `memo_layout_construct`: plan construction — `apply_staged` over a
 //! fixed 64×64 class pair, i.e. exactly the per-pair work of
@@ -41,13 +43,20 @@ impl Lcg {
 /// is decided late (exercising the scan), and ~25% of the plans are
 /// duplicate-free with small key sets so the dominance test's key-set
 /// path fires realistically — unless `at` pins the plan to a `(cost, card)`
-/// point, without keys or grouping.
-fn push_plan(memo: &mut Memo, rng: &mut Lcg, at: Option<(f64, f64)>) -> PlanId {
+/// point, without grouping and keyed by `key` alone.
+fn push_plan(
+    memo: &mut Memo,
+    rng: &mut Lcg,
+    at: Option<(f64, f64)>,
+    key: Option<AttrId>,
+) -> PlanId {
     let r = rng.next();
-    let keyinfo = if at.is_none() && r.is_multiple_of(4) {
-        KeyInfo::base(KeySet::from_keys([vec![AttrId((r % 7) as u32)]]))
-    } else {
-        KeyInfo::unknown()
+    let keyinfo = match key {
+        Some(a) => KeyInfo::base(KeySet::from_keys([vec![a]])),
+        None if at.is_none() && r.is_multiple_of(4) => {
+            KeyInfo::base(KeySet::from_keys([vec![AttrId((r % 7) as u32)]]))
+        }
+        None => KeyInfo::unknown(),
     };
     let (cost, card) = at.unwrap_or((
         ((r >> 16) % 100_000) as f64 + 1.0,
@@ -79,20 +88,38 @@ fn push_plan(memo: &mut Memo, rng: &mut Lcg, at: Option<(f64, f64)>) -> PlanId {
 /// and not on a fixed stride the hardware prefetcher could lock onto — so
 /// each candidate follows a gap of 1..=15 other plans.
 ///
-/// `frontier` puts the candidates on an anti-correlated cost/cardinality
-/// frontier: no plan dominates any other, so the class grows to full width
-/// and every candidate scans every resident — the wide-Pareto-class regime
-/// of the largest EA-Prune classes. Otherwise the class is `mixed`: most
-/// candidates are rejected or evict someone.
-fn class_candidates(memo: &mut Memo, n: usize, seed: u64, frontier: bool) -> Vec<PlanId> {
+/// The `shape` decides what the candidates compare as. The two full-width
+/// shapes make every candidate scan every resident:
+/// - `Frontier` puts them on an anti-correlated cost/cardinality frontier
+///   without keys, so no plan dominates any other on the row alone — the
+///   wide-Pareto-class regime of the largest EA-Prune classes.
+/// - `Keyed` makes each candidate costlier and larger than every earlier
+///   one but keys it by an attribute of its own (`rank`, so the bits
+///   `rank mod 32` collide), so each earlier resident dominates it on the
+///   row and fails only on the keys — the regime of most key-set tests a
+///   real enumeration runs.
+///
+/// `Mixed` is random: most candidates are rejected or evict someone.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    Mixed,
+    Frontier,
+    Keyed,
+}
+
+fn class_candidates(memo: &mut Memo, n: usize, seed: u64, shape: Shape) -> Vec<PlanId> {
     let mut rng = Lcg(seed);
     (0..n)
         .map(|rank| {
             for _ in 0..rng.next() % 15 + 1 {
-                push_plan(memo, &mut rng, None);
+                push_plan(memo, &mut rng, None, None);
             }
-            let at = frontier.then(|| (rank as f64 + 1.0, (n - rank) as f64));
-            push_plan(memo, &mut rng, at)
+            let r = rank as f64 + 1.0;
+            match shape {
+                Shape::Mixed => push_plan(memo, &mut rng, None, None),
+                Shape::Frontier => push_plan(memo, &mut rng, Some((r, (n - rank) as f64)), None),
+                Shape::Keyed => push_plan(memo, &mut rng, Some((r, r)), Some(AttrId(rank as u32))),
+            }
         })
         .collect()
 }
@@ -103,17 +130,18 @@ fn bench_dominance_fold(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    for (label, n, frontier) in [
-        ("mixed512", 512usize, false),
-        ("mixed4096", 4096usize, false),
-        ("frontier256", 256usize, true),
-        ("frontier1024", 1024usize, true),
+    for (label, n, shape) in [
+        ("mixed512", 512usize, Shape::Mixed),
+        ("mixed4096", 4096usize, Shape::Mixed),
+        ("frontier256", 256usize, Shape::Frontier),
+        ("frontier1024", 1024usize, Shape::Frontier),
+        ("keyed1024", 1024usize, Shape::Keyed),
     ] {
         let by = ThinBy::Dominance {
             guard_groupjoin: true,
         };
         let mut memo = Memo::new();
-        let ids = class_candidates(&mut memo, n, 42, frontier);
+        let ids = class_candidates(&mut memo, n, 42, shape);
         // Every pass folds the candidates into a class of its own, as the
         // enumeration meets every class: empty. Returns its width.
         let mut classes = 0u64;
@@ -125,9 +153,13 @@ fn bench_dominance_fold(c: &mut Criterion) {
             }
             memo.class(class).len()
         };
-        // Sanity: nothing on a frontier precedes anything else.
+        // Sanity: nothing on a frontier, and no keyed plan, precedes
+        // another.
         let width = fold_class();
-        assert!(width > 0 && (!frontier || width == n), "{label}: {width}");
+        assert!(
+            width > 0 && (shape == Shape::Mixed || width == n),
+            "{label}: {width}"
+        );
 
         group.bench_function(format!("fold_full_{label}"), |b| {
             b.iter(|| black_box(fold_class()))

@@ -5,7 +5,8 @@
 //!
 //! The arena is split structure-of-arrays into a **hot** row
 //! ([`PlanHot`]: set, cardinality, cost, applied mask, key/grouping
-//! flags — everything the dominance test of Def. 4 reads) and a **cold**
+//! flags and a 32-bit key signature — everything the dominance test of
+//! Def. 4 reads before it needs the key sets) and a **cold**
 //! row ([`PlanCold`]: the operator node plus `(start, len)` [`Span`]s
 //! naming the plan's key set, aggregation state and visible attributes).
 //! Both rows are `Copy`. The variable-length payloads themselves live in
@@ -25,7 +26,7 @@ use crate::aggstate::{AggPos, AggRef};
 use crate::fxhash::FxHashMap;
 use dpnext_algebra::{AttrId, CmpOp, JoinPred};
 use dpnext_hypergraph::NodeSet;
-use dpnext_keys::{KeySet, KeysRef};
+use dpnext_keys::{signature_may_imply, KeySet, KeysRef};
 use dpnext_query::OpKind;
 use std::ops::Index;
 
@@ -92,7 +93,8 @@ pub enum PlanNode {
 /// The dominance-relevant properties of one plan, packed into a 40-byte
 /// `Copy` row. A class scan during pruning reads only this array — the
 /// operator tree and key sets stay out of the cache until a comparison
-/// actually needs key implication or a plan is materialized.
+/// passes every test the row can decide, the key signature included, or
+/// a plan is materialized.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanHot {
     /// Relations covered.
@@ -107,6 +109,9 @@ pub struct PlanHot {
     pub applied: u64,
     /// Packed `HAS_GROUPING` / `DUP_FREE` / `IS_GROUP` bits.
     flags: u8,
+    /// [`KeysRef::signature`] of the cold row's key set, in what was the
+    /// padding after `flags`.
+    key_sig: u32,
 }
 
 impl PlanHot {
@@ -114,8 +119,9 @@ impl PlanHot {
     const DUP_FREE: u8 = 2;
     const IS_GROUP: u8 = 4;
 
-    /// A hot row; `has_grouping`, `duplicate_free` and `is_group` are
-    /// packed into the flag byte.
+    /// A hot row of a plan without keys; `has_grouping`, `duplicate_free`
+    /// and `is_group` are packed into the flag byte. A keyed plan's row
+    /// takes its signature with [`PlanHot::with_key_sig`].
     #[inline]
     pub fn new(
         set: NodeSet,
@@ -134,7 +140,23 @@ impl PlanHot {
             flags: (has_grouping as u8 * Self::HAS_GROUPING)
                 | (duplicate_free as u8 * Self::DUP_FREE)
                 | (is_group as u8 * Self::IS_GROUP),
+            key_sig: KeysRef::default().signature(),
         }
+    }
+
+    /// This row with `key_sig`, the [`KeysRef::signature`] of the key set
+    /// its cold row names. The constructors in [`crate::plan`] set it
+    /// where they decide the key set: a handed-through set copies its
+    /// input's signature, a new set computes it once.
+    #[inline]
+    pub fn with_key_sig(self, key_sig: u32) -> PlanHot {
+        PlanHot { key_sig, ..self }
+    }
+
+    /// The signature of the plan's key set; see [`PlanHot::with_key_sig`].
+    #[inline]
+    pub fn key_sig(&self) -> u32 {
+        self.key_sig
     }
 
     /// Whether any `Group` node occurs in the plan tree.
@@ -180,6 +202,9 @@ const _: () = {
     assert_copy::<PlanHot>();
     assert_copy::<PlanCold>();
 };
+// The key signature lives in what was padding: the hot row, and with it
+// every byte count and budget, keeps its size.
+const _: () = assert!(size_of::<PlanHot>() == 40);
 
 /// Bytes one arena slot occupies in the two row arrays (the payload the
 /// row's spans name is counted by the lanes).
@@ -546,7 +571,10 @@ pub enum ThinBy {
     /// Dominance (Def. 4; EA-Prune, Figs. 13/14): `a` is at most as
     /// expensive and at most as large as `b`, duplicate-free whenever `b`
     /// is, and its key set implies `b`'s (the practical weakening of
-    /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6).
+    /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6). The key sets are read only
+    /// when the hot rows pass: cost, cardinality, duplicate-freeness and
+    /// the key signatures ([`signature_may_imply`]). Key-set implication
+    /// implies the signature test, so the relation is exactly this one.
     Dominance {
         /// In the presence of groupjoins a pre-aggregated plan must not
         /// shadow a raw one (the groupjoin needs raw right inputs).
@@ -563,7 +591,7 @@ impl ThinBy {
     /// [`ThinBy::precedes`] on the borrowed parts of a memo, the form
     /// [`Memo::fold`] can call while it edits a class. Dominance decides
     /// on the hot rows first; the key sets are read only when everything
-    /// else already holds.
+    /// the rows hold, the key signatures included, already passes.
     #[inline]
     fn precedes_in(
         self,
@@ -588,13 +616,17 @@ impl ThinBy {
 }
 
 /// Everything of the dominance test that is decidable from two
-/// [`PlanHot`] rows.
+/// [`PlanHot`] rows: all of it but key-set implication, of which the
+/// signatures decide the `false` side.
 #[inline]
 fn dominates_hot(a: &PlanHot, b: &PlanHot, guard_groupjoin: bool) -> bool {
     if guard_groupjoin && a.has_grouping() && !b.has_grouping() {
         return false;
     }
-    a.cost <= b.cost && a.card <= b.card && (a.duplicate_free() || !b.duplicate_free())
+    a.cost <= b.cost
+        && a.card <= b.card
+        && (a.duplicate_free() || !b.duplicate_free())
+        && signature_may_imply(a.key_sig, b.key_sig)
 }
 
 /// `CompareAdjustedCosts` (Fig. 12): is `new` cheaper than `old`? Without
@@ -786,7 +818,8 @@ impl Memo {
     }
 
     /// Store a plan's rows in the arena (does not touch any class). Every
-    /// span of `cold` must lie inside its lane; the constructors in
+    /// span of `cold` must lie inside its lane, and `hot` must carry the
+    /// signature of the key set `cold` names; the constructors in
     /// [`crate::plan`] write the payload first and push the row last.
     #[inline]
     pub fn push_row(&mut self, hot: PlanHot, cold: PlanCold) -> PlanId {
@@ -797,7 +830,8 @@ impl Memo {
     }
 
     /// Store a plan given its payload by value: copies `keys`, `agg` and
-    /// `visible` to the lanes' tails and pushes the rows. The transfer form
+    /// `visible` to the lanes' tails and pushes the rows, `hot` with the
+    /// signature of `keys`. The transfer form
     /// for plans that derive nothing from an input — scans, and whatever a
     /// test or bench makes up; the operator constructors write the lanes
     /// directly so they can share input spans.
@@ -817,7 +851,7 @@ impl Memo {
             counts: append(&mut lanes.counts, agg.counts),
             visible: lanes.push_attrs(visible),
         };
-        self.push_row(hot, cold)
+        self.push_row(hot.with_key_sig(keys.signature()), cold)
     }
 
     /// Bytes of *live* plan state: both row arrays and every lane at their

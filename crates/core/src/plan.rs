@@ -261,10 +261,10 @@ pub fn apply_staged(
         &mut memo.key_buf,
     );
     let duplicate_free = join_duplicate_free(kind, left.duplicate_free(), right.duplicate_free());
-    let derived = match source {
-        JoinKeys::Left => lkeys,
-        JoinKeys::Right => rkeys,
-        JoinKeys::Built => memo.key_buf.as_ref(),
+    let (derived, key_sig) = match source {
+        JoinKeys::Left => (lkeys, left.key_sig()),
+        JoinKeys::Right => (rkeys, right.key_sig()),
+        JoinKeys::Built => (memo.key_buf.as_ref(), memo.key_buf.as_ref().signature()),
     };
     let card = key_bounded_card(ctx, raw_card, duplicate_free, derived);
     let cost = left.cost + right.cost + card;
@@ -330,7 +330,8 @@ pub fn apply_staged(
         left.has_grouping() || right.has_grouping(),
         duplicate_free,
         false,
-    );
+    )
+    .with_key_sig(key_sig);
     let cold = PlanCold {
         node: PlanNode::Apply {
             op: kind,
@@ -421,9 +422,11 @@ pub fn make_group(
     );
     let keys = Span::new(lanes.keys.len(), 1);
     lanes.keys.push(attrs);
+    let key_sig = lanes.key_set(keys).signature();
     scratch.count_plan();
     memo.push_row(
-        PlanHot::new(s, card, input.cost + card, input.applied, true, true, true),
+        PlanHot::new(s, card, input.cost + card, input.applied, true, true, true)
+            .with_key_sig(key_sig),
         PlanCold {
             node: PlanNode::Group {
                 attrs,

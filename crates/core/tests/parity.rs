@@ -275,12 +275,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant of the split (hot/cold) arena layout: the flag bits the
-    /// dominance fast path reads from the 40-byte hot row must be a
-    /// faithful mirror of the cold row they were derived with, for every
-    /// plan the engine builds — a stale or miscopied flag would silently
-    /// change pruning outcomes without failing any cost golden — and every
-    /// cold row's spans must resolve inside the memo's lanes.
+    /// Invariant of the split (hot/cold) arena layout: the flag bits and
+    /// the key signature the dominance fast path reads from the 40-byte
+    /// hot row must be a faithful mirror of the cold row they were derived
+    /// with, for every plan the engine builds — a stale or miscopied one
+    /// would silently change pruning outcomes without failing any cost
+    /// golden — and every cold row's spans must resolve inside the memo's
+    /// lanes.
     #[test]
     fn hot_rows_mirror_cold_payload(n in 2usize..=6, seed in 0u64..1_000_000) {
         let query = generate_query(&GenConfig::oracle(n), seed);
@@ -309,6 +310,14 @@ proptest! {
             // A key claim is only ever used together with the dup-free
             // flag; a grouping's output has both.
             prop_assert!(!is_group || (plan.hot.duplicate_free() && plan.keys().len() == 1));
+            // Dominance reads the key sets only where the signatures allow
+            // an implication: a signature copied from the wrong input would
+            // refuse evictions the key sets grant.
+            prop_assert_eq!(
+                plan.keys().signature(), plan.hot.key_sig(),
+                "key signature diverges from the key set (n={}, seed={})",
+                n, seed
+            );
         }
     }
 }

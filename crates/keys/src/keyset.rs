@@ -83,6 +83,19 @@ fn is_subset(a: &[AttrId], b: &[AttrId]) -> bool {
     true
 }
 
+/// The attribute mask of one key: bit `a mod 32` for each attribute `a`.
+#[inline]
+fn key_mask(key: &[AttrId]) -> u32 {
+    key.iter().fold(0, |m, a| m | 1 << (a.0 % 32))
+}
+
+/// Whether two [`KeysRef::signature`]s allow `a.implies(b)`. A `false` is
+/// a proof that it does not hold; a `true` decides nothing.
+#[inline]
+pub fn signature_may_imply(a: u32, b: u32) -> bool {
+    a & !b == 0
+}
+
 /// A borrowed key set: `spans[i]` delimits key `i` inside `attrs`. `Copy`,
 /// two slices wide.
 #[derive(Debug, Clone, Copy, Default)]
@@ -137,6 +150,18 @@ impl<'a> KeysRef<'a> {
         other
             .iter()
             .all(|ko| self.iter().any(|ks| is_subset(ks, ko)))
+    }
+
+    /// The set's 32-bit implication filter: the AND, over its keys, of
+    /// each key's attribute mask (bit `a mod 32` for each attribute `a`);
+    /// all-ones for a set with no key. Sound for
+    /// [`signature_may_imply`]: if `a.implies(b)`, every key `kb` of `b`
+    /// holds a key `ka ⊆ kb` of `a`, so `sig(a) ⊆ mask(ka) ⊆ mask(kb)`,
+    /// and ANDing over `kb` gives `sig(a) ⊆ sig(b)`. (The subsumption
+    /// signatures of SatELite, Eén & Biere, SAT 2005.)
+    #[inline]
+    pub fn signature(self) -> u32 {
+        self.iter().fold(u32::MAX, |s, k| s & key_mask(k))
     }
 }
 
@@ -333,6 +358,63 @@ mod tests {
         assert!(strong.implies(&KeySet::empty()));
         assert!(KeySet::empty().implies(&KeySet::empty()));
         assert!(!KeySet::empty().implies(&strong));
+    }
+
+    #[test]
+    fn signature_never_refutes_an_implication() {
+        // Attributes 0..96 wrap `mod 32` three times, so unrelated keys
+        // share bits. Half the pairs derive `b` from `a` by widening every
+        // key of `a` (so `a ⇒ b`) and adding keys of its own; the other
+        // half are independent, empty sets included.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        // A key of 0..=3 attributes; one in nine is the empty key (at most
+        // one row), which implies every key.
+        let mut random_key = move || -> Key {
+            let width = next(9).div_ceil(3);
+            (0..width).map(|_| a(next(96) as u32)).collect()
+        };
+        let (mut implied, mut refuted) = (0, 0);
+        for round in 0..4_000 {
+            let mut key_a = KeySet::empty();
+            for _ in 0..round % 5 {
+                key_a.insert(random_key());
+            }
+            let mut key_b = KeySet::empty();
+            if round % 2 == 0 {
+                for k in key_a.keys() {
+                    let mut wider = k.to_vec();
+                    wider.extend(random_key());
+                    key_b.insert(wider);
+                }
+            }
+            for _ in 0..round % 3 {
+                key_b.insert(random_key());
+            }
+            for (x, y) in [(&key_a, &key_b), (&key_b, &key_a)] {
+                let may = signature_may_imply(x.as_ref().signature(), y.as_ref().signature());
+                if x.implies(y) {
+                    implied += 1;
+                    assert!(may, "{x:?} implies {y:?}, but the signatures refute it");
+                } else {
+                    refuted += !may as u32;
+                }
+            }
+        }
+        // Both branches ran often enough to mean something.
+        assert!(implied > 1_000 && refuted > 1_000, "{implied} / {refuted}");
+        assert_eq!(u32::MAX, KeySet::empty().as_ref().signature());
+        assert_eq!(
+            1 << 1 | 1 << 3,
+            KeySet::from_keys([vec![a(1), a(35)], vec![a(3), a(33)]])
+                .as_ref()
+                .signature()
+        );
     }
 
     #[test]

@@ -11,4 +11,4 @@ pub use infer::{
     infer_join_keys, infer_join_keys_presorted, join_duplicate_free, needs_grouping, JoinKeys,
     KeyInfo,
 };
-pub use keyset::{Key, KeySet, KeysRef, Span};
+pub use keyset::{signature_may_imply, Key, KeySet, KeysRef, Span};
