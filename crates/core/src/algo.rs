@@ -15,13 +15,18 @@
 //! one off the arena before it builds the next; complete plans compete on
 //! final cost instead. A search whose budget arms something
 //! asks it before every unit and stops at the first refusal; an exact run
-//! is a search with nothing armed. `Search::finish` is the one epilogue:
+//! is a search with nothing armed. A dominance search walks the stream
+//! under a complete plan: EA-Prune is seeded with the ladder's greedy
+//! plan (`ladder::greedy`) before its walk, and every interior
+//! unit that could only lie under a costlier plan than the best in hand is
+//! skipped unbuilt. `Search::finish` is the one epilogue:
 //! winner, finalization, elapsed time, EXPLAIN, [`Optimized`].
 //! [`optimize_into`] is the one runner of every [`Algorithm`].
 
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
+use crate::ladder::greedy::greedy_join;
 use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::{op_trees, settle};
 use crate::plan::{make_scan, stage_apply, StagedApply};
@@ -80,9 +85,11 @@ pub struct Optimized {
     /// built, or belongs to a full-set work unit the complete-plan bound
     /// settled unbuilt and is counted as building that unit would have
     /// counted it — so the number does not depend on that bound. A
-    /// ladder's exact rung also skips interior units by the greedy plan's
-    /// cost; those build nothing and count nothing, so a ladder run's
-    /// number does depend on the interior bound.
+    /// dominance walk (EA-Prune, and the ladder's exact rung) also skips
+    /// interior units by the cost of the best complete plan in hand, the
+    /// greedy one to start with; those build nothing and count nothing, so
+    /// their number does depend on the interior bound. EA-Prune's number
+    /// counts its greedy seed's plans too.
     pub plans_built: u64,
     /// Plans retained in the DP table at the end.
     pub retained_plans: u64,
@@ -203,6 +210,15 @@ pub fn optimize_prepared(
         return crate::ladder::climb(ctx, opts, memo);
     };
     let mut search = Search::new(ctx, memo, thin_by, eager);
+    if matches!(algo, Algorithm::EaPrune) && ctx.query.table_count() >= 3 {
+        // The seed: the ladder's greedy rung, so that the dominance walk
+        // bounds its interior by a complete plan from its first pair. It is
+        // a real plan in the memo, not only a cost, so a DP optimum that
+        // ties it loses to it on `keep_best`'s earlier-wins rule and the
+        // winner's cost is the same. With two relations the stream is the
+        // greedy's one merge.
+        greedy_join(&mut search, ctx);
+    }
     search.enumerate();
     if eager && search.winner().is_none() {
         // Eager single-plan search can dead-end when a groupjoin's right
@@ -568,20 +584,18 @@ impl<'a> Search<'a> {
     }
 
     /// [`Search::process`], bounding interior work by the best complete
-    /// plan iff `interior` and something is armed: the ladder's exact rung
-    /// ([`Search::enumerate`] under a budget). A search with nothing armed
-    /// never bounds below the full set, whoever feeds it.
+    /// plan iff `interior`: a dominance walk of the whole DPhyp stream
+    /// ([`Search::enumerate`]), armed or not.
     fn pair(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
         // Decided once per pair, so that the unit loop of a search with
-        // nothing armed is compiled without the meter call (or the
-        // interior bound): testing a run-time flag per unit instead read
-        // 1% slower on the benchmark's ea-prune-paper, in 10 of 10
-        // interleaved pairs.
+        // nothing armed is compiled without the meter call: testing a
+        // run-time flag per unit instead read 1% slower on the benchmark's
+        // ea-prune-paper, in 10 of 10 interleaved pairs.
         let meter = &self.meter;
         let completed = if meter.budget != Budget::default() || meter.unit_delay.is_some() {
             self.feed::<true>(s1, s2, interior)
         } else {
-            self.feed::<false>(s1, s2, false)
+            self.feed::<false>(s1, s2, interior)
         };
         let cap = self.meter.budget.plans;
         debug_assert!(cap.is_none_or(|cap| self.scratch.plans_built <= cap));
@@ -616,10 +630,9 @@ impl<'a> Search<'a> {
     /// fewer rows are ever live (on EA-All the losing complete plans
     /// outnumber the retained state by an order of magnitude).
     ///
-    /// With `interior` (read only when `ARMED`), the **interior bound** as
-    /// well: a subplan costs no more than any complete plan above it, by
-    /// the same two lines, so below the full set a unit with
-    /// `cost(t1) + cost(t2) ≥ best` is
+    /// With `interior`, the **interior bound** as well: a subplan costs no
+    /// more than any complete plan above it, by the same two lines, so
+    /// below the full set a unit with `cost(t1) + cost(t2) ≥ best` is
     /// *skipped* — nothing built, nothing counted in `plans_built` or
     /// charged to the budget, counted in `bounded` — and a candidate with
     /// `cost ≥ best` is refused before [`Memo::fold`]. The class members
@@ -671,7 +684,7 @@ impl<'a> Search<'a> {
             let complete = s == full;
             // The interior bound's ceiling: only a complete plan moves
             // `best`, so it stays put for the whole of an interior pair.
-            let ceiling = if ARMED && interior && !complete {
+            let ceiling = if interior && !complete {
                 self.best.map(|(b, _)| b)
             } else {
                 None
@@ -740,18 +753,20 @@ impl<'a> Search<'a> {
 
     /// Feed the search the whole DPhyp csg-cmp-pair stream, in emission
     /// order, up to the first refused pair. Returns whether the stream was
-    /// walked to its end. Under a budget — the ladder's exact rung, which
-    /// the greedy rung's plan precedes — the walk bounds interior work
-    /// too (see [`Search::feed`]). The walk is one `engine.enumerate`
-    /// span, tagged with the pairs and units walked, the units the bounds
-    /// spared, and the search's `plans_built` at its end (inert, and free,
-    /// with tracing off).
+    /// walked to its end. A search that thins by dominance — EA-Prune,
+    /// seeded by the greedy plan, and the ladder's exact rung, which the
+    /// greedy rung precedes — bounds interior work too (see
+    /// [`Search::feed`]); the others (EA-All, DPhyp, H1, H2) do not. The
+    /// walk is one `engine.enumerate` span, tagged with the pairs and units
+    /// walked, the units the bounds spared, and the search's `plans_built`
+    /// at its end (inert, and free, with tracing off).
     pub(crate) fn enumerate(&mut self) -> bool {
         let mut span = dpnext_obs::span("engine.enumerate");
         let (mut ccps, units, bounded) = (0u64, self.units, self.bounded);
+        let interior = matches!(self.thin_by, ThinBy::Dominance { .. });
         let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
             ccps += 1;
-            if self.pair(s1, s2, true) {
+            if self.pair(s1, s2, interior) {
                 ControlFlow::Continue(())
             } else {
                 ControlFlow::Break(())

@@ -5,53 +5,70 @@
 use crate::aggstate::AggPos;
 use crate::context::OptContext;
 use crate::memo::{Memo, PlanId, PlanNode};
+use dpnext_algebra::AttrId;
 use std::fmt::Write;
+
+/// Width of the operator column, in chars.
+const LABEL_WIDTH: usize = 52;
 
 /// Render an annotated explanation of a logical plan.
 pub fn explain(ctx: &OptContext, memo: &Memo, id: PlanId) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<52} {:>12} {:>12}  properties",
+        "{:<LABEL_WIDTH$} {:>12} {:>12}  properties",
         "operator", "est. rows", "C_out"
     );
     walk(ctx, memo, id, 0, &mut out);
     out
 }
 
+/// Write the line of `id` and then its inputs' straight into `out`: no
+/// per-node string is built. Writing into a `String` cannot fail.
 fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut String) {
     let plan = memo.plan(id);
-    let pad = "  ".repeat(depth);
-    let label = match plan.cold.node {
+    let start = out.len();
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    match plan.cold.node {
         PlanNode::Scan { table } => {
-            format!("{pad}Scan {}", ctx.query.tables[table as usize].alias)
+            let _ = write!(out, "Scan {}", ctx.query.tables[table as usize].alias);
         }
         PlanNode::Apply { op, pred, .. } => {
-            format!("{pad}{op} [{}]", plan.lanes.join_pred(pred))
+            let _ = write!(out, "{op} [");
+            for (i, (l, cmp, r)) in pred.of(&plan.lanes.terms).iter().enumerate() {
+                let sep = if i > 0 { " ∧ " } else { "" };
+                let _ = write!(out, "{sep}{l}{cmp}{r}");
+            }
+            out.push(']');
         }
         PlanNode::Group { attrs, .. } => {
-            let attrs: Vec<String> = attrs
-                .of(&plan.lanes.attrs)
-                .iter()
-                .map(|a| a.to_string())
-                .collect();
-            format!("{pad}Γ [{}]", attrs.join(","))
+            out.push_str("Γ [");
+            write_attrs(out, attrs.of(&plan.lanes.attrs));
+            out.push(']');
         }
-    };
-    let mut props = Vec::new();
+    }
+    // Pad the label to its column by the chars just written (`Γ` and the
+    // operator symbols are one char and several bytes).
+    let written = out[start..].chars().count();
+    for _ in written..LABEL_WIDTH {
+        out.push(' ');
+    }
+    let _ = write!(out, " {:>12.1} {:>12.1}  ", plan.hot.card, plan.hot.cost);
+    let mut sep = "";
     if plan.hot.duplicate_free() {
-        props.push("dup-free".to_string());
+        out.push_str("dup-free");
+        sep = ", ";
     }
     if !plan.keys().is_empty() {
-        let keys: Vec<String> = plan
-            .keys()
-            .iter()
-            .map(|k| {
-                let attrs: Vec<String> = k.iter().map(|a| a.to_string()).collect();
-                format!("{{{}}}", attrs.join(","))
-            })
-            .collect();
-        props.push(format!("keys={}", keys.join(" ")));
+        let _ = write!(out, "{sep}keys=");
+        for (i, key) in plan.keys().iter().enumerate() {
+            out.push_str(if i > 0 { " {" } else { "{" });
+            write_attrs(out, key);
+            out.push('}');
+        }
+        sep = ", ";
     }
     let agg = plan.agg();
     let partials = agg
@@ -60,18 +77,13 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
         .filter(|p| matches!(p, AggPos::Partial { .. }))
         .count();
     if partials > 0 {
-        props.push(format!("{partials} partial agg(s)"));
+        let _ = write!(out, "{sep}{partials} partial agg(s)");
+        sep = ", ";
     }
     if !agg.counts.is_empty() {
-        props.push(format!("{} count col(s)", agg.counts.len()));
+        let _ = write!(out, "{sep}{} count col(s)", agg.counts.len());
     }
-    let _ = writeln!(
-        out,
-        "{label:<52} {:>12.1} {:>12.1}  {}",
-        plan.hot.card,
-        plan.hot.cost,
-        props.join(", ")
-    );
+    out.push('\n');
     match plan.cold.node {
         PlanNode::Scan { .. } => {}
         PlanNode::Apply { left, right, .. } => {
@@ -79,5 +91,13 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
             walk(ctx, memo, right, depth + 1, out);
         }
         PlanNode::Group { input, .. } => walk(ctx, memo, input, depth + 1, out),
+    }
+}
+
+/// Write `attrs` comma-separated.
+fn write_attrs(out: &mut String, attrs: &[AttrId]) {
+    for (i, a) in attrs.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}{a}");
     }
 }

@@ -17,6 +17,7 @@
 //!    it — and its merge tree yields the linear relation order for rung 3.
 //!    It consults neither the clock nor the byte meter, so a valid plan
 //!    exists before either can bind: a run *degrades*, it never fails.
+//!    The same pass, unbudgeted, seeds an EA-Prune run.
 //! 2. **Exact DP** (`Search::enumerate`, the whole DPhyp stream), under
 //!    `Budget::split` — half of what is left of every armed resource, so
 //!    an aborted exact stream cannot starve rung 3. With a plan limit it
@@ -28,8 +29,9 @@
 //!    together cost as much is skipped (not built, not charged), and an
 //!    interior candidate that costs as much is refused before its class
 //!    sees it. `C_out` only grows up a plan, so neither could lie under a
-//!    cheaper winner, and the budget buys more of the stream.
-//!    Completing this rung makes the result the EA-Prune optimum (to the
+//!    cheaper winner, and the budget buys more of the stream. EA-Prune
+//!    walks under the same bound, so the two differ only in the budget:
+//!    completing this rung makes the result the EA-Prune optimum (to the
 //!    bit); an aborted stream's plans still compete (reported as
 //!    `PartialExact` when one wins).
 //! 3. **Linearized DP**, under all that is left: exact DP restricted to
@@ -48,7 +50,7 @@
 //! mid-stream: plans, deadline, bytes) and
 //! [`crate::MemoStats::adaptive_mode`] report what happened.
 
-mod greedy;
+pub(crate) mod greedy;
 mod linear;
 
 use crate::algo::{OptimizeOptions, Optimized, Search, UNIT_MAX_PLANS};

@@ -5,6 +5,11 @@
 //! explores the eager/lazy aggregation variants of the paper and the
 //! constructed plans land in the shared memo.
 //!
+//! Two searches run it before walking the DPhyp stream: the ladder, as its
+//! first rung, and EA-Prune, as its seed ([`crate::optimize_prepared`]).
+//! Either way the complete plan it leaves bounds every interior unit of
+//! the dominance walk that follows.
+//!
 //! The pass also produces the **linear order** the linearized DP rung
 //! refines: relations in the left-to-right traversal order of the greedy
 //! merge tree. Every greedy subtree is a contiguous interval of that
@@ -36,7 +41,7 @@ struct Component {
 /// greedy subtree class. Returns the linearization of the relations: the
 /// greedy merge tree's traversal order (or the canonical tree's, after a
 /// fallback).
-pub(super) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
+pub(crate) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
     let n = ctx.query.table_count();
     let mut comps: Vec<Component> = (0..n)
         .map(|i| Component {
@@ -161,18 +166,9 @@ fn estimate_pair(
         }
         last = idx;
     }
-    let d_left: f64 = op
-        .pred
-        .left_attrs()
-        .iter()
-        .map(|&at| ctx.distinct(at))
-        .product();
-    let d_right: f64 = op
-        .pred
-        .right_attrs()
-        .iter()
-        .map(|&at| ctx.distinct(at))
-        .product();
+    let terms = &op.pred.terms;
+    let d_left: f64 = terms.iter().map(|&(at, _, _)| ctx.distinct(at)).product();
+    let d_right: f64 = terms.iter().map(|&(_, _, at)| ctx.distinct(at)).product();
     Some(join_card(op.op, lcard, rcard, sel, d_left, d_right))
 }
 

@@ -52,7 +52,9 @@ fn plan_construction_allocates_only_amortised_growth() {
         explain: false,
         ..OptimizeOptions::default()
     };
-    for (algo, n) in [(Algorithm::EaPrune, 10), (Algorithm::EaAll, 6)] {
+    // Seed 4 at n = 11 is the heaviest EA-Prune query of the benchmark's
+    // paper mix: its greedy-seeded walk still builds thousands of plans.
+    for (algo, n) in [(Algorithm::EaPrune, 11), (Algorithm::EaAll, 6)] {
         let query = generate_query(&GenConfig::paper(n), 4);
         let mut memo = Memo::new();
 
