@@ -178,7 +178,7 @@ fn grouped_here(ctx: &OptContext, i: usize, s: NodeSet) -> bool {
 /// new count plus one per aggregate it rewrites. [`push_grouped_state`]
 /// allocates exactly these, and a work unit settled by the complete-plan
 /// bound advances the allocator by them for each grouping it does not
-/// build ([`crate::optrees::settle`]).
+/// build ([`crate::optrees::Grid::settle`]).
 #[inline]
 pub(crate) fn grouping_columns(ctx: &OptContext, s: NodeSet) -> u32 {
     1 + (0..ctx.aggs().len())

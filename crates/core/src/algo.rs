@@ -28,7 +28,7 @@ use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::ladder::greedy::greedy_join;
 use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
-use crate::optrees::{op_trees, settle};
+use crate::optrees::Grid;
 use crate::plan::{make_scan, stage_apply, StagedApply};
 use dpnext_conflict::applicable_ops_into;
 use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
@@ -85,6 +85,9 @@ pub struct Optimized {
     /// built, or belongs to a full-set work unit the complete-plan bound
     /// settled unbuilt and is counted as building that unit would have
     /// counted it — so the number does not depend on that bound. A
+    /// pushed-down grouping that survives its unit is shared by the rest of
+    /// its grid row or column, and counted once (see
+    /// [`crate::optrees::op_trees`]). A
     /// dominance walk (EA-Prune, and the ladder's exact rung) also skips
     /// interior units by the cost of the best complete plan in hand, the
     /// greedy one to start with; those build nothing and count nothing, so
@@ -231,10 +234,11 @@ pub fn optimize_prepared(
     search.finish(opts.explain)
 }
 
-/// Reusable per-pair buffers of the enumeration hot loop: orientation and
-/// class snapshots and the staged cut live here, and the plans themselves
-/// go to the memo's lanes, so processing a csg-cmp-pair allocates nothing
-/// once the buffers have grown.
+/// Reusable per-pair buffers of the enumeration hot loop: orientations,
+/// the staged cut and the grid of the orientation being walked (class
+/// snapshots with their per-plan facts and grouping slots) live here, and
+/// the plans themselves go to the memo's lanes, so processing a
+/// csg-cmp-pair allocates nothing once the buffers have grown.
 #[derive(Default)]
 pub(crate) struct PairBufs {
     /// `applicable_ops_into` output.
@@ -246,8 +250,8 @@ pub(crate) struct PairBufs {
     /// Extra inner-join edges crossing the same cut (cyclic queries);
     /// shared by every orientation of the pair.
     pub(crate) extra: Vec<usize>,
-    lefts: Vec<PlanId>,
-    rights: Vec<PlanId>,
+    /// The units of the orientation being applied.
+    grid: Grid,
     /// The cut constants of the orientation being applied.
     staged: StagedApply,
 }
@@ -363,9 +367,11 @@ pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
 /// `(orientation, t1, t2)` subplan combination) can construct: `op_trees`
 /// builds at most the plain apply, two pushed-down groupings and three
 /// grouped applies (Fig. 8 (a)–(d)) — and, popping what is refused, never
-/// holds more than those above what it keeps. An armed search uses this to
-/// translate a plan budget into a unit allowance without mid-unit
-/// bookkeeping.
+/// holds more than those above what it keeps. A unit that reuses its row's
+/// or its column's grouping builds fewer, but the first unit of a grid,
+/// whose slots are empty, still builds both groupings: six stays the bound.
+/// An armed search uses this to translate a plan budget into a unit
+/// allowance without mid-unit bookkeeping.
 pub const UNIT_MAX_PLANS: u64 = 6;
 
 /// One plan search: a memo whose classes are thinned by one relation, the
@@ -603,18 +609,23 @@ impl<'a> Search<'a> {
     }
 
     /// [`Search::process`], asking the meter before every unit iff `ARMED`:
-    /// for each orientation of the pair, pair up the retained subplans of
-    /// both sides and run the one work unit, [`op_trees`]: it constructs the
-    /// tree variants — all eager-aggregation variants (`OpTrees`, Fig. 6)
-    /// when `eager`, else only the plain operator tree of the DPhyp
-    /// baseline — and offers each, while it is the arena's newest row, to
-    /// its class under `thin_by`; a tree the class refuses is popped before
-    /// the next one is built, so the arena holds what the classes keep (and
-    /// the incumbents they evicted since), not what the search built.
-    /// Complete plans (the full relation set with every operator applied)
-    /// never enter a class: they compete on final cost, and one is kept
-    /// only if it became the best (`keep_best`) — popped like any refused
-    /// tree otherwise.
+    /// for each orientation of the pair, stage the [`Grid`] of the retained
+    /// subplans of both sides — each plan's one-sided facts (does a unit
+    /// push a grouping onto it, is it grouped, does it expose what the cut
+    /// needs) decided once, not once per unit — and run the one work unit,
+    /// [`crate::optrees::op_trees`], on each cell: it constructs the tree
+    /// variants — all eager-aggregation variants (`OpTrees`, Fig. 6) when
+    /// `eager`, else only the plain operator tree of the DPhyp baseline —
+    /// and offers each, while it is the arena's newest row, to its class
+    /// under `thin_by`; a tree the class refuses is popped before the next
+    /// one is built, so the arena holds what the classes keep (and the
+    /// incumbents they evicted since), not what the search built. A
+    /// pushed-down grouping that survives its unit stays in its row's or
+    /// column's slot, and the later units of the grid reuse it instead of
+    /// building another. Complete plans (the full relation set with every
+    /// operator applied) never enter a class: they compete on final cost,
+    /// and one is kept only if it became the best (`keep_best`) — popped
+    /// like any refused tree otherwise.
     ///
     /// Before that, the **complete-plan bound**: every tree of a full-set
     /// unit costs at least `cost(t1) + cost(t2)` — `C_out` adds a
@@ -622,13 +633,14 @@ impl<'a> Search<'a> {
     /// and IEEE addition is monotone, so the rounded sums keep the order.
     /// Once that sum reaches the best final cost seen, `keep_best` would
     /// refuse every one of them on its first line, so the unit is
-    /// [`settle`]d instead of built: counted in `plans_built` as building
-    /// it would have counted it, with the fresh-attribute allocator moved
-    /// past what its groupings would have taken, and counted in `bounded`.
-    /// The winner, every fold, the counts and the ids of what is built
-    /// later are the same as if the unit had been built and popped; only
-    /// fewer rows are ever live (on EA-All the losing complete plans
-    /// outnumber the retained state by an order of magnitude).
+    /// [settled](Grid::settle) instead of built, from the grid's facts
+    /// alone: counted in `plans_built` as building it would have counted
+    /// it, with the fresh-attribute allocator moved past what its groupings
+    /// would have taken, and counted in `bounded`. The winner, every fold,
+    /// the counts, the slots and the ids of what is built later are the
+    /// same as if the unit had been built and popped; only fewer rows are
+    /// ever live (on EA-All the losing complete plans outnumber the
+    /// retained state by an order of magnitude).
     ///
     /// With `interior`, the **interior bound** as well: a subplan costs no
     /// more than any complete plan above it, by the same two lines, so
@@ -644,8 +656,8 @@ impl<'a> Search<'a> {
     /// Every `(orientation, t1, t2)` combination is one **work unit**,
     /// counted in `units`. A refusal means *stop*: the rest of the pair is
     /// abandoned and `false` is returned, so the pair's plan set is
-    /// incomplete. The per-pair snapshots of both classes are plain
-    /// `PlanId` copies into `bufs` — no plan data is cloned.
+    /// incomplete. The grid's snapshots of both classes are `PlanId` copies
+    /// with a few bits each, into `bufs` — no plan data is cloned.
     fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
         // Per-pair check: a stopped search stays stopped, and even a
         // stream of pairs with no applicable operator (which never asks
@@ -667,17 +679,12 @@ impl<'a> Search<'a> {
         let PairBufs {
             orients,
             extra,
-            lefts,
-            rights,
+            grid,
             staged,
             ..
         } = &mut self.bufs;
         for &(sl, sr, op) in orients.iter() {
-            lefts.clear();
-            lefts.extend_from_slice(memo.class(sl));
-            rights.clear();
-            rights.extend_from_slice(memo.class(sr));
-            if lefts.is_empty() || rights.is_empty() {
+            if memo.class(sl).is_empty() || memo.class(sr).is_empty() {
                 continue;
             }
             let s = sl.union(sr);
@@ -694,8 +701,13 @@ impl<'a> Search<'a> {
             // identical for every `(t1, t2)` combination of the grid, so the
             // per-plan application does none of that work.
             stage_apply(ctx, memo, staged, op, extra, sl);
-            for &t1 in lefts.iter() {
-                for &t2 in rights.iter() {
+            // And decide once per plan of each side what its units read of
+            // it alone; its grouping slots start empty.
+            grid.stage(ctx, scratch, memo, staged, (sl, sr), eager, complete);
+            for i in 0..grid.lefts.len() {
+                let t1 = grid.lefts[i].id;
+                for j in 0..grid.rights.len() {
+                    let t2 = grid.rights[j].id;
                     // The interior bound: a unit none of whose trees can
                     // lie under a cheaper winner is skipped — not built,
                     // not counted, not charged.
@@ -722,19 +734,20 @@ impl<'a> Search<'a> {
                             .is_some_and(|(b, _)| memo[t1].cost + memo[t2].cost >= b)
                     {
                         self.bounded += 1;
-                        settle(ctx, scratch, memo, staged, t1, t2, eager);
+                        grid.settle(scratch, staged.kind, (i, j));
                         continue;
                     }
-                    // The constructors this loop calls (`op_trees`,
-                    // `settle`, `apply_staged`, `make_group`, `Memo::fold`,
-                    // `Memo::mark`, `Memo::truncate`, and `final_numbers`
-                    // behind `keep_best`) and what those call per plan in
-                    // other modules (the `OptContext`/`Scratch` accessors,
+                    // The constructors this loop calls (`Grid::build`,
+                    // `op_trees`, `Grid::settle`, `apply_staged`,
+                    // `make_group`, `Memo::fold`, `Memo::mark`,
+                    // `Memo::truncate`, and `final_numbers` behind
+                    // `keep_best`) and what those call per plan in other
+                    // modules (the `OptContext`/`Scratch` accessors,
                     // `push_grouped_state`) are `#[inline]` so they are
                     // compiled into this codegen unit; without that the
                     // benchmark's ea-prune-paper p99 reads 3–5% higher, and
                     // which module an edit lands in decides whether it does.
-                    op_trees(ctx, scratch, memo, staged, t1, t2, eager, |memo, t| {
+                    grid.build(ctx, scratch, memo, staged, (i, j), |memo, t| {
                         if !complete {
                             return ceiling.is_none_or(|b| memo[t].cost < b)
                                 && memo.fold(s, t, thin_by);

@@ -306,28 +306,11 @@ impl Scratch {
     /// per set.
     #[inline]
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
-        self.gplus_span(ctx, s).of(&self.gplus_attrs)
-    }
-
-    /// `G⁺(S1)` and `G⁺(S2)` at once; see [`Scratch::gplus`].
-    #[inline]
-    pub(crate) fn gplus_pair(
-        &mut self,
-        ctx: &OptContext,
-        s1: NodeSet,
-        s2: NodeSet,
-    ) -> [&[AttrId]; 2] {
-        let spans = [self.gplus_span(ctx, s1), self.gplus_span(ctx, s2)];
-        spans.map(|span| span.of(&self.gplus_attrs))
-    }
-
-    /// Where the memoized `G⁺(S)` sits in `gplus_attrs`.
-    #[inline]
-    fn gplus_span(&mut self, ctx: &OptContext, s: NodeSet) -> Span {
         let attrs = &mut self.gplus_attrs;
-        *self
+        let span = *self
             .gplus_cache
             .entry(s)
-            .or_insert_with(|| ctx.push_gplus(s, attrs))
+            .or_insert_with(|| ctx.push_gplus(s, attrs));
+        span.of(&self.gplus_attrs)
     }
 }

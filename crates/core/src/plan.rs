@@ -183,27 +183,38 @@ impl StagedApply {
     /// raw tuples), and — defensively, since structure prevents it — when
     /// a predicate attribute or a groupjoin argument is not visible on its
     /// side: per plan, not per cut, because a pushed-down grouping changes
-    /// which attributes its side exposes. The one statement of these tests:
-    /// a work unit settled by the complete-plan bound asks it about the
-    /// trees it does not build ([`crate::optrees::settle`]).
+    /// which attributes its side exposes. The test is a left half, a right
+    /// half and the groupjoin term, stated once here: a grid decides each
+    /// half once per plan, and a work unit settled by the complete-plan
+    /// bound combines them for the trees it does not build
+    /// ([`crate::optrees::Grid::settle`]).
     #[inline]
     pub(crate) fn refuses(
         &self,
         ctx: &OptContext,
-        terms: &[Term],
         left_visible: &[AttrId],
         right_visible: &[AttrId],
         right_grouped: bool,
     ) -> bool {
         (self.kind == OpKind::GroupJoin && right_grouped)
-            || self
-                .pred
-                .of(terms)
-                .iter()
-                .any(|&(l, _, r)| !left_visible.contains(&l) || !right_visible.contains(&r))
-            || !ctx.gj_args[self.op_idx]
-                .iter()
-                .all(|a| right_visible.contains(a))
+            || !self.left_sees(left_visible)
+            || !self.right_sees(ctx, right_visible)
+    }
+
+    /// The left half of [`StagedApply::refuses`]: does a left input exposing
+    /// `visible` expose every left predicate attribute?
+    #[inline]
+    pub(crate) fn left_sees(&self, visible: &[AttrId]) -> bool {
+        self.left_attrs.iter().all(|a| visible.contains(a))
+    }
+
+    /// The right half of [`StagedApply::refuses`]: does a right input
+    /// exposing `visible` expose every right predicate attribute and every
+    /// groupjoin argument?
+    #[inline]
+    pub(crate) fn right_sees(&self, ctx: &OptContext, visible: &[AttrId]) -> bool {
+        self.right_attrs.iter().all(|a| visible.contains(a))
+            && ctx.gj_args[self.op_idx].iter().all(|a| visible.contains(a))
     }
 }
 
@@ -238,7 +249,7 @@ pub fn apply_staged(
         lcold.visible.of(&lanes.attrs),
         rcold.visible.of(&lanes.attrs),
     );
-    if staged.refuses(ctx, &lanes.terms, lvisible, rvisible, right.has_grouping()) {
+    if staged.refuses(ctx, lvisible, rvisible, right.has_grouping()) {
         return None;
     }
 

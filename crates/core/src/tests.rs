@@ -7,7 +7,7 @@ use crate::algo::applied_ops_mask;
 use crate::context::{OptContext, Scratch};
 use crate::finalize::finalize;
 use crate::memo::{Memo, PlanId};
-use crate::optrees::op_trees;
+use crate::optrees::{may_push, op_trees, pushable};
 use crate::plan::{make_apply, make_group, make_scan, stage_apply, StagedApply};
 use dpnext_algebra::{AggCall, AggKind, AttrGen, AttrId, Expr, JoinPred, Value};
 use dpnext_hypergraph::NodeSet;
@@ -17,7 +17,8 @@ fn a(i: u32) -> AttrId {
     AttrId(i)
 }
 
-/// Wrap `op_trees` for tests that only count the produced variants.
+/// Wrap `op_trees` (one unit, empty slots) for tests that only count the
+/// produced variants.
 fn op_tree_ids(
     ctx: &OptContext,
     sc: &mut Scratch,
@@ -29,7 +30,13 @@ fn op_tree_ids(
     let mut out = Vec::new();
     let mut staged = StagedApply::default();
     stage_apply(ctx, memo, &mut staged, op_idx, &[], memo[t1].set);
-    op_trees(ctx, sc, memo, &staged, t1, t2, true, |_, t| {
+    let (left_ok, right_ok) = may_push(staged.kind);
+    let push = [
+        left_ok && pushable(ctx, sc, memo, t1),
+        right_ok && pushable(ctx, sc, memo, t2),
+    ];
+    let slots = [&mut None, &mut None];
+    op_trees(ctx, sc, memo, &staged, t1, t2, push, slots, |_, t| {
         out.push(t);
         true
     });
@@ -481,24 +488,123 @@ mod finalization {
 mod engine {
     use super::*;
     use crate::algo::{
-        optimize_prepared, orientations_into, Algorithm, OptimizeOptions, PairBufs, Search,
+        all_subplans, optimize_prepared, orientations_into, Algorithm, OptimizeOptions, PairBufs,
+        Search,
     };
     use crate::budget::{Budget, Exhausted};
     use crate::memo::{PlanNode, ThinBy};
-    use crate::optrees::settle;
+    use crate::optrees::Grid;
     use dpnext_hypergraph::enumerate_ccps;
     use dpnext_workload::{generate_query, GenConfig, OpWeights};
 
-    /// The complete-plan bound settles a full-set unit by counting what
-    /// `op_trees` would build, so the two must agree on every unit the bound
-    /// can meet: from one `Scratch`, building every tree of the unit (an
-    /// offer that refuses them all, so each is popped) and settling it
+    /// What a sweep of full-set units met, and the buffers it walks them
+    /// with.
+    #[derive(Default)]
+    struct Sweep {
+        units: u64,
+        gj_refusals: u64,
+        reused: [bool; 2],
+        blind: bool,
+        offers: u64,
+        bufs: PairBufs,
+        staged: StagedApply,
+        grid: Grid,
+    }
+
+    impl Sweep {
+        /// Settle, then build, every full-set unit over the classes of
+        /// `memo`, grid by grid as `Search::feed` walks them.
+        fn full_set(&mut self, ctx: &OptContext, memo: &mut Memo, what: &str) {
+            let full = NodeSet::full(ctx.query.table_count());
+            let mut pairs = Vec::new();
+            enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+                if s1.union(s2) == full {
+                    pairs.push((s1, s2));
+                }
+            });
+            let Sweep {
+                bufs, staged, grid, ..
+            } = self;
+            let mut scratch = Scratch::new(ctx);
+            for (s1, s2) in pairs {
+                orientations_into(ctx, s1, s2, bufs);
+                for &(sl, sr, op) in &bufs.orients {
+                    // What the kept trees leave goes with the grid: no class
+                    // names them, and the next grid starts with empty slots.
+                    let mark = memo.mark();
+                    stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
+                    grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true, true);
+                    self.blind |= grid.group_sees != [true; 2]
+                        || grid.lefts.iter().chain(&grid.rights).any(|p| !p.sees);
+                    let (width, height) = (grid.lefts.len(), grid.rights.len());
+                    for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
+                        let (l, r) = (grid.lefts[i], grid.rights[j]);
+                        self.units += 1;
+                        self.gj_refusals +=
+                            u64::from(staged.kind == OpKind::GroupJoin && r.grouped);
+                        self.reused[0] |= l.push && l.group.is_some();
+                        self.reused[1] |= r.push && r.group.is_some();
+                        let mut settled = scratch.clone();
+                        grid.settle(&mut settled, staged.kind, (i, j));
+                        let offers = &mut self.offers;
+                        grid.build(ctx, &mut scratch, memo, staged, (i, j), |_, _| {
+                            *offers += 1;
+                            offers.is_multiple_of(7)
+                        });
+                        assert_eq!(
+                            (scratch.plans_built, scratch.fresh_attr()),
+                            (settled.plans_built, settled.fresh_attr()),
+                            "{what}: unit {sl} ◦ {sr} ({i}, {j})"
+                        );
+                    }
+                    memo.truncate(mark);
+                }
+            }
+        }
+    }
+
+    /// `r0 ⋈_{a0 = a4} (r1 ⋉_{a2 = a5} r2)`: the join names `a4`, which
+    /// the semijoin below it hides. No generated query does that —
+    /// `StagedApply::refuses` tests visibility defensively — so this one
+    /// stands in for a side that does not see what its cut needs. It has no
+    /// complete plan, and no grouping (a `Γ` over `r1 ⋉ r2` could not
+    /// expose `G⁺`); `all_subplans` still fills every class a full-set unit
+    /// reads.
+    fn hidden_attribute_query() -> Query {
+        let table = |name, attrs: [u32; 2]| {
+            QueryTable::new(name, attrs.map(a).to_vec(), 20.0).with_distinct(vec![5.0, 4.0])
+        };
+        let semi = OpTree::binary(
+            OpKind::Semi,
+            JoinPred::eq(a(2), a(5)),
+            OpTree::rel(1),
+            OpTree::rel(2),
+        );
+        let tree = OpTree::binary(OpKind::Join, JoinPred::eq(a(0), a(4)), OpTree::rel(0), semi);
+        let tables = vec![
+            table("r0", [0, 1]),
+            table("r1", [2, 3]),
+            table("r2", [4, 5]),
+        ];
+        Query::new(tables, tree, None)
+    }
+
+    /// The complete-plan bound settles a full-set unit from its grid's
+    /// facts, by counting what building it would build, so the two must
+    /// agree on every unit the bound can meet. Each full-set orientation
+    /// is driven through the grid `Search::feed` stages — the same side
+    /// bits, the same slots — and every unit is settled on a copy of the
+    /// `Scratch`, then built under an offer that keeps a deterministic
+    /// seventh of the trees, so that groupings survive their unit and later
+    /// units of the row or column reuse them (keeping more only grows the
+    /// arena the grid rolls back). Settling and building must
     /// leave the same `plans_built` and the same next fresh attribute.
     /// Swept over every full-set `(orientation, t1, t2)` unit of an EA-All
     /// run (wide classes) and of an H2 run (one plan per class), 40 seeds
     /// each of `oracle(2..=max_n)`, `paper(3..=max_n)` and `oracle` with
-    /// groupjoins; the sweep must meet a groupjoin refusal and a grouping
-    /// pushed onto each side, or it proves less than it says.
+    /// groupjoins, and of [`hidden_attribute_query`]; the sweep must meet a
+    /// slot reused on each side, a groupjoin refusal and a side that does
+    /// not see what its cut needs, or it proves less than it says.
     fn settle_counts_what_op_trees_builds(max_n: usize) {
         let groupjoins = |n| GenConfig {
             ops: OpWeights::with_groupjoins(),
@@ -512,69 +618,33 @@ mod engine {
             explain: false,
             ..OptimizeOptions::default()
         };
-        let (mut units, mut gj_refusals, mut pushed) = (0u64, 0u64, [false; 2]);
-        let (mut bufs, mut staged) = (PairBufs::default(), StagedApply::default());
+        let mut sweep = Sweep::default();
         for (cfg, seed) in configs.flat_map(|cfg| (0..40).map(move |seed| (cfg.clone(), seed))) {
             let ctx = OptContext::new(generate_query(&cfg, seed));
-            let full = NodeSet::full(ctx.query.table_count());
-            let mut pairs = Vec::new();
-            enumerate_ccps(&ctx.cq.graph, |s1, s2| {
-                if s1.union(s2) == full {
-                    pairs.push((s1, s2));
-                }
-            });
             for algo in [Algorithm::EaAll, Algorithm::H2(1.03)] {
                 // The classes below the full set are final once the run
                 // ends: they are the ones its full-set units read.
                 let mut memo = Memo::new();
                 optimize_prepared(&ctx, algo, &options, &mut memo);
-                let mut scratch = Scratch::new(&ctx);
-                for &(s1, s2) in &pairs {
-                    orientations_into(&ctx, s1, s2, &mut bufs);
-                    for &(sl, sr, op) in &bufs.orients {
-                        stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
-                        let (lefts, rights) = (memo.class(sl).to_vec(), memo.class(sr).to_vec());
-                        for (t1, t2) in lefts
-                            .iter()
-                            .flat_map(|&l| rights.iter().map(move |&r| (l, r)))
-                        {
-                            units += 1;
-                            gj_refusals += u64::from(
-                                staged.kind == OpKind::GroupJoin && memo[t2].has_grouping(),
-                            );
-                            let mut settled = scratch.clone();
-                            settle(&ctx, &mut settled, &memo, &staged, t1, t2, true);
-                            op_trees(
-                                &ctx,
-                                &mut scratch,
-                                &mut memo,
-                                &staged,
-                                t1,
-                                t2,
-                                true,
-                                |memo, t| {
-                                    if let PlanNode::Apply { left, right, .. } =
-                                        memo.plan(t).cold.node
-                                    {
-                                        pushed[0] |= left != t1 && memo[left].is_group();
-                                        pushed[1] |= right != t2 && memo[right].is_group();
-                                    }
-                                    false
-                                },
-                            );
-                            assert_eq!(
-                                (scratch.plans_built, scratch.fresh_attr()),
-                                (settled.plans_built, settled.fresh_attr()),
-                                "{} on {cfg:?}, seed {seed}: unit {sl} ◦ {sr}",
-                                algo.name()
-                            );
-                        }
-                    }
-                }
+                sweep.full_set(
+                    &ctx,
+                    &mut memo,
+                    &format!("{} on {cfg:?}, seed {seed}", algo.name()),
+                );
             }
         }
-        assert!(gj_refusals > 0, "no groupjoin refusal in {units} units");
-        assert_eq!([true, true], pushed, "a grouping pushed onto each side");
+        let (ctx, mut memo, _) = all_subplans(&hidden_attribute_query());
+        sweep.full_set(&ctx, &mut memo, "the hidden-attribute query");
+        let units = sweep.units;
+        assert!(
+            sweep.gj_refusals > 0,
+            "no groupjoin refusal in {units} units"
+        );
+        assert_eq!([true, true], sweep.reused, "a slot reused on each side");
+        assert!(
+            sweep.blind,
+            "no side in {units} units misses what its cut needs"
+        );
     }
 
     /// [`settle_counts_what_op_trees_builds`] up to five relations: the
@@ -584,8 +654,8 @@ mod engine {
         settle_counts_what_op_trees_builds(5);
     }
 
-    /// The same sweep up to seven relations, 14M units (~10 s in release,
-    /// minutes in debug): the CI `slow-oracle` job runs it.
+    /// The same sweep up to seven relations, 14M units (~7 s in release on
+    /// a 2-vCPU box, minutes in debug): the CI `slow-oracle` job runs it.
     #[test]
     #[ignore]
     fn settling_a_unit_counts_what_building_it_builds_at_paper_scale() {

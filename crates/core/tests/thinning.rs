@@ -15,7 +15,7 @@
 
 use dpnext_conflict::applicable_ops;
 use dpnext_core::finalize::final_numbers;
-use dpnext_core::optrees::op_trees;
+use dpnext_core::optrees::{may_push, op_trees, pushable};
 use dpnext_core::{
     all_subplans, applied_ops_mask, optimize, stage_apply, Algorithm as A, Memo, OptContext,
     PlanId, Scratch, StagedApply, ThinBy,
@@ -155,7 +155,23 @@ fn first_violation(query: &Query, by: Precedes) -> Option<String> {
                             out.push(t);
                             true
                         };
-                        op_trees(&ctx, &mut scratch, &mut memo, &staged, t1, t2, true, keep);
+                        let (left_ok, right_ok) = may_push(staged.kind);
+                        let push = [
+                            left_ok && pushable(&ctx, &mut scratch, &memo, t1),
+                            right_ok && pushable(&ctx, &mut scratch, &memo, t2),
+                        ];
+                        let slots = [&mut None, &mut None];
+                        op_trees(
+                            &ctx,
+                            &mut scratch,
+                            &mut memo,
+                            &staged,
+                            t1,
+                            t2,
+                            push,
+                            slots,
+                            keep,
+                        );
                     }
                     if let Some(&tq) = of_q
                         .iter()
