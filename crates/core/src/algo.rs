@@ -412,20 +412,12 @@ pub(crate) struct Search<'a> {
 
 /// What a [`Search`] consults before every pair and, while something is
 /// armed, before every work unit: its budget, why it stopped (once it
-/// has), the fault-injection delay — and, fed on the way, this search's
-/// RAII contribution to the process-wide live-bytes gauge
-/// ([`dpnext_obs::global_live_bytes`]): it remembers the bytes last
-/// published and withdraws them on drop. Delta-based publishing makes
-/// concurrent searches sum correctly, and the drop reconciliation means a
-/// search abandoned mid-run (panic unwind, quarantine) cannot leak its
-/// contribution into the gauge forever. The gauge is observation only —
-/// enforcement stays with the budget and the serving ledger.
+/// has) and the fault-injection delay. It only decides; the memo's bytes
+/// are booked by whoever holds the memo (a serving pool, at check-in).
 struct Meter {
     budget: Budget,
     exhausted: Option<Exhausted>,
     unit_delay: Option<Duration>,
-    gauge: std::sync::Arc<dpnext_obs::Gauge>,
-    reported: u64,
 }
 
 impl Meter {
@@ -436,17 +428,7 @@ impl Meter {
     /// adaptive-large 2–10% depending on how they were spelled.
     #[inline(never)]
     fn take(&mut self, plans: u64, memo: &Memo) -> bool {
-        // Mid-run memory visibility: publish live bytes into the process
-        // gauge once per work unit (one O(1) read and one relaxed atomic
-        // op), so global pressure is observable between pool check-ins.
-        let live = memo.live_bytes();
-        if live >= self.reported {
-            self.gauge.add(live - self.reported);
-        } else {
-            self.gauge.sub(self.reported - live);
-        }
-        self.reported = live;
-        self.exhausted = self.budget.exhausted_at(plans, live);
+        self.exhausted = self.budget.exhausted_at(plans, memo.live_bytes());
         if self.exhausted.is_some() {
             return false;
         }
@@ -458,12 +440,6 @@ impl Meter {
             }
         }
         true
-    }
-}
-
-impl Drop for Meter {
-    fn drop(&mut self) {
-        self.gauge.sub(self.reported);
     }
 }
 
@@ -498,8 +474,6 @@ impl<'a> Search<'a> {
                 budget: Budget::default(),
                 exhausted: None,
                 unit_delay: None,
-                gauge: dpnext_obs::global_live_bytes(),
-                reported: 0,
             },
             full: NodeSet::full(ctx.query.table_count()),
             all_ops: applied_ops_mask(ctx.cq.ops.len()),
@@ -581,8 +555,7 @@ impl<'a> Search<'a> {
     /// at most one unit. The first refusal ends the pair: the cause is
     /// recorded and `false` is returned (the pair's plan set is then
     /// incomplete and downstream results must not claim optimality). A
-    /// search with nothing armed pays nothing per unit and publishes
-    /// nothing to the live-bytes gauge.
+    /// search with nothing armed pays nothing per unit.
     ///
     /// Pairs with no applicable operator build nothing and return `true`.
     pub(crate) fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {

@@ -865,8 +865,7 @@ impl Memo {
 
     /// Bytes this memo *holds allocated*: row-array, lane and class-list
     /// capacities (not lengths) plus the class map's table. This is what a
-    /// parked memo pins between runs — the quantity the serving layer's
-    /// global ledger accounts.
+    /// parked memo pins between runs — the quantity a serving pool books.
     pub fn footprint_bytes(&self) -> u64 {
         let rows = self.hot.capacity() * size_of::<PlanHot>()
             + self.cold.capacity() * size_of::<PlanCold>();

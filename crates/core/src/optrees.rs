@@ -1,7 +1,7 @@
 //! The `OpTrees` routine (Fig. 6): for one operator application, produce
 //! the up-to-four join trees with all valid eager-aggregation variants —
 //! each offered to the caller as it is built and popped again if refused —
-//! and the [`Grid`] of one orientation it runs over, which decides what a
+//! and the `Grid` of one orientation it runs over, which decides what a
 //! unit reads of one side alone once per plan instead of once per unit.
 
 use crate::aggstate::grouping_columns;

@@ -211,7 +211,7 @@ fn tiny_queries() {
 
 /// The ladder runs *in* the caller's memo: whatever the memo held, the
 /// result and statistics equal a fresh run's, the memo comes back holding
-/// the run's plans (so a pool's ledger meters the memo that did the work),
+/// the run's plans (so a pool books the footprint of the memo that did the work),
 /// and a repeat of the same query grows nothing (the decaying high-water
 /// marks may still release what the earlier, different query left behind).
 #[test]

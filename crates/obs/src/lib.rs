@@ -53,8 +53,8 @@ mod metrics;
 mod trace;
 
 pub use metrics::{
-    global_live_bytes, lint_prometheus_text, Counter, FamilySnapshot, Gauge, Histogram,
-    HistogramSnapshot, MetricKind, MetricValue, MetricsSnapshot, Registry, HIST_BUCKETS,
+    lint_prometheus_text, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind,
+    MetricValue, MetricsSnapshot, Registry, HIST_BUCKETS,
 };
 pub use trace::{
     clear_sink, install_sink, span, spans_closed, spans_opened, RingSink, Span, SpanRecord,

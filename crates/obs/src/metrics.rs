@@ -2,7 +2,7 @@
 //! process registry that names them, and Prometheus text exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: one per power of two of `u64` plus the
 /// zero bucket. Bucket `i` (for `i < 64`) holds values `<= 2^i - 1`; the
@@ -366,9 +366,8 @@ impl Registry {
         }
     }
 
-    /// Register an existing gauge handle (e.g. [`global_live_bytes`],
-    /// which must be shared between the core engine and the registry).
-    /// Idempotent like the other registrations; if `(name, labels)` is
+    /// Register an existing gauge handle (a component-owned cell the
+    /// service exposes, e.g. the memo pool's byte gauge). Idempotent like the other registrations; if `(name, labels)` is
     /// already present the registered handle wins and is returned.
     pub fn register_gauge(
         &self,
@@ -689,16 +688,6 @@ pub fn lint_prometheus_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The process-wide live-bytes gauge the core engine samples into at
-/// work-unit granularity (mid-run memory visibility between pool
-/// check-in boundaries). Shared as a static so `dpnext-core` can update
-/// it without depending on any serving-layer registry; the service
-/// registers this same handle under `dpnext_live_bytes_midrun`.
-pub fn global_live_bytes() -> Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| Arc::new(Gauge::new())).clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,13 +760,13 @@ mod tests {
     #[test]
     fn shared_gauge_registration() {
         let r = Registry::new();
-        let g = global_live_bytes();
-        let reg = r.register_gauge("dpnext_live_bytes_midrun", "live bytes", &[], g.clone());
+        let g = Arc::new(Gauge::new());
+        let reg = r.register_gauge("dpnext_pool_bytes", "pool bytes", &[], g.clone());
         g.set(123);
         assert_eq!(123, reg.get());
         let again = r.register_gauge(
-            "dpnext_live_bytes_midrun",
-            "live bytes",
+            "dpnext_pool_bytes",
+            "pool bytes",
             &[],
             Arc::new(Gauge::new()),
         );
@@ -786,7 +775,6 @@ mod tests {
             again.get(),
             "second registration returns the first handle"
         );
-        g.set(0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn disabled_tracing_and_metric_hot_paths_allocate_nothing() {
     // Warm up everything that lazily allocates on first touch, so the
     // measured window sees only the steady-state hot paths.
-    let gauge = dpnext_obs::global_live_bytes();
+    let gauge = dpnext_obs::Gauge::new();
     let counter = dpnext_obs::Counter::new();
     let histogram = dpnext_obs::Histogram::new();
     gauge.add(1);

@@ -1,108 +1,16 @@
-//! Resource governance for the serving layer: a process-wide byte
-//! ledger and a bounded admission gate.
+//! Admission control for the serving layer: a bounded gate.
 //!
-//! The two pieces account for memory and bound concurrency; what one
-//! request may spend is its own deadline and memory budget, set on the
-//! wrapped [`dpnext::Optimizer`]:
+//! The gate bounds concurrency; what one request may spend is its own
+//! deadline and memory budget, set on the wrapped [`dpnext::Optimizer`],
+//! and the memory it holds is booked by the [`crate::MemoPool`] it runs in.
 //!
-//! * **[`ResourceLedger`]** — global memory accounting. Every memo the
-//!   pool knows about (parked *or* checked out) is registered by its
-//!   [`dpnext::Memo::footprint_bytes`], so the books balance to zero at
-//!   quiescence. Quarantined memos are released from the ledger the
-//!   moment they are destroyed and tallied in
-//!   [`LedgerStats::quarantined_bytes`] — they never silently vanish from
-//!   the accounting.
-//! * **[`AdmissionGate`]** — bounded concurrency. At most
-//!   `max_concurrent` requests optimize at once and at most `max_queued`
-//!   wait for a slot; everyone else is rejected *fast* with
-//!   [`crate::ServeError::Overloaded`] and a retry hint, instead of
-//!   piling onto an unbounded queue until every caller times out.
+//! **[`AdmissionGate`]** — at most `max_concurrent` requests optimize at
+//! once and at most `max_queued` wait for a slot; everyone else is
+//! rejected *fast* with [`crate::ServeError::Overloaded`] and a retry hint,
+//! instead of piling onto an unbounded queue until every caller times out.
 
 use dpnext_obs::{Counter, Gauge, Registry};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Point-in-time counters of a [`ResourceLedger`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LedgerStats {
-    /// Bytes currently registered (parked + checked-out memo footprints).
-    pub bytes: u64,
-    /// High-water mark of registered bytes.
-    pub peak: u64,
-    /// Cumulative footprint bytes destroyed via memo quarantine. A
-    /// quarantined memo is subtracted from `bytes` exactly when it is
-    /// dropped, and its footprint lands here — the regression guard for
-    /// quarantines silently vanishing from pool accounting.
-    pub quarantined_bytes: u64,
-}
-
-/// Process-wide byte accounting across pooled and live memos.
-///
-/// Registration happens at pool boundaries (checkout registers a fresh
-/// memo, check-in re-measures a parked one), so the ledger learns about
-/// arena growth at request granularity; per-request memory budgets bound
-/// the in-flight growth between those points.
-#[derive(Debug, Default)]
-pub struct ResourceLedger {
-    // Registry-backed cells (PR 10): the gauge's built-in high-water mark
-    // replaces the old separate `peak` atomic.
-    bytes: Arc<Gauge>,
-    quarantined_bytes: Arc<Counter>,
-}
-
-impl ResourceLedger {
-    /// An empty ledger. It only counts: what a request may allocate is
-    /// bounded by its own memory budget.
-    pub fn new() -> ResourceLedger {
-        ResourceLedger::default()
-    }
-
-    /// Expose this ledger's cells in `registry` (under `dpnext_ledger_*`;
-    /// the byte gauge's `_peak` companion carries the high-water mark).
-    pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_gauge(
-            "dpnext_ledger_bytes",
-            "Memo bytes registered process-wide (parked + checked out).",
-            &[],
-            self.bytes.clone(),
-        );
-        registry.register_counter(
-            "dpnext_ledger_quarantined_bytes_total",
-            "Footprint bytes destroyed via memo quarantine.",
-            &[],
-            self.quarantined_bytes.clone(),
-        );
-    }
-
-    /// Register `bytes` more.
-    pub fn add(&self, bytes: u64) {
-        self.bytes.add(bytes);
-    }
-
-    /// Release `bytes` (saturating — a release can never drive the
-    /// ledger negative even if an estimate drifted).
-    pub fn sub(&self, bytes: u64) {
-        self.bytes.sub(bytes);
-    }
-
-    /// Tally a quarantined memo's destroyed footprint.
-    pub fn record_quarantined(&self, bytes: u64) {
-        self.quarantined_bytes.add(bytes);
-    }
-
-    /// Bytes currently registered.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> LedgerStats {
-        LedgerStats {
-            bytes: self.bytes(),
-            peak: self.bytes.peak(),
-            quarantined_bytes: self.quarantined_bytes.get(),
-        }
-    }
-}
 
 /// Point-in-time counters of an [`AdmissionGate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -238,19 +146,6 @@ impl Drop for GatePermit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ledger_add_sub_peak() {
-        let ledger = ResourceLedger::new();
-        ledger.add(600);
-        ledger.add(300);
-        ledger.sub(400);
-        let s = ledger.stats();
-        assert_eq!(500, s.bytes);
-        assert_eq!(900, s.peak);
-        ledger.sub(10_000); // saturates, never wraps
-        assert_eq!(0, ledger.bytes());
-    }
 
     #[test]
     fn gate_unlimited_never_rejects() {

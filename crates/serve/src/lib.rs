@@ -59,14 +59,15 @@
 //! [`FaultInjector`] schedules for it.
 //!
 //! **Run** (span `serve.optimize`). One `dpnext::optimize_into` call
-//! inside a memo checked out of the [`MemoPool`] (`dpnext_pool_*`,
-//! `dpnext_ledger_*`) and inside `catch_unwind`. A deadline- or
-//! memory-pressured run degrades down the adaptive ladder and still
-//! returns a valid plan; a completed run observes
+//! inside a memo checked out of the [`MemoPool`] (`dpnext_pool_*`, whose
+//! `dpnext_pool_bytes` books every memo the pool holds) and inside
+//! `catch_unwind`. A deadline- or memory-pressured run degrades down the
+//! adaptive ladder and still returns a valid plan; a completed run observes
 //! `dpnext_service_time_nanos`, `dpnext_plans_built` and
 //! `dpnext_live_bytes_peak` and parks its memo. A panic is contained to
 //! its request: the memo is **quarantined** (destroyed, its footprint
-//! released from the [`ResourceLedger`] and tallied, never parked again),
+//! released from the pool's books and tallied in
+//! `dpnext_pool_quarantined_bytes_total`, never parked again),
 //! `dpnext_panics_total` counts it and only this caller sees
 //! [`ServeError::Panicked`].
 //!
@@ -145,7 +146,7 @@ mod service;
 pub use cache::{CacheKey, CacheStats, FrontMap, PlanCache, ShardedFifo, FRONT_TEXT_MAX};
 pub use fault::{Fault, FaultInjector};
 pub use fingerprint::{fingerprint_query, QueryShape};
-pub use govern::{AdmissionGate, GatePermit, GateStats, LedgerStats, ResourceLedger};
+pub use govern::{AdmissionGate, GatePermit, GateStats};
 pub use pool::{MemoPool, PoolStats, PooledMemo};
 pub use scrape::{MetricsServer, SCRAPE_TIMEOUT};
 pub use service::{OptimizerService, ServeError, ServeResult, ServiceConfig, ServiceStats};

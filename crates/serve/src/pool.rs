@@ -1,6 +1,6 @@
-//! The memo arena pool: recycle plan-arena allocations across runs.
+//! The memo arena pool: recycle plan-arena allocations across runs, and
+//! keep the books on the bytes they hold.
 
-use crate::govern::ResourceLedger;
 use dpnext::Memo;
 use dpnext_obs::{Counter, Gauge, Registry};
 use std::ops::{Deref, DerefMut};
@@ -20,13 +20,22 @@ pub struct PoolStats {
     pub pooled: u64,
     /// High-water mark of parked memos.
     pub pooled_peak: u64,
-    /// Largest arena capacity (in plans) ever returned to the pool —
-    /// the steady-state per-memo allocation footprint.
-    pub arena_peak_capacity: u64,
+    /// Footprint bytes ([`Memo::footprint_bytes`]) of every memo the pool
+    /// holds: the parked ones at their check-in footprint, the checked-out
+    /// ones at their checkout footprint (growth during a run is settled at
+    /// check-in). Zero once every memo has left the pool.
+    pub bytes: u64,
+    /// High-water mark of `bytes`. It keeps the worst outlier ever held,
+    /// not the current footprint.
+    pub bytes_peak: u64,
     /// Memos destroyed instead of parked because they were live during a
     /// panic ([`PooledMemo::quarantine`], or a drop while the thread was
     /// unwinding). A quarantined memo is never handed out again.
     pub quarantined: u64,
+    /// Cumulative footprint bytes destroyed by quarantine. A quarantined
+    /// memo leaves `bytes` the moment it is dropped and its footprint lands
+    /// here, so a panic never makes bytes vanish from the books.
+    pub quarantined_bytes: u64,
     /// Memos discarded at check-in because they failed the structural
     /// validation ([`dpnext::Memo::check_invariants`]) — a half-reset or
     /// corrupted memo must never be reused silently. Debug builds panic
@@ -45,6 +54,13 @@ pub struct PoolStats {
 /// `capacity` = 0 disables pooling: every checkout constructs, every
 /// return drops — the knob the unpooled benchmark cells use.
 ///
+/// The pool books every memo it knows about, parked or checked out, by
+/// its footprint ([`PoolStats::bytes`]): checkout books a fresh memo (a
+/// parked one is booked already), check-in re-measures the memo after its
+/// run, and every exit — over-capacity discard, check-in rejection,
+/// quarantine — takes its bytes off the books, so they balance to zero
+/// once every memo has left.
+///
 /// ```
 /// use dpnext_serve::MemoPool;
 ///
@@ -59,16 +75,15 @@ pub struct PoolStats {
 pub struct MemoPool {
     free: Mutex<Vec<Memo>>,
     capacity: usize,
-    ledger: Option<Arc<ResourceLedger>>,
-    // Registry-backed cells (PR 10): `PoolStats` and the metrics registry
-    // read the same cells. `pooled` mirrors the free-list length (its
-    // peak is the old `pooled_peak`); `arena_capacity` holds the last
-    // parked arena capacity (its peak is `arena_peak_capacity`).
+    // Registry-backed cells: `PoolStats` and the metrics registry read the
+    // same cells. `pooled` mirrors the free-list length and moves under
+    // its lock (its peak is `pooled_peak`); `bytes`' peak is `bytes_peak`.
     created: Arc<Counter>,
     reused: Arc<Counter>,
     pooled: Arc<Gauge>,
-    arena_capacity: Arc<Gauge>,
+    bytes: Arc<Gauge>,
     quarantined: Arc<Counter>,
+    quarantined_bytes: Arc<Counter>,
     rejected_invalid: Arc<Counter>,
 }
 
@@ -78,17 +93,18 @@ impl MemoPool {
         MemoPool {
             free: Mutex::new(Vec::new()),
             capacity,
-            ledger: None,
             created: Arc::new(Counter::new()),
             reused: Arc::new(Counter::new()),
             pooled: Arc::new(Gauge::new()),
-            arena_capacity: Arc::new(Gauge::new()),
+            bytes: Arc::new(Gauge::new()),
             quarantined: Arc::new(Counter::new()),
+            quarantined_bytes: Arc::new(Counter::new()),
             rejected_invalid: Arc::new(Counter::new()),
         }
     }
 
-    /// Expose this pool's cells in `registry` (under `dpnext_pool_*`).
+    /// Expose this pool's cells in `registry` (under `dpnext_pool_*`; the
+    /// byte gauge's `_peak` companion carries the high-water mark).
     pub fn register_metrics(&self, registry: &Registry) {
         registry.register_counter(
             "dpnext_pool_created_total",
@@ -109,10 +125,10 @@ impl MemoPool {
             self.pooled.clone(),
         );
         registry.register_gauge(
-            "dpnext_pool_arena_capacity_plans",
-            "Arena capacity (plans) of the most recently parked memo.",
+            "dpnext_pool_bytes",
+            "Footprint bytes of the memos the pool holds (parked + checked out).",
             &[],
-            self.arena_capacity.clone(),
+            self.bytes.clone(),
         );
         registry.register_counter(
             "dpnext_pool_quarantined_total",
@@ -121,27 +137,17 @@ impl MemoPool {
             self.quarantined.clone(),
         );
         registry.register_counter(
+            "dpnext_pool_quarantined_bytes_total",
+            "Footprint bytes destroyed via memo quarantine.",
+            &[],
+            self.quarantined_bytes.clone(),
+        );
+        registry.register_counter(
             "dpnext_pool_rejected_invalid_total",
             "Memos discarded at check-in for failing structural validation.",
             &[],
             self.rejected_invalid.clone(),
         );
-    }
-
-    /// Like [`MemoPool::new`], registering every memo footprint —
-    /// parked *and* checked out — with a shared [`ResourceLedger`].
-    ///
-    /// Accounting happens at pool boundaries: checkout registers a fresh
-    /// memo's footprint (a parked memo is already registered), check-in
-    /// re-measures the memo after its run, and every exit path —
-    /// over-capacity discard, check-in rejection, **quarantine** — releases
-    /// the registered bytes. Quarantined footprints are additionally
-    /// tallied in [`crate::LedgerStats::quarantined_bytes`], so a panic
-    /// never makes bytes silently vanish from the global accounting.
-    pub fn with_ledger(capacity: usize, ledger: Arc<ResourceLedger>) -> MemoPool {
-        let mut pool = MemoPool::new(capacity);
-        pool.ledger = Some(ledger);
-        pool
     }
 
     /// Whether pooling is enabled (a non-zero capacity was configured).
@@ -152,32 +158,30 @@ impl MemoPool {
     /// Take a memo out of the pool, constructing one if none is parked.
     pub fn checkout(&self) -> PooledMemo<'_> {
         let parked = if self.enabled() {
-            self.free.lock().unwrap().pop()
+            // The gauge moves with the list, under its lock: a concurrent
+            // park must not count its memo before this one is counted out.
+            let mut free = self.free.lock().unwrap();
+            free.pop().inspect(|_| self.pooled.sub(1))
         } else {
             None
         };
-        let (memo, fresh) = match parked {
-            Some(m) => {
+        let memo = match parked {
+            Some(memo) => {
                 self.reused.inc();
-                self.pooled.sub(1);
-                (m, false)
+                memo
             }
             None => {
                 self.created.inc();
-                (Memo::new(), true)
+                let memo = Memo::new();
+                // A parked memo is booked already (at its check-in
+                // footprint); only a fresh construction adds bytes.
+                self.bytes.add(memo.footprint_bytes());
+                memo
             }
         };
-        // A parked memo is already registered with the ledger (at its
-        // check-in footprint); only a fresh construction adds bytes.
-        let accounted = memo.footprint_bytes();
-        if fresh {
-            if let Some(ledger) = &self.ledger {
-                ledger.add(accounted);
-            }
-        }
         PooledMemo {
+            accounted: memo.footprint_bytes(),
             memo: Some(memo),
-            accounted,
             pool: self,
         }
     }
@@ -190,53 +194,32 @@ impl MemoPool {
         if let Err(violation) = memo.check_invariants() {
             debug_assert!(false, "memo failed check-in validation: {violation}");
             self.rejected_invalid.inc();
-            self.release(accounted);
-            return;
-        }
-        // `set` raises the gauge's peak, which is the stat reported as
-        // `arena_peak_capacity`.
-        self.arena_capacity.set(memo.arena_capacity() as u64);
-        if !self.enabled() {
-            self.release(accounted);
-            return;
-        }
-        let mut free = self.free.lock().unwrap();
-        if free.len() < self.capacity {
-            // Re-measure: the run may have grown (or reset-shrunk) the
-            // arena since checkout. The parked memo stays registered at
-            // its new footprint until the next checkout re-adopts it.
-            // The books are settled *before* the memo is published: once
-            // it is on the free list another thread may check it out and
-            // release it, and a (saturating) release that overtakes this
-            // registration would be clamped and leave the ledger high.
-            let parked_footprint = memo.footprint_bytes();
-            if let Some(ledger) = &self.ledger {
-                ledger.add(parked_footprint);
-                ledger.sub(accounted);
+        } else if self.enabled() {
+            let mut free = self.free.lock().unwrap();
+            if free.len() < self.capacity {
+                // Re-measure: the run may have grown (or reset-shrunk) the
+                // arena since checkout. The books are settled before the
+                // memo is published: once it is on the free list another
+                // thread may check it out and release its new footprint,
+                // and a (saturating) release that overtook this booking
+                // would leave the books high.
+                self.bytes.sub(accounted);
+                self.bytes.add(memo.footprint_bytes());
+                self.pooled.add(1);
+                free.push(memo);
+                return;
             }
-            self.pooled.add(1);
-            free.push(memo);
-        } else {
-            drop(free);
-            self.release(accounted);
         }
-    }
-
-    fn release(&self, accounted: u64) {
-        if let Some(ledger) = &self.ledger {
-            ledger.sub(accounted);
-        }
+        self.bytes.sub(accounted);
     }
 
     fn quarantine_memo(&self, memo: &Memo, accounted: u64) {
+        // The footprint destroyed now (the run may have grown it past its
+        // checkout footprint) goes on the quarantine tally; the books
+        // release what was booked.
         self.quarantined.inc();
-        if let Some(ledger) = &self.ledger {
-            // The footprint being destroyed right now (the run may have
-            // grown it past the checked-out estimate) goes on the
-            // quarantine tally; the ledger releases what was registered.
-            ledger.record_quarantined(memo.footprint_bytes());
-            ledger.sub(accounted);
-        }
+        self.quarantined_bytes.add(memo.footprint_bytes());
+        self.bytes.sub(accounted);
     }
 
     /// Current counters.
@@ -244,10 +227,12 @@ impl MemoPool {
         PoolStats {
             created: self.created.get(),
             reused: self.reused.get(),
-            pooled: self.free.lock().unwrap().len() as u64,
+            pooled: self.pooled.get(),
             pooled_peak: self.pooled.peak(),
-            arena_peak_capacity: self.arena_capacity.peak(),
+            bytes: self.bytes.get(),
+            bytes_peak: self.bytes.peak(),
             quarantined: self.quarantined.get(),
+            quarantined_bytes: self.quarantined_bytes.get(),
             rejected_invalid: self.rejected_invalid.get(),
         }
     }
@@ -257,9 +242,9 @@ impl MemoPool {
 /// the pool on drop.
 pub struct PooledMemo<'p> {
     memo: Option<Memo>,
-    /// Footprint bytes this checkout holds registered in the pool's
-    /// ledger (the memo's footprint as of checkout; growth during the
-    /// run is settled at check-in).
+    /// Footprint bytes this checkout holds on the pool's books (the memo's
+    /// footprint as of checkout; growth during the run is settled at
+    /// check-in).
     accounted: u64,
     pool: &'p MemoPool,
 }
@@ -310,6 +295,19 @@ impl Drop for PooledMemo<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpnext::Optimizer;
+    use dpnext_core::Algorithm;
+    use dpnext_workload::{generate_query, GenConfig};
+
+    /// Run an EA-Prune query of `n` relations in `memo` and return the
+    /// footprint the run leaves it with.
+    fn grow(memo: &mut Memo, n: usize) -> u64 {
+        let q = generate_query(&GenConfig::paper(n), 7);
+        Optimizer::new(Algorithm::EaPrune)
+            .explain(false)
+            .optimize_pooled(&q, memo);
+        memo.footprint_bytes()
+    }
 
     #[test]
     fn warmup_then_steady_state() {
@@ -328,7 +326,9 @@ mod tests {
     #[test]
     fn capacity_bounds_parked_memos() {
         let pool = MemoPool::new(2);
-        let (a, b, c) = (pool.checkout(), pool.checkout(), pool.checkout());
+        let (mut a, mut b, mut c) = (pool.checkout(), pool.checkout(), pool.checkout());
+        let parked = grow(&mut a, 4) + grow(&mut b, 3);
+        grow(&mut c, 5);
         drop(a);
         drop(b);
         drop(c); // over capacity: dropped, not parked
@@ -336,14 +336,44 @@ mod tests {
         assert_eq!(3, stats.created);
         assert_eq!(2, stats.pooled);
         assert_eq!(2, stats.pooled_peak);
+        assert_eq!(
+            parked, stats.bytes,
+            "the books hold the parked memos and nothing of the discarded one"
+        );
+    }
+
+    /// `pooled` moves under the free list's lock, so its peak never reads
+    /// past the capacity however checkouts and check-ins interleave. (A
+    /// decrement after the unlock lets a concurrent park count its memo
+    /// first: the peak then reads 2–4 on a capacity of 1.)
+    #[test]
+    fn pooled_peak_never_exceeds_capacity_under_contention() {
+        const THREADS: usize = 4;
+        for capacity in [1, 2] {
+            let pool = MemoPool::new(capacity);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..20_000 {
+                            drop(pool.checkout());
+                        }
+                    });
+                }
+            });
+            let stats = pool.stats();
+            assert!(
+                stats.pooled_peak <= capacity as u64,
+                "pooled_peak {} over capacity {capacity}",
+                stats.pooled_peak
+            );
+            assert_eq!(stats.pooled, pool.free.lock().unwrap().len() as u64);
+        }
     }
 
     #[test]
     fn reset_shrink_releases_outlier_arena_capacity() {
-        use dpnext::Optimizer;
-        use dpnext_core::Algorithm;
-        use dpnext_workload::{generate_query, GenConfig};
-
         // One EA-All outlier pins a five-figure arena on the pooled memo;
         // the decaying high-water shrink in `Memo::reset` must then release
         // that footprint across a steady stream of small queries instead
@@ -355,10 +385,10 @@ mod tests {
         let big = generate_query(&GenConfig::paper(6), 42);
         let small = generate_query(&GenConfig::paper(3), 42);
 
-        let outlier_cap = {
+        let (outlier_cap, outlier_bytes) = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&big, &mut memo);
-            memo.arena_capacity()
+            (memo.arena_capacity(), memo.footprint_bytes())
         };
         assert!(
             outlier_cap > 2048,
@@ -383,9 +413,9 @@ mod tests {
         // memo — the shrink happened in place, not by re-construction.
         assert_eq!(1, stats.created);
         assert_eq!(13, stats.reused);
-        // The peak counter deliberately keeps the outlier: it reports the
-        // worst footprint ever parked, not the current one.
-        assert!(stats.arena_peak_capacity >= outlier_cap as u64);
+        // The byte peak deliberately keeps the outlier: it reports the
+        // worst footprint ever held, not the current one.
+        assert!(stats.bytes_peak >= outlier_bytes);
     }
 
     #[test]
@@ -420,10 +450,6 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "check-in validation"))]
     fn invalid_memo_is_rejected_at_check_in() {
-        use dpnext::Optimizer;
-        use dpnext_core::Algorithm;
-        use dpnext_workload::{generate_query, GenConfig};
-
         let pool = MemoPool::new(2);
         let q = generate_query(&GenConfig::paper(3), 1);
         let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
@@ -437,74 +463,59 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(1, stats.rejected_invalid);
         assert_eq!(0, stats.pooled, "invalid memo must not be parked");
+        assert_eq!(0, stats.bytes, "a rejected memo leaves the books");
         drop(pool.checkout());
         assert_eq!(2, pool.stats().created);
     }
 
     #[test]
     fn ledger_tracks_parked_and_live_footprints() {
-        use dpnext::Optimizer;
-        use dpnext_core::Algorithm;
-        use dpnext_workload::{generate_query, GenConfig};
-
-        let ledger = Arc::new(ResourceLedger::new());
-        let pool = MemoPool::with_ledger(2, ledger.clone());
-        let q = generate_query(&GenConfig::paper(4), 7);
-        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
-        let parked_footprint = {
-            let mut memo = pool.checkout();
-            opt.optimize_pooled(&q, &mut memo);
-            memo.footprint_bytes()
-        }; // parked: stays registered at its post-run footprint
+        let pool = MemoPool::new(2);
+        let parked_footprint = grow(&mut pool.checkout(), 4);
+        // parked: stays booked at its post-run footprint
         assert!(parked_footprint > 0);
         assert_eq!(
             parked_footprint,
-            ledger.bytes(),
-            "a parked memo must stay registered at its check-in footprint"
+            pool.stats().bytes,
+            "a parked memo must stay booked at its check-in footprint"
         );
         {
             let _live = pool.checkout(); // re-adopts the parked bytes
-            assert_eq!(parked_footprint, ledger.bytes());
+            assert_eq!(parked_footprint, pool.stats().bytes);
         }
-        assert_eq!(parked_footprint, ledger.bytes());
+        assert_eq!(parked_footprint, pool.stats().bytes);
     }
 
     #[test]
     fn quarantine_releases_ledger_bytes_and_tallies_them() {
         // The regression this pins: a quarantined memo's footprint used to
         // vanish from the accounting entirely — destroyed without a trace.
-        // Now the ledger releases the registered bytes *and* records them
-        // in `quarantined_bytes`.
-        use dpnext::Optimizer;
-        use dpnext_core::Algorithm;
-        use dpnext_workload::{generate_query, GenConfig};
-
-        let ledger = Arc::new(ResourceLedger::new());
-        let pool = MemoPool::with_ledger(4, ledger.clone());
-        let q = generate_query(&GenConfig::paper(4), 7);
-        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
+        // Now the pool releases the booked bytes *and* records them in
+        // `quarantined_bytes`.
+        let pool = MemoPool::new(4);
         let destroyed = {
             let mut memo = pool.checkout();
-            opt.optimize_pooled(&q, &mut memo);
-            let fp = memo.footprint_bytes();
+            let fp = grow(&mut memo, 4);
             memo.quarantine();
             fp
         };
         assert!(destroyed > 0);
-        let stats = ledger.stats();
-        assert_eq!(0, stats.bytes, "quarantine must release registered bytes");
+        let stats = pool.stats();
+        assert_eq!(0, stats.bytes, "quarantine must release booked bytes");
         assert_eq!(
             destroyed, stats.quarantined_bytes,
             "the destroyed footprint must be tallied, not vanish"
         );
-        assert_eq!(1, pool.stats().quarantined);
+        assert_eq!(1, stats.quarantined);
     }
 
     #[test]
     fn disabled_pool_never_parks() {
         let pool = MemoPool::new(0);
-        drop(pool.checkout());
-        drop(pool.checkout());
+        for n in [3, 4] {
+            assert!(grow(&mut pool.checkout(), n) > 0);
+            assert_eq!(0, pool.stats().bytes, "a dropped memo leaves the books");
+        }
         let stats = pool.stats();
         assert_eq!(2, stats.created);
         assert_eq!((0, 0), (stats.reused, stats.pooled));

@@ -4,7 +4,7 @@
 use crate::cache::{CacheKey, CacheStats, FrontMap, PlanCache, FRONT_TEXT_MAX};
 use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
-use crate::govern::{AdmissionGate, GatePermit, GateStats, LedgerStats, ResourceLedger};
+use crate::govern::{AdmissionGate, GatePermit, GateStats};
 use crate::pool::{MemoPool, PoolStats};
 use dpnext::{Algorithm, Optimized, Optimizer};
 use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
@@ -122,7 +122,9 @@ pub struct ServiceStats {
     pub epoch: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Arena-pool counters.
+    /// Arena-pool counters, including the byte books: what the pool holds
+    /// and the footprints of quarantined memos (released *and tallied*,
+    /// never lost).
     pub pool: PoolStats,
     /// Requests whose optimizer call panicked (isolated by
     /// `catch_unwind`, memo quarantined, error returned to that caller
@@ -136,9 +138,6 @@ pub struct ServiceStats {
     pub memory_degraded: u64,
     /// Admission-gate counters (admitted / fast-rejected / queue peak).
     pub gate: GateStats,
-    /// Process-wide memo byte accounting, including the footprints of
-    /// quarantined memos (they are released *and tallied*, never lost).
-    pub ledger: LedgerStats,
 }
 
 /// A concurrent optimizer frontend: share one instance (behind an
@@ -157,7 +156,6 @@ pub struct OptimizerService {
     front: FrontMap,
     cache: PlanCache,
     pool: MemoPool,
-    ledger: Arc<ResourceLedger>,
     gate: AdmissionGate,
     epoch: AtomicU64,
     registry: Arc<Registry>,
@@ -241,27 +239,19 @@ impl OptimizerService {
     /// A service with explicit capacities and admission knobs. Requests
     /// run under `optimizer`'s own deadline and memory budget.
     pub fn with_config(optimizer: Optimizer, config: ServiceConfig) -> OptimizerService {
-        let ledger = Arc::new(ResourceLedger::new());
         let front = FrontMap::new(config.cache_capacity);
         let cache = PlanCache::new(config.cache_capacity);
-        let pool = MemoPool::with_ledger(config.pool_capacity, ledger.clone());
+        let pool = MemoPool::new(config.pool_capacity);
         let gate = AdmissionGate::new(config.max_concurrent, config.max_queued);
 
-        // One registry per service: component cells (cache, pool, ledger,
-        // gate) are *adopted* so `ServiceStats` and the scrape endpoint
+        // One registry per service: component cells (cache, pool, gate)
+        // are *adopted* so `ServiceStats` and the scrape endpoint
         // read the same memory and can never disagree.
         let registry = Arc::new(Registry::new());
         front.register_metrics(&registry);
         cache.register_metrics(&registry);
         pool.register_metrics(&registry);
-        ledger.register_metrics(&registry);
         gate.register_metrics(&registry);
-        registry.register_gauge(
-            "dpnext_live_bytes_midrun",
-            "Live memo bytes of in-flight optimizer runs, sampled at work-unit granularity.",
-            &[],
-            dpnext_obs::global_live_bytes(),
-        );
         const DEGRADED_HELP: &str =
             "Completed requests that shipped a degraded plan, by abort cause.";
         // Field order below is registration order, which is the order the
@@ -271,7 +261,6 @@ impl OptimizerService {
             front,
             cache,
             pool,
-            ledger,
             gate,
             epoch: AtomicU64::new(0),
             requests: registry.counter(
@@ -532,8 +521,8 @@ impl OptimizerService {
 
     /// Run: one `optimize_into` call inside a pooled memo and inside
     /// `catch_unwind`. A panic anywhere in enumeration is contained to this
-    /// request: its memo is quarantined (footprint released from the ledger
-    /// and tallied, never parked again) and only this caller sees
+    /// request: its memo is quarantined (footprint released from the pool's
+    /// books and tallied, never parked again) and only this caller sees
     /// [`ServeError::Panicked`]. The memo of a completed run is parked
     /// when this stage returns, before anything is published.
     fn run(
@@ -641,8 +630,8 @@ impl OptimizerService {
         Duration::from_nanos(nanos.min(RETRY_HINT_MAX.as_nanos()) as u64).max(RETRY_HINT_MIN)
     }
 
-    /// Current counters across the request path, cache, pool and the
-    /// governance layer (gate, ledger).
+    /// Current counters across the request path, cache, pool and
+    /// admission gate.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             requests: self.requests.get(),
@@ -653,7 +642,6 @@ impl OptimizerService {
             deadline_degraded: self.deadline_degraded.get(),
             memory_degraded: self.memory_degraded.get(),
             gate: self.gate.stats(),
-            ledger: self.ledger.stats(),
         }
     }
 
@@ -681,9 +669,9 @@ impl ServiceStats {
                 "\"deadline_degraded\":{},\"memory_degraded\":{},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
                 "\"pool\":{{\"created\":{},\"reused\":{},\"pooled\":{},\"pooled_peak\":{},",
-                "\"arena_peak_capacity\":{},\"quarantined\":{},\"rejected_invalid\":{}}},",
-                "\"gate\":{{\"admitted\":{},\"rejected\":{},\"queued_peak\":{}}},",
-                "\"ledger\":{{\"bytes\":{},\"peak\":{},\"quarantined_bytes\":{}}}}}"
+                "\"bytes\":{},\"bytes_peak\":{},\"quarantined\":{},\"quarantined_bytes\":{},",
+                "\"rejected_invalid\":{}}},",
+                "\"gate\":{{\"admitted\":{},\"rejected\":{},\"queued_peak\":{}}}}}"
             ),
             self.requests,
             self.epoch,
@@ -698,15 +686,14 @@ impl ServiceStats {
             self.pool.reused,
             self.pool.pooled,
             self.pool.pooled_peak,
-            self.pool.arena_peak_capacity,
+            self.pool.bytes,
+            self.pool.bytes_peak,
             self.pool.quarantined,
+            self.pool.quarantined_bytes,
             self.pool.rejected_invalid,
             self.gate.admitted,
             self.gate.rejected,
             self.gate.queued_peak,
-            self.ledger.bytes,
-            self.ledger.peak,
-            self.ledger.quarantined_bytes,
         )
     }
 }

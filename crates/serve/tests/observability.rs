@@ -193,9 +193,8 @@ fn traced_miss_carries_one_engine_enumerate_span() {
 /// and counters agree *exactly* with [`ServiceStats`] and with what the
 /// clients saw (same cells, no sampling, no drift), the rendered text
 /// passes the Prometheus format lint, and at quiescence every book
-/// balances: no span open, nobody queued, no live bytes, every memo
-/// parked or quarantined, the ledger holding what is parked and nothing
-/// else.
+/// balances: no span open, nobody queued, every memo parked or
+/// quarantined, the pool's books holding what is parked and nothing else.
 #[test]
 fn hammer_histograms_reconcile_exactly_with_stats() {
     const POOL: usize = 4;
@@ -338,7 +337,11 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
         ref other => panic!("{name}: expected a gauge, got {other:?}"),
     };
     assert_eq!(0, gauge("dpnext_gate_queued"));
-    assert_eq!(0, gauge("dpnext_live_bytes_midrun"));
+    assert_eq!(
+        stats.pool.bytes,
+        gauge("dpnext_pool_bytes"),
+        "registry and stats must share the pool's byte cell"
+    );
     assert_eq!(stats.panics, stats.pool.quarantined);
     assert_eq!(
         stats.pool.created,
@@ -347,8 +350,8 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
     );
     // Weigh what is parked: each of the next requests panics (see `seed`)
     // before its run touches the parked memo it checked out, and the
-    // quarantine tallies that memo's footprint. The ledger must have held
-    // exactly that sum, and must hold nothing once the pool is empty.
+    // quarantine tallies that memo's footprint. The pool's books must have
+    // held exactly that sum, and must hold nothing once the pool is empty.
     for i in 0..stats.pool.pooled {
         let unseen = generate_query(&GenConfig::paper(5), i);
         let drained = service.optimize(&unseen);
@@ -357,11 +360,11 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
     let drained = service.stats();
     assert_eq!(0, drained.pool.pooled);
     assert_eq!(
-        stats.ledger.bytes,
-        drained.ledger.quarantined_bytes - stats.ledger.quarantined_bytes,
-        "the ledger must hold exactly the footprints of the parked memos"
+        stats.pool.bytes,
+        drained.pool.quarantined_bytes - stats.pool.quarantined_bytes,
+        "the pool must hold exactly the footprints of the parked memos"
     );
-    assert_eq!(0, drained.ledger.bytes);
+    assert_eq!(0, drained.pool.bytes);
 }
 
 /// A text that fails to parse or bind is still a request: counted, timed
@@ -666,7 +669,7 @@ fn stats_json_has_one_key_per_service_stats_counter() {
     let mut keys: Vec<&str> = rendered.iter().map(|(k, _)| k.as_str()).collect();
     keys.dedup();
     assert_eq!(rendered.len(), keys.len(), "duplicate keys in {json}");
-    assert!(keys.contains(&"cache.hits") && keys.contains(&"ledger.quarantined_bytes"));
+    assert!(keys.contains(&"cache.hits") && keys.contains(&"pool.quarantined_bytes"));
 
     let mut fields = leaves(&format!("{stats:?}"));
     fields.sort();

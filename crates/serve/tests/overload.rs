@@ -17,7 +17,7 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 /// admitted successes and fast `Overloaded` rejections — no request is
 /// lost, none panics, and the wait queue never grows past its bound. Every
 /// request runs under an injected memory-pressure budget, so the admitted
-/// ones degrade instead of failing and the byte ledger stays under a
+/// ones degrade instead of failing and the pool's byte books stay under a
 /// generous leak bound.
 #[test]
 fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
@@ -30,7 +30,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     // what the classes keep, and of an exact rung that skips what the
     // greedy plan already beats), so every admitted run aborts: the greedy
     // rung alone fills it, after 40 … 84 plans.
-    const LEDGER_CAP: u64 = 256 << 20;
+    const BYTES_CAP: u64 = 256 << 20;
     let inj =
         FaultInjector::new(0xCAFE, 0, 0, Duration::ZERO).with_memory_pressure(1_000_000, 4 << 10);
     let service = Arc::new(
@@ -98,9 +98,9 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
         stats.gate.queued_peak
     );
     assert!(
-        stats.ledger.peak <= LEDGER_CAP,
-        "ledger peak {} breached the {LEDGER_CAP}-byte leak bound",
-        stats.ledger.peak
+        stats.pool.bytes_peak <= BYTES_CAP,
+        "pool byte peak {} breached the {BYTES_CAP}-byte leak bound",
+        stats.pool.bytes_peak
     );
     assert_eq!(
         ok, stats.memory_degraded,
@@ -111,7 +111,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
 
 /// Service-level regression for the quarantine accounting fix: a panic
 /// destroys the request's memo, and its footprint is *released and
-/// tallied* by the ledger — it no longer vanishes from the books.
+/// tallied* by the pool — it no longer vanishes from the books.
 #[test]
 fn quarantined_footprints_stay_on_the_ledger_books() {
     let inj = FaultInjector::new(0, 1_000_000, 0, Duration::ZERO).with_window(1, 2);
@@ -126,7 +126,7 @@ fn quarantined_footprints_stay_on_the_ledger_books() {
     .with_fault_injection(inj);
     let q = generate_query(&GenConfig::paper(5), 3);
     service.optimize(&q).expect("request 0 runs clean");
-    let parked = service.stats().ledger.bytes;
+    let parked = service.stats().pool.bytes;
     assert!(parked > 0);
 
     let prev = std::panic::take_hook();
@@ -138,14 +138,14 @@ fn quarantined_footprints_stay_on_the_ledger_books() {
     let stats = service.stats();
     assert_eq!(1, stats.pool.quarantined);
     // The panicked request had checked out the parked memo, so the
-    // quarantine destroyed exactly that footprint: the ledger releases
-    // it in full and tallies it — nothing vanishes, nothing lingers.
+    // quarantine destroyed exactly that footprint: the pool releases it
+    // in full and tallies it — nothing vanishes, nothing lingers.
     assert_eq!(
-        parked, stats.ledger.quarantined_bytes,
+        parked, stats.pool.quarantined_bytes,
         "the destroyed footprint must be tallied"
     );
     assert_eq!(
-        0, stats.ledger.bytes,
+        0, stats.pool.bytes,
         "quarantine must release the destroyed memo's registered bytes"
     );
 }

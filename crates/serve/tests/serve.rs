@@ -205,7 +205,7 @@ fn pooled_reoptimize_reports_fresh_stats() {
         "sequential load must reuse one memo after warmup"
     );
     assert_eq!(15, stats.pool.reused);
-    assert!(stats.pool.arena_peak_capacity > 0);
+    assert!(stats.pool.bytes_peak > 0);
 }
 
 #[test]
