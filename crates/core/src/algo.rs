@@ -105,14 +105,14 @@ pub struct Optimized {
 
 /// Knobs of [`optimize_with`] beyond the algorithm choice.
 ///
-/// `plan_budget`, `deadline`, `memory_budget` and `fault_unit_delay` are
-/// read by the one kind of run that arms a budget, the adaptive ladder
-/// ([`crate::ladder`]). A run climbs the ladder when its algorithm is
+/// `plan_budget`, `deadline` and `memory_budget` are read by the one kind
+/// of run that arms a budget, the adaptive ladder ([`crate::ladder`]). A
+/// run climbs the ladder when its algorithm is
 /// [`Algorithm::Adaptive`] **or** it names a deadline or a byte budget
 /// under any algorithm: only the ladder has a plan to ship when a budget
 /// stops the search mid-stream, and it is an EA-Prune search, so an
 /// H1/H2/DPhyp/EA-All choice is then not honoured. Every other run arms
-/// nothing and reads none of the four. The fifth field, `explain`, only
+/// nothing and reads none of the three. The fourth field, `explain`, only
 /// decides whether the result carries its EXPLAIN text; the plan is the
 /// same either way.
 #[derive(Debug, Clone, Copy)]
@@ -136,11 +136,6 @@ pub struct OptimizeOptions {
     /// recorded as [`crate::Degradation::memory_aborted`]. `0` (the
     /// default): no byte budget.
     pub memory_budget: u64,
-    /// Fault-injection hook: an artificial busy-wait inserted before every
-    /// enumeration work unit, simulating a pathologically slow enumeration
-    /// so deadline/degradation paths are testable deterministically.
-    /// `None` (the default) disables it; never set outside tests.
-    pub fault_unit_delay: Option<Duration>,
 }
 
 impl Default for OptimizeOptions {
@@ -150,7 +145,6 @@ impl Default for OptimizeOptions {
             plan_budget: 0,
             deadline: None,
             memory_budget: 0,
-            fault_unit_delay: None,
         }
     }
 }
@@ -411,13 +405,12 @@ pub(crate) struct Search<'a> {
 }
 
 /// What a [`Search`] consults before every pair and, while something is
-/// armed, before every work unit: its budget, why it stopped (once it
-/// has) and the fault-injection delay. It only decides; the memo's bytes
-/// are booked by whoever holds the memo (a serving pool, at check-in).
+/// armed, before every work unit: its budget and why it stopped (once it
+/// has). It only decides; the memo's bytes are booked by whoever holds the
+/// memo (a serving pool, at check-in).
 struct Meter {
     budget: Budget,
     exhausted: Option<Exhausted>,
-    unit_delay: Option<Duration>,
 }
 
 impl Meter {
@@ -429,17 +422,7 @@ impl Meter {
     #[inline(never)]
     fn take(&mut self, plans: u64, memo: &Memo) -> bool {
         self.exhausted = self.budget.exhausted_at(plans, memo.live_bytes());
-        if self.exhausted.is_some() {
-            return false;
-        }
-        if let Some(d) = self.unit_delay {
-            // Injected fault: a pathologically slow enumeration.
-            let t0 = Instant::now();
-            while t0.elapsed() < d {
-                std::hint::spin_loop();
-            }
-        }
-        true
+        self.exhausted.is_none()
     }
 }
 
@@ -473,7 +456,6 @@ impl<'a> Search<'a> {
             meter: Meter {
                 budget: Budget::default(),
                 exhausted: None,
-                unit_delay: None,
             },
             full: NodeSet::full(ctx.query.table_count()),
             all_ops: applied_ops_mask(ctx.cq.ops.len()),
@@ -516,12 +498,6 @@ impl<'a> Search<'a> {
         self.meter.exhausted = None;
     }
 
-    /// Fault-injection hook: busy-wait `delay` before every enumeration
-    /// work unit (see [`OptimizeOptions::fault_unit_delay`]).
-    pub(crate) fn set_unit_delay(&mut self, delay: Option<Duration>) {
-        self.meter.unit_delay = delay;
-    }
-
     /// Read access to the memo (classes, plan data) for pair selection.
     pub(crate) fn memo(&self) -> &Memo {
         self.memo
@@ -549,8 +525,8 @@ impl<'a> Search<'a> {
     /// subplan combination (with all eager-aggregation variants when
     /// `eager`), fold each into the target class under `thin_by`, and
     /// keep-best complete plans. The budget is checked once per pair and,
-    /// while it (or the fault delay) arms anything, once per work unit, a
-    /// unit counting as [`UNIT_MAX_PLANS`] plans, so the plan limit is
+    /// while it arms anything, once per work unit, a unit counting as
+    /// [`UNIT_MAX_PLANS`] plans, so the plan limit is
     /// never exceeded and the deadline and the byte limit are overshot by
     /// at most one unit. The first refusal ends the pair: the cause is
     /// recorded and `false` is returned (the pair's plan set is then
@@ -570,8 +546,7 @@ impl<'a> Search<'a> {
         // nothing armed is compiled without the meter call: testing a
         // run-time flag per unit instead read 1% slower on the benchmark's
         // ea-prune-paper, in 10 of 10 interleaved pairs.
-        let meter = &self.meter;
-        let completed = if meter.budget != Budget::default() || meter.unit_delay.is_some() {
+        let completed = if self.meter.budget != Budget::default() {
             self.feed::<true>(s1, s2, interior)
         } else {
             self.feed::<false>(s1, s2, interior)

@@ -162,7 +162,6 @@ pub(crate) fn climb(
         search: Search::new(ctx, memo, thin_by, true),
         degr: Degradation::default(),
     };
-    ladder.search.set_unit_delay(opts.fault_unit_delay);
     // What a single scan is, and what a completed exact rung leaves.
     let mut mode = AdaptiveMode::Exact;
     if n > 1 {

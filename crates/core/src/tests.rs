@@ -488,8 +488,8 @@ mod finalization {
 mod engine {
     use super::*;
     use crate::algo::{
-        all_subplans, optimize_prepared, orientations_into, Algorithm, OptimizeOptions, PairBufs,
-        Search,
+        all_subplans, optimize, optimize_prepared, orientations_into, Algorithm, OptimizeOptions,
+        PairBufs, Search,
     };
     use crate::budget::{Budget, Exhausted};
     use crate::memo::{PlanNode, ThinBy};
@@ -716,6 +716,59 @@ mod engine {
                 "n={n}, seed={seed}: {groups} > 2·{applies}"
             );
         }
+    }
+
+    /// The memo is sound after every stratum, not only at the end of a run:
+    /// an EA-Prune search (dominance thinning, eager) is fed the DPhyp
+    /// stream grouped by the size of each pair's union — a stratum holds
+    /// every pair that builds plans of one size, and reads only classes of
+    /// smaller sizes — and [`Memo::check_invariants`] must hold after each
+    /// stratum. Fed in this order, the search still finds the optimum: its
+    /// winner costs what `optimize(EaPrune)` ships, bit for bit. Swept over
+    /// `paper(3..=max_n)` × `seeds`.
+    fn memo_is_sound_after_every_stratum(max_n: usize, seeds: u64) {
+        for (n, seed) in (3..=max_n).flat_map(|n| (0..seeds).map(move |s| (n, s))) {
+            let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
+            let mut strata = vec![Vec::new(); n + 1];
+            enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+                strata[s1.union(s2).len()].push((s1, s2));
+            });
+            let mut memo = Memo::new();
+            let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+            for (size, stratum) in strata.iter().enumerate() {
+                for &(s1, s2) in stratum {
+                    assert!(search.process(s1, s2), "nothing is armed");
+                }
+                if let Err(e) = search.memo().check_invariants() {
+                    panic!("paper({n}), seed {seed}, after stratum {size}: {e}");
+                }
+            }
+            let (fed, _) = search.finish(false);
+            let run = optimize(&ctx.query, Algorithm::EaPrune);
+            assert_eq!(
+                run.plan.cost.to_bits(),
+                fed.plan.cost.to_bits(),
+                "paper({n}), seed {seed}: stratified {} vs optimize {}",
+                fed.plan.cost,
+                run.plan.cost
+            );
+        }
+    }
+
+    /// [`memo_is_sound_after_every_stratum`] up to six relations, 20 seeds
+    /// each: well under a second in a debug build.
+    #[test]
+    fn memo_is_sound_after_every_stratum_small() {
+        memo_is_sound_after_every_stratum(6, 20);
+    }
+
+    /// The same check up to nine relations, 40 seeds each (a fraction of a
+    /// second in release, longer in debug): the CI `slow-oracle` job runs
+    /// it.
+    #[test]
+    #[ignore]
+    fn memo_is_sound_after_every_stratum_at_paper_scale() {
+        memo_is_sound_after_every_stratum(9, 40);
     }
 }
 

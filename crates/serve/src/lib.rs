@@ -52,16 +52,16 @@
 //! [`ServeError::Overloaded`], with a retry hint priced from measured
 //! service times.
 //!
-//! **Limits.** One place settles what the request runs as: the
-//! algorithm, deadline and memory budget of the wrapped
-//! [`dpnext::Optimizer`] — a request's limits are set there, not on
-//! [`ServiceConfig`] — overridden only by the [`Fault`] a
-//! [`FaultInjector`] schedules for it.
-//!
-//! **Run** (span `serve.optimize`). One `dpnext::optimize_into` call
-//! inside a memo checked out of the [`MemoPool`] (`dpnext_pool_*`, whose
-//! `dpnext_pool_bytes` books every memo the pool holds) and inside
-//! `catch_unwind`. A deadline- or memory-pressured run degrades down the
+//! **Run** (span `serve.optimize`). One
+//! [`dpnext::Optimizer::optimize_pooled`] call inside a memo checked out
+//! of the [`MemoPool`] (`dpnext_pool_*`, whose `dpnext_pool_bytes` books
+//! every memo the pool holds) and inside `catch_unwind`. The request runs
+//! as the wrapped [`dpnext::Optimizer`] is configured — its algorithm,
+//! deadline and memory budget; a request's limits are set there and
+//! nowhere else, not on [`ServiceConfig`] and not by a fault. The
+//! [`Fault`] a [`FaultInjector`] schedules for the request panics in
+//! place of the call, or stalls before it while holding the gate slot and
+//! the memo. A deadline- or memory-pressured run degrades down the
 //! adaptive ladder and still returns a valid plan; a completed run observes
 //! `dpnext_service_time_nanos`, `dpnext_plans_built` and
 //! `dpnext_live_bytes_peak` and parks its memo. A panic is contained to

@@ -6,8 +6,8 @@ use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
 use crate::govern::{AdmissionGate, GatePermit, GateStats};
 use crate::pool::{MemoPool, PoolStats};
-use dpnext::{Algorithm, Optimized, Optimizer};
-use dpnext_core::{AdaptiveMode, FxBuildHasher, OptimizeOptions};
+use dpnext::{Optimized, Optimizer};
+use dpnext_core::{AdaptiveMode, FxBuildHasher};
 use dpnext_obs::{Counter, Histogram, Registry, Span};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
@@ -318,11 +318,11 @@ impl OptimizerService {
     }
 
     /// Arm deterministic fault injection (see [`FaultInjector`]): each
-    /// request consults the schedule by its request index and may run with
-    /// an injected panic, an injected slow enumeration, or an injected
-    /// memory-pressure budget. For tests (`tests/robustness.rs`,
-    /// `tests/overload.rs`, `tests/observability.rs`); never arm this in
-    /// production.
+    /// request consults the schedule by its request index, and its run
+    /// stage may panic in place of the optimizer call or stall before it.
+    /// The run itself keeps the wrapped [`Optimizer`]'s limits. For tests
+    /// (`tests/robustness.rs`, `tests/overload.rs`,
+    /// `tests/observability.rs`); never arm this in production.
     pub fn with_fault_injection(mut self, faults: FaultInjector) -> OptimizerService {
         self.faults = Some(faults);
         self
@@ -408,8 +408,7 @@ impl OptimizerService {
             });
         }
         let _permit = self.admit(&mut req)?;
-        let (algorithm, options, fault) = self.limits(&req);
-        let ran = self.run(&mut req, query, algorithm, &options, fault);
+        let ran = self.run(&mut req, query);
         self.publish(&mut req, key, ran)
     }
 
@@ -501,38 +500,20 @@ impl OptimizerService {
             })
     }
 
-    /// Limits: what this request runs as — the wrapped optimizer's
-    /// algorithm and options, overridden by the fault the schedule injects
-    /// into it, if any. A request's deadline and memory budget are set on
-    /// the [`Optimizer`] and nowhere else.
-    fn limits(&self, req: &Request<'_>) -> (Algorithm, OptimizeOptions, Fault) {
-        let (algorithm, mut opts) = self.optimizer.configured();
-        let Some(inj) = &self.faults else {
-            return (algorithm, opts, Fault::None);
-        };
-        let fault = inj.fault_for(req.index);
-        match fault {
-            Fault::Slow => opts.fault_unit_delay = Some(inj.slow_unit_delay()),
-            Fault::MemoryPressure => opts.memory_budget = inj.pressure_budget_bytes(),
-            Fault::None | Fault::Panic => {}
-        }
-        (algorithm, opts, fault)
-    }
-
-    /// Run: one `optimize_into` call inside a pooled memo and inside
-    /// `catch_unwind`. A panic anywhere in enumeration is contained to this
-    /// request: its memo is quarantined (footprint released from the pool's
-    /// books and tallied, never parked again) and only this caller sees
+    /// Run: one [`Optimizer::optimize_pooled`] call — the wrapped
+    /// optimizer's algorithm, deadline and memory budget, which are set
+    /// there and nowhere else — inside a pooled memo and inside
+    /// `catch_unwind`. An injected fault panics in place of the call, or
+    /// stalls before it while holding the gate slot and the memo. A panic
+    /// anywhere in enumeration is contained to this request: its memo is
+    /// quarantined (footprint released from the pool's books and tallied,
+    /// never parked again) and only this caller sees
     /// [`ServeError::Panicked`]. The memo of a completed run is parked
     /// when this stage returns, before anything is published.
-    fn run(
-        &self,
-        req: &mut Request<'_>,
-        query: &Query,
-        algorithm: Algorithm,
-        options: &OptimizeOptions,
-        fault: Fault,
-    ) -> Result<Optimized, ServeError> {
+    fn run(&self, req: &mut Request<'_>, query: &Query) -> Result<Optimized, ServeError> {
+        let fault = self
+            .faults
+            .map_or(Fault::None, |inj| inj.fault_for(req.index));
         let mut memo = self.pool.checkout();
         let started = Instant::now();
         let mut span = dpnext_obs::span("serve.optimize");
@@ -540,10 +521,12 @@ impl OptimizerService {
         // sound *because* of the quarantine below — on a panic the memo's
         // (possibly torn) state is destroyed, never observed again.
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if fault == Fault::Panic {
-                panic!("injected fault: optimizer panic (request {})", req.index);
+            match fault {
+                Fault::None => {}
+                Fault::Panic => panic!("injected fault: optimizer panic (request {})", req.index),
+                Fault::Slow(stall) => std::thread::sleep(stall),
             }
-            dpnext::optimize_into(query, algorithm, options, &mut memo)
+            self.optimizer.optimize_pooled(query, &mut memo)
         }));
         match ran {
             Ok(optimized) => {
@@ -701,62 +684,17 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpnext::Algorithm;
 
-    const MIB: u64 = 1 << 20;
-
-    /// A service whose requests run under `deadline` and `budget`, set
-    /// where they belong: on the wrapped optimizer.
-    fn service(deadline: Option<Duration>, budget: u64) -> OptimizerService {
-        OptimizerService::new(
-            Optimizer::new(Algorithm::EaPrune)
-                .deadline(deadline)
-                .memory_budget(budget),
-        )
-    }
-
-    fn ms(millis: u64) -> Option<Duration> {
-        Some(Duration::from_millis(millis))
-    }
-
-    /// The limits of the next request to arrive at `service`.
-    fn next_limits(service: &OptimizerService) -> (Algorithm, OptimizeOptions, Fault) {
-        service.limits(&service.arrive())
-    }
-
-    #[test]
-    fn request_limits_table() {
-        // Unfaulted: exactly what the optimizer was configured with.
-        let limited = service(ms(40), MIB);
-        let (base_algorithm, base) = limited.optimizer.configured();
-        let (algorithm, opts, fault) = next_limits(&limited);
-        assert_eq!(Fault::None, fault);
-        assert_eq!(base_algorithm, algorithm);
-        assert_eq!((ms(40), MIB), (opts.deadline, opts.memory_budget));
-        assert_eq!(base.plan_budget, opts.plan_budget);
-
-        // An injected fault overrides the configured limits.
-        let delay = Duration::from_micros(7);
-        let slow =
-            service(ms(40), MIB).with_fault_injection(FaultInjector::new(0, 0, 1_000_000, delay));
-        let (algorithm, opts, fault) = next_limits(&slow);
-        assert_eq!((Fault::Slow, base_algorithm), (fault, algorithm));
-        assert_eq!(Some(delay), opts.fault_unit_delay);
-        assert_eq!((ms(40), MIB), (opts.deadline, opts.memory_budget));
-
-        let pressured = service(ms(40), MIB).with_fault_injection(
-            FaultInjector::new(0, 0, 0, delay).with_memory_pressure(1_000_000, 2 * MIB),
-        );
-        let (_, opts, fault) = next_limits(&pressured);
-        assert_eq!(Fault::MemoryPressure, fault);
-        assert_eq!(2 * MIB, opts.memory_budget);
-        assert_eq!(None, opts.fault_unit_delay);
+    fn service() -> OptimizerService {
+        OptimizerService::new(Optimizer::new(Algorithm::EaPrune))
     }
 
     /// The hint stays inside its documented bounds before any completion
     /// is measured, however long the line.
     #[test]
     fn unmeasured_retry_hint_is_clamped() {
-        let service = service(None, 0);
+        let service = service();
         assert_eq!(
             RETRY_HINT_MIN.max(RETRY_HINT_FALLBACK_PER_REQUEST),
             service.retry_hint(0)
@@ -770,7 +708,7 @@ mod tests {
     /// evaluates: reordering its fields must not reshuffle the exposition.
     #[test]
     fn service_families_render_in_registration_order() {
-        let text = service(None, 0).metrics_text();
+        let text = service().metrics_text();
         let families: Vec<&str> = text
             .lines()
             .filter_map(|line| line.strip_prefix("# TYPE "))
@@ -817,7 +755,7 @@ mod tests {
     /// the service outside the run stage's `catch_unwind`.
     #[test]
     fn an_unwinding_request_is_counted_out() {
-        let service = service(None, 0);
+        let service = service();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let _req = service.arrive();
             // Unwinds like a panic, without the hook's message.

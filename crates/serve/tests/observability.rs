@@ -188,9 +188,9 @@ fn traced_miss_carries_one_engine_enumerate_span() {
 }
 
 /// The acceptance identity of the tentpole: after a 4-thread hammer —
-/// traced, through a bounded gate, with injected panics, slow units and
-/// memory pressure under a service deadline — the registry's histograms
-/// and counters agree *exactly* with [`ServiceStats`] and with what the
+/// traced, through a bounded gate, with injected panics and stalls, under a
+/// deadline and a memory budget — the registry's histograms and counters
+/// agree *exactly* with [`ServiceStats`] and with what the
 /// clients saw (same cells, no sampling, no drift), the rendered text
 /// passes the Prometheus format lint, and at quiescence every book
 /// balances: no span open, nobody queued, every memo parked or
@@ -205,10 +205,7 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
     // Wide enough that most of the requests miss the cache and reach the
     // fault schedule (hits bypass it), narrow enough that hits still happen.
     let mix = request_mix(&MixConfig::uniform(64, 6), threads * per_thread, 99);
-    let injector = |seed| {
-        FaultInjector::new(seed, 150_000, 100_000, Duration::from_micros(50))
-            .with_memory_pressure(150_000, 48 << 10)
-    };
+    let injector = |seed| FaultInjector::new(seed, 150_000, 100_000, Duration::from_micros(50));
     // The schedule is a pure function of (seed, request index): take the
     // first seed under which the `POOL` requests after the hammer all
     // panic, so that they quarantine — and thereby weigh — whatever the
@@ -218,7 +215,9 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
         .unwrap();
     let service = Arc::new(
         OptimizerService::with_config(
-            Optimizer::new(A::EaPrune).deadline(Some(Duration::from_millis(50))),
+            Optimizer::new(A::EaPrune)
+                .deadline(Some(Duration::from_millis(50)))
+                .memory_budget(48 << 10),
             ServiceConfig {
                 // No more memos than the pool parks: none is discarded
                 // over capacity, so every created one stays on the books.
@@ -513,12 +512,13 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     std::panic::set_hook(prev);
     assert!(matches!(panicked, Err(ServeError::Panicked(_))));
 
-    // Request 0 of a one-slot, no-queue service runs slow enough to hit
-    // its deadline. While it holds the slot, request 1 is turned away; the
-    // degraded plan request 0 ships stays out of the cache.
-    let chain = generate_query(&GenConfig::topology(12, Topology::Chain), 0);
+    // Request 0 of a one-slot, no-queue service stalls in its slot, then
+    // runs a query too large for its deadline. While it holds the slot,
+    // request 1 is turned away; the degraded plan request 0 ships stays out
+    // of the cache.
+    let star = generate_query(&GenConfig::topology(30, Topology::Star), 0);
     let service = OptimizerService::with_config(
-        quiet().deadline(Some(Duration::from_millis(300))),
+        quiet().deadline(Some(Duration::from_millis(20))),
         ServiceConfig {
             max_concurrent: 1,
             max_queued: 0,
@@ -526,15 +526,15 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
         },
     )
     .with_fault_injection(
-        FaultInjector::new(0, 0, 1_000_000, Duration::from_millis(2)).with_window(0, 1),
+        FaultInjector::new(0, 0, 1_000_000, Duration::from_millis(50)).with_window(0, 1),
     );
     std::thread::scope(|scope| {
-        let slow = scope.spawn(|| service.optimize(&chain));
+        let slow = scope.spawn(|| service.optimize(&star));
         while service.stats().gate.admitted == 0 {
             std::thread::yield_now();
         }
         let (turned_away, _) =
-            one_request(&service, &sink, "overloaded", || service.optimize(&chain));
+            one_request(&service, &sink, "overloaded", || service.optimize(&star));
         assert!(matches!(turned_away, Err(ServeError::Overloaded { .. })));
         let degraded = slow.join().unwrap().expect("degradation is not an error");
         assert!(degraded.result.memo.degradation.deadline_aborted);
@@ -738,11 +738,7 @@ fn retry_hint_is_measured_and_bounded() {
     let _guard = locked();
     let service = Arc::new(
         OptimizerService::with_config(
-            // A never-reached deadline routes the runs through the budgeted
-            // search, where an injected per-unit delay applies.
-            Optimizer::new(A::EaPrune)
-                .explain(false)
-                .deadline(Some(Duration::from_secs(600))),
+            Optimizer::new(A::EaPrune).explain(false),
             ServiceConfig {
                 cache_capacity: 0, // every request must reach the gate
                 max_concurrent: 1,
@@ -750,15 +746,15 @@ fn retry_hint_is_measured_and_bounded() {
                 ..ServiceConfig::default()
             },
         )
-        // Only the burst (request 3 onwards) runs slow: an admitted clique
-        // run (~100 us otherwise) then outlasts the burst's arrival window
-        // on any machine, so the rejection below does not depend on how
-        // fast the scheduler wakes the other seven threads — while phase 1
-        // runs at full speed, so in a release build the measured p50 sits
-        // well below the 1 ms floor and the floor assertion needs the clamp.
+        // Only the burst (request 3 onwards) stalls: an admitted clique run
+        // (~100 us otherwise) then holds the slot past the burst's arrival
+        // window on any machine, so the rejection below does not depend on
+        // how fast the scheduler wakes the other seven threads — while
+        // phase 1 runs at full speed, so in a release build the measured p50
+        // sits well below the 1 ms floor and the floor assertion needs the
+        // clamp.
         .with_fault_injection(
-            FaultInjector::new(0, 0, 1_000_000, Duration::from_micros(200))
-                .with_window(3, u64::MAX),
+            FaultInjector::new(0, 0, 1_000_000, Duration::from_millis(20)).with_window(3, u64::MAX),
         ),
     );
 

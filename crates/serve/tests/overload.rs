@@ -16,34 +16,28 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 /// admission cap of 4 (2 concurrent + 2 queued) splits exactly into
 /// admitted successes and fast `Overloaded` rejections — no request is
 /// lost, none panics, and the wait queue never grows past its bound. Every
-/// request runs under an injected memory-pressure budget, so the admitted
-/// ones degrade instead of failing and the pool's byte books stay under a
-/// generous leak bound.
+/// request runs under a small memory budget, so the admitted ones degrade
+/// instead of failing and the pool's byte books stay under a generous leak
+/// bound.
 #[test]
 fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     const N: usize = 16;
     // A leak bound, not a service cap: the 2 checked-out + 4 parked memos
     // of 9-relation runs peak far below it, so a breach can only mean the
     // accounting leaked.
-    // The 4 KiB pressure budget is under the smallest of the 16 queries'
-    // unpressured live peaks (6 024 … 8 036 bytes — of an arena that holds
+    // The 4 KiB memory budget is under the smallest of the 16 queries'
+    // unbudgeted live peaks (6 024 … 8 036 bytes — of an arena that holds
     // what the classes keep, and of an exact rung that skips what the
     // greedy plan already beats), so every admitted run aborts: the greedy
     // rung alone fills it, after 40 … 84 plans.
     const BYTES_CAP: u64 = 256 << 20;
-    let inj =
-        FaultInjector::new(0xCAFE, 0, 0, Duration::ZERO).with_memory_pressure(1_000_000, 4 << 10);
+    // Every admitted run stalls 10 ms in its gate slot before it runs, so it
+    // outlasts the burst's arrival window on any machine and the rejection
+    // below does not depend on scheduler timing.
+    let inj = FaultInjector::new(0xCAFE, 0, 1_000_000, Duration::from_millis(10));
     let service = Arc::new(
         OptimizerService::with_config(
-            // A never-reached deadline routes the runs through the budgeted
-            // search, where the per-unit delay applies: every admitted run
-            // (the greedy rung's 16 work units before its 4 KiB pressure
-            // budget aborts it) then outlasts the burst's arrival window on
-            // any machine, so the rejection below does not depend on
-            // scheduler timing.
-            quiet_optimizer(A::EaPrune)
-                .deadline(Some(Duration::from_secs(600)))
-                .fault_unit_delay(Some(Duration::from_micros(500))),
+            quiet_optimizer(A::EaPrune).memory_budget(4 << 10),
             ServiceConfig {
                 cache_capacity: 0, // every request must reach the gate
                 pool_capacity: 4,
@@ -104,7 +98,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     );
     assert_eq!(
         ok, stats.memory_degraded,
-        "every admitted request ran under the injected pressure budget"
+        "every admitted request ran under the optimizer's memory budget"
     );
     assert!(stats.memory_degraded > 0);
 }

@@ -134,16 +134,6 @@ impl Optimizer {
         self
     }
 
-    /// Fault-injection hook: busy-wait this long before every enumeration
-    /// work unit of a ladder run, simulating a pathologically slow
-    /// enumeration. Exists so deadline/degradation paths are testable
-    /// deterministically (see `crates/core/tests/deadline.rs`); never
-    /// set in production.
-    pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
-        self.options.fault_unit_delay = delay;
-        self
-    }
-
     /// Toggle EXPLAIN rendering on the result (disable for benchmarking
     /// loops; the memo statistics are always collected).
     pub fn explain(mut self, on: bool) -> Optimizer {
@@ -212,9 +202,8 @@ impl Optimizer {
         optimize_into(query, self.algorithm, &self.options, memo)
     }
 
-    /// The algorithm and options every run of this optimizer uses — what a
-    /// serving layer starts from when it derives one request's limits and
-    /// hands them to [`optimize_into`].
+    /// The algorithm and options every run of this optimizer uses — what
+    /// [`optimize_into`] takes to run exactly as this optimizer does.
     pub fn configured(&self) -> (Algorithm, OptimizeOptions) {
         (self.algorithm, self.options)
     }

@@ -73,12 +73,6 @@ fn ladder_plans_agree_on_results_across_rungs_and_causes() {
             ea_prune().deadline(Some(Duration::ZERO)),
         ),
         ("one byte", ea_prune().memory_budget(1)),
-        (
-            "slow units, 1ms",
-            ea_prune()
-                .fault_unit_delay(Some(Duration::from_micros(5)))
-                .deadline(Some(Duration::from_millis(1))),
-        ),
     ];
     let mut modes = Vec::new();
     let mut causes = dpnext::Degradation::default();
