@@ -99,7 +99,7 @@ pub(crate) fn merge_one(l: AggPos, r: AggPos) -> AggPos {
 }
 
 /// The aggregation state of a plan, owned — how the context holds a scan's
-/// state and how tests and benches write one down; the memo keeps the same
+/// state and how tests write one down; the memo keeps the same
 /// two sequences in its lanes ([`AggRef`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AggState {

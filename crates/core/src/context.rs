@@ -7,10 +7,9 @@
 //! owns next to its memo.
 
 use crate::aggstate::AggState;
-use crate::fxhash::FxHashMap;
 use dpnext_algebra::AttrId;
 use dpnext_conflict::{detect, ConflictedQuery};
-use dpnext_hypergraph::NodeSet;
+use dpnext_hypergraph::{FxHashMap, NodeSet};
 use dpnext_keys::{KeySet, Span};
 use dpnext_query::Query;
 

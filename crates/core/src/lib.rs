@@ -26,7 +26,6 @@ mod budget;
 pub mod context;
 pub mod explain;
 pub mod finalize;
-pub mod fxhash;
 pub mod ladder;
 pub mod memo;
 pub mod optrees;
@@ -44,7 +43,6 @@ pub use algo::{
 pub use context::{OptContext, Scratch};
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
     AdaptiveMode, Degradation, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot, PlanId,
     PlanNode, PlanRef, Span, Term, ThinBy, ARENA_ROW_BYTES,

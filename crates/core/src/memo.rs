@@ -23,9 +23,8 @@
 //! build and which relation the classes are thinned by.
 
 use crate::aggstate::{AggPos, AggRef};
-use crate::fxhash::FxHashMap;
 use dpnext_algebra::{AttrId, CmpOp, JoinPred};
-use dpnext_hypergraph::NodeSet;
+use dpnext_hypergraph::{FxHashMap, NodeSet};
 use dpnext_keys::{signature_may_imply, KeySet, KeysRef};
 use dpnext_query::OpKind;
 use std::ops::Index;

@@ -290,6 +290,14 @@ fn fold_reports_membership_and_balances_its_books() {
                     ThinBy::Dominance { .. } => {
                         assert_eq!(ids.len() as u64, attempts, "{what}");
                         assert_eq!(class.len() as u64, attempts - rejected - evicted, "{what}");
+                        // Nothing incomparable is dropped: a plan missing
+                        // from the class is preceded by one it keeps.
+                        for &id in ids.iter().filter(|id| !class.contains(id)) {
+                            assert!(
+                                class.iter().any(|&k| by.precedes(&memo, k, id)),
+                                "{what}: dropped {id:?} with no plan kept over it"
+                            );
+                        }
                     }
                     ThinBy::Cheapest(_) => {
                         assert_eq!(

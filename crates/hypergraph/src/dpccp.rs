@@ -131,7 +131,7 @@ mod tests {
     use crate::graph::Hypergraph;
     // Dogfood the in-tree hasher: these dedup sets are NodeSet/word-pair
     // keyed, exactly the shape `fxhash` is built for.
-    use crate::fxhash::FxHashSet;
+    use crate::FxHashSet;
 
     /// Build the same topology as both a simple graph and a hypergraph.
     fn both(n: usize, edges: &[(usize, usize)]) -> (SimpleGraph, Hypergraph) {

@@ -220,7 +220,7 @@ mod tests {
     use crate::graph::Hyperedge;
     // Dogfood the in-tree hasher: these dedup sets are NodeSet/word-pair
     // keyed, exactly the shape `fxhash` is built for.
-    use crate::fxhash::FxHashSet;
+    use crate::FxHashSet;
 
     fn chain(n: usize) -> Hypergraph {
         let mut g = Hypergraph::new(n);

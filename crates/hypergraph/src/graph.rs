@@ -327,6 +327,42 @@ mod tests {
                 }
             }
         }
+        // A chain(16), a clique(14) and a cycle(16) with complex edges
+        // {i, i+1} → {i+3}: too large for the sweep, so probed as DPhyp
+        // expands, with a contiguous run `s` and the prefix below it as `x`.
+        let mut chain = Hypergraph::new(16);
+        for i in 0..15 {
+            chain.add_simple(i, i + 1, i);
+        }
+        let mut clique = Hypergraph::new(14);
+        for i in 0..14 {
+            for j in i + 1..14 {
+                clique.add_simple(i, j, i * 14 + j);
+            }
+        }
+        let mut cycle = Hypergraph::new(16);
+        for i in 0..16 {
+            cycle.add_simple(i, (i + 1) % 16, i);
+        }
+        for (k, i) in (0..12).step_by(3).enumerate() {
+            cycle.add_edge(Hyperedge::new(ns(&[i, i + 1]), ns(&[i + 3]), 16 + k));
+        }
+        for g in [chain, clique, cycle] {
+            let n = g.node_count();
+            for len in 1..=n {
+                for start in 0..=n - len {
+                    let (s, x) = (
+                        NodeSet(((1 << len) - 1) << start),
+                        NodeSet((1 << start) - 1),
+                    );
+                    assert_eq!(
+                        naive_neighborhood(&g, s, x),
+                        g.neighborhood(s, x),
+                        "neighborhood diverges on {n} nodes at s={s} x={x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! counter-instrumented map.
 
 use crate::fingerprint::QueryShape;
+use dpnext::hypergraph::{FxBuildHasher, FxHashMap};
 use dpnext::Optimized;
-use dpnext_core::{FxBuildHasher, FxHashMap};
 use dpnext_obs::{Counter, Registry};
 use dpnext_sql::BoundQuery;
 use std::borrow::Borrow;

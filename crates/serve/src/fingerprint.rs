@@ -5,7 +5,7 @@
 //! selectivities and the grouping spec. Two queries get equal shapes iff
 //! the optimizer cannot tell them apart, so a cache hit is always safe
 //! to serve. Hashing of the stream (for the cache's shard map) uses the
-//! in-tree fxhash via [`dpnext_core::FxHashMap`]; the stream itself is
+//! in-tree fxhash via [`dpnext::hypergraph::FxHashMap`]; the stream itself is
 //! kept in the key, so hash collisions degrade to map probes, never to
 //! wrong plans.
 

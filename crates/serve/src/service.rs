@@ -6,8 +6,9 @@ use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
 use crate::govern::{AdmissionGate, GatePermit, GateStats};
 use crate::pool::{MemoPool, PoolStats};
+use dpnext::hypergraph::FxBuildHasher;
 use dpnext::{Optimized, Optimizer};
-use dpnext_core::{AdaptiveMode, FxBuildHasher};
+use dpnext_core::AdaptiveMode;
 use dpnext_obs::{Counter, Histogram, Registry, Span};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
