@@ -25,6 +25,6 @@ const Q10_H1: &str = concat!(
 
 #[test]
 fn explain_text_is_byte_identical_on_tpch_q10() {
-    let explain = optimize(&q10().query, Algorithm::H1).explain;
+    let explain = optimize(&q10().bound.query, Algorithm::H1).explain;
     assert_eq!(explain, Q10_H1, "EXPLAIN text changed:\n{explain}");
 }

@@ -142,28 +142,6 @@ pub struct CcpStrata {
     pub strata: Vec<Vec<(NodeSet, NodeSet)>>,
 }
 
-impl CcpStrata {
-    /// Total number of pairs across all strata (equals [`count_ccps`]).
-    pub fn pair_count(&self) -> u64 {
-        self.strata.iter().map(|s| s.len() as u64).sum()
-    }
-
-    /// Number of non-empty strata (DP layers with work).
-    pub fn layer_count(&self) -> u64 {
-        self.strata.iter().filter(|s| !s.is_empty()).count() as u64
-    }
-
-    /// Size of the widest stratum — the upper bound on how much work one
-    /// barrier-separated layer can fan out.
-    pub fn peak_layer_pairs(&self) -> u64 {
-        self.strata
-            .iter()
-            .map(|s| s.len() as u64)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Count the csg-cmp-pairs of a hypergraph (`#ccp` in the paper's complexity
 /// bound `O(2^{2n-1} · #ccp)`).
 pub fn count_ccps(graph: &Hypergraph) -> u64 {
@@ -383,7 +361,8 @@ mod tests {
     fn strata_partition_the_ccp_stream_by_union_size() {
         for g in [chain(7), star(6), clique(5), cycle(6)] {
             let s = stratify_ccps(&g);
-            assert_eq!(count_ccps(&g), s.pair_count());
+            let pairs: usize = s.strata.iter().map(Vec::len).sum();
+            assert_eq!(count_ccps(&g), pairs as u64);
             assert_eq!(g.node_count() + 1, s.strata.len());
             assert!(s.strata[0].is_empty() && s.strata[1].is_empty());
             for (k, stratum) in s.strata.iter().enumerate() {
@@ -423,15 +402,5 @@ mod tests {
                 built.insert(s1.union(s2).0);
             }
         }
-    }
-
-    #[test]
-    fn strata_shape_helpers() {
-        let s = stratify_ccps(&chain(4));
-        // Chain of 4: 3 pairs of size 2, 4 of size 3, 3 of size 4 = 10.
-        assert_eq!(10, s.pair_count());
-        assert_eq!(3, s.layer_count());
-        assert_eq!(4, s.peak_layer_pairs());
-        assert_eq!(0, stratify_ccps(&Hypergraph::new(1)).layer_count());
     }
 }

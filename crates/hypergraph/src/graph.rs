@@ -105,11 +105,6 @@ impl Hypergraph {
         &self.edges
     }
 
-    #[inline]
-    pub fn all_nodes(&self) -> NodeSet {
-        NodeSet::full(self.n)
-    }
-
     /// Edges connecting `s1` to `s2`.
     pub fn connecting_edges(&self, s1: NodeSet, s2: NodeSet) -> impl Iterator<Item = &Hyperedge> {
         self.edges.iter().filter(move |e| e.connects(s1, s2))
@@ -188,26 +183,6 @@ impl Hypergraph {
         }
     }
 
-    /// Partition `within` into its connected components, ascending by
-    /// minimum element. Large-query planners use this to fail fast on
-    /// disconnected graphs (no complete plan can exist) and to seed
-    /// per-component greedy passes.
-    pub fn components_within(&self, within: NodeSet) -> Vec<NodeSet> {
-        let mut out = Vec::new();
-        let mut rest = within;
-        while !rest.is_empty() {
-            let comp = self.component_of(rest);
-            out.push(comp);
-            rest = rest.difference(comp);
-        }
-        out
-    }
-
-    /// [`Hypergraph::components_within`] over all nodes of the graph.
-    pub fn components(&self) -> Vec<NodeSet> {
-        self.components_within(self.all_nodes())
-    }
-
     /// True when `s` induces a connected subgraph.
     ///
     /// A hyperedge `(u, v)` can be traversed once one side is fully inside
@@ -274,14 +249,11 @@ mod tests {
         g.add_simple(0, 1, 0);
         g.add_simple(1, 2, 1);
         g.add_simple(3, 4, 2);
-        assert_eq!(vec![ns(&[0, 1, 2]), ns(&[3, 4])], g.components());
-        // Restricting the node set splits the chain.
-        assert_eq!(
-            vec![ns(&[0]), ns(&[2]), ns(&[3, 4])],
-            g.components_within(ns(&[0, 2, 3, 4]))
-        );
         assert_eq!(ns(&[0, 1, 2]), g.component_of(NodeSet::full(5)));
-        assert!(g.components_within(NodeSet::EMPTY).is_empty());
+        // Restricting the node set splits the chain.
+        assert_eq!(ns(&[0]), g.component_of(ns(&[0, 2, 3, 4])));
+        assert_eq!(ns(&[3, 4]), g.component_of(ns(&[3, 4])));
+        assert!(g.component_of(NodeSet::EMPTY).is_empty());
     }
 
     /// Reference implementation of `neighborhood`: the pre-index per-edge

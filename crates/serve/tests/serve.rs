@@ -357,13 +357,7 @@ fn served_plans_return_the_canonical_result() {
         let (rebound, hit) = service.optimize_sql_bound(sql).unwrap();
         assert!(!miss.cache_hit && hit.cache_hit, "{sql}");
         assert!(Arc::ptr_eq(&bound, &rebound), "{sql}");
-        let occurrences: Vec<_> = bound
-            .occurrences
-            .iter()
-            .zip(&bound.query.tables)
-            .map(|((table, _, columns), occurrence)| (table.as_str(), occurrence, columns))
-            .collect();
-        let db = dpnext::catalog::generate_database(0.002, seed as u64, &occurrences);
+        let db = bound.database(0.002, seed as u64);
         let reference = bound.query.canonical_plan().eval(&db);
         assert!(
             !reference.is_empty(),

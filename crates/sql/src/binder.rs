@@ -2,8 +2,8 @@
 
 use crate::ast::{AstFrom, AstItem, AstJoinKind, AstQuery, QName};
 use crate::lexer::SqlError;
-use dpnext_algebra::{AggCall, AggKind, AttrId, CmpOp, Expr, JoinPred};
-use dpnext_catalog::Catalog;
+use dpnext_algebra::{AggCall, AggKind, AttrId, CmpOp, Database, Expr, JoinPred};
+use dpnext_catalog::{generate_database, Catalog};
 use dpnext_query::{GroupSpec, OpKind, OpTree, Query, QueryTable};
 use std::collections::HashMap;
 
@@ -21,6 +21,21 @@ pub struct BoundQuery {
     /// returns every visible column of the join, whatever the select list
     /// names, so there the labels do not line up with the result.
     pub output_names: Vec<String>,
+}
+
+impl BoundQuery {
+    /// Generate a scaled synthetic instance of this query's occurrences:
+    /// one relation per alias, filled by the TPC-H generators of the
+    /// occurrence's catalog table (see [`generate_database`]).
+    pub fn database(&self, scale: f64, seed: u64) -> Database {
+        let occs: Vec<_> = self
+            .occurrences
+            .iter()
+            .zip(&self.query.tables)
+            .map(|((table, _, mapping), t)| (table.as_str(), t, mapping))
+            .collect();
+        generate_database(scale, seed, &occs)
+    }
 }
 
 /// Parse and bind in one step.

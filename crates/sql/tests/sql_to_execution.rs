@@ -1,6 +1,6 @@
 //! End-to-end: SQL text → parse → bind → optimize → execute.
 
-use dpnext_catalog::{generate_database, tpch_catalog};
+use dpnext_catalog::tpch_catalog;
 use dpnext_core::{optimize, Algorithm};
 use dpnext_sql::plan;
 
@@ -24,13 +24,7 @@ fn intro_query_from_sql_text() {
 
     // Optimize and execute at a small scale; all algorithms must agree
     // with the canonical plan.
-    let occs: Vec<_> = bound
-        .occurrences
-        .iter()
-        .enumerate()
-        .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
-        .collect();
-    let db = generate_database(0.002, 11, &occs);
+    let db = bound.database(0.002, 11);
     let reference = bound.query.canonical_plan().eval(&db);
     for algo in [Algorithm::DPhyp, Algorithm::H1, Algorithm::EaPrune] {
         let opt = optimize(&bound.query, algo);
@@ -148,13 +142,7 @@ fn semi_and_anti_join_queries() {
         &catalog,
     )
     .unwrap();
-    let occs: Vec<_> = bound
-        .occurrences
-        .iter()
-        .enumerate()
-        .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
-        .collect();
-    let db = generate_database(0.005, 3, &occs);
+    let db = bound.database(0.005, 3);
     let reference = bound.query.canonical_plan().eval(&db);
     let opt = optimize(&bound.query, Algorithm::EaPrune);
     assert!(opt.plan.root.eval(&db).bag_eq(&reference));
@@ -180,13 +168,7 @@ fn grouped_select_list_labels_its_own_columns() {
              group by {group_by}"
         );
         let bound = plan(&text, &catalog).unwrap();
-        let occs: Vec<_> = bound
-            .occurrences
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
-            .collect();
-        let db = generate_database(0.002, 11, &occs);
+        let db = bound.database(0.002, 11);
         let alias = |i: usize| bound.query.tables[i].alias.clone();
         let join_rows = bound.query.tree.to_alg(&alias).eval(&db).len() as i64;
         let result = optimize(&bound.query, Algorithm::EaPrune)

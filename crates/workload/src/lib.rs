@@ -3,8 +3,9 @@
 //! Workload generation for the evaluation of §5: uniformly random operator
 //! trees (via lexicographic Dyck-word unranking, Liebehenschel \[5\]) with
 //! random operators, predicates, cardinalities and selectivities; small
-//! synthetic databases for executor-backed correctness checks; and the
-//! paper's TPC-H queries (Ex, Q3, Q5, Q10).
+//! synthetic databases for executor-backed correctness checks; the
+//! paper's TPC-H queries (Ex, Q3, Q5, Q10), written as SQL and bound by
+//! `dpnext-sql`; and request mixes for the serving layer's tests.
 
 pub mod datagen;
 pub mod fig11;

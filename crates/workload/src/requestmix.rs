@@ -1,7 +1,7 @@
-//! Deterministic request mixes for serving-layer benchmarks: a pool of
+//! Deterministic request mixes for serving-layer tests: a pool of
 //! distinct query *shapes* plus a skewed arrival schedule over them.
 //!
-//! A serving benchmark needs two knobs a plain query generator does not
+//! A serving test needs two knobs a plain query generator does not
 //! have: how many distinct shapes the traffic contains, and how strongly
 //! arrivals repeat the hot shapes. Both are fixed by the seed — the same
 //! `(MixConfig, requests, seed)` triple always produces bit-identical
@@ -18,10 +18,8 @@ use rand::{Rng, SeedableRng};
 pub struct MixConfig {
     /// Distinct query shapes in the pool (1 = every request identical).
     pub shapes: usize,
-    /// Relation counts cycle through `n_min..=n_max` across the pool.
-    pub n_min: usize,
-    /// See [`MixConfig::n_min`].
-    pub n_max: usize,
+    /// Relations per shape.
+    pub n: usize,
     /// Probability that a request re-draws the *hot* shape (shape 0)
     /// instead of a uniform pool member: `0.0` is uniform traffic,
     /// `1.0` hammers a single shape.
@@ -33,8 +31,7 @@ impl MixConfig {
     pub fn uniform(shapes: usize, n: usize) -> MixConfig {
         MixConfig {
             shapes,
-            n_min: n,
-            n_max: n,
+            n,
             hot_fraction: 0.0,
         }
     }
@@ -67,40 +64,20 @@ impl RequestMix {
     pub fn schedule(&self) -> &[usize] {
         &self.schedule
     }
-
-    /// Iterate the requests as `(shape index, query)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Query)> + '_ {
-        self.schedule.iter().map(|&s| (s, &self.shapes[s]))
-    }
-
-    /// Number of requests in the schedule.
-    pub fn len(&self) -> usize {
-        self.schedule.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
-    }
 }
 
 /// Generate `requests` arrivals over a pool described by `cfg`.
 ///
 /// Shape `i` is the paper-methodology query
-/// ([`GenConfig::paper`]) for `n_min + (i mod span)` relations with a
-/// per-shape seed derived from `seed`, so distinct shapes differ in
-/// both structure and statistics while repeated draws of one shape are
-/// bit-identical.
+/// ([`GenConfig::paper`]) for `cfg.n` relations with a per-shape seed
+/// derived from `seed`, so distinct shapes differ in both structure and
+/// statistics while repeated draws of one shape are bit-identical.
 pub fn request_mix(cfg: &MixConfig, requests: usize, seed: u64) -> RequestMix {
     assert!(cfg.shapes > 0, "a request mix needs at least one shape");
-    assert!(
-        cfg.n_min >= 2 && cfg.n_max >= cfg.n_min,
-        "relation counts must satisfy 2 <= n_min <= n_max"
-    );
-    let span = cfg.n_max - cfg.n_min + 1;
+    assert!(cfg.n >= 2, "a shape needs at least two relations");
+    let n = cfg.n;
     let shapes: Vec<Query> = (0..cfg.shapes)
         .map(|i| {
-            let n = cfg.n_min + (i % span);
             // The bench sweep's per-cell schedule, reused so shape pools
             // and sweep queries stay disjoint across unrelated seeds.
             let shape_seed = seed

@@ -1,260 +1,85 @@
 //! The paper's TPC-H workload: the introductory query *Ex* and queries
-//! Q3, Q5 and Q10 (Table 2), built against SF-1 statistics.
+//! Q3, Q5 and Q10 (Table 2), written as SQL and bound by `dpnext_sql`
+//! against the SF-1 statistics of [`tpch_catalog`].
 //!
 //! Following the paper ("query statistics were taken from a scale factor
-//! 1 instance of TPC-H"), raw SF-1 base-table statistics are used —
-//! selections are *not* folded into the cardinalities. (Folding the date/
-//! segment selectivities shrinks the per-customer/per-order group sizes to
-//! ≤ 1 and erases the eager-aggregation gain on Q3/Q10; with raw stats the
-//! relative costs reproduce Table 2's shape.)
-//! `sum(l_extendedprice * (1 - l_discount))` is modeled as
-//! `sum(l_extendedprice)` — the aggregate's shape (duplicate sensitive,
-//! decomposable) is what matters for plan generation.
+//! 1 instance of TPC-H"), raw SF-1 base-table statistics are used: the
+//! statements below carry no `where` clause, so selections are *not*
+//! folded into the cardinalities. (Folding the date/segment selectivities
+//! shrinks the per-customer/per-order group sizes to ≤ 1 and erases the
+//! eager-aggregation gain on Q3/Q10; with raw stats the relative costs
+//! reproduce Table 2's shape.)
 
-use dpnext_algebra::{AggCall, AggKind, AttrId, Database, Expr, JoinPred};
-use dpnext_catalog::{generate_database, tpch_catalog, Catalog};
-use dpnext_query::{GroupSpec, OpKind, OpTree, Query};
-use std::collections::HashMap;
+use dpnext_catalog::tpch_catalog;
+use dpnext_sql::{plan, BoundQuery};
 
-/// A TPC-H query plus the occurrence metadata needed to generate data.
+/// A TPC-H query: its name, its SQL text and the text bound against
+/// [`tpch_catalog`]. [`BoundQuery::database`] generates data for it.
 pub struct TpchQuery {
     pub name: &'static str,
-    pub query: Query,
-    /// `(tpch table, alias, column mapping)` per occurrence.
-    pub occurrences: Vec<(&'static str, String, HashMap<String, AttrId>)>,
+    pub sql: &'static str,
+    pub bound: BoundQuery,
 }
 
 impl TpchQuery {
-    /// Generate a scaled database for this query's occurrences.
-    pub fn database(&self, scale: f64, seed: u64) -> Database {
-        let occs: Vec<_> = self
-            .occurrences
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _, m))| (*t, &self.query.tables[i], m))
-            .collect();
-        generate_database(scale, seed, &occs)
+    fn bind(name: &'static str, sql: &'static str) -> Self {
+        let bound = plan(sql, &tpch_catalog()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        TpchQuery { name, sql, bound }
     }
 }
 
-struct Builder {
-    catalog: Catalog,
-    tables: Vec<dpnext_query::QueryTable>,
-    occurrences: Vec<(&'static str, String, HashMap<String, AttrId>)>,
-}
-
-impl Builder {
-    fn new() -> Self {
-        Builder {
-            catalog: tpch_catalog(),
-            tables: Vec::new(),
-            occurrences: Vec::new(),
-        }
-    }
-
-    /// Instantiate `rel` under `alias`, scaling its cardinality by the
-    /// folded selection selectivity.
-    fn table(&mut self, rel: &'static str, alias: &str, selection: f64) -> usize {
-        let (mut t, m) = self.catalog.instantiate(rel, alias);
-        t.card *= selection;
-        let idx = self.tables.len();
-        self.tables.push(t);
-        self.occurrences.push((rel, alias.to_string(), m));
-        idx
-    }
-
-    fn attr(&self, occ: usize, col: &str) -> AttrId {
-        self.occurrences[occ].2[col]
-    }
-
-    fn finish(
-        self,
-        name: &'static str,
-        tree: OpTree,
-        group_by: Vec<AttrId>,
-        aggs: Vec<AggCall>,
-    ) -> TpchQuery {
-        let mut gen = self.catalog.attr_gen();
-        // Skip past occurrence attributes (instantiate used the catalog's
-        // allocator, which attr_gen() already accounts for).
-        let spec = GroupSpec::new(group_by, aggs, &mut gen);
-        TpchQuery {
-            name,
-            query: Query::new(self.tables, tree, Some(spec)),
-            occurrences: self.occurrences,
-        }
-    }
-}
-
-/// The introductory query *Ex*:
-///
-/// ```sql
-/// select ns.n_name, nc.n_name, count(*)
-/// from (nation ns join supplier s on ns.n_nationkey = s.s_nationkey)
-///      full outer join
-///      (nation nc join customer c on nc.n_nationkey = c.c_nationkey)
-///      on ns.n_nationkey = nc.n_nationkey
-/// group by ns.n_name, nc.n_name
-/// ```
+/// The introductory query *Ex* (§1): a grouping above a full outerjoin.
 pub fn ex_query() -> TpchQuery {
-    let mut b = Builder::new();
-    let ns = b.table("nation", "ns", 1.0);
-    let s = b.table("supplier", "s", 1.0);
-    let nc = b.table("nation", "nc", 1.0);
-    let c = b.table("customer", "c", 1.0);
-    let tree = OpTree::binary_sel(
-        OpKind::FullOuter,
-        JoinPred::eq(b.attr(ns, "n_nationkey"), b.attr(nc, "n_nationkey")),
-        1.0 / 25.0,
-        OpTree::binary_sel(
-            OpKind::Join,
-            JoinPred::eq(b.attr(ns, "n_nationkey"), b.attr(s, "s_nationkey")),
-            1.0 / 25.0,
-            OpTree::rel(ns),
-            OpTree::rel(s),
-        ),
-        OpTree::binary_sel(
-            OpKind::Join,
-            JoinPred::eq(b.attr(nc, "n_nationkey"), b.attr(c, "c_nationkey")),
-            1.0 / 25.0,
-            OpTree::rel(nc),
-            OpTree::rel(c),
-        ),
-    );
-    let group_by = vec![b.attr(ns, "n_name"), b.attr(nc, "n_name")];
-    let out = AttrId(1_000_000);
-    b.finish("Ex", tree, group_by, vec![AggCall::count_star(out)])
+    TpchQuery::bind(
+        "Ex",
+        "select ns.n_name, nc.n_name, count(*) \
+         from (nation ns join supplier s on ns.n_nationkey = s.s_nationkey) \
+         full outer join (nation nc join customer c on nc.n_nationkey = c.c_nationkey) \
+         on ns.n_nationkey = nc.n_nationkey \
+         group by ns.n_name, nc.n_name",
+    )
 }
+
+// Q3, Q5 and Q10 model `sum(l_extendedprice * (1 - l_discount))` as
+// `sum(l_extendedprice)`: the aggregate's shape (duplicate sensitive,
+// decomposable) is what matters for plan generation.
 
 /// TPC-H Q3 (shipping priority) on raw SF-1 statistics.
 pub fn q3() -> TpchQuery {
-    let mut b = Builder::new();
-    let c = b.table("customer", "c", 1.0);
-    let o = b.table("orders", "o", 1.0);
-    let l = b.table("lineitem", "l", 1.0);
-    let tree = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(o, "o_orderkey"), b.attr(l, "l_orderkey")),
-        1.0 / 1_500_000.0,
-        OpTree::binary_sel(
-            OpKind::Join,
-            JoinPred::eq(b.attr(c, "c_custkey"), b.attr(o, "o_custkey")),
-            1.0 / 150_000.0,
-            OpTree::rel(c),
-            OpTree::rel(o),
-        ),
-        OpTree::rel(l),
-    );
-    let group_by = vec![
-        b.attr(l, "l_orderkey"),
-        b.attr(o, "o_orderdate"),
-        b.attr(o, "o_shippriority"),
-    ];
-    let sum = AggCall::new(
-        AttrId(1_000_000),
-        AggKind::Sum,
-        Expr::attr(b.attr(l, "l_extendedprice")),
-    );
-    b.finish("Q3", tree, group_by, vec![sum])
+    TpchQuery::bind(
+        "Q3",
+        "select l.l_orderkey, o.o_orderdate, o.o_shippriority, sum(l.l_extendedprice) \
+         from customer c join orders o on c.c_custkey = o.o_custkey \
+         join lineitem l on o.o_orderkey = l.l_orderkey \
+         group by l.l_orderkey, o.o_orderdate, o.o_shippriority",
+    )
 }
 
 /// TPC-H Q5 (local supplier volume) on raw SF-1 statistics. The
-/// `c_nationkey = s_nationkey` predicate makes the query graph cyclic.
+/// `c_nationkey = s_nationkey` term makes the query graph cyclic.
 pub fn q5() -> TpchQuery {
-    let mut b = Builder::new();
-    let c = b.table("customer", "c", 1.0);
-    let o = b.table("orders", "o", 1.0);
-    let l = b.table("lineitem", "l", 1.0);
-    let s = b.table("supplier", "s", 1.0);
-    let n = b.table("nation", "n", 1.0);
-    let r = b.table("region", "r", 1.0);
-    let co = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(c, "c_custkey"), b.attr(o, "o_custkey")),
-        1.0 / 150_000.0,
-        OpTree::rel(c),
-        OpTree::rel(o),
-    );
-    let col = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(o, "o_orderkey"), b.attr(l, "l_orderkey")),
-        1.0 / 1_500_000.0,
-        co,
-        OpTree::rel(l),
-    );
-    let cols = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(l, "l_suppkey"), b.attr(s, "s_suppkey")).and(
-            b.attr(c, "c_nationkey"),
-            dpnext_algebra::CmpOp::Eq,
-            b.attr(s, "s_nationkey"),
-        ),
-        1.0 / 10_000.0 / 25.0,
-        col,
-        OpTree::rel(s),
-    );
-    let colsn = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(s, "s_nationkey"), b.attr(n, "n_nationkey")),
-        1.0 / 25.0,
-        cols,
-        OpTree::rel(n),
-    );
-    let tree = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(n, "n_regionkey"), b.attr(r, "r_regionkey")),
-        1.0 / 5.0,
-        colsn,
-        OpTree::rel(r),
-    );
-    let group_by = vec![b.attr(n, "n_name")];
-    let sum = AggCall::new(
-        AttrId(1_000_000),
-        AggKind::Sum,
-        Expr::attr(b.attr(l, "l_extendedprice")),
-    );
-    b.finish("Q5", tree, group_by, vec![sum])
+    TpchQuery::bind(
+        "Q5",
+        "select n.n_name, sum(l.l_extendedprice) \
+         from customer c join orders o on c.c_custkey = o.o_custkey \
+         join lineitem l on o.o_orderkey = l.l_orderkey \
+         join supplier s on l.l_suppkey = s.s_suppkey and c.c_nationkey = s.s_nationkey \
+         join nation n on s.s_nationkey = n.n_nationkey \
+         join region r on n.n_regionkey = r.r_regionkey \
+         group by n.n_name",
+    )
 }
 
 /// TPC-H Q10 (returned items) on raw SF-1 statistics.
 pub fn q10() -> TpchQuery {
-    let mut b = Builder::new();
-    let c = b.table("customer", "c", 1.0);
-    let o = b.table("orders", "o", 1.0);
-    let l = b.table("lineitem", "l", 1.0);
-    let n = b.table("nation", "n", 1.0);
-    let co = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(c, "c_custkey"), b.attr(o, "o_custkey")),
-        1.0 / 150_000.0,
-        OpTree::rel(c),
-        OpTree::rel(o),
-    );
-    let col = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(o, "o_orderkey"), b.attr(l, "l_orderkey")),
-        1.0 / 1_500_000.0,
-        co,
-        OpTree::rel(l),
-    );
-    let tree = OpTree::binary_sel(
-        OpKind::Join,
-        JoinPred::eq(b.attr(c, "c_nationkey"), b.attr(n, "n_nationkey")),
-        1.0 / 25.0,
-        col,
-        OpTree::rel(n),
-    );
-    let group_by = vec![
-        b.attr(c, "c_custkey"),
-        b.attr(c, "c_acctbal"),
-        b.attr(n, "n_name"),
-    ];
-    let sum = AggCall::new(
-        AttrId(1_000_000),
-        AggKind::Sum,
-        Expr::attr(b.attr(l, "l_extendedprice")),
-    );
-    b.finish("Q10", tree, group_by, vec![sum])
+    TpchQuery::bind(
+        "Q10",
+        "select c.c_custkey, c.c_acctbal, n.n_name, sum(l.l_extendedprice) \
+         from customer c join orders o on c.c_custkey = o.o_custkey \
+         join lineitem l on o.o_orderkey = l.l_orderkey \
+         join nation n on c.c_nationkey = n.n_nationkey \
+         group by c.c_custkey, c.c_acctbal, n.n_name",
+    )
 }
 
 /// All four Table-2 queries.
@@ -269,51 +94,37 @@ mod tests {
     #[test]
     fn all_queries_validate() {
         for q in table2_queries() {
-            assert!(q.query.grouping.is_some(), "{}", q.name);
-            assert!(q.query.table_count() >= 3);
+            assert!(q.bound.query.grouping.is_some(), "{}", q.name);
+            assert!(q.bound.query.table_count() >= 3);
         }
     }
 
     #[test]
     fn ex_shape() {
         let ex = ex_query();
-        assert_eq!(4, ex.query.table_count());
-        assert_eq!(3, ex.query.tree.operator_count());
+        assert_eq!(4, ex.bound.query.table_count());
+        assert_eq!(3, ex.bound.query.tree.operator_count());
         // Self-join of nation: occurrences carry distinct attributes.
-        let ns_key = ex.occurrences[0].2["n_nationkey"];
-        let nc_key = ex.occurrences[2].2["n_nationkey"];
+        let ns_key = ex.bound.occurrences[0].2["n_nationkey"];
+        let nc_key = ex.bound.occurrences[2].2["n_nationkey"];
         assert_ne!(ns_key, nc_key);
     }
 
     #[test]
     fn ex_canonical_plan_executes_at_small_scale() {
         let ex = ex_query();
-        let db = ex.database(0.002, 42);
-        let res = ex.query.canonical_plan().eval(&db);
+        let db = ex.bound.database(0.002, 42);
+        let res = ex.bound.query.canonical_plan().eval(&db);
         // Groups: (n_name_s, n_name_c) pairs plus padded sides.
         assert!(!res.is_empty());
         assert_eq!(3, res.schema().len());
     }
 
     #[test]
-    fn q5_is_cyclic() {
-        let q = q5();
-        // The supplier join carries two predicate terms (cycle edge folded
-        // into the operator).
-        let mut max_terms = 0;
-        q.query.tree.visit_ops(&mut |n| {
-            if let dpnext_query::OpTree::Binary { pred, .. } = n {
-                max_terms = max_terms.max(pred.terms.len());
-            }
-        });
-        assert_eq!(2, max_terms);
-    }
-
-    #[test]
     fn raw_sf1_cards() {
         let q = q3();
-        assert_eq!(150_000.0, q.query.tables[0].card);
-        assert_eq!(1_500_000.0, q.query.tables[1].card);
-        assert_eq!(6_001_215.0, q.query.tables[2].card);
+        assert_eq!(150_000.0, q.bound.query.tables[0].card);
+        assert_eq!(1_500_000.0, q.bound.query.tables[1].card);
+        assert_eq!(6_001_215.0, q.bound.query.tables[2].card);
     }
 }

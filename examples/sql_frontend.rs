@@ -4,7 +4,6 @@
 //!
 //! Run with `cargo run --example sql_frontend ["<query>"]`.
 
-use dpnext::catalog::generate_database;
 use dpnext::{Algorithm, Optimizer};
 
 const DEFAULT: &str = "select ns.n_name, nc.n_name, count(*) \
@@ -58,13 +57,7 @@ fn main() {
     println!("\nbest plan:\n{}", best.plan.root);
 
     // Execute on a small synthetic instance.
-    let occs: Vec<_> = bound
-        .occurrences
-        .iter()
-        .enumerate()
-        .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
-        .collect();
-    let db = generate_database(0.002, 7, &occs);
+    let db = bound.database(0.002, 7);
     let result = best.plan.root.eval(&db);
     println!("result ({} rows, scale 0.002):", result.len());
     println!("{}", bound.output_names.join("\t"));

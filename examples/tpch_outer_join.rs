@@ -18,17 +18,17 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(0.01);
     let ex = ex_query();
-    println!("query: select ns.n_name, nc.n_name, count(*) from (nation ns ⋈ supplier) ⟗ (nation nc ⋈ customer) group by ns.n_name, nc.n_name\n");
+    println!("query: {}\n", ex.sql);
 
-    let db = ex.database(scale, 7);
+    let db = ex.bound.database(scale, 7);
     println!(
         "data at scale {scale}: supplier = {}, customer = {} rows",
         db.get("s").unwrap().len(),
         db.get("c").unwrap().len()
     );
 
-    let baseline = Optimizer::new(Algorithm::DPhyp).optimize(&ex.query);
-    let eager = Optimizer::new(Algorithm::EaPrune).optimize(&ex.query);
+    let baseline = Optimizer::new(Algorithm::DPhyp).optimize(&ex.bound.query);
+    let eager = Optimizer::new(Algorithm::EaPrune).optimize(&ex.bound.query);
 
     let t0 = Instant::now();
     let (res_base, cout_base) = baseline.plan.root.eval_counting(&db);

@@ -400,13 +400,7 @@ fn optimizer_facade_executes_bound_sql() {
              group by n.n_name",
         )
         .expect("valid SQL");
-    let occs: Vec<_> = bound
-        .occurrences
-        .iter()
-        .enumerate()
-        .map(|(i, (t, _, m))| (t.as_str(), &bound.query.tables[i], m))
-        .collect();
-    let db = dpnext::catalog::generate_database(0.01, 3, &occs);
+    let db = bound.database(0.01, 3);
     let reference = bound.query.canonical_plan().eval(&db);
     assert!(opt.plan.root.eval(&db).bag_eq(&reference));
 }
@@ -477,10 +471,10 @@ fn tpch_smoke_optimized_plans_match_oracle() {
     // the plans of DPhyp and EA-Prune must execute to the same bag of
     // tuples as the canonical (unoptimized) plan.
     let q = dpnext::workload::q3();
-    let db = q.database(0.0015, 42);
-    let reference = q.query.canonical_plan().eval(&db);
+    let db = q.bound.database(0.0015, 42);
+    let reference = q.bound.query.canonical_plan().eval(&db);
     for algo in [Algorithm::DPhyp, Algorithm::EaPrune] {
-        let opt = optimize(&q.query, algo);
+        let opt = optimize(&q.bound.query, algo);
         assert!(
             opt.plan.root.eval(&db).bag_eq(&reference),
             "{} diverges from the oracle on TPC-H Q3",

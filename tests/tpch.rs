@@ -3,7 +3,7 @@
 
 use dpnext::workload::{ex_query, q10, q3, q5, table2_queries};
 use dpnext::{Algorithm, Optimized, Optimizer};
-use dpnext_query::Query;
+use dpnext_query::{OpTree, Query};
 
 /// All TPC-H assertions route through the `Optimizer` facade.
 fn optimize(query: &Query, algo: Algorithm) -> Optimized {
@@ -13,15 +13,15 @@ fn optimize(query: &Query, algo: Algorithm) -> Optimized {
 #[test]
 fn ex_eager_plan_executes_correctly() {
     let ex = ex_query();
-    let db = ex.database(0.003, 99);
-    let reference = ex.query.canonical_plan().eval(&db);
+    let db = ex.bound.database(0.003, 99);
+    let reference = ex.bound.query.canonical_plan().eval(&db);
     for algo in [
         Algorithm::DPhyp,
         Algorithm::H1,
         Algorithm::H2(1.03),
         Algorithm::EaPrune,
     ] {
-        let opt = optimize(&ex.query, algo);
+        let opt = optimize(&ex.bound.query, algo);
         let res = opt.plan.root.eval(&db);
         assert!(res.bag_eq(&reference), "{} wrong on Ex", algo.name());
     }
@@ -32,15 +32,15 @@ fn ex_gains_orders_of_magnitude() {
     // The headline claim of §1: eager aggregation moves the grouping
     // through the outerjoin barrier; the cost ratio is enormous.
     let ex = ex_query();
-    let base = optimize(&ex.query, Algorithm::EaPrune).plan.cost;
-    let lazy = optimize(&ex.query, Algorithm::DPhyp).plan.cost;
+    let base = optimize(&ex.bound.query, Algorithm::EaPrune).plan.cost;
+    let lazy = optimize(&ex.bound.query, Algorithm::DPhyp).plan.cost;
     assert!(
         lazy / base > 1_000.0,
         "expected a huge gain on Ex, got {:.1}",
         lazy / base
     );
     // The eager plan pushes groupings below the full outerjoin.
-    let plan = optimize(&ex.query, Algorithm::EaPrune).plan.root;
+    let plan = optimize(&ex.bound.query, Algorithm::EaPrune).plan.root;
     assert!(plan.grouping_count() >= 2, "plan:\n{plan}");
 }
 
@@ -49,8 +49,8 @@ fn q3_q10_gain_q5_does_not() {
     // Table 2 shape: Q3 and Q10 benefit clearly, Q5 provides the smallest
     // gain.
     let gain = |q: &dpnext::workload::TpchQuery| {
-        let dp = optimize(&q.query, Algorithm::DPhyp).plan.cost;
-        let ea = optimize(&q.query, Algorithm::EaPrune).plan.cost;
+        let dp = optimize(&q.bound.query, Algorithm::DPhyp).plan.cost;
+        let ea = optimize(&q.bound.query, Algorithm::EaPrune).plan.cost;
         ea / dp
     };
     let g3 = gain(&q3());
@@ -66,10 +66,24 @@ fn heuristics_match_optimum_on_tpch() {
     // Table 2: H1/H2 find the same plans as EA on these queries (H1 ties
     // the optimum on Q3/Q5/Q10 and Ex in the paper, modulo Q3 for H1).
     for q in table2_queries() {
-        let ea = optimize(&q.query, Algorithm::EaPrune).plan.cost;
-        let h2 = optimize(&q.query, Algorithm::H2(1.03)).plan.cost;
+        let ea = optimize(&q.bound.query, Algorithm::EaPrune).plan.cost;
+        let h2 = optimize(&q.bound.query, Algorithm::H2(1.03)).plan.cost;
         assert!(h2 <= ea * 1.5 + 1e-9, "{}: H2 {h2} vs EA {ea}", q.name);
     }
+}
+
+#[test]
+fn q5_is_cyclic() {
+    // The supplier join carries two predicate terms (cycle edge folded
+    // into the operator).
+    let q = q5();
+    let mut max_terms = 0;
+    q.bound.query.tree.visit_ops(&mut |n| {
+        if let OpTree::Binary { pred, .. } = n {
+            max_terms = max_terms.max(pred.terms.len());
+        }
+    });
+    assert_eq!(2, max_terms);
 }
 
 #[test]
@@ -78,7 +92,7 @@ fn cyclic_q5_is_planned_correctly() {
     // merging; all algorithms must produce a complete plan.
     let q = q5();
     for algo in [Algorithm::DPhyp, Algorithm::H1, Algorithm::EaPrune] {
-        let opt = optimize(&q.query, algo);
+        let opt = optimize(&q.bound.query, algo);
         assert!(opt.plan.cost.is_finite(), "{}", algo.name());
     }
 }
@@ -86,12 +100,61 @@ fn cyclic_q5_is_planned_correctly() {
 #[test]
 fn ea_prune_equals_ea_all_on_tpch() {
     for q in table2_queries() {
-        let all = optimize(&q.query, Algorithm::EaAll).plan.cost;
-        let pruned = optimize(&q.query, Algorithm::EaPrune).plan.cost;
+        let all = optimize(&q.bound.query, Algorithm::EaAll).plan.cost;
+        let pruned = optimize(&q.bound.query, Algorithm::EaPrune).plan.cost;
         assert!(
             (all - pruned).abs() <= 1e-9 * all.max(1.0),
             "{}: {all} vs {pruned}",
             q.name
         );
     }
+}
+
+/// Table 2 to the bit: per query, for DPhyp, H1, H2(1.03), EA-Prune and
+/// EA-All in that order, the winning plan's cost as `f64::to_bits` and the
+/// search's `plans_built`. The ratio tests above would pass a drift in a
+/// query's statistics; this table does not.
+#[rustfmt::skip]
+const TABLE2: &[(&str, [(u64, u64); 5])] = &[
+    ("Ex", [(0x418cafd388000000, 6), (0x4062c00000000000, 14), (0x4062c00000000000, 14), (0x4062c00000000000, 28), (0x4062c00000000000, 110)]),
+    ("Q3", [(0x4169c0fbc0000000, 8), (0x41512a8800000000, 16), (0x41512a8800000000, 16), (0x41512a8800000000, 24), (0x41512a8800000000, 36)]),
+    ("Q5", [(0x415d91a466666666, 28), (0x415d87ece6666666, 64), (0x415d91a466666666, 64), (0x415d87ece6666666, 82), (0x415d87ece6666666, 6773)]),
+    ("Q10", [(0x416a0a39c0000000, 20), (0x41492d4a00000000, 40), (0x41492d4a00000000, 40), (0x41492d4a00000000, 56), (0x41492d4a00000000, 258)]),
+];
+
+#[test]
+fn table2_costs_and_plan_counts_are_pinned() {
+    let algos = [
+        Algorithm::DPhyp,
+        Algorithm::H1,
+        Algorithm::H2(1.03),
+        Algorithm::EaPrune,
+        Algorithm::EaAll,
+    ];
+    let got: Vec<_> = table2_queries()
+        .iter()
+        .map(|q| {
+            let row = algos.map(|algo| {
+                let opt = optimize(&q.bound.query, algo);
+                (opt.plan.cost.to_bits(), opt.plans_built)
+            });
+            (q.name, row)
+        })
+        .collect();
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(name, row)| {
+            let cells: Vec<String> = row
+                .iter()
+                .map(|(bits, built)| format!("(0x{bits:016x}, {built})"))
+                .collect();
+            format!("    (\"{name}\", [{}]),", cells.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        TABLE2,
+        "Table 2 changed; new table:\n{}",
+        rendered.join("\n")
+    );
 }
