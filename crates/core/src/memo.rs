@@ -18,6 +18,13 @@
 //! `docs/ARCHITECTURE.md` § "Memo data layout" for why LIFO rollback keeps
 //! that sound.
 //!
+//! A class thinned by dominance also keeps, beside its id list, one
+//! 24-byte `DomRow` per member — cost, cardinality, id and a mask of
+//! the key signature and the two flags Def. 4 reads — sorted by cost. A
+//! fold tests the candidate for rejection against the cheaper prefix of
+//! that array and for eviction against the costlier suffix, in one
+//! contiguous walk each, and reads the arena only for key-set implication.
+//!
 //! The memo is the optimizer's single source of truth for DP state; the
 //! enumeration engine in [`crate::algo`] only decides *which* plans to
 //! build and which relation the classes are thinned by.
@@ -25,7 +32,7 @@
 use crate::aggstate::{AggPos, AggRef};
 use dpnext_algebra::{AttrId, CmpOp, JoinPred};
 use dpnext_hypergraph::{FxHashMap, NodeSet};
-use dpnext_keys::{signature_may_imply, KeySet, KeysRef};
+use dpnext_keys::{KeySet, KeysRef};
 use dpnext_query::OpKind;
 use std::ops::Index;
 
@@ -89,11 +96,13 @@ pub enum PlanNode {
     },
 }
 
-/// The dominance-relevant properties of one plan, packed into a 40-byte
-/// `Copy` row. A class scan during pruning reads only this array — the
-/// operator tree and key sets stay out of the cache until a comparison
-/// passes every test the row can decide, the key signature included, or
-/// a plan is materialized.
+/// The properties of one plan that the enumeration reads per candidate,
+/// packed into a 40-byte `Copy` row: bounds, operator masks, flags and
+/// the key signature. The operator tree and key sets stay out of the
+/// cache until a plan is combined or materialized. A dominance fold does
+/// not scan these rows: it reads a copy of what Def. 4 needs in its
+/// class's `DomRow` array, and comes back to the arena only for the key
+/// sets of a pair the rows cannot refute.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanHot {
     /// Relations covered.
@@ -571,9 +580,11 @@ pub enum ThinBy {
     /// expensive and at most as large as `b`, duplicate-free whenever `b`
     /// is, and its key set implies `b`'s (the practical weakening of
     /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6). The key sets are read only
-    /// when the hot rows pass: cost, cardinality, duplicate-freeness and
-    /// the key signatures ([`signature_may_imply`]). Key-set implication
-    /// implies the signature test, so the relation is exactly this one.
+    /// when the two plans' `DomRow`s pass (`DomRow::may_precede`):
+    /// cost, cardinality, duplicate-freeness, the groupjoin guard and 30
+    /// bits of the key signatures ([`KeysRef::signature`]). Key-set
+    /// implication implies the signature test, so the relation is exactly
+    /// this one.
     Dominance {
         /// In the presence of groupjoins a pre-aggregated plan must not
         /// shadow a raw one (the groupjoin needs raw right inputs).
@@ -582,50 +593,202 @@ pub enum ThinBy {
 }
 
 impl ThinBy {
-    /// Whether `a ≼ b`, for two plans of `memo`.
+    /// Whether `a ≼ b`, for two plans of `memo`. Dominance decides on the
+    /// two plans' `DomRow`s first, the test [`Memo::fold`] runs on a
+    /// class's row array; the key sets are read only when the rows pass.
     pub fn precedes(self, memo: &Memo, a: PlanId, b: PlanId) -> bool {
-        self.precedes_in(&memo.hot, &memo.cold, &memo.lanes, a, b)
-    }
-
-    /// [`ThinBy::precedes`] on the borrowed parts of a memo, the form
-    /// [`Memo::fold`] can call while it edits a class. Dominance decides
-    /// on the hot rows first; the key sets are read only when everything
-    /// the rows hold, the key signatures included, already passes.
-    #[inline]
-    fn precedes_in(
-        self,
-        hot: &[PlanHot],
-        cold: &[PlanCold],
-        lanes: &Lanes,
-        a: PlanId,
-        b: PlanId,
-    ) -> bool {
+        let (hot, cold) = (&memo.hot, &memo.cold);
         match self {
             ThinBy::Nothing => false,
             // `b` has to beat `a` strictly to be worth keeping.
             ThinBy::Cheapest(factor) => !adjusted_less(hot, cold, b, a, factor),
             ThinBy::Dominance { guard_groupjoin } => {
-                dominates_hot(&hot[a.index()], &hot[b.index()], guard_groupjoin)
-                    && lanes
-                        .key_set(cold[a.index()].keys)
-                        .implies(lanes.key_set(cold[b.index()].keys))
+                DomRow::of(hot, a).may_precede(DomRow::of(hot, b), DomRow::care(guard_groupjoin))
+                    && keys_imply(cold, &memo.lanes, a, b)
             }
         }
     }
 }
 
-/// Everything of the dominance test that is decidable from two
-/// [`PlanHot`] rows: all of it but key-set implication, of which the
-/// signatures decide the `false` side.
+/// Whether the key set of `a` implies the key set of `b`: the half of
+/// Def. 4 that no row decides.
 #[inline]
-fn dominates_hot(a: &PlanHot, b: &PlanHot, guard_groupjoin: bool) -> bool {
-    if guard_groupjoin && a.has_grouping() && !b.has_grouping() {
-        return false;
+fn keys_imply(cold: &[PlanCold], lanes: &Lanes, a: PlanId, b: PlanId) -> bool {
+    lanes
+        .key_set(cold[a.index()].keys)
+        .implies(lanes.key_set(cold[b.index()].keys))
+}
+
+/// One member of a dominance-thinned class as [`Memo::fold`] reads it: a
+/// copy of everything of Def. 4 that a row can decide, packed into 24
+/// bytes so a class is one contiguous array. A class's rows are sorted by
+/// cost, so a candidate can be preceded only by a prefix of them and can
+/// precede only a suffix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DomRow {
+    /// The plan's cost, with −0 read as +0 so the array's order
+    /// ([`f64::total_cmp`]) and `<=` agree on every pair that is not NaN.
+    pub(crate) cost: f64,
+    /// The plan's cardinality.
+    pub(crate) card: f64,
+    /// The plan.
+    pub(crate) id: PlanId,
+    /// The low 30 bits of the key signature, `NOT_DUP_FREE` and
+    /// `HAS_GROUPING`: each is a bit `a` may hold only if `b` does, for
+    /// `a` to precede `b`.
+    mask: u32,
+}
+
+const _: () = assert!(size_of::<DomRow>() == 24);
+
+impl DomRow {
+    /// Set when the plan's output may hold duplicates: a duplicate-free
+    /// plan is never preceded by one that is not.
+    const NOT_DUP_FREE: u32 = 1 << 30;
+    /// Set when the plan contains a grouping; it counts only under the
+    /// groupjoin guard, where a pre-aggregated plan must not shadow a raw
+    /// one.
+    const HAS_GROUPING: u32 = 1 << 31;
+    /// The key-signature bits kept. Dropping two only weakens the
+    /// prefilter: key-set implication still decides.
+    const SIGNATURE: u32 = Self::NOT_DUP_FREE - 1;
+
+    /// The row of plan `id`.
+    #[inline]
+    fn of(hot: &[PlanHot], id: PlanId) -> DomRow {
+        let h = &hot[id.index()];
+        DomRow {
+            cost: h.cost + 0.0,
+            card: h.card,
+            id,
+            mask: (h.key_sig & Self::SIGNATURE)
+                | (!h.duplicate_free() as u32 * Self::NOT_DUP_FREE)
+                | (h.has_grouping() as u32 * Self::HAS_GROUPING),
+        }
     }
-    a.cost <= b.cost
-        && a.card <= b.card
-        && (a.duplicate_free() || !b.duplicate_free())
-        && signature_may_imply(a.key_sig, b.key_sig)
+
+    /// The mask bits `DomRow::may_precede` compares.
+    #[inline]
+    fn care(guard_groupjoin: bool) -> u32 {
+        if guard_groupjoin {
+            u32::MAX
+        } else {
+            !Self::HAS_GROUPING
+        }
+    }
+
+    /// Everything of `self ≼ b` under dominance that two rows decide: all
+    /// of it but key-set implication, of which the signature bits decide
+    /// the `false` side.
+    #[inline]
+    fn may_precede(self, b: DomRow, care: u32) -> bool {
+        self.cost <= b.cost && self.card <= b.card && self.mask & !b.mask & care == 0
+    }
+
+    /// The row's fields as bits, for an exact comparison.
+    fn bits(self) -> (u64, u64, PlanId, u32) {
+        (self.cost.to_bits(), self.card.to_bits(), self.id, self.mask)
+    }
+}
+
+/// One plan class: its members in insertion order — what
+/// [`Memo::class`] shows, and what grid order, plan ids and ties read —
+/// and, while dominance thins it, the same members as `DomRow`s sorted
+/// by cost. Other relations leave `rows` empty (stale), and the next
+/// dominance fold rebuilds them.
+#[derive(Debug, Default)]
+struct Class {
+    ids: Vec<PlanId>,
+    rows: Vec<DomRow>,
+    /// The most rows the class held in this run, what [`Memo::reset`]
+    /// sizes the buffer it keeps by.
+    rows_peak: usize,
+}
+
+impl Class {
+    /// `PruneDominatedPlans` (Fig. 13) on the row array: reject `id` if a
+    /// member precedes it, otherwise evict the members it precedes and
+    /// insert it. Returns whether `id` is now a member.
+    #[inline]
+    fn fold_dominance(
+        &mut self,
+        hot: &[PlanHot],
+        cold: &[PlanCold],
+        lanes: &Lanes,
+        stats: &mut MemoStats,
+        id: PlanId,
+        guard_groupjoin: bool,
+    ) -> bool {
+        let Class {
+            ids,
+            rows,
+            rows_peak,
+        } = self;
+        if rows.len() != ids.len() {
+            rows.clear();
+            rows.extend(ids.iter().map(|&m| DomRow::of(hot, m)));
+            rows.sort_unstable_by(|a, b| a.cost.total_cmp(&b.cost));
+        }
+        let care = DomRow::care(guard_groupjoin);
+        let new = DomRow::of(hot, id);
+        stats.prune_attempts += 1;
+        // Only a member at most as expensive can precede the candidate.
+        // Written as a break on `>` so a NaN row, which precedes nothing,
+        // never ends the walk early.
+        for &r in rows.iter() {
+            if r.cost > new.cost {
+                break;
+            }
+            if r.may_precede(new, care) && keys_imply(cold, lanes, r.id, id) {
+                stats.prune_rejected += 1;
+                return false;
+            }
+        }
+        // Only a member at least as expensive can be preceded by it.
+        // Evictions are rare (one fold in 25 on the 20-40 relation
+        // ladder), so each is a removal from both arrays, and the id list
+        // keeps its order.
+        let mut i = rows.partition_point(|r| r.cost.total_cmp(&new.cost).is_lt());
+        while i < rows.len() {
+            let r = rows[i];
+            if new.may_precede(r, care) && keys_imply(cold, lanes, id, r.id) {
+                rows.remove(i);
+                let at = ids.iter().position(|&m| m == r.id);
+                ids.remove(at.expect("a class row names a member"));
+                stats.prune_evicted += 1;
+            } else {
+                i += 1;
+            }
+        }
+        ids.push(id);
+        let at = rows.partition_point(|r| r.cost.total_cmp(&new.cost).is_le());
+        rows.insert(at, new);
+        *rows_peak = (*rows_peak).max(rows.len());
+        true
+    }
+
+    /// The fold under a relation other than dominance, on the id list
+    /// alone; the rows go stale.
+    #[inline]
+    fn fold_other(&mut self, hot: &[PlanHot], cold: &[PlanCold], id: PlanId, by: ThinBy) -> bool {
+        self.rows.clear();
+        // Under the empty relation nothing is compared: EA-All's classes
+        // run to thousands of plans and a walk per push would be quadratic.
+        if let ThinBy::Cheapest(factor) = by {
+            // `precedes(a, b)` is `!adjusted_less(b, a)`.
+            if self
+                .ids
+                .iter()
+                .any(|&old| !adjusted_less(hot, cold, id, old, factor))
+            {
+                return false;
+            }
+            self.ids
+                .retain(|&old| adjusted_less(hot, cold, old, id, factor));
+        }
+        self.ids.push(id);
+        true
+    }
 }
 
 /// `CompareAdjustedCosts` (Fig. 12): is `new` cheaper than `old`? Without
@@ -681,12 +844,12 @@ pub struct Memo {
     /// Output buffer of the key-set combination rules; a combined key set
     /// is built here and copied compactly into the lanes.
     pub(crate) key_buf: KeySet,
-    /// Node set → index of the class's id list in `class_lists`, handed
-    /// out in creation order.
+    /// Node set → index of the class in `class_lists`, handed out in
+    /// creation order.
     classes: FxHashMap<NodeSet, u32>,
-    /// The id lists of `classes`, followed by emptied lists of earlier
+    /// The classes of `classes`, followed by emptied classes of earlier
     /// runs kept for their allocation.
-    class_lists: Vec<Vec<PlanId>>,
+    class_lists: Vec<Class>,
     stats: MemoStats,
     /// Largest lane lengths seen before a rollback cut them back (the
     /// lanes' counterpart of `MemoStats::arena_peak`).
@@ -774,7 +937,12 @@ impl Memo {
     /// outlier's footprint halves away within a few resets. The class id
     /// lists are emptied and kept for the next run's classes; their
     /// buffers go when the arena shrinks. A [`Memo::retaining`] memo skips
-    /// the release and keeps its high-water capacity.
+    /// the release and keeps its high-water capacity. A class's dominance
+    /// rows keep their buffer through a reset, a retaining memo's
+    /// included, only while the run's class filled at least half of it,
+    /// as a repeat of the run will again: kept unconditionally, a recycled
+    /// class's rows would grow to the widest class any run put in its
+    /// slot, at six times the bytes of its id list.
     pub fn reset(&mut self) {
         let arena_peak = (self.stats.arena_peak as usize).max(self.hot.len());
         let arena_target = retained_capacity(&mut self.arena_high_water, arena_peak);
@@ -790,8 +958,13 @@ impl Memo {
             // them go when (and only when) the arena itself is cut back.
             self.class_lists.clear();
         }
-        for list in self.class_lists.iter_mut().take(self.classes.len()) {
-            list.clear();
+        for class in self.class_lists.iter_mut() {
+            if class.rows.capacity() > 2 * class.rows_peak {
+                class.rows = Vec::new();
+            }
+            class.rows.clear();
+            class.ids.clear();
+            class.rows_peak = 0;
         }
         self.hot.clear();
         self.cold.clear();
@@ -814,6 +987,12 @@ impl Memo {
     /// a warmed-up pool serves repeat queries without growing this).
     pub fn arena_capacity(&self) -> usize {
         self.hot.capacity()
+    }
+
+    /// Allocated capacity of every class's dominance rows, in rows
+    /// (diagnostic, like [`Memo::arena_capacity`]).
+    pub fn class_row_capacity(&self) -> usize {
+        self.class_lists.iter().map(|c| c.rows.capacity()).sum()
     }
 
     /// Store a plan's rows in the arena (does not touch any class). Every
@@ -855,25 +1034,28 @@ impl Memo {
 
     /// Bytes of *live* plan state: both row arrays and every lane at their
     /// current length. O(1), so the budgeted search can check it once per
-    /// work unit. Class id lists and over-capacity are not counted; see
-    /// [`Memo::footprint_bytes`] for the allocation-side view.
+    /// work unit. Class id lists and rows and over-capacity are not
+    /// counted; see [`Memo::footprint_bytes`] for the allocation-side view.
     #[inline]
     pub fn live_bytes(&self) -> u64 {
         (self.hot.len() * ARENA_ROW_BYTES + lane_bytes(self.lanes.lens())) as u64
     }
 
-    /// Bytes this memo *holds allocated*: row-array, lane and class-list
-    /// capacities (not lengths) plus the class map's table. This is what a
-    /// parked memo pins between runs — the quantity a serving pool books.
+    /// Bytes this memo *holds allocated*: row-array, lane, class-list and
+    /// class-row capacities (not lengths) plus the class map's table. This
+    /// is what a parked memo pins between runs — the quantity a serving
+    /// pool books.
     pub fn footprint_bytes(&self) -> u64 {
         let rows = self.hot.capacity() * size_of::<PlanHot>()
             + self.cold.capacity() * size_of::<PlanCold>();
         let classes = self.classes.capacity() * (size_of::<NodeSet>() + size_of::<u32>())
-            + self.class_lists.capacity() * size_of::<Vec<PlanId>>()
+            + self.class_lists.capacity() * size_of::<Class>()
             + self
                 .class_lists
                 .iter()
-                .map(|v| v.capacity() * size_of::<PlanId>())
+                .map(|c| {
+                    c.ids.capacity() * size_of::<PlanId>() + c.rows.capacity() * size_of::<DomRow>()
+                })
                 .sum::<usize>();
         (rows + lane_bytes(self.lanes.capacities()) + classes) as u64
     }
@@ -936,11 +1118,14 @@ impl Memo {
     /// parents; and every class entry points at an arena row whose
     /// `NodeSet` matches the class key, no id twice in one class (what a
     /// class shows when a row it still named was popped and the slot
-    /// re-filled by the next kept tree of the same set). A memo that fails
-    /// this was corrupted mid-run (e.g. truncated while classes still
-    /// referenced the tail) and must not be reused — [`Memo::reset`] does
-    /// not repair dangling *capacity* state reads would trip over first. Returns a
-    /// description of the first violation found.
+    /// re-filled by the next kept tree of the same set); and a class's
+    /// dominance rows are either empty (stale) or hold exactly its ids,
+    /// each row what `DomRow::of` builds from the arena, sorted by cost.
+    /// A memo that fails this was corrupted mid-run (e.g. truncated while
+    /// classes still referenced the tail) and must not be reused —
+    /// [`Memo::reset`] does not repair dangling *capacity* state reads
+    /// would trip over first. Returns a description of the first violation
+    /// found.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.hot.len() != self.cold.len() {
             return Err(format!(
@@ -1010,7 +1195,9 @@ impl Memo {
             ));
         }
         let mut sorted = Vec::new();
-        for (set, ids) in self.class_entries() {
+        let mut row_ids = Vec::new();
+        for (set, class) in self.class_entries() {
+            let ids = class.ids.as_slice();
             sorted.clear();
             sorted.extend_from_slice(ids);
             sorted.sort_unstable();
@@ -1036,24 +1223,75 @@ impl Memo {
                     ));
                 }
             }
+            self.check_rows(set, class, &sorted, &mut row_ids)?;
         }
         Ok(())
     }
 
-    /// Every class with its id list, in hash order.
-    fn class_entries(&self) -> impl Iterator<Item = (NodeSet, &[PlanId])> {
+    /// The row half of [`Memo::check_invariants`] for one class whose ids,
+    /// sorted, are `sorted` (and lie in the arena).
+    fn check_rows(
+        &self,
+        set: NodeSet,
+        class: &Class,
+        sorted: &[PlanId],
+        row_ids: &mut Vec<PlanId>,
+    ) -> Result<(), String> {
+        let rows = &class.rows;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        row_ids.clear();
+        row_ids.extend(rows.iter().map(|r| r.id));
+        row_ids.sort_unstable();
+        if row_ids.as_slice() != sorted {
+            return Err(format!(
+                "class {set:?}: rows name plans {row_ids:?}, the id list {sorted:?}"
+            ));
+        }
+        if let Some(r) = rows
+            .iter()
+            .find(|r| r.bits() != DomRow::of(&self.hot, r.id).bits())
+        {
+            return Err(format!(
+                "class {set:?}: row {r:?} is not what plan {} reads",
+                r.id.index()
+            ));
+        }
+        if let Some(w) = rows
+            .windows(2)
+            .find(|w| w[0].cost.total_cmp(&w[1].cost).is_gt())
+        {
+            return Err(format!(
+                "class {set:?}: rows out of cost order at plans {} and {}",
+                w[0].id.index(),
+                w[1].id.index()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Every class, in hash order.
+    fn class_entries(&self) -> impl Iterator<Item = (NodeSet, &Class)> {
         self.classes
             .iter()
-            .map(|(&s, &slot)| (s, self.class_lists[slot as usize].as_slice()))
+            .map(|(&s, &slot)| (s, &self.class_lists[slot as usize]))
     }
 
     /// The plan class of `s` (empty when no plan covers `s` yet).
     #[inline]
     pub fn class(&self, s: NodeSet) -> &[PlanId] {
         match self.classes.get(&s) {
-            Some(&slot) => &self.class_lists[slot as usize],
+            Some(&slot) => &self.class_lists[slot as usize].ids,
             None => &[],
         }
+    }
+
+    /// The dominance rows of the class of `s`, for a test to corrupt.
+    #[cfg(test)]
+    pub(crate) fn class_rows_mut(&mut self, s: NodeSet) -> &mut [DomRow] {
+        let slot = self.classes[&s] as usize;
+        &mut self.class_lists[slot].rows
     }
 
     /// The one thinning step (`PruneDominatedPlans`, Fig. 13, for any
@@ -1061,8 +1299,10 @@ impl Memo {
     /// of `s` precedes it, otherwise evict every incumbent it precedes and
     /// append it. Returns whether `id` is now a member. Under the empty
     /// relation this is a push, under a total order the class never
-    /// exceeds one plan. The prune counters of [`MemoStats`] count
-    /// dominance tests only.
+    /// exceeds one plan. Dominance searches the class's cost-sorted
+    /// `DomRow`s, rebuilt first if another relation last edited the
+    /// class. The prune counters of [`MemoStats`] count dominance tests
+    /// only.
     #[inline]
     pub fn fold(&mut self, s: NodeSet, id: PlanId, by: ThinBy) -> bool {
         let Memo {
@@ -1074,32 +1314,24 @@ impl Memo {
             stats,
             ..
         } = self;
-        // The id list of `s`, created (or recycled from an earlier run) on
+        // The class of `s`, created (or recycled from an earlier run) on
         // first use.
         let next = classes.len() as u32;
         let slot = *classes.entry(s).or_insert(next) as usize;
         if slot == class_lists.len() {
-            class_lists.push(Vec::new());
+            class_lists.push(Class::default());
         }
         let class = &mut class_lists[slot];
-        let precedes = |a, b| by.precedes_in(hot, cold, lanes, a, b);
-        // Under the empty relation nothing is compared: EA-All's classes
-        // run to thousands of plans and a walk per push would be quadratic.
-        let thin = !matches!(by, ThinBy::Nothing);
-        let counted = matches!(by, ThinBy::Dominance { .. }) as u64;
-        stats.prune_attempts += counted;
-        if thin && class.iter().any(|&old| precedes(old, id)) {
-            stats.prune_rejected += counted;
-            return false;
+        let kept = match by {
+            ThinBy::Dominance { guard_groupjoin } => {
+                class.fold_dominance(hot, cold, lanes, stats, id, guard_groupjoin)
+            }
+            _ => class.fold_other(hot, cold, id, by),
+        };
+        if kept {
+            stats.peak_class_width = stats.peak_class_width.max(class.ids.len() as u64);
         }
-        let before = class.len();
-        if thin {
-            class.retain(|&old| !precedes(id, old));
-        }
-        stats.prune_evicted += counted * (before - class.len()) as u64;
-        class.push(id);
-        stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
-        true
+        kept
     }
 
     /// Shrink the class of `s` to its representative member(s): the
@@ -1113,7 +1345,10 @@ impl Memo {
         let Some(&slot) = self.classes.get(&s) else {
             return;
         };
-        let class = &mut self.class_lists[slot as usize];
+        let Class {
+            ids: class, rows, ..
+        } = &mut self.class_lists[slot as usize];
+        rows.clear();
         let best = class.iter().copied().min_by(|&a, &b| {
             self.hot[a.index()]
                 .cost
@@ -1144,14 +1379,17 @@ impl Memo {
     /// view of the DP state for tests and diagnostics (the map itself
     /// iterates in hash order).
     pub fn classes_sorted(&self) -> Vec<(NodeSet, &[PlanId])> {
-        let mut all: Vec<(NodeSet, &[PlanId])> = self.class_entries().collect();
+        let mut all: Vec<(NodeSet, &[PlanId])> = self
+            .class_entries()
+            .map(|(s, c)| (s, c.ids.as_slice()))
+            .collect();
         all.sort_unstable_by_key(|&(s, _)| s);
         all
     }
 
     /// Total plans retained across all classes.
     pub fn retained(&self) -> u64 {
-        self.class_entries().map(|(_, v)| v.len() as u64).sum()
+        self.class_entries().map(|(_, c)| c.ids.len() as u64).sum()
     }
 
     /// Every id retained in some class, in ascending arena order (the
@@ -1159,7 +1397,7 @@ impl Memo {
     pub fn retained_ids(&self) -> Vec<PlanId> {
         let mut ids: Vec<PlanId> = self
             .class_entries()
-            .flat_map(|(_, v)| v.iter().copied())
+            .flat_map(|(_, c)| c.ids.iter().copied())
             .collect();
         ids.sort_unstable();
         ids

@@ -770,6 +770,46 @@ mod engine {
     fn memo_is_sound_after_every_stratum_at_paper_scale() {
         memo_is_sound_after_every_stratum(9, 40);
     }
+
+    /// [`Memo::check_invariants`] reads the dominance rows: an EA-Prune
+    /// run leaves a sound memo, and each way of corrupting one row of its
+    /// widest class — a field no longer what the arena holds, two rows out
+    /// of cost order, a row naming another member — is reported.
+    #[test]
+    fn invariants_catch_a_corrupted_class_row() {
+        let ctx = OptContext::new(generate_query(&GenConfig::paper(6), 1));
+        let mut memo = Memo::new();
+        let options = OptimizeOptions::default();
+        optimize_prepared(&ctx, Algorithm::EaPrune, &options, &mut memo);
+        assert_eq!(Ok(()), memo.check_invariants());
+        let (s, _) = memo
+            .classes_sorted()
+            .into_iter()
+            .max_by_key(|(_, ids)| ids.len())
+            .unwrap();
+        let pristine: Vec<_> = memo.class_rows_mut(s).to_vec();
+        let costs: Vec<f64> = pristine.iter().map(|r| r.cost).collect();
+        assert!(
+            costs.windows(2).any(|w| w[0] < w[1]),
+            "the widest class has two costs: {costs:?}"
+        );
+        let last = pristine.len() - 1;
+        for error in ["is not what plan", "out of cost order", "rows name plans"] {
+            let rows = memo.class_rows_mut(s);
+            match error {
+                "is not what plan" => rows[0].card *= 2.0,
+                "out of cost order" => rows.swap(0, last),
+                _ => rows[0].id = rows[last].id,
+            }
+            let got = memo.check_invariants();
+            assert!(
+                got.as_ref().is_err_and(|e| e.contains(error)),
+                "{error}: {got:?}"
+            );
+            memo.class_rows_mut(s).copy_from_slice(&pristine);
+            assert_eq!(Ok(()), memo.check_invariants());
+        }
+    }
 }
 
 mod applied_mask {

@@ -240,21 +240,72 @@ fn weaker_dominance_kinds_break_monotonicity() {
     }
 }
 
+/// One [`Memo::fold`] of `id` into the class of `s`, held to a reference
+/// that [`ThinBy::precedes`] computes over the class as it was before the
+/// call: the candidate is kept exactly when no member precedes it, a kept
+/// candidate evicts exactly the members it precedes, and the survivors
+/// keep their order with the candidate appended.
+fn fold_checked(memo: &mut Memo, s: NodeSet, id: PlanId, by: ThinBy, what: &str) -> bool {
+    let before = memo.class(s).to_vec();
+    let rejected = before.iter().any(|&k| by.precedes(memo, k, id));
+    let mut expected: Vec<PlanId> = before
+        .iter()
+        .copied()
+        .filter(|&k| rejected || !by.precedes(memo, id, k))
+        .collect();
+    if !rejected {
+        expected.push(id);
+    }
+    let kept = memo.fold(s, id, by);
+    assert_eq!(!rejected, kept, "{what}: kept flag of {id:?}");
+    assert_eq!(
+        expected,
+        memo.class(s),
+        "{what}: class after folding {id:?}"
+    );
+    kept
+}
+
+/// The queries the fold is checked on: [`query`]'s small sizes, and
+/// eleven of its draws at five and six relations whose groupjoins turn
+/// the groupjoin guard on (the small sizes have three such queries).
+fn fold_queries() -> impl Iterator<Item = (String, Query)> {
+    let small = (2..=5usize).flat_map(|n| (0..6u64).map(move |seed| (n, seed)));
+    let groupjoins = [11, 13, 17, 21]
+        .map(|seed| (5, seed))
+        .into_iter()
+        .chain([3, 5, 7, 11, 17, 19, 21].map(|seed| (6, seed)));
+    small
+        .chain(groupjoins)
+        .map(|(n, seed)| (format!("n={n}, seed={seed}"), query(n, seed)))
+}
+
 /// The books of the fold, under every relation, on real plans: each class
 /// `all_subplans` enumerates is folded again, in arrival order, into a
-/// class of its own. `kept` is membership right after the call; a thinned
-/// class is an antichain; dominance folds satisfy the conservation law
-/// `width = attempts − rejected − evicted` (so `prune_hit_rate ≤ 1`), and
-/// the prune counters stay untouched by the other relations.
+/// class of its own, every fold that compares checked against
+/// [`fold_checked`]'s reference. `kept` is membership right after the
+/// call; a thinned class is an antichain; dominance folds satisfy the
+/// conservation law `width = attempts − rejected − evicted` (so
+/// `prune_hit_rate ≤ 1`), and the prune counters stay untouched by the other relations. Each class is
+/// also folded (at most 256 of its members, spread) into a further class
+/// under `Nothing` or `Cheapest` for its first half and under dominance
+/// for the rest: a dominance fold must decide correctly on a class
+/// another relation last edited.
 #[test]
 fn fold_reports_membership_and_balances_its_books() {
-    for (n, seed) in (2..=5usize).flat_map(|n| (0..6u64).map(move |seed| (n, seed))) {
-        let (ctx, mut memo, _) = all_subplans(&query(n, seed));
+    let mut guarded = 0;
+    for (at, query) in fold_queries() {
+        let (ctx, mut memo, _) = all_subplans(&query);
+        let dominance = ThinBy::dominance(&ctx);
+        guarded += (dominance
+            == ThinBy::Dominance {
+                guard_groupjoin: true,
+            }) as u32;
         let relations = [
             ThinBy::Nothing,
             ThinBy::Cheapest(None),
             ThinBy::Cheapest(Some(1.03)),
-            ThinBy::dominance(&ctx),
+            dominance,
         ];
         let classes: Vec<(NodeSet, Vec<PlanId>)> = memo
             .classes_sorted()
@@ -262,13 +313,19 @@ fn fold_reports_membership_and_balances_its_books() {
             .map(|(s, ids)| (s, ids.to_vec()))
             .collect();
         for (i, by) in relations.into_iter().enumerate() {
-            let what = format!("n={n}, seed={seed}, {by:?}");
+            let what = format!("{at}, {by:?}");
             for (s, ids) in &classes {
-                // A key no query of at most five tables uses.
+                // A key no query of at most six tables uses.
                 let shadow = NodeSet(s.0 | 1 << (8 + i));
                 let before = memo.stats();
                 for &id in ids {
-                    let kept = memo.fold(shadow, id, by);
+                    // The empty relation compares nothing: its fold is a
+                    // push, which the assertions below pin.
+                    let kept = if by == ThinBy::Nothing {
+                        memo.fold(shadow, id, by)
+                    } else {
+                        fold_checked(&mut memo, shadow, id, by, &what)
+                    };
                     assert_eq!(kept, memo.class(shadow).contains(&id), "{what}");
                     assert_eq!(
                         kept,
@@ -316,7 +373,25 @@ fn fold_reports_membership_and_balances_its_books() {
                 }
             }
         }
+        for (j, first) in [ThinBy::Nothing, ThinBy::Cheapest(None)]
+            .into_iter()
+            .enumerate()
+        {
+            let what = format!("{at}, {first:?} then {dominance:?}");
+            for (s, ids) in &classes {
+                let shadow = NodeSet(s.0 | 1 << (12 + j));
+                let ids = spread(ids, 256);
+                let (head, tail) = ids.split_at(ids.len() / 2);
+                for &id in head {
+                    fold_checked(&mut memo, shadow, id, first, &what);
+                }
+                for &id in tail {
+                    fold_checked(&mut memo, shadow, id, dominance, &what);
+                }
+            }
+        }
     }
+    assert_eq!(14, guarded, "queries with the groupjoin guard on");
 }
 
 /// The Bellman trap (§4.4, Fig. 11), generated: keeping the one cheapest

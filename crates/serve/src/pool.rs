@@ -379,35 +379,57 @@ mod tests {
         // that footprint across a steady stream of small queries instead
         // of carrying it forever. This pins the shrink behavior: if reset
         // ever goes back to unconditional capacity retention, the final
-        // bound below fails.
+        // bound below fails. An EA-Prune run after the outlier leaves
+        // dominance rows in the memo's classes; they must not outlast the
+        // id lists, and no small EA-All run needs any.
         let pool = MemoPool::new(1);
         let opt = Optimizer::new(Algorithm::EaAll).explain(false);
+        let prune = Optimizer::new(Algorithm::EaPrune).explain(false);
         let big = generate_query(&GenConfig::paper(6), 42);
         let small = generate_query(&GenConfig::paper(3), 42);
 
-        let (outlier_cap, outlier_bytes) = {
+        let (outlier_cap, outlier_bytes, outlier_rows) = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&big, &mut memo);
-            (memo.arena_capacity(), memo.footprint_bytes())
+            prune.optimize_pooled(&generate_query(&GenConfig::paper(11), 42), &mut memo);
+            (
+                memo.arena_capacity(),
+                memo.footprint_bytes(),
+                memo.class_row_capacity(),
+            )
         };
         assert!(
             outlier_cap > 2048,
             "outlier run too small to exercise the shrink (capacity {outlier_cap})"
+        );
+        assert!(
+            outlier_rows > 100,
+            "the EA-Prune run left too few rows to see released ({outlier_rows})"
         );
 
         for _ in 0..12 {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&small, &mut memo);
         }
-        let (settled_cap, stats) = {
+        let (settled_cap, settled_rows, stats) = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&small, &mut memo);
-            (memo.arena_capacity(), pool.stats())
+            (
+                memo.arena_capacity(),
+                memo.class_row_capacity(),
+                pool.stats(),
+            )
         };
         assert!(
             settled_cap <= 2048,
             "arena capacity {settled_cap} still pinned after 12 small runs \
              (outlier was {outlier_cap})"
+        );
+        // EA-All keeps no rows: whatever row capacity is left is the
+        // EA-Prune run's.
+        assert_eq!(
+            0, settled_rows,
+            "class rows still pinned after 12 small runs (were {outlier_rows})"
         );
         // The pool served every post-warmup request from the single parked
         // memo — the shrink happened in place, not by re-construction.
