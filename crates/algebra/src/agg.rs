@@ -37,11 +37,6 @@ impl AggKind {
         )
     }
 
-    /// Duplicate sensitive (*Class C*).
-    pub fn is_duplicate_sensitive(self) -> bool {
-        !self.is_duplicate_agnostic()
-    }
-
     /// Decomposable (Def. 2): `agg(X ∪ Y) = agg2(agg1(X), agg1(Y))`.
     ///
     /// `avg` is decomposable via `sum`/`countNN` — the query layer
@@ -270,7 +265,7 @@ mod tests {
     #[test]
     fn properties() {
         assert!(AggKind::Min.is_duplicate_agnostic());
-        assert!(AggKind::Sum.is_duplicate_sensitive());
+        assert!(!AggKind::Sum.is_duplicate_agnostic());
         assert!(AggKind::CountStar.is_decomposable());
         assert!(!AggKind::SumDistinct.is_decomposable());
         assert_eq!(AggKind::Sum, AggKind::Count.combine());

@@ -204,11 +204,6 @@ impl JoinPred {
     pub fn right_attrs(&self) -> Vec<AttrId> {
         self.terms.iter().map(|&(_, _, r)| r).collect()
     }
-
-    /// All referenced attributes (`F(q)`).
-    pub fn all_attrs(&self) -> Vec<AttrId> {
-        self.terms.iter().flat_map(|&(l, _, r)| [l, r]).collect()
-    }
 }
 
 impl fmt::Display for JoinPred {

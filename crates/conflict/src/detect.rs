@@ -244,17 +244,10 @@ fn collect(
     }
 }
 
-/// Find the operators applicable to a csg-cmp-pair, with orientation.
-/// Returns `(op index, swapped)` entries.
-pub fn applicable_ops(cq: &ConflictedQuery, s1: NodeSet, s2: NodeSet) -> Vec<(usize, bool)> {
-    let mut out = Vec::new();
-    applicable_ops_into(cq, s1, s2, &mut out);
-    out
-}
-
-/// [`applicable_ops`] into a caller-provided scratch buffer: the plan
-/// generator calls this once per csg-cmp-pair, so the enumeration hot path
-/// must not allocate here. `out` is cleared first.
+/// Find the operators applicable to a csg-cmp-pair, with orientation, as
+/// `(op index, swapped)` entries in a caller-provided scratch buffer: the
+/// plan generator calls this once per csg-cmp-pair, so the enumeration hot
+/// path must not allocate here. `out` is cleared first.
 pub fn applicable_ops_into(
     cq: &ConflictedQuery,
     s1: NodeSet,
@@ -435,8 +428,10 @@ mod tests {
         );
         let q = Query::new(tables(2), tree, None);
         let cq = detect(&q);
-        let found = applicable_ops(&cq, NodeSet::single(0), NodeSet::single(1));
+        let mut found = vec![(9, true)];
+        applicable_ops_into(&cq, NodeSet::single(0), NodeSet::single(1), &mut found);
         assert_eq!(vec![(0, false), (0, true)], found);
-        assert!(applicable_ops(&cq, NodeSet::single(0), NodeSet::EMPTY).is_empty());
+        applicable_ops_into(&cq, NodeSet::single(0), NodeSet::EMPTY, &mut found);
+        assert!(found.is_empty());
     }
 }

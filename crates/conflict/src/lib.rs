@@ -10,7 +10,6 @@ pub mod detect;
 pub mod tables;
 
 pub use detect::{
-    applicable_ops, applicable_ops_into, detect, Applicability, ConflictRule, ConflictedQuery,
-    OperatorInfo,
+    applicable_ops_into, detect, Applicability, ConflictRule, ConflictedQuery, OperatorInfo,
 };
 pub use tables::{assoc, l_asscom, r_asscom};

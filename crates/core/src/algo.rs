@@ -105,16 +105,15 @@ pub struct Optimized {
 
 /// Knobs of [`optimize_with`] beyond the algorithm choice.
 ///
-/// `plan_budget`, `deadline` and `memory_budget` are read by the one kind
-/// of run that arms a budget, the adaptive ladder ([`crate::ladder`]). A
-/// run climbs the ladder when its algorithm is
-/// [`Algorithm::Adaptive`] **or** it names a deadline or a byte budget
-/// under any algorithm: only the ladder has a plan to ship when a budget
-/// stops the search mid-stream, and it is an EA-Prune search, so an
+/// `plan_budget` and `deadline` are read by the one kind of run that arms
+/// a budget, the adaptive ladder ([`crate::ladder`]). A run climbs the
+/// ladder when its algorithm is [`Algorithm::Adaptive`] **or** it names a
+/// deadline under any algorithm: only the ladder has a plan to ship when a
+/// budget stops the search mid-stream, and it is an EA-Prune search, so an
 /// H1/H2/DPhyp/EA-All choice is then not honoured. Every other run arms
-/// nothing and reads none of the three. The fourth field, `explain`, only
-/// decides whether the result carries its EXPLAIN text; the plan is the
-/// same either way.
+/// nothing and reads neither. The third field, `explain`, only decides
+/// whether the result carries its EXPLAIN text; the plan is the same
+/// either way.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
     /// Render the EXPLAIN string (skip for pure benchmarking runs).
@@ -130,12 +129,6 @@ pub struct OptimizeOptions {
     /// recorded as [`crate::Degradation::deadline_aborted`]. `None` (the
     /// default): no deadline.
     pub deadline: Option<Duration>,
-    /// Memory budget (bytes of live memo state, see
-    /// [`crate::Memo::live_bytes`]) for the whole optimization, checked
-    /// like the deadline (overshoot bounded by one unit's plans) and
-    /// recorded as [`crate::Degradation::memory_aborted`]. `0` (the
-    /// default): no byte budget.
-    pub memory_budget: u64,
 }
 
 impl Default for OptimizeOptions {
@@ -144,7 +137,6 @@ impl Default for OptimizeOptions {
             explain: true,
             plan_budget: 0,
             deadline: None,
-            memory_budget: 0,
         }
     }
 }
@@ -202,8 +194,7 @@ pub fn optimize_prepared(
         Algorithm::EaPrune => Some((ThinBy::dominance(ctx), true)),
         Algorithm::Adaptive => None,
     };
-    let unbudgeted = opts.deadline.is_none() && opts.memory_budget == 0;
-    let Some((thin_by, eager)) = exact.filter(|_| unbudgeted) else {
+    let Some((thin_by, eager)) = exact.filter(|_| opts.deadline.is_none()) else {
         return crate::ladder::climb(ctx, opts, memo);
     };
     let mut search = Search::new(ctx, memo, thin_by, eager);
@@ -420,8 +411,8 @@ impl Meter {
     /// values in its register allocation cost the benchmark's
     /// adaptive-large 2–10% depending on how they were spelled.
     #[inline(never)]
-    fn take(&mut self, plans: u64, memo: &Memo) -> bool {
-        self.exhausted = self.budget.exhausted_at(plans, memo.live_bytes());
+    fn take(&mut self, plans: u64) -> bool {
+        self.exhausted = self.budget.exhausted_at(plans);
         self.exhausted.is_none()
     }
 }
@@ -526,9 +517,9 @@ impl<'a> Search<'a> {
     /// `eager`), fold each into the target class under `thin_by`, and
     /// keep-best complete plans. The budget is checked once per pair and,
     /// while it arms anything, once per work unit, a unit counting as
-    /// [`UNIT_MAX_PLANS`] plans, so the plan limit is
-    /// never exceeded and the deadline and the byte limit are overshot by
-    /// at most one unit. The first refusal ends the pair: the cause is
+    /// [`UNIT_MAX_PLANS`] plans, so the plan limit is never exceeded and
+    /// the deadline is overshot by at most one unit. The first refusal
+    /// ends the pair: the cause is
     /// recorded and `false` is returned (the pair's plan set is then
     /// incomplete and downstream results must not claim optimality). A
     /// search with nothing armed pays nothing per unit.
@@ -536,6 +527,14 @@ impl<'a> Search<'a> {
     /// Pairs with no applicable operator build nothing and return `true`.
     pub(crate) fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
         self.pair(s1, s2, false)
+    }
+
+    /// The orientations [`Search::process`] would apply to `(s1, s2)`
+    /// ([`orientations_into`], in the search's own buffers), next to the
+    /// memo: for a caller that estimates a pair before it feeds one.
+    pub(crate) fn orientations(&mut self, s1: NodeSet, s2: NodeSet) -> (&PairBufs, &Memo) {
+        orientations_into(self.ctx, s1, s2, &mut self.bufs);
+        (&self.bufs, self.memo)
     }
 
     /// [`Search::process`], bounding interior work by the best complete
@@ -612,9 +611,7 @@ impl<'a> Search<'a> {
         // for a unit) stays resource-bounded.
         let spent = self.scratch.plans_built;
         let meter = &mut self.meter;
-        meter.exhausted = meter
-            .exhausted
-            .or_else(|| meter.budget.exhausted_at(spent, self.memo.live_bytes()));
+        meter.exhausted = meter.exhausted.or_else(|| meter.budget.exhausted_at(spent));
         if meter.exhausted.is_some() {
             return false;
         }
@@ -668,7 +665,7 @@ impl<'a> Search<'a> {
                         // A unit counts as `UNIT_MAX_PLANS` plans, so the
                         // plan limit is never exceeded mid-unit.
                         charged += 1;
-                        if !meter.take(spent + charged * UNIT_MAX_PLANS, memo) {
+                        if !meter.take(spent + charged * UNIT_MAX_PLANS) {
                             return false;
                         }
                     }

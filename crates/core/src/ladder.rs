@@ -3,20 +3,20 @@
 //! up to ~10 relations and hopeless at 30, where production optimizers
 //! switch to greedy/linearized construction under an enumeration budget.
 //! [`crate::optimize_into`] sends [`crate::Algorithm::Adaptive`] here, and
-//! every run that names a deadline or a byte budget.
+//! every run that names a deadline.
 //!
 //! `climb` feeds three csg-cmp-pair streams, one per rung, to one
 //! `Search` (one memo, one plan counter, one best complete plan) — the
-//! EA-Prune search an exact run is, under one `Budget` of plans, wall
-//! clock and live memo bytes, each armed or absent:
+//! EA-Prune search an exact run is, under one `Budget` of plans and wall
+//! clock, each armed or absent:
 //!
 //! 1. **Greedy** (always), under the plan limit alone: a GOO-style pass
 //!    merging the component pair with the smallest estimated join result,
 //!    exploring the paper's eager/lazy aggregation variants at every
 //!    merge. Cheap — the plan limit is clamped to a floor that always fits
 //!    it — and its merge tree yields the linear relation order for rung 3.
-//!    It consults neither the clock nor the byte meter, so a valid plan
-//!    exists before either can bind: a run *degrades*, it never fails.
+//!    It does not consult the clock, so a valid plan exists before a
+//!    deadline can bind: a run *degrades*, it never fails.
 //!    The same pass, unbudgeted, seeds an EA-Prune run.
 //! 2. **Exact DP** (`Search::enumerate`, the whole DPhyp stream), under
 //!    `Budget::split` — half of what is left of every armed resource, so
@@ -44,10 +44,9 @@
 //! and the run ends in the search's one epilogue (`Search::finish`).
 //! The budget is checked once per pair and once per enumeration work
 //! unit: `plans_built <= plan_budget` holds no matter which rung wins, and
-//! a deadline or byte limit is overshot by at most one unit
-//! ([`UNIT_MAX_PLANS`] plans). [`crate::MemoStats::plan_budget`],
-//! [`crate::MemoStats::degradation`] (gate, or the resource that ran out
-//! mid-stream: plans, deadline, bytes) and
+//! a deadline is overshot by at most one unit ([`UNIT_MAX_PLANS`] plans).
+//! [`crate::MemoStats::plan_budget`], [`crate::MemoStats::degradation`]
+//! (gate, or the resource that ran out mid-stream: plans or deadline) and
 //! [`crate::MemoStats::adaptive_mode`] report what happened.
 
 pub(crate) mod greedy;
@@ -91,7 +90,6 @@ impl Ladder<'_> {
         let (flag, outcome) = match cause {
             Exhausted::Plans => (&mut self.degr.budget_aborted, "budget-aborted"),
             Exhausted::Deadline => (&mut self.degr.deadline_aborted, "deadline-aborted"),
-            Exhausted::Bytes => (&mut self.degr.memory_aborted, "memory-aborted"),
         };
         *flag = true;
         outcome
@@ -137,20 +135,18 @@ pub(crate) fn climb(
     memo: &mut Memo,
 ) -> (Optimized, PlanId) {
     let n = ctx.query.table_count();
-    let bytes = (opts.memory_budget != 0).then_some(opts.memory_budget);
-    // A run that names a deadline or a byte budget but no plan budget has
-    // no plan limit: the clock or the byte meter, not the counter, drives
-    // degradation. Otherwise the plan limit is the requested (or default)
-    // budget, clamped up to the greedy floor.
+    // A run that names a deadline but no plan budget has no plan limit:
+    // the clock, not the counter, drives degradation. Otherwise the plan
+    // limit is the requested (or default) budget, clamped up to the greedy
+    // floor.
     let plans = match opts.plan_budget {
-        0 if opts.deadline.is_some() || bytes.is_some() => None,
+        0 if opts.deadline.is_some() => None,
         0 => Some(DEFAULT_PLAN_BUDGET.max(budget_floor(n))),
         requested => Some(requested.max(budget_floor(n))),
     };
     let full = Budget {
         plans,
         deadline: opts.deadline.map(|d| Instant::now() + d),
-        bytes,
     };
     let mut ladder_span = dpnext_obs::span("adaptive.optimize");
     ladder_span.tag_u64("n", n as u64);
@@ -167,7 +163,7 @@ pub(crate) fn climb(
     if n > 1 {
         // Rung 1 runs under the plan limit alone: the budget floor
         // guarantees greedy fits, and its plan is what makes every
-        // deadlined or byte-budgeted request *degrade* instead of fail.
+        // deadlined request *degrade* instead of fail.
         let plans_only = Budget {
             plans,
             ..Budget::default()
@@ -178,13 +174,10 @@ pub(crate) fn climb(
             true
         });
         let best_after_greedy = ladder.search.best_cost();
-        let (spent, live) = (
-            ladder.search.plans_built(),
-            ladder.search.memo().live_bytes(),
-        );
-        if let Some(cause) = full.exhausted_at(spent, live) {
-            // The clock ran out during the guaranteed rung, or it alone
-            // filled the byte budget: the greedy plan ships as-is.
+        let spent = ladder.search.plans_built();
+        if let Some(cause) = full.exhausted_at(spent) {
+            // The clock ran out during the guaranteed rung: the greedy
+            // plan ships as-is.
             ladder.degrade(cause);
             mode = AdaptiveMode::Greedy;
         } else {
@@ -198,9 +191,9 @@ pub(crate) fn climb(
             // exponential walk; it stays optimistic (it cannot know class
             // widths) — the per-pair budget enforcement is what actually
             // bounds the work. Without a plan limit there is no gate: no
-            // allowance caps the pre-count, and the mid-stream deadline or
-            // byte abort subsumes it.
-            let half = full.split(spent, live);
+            // allowance caps the pre-count, and the mid-stream deadline
+            // abort subsumes it.
+            let half = full.split(spent);
             let exact_done = ladder.rung("adaptive.rung.exact", half, |search| {
                 let gate = half.plans.map(|cap| (cap - spent) / UNIT_MAX_PLANS);
                 if gate.is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none()) {
@@ -251,7 +244,6 @@ pub(crate) fn climb(
     let (mut optimized, winner) = search.finish(opts.explain);
     // What the ladder made of the search, on the statistics of the result.
     optimized.memo.plan_budget = plans.unwrap_or(0);
-    optimized.memo.memory_budget = opts.memory_budget;
     optimized.memo.degradation = degr;
     optimized.memo.adaptive_mode = mode;
     (optimized, winner)

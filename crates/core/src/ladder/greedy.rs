@@ -24,10 +24,9 @@
 use crate::algo::Search;
 use crate::context::OptContext;
 use crate::memo::Memo;
-use dpnext_conflict::applicable_ops_into;
 use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
-use dpnext_query::{OpKind, OpTree};
+use dpnext_query::OpTree;
 
 /// One greedy component: the relations it covers and their order in the
 /// component's merge-tree traversal.
@@ -49,15 +48,12 @@ pub(crate) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usiz
             order: vec![i],
         })
         .collect();
-    let mut apps: Vec<(usize, bool)> = Vec::new();
     while comps.len() > 1 && search.exhausted().is_none() {
         // The applicable pair with the smallest estimated join result.
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..comps.len() {
             for j in i + 1..comps.len() {
-                let Some(card) =
-                    estimate_pair(ctx, search.memo(), comps[i].set, comps[j].set, &mut apps)
-                else {
+                let Some(card) = estimate_pair(ctx, search, comps[i].set, comps[j].set) else {
                     continue;
                 };
                 if best.is_none_or(|(_, _, c)| card < c) {
@@ -120,52 +116,23 @@ fn traversal_order(tree: &OpTree) -> Vec<usize> {
 }
 
 /// Estimated result cardinality of joining the components `a` and `b`,
-/// or `None` when no operator is applicable to the cut. Mirrors the
-/// engine's estimate (`make_apply`) without constructing a plan: the
-/// primary operator's `join_card` over the cheapest representative of
-/// each side, with the selectivities of extra same-cut inner joins
-/// multiplied in.
-fn estimate_pair(
-    ctx: &OptContext,
-    memo: &Memo,
-    a: NodeSet,
-    b: NodeSet,
-    apps: &mut Vec<(usize, bool)>,
-) -> Option<f64> {
-    applicable_ops_into(&ctx.cq, a, b, apps);
-    let &(primary, swapped) = apps.first()?;
-    // Mirror the engine's orientation rule (`orientations_into`): a cut
-    // crossed by several *distinct* operators builds plans only when they
-    // are all inner joins (merged into one application) — for any other
-    // mix the engine constructs nothing, so selecting the pair would
-    // dead-end the greedy pass. `apps` is sorted by operator index.
-    let mut distinct = 0usize;
-    let mut all_join = true;
-    let mut prev = usize::MAX;
-    for &(idx, _) in apps.iter() {
-        if idx != prev {
-            distinct += 1;
-            all_join &= ctx.cq.ops[idx].op == OpKind::Join;
-            prev = idx;
-        }
-    }
-    if distinct > 1 && !all_join {
-        return None;
-    }
-    let (sl, sr) = if swapped { (b, a) } else { (a, b) };
+/// or `None` when the engine would build nothing for the cut (no
+/// applicable operator, or a mix of distinct operators that are not all
+/// inner joins) — selecting such a pair would dead-end the pass. Mirrors
+/// the engine's estimate (`make_apply`) without constructing a plan: the
+/// first orientation's operator's `join_card` over the cheapest
+/// representative of each side, with the selectivities of the extra
+/// same-cut inner joins multiplied in.
+fn estimate_pair(ctx: &OptContext, search: &mut Search<'_>, a: NodeSet, b: NodeSet) -> Option<f64> {
+    let (bufs, memo) = search.orientations(a, b);
+    let &(sl, sr, primary) = bufs.orients.first()?;
     let lcard = class_min_card(memo, sl)?;
     let rcard = class_min_card(memo, sr)?;
     let op = &ctx.cq.ops[primary];
-    let mut sel = op.sel;
-    // `apps` is sorted by (index, orientation): skip duplicate entries of
-    // one operator (commutative operators appear in both orientations).
-    let mut last = primary;
-    for &(idx, _) in apps.iter() {
-        if idx != last && ctx.cq.ops[idx].op == OpKind::Join {
-            sel *= ctx.cq.ops[idx].sel;
-        }
-        last = idx;
-    }
+    let sel = bufs
+        .extra
+        .iter()
+        .fold(op.sel, |sel, &idx| sel * ctx.cq.ops[idx].sel);
     let terms = &op.pred.terms;
     let d_left: f64 = terms.iter().map(|&(at, _, _)| ctx.distinct(at)).product();
     let d_right: f64 = terms.iter().map(|&(_, _, at)| ctx.distinct(at)).product();

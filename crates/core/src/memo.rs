@@ -417,10 +417,10 @@ pub enum AdaptiveMode {
 }
 
 /// Why (and how) a budgeted run fell short of its deepest rung, by cause —
-/// four of them: a rung can be gated off up front by the ccp count
+/// three of them: a rung can be gated off up front by the ccp count
 /// estimate, or aborted mid-stream by whichever resource of its budget
-/// ran out first — the plan budget, the wall-clock deadline or the byte
-/// budget. Only the cause that tripped is set, not
+/// ran out first — the plan budget or the wall-clock deadline. Only the
+/// cause that tripped is set, not
 /// the limits that were merely armed. All flags `false` means the run
 /// completed its deepest rung (or was never budgeted at all).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -435,24 +435,13 @@ pub struct Degradation {
     /// A rung was aborted mid-stream (or skipped) because the wall-clock
     /// deadline passed; overshoot is bounded by one enumeration work unit.
     pub deadline_aborted: bool,
-    /// A rung was aborted mid-stream (or skipped) because the memo's live
-    /// bytes ([`Memo::live_bytes`]) reached the per-request memory budget;
-    /// overshoot is bounded by one enumeration work unit's plans.
-    pub memory_aborted: bool,
 }
 
 impl Degradation {
     /// True when any degradation occurred — the run's result comes from a
     /// shallower rung than the budget-free optimum would have used.
     pub fn any(&self) -> bool {
-        self.budget_gated || self.budget_aborted || self.deadline_aborted || self.memory_aborted
-    }
-
-    /// True when a *resource* (wall clock or memory), as opposed to the
-    /// plan budget, cut the run short — the causes a serving layer treats
-    /// as pressure signals rather than configured depth limits.
-    pub fn resource_aborted(&self) -> bool {
-        self.deadline_aborted || self.memory_aborted
+        self.budget_gated || self.budget_aborted || self.deadline_aborted
     }
 }
 
@@ -466,7 +455,6 @@ impl std::fmt::Display for Degradation {
             (self.budget_gated, "budget-gated"),
             (self.budget_aborted, "budget-aborted"),
             (self.deadline_aborted, "deadline-aborted"),
-            (self.memory_aborted, "memory-aborted"),
         ] {
             if set {
                 if !first {
@@ -520,23 +508,18 @@ pub struct MemoStats {
     pub prune_evicted: u64,
     /// Effective plan budget enforced by a budgeted search (the requested
     /// budget clamped up to the greedy floor); 0 when the run had no plan
-    /// limit — not budgeted at all, or bounded by a deadline or a byte
-    /// budget only. When non-zero, `plans_built <= plan_budget` holds.
+    /// limit — not budgeted at all, or bounded by a deadline only. When
+    /// non-zero, `plans_built <= plan_budget` holds.
     pub plan_budget: u64,
-    /// Memory budget (bytes) enforced by a budgeted search; 0 when the
-    /// run was not memory-budgeted. When non-zero, the checked rungs stop
-    /// within one work unit of `live_bytes` reaching it (the guaranteed
-    /// greedy rung runs unchecked, like it ignores the clock).
-    pub memory_budget: u64,
     /// Largest [`Memo::live_bytes`] observed during the run — arena rows
     /// plus payload-lane bytes, sampled before every rollback (a refused
     /// candidate is counted until it is popped) and when statistics are
     /// read.
     pub live_bytes_peak: u64,
     /// Why the budgeted search fell short of its deepest rung, split by
-    /// cause (gate, mid-stream plan-budget abort, deadline abort, memory
-    /// abort); all-false when the deepest rung completed or the run was
-    /// not budgeted.
+    /// cause (gate, mid-stream plan-budget abort, deadline abort);
+    /// all-false when the deepest rung completed or the run was not
+    /// budgeted.
     pub degradation: Degradation,
     /// Which adaptive ladder rung produced the plan (`None` for
     /// non-adaptive runs).
@@ -1033,9 +1016,9 @@ impl Memo {
     }
 
     /// Bytes of *live* plan state: both row arrays and every lane at their
-    /// current length. O(1), so the budgeted search can check it once per
-    /// work unit. Class id lists and rows and over-capacity are not
-    /// counted; see [`Memo::footprint_bytes`] for the allocation-side view.
+    /// current length, the quantity [`MemoStats::live_bytes_peak`] tracks.
+    /// O(1). Class id lists and rows and over-capacity are not counted;
+    /// see [`Memo::footprint_bytes`] for the allocation-side view.
     #[inline]
     pub fn live_bytes(&self) -> u64 {
         (self.hot.len() * ARENA_ROW_BYTES + lane_bytes(self.lanes.lens())) as u64

@@ -858,56 +858,49 @@ mod budget {
         let full = Budget {
             plans: Some(1_000),
             deadline: Some(deadline),
-            bytes: Some(4_096),
         };
         // Midpoint of the remaining time, whenever the clock was read.
         let midpoint = |now: Instant| now + (deadline - now) / 2;
         let before = Instant::now();
-        let half = full.split(200, 1_024);
+        let half = full.split(200);
         let after = Instant::now();
         assert_eq!(Some(600), half.plans);
-        assert_eq!(Some(2_560), half.bytes);
         let sub = half.deadline.expect("an armed deadline stays armed");
         assert!(midpoint(before) <= sub && sub <= midpoint(after));
 
-        assert_eq!(Some(601), full.split(201, 0).plans, "799 left: 400 go");
-        assert_eq!(Budget::default(), Budget::default().split(7, 7));
+        assert_eq!(Some(601), full.split(201).plans, "799 left: 400 go");
+        assert_eq!(Budget::default(), Budget::default().split(7));
         let plans_only = Budget {
             plans: Some(10),
             ..Budget::default()
         };
-        let half = plans_only.split(0, 0);
-        assert_eq!(
-            (Some(5), None, None),
-            (half.plans, half.deadline, half.bytes)
-        );
+        let half = plans_only.split(0);
+        assert_eq!((Some(5), None), (half.plans, half.deadline));
         // Nothing left, or (a caller's bug) more spent than allowed: the
         // half never undercuts what is spent.
         for spent in [0, 9, 10, 11, 1 << 40] {
-            let half = plans_only.split(spent, 0).plans.unwrap();
+            let half = plans_only.split(spent).plans.unwrap();
             assert!(half >= spent, "spent {spent}");
         }
     }
 
-    /// One check, one order: plans before deadline before bytes, and the
-    /// boundary of each — a plan limit is reached only when exceeded, the
-    /// deadline and the byte limit when reached.
+    /// One check, one order: plans before deadline, and the boundary of
+    /// each — a plan limit is reached only when exceeded, the deadline
+    /// when reached.
     #[test]
     fn the_first_limit_reached_is_the_cause() {
         let past = Instant::now();
         let all = Budget {
             plans: Some(10),
             deadline: Some(past),
-            bytes: Some(100),
         };
-        assert_eq!(Some(Exhausted::Plans), all.exhausted_at(11, 100));
-        assert_eq!(Some(Exhausted::Deadline), all.exhausted_at(10, 100));
+        assert_eq!(Some(Exhausted::Plans), all.exhausted_at(11));
+        assert_eq!(Some(Exhausted::Deadline), all.exhausted_at(10));
         let timeless = Budget {
             deadline: None,
             ..all
         };
-        assert_eq!(Some(Exhausted::Bytes), timeless.exhausted_at(10, 100));
-        assert_eq!(None, timeless.exhausted_at(10, 99));
-        assert_eq!(None, Budget::default().exhausted_at(u64::MAX, u64::MAX));
+        assert_eq!(None, timeless.exhausted_at(10));
+        assert_eq!(None, Budget::default().exhausted_at(u64::MAX));
     }
 }

@@ -54,6 +54,10 @@
 //! searched a cost-sorted row array per class instead of the arena. How a
 //! class is searched must not move what a fold decides, so these columns
 //! move only with the relation or the enumeration order.
+//!
+//! The four `B` rows (an ample byte budget on each 8-relation query) went
+//! with the byte budget itself, which left 68 rows; no remaining row was
+//! edited.
 
 use dpnext_core::{
     optimize_into, optimize_with, Algorithm, Memo, MemoStats, OptimizeOptions, Optimized,
@@ -68,14 +72,10 @@ enum Arm {
     Plans(u64),
     /// A deadline no run comes near, no plan budget.
     AmpleDeadline,
-    /// A byte budget no run comes near, no plan budget.
-    AmpleBytes,
 }
 
 const AMPLE_DEADLINE: Duration = Duration::from_secs(3600);
-const AMPLE_BYTES: u64 = 1 << 40;
-/// Budgets whose rows are also run with [`AMPLE_DEADLINE`] and
-/// [`AMPLE_BYTES`] armed on top.
+/// Budgets whose rows are also run with [`AMPLE_DEADLINE`] armed on top.
 const TIGHT: [u64; 2] = [1, 2_000];
 const SEED: u64 = 1;
 
@@ -91,10 +91,6 @@ fn options(arm: Arm) -> OptimizeOptions {
         },
         Arm::AmpleDeadline => OptimizeOptions {
             deadline: Some(AMPLE_DEADLINE),
-            ..base
-        },
-        Arm::AmpleBytes => OptimizeOptions {
-            memory_budget: AMPLE_BYTES,
             ..base
         },
     }
@@ -121,14 +117,14 @@ fn outcome(o: &Optimized) -> Outcome {
     )
 }
 
-use Arm::{AmpleBytes as B, AmpleDeadline as D, Plans as P};
+use Arm::{AmpleDeadline as D, Plans as P};
 use Topology::{Chain, Clique, Mixed, Star};
 
 /// `(topology, relations, limits, cost bits, plans_built, retained_plans,
 /// plan_budget, adaptive_mode, degradation, live_bytes_peak,
 /// prune_attempts, prune_rejected, prune_evicted, peak_class_width)`.
 ///
-/// The `plan_budget` of the `D` and `B` rows is 0 — no plan limit. It is
+/// The `plan_budget` of the `D` rows is 0 — no plan limit. It is
 /// the one column that was not taken from `84e85da`, which reported its
 /// `1 << 42` stand-in for "no limit" there.
 type Row = (
@@ -155,7 +151,6 @@ const GOLDEN: &[Row] = &[
     (Chain, 8, P(20000), 0x40d1e133da50cef8, 716, 65, 20000, "exact", "none", 28056, 274, 186, 26, 18),
     (Chain, 8, P(200000), 0x40d1e133da50cef8, 716, 65, 200000, "exact", "none", 28056, 274, 186, 26, 18),
     (Chain, 8, D, 0x40d1e133da50cef8, 716, 65, 0, "exact", "none", 28056, 274, 186, 26, 18),
-    (Chain, 8, B, 0x40d1e133da50cef8, 716, 65, 0, "exact", "none", 28056, 274, 186, 26, 18),
     (Chain, 12, P(1), 0x40dfcdc6284986fa, 1011, 71, 1536, "linearized", "budget-gated", 33756, 654, 569, 16, 9),
     (Chain, 12, P(2000), 0x40e1e50d4058d928, 1981, 159, 2000, "greedy", "budget-aborted", 57048, 1171, 999, 15, 9),
     (Chain, 12, P(20000), 0x40deb6cd92d7dc88, 1578, 145, 20000, "exact", "none", 45564, 604, 453, 8, 7),
@@ -173,7 +168,6 @@ const GOLDEN: &[Row] = &[
     (Star, 8, P(20000), 0x403c551be43b3c65, 1329, 89, 20000, "exact", "none", 29244, 336, 211, 35, 7),
     (Star, 8, P(200000), 0x403c551be43b3c65, 1329, 89, 200000, "exact", "none", 29244, 336, 211, 35, 7),
     (Star, 8, D, 0x403c551be43b3c65, 1329, 89, 0, "exact", "none", 29244, 336, 211, 35, 7),
-    (Star, 8, B, 0x403c551be43b3c65, 1329, 89, 0, "exact", "none", 29244, 336, 211, 35, 7),
     (Star, 12, P(1), 0x403b2f4d98d300e9, 585, 85, 1536, "linearized", "budget-gated", 30236, 374, 288, 0, 12),
     (Star, 12, P(2000), 0x403b2f4d98d300e9, 585, 85, 2000, "linearized", "budget-gated", 30236, 374, 288, 0, 12),
     (Star, 12, P(20000), 0x403b2f4d98d300e9, 585, 85, 20000, "linearized", "budget-gated", 30236, 374, 288, 0, 12),
@@ -191,7 +185,6 @@ const GOLDEN: &[Row] = &[
     (Clique, 8, P(20000), 0x409c90174f835062, 114, 14, 20000, "exact", "none", 6344, 44, 31, 1, 3),
     (Clique, 8, P(200000), 0x409c90174f835062, 114, 14, 200000, "exact", "none", 6344, 44, 31, 1, 3),
     (Clique, 8, D, 0x409c90174f835062, 114, 14, 0, "exact", "none", 6344, 44, 31, 1, 3),
-    (Clique, 8, B, 0x409c90174f835062, 114, 14, 0, "exact", "none", 6344, 44, 31, 1, 3),
     (Clique, 12, P(1), 0x40801ba4b969490d, 150, 22, 1536, "exact", "none", 12336, 76, 55, 1, 3),
     (Clique, 12, P(2000), 0x40801ba4b969490d, 150, 22, 2000, "exact", "none", 12336, 76, 55, 1, 3),
     (Clique, 12, P(20000), 0x40801ba4b969490d, 150, 22, 20000, "exact", "none", 12336, 76, 55, 1, 3),
@@ -209,7 +202,6 @@ const GOLDEN: &[Row] = &[
     (Mixed, 8, P(20000), 0x408e32004faf1224, 146, 17, 20000, "exact", "none", 6232, 53, 36, 3, 2),
     (Mixed, 8, P(200000), 0x408e32004faf1224, 146, 17, 200000, "exact", "none", 6232, 53, 36, 3, 2),
     (Mixed, 8, D, 0x408e32004faf1224, 146, 17, 0, "exact", "none", 6232, 53, 36, 3, 2),
-    (Mixed, 8, B, 0x408e32004faf1224, 146, 17, 0, "exact", "none", 6232, 53, 36, 3, 2),
     (Mixed, 12, P(1), 0x40ffbf207c3949b5, 1477, 147, 1536, "greedy", "budget-aborted", 46232, 881, 720, 16, 23),
     (Mixed, 12, P(2000), 0x40ffbf207c3949b5, 1974, 175, 2000, "greedy", "budget-aborted", 59472, 1215, 1016, 26, 25),
     (Mixed, 12, P(20000), 0x40ff80bec6d67eb8, 1767, 118, 20000, "exact", "none", 47820, 981, 831, 34, 9),
@@ -236,7 +228,7 @@ fn ladder_reproduces_the_recorded_grid() {
             let query = generate_query(&GenConfig::topology(n, topo), SEED);
             let mut arms = vec![P(1), P(2_000), P(20_000), P(200_000)];
             if n == 8 {
-                arms.extend([D, B]);
+                arms.push(D);
             }
             for arm in arms {
                 let run = optimize_into(&query, Algorithm::Adaptive, &options(arm), &mut memo);
@@ -244,27 +236,26 @@ fn ladder_reproduces_the_recorded_grid() {
                     .unwrap_or_else(|e| panic!("{topo:?} n={n} {arm:?}: {e}"));
                 let got = outcome(&run);
                 match arm {
-                    // The tight budget is what trips: arming a deadline and
-                    // a byte budget that never bind changes nothing, and in
-                    // particular adds no cause to the degradation.
+                    // The tight budget is what trips: arming a deadline
+                    // that never binds changes nothing, and in particular
+                    // adds no cause to the degradation.
                     P(budget) if TIGHT.contains(&budget) => {
                         let all = optimize_with(
                             &query,
                             Algorithm::Adaptive,
                             &OptimizeOptions {
                                 deadline: Some(AMPLE_DEADLINE),
-                                memory_budget: AMPLE_BYTES,
                                 ..options(arm)
                             },
                         );
                         assert_eq!(got, outcome(&all), "{topo:?} n={n} {arm:?} + ample");
                         let d = all.memo.degradation;
-                        assert!(!d.resource_aborted(), "{topo:?} n={n} {arm:?}: {d}");
+                        assert!(!d.deadline_aborted, "{topo:?} n={n} {arm:?}: {d}");
                     }
                     P(_) => {}
-                    // Limits that never bind: the exact rung completes and
-                    // the result is the EA-Prune optimum.
-                    D | B => {
+                    // A limit that never binds: the exact rung completes
+                    // and the result is the EA-Prune optimum.
+                    D => {
                         let exact = optimize_with(&query, Algorithm::EaPrune, &options(P(0)));
                         assert_eq!(exact.plan.cost.to_bits(), got.0, "{topo:?} n={n} {arm:?}");
                         assert_eq!(("exact", "none"), (got.4.as_str(), got.5.as_str()));
@@ -298,7 +289,6 @@ fn ladder_reproduces_the_recorded_grid() {
                 let arm = match arm {
                     P(b) => format!("P({b})"),
                     D => "D".to_string(),
-                    B => "B".to_string(),
                 };
                 format!(
                     "    ({t:?}, {n}, {arm}, {:#018x}, {}, {}, {}, {:?}, {:?}, {}, {}, {}, {}, {}),\n",

@@ -13,7 +13,7 @@
 //! (Fig. 11) into a sweep: a single-best class may lose the optimum, a
 //! dominance-thinned one never does.
 
-use dpnext_conflict::applicable_ops;
+use dpnext_conflict::applicable_ops_into;
 use dpnext_core::finalize::final_numbers;
 use dpnext_core::optrees::{may_push, op_trees, pushable};
 use dpnext_core::{
@@ -119,15 +119,15 @@ fn first_violation(query: &Query, by: Precedes) -> Option<String> {
     enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
     let mut scratch = Scratch::new(&ctx);
     let mut staged = StagedApply::default();
-    let (mut of_p, mut of_q) = (Vec::new(), Vec::new());
+    let (mut of_p, mut of_q, mut apps) = (Vec::new(), Vec::new(), Vec::new());
     for (s1, s2) in pairs {
-        let apps = applicable_ops(&ctx.cq, s1, s2);
+        applicable_ops_into(&ctx.cq, s1, s2, &mut apps);
         // Several operators on one cut (cyclic graphs) are merged by the
         // engine; the generator's graphs are trees, so one is the case.
         if apps.iter().any(|&(op, _)| op != apps[0].0) {
             continue;
         }
-        for (op, swapped) in apps {
+        for &(op, swapped) in &apps {
             let (sl, sr) = if swapped { (s2, s1) } else { (s1, s2) };
             let lefts = spread(memo.class(sl), WIDTH);
             let rights = spread(memo.class(sr), WIDTH);

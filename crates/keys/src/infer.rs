@@ -2,33 +2,8 @@
 //! `NeedsGrouping` test (Fig. 7).
 
 use crate::keyset::{KeySet, KeysRef};
-use dpnext_algebra::{AttrId, JoinPred};
+use dpnext_algebra::AttrId;
 use dpnext_query::OpKind;
-
-/// Logical properties of an intermediate result relevant to grouping
-/// placement: its candidate keys and whether it is duplicate-free.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct KeyInfo {
-    pub keys: KeySet,
-    /// SQL key/uniqueness declarations imply duplicate-freeness (§3.2
-    /// remark); propagated conservatively.
-    pub duplicate_free: bool,
-}
-
-impl KeyInfo {
-    pub fn base(keys: KeySet) -> Self {
-        let duplicate_free = !keys.is_empty();
-        KeyInfo {
-            keys,
-            duplicate_free,
-        }
-    }
-
-    /// No information: grouping will never be elided on top of this.
-    pub fn unknown() -> Self {
-        KeyInfo::default()
-    }
-}
 
 /// Where the key set of a join result comes from (§2.3): two of the
 /// rules hand an input's `κ` through unchanged, so a caller that stores
@@ -43,39 +18,6 @@ pub enum JoinKeys {
     Built,
 }
 
-/// `κ` propagation for a binary operator (§2.3.1–§2.3.4).
-///
-/// `pred` must be canonicalized (left terms from the left input). Only
-/// equality predicates allow the key-preserving fast cases; theta joins
-/// always fall back to pairwise combination.
-pub fn infer_join_keys(op: OpKind, left: &KeyInfo, right: &KeyInfo, pred: &JoinPred) -> KeyInfo {
-    let equi = pred.is_equi() && !pred.terms.is_empty();
-    let mut left_attrs = pred.left_attrs();
-    let mut right_attrs = pred.right_attrs();
-    left_attrs.sort_unstable();
-    left_attrs.dedup();
-    right_attrs.sort_unstable();
-    right_attrs.dedup();
-    let mut built = KeySet::empty();
-    let source = infer_join_keys_presorted(
-        op,
-        left.keys.as_ref(),
-        right.keys.as_ref(),
-        equi,
-        &left_attrs,
-        &right_attrs,
-        &mut built,
-    );
-    KeyInfo {
-        keys: match source {
-            JoinKeys::Left => left.keys.clone(),
-            JoinKeys::Right => right.keys.clone(),
-            JoinKeys::Built => built,
-        },
-        duplicate_free: join_duplicate_free(op, left.duplicate_free, right.duplicate_free),
-    }
-}
-
 /// Duplicate-freeness of `left op right`: semijoin / antijoin / groupjoin
 /// emit each left tuple at most once, every other operator needs both
 /// inputs duplicate-free.
@@ -87,10 +29,13 @@ pub fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
     }
 }
 
-/// [`infer_join_keys`] with the predicate pre-digested and the key sets
-/// borrowed: `equi` says whether the predicate is a non-empty conjunction
-/// of equalities, and `left_attrs` / `right_attrs` are its per-side
-/// attribute sets, sorted and deduplicated. The enumeration stages these
+/// `κ` propagation for a binary operator (§2.3.1–§2.3.4), with the
+/// predicate pre-digested and the key sets borrowed: `equi` says whether
+/// the predicate is a non-empty conjunction of equalities — only then are
+/// the key-preserving fast cases allowed; theta joins always fall back to
+/// pairwise combination — and `left_attrs` / `right_attrs` are its
+/// per-side attribute sets (left terms from the left input), sorted and
+/// deduplicated. The enumeration stages these
 /// once per cut orientation ([`stage_apply`]'s contract) and calls this per
 /// plan pair. A combined key set is written to `built` (cleared first, its
 /// allocation reused); when an input's keys survive unchanged `built` is
@@ -144,106 +89,107 @@ pub fn needs_grouping(group_attrs: &[AttrId], duplicate_free: bool, keys: KeysRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keyset::KeySet;
 
     fn a(i: u32) -> AttrId {
         AttrId(i)
     }
 
-    fn keyed(attr: AttrId) -> KeyInfo {
-        KeyInfo::base(KeySet::from_keys([vec![attr]]))
+    fn keyed(attr: AttrId) -> KeySet {
+        KeySet::from_keys([vec![attr]])
+    }
+
+    /// `κ(left op right)` on the equality `l = r`.
+    fn join(op: OpKind, left: &KeySet, right: &KeySet, (l, r): (AttrId, AttrId)) -> KeySet {
+        let mut built = KeySet::empty();
+        let source = infer_join_keys_presorted(
+            op,
+            left.as_ref(),
+            right.as_ref(),
+            true,
+            &[l],
+            &[r],
+            &mut built,
+        );
+        match source {
+            JoinKeys::Left => left.clone(),
+            JoinKeys::Right => right.clone(),
+            JoinKeys::Built => built,
+        }
     }
 
     #[test]
     fn inner_join_both_keys() {
         // Join on key = key: both sides' keys survive.
-        let l = keyed(a(0));
-        let r = keyed(a(1));
-        let out = infer_join_keys(OpKind::Join, &l, &r, &JoinPred::eq(a(0), a(1)));
-        assert!(out.keys.some_key_within(&[a(0)]));
-        assert!(out.keys.some_key_within(&[a(1)]));
-        assert!(out.duplicate_free);
+        let (l, r) = (keyed(a(0)), keyed(a(1)));
+        let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
+        assert!(out.some_key_within(&[a(0)]));
+        assert!(out.some_key_within(&[a(1)]));
+        assert!(join_duplicate_free(OpKind::Join, true, true));
     }
 
     #[test]
     fn inner_join_fk_to_pk() {
         // e1.fk = e2.pk (pk key of e2): keys of e1 survive.
-        let l = KeyInfo::base(KeySet::from_keys([vec![a(0)]])); // key a0, join attr a5
+        let l = keyed(a(0)); // key a0, join attr a5
         let r = keyed(a(1));
-        let out = infer_join_keys(OpKind::Join, &l, &r, &JoinPred::eq(a(5), a(1)));
-        assert!(out.keys.some_key_within(&[a(0)]));
-        assert!(!out.keys.some_key_within(&[a(1)]));
+        let out = join(OpKind::Join, &l, &r, (a(5), a(1)));
+        assert!(out.some_key_within(&[a(0)]));
+        assert!(!out.some_key_within(&[a(1)]));
     }
 
     #[test]
     fn inner_join_general_pairwise() {
-        let l = keyed(a(0));
-        let r = keyed(a(1));
+        let (l, r) = (keyed(a(0)), keyed(a(1)));
         // Join on non-key attributes.
-        let out = infer_join_keys(OpKind::Join, &l, &r, &JoinPred::eq(a(5), a(6)));
-        assert!(!out.keys.some_key_within(&[a(0)]));
-        assert!(out.keys.some_key_within(&[a(0), a(1)]));
+        let out = join(OpKind::Join, &l, &r, (a(5), a(6)));
+        assert!(!out.some_key_within(&[a(0)]));
+        assert!(out.some_key_within(&[a(0), a(1)]));
     }
 
     #[test]
     fn left_outer_key_on_right() {
-        let l = keyed(a(0));
-        let r = keyed(a(1));
-        let out = infer_join_keys(OpKind::LeftOuter, &l, &r, &JoinPred::eq(a(5), a(1)));
-        assert!(out.keys.some_key_within(&[a(0)]));
+        let (l, r) = (keyed(a(0)), keyed(a(1)));
+        let out = join(OpKind::LeftOuter, &l, &r, (a(5), a(1)));
+        assert!(out.some_key_within(&[a(0)]));
     }
 
     #[test]
     fn full_outer_always_pairwise() {
-        let l = keyed(a(0));
-        let r = keyed(a(1));
-        let out = infer_join_keys(OpKind::FullOuter, &l, &r, &JoinPred::eq(a(0), a(1)));
-        assert!(!out.keys.some_key_within(&[a(0)]));
-        assert!(out.keys.some_key_within(&[a(0), a(1)]));
+        let (l, r) = (keyed(a(0)), keyed(a(1)));
+        let out = join(OpKind::FullOuter, &l, &r, (a(0), a(1)));
+        assert!(!out.some_key_within(&[a(0)]));
+        assert!(out.some_key_within(&[a(0), a(1)]));
     }
 
     #[test]
     fn semijoin_keeps_left_keys() {
-        let l = keyed(a(0));
-        let r = KeyInfo::unknown();
+        // The right side is unknown: no keys, not duplicate-free.
+        let (l, r) = (keyed(a(0)), KeySet::empty());
         for op in [OpKind::Semi, OpKind::Anti, OpKind::GroupJoin] {
-            let out = infer_join_keys(op, &l, &r, &JoinPred::eq(a(0), a(1)));
-            assert!(out.keys.some_key_within(&[a(0)]), "{op:?}");
-            assert!(out.duplicate_free);
+            let out = join(op, &l, &r, (a(0), a(1)));
+            assert!(out.some_key_within(&[a(0)]), "{op:?}");
+            assert!(join_duplicate_free(op, true, false), "{op:?}");
         }
     }
 
     #[test]
     fn unknown_keys_stay_unknown() {
-        let l = KeyInfo::unknown();
-        let r = keyed(a(1));
-        let out = infer_join_keys(OpKind::Join, &l, &r, &JoinPred::eq(a(0), a(1)));
+        let (l, r) = (KeySet::empty(), keyed(a(1)));
+        let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
         // r covers its key, so left keys (empty) survive → still empty.
-        assert!(out.keys.is_empty());
-        assert!(!out.duplicate_free);
+        assert!(out.is_empty());
+        assert!(!join_duplicate_free(OpKind::Join, false, true));
     }
 
     #[test]
     fn needs_grouping_tests() {
         // After `Γ_{a0,a1}`: the grouping attributes form a key, no duplicates.
-        let info = KeyInfo::base(KeySet::from_keys([vec![a(0), a(1)]]));
+        let keys = KeySet::from_keys([vec![a(0), a(1)]]);
         // G contains the key {a0,a1}: no grouping needed.
-        assert!(!needs_grouping(
-            &[a(0), a(1), a(2)],
-            true,
-            info.keys.as_ref()
-        ));
+        assert!(!needs_grouping(&[a(0), a(1), a(2)], true, keys.as_ref()));
         // G misses part of the key.
-        assert!(needs_grouping(&[a(0)], true, info.keys.as_ref()));
+        assert!(needs_grouping(&[a(0)], true, keys.as_ref()));
         // Duplicates possible: grouping needed even if key within G.
-        let dup = KeyInfo {
-            keys: KeySet::from_keys([vec![a(0)]]),
-            duplicate_free: false,
-        };
-        assert!(needs_grouping(
-            &[a(0)],
-            dup.duplicate_free,
-            dup.keys.as_ref()
-        ));
+        assert!(needs_grouping(&[a(0)], false, keyed(a(0)).as_ref()));
     }
 }

@@ -7,8 +7,5 @@
 pub mod infer;
 pub mod keyset;
 
-pub use infer::{
-    infer_join_keys, infer_join_keys_presorted, join_duplicate_free, needs_grouping, JoinKeys,
-    KeyInfo,
-};
+pub use infer::{infer_join_keys_presorted, join_duplicate_free, needs_grouping, JoinKeys};
 pub use keyset::{signature_may_imply, Key, KeySet, KeysRef, Span};

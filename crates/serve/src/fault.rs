@@ -7,7 +7,7 @@
 //! zero-based index in the service's request counter) whether to inject a
 //! **panic** inside the optimizer call or a **stall** before it. A fault is
 //! only ever something the production path never does on purpose: a tight
-//! deadline or a small memory budget is a limit, and is set on the
+//! deadline or a small plan budget is a limit, and is set on the
 //! [`dpnext::Optimizer`] the service wraps. Decisions are a pure function of
 //! `(seed, request index)`, so a test can precompute exactly which of its N
 //! requests will fault and assert the service survives all of them.

@@ -1,7 +1,7 @@
 //! Admission control for the serving layer: a bounded gate.
 //!
 //! The gate bounds concurrency; what one request may spend is its own
-//! deadline and memory budget, set on the wrapped [`dpnext::Optimizer`],
+//! plan budget and deadline, set on the wrapped [`dpnext::Optimizer`],
 //! and the memory it holds is booked by the [`crate::MemoPool`] it runs in.
 //!
 //! **[`AdmissionGate`]** — at most `max_concurrent` requests optimize at

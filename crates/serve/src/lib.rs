@@ -57,12 +57,12 @@
 //! of the [`MemoPool`] (`dpnext_pool_*`, whose `dpnext_pool_bytes` books
 //! every memo the pool holds) and inside `catch_unwind`. The request runs
 //! as the wrapped [`dpnext::Optimizer`] is configured — its algorithm,
-//! deadline and memory budget; a request's limits are set there and
+//! plan budget and deadline; a request's limits are set there and
 //! nowhere else, not on [`ServiceConfig`] and not by a fault. The
 //! [`Fault`] a [`FaultInjector`] schedules for the request panics in
 //! place of the call, or stalls before it while holding the gate slot and
-//! the memo. A deadline- or memory-pressured run degrades down the
-//! adaptive ladder and still returns a valid plan; a completed run observes
+//! the memo. A run whose deadline passes degrades down the adaptive
+//! ladder and still returns a valid plan; a completed run observes
 //! `dpnext_service_time_nanos`, `dpnext_plans_built` and
 //! `dpnext_live_bytes_peak` and parks its memo. A panic is contained to
 //! its request: the memo is **quarantined** (destroyed, its footprint
@@ -74,8 +74,9 @@
 //! **Publish.** The rung that produced the plan and any degradation are
 //! counted (`dpnext_rung_total`, `dpnext_degraded_total`), and a
 //! full-quality plan is inserted into the cache for later arrivals of the
-//! shape (`dpnext_cache_evictions_total`). A degraded plan is valid but
-//! stays out of the cache, so a later uncontended arrival re-optimizes.
+//! shape (`dpnext_cache_evictions_total`). A plan the deadline cut short
+//! is valid but stays out of the cache, so a later uncontended arrival
+//! re-optimizes.
 //!
 //! Out of band, an opt-in scrape endpoint ([`MetricsServer::spawn`] on
 //! the `Arc`'d service and an address) serves the registry as Prometheus

@@ -19,9 +19,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Capacity and admission knobs of an [`OptimizerService`]. What one
-/// request may spend — its deadline and memory budget — is not set here:
+/// request may spend — its plan budget and deadline — is not set here:
 /// those are the limits of the [`Optimizer`] the service wraps
-/// ([`Optimizer::deadline`], [`Optimizer::memory_budget`]).
+/// ([`Optimizer::plan_budget`], [`Optimizer::deadline`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Plans the cache may hold, rounded up to a whole number per shard:
@@ -134,9 +134,6 @@ pub struct ServiceStats {
     /// Requests that hit their deadline and shipped a degraded (but
     /// valid) plan; such plans bypass the cache.
     pub deadline_degraded: u64,
-    /// Requests that hit their memory budget and shipped a degraded (but
-    /// valid) plan; such plans bypass the cache.
-    pub memory_degraded: u64,
     /// Admission-gate counters (admitted / fast-rejected / queue peak).
     pub gate: GateStats,
 }
@@ -165,7 +162,6 @@ pub struct OptimizerService {
     /// `optimize_sql` calls whose text failed to parse or bind.
     sql_errors: Arc<Counter>,
     deadline_degraded: Arc<Counter>,
-    memory_degraded: Arc<Counter>,
     /// Completed optimizer runs by final adaptive mode, indexed by
     /// [`rung_index`]. `dpnext_rung_total{mode=...}` in the registry.
     rungs: [Arc<Counter>; 5],
@@ -238,7 +234,7 @@ impl OptimizerService {
     }
 
     /// A service with explicit capacities and admission knobs. Requests
-    /// run under `optimizer`'s own deadline and memory budget.
+    /// run under `optimizer`'s own plan budget and deadline.
     pub fn with_config(optimizer: Optimizer, config: ServiceConfig) -> OptimizerService {
         let front = FrontMap::new(config.cache_capacity);
         let cache = PlanCache::new(config.cache_capacity);
@@ -253,8 +249,6 @@ impl OptimizerService {
         cache.register_metrics(&registry);
         pool.register_metrics(&registry);
         gate.register_metrics(&registry);
-        const DEGRADED_HELP: &str =
-            "Completed requests that shipped a degraded plan, by abort cause.";
         // Field order below is registration order, which is the order the
         // families render in on `/metrics`.
         OptimizerService {
@@ -278,13 +272,8 @@ impl OptimizerService {
             ),
             deadline_degraded: registry.counter_with(
                 "dpnext_degraded_total",
-                DEGRADED_HELP,
+                "Completed requests that shipped a degraded plan, by abort cause.",
                 &[("cause", "deadline")],
-            ),
-            memory_degraded: registry.counter_with(
-                "dpnext_degraded_total",
-                DEGRADED_HELP,
-                &[("cause", "memory")],
             ),
             rungs: ["none", "exact", "partial-exact", "linearized", "greedy"].map(|mode| {
                 registry.counter_with(
@@ -502,7 +491,7 @@ impl OptimizerService {
     }
 
     /// Run: one [`Optimizer::optimize_pooled`] call — the wrapped
-    /// optimizer's algorithm, deadline and memory budget, which are set
+    /// optimizer's algorithm, plan budget and deadline, which are set
     /// there and nowhere else — inside a pooled memo and inside
     /// `catch_unwind`. An injected fault panics in place of the call, or
     /// stalls before it while holding the gate slot and the memo. A panic
@@ -574,9 +563,6 @@ impl OptimizerService {
         if degradation.deadline_aborted {
             self.deadline_degraded.inc();
         }
-        if degradation.memory_aborted {
-            self.memory_degraded.inc();
-        }
         req.outcome = "optimized";
         if req.span.is_recording() {
             req.span.tag_text("degradation", degradation.to_string());
@@ -585,9 +571,11 @@ impl OptimizerService {
         }
         let epoch = key.epoch;
         let result = Arc::new(optimized);
-        // A degraded plan is valid but below full quality: keep it out of
-        // the cache so a later, uncontended arrival re-optimizes.
-        if !degradation.resource_aborted() {
+        // A plan the deadline cut short is valid but below full quality and
+        // depends on the clock: keep it out of the cache so a later,
+        // uncontended arrival re-optimizes. A plan-budget abort is the
+        // same plan on every run, and is cached.
+        if !degradation.deadline_aborted {
             self.cache.insert(key, result.clone());
         }
         Ok(ServeResult {
@@ -624,7 +612,6 @@ impl OptimizerService {
             pool: self.pool.stats(),
             panics: self.panics.get(),
             deadline_degraded: self.deadline_degraded.get(),
-            memory_degraded: self.memory_degraded.get(),
             gate: self.gate.stats(),
         }
     }
@@ -650,7 +637,7 @@ impl ServiceStats {
         format!(
             concat!(
                 "{{\"requests\":{},\"epoch\":{},\"panics\":{},",
-                "\"deadline_degraded\":{},\"memory_degraded\":{},",
+                "\"deadline_degraded\":{},",
                 "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
                 "\"pool\":{{\"created\":{},\"reused\":{},\"pooled\":{},\"pooled_peak\":{},",
                 "\"bytes\":{},\"bytes_peak\":{},\"quarantined\":{},\"quarantined_bytes\":{},",
@@ -661,7 +648,6 @@ impl ServiceStats {
             self.epoch,
             self.panics,
             self.deadline_degraded,
-            self.memory_degraded,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,

@@ -189,7 +189,7 @@ fn traced_miss_carries_one_engine_enumerate_span() {
 
 /// The acceptance identity of the tentpole: after a 4-thread hammer —
 /// traced, through a bounded gate, with injected panics and stalls, under a
-/// deadline and a memory budget — the registry's histograms and counters
+/// deadline — the registry's histograms and counters
 /// agree *exactly* with [`ServiceStats`] and with what the
 /// clients saw (same cells, no sampling, no drift), the rendered text
 /// passes the Prometheus format lint, and at quiescence every book
@@ -215,9 +215,7 @@ fn hammer_histograms_reconcile_exactly_with_stats() {
         .unwrap();
     let service = Arc::new(
         OptimizerService::with_config(
-            Optimizer::new(A::EaPrune)
-                .deadline(Some(Duration::from_millis(50)))
-                .memory_budget(48 << 10),
+            Optimizer::new(A::EaPrune).deadline(Some(Duration::from_millis(50))),
             ServiceConfig {
                 // No more memos than the pool parks: none is discarded
                 // over capacity, so every created one stays on the books.

@@ -16,7 +16,7 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 /// admission cap of 4 (2 concurrent + 2 queued) splits exactly into
 /// admitted successes and fast `Overloaded` rejections — no request is
 /// lost, none panics, and the wait queue never grows past its bound. Every
-/// request runs under a small memory budget, so the admitted ones degrade
+/// request runs under an expired deadline, so the admitted ones degrade
 /// instead of failing and the pool's byte books stay under a generous leak
 /// bound.
 #[test]
@@ -25,11 +25,9 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     // A leak bound, not a service cap: the 2 checked-out + 4 parked memos
     // of 9-relation runs peak far below it, so a breach can only mean the
     // accounting leaked.
-    // The 4 KiB memory budget is under the smallest of the 16 queries'
-    // unbudgeted live peaks (6 024 … 8 036 bytes — of an arena that holds
-    // what the classes keep, and of an exact rung that skips what the
-    // greedy plan already beats), so every admitted run aborts: the greedy
-    // rung alone fills it, after 40 … 84 plans.
+    // The deadline has passed when the run starts, and the greedy rung
+    // ignores the clock, so every admitted run ships its greedy plan as
+    // deadline-aborted.
     const BYTES_CAP: u64 = 256 << 20;
     // Every admitted run stalls 10 ms in its gate slot before it runs, so it
     // outlasts the burst's arrival window on any machine and the rejection
@@ -37,7 +35,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     let inj = FaultInjector::new(0xCAFE, 0, 1_000_000, Duration::from_millis(10));
     let service = Arc::new(
         OptimizerService::with_config(
-            quiet_optimizer(A::EaPrune).memory_budget(4 << 10),
+            quiet_optimizer(A::EaPrune).deadline(Some(Duration::ZERO)),
             ServiceConfig {
                 cache_capacity: 0, // every request must reach the gate
                 pool_capacity: 4,
@@ -97,10 +95,10 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
         stats.pool.bytes_peak
     );
     assert_eq!(
-        ok, stats.memory_degraded,
-        "every admitted request ran under the optimizer's memory budget"
+        ok, stats.deadline_degraded,
+        "every admitted request ran under the optimizer's expired deadline"
     );
-    assert!(stats.memory_degraded > 0);
+    assert!(stats.deadline_degraded > 0);
 }
 
 /// Service-level regression for the quarantine accounting fix: a panic

@@ -146,7 +146,7 @@ fn slow_fault_stalls_every_algorithm() {
             "{algo:?} returned in {took:?}, under the stall"
         );
         assert!(r.result.plan.cost.is_finite(), "{algo:?}");
-        assert!(!r.result.memo.degradation.resource_aborted(), "{algo:?}");
+        assert!(!r.result.memo.degradation.deadline_aborted, "{algo:?}");
     }
 }
 

@@ -121,19 +121,6 @@ impl Optimizer {
         self
     }
 
-    /// Per-request memory budget in bytes of live memo state
-    /// ([`dpnext_core::Memo::live_bytes`]). Like a deadline, a non-zero
-    /// budget turns *any* algorithm choice into the adaptive degradation
-    /// ladder: the run degrades the moment live bytes reach the budget
-    /// (overshoot bounded by one work unit's plans) and always returns a
-    /// structurally valid plan, with `memo.degradation.memory_aborted`
-    /// recording why. `0` (the default) changes nothing: unconstrained
-    /// runs stay bit-identical.
-    pub fn memory_budget(mut self, bytes: u64) -> Optimizer {
-        self.options.memory_budget = bytes;
-        self
-    }
-
     /// Toggle EXPLAIN rendering on the result (disable for benchmarking
     /// loops; the memo statistics are always collected).
     pub fn explain(mut self, on: bool) -> Optimizer {
