@@ -24,6 +24,7 @@
 use crate::algo::Search;
 use crate::context::OptContext;
 use crate::memo::Memo;
+use crate::plan::{cut_estimate, cut_terms};
 use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpTree;
@@ -120,26 +121,27 @@ fn traversal_order(tree: &OpTree) -> Vec<usize> {
 /// applicable operator, or a mix of distinct operators that are not all
 /// inner joins) — selecting such a pair would dead-end the pass. Mirrors
 /// the engine's estimate (`make_apply`) without constructing a plan: the
-/// first orientation's operator's `join_card` over the cheapest
-/// representative of each side, with the selectivities of the extra
-/// same-cut inner joins multiplied in.
-fn estimate_pair(ctx: &OptContext, search: &mut Search<'_>, a: NodeSet, b: NodeSet) -> Option<f64> {
+/// first orientation's `join_card` over the smallest cardinality in each
+/// side's class, with the cut's numbers as [`stage_apply`] stages them.
+///
+/// [`stage_apply`]: crate::plan::stage_apply
+pub(crate) fn estimate_pair(
+    ctx: &OptContext,
+    search: &mut Search<'_>,
+    a: NodeSet,
+    b: NodeSet,
+) -> Option<f64> {
     let (bufs, memo) = search.orientations(a, b);
     let &(sl, sr, primary) = bufs.orients.first()?;
     let lcard = class_min_card(memo, sl)?;
     let rcard = class_min_card(memo, sr)?;
-    let op = &ctx.cq.ops[primary];
-    let sel = bufs
-        .extra
-        .iter()
-        .fold(op.sel, |sel, &idx| sel * ctx.cq.ops[idx].sel);
-    let terms = &op.pred.terms;
-    let d_left: f64 = terms.iter().map(|&(at, _, _)| ctx.distinct(at)).product();
-    let d_right: f64 = terms.iter().map(|&(_, _, at)| ctx.distinct(at)).product();
-    Some(join_card(op.op, lcard, rcard, sel, d_left, d_right))
+    let terms = cut_terms(ctx, primary, &bufs.extra, sl);
+    let (sel, d_left, d_right) = cut_estimate(ctx, primary, &bufs.extra, terms);
+    let kind = ctx.cq.ops[primary].op;
+    Some(join_card(kind, lcard, rcard, sel, d_left, d_right))
 }
 
-/// Cardinality of the cheapest plan in the class of `s`.
+/// The smallest cardinality in the class of `s`.
 fn class_min_card(memo: &Memo, s: NodeSet) -> Option<f64> {
     memo.class(s)
         .iter()

@@ -293,15 +293,6 @@ impl Lanes {
         self.terms.truncate(lens[4]);
     }
 
-    /// Release capacity above `targets` (per lane, in elements).
-    fn shrink_to(&mut self, targets: [usize; LANES]) {
-        self.attrs.shrink_to(targets[0]);
-        self.keys.shrink_to(targets[1]);
-        self.agg_pos.shrink_to(targets[2]);
-        self.counts.shrink_to(targets[3]);
-        self.terms.shrink_to(targets[4]);
-    }
-
     /// The key set a row's `keys` span names.
     #[inline]
     pub fn key_set(&self, keys: Span) -> KeysRef<'_> {
@@ -810,14 +801,6 @@ fn eagerness(hot: &[PlanHot], cold: &[PlanCold], id: PlanId) -> u32 {
     }
 }
 
-/// Fold this run's `peak` demand into the decaying high-water mark `hw`
-/// (`hw = peak.max(hw / 2)`) and return the capacity worth keeping for the
-/// next run: twice the mark, never under [`Memo::MIN_RETAINED_CAPACITY`].
-fn retained_capacity(hw: &mut usize, peak: usize) -> usize {
-    *hw = peak.max(*hw / 2);
-    (*hw * 2).max(Memo::MIN_RETAINED_CAPACITY)
-}
-
 /// The split arena, its payload lanes and the plan classes built over it.
 #[derive(Debug, Default)]
 pub struct Memo {
@@ -834,17 +817,6 @@ pub struct Memo {
     /// runs kept for their allocation.
     class_lists: Vec<Class>,
     stats: MemoStats,
-    /// Largest lane lengths seen before a rollback cut them back (the
-    /// lanes' counterpart of `MemoStats::arena_peak`).
-    lane_peak: [usize; LANES],
-    /// Decaying high-water marks surviving [`Memo::reset`] — they bound
-    /// how much allocation a pooled memo is allowed to carry across runs
-    /// (not part of [`MemoStats`]: statistics reset per run).
-    arena_high_water: usize,
-    lane_high_water: [usize; LANES],
-    class_high_water: usize,
-    /// Set by [`Memo::retaining`]: [`Memo::reset`] releases nothing.
-    retain_all: bool,
 }
 
 impl Index<PlanId> for Memo {
@@ -874,33 +846,15 @@ impl Memo {
         eagerness(&self.hot, &self.cold, id)
     }
 
-    /// Capacity floor (in elements) every buffer keeps through
-    /// [`Memo::reset`]: shrinking below this saves nothing worth a
-    /// re-malloc on the next run.
-    const MIN_RETAINED_CAPACITY: usize = 1024;
-
-    /// An empty memo.
+    /// An empty memo. Its buffers grow with the runs it serves and
+    /// [`Memo::reset`] keeps them, so a memo that is reused — the
+    /// `dpnext::Optimizer` facade's scratch memo, a serving pool's — holds
+    /// the capacity of the largest run it served until it is dropped.
     pub fn new() -> Memo {
         Memo::default()
     }
 
-    /// An empty memo whose [`Memo::reset`] keeps every buffer at the
-    /// capacity it has grown to instead of letting it decay: the scratch
-    /// memo of a single owner that bounds its lifetime (the
-    /// `dpnext::Optimizer` facade parks one between calls and drops it
-    /// with itself). Under the decaying mark a request that recurs less
-    /// often than every other run finds its capacity released and pays the
-    /// page faults of growing it again — a cost that then depends on which
-    /// requests ran before it. Pools that outlive their callers keep the
-    /// default and stay bounded by recent demand.
-    pub fn retaining() -> Memo {
-        Memo {
-            retain_all: true,
-            ..Memo::default()
-        }
-    }
-
-    /// Clear the memo for reuse, keeping (bounded) allocations.
+    /// Clear the memo for reuse, keeping its allocations.
     ///
     /// Every piece of per-run state is wiped: plans, lanes, classes and
     /// the whole [`MemoStats`] block — including the rollback high-water
@@ -911,36 +865,15 @@ impl Memo {
     /// back-to-back optimizations skip the re-malloc. Nothing here walks
     /// the plans — rows and lane elements are plain data.
     ///
-    /// Capacity is not kept unconditionally: a single huge query would
-    /// otherwise pin worst-case arena, lane and class footprint on the
-    /// pooled memo forever. A decaying high-water mark (`hw = peak.max(hw/2)`
-    /// per reset) tracks recent demand of the arena, of each lane and of
-    /// the class table, and capacity above `2·hw` is released —
-    /// repeat-heavy steady state keeps its warm allocation, while an
-    /// outlier's footprint halves away within a few resets. The class id
-    /// lists are emptied and kept for the next run's classes; their
-    /// buffers go when the arena shrinks. A [`Memo::retaining`] memo skips
-    /// the release and keeps its high-water capacity. A class's dominance
-    /// rows keep their buffer through a reset, a retaining memo's
-    /// included, only while the run's class filled at least half of it,
-    /// as a repeat of the run will again: kept unconditionally, a recycled
+    /// The arena, the lanes, the class map and the class id lists keep
+    /// the capacity they have grown to, so a reused memo holds what the
+    /// largest run it served needed and a repeat of that run allocates
+    /// nothing. A class's dominance rows are the one exception: they keep
+    /// their buffer only while the run's class filled at least half of it,
+    /// as a repeat of the run will again. Kept unconditionally, a recycled
     /// class's rows would grow to the widest class any run put in its
     /// slot, at six times the bytes of its id list.
     pub fn reset(&mut self) {
-        let arena_peak = (self.stats.arena_peak as usize).max(self.hot.len());
-        let arena_target = retained_capacity(&mut self.arena_high_water, arena_peak);
-        let lens = self.lanes.lens();
-        let lane_targets: [usize; LANES] = std::array::from_fn(|i| {
-            let peak = self.lane_peak[i].max(lens[i]);
-            retained_capacity(&mut self.lane_high_water[i], peak)
-        });
-        let class_target = retained_capacity(&mut self.class_high_water, self.classes.len());
-        if !self.retain_all && self.hot.capacity() > arena_target {
-            // Id lists hold at most one id per arena row, so their
-            // buffers are a fixed fraction of what the arena pins: let
-            // them go when (and only when) the arena itself is cut back.
-            self.class_lists.clear();
-        }
         for class in self.class_lists.iter_mut() {
             if class.rows.capacity() > 2 * class.rows_peak {
                 class.rows = Vec::new();
@@ -954,16 +887,6 @@ impl Memo {
         self.lanes.truncate([0; LANES]);
         self.classes.clear();
         self.stats = MemoStats::default();
-        self.lane_peak = [0; LANES];
-        if self.retain_all {
-            return;
-        }
-        self.hot.shrink_to(arena_target);
-        self.cold.shrink_to(arena_target);
-        self.lanes.shrink_to(lane_targets);
-        self.classes.shrink_to(class_target);
-        self.class_lists.truncate(class_target);
-        self.class_lists.shrink_to(class_target);
     }
 
     /// Allocated arena capacity in plans (diagnostic for arena pooling:
@@ -1083,10 +1006,6 @@ impl Memo {
         // need no per-push bookkeeping.
         self.stats.arena_peak = self.stats.arena_peak.max(self.hot.len() as u64);
         self.stats.live_bytes_peak = self.stats.live_bytes_peak.max(self.live_bytes());
-        let lens = self.lanes.lens();
-        for (peak, len) in self.lane_peak.iter_mut().zip(lens) {
-            *peak = (*peak).max(len);
-        }
         self.hot.truncate(mark.rows);
         self.cold.truncate(mark.rows);
         self.lanes.truncate(mark.lanes);

@@ -78,6 +78,43 @@ fn orient_term(ctx: &OptContext, (l, op, r): Term, left_set: NodeSet) -> Term {
     }
 }
 
+/// The predicate terms crossing a cut — operator `op_idx`'s, then those
+/// of the extra same-cut inner joins — each oriented so its left attribute
+/// comes from `left_set`.
+pub(crate) fn cut_terms<'a>(
+    ctx: &'a OptContext,
+    op_idx: usize,
+    extra: &'a [usize],
+    left_set: NodeSet,
+) -> impl Iterator<Item = Term> + 'a {
+    std::iter::once(op_idx)
+        .chain(extra.iter().copied())
+        .flat_map(move |i| ctx.cq.ops[i].pred.terms.iter())
+        .map(move |&t| orient_term(ctx, t, left_set))
+}
+
+/// What a cut feeds [`join_card`], given its oriented `terms`
+/// ([`cut_terms`]): the selectivity of operator `op_idx` times those of
+/// the extra same-cut inner joins, and the products of the distinct
+/// counts of the terms' left and of their right attributes (the match
+/// probability's inputs). [`stage_apply`] stages these values, and the
+/// greedy pass estimates a cut with them.
+pub(crate) fn cut_estimate(
+    ctx: &OptContext,
+    op_idx: usize,
+    extra: &[usize],
+    terms: impl IntoIterator<Item = Term>,
+) -> (f64, f64, f64) {
+    let ops = &ctx.cq.ops;
+    let sel = extra.iter().fold(ops[op_idx].sel, |s, &e| s * ops[e].sel);
+    let (mut d_left, mut d_right) = (1.0, 1.0);
+    for (l, _, r) in terms {
+        d_left *= ctx.distinct(l);
+        d_right *= ctx.distinct(r);
+    }
+    (sel, d_left, d_right)
+}
+
 /// The cut-level constants of one operator application: identical for
 /// every plan pair of one orientation, filled in by [`stage_apply`]. The
 /// value is reusable — staging the next cut overwrites it in place and
@@ -143,31 +180,21 @@ pub fn stage_apply(
     extra: &[usize],
     left_set: NodeSet,
 ) {
-    let op = &ctx.cq.ops[op_idx];
+    debug_assert!(
+        extra.iter().all(|&e| ctx.cq.ops[e].op == OpKind::Join),
+        "only inner joins may share a cut"
+    );
     let lane = &mut memo.lanes.terms;
     let start = lane.len();
     // Merge and orient all predicates crossing this cut.
-    let mut sel = op.sel;
-    let mut applied_bits = 1u64 << op_idx;
-    lane.extend(op.pred.terms.iter().map(|t| orient_term(ctx, *t, left_set)));
-    for &ei in extra {
-        let e = &ctx.cq.ops[ei];
-        debug_assert_eq!(OpKind::Join, e.op, "only inner joins may share a cut");
-        sel *= e.sel;
-        lane.extend(e.pred.terms.iter().map(|t| orient_term(ctx, *t, left_set)));
-        applied_bits |= 1u64 << ei;
-    }
+    lane.extend(cut_terms(ctx, op_idx, extra, left_set));
     let terms = &lane[start..];
     staged.op_idx = op_idx;
-    staged.kind = op.op;
+    staged.kind = ctx.cq.ops[op_idx].op;
     staged.pred = Span::new(start, terms.len());
-    staged.sel = sel;
-    // Distinct join-value counts per side (products of the base distinct
-    // counts of the predicate attributes, in term order) for the match
-    // probability.
-    staged.d_left = terms.iter().map(|&(l, _, _)| ctx.distinct(l)).product();
-    staged.d_right = terms.iter().map(|&(_, _, r)| ctx.distinct(r)).product();
-    staged.applied_bits = applied_bits;
+    (staged.sel, staged.d_left, staged.d_right) =
+        cut_estimate(ctx, op_idx, extra, terms.iter().copied());
+    staged.applied_bits = extra.iter().fold(1u64 << op_idx, |b, &e| b | 1 << e);
     // Pre-digest the predicate for the per-pair key inference: equi
     // classification plus sorted, deduplicated per-side attribute sets.
     staged.pred_equi = !terms.is_empty() && terms.iter().all(|&(_, cmp, _)| cmp == CmpOp::Eq);

@@ -492,8 +492,10 @@ mod engine {
         PairBufs, Search,
     };
     use crate::budget::{Budget, Exhausted};
+    use crate::ladder::greedy::{estimate_pair, greedy_join};
     use crate::memo::{PlanNode, ThinBy};
     use crate::optrees::Grid;
+    use dpnext_cost::join_card;
     use dpnext_hypergraph::enumerate_ccps;
     use dpnext_workload::{generate_query, GenConfig, OpWeights};
 
@@ -809,6 +811,64 @@ mod engine {
             memo.class_rows_mut(s).copy_from_slice(&pristine);
             assert_eq!(Ok(()), memo.check_invariants());
         }
+    }
+
+    /// The greedy pass picks its merges by `estimate_pair`, which must
+    /// estimate a cut with the numbers the engine stages for it. A full
+    /// outer join is commutative, so the first orientation may put the
+    /// predicate's written left side on the right, and the distinct counts
+    /// must follow the orientation. Every pair of disjoint classes the
+    /// pass leaves — its components at every step among them — is
+    /// estimated and compared with `join_card` over the staged cut.
+    #[test]
+    fn greedy_estimates_a_cut_with_the_staged_numbers() {
+        let (mut bufs, mut staged) = (PairBufs::default(), StagedApply::default());
+        let mut flipped_outer = 0;
+        for n in 3..=8 {
+            for seed in 0..20 {
+                let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
+                let mut memo = Memo::new();
+                let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+                greedy_join(&mut search, &ctx);
+                let full = NodeSet::full(n);
+                let classes = search.memo().classes_sorted().into_iter();
+                let sets: Vec<NodeSet> = classes.map(|(s, _)| s).filter(|&s| s != full).collect();
+                let mut estimates = Vec::new();
+                for (i, &a) in sets.iter().enumerate() {
+                    for &b in sets[i + 1..].iter().filter(|&&b| b.is_disjoint(a)) {
+                        if let Some(est) = estimate_pair(&ctx, &mut search, a, b) {
+                            estimates.push((a, b, est));
+                        }
+                    }
+                }
+                for (a, b, est) in estimates {
+                    orientations_into(&ctx, a, b, &mut bufs);
+                    let (sl, sr, op) = bufs.orients[0];
+                    stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
+                    let min_card = |s| {
+                        let cards = memo.class(s).iter().map(|&id| memo[id].card);
+                        cards.min_by(f64::total_cmp).unwrap()
+                    };
+                    let (lcard, rcard) = (min_card(sl), min_card(sr));
+                    let (sel, d) = (staged.sel, (staged.d_left, staged.d_right));
+                    let want = join_card(staged.kind, lcard, rcard, sel, d.0, d.1);
+                    assert_eq!(
+                        want.to_bits(),
+                        est.to_bits(),
+                        "paper({n}) seed {seed}: {sl} ◦ {sr}"
+                    );
+                    let written_left = ctx.cq.ops[op].pred.terms.first().map(|t| t.0);
+                    flipped_outer += u32::from(
+                        staged.kind == OpKind::FullOuter
+                            && written_left.is_some_and(|l| !ctx.origin(l).is_subset_of(sl)),
+                    );
+                }
+            }
+        }
+        assert!(
+            flipped_outer > 0,
+            "the sweep met no full outer join staged against its written orientation"
+        );
     }
 }
 

@@ -54,6 +54,14 @@ pub struct PoolStats {
 /// `capacity` = 0 disables pooling: every checkout constructs, every
 /// return drops — the knob the unpooled benchmark cells use.
 ///
+/// A parked memo keeps the capacity of the largest run it served
+/// ([`Memo::reset`] keeps its buffers, as the `dpnext::Optimizer`
+/// facade's scratch memo does), so the pool holds at most `capacity`
+/// memos of that footprint. One outlier request leaves its memo that big
+/// until the pool drops it: on a 1-memo pool, 8 ladder chains of 20–40
+/// relations, six EA-All `paper(7)` queries and 24 more chains leave
+/// ~85 MB booked, where the chains alone book ~4 MB.
+///
 /// The pool books every memo it knows about, parked or checked out, by
 /// its footprint ([`PoolStats::bytes`]): checkout books a fresh memo (a
 /// parked one is booked already), check-in re-measures the memo after its
@@ -197,9 +205,9 @@ impl MemoPool {
         } else if self.enabled() {
             let mut free = self.free.lock().unwrap();
             if free.len() < self.capacity {
-                // Re-measure: the run may have grown (or reset-shrunk) the
-                // arena since checkout. The books are settled before the
-                // memo is published: once it is on the free list another
+                // Re-measure: the run may have grown the memo since
+                // checkout. The books are settled before the memo is
+                // published: once it is on the free list another
                 // thread may check it out and release its new footprint,
                 // and a (saturating) release that overtook this booking
                 // would leave the books high.
@@ -373,15 +381,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_shrink_releases_outlier_arena_capacity() {
-        // One EA-All outlier pins a five-figure arena on the pooled memo;
-        // the decaying high-water shrink in `Memo::reset` must then release
-        // that footprint across a steady stream of small queries instead
-        // of carrying it forever. This pins the shrink behavior: if reset
-        // ever goes back to unconditional capacity retention, the final
-        // bound below fails. An EA-Prune run after the outlier leaves
-        // dominance rows in the memo's classes; they must not outlast the
-        // id lists, and no small EA-All run needs any.
+    fn a_parked_memo_keeps_the_outlier_capacity_and_is_reused_in_place() {
+        // One EA-All outlier grows a five-figure arena on the pooled memo,
+        // and `Memo::reset` keeps it: the pool's bound is its capacity
+        // times the footprint of the largest run a parked memo served. A
+        // stream of small queries after the outlier then grows nothing and
+        // runs in the one parked memo. An EA-Prune run after the outlier
+        // leaves dominance rows in the memo's classes; no small EA-All run
+        // fills any, so they go (the `rows_peak` rule).
         let pool = MemoPool::new(1);
         let opt = Optimizer::new(Algorithm::EaAll).explain(false);
         let prune = Optimizer::new(Algorithm::EaPrune).explain(false);
@@ -400,30 +407,35 @@ mod tests {
         };
         assert!(
             outlier_cap > 2048,
-            "outlier run too small to exercise the shrink (capacity {outlier_cap})"
+            "outlier run too small to tell from a small one (capacity {outlier_cap})"
         );
         assert!(
             outlier_rows > 100,
             "the EA-Prune run left too few rows to see released ({outlier_rows})"
         );
 
+        let mut last_bytes = outlier_bytes;
         for _ in 0..12 {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&small, &mut memo);
+            assert_eq!(outlier_cap, memo.arena_capacity(), "the arena moved");
+            let bytes = memo.footprint_bytes();
+            assert!(bytes <= last_bytes, "a small run grew the memo");
+            last_bytes = bytes;
         }
-        let (settled_cap, settled_rows, stats) = {
+        let (settled_cap, settled_rows, settled_bytes) = {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&small, &mut memo);
             (
                 memo.arena_capacity(),
                 memo.class_row_capacity(),
-                pool.stats(),
+                memo.footprint_bytes(),
             )
         };
-        assert!(
-            settled_cap <= 2048,
-            "arena capacity {settled_cap} still pinned after 12 small runs \
-             (outlier was {outlier_cap})"
+        let stats = pool.stats();
+        assert_eq!(
+            outlier_cap, settled_cap,
+            "the parked memo lost its capacity"
         );
         // EA-All keeps no rows: whatever row capacity is left is the
         // EA-Prune run's.
@@ -432,11 +444,10 @@ mod tests {
             "class rows still pinned after 12 small runs (were {outlier_rows})"
         );
         // The pool served every post-warmup request from the single parked
-        // memo — the shrink happened in place, not by re-construction.
+        // memo, and its books hold that memo at its footprint.
         assert_eq!(1, stats.created);
         assert_eq!(13, stats.reused);
-        // The byte peak deliberately keeps the outlier: it reports the
-        // worst footprint ever held, not the current one.
+        assert_eq!(settled_bytes, stats.bytes);
         assert!(stats.bytes_peak >= outlier_bytes);
     }
 

@@ -40,9 +40,11 @@ use std::time::Duration;
 /// memo the optimizer parks between calls (one per concurrent caller), so
 /// a request finds the arena and lanes at the capacity the largest earlier
 /// request grew them to: it takes no page fault for memo growth and costs
-/// the same whichever request ran before it. The scratch holds at most
-/// twice the memo footprint of the largest query this optimizer has run
-/// and goes when the optimizer is dropped; a clone starts with none.
+/// the same whichever request ran before it. A parked memo keeps the
+/// capacity of the largest run it served ([`Memo::reset`] keeps its
+/// buffers), which is at most twice the memo footprint of the largest
+/// query this optimizer has run; the scratch goes when the optimizer is
+/// dropped, and a clone starts with none.
 /// Callers that manage memos themselves use [`Optimizer::optimize_pooled`].
 #[derive(Debug, Clone)]
 pub struct Optimizer {
@@ -159,7 +161,7 @@ impl Optimizer {
     /// scratch memo (see the type's documentation).
     pub fn optimize(&self, query: &Query) -> Optimized {
         let parked = self.scratch.parked().pop();
-        let mut memo = parked.unwrap_or_else(Memo::retaining);
+        let mut memo = parked.unwrap_or_default();
         // A panicking run unwinds past the push: its memo is dropped.
         let optimized = self.optimize_pooled(query, &mut memo);
         self.scratch.parked().push(memo);
