@@ -10,8 +10,10 @@
 //! HashDoS-resistant; the optimizer's own maps are fed by the optimizer
 //! itself (relation bitsets, attribute ids), never by untrusted input, so
 //! the resistance would buy nothing there. The one map keyed by outside
-//! input — the serving layer's statement map — bounds a probe by its
-//! per-shard capacity instead (`dpnext_serve::ShardedFifo`).
+//! input — the serving layer's statement map — hashes a statement's text
+//! once per probe, with this hasher, and bounds what colliding texts can
+//! cost by its per-shard capacity instead (`dpnext_serve::ShardedFifo`:
+//! a bucket of texts sharing a hash never outgrows its shard).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -8,14 +8,21 @@ use dpnext::Optimized;
 use dpnext_obs::{Counter, Registry};
 use dpnext_sql::BoundQuery;
 use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash};
+use std::iter;
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards (power of two). Lookups on
 /// different shards never contend; a single hot key contends only on
 /// its own shard's mutex, held for one map probe.
 const SHARDS: usize = 16;
+
+/// A key's shard is the top bits of its hash: a multiply-xor hash mixes
+/// upward, so these are its best-mixed bits, and the low bits the shard's
+/// own bucket map reads stay free to vary across the keys of one shard.
+const SHARD_SHIFT: u32 = u64::BITS - SHARDS.trailing_zeros();
 
 /// The longest statement, in bytes, the [`FrontMap`] remembers. A longer
 /// one is served like any other; it is parsed and bound every time it
@@ -31,7 +38,8 @@ const SHARDS: usize = 16;
 pub const FRONT_TEXT_MAX: usize = 8 << 10;
 
 /// The full cache key: the query's canonical shape plus the statistics
-/// epoch it was optimized under.
+/// epoch it was optimized under. It hashes as two words, the epoch and the
+/// hash the shape stored when it was built, whatever the query's size.
 ///
 /// Bumping the epoch (see
 /// [`OptimizerService::bump_stats_epoch`](crate::OptimizerService::bump_stats_epoch))
@@ -62,9 +70,71 @@ pub struct CacheStats {
 }
 
 struct Shard<K, V> {
-    map: FxHashMap<K, V>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<K>,
+    /// Entries by the hash of their key.
+    buckets: FxHashMap<u64, Bucket<K, V>>,
+    /// Insertion order for FIFO eviction, each key with its hash.
+    order: VecDeque<(u64, K)>,
+}
+
+/// The entries of one shard whose keys share one hash. The first is held
+/// inline, so an insert allocates nothing beyond the map's own growth.
+struct Bucket<K, V> {
+    first: (K, V),
+    /// Entries whose keys collide with `first`'s: empty, and so never
+    /// allocated, unless two keys share a hash.
+    rest: Vec<(K, V)>,
+}
+
+impl<K, V> Bucket<K, V> {
+    fn entries(&self) -> impl Iterator<Item = &(K, V)> {
+        iter::once(&self.first).chain(&self.rest)
+    }
+}
+
+impl<K: Eq, V> Shard<K, V> {
+    /// Insert under `key` (whose hash is `hash`); whether the key is new.
+    fn insert(&mut self, hash: u64, key: K, value: V) -> bool {
+        let bucket = match self.buckets.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket {
+                    first: (key, value),
+                    rest: Vec::new(),
+                });
+                return true;
+            }
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        match iter::once(&mut bucket.first)
+            .chain(&mut bucket.rest)
+            .find(|(k, _)| *k == key)
+        {
+            Some(entry) => {
+                entry.1 = value;
+                false
+            }
+            None => {
+                bucket.rest.push((key, value));
+                true
+            }
+        }
+    }
+
+    /// Drop the entry of `key` (whose hash is `hash`), which is resident.
+    fn remove(&mut self, hash: u64, key: &K) {
+        let Entry::Occupied(mut slot) = self.buckets.entry(hash) else {
+            unreachable!("order tracks buckets");
+        };
+        let bucket = slot.get_mut();
+        if bucket.first.0 == *key {
+            match bucket.rest.pop() {
+                Some(next) => bucket.first = next,
+                None => drop(slot.remove()),
+            }
+        } else {
+            let at = bucket.rest.iter().position(|(k, _)| k == key);
+            bucket.rest.swap_remove(at.expect("order tracks buckets"));
+        }
+    }
 }
 
 /// A sharded map with FIFO eviction and hit / miss / eviction counters.
@@ -77,12 +147,20 @@ struct Shard<K, V> {
 /// dropped). Keys are compared exactly, so a lookup can never return the
 /// value of a different key than the one asked.
 ///
+/// A probe hashes its key once: the top bits of that hash pick the shard,
+/// and inside the shard the whole hash finds the bucket of entries whose
+/// keys share it, which the probe then compares key by key. So a lookup
+/// or insert reads a long key once to hash it and once per key it is
+/// compared with, and a key that stores its own hash (a [`CacheKey`]'s
+/// shape does) is not read in full to be hashed at all.
+///
 /// Keys are hashed with the in-tree Fx hasher, which is not
 /// HashDoS-resistant — and the [`FrontMap`]'s keys are text from outside
 /// the program. What a sender of colliding keys can buy is bounded by the
 /// eviction rule, not by the hasher: a shard never holds more than
-/// `⌈capacity / 16⌉` entries (64 at the default capacity), so a probe
-/// compares against at most that many keys however they were chosen.
+/// `⌈capacity / 16⌉` entries (64 at the default capacity), so no bucket
+/// does either, and a probe compares against at most that many keys
+/// however they were chosen.
 pub struct ShardedFifo<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     per_shard_cap: usize,
@@ -165,7 +243,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
             (0..SHARDS)
                 .map(|_| {
                     Mutex::new(Shard {
-                        map: FxHashMap::default(),
+                        buckets: FxHashMap::default(),
                         order: VecDeque::new(),
                     })
                 })
@@ -198,9 +276,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
         !self.shards.is_empty()
     }
 
-    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard<K, V>> {
-        let h = self.hasher.hash_one(key);
-        &self.shards[(h as usize) & (SHARDS - 1)]
+    fn shard(&self, hash: u64) -> &Mutex<Shard<K, V>> {
+        &self.shards[(hash >> SHARD_SHIFT) as usize]
     }
 
     /// Look `key` up, counting a hit or a miss. Returns `None` without
@@ -214,20 +291,20 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
         if !self.enabled() {
             return None;
         }
-        let shard = self.shard(key).lock().unwrap();
-        match shard.map.get(key) {
-            Some(v) => {
-                let v = v.clone();
-                drop(shard);
-                self.hits.inc();
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                self.misses.inc();
-                None
-            }
+        let hash = self.hasher.hash_one(key);
+        let shard = self.shard(hash).lock().unwrap();
+        let found = shard
+            .buckets
+            .get(&hash)
+            .and_then(|bucket| bucket.entries().find(|(k, _)| k.borrow() == key))
+            .map(|(_, v)| v.clone());
+        drop(shard);
+        if found.is_some() {
+            self.hits.inc();
+        } else {
+            self.misses.inc();
         }
+        found
     }
 
     /// Insert `value` under `key`, evicting oldest-first if the shard is
@@ -237,14 +314,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
         if !self.enabled() {
             return;
         }
-        let mut shard = self.shard(&key).lock().unwrap();
-        if shard.map.insert(key.clone(), value).is_none() {
-            shard.order.push_back(key);
+        let hash = self.hasher.hash_one(&key);
+        let mut shard = self.shard(hash).lock().unwrap();
+        if shard.insert(hash, key.clone(), value) {
+            shard.order.push_back((hash, key));
         }
         let mut evicted = 0;
-        while shard.map.len() > self.per_shard_cap {
-            let oldest = shard.order.pop_front().expect("order tracks map");
-            shard.map.remove(&oldest);
+        while shard.order.len() > self.per_shard_cap {
+            let (hash, oldest) = shard.order.pop_front().expect("over budget");
+            shard.remove(hash, &oldest);
             evicted += 1;
         }
         drop(shard);
@@ -258,7 +336,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedFifo<K, V> {
         let entries = self
             .shards
             .iter()
-            .map(|s| s.lock().unwrap().map.len() as u64)
+            .map(|s| s.lock().unwrap().order.len() as u64)
             .sum();
         CacheStats {
             hits: self.hits.get(),
@@ -309,6 +387,75 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.evictions > 0, "40 inserts into 16 slots must evict");
         assert!(stats.entries <= SHARDS as u64);
+    }
+
+    thread_local! {
+        static HASH_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key that counts, per thread, how often it is hashed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Counted(u32);
+
+    impl Hash for Counted {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            HASH_CALLS.with(|calls| calls.set(calls.get() + 1));
+            self.0.hash(state);
+        }
+    }
+
+    /// Hash calls `probe` makes.
+    fn hash_calls(probe: impl FnOnce()) -> usize {
+        let before = HASH_CALLS.with(|calls| calls.get());
+        probe();
+        HASH_CALLS.with(|calls| calls.get()) - before
+    }
+
+    #[test]
+    fn a_probe_hashes_its_key_once() {
+        let map = ShardedFifo::new(16); // one entry per shard: inserts evict
+        for i in 0..40 {
+            let key = Counted(i);
+            assert_eq!(1, hash_calls(|| assert!(map.lookup(&key).is_none())));
+            assert_eq!(1, hash_calls(|| map.insert(key.clone(), i)));
+            assert_eq!(1, hash_calls(|| assert_eq!(Some(i), map.lookup(&key))));
+            assert_eq!(1, hash_calls(|| map.insert(key.clone(), i + 1)));
+        }
+        assert!(map.stats().evictions > 0);
+    }
+
+    /// A key whose hash is the same for every value.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    #[test]
+    fn colliding_keys_stay_exact_and_within_the_shard_cap() {
+        let map = ShardedFifo::new(4 * SHARDS); // four entries per shard
+        let cap = 4;
+        for i in 0..20u32 {
+            map.insert(Colliding(i), i);
+            // Re-inserting a resident key replaces its value and keeps its
+            // place in the FIFO.
+            if let Some(prev) = i.checked_sub(1) {
+                map.insert(Colliding(prev), 1000 + prev);
+            }
+            let stats = map.stats();
+            let inserted = u64::from(i) + 1;
+            assert_eq!(stats.entries, inserted.min(cap));
+            assert_eq!(stats.evictions, inserted - stats.entries);
+            // Oldest first: exactly the last `cap` keys inserted are resident.
+            for j in 0..=i {
+                let value = if j == i { j } else { 1000 + j };
+                let expected = (u64::from(i - j) < cap).then_some(value);
+                assert_eq!(map.lookup(&Colliding(j)), expected, "key {j} after {i}");
+            }
+        }
     }
 
     #[test]

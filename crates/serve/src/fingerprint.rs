@@ -4,28 +4,54 @@
 //! optimizer reads — table statistics, keys, operator tree, predicates,
 //! selectivities and the grouping spec. Two queries get equal shapes iff
 //! the optimizer cannot tell them apart, so a cache hit is always safe
-//! to serve. Hashing of the stream (for the cache's shard map) uses the
-//! in-tree fxhash via [`dpnext::hypergraph::FxHashMap`]; the stream itself is
-//! kept in the key, so hash collisions degrade to map probes, never to
-//! wrong plans.
+//! to serve. The stream is hashed once, when the shape is built, with the
+//! in-tree fxhash ([`dpnext::hypergraph::FxBuildHasher`]); the shape
+//! carries that hash and hands it to every map it keys, so probing a map
+//! never reads the stream again. The stream itself is kept in the key and
+//! compared exactly, so hash collisions degrade to key comparisons, never
+//! to wrong plans.
 
+use dpnext::hypergraph::FxBuildHasher;
 use dpnext_algebra::{AggCall, Expr, JoinPred, Value};
 use dpnext_query::{OpTree, Query};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// The canonical shape of a query: an exact encoding of every
 /// optimizer-visible detail, used as the plan-cache key.
 ///
-/// Equality is exact (no hash truncation); `f64` statistics compare by
-/// bit pattern, so `-0.0`/`0.0` and NaN payload differences are treated
-/// as distinct — the conservative direction for a cache.
+/// Equality is exact (no hash truncation): two shapes are equal iff their
+/// encodings are, word for word. `f64` statistics compare by bit pattern,
+/// so `-0.0`/`0.0` and NaN payload differences are treated as distinct —
+/// the conservative direction for a cache.
+///
+/// The encoding's hash is taken once, by [`fingerprint_query`], and stored
+/// with it: hashing a shape writes that one word, whatever the query's
+/// size, and comparing two shapes compares their hashes before their
+/// words, so unequal shapes almost always differ at the first word read.
 ///
 /// The encoding is shared, not owned: a clone is a reference count, so the
 /// shape the service's front map stores with a bound statement becomes a
 /// request's cache key without being copied.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub struct QueryShape {
     words: Arc<[u64]>,
+    /// Fx hash of `words`, taken when the shape was built.
+    hash: u64,
+}
+
+impl PartialEq for QueryShape {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.words == other.words
+    }
+}
+
+impl Eq for QueryShape {}
+
+impl Hash for QueryShape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl QueryShape {
@@ -38,6 +64,12 @@ impl QueryShape {
     /// Whether the encoding is empty (never true for a real query).
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
+    }
+
+    /// The encoding's Fx hash, taken once when the shape was built: the one
+    /// word [`Hash`] writes, and the `shape_hash` a request's trace carries.
+    pub(crate) fn hash_word(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -62,6 +94,7 @@ pub fn fingerprint_query(query: &Query) -> QueryShape {
     };
     enc.query(query);
     QueryShape {
+        hash: FxBuildHasher::default().hash_one(&enc.words),
         words: enc.words.into(),
     }
 }
@@ -257,6 +290,36 @@ mod tests {
         assert_ne!(fingerprint_query(&q), fingerprint_query(&tweaked));
     }
 
+    /// A `Hasher` that records the words it is given instead of mixing them.
+    #[derive(Default)]
+    struct Recorder(Vec<u64>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, _: &[u8]) {
+            panic!("a shape hashes as one u64, not as bytes");
+        }
+
+        fn write_u64(&mut self, word: u64) {
+            self.0.push(word);
+        }
+    }
+
+    #[test]
+    fn a_shape_hashes_as_the_one_word_taken_when_it_was_built() {
+        for n in 3..=7 {
+            let shape = fingerprint_query(&generate_query(&GenConfig::paper(n), 1));
+            let mut recorder = Recorder::default();
+            shape.hash(&mut recorder);
+            let stream = FxBuildHasher::default().hash_one(&shape.words[..]);
+            assert_eq!(recorder.0, [stream]);
+            assert_eq!(shape.hash_word(), stream);
+        }
+    }
+
     /// `query` with one field changed, once per kind of field the encoding
     /// covers. A tweak that does not apply (no key to drop, a one-column
     /// output) returns the query unchanged, which the caller's `iff` covers
@@ -309,6 +372,7 @@ mod tests {
     #[test]
     fn shapes_are_equal_iff_the_queries_are() {
         use std::collections::HashMap;
+        let hash_of = |shape: &QueryShape| FxBuildHasher::default().hash_one(shape);
         let mut configs: Vec<GenConfig> = (3..=7).map(GenConfig::paper).collect();
         configs.extend(
             [
@@ -339,6 +403,7 @@ mod tests {
                     assert_eq!(*named, text, "two queries share one shape");
                     let drawn = shape_of.entry(text).or_insert_with(|| shape.clone());
                     assert_eq!(*drawn, shape, "one query has two shapes");
+                    assert_eq!(hash_of(drawn), hash_of(&shape), "equal shapes hash apart");
                 }
             }
         }

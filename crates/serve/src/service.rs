@@ -6,13 +6,11 @@ use crate::fault::{Fault, FaultInjector};
 use crate::fingerprint::{fingerprint_query, QueryShape};
 use crate::govern::{AdmissionGate, GatePermit, GateStats};
 use crate::pool::{MemoPool, PoolStats};
-use dpnext::hypergraph::FxBuildHasher;
 use dpnext::{Optimized, Optimizer};
 use dpnext_core::AdaptiveMode;
 use dpnext_obs::{Counter, Histogram, Registry, Span};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
-use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -463,8 +461,7 @@ impl OptimizerService {
             shape,
         };
         if req.span.is_recording() {
-            let hash = FxBuildHasher::default().hash_one(&key.shape);
-            req.span.tag_u64("shape_hash", hash);
+            req.span.tag_u64("shape_hash", key.shape.hash_word());
         }
         let _span = dpnext_obs::span("serve.cache_probe");
         let hit = self.cache.lookup(&key);
