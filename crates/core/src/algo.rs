@@ -557,9 +557,11 @@ impl<'a> Search<'a> {
 
     /// [`Search::process`], asking the meter before every unit iff `ARMED`:
     /// for each orientation of the pair, stage the [`Grid`] of the retained
-    /// subplans of both sides — each plan's one-sided facts (does a unit
-    /// push a grouping onto it, is it grouped, does it expose what the cut
-    /// needs) decided once, not once per unit — and run the one work unit,
+    /// subplans of both sides — each side's facts (does it take groupings,
+    /// what a grouping on it reads) and each plan's (does a unit push a
+    /// grouping onto it, is it grouped, does it expose what the cut needs,
+    /// does a key of it cover the cut, what its keys cap) decided once, not
+    /// once per unit — and run the one work unit,
     /// [`crate::optrees::op_trees`], on each cell: it constructs the tree
     /// variants — all eager-aggregation variants (`OpTrees`, Fig. 6) when
     /// `eager`, else only the plain operator tree of the DPhyp baseline —
@@ -646,9 +648,11 @@ impl<'a> Search<'a> {
             // identical for every `(t1, t2)` combination of the grid, so the
             // per-plan application does none of that work.
             stage_apply(ctx, memo, staged, op, extra, sl);
-            // And decide once per plan of each side what its units read of
-            // it alone; its grouping slots start empty.
-            grid.stage(ctx, scratch, memo, staged, (sl, sr), eager, complete);
+            // And decide once per side, and once per plan of each side, what
+            // its units read of it alone; its grouping slots start empty.
+            grid.stage(ctx, scratch, memo, staged, (sl, sr), eager);
+            // The target class, resolved at the orientation's first fold.
+            let mut target = None;
             for i in 0..grid.lefts.len() {
                 let t1 = grid.lefts[i].id;
                 for j in 0..grid.rights.len() {
@@ -694,8 +698,11 @@ impl<'a> Search<'a> {
                     // which module an edit lands in decides whether it does.
                     grid.build(ctx, scratch, memo, staged, (i, j), |memo, t| {
                         if !complete {
-                            return ceiling.is_none_or(|b| memo[t].cost < b)
-                                && memo.fold(s, t, thin_by);
+                            if !ceiling.is_none_or(|b| memo[t].cost < b) {
+                                return false;
+                            }
+                            let class = *target.get_or_insert_with(|| memo.class_slot(s));
+                            return memo.fold_into(class, t, thin_by);
                         }
                         // A complete plan is kept if it became the best. One
                         // reaching the full relation set with an operator

@@ -21,8 +21,10 @@ pub struct OptContext {
     pub cq: ConflictedQuery,
     /// Attribute → node set required for the attribute to exist.
     pub origins: FxHashMap<AttrId, NodeSet>,
-    /// Base distinct counts for table attributes.
-    pub base_distinct: FxHashMap<AttrId, f64>,
+    /// Base distinct count per table attribute, indexed by [`AttrId`]:
+    /// infinite for every other id below the highest table attribute
+    /// ([`OptContext::distinct`] answers the ids above it).
+    distinct: Vec<f64>,
     /// Grouping attributes `G` of the query as a set: sorted and
     /// deduplicated once here, so the per-plan `NeedsGrouping` test runs
     /// on it as it is (empty when no grouping). The query's own `group_by`
@@ -77,11 +79,14 @@ impl OptContext {
             cq.ops.len()
         );
         let origins = attr_origins(&query, &cq);
-        let mut base_distinct = FxHashMap::default();
-        for t in &query.tables {
-            for (i, &a) in t.attrs.iter().enumerate() {
-                base_distinct.insert(a, t.distinct[i]);
-            }
+        let table_attrs = query
+            .tables
+            .iter()
+            .flat_map(|t| t.attrs.iter().zip(&t.distinct));
+        let width = table_attrs.clone().map(|(a, _)| a.0 as usize + 1).max();
+        let mut distinct = vec![f64::INFINITY; width.unwrap_or(0)];
+        for (a, &d) in table_attrs {
+            distinct[a.0 as usize] = d;
         }
         let mut max_attr = 0u32;
         for &a in origins.keys() {
@@ -131,7 +136,7 @@ impl OptContext {
             query,
             cq,
             origins,
-            base_distinct,
+            distinct,
             group_by,
             agg_args,
             agg_origin,
@@ -174,7 +179,10 @@ impl OptContext {
     /// groupjoin outputs — grouping on them then gives no reduction).
     #[inline]
     pub fn distinct(&self, a: AttrId) -> f64 {
-        self.base_distinct.get(&a).copied().unwrap_or(f64::INFINITY)
+        self.distinct
+            .get(a.0 as usize)
+            .copied()
+            .unwrap_or(f64::INFINITY)
     }
 
     /// `G⁺(S)` computed from scratch (see [`Scratch::gplus`] for the memoized
@@ -305,11 +313,25 @@ impl Scratch {
     /// per set.
     #[inline]
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
+        let span = self.gplus_span(ctx, s);
+        self.gplus_at(span)
+    }
+
+    /// Where [`Scratch::gplus`] keeps `G⁺(S)`: a handle that stays valid for
+    /// the scratch's lifetime, so a grid probes the cache once per side and
+    /// its units read the attributes through [`Scratch::gplus_at`].
+    #[inline]
+    pub(crate) fn gplus_span(&mut self, ctx: &OptContext, s: NodeSet) -> Span {
         let attrs = &mut self.gplus_attrs;
-        let span = *self
+        *self
             .gplus_cache
             .entry(s)
-            .or_insert_with(|| ctx.push_gplus(s, attrs));
+            .or_insert_with(|| ctx.push_gplus(s, attrs))
+    }
+
+    /// The `G⁺(S)` a [`Scratch::gplus_span`] names.
+    #[inline]
+    pub(crate) fn gplus_at(&self, span: Span) -> &[AttrId] {
         span.of(&self.gplus_attrs)
     }
 }

@@ -1,9 +1,16 @@
 //! The greedy rung: a GOO-style join-ordering pass over the query
-//! hypergraph (Fearnley/Moerkotte's "greedy operator ordering" shape:
-//! repeatedly merge the pair of components with the smallest estimated
-//! join result), built directly on the budgeted engine so every merge
-//! explores the eager/lazy aggregation variants of the paper and the
-//! constructed plans land in the shared memo.
+//! hypergraph (Fegaras's "greedy operator ordering", DEXA 1998: repeatedly
+//! merge the pair of components with the smallest estimated join result),
+//! built directly on the budgeted engine so every merge explores the
+//! eager/lazy aggregation variants of the paper and the constructed plans
+//! land in the shared memo.
+//!
+//! A pair's estimate depends only on its two components, so the pass keeps
+//! it across merges: each ordered component pair is estimated once, a
+//! merge forgets only the estimates of the component it grew, and a pair
+//! no hyperedge connects is never estimated (no operator crosses it). The
+//! pairs are still scanned in the same order with the same tie-breaking,
+//! so the merges are those of estimating every pair after every merge.
 //!
 //! Two searches run it before walking the DPhyp stream: the ladder, as its
 //! first rung, and EA-Prune, as its seed ([`crate::optimize_prepared`]).
@@ -29,11 +36,14 @@ use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpTree;
 
-/// One greedy component: the relations it covers and their order in the
-/// component's merge-tree traversal.
+/// One greedy component: the relations it covers, and the first and the
+/// last of them in the component's merge-tree traversal (the rest follow
+/// the pass's successor array). The first relation names the component
+/// for as long as it exists: a merge keeps the first of its left side.
 struct Component {
     set: NodeSet,
-    order: Vec<usize>,
+    first: usize,
+    last: usize,
 }
 
 /// Run the greedy pass on `search`. On success the memo holds a complete
@@ -42,19 +52,45 @@ struct Component {
 /// greedy merge tree's traversal order (or the canonical tree's, after a
 /// fallback).
 pub(crate) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
+    greedy_join_with(search, ctx, |search, a, b| estimate_pair(ctx, search, a, b))
+}
+
+/// [`greedy_join`], estimating a pair of component sets with `estimate`
+/// ([`estimate_pair`] in the pass; a test counts the calls).
+pub(crate) fn greedy_join_with<'s>(
+    search: &mut Search<'s>,
+    ctx: &OptContext,
+    mut estimate: impl FnMut(&mut Search<'s>, NodeSet, NodeSet) -> Option<f64>,
+) -> Vec<usize> {
     let n = ctx.query.table_count();
+    let graph = &ctx.cq.graph;
     let mut comps: Vec<Component> = (0..n)
         .map(|i| Component {
             set: NodeSet::single(i),
-            order: vec![i],
+            first: i,
+            last: i,
         })
         .collect();
+    // The relation after each one in its component's traversal order; a
+    // component's last relation has none yet.
+    let mut next = vec![0; n];
+    // Per ordered pair of components, by their first relations: the pair's
+    // estimate once taken (`None` inside when nothing joins them).
+    let mut estimates: Vec<Option<Option<f64>>> = vec![None; n * n];
     while comps.len() > 1 && search.exhausted().is_none() {
         // The applicable pair with the smallest estimated join result.
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..comps.len() {
             for j in i + 1..comps.len() {
-                let Some(card) = estimate_pair(ctx, search, comps[i].set, comps[j].set) else {
+                let (a, b) = (&comps[i], &comps[j]);
+                let card = *estimates[a.first * n + b.first].get_or_insert_with(|| {
+                    if graph.has_connecting_edge(a.set, b.set) {
+                        estimate(search, a.set, b.set)
+                    } else {
+                        None
+                    }
+                });
+                let Some(card) = card else {
                     continue;
                 };
                 if best.is_none_or(|(_, _, c)| card < c) {
@@ -74,18 +110,41 @@ pub(crate) fn greedy_join(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usiz
         // groupjoins need one); without this the class widths would
         // compound across merges and the greedy floor would not hold.
         search.shrink_class_to_best(union);
-        let Component { order: jorder, .. } = comps.swap_remove(j);
-        comps[i].set = union;
-        comps[i].order.extend(jorder);
+        let Component { first, last, .. } = comps.swap_remove(j);
+        let merged = &mut comps[i];
+        next[merged.last] = first;
+        merged.last = last;
+        merged.set = union;
+        // Every other component's class is as it was, so only the merged
+        // component's estimates are stale.
+        let id = merged.first;
+        for k in 0..n {
+            estimates[id * n + k] = None;
+            estimates[k * n + id] = None;
+        }
     }
-    if comps.len() == 1 && search.best_cost().is_some() {
-        return comps.swap_remove(0).order;
+    if let [whole] = comps.as_slice() {
+        if search.best_cost().is_some() {
+            let mut order = Vec::with_capacity(n);
+            let mut r = whole.first;
+            order.push(r);
+            while r != whole.last {
+                r = next[r];
+                order.push(r);
+            }
+            return order;
+        }
     }
-    // Fallback: replay the canonical operator tree bottom-up. Operators
-    // are collected in post-order, so every operator's input classes are
-    // populated (by scans or by earlier operators) when it is processed.
-    for k in 0..ctx.cq.ops.len() {
-        let op = &ctx.cq.ops[k];
+    replay_canonical(search, ctx)
+}
+
+/// The fallback of a dead-ended pass: replay the canonical operator tree
+/// bottom-up, and return its traversal order. Operators are collected in
+/// post-order, so every operator's input classes are populated (by scans
+/// or by earlier operators) when it is processed.
+pub(crate) fn replay_canonical(search: &mut Search<'_>, ctx: &OptContext) -> Vec<usize> {
+    let n = ctx.query.table_count();
+    for op in &ctx.cq.ops {
         let memo = search.memo();
         if memo.class(op.left_rels).is_empty() || memo.class(op.right_rels).is_empty() {
             continue; // an earlier application dead-ended; no plan here

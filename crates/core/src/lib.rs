@@ -12,8 +12,8 @@
 //!   (Figs. 13/14),
 //! * [`Algorithm::H1`] / [`Algorithm::H2`] — the two heuristics
 //!   (Figs. 10/12),
-//! * [`Algorithm::Adaptive`] — EA-Prune under a budget of plans, time and
-//!   bytes, degrading exact → linearized → greedy ([`ladder`]).
+//! * [`Algorithm::Adaptive`] — EA-Prune under a budget of plans and a
+//!   deadline, degrading exact → linearized → greedy ([`ladder`]).
 //!
 //! Optimized plans compile into executable [`dpnext_algebra::AlgExpr`]
 //! trees, so every transformation can be validated against the canonical
@@ -47,6 +47,8 @@ pub use memo::{
     AdaptiveMode, Degradation, Lanes, Memo, MemoMark, MemoStats, PlanCold, PlanHot, PlanId,
     PlanNode, PlanRef, Span, Term, ThinBy, ARENA_ROW_BYTES,
 };
-pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
+pub use plan::{
+    apply_staged, make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply,
+};
 pub use recost::{recost_plan, Recosted};
 pub use validate::{validate_complete_plan, validate_subplan};

@@ -801,6 +801,10 @@ fn eagerness(hot: &[PlanHot], cold: &[PlanCold], id: PlanId) -> u32 {
     }
 }
 
+/// A class of a [`Memo`], resolved by [`Memo::class_slot`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassSlot(u32);
+
 /// The split arena, its payload lanes and the plan classes built over it.
 #[derive(Debug, Default)]
 pub struct Memo {
@@ -1207,23 +1211,37 @@ impl Memo {
     /// only.
     #[inline]
     pub fn fold(&mut self, s: NodeSet, id: PlanId, by: ThinBy) -> bool {
+        let slot = self.class_slot(s);
+        self.fold_into(slot, id, by)
+    }
+
+    /// The class of `s` as a handle for [`Memo::fold_into`], created (or
+    /// recycled from an earlier run) on first use. It stays valid until
+    /// [`Memo::reset`]: a search resolves its target class at its first
+    /// fold of an orientation and folds the rest of the grid without a
+    /// map probe.
+    #[inline]
+    pub(crate) fn class_slot(&mut self, s: NodeSet) -> ClassSlot {
+        let next = self.classes.len() as u32;
+        let slot = *self.classes.entry(s).or_insert(next);
+        if slot as usize == self.class_lists.len() {
+            self.class_lists.push(Class::default());
+        }
+        ClassSlot(slot)
+    }
+
+    /// [`Memo::fold`] into the class `slot` names.
+    #[inline]
+    pub(crate) fn fold_into(&mut self, ClassSlot(slot): ClassSlot, id: PlanId, by: ThinBy) -> bool {
         let Memo {
             hot,
             cold,
             lanes,
-            classes,
             class_lists,
             stats,
             ..
         } = self;
-        // The class of `s`, created (or recycled from an earlier run) on
-        // first use.
-        let next = classes.len() as u32;
-        let slot = *classes.entry(s).or_insert(next) as usize;
-        if slot == class_lists.len() {
-            class_lists.push(Class::default());
-        }
-        let class = &mut class_lists[slot];
+        let class = &mut class_lists[slot as usize];
         let kept = match by {
             ThinBy::Dominance { guard_groupjoin } => {
                 class.fold_dominance(hot, cold, lanes, stats, id, guard_groupjoin)

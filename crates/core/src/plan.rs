@@ -46,26 +46,26 @@ pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
     )
 }
 
-/// Cap a cardinality estimate by the key-implied bound: a duplicate-free
-/// result has at most one tuple per key value, so it cannot exceed the
-/// product of any key's distinct counts. Without this cap the estimate can
-/// contradict the key info, and `NeedsGrouping` then elides a grouping the
-/// estimator still thinks would shrink the input — which breaks the
-/// monotonicity argument behind the §4.6 dominance pruning (a dominating
-/// keyed plan could forfeit a reduction the dominated raw plan kept).
-/// The cap is constant in the input cardinalities, so estimates stay
-/// monotone as the pruning proof requires.
-fn key_bounded_card(ctx: &OptContext, card: f64, duplicate_free: bool, keys: KeysRef<'_>) -> f64 {
-    if !duplicate_free {
-        return card;
-    }
-    let mut bounded = card;
+/// The key-implied bound of a key set: a duplicate-free result has at most
+/// one tuple per key value, so it cannot exceed the product of any key's
+/// distinct counts — the minimum over the keys of that product, infinite
+/// when there is no key (or no key with known distinct counts).
+/// [`apply_staged`] caps a duplicate-free result's estimate by the bound of
+/// the key set it derives. Without the cap the estimate can contradict the
+/// key info, and `NeedsGrouping` then elides a grouping the estimator still
+/// thinks would shrink the input — which breaks the monotonicity argument
+/// behind the §4.6 dominance pruning (a dominating keyed plan could forfeit
+/// a reduction the dominated raw plan kept). The cap is constant in the
+/// input cardinalities, so estimates stay monotone as the pruning proof
+/// requires.
+fn key_cap(ctx: &OptContext, keys: KeysRef<'_>) -> f64 {
+    let mut cap = f64::INFINITY;
     for key in keys.iter() {
         // Unknown distinct counts are infinite: no cap from such keys.
         let bound: f64 = key.iter().map(|&a| ctx.distinct(a).max(1.0)).product();
-        bounded = bounded.min(bound);
+        cap = cap.min(bound);
     }
-    bounded
+    cap
 }
 
 /// Orient one predicate term so its left attribute comes from `left_set`.
@@ -202,46 +202,81 @@ pub fn stage_apply(
     assign_normalized(&mut staged.right_attrs, terms.iter().map(|t| t.2));
 }
 
+/// What an operator application reads of one input alone, given the cut
+/// it is staged for ([`StagedApply::left_facts`],
+/// [`StagedApply::right_facts`]): a grid decides it once per plan of a
+/// side ([`crate::optrees::GridPlan`]), and once per side for a grouping
+/// `Γ(t)` on it ([`crate::optrees::GridSide`]), so the plan pairs of the
+/// grid read it instead of testing the input again.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SideFacts {
+    /// The input exposes every predicate attribute of its side, and a right
+    /// input every groupjoin argument too: the input's half of what
+    /// [`apply_staged`] refuses.
+    pub(crate) sees: bool,
+    /// The predicate is a non-empty conjunction of equalities and some key
+    /// of the input lies within its side's predicate attributes: the bit
+    /// the §2.3 key propagation branches on.
+    pub(crate) covers: bool,
+    /// The key-implied bound of the input's own key set (`key_cap`):
+    /// what caps a duplicate-free result that inherits that key set.
+    pub(crate) cap: f64,
+}
+
 impl StagedApply {
-    /// Would [`apply_staged`] refuse this cut on inputs exposing
-    /// `left_visible` and `right_visible`, the right one pre-aggregated iff
+    /// Would [`apply_staged`] refuse this cut on inputs with the facts
+    /// `left` and `right`, the right one pre-aggregated iff
     /// `right_grouped`? It does when a groupjoin would consume a
     /// pre-aggregated right side (its aggregates would run over groups, not
     /// raw tuples), and — defensively, since structure prevents it — when
     /// a predicate attribute or a groupjoin argument is not visible on its
     /// side: per plan, not per cut, because a pushed-down grouping changes
     /// which attributes its side exposes. The test is a left half, a right
-    /// half and the groupjoin term, stated once here: a grid decides each
-    /// half once per plan, and a work unit settled by the complete-plan
-    /// bound combines them for the trees it does not build
-    /// ([`crate::optrees::Grid::settle`]).
+    /// half and the groupjoin term: a grid decides each half once per plan,
+    /// and a work unit settled by the complete-plan bound combines them for
+    /// the trees it does not build ([`crate::optrees::Grid::settle`]).
     #[inline]
-    pub(crate) fn refuses(
+    pub(crate) fn refuses(&self, left: SideFacts, right: SideFacts, right_grouped: bool) -> bool {
+        (self.kind == OpKind::GroupJoin && right_grouped) || !left.sees || !right.sees
+    }
+
+    /// The facts of a left input exposing `visible` with the key set
+    /// `keys`.
+    #[inline]
+    pub fn left_facts(&self, ctx: &OptContext, visible: &[AttrId], keys: KeysRef<'_>) -> SideFacts {
+        let sees = self.left_attrs.iter().all(|a| visible.contains(a));
+        self.facts(ctx, sees, &self.left_attrs, keys)
+    }
+
+    /// The facts of a right input exposing `visible` with the key set
+    /// `keys`: it must expose every groupjoin argument as well.
+    #[inline]
+    pub fn right_facts(
         &self,
         ctx: &OptContext,
-        left_visible: &[AttrId],
-        right_visible: &[AttrId],
-        right_grouped: bool,
-    ) -> bool {
-        (self.kind == OpKind::GroupJoin && right_grouped)
-            || !self.left_sees(left_visible)
-            || !self.right_sees(ctx, right_visible)
+        visible: &[AttrId],
+        keys: KeysRef<'_>,
+    ) -> SideFacts {
+        let sees = self.right_attrs.iter().all(|a| visible.contains(a))
+            && ctx.gj_args[self.op_idx].iter().all(|a| visible.contains(a));
+        self.facts(ctx, sees, &self.right_attrs, keys)
     }
 
-    /// The left half of [`StagedApply::refuses`]: does a left input exposing
-    /// `visible` expose every left predicate attribute?
+    /// The facts of an input whose visibility test gave `sees`, on the side
+    /// whose predicate attributes are `attrs`.
     #[inline]
-    pub(crate) fn left_sees(&self, visible: &[AttrId]) -> bool {
-        self.left_attrs.iter().all(|a| visible.contains(a))
-    }
-
-    /// The right half of [`StagedApply::refuses`]: does a right input
-    /// exposing `visible` expose every right predicate attribute and every
-    /// groupjoin argument?
-    #[inline]
-    pub(crate) fn right_sees(&self, ctx: &OptContext, visible: &[AttrId]) -> bool {
-        self.right_attrs.iter().all(|a| visible.contains(a))
-            && ctx.gj_args[self.op_idx].iter().all(|a| visible.contains(a))
+    fn facts(
+        &self,
+        ctx: &OptContext,
+        sees: bool,
+        attrs: &[AttrId],
+        keys: KeysRef<'_>,
+    ) -> SideFacts {
+        SideFacts {
+            sees,
+            covers: self.pred_equi && keys.some_key_within_sorted(attrs),
+            cap: key_cap(ctx, keys),
+        }
     }
 }
 
@@ -253,9 +288,10 @@ fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>
     side.dedup();
 }
 
-/// Apply a staged operator on two plans. `left`/`right` are already in
-/// physical orientation (the staging's `left_set` side). Returns `None`
-/// when `StagedApply::refuses` the pair: a groupjoin over a pre-aggregated
+/// Apply a staged operator on two plans, each given with its
+/// [`SideFacts`] for the cut. `left`/`right` are already in physical
+/// orientation (the staging's `left_set` side). Returns `None` when
+/// `StagedApply::refuses` the pair: a groupjoin over a pre-aggregated
 /// right side, or an attribute it needs not visible.
 #[inline]
 pub fn apply_staged(
@@ -263,22 +299,18 @@ pub fn apply_staged(
     scratch: &mut Scratch,
     memo: &mut Memo,
     staged: &StagedApply,
-    left_id: PlanId,
-    right_id: PlanId,
+    (left_id, lfacts): (PlanId, SideFacts),
+    (right_id, rfacts): (PlanId, SideFacts),
 ) -> Option<PlanId> {
     let op = &ctx.cq.ops[staged.op_idx];
     let kind = staged.kind;
     // The rows are `Copy`: take them out, then write the lanes freely.
     let (left, right) = (memo[left_id], memo[right_id]);
-    let (lcold, rcold) = (*memo.plan(left_id).cold, *memo.plan(right_id).cold);
-    let lanes = &mut memo.lanes;
-    let (lvisible, rvisible) = (
-        lcold.visible.of(&lanes.attrs),
-        rcold.visible.of(&lanes.attrs),
-    );
-    if staged.refuses(ctx, lvisible, rvisible, right.has_grouping()) {
+    if staged.refuses(lfacts, rfacts, right.has_grouping()) {
         return None;
     }
+    let (lcold, rcold) = (*memo.plan(left_id).cold, *memo.plan(right_id).cold);
+    let lanes = &mut memo.lanes;
 
     let raw_card = join_card(
         kind,
@@ -293,18 +325,26 @@ pub fn apply_staged(
         kind,
         lkeys,
         rkeys,
-        staged.pred_equi,
-        &staged.left_attrs,
-        &staged.right_attrs,
+        lfacts.covers,
+        rfacts.covers,
         &mut memo.key_buf,
     );
     let duplicate_free = join_duplicate_free(kind, left.duplicate_free(), right.duplicate_free());
-    let (derived, key_sig) = match source {
-        JoinKeys::Left => (lkeys, left.key_sig()),
-        JoinKeys::Right => (rkeys, right.key_sig()),
-        JoinKeys::Built => (memo.key_buf.as_ref(), memo.key_buf.as_ref().signature()),
+    let built = memo.key_buf.as_ref();
+    let key_sig = match source {
+        JoinKeys::Left => left.key_sig(),
+        JoinKeys::Right => right.key_sig(),
+        JoinKeys::Built => built.signature(),
     };
-    let card = key_bounded_card(ctx, raw_card, duplicate_free, derived);
+    // A duplicate-free result is capped by its key set's bound: an
+    // inherited key set's is its side's fact, only a combination's is
+    // taken here.
+    let card = match source {
+        _ if !duplicate_free => raw_card,
+        JoinKeys::Left => raw_card.min(lfacts.cap),
+        JoinKeys::Right => raw_card.min(rfacts.cap),
+        JoinKeys::Built => raw_card.min(key_cap(ctx, built)),
+    };
     let cost = left.cost + right.cost + card;
     // Where a derived property *is* an input's property the new row names
     // the input's span; only combinations are written out.
@@ -417,19 +457,42 @@ pub fn make_apply(
 ) -> Option<PlanId> {
     let mut staged = StagedApply::default();
     stage_apply(ctx, memo, &mut staged, op_idx, extra, memo[left_id].set);
-    apply_staged(ctx, scratch, memo, &staged, left_id, right_id)
+    let (left, right) = (memo.plan(left_id), memo.plan(right_id));
+    let lfacts = staged.left_facts(ctx, left.visible(), left.keys());
+    let rfacts = staged.right_facts(ctx, right.visible(), right.keys());
+    apply_staged(
+        ctx,
+        scratch,
+        memo,
+        &staged,
+        (left_id, lfacts),
+        (right_id, rfacts),
+    )
 }
 
 /// Wrap a plan in an eager-aggregation grouping over `G⁺(S)`.
 ///
 /// Callers must have checked `ctx.can_group(input.set)` and the usefulness
 /// condition (`NeedsGrouping`); this constructor only assembles the node.
-#[inline]
 pub fn make_group(
     ctx: &OptContext,
     scratch: &mut Scratch,
     memo: &mut Memo,
     input_id: PlanId,
+) -> PlanId {
+    let gplus = scratch.gplus_span(ctx, memo[input_id].set);
+    group_over(ctx, scratch, memo, input_id, gplus)
+}
+
+/// [`make_group`] with `G⁺(S)` already looked up: `gplus` names it in
+/// `scratch` ([`Scratch::gplus_span`]), as a grid takes it once per side.
+#[inline]
+pub(crate) fn group_over(
+    ctx: &OptContext,
+    scratch: &mut Scratch,
+    memo: &mut Memo,
+    input_id: PlanId,
+    gplus: Span,
 ) -> PlanId {
     let input = memo[input_id];
     let icold = *memo.plan(input_id).cold;
@@ -438,7 +501,7 @@ pub fn make_group(
     // One run of the attribute lane serves three purposes: `G⁺(S)` is the
     // node's grouping attributes, its single key, and — followed by the
     // count column and the partial aggregates — its visible attributes.
-    let attrs = lanes.push_attrs(scratch.gplus(ctx, s));
+    let attrs = lanes.push_attrs(scratch.gplus_at(gplus));
     debug_assert!(
         attrs
             .of(&lanes.attrs)

@@ -7,8 +7,8 @@ use crate::algo::applied_ops_mask;
 use crate::context::{OptContext, Scratch};
 use crate::finalize::finalize;
 use crate::memo::{Memo, PlanId};
-use crate::optrees::{may_push, op_trees, pushable};
-use crate::plan::{make_apply, make_group, make_scan, stage_apply, StagedApply};
+use crate::optrees::{op_trees, GridPlan, GridSide};
+use crate::plan::{make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply};
 use dpnext_algebra::{AggCall, AggKind, AttrGen, AttrId, Expr, JoinPred, Value};
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::{GroupSpec, OpKind, OpTree, Query, QueryTable};
@@ -17,8 +17,8 @@ fn a(i: u32) -> AttrId {
     AttrId(i)
 }
 
-/// Wrap `op_trees` (one unit, empty slots) for tests that only count the
-/// produced variants.
+/// Wrap `op_trees` (one unit of an eager search, empty slots) for tests
+/// that only count the produced variants.
 fn op_tree_ids(
     ctx: &OptContext,
     sc: &mut Scratch,
@@ -30,13 +30,13 @@ fn op_tree_ids(
     let mut out = Vec::new();
     let mut staged = StagedApply::default();
     stage_apply(ctx, memo, &mut staged, op_idx, &[], memo[t1].set);
-    let (left_ok, right_ok) = may_push(staged.kind);
-    let push = [
-        left_ok && pushable(ctx, sc, memo, t1),
-        right_ok && pushable(ctx, sc, memo, t2),
+    let sides = [
+        GridSide::new(ctx, sc, &staged, memo[t1].set, true, true),
+        GridSide::new(ctx, sc, &staged, memo[t2].set, false, true),
     ];
-    let slots = [&mut None, &mut None];
-    op_trees(ctx, sc, memo, &staged, t1, t2, push, slots, |_, t| {
+    let mut l = GridPlan::new(ctx, sc, memo, &staged, &sides[0], t1);
+    let mut r = GridPlan::new(ctx, sc, memo, &staged, &sides[1], t2);
+    op_trees(ctx, sc, memo, &staged, &sides, [&mut l, &mut r], |_, t| {
         out.push(t);
         true
     });
@@ -492,12 +492,12 @@ mod engine {
         PairBufs, Search,
     };
     use crate::budget::{Budget, Exhausted};
-    use crate::ladder::greedy::{estimate_pair, greedy_join};
+    use crate::ladder::greedy::{estimate_pair, greedy_join, greedy_join_with, replay_canonical};
     use crate::memo::{PlanNode, ThinBy};
     use crate::optrees::Grid;
     use dpnext_cost::join_card;
     use dpnext_hypergraph::enumerate_ccps;
-    use dpnext_workload::{generate_query, GenConfig, OpWeights};
+    use dpnext_workload::{generate_query, GenConfig, OpWeights, Topology};
 
     /// What a sweep of full-set units met, and the buffers it walks them
     /// with.
@@ -535,9 +535,10 @@ mod engine {
                     // names them, and the next grid starts with empty slots.
                     let mark = memo.mark();
                     stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
-                    grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true, true);
-                    self.blind |= grid.group_sees != [true; 2]
-                        || grid.lefts.iter().chain(&grid.rights).any(|p| !p.sees);
+                    grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
+                    let group_blind = |side: &GridSide| side.gplus.is_some() && !side.group.sees;
+                    self.blind |= grid.sides.iter().any(group_blind)
+                        || grid.lefts.iter().chain(&grid.rights).any(|p| !p.facts.sees);
                     let (width, height) = (grid.lefts.len(), grid.rights.len());
                     for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
                         let (l, r) = (grid.lefts[i], grid.rights[j]);
@@ -869,6 +870,224 @@ mod engine {
             flipped_outer > 0,
             "the sweep met no full outer join staged against its written orientation"
         );
+    }
+
+    /// The greedy pass as it was before it kept its estimates: every pair of
+    /// components estimated again after every merge, each component's
+    /// traversal order a vector of its own. [`greedy_join`] must pick the
+    /// same merges.
+    fn reference_greedy(search: &mut Search<'_>, ctx: &OptContext) -> (Vec<usize>, u64) {
+        struct Component {
+            set: NodeSet,
+            order: Vec<usize>,
+        }
+        let n = ctx.query.table_count();
+        let mut comps: Vec<Component> = (0..n)
+            .map(|i| Component {
+                set: NodeSet::single(i),
+                order: vec![i],
+            })
+            .collect();
+        let mut estimates = 0;
+        while comps.len() > 1 && search.exhausted().is_none() {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..comps.len() {
+                for j in i + 1..comps.len() {
+                    estimates += 1;
+                    let Some(card) = estimate_pair(ctx, search, comps[i].set, comps[j].set) else {
+                        continue;
+                    };
+                    if best.is_none_or(|(_, _, c)| card < c) {
+                        best = Some((i, j, card));
+                    }
+                }
+            }
+            let Some((i, j, _)) = best else {
+                break;
+            };
+            let union = comps[i].set.union(comps[j].set);
+            search.process(comps[i].set, comps[j].set);
+            if union != NodeSet::full(n) && search.memo().class(union).is_empty() {
+                break;
+            }
+            search.shrink_class_to_best(union);
+            let Component { order: jorder, .. } = comps.swap_remove(j);
+            comps[i].set = union;
+            comps[i].order.extend(jorder);
+        }
+        if comps.len() == 1 && search.best_cost().is_some() {
+            return (comps.swap_remove(0).order, estimates);
+        }
+        (replay_canonical(search, ctx), estimates)
+    }
+
+    /// [`greedy_join`] keeps each ordered component pair's estimate until a
+    /// merge touches the pair and estimates no pair an edge does not
+    /// connect, yet picks the merges of [`reference_greedy`]: the same
+    /// linear order, the same best cost to the bit and the same
+    /// `plans_built`, over `paper(3..=11)` × 20 seeds and the large
+    /// topologies the ladder serves, `topology(20 | 30 | 40, Chain | Star |
+    /// Clique | Mixed)` × 4 seeds. Every estimate it asks for is of a pair
+    /// an edge connects, and no ordered pair of component sets is
+    /// estimated twice (a merge gives its component a new set).
+    #[test]
+    fn greedy_picks_the_merges_of_estimating_every_pair_again() {
+        let paper = (3..=11).flat_map(|n| (0..20).map(move |seed| (GenConfig::paper(n), seed)));
+        let topologies = [20, 30, 40].into_iter().flat_map(|n| {
+            [
+                Topology::Chain,
+                Topology::Star,
+                Topology::Clique,
+                Topology::Mixed,
+            ]
+            .into_iter()
+            .flat_map(move |t| (0..4).map(move |seed| (GenConfig::topology(n, t), seed)))
+        });
+        let (mut kept, mut re_estimated) = (0u64, 0u64);
+        for (cfg, seed) in paper.chain(topologies) {
+            let ctx = OptContext::new(generate_query(&cfg, seed));
+            let what = format!("{cfg:?}, seed {seed}");
+            let mut memo = Memo::new();
+            let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+            let (want, estimates) = reference_greedy(&mut search, &ctx);
+            let want = (
+                want,
+                search.best_cost().map(f64::to_bits),
+                search.plans_built(),
+            );
+            re_estimated += estimates;
+            let mut memo = Memo::new();
+            let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+            let mut asked = Vec::new();
+            let order = greedy_join_with(&mut search, &ctx, |search, a, b| {
+                assert!(
+                    ctx.cq.graph.has_connecting_edge(a, b),
+                    "{what}: {a} ◦ {b} estimated, no edge connects them"
+                );
+                assert!(
+                    !asked.contains(&(a, b)),
+                    "{what}: {a} ◦ {b} estimated twice"
+                );
+                asked.push((a, b));
+                estimate_pair(&ctx, search, a, b)
+            });
+            kept += asked.len() as u64;
+            let got = (
+                order,
+                search.best_cost().map(f64::to_bits),
+                search.plans_built(),
+            );
+            assert_eq!(want, got, "{what}");
+            let mut memo = Memo::new();
+            let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+            assert_eq!(want.0, greedy_join(&mut search, &ctx), "{what}");
+        }
+        assert!(
+            kept * 10 < re_estimated,
+            "{kept} estimates kept across merges, {re_estimated} taken again"
+        );
+    }
+
+    /// What a test compares of a row: its hot-row bits and its key set.
+    fn row_bits(memo: &Memo, id: PlanId) -> (NodeSet, u64, u64, u64, u32, [bool; 3], String) {
+        let (hot, keys) = (memo[id], memo.plan(id).keys());
+        let flags = [hot.has_grouping(), hot.duplicate_free(), hot.is_group()];
+        let keys = keys.iter().map(|k| format!("{k:?}")).collect();
+        let (card, cost) = (hot.card.to_bits(), hot.cost.to_bits());
+        (hot.set, card, cost, hot.applied, hot.key_sig(), flags, keys)
+    }
+
+    /// Walk every grid of an EA-Prune run over `paper(3..=8)` × 20 seeds —
+    /// every orientation of every csg-cmp-pair, over the classes the run
+    /// left — and build each unit through [`Grid::build`], after `mutate`
+    /// had its way with the staged grid. Every tree a unit offers is
+    /// rebuilt by the one-shot `make_apply` from the same inputs, which
+    /// derives its side facts itself; returns how many trees differ in
+    /// their hot-row bits or key set. The offer keeps every fifth tree, so
+    /// groupings survive in their slots and later units reuse them.
+    fn side_fact_mismatches(mutate: impl Fn(&mut Grid)) -> u64 {
+        let (mut bufs, mut staged, mut grid) =
+            (PairBufs::default(), StagedApply::default(), Grid::default());
+        let (mut trees, mut mismatches) = (0u64, 0u64);
+        for (n, seed) in (3..=8).flat_map(|n| (0..20).map(move |seed| (n, seed))) {
+            let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
+            let mut memo = Memo::new();
+            optimize_prepared(
+                &ctx,
+                Algorithm::EaPrune,
+                &OptimizeOptions::default(),
+                &mut memo,
+            );
+            let mut pairs = Vec::new();
+            enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
+            let (mut scratch, mut shadow) = (Scratch::new(&ctx), Scratch::new(&ctx));
+            for (s1, s2) in pairs {
+                orientations_into(&ctx, s1, s2, &mut bufs);
+                let extra = bufs.extra.clone();
+                for &(sl, sr, op) in &bufs.orients {
+                    if memo.class(sl).is_empty() || memo.class(sr).is_empty() {
+                        continue;
+                    }
+                    let mark = memo.mark();
+                    stage_apply(&ctx, &mut memo, &mut staged, op, &extra, sl);
+                    grid.stage(&ctx, &mut scratch, &memo, &staged, (sl, sr), true);
+                    mutate(&mut grid);
+                    let (width, height) = (grid.lefts.len(), grid.rights.len());
+                    for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
+                        grid.build(&ctx, &mut scratch, &mut memo, &staged, (i, j), |memo, t| {
+                            let PlanNode::Apply { left, right, .. } = memo.plan(t).cold.node else {
+                                panic!("a unit offers applications only");
+                            };
+                            let at = memo.mark();
+                            let again =
+                                make_apply(&ctx, &mut shadow, memo, op, &extra, left, right)
+                                    .expect("make_apply refuses what the unit built");
+                            trees += 1;
+                            mismatches += u64::from(row_bits(memo, t) != row_bits(memo, again));
+                            memo.truncate(at);
+                            trees % 5 == 0
+                        });
+                    }
+                    memo.truncate(mark);
+                }
+            }
+        }
+        assert!(trees > 10_000, "only {trees} trees built");
+        mismatches
+    }
+
+    /// A unit built from the side facts its grid decided makes, tree for
+    /// tree, the rows the one-shot `make_apply` makes from the same inputs;
+    /// and the sweep notices a wrong fact — flipping one side's `covers`,
+    /// or dropping its `cap`, makes some tree differ, whether the fact is a
+    /// plan's or the one a grouping on that side reads.
+    #[test]
+    fn side_facts_build_the_rows_make_apply_builds() {
+        assert_eq!(0, side_fact_mismatches(|_| {}));
+        let flip = |f: &mut SideFacts| f.covers = !f.covers;
+        let uncap = |f: &mut SideFacts| f.cap = f64::INFINITY;
+        for (k, side) in ["left", "right"].into_iter().enumerate() {
+            let plans = |grid: &mut Grid, f: &dyn Fn(&mut SideFacts)| {
+                let plans = if k == 0 {
+                    &mut grid.lefts
+                } else {
+                    &mut grid.rights
+                };
+                plans.iter_mut().for_each(|p| f(&mut p.facts));
+            };
+            for (what, f) in [
+                ("covers", &flip as &dyn Fn(&mut SideFacts)),
+                ("cap", &uncap),
+            ] {
+                let of_plans = side_fact_mismatches(|grid| plans(grid, f));
+                assert!(of_plans > 0, "a wrong {side} {what} went unnoticed");
+                let of_groups = side_fact_mismatches(|grid| f(&mut grid.sides[k].group));
+                assert!(
+                    of_groups > 0,
+                    "a wrong {side} grouping {what} went unnoticed"
+                );
+            }
+        }
     }
 }
 

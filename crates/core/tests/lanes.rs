@@ -11,7 +11,7 @@
 use dpnext_algebra::AttrId;
 use dpnext_conflict::applicable_ops_into;
 use dpnext_core::aggstate::AggPos;
-use dpnext_core::optrees::{may_push, op_trees, pushable};
+use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
     make_apply, make_group, make_scan, stage_apply, Memo, MemoMark, OptContext, PlanId, PlanNode,
     Scratch, StagedApply, Term,
@@ -89,37 +89,35 @@ fn tree(memo: &Memo, id: PlanId) -> (Payload, Vec<Payload>) {
     (top, inputs.iter().map(|&t| payload(memo, t)).collect())
 }
 
-/// Whether a unit of the cut `staged` pushes a grouping onto `l`, onto `r`.
-fn pushes(
+/// The sides of the cut `staged` over `l` and `r`, for an eager search.
+fn sides(
     ctx: &OptContext,
     scratch: &mut Scratch,
     memo: &Memo,
     staged: &StagedApply,
     (l, r): (PlanId, PlanId),
-) -> [bool; 2] {
-    let (left_ok, right_ok) = may_push(staged.kind);
+) -> [GridSide; 2] {
     [
-        left_ok && pushable(ctx, scratch, memo, l),
-        right_ok && pushable(ctx, scratch, memo, r),
+        GridSide::new(ctx, scratch, staged, memo[l].set, true, true),
+        GridSide::new(ctx, scratch, staged, memo[r].set, false, true),
     ]
 }
 
-/// One engine work unit over `l` and `r` with the row and column slots
-/// `slots`: `op_trees` under an offer that keeps the calls whose bit is set
-/// in `mask`. Returns how many trees were offered and the kept ones by call
-/// number.
+/// One engine work unit over the row plan `l` and the column plan `r` of
+/// the sides `sides`: `op_trees` under an offer that keeps the calls whose
+/// bit is set in `mask`. Returns how many trees were offered and the kept
+/// ones by call number.
 fn unit(
     ctx: &OptContext,
     scratch: &mut Scratch,
     memo: &mut Memo,
     staged: &StagedApply,
-    (l, r): (PlanId, PlanId),
+    sides: &[GridSide; 2],
+    plans: [&mut GridPlan; 2],
     mask: u8,
-    slots: [&mut Option<PlanId>; 2],
 ) -> (u8, Vec<(u8, PlanId)>) {
     let (mut offered, mut kept) = (0u8, Vec::new());
-    let push = pushes(ctx, scratch, memo, staged, (l, r));
-    op_trees(ctx, scratch, memo, staged, l, r, push, slots, |_, t| {
+    op_trees(ctx, scratch, memo, staged, sides, plans, |_, t| {
         let keep = mask >> offered & 1 == 1;
         if keep {
             kept.push((offered, t));
@@ -193,19 +191,25 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                     let left_set = memo[l].set;
                     stage_apply(&ctx, &mut memo, &mut staged, op, &[], left_set);
                     let (before, bytes, rows) = (memo.mark(), memo.live_bytes(), memo.arena_len());
+                    let sides = sides(&ctx, &mut scratch, &memo, &staged, (l, r));
+                    let plan = |scratch: &Scratch, memo: &Memo, side, t| {
+                        GridPlan::new(&ctx, scratch, memo, &staged, side, t)
+                    };
                     // Each tree kept alone, from the same starting state.
                     let mut alone = Vec::new();
                     for call in 0..4 {
                         let mut scratch = scratch.clone();
-                        let slots = [&mut None, &mut None];
+                        let mut lp = plan(&scratch, &memo, &sides[0], l);
+                        let mut rp = plan(&scratch, &memo, &sides[1], r);
+                        let plans = [&mut lp, &mut rp];
                         let (_, kept) = unit(
                             &ctx,
                             &mut scratch,
                             &mut memo,
                             &staged,
-                            (l, r),
+                            &sides,
+                            plans,
                             1 << call,
-                            slots,
                         );
                         alone.push((
                             kept.first().map(|&(_, t)| tree(&memo, t)),
@@ -213,9 +217,11 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                         ));
                         memo.truncate(before);
                     }
-                    let slots = [&mut None, &mut None];
+                    let mut lp = plan(&scratch, &memo, &sides[0], l);
+                    let mut rp = plan(&scratch, &memo, &sides[1], r);
+                    let plans = [&mut lp, &mut rp];
                     let (offered, kept) =
-                        unit(&ctx, &mut scratch, &mut memo, &staged, (l, r), mask, slots);
+                        unit(&ctx, &mut scratch, &mut memo, &staged, &sides, plans, mask);
                     for (_, plans_built) in &alone {
                         prop_assert_eq!(scratch.plans_built, *plans_built, "mask-dependent");
                     }
@@ -254,27 +260,30 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                     let left_set = memo[l].set;
                     stage_apply(&ctx, &mut memo, &mut staged, op, &[], left_set);
                     let rows = memo.arena_len();
-                    let (mut row_slots, mut column_slots) =
-                        (vec![None; lefts.len()], vec![None; rights.len()]);
-                    for (i, &t1) in lefts.iter().enumerate() {
-                        for (j, &t2) in rights.iter().enumerate() {
-                            let push = pushes(&ctx, &mut scratch, &memo, &staged, (t1, t2));
-                            let filled = [row_slots[i].is_some(), column_slots[j].is_some()];
-                            reused += u64::from(push[0] && filled[0] || push[1] && filled[1]);
+                    let sides = sides(&ctx, &mut scratch, &memo, &staged, (l, r));
+                    let side = |plans: &[PlanId], side| -> Vec<GridPlan> {
+                        let plan = |&t| GridPlan::new(&ctx, &scratch, &memo, &staged, side, t);
+                        plans.iter().map(plan).collect()
+                    };
+                    let (mut row, mut column) = (side(&lefts, &sides[0]), side(&rights, &sides[1]));
+                    for (i, (lp, &t1)) in row.iter_mut().zip(&lefts).enumerate() {
+                        for (j, (rp, &t2)) in column.iter_mut().zip(&rights).enumerate() {
+                            let filled = [lp.slot().is_some(), rp.slot().is_some()];
+                            reused +=
+                                u64::from(lp.pushes() && filled[0] || rp.pushes() && filled[1]);
                             let turned = (mask ^ (i * 4 + j) as u8) & 0xf;
-                            let slots = [&mut row_slots[i], &mut column_slots[j]];
                             unit(
                                 &ctx,
                                 &mut scratch,
                                 &mut memo,
                                 &staged,
-                                (t1, t2),
+                                &sides,
+                                [&mut *lp, rp],
                                 turned,
-                                slots,
                             );
                             prop_assert_eq!(Ok(()), memo.check_invariants());
                             // A slot names a live grouping of its plan.
-                            for (slot, t) in [(row_slots[i], t1), (column_slots[j], t2)] {
+                            for (slot, t) in [(lp.slot(), t1), (rp.slot(), t2)] {
                                 if let Some(g) = slot {
                                     prop_assert!(
                                         g.index() < memo.arena_len(),

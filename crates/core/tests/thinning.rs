@@ -15,7 +15,7 @@
 
 use dpnext_conflict::applicable_ops_into;
 use dpnext_core::finalize::final_numbers;
-use dpnext_core::optrees::{may_push, op_trees, pushable};
+use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
     all_subplans, applied_ops_mask, optimize, stage_apply, Algorithm as A, Memo, OptContext,
     PlanId, Scratch, StagedApply, ThinBy,
@@ -155,23 +155,14 @@ fn first_violation(query: &Query, by: Precedes) -> Option<String> {
                             out.push(t);
                             true
                         };
-                        let (left_ok, right_ok) = may_push(staged.kind);
-                        let push = [
-                            left_ok && pushable(&ctx, &mut scratch, &memo, t1),
-                            right_ok && pushable(&ctx, &mut scratch, &memo, t2),
+                        let sides = [
+                            GridSide::new(&ctx, &mut scratch, &staged, sl, true, true),
+                            GridSide::new(&ctx, &mut scratch, &staged, sr, false, true),
                         ];
-                        let slots = [&mut None, &mut None];
-                        op_trees(
-                            &ctx,
-                            &mut scratch,
-                            &mut memo,
-                            &staged,
-                            t1,
-                            t2,
-                            push,
-                            slots,
-                            keep,
-                        );
+                        let plan = |side, t| GridPlan::new(&ctx, &scratch, &memo, &staged, side, t);
+                        let (mut l, mut r) = (plan(&sides[0], t1), plan(&sides[1], t2));
+                        let plans = [&mut l, &mut r];
+                        op_trees(&ctx, &mut scratch, &mut memo, &staged, &sides, plans, keep);
                     }
                     if let Some(&tq) = of_q
                         .iter()

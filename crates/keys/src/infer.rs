@@ -29,31 +29,25 @@ pub fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
     }
 }
 
-/// `κ` propagation for a binary operator (§2.3.1–§2.3.4), with the
-/// predicate pre-digested and the key sets borrowed: `equi` says whether
-/// the predicate is a non-empty conjunction of equalities — only then are
-/// the key-preserving fast cases allowed; theta joins always fall back to
-/// pairwise combination — and `left_attrs` / `right_attrs` are its
-/// per-side attribute sets (left terms from the left input), sorted and
-/// deduplicated. The enumeration stages these
-/// once per cut orientation ([`stage_apply`]'s contract) and calls this per
-/// plan pair. A combined key set is written to `built` (cleared first, its
-/// allocation reused); when an input's keys survive unchanged `built` is
-/// not touched and the result names the input.
-///
-/// [`stage_apply`]: ../dpnext_core/plan/fn.stage_apply.html
+/// `κ` propagation for a binary operator (§2.3.1–§2.3.4), with the key
+/// sets borrowed and the predicate pre-digested into two bits: `l_covers`
+/// says that the predicate is a non-empty conjunction of equalities and
+/// some key of `left` lies within its left attributes, `r_covers` the same
+/// of `right` and its right attributes. Only then are the key-preserving
+/// fast cases allowed; theta joins always fall back to pairwise
+/// combination. The enumeration decides each bit once per plan of a cut's
+/// side, not once per plan pair. A combined key set is written to `built`
+/// (cleared first, its allocation reused); when an input's keys survive
+/// unchanged `built` is not touched and the result names the input.
 #[inline]
 pub fn infer_join_keys_presorted(
     op: OpKind,
     left: KeysRef<'_>,
     right: KeysRef<'_>,
-    equi: bool,
-    left_attrs: &[AttrId],
-    right_attrs: &[AttrId],
+    l_covers: bool,
+    r_covers: bool,
     built: &mut KeySet,
 ) -> JoinKeys {
-    let l_covers = equi && left.some_key_within_sorted(left_attrs);
-    let r_covers = equi && right.some_key_within_sorted(right_attrs);
     match (op, l_covers, r_covers) {
         // Both join-attribute sets contain keys: all keys survive.
         (OpKind::Join, true, true) => {
@@ -101,13 +95,13 @@ mod tests {
     /// `κ(left op right)` on the equality `l = r`.
     fn join(op: OpKind, left: &KeySet, right: &KeySet, (l, r): (AttrId, AttrId)) -> KeySet {
         let mut built = KeySet::empty();
+        let (l_covers, r_covers) = (left.some_key_within(&[l]), right.some_key_within(&[r]));
         let source = infer_join_keys_presorted(
             op,
             left.as_ref(),
             right.as_ref(),
-            true,
-            &[l],
-            &[r],
+            l_covers,
+            r_covers,
             &mut built,
         );
         match source {
