@@ -1,6 +1,8 @@
-//! Aggregate functions and their algebraic properties (§2.1 of the paper):
-//! splittability, decomposability, duplicate sensitivity, and the `F ⊗ c`
-//! duplicate adjustment.
+//! Aggregate functions, their SQL evaluation, and the property of §2.1 of
+//! the paper that the optimizer reads per function: decomposability
+//! (Def. 2). Splittability (Def. 1) is a property of a plan's set, not of
+//! a function; the optimizer decides it per set (`OptContext::can_group`
+//! in `dpnext-core`).
 
 use crate::expr::Expr;
 use crate::schema::{AttrId, Schema, Tuple};
@@ -24,19 +26,6 @@ pub enum AggKind {
 }
 
 impl AggKind {
-    /// Duplicate agnostic (Yan & Larson's *Class D*): the result does not
-    /// depend on duplicates in the argument.
-    pub fn is_duplicate_agnostic(self) -> bool {
-        matches!(
-            self,
-            AggKind::Min
-                | AggKind::Max
-                | AggKind::CountDistinct
-                | AggKind::SumDistinct
-                | AggKind::AvgDistinct
-        )
-    }
-
     /// Decomposable (Def. 2): `agg(X ∪ Y) = agg2(agg1(X), agg1(Y))`.
     ///
     /// `avg` is decomposable via `sum`/`countNN` — the query layer
@@ -239,16 +228,6 @@ fn distinct_values(arg: &Expr, schema: &Schema, group: &[&Tuple]) -> Vec<Value> 
     out
 }
 
-/// Splittability check (Def. 1): every aggregate references attributes of
-/// only one side. `count(*)` references nothing and splits either way
-/// (special case *S1*).
-pub fn is_splittable(aggs: &[AggCall], left: &Schema, right: &Schema) -> bool {
-    aggs.iter().all(|a| {
-        let refs = a.referenced();
-        refs.iter().all(|&r| left.contains(r)) || refs.iter().all(|&r| right.contains(r))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,8 +243,6 @@ mod tests {
 
     #[test]
     fn properties() {
-        assert!(AggKind::Min.is_duplicate_agnostic());
-        assert!(!AggKind::Sum.is_duplicate_agnostic());
         assert!(AggKind::CountStar.is_decomposable());
         assert!(!AggKind::SumDistinct.is_decomposable());
         assert_eq!(AggKind::Sum, AggKind::Count.combine());
@@ -339,22 +316,5 @@ mod tests {
         assert!(AggCall::new(a(9), AggKind::Sum, Expr::attr(a(0)))
             .eval_null_tuple()
             .is_null());
-    }
-
-    #[test]
-    fn splittability() {
-        let left = Schema::new(vec![a(0)]);
-        let right = Schema::new(vec![a(1)]);
-        let ok = vec![
-            AggCall::new(a(8), AggKind::Sum, Expr::attr(a(0))),
-            AggCall::count_star(a(9)),
-        ];
-        assert!(is_splittable(&ok, &left, &right));
-        let bad = vec![AggCall::new(
-            a(8),
-            AggKind::Sum,
-            Expr::attr(a(0)).mul(Expr::attr(a(1))),
-        )];
-        assert!(!is_splittable(&bad, &left, &right));
     }
 }

@@ -8,8 +8,7 @@
 //! * SQL-style [`Value`]s with three-valued NULL semantics,
 //! * [`Relation`]s (bags of tuples over attribute [`Schema`]s),
 //! * scalar [`Expr`]essions and conjunctive [`JoinPred`]icates,
-//! * aggregate functions ([`agg`]) with the properties the paper builds on —
-//!   splittability, decomposability and duplicate sensitivity (§2.1),
+//! * aggregate functions ([`agg`]) and their decomposability (§2.1),
 //! * all algebraic operators of §2.2 ([`ops`], [`grouping`]), including the
 //!   **left/full outerjoins with default vectors** and the **groupjoin**,
 //! * an interpreter for executable operator trees ([`eval`]).

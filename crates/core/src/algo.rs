@@ -175,7 +175,7 @@ pub fn optimize_into(
 
 /// [`optimize_into`] over a prepared context, returning the winner's memo
 /// id next to the result — for callers that go on to inspect the plan in
-/// `memo` ([`crate::validate_complete_plan`], [`crate::recost_plan`]).
+/// `memo` ([`crate::validate_complete_plan`]).
 ///
 /// An exact run is a search with nothing armed, fed the whole DPhyp
 /// stream; which runs climb the ladder instead is said at

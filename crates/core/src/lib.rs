@@ -30,7 +30,6 @@ pub mod ladder;
 pub mod memo;
 pub mod optrees;
 pub mod plan;
-pub mod recost;
 pub mod validate;
 
 #[cfg(test)]
@@ -50,5 +49,4 @@ pub use memo::{
 pub use plan::{
     apply_staged, make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply,
 };
-pub use recost::{recost_plan, Recosted};
 pub use validate::{validate_complete_plan, validate_subplan};

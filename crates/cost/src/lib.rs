@@ -5,7 +5,5 @@
 //! (scans and final projections are free).
 
 pub mod card;
-pub mod perturb;
 
 pub use card::{distinct_in, grouping_card, join_card, match_probability};
-pub use perturb::StatsPerturbation;

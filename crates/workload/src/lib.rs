@@ -9,7 +9,6 @@
 
 pub mod datagen;
 pub mod fig11;
-pub mod perturbed;
 pub mod randquery;
 pub mod requestmix;
 pub mod tpch_queries;
@@ -17,7 +16,6 @@ pub mod unrank;
 
 pub use datagen::generate_data;
 pub use fig11::{fig11_database, fig11_query};
-pub use perturbed::perturbed_pair;
 pub use randquery::{generate_query, GenConfig, OpWeights, Topology};
 pub use requestmix::{request_mix, MixConfig, RequestMix};
 pub use tpch_queries::{ex_query, q10, q3, q5, table2_queries, TpchQuery};
