@@ -25,12 +25,12 @@
 
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
+use crate::detect::applicable_ops_into;
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::ladder::greedy::greedy_join;
 use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::Grid;
 use crate::plan::{make_scan, stage_apply, StagedApply};
-use dpnext_conflict::applicable_ops_into;
 use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
 use dpnext_query::{OpKind, Query};
 use std::ops::ControlFlow;
@@ -696,6 +696,11 @@ impl<'a> Search<'a> {
                     // compiled into this codegen unit; without that the
                     // benchmark's ea-prune-paper p99 reads 3–5% higher, and
                     // which module an edit lands in decides whether it does.
+                    // Of the key-inference and cost helpers a plan calls,
+                    // `infer_join_keys_presorted`, `join_duplicate_free`,
+                    // `needs_grouping` and `distinct_in` are `#[inline]`;
+                    // `join_card`, `grouping_card`, `KeysRef::implies` and
+                    // `KeysRef::some_key_within_sorted` are not.
                     grid.build(ctx, scratch, memo, staged, (i, j), |memo, t| {
                         if !complete {
                             if !ceiling.is_none_or(|b| memo[t].cost < b) {

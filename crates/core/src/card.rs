@@ -1,10 +1,13 @@
-//! Cardinality estimation for join operators and grouping.
+//! Cardinality estimation and the `C_out` cost function of §4.4: the cost
+//! of a plan is the sum of the cardinalities of all intermediate results
+//! (scans and final projections are free).
 //!
-//! The model is the standard textbook one the paper's evaluation relies on:
-//! base cardinalities and predicate selectivities are given (randomly
-//! generated in §5, derived from key/FK statistics for TPC-H), join output
-//! sizes multiply through selectivities, and grouping output sizes are
-//! bounded by the product of the grouping attributes' distinct counts.
+//! The estimates follow the standard textbook model the paper's
+//! evaluation relies on: base cardinalities and predicate selectivities
+//! are given (randomly generated in §5, derived from key/FK statistics for
+//! TPC-H), join output sizes multiply through selectivities, and grouping
+//! output sizes are bounded by the product of the grouping attributes'
+//! distinct counts.
 
 use dpnext_query::OpKind;
 
@@ -17,7 +20,7 @@ use dpnext_query::OpKind;
 /// a multiplicity-based probability, an antijoin's output would shrink
 /// when its right input grows, breaking `|T1| ≤ |T2| ⇒ no worse later`.
 #[inline]
-pub fn match_probability(sel: f64, other_distinct: f64) -> f64 {
+fn match_probability(sel: f64, other_distinct: f64) -> f64 {
     if sel <= 0.0 {
         return 0.0; // avoid 0 · ∞ = NaN for unknown distinct counts
     }
@@ -28,7 +31,14 @@ pub fn match_probability(sel: f64, other_distinct: f64) -> f64 {
 /// `d_left`/`d_right` are the distinct counts of the join attributes on
 /// each side (pass `f64::INFINITY` when unknown — every tuple then finds
 /// a partner).
-pub fn join_card(op: OpKind, lcard: f64, rcard: f64, sel: f64, d_left: f64, d_right: f64) -> f64 {
+pub(crate) fn join_card(
+    op: OpKind,
+    lcard: f64,
+    rcard: f64,
+    sel: f64,
+    d_left: f64,
+    d_right: f64,
+) -> f64 {
     let inner = lcard * rcard * sel;
     match op {
         OpKind::Join => inner,
@@ -53,7 +63,7 @@ pub fn join_card(op: OpKind, lcard: f64, rcard: f64, sel: f64, d_left: f64, d_ri
 /// `distincts` are the per-attribute counts already capped by their own
 /// relations; they are folded as they arrive, so callers pass the mapping
 /// iterator itself instead of collecting it.
-pub fn grouping_card(input_card: f64, distincts: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn grouping_card(input_card: f64, distincts: impl IntoIterator<Item = f64>) -> f64 {
     let mut distincts = distincts.into_iter().peekable();
     if distincts.peek().is_none() {
         // Γ_∅ produces a single (global) group for non-empty input.
@@ -73,7 +83,7 @@ pub fn grouping_card(input_card: f64, distincts: impl IntoIterator<Item = f64>) 
 /// cardinality `card`: cannot exceed either the base distinct count or the
 /// result size.
 #[inline]
-pub fn distinct_in(base_distinct: f64, card: f64) -> f64 {
+pub(crate) fn distinct_in(base_distinct: f64, card: f64) -> f64 {
     base_distinct.min(card).max(1.0)
 }
 

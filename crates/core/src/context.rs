@@ -7,10 +7,11 @@
 //! owns next to its memo.
 
 use crate::aggstate::AggState;
+use crate::detect::{detect, ConflictedQuery};
+use crate::keyset::KeySet;
+use crate::memo::Span;
 use dpnext_algebra::AttrId;
-use dpnext_conflict::{detect, ConflictedQuery};
 use dpnext_hypergraph::{FxHashMap, NodeSet};
-use dpnext_keys::{KeySet, Span};
 use dpnext_query::Query;
 
 /// Context shared by all plan constructors during one optimization run.
@@ -40,7 +41,7 @@ pub struct OptContext {
     pub gj_args: Vec<Vec<AttrId>>,
     /// Per table occurrence: its declared candidate keys, normalized and
     /// minimal — what a scan of it carries.
-    pub table_keys: Vec<KeySet>,
+    pub(crate) table_keys: Vec<KeySet>,
     /// The aggregation state of a plan without groupings (a scan's): every
     /// aggregate raw, no count columns.
     pub fresh_agg: AggState,

@@ -1,6 +1,7 @@
 //! The conflict detector: computes SES/TES and conflict rules for every
 //! operator of the initial tree and derives the query hypergraph
-//! (components 2 and 3 of the plan generator, §4.1).
+//! (components 2 and 3 of the plan generator, §4.1), and runs the
+//! `Applicable` test every plan generator asks per csg-cmp-pair.
 //!
 //! This follows the CD approach of \[7\]: reordering conflicts are encoded
 //! (a) in the hyperedge `(L-TES, R-TES)` handed to the DPhyp enumerator and
@@ -12,36 +13,42 @@ use dpnext_algebra::{AggCall, AttrId, JoinPred};
 use dpnext_hypergraph::{Hyperedge, Hypergraph, NodeSet};
 use dpnext_query::{OpKind, OpTree, Query};
 
-/// A conflict rule `when → then`.
+/// A conflict rule `when → then`: a plan set that touches `when` must
+/// contain all of `then`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConflictRule {
-    pub when: NodeSet,
-    pub then: NodeSet,
+pub(crate) struct ConflictRule {
+    pub(crate) when: NodeSet,
+    pub(crate) then: NodeSet,
 }
 
 /// Everything the plan generator needs to know about one operator of the
 /// initial tree.
 #[derive(Debug, Clone)]
 pub struct OperatorInfo {
+    /// The operator.
     pub op: OpKind,
-    pub pred: JoinPred,
-    pub sel: f64,
-    pub gj_aggs: Vec<AggCall>,
-    /// Relations of the left / right subtree in the initial tree.
-    pub left_rels: NodeSet,
-    pub right_rels: NodeSet,
-    /// Syntactic eligibility sets per side.
-    pub ses_left: NodeSet,
-    pub ses_right: NodeSet,
-    /// Total eligibility sets per side (`TES ∩ T(left/right)`).
-    pub l_tes: NodeSet,
-    pub r_tes: NodeSet,
-    pub rules: Vec<ConflictRule>,
+    /// Its join predicate.
+    pub(crate) pred: JoinPred,
+    /// The predicate's selectivity.
+    pub(crate) sel: f64,
+    /// A groupjoin's aggregates (empty for every other operator).
+    pub(crate) gj_aggs: Vec<AggCall>,
+    /// Relations of the left subtree in the initial tree.
+    pub(crate) left_rels: NodeSet,
+    /// Relations of the right subtree in the initial tree.
+    pub(crate) right_rels: NodeSet,
+    /// Total eligibility set of the left side (`TES ∩ T(left)`).
+    pub(crate) l_tes: NodeSet,
+    /// Total eligibility set of the right side (`TES ∩ T(right)`).
+    pub(crate) r_tes: NodeSet,
+    /// The conflict rules the TES could not absorb.
+    pub(crate) rules: Vec<ConflictRule>,
 }
 
 /// How an operator may be applied to a csg-cmp-pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applicability {
+enum Applicability {
+    /// Not applicable to the pair.
     No,
     /// `(s1, s2)` as given (s1 is the operator's left input).
     Normal,
@@ -53,7 +60,7 @@ pub enum Applicability {
 
 impl OperatorInfo {
     /// The applicability test (Fig. 5, line 5) for the pair `(s1, s2)`.
-    pub fn applicable(&self, s1: NodeSet, s2: NodeSet) -> Applicability {
+    fn applicable(&self, s1: NodeSet, s2: NodeSet) -> Applicability {
         let s = s1.union(s2);
         for rule in &self.rules {
             if rule.when.intersects(s) && !rule.then.is_subset_of(s) {
@@ -87,12 +94,15 @@ impl OperatorInfo {
 /// hypergraph whose edges are the `(L-TES, R-TES)` hypernodes.
 #[derive(Debug, Clone)]
 pub struct ConflictedQuery {
+    /// The operators of the initial tree, bottom-up; a hyperedge's label
+    /// indexes this list.
     pub ops: Vec<OperatorInfo>,
+    /// The query hypergraph, one `(L-TES, R-TES)` edge per operator.
     pub graph: Hypergraph,
 }
 
 /// Run conflict detection on a query's initial operator tree.
-pub fn detect(query: &Query) -> ConflictedQuery {
+pub(crate) fn detect(query: &Query) -> ConflictedQuery {
     let origins = query.attr_origins();
     let origin = |a: AttrId| -> NodeSet {
         *origins
@@ -229,8 +239,6 @@ fn collect(
                 gj_aggs: gj_aggs.clone(),
                 left_rels: lrels,
                 right_rels: rrels,
-                ses_left,
-                ses_right,
                 l_tes,
                 r_tes,
                 rules,

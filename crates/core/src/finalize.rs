@@ -2,11 +2,11 @@
 //! plans into executable algebra trees.
 
 use crate::aggstate::{final_agg_vector, final_map_exprs, group_agg_calls};
+use crate::card::{distinct_in, grouping_card};
 use crate::context::OptContext;
+use crate::infer::needs_grouping;
 use crate::memo::{Memo, PlanId, PlanNode};
 use dpnext_algebra::AlgExpr;
-use dpnext_cost::{distinct_in, grouping_card};
-use dpnext_keys::needs_grouping;
 use dpnext_query::OpKind;
 
 /// A complete, costed, executable plan.

@@ -1,5 +1,6 @@
 //! Bottom-up key propagation through join operators (§2.3) and the
-//! `NeedsGrouping` test (Fig. 7).
+//! `NeedsGrouping` test (Fig. 7): the key sets the dominance pruning of
+//! §4.6 compares.
 
 use crate::keyset::{KeySet, KeysRef};
 use dpnext_algebra::AttrId;
@@ -9,7 +10,7 @@ use dpnext_query::OpKind;
 /// rules hand an input's `κ` through unchanged, so a caller that stores
 /// key sets by reference can share the input's instead of copying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKeys {
+pub(crate) enum JoinKeys {
     /// `κ(e1)`: the left input's keys survive as they are.
     Left,
     /// `κ(e2)`: the right input's keys survive as they are.
@@ -22,7 +23,7 @@ pub enum JoinKeys {
 /// emit each left tuple at most once, every other operator needs both
 /// inputs duplicate-free.
 #[inline]
-pub fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
+pub(crate) fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
     match op {
         OpKind::Join | OpKind::LeftOuter | OpKind::FullOuter => left && right,
         OpKind::Semi | OpKind::Anti | OpKind::GroupJoin => left,
@@ -40,7 +41,7 @@ pub fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
 /// (cleared first, its allocation reused); when an input's keys survive
 /// unchanged `built` is not touched and the result names the input.
 #[inline]
-pub fn infer_join_keys_presorted(
+pub(crate) fn infer_join_keys_presorted(
     op: OpKind,
     left: KeysRef<'_>,
     right: KeysRef<'_>,
@@ -76,7 +77,11 @@ pub fn infer_join_keys_presorted(
 /// deduplicated (`G⁺(S)` is by construction; the optimizer sorts the
 /// query's `G` once per run).
 #[inline]
-pub fn needs_grouping(group_attrs: &[AttrId], duplicate_free: bool, keys: KeysRef<'_>) -> bool {
+pub(crate) fn needs_grouping(
+    group_attrs: &[AttrId],
+    duplicate_free: bool,
+    keys: KeysRef<'_>,
+) -> bool {
     !(duplicate_free && keys.some_key_within_sorted(group_attrs))
 }
 
@@ -95,7 +100,10 @@ mod tests {
     /// `κ(left op right)` on the equality `l = r`.
     fn join(op: OpKind, left: &KeySet, right: &KeySet, (l, r): (AttrId, AttrId)) -> KeySet {
         let mut built = KeySet::empty();
-        let (l_covers, r_covers) = (left.some_key_within(&[l]), right.some_key_within(&[r]));
+        let (l_covers, r_covers) = (
+            left.as_ref().some_key_within_sorted(&[l]),
+            right.as_ref().some_key_within_sorted(&[r]),
+        );
         let source = infer_join_keys_presorted(
             op,
             left.as_ref(),
@@ -116,8 +124,8 @@ mod tests {
         // Join on key = key: both sides' keys survive.
         let (l, r) = (keyed(a(0)), keyed(a(1)));
         let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
-        assert!(out.some_key_within(&[a(0)]));
-        assert!(out.some_key_within(&[a(1)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(1)]));
         assert!(join_duplicate_free(OpKind::Join, true, true));
     }
 
@@ -127,8 +135,8 @@ mod tests {
         let l = keyed(a(0)); // key a0, join attr a5
         let r = keyed(a(1));
         let out = join(OpKind::Join, &l, &r, (a(5), a(1)));
-        assert!(out.some_key_within(&[a(0)]));
-        assert!(!out.some_key_within(&[a(1)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
+        assert!(!out.as_ref().some_key_within_sorted(&[a(1)]));
     }
 
     #[test]
@@ -136,23 +144,23 @@ mod tests {
         let (l, r) = (keyed(a(0)), keyed(a(1)));
         // Join on non-key attributes.
         let out = join(OpKind::Join, &l, &r, (a(5), a(6)));
-        assert!(!out.some_key_within(&[a(0)]));
-        assert!(out.some_key_within(&[a(0), a(1)]));
+        assert!(!out.as_ref().some_key_within_sorted(&[a(0)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(0), a(1)]));
     }
 
     #[test]
     fn left_outer_key_on_right() {
         let (l, r) = (keyed(a(0)), keyed(a(1)));
         let out = join(OpKind::LeftOuter, &l, &r, (a(5), a(1)));
-        assert!(out.some_key_within(&[a(0)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
     }
 
     #[test]
     fn full_outer_always_pairwise() {
         let (l, r) = (keyed(a(0)), keyed(a(1)));
         let out = join(OpKind::FullOuter, &l, &r, (a(0), a(1)));
-        assert!(!out.some_key_within(&[a(0)]));
-        assert!(out.some_key_within(&[a(0), a(1)]));
+        assert!(!out.as_ref().some_key_within_sorted(&[a(0)]));
+        assert!(out.as_ref().some_key_within_sorted(&[a(0), a(1)]));
     }
 
     #[test]
@@ -161,7 +169,7 @@ mod tests {
         let (l, r) = (keyed(a(0)), KeySet::empty());
         for op in [OpKind::Semi, OpKind::Anti, OpKind::GroupJoin] {
             let out = join(op, &l, &r, (a(0), a(1)));
-            assert!(out.some_key_within(&[a(0)]), "{op:?}");
+            assert!(out.as_ref().some_key_within_sorted(&[a(0)]), "{op:?}");
             assert!(join_duplicate_free(op, true, false), "{op:?}");
         }
     }
@@ -171,7 +179,7 @@ mod tests {
         let (l, r) = (KeySet::empty(), keyed(a(1)));
         let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
         // r covers its key, so left keys (empty) survive → still empty.
-        assert!(out.is_empty());
+        assert_eq!(KeySet::empty(), out);
         assert!(!join_duplicate_free(OpKind::Join, false, true));
     }
 

@@ -8,57 +8,11 @@
 //! shared vectors). Building a derived key set reuses a caller-supplied
 //! `KeySet` as the output buffer — no allocation once it has grown.
 
+use crate::memo::Span;
 use dpnext_algebra::AttrId;
-use std::ops::Range;
 
 /// A candidate key: a sorted set of attributes.
-pub type Key = Vec<AttrId>;
-
-/// A `(start, len)` window into an append-only vector ("lane").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Span {
-    /// Index of the first element.
-    pub start: u32,
-    /// Number of elements.
-    pub len: u32,
-}
-
-impl Span {
-    /// The window `[start, start + len)`; panics when it does not fit `u32`.
-    #[inline]
-    pub fn new(start: usize, len: usize) -> Span {
-        // `end` fitting implies both fields fit.
-        u32::try_from(start + len).expect("lane overflows u32");
-        Span {
-            start: start as u32,
-            len: len as u32,
-        }
-    }
-
-    /// The index range this span covers.
-    #[inline]
-    pub fn range(self) -> Range<usize> {
-        self.start as usize..self.end()
-    }
-
-    /// One past the last index covered.
-    #[inline]
-    pub fn end(self) -> usize {
-        self.start as usize + self.len as usize
-    }
-
-    /// Whether the span covers nothing.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-
-    /// The elements of `lane` this span covers.
-    #[inline]
-    pub fn of<T>(self, lane: &[T]) -> &[T] {
-        &lane[self.range()]
-    }
-}
+pub(crate) type Key = Vec<AttrId>;
 
 fn normalize(mut k: Key) -> Key {
     k.sort_unstable();
@@ -89,13 +43,6 @@ fn key_mask(key: &[AttrId]) -> u32 {
     key.iter().fold(0, |m, a| m | 1 << (a.0 % 32))
 }
 
-/// Whether two [`KeysRef::signature`]s allow `a.implies(b)`. A `false` is
-/// a proof that it does not hold; a `true` decides nothing.
-#[inline]
-pub fn signature_may_imply(a: u32, b: u32) -> bool {
-    a & !b == 0
-}
-
 /// A borrowed key set: `spans[i]` delimits key `i` inside `attrs`. `Copy`,
 /// two slices wide.
 #[derive(Debug, Clone, Copy, Default)]
@@ -109,7 +56,7 @@ impl<'a> KeysRef<'a> {
     /// sorted and deduplicated and the set minimal — what [`KeySet`]
     /// maintains and what a copy of its keys preserves.
     #[inline]
-    pub fn new(spans: &'a [Span], attrs: &'a [AttrId]) -> KeysRef<'a> {
+    pub(crate) fn new(spans: &'a [Span], attrs: &'a [AttrId]) -> KeysRef<'a> {
         KeysRef { spans, attrs }
     }
 
@@ -135,7 +82,7 @@ impl<'a> KeysRef<'a> {
     /// test of `NeedsGrouping`, Fig. 7.) `attrs` must be sorted and
     /// deduplicated; the enumeration normalizes a cut's join attributes
     /// and every `G⁺(S)` once and runs this per plan pair.
-    pub fn some_key_within_sorted(self, attrs: &[AttrId]) -> bool {
+    pub(crate) fn some_key_within_sorted(self, attrs: &[AttrId]) -> bool {
         debug_assert!(
             attrs.windows(2).all(|w| w[0] < w[1]),
             "attrs not normalized"
@@ -146,7 +93,7 @@ impl<'a> KeysRef<'a> {
     /// Key-set implication: every key of `other` is implied by (a subset
     /// key in) `self`. Used as the practical weakening of the
     /// `FD⁺(T1) ⊇ FD⁺(T2)` dominance condition (§4.6).
-    pub fn implies(self, other: KeysRef<'_>) -> bool {
+    pub(crate) fn implies(self, other: KeysRef<'_>) -> bool {
         other
             .iter()
             .all(|ko| self.iter().any(|ks| is_subset(ks, ko)))
@@ -154,11 +101,12 @@ impl<'a> KeysRef<'a> {
 
     /// The set's 32-bit implication filter: the AND, over its keys, of
     /// each key's attribute mask (bit `a mod 32` for each attribute `a`);
-    /// all-ones for a set with no key. Sound for
-    /// [`signature_may_imply`]: if `a.implies(b)`, every key `kb` of `b`
-    /// holds a key `ka ⊆ kb` of `a`, so `sig(a) ⊆ mask(ka) ⊆ mask(kb)`,
-    /// and ANDing over `kb` gives `sig(a) ⊆ sig(b)`. (The subsumption
-    /// signatures of SatELite, Eén & Biere, SAT 2005.)
+    /// all-ones for a set with no key. A bit of `sig(a)` missing from
+    /// `sig(b)` proves that `a.implies(b)` fails: if it holds, every key
+    /// `kb` of `b` holds a key `ka ⊆ kb` of `a`, so
+    /// `sig(a) ⊆ mask(ka) ⊆ mask(kb)`, and ANDing over `kb` gives
+    /// `sig(a) ⊆ sig(b)`. (The subsumption signatures of SatELite, Eén &
+    /// Biere, SAT 2005.)
     #[inline]
     pub fn signature(self) -> u32 {
         self.iter().fold(u32::MAX, |s, k| s & key_mask(k))
@@ -171,7 +119,7 @@ impl<'a> KeysRef<'a> {
 /// `κ` is a set of sets; an empty `KeySet` means *no key known* — every
 /// rule below degrades gracefully to that.
 #[derive(Debug, Clone, Default)]
-pub struct KeySet {
+pub(crate) struct KeySet {
     spans: Vec<Span>,
     /// Key attributes back to back. An evicted key leaves its attributes
     /// behind as a hole; [`KeySet::clear`] reclaims them.
@@ -187,10 +135,12 @@ impl PartialEq for KeySet {
 impl Eq for KeySet {}
 
 impl KeySet {
+    /// The set with no key known.
     pub fn empty() -> Self {
         KeySet::default()
     }
 
+    /// The minimal set of `keys`, each normalized on the way in.
     pub fn from_keys(keys: impl IntoIterator<Item = Key>) -> Self {
         let mut s = KeySet::empty();
         for k in keys {
@@ -251,29 +201,9 @@ impl KeySet {
         KeysRef::new(&self.spans, &self.attrs)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
     /// The keys, in insertion order.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = &[AttrId]> + Clone {
         self.as_ref().iter()
-    }
-
-    /// [`KeysRef::some_key_within_sorted`] for unnormalized `attrs`.
-    pub fn some_key_within(&self, attrs: &[AttrId]) -> bool {
-        self.as_ref()
-            .some_key_within_sorted(&normalize(attrs.to_vec()))
-    }
-
-    /// See [`KeysRef::implies`].
-    pub fn implies(&self, other: &KeySet) -> bool {
-        self.as_ref().implies(other.as_ref())
     }
 
     /// Become `κ(e1) ∪ κ(e2)`: every key of either side stays a key
@@ -295,20 +225,6 @@ impl KeySet {
             }
         }
     }
-
-    /// [`Self::assign_union`] into a new set.
-    pub fn union(&self, other: &KeySet) -> KeySet {
-        let mut out = KeySet::empty();
-        out.assign_union(self.as_ref(), other.as_ref());
-        out
-    }
-
-    /// [`Self::assign_pairwise`] into a new set.
-    pub fn pairwise(&self, other: &KeySet) -> KeySet {
-        let mut out = KeySet::empty();
-        out.assign_pairwise(self.as_ref(), other.as_ref());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -319,45 +235,70 @@ mod tests {
         AttrId(i)
     }
 
+    /// Whether some key of `s` lies within the sorted `attrs`.
+    fn within(s: &KeySet, attrs: &[AttrId]) -> bool {
+        s.as_ref().some_key_within_sorted(attrs)
+    }
+
+    /// `κ(l) ∪ κ(r)`, built the way a join builds it.
+    fn union(l: &KeySet, r: &KeySet) -> KeySet {
+        let mut out = KeySet::empty();
+        out.assign_union(l.as_ref(), r.as_ref());
+        out
+    }
+
+    /// The pairwise combination of `l` and `r`, built the way a join
+    /// builds it.
+    fn pairwise(l: &KeySet, r: &KeySet) -> KeySet {
+        let mut out = KeySet::empty();
+        out.assign_pairwise(l.as_ref(), r.as_ref());
+        out
+    }
+
+    /// Whether `x`'s keys imply `y`'s.
+    fn implies(x: &KeySet, y: &KeySet) -> bool {
+        x.as_ref().implies(y.as_ref())
+    }
+
     #[test]
     fn minimality() {
         let mut s = KeySet::empty();
         s.insert(vec![a(0), a(1)]);
         s.insert(vec![a(0)]); // subsumes the first
-        assert_eq!(1, s.len());
+        assert_eq!(1, s.keys().len());
         assert_eq!(Some(&[a(0)][..]), s.keys().next());
         s.insert(vec![a(0), a(2)]); // already implied
-        assert_eq!(1, s.len());
+        assert_eq!(1, s.keys().len());
     }
 
     #[test]
     fn key_within() {
         let s = KeySet::from_keys([vec![a(1), a(2)]]);
-        assert!(s.some_key_within(&[a(2), a(1), a(5)]));
-        assert!(!s.some_key_within(&[a(1)]));
-        assert!(!KeySet::empty().some_key_within(&[a(1)]));
+        assert!(within(&s, &[a(1), a(2), a(5)]));
+        assert!(!within(&s, &[a(1)]));
+        assert!(!within(&KeySet::empty(), &[a(1)]));
     }
 
     #[test]
     fn pairwise_combination() {
         let l = KeySet::from_keys([vec![a(0)]]);
         let r = KeySet::from_keys([vec![a(1)], vec![a(2)]]);
-        let p = l.pairwise(&r);
-        assert_eq!(2, p.len());
-        assert!(p.some_key_within(&[a(0), a(1)]));
-        assert!(p.some_key_within(&[a(0), a(2)]));
-        assert!(l.pairwise(&KeySet::empty()).is_empty());
+        let p = pairwise(&l, &r);
+        assert_eq!(2, p.keys().len());
+        assert!(within(&p, &[a(0), a(1)]));
+        assert!(within(&p, &[a(0), a(2)]));
+        assert_eq!(KeySet::empty(), pairwise(&l, &KeySet::empty()));
     }
 
     #[test]
     fn implication() {
         let strong = KeySet::from_keys([vec![a(0)]]);
         let weak = KeySet::from_keys([vec![a(0), a(1)]]);
-        assert!(strong.implies(&weak));
-        assert!(!weak.implies(&strong));
-        assert!(strong.implies(&KeySet::empty()));
-        assert!(KeySet::empty().implies(&KeySet::empty()));
-        assert!(!KeySet::empty().implies(&strong));
+        assert!(implies(&strong, &weak));
+        assert!(!implies(&weak, &strong));
+        assert!(implies(&strong, &KeySet::empty()));
+        assert!(implies(&KeySet::empty(), &KeySet::empty()));
+        assert!(!implies(&KeySet::empty(), &strong));
     }
 
     #[test]
@@ -397,8 +338,8 @@ mod tests {
                 key_b.insert(random_key());
             }
             for (x, y) in [(&key_a, &key_b), (&key_b, &key_a)] {
-                let may = signature_may_imply(x.as_ref().signature(), y.as_ref().signature());
-                if x.implies(y) {
+                let may = x.as_ref().signature() & !y.as_ref().signature() == 0;
+                if implies(x, y) {
                     implied += 1;
                     assert!(may, "{x:?} implies {y:?}, but the signatures refute it");
                 } else {
@@ -421,9 +362,9 @@ mod tests {
     fn union_keeps_both() {
         let l = KeySet::from_keys([vec![a(0)]]);
         let r = KeySet::from_keys([vec![a(1)]]);
-        let u = l.union(&r);
-        assert!(u.some_key_within(&[a(0)]));
-        assert!(u.some_key_within(&[a(1)]));
+        let u = union(&l, &r);
+        assert!(within(&u, &[a(0)]));
+        assert!(within(&u, &[a(1)]));
     }
 
     #[test]
@@ -440,7 +381,7 @@ mod tests {
         // keeps the result minimal.
         let l = KeySet::from_keys([vec![a(0), a(2)], vec![a(5)]]);
         let r = KeySet::from_keys([vec![a(2), a(4)], vec![a(5)]]);
-        let p = l.pairwise(&r);
+        let p = pairwise(&l, &r);
         assert_eq!(
             vec![&[a(0), a(2), a(4)][..], &[a(5)][..]],
             p.keys().collect::<Vec<_>>()

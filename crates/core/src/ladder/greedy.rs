@@ -29,10 +29,10 @@
 //! conflict detection guarantees to be applicable.
 
 use crate::algo::Search;
+use crate::card::join_card;
 use crate::context::OptContext;
 use crate::memo::Memo;
 use crate::plan::{cut_estimate, cut_terms};
-use dpnext_cost::join_card;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpTree;
 

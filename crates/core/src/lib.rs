@@ -15,6 +15,12 @@
 //! * [`Algorithm::Adaptive`] — EA-Prune under a budget of plans and a
 //!   deadline, degrading exact → linearized → greedy ([`ladder`]).
 //!
+//! The search reads three components on every plan it builds (§4.1),
+//! and they are modules of this crate: key inference (`keyset`, `infer`;
+//! §2.3), cardinality estimation for the `C_out` cost function (`card`;
+//! §4.4) and the conflict detector (`detect`, `tables`; \[7\]), whose
+//! [`applicable_ops_into`] the search asks once per csg-cmp-pair.
+//!
 //! Optimized plans compile into executable [`dpnext_algebra::AlgExpr`]
 //! trees, so every transformation can be validated against the canonical
 //! plan on real data.
@@ -32,6 +38,13 @@ pub mod optrees;
 pub mod plan;
 pub mod validate;
 
+// Key inference, cardinality estimation and the conflict detector.
+mod card;
+mod detect;
+mod infer;
+mod keyset;
+mod tables;
+
 #[cfg(test)]
 mod tests;
 
@@ -40,6 +53,7 @@ pub use algo::{
     Algorithm, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
 pub use context::{OptContext, Scratch};
+pub use detect::applicable_ops_into;
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};
 pub use memo::{
@@ -49,4 +63,5 @@ pub use memo::{
 pub use plan::{
     apply_staged, make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply,
 };
+pub use tables::{assoc, l_asscom, r_asscom};
 pub use validate::{validate_complete_plan, validate_subplan};

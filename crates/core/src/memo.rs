@@ -30,13 +30,57 @@
 //! build and which relation the classes are thinned by.
 
 use crate::aggstate::{AggPos, AggRef};
+use crate::keyset::{KeySet, KeysRef};
 use dpnext_algebra::{AttrId, CmpOp, JoinPred};
 use dpnext_hypergraph::{FxHashMap, NodeSet};
-use dpnext_keys::{KeySet, KeysRef};
 use dpnext_query::OpKind;
-use std::ops::Index;
+use std::ops::{Index, Range};
 
-pub use dpnext_keys::Span;
+/// A `(start, len)` window into an append-only vector ("lane").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    /// Index of the first element.
+    pub start: u32,
+    /// Number of elements.
+    pub len: u32,
+}
+
+impl Span {
+    /// The window `[start, start + len)`; panics when it does not fit `u32`.
+    #[inline]
+    pub(crate) fn new(start: usize, len: usize) -> Span {
+        // `end` fitting implies both fields fit.
+        u32::try_from(start + len).expect("lane overflows u32");
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+
+    /// The index range this span covers.
+    #[inline]
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..self.end()
+    }
+
+    /// One past the last index covered.
+    #[inline]
+    pub(crate) fn end(self) -> usize {
+        self.start as usize + self.len as usize
+    }
+
+    /// Whether the span covers nothing.
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The elements of `lane` this span covers.
+    #[inline]
+    pub fn of<T>(self, lane: &[T]) -> &[T] {
+        &lane[self.range()]
+    }
+}
 
 /// Index of a plan in the memo arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,7 +196,7 @@ impl PlanHot {
         }
     }
 
-    /// This row with `key_sig`, the [`KeysRef::signature`] of the key set
+    /// This row with `key_sig`, the `KeysRef::signature` of the key set
     /// its cold row names. The constructors in [`crate::plan`] set it
     /// where they decide the key set: a handed-through set copies its
     /// input's signature, a new set computes it once.
@@ -556,7 +600,7 @@ pub enum ThinBy {
     /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6). The key sets are read only
     /// when the two plans' `DomRow`s pass (`DomRow::may_precede`):
     /// cost, cardinality, duplicate-freeness, the groupjoin guard and 30
-    /// bits of the key signatures ([`KeysRef::signature`]). Key-set
+    /// bits of the key signatures (`KeysRef::signature`). Key-set
     /// implication implies the signature test, so the relation is exactly
     /// this one.
     Dominance {

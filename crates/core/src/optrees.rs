@@ -7,11 +7,12 @@
 
 use crate::aggstate::grouping_columns;
 use crate::context::{OptContext, Scratch};
+use crate::infer::needs_grouping;
+use crate::keyset::KeysRef;
 use crate::memo::{Memo, MemoMark, PlanId, Span};
 use crate::plan::{apply_staged, group_over, SideFacts, StagedApply};
 use dpnext_algebra::AttrId;
 use dpnext_hypergraph::NodeSet;
-use dpnext_keys::{needs_grouping, KeysRef};
 use dpnext_query::OpKind;
 
 /// Which sides of an operator a grouping may be pushed into, per the

@@ -15,12 +15,13 @@
 //! loop does no per-plan predicate cloning or re-orientation.
 
 use crate::aggstate::{merge_one, push_grouped_state, AggPos, AggRef};
+use crate::card::{distinct_in, grouping_card, join_card};
 use crate::context::{OptContext, Scratch};
+use crate::infer::{infer_join_keys_presorted, join_duplicate_free, JoinKeys};
+use crate::keyset::KeysRef;
 use crate::memo::{Memo, PlanCold, PlanHot, PlanId, PlanNode, Span, Term};
 use dpnext_algebra::{AttrId, CmpOp};
-use dpnext_cost::{distinct_in, grouping_card, join_card};
 use dpnext_hypergraph::NodeSet;
-use dpnext_keys::{infer_join_keys_presorted, join_duplicate_free, JoinKeys, KeysRef};
 use dpnext_query::OpKind;
 
 /// Build a scan plan for table occurrence `i`.

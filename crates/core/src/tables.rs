@@ -6,8 +6,8 @@
 //! comparisons with SQL semantics: a NULL never satisfies the predicate).
 //! Under that assumption the footnoted entries of the published table are
 //! unconditionally valid, and every remaining `false` is required — the
-//! executor-backed property tests in `tests/` exercise exactly these
-//! entries against real data.
+//! executor-backed property tests in `tests/table_semantics.rs` exercise
+//! exactly these entries against real data.
 //!
 //! The groupjoin rows/columns follow the same derivations: the groupjoin
 //! aggregates the empty bag to `count = 0` while NULL-padding yields NULL,

@@ -492,10 +492,10 @@ mod engine {
         PairBufs, Search,
     };
     use crate::budget::{Budget, Exhausted};
+    use crate::card::join_card;
     use crate::ladder::greedy::{estimate_pair, greedy_join, greedy_join_with, replay_canonical};
     use crate::memo::{PlanNode, ThinBy};
     use crate::optrees::Grid;
-    use dpnext_cost::join_card;
     use dpnext_hypergraph::enumerate_ccps;
     use dpnext_workload::{generate_query, GenConfig, OpWeights, Topology};
 

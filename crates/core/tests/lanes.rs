@@ -9,8 +9,8 @@
 //! owning a copy.
 
 use dpnext_algebra::AttrId;
-use dpnext_conflict::applicable_ops_into;
 use dpnext_core::aggstate::AggPos;
+use dpnext_core::applicable_ops_into;
 use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
     make_apply, make_group, make_scan, stage_apply, Memo, MemoMark, OptContext, PlanId, PlanNode,

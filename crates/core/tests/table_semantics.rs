@@ -13,7 +13,7 @@ use dpnext_algebra::ops::{
     anti_join, full_outer_join, groupjoin, inner_join, left_outer_join, semi_join,
 };
 use dpnext_algebra::{AggCall, AttrId, JoinPred, Relation, Value};
-use dpnext_conflict::{assoc, l_asscom, r_asscom};
+use dpnext_core::{assoc, l_asscom, r_asscom};
 use dpnext_query::OpKind;
 use proptest::prelude::*;
 

@@ -13,7 +13,7 @@
 //! (Fig. 11) into a sweep: a single-best class may lose the optimum, a
 //! dominance-thinned one never does.
 
-use dpnext_conflict::applicable_ops_into;
+use dpnext_core::applicable_ops_into;
 use dpnext_core::finalize::final_numbers;
 use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{

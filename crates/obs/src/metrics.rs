@@ -63,13 +63,6 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Overwrite the value (peak is raised if exceeded).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Raise by `n` (peak is raised if exceeded).
     #[inline]
     pub fn add(&self, n: u64) {
@@ -706,7 +699,7 @@ mod tests {
         assert_eq!(10, g.peak());
         g.sub(100);
         assert_eq!(0, g.get(), "sub saturates at zero");
-        g.set(42);
+        g.add(42);
         assert_eq!(42, g.peak());
     }
 
@@ -762,7 +755,7 @@ mod tests {
         let r = Registry::new();
         let g = Arc::new(Gauge::new());
         let reg = r.register_gauge("dpnext_pool_bytes", "pool bytes", &[], g.clone());
-        g.set(123);
+        g.add(123);
         assert_eq!(123, reg.get());
         let again = r.register_gauge(
             "dpnext_pool_bytes",
@@ -787,7 +780,7 @@ mod tests {
             &[],
             Arc::new(Gauge::new()),
         )
-        .set(2);
+        .add(2);
         r.counter_with("dpnext_rung_total", "Rungs.", &[("mode", "exact")])
             .add(4);
         let h = r.histogram("dpnext_latency_nanos", "Request latency.");

@@ -55,17 +55,6 @@ impl Hash for QueryShape {
 }
 
 impl QueryShape {
-    /// Length of the canonical encoding in 64-bit words (diagnostic;
-    /// roughly proportional to query size).
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the encoding is empty (never true for a real query).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
     /// The encoding's Fx hash, taken once when the shape was built: the one
     /// word [`Hash`] writes, and the `shape_hash` a request's trace carries.
     pub(crate) fn hash_word(&self) -> u64 {

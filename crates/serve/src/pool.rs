@@ -52,7 +52,7 @@ pub struct PoolStats {
 /// results are bit-identical whether the memo is fresh or recycled.
 ///
 /// `capacity` = 0 disables pooling: every checkout constructs, every
-/// return drops — the knob the unpooled benchmark cells use.
+/// return drops.
 ///
 /// A parked memo keeps the capacity of the largest run it served
 /// ([`Memo::reset`] keeps its buffers, as the `dpnext::Optimizer`

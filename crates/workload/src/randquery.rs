@@ -87,8 +87,8 @@ impl OpWeights {
 /// between random visible attributes); the explicit topologies build
 /// left-deep trees with controlled predicate anchors and scale to the
 /// large-`n` regime (up to the engine's 64-relation `NodeSet` cap; the
-/// adaptive subsystem's tests and bench cells use n up to 50) where the
-/// unranking counts would overflow.
+/// budget ladder's tests and the benchmark's `adaptive-large` workload
+/// use n up to 40) where the unranking counts would overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Topology {
     /// Random binary tree by Liebehenschel unranking (the §5 default).
@@ -162,8 +162,8 @@ impl GenConfig {
     }
 
     /// The paper setting with an explicit query-graph [`Topology`] — the
-    /// configuration the large-query (adaptive) tests and bench cells
-    /// sweep at n up to 50.
+    /// configuration the large-query (adaptive) tests and the benchmark
+    /// sweep at n up to 40.
     pub fn topology(n_relations: usize, topology: Topology) -> Self {
         GenConfig {
             topology,

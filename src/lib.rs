@@ -4,11 +4,8 @@
 
 pub use dpnext_algebra as algebra;
 pub use dpnext_catalog as catalog;
-pub use dpnext_conflict as conflict;
 pub use dpnext_core as core;
-pub use dpnext_cost as cost;
 pub use dpnext_hypergraph as hypergraph;
-pub use dpnext_keys as keys;
 pub use dpnext_query as query;
 pub use dpnext_sql as sql;
 pub use dpnext_workload as workload;
