@@ -13,7 +13,9 @@
 //! search builds the plans of each `(orientation, t1, t2)` work unit of the
 //! pair and folds them into their class ([`Memo::fold`]), popping a refused
 //! one off the arena before it builds the next; complete plans compete on
-//! final cost instead. A search whose budget arms something
+//! final cost instead. The mirror orientation of an inner join, whose trees
+//! tie the first orientation's, is settled unbuilt under every thinning
+//! but EA-All's and H2's. A search whose budget arms something
 //! asks it before every unit and stops at the first refusal; an exact run
 //! is a search with nothing armed. A dominance search walks the stream
 //! under a complete plan: EA-Prune is seeded with the ladder's greedy
@@ -82,12 +84,14 @@ pub struct Optimized {
     /// rendering was disabled via [`OptimizeOptions::explain`].
     pub explain: String,
     /// Plans (joins + groupings) the search accounted for: each was either
-    /// built, or belongs to a full-set work unit the complete-plan bound
-    /// settled unbuilt and is counted as building that unit would have
-    /// counted it — so the number does not depend on that bound. A
-    /// pushed-down grouping that survives its unit is shared by the rest of
-    /// its grid row or column, and counted once (see
-    /// [`crate::optrees::op_trees`]). A
+    /// built, or belongs to a work unit settled unbuilt — a full-set unit
+    /// the complete-plan bound settled, or a unit of the mirror
+    /// orientation of an inner join, whose trees a thinning search would
+    /// all refuse (`docs/ARCHITECTURE.md` § "The complete-plan bound") —
+    /// and is counted as building that unit would have counted it, so the
+    /// number depends on neither. A pushed-down grouping that survives its
+    /// unit is shared by the rest of its grid row or column, and counted
+    /// once (see [`crate::optrees::op_trees`]). A
     /// dominance walk (EA-Prune, and the ladder's exact rung) also skips
     /// interior units by the cost of the best complete plan in hand, the
     /// greedy one to start with; those build nothing and count nothing, so
@@ -299,6 +303,18 @@ impl ThinBy {
             guard_groupjoin: ctx.cq.ops.iter().any(|o| o.op == OpKind::GroupJoin),
         }
     }
+
+    /// Does a search thinned by this relation settle the mirror orientation
+    /// of an inner join instead of building it ([`Search::feed`])? Under
+    /// dominance and the plain cost order every tree of the mirror is
+    /// refused, because its twin of the first orientation, which ties it
+    /// in everything the relation and `keep_best` read, came first; see
+    /// `docs/ARCHITECTURE.md` § "The complete-plan bound". The empty
+    /// relation keeps every mirror, and H2's eagerness-adjusted order is
+    /// not shown to be transitive.
+    fn settles_mirrors(self) -> bool {
+        matches!(self, ThinBy::Dominance { .. } | ThinBy::Cheapest(None))
+    }
 }
 
 /// Keep the cheapest finalized plan (ties resolved to the earlier one).
@@ -389,8 +405,8 @@ pub(crate) struct Search<'a> {
     all_ops: u64,
     /// Work units walked.
     units: u64,
-    /// Work units the complete-plan bound settled, or the interior bound
-    /// skipped, without building.
+    /// Work units the complete-plan bound or the mirror rule settled, or
+    /// the interior bound skipped, without building.
     bounded: u64,
     started: Instant,
 }
@@ -591,6 +607,21 @@ impl<'a> Search<'a> {
     /// ever live (on EA-All the losing complete plans outnumber the
     /// retained state by an order of magnitude).
     ///
+    /// The **mirror rule**: under a thinning that settles mirrors
+    /// ([`ThinBy::settles_mirrors`]: dominance, or the plain cost order) the
+    /// second orientation of an inner join — the first one swapped, on one
+    /// edge or on a merged cut — builds nothing. Its trees tie their twins
+    /// of the first orientation bit for bit in everything a fold and
+    /// `keep_best` read, and the twins came first, so every one of them
+    /// would be refused. Each of its units is [settled](Grid::settle_mirror)
+    /// from the first orientation's grid, read column-major with every slot
+    /// empty: no `stage_apply`, no [`Grid::stage`]. The interior bound skips
+    /// it or the meter charges it as if it were built, it is counted in
+    /// `plans_built` and the fresh-attribute allocator as building it
+    /// would have, and it is counted in `bounded`. A NaN-cost row precedes
+    /// nothing, so when the first orientation left one in the class
+    /// ([`Memo::holds_nan_row`]) the mirror is built as before.
+    ///
     /// With `interior`, the **interior bound** as well: a subplan costs no
     /// more than any complete plan above it, by the same two lines, so
     /// below the full set a unit with `cost(t1) + cost(t2) ≥ best` is
@@ -603,8 +634,9 @@ impl<'a> Search<'a> {
     /// otherwise, and the winner's cost is the same.
     ///
     /// Every `(orientation, t1, t2)` combination is one **work unit**,
-    /// counted in `units`. A refusal means *stop*: the rest of the pair is
-    /// abandoned and `false` is returned, so the pair's plan set is
+    /// counted in `units`, and one a bound or the mirror rule spares is
+    /// counted in `bounded` too. A refusal means *stop*: the rest of the
+    /// pair is abandoned and `false` is returned, so the pair's plan set is
     /// incomplete. The grid's snapshots of both classes are `PlanId` copies
     /// with a few bits each, into `bufs` — no plan data is cloned.
     fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
@@ -630,7 +662,15 @@ impl<'a> Search<'a> {
             staged,
             ..
         } = &mut self.bufs;
-        for &(sl, sr, op) in orients.iter() {
+        // The mirror rule: the second orientation of an inner join is the
+        // first one swapped, and under a preorder it is settled instead of
+        // built, unless the first one left a NaN-cost row in the class.
+        let mirrored = thin_by.settles_mirrors()
+            && orients.len() == 2
+            && orients[1] == (orients[0].1, orients[0].0, orients[0].2)
+            && ctx.cq.ops[orients[0].2].op == OpKind::Join;
+        let mut nan = false;
+        for (k, &(sl, sr, op)) in orients.iter().enumerate() {
             if memo.class(sl).is_empty() || memo.class(sr).is_empty() {
                 continue;
             }
@@ -643,6 +683,29 @@ impl<'a> Search<'a> {
             } else {
                 None
             };
+            if mirrored && k == 1 && !nan {
+                // The mirror's units are the first orientation's grid read
+                // column-major: each meets the same interior bound and the
+                // same meter as if it were built, and is then settled.
+                for i in 0..grid.rights.len() {
+                    let t1 = grid.rights[i].id;
+                    for j in 0..grid.lefts.len() {
+                        let t2 = grid.lefts[j].id;
+                        if !ceiling.is_some_and(|b| memo[t1].cost + memo[t2].cost >= b) {
+                            if ARMED {
+                                charged += 1;
+                                if !meter.take(spent + charged * UNIT_MAX_PLANS) {
+                                    return false;
+                                }
+                            }
+                            grid.settle_mirror(scratch, (i, j));
+                        }
+                        self.units += 1;
+                        self.bounded += 1;
+                    }
+                }
+                continue;
+            }
             // Stage the cut once per orientation: predicate orientation,
             // merged selectivity, distinct products and applied bits are
             // identical for every `(t1, t2)` combination of the grid, so the
@@ -716,6 +779,9 @@ impl<'a> Search<'a> {
                         memo[t].applied == all_ops && keep_best(&mut self.best, ctx, memo, t)
                     });
                 }
+            }
+            if mirrored {
+                nan = target.is_some_and(|class| memo.holds_nan_row(class));
             }
         }
         true

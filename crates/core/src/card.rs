@@ -114,6 +114,29 @@ mod tests {
         assert_eq!(300.0, c);
     }
 
+    /// Why the mirror rule of `Search::feed` is for inner joins alone: the
+    /// mirror of a full outer join sums its two unmatched terms in the
+    /// other order, and the rounded sums can differ. An inner join's
+    /// product commutes bit for bit.
+    #[test]
+    fn full_outer_mirror_sums_in_another_order() {
+        let card = |op, (l, r), (dl, dr)| join_card(op, l, r, 0.01, dl, dr);
+        let (sizes, distincts) = ((3.0, 5.0), (10.0, 7.0));
+        let mirror = |(a, b)| (b, a);
+        assert_eq!(
+            7.4399999999999995,
+            card(OpKind::FullOuter, sizes, distincts)
+        );
+        assert_eq!(
+            7.44,
+            card(OpKind::FullOuter, mirror(sizes), mirror(distincts))
+        );
+        assert_eq!(
+            card(OpKind::Join, sizes, distincts).to_bits(),
+            card(OpKind::Join, mirror(sizes), mirror(distincts)).to_bits()
+        );
+    }
+
     #[test]
     fn semi_anti_partition_left() {
         let semi = join_card(OpKind::Semi, 100.0, 50.0, 0.01, D, 50.0);

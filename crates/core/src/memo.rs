@@ -1298,6 +1298,19 @@ impl Memo {
         kept
     }
 
+    /// Does a dominance row of the class `slot` names have a NaN cost? The
+    /// rows are sorted by [`f64::total_cmp`], which puts a NaN of either
+    /// sign at one end, so the two ends decide. A class thinned by another
+    /// relation has no rows and answers `false`.
+    #[inline]
+    pub(crate) fn holds_nan_row(&self, ClassSlot(slot): ClassSlot) -> bool {
+        let rows = &self.class_lists[slot as usize].rows;
+        [rows.first(), rows.last()]
+            .into_iter()
+            .flatten()
+            .any(|r| r.cost.is_nan())
+    }
+
     /// Shrink the class of `s` to its representative member(s): the
     /// cheapest plan, plus — when `keep_raw` and the cheapest plan
     /// contains a grouping — the cheapest grouping-free plan, so a later

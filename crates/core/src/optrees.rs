@@ -147,7 +147,7 @@ pub struct GridPlan {
     /// what the cut needs, does a key of it cover its side's predicate
     /// attributes, and the bound its key set implies. Taken in every grid;
     /// a built unit reads it, and so does a unit the complete-plan bound
-    /// settles (`Grid::settle`).
+    /// or the mirror rule settles (`Grid::settle`, `Grid::settle_mirror`).
     pub(crate) facts: SideFacts,
     /// Its slot: `Γ(id)`, once a unit of this grid built one that survived.
     pub(crate) group: Option<PlanId>,
@@ -298,7 +298,8 @@ pub fn op_trees(
 /// the fresh columns building one takes ([`GridSide`]); per plan, whether
 /// a unit pushes a grouping onto it, whether it is grouped, and its
 /// [`SideFacts`] ([`GridPlan`]). A unit reads only these, whether it is
-/// built ([`Grid::build`]) or settled ([`Grid::settle`]).
+/// built ([`Grid::build`]) or settled ([`Grid::settle`]), and so does a
+/// unit of the grid's mirror ([`Grid::settle_mirror`]).
 #[derive(Default)]
 pub(crate) struct Grid {
     pub(crate) lefts: Vec<GridPlan>,
@@ -355,38 +356,67 @@ impl Grid {
     }
 
     /// Account for unit `(i, j)` as [`Grid::build`] would with an `offer`
-    /// that refuses every tree, building none of them: `plans_built` grows
-    /// by the trees [`op_trees`] would construct and the fresh-attribute
-    /// allocator moves past the columns its groupings would take, so
-    /// whatever is built next gets the ids it would have got. Refusing
-    /// every tree pops every grouping the unit builds, so no slot changes;
-    /// the memo is not touched.
-    ///
-    /// It is arithmetic over the staged facts. A tree `l ◦ r` is built iff
-    /// `b(l, r, g) = l ∧ r ∧ ¬(gj ∧ g)`: both sides see what the cut needs
-    /// and it is not a groupjoin over a grouped right input — the halves of
-    /// [`StagedApply::refuses`]. With `p` a side's push bit and `new` that
-    /// its slot is empty:
-    ///
-    /// ```text
-    /// plans = b(L, R, g2) + p1·(new1 + b(Lg, R, g2)) + p2·(new2 + b(L, Rg, 1))
-    ///       + p1·p2·b(Lg, Rg, 1)
-    /// fresh = p1·new1·cols1 + p2·new2·cols2
-    /// ```
+    /// that refuses every tree, building none of them: [`settle_unit`] over
+    /// the row's and the column's plans, with their slots.
     #[inline]
     pub(crate) fn settle(&self, scratch: &mut Scratch, kind: OpKind, (i, j): (usize, usize)) {
         let (l, r) = (&self.lefts[i], &self.rights[j]);
-        let gj = kind == OpKind::GroupJoin;
-        let b = |l: bool, r: bool, right_grouped: bool| u64::from(l && r && !(gj && right_grouped));
         let [lside, rside] = &self.sides;
-        let (lg, rg) = (lside.group.sees, rside.group.sees);
-        let (ls, rs) = (l.facts.sees, r.facts.sees);
-        let (p1, p2) = (u64::from(l.push), u64::from(r.push));
-        let (new1, new2) = (l.push && l.group.is_none(), r.push && r.group.is_none());
-        scratch.plans_built += b(ls, rs, r.grouped)
-            + p1 * (u64::from(new1) + b(lg, rs, r.grouped))
-            + p2 * (u64::from(new2) + b(ls, rg, true))
-            + p1 * p2 * b(lg, rg, true);
-        scratch.fresh_attrs(u32::from(new1) * lside.cols + u32::from(new2) * rside.cols);
+        settle_unit(scratch, kind, [(l, lside, l.group), (r, rside, r.group)]);
     }
+
+    /// Account for unit `(i, j)` of this grid's **mirror** — the same inner
+    /// join staged with the two sides swapped — as building it under an
+    /// `offer` that refuses every tree would: [`settle_unit`] with the roles
+    /// swapped, row `i` being this grid's column `i` and column `j` its row
+    /// `j`, every slot empty. The mirror's own grid would hold the same
+    /// plans with the same facts: an inner join pushes into both sides
+    /// ([`may_push`]), reads no groupjoin argument, and staging the cut
+    /// from the other side swaps which side's predicate attributes are
+    /// which. Its slots would start empty and, every tree being refused,
+    /// stay so; the slots this grid's own units filled are not read.
+    #[inline]
+    pub(crate) fn settle_mirror(&self, scratch: &mut Scratch, (i, j): (usize, usize)) {
+        let (l, r) = (&self.rights[i], &self.lefts[j]);
+        let [rside, lside] = &self.sides;
+        settle_unit(scratch, OpKind::Join, [(l, lside, None), (r, rside, None)]);
+    }
+}
+
+/// Account for the unit `l ◦ r` of an operator `kind` — each input given
+/// with its side and its slot — as [`op_trees`] would with an `offer` that
+/// refuses every tree, building none of them: `plans_built` grows by the
+/// trees it would construct and the fresh-attribute allocator moves past
+/// the columns its groupings would take, so whatever is built next gets
+/// the ids it would have got. Refusing every tree pops every grouping the
+/// unit builds, so no slot changes; the memo is not touched.
+///
+/// It is arithmetic over the staged facts. A tree `l ◦ r` is built iff
+/// `b(l, r, g) = l ∧ r ∧ ¬(gj ∧ g)`: both sides see what the cut needs
+/// and it is not a groupjoin over a grouped right input — the halves of
+/// [`StagedApply::refuses`]. With `p` a side's push bit and `new` that
+/// its slot is empty:
+///
+/// ```text
+/// plans = b(L, R, g2) + p1·(new1 + b(Lg, R, g2)) + p2·(new2 + b(L, Rg, 1))
+///       + p1·p2·b(Lg, Rg, 1)
+/// fresh = p1·new1·cols1 + p2·new2·cols2
+/// ```
+#[inline]
+fn settle_unit(
+    scratch: &mut Scratch,
+    kind: OpKind,
+    [(l, lside, lslot), (r, rside, rslot)]: [(&GridPlan, &GridSide, Option<PlanId>); 2],
+) {
+    let gj = kind == OpKind::GroupJoin;
+    let b = |l: bool, r: bool, right_grouped: bool| u64::from(l && r && !(gj && right_grouped));
+    let (lg, rg) = (lside.group.sees, rside.group.sees);
+    let (ls, rs) = (l.facts.sees, r.facts.sees);
+    let (p1, p2) = (u64::from(l.push), u64::from(r.push));
+    let (new1, new2) = (l.push && lslot.is_none(), r.push && rslot.is_none());
+    scratch.plans_built += b(ls, rs, r.grouped)
+        + p1 * (u64::from(new1) + b(lg, rs, r.grouped))
+        + p2 * (u64::from(new2) + b(ls, rg, true))
+        + p1 * p2 * b(lg, rg, true);
+    scratch.fresh_attrs(u32::from(new1) * lside.cols + u32::from(new2) * rside.cols);
 }

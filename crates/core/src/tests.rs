@@ -493,10 +493,11 @@ mod engine {
     };
     use crate::budget::{Budget, Exhausted};
     use crate::card::join_card;
+    use crate::finalize::final_numbers;
     use crate::ladder::greedy::{estimate_pair, greedy_join, greedy_join_with, replay_canonical};
     use crate::memo::{PlanNode, ThinBy};
     use crate::optrees::Grid;
-    use dpnext_hypergraph::enumerate_ccps;
+    use dpnext_hypergraph::{enumerate_ccps, Hyperedge};
     use dpnext_workload::{generate_query, GenConfig, OpWeights, Topology};
 
     /// What a sweep of full-set units met, and the buffers it walks them
@@ -508,9 +509,15 @@ mod engine {
         reused: [bool; 2],
         blind: bool,
         offers: u64,
+        /// Mirror units settled and built.
+        mirror_units: u64,
+        /// A mirror unit met a pushed-onto plan whose slot the first
+        /// orientation's units had filled.
+        mirror_over_filled: bool,
         bufs: PairBufs,
         staged: StagedApply,
         grid: Grid,
+        mirror: Grid,
     }
 
     impl Sweep {
@@ -525,15 +532,43 @@ mod engine {
                 }
             });
             let Sweep {
-                bufs, staged, grid, ..
+                bufs,
+                staged,
+                grid,
+                mirror,
+                ..
             } = self;
             let mut scratch = Scratch::new(ctx);
             for (s1, s2) in pairs {
                 orientations_into(ctx, s1, s2, bufs);
-                for &(sl, sr, op) in &bufs.orients {
+                for (k, &(sl, sr, op)) in bufs.orients.iter().enumerate() {
                     // What the kept trees leave goes with the grid: no class
                     // names them, and the next grid starts with empty slots.
                     let mark = memo.mark();
+                    if k == 1 && is_mirror(ctx, &bufs.orients) {
+                        // The mirror, settled from the first orientation's
+                        // grid as its units left it, then built on its own
+                        // staging under an offer that refuses every tree.
+                        stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
+                        mirror.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
+                        let (width, height) = (mirror.lefts.len(), mirror.rights.len());
+                        for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
+                            let (l, r) = (grid.rights[i], grid.lefts[j]);
+                            assert_eq!((l.id, r.id), (mirror.lefts[i].id, mirror.rights[j].id));
+                            self.mirror_units += 1;
+                            self.mirror_over_filled |=
+                                [l, r].iter().any(|p| p.push && p.group.is_some());
+                            let mut settled = scratch.clone();
+                            grid.settle_mirror(&mut settled, (i, j));
+                            mirror.build(ctx, &mut scratch, memo, staged, (i, j), |_, _| false);
+                            assert_eq!(
+                                (scratch.plans_built, scratch.fresh_attr()),
+                                (settled.plans_built, settled.fresh_attr()),
+                                "{what}: mirror unit {sl} ◦ {sr} ({i}, {j})"
+                            );
+                        }
+                        memo.truncate(mark);
+                    }
                     stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
                     grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
                     let group_blind = |side: &GridSide| side.gplus.is_some() && !side.group.sees;
@@ -564,6 +599,15 @@ mod engine {
                 }
             }
         }
+    }
+
+    /// Is the second of `orients` the mirror `Search::feed` settles: the
+    /// first one swapped, of an inner join?
+    fn is_mirror(ctx: &OptContext, orients: &[(NodeSet, NodeSet, usize)]) -> bool {
+        let [(sl, sr, op), second] = orients[..] else {
+            return false;
+        };
+        second == (sr, sl, op) && ctx.cq.ops[op].op == OpKind::Join
     }
 
     /// `r0 ⋈_{a0 = a4} (r1 ⋉_{a2 = a5} r2)`: the join names `a4`, which
@@ -602,6 +646,12 @@ mod engine {
     /// units of the row or column reuse them (keeping more only grows the
     /// arena the grid rolls back). Settling and building must
     /// leave the same `plans_built` and the same next fresh attribute.
+    /// The mirror orientation of an inner join is checked the same way
+    /// against the settle `Search::feed` gives it: each of its units is
+    /// settled from the first orientation's grid, whose slots that
+    /// orientation's units filled, and built on its own staging under an
+    /// offer that refuses every tree, as every thinning the rule applies
+    /// under would.
     /// Swept over every full-set `(orientation, t1, t2)` unit of an EA-All
     /// run (wide classes) and of an H2 run (one plan per class), 40 seeds
     /// each of `oracle(2..=max_n)`, `paper(3..=max_n)` and `oracle` with
@@ -645,6 +695,11 @@ mod engine {
         );
         assert_eq!([true, true], sweep.reused, "a slot reused on each side");
         assert!(
+            sweep.mirror_over_filled,
+            "no mirror unit in {} met a filled slot of its first orientation",
+            sweep.mirror_units
+        );
+        assert!(
             sweep.blind,
             "no side in {units} units misses what its cut needs"
         );
@@ -663,6 +718,219 @@ mod engine {
     #[ignore]
     fn settling_a_unit_counts_what_building_it_builds_at_paper_scale() {
         settle_counts_what_op_trees_builds(7);
+    }
+
+    /// A tree as the thinning relations and `keep_best` read it: cost and
+    /// cardinality bits, duplicate-freeness, grouping, the applied
+    /// operators, the key signature, the key set as a set and — for a
+    /// complete plan — the final cost's bits.
+    type Reading = (
+        u64,
+        u64,
+        bool,
+        bool,
+        u64,
+        u32,
+        Vec<Vec<AttrId>>,
+        Option<u64>,
+    );
+
+    fn reading(ctx: &OptContext, memo: &Memo, id: PlanId) -> Reading {
+        let (hot, full) = (memo[id], NodeSet::full(ctx.query.table_count()));
+        let mut keys: Vec<Vec<AttrId>> = memo.plan(id).keys().iter().map(<[_]>::to_vec).collect();
+        keys.iter_mut().for_each(|k| k.sort_unstable());
+        keys.sort_unstable();
+        let complete = hot.set == full && hot.applied == applied_ops_mask(ctx.cq.ops.len());
+        (
+            hot.cost.to_bits(),
+            hot.card.to_bits(),
+            hot.duplicate_free(),
+            hot.has_grouping(),
+            hot.applied,
+            hot.key_sig(),
+            keys,
+            complete.then(|| final_numbers(ctx, memo, id).0.to_bits()),
+        )
+    }
+
+    /// An inner-join chain of `n` relations closed into a cycle: a query is
+    /// an operator tree, whose hypergraph has one edge per operator, so no
+    /// generated query has two edges crossing one cut. The closing edge
+    /// joins the first attribute of `r0` with the last of the last
+    /// relation, as one more inner join of the conflict-detected query.
+    fn cyclic_ctx(n: usize, seed: u64) -> OptContext {
+        let cfg = GenConfig {
+            ops: OpWeights::inner_only(),
+            ..GenConfig::topology(n, Topology::Chain)
+        };
+        let mut ctx = OptContext::new(generate_query(&cfg, seed));
+        let (first, last) = (&ctx.query.tables[0].attrs, &ctx.query.tables[n - 1].attrs);
+        let mut op = ctx.cq.ops[0].clone();
+        op.pred = JoinPred::eq(first[0], *last.last().unwrap());
+        op.sel = 0.05;
+        (op.left_rels, op.right_rels) = (NodeSet::single(0), NodeSet::single(n - 1));
+        (op.l_tes, op.r_tes) = (op.left_rels, op.right_rels);
+        let edge = Hyperedge::new(op.l_tes, op.r_tes, ctx.cq.ops.len());
+        ctx.cq.graph.add_edge(edge);
+        ctx.cq.ops.push(op);
+        ctx.gj_args.push(Vec::new());
+        ctx
+    }
+
+    /// The premise of the mirror rule: the two orientations of an inner
+    /// join build the same trees, as far as anything that thins or ranks
+    /// them can tell. For every pair EA-Prune, DPhyp and H1 walk whose
+    /// second orientation is its first one swapped — an inner join, on one
+    /// edge or on several merged (cyclic cuts) — or a full outer join, both
+    /// orientations are built over the classes the run left, each tree
+    /// collected and refused, and the multisets of their [`Reading`]s are
+    /// compared: over `paper(3..=8)` × 40 seeds, `topology(6..=10, Chain
+    /// | Star | Clique | Mixed)` × 6 seeds and [`cyclic_ctx`]`(3..=8)` × 6
+    /// seeds, the only queries with merged cuts. The inner joins' must be
+    /// equal, and no tree may have a NaN cost or cardinality. The full
+    /// outer joins' differ somewhere: `inner + unmatched_l + unmatched_r`
+    /// sums in the other order in the mirror, which is why the rule is for
+    /// inner joins alone.
+    #[test]
+    fn mirror_orientations_build_the_same_trees() {
+        let paper = (3..=8).flat_map(|n| (0..40).map(move |seed| (GenConfig::paper(n), seed)));
+        let topologies = (6..=10).flat_map(|n| {
+            [
+                Topology::Chain,
+                Topology::Star,
+                Topology::Clique,
+                Topology::Mixed,
+            ]
+            .into_iter()
+            .flat_map(move |t| (0..6).map(move |seed| (GenConfig::topology(n, t), seed)))
+        });
+        let options = OptimizeOptions {
+            explain: false,
+            ..OptimizeOptions::default()
+        };
+        let (mut bufs, mut staged, mut grid) =
+            (PairBufs::default(), StagedApply::default(), Grid::default());
+        let (mut joins, mut merged, mut trees, mut outers, mut outers_differ) = (0, 0, 0u64, 0, 0);
+        let generated = paper.chain(topologies).map(|(cfg, seed)| {
+            (
+                format!("{cfg:?}, seed {seed}"),
+                OptContext::new(generate_query(&cfg, seed)),
+            )
+        });
+        let cyclic = (3..=8).flat_map(|n| {
+            (0..6).map(move |seed| (format!("cyclic({n}), seed {seed}"), cyclic_ctx(n, seed)))
+        });
+        for (query, ctx) in generated.chain(cyclic) {
+            for algo in [Algorithm::EaPrune, Algorithm::DPhyp, Algorithm::H1] {
+                let eager = algo != Algorithm::DPhyp;
+                let mut memo = Memo::new();
+                optimize_prepared(&ctx, algo, &options, &mut memo);
+                let mut pairs = Vec::new();
+                enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
+                let mut scratch = Scratch::new(&ctx);
+                for (s1, s2) in pairs {
+                    orientations_into(&ctx, s1, s2, &mut bufs);
+                    let [first @ (sl, sr, op), second] = bufs.orients[..] else {
+                        continue;
+                    };
+                    let kind = ctx.cq.ops[op].op;
+                    if second != (sr, sl, op)
+                        || !matches!(kind, OpKind::Join | OpKind::FullOuter)
+                        || memo.class(sl).is_empty()
+                        || memo.class(sr).is_empty()
+                    {
+                        continue;
+                    }
+                    let mark = memo.mark();
+                    let [built, mirrored] = [first, second].map(|(sl, sr, op)| {
+                        let mut rows = Vec::new();
+                        stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
+                        grid.stage(&ctx, &mut scratch, &memo, &staged, (sl, sr), eager);
+                        let (width, height) = (grid.lefts.len(), grid.rights.len());
+                        for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
+                            grid.build(
+                                &ctx,
+                                &mut scratch,
+                                &mut memo,
+                                &staged,
+                                (i, j),
+                                |memo, t| {
+                                    rows.push(reading(&ctx, memo, t));
+                                    false
+                                },
+                            );
+                        }
+                        rows.sort_unstable();
+                        rows
+                    });
+                    memo.truncate(mark);
+                    let what = format!("{} on {query}: {sl} ◦ {sr}", algo.name());
+                    if kind == OpKind::FullOuter {
+                        outers += 1;
+                        outers_differ += u32::from(built != mirrored);
+                        continue;
+                    }
+                    assert!(!built.is_empty(), "{what}: no tree built");
+                    for r in &built {
+                        let (cost, card) = (f64::from_bits(r.0), f64::from_bits(r.1));
+                        assert!(!cost.is_nan() && !card.is_nan(), "{what}: a NaN row");
+                    }
+                    assert_eq!(built, mirrored, "{what}");
+                    joins += 1;
+                    merged += u32::from(!bufs.extra.is_empty());
+                    trees += built.len() as u64;
+                }
+            }
+        }
+        assert!(
+            merged > 0 && trees > 100_000,
+            "{joins} inner-join pairs ({merged} merged), {trees} trees"
+        );
+        assert!(
+            outers_differ > 0,
+            "none of {outers} full outer joins builds a different mirror"
+        );
+    }
+
+    /// A NaN-cost row precedes nothing under dominance, so a class keeps it
+    /// and its mirror twin alike; the rule must not settle the mirror of an
+    /// orientation that left one. `r0` is infinitely large and joins `r1`
+    /// under selectivity 0, so `r0 ⋈ r1` has the cardinality `∞ · 0`: both
+    /// orientations' trees join their class. Under the plain cost order the
+    /// first NaN row refuses every later candidate, mirror or not.
+    #[test]
+    fn a_nan_row_keeps_its_mirror() {
+        let table = |name, attrs: [u32; 2], card| {
+            QueryTable::new(name, attrs.map(a).to_vec(), card).with_distinct(vec![5.0, 4.0])
+        };
+        let tree = OpTree::binary_sel(
+            OpKind::Join,
+            JoinPred::eq(a(3), a(4)),
+            0.5,
+            OpTree::binary_sel(
+                OpKind::Join,
+                JoinPred::eq(a(0), a(2)),
+                0.0,
+                OpTree::rel(0),
+                OpTree::rel(1),
+            ),
+            OpTree::rel(2),
+        );
+        let tables = vec![
+            table("r0", [0, 1], f64::INFINITY),
+            table("r1", [2, 3], 20.0),
+            table("r2", [4, 5], 20.0),
+        ];
+        let ctx = OptContext::new(Query::new(tables, tree, None));
+        let pair = (NodeSet::single(0), NodeSet::single(1));
+        for (thin_by, kept) in [(ThinBy::dominance(&ctx), 2), (ThinBy::Cheapest(None), 1)] {
+            let mut memo = Memo::new();
+            let mut search = Search::new(&ctx, &mut memo, thin_by, false);
+            assert!(search.process(pair.0, pair.1));
+            let class = search.memo().class(pair.0.union(pair.1));
+            assert!(class.iter().all(|&id| search.memo()[id].cost.is_nan()));
+            assert_eq!(kept, class.len(), "{thin_by:?}");
+        }
     }
 
     /// A refused work unit ends the pair and builds nothing: under a plan
