@@ -27,7 +27,7 @@
 
 use crate::budget::{Budget, Exhausted};
 use crate::context::{OptContext, Scratch};
-use crate::detect::applicable_ops_into;
+use crate::detect::applicable_op;
 use crate::finalize::{final_numbers, finalize, FinalPlan};
 use crate::ladder::greedy::greedy_join;
 use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
@@ -223,70 +223,6 @@ pub fn optimize_prepared(
     search.finish(opts.explain)
 }
 
-/// Reusable per-pair buffers of the enumeration hot loop: orientations,
-/// the staged cut and the grid of the orientation being walked (class
-/// snapshots with their per-plan facts and grouping slots) live here, and
-/// the plans themselves go to the memo's lanes, so processing a
-/// csg-cmp-pair allocates nothing once the buffers have grown.
-#[derive(Default)]
-pub(crate) struct PairBufs {
-    /// `applicable_ops_into` output.
-    apps: Vec<(usize, bool)>,
-    /// Deduplicated operator indices crossing the cut.
-    uniq: Vec<usize>,
-    /// Orientations `(left set, right set, primary operator)`.
-    pub(crate) orients: Vec<(NodeSet, NodeSet, usize)>,
-    /// Extra inner-join edges crossing the same cut (cyclic queries);
-    /// shared by every orientation of the pair.
-    pub(crate) extra: Vec<usize>,
-    /// The units of the orientation being applied.
-    grid: Grid,
-    /// The cut constants of the orientation being applied.
-    staged: StagedApply,
-}
-
-/// All ways to apply operators to the csg-cmp-pair `(s1, s2)`, written
-/// into `bufs.orients`/`bufs.extra` (no per-pair allocation).
-///
-/// Multiple edges cross the same cut only in cyclic queries; if they are
-/// all inner joins their predicates are merged into one application. A mix
-/// of inner and non-inner edges on one cut is rejected (never produced by
-/// the paper's workloads).
-pub(crate) fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut PairBufs) {
-    let PairBufs {
-        apps,
-        uniq,
-        orients,
-        extra,
-        ..
-    } = bufs;
-    orients.clear();
-    extra.clear();
-    applicable_ops_into(&ctx.cq, s1, s2, apps);
-    if apps.is_empty() {
-        return;
-    }
-    uniq.clear();
-    uniq.extend(apps.iter().map(|&(i, _)| i));
-    uniq.sort_unstable();
-    uniq.dedup();
-    if uniq.len() == 1 {
-        let idx = uniq[0];
-        for &(_, swapped) in apps.iter() {
-            if swapped {
-                orients.push((s2, s1, idx));
-            } else {
-                orients.push((s1, s2, idx));
-            }
-        }
-    } else if uniq.iter().all(|&i| ctx.cq.ops[i].op == OpKind::Join) {
-        let primary = uniq[0];
-        extra.extend_from_slice(&uniq[1..]);
-        orients.push((s1, s2, primary));
-        orients.push((s2, s1, primary));
-    }
-}
-
 /// Seed the singleton scan classes.
 fn seed_scans(ctx: &OptContext, memo: &mut Memo) {
     for i in 0..ctx.query.table_count() {
@@ -391,7 +327,13 @@ pub(crate) struct Search<'a> {
     ctx: &'a OptContext,
     memo: &'a mut Memo,
     scratch: Scratch,
-    bufs: PairBufs,
+    /// The units of the orientation being applied: class snapshots with
+    /// their per-plan facts and grouping slots, reused from pair to pair,
+    /// so that processing a csg-cmp-pair allocates nothing once it has
+    /// grown (the plans themselves go to the memo's lanes).
+    grid: Grid,
+    /// The cut constants of the orientation being applied.
+    staged: StagedApply,
     thin_by: ThinBy,
     eager: bool,
     /// Cheapest complete plan so far, by final cost; compiled to a
@@ -456,7 +398,8 @@ impl<'a> Search<'a> {
             ctx,
             memo,
             scratch: Scratch::new(ctx),
-            bufs: PairBufs::default(),
+            grid: Grid::default(),
+            staged: StagedApply::default(),
             thin_by,
             eager,
             best: None,
@@ -545,14 +488,6 @@ impl<'a> Search<'a> {
         self.pair(s1, s2, false)
     }
 
-    /// The orientations [`Search::process`] would apply to `(s1, s2)`
-    /// ([`orientations_into`], in the search's own buffers), next to the
-    /// memo: for a caller that estimates a pair before it feeds one.
-    pub(crate) fn orientations(&mut self, s1: NodeSet, s2: NodeSet) -> (&PairBufs, &Memo) {
-        orientations_into(self.ctx, s1, s2, &mut self.bufs);
-        (&self.bufs, self.memo)
-    }
-
     /// [`Search::process`], bounding interior work by the best complete
     /// plan iff `interior`: a dominance walk of the whole DPhyp stream
     /// ([`Search::enumerate`]), armed or not.
@@ -609,11 +544,10 @@ impl<'a> Search<'a> {
     ///
     /// The **mirror rule**: under a thinning that settles mirrors
     /// ([`ThinBy::settles_mirrors`]: dominance, or the plain cost order) the
-    /// second orientation of an inner join — the first one swapped, on one
-    /// edge or on a merged cut — builds nothing. Its trees tie their twins
-    /// of the first orientation bit for bit in everything a fold and
-    /// `keep_best` read, and the twins came first, so every one of them
-    /// would be refused. Each of its units is [settled](Grid::settle_mirror)
+    /// second orientation of an inner join — the first one swapped — builds
+    /// nothing. Its trees tie their twins of the first orientation bit for
+    /// bit in everything a fold and `keep_best` read, and the twins came
+    /// first, so every one of them would be refused. Each of its units is [settled](Grid::settle_mirror)
     /// from the first orientation's grid, read column-major with every slot
     /// empty: no `stage_apply`, no [`Grid::stage`]. The interior bound skips
     /// it or the meter charges it as if it were built, it is counted in
@@ -638,7 +572,7 @@ impl<'a> Search<'a> {
     /// counted in `bounded` too. A refusal means *stop*: the rest of the
     /// pair is abandoned and `false` is returned, so the pair's plan set is
     /// incomplete. The grid's snapshots of both classes are `PlanId` copies
-    /// with a few bits each, into `bufs` — no plan data is cloned.
+    /// with a few bits each — no plan data is cloned.
     fn feed<const ARMED: bool>(&mut self, s1: NodeSet, s2: NodeSet, interior: bool) -> bool {
         // Per-pair check: a stopped search stays stopped, and even a
         // stream of pairs with no applicable operator (which never asks
@@ -654,24 +588,22 @@ impl<'a> Search<'a> {
         // Units of this pair charged to the budget so far.
         let mut charged = 0u64;
         let (memo, scratch) = (&mut *self.memo, &mut self.scratch);
-        orientations_into(ctx, s1, s2, &mut self.bufs);
-        let PairBufs {
-            orients,
-            extra,
-            grid,
-            staged,
-            ..
-        } = &mut self.bufs;
+        if memo.class(s1).is_empty() || memo.class(s2).is_empty() {
+            return true;
+        }
+        let Some((op, applies)) = applicable_op(&ctx.cq, s1, s2) else {
+            return true;
+        };
+        let (grid, staged) = (&mut self.grid, &mut self.staged);
         // The mirror rule: the second orientation of an inner join is the
         // first one swapped, and under a preorder it is settled instead of
         // built, unless the first one left a NaN-cost row in the class.
         let mirrored = thin_by.settles_mirrors()
-            && orients.len() == 2
-            && orients[1] == (orients[0].1, orients[0].0, orients[0].2)
-            && ctx.cq.ops[orients[0].2].op == OpKind::Join;
+            && applies == [true, true]
+            && ctx.cq.ops[op].op == OpKind::Join;
         let mut nan = false;
-        for (k, &(sl, sr, op)) in orients.iter().enumerate() {
-            if memo.class(sl).is_empty() || memo.class(sr).is_empty() {
+        for (k, (sl, sr)) in [(s1, s2), (s2, s1)].into_iter().enumerate() {
+            if !applies[k] {
                 continue;
             }
             let s = sl.union(sr);
@@ -707,10 +639,10 @@ impl<'a> Search<'a> {
                 continue;
             }
             // Stage the cut once per orientation: predicate orientation,
-            // merged selectivity, distinct products and applied bits are
-            // identical for every `(t1, t2)` combination of the grid, so the
-            // per-plan application does none of that work.
-            stage_apply(ctx, memo, staged, op, extra, sl);
+            // selectivity and distinct products are identical for every
+            // `(t1, t2)` combination of the grid, so the per-plan
+            // application does none of that work.
+            stage_apply(ctx, memo, staged, op, sl);
             // And decide once per side, and once per plan of each side, what
             // its units read of it alone; its grouping slots start empty.
             grid.stage(ctx, scratch, memo, staged, (sl, sr), eager);

@@ -45,47 +45,25 @@ pub struct OperatorInfo {
     pub(crate) rules: Vec<ConflictRule>,
 }
 
-/// How an operator may be applied to a csg-cmp-pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Applicability {
-    /// Not applicable to the pair.
-    No,
-    /// `(s1, s2)` as given (s1 is the operator's left input).
-    Normal,
-    /// Only with the arguments swapped (commutative operators).
-    Swapped,
-    /// Both orientations are valid (commutative operators).
-    Both,
-}
-
 impl OperatorInfo {
-    /// The applicability test (Fig. 5, line 5) for the pair `(s1, s2)`.
-    fn applicable(&self, s1: NodeSet, s2: NodeSet) -> Applicability {
+    /// The applicability test (Fig. 5, line 5) for the pair `(s1, s2)`:
+    /// whether the operator applies as `s1 ◦ s2` and as `s2 ◦ s1`. A
+    /// commutative operator takes either orientation once its TES fits one
+    /// (Fig. 5, lines 6–8); any other one only the orientation whose left
+    /// input holds its L-TES.
+    fn applicable(&self, s1: NodeSet, s2: NodeSet) -> [bool; 2] {
         let s = s1.union(s2);
         for rule in &self.rules {
             if rule.when.intersects(s) && !rule.then.is_subset_of(s) {
-                return Applicability::No;
+                return [false; 2];
             }
         }
-        let normal_split = self.l_tes.is_subset_of(s1) && self.r_tes.is_subset_of(s2);
-        let swapped_split = self.l_tes.is_subset_of(s2) && self.r_tes.is_subset_of(s1);
+        let normal = self.l_tes.is_subset_of(s1) && self.r_tes.is_subset_of(s2);
+        let swapped = self.l_tes.is_subset_of(s2) && self.r_tes.is_subset_of(s1);
         if self.op.is_commutative() {
-            // Commutativity makes the physical orientation free: as long as
-            // the TES constraint is satisfiable in either assignment, both
-            // (s1 ◦ s2) and (s2 ◦ s1) are valid plans (Fig. 5, lines 6–8).
-            if normal_split || swapped_split {
-                Applicability::Both
-            } else {
-                Applicability::No
-            }
-        } else if normal_split {
-            Applicability::Normal
-        } else if swapped_split {
-            // The operator's left input must be the set containing L-TES:
-            // apply it as (s2 ◦ s1).
-            Applicability::Swapped
+            [normal || swapped; 2]
         } else {
-            Applicability::No
+            [normal, swapped]
         }
     }
 }
@@ -252,31 +230,23 @@ fn collect(
     }
 }
 
-/// Find the operators applicable to a csg-cmp-pair, with orientation, as
-/// `(op index, swapped)` entries in a caller-provided scratch buffer: the
-/// plan generator calls this once per csg-cmp-pair, so the enumeration hot
-/// path must not allocate here. `out` is cleared first.
-pub fn applicable_ops_into(
-    cq: &ConflictedQuery,
-    s1: NodeSet,
-    s2: NodeSet,
-    out: &mut Vec<(usize, bool)>,
-) {
-    out.clear();
-    for e in cq.graph.connecting_edges(s1, s2) {
-        let op = &cq.ops[e.label];
-        match op.applicable(s1, s2) {
-            Applicability::No => {}
-            Applicability::Normal => out.push((e.label, false)),
-            Applicability::Swapped => out.push((e.label, true)),
-            Applicability::Both => {
-                out.push((e.label, false));
-                out.push((e.label, true));
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
+/// The operator that joins the csg-cmp-pair `(s1, s2)`, if it applies, and
+/// in which of the orientations `(s1, s2)` and `(s2, s1)` it does. The
+/// plan generator asks this once per csg-cmp-pair whose sides both have
+/// plans.
+///
+/// Precondition: `s1` and `s2` are disjoint and each is *joinable* — a
+/// single relation, or the union of a joinable pair that an edge connects,
+/// as is the relation set of every plan. Then at most one edge of the
+/// query graph connects them, since the graph holds one edge per operator
+/// of the initial tree (ARCHITECTURE.md § "One operator per cut"), and
+/// that edge's operator is the only one the pair can apply.
+pub fn applicable_op(cq: &ConflictedQuery, s1: NodeSet, s2: NodeSet) -> Option<(usize, [bool; 2])> {
+    let mut edges = cq.graph.connecting_edges(s1, s2);
+    let op = edges.next()?.label;
+    debug_assert!(edges.next().is_none(), "two edges connect {s1} and {s2}");
+    let applies = cq.ops[op].applicable(s1, s2);
+    applies.contains(&true).then_some((op, applies))
 }
 
 #[cfg(test)]
@@ -320,7 +290,7 @@ mod tests {
         // All three "bushy" combinations of the top join are reachable.
         let top = &cq.ops[1];
         assert_eq!(
-            Applicability::Both,
+            [true, true],
             top.applicable(NodeSet::single(1), NodeSet::single(2))
         );
     }
@@ -346,12 +316,12 @@ mod tests {
         // Applying ⟗ on ({1}, {2}) would leave r0 to be joined above: must
         // be rejected.
         assert_eq!(
-            Applicability::No,
+            [false, false],
             outer.applicable(NodeSet::single(1), NodeSet::single(2)),
         );
         // The full set on the left is fine.
         assert_ne!(
-            Applicability::No,
+            [false, false],
             outer.applicable(NodeSet::from_iter([0, 1]), NodeSet::single(2)),
         );
     }
@@ -375,13 +345,13 @@ mod tests {
         let top = cq.ops.iter().find(|o| o.right_rels.len() == 2).unwrap();
         // ({0}, {1}): applying the top ⟕ early — allowed by assoc(⟕,⟕).
         assert_eq!(
-            Applicability::Normal,
+            [true, false],
             top.applicable(NodeSet::single(0), NodeSet::single(1))
         );
         // With the pair given the other way round, the operator must be
         // applied with swapped arguments (it is not commutative).
         assert_eq!(
-            Applicability::Swapped,
+            [false, true],
             top.applicable(NodeSet::single(1), NodeSet::single(0))
         );
     }
@@ -412,16 +382,16 @@ mod tests {
         let outer = cq.ops.iter().find(|o| o.op == OpKind::FullOuter).unwrap();
         // The inner joins must complete before the outer join on each side.
         assert_eq!(
-            Applicability::No,
+            [false, false],
             outer.applicable(NodeSet::single(0), NodeSet::single(2)),
         );
         assert_ne!(
-            Applicability::No,
+            [false, false],
             outer.applicable(NodeSet::from_iter([0, 1]), NodeSet::from_iter([2, 3])),
         );
         // Commutative: both orientations valid on the full sides.
         assert_eq!(
-            Applicability::Both,
+            [true, true],
             outer.applicable(NodeSet::from_iter([0, 1]), NodeSet::from_iter([2, 3])),
         );
     }
@@ -436,10 +406,8 @@ mod tests {
         );
         let q = Query::new(tables(2), tree, None);
         let cq = detect(&q);
-        let mut found = vec![(9, true)];
-        applicable_ops_into(&cq, NodeSet::single(0), NodeSet::single(1), &mut found);
-        assert_eq!(vec![(0, false), (0, true)], found);
-        applicable_ops_into(&cq, NodeSet::single(0), NodeSet::EMPTY, &mut found);
-        assert!(found.is_empty());
+        let (r0, r1) = (NodeSet::single(0), NodeSet::single(1));
+        assert_eq!(Some((0, [true, true])), applicable_op(&cq, r0, r1));
+        assert_eq!(None, applicable_op(&cq, r0, NodeSet::EMPTY));
     }
 }

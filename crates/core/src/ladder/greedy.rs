@@ -31,6 +31,7 @@
 use crate::algo::Search;
 use crate::card::join_card;
 use crate::context::OptContext;
+use crate::detect::applicable_op;
 use crate::memo::Memo;
 use crate::plan::{cut_estimate, cut_terms};
 use dpnext_hypergraph::NodeSet;
@@ -177,26 +178,30 @@ fn traversal_order(tree: &OpTree) -> Vec<usize> {
 
 /// Estimated result cardinality of joining the components `a` and `b`,
 /// or `None` when the engine would build nothing for the cut (no
-/// applicable operator, or a mix of distinct operators that are not all
-/// inner joins) — selecting such a pair would dead-end the pass. Mirrors
-/// the engine's estimate (`make_apply`) without constructing a plan: the
-/// first orientation's `join_card` over the smallest cardinality in each
-/// side's class, with the cut's numbers as [`stage_apply`] stages them.
+/// applicable operator) — selecting such a pair would dead-end the pass.
+/// Mirrors the engine's estimate (`make_apply`) without constructing a
+/// plan: the first orientation's `join_card` over the smallest cardinality
+/// in each side's class, with the cut's numbers as [`stage_apply`] stages
+/// them.
 ///
 /// [`stage_apply`]: crate::plan::stage_apply
 pub(crate) fn estimate_pair(
     ctx: &OptContext,
-    search: &mut Search<'_>,
+    search: &Search<'_>,
     a: NodeSet,
     b: NodeSet,
 ) -> Option<f64> {
-    let (bufs, memo) = search.orientations(a, b);
-    let &(sl, sr, primary) = bufs.orients.first()?;
-    let lcard = class_min_card(memo, sl)?;
-    let rcard = class_min_card(memo, sr)?;
-    let terms = cut_terms(ctx, primary, &bufs.extra, sl);
-    let (sel, d_left, d_right) = cut_estimate(ctx, primary, &bufs.extra, terms);
-    let kind = ctx.cq.ops[primary].op;
+    let memo = search.memo();
+    let (card_a, card_b) = (class_min_card(memo, a)?, class_min_card(memo, b)?);
+    let (op, [forward, _]) = applicable_op(&ctx.cq, a, b)?;
+    let (sl, lcard, rcard) = if forward {
+        (a, card_a, card_b)
+    } else {
+        (b, card_b, card_a)
+    };
+    let terms = cut_terms(ctx, op, sl);
+    let (sel, d_left, d_right) = cut_estimate(ctx, op, terms);
+    let kind = ctx.cq.ops[op].op;
     Some(join_card(kind, lcard, rcard, sel, d_left, d_right))
 }
 

@@ -19,7 +19,8 @@
 //! and they are modules of this crate: key inference (`keyset`, `infer`;
 //! §2.3), cardinality estimation for the `C_out` cost function (`card`;
 //! §4.4) and the conflict detector (`detect`, `tables`; \[7\]), whose
-//! [`applicable_ops_into`] the search asks once per csg-cmp-pair.
+//! [`applicable_op`] the search asks once per csg-cmp-pair: the one
+//! operator whose edge connects the pair's two sides.
 //!
 //! Optimized plans compile into executable [`dpnext_algebra::AlgExpr`]
 //! trees, so every transformation can be validated against the canonical
@@ -53,7 +54,7 @@ pub use algo::{
     Algorithm, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
 pub use context::{OptContext, Scratch};
-pub use detect::applicable_ops_into;
+pub use detect::applicable_op;
 pub use explain::explain;
 pub use finalize::{compile, finalize, FinalPlan};
 pub use memo::{

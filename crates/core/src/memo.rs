@@ -111,14 +111,15 @@ pub enum PlanNode {
         /// Index into the query's table vector.
         table: u32,
     },
-    /// A binary operator application with the (oriented, merged) predicate.
+    /// A binary operator application with its oriented predicate.
     Apply {
         /// Operator kind (join, outer join, groupjoin, ...).
         op: OpKind,
-        /// Index of the primary operator into the conflicted query's
-        /// list — where a groupjoin's aggregates are read from.
+        /// Index of the operator into the conflicted query's list — the
+        /// one bit the node adds to `applied`, and where a groupjoin's
+        /// aggregates are read from.
         op_idx: u8,
-        /// The merged predicate, oriented left-to-right, in
+        /// The operator's predicate, oriented left-to-right, in
         /// [`Lanes::terms`]. Every plan of one orientation applies the
         /// identical predicate, so the enumeration stages it once per
         /// orientation and each plan holds the same span.

@@ -6,10 +6,9 @@
 //! beyond the lanes' amortised growth.
 //!
 //! Operator applications are split into a **staging** step
-//! ([`stage_apply`]: orient and merge the predicate terms, fold the
-//! selectivities, take the distinct-count products, precompute the
-//! applied-mask bits — everything that depends only on the cut, not on
-//! the particular plan pair) and a per-pair **application** step
+//! ([`stage_apply`]: orient the predicate terms, take the distinct-count
+//! products — everything that depends only on the cut, not on the
+//! particular plan pair) and a per-pair **application** step
 //! ([`apply_staged`]). The enumeration stages once per orientation and
 //! then applies across the whole `t1 × t2` candidate grid, so the hot
 //! loop does no per-plan predicate cloning or re-orientation.
@@ -79,35 +78,28 @@ fn orient_term(ctx: &OptContext, (l, op, r): Term, left_set: NodeSet) -> Term {
     }
 }
 
-/// The predicate terms crossing a cut — operator `op_idx`'s, then those
-/// of the extra same-cut inner joins — each oriented so its left attribute
-/// comes from `left_set`.
-pub(crate) fn cut_terms<'a>(
-    ctx: &'a OptContext,
+/// The predicate terms of operator `op_idx`, each oriented so its left
+/// attribute comes from `left_set`.
+pub(crate) fn cut_terms(
+    ctx: &OptContext,
     op_idx: usize,
-    extra: &'a [usize],
     left_set: NodeSet,
-) -> impl Iterator<Item = Term> + 'a {
-    std::iter::once(op_idx)
-        .chain(extra.iter().copied())
-        .flat_map(move |i| ctx.cq.ops[i].pred.terms.iter())
-        .map(move |&t| orient_term(ctx, t, left_set))
+) -> impl Iterator<Item = Term> + '_ {
+    let terms = ctx.cq.ops[op_idx].pred.terms.iter();
+    terms.map(move |&t| orient_term(ctx, t, left_set))
 }
 
 /// What a cut feeds [`join_card`], given its oriented `terms`
-/// ([`cut_terms`]): the selectivity of operator `op_idx` times those of
-/// the extra same-cut inner joins, and the products of the distinct
-/// counts of the terms' left and of their right attributes (the match
-/// probability's inputs). [`stage_apply`] stages these values, and the
-/// greedy pass estimates a cut with them.
+/// ([`cut_terms`]): the selectivity of operator `op_idx`, and the products
+/// of the distinct counts of the terms' left and of their right attributes
+/// (the match probability's inputs). [`stage_apply`] stages these values,
+/// and the greedy pass estimates a cut with them.
 pub(crate) fn cut_estimate(
     ctx: &OptContext,
     op_idx: usize,
-    extra: &[usize],
     terms: impl IntoIterator<Item = Term>,
 ) -> (f64, f64, f64) {
-    let ops = &ctx.cq.ops;
-    let sel = extra.iter().fold(ops[op_idx].sel, |s, &e| s * ops[e].sel);
+    let sel = ctx.cq.ops[op_idx].sel;
     let (mut d_left, mut d_right) = (1.0, 1.0);
     for (l, _, r) in terms {
         d_left *= ctx.distinct(l);
@@ -121,21 +113,19 @@ pub(crate) fn cut_estimate(
 /// value is reusable — staging the next cut overwrites it in place and
 /// keeps its two attribute buffers.
 pub struct StagedApply {
-    /// Index of the primary operator into the conflicted query's list.
+    /// Index of the operator into the conflicted query's list.
     pub op_idx: usize,
     /// Operator kind (join, outer join, groupjoin, ...).
     pub kind: OpKind,
-    /// Oriented, merged predicate in the memo's term lane — every plan
-    /// built from this staging carries the same span.
+    /// Oriented predicate in the memo's term lane — every plan built from
+    /// this staging carries the same span.
     pub pred: Span,
-    /// Merged selectivity (primary × extra same-cut inner joins).
+    /// The operator's selectivity.
     pub sel: f64,
     /// Product of the left predicate attributes' distinct counts.
     pub d_left: f64,
     /// Product of the right predicate attributes' distinct counts.
     pub d_right: f64,
-    /// Applied-mask bits this cut contributes (primary + extras).
-    pub applied_bits: u64,
     /// Is the predicate a non-empty conjunction of equalities? Gates the
     /// key-preserving cases of the §2.3 propagation.
     pub pred_equi: bool,
@@ -157,7 +147,6 @@ impl Default for StagedApply {
             sel: 1.0,
             d_left: 1.0,
             d_right: 1.0,
-            applied_bits: 0,
             pred_equi: false,
             left_attrs: Vec::new(),
             right_attrs: Vec::new(),
@@ -165,37 +154,27 @@ impl Default for StagedApply {
     }
 }
 
-/// Stage operator `op_idx` (plus any extra inner-join edges crossing the
-/// same cut, for cyclic queries) for application with `left_set` as the
-/// physical left side, into `staged`: orient and merge all predicate terms
-/// (appended to the memo's term lane), fold the selectivities and take the
-/// per-side distinct products. Every plan of one orientation shares the
-/// staged values — all plans in a class cover the same relation set, so
-/// term orientation and attribute origins cannot differ across the
-/// candidate grid.
+/// Stage operator `op_idx` for application with `left_set` as the physical
+/// left side, into `staged`: orient its predicate terms (appended to the
+/// memo's term lane) and take the per-side distinct products. Every plan
+/// of one orientation shares the staged values — all plans in a class
+/// cover the same relation set, so term orientation and attribute origins
+/// cannot differ across the candidate grid.
 pub fn stage_apply(
     ctx: &OptContext,
     memo: &mut Memo,
     staged: &mut StagedApply,
     op_idx: usize,
-    extra: &[usize],
     left_set: NodeSet,
 ) {
-    debug_assert!(
-        extra.iter().all(|&e| ctx.cq.ops[e].op == OpKind::Join),
-        "only inner joins may share a cut"
-    );
     let lane = &mut memo.lanes.terms;
     let start = lane.len();
-    // Merge and orient all predicates crossing this cut.
-    lane.extend(cut_terms(ctx, op_idx, extra, left_set));
+    lane.extend(cut_terms(ctx, op_idx, left_set));
     let terms = &lane[start..];
     staged.op_idx = op_idx;
     staged.kind = ctx.cq.ops[op_idx].op;
     staged.pred = Span::new(start, terms.len());
-    (staged.sel, staged.d_left, staged.d_right) =
-        cut_estimate(ctx, op_idx, extra, terms.iter().copied());
-    staged.applied_bits = extra.iter().fold(1u64 << op_idx, |b, &e| b | 1 << e);
+    (staged.sel, staged.d_left, staged.d_right) = cut_estimate(ctx, op_idx, terms.iter().copied());
     // Pre-digest the predicate for the per-pair key inference: equi
     // classification plus sorted, deduplicated per-side attribute sets.
     staged.pred_equi = !terms.is_empty() && terms.iter().all(|&(_, cmp, _)| cmp == CmpOp::Eq);
@@ -405,7 +384,7 @@ pub fn apply_staged(
         left.set.union(right.set),
         card,
         cost,
-        left.applied | right.applied | staged.applied_bits,
+        left.applied | right.applied | 1 << staged.op_idx,
         left.has_grouping() || right.has_grouping(),
         duplicate_free,
         false,
@@ -442,9 +421,8 @@ fn confined_to(agg: AggRef<'_>, set: NodeSet) -> bool {
         })
 }
 
-/// Apply operator `op_idx` (plus any extra inner-join edges crossing the
-/// same cut) on two plans — the one-shot convenience form: stages and
-/// applies in one call. The enumeration hot loop uses
+/// Apply operator `op_idx` on two plans — the one-shot convenience form:
+/// stages and applies in one call. The enumeration hot loop uses
 /// [`stage_apply`] + [`apply_staged`] directly to amortize the staging
 /// over a whole candidate grid.
 pub fn make_apply(
@@ -452,12 +430,11 @@ pub fn make_apply(
     scratch: &mut Scratch,
     memo: &mut Memo,
     op_idx: usize,
-    extra: &[usize],
     left_id: PlanId,
     right_id: PlanId,
 ) -> Option<PlanId> {
     let mut staged = StagedApply::default();
-    stage_apply(ctx, memo, &mut staged, op_idx, extra, memo[left_id].set);
+    stage_apply(ctx, memo, &mut staged, op_idx, memo[left_id].set);
     let (left, right) = (memo.plan(left_id), memo.plan(right_id));
     let lfacts = staged.left_facts(ctx, left.visible(), left.keys());
     let rfacts = staged.right_facts(ctx, right.visible(), right.keys());

@@ -29,7 +29,7 @@ fn op_tree_ids(
 ) -> Vec<PlanId> {
     let mut out = Vec::new();
     let mut staged = StagedApply::default();
-    stage_apply(ctx, memo, &mut staged, op_idx, &[], memo[t1].set);
+    stage_apply(ctx, memo, &mut staged, op_idx, memo[t1].set);
     let sides = [
         GridSide::new(ctx, sc, &staged, memo[t1].set, true, true),
         GridSide::new(ctx, sc, &staged, memo[t2].set, false, true),
@@ -174,7 +174,7 @@ mod aggstate {
         let gr = make_group(&ctx, &mut sc, &mut memo, r);
         // Both sides grouped: sum(a3) stays where the right side put it,
         // count(*) stays raw, and both count columns survive, left first.
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], gl, gr).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, gl, gr).unwrap();
         let (agg, right) = (memo.plan(j).agg(), memo.plan(gr).agg());
         assert_eq!(AggPos::Raw, agg.pos[0]);
         assert_eq!(right.pos[1], agg.pos[1]);
@@ -183,7 +183,7 @@ mod aggstate {
         assert_eq!(vec![NodeSet::single(0), NodeSet::single(1)], scopes);
         // A raw side is the identity of the merge: the join shares the
         // grouped side's state instead of writing a copy.
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, gr).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, gr).unwrap();
         let (join, grouped) = (memo.plan(j).cold, memo.plan(gr).cold);
         assert_eq!(
             (grouped.agg_pos, grouped.counts),
@@ -202,9 +202,9 @@ mod aggstate {
         let r = make_scan(&ctx, &mut memo, 1);
         let gl = make_group(&ctx, &mut sc, &mut memo, l);
         let gr = make_group(&ctx, &mut sc, &mut memo, r);
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, gr).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, gr).unwrap();
         assert!(!memo.plan(j).agg().is_grouped());
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], gl, gr).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, gl, gr).unwrap();
         assert_eq!(memo.plan(gl).agg(), memo.plan(j).agg());
         assert_eq!(1, memo.plan(j).agg().counts.len());
     }
@@ -271,7 +271,7 @@ mod plans {
         let mut sc = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         assert_eq!(50.0, memo[j].card); // 100 × 50 × 0.01
         assert_eq!(50.0, memo[j].cost);
         assert_eq!(1, memo[j].applied);
@@ -304,7 +304,7 @@ mod plans {
         let mut sc = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         assert!(memo[j].duplicate_free());
         assert!(memo.plan(j).keys().some_key_within_sorted(&[a(3)]));
         // Raw estimate 100 × 50 × 0.1 = 500; the key {a3} bounds it at
@@ -359,8 +359,8 @@ mod plans {
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
         let grouped_r = make_group(&ctx, &mut sc, &mut memo, r);
-        assert!(make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, grouped_r).is_none());
-        assert!(make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).is_some());
+        assert!(make_apply(&ctx, &mut sc, &mut memo, 0, l, grouped_r).is_none());
+        assert!(make_apply(&ctx, &mut sc, &mut memo, 0, l, r).is_some());
     }
 }
 
@@ -429,7 +429,7 @@ mod finalization {
         let mut sc = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         let f = finalize(&ctx, &memo, j);
         assert!(f.top_grouping);
         // Cost = join output + grouping output (10 groups on a1).
@@ -457,7 +457,7 @@ mod finalization {
         let r = make_scan(&ctx, &mut memo, 1);
         // a2 is a key of r1: each r0 tuple joins at most once → keys of r0
         // survive; G = {a0} ⊇ key → grouping eliminated.
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         let f = finalize(&ctx, &memo, j);
         assert!(!f.top_grouping);
         assert_eq!(memo[j].cost, f.cost); // map + projection are free
@@ -478,7 +478,7 @@ mod finalization {
         let mut sc = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut sc, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         let f = finalize(&ctx, &memo, j);
         assert!(!f.top_grouping);
         assert_eq!(memo[j].cost, f.cost);
@@ -488,17 +488,18 @@ mod finalization {
 mod engine {
     use super::*;
     use crate::algo::{
-        all_subplans, optimize, optimize_prepared, orientations_into, Algorithm, OptimizeOptions,
-        PairBufs, Search,
+        all_subplans, optimize, optimize_prepared, Algorithm, OptimizeOptions, Search,
     };
     use crate::budget::{Budget, Exhausted};
     use crate::card::join_card;
+    use crate::detect::applicable_op;
     use crate::finalize::final_numbers;
     use crate::ladder::greedy::{estimate_pair, greedy_join, greedy_join_with, replay_canonical};
     use crate::memo::{PlanNode, ThinBy};
     use crate::optrees::Grid;
     use dpnext_hypergraph::{enumerate_ccps, Hyperedge};
-    use dpnext_workload::{generate_query, GenConfig, OpWeights, Topology};
+    use dpnext_workload::{ex_query, generate_query, q10, q3, q5, GenConfig, OpWeights, Topology};
+    use std::collections::HashSet;
 
     /// What a sweep of full-set units met, and the buffers it walks them
     /// with.
@@ -514,7 +515,6 @@ mod engine {
         /// A mirror unit met a pushed-onto plan whose slot the first
         /// orientation's units had filled.
         mirror_over_filled: bool,
-        bufs: PairBufs,
         staged: StagedApply,
         grid: Grid,
         mirror: Grid,
@@ -532,7 +532,6 @@ mod engine {
                 }
             });
             let Sweep {
-                bufs,
                 staged,
                 grid,
                 mirror,
@@ -540,16 +539,16 @@ mod engine {
             } = self;
             let mut scratch = Scratch::new(ctx);
             for (s1, s2) in pairs {
-                orientations_into(ctx, s1, s2, bufs);
-                for (k, &(sl, sr, op)) in bufs.orients.iter().enumerate() {
+                let orients = orientations(ctx, memo, s1, s2);
+                for (k, &(sl, sr, op)) in orients.iter().enumerate() {
                     // What the kept trees leave goes with the grid: no class
                     // names them, and the next grid starts with empty slots.
                     let mark = memo.mark();
-                    if k == 1 && is_mirror(ctx, &bufs.orients) {
+                    if k == 1 && is_mirror(ctx, &orients) {
                         // The mirror, settled from the first orientation's
                         // grid as its units left it, then built on its own
                         // staging under an offer that refuses every tree.
-                        stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
+                        stage_apply(ctx, memo, staged, op, sl);
                         mirror.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
                         let (width, height) = (mirror.lefts.len(), mirror.rights.len());
                         for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
@@ -569,7 +568,7 @@ mod engine {
                         }
                         memo.truncate(mark);
                     }
-                    stage_apply(ctx, memo, staged, op, &bufs.extra, sl);
+                    stage_apply(ctx, memo, staged, op, sl);
                     grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
                     let group_blind = |side: &GridSide| side.gplus.is_some() && !side.group.sees;
                     self.blind |= grid.sides.iter().any(group_blind)
@@ -601,13 +600,33 @@ mod engine {
         }
     }
 
+    /// The orientations `(left, right, operator)` `Search::feed` walks for
+    /// the pair `(s1, s2)` over the classes of `memo`, in its order.
+    fn orientations(
+        ctx: &OptContext,
+        memo: &Memo,
+        s1: NodeSet,
+        s2: NodeSet,
+    ) -> Vec<(NodeSet, NodeSet, usize)> {
+        if memo.class(s1).is_empty() || memo.class(s2).is_empty() {
+            return Vec::new();
+        }
+        let Some((op, applies)) = applicable_op(&ctx.cq, s1, s2) else {
+            return Vec::new();
+        };
+        let both = [(s1, s2, op), (s2, s1, op)].into_iter().zip(applies);
+        both.filter_map(|(orient, applies)| applies.then_some(orient))
+            .collect()
+    }
+
     /// Is the second of `orients` the mirror `Search::feed` settles: the
-    /// first one swapped, of an inner join?
+    /// first one swapped (as a second orientation always is), of an inner
+    /// join?
     fn is_mirror(ctx: &OptContext, orients: &[(NodeSet, NodeSet, usize)]) -> bool {
-        let [(sl, sr, op), second] = orients[..] else {
+        let [(_, _, op), _] = orients[..] else {
             return false;
         };
-        second == (sr, sl, op) && ctx.cq.ops[op].op == OpKind::Join
+        ctx.cq.ops[op].op == OpKind::Join
     }
 
     /// `r0 ⋈_{a0 = a4} (r1 ⋉_{a2 = a5} r2)`: the join names `a4`, which
@@ -753,44 +772,89 @@ mod engine {
         )
     }
 
-    /// An inner-join chain of `n` relations closed into a cycle: a query is
-    /// an operator tree, whose hypergraph has one edge per operator, so no
-    /// generated query has two edges crossing one cut. The closing edge
-    /// joins the first attribute of `r0` with the last of the last
-    /// relation, as one more inner join of the conflict-detected query.
-    fn cyclic_ctx(n: usize, seed: u64) -> OptContext {
-        let cfg = GenConfig {
-            ops: OpWeights::inner_only(),
-            ..GenConfig::topology(n, Topology::Chain)
-        };
-        let mut ctx = OptContext::new(generate_query(&cfg, seed));
-        let (first, last) = (&ctx.query.tables[0].attrs, &ctx.query.tables[n - 1].attrs);
-        let mut op = ctx.cq.ops[0].clone();
-        op.pred = JoinPred::eq(first[0], *last.last().unwrap());
-        op.sel = 0.05;
-        (op.left_rels, op.right_rels) = (NodeSet::single(0), NodeSet::single(n - 1));
-        (op.l_tes, op.r_tes) = (op.left_rels, op.right_rels);
-        let edge = Hyperedge::new(op.l_tes, op.r_tes, ctx.cq.ops.len());
-        ctx.cq.graph.add_edge(edge);
-        ctx.cq.ops.push(op);
-        ctx.gj_args.push(Vec::new());
-        ctx
+    /// How many csg-cmp-pairs of `ctx`'s DPhyp stream have two joinable
+    /// sides, or the first of them that breaks the premise of
+    /// `applicable_op` (ARCHITECTURE.md § "One operator per cut"),
+    /// described: exactly one edge of the query graph connects its sides,
+    /// and exactly `|S| − 1` lie wholly inside their union `S`. A set is
+    /// joinable when it is a single relation or the union of such a pair —
+    /// the sets the memo can hold a plan for. The stream emits a pair after
+    /// every pair of its sides; its other pairs have a side with no plan
+    /// (a hyperedge makes a set connected with fewer than `|S| − 1` edges
+    /// inside).
+    fn one_edge_per_cut(ctx: &OptContext) -> Result<u64, String> {
+        let graph = &ctx.cq.graph;
+        let mut joinable: HashSet<NodeSet> =
+            (0..ctx.query.table_count()).map(NodeSet::single).collect();
+        let (mut pairs, mut broken) = (0, None);
+        enumerate_ccps(graph, |s1, s2| {
+            if !joinable.contains(&s1) || !joinable.contains(&s2) {
+                return;
+            }
+            pairs += 1;
+            let s = s1.union(s2);
+            joinable.insert(s);
+            let crossing = graph.connecting_edges(s1, s2).count();
+            let edges = graph.edges().iter();
+            let inside = edges
+                .filter(|e| e.left.union(e.right).is_subset_of(s))
+                .count();
+            if broken.is_none() && (crossing != 1 || inside != s.len() - 1) {
+                broken = Some(format!("{s1} ◦ {s2}: {crossing} crossing, {inside} inside"));
+            }
+        });
+        broken.map_or(Ok(pairs), Err)
+    }
+
+    /// Every csg-cmp-pair over joinable sides that DPhyp emits on the
+    /// generated and the TPC-H queries is crossed by exactly one edge, as
+    /// the counting argument says for a hypergraph with one edge per
+    /// operator of a tree; and the check fails on a chain closed into a
+    /// cycle by one more edge, which no operator tree produces.
+    #[test]
+    fn every_cut_is_crossed_by_one_edge() {
+        let paper = (3..=11).flat_map(|n| (0..20).map(move |seed| (GenConfig::paper(n), seed)));
+        let topologies = (6..=12).flat_map(|n| {
+            [
+                Topology::Chain,
+                Topology::Star,
+                Topology::Clique,
+                Topology::Mixed,
+            ]
+            .into_iter()
+            .flat_map(move |t| (0..6).map(move |seed| (GenConfig::topology(n, t), seed)))
+        });
+        let oracle = (2..=6).flat_map(|n| (0..20).map(move |seed| (GenConfig::oracle(n), seed)));
+        let generated = paper
+            .chain(topologies)
+            .chain(oracle)
+            .map(|(cfg, seed)| (format!("{cfg:?}, seed {seed}"), generate_query(&cfg, seed)));
+        let tpch = [ex_query(), q3(), q5(), q10()].map(|q| (q.name.to_string(), q.bound.query));
+        let mut pairs = 0;
+        for (query, q) in generated.chain(tpch) {
+            let ctx = OptContext::new(q);
+            pairs += one_edge_per_cut(&ctx).unwrap_or_else(|e| panic!("{query}: {e}"));
+        }
+        assert!(pairs > 80_000, "only {pairs} pairs over joinable sides");
+        let mut cycle =
+            OptContext::new(generate_query(&GenConfig::topology(6, Topology::Chain), 0));
+        let closing = Hyperedge::new(NodeSet::single(0), NodeSet::single(5), cycle.cq.ops.len());
+        cycle.cq.graph.add_edge(closing);
+        assert!(one_edge_per_cut(&cycle).is_err());
     }
 
     /// The premise of the mirror rule: the two orientations of an inner
     /// join build the same trees, as far as anything that thins or ranks
     /// them can tell. For every pair EA-Prune, DPhyp and H1 walk whose
-    /// second orientation is its first one swapped — an inner join, on one
-    /// edge or on several merged (cyclic cuts) — or a full outer join, both
-    /// orientations are built over the classes the run left, each tree
-    /// collected and refused, and the multisets of their [`Reading`]s are
-    /// compared: over `paper(3..=8)` × 40 seeds, `topology(6..=10, Chain
-    /// | Star | Clique | Mixed)` × 6 seeds and [`cyclic_ctx`]`(3..=8)` × 6
-    /// seeds, the only queries with merged cuts. The inner joins' must be
-    /// equal, and no tree may have a NaN cost or cardinality. The full
-    /// outer joins' differ somewhere: `inner + unmatched_l + unmatched_r`
-    /// sums in the other order in the mirror, which is why the rule is for
-    /// inner joins alone.
+    /// second orientation is its first one swapped — an inner join or a
+    /// full outer join — both orientations are built over the classes the
+    /// run left, each tree collected and refused, and the multisets of
+    /// their [`Reading`]s are compared: over `paper(3..=8)` × 40 seeds and
+    /// `topology(6..=10, Chain | Star | Clique | Mixed)` × 6 seeds. The
+    /// inner joins' must be equal, and no tree may have a NaN cost or
+    /// cardinality. The full outer joins' differ somewhere: `inner +
+    /// unmatched_l + unmatched_r` sums in the other order in the mirror,
+    /// which is why the rule is for inner joins alone.
     #[test]
     fn mirror_orientations_build_the_same_trees() {
         let paper = (3..=8).flat_map(|n| (0..40).map(move |seed| (GenConfig::paper(n), seed)));
@@ -808,19 +872,11 @@ mod engine {
             explain: false,
             ..OptimizeOptions::default()
         };
-        let (mut bufs, mut staged, mut grid) =
-            (PairBufs::default(), StagedApply::default(), Grid::default());
-        let (mut joins, mut merged, mut trees, mut outers, mut outers_differ) = (0, 0, 0u64, 0, 0);
-        let generated = paper.chain(topologies).map(|(cfg, seed)| {
-            (
-                format!("{cfg:?}, seed {seed}"),
-                OptContext::new(generate_query(&cfg, seed)),
-            )
-        });
-        let cyclic = (3..=8).flat_map(|n| {
-            (0..6).map(move |seed| (format!("cyclic({n}), seed {seed}"), cyclic_ctx(n, seed)))
-        });
-        for (query, ctx) in generated.chain(cyclic) {
+        let (mut staged, mut grid) = (StagedApply::default(), Grid::default());
+        let (mut joins, mut trees, mut outers, mut outers_differ) = (0, 0u64, 0, 0);
+        for (cfg, seed) in paper.chain(topologies) {
+            let query = format!("{cfg:?}, seed {seed}");
+            let ctx = OptContext::new(generate_query(&cfg, seed));
             for algo in [Algorithm::EaPrune, Algorithm::DPhyp, Algorithm::H1] {
                 let eager = algo != Algorithm::DPhyp;
                 let mut memo = Memo::new();
@@ -829,22 +885,18 @@ mod engine {
                 enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
                 let mut scratch = Scratch::new(&ctx);
                 for (s1, s2) in pairs {
-                    orientations_into(&ctx, s1, s2, &mut bufs);
-                    let [first @ (sl, sr, op), second] = bufs.orients[..] else {
+                    let [first @ (sl, sr, op), second] = orientations(&ctx, &memo, s1, s2)[..]
+                    else {
                         continue;
                     };
                     let kind = ctx.cq.ops[op].op;
-                    if second != (sr, sl, op)
-                        || !matches!(kind, OpKind::Join | OpKind::FullOuter)
-                        || memo.class(sl).is_empty()
-                        || memo.class(sr).is_empty()
-                    {
+                    if !matches!(kind, OpKind::Join | OpKind::FullOuter) {
                         continue;
                     }
                     let mark = memo.mark();
                     let [built, mirrored] = [first, second].map(|(sl, sr, op)| {
                         let mut rows = Vec::new();
-                        stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
+                        stage_apply(&ctx, &mut memo, &mut staged, op, sl);
                         grid.stage(&ctx, &mut scratch, &memo, &staged, (sl, sr), eager);
                         let (width, height) = (grid.lefts.len(), grid.rights.len());
                         for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
@@ -877,15 +929,11 @@ mod engine {
                     }
                     assert_eq!(built, mirrored, "{what}");
                     joins += 1;
-                    merged += u32::from(!bufs.extra.is_empty());
                     trees += built.len() as u64;
                 }
             }
         }
-        assert!(
-            merged > 0 && trees > 100_000,
-            "{joins} inner-join pairs ({merged} merged), {trees} trees"
-        );
+        assert!(trees > 100_000, "{joins} inner-join pairs, {trees} trees");
         assert!(
             outers_differ > 0,
             "none of {outers} full outer joins builds a different mirror"
@@ -1091,7 +1139,7 @@ mod engine {
     /// estimated and compared with `join_card` over the staged cut.
     #[test]
     fn greedy_estimates_a_cut_with_the_staged_numbers() {
-        let (mut bufs, mut staged) = (PairBufs::default(), StagedApply::default());
+        let mut staged = StagedApply::default();
         let mut flipped_outer = 0;
         for n in 3..=8 {
             for seed in 0..20 {
@@ -1105,15 +1153,14 @@ mod engine {
                 let mut estimates = Vec::new();
                 for (i, &a) in sets.iter().enumerate() {
                     for &b in sets[i + 1..].iter().filter(|&&b| b.is_disjoint(a)) {
-                        if let Some(est) = estimate_pair(&ctx, &mut search, a, b) {
+                        if let Some(est) = estimate_pair(&ctx, &search, a, b) {
                             estimates.push((a, b, est));
                         }
                     }
                 }
                 for (a, b, est) in estimates {
-                    orientations_into(&ctx, a, b, &mut bufs);
-                    let (sl, sr, op) = bufs.orients[0];
-                    stage_apply(&ctx, &mut memo, &mut staged, op, &bufs.extra, sl);
+                    let (sl, sr, op) = orientations(&ctx, &memo, a, b)[0];
+                    stage_apply(&ctx, &mut memo, &mut staged, op, sl);
                     let min_card = |s| {
                         let cards = memo.class(s).iter().map(|&id| memo[id].card);
                         cards.min_by(f64::total_cmp).unwrap()
@@ -1274,8 +1321,7 @@ mod engine {
     /// their hot-row bits or key set. The offer keeps every fifth tree, so
     /// groupings survive in their slots and later units reuse them.
     fn side_fact_mismatches(mutate: impl Fn(&mut Grid)) -> u64 {
-        let (mut bufs, mut staged, mut grid) =
-            (PairBufs::default(), StagedApply::default(), Grid::default());
+        let (mut staged, mut grid) = (StagedApply::default(), Grid::default());
         let (mut trees, mut mismatches) = (0u64, 0u64);
         for (n, seed) in (3..=8).flat_map(|n| (0..20).map(move |seed| (n, seed))) {
             let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
@@ -1290,14 +1336,9 @@ mod engine {
             enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
             let (mut scratch, mut shadow) = (Scratch::new(&ctx), Scratch::new(&ctx));
             for (s1, s2) in pairs {
-                orientations_into(&ctx, s1, s2, &mut bufs);
-                let extra = bufs.extra.clone();
-                for &(sl, sr, op) in &bufs.orients {
-                    if memo.class(sl).is_empty() || memo.class(sr).is_empty() {
-                        continue;
-                    }
+                for (sl, sr, op) in orientations(&ctx, &memo, s1, s2) {
                     let mark = memo.mark();
-                    stage_apply(&ctx, &mut memo, &mut staged, op, &extra, sl);
+                    stage_apply(&ctx, &mut memo, &mut staged, op, sl);
                     grid.stage(&ctx, &mut scratch, &memo, &staged, (sl, sr), true);
                     mutate(&mut grid);
                     let (width, height) = (grid.lefts.len(), grid.rights.len());
@@ -1307,9 +1348,8 @@ mod engine {
                                 panic!("a unit offers applications only");
                             };
                             let at = memo.mark();
-                            let again =
-                                make_apply(&ctx, &mut shadow, memo, op, &extra, left, right)
-                                    .expect("make_apply refuses what the unit built");
+                            let again = make_apply(&ctx, &mut shadow, memo, op, left, right)
+                                .expect("make_apply refuses what the unit built");
                             trees += 1;
                             mismatches += u64::from(row_bits(memo, t) != row_bits(memo, again));
                             memo.truncate(at);

@@ -19,11 +19,11 @@ use dpnext_query::OpKind;
 ///
 /// * scans cover exactly their single table occurrence;
 /// * apply nodes join disjoint inputs whose union matches the stored set,
-///   with disjoint applied-operator masks, at least one operator applied
-///   at the cut, every such operator's `(L-TES, R-TES)` satisfied in the
-///   node's physical orientation (or swapped, for commutative operators),
-///   its conflict rules satisfied by the union, extra same-cut operators
-///   all inner joins, and predicate attributes visible in the inputs;
+///   with disjoint applied-operator masks, exactly the node's own operator
+///   applied at the cut and of the node's kind, its `(L-TES, R-TES)`
+///   satisfied in the node's physical orientation (or swapped, for
+///   commutative operators), its conflict rules satisfied by the union,
+///   and predicate attributes visible in the inputs;
 /// * groupjoins have grouping-free right inputs;
 /// * groupings sit on non-grouped inputs over sets that may be grouped
 ///   (`can_group`), with exactly the grouping attributes `G⁺(S)`;
@@ -59,10 +59,10 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
         }
         PlanNode::Apply {
             op,
+            op_idx,
             pred,
             left,
             right,
-            ..
         } => {
             validate_subplan(ctx, store, left)?;
             validate_subplan(ctx, store, right)?;
@@ -86,43 +86,38 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             if here == 0 {
                 return Err(format!("apply over {} applies no operator", hot.set));
             }
-            let mut primaries = 0u32;
-            for idx in 0..ctx.cq.ops.len() {
-                if here & (1u64 << idx) == 0 {
-                    continue;
-                }
-                let info = &ctx.cq.ops[idx];
-                if info.op != OpKind::Join {
-                    primaries += 1;
-                    if info.op != op {
-                        return Err(format!(
-                            "operator {idx} ({}) applied under a {op} node",
-                            info.op
-                        ));
-                    }
-                }
-                let normal = info.l_tes.is_subset_of(l.set) && info.r_tes.is_subset_of(r.set);
-                let swapped = info.l_tes.is_subset_of(r.set) && info.r_tes.is_subset_of(l.set);
-                if !(normal || (swapped && info.op.is_commutative())) {
+            // `OptContext::new` caps the operators at 64, so the shift of
+            // an index it holds does not overflow.
+            let idx = op_idx as usize;
+            let info = match ctx.cq.ops.get(idx) {
+                Some(info) if here == 1 << idx => info,
+                _ => {
                     return Err(format!(
-                        "operator {idx} TES ({}, {}) violated at cut ({}, {})",
-                        info.l_tes, info.r_tes, l.set, r.set
+                        "apply of operator {idx} applies the operators {here:#x} at its cut"
+                    ))
+                }
+            };
+            if info.op != op {
+                return Err(format!(
+                    "operator {idx} ({}) applied under a {op} node",
+                    info.op
+                ));
+            }
+            let normal = info.l_tes.is_subset_of(l.set) && info.r_tes.is_subset_of(r.set);
+            let swapped = info.l_tes.is_subset_of(r.set) && info.r_tes.is_subset_of(l.set);
+            if !(normal || (swapped && op.is_commutative())) {
+                return Err(format!(
+                    "operator {idx} TES ({}, {}) violated at cut ({}, {})",
+                    info.l_tes, info.r_tes, l.set, r.set
+                ));
+            }
+            for rule in &info.rules {
+                if rule.when.intersects(hot.set) && !rule.then.is_subset_of(hot.set) {
+                    return Err(format!(
+                        "operator {idx} conflict rule {} → {} violated by {}",
+                        rule.when, rule.then, hot.set
                     ));
                 }
-                for rule in &info.rules {
-                    if rule.when.intersects(hot.set) && !rule.then.is_subset_of(hot.set) {
-                        return Err(format!(
-                            "operator {idx} conflict rule {} → {} violated by {}",
-                            rule.when, rule.then, hot.set
-                        ));
-                    }
-                }
-            }
-            if primaries > 1 {
-                return Err("multiple non-inner operators merged at one cut".into());
-            }
-            if op != OpKind::Join && here.count_ones() > 1 {
-                return Err(format!("extra operators merged into a {op} application"));
             }
             if op == OpKind::GroupJoin && r.has_grouping() {
                 return Err("groupjoin applied to a pre-aggregated right input".into());
@@ -248,7 +243,7 @@ mod tests {
         let mut scratch = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
         validate_subplan(&ctx, &memo, l).unwrap();
         validate_complete_plan(&ctx, &memo, j).unwrap();
     }
@@ -260,7 +255,7 @@ mod tests {
         let mut scratch = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
         // Corrupt the tree: the right child now covers relation 0 too.
         let mut bogus = *memo.plan(j).cold;
         if let PlanNode::Apply { right, .. } = &mut bogus.node {
@@ -278,13 +273,56 @@ mod tests {
         let mut scratch = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
         let mut bogus = memo[j];
         bogus.applied = 0;
         let id = memo.push_row(bogus, *memo.plan(j).cold);
         // The apply node no longer applies anything at its cut.
         let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
         assert!(err.contains("applies no operator"), "{err}");
+    }
+
+    /// The lower join of `(r ⋈_{a1 = a2} s) ⋈_{a3 = a4} t` (operator 0 of
+    /// 2), copied into a new row whose `applied` is edited to `applied`.
+    fn lower_join_applying(applied: u64) -> (OptContext, Memo, PlanId) {
+        let table = |name, i| QueryTable::new(name, vec![a(i), a(i + 1)], 10.0);
+        let tree = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(3), a(4)),
+            OpTree::binary(
+                OpKind::Join,
+                JoinPred::eq(a(1), a(2)),
+                OpTree::rel(0),
+                OpTree::rel(1),
+            ),
+            OpTree::rel(2),
+        );
+        let tables = vec![table("r", 0), table("s", 2), table("t", 4)];
+        let ctx = OptContext::new(Query::new(tables, tree, None));
+        let mut memo = Memo::new();
+        let mut scratch = Scratch::new(&ctx);
+        let l = make_scan(&ctx, &mut memo, 0);
+        let r = make_scan(&ctx, &mut memo, 1);
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
+        validate_subplan(&ctx, &memo, j).unwrap();
+        let mut bogus = memo[j];
+        bogus.applied = applied;
+        let id = memo.push_row(bogus, *memo.plan(j).cold);
+        (ctx, memo, id)
+    }
+
+    #[test]
+    fn a_second_operator_at_one_cut_is_rejected() {
+        let (ctx, memo, id) = lower_join_applying(0b11);
+        let err = validate_subplan(&ctx, &memo, id).unwrap_err();
+        assert!(err.contains("applies the operators 0x3"), "{err}");
+    }
+
+    #[test]
+    fn an_operator_other_than_the_nodes_own_is_rejected() {
+        let (ctx, memo, id) = lower_join_applying(0b10);
+        let err = validate_subplan(&ctx, &memo, id).unwrap_err();
+        assert!(err.contains("applies the operators 0x2"), "{err}");
     }
 
     #[test]
@@ -322,7 +360,7 @@ mod tests {
         let mut scratch = Scratch::new(&ctx);
         let l = make_scan(&ctx, &mut memo, 0);
         let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, &[], l, r).unwrap();
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
         // Swap the children: the inner join is commutative, so the TES
         // check passes both ways — but the predicate attribute visibility
         // flags the swap (left attrs now come from the right child).

@@ -10,7 +10,7 @@
 
 use dpnext_algebra::AttrId;
 use dpnext_core::aggstate::AggPos;
-use dpnext_core::applicable_ops_into;
+use dpnext_core::applicable_op;
 use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
     make_apply, make_group, make_scan, stage_apply, Memo, MemoMark, OptContext, PlanId, PlanNode,
@@ -72,12 +72,13 @@ fn payload(memo: &Memo, id: PlanId) -> Payload {
 /// The operator, if any, that can join the plans `l` and `r` as they are.
 fn joining(ctx: &OptContext, memo: &Memo, l: PlanId, r: PlanId) -> Option<usize> {
     let (sl, sr) = (memo[l].set, memo[r].set);
-    let mut apps = Vec::new();
-    if sl.is_disjoint(sr) {
-        applicable_ops_into(&ctx.cq, sl, sr, &mut apps);
+    if !sl.is_disjoint(sr) {
+        return None;
     }
-    let unswapped = apps.iter().find(|&&(_, swapped)| !swapped);
-    unswapped.map(|&(op, _)| op)
+    match applicable_op(&ctx.cq, sl, sr) {
+        Some((op, [true, _])) => Some(op),
+        _ => None,
+    }
 }
 
 /// A tree of a work unit as a value: its own payload without the ids of its
@@ -162,7 +163,7 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
             2..=5 if !live.is_empty() => {
                 let (l, r) = (live[x % live.len()].0, live[y % live.len()].0);
                 joining(&ctx, &memo, l, r)
-                    .and_then(|op| make_apply(&ctx, &mut scratch, &mut memo, op, &[], l, r))
+                    .and_then(|op| make_apply(&ctx, &mut scratch, &mut memo, op, l, r))
             }
             6 => {
                 checkpoints.push(Checkpoint {
@@ -189,7 +190,7 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                 let (l, r) = (live[x % live.len()].0, live[y % live.len()].0);
                 if let Some(op) = joining(&ctx, &memo, l, r) {
                     let left_set = memo[l].set;
-                    stage_apply(&ctx, &mut memo, &mut staged, op, &[], left_set);
+                    stage_apply(&ctx, &mut memo, &mut staged, op, left_set);
                     let (before, bytes, rows) = (memo.mark(), memo.live_bytes(), memo.arena_len());
                     let sides = sides(&ctx, &mut scratch, &memo, &staged, (l, r));
                     let plan = |scratch: &Scratch, memo: &Memo, side, t| {
@@ -258,7 +259,7 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                     };
                     let (lefts, rights) = (side(memo[l].set), side(memo[r].set));
                     let left_set = memo[l].set;
-                    stage_apply(&ctx, &mut memo, &mut staged, op, &[], left_set);
+                    stage_apply(&ctx, &mut memo, &mut staged, op, left_set);
                     let rows = memo.arena_len();
                     let sides = sides(&ctx, &mut scratch, &memo, &staged, (l, r));
                     let side = |plans: &[PlanId], side| -> Vec<GridPlan> {

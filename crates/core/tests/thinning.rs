@@ -13,7 +13,7 @@
 //! (Fig. 11) into a sweep: a single-best class may lose the optimum, a
 //! dominance-thinned one never does.
 
-use dpnext_core::applicable_ops_into;
+use dpnext_core::applicable_op;
 use dpnext_core::finalize::final_numbers;
 use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
@@ -106,7 +106,7 @@ fn show(ctx: &OptContext, memo: &Memo, t: PlanId) -> String {
 /// `by` is not monotone, described; `None` when it is monotone on every
 /// case tried.
 ///
-/// For every csg-cmp-pair crossed by one operator, every orientation, and
+/// For every csg-cmp-pair, every orientation its operator applies in, and
 /// both sides of it: take class members `p ≼ q` and a partner `r`, build
 /// every Fig. 8 shape of both with the engine's own `op_trees`, and require
 /// each tree of `q` to be [`covered`] by the trees of `p` — a shape of `p`
@@ -119,20 +119,20 @@ fn first_violation(query: &Query, by: Precedes) -> Option<String> {
     enumerate_ccps(&ctx.cq.graph, |s1, s2| pairs.push((s1, s2)));
     let mut scratch = Scratch::new(&ctx);
     let mut staged = StagedApply::default();
-    let (mut of_p, mut of_q, mut apps) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut of_p, mut of_q) = (Vec::new(), Vec::new());
     for (s1, s2) in pairs {
-        applicable_ops_into(&ctx.cq, s1, s2, &mut apps);
-        // Several operators on one cut (cyclic graphs) are merged by the
-        // engine; the generator's graphs are trees, so one is the case.
-        if apps.iter().any(|&(op, _)| op != apps[0].0) {
+        if memo.class(s1).is_empty() || memo.class(s2).is_empty() {
             continue;
         }
-        for &(op, swapped) in &apps {
-            let (sl, sr) = if swapped { (s2, s1) } else { (s1, s2) };
+        let Some((op, applies)) = applicable_op(&ctx.cq, s1, s2) else {
+            continue;
+        };
+        let orientations = [(s1, s2), (s2, s1)].into_iter().zip(applies);
+        for (sl, sr) in orientations.filter_map(|(sides, applies)| applies.then_some(sides)) {
             let lefts = spread(memo.class(sl), WIDTH);
             let rights = spread(memo.class(sr), WIDTH);
             let mark = memo.mark();
-            stage_apply(&ctx, &mut memo, &mut staged, op, &[], sl);
+            stage_apply(&ctx, &mut memo, &mut staged, op, sl);
             for thinned_left in [true, false] {
                 let (members, partners) = if thinned_left {
                     (&lefts, &rights)
