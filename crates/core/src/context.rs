@@ -12,7 +12,7 @@ use crate::keyset::KeySet;
 use crate::memo::Span;
 use dpnext_algebra::AttrId;
 use dpnext_hypergraph::{FxHashMap, NodeSet};
-use dpnext_query::Query;
+use dpnext_query::{AttrOrigins, Query};
 
 /// Context shared by all plan constructors during one optimization run.
 pub struct OptContext {
@@ -20,8 +20,10 @@ pub struct OptContext {
     pub query: Query,
     /// Conflict-detection result (TES/SES sets) for the query's operators.
     pub cq: ConflictedQuery,
-    /// Attribute → node set required for the attribute to exist.
-    pub origins: FxHashMap<AttrId, NodeSet>,
+    /// Attribute → node set required for the attribute to exist, as one
+    /// dense table: [`Query::attr_origins`] with every groupjoin output
+    /// moved to its operator's hyperedge (see [`OptContext::new`]).
+    pub(crate) origins: AttrOrigins,
     /// Base distinct count per table attribute, indexed by [`AttrId`]:
     /// infinite for every other id below the highest table attribute
     /// ([`OptContext::distinct`] answers the ids above it).
@@ -39,6 +41,9 @@ pub struct OptContext {
     /// Per operator: the attributes its groupjoin aggregates reference
     /// (empty for every other operator).
     pub gj_args: Vec<Vec<AttrId>>,
+    /// Every attribute `G⁺(S)` can hold, sorted by id: see
+    /// [`OptContext::compute_gplus`].
+    pub(crate) gplus_candidates: Vec<GplusCandidate>,
     /// Per table occurrence: its declared candidate keys, normalized and
     /// minimal — what a scan of it carries.
     pub(crate) table_keys: Vec<KeySet>,
@@ -50,26 +55,65 @@ pub struct OptContext {
     first_fresh: u32,
 }
 
-/// [`Query::attr_origins`] under reordering. A groupjoin's outputs exist
-/// as soon as the groupjoin is applied, and that is wherever its hyperedge
-/// fits — which can be a smaller set than its original subtree. `G⁺(S)`
-/// must see them from there on, or a grouping pushed onto such an `S` drops
-/// an attribute a later predicate still needs.
-fn attr_origins(query: &Query, cq: &ConflictedQuery) -> FxHashMap<AttrId, NodeSet> {
-    let mut origins = query.attr_origins();
-    for op in &cq.ops {
-        for call in &op.gj_aggs {
-            origins.insert(call.out, op.l_tes.union(op.r_tes));
+/// One attribute `G⁺(S)` can hold — a grouping attribute, or one that an
+/// operator's predicate or groupjoin aggregates read — with what decides
+/// whether a set `S` keeps it.
+pub(crate) struct GplusCandidate {
+    attr: AttrId,
+    origin: NodeSet,
+    /// Whether the attribute is in the query's `G`.
+    in_group: bool,
+    /// The operators that read it: bit `i` for `cq.ops[i]`.
+    ops: u64,
+}
+
+/// The `G⁺` candidates of a query: every attribute of `group_by`, of a
+/// predicate term and of `gj_args` that has an origin, once, sorted by id.
+pub(crate) fn gplus_candidates(
+    cq: &ConflictedQuery,
+    origins: &AttrOrigins,
+    group_by: &[AttrId],
+    gj_args: &[Vec<AttrId>],
+) -> Vec<GplusCandidate> {
+    // One slot per attribute id, marked with what reads it; an id past the
+    // origin table has no origin, so it is no candidate.
+    let width = origins.max_attr().map_or(0, |a| a.0 + 1);
+    let mut out: Vec<GplusCandidate> = (0..width)
+        .map(|id| GplusCandidate {
+            attr: AttrId(id),
+            origin: origins.get(AttrId(id)).unwrap_or(NodeSet::EMPTY),
+            in_group: false,
+            ops: 0,
+        })
+        .collect();
+    let mut mark = |a: AttrId, in_group: bool, ops: u64| {
+        if let Some(c) = out.get_mut(a.0 as usize) {
+            c.in_group |= in_group;
+            c.ops |= ops;
+        }
+    };
+    for &a in group_by {
+        mark(a, true, 0);
+    }
+    for (i, (op, args)) in cq.ops.iter().zip(gj_args).enumerate() {
+        for &(l, _, r) in &op.pred.terms {
+            mark(l, false, 1 << i);
+            mark(r, false, 1 << i);
+        }
+        for &a in args {
+            mark(a, false, 1 << i);
         }
     }
-    origins
+    out.retain(|c| !c.origin.is_empty() && (c.in_group || c.ops != 0));
+    out
 }
 
 impl OptContext {
     /// Derive the full optimization context (conflict detection,
     /// attribute origins, base statistics) for one query.
     pub fn new(query: Query) -> Self {
-        let cq = detect(&query);
+        let mut origins = query.attr_origins();
+        let cq = detect(&query, &origins);
         // Applied-operator tracking uses a u64 bitmask (`PlanHot::applied`);
         // beyond 64 operators the `1 << op_idx` shifts would wrap silently
         // and the all-operators-applied test (against `applied_ops_mask`)
@@ -79,7 +123,16 @@ impl OptContext {
             "query has {} operators; applied-operator tracking supports at most 64",
             cq.ops.len()
         );
-        let origins = attr_origins(&query, &cq);
+        // A groupjoin's outputs exist as soon as the groupjoin is applied,
+        // and that is wherever its hyperedge fits — which can be a smaller
+        // set than its original subtree. `G⁺(S)` must see them from there
+        // on, or a grouping pushed onto such an `S` drops an attribute a
+        // later predicate still needs.
+        for op in &cq.ops {
+            for call in &op.gj_aggs {
+                origins.insert(call.out, op.l_tes.union(op.r_tes));
+            }
+        }
         let table_attrs = query
             .tables
             .iter()
@@ -89,10 +142,7 @@ impl OptContext {
         for (a, &d) in table_attrs {
             distinct[a.0 as usize] = d;
         }
-        let mut max_attr = 0u32;
-        for &a in origins.keys() {
-            max_attr = max_attr.max(a.0);
-        }
+        let mut max_attr = origins.max_attr().map_or(0, |a| a.0);
         let (mut group_by, aggs) = match &query.grouping {
             Some(g) => (g.group_by.clone(), g.aggs.clone()),
             None => (Vec::new(), Vec::new()),
@@ -113,8 +163,8 @@ impl OptContext {
             .map(|args| {
                 args.iter().fold(NodeSet::EMPTY, |acc, a| {
                     acc.union(
-                        *origins
-                            .get(a)
+                        origins
+                            .get(*a)
                             .expect("aggregate argument attribute unknown"),
                     )
                 })
@@ -125,12 +175,13 @@ impl OptContext {
             .iter()
             .map(|t| KeySet::from_keys(t.keys.iter().cloned()))
             .collect();
-        let gj_args = cq
+        let gj_args: Vec<Vec<AttrId>> = cq
             .ops
             .iter()
             .map(|op| op.gj_aggs.iter().flat_map(|c| c.referenced()).collect())
             .collect();
         OptContext {
+            gplus_candidates: gplus_candidates(&cq, &origins, &group_by, &gj_args),
             gj_args,
             table_keys,
             fresh_agg: AggState::fresh(aggs.len()),
@@ -167,13 +218,11 @@ impl OptContext {
         self.first_fresh
     }
 
-    /// Node set an attribute originates from; panics on unknown ids.
+    /// Node set an attribute originates from — an index into the context's
+    /// dense origin table; panics on unknown ids.
     #[inline]
     pub fn origin(&self, a: AttrId) -> NodeSet {
-        *self
-            .origins
-            .get(&a)
-            .unwrap_or_else(|| panic!("unknown attribute {a}"))
+        self.origins.of(a)
     }
 
     /// Base distinct count of an attribute (infinite when unknown, e.g.
@@ -194,42 +243,38 @@ impl OptContext {
     /// contained in `S` (§4.2's `G⁺ᵢ = Gᵢ ∪ Jᵢ`, closed under the whole
     /// remaining query so the equivalences stay applicable above `S`).
     /// Sorted and duplicate-free.
+    ///
+    /// One pass over facts decided once per query: the operators whose
+    /// hyperedge leaves `S` form a mask, and a candidate (an attribute of
+    /// `G`, a predicate or a groupjoin aggregate, with its origin and the
+    /// mask of operators that read it) stays when its origin lies in `S`
+    /// and it is in `G` or read by an operator of the mask. `O(#operators +
+    /// #candidates)`, no hashing and no sort: the candidates are sorted.
     pub fn compute_gplus(&self, s: NodeSet) -> Vec<AttrId> {
         let mut attrs = Vec::new();
         self.push_gplus(s, &mut attrs);
         attrs
     }
 
-    /// Append `G⁺(S)` to `out` and return where it landed.
+    /// Append `G⁺(S)` ([`OptContext::compute_gplus`]) to `out` and return
+    /// where it landed.
     fn push_gplus(&self, s: NodeSet, out: &mut Vec<AttrId>) -> Span {
         let start = out.len();
-        let mut push = |a: AttrId| {
-            if let Some(org) = self.origins.get(&a) {
-                if org.is_subset_of(s) && !out[start..].contains(&a) {
-                    out.push(a);
-                }
-            }
-        };
-        for &a in &self.group_by {
-            push(a);
-        }
-        for (op, gj_args) in self.cq.ops.iter().zip(&self.gj_args) {
-            // An operator is applied inside every plan for S as soon as its
-            // hyperedge (L-TES ∪ R-TES) lies within S — that is its
-            // earliest application point under reordering, not its original
-            // subtree position.
-            if op.l_tes.union(op.r_tes).is_subset_of(s) {
-                continue;
-            }
-            for &(l, _, r) in &op.pred.terms {
-                push(l);
-                push(r);
-            }
-            for &a in gj_args {
-                push(a);
+        // An operator is applied inside every plan for S as soon as its
+        // hyperedge (L-TES ∪ R-TES) lies within S — that is its earliest
+        // application point under reordering, not its original subtree
+        // position. The others still read their attributes above S.
+        let mut outside = 0u64;
+        for (i, op) in self.cq.ops.iter().enumerate() {
+            if !op.l_tes.union(op.r_tes).is_subset_of(s) {
+                outside |= 1 << i;
             }
         }
-        out[start..].sort_unstable();
+        let kept = self
+            .gplus_candidates
+            .iter()
+            .filter(|c| c.origin.is_subset_of(s) && (c.in_group || c.ops & outside != 0));
+        out.extend(kept.map(|c| c.attr));
         Span::new(start, out.len() - start)
     }
 
@@ -310,8 +355,8 @@ impl Scratch {
     /// and duplicate-free.
     ///
     /// Returns a borrow of the cached attributes: a hit is one map probe,
-    /// a miss appends to the cache's one attribute vector — no allocation
-    /// per set.
+    /// a miss one pass over the query's `G⁺` candidates that appends to the
+    /// cache's one attribute vector — no allocation per set.
     #[inline]
     pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
         let span = self.gplus_span(ctx, s);

@@ -9,9 +9,9 @@
 //! contain all of `B`") checked by [`OperatorInfo::applicable`].
 
 use crate::tables::{assoc, l_asscom, r_asscom};
-use dpnext_algebra::{AggCall, AttrId, JoinPred};
+use dpnext_algebra::{AggCall, JoinPred};
 use dpnext_hypergraph::{Hyperedge, Hypergraph, NodeSet};
-use dpnext_query::{OpKind, OpTree, Query};
+use dpnext_query::{AttrOrigins, OpKind, OpTree, Query};
 
 /// A conflict rule `when → then`: a plan set that touches `when` must
 /// contain all of `then`.
@@ -79,19 +79,13 @@ pub struct ConflictedQuery {
     pub graph: Hypergraph,
 }
 
-/// Run conflict detection on a query's initial operator tree.
-pub(crate) fn detect(query: &Query) -> ConflictedQuery {
-    let origins = query.attr_origins();
-    let origin = |a: AttrId| -> NodeSet {
-        *origins
-            .get(&a)
-            .unwrap_or_else(|| panic!("unknown attribute {a}"))
-    };
-
+/// Run conflict detection on a query's initial operator tree, given its
+/// [`Query::attr_origins`].
+pub(crate) fn detect(query: &Query, origins: &AttrOrigins) -> ConflictedQuery {
     // Collect operators bottom-up, remembering each subtree's operators.
     let mut ops: Vec<OperatorInfo> = Vec::new();
     // For each tree node (by post-order index) the operator indices below it.
-    collect(&query.tree, &origin, &mut ops);
+    collect(&query.tree, origins, &mut ops);
 
     let mut graph = Hypergraph::new(query.table_count());
     for (i, op) in ops.iter().enumerate() {
@@ -103,7 +97,7 @@ pub(crate) fn detect(query: &Query) -> ConflictedQuery {
 /// Recursive walk; returns (relations, operator indices) of the subtree.
 fn collect(
     tree: &OpTree,
-    origin: &impl Fn(AttrId) -> NodeSet,
+    origins: &AttrOrigins,
     ops: &mut Vec<OperatorInfo>,
 ) -> (NodeSet, Vec<usize>) {
     match tree {
@@ -116,22 +110,22 @@ fn collect(
             left,
             right,
         } => {
-            let (lrels, lops) = collect(left, origin, ops);
-            let (rrels, rops) = collect(right, origin, ops);
+            let (lrels, lops) = collect(left, origins, ops);
+            let (rrels, rops) = collect(right, origins, ops);
 
             // SES: relations syntactically required by the predicate (and,
             // for groupjoins, by the aggregate arguments).
             let mut ses_left = NodeSet::EMPTY;
             for a in pred.left_attrs() {
-                ses_left = ses_left.union(origin(a));
+                ses_left = ses_left.union(origins.of(a));
             }
             let mut ses_right = NodeSet::EMPTY;
             for a in pred.right_attrs() {
-                ses_right = ses_right.union(origin(a));
+                ses_right = ses_right.union(origins.of(a));
             }
             for call in gj_aggs {
                 for a in call.referenced() {
-                    ses_right = ses_right.union(origin(a));
+                    ses_right = ses_right.union(origins.of(a));
                 }
             }
             // Degenerate predicates: anchor each side somewhere so the
@@ -280,7 +274,7 @@ mod tests {
             OpTree::rel(2),
         );
         let q = Query::new(tables(3), tree, None);
-        let cq = detect(&q);
+        let cq = detect(&q, &q.attr_origins());
         assert_eq!(2, cq.ops.len());
         assert!(cq.ops.iter().all(|o| o.rules.is_empty()));
         assert!(cq
@@ -311,7 +305,7 @@ mod tests {
             OpTree::rel(2),
         );
         let q = Query::new(tables(3), tree, None);
-        let cq = detect(&q);
+        let cq = detect(&q, &q.attr_origins());
         let outer = cq.ops.iter().find(|o| o.op == OpKind::FullOuter).unwrap();
         // Applying ⟗ on ({1}, {2}) would leave r0 to be joined above: must
         // be rejected.
@@ -341,7 +335,7 @@ mod tests {
             ),
         );
         let q = Query::new(tables(3), tree, None);
-        let cq = detect(&q);
+        let cq = detect(&q, &q.attr_origins());
         let top = cq.ops.iter().find(|o| o.right_rels.len() == 2).unwrap();
         // ({0}, {1}): applying the top ⟕ early — allowed by assoc(⟕,⟕).
         assert_eq!(
@@ -377,7 +371,7 @@ mod tests {
             ),
         );
         let q = Query::new(tables(4), tree, None);
-        let cq = detect(&q);
+        let cq = detect(&q, &q.attr_origins());
         assert_eq!(3, cq.ops.len());
         let outer = cq.ops.iter().find(|o| o.op == OpKind::FullOuter).unwrap();
         // The inner joins must complete before the outer join on each side.
@@ -405,7 +399,7 @@ mod tests {
             OpTree::rel(1),
         );
         let q = Query::new(tables(2), tree, None);
-        let cq = detect(&q);
+        let cq = detect(&q, &q.attr_origins());
         let (r0, r1) = (NodeSet::single(0), NodeSet::single(1));
         assert_eq!(Some((0, [true, true])), applicable_op(&cq, r0, r1));
         assert_eq!(None, applicable_op(&cq, r0, NodeSet::EMPTY));

@@ -79,19 +79,293 @@ fn two_table_ctx(op: OpKind) -> OptContext {
 
 mod context {
     use super::*;
+    use crate::algo::{optimize_prepared, Algorithm, OptimizeOptions};
+    use crate::context::gplus_candidates;
+    use dpnext_hypergraph::enumerate_ccps;
+    use dpnext_workload::{ex_query, generate_query, q10, q3, q5, GenConfig, OpWeights, Topology};
+    use std::collections::BTreeSet;
 
     #[test]
     fn gplus_includes_group_and_crossing_join_attrs() {
         let ctx = two_table_ctx(OpKind::Join);
+        // a1 is both the grouping attribute and the crossing join
+        // attribute: one candidate, beside the join's a2.
+        assert_eq!(2, ctx.gplus_candidates.len());
         let mut sc = Scratch::new(&ctx);
         let g0 = sc.gplus(&ctx, NodeSet::single(0));
-        // a1 is both the grouping attribute and the crossing join attribute.
         assert_eq!(vec![a(1)], g0);
         let g1 = sc.gplus(&ctx, NodeSet::single(1));
         assert_eq!(vec![a(2)], g1); // join attr only
                                     // Full set: nothing crosses; only the grouping attribute remains.
         let gf = sc.gplus(&ctx, NodeSet::full(2));
         assert_eq!(vec![a(1)], gf);
+    }
+
+    /// `r0(a0) ⋈ r1(a1) ⋈ r2(a2)` on `a0 = a1` and `a1 = a2`: a1 is read by
+    /// both operators, so it stays in `G⁺` while either one crosses the set.
+    #[test]
+    fn gplus_keeps_an_attribute_one_of_its_readers_crosses() {
+        let tables = (0..3)
+            .map(|i| QueryTable::new(format!("r{i}"), vec![a(i)], 10.0))
+            .collect();
+        let tree = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(1), a(2)),
+            OpTree::binary(
+                OpKind::Join,
+                JoinPred::eq(a(0), a(1)),
+                OpTree::rel(0),
+                OpTree::rel(1),
+            ),
+            OpTree::rel(2),
+        );
+        let ctx = OptContext::new(Query::new(tables, tree, None));
+        let set = |rels: &[usize]| NodeSet::from_iter(rels.iter().copied());
+        assert_eq!(vec![a(1)], ctx.compute_gplus(set(&[0, 1])));
+        assert_eq!(vec![a(1)], ctx.compute_gplus(set(&[1, 2])));
+        assert_eq!(vec![a(1)], ctx.compute_gplus(set(&[1])));
+        assert_eq!(vec![a(0)], ctx.compute_gplus(set(&[0])));
+        assert!(ctx.compute_gplus(set(&[0, 1, 2])).is_empty());
+    }
+
+    /// `((r0 ⋈ r1) Z r2) ⋈ r3`, the groupjoin on `a1 = a2` computing
+    /// `a60 = sum(a3)` and the top join reading a60: a60 exists from the
+    /// groupjoin's hyperedge `{1, 2}` on, not only from its subtree
+    /// `{0, 1, 2}`, and `G⁺` of that set holds it for the join above.
+    #[test]
+    fn gplus_sees_a_groupjoin_output_from_its_hyperedge() {
+        let tables = vec![
+            QueryTable::new("r0", vec![a(0)], 10.0),
+            QueryTable::new("r1", vec![a(1)], 10.0),
+            QueryTable::new("r2", vec![a(2), a(3)], 10.0),
+            QueryTable::new("r3", vec![a(4)], 10.0),
+        ];
+        let gj = vec![AggCall::new(a(60), AggKind::Sum, Expr::attr(a(3)))];
+        let inner = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(0), a(1)),
+            OpTree::rel(0),
+            OpTree::rel(1),
+        );
+        let grouped = OpTree::groupjoin(JoinPred::eq(a(1), a(2)), gj, inner, OpTree::rel(2));
+        let tree = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(60), a(4)),
+            grouped,
+            OpTree::rel(3),
+        );
+        let ctx = OptContext::new(Query::new(tables, tree, None));
+        let hyperedge = NodeSet::from_iter([1, 2]);
+        assert_eq!(hyperedge, ctx.origin(a(60)));
+        // a1 for the join below, a60 for the join above; the groupjoin
+        // itself is inside the set, so neither a2 nor its argument a3.
+        assert_eq!(vec![a(1), a(60)], ctx.compute_gplus(hyperedge));
+        // Over {2} the groupjoin crosses: its argument a3 stays too.
+        assert_eq!(vec![a(2), a(3)], ctx.compute_gplus(NodeSet::single(2)));
+    }
+
+    /// Over the full set no operator crosses: only `G` is left.
+    #[test]
+    fn gplus_of_the_full_set_is_the_grouping() {
+        let groupjoins = GenConfig {
+            ops: OpWeights::with_groupjoins(),
+            ..GenConfig::oracle(6)
+        };
+        for seed in 0..10 {
+            let ctx = OptContext::new(generate_query(&groupjoins, seed));
+            let full = NodeSet::full(ctx.query.table_count());
+            assert_eq!(ctx.group_by, ctx.compute_gplus(full), "seed {seed}");
+        }
+    }
+
+    /// A grouping attribute without an origin (a query built without
+    /// `Query::new`'s validation) is no candidate, as the term walk skips
+    /// it: a2 lies between the tables' ids, a99 above them.
+    #[test]
+    fn gplus_skips_an_attribute_without_origin() {
+        let tables = vec![
+            QueryTable::new("r0", vec![a(0), a(1)], 10.0),
+            QueryTable::new("r1", vec![a(4)], 10.0),
+        ];
+        let tree = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(1), a(4)),
+            OpTree::rel(0),
+            OpTree::rel(1),
+        );
+        let grouping = GroupSpec {
+            group_by: vec![a(1), a(2), a(99)],
+            ..GroupSpec::default()
+        };
+        let ctx = OptContext::new(Query {
+            tables,
+            tree,
+            grouping: Some(grouping),
+        });
+        assert_eq!(vec![a(1)], ctx.compute_gplus(NodeSet::full(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown attribute")]
+    fn origin_of_an_unknown_attribute_panics() {
+        let ctx = two_table_ctx(OpKind::Join);
+        ctx.origin(a(999));
+    }
+
+    /// `G⁺(S)` as a walk over every predicate term of every operator
+    /// crossing `S`: the definition the candidate list replaced, kept as
+    /// the independent reference for it.
+    fn gplus_by_term_walk(ctx: &OptContext, s: NodeSet) -> Vec<AttrId> {
+        let mut out = Vec::new();
+        let mut push = |a: AttrId| {
+            if let Some(org) = ctx.origins.get(a) {
+                if org.is_subset_of(s) && !out.contains(&a) {
+                    out.push(a);
+                }
+            }
+        };
+        for &a in &ctx.group_by {
+            push(a);
+        }
+        for (op, gj_args) in ctx.cq.ops.iter().zip(&ctx.gj_args) {
+            if op.l_tes.union(op.r_tes).is_subset_of(s) {
+                continue;
+            }
+            for &(l, _, r) in &op.pred.terms {
+                push(l);
+                push(r);
+            }
+            for &a in gj_args {
+                push(a);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// What [`gplus_matches_the_term_walk`] saw over one query's sets.
+    #[derive(Default)]
+    struct GplusSweep {
+        sets: usize,
+        /// Sets whose `G⁺` holds a groupjoin argument of an operator
+        /// crossing them.
+        gj_arg_sets: usize,
+        /// The first set whose memoized `G⁺` differs from the reference.
+        wrong: Option<String>,
+    }
+
+    impl GplusSweep {
+        fn check(&mut self, ctx: &OptContext, sets: impl IntoIterator<Item = NodeSet>) {
+            let mut sc = Scratch::new(ctx);
+            for s in sets {
+                self.sets += 1;
+                let reference = gplus_by_term_walk(ctx, s);
+                let crossing = ctx
+                    .cq
+                    .ops
+                    .iter()
+                    .zip(&ctx.gj_args)
+                    .filter(|(op, _)| !op.l_tes.union(op.r_tes).is_subset_of(s));
+                let mut gj_args = crossing.flat_map(|(_, args)| args);
+                if gj_args.any(|a| reference.contains(a)) {
+                    self.gj_arg_sets += 1;
+                }
+                let got = sc.gplus(ctx, s);
+                if self.wrong.is_none() && got != reference {
+                    self.wrong = Some(format!("G⁺({s}) = {got:?}, the term walk {reference:?}"));
+                }
+            }
+        }
+    }
+
+    /// Every side and every union of a csg-cmp-pair of `ctx`'s query.
+    fn ccp_sets(ctx: &OptContext) -> BTreeSet<NodeSet> {
+        let mut sets = BTreeSet::new();
+        enumerate_ccps(&ctx.cq.graph, |s1, s2| {
+            sets.extend([s1, s2, s1.union(s2)]);
+        });
+        sets
+    }
+
+    /// The memoized `G⁺` equals the term walk on every csg-cmp-pair side
+    /// and union of `paper(3..=11)` × 10 seeds, `topology(8..=12, Chain |
+    /// Star | Clique | Mixed)` × 4 seeds, `oracle(2..=6)` with and without
+    /// groupjoins × 20 seeds and the four TPC-H queries, and on every set
+    /// the ladder leaves in the memo for `topology(40, Clique)` seed 0. The
+    /// sweep must meet a groupjoin argument in `G⁺`, and a candidate list
+    /// built without the groupjoin arguments must fail it.
+    #[test]
+    fn gplus_matches_the_term_walk() {
+        let paper = (3..=11).flat_map(|n| (0..10).map(move |seed| (GenConfig::paper(n), seed)));
+        let topologies = (8..=12).flat_map(|n| {
+            [
+                Topology::Chain,
+                Topology::Star,
+                Topology::Clique,
+                Topology::Mixed,
+            ]
+            .into_iter()
+            .flat_map(move |t| (0..4).map(move |seed| (GenConfig::topology(n, t), seed)))
+        });
+        let groupjoins = |n| GenConfig {
+            ops: OpWeights::with_groupjoins(),
+            ..GenConfig::oracle(n)
+        };
+        let oracle = (2..=6)
+            .flat_map(|n| [GenConfig::oracle(n), groupjoins(n)])
+            .flat_map(|cfg| (0..20).map(move |seed| (cfg.clone(), seed)));
+        let generated = paper
+            .chain(topologies)
+            .chain(oracle)
+            .map(|(cfg, seed)| (format!("{cfg:?}, seed {seed}"), generate_query(&cfg, seed)));
+        let tpch = [ex_query(), q3(), q5(), q10()].map(|q| (q.name.to_string(), q.bound.query));
+        let (mut sweep, mut blind_failed) = (GplusSweep::default(), 0);
+        for (query, q) in generated.chain(tpch) {
+            let ctx = OptContext::new(q);
+            let sets = ccp_sets(&ctx);
+            sweep.check(&ctx, sets.iter().copied());
+            if let Some(wrong) = sweep.wrong.take() {
+                panic!("{query}: {wrong}");
+            }
+            // The negative control: the same candidates without the
+            // groupjoin arguments.
+            let mut blind = OptContext::new(ctx.query.clone());
+            let no_args = vec![Vec::new(); blind.cq.ops.len()];
+            blind.gplus_candidates =
+                gplus_candidates(&blind.cq, &blind.origins, &blind.group_by, &no_args);
+            let mut control = GplusSweep::default();
+            control.check(&blind, sets);
+            blind_failed += usize::from(control.wrong.is_some());
+        }
+        let options = OptimizeOptions {
+            explain: false,
+            ..OptimizeOptions::default()
+        };
+        let ctx = OptContext::new(generate_query(
+            &GenConfig::topology(40, Topology::Clique),
+            0,
+        ));
+        let mut memo = Memo::new();
+        optimize_prepared(&ctx, Algorithm::Adaptive, &options, &mut memo);
+        let laddered: BTreeSet<NodeSet> = memo.arena_ids().map(|id| memo[id].set).collect();
+        assert!(
+            laddered.len() > 40,
+            "{} sets in the ladder's memo",
+            laddered.len()
+        );
+        sweep.check(&ctx, laddered);
+        if let Some(wrong) = sweep.wrong {
+            panic!("topology(40, Clique) seed 0: {wrong}");
+        }
+        assert!(sweep.sets > 10_000, "only {} sets", sweep.sets);
+        assert!(
+            sweep.gj_arg_sets > 0,
+            "no set's G⁺ holds a groupjoin argument"
+        );
+        assert!(
+            blind_failed > 0,
+            "the sweep passes without groupjoin arguments"
+        );
     }
 
     #[test]

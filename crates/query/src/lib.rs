@@ -9,5 +9,5 @@ pub mod query;
 pub mod table;
 
 pub use optree::{OpKind, OpTree};
-pub use query::{GroupSpec, Query};
+pub use query::{AttrOrigins, GroupSpec, Query};
 pub use table::QueryTable;

@@ -3,7 +3,7 @@
 use crate::optree::{OpKind, OpTree};
 use crate::table::QueryTable;
 use dpnext_algebra::{AggCall, AggKind, AlgExpr, AttrGen, AttrId, Expr};
-use dpnext_hypergraph::{FxHashMap, NodeSet};
+use dpnext_hypergraph::NodeSet;
 
 /// The grouping part of a query: `select G, F(…) … group by G`.
 ///
@@ -51,6 +51,46 @@ impl GroupSpec {
     }
 }
 
+/// Attribute → the node set that must be present for the attribute to
+/// exist ([`Query::attr_origins`]): a dense table indexed by [`AttrId`], so
+/// a lookup is an index. An id without an origin reads as the empty set,
+/// which no attribute has.
+#[derive(Debug, Clone)]
+pub struct AttrOrigins(Vec<NodeSet>);
+
+impl AttrOrigins {
+    /// The origin of `a`, if it has one.
+    #[inline]
+    pub fn get(&self, a: AttrId) -> Option<NodeSet> {
+        let org = self.0.get(a.0 as usize).copied()?;
+        (!org.is_empty()).then_some(org)
+    }
+
+    /// The origin of `a`; panics on an id without one.
+    #[inline]
+    pub fn of(&self, a: AttrId) -> NodeSet {
+        self.get(a)
+            .unwrap_or_else(|| panic!("unknown attribute {a}"))
+    }
+
+    /// Give `a` the origin `org` (not empty), replacing any it had.
+    pub fn insert(&mut self, a: AttrId, org: NodeSet) {
+        assert!(!org.is_empty(), "attribute {a} given an empty origin");
+        let i = a.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, NodeSet::EMPTY);
+        }
+        self.0[i] = org;
+    }
+
+    /// The highest id with an origin, if any has one.
+    pub fn max_attr(&self) -> Option<AttrId> {
+        // Every index below the length came from a `u32` id.
+        let last = self.0.len().checked_sub(1)?;
+        Some(AttrId(last as u32))
+    }
+}
+
 /// A complete query.
 #[derive(Debug, Clone)]
 pub struct Query {
@@ -79,8 +119,10 @@ impl Query {
     /// Map every attribute to the node set that must be present for the
     /// attribute to exist: table attributes map to their occurrence,
     /// groupjoin outputs to the relations of the groupjoin's subtree.
-    pub fn attr_origins(&self) -> FxHashMap<AttrId, NodeSet> {
-        let mut origins = FxHashMap::default();
+    pub fn attr_origins(&self) -> AttrOrigins {
+        let attrs = self.tables.iter().flat_map(|t| &t.attrs);
+        let width = attrs.map(|a| a.0 as usize + 1).max().unwrap_or(0);
+        let mut origins = AttrOrigins(vec![NodeSet::EMPTY; width]);
         for (i, t) in self.tables.iter().enumerate() {
             for &a in &t.attrs {
                 origins.insert(a, NodeSet::single(i));
@@ -154,18 +196,14 @@ impl Query {
                 let lrels = left.relations();
                 let rrels = right.relations();
                 for &a in &pred.left_attrs() {
-                    let org = origins
-                        .get(&a)
-                        .unwrap_or_else(|| panic!("unknown attr {a}"));
+                    let org = origins.of(a);
                     assert!(
                         org.is_subset_of(lrels),
                         "pred attr {a} not from left subtree"
                     );
                 }
                 for &a in &pred.right_attrs() {
-                    let org = origins
-                        .get(&a)
-                        .unwrap_or_else(|| panic!("unknown attr {a}"));
+                    let org = origins.of(a);
                     assert!(
                         org.is_subset_of(rrels),
                         "pred attr {a} not from right subtree"
@@ -173,9 +211,7 @@ impl Query {
                 }
                 for call in gj_aggs {
                     for a in call.referenced() {
-                        let org = origins
-                            .get(&a)
-                            .unwrap_or_else(|| panic!("unknown attr {a}"));
+                        let org = origins.of(a);
                         assert!(
                             org.is_subset_of(rrels),
                             "groupjoin aggregate attr {a} not from right subtree"
@@ -274,8 +310,10 @@ mod tests {
     fn attr_origins_for_tables() {
         let q = two_table_query();
         let origins = q.attr_origins();
-        assert_eq!(NodeSet::single(0), origins[&a(1)]);
-        assert_eq!(NodeSet::single(1), origins[&a(3)]);
+        assert_eq!(NodeSet::single(0), origins.of(a(1)));
+        assert_eq!(NodeSet::single(1), origins.of(a(3)));
+        assert_eq!(None, origins.get(a(50)));
+        assert_eq!(None, origins.get(a(1_000)));
     }
 
     #[test]
