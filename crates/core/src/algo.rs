@@ -79,10 +79,6 @@ impl Algorithm {
 pub struct Optimized {
     /// The winning complete plan with its cost and cardinality.
     pub plan: FinalPlan,
-    /// Annotated EXPLAIN rendering of the winning logical plan (per-node
-    /// cardinality/cost estimates, keys, aggregation state). Empty when
-    /// rendering was disabled via [`OptimizeOptions::explain`].
-    pub explain: String,
     /// Plans (joins + groupings) the search accounted for: each was either
     /// built, or belongs to a work unit settled unbuilt — a full-set unit
     /// the complete-plan bound settled, or a unit of the mirror
@@ -103,7 +99,8 @@ pub struct Optimized {
     /// Memo statistics: arena size, peak class width, prune hit-rate,
     /// budget and degradation of an adaptive run.
     pub memo: MemoStats,
-    /// Time spent searching (EXPLAIN rendering excluded).
+    /// Time spent searching, from the search's start to the winner's
+    /// compiled plan.
     pub elapsed: Duration,
 }
 
@@ -115,34 +112,22 @@ pub struct Optimized {
 /// deadline under any algorithm: only the ladder has a plan to ship when a
 /// budget stops the search mid-stream, and it is an EA-Prune search, so an
 /// H1/H2/DPhyp/EA-All choice is then not honoured. Every other run arms
-/// nothing and reads neither. The third field, `explain`, only decides
-/// whether the result carries its EXPLAIN text; the plan is the same
-/// either way.
-#[derive(Debug, Clone, Copy)]
+/// nothing and reads neither.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OptimizeOptions {
-    /// Render the EXPLAIN string (skip for pure benchmarking runs).
-    pub explain: bool,
     /// The maximum number of plans (joins + groupings) the ladder may
     /// construct across all its rungs. `0` means the adaptive default
     /// ([`crate::ladder::DEFAULT_PLAN_BUDGET`]); requests below the greedy
     /// floor ([`crate::ladder::budget_floor`]) are clamped up so a valid
     /// plan always fits.
     pub plan_budget: u64,
-    /// Wall-clock deadline for the whole optimization, checked once per
-    /// enumeration work unit (overshoot is bounded by one unit) and
-    /// recorded as [`crate::Degradation::deadline_aborted`]. `None` (the
-    /// default): no deadline.
+    /// Wall-clock deadline for the whole optimization, recorded as
+    /// [`crate::Degradation::deadline_aborted`] when it passes. The ladder's
+    /// greedy rung reads no clock, so a deadline that passes during it is
+    /// overshot by the rest of the greedy pass; one that passes in a later
+    /// rung, by at most one enumeration work unit (see [`crate::ladder`]).
+    /// `None` (the default): no deadline.
     pub deadline: Option<Duration>,
-}
-
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        OptimizeOptions {
-            explain: true,
-            plan_budget: 0,
-            deadline: None,
-        }
-    }
 }
 
 /// Optimize `query` with the chosen algorithm and default options.
@@ -220,7 +205,7 @@ pub fn optimize_prepared(
         search.restart(ThinBy::Cheapest(None), false);
         search.enumerate();
     }
-    search.finish(opts.explain)
+    search.finish()
 }
 
 /// Seed the singleton scan classes.
@@ -758,35 +743,24 @@ impl<'a> Search<'a> {
     }
 
     /// The one epilogue of every run: compile the winner (deferred to here,
-    /// so only one plan ever pays the `compile` walk), stop the clock,
-    /// render EXPLAIN if asked, and report. Returns the winner's memo id
-    /// next to the result, for callers that go on to inspect the plan in
-    /// the memo the search borrowed.
+    /// so only one plan ever pays the `compile` walk), stop the clock, and
+    /// report. Returns the winner's memo id next to the result, for callers
+    /// that go on to inspect the plan in the memo the search borrowed
+    /// ([`crate::explain()`] renders it).
     ///
     /// Panics when no pair produced a complete plan: the query graph is
     /// disconnected or over-constrained (or the budget ran out before the
     /// first full-set pair — the ladder's greedy floor rules that out).
-    pub(crate) fn finish(self, explain: bool) -> (Optimized, PlanId) {
+    pub(crate) fn finish(self) -> (Optimized, PlanId) {
         let Some(id) = self.winner() else {
             panic!("no plan found: query graph disconnected or over-constrained")
         };
-        let plan = finalize(self.ctx, self.memo, id);
-        // Capture the search time *before* rendering: EXPLAIN is
-        // presentation, not optimization, and must not inflate the
-        // reported elapsed time.
-        let elapsed = self.started.elapsed();
-        let explain = if explain {
-            crate::explain::explain(self.ctx, self.memo, id)
-        } else {
-            String::new()
-        };
         let optimized = Optimized {
-            plan,
-            explain,
+            plan: finalize(self.ctx, self.memo, id),
+            elapsed: self.started.elapsed(),
             plans_built: self.scratch.plans_built,
             retained_plans: self.memo.retained(),
             memo: self.memo.stats(),
-            elapsed,
         };
         (optimized, id)
     }

@@ -469,7 +469,9 @@ pub struct Degradation {
     /// ran out before the enumeration finished.
     pub budget_aborted: bool,
     /// A rung was aborted mid-stream (or skipped) because the wall-clock
-    /// deadline passed; overshoot is bounded by one enumeration work unit.
+    /// deadline passed. The greedy rung reads no clock, so a deadline that
+    /// passes during it is overshot by the rest of the greedy pass; one that
+    /// passes in a later rung, by at most one enumeration work unit.
     pub deadline_aborted: bool,
 }
 

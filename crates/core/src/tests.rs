@@ -337,10 +337,7 @@ mod context {
             control.check(&blind, sets);
             blind_failed += usize::from(control.wrong.is_some());
         }
-        let options = OptimizeOptions {
-            explain: false,
-            ..OptimizeOptions::default()
-        };
+        let options = OptimizeOptions::default();
         let ctx = OptContext::new(generate_query(
             &GenConfig::topology(40, Topology::Clique),
             0,
@@ -769,11 +766,12 @@ mod engine {
     use crate::detect::applicable_op;
     use crate::finalize::final_numbers;
     use crate::ladder::greedy::{estimate_pair, greedy_join, greedy_join_with, replay_canonical};
-    use crate::memo::{PlanNode, ThinBy};
+    use crate::memo::{AdaptiveMode, PlanNode, ThinBy};
     use crate::optrees::Grid;
     use dpnext_hypergraph::{enumerate_ccps, Hyperedge};
     use dpnext_workload::{ex_query, generate_query, q10, q3, q5, GenConfig, OpWeights, Topology};
     use std::collections::HashSet;
+    use std::time::Duration;
 
     /// What a sweep of full-set units met, and the buffers it walks them
     /// with.
@@ -960,10 +958,7 @@ mod engine {
             .map(GenConfig::oracle)
             .chain((3..=max_n).map(GenConfig::paper))
             .chain((2..=max_n).map(groupjoins));
-        let options = OptimizeOptions {
-            explain: false,
-            ..OptimizeOptions::default()
-        };
+        let options = OptimizeOptions::default();
         let mut sweep = Sweep::default();
         for (cfg, seed) in configs.flat_map(|cfg| (0..40).map(move |seed| (cfg.clone(), seed))) {
             let ctx = OptContext::new(generate_query(&cfg, seed));
@@ -1142,10 +1137,7 @@ mod engine {
             .into_iter()
             .flat_map(move |t| (0..6).map(move |seed| (GenConfig::topology(n, t), seed)))
         });
-        let options = OptimizeOptions {
-            explain: false,
-            ..OptimizeOptions::default()
-        };
+        let options = OptimizeOptions::default();
         let (mut staged, mut grid) = (StagedApply::default(), Grid::default());
         let (mut joins, mut trees, mut outers, mut outers_differ) = (0, 0u64, 0, 0);
         for (cfg, seed) in paper.chain(topologies) {
@@ -1336,7 +1328,7 @@ mod engine {
                     panic!("paper({n}), seed {seed}, after stratum {size}: {e}");
                 }
             }
-            let (fed, _) = search.finish(false);
+            let (fed, _) = search.finish();
             let run = optimize(&ctx.query, Algorithm::EaPrune);
             assert_eq!(
                 run.plan.cost.to_bits(),
@@ -1669,6 +1661,31 @@ mod engine {
                     "a wrong {side} grouping {what} went unnoticed"
                 );
             }
+        }
+    }
+
+    /// The greedy rung reads no clock: under a deadline that has passed
+    /// before the run starts, the ladder still builds exactly what
+    /// `greedy_join` alone builds on a fresh search over the same context,
+    /// and ships that plan as deadline-aborted. So a deadline that passes
+    /// during the greedy pass is overshot by the rest of the pass, not by
+    /// one work unit.
+    #[test]
+    fn an_expired_deadline_cuts_nothing_out_of_the_greedy_pass() {
+        let opts = OptimizeOptions {
+            deadline: Some(Duration::ZERO),
+            ..OptimizeOptions::default()
+        };
+        for (n, topology) in [(40, Topology::Clique), (30, Topology::Chain)] {
+            let ctx = OptContext::new(generate_query(&GenConfig::topology(n, topology), 0));
+            let (run, _) = optimize_prepared(&ctx, Algorithm::Adaptive, &opts, &mut Memo::new());
+            let mut memo = Memo::new();
+            let mut greedy = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+            greedy_join(&mut greedy, &ctx);
+            let what = format!("{topology:?}({n})");
+            assert_eq!(AdaptiveMode::Greedy, run.memo.adaptive_mode, "{what}");
+            assert!(run.memo.degradation.deadline_aborted, "{what}");
+            assert_eq!(greedy.plans_built(), run.plans_built, "{what}");
         }
     }
 }

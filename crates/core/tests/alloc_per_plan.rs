@@ -48,10 +48,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn plan_construction_allocates_only_amortised_growth() {
-    let opts = OptimizeOptions {
-        explain: false,
-        ..OptimizeOptions::default()
-    };
+    let opts = OptimizeOptions::default();
     // Seed 4 at n = 11 is the heaviest EA-Prune query of the benchmark's
     // paper mix: its greedy-seeded walk still builds thousands of plans.
     //

@@ -5,24 +5,17 @@
 //! the deadline in [`dpnext_core::MemoStats::degradation`].
 
 use dpnext_core::{
-    optimize_prepared, optimize_with, validate_complete_plan, AdaptiveMode, Algorithm, Memo,
-    OptContext, OptimizeOptions,
+    optimize, optimize_prepared, optimize_with, validate_complete_plan, AdaptiveMode, Algorithm,
+    Memo, OptContext, OptimizeOptions,
 };
 use dpnext_workload::{generate_query, GenConfig, Topology};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
-fn base() -> OptimizeOptions {
-    OptimizeOptions {
-        explain: false,
-        ..OptimizeOptions::default()
-    }
-}
-
 fn deadlined(deadline: Duration) -> OptimizeOptions {
     OptimizeOptions {
         deadline: Some(deadline),
-        ..base()
+        ..OptimizeOptions::default()
     }
 }
 
@@ -52,7 +45,7 @@ proptest! {
                 "invalid deadlined plan ({topo:?} n={n} seed={seed} dl={deadline_micros}us): {e}"
             );
         }
-        let exact = optimize_with(&q, Algorithm::EaPrune, &base());
+        let exact = optimize(&q, Algorithm::EaPrune);
         let (a, e) = (optimized.plan.cost, exact.plan.cost);
         prop_assert!(
             a >= e * (1.0 - 1e-9),
@@ -91,7 +84,7 @@ fn ample_deadline_still_reaches_the_exact_optimum() {
     let stats = optimized.memo;
     assert_eq!(AdaptiveMode::Exact, stats.adaptive_mode);
     assert!(!stats.degradation.any());
-    let exact = optimize_with(&q, Algorithm::EaPrune, &base());
+    let exact = optimize(&q, Algorithm::EaPrune);
     assert_eq!(
         exact.plan.cost.to_bits(),
         optimized.plan.cost.to_bits(),

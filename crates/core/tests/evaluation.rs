@@ -20,7 +20,7 @@
 //! H2(F=1.01) is within 0.3% of H1 at every `n`, and H2(F=1.1) is worse
 //! than H1 at every `n ≥ 4` (1.0942 against 1.0711 at `n = 10`).
 
-use dpnext_core::{optimize_with, Algorithm, OptimizeOptions};
+use dpnext_core::{optimize, Algorithm};
 use dpnext_workload::{generate_query, GenConfig};
 use std::ops::RangeInclusive;
 
@@ -72,16 +72,12 @@ fn seed(n: usize, q: usize) -> u64 {
 /// Run the sweep, checking every query against its optimum, and return
 /// one [`Row`] per size.
 fn sweep(sizes: RangeInclusive<usize>, queries: usize) -> Vec<Row> {
-    let opts = OptimizeOptions {
-        explain: false,
-        ..OptimizeOptions::default()
-    };
     sizes
         .map(|n| {
             let mut log_sums = [0.0f64; 6];
             for q in 0..queries {
                 let query = generate_query(&GenConfig::paper(n), seed(n, q));
-                let cost = |algo| optimize_with(&query, algo, &opts).plan.cost;
+                let cost = |algo| optimize(&query, algo).plan.cost;
                 let optimum = cost(Algorithm::EaPrune);
                 for (algo, log_sum) in ALGORITHMS.iter().zip(&mut log_sums) {
                     let c = cost(*algo);

@@ -1,10 +1,10 @@
-//! EXPLAIN is rendered on every optimization that asks for it — every
-//! serving miss — so it writes each node straight into its output. The
-//! text it writes is pinned here, byte for byte, on a plan that shows every
-//! kind of line: joins, groupings, partial aggregates, count columns, key
-//! sets and a scan with no property at all (its line ends in two spaces).
+//! EXPLAIN is rendered on demand, from the memo a run leaves behind and the
+//! winner's id, and writes each node straight into its output. The text it
+//! writes is pinned here, byte for byte, on a plan that shows every kind of
+//! line: joins, groupings, partial aggregates, count columns, key sets and a
+//! scan with no property at all (its line ends in two spaces).
 
-use dpnext_core::{optimize, Algorithm};
+use dpnext_core::{explain, optimize_prepared, Algorithm, Memo, OptContext, OptimizeOptions};
 use dpnext_workload::q10;
 
 /// TPC-H Q10 under H1, as rendered before EXPLAIN stopped building a
@@ -25,6 +25,9 @@ const Q10_H1: &str = concat!(
 
 #[test]
 fn explain_text_is_byte_identical_on_tpch_q10() {
-    let explain = optimize(&q10().bound.query, Algorithm::H1).explain;
-    assert_eq!(explain, Q10_H1, "EXPLAIN text changed:\n{explain}");
+    let (ctx, mut memo) = (OptContext::new(q10().bound.query), Memo::new());
+    let opts = OptimizeOptions::default();
+    let (_, winner) = optimize_prepared(&ctx, Algorithm::H1, &opts, &mut memo);
+    let text = explain(&ctx, &memo, winner);
+    assert_eq!(text, Q10_H1, "EXPLAIN text changed:\n{text}");
 }

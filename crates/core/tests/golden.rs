@@ -91,18 +91,14 @@ const TIGHT: [u64; 2] = [1, 2_000];
 const SEED: u64 = 1;
 
 fn options(arm: Arm) -> OptimizeOptions {
-    let base = OptimizeOptions {
-        explain: false,
-        ..OptimizeOptions::default()
-    };
     match arm {
         Arm::Plans(plan_budget) => OptimizeOptions {
             plan_budget,
-            ..base
+            ..OptimizeOptions::default()
         },
         Arm::AmpleDeadline => OptimizeOptions {
             deadline: Some(AMPLE_DEADLINE),
-            ..base
+            ..OptimizeOptions::default()
         },
     }
 }

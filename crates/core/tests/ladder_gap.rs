@@ -30,7 +30,7 @@
 //! and `mixed(40)` seeds 0, 2 and 3 (seed 0 takes 10–11 s, 26 M plans and
 //! 0.7 GB).
 
-use dpnext_core::{optimize_with, Algorithm, OptimizeOptions};
+use dpnext_core::{optimize, optimize_with, Algorithm, OptimizeOptions};
 use dpnext_workload::{generate_query, GenConfig, Topology};
 
 /// One request and its record: topology, n, generator seed, the ladder's
@@ -91,20 +91,16 @@ const RECORDED_SLOW: &[Row] = &[
 /// optimum, then compare the rows with the record; on a mismatch, fail
 /// with the rows to record.
 fn check(recorded: &[Row]) {
-    let exact = OptimizeOptions {
-        explain: false,
-        ..OptimizeOptions::default()
-    };
     let ladder = OptimizeOptions {
         plan_budget: 50_000,
-        ..exact
+        ..OptimizeOptions::default()
     };
     let rows: Vec<Row> = recorded
         .iter()
         .map(|&(topology, n, seed, ..)| {
             let query = generate_query(&GenConfig::topology(n, topology), seed);
             let shipped = optimize_with(&query, Algorithm::Adaptive, &ladder);
-            let optimum = optimize_with(&query, Algorithm::EaPrune, &exact);
+            let optimum = optimize(&query, Algorithm::EaPrune);
             let (cost, best) = (shipped.plan.cost, optimum.plan.cost);
             let what = format!("{topology:?}({n}) seed {seed}");
             assert!(shipped.plans_built <= ladder.plan_budget, "{what}");

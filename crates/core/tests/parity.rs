@@ -424,7 +424,7 @@ fn pooled_memo_reuse_matches_fresh_stats() {
                     ),
                     "{what}: prune counters"
                 );
-                assert_eq!(fresh.explain, pooled.explain, "{what}: explain");
+                assert_eq!(fresh.plan.root, pooled.plan.root, "{what}: plan");
             }
         }
         // The arena allocation really was recycled, not reallocated per

@@ -311,9 +311,7 @@ mod tests {
     /// footprint the run leaves it with.
     fn grow(memo: &mut Memo, n: usize) -> u64 {
         let q = generate_query(&GenConfig::paper(n), 7);
-        Optimizer::new(Algorithm::EaPrune)
-            .explain(false)
-            .optimize_pooled(&q, memo);
+        Optimizer::new(Algorithm::EaPrune).optimize_pooled(&q, memo);
         memo.footprint_bytes()
     }
 
@@ -390,8 +388,8 @@ mod tests {
         // leaves dominance rows in the memo's classes; no small EA-All run
         // fills any, so they go (the `rows_peak` rule).
         let pool = MemoPool::new(1);
-        let opt = Optimizer::new(Algorithm::EaAll).explain(false);
-        let prune = Optimizer::new(Algorithm::EaPrune).explain(false);
+        let opt = Optimizer::new(Algorithm::EaAll);
+        let prune = Optimizer::new(Algorithm::EaPrune);
         let big = generate_query(&GenConfig::paper(6), 42);
         let small = generate_query(&GenConfig::paper(3), 42);
 
@@ -485,7 +483,7 @@ mod tests {
     fn invalid_memo_is_rejected_at_check_in() {
         let pool = MemoPool::new(2);
         let q = generate_query(&GenConfig::paper(3), 1);
-        let opt = Optimizer::new(Algorithm::EaPrune).explain(false);
+        let opt = Optimizer::new(Algorithm::EaPrune);
         {
             let mut memo = pool.checkout();
             opt.optimize_pooled(&q, &mut memo);

@@ -57,7 +57,7 @@ fn assert_bit_identical(cold: &Optimized, traced: &Optimized, what: &str) {
     );
     assert_eq!(cold.plans_built, traced.plans_built, "{what}: plans_built");
     assert_eq!(cold.memo, traced.memo, "{what}: memo stats");
-    assert_eq!(cold.explain, traced.explain, "{what}: explain");
+    assert_eq!(cold.plan.root, traced.plan.root, "{what}: plan");
 }
 
 /// Tracing must observe, never steer: re-running the golden parity grid
@@ -468,11 +468,10 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     let _guard = locked();
     let sink = Arc::new(RingSink::new(4096));
     dpnext_obs::install_sink(sink.clone());
-    let quiet = || Optimizer::new(A::EaPrune).explain(false);
     let query = generate_query(&GenConfig::paper(5), 1);
 
     // Both front doors of an ungoverned service.
-    let service = OptimizerService::new(quiet());
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
     let (miss, _) = one_request(&service, &sink, "optimized", || service.optimize(&query));
     assert!(!miss.unwrap().cache_hit);
     let (hit, _) = one_request(&service, &sink, "cache_hit", || service.optimize(&query));
@@ -498,12 +497,8 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     assert_root_covers_bind(&spans, "miss");
 
     // A panic in the optimizer.
-    let service = OptimizerService::new(quiet()).with_fault_injection(FaultInjector::new(
-        0,
-        1_000_000,
-        0,
-        Duration::ZERO,
-    ));
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune))
+        .with_fault_injection(FaultInjector::new(0, 1_000_000, 0, Duration::ZERO));
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let (panicked, _) = one_request(&service, &sink, "panicked", || service.optimize(&query));
@@ -516,7 +511,7 @@ fn every_outcome_is_one_root_span_and_one_latency_sample() {
     // of the cache.
     let star = generate_query(&GenConfig::topology(30, Topology::Star), 0);
     let service = OptimizerService::with_config(
-        quiet().deadline(Some(Duration::from_millis(20))),
+        Optimizer::new(A::EaPrune).deadline(Some(Duration::from_millis(20))),
         ServiceConfig {
             max_concurrent: 1,
             max_queued: 0,
@@ -653,7 +648,7 @@ fn leaves(text: &str) -> Vec<(String, String)> {
 #[test]
 fn stats_json_has_one_key_per_service_stats_counter() {
     let _guard = locked();
-    let service = OptimizerService::new(Optimizer::new(A::EaPrune).explain(false));
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
     for seed in [0, 1, 1] {
         service
             .optimize(&generate_query(&GenConfig::paper(4), seed))
@@ -736,7 +731,7 @@ fn retry_hint_is_measured_and_bounded() {
     let _guard = locked();
     let service = Arc::new(
         OptimizerService::with_config(
-            Optimizer::new(A::EaPrune).explain(false),
+            Optimizer::new(A::EaPrune),
             ServiceConfig {
                 cache_capacity: 0, // every request must reach the gate
                 max_concurrent: 1,

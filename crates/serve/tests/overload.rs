@@ -8,10 +8,6 @@ use dpnext_workload::{generate_query, GenConfig, Topology};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn quiet_optimizer(algo: A) -> Optimizer {
-    Optimizer::new(algo).explain(false)
-}
-
 /// The acceptance identity: a synchronized burst of N requests over an
 /// admission cap of 4 (2 concurrent + 2 queued) splits exactly into
 /// admitted successes and fast `Overloaded` rejections — no request is
@@ -35,7 +31,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     let inj = FaultInjector::new(0xCAFE, 0, 1_000_000, Duration::from_millis(10));
     let service = Arc::new(
         OptimizerService::with_config(
-            quiet_optimizer(A::EaPrune).deadline(Some(Duration::ZERO)),
+            Optimizer::new(A::EaPrune).deadline(Some(Duration::ZERO)),
             ServiceConfig {
                 cache_capacity: 0, // every request must reach the gate
                 pool_capacity: 4,
@@ -108,7 +104,7 @@ fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
 fn quarantined_footprints_stay_on_the_ledger_books() {
     let inj = FaultInjector::new(0, 1_000_000, 0, Duration::ZERO).with_window(1, 2);
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
+        Optimizer::new(A::EaPrune),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,

@@ -12,10 +12,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn quiet_optimizer(algo: A) -> Optimizer {
-    Optimizer::new(algo).explain(false)
-}
-
 /// N requests with K injected panics next to injected stalls, under a
 /// service deadline: exactly N−K succeed, every panic is contained to its
 /// own request, every memo live during a panic is quarantined, and the pool
@@ -38,7 +34,7 @@ fn fault_hammer_survives_and_quarantines() {
     // Cache off so every request actually runs the optimizer (and can
     // fault); pool on so quarantine has a free list to protect.
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune).deadline(Some(Duration::from_millis(25))),
+        Optimizer::new(A::EaPrune).deadline(Some(Duration::from_millis(25))),
         ServiceConfig {
             cache_capacity: 0,
             pool_capacity: 4,
@@ -98,7 +94,7 @@ fn fault_hammer_survives_and_quarantines() {
 fn deadline_pressured_requests_degrade_and_skip_the_cache() {
     let q = generate_query(&GenConfig::topology(30, Topology::Star), 2);
     let service = OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune).deadline(Some(Duration::from_millis(10))),
+        Optimizer::new(A::EaPrune).deadline(Some(Duration::from_millis(10))),
         ServiceConfig {
             cache_capacity: 1024,
             pool_capacity: 4,
@@ -130,7 +126,7 @@ fn slow_fault_stalls_every_algorithm() {
     let q = generate_query(&GenConfig::topology(8, Topology::Chain), 0);
     for algo in [A::DPhyp, A::EaPrune, A::Adaptive] {
         let service = OptimizerService::with_config(
-            quiet_optimizer(algo),
+            Optimizer::new(algo),
             ServiceConfig {
                 cache_capacity: 0,
                 pool_capacity: 2,
@@ -156,7 +152,7 @@ fn slow_fault_stalls_every_algorithm() {
 #[test]
 fn unconstrained_requests_stay_bit_identical() {
     let q = generate_query(&GenConfig::topology(30, Topology::Star), 2);
-    let opt = quiet_optimizer(A::Adaptive);
+    let opt = Optimizer::new(A::Adaptive);
     let cold = opt.optimize(&q);
     let service = OptimizerService::with_config(
         opt,
@@ -326,7 +322,7 @@ fn nation_chain(tables: usize) -> String {
 /// abort no `catch_unwind` contains) or reach the optimizer and panic there.
 #[test]
 fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
-    let service = OptimizerService::new(quiet_optimizer(A::EaPrune));
+    let service = OptimizerService::new(Optimizer::new(A::EaPrune));
     let counter = |name: &str| service.registry().snapshot().counter_total(name);
     // The registered cell itself (a registry hands out the existing handle
     // of a name): read twice per mutant, where a snapshot is too dear.
@@ -419,7 +415,7 @@ fn mutated_sql_gets_a_plan_or_a_sql_error_never_a_panic() {
 fn the_sql_door_fails_closed_on_size() {
     // A small plan budget keeps the 64-table run short in a debug build;
     // every join order of this chain costs the same.
-    let service = OptimizerService::new(quiet_optimizer(A::Adaptive).plan_budget(2_000));
+    let service = OptimizerService::new(Optimizer::new(A::Adaptive).plan_budget(2_000));
     let reply = service.optimize_sql(&nation_chain(65));
     assert!(matches!(reply, Err(ServeError::Sql(_))), "{reply:?}");
     let stats = service.stats();

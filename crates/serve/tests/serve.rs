@@ -26,7 +26,7 @@ fn assert_bit_identical(cold: &Optimized, served: &Optimized, what: &str) {
         "{what}: retained"
     );
     assert_eq!(cold.memo, served.memo, "{what}: memo stats");
-    assert_eq!(cold.explain, served.explain, "{what}: explain");
+    assert_eq!(cold.plan.root, served.plan.root, "{what}: plan");
 }
 
 /// The 160-cell golden parity grid (same workloads and seeds as

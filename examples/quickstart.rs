@@ -4,8 +4,9 @@
 //! Run with `cargo run --example quickstart`.
 
 use dpnext::algebra::{AggCall, AggKind, Expr, JoinPred, Relation, Value};
+use dpnext::core::{explain, optimize_prepared, OptContext};
 use dpnext::query::{GroupSpec, OpKind, OpTree, Query, QueryTable};
-use dpnext::{Algorithm, Optimizer};
+use dpnext::{Algorithm, Memo, Optimizer};
 use dpnext_algebra::{AttrGen, AttrId, Database};
 
 fn main() {
@@ -110,7 +111,12 @@ fn main() {
         );
     }
 
-    let best = Optimizer::new(Algorithm::EaPrune).optimize(&query);
+    // EXPLAIN is rendered on demand, from the memo the run leaves behind:
+    // run the optimizer's configuration in a memo held here, then render
+    // its winner.
+    let (algo, opts) = Optimizer::new(Algorithm::EaPrune).configured();
+    let (ctx, mut memo) = (OptContext::new(query), Memo::new());
+    let (best, winner) = optimize_prepared(&ctx, algo, &opts, &mut memo);
     println!("\noptimal plan (EA-Prune):\n{}", best.plan.root);
     println!(
         "memo: {} rows held, peak class width {}, prune hit-rate {:.0}%",
@@ -118,6 +124,6 @@ fn main() {
         best.memo.peak_class_width,
         100.0 * best.memo.prune_hit_rate()
     );
-    println!("EXPLAIN:\n{}", best.explain);
+    println!("EXPLAIN:\n{}", explain(&ctx, &memo, winner));
     let _ = Value::Int(0); // silence unused import lint in minimal builds
 }
