@@ -190,9 +190,7 @@ pub(crate) fn grouping_columns(ctx: &OptContext, s: NodeSet) -> u32 {
 /// F¹ ∘ (c : count(*))}` over a plan covering `s` whose positions are the
 /// run `input_pos` of the position lane, and append it to the lanes: one
 /// fresh column for the new count, then one per rewritten aggregate in
-/// vector order (`grouping_columns` consecutive ids). The fresh columns
-/// also go to the tail of the attribute lane in that order (the caller is
-/// assembling the grouping's visible attributes there). Returns the new
+/// vector order (`grouping_columns` consecutive ids). Returns the new
 /// `(positions, counts)` spans. Only the state is derived here — the
 /// enumeration never needs the aggregate *calls*; [`group_agg_calls`]
 /// rebuilds them for a plan that is compiled.
@@ -206,7 +204,6 @@ pub fn push_grouped_state(
 ) -> (Span, Span) {
     let c_new = scratch.fresh_attrs(grouping_columns(ctx, s));
     let mut col = c_new;
-    lanes.attrs.push(c_new);
     let counts = Span::new(lanes.counts.len(), 1);
     lanes.counts.push((s, c_new));
     let pos = Span::new(lanes.agg_pos.len(), input_pos.len as usize);
@@ -214,7 +211,6 @@ pub fn push_grouped_state(
     for (i, at) in input_pos.range().enumerate() {
         let p = if grouped_here(ctx, i, s) {
             col.0 += 1;
-            lanes.attrs.push(col);
             AggPos::Partial { col, scope: s }
         } else {
             lanes.agg_pos[at]

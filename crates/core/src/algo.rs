@@ -276,12 +276,10 @@ pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
     let mut search = Search::new(&ctx, &mut memo, ThinBy::Nothing, true);
     // No set counts as complete: the plans of the full set are folded into
     // a class like any other — all of them kept — instead of competing.
-    let (full, all_ops) = (search.full, search.all_ops);
     search.full = NodeSet::EMPTY;
     search.enumerate();
     drop(search);
-    let mut plans = memo.retained_ids();
-    plans.retain(|&id| memo[id].set != full || memo[id].applied == all_ops);
+    let plans = memo.retained_ids();
     (ctx, memo, plans)
 }
 
@@ -328,8 +326,6 @@ pub(crate) struct Search<'a> {
     /// The set whose plans are complete: they compete on final cost instead
     /// of entering a class ([`all_subplans`] alone sets it to no set).
     full: NodeSet,
-    /// `applied` of a plan that applied every operator of the query.
-    all_ops: u64,
     /// Work units walked.
     units: u64,
     /// Work units the complete-plan bound or the mirror rule settled, or
@@ -393,7 +389,6 @@ impl<'a> Search<'a> {
                 exhausted: None,
             },
             full: NodeSet::full(ctx.query.table_count()),
-            all_ops: applied_ops_mask(ctx.cq.ops.len()),
             units: 0,
             bounded: 0,
             started,
@@ -507,10 +502,10 @@ impl<'a> Search<'a> {
     /// incumbents they evicted since), not what the search built. A
     /// pushed-down grouping that survives its unit stays in its row's or
     /// column's slot, and the later units of the grid reuse it instead of
-    /// building another. Complete plans (the full relation set with every
-    /// operator applied) never enter a class: they compete on final cost,
-    /// and one is kept only if it became the best (`keep_best`) — popped
-    /// like any refused tree otherwise.
+    /// building another. Complete plans (the full relation set) never
+    /// enter a class: they compete on final cost, and one is kept only if
+    /// it became the best (`keep_best`) — popped like any refused tree
+    /// otherwise.
     ///
     /// Before that, the **complete-plan bound**: every tree of a full-set
     /// unit costs at least `cost(t1) + cost(t2)` — `C_out` adds a
@@ -569,7 +564,7 @@ impl<'a> Search<'a> {
             return false;
         }
         let (ctx, thin_by, eager) = (self.ctx, self.thin_by, self.eager);
-        let (full, all_ops) = (self.full, self.all_ops);
+        let full = self.full;
         // Units of this pair charged to the budget so far.
         let mut charged = 0u64;
         let (memo, scratch) = (&mut *self.memo, &mut self.scratch);
@@ -689,11 +684,11 @@ impl<'a> Search<'a> {
                             let class = *target.get_or_insert_with(|| memo.class_slot(s));
                             return memo.fold_into(class, t, thin_by);
                         }
-                        // A complete plan is kept if it became the best. One
-                        // reaching the full relation set with an operator
-                        // missing (possible only for pathological
-                        // hyperedge/cut interactions) is invalid.
-                        memo[t].applied == all_ops && keep_best(&mut self.best, ctx, memo, t)
+                        // A complete plan is kept if it became the best.
+                        // Each cut applies the one operator whose edge
+                        // connects it (`applicable_op`), so a plan of the
+                        // full set has applied every operator once.
+                        keep_best(&mut self.best, ctx, memo, t)
                     });
                 }
             }
@@ -763,22 +758,5 @@ impl<'a> Search<'a> {
             memo: self.memo.stats(),
         };
         (optimized, id)
-    }
-}
-
-/// The width-safe all-operators-applied mask: `n_ops` low bits set — the
-/// `applied` of a complete plan, which must have applied every operator of
-/// the query exactly once. `u64` tracking caps the operator count at 64;
-/// [`OptContext::new`] asserts the bound so a too-wide query fails loudly
-/// instead of letting `1 << op_idx` wrap and corrupt the bookkeeping.
-pub fn applied_ops_mask(n_ops: usize) -> u64 {
-    assert!(
-        n_ops <= 64,
-        "applied-operator tracking supports at most 64 operators, got {n_ops}"
-    );
-    if n_ops == 0 {
-        0
-    } else {
-        u64::MAX >> (64 - n_ops)
     }
 }

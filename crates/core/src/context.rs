@@ -38,9 +38,6 @@ pub struct OptContext {
     /// Per normalized aggregate: union of argument origins (empty for
     /// `count(*)`).
     pub agg_origin: Vec<NodeSet>,
-    /// Per operator: the attributes its groupjoin aggregates reference
-    /// (empty for every other operator).
-    pub gj_args: Vec<Vec<AttrId>>,
     /// Every attribute `G⁺(S)` can hold, sorted by id: see
     /// [`OptContext::compute_gplus`].
     pub(crate) gplus_candidates: Vec<GplusCandidate>,
@@ -68,7 +65,9 @@ pub(crate) struct GplusCandidate {
 }
 
 /// The `G⁺` candidates of a query: every attribute of `group_by`, of a
-/// predicate term and of `gj_args` that has an origin, once, sorted by id.
+/// predicate term and of `gj_args` — per operator, the attributes its
+/// groupjoin aggregates reference ([`gj_args`]) — that has an origin, once,
+/// sorted by id.
 pub(crate) fn gplus_candidates(
     cq: &ConflictedQuery,
     origins: &AttrOrigins,
@@ -108,16 +107,24 @@ pub(crate) fn gplus_candidates(
     out
 }
 
+/// Per operator of `cq`: the attributes its groupjoin aggregates reference
+/// (empty for every other operator).
+pub(crate) fn gj_args(cq: &ConflictedQuery) -> Vec<Vec<AttrId>> {
+    cq.ops
+        .iter()
+        .map(|op| op.gj_aggs.iter().flat_map(|c| c.referenced()).collect())
+        .collect()
+}
+
 impl OptContext {
     /// Derive the full optimization context (conflict detection,
     /// attribute origins, base statistics) for one query.
     pub fn new(query: Query) -> Self {
         let mut origins = query.attr_origins();
         let cq = detect(&query, &origins);
-        // Applied-operator tracking uses a u64 bitmask (`PlanHot::applied`);
-        // beyond 64 operators the `1 << op_idx` shifts would wrap silently
-        // and the all-operators-applied test (against `applied_ops_mask`)
-        // could accept plans that dropped a predicate.
+        // Operator sets are u64 bitmasks (the operators reading a `G⁺`
+        // candidate, those a validated plan applies); beyond 64 operators
+        // the `1 << op_idx` shifts would wrap silently.
         assert!(
             cq.ops.len() <= 64,
             "query has {} operators; applied-operator tracking supports at most 64",
@@ -175,14 +182,8 @@ impl OptContext {
             .iter()
             .map(|t| KeySet::from_keys(t.keys.iter().cloned()))
             .collect();
-        let gj_args: Vec<Vec<AttrId>> = cq
-            .ops
-            .iter()
-            .map(|op| op.gj_aggs.iter().flat_map(|c| c.referenced()).collect())
-            .collect();
         OptContext {
-            gplus_candidates: gplus_candidates(&cq, &origins, &group_by, &gj_args),
-            gj_args,
+            gplus_candidates: gplus_candidates(&cq, &origins, &group_by, &gj_args(&cq)),
             table_keys,
             fresh_agg: AggState::fresh(aggs.len()),
             query,

@@ -50,8 +50,8 @@ mod tables;
 mod tests;
 
 pub use algo::{
-    all_subplans, applied_ops_mask, optimize, optimize_into, optimize_prepared, optimize_with,
-    Algorithm, OptimizeOptions, Optimized, UNIT_MAX_PLANS,
+    all_subplans, optimize, optimize_into, optimize_prepared, optimize_with, Algorithm,
+    OptimizeOptions, Optimized, UNIT_MAX_PLANS,
 };
 pub use context::{OptContext, Scratch};
 pub use detect::applicable_op;
@@ -65,4 +65,4 @@ pub use plan::{
     apply_staged, make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply,
 };
 pub use tables::{assoc, l_asscom, r_asscom};
-pub use validate::{validate_complete_plan, validate_subplan};
+pub use validate::{applied_ops_mask, validate_complete_plan, validate_subplan};

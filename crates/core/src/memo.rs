@@ -4,11 +4,15 @@
 //! whichever relation ([`ThinBy`]) the generator runs with.
 //!
 //! The arena is split structure-of-arrays into a **hot** row
-//! ([`PlanHot`]: set, cardinality, cost, applied mask, key/grouping
-//! flags and a 32-bit key signature — everything the dominance test of
-//! Def. 4 reads before it needs the key sets) and a **cold**
-//! row ([`PlanCold`]: the operator node plus `(start, len)` [`Span`]s
-//! naming the plan's key set, aggregation state and visible attributes).
+//! ([`PlanHot`]: set, cardinality, cost, key/grouping flags and a 32-bit
+//! key signature — everything the dominance test of Def. 4 reads before
+//! it needs the key sets) and a **cold** row ([`PlanCold`]: the operator
+//! node plus `(start, len)` [`Span`]s naming the plan's key set and
+//! aggregation state). A row holds nothing the search does not read: which
+//! attributes a plan exposes and which operators it applied follow from
+//! its tree, and a valid query ([`dpnext_query::Query::new`]) makes every
+//! cut see what it reads, so [`crate::validate`] derives both from the
+//! tree when a test asks.
 //! Both rows are `Copy`. The variable-length payloads themselves live in
 //! five append-only **lanes** ([`Lanes`]) owned by the memo, so building a
 //! plan is a handful of `extend_from_slice`s, and rolling plans back
@@ -115,9 +119,8 @@ pub enum PlanNode {
     Apply {
         /// Operator kind (join, outer join, groupjoin, ...).
         op: OpKind,
-        /// Index of the operator into the conflicted query's list — the
-        /// one bit the node adds to `applied`, and where a groupjoin's
-        /// aggregates are read from.
+        /// Index of the operator into the conflicted query's list — where a
+        /// groupjoin's aggregates are read from.
         op_idx: u8,
         /// The operator's predicate, oriented left-to-right, in
         /// [`Lanes::terms`]. Every plan of one orientation applies the
@@ -142,9 +145,9 @@ pub enum PlanNode {
 }
 
 /// The properties of one plan that the enumeration reads per candidate,
-/// packed into a 40-byte `Copy` row: bounds, operator masks, flags and
-/// the key signature. The operator tree and key sets stay out of the
-/// cache until a plan is combined or materialized. A dominance fold does
+/// packed into a 32-byte `Copy` row: bounds, flags and the key signature.
+/// The operator tree and key sets stay out of the cache until a plan is
+/// combined or materialized. A dominance fold does
 /// not scan these rows: it reads a copy of what Def. 4 needs in its
 /// class's `DomRow` array, and comes back to the arena only for the key
 /// sets of a pair the rows cannot refute.
@@ -156,10 +159,6 @@ pub struct PlanHot {
     pub card: f64,
     /// Accumulated `C_out`.
     pub cost: f64,
-    /// Bitmask of applied operators (indices into the conflicted query's
-    /// operator list). A complete plan must apply every operator exactly
-    /// once; this is asserted before finalization.
-    pub applied: u64,
     /// Packed `HAS_GROUPING` / `DUP_FREE` / `IS_GROUP` bits.
     flags: u8,
     /// [`KeysRef::signature`] of the cold row's key set, in what was the
@@ -180,7 +179,6 @@ impl PlanHot {
         set: NodeSet,
         card: f64,
         cost: f64,
-        applied: u64,
         has_grouping: bool,
         duplicate_free: bool,
         is_group: bool,
@@ -189,7 +187,6 @@ impl PlanHot {
             set,
             card,
             cost,
-            applied,
             flags: (has_grouping as u8 * Self::HAS_GROUPING)
                 | (duplicate_free as u8 * Self::DUP_FREE)
                 | (is_group as u8 * Self::IS_GROUP),
@@ -244,8 +241,6 @@ pub struct PlanCold {
     pub agg_pos: Span,
     /// Active count columns: a run of [`Lanes::counts`].
     pub counts: Span,
-    /// Attributes visible in the output: a run of [`Lanes::attrs`].
-    pub visible: Span,
 }
 
 // Both rows must stay plain data: `truncate`, `reset` and dropping a memo
@@ -255,9 +250,9 @@ const _: () = {
     assert_copy::<PlanHot>();
     assert_copy::<PlanCold>();
 };
-// The key signature lives in what was padding: the hot row, and with it
-// every byte count and budget, keeps its size.
-const _: () = assert!(size_of::<PlanHot>() == 40);
+// Three words and the flag byte, with the key signature in what would be
+// padding after it.
+const _: () = assert!(size_of::<PlanHot>() == 32);
 
 /// Bytes one arena slot occupies in the two row arrays (the payload the
 /// row's spans name is counted by the lanes).
@@ -294,7 +289,7 @@ fn lane_bytes(lens: [usize; LANES]) -> usize {
 /// them and rollback is LIFO, so shared data always outlives its sharers.
 #[derive(Debug, Default)]
 pub struct Lanes {
-    /// Visible attribute sets, key attributes, grouping attributes.
+    /// Key attributes and grouping attributes.
     pub attrs: Vec<AttrId>,
     /// One span into `attrs` per candidate key; a key set is a run of
     /// these.
@@ -400,12 +395,6 @@ impl<'a> PlanRef<'a> {
     #[inline]
     pub fn agg(&self) -> AggRef<'a> {
         self.lanes.agg(self.cold)
-    }
-
-    /// Attributes visible in the output.
-    #[inline]
-    pub fn visible(&self) -> &'a [AttrId] {
-        self.cold.visible.of(&self.lanes.attrs)
     }
 }
 
@@ -964,9 +953,9 @@ impl Memo {
         id
     }
 
-    /// Store a plan given its payload by value: copies `keys`, `agg` and
-    /// `visible` to the lanes' tails and pushes the rows, `hot` with the
-    /// signature of `keys`. The transfer form
+    /// Store a plan given its payload by value: copies `keys` and `agg` to
+    /// the lanes' tails and pushes the rows, `hot` with the signature of
+    /// `keys`. The transfer form
     /// for plans that derive nothing from an input — scans, and whatever a
     /// test or bench makes up; the operator constructors write the lanes
     /// directly so they can share input spans.
@@ -976,7 +965,6 @@ impl Memo {
         node: PlanNode,
         keys: KeysRef<'_>,
         agg: AggRef<'_>,
-        visible: &[AttrId],
     ) -> PlanId {
         let lanes = &mut self.lanes;
         let cold = PlanCold {
@@ -984,7 +972,6 @@ impl Memo {
             keys: lanes.push_key_set(keys),
             agg_pos: append(&mut lanes.agg_pos, agg.pos),
             counts: append(&mut lanes.counts, agg.counts),
-            visible: lanes.push_attrs(visible),
         };
         self.push_row(hot.with_key_sig(keys.signature()), cold)
     }
@@ -1109,7 +1096,6 @@ impl Memo {
                 written[lane] = written[lane].max(span.end());
                 Ok(())
             };
-            check(0, "visible", cold.visible)?;
             check(1, "keys", cold.keys)?;
             check(2, "agg_pos", cold.agg_pos)?;
             check(3, "counts", cold.counts)?;

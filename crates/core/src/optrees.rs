@@ -11,7 +11,6 @@ use crate::infer::needs_grouping;
 use crate::keyset::KeysRef;
 use crate::memo::{Memo, MemoMark, PlanId, Span};
 use crate::plan::{apply_staged, group_over, SideFacts, StagedApply};
-use dpnext_algebra::AttrId;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpKind;
 
@@ -59,9 +58,8 @@ fn pushable(side: &GridSide, scratch: &Scratch, memo: &Memo, t: PlanId) -> bool 
 
 /// One side of an orientation — the set `S` of its plans — with what a
 /// unit reads of it before it reads a plan: where `G⁺(S)` sits when the
-/// side takes groupings, what a `Γ(t)` on it exposes and keys, and the
-/// fresh columns building one takes. Decided once per side by
-/// [`GridSide::new`].
+/// side takes groupings, what a `Γ(t)` on it keys, and the fresh columns
+/// building one takes. Decided once per side by [`GridSide::new`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridSide {
     /// The left side of the orientation (else the right).
@@ -73,8 +71,6 @@ pub struct GridSide {
     /// pushed onto.
     pub(crate) gplus: Option<Span>,
     /// The [`SideFacts`] of a `Γ(t)` on this side (when `gplus` is set):
-    /// it exposes `G⁺(S)` plus fresh columns, which lie above every query
-    /// attribute, so no predicate or groupjoin argument names them, and
     /// its one key is `G⁺(S)`.
     pub(crate) group: SideFacts,
     /// The fresh columns building a `Γ(t)` on this side takes
@@ -106,27 +102,20 @@ impl GridSide {
             let gplus = scratch.gplus_span(ctx, s);
             let attrs = scratch.gplus_at(gplus);
             let key = [Span::new(0, attrs.len())];
-            side.group = side.facts(ctx, staged, attrs, KeysRef::new(&key, attrs));
+            side.group = side.facts(ctx, staged, KeysRef::new(&key, attrs));
             side.gplus = Some(gplus);
             side.cols = grouping_columns(ctx, s);
         }
         side
     }
 
-    /// The [`SideFacts`] of an input on this side exposing `visible` with
-    /// the key set `keys`.
+    /// The [`SideFacts`] of an input on this side with the key set `keys`.
     #[inline]
-    fn facts(
-        &self,
-        ctx: &OptContext,
-        staged: &StagedApply,
-        visible: &[AttrId],
-        keys: KeysRef<'_>,
-    ) -> SideFacts {
+    fn facts(&self, ctx: &OptContext, staged: &StagedApply, keys: KeysRef<'_>) -> SideFacts {
         if self.left {
-            staged.left_facts(ctx, visible, keys)
+            staged.left_facts(ctx, keys)
         } else {
-            staged.right_facts(ctx, visible, keys)
+            staged.right_facts(ctx, keys)
         }
     }
 }
@@ -143,11 +132,11 @@ pub struct GridPlan {
     /// It has a grouping below: what the groupjoin refusal reads of a right
     /// input.
     pub(crate) grouped: bool,
-    /// What an application of the cut reads of it alone: does it expose
-    /// what the cut needs, does a key of it cover its side's predicate
-    /// attributes, and the bound its key set implies. Taken in every grid;
-    /// a built unit reads it, and so does a unit the complete-plan bound
-    /// or the mirror rule settles (`Grid::settle`, `Grid::settle_mirror`).
+    /// What an application of the cut reads of it alone: does a key of it
+    /// cover its side's predicate attributes, and the bound its key set
+    /// implies. Taken in every grid; a built unit reads it, and so does a
+    /// unit the complete-plan bound or the mirror rule settles
+    /// (`Grid::settle`, `Grid::settle_mirror`).
     pub(crate) facts: SideFacts,
     /// Its slot: `Γ(id)`, once a unit of this grid built one that survived.
     pub(crate) group: Option<PlanId>,
@@ -170,7 +159,7 @@ impl GridPlan {
             id: t,
             push: pushable(side, scratch, memo, t),
             grouped: plan.hot.has_grouping(),
-            facts: side.facts(ctx, staged, plan.visible(), plan.keys()),
+            facts: side.facts(ctx, staged, plan.keys()),
             group: None,
         }
     }
@@ -391,15 +380,13 @@ impl Grid {
 /// the ids it would have got. Refusing every tree pops every grouping the
 /// unit builds, so no slot changes; the memo is not touched.
 ///
-/// It is arithmetic over the staged facts. A tree `l ◦ r` is built iff
-/// `b(l, r, g) = l ∧ r ∧ ¬(gj ∧ g)`: both sides see what the cut needs
-/// and it is not a groupjoin over a grouped right input — the halves of
-/// [`StagedApply::refuses`]. With `p` a side's push bit and `new` that
-/// its slot is empty:
+/// It is arithmetic over the staged facts. A tree is built iff
+/// `b(g) = ¬(gj ∧ g)`: it is not a groupjoin over a right input that is
+/// grouped (`g`) — [`StagedApply::refuses`]. With `p` a side's push bit,
+/// `new` that its slot is empty and `g2` that the right plan is grouped:
 ///
 /// ```text
-/// plans = b(L, R, g2) + p1·(new1 + b(Lg, R, g2)) + p2·(new2 + b(L, Rg, 1))
-///       + p1·p2·b(Lg, Rg, 1)
+/// plans = b(g2) + p1·(new1 + b(g2)) + p2·(new2 + b(1)) + p1·p2·b(1)
 /// fresh = p1·new1·cols1 + p2·new2·cols2
 /// ```
 #[inline]
@@ -409,14 +396,12 @@ fn settle_unit(
     [(l, lside, lslot), (r, rside, rslot)]: [(&GridPlan, &GridSide, Option<PlanId>); 2],
 ) {
     let gj = kind == OpKind::GroupJoin;
-    let b = |l: bool, r: bool, right_grouped: bool| u64::from(l && r && !(gj && right_grouped));
-    let (lg, rg) = (lside.group.sees, rside.group.sees);
-    let (ls, rs) = (l.facts.sees, r.facts.sees);
+    let b = |right_grouped: bool| u64::from(!(gj && right_grouped));
     let (p1, p2) = (u64::from(l.push), u64::from(r.push));
     let (new1, new2) = (l.push && lslot.is_none(), r.push && rslot.is_none());
-    scratch.plans_built += b(ls, rs, r.grouped)
-        + p1 * (u64::from(new1) + b(lg, rs, r.grouped))
-        + p2 * (u64::from(new2) + b(ls, rg, true))
-        + p1 * p2 * b(lg, rg, true);
+    scratch.plans_built += b(r.grouped)
+        + p1 * (u64::from(new1) + b(r.grouped))
+        + p2 * (u64::from(new2) + b(true))
+        + p1 * p2 * b(true);
     scratch.fresh_attrs(u32::from(new1) * lside.cols + u32::from(new2) * rside.cols);
 }

@@ -31,7 +31,6 @@ pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
         NodeSet::single(i),
         t.card,
         0.0, // scans are free under C_out
-        0,
         false,
         // SQL key declarations imply duplicate-freeness (§3.2 remark).
         !keys.is_empty(),
@@ -42,7 +41,6 @@ pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
         PlanNode::Scan { table: i as u32 },
         keys,
         ctx.fresh_agg.as_ref(),
-        &t.attrs,
     )
 }
 
@@ -190,10 +188,6 @@ pub fn stage_apply(
 /// grid read it instead of testing the input again.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SideFacts {
-    /// The input exposes every predicate attribute of its side, and a right
-    /// input every groupjoin argument too: the input's half of what
-    /// [`apply_staged`] refuses.
-    pub(crate) sees: bool,
     /// The predicate is a non-empty conjunction of equalities and some key
     /// of the input lies within its side's predicate attributes: the bit
     /// the §2.3 key propagation branches on.
@@ -204,56 +198,37 @@ pub struct SideFacts {
 }
 
 impl StagedApply {
-    /// Would [`apply_staged`] refuse this cut on inputs with the facts
-    /// `left` and `right`, the right one pre-aggregated iff
-    /// `right_grouped`? It does when a groupjoin would consume a
-    /// pre-aggregated right side (its aggregates would run over groups, not
-    /// raw tuples), and — defensively, since structure prevents it — when
-    /// a predicate attribute or a groupjoin argument is not visible on its
-    /// side: per plan, not per cut, because a pushed-down grouping changes
-    /// which attributes its side exposes. The test is a left half, a right
-    /// half and the groupjoin term: a grid decides each half once per plan,
-    /// and a work unit settled by the complete-plan bound combines them for
+    /// Would [`apply_staged`] refuse this cut on a right input that is
+    /// pre-aggregated iff `right_grouped`? It does when a groupjoin would
+    /// consume a pre-aggregated right side: its aggregates would run over
+    /// groups, not raw tuples. That is the one refusal: a valid query
+    /// ([`dpnext_query::Query::new`]) names in each operator only
+    /// attributes its inputs expose, and `G⁺(S)` keeps every one a later
+    /// operator reads, so every plan of a side sees what its cut needs. A
+    /// work unit settled by the complete-plan bound reads the same test for
     /// the trees it does not build ([`crate::optrees::Grid::settle`]).
     #[inline]
-    pub(crate) fn refuses(&self, left: SideFacts, right: SideFacts, right_grouped: bool) -> bool {
-        (self.kind == OpKind::GroupJoin && right_grouped) || !left.sees || !right.sees
+    pub(crate) fn refuses(&self, right_grouped: bool) -> bool {
+        self.kind == OpKind::GroupJoin && right_grouped
     }
 
-    /// The facts of a left input exposing `visible` with the key set
-    /// `keys`.
+    /// The facts of a left input with the key set `keys`.
     #[inline]
-    pub fn left_facts(&self, ctx: &OptContext, visible: &[AttrId], keys: KeysRef<'_>) -> SideFacts {
-        let sees = self.left_attrs.iter().all(|a| visible.contains(a));
-        self.facts(ctx, sees, &self.left_attrs, keys)
+    pub fn left_facts(&self, ctx: &OptContext, keys: KeysRef<'_>) -> SideFacts {
+        self.facts(ctx, &self.left_attrs, keys)
     }
 
-    /// The facts of a right input exposing `visible` with the key set
-    /// `keys`: it must expose every groupjoin argument as well.
+    /// The facts of a right input with the key set `keys`.
     #[inline]
-    pub fn right_facts(
-        &self,
-        ctx: &OptContext,
-        visible: &[AttrId],
-        keys: KeysRef<'_>,
-    ) -> SideFacts {
-        let sees = self.right_attrs.iter().all(|a| visible.contains(a))
-            && ctx.gj_args[self.op_idx].iter().all(|a| visible.contains(a));
-        self.facts(ctx, sees, &self.right_attrs, keys)
+    pub fn right_facts(&self, ctx: &OptContext, keys: KeysRef<'_>) -> SideFacts {
+        self.facts(ctx, &self.right_attrs, keys)
     }
 
-    /// The facts of an input whose visibility test gave `sees`, on the side
-    /// whose predicate attributes are `attrs`.
+    /// The facts of an input on the side whose predicate attributes are
+    /// `attrs`.
     #[inline]
-    fn facts(
-        &self,
-        ctx: &OptContext,
-        sees: bool,
-        attrs: &[AttrId],
-        keys: KeysRef<'_>,
-    ) -> SideFacts {
+    fn facts(&self, ctx: &OptContext, attrs: &[AttrId], keys: KeysRef<'_>) -> SideFacts {
         SideFacts {
-            sees,
             covers: self.pred_equi && keys.some_key_within_sorted(attrs),
             cap: key_cap(ctx, keys),
         }
@@ -272,7 +247,7 @@ fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>
 /// [`SideFacts`] for the cut. `left`/`right` are already in physical
 /// orientation (the staging's `left_set` side). Returns `None` when
 /// `StagedApply::refuses` the pair: a groupjoin over a pre-aggregated
-/// right side, or an attribute it needs not visible.
+/// right side.
 #[inline]
 pub fn apply_staged(
     ctx: &OptContext,
@@ -282,11 +257,10 @@ pub fn apply_staged(
     (left_id, lfacts): (PlanId, SideFacts),
     (right_id, rfacts): (PlanId, SideFacts),
 ) -> Option<PlanId> {
-    let op = &ctx.cq.ops[staged.op_idx];
     let kind = staged.kind;
     // The rows are `Copy`: take them out, then write the lanes freely.
     let (left, right) = (memo[left_id], memo[right_id]);
-    if staged.refuses(lfacts, rfacts, right.has_grouping()) {
+    if staged.refuses(right.has_grouping()) {
         return None;
     }
     let (lcold, rcold) = (*memo.plan(left_id).cold, *memo.plan(right_id).cold);
@@ -361,30 +335,11 @@ pub fn apply_staged(
         lanes.counts.extend_from_within(rcold.counts.range());
         (merged, Span::new(start, lanes.counts.len() - start))
     };
-    let visible = if kind.preserves_right() || !op.gj_aggs.is_empty() {
-        let attrs = &mut lanes.attrs;
-        let start = attrs.len();
-        attrs.extend_from_within(lcold.visible.range());
-        if kind.preserves_right() {
-            attrs.extend_from_within(rcold.visible.range());
-        }
-        attrs.extend(op.gj_aggs.iter().map(|c| c.out));
-        Span::new(start, attrs.len() - start)
-    } else {
-        lcold.visible
-    };
-
-    debug_assert_eq!(
-        left.applied & right.applied,
-        0,
-        "operator applied twice across join inputs"
-    );
     scratch.count_plan();
     let hot = PlanHot::new(
         left.set.union(right.set),
         card,
         cost,
-        left.applied | right.applied | 1 << staged.op_idx,
         left.has_grouping() || right.has_grouping(),
         duplicate_free,
         false,
@@ -401,7 +356,6 @@ pub fn apply_staged(
         keys,
         agg_pos,
         counts,
-        visible,
     };
     Some(memo.push_row(hot, cold))
 }
@@ -435,9 +389,8 @@ pub fn make_apply(
 ) -> Option<PlanId> {
     let mut staged = StagedApply::default();
     stage_apply(ctx, memo, &mut staged, op_idx, memo[left_id].set);
-    let (left, right) = (memo.plan(left_id), memo.plan(right_id));
-    let lfacts = staged.left_facts(ctx, left.visible(), left.keys());
-    let rfacts = staged.right_facts(ctx, right.visible(), right.keys());
+    let lfacts = staged.left_facts(ctx, memo.plan(left_id).keys());
+    let rfacts = staged.right_facts(ctx, memo.plan(right_id).keys());
     apply_staged(
         ctx,
         scratch,
@@ -476,17 +429,9 @@ pub(crate) fn group_over(
     let icold = *memo.plan(input_id).cold;
     let s = input.set;
     let lanes = &mut memo.lanes;
-    // One run of the attribute lane serves three purposes: `G⁺(S)` is the
-    // node's grouping attributes, its single key, and — followed by the
-    // count column and the partial aggregates — its visible attributes.
+    // One run of the attribute lane serves twice: `G⁺(S)` is the node's
+    // grouping attributes and its single key.
     let attrs = lanes.push_attrs(scratch.gplus_at(gplus));
-    debug_assert!(
-        attrs
-            .of(&lanes.attrs)
-            .iter()
-            .all(|a| icold.visible.of(&lanes.attrs).contains(a)),
-        "G⁺({s}) not fully visible"
-    );
     let card = grouping_card(
         input.card,
         attrs
@@ -495,17 +440,12 @@ pub(crate) fn group_over(
             .map(|&a| distinct_in(ctx.distinct(a), input.card)),
     );
     let (agg_pos, counts) = push_grouped_state(ctx, scratch, lanes, icold.agg_pos, s);
-    let visible = Span::new(
-        attrs.start as usize,
-        lanes.attrs.len() - attrs.start as usize,
-    );
     let keys = Span::new(lanes.keys.len(), 1);
     lanes.keys.push(attrs);
     let key_sig = lanes.key_set(keys).signature();
     scratch.count_plan();
     memo.push_row(
-        PlanHot::new(s, card, input.cost + card, input.applied, true, true, true)
-            .with_key_sig(key_sig),
+        PlanHot::new(s, card, input.cost + card, true, true, true).with_key_sig(key_sig),
         PlanCold {
             node: PlanNode::Group {
                 attrs,
@@ -514,7 +454,6 @@ pub(crate) fn group_over(
             keys,
             agg_pos,
             counts,
-            visible,
         },
     )
 }

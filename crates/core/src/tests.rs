@@ -3,12 +3,12 @@
 //! finalization.
 
 use crate::aggstate::{AggPos, AggState};
-use crate::algo::applied_ops_mask;
 use crate::context::{OptContext, Scratch};
 use crate::finalize::finalize;
 use crate::memo::{Memo, PlanId};
 use crate::optrees::{op_trees, GridPlan, GridSide};
 use crate::plan::{make_apply, make_group, make_scan, stage_apply, SideFacts, StagedApply};
+use crate::validate::applied_ops_mask;
 use dpnext_algebra::{AggCall, AggKind, AttrGen, AttrId, Expr, JoinPred, Value};
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::{GroupSpec, OpKind, OpTree, Query, QueryTable};
@@ -80,7 +80,7 @@ fn two_table_ctx(op: OpKind) -> OptContext {
 mod context {
     use super::*;
     use crate::algo::{optimize_prepared, Algorithm, OptimizeOptions};
-    use crate::context::gplus_candidates;
+    use crate::context::{gj_args, gplus_candidates};
     use dpnext_hypergraph::enumerate_ccps;
     use dpnext_workload::{ex_query, generate_query, q10, q3, q5, GenConfig, OpWeights, Topology};
     use std::collections::BTreeSet;
@@ -227,7 +227,7 @@ mod context {
         for &a in &ctx.group_by {
             push(a);
         }
-        for (op, gj_args) in ctx.cq.ops.iter().zip(&ctx.gj_args) {
+        for (op, gj_args) in ctx.cq.ops.iter().zip(gj_args(&ctx.cq)) {
             if op.l_tes.union(op.r_tes).is_subset_of(s) {
                 continue;
             }
@@ -235,7 +235,7 @@ mod context {
                 push(l);
                 push(r);
             }
-            for &a in gj_args {
+            for a in gj_args {
                 push(a);
             }
         }
@@ -260,11 +260,12 @@ mod context {
             for s in sets {
                 self.sets += 1;
                 let reference = gplus_by_term_walk(ctx, s);
+                let args = gj_args(&ctx.cq);
                 let crossing = ctx
                     .cq
                     .ops
                     .iter()
-                    .zip(&ctx.gj_args)
+                    .zip(&args)
                     .filter(|(op, _)| !op.l_tes.union(op.r_tes).is_subset_of(s));
                 let mut gj_args = crossing.flat_map(|(_, args)| args);
                 if gj_args.any(|a| reference.contains(a)) {
@@ -532,7 +533,6 @@ mod plans {
         assert_eq!(100.0, memo[s].card);
         assert_eq!(0.0, memo[s].cost); // scans free under C_out
         assert!(memo[s].duplicate_free());
-        assert_eq!(0, memo[s].applied);
     }
 
     #[test]
@@ -545,7 +545,6 @@ mod plans {
         let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         assert_eq!(50.0, memo[j].card); // 100 × 50 × 0.01
         assert_eq!(50.0, memo[j].cost);
-        assert_eq!(1, memo[j].applied);
         assert_eq!(0, memo.eagerness(j));
     }
 
@@ -758,9 +757,7 @@ mod finalization {
 
 mod engine {
     use super::*;
-    use crate::algo::{
-        all_subplans, optimize, optimize_prepared, Algorithm, OptimizeOptions, Search,
-    };
+    use crate::algo::{optimize, optimize_prepared, Algorithm, OptimizeOptions, Search};
     use crate::budget::{Budget, Exhausted};
     use crate::card::join_card;
     use crate::detect::applicable_op;
@@ -780,7 +777,6 @@ mod engine {
         units: u64,
         gj_refusals: u64,
         reused: [bool; 2],
-        blind: bool,
         offers: u64,
         /// Mirror units settled and built.
         mirror_units: u64,
@@ -842,9 +838,6 @@ mod engine {
                     }
                     stage_apply(ctx, memo, staged, op, sl);
                     grid.stage(ctx, &mut scratch, memo, staged, (sl, sr), true);
-                    let group_blind = |side: &GridSide| side.gplus.is_some() && !side.group.sees;
-                    self.blind |= grid.sides.iter().any(group_blind)
-                        || grid.lefts.iter().chain(&grid.rights).any(|p| !p.facts.sees);
                     let (width, height) = (grid.lefts.len(), grid.rights.len());
                     for (i, j) in (0..width).flat_map(|i| (0..height).map(move |j| (i, j))) {
                         let (l, r) = (grid.lefts[i], grid.rights[j]);
@@ -901,32 +894,6 @@ mod engine {
         ctx.cq.ops[op].op == OpKind::Join
     }
 
-    /// `r0 ⋈_{a0 = a4} (r1 ⋉_{a2 = a5} r2)`: the join names `a4`, which
-    /// the semijoin below it hides. No generated query does that —
-    /// `StagedApply::refuses` tests visibility defensively — so this one
-    /// stands in for a side that does not see what its cut needs. It has no
-    /// complete plan, and no grouping (a `Γ` over `r1 ⋉ r2` could not
-    /// expose `G⁺`); `all_subplans` still fills every class a full-set unit
-    /// reads.
-    fn hidden_attribute_query() -> Query {
-        let table = |name, attrs: [u32; 2]| {
-            QueryTable::new(name, attrs.map(a).to_vec(), 20.0).with_distinct(vec![5.0, 4.0])
-        };
-        let semi = OpTree::binary(
-            OpKind::Semi,
-            JoinPred::eq(a(2), a(5)),
-            OpTree::rel(1),
-            OpTree::rel(2),
-        );
-        let tree = OpTree::binary(OpKind::Join, JoinPred::eq(a(0), a(4)), OpTree::rel(0), semi);
-        let tables = vec![
-            table("r0", [0, 1]),
-            table("r1", [2, 3]),
-            table("r2", [4, 5]),
-        ];
-        Query::new(tables, tree, None)
-    }
-
     /// The complete-plan bound settles a full-set unit from its grid's
     /// facts, by counting what building it would build, so the two must
     /// agree on every unit the bound can meet. Each full-set orientation
@@ -946,9 +913,9 @@ mod engine {
     /// Swept over every full-set `(orientation, t1, t2)` unit of an EA-All
     /// run (wide classes) and of an H2 run (one plan per class), 40 seeds
     /// each of `oracle(2..=max_n)`, `paper(3..=max_n)` and `oracle` with
-    /// groupjoins, and of [`hidden_attribute_query`]; the sweep must meet a
-    /// slot reused on each side, a groupjoin refusal and a side that does
-    /// not see what its cut needs, or it proves less than it says.
+    /// groupjoins; the sweep must meet a slot reused on each side, a
+    /// groupjoin refusal and a mirror unit over a filled slot, or it proves
+    /// less than it says.
     fn settle_counts_what_op_trees_builds(max_n: usize) {
         let groupjoins = |n| GenConfig {
             ops: OpWeights::with_groupjoins(),
@@ -974,8 +941,6 @@ mod engine {
                 );
             }
         }
-        let (ctx, mut memo, _) = all_subplans(&hidden_attribute_query());
-        sweep.full_set(&ctx, &mut memo, "the hidden-attribute query");
         let units = sweep.units;
         assert!(
             sweep.gj_refusals > 0,
@@ -986,10 +951,6 @@ mod engine {
             sweep.mirror_over_filled,
             "no mirror unit in {} met a filled slot of its first orientation",
             sweep.mirror_units
-        );
-        assert!(
-            sweep.blind,
-            "no side in {units} units misses what its cut needs"
         );
     }
 
@@ -1009,32 +970,22 @@ mod engine {
     }
 
     /// A tree as the thinning relations and `keep_best` read it: cost and
-    /// cardinality bits, duplicate-freeness, grouping, the applied
-    /// operators, the key signature, the key set as a set and — for a
-    /// complete plan — the final cost's bits.
-    type Reading = (
-        u64,
-        u64,
-        bool,
-        bool,
-        u64,
-        u32,
-        Vec<Vec<AttrId>>,
-        Option<u64>,
-    );
+    /// cardinality bits, duplicate-freeness, grouping, the key signature,
+    /// the key set as a set and — for a complete plan — the final cost's
+    /// bits.
+    type Reading = (u64, u64, bool, bool, u32, Vec<Vec<AttrId>>, Option<u64>);
 
     fn reading(ctx: &OptContext, memo: &Memo, id: PlanId) -> Reading {
         let (hot, full) = (memo[id], NodeSet::full(ctx.query.table_count()));
         let mut keys: Vec<Vec<AttrId>> = memo.plan(id).keys().iter().map(<[_]>::to_vec).collect();
         keys.iter_mut().for_each(|k| k.sort_unstable());
         keys.sort_unstable();
-        let complete = hot.set == full && hot.applied == applied_ops_mask(ctx.cq.ops.len());
+        let complete = hot.set == full;
         (
             hot.cost.to_bits(),
             hot.card.to_bits(),
             hot.duplicate_free(),
             hot.has_grouping(),
-            hot.applied,
             hot.key_sig(),
             keys,
             complete.then(|| final_numbers(ctx, memo, id).0.to_bits()),
@@ -1570,12 +1521,12 @@ mod engine {
     }
 
     /// What a test compares of a row: its hot-row bits and its key set.
-    fn row_bits(memo: &Memo, id: PlanId) -> (NodeSet, u64, u64, u64, u32, [bool; 3], String) {
+    fn row_bits(memo: &Memo, id: PlanId) -> (NodeSet, u64, u64, u32, [bool; 3], String) {
         let (hot, keys) = (memo[id], memo.plan(id).keys());
         let flags = [hot.has_grouping(), hot.duplicate_free(), hot.is_group()];
         let keys = keys.iter().map(|k| format!("{k:?}")).collect();
         let (card, cost) = (hot.card.to_bits(), hot.cost.to_bits());
-        (hot.set, card, cost, hot.applied, hot.key_sig(), flags, keys)
+        (hot.set, card, cost, hot.key_sig(), flags, keys)
     }
 
     /// Walk every grid of an EA-Prune run over `paper(3..=8)` × 20 seeds —

@@ -9,9 +9,9 @@
 //! *any* plan producer — the exact DP, the heuristics, and especially the
 //! budgeted/greedy paths of the ladder — to the same contract.
 
-use crate::algo::applied_ops_mask;
 use crate::context::OptContext;
 use crate::memo::{Memo, PlanId, PlanNode};
+use dpnext_algebra::AttrId;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpKind;
 
@@ -19,19 +19,38 @@ use dpnext_query::OpKind;
 ///
 /// * scans cover exactly their single table occurrence;
 /// * apply nodes join disjoint inputs whose union matches the stored set,
-///   with disjoint applied-operator masks, exactly the node's own operator
-///   applied at the cut and of the node's kind, its `(L-TES, R-TES)`
-///   satisfied in the node's physical orientation (or swapped, for
-///   commutative operators), its conflict rules satisfied by the union,
-///   and predicate attributes visible in the inputs;
+///   apply an operator of the node's kind that neither input applied, its
+///   `(L-TES, R-TES)` satisfied in the node's physical orientation (or
+///   swapped, for commutative operators), its conflict rules satisfied by
+///   the union, and every predicate attribute — and a groupjoin's
+///   aggregate arguments — visible in the input on its side;
 /// * groupjoins have grouping-free right inputs;
 /// * groupings sit on non-grouped inputs over sets that may be grouped
 ///   (`can_group`), with exactly the grouping attributes `G⁺(S)`;
 /// * costs are finite, non-negative and monotone in the children, and
 ///   `has_grouping` flags are consistent.
 ///
+/// The memo stores neither which operators a plan applied nor which
+/// attributes it exposes: both are derived here from the tree.
+///
 /// Returns a description of the first violation found.
 pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<(), String> {
+    walk(ctx, store, id).map(|_| ())
+}
+
+/// What a validated subtree shows the node above it, derived from its tree:
+/// the operators it applies (bit `i` for `cq.ops[i]`) and the query
+/// attributes its output exposes — a scan its table's; an application its
+/// left input's, the right input's too when the operator preserves it, and
+/// a groupjoin's aggregate outputs; a grouping `G⁺(S)`. (A grouping's count
+/// and partial aggregate columns are left out: they lie above every query
+/// attribute, so no predicate or aggregate argument names them.)
+struct Derived {
+    applied: u64,
+    visible: Vec<AttrId>,
+}
+
+fn walk(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<Derived, String> {
     let plan = store.plan(id);
     let hot = plan.hot;
     if !hot.cost.is_finite() || hot.cost < 0.0 {
@@ -49,13 +68,13 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             if hot.set != NodeSet::single(table) {
                 return Err(format!("scan of table {table} covers set {}", hot.set));
             }
-            if hot.applied != 0 {
-                return Err(format!("scan of table {table} claims applied operators"));
-            }
             if hot.has_grouping() {
                 return Err(format!("scan of table {table} flagged has_grouping"));
             }
-            Ok(())
+            Ok(Derived {
+                applied: 0,
+                visible: ctx.query.tables[table].attrs.clone(),
+            })
         }
         PlanNode::Apply {
             op,
@@ -64,8 +83,8 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             left,
             right,
         } => {
-            validate_subplan(ctx, store, left)?;
-            validate_subplan(ctx, store, right)?;
+            let ld = walk(ctx, store, left)?;
+            let rd = walk(ctx, store, right)?;
             let (l, r) = (&store[left], &store[right]);
             if !l.set.is_disjoint(r.set) {
                 return Err(format!(
@@ -79,24 +98,18 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                     hot.set, l.set, r.set
                 ));
             }
-            if l.applied & r.applied != 0 {
-                return Err("operator applied twice across join inputs".into());
-            }
-            let here = hot.applied & !(l.applied | r.applied);
-            if here == 0 {
-                return Err(format!("apply over {} applies no operator", hot.set));
-            }
+            let idx = op_idx as usize;
+            let Some(info) = ctx.cq.ops.get(idx) else {
+                return Err(format!("apply of unknown operator {idx}"));
+            };
             // `OptContext::new` caps the operators at 64, so the shift of
             // an index it holds does not overflow.
-            let idx = op_idx as usize;
-            let info = match ctx.cq.ops.get(idx) {
-                Some(info) if here == 1 << idx => info,
-                _ => {
-                    return Err(format!(
-                        "apply of operator {idx} applies the operators {here:#x} at its cut"
-                    ))
-                }
-            };
+            let bit = 1u64 << idx;
+            if ld.applied & rd.applied != 0 || (ld.applied | rd.applied) & bit != 0 {
+                return Err(format!(
+                    "an operator applied twice under the apply of operator {idx}"
+                ));
+            }
             if info.op != op {
                 return Err(format!(
                     "operator {idx} ({}) applied under a {op} node",
@@ -122,14 +135,17 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
             if op == OpKind::GroupJoin && r.has_grouping() {
                 return Err("groupjoin applied to a pre-aggregated right input".into());
             }
-            let (lvisible, rvisible) = (store.plan(left).visible(), store.plan(right).visible());
             for &(a, _, b) in pred.of(&plan.lanes.terms) {
-                if !lvisible.contains(&a) {
+                if !ld.visible.contains(&a) {
                     return Err(format!("predicate attribute {a} not visible on the left"));
                 }
-                if !rvisible.contains(&b) {
+                if !rd.visible.contains(&b) {
                     return Err(format!("predicate attribute {b} not visible on the right"));
                 }
+            }
+            let mut gj_args = info.gj_aggs.iter().flat_map(|c| c.referenced());
+            if let Some(a) = gj_args.find(|a| !rd.visible.contains(a)) {
+                return Err(format!("groupjoin argument {a} not visible on the right"));
             }
             if hot.has_grouping() != (l.has_grouping() || r.has_grouping()) {
                 return Err("has_grouping flag inconsistent with inputs".into());
@@ -140,10 +156,18 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                     hot.cost, l.cost, r.cost
                 ));
             }
-            Ok(())
+            let mut visible = ld.visible;
+            if op.preserves_right() {
+                visible.extend(rd.visible);
+            }
+            visible.extend(info.gj_aggs.iter().map(|c| c.out));
+            Ok(Derived {
+                applied: ld.applied | rd.applied | bit,
+                visible,
+            })
         }
-        PlanNode::Group { attrs, input, .. } => {
-            validate_subplan(ctx, store, input)?;
+        PlanNode::Group { attrs, input } => {
+            let applied = walk(ctx, store, input)?.applied;
             let inp = &store[input];
             if inp.is_group() {
                 return Err("grouping stacked directly on a grouping".into());
@@ -153,9 +177,6 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                     "grouping changes the relation set ({} vs {})",
                     hot.set, inp.set
                 ));
-            }
-            if hot.applied != inp.applied {
-                return Err("grouping changes the applied-operator mask".into());
             }
             if !ctx.can_group(hot.set) {
                 return Err(format!(
@@ -179,7 +200,10 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
                     hot.cost, inp.cost
                 ));
             }
-            Ok(())
+            Ok(Derived {
+                applied,
+                visible: attrs.to_vec(),
+            })
         }
     }
 }
@@ -188,33 +212,49 @@ pub fn validate_subplan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<()
 /// every relation of the query (each exactly once — implied by coverage
 /// plus the per-node disjointness checks) and applies every operator.
 pub fn validate_complete_plan(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<(), String> {
-    validate_subplan(ctx, store, id)?;
-    let plan = &store[id];
+    let applied = walk(ctx, store, id)?.applied;
     let full = NodeSet::full(ctx.query.table_count());
-    if plan.set != full {
+    if store[id].set != full {
         return Err(format!(
             "complete plan covers {} instead of all {} relations",
-            plan.set,
+            store[id].set,
             ctx.query.table_count()
         ));
     }
     let want = applied_ops_mask(ctx.cq.ops.len());
-    if plan.applied != want {
+    if applied != want {
         return Err(format!(
-            "complete plan applied mask {:#x} misses operators (want {want:#x})",
-            plan.applied
+            "complete plan applies the operators {applied:#x}, not all of {want:#x}"
         ));
     }
     Ok(())
 }
 
+/// The width-safe all-operators-applied mask: `n_ops` low bits set — the
+/// operators a complete plan applies, each exactly once, as
+/// [`validate_complete_plan`] derives them from its tree. Operator
+/// masks are `u64`, which caps the operator count at 64; [`OptContext::new`]
+/// asserts the bound so a too-wide query fails loudly instead of letting
+/// `1 << op_idx` wrap.
+pub fn applied_ops_mask(n_ops: usize) -> u64 {
+    assert!(
+        n_ops <= 64,
+        "applied-operator tracking supports at most 64 operators, got {n_ops}"
+    );
+    if n_ops == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - n_ops)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::{Memo, PlanCold, PlanHot, PlanNode};
+    use crate::memo::{Memo, PlanCold, PlanHot, PlanNode, Span};
     use crate::plan::{make_apply, make_scan};
     use crate::Scratch;
-    use dpnext_algebra::{AttrGen, AttrId, JoinPred};
+    use dpnext_algebra::{AttrGen, AttrId, CmpOp, JoinPred};
     use dpnext_query::{GroupSpec, OpTree, Query, QueryTable};
 
     fn a(i: u32) -> AttrId {
@@ -266,25 +306,9 @@ mod tests {
         assert!(err.contains("overlapping"), "{err}");
     }
 
-    #[test]
-    fn missing_operator_is_rejected() {
-        let ctx = ctx2();
-        let mut memo = Memo::new();
-        let mut scratch = Scratch::new(&ctx);
-        let l = make_scan(&ctx, &mut memo, 0);
-        let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
-        let mut bogus = memo[j];
-        bogus.applied = 0;
-        let id = memo.push_row(bogus, *memo.plan(j).cold);
-        // The apply node no longer applies anything at its cut.
-        let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
-        assert!(err.contains("applies no operator"), "{err}");
-    }
-
-    /// The lower join of `(r ⋈_{a1 = a2} s) ⋈_{a3 = a4} t` (operator 0 of
-    /// 2), copied into a new row whose `applied` is edited to `applied`.
-    fn lower_join_applying(applied: u64) -> (OptContext, Memo, PlanId) {
+    /// `(r ⋈_{a1 = a2} s) ⋈_{a3 = a4} t`, with the plans of its scans and
+    /// of its lower join (operator 0 of 2) built.
+    fn three_table_plans() -> (OptContext, Memo, [PlanId; 4]) {
         let table = |name, i| QueryTable::new(name, vec![a(i), a(i + 1)], 10.0);
         let tree = OpTree::binary(
             OpKind::Join,
@@ -301,28 +325,72 @@ mod tests {
         let ctx = OptContext::new(Query::new(tables, tree, None));
         let mut memo = Memo::new();
         let mut scratch = Scratch::new(&ctx);
-        let l = make_scan(&ctx, &mut memo, 0);
-        let r = make_scan(&ctx, &mut memo, 1);
-        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
+        let scans = [0, 1, 2].map(|i| make_scan(&ctx, &mut memo, i));
+        let j = make_apply(&ctx, &mut scratch, &mut memo, 0, scans[0], scans[1]).unwrap();
         validate_subplan(&ctx, &memo, j).unwrap();
-        let mut bogus = memo[j];
-        bogus.applied = applied;
-        let id = memo.push_row(bogus, *memo.plan(j).cold);
-        (ctx, memo, id)
+        (ctx, memo, [scans[0], scans[1], scans[2], j])
     }
 
+    /// A plan of the full set whose top node applies the lower join's
+    /// operator again, over that join and `t`: it misses the top join.
     #[test]
-    fn a_second_operator_at_one_cut_is_rejected() {
-        let (ctx, memo, id) = lower_join_applying(0b11);
-        let err = validate_subplan(&ctx, &memo, id).unwrap_err();
-        assert!(err.contains("applies the operators 0x3"), "{err}");
+    fn missing_operator_is_rejected() {
+        let (ctx, mut memo, [_, _, t, j]) = three_table_plans();
+        let mut hot = memo[j];
+        hot.set = NodeSet::full(3);
+        let mut bogus = *memo.plan(j).cold;
+        if let PlanNode::Apply { left, right, .. } = &mut bogus.node {
+            (*left, *right) = (j, t);
+        }
+        let id = memo.push_row(hot, bogus);
+        let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
+        assert!(err.contains("applied twice"), "{err}");
     }
 
+    /// The lower join with its node naming the top join's operator, whose
+    /// TES the cut `(r, s)` does not hold.
     #[test]
     fn an_operator_other_than_the_nodes_own_is_rejected() {
-        let (ctx, memo, id) = lower_join_applying(0b10);
+        let (ctx, mut memo, [.., j]) = three_table_plans();
+        let mut bogus = *memo.plan(j).cold;
+        if let PlanNode::Apply { op_idx, .. } = &mut bogus.node {
+            *op_idx = 1;
+        }
+        let id = memo.push_row(memo[j], bogus);
         let err = validate_subplan(&ctx, &memo, id).unwrap_err();
-        assert!(err.contains("applies the operators 0x2"), "{err}");
+        assert!(err.contains("operator 1 TES"), "{err}");
+    }
+
+    /// `(r ⋉_{a1 = a2} s) ⋈_{a0 = a4} t` with the join's predicate edited
+    /// to `a2 = a4`: the semijoin on its left hides `a2`.
+    #[test]
+    fn a_predicate_on_a_hidden_attribute_is_rejected() {
+        let table = |name, i| QueryTable::new(name, vec![a(i), a(i + 1)], 10.0);
+        let semi = OpTree::binary(
+            OpKind::Semi,
+            JoinPred::eq(a(1), a(2)),
+            OpTree::rel(0),
+            OpTree::rel(1),
+        );
+        let tree = OpTree::binary(OpKind::Join, JoinPred::eq(a(0), a(4)), semi, OpTree::rel(2));
+        let tables = vec![table("r", 0), table("s", 2), table("t", 4)];
+        let ctx = OptContext::new(Query::new(tables, tree, None));
+        let mut memo = Memo::new();
+        let mut scratch = Scratch::new(&ctx);
+        let [r, s, t] = [0, 1, 2].map(|i| make_scan(&ctx, &mut memo, i));
+        let semi = make_apply(&ctx, &mut scratch, &mut memo, 0, r, s).unwrap();
+        let top = make_apply(&ctx, &mut scratch, &mut memo, 1, semi, t).unwrap();
+        validate_complete_plan(&ctx, &memo, top).unwrap();
+        let terms = &mut memo.lanes.terms;
+        let hidden = Span::new(terms.len(), 1);
+        terms.push((a(2), CmpOp::Eq, a(4)));
+        let mut bogus = *memo.plan(top).cold;
+        if let PlanNode::Apply { pred, .. } = &mut bogus.node {
+            *pred = hidden;
+        }
+        let id = memo.push_row(memo[top], bogus);
+        let err = validate_complete_plan(&ctx, &memo, id).unwrap_err();
+        assert!(err.contains("a2 not visible on the left"), "{err}");
     }
 
     #[test]
@@ -332,15 +400,7 @@ mod tests {
         let l = make_scan(&ctx, &mut memo, 0);
         // A hand-rolled grouping with the wrong grouping attributes.
         let scan = memo[l];
-        let hot = PlanHot::new(
-            scan.set,
-            scan.card,
-            scan.cost + scan.card,
-            scan.applied,
-            true,
-            true,
-            true,
-        );
+        let hot = PlanHot::new(scan.set, scan.card, scan.cost + scan.card, true, true, true);
         let cold = PlanCold {
             node: PlanNode::Group {
                 attrs: memo.lanes.push_attrs(&[a(3)]),
@@ -363,7 +423,8 @@ mod tests {
         let j = make_apply(&ctx, &mut scratch, &mut memo, 0, l, r).unwrap();
         // Swap the children: the inner join is commutative, so the TES
         // check passes both ways — but the predicate attribute visibility
-        // flags the swap (left attrs now come from the right child).
+        // derived from the tree flags the swap (left attrs now come from
+        // the right child).
         let mut bogus = *memo.plan(j).cold;
         if let PlanNode::Apply { left, right, .. } = &mut bogus.node {
             std::mem::swap(left, right);

@@ -5,8 +5,7 @@
 //! `Memo::truncate` restores the exact state at the mark (arena length,
 //! every lane length, live bytes), and every plan that survives still
 //! reads back the payload it was built with — including plans that *share*
-//! an input's key set, aggregation state or visible attributes instead of
-//! owning a copy.
+//! an input's key set or aggregation state instead of owning a copy.
 
 use dpnext_algebra::AttrId;
 use dpnext_core::aggstate::AggPos;
@@ -17,7 +16,6 @@ use dpnext_core::{
     Scratch, StagedApply, Term,
 };
 use dpnext_hypergraph::NodeSet;
-use dpnext_query::OpKind;
 use dpnext_workload::{generate_query, GenConfig, OpWeights};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -34,7 +32,6 @@ struct Payload {
     keys: Vec<Vec<AttrId>>,
     pos: Vec<AggPos>,
     counts: Vec<(NodeSet, AttrId)>,
-    visible: Vec<AttrId>,
 }
 
 fn payload(memo: &Memo, id: PlanId) -> Payload {
@@ -65,7 +62,6 @@ fn payload(memo: &Memo, id: PlanId) -> Payload {
         keys: plan.keys().iter().map(<[AttrId]>::to_vec).collect(),
         pos: plan.agg().pos.to_vec(),
         counts: plan.agg().counts.to_vec(),
-        visible: plan.visible().to_vec(),
     }
 }
 
@@ -318,9 +314,6 @@ fn replay(n: usize, seed: u64, steps: &[(u8, usize, usize, u8)]) -> Result<u64, 
                 if !op.preserves_right() {
                     prop_assert_eq!((input.agg_pos, input.counts), (cold.agg_pos, cold.counts));
                     prop_assert_eq!(input.keys, cold.keys);
-                }
-                if matches!(op, OpKind::Semi | OpKind::Anti) {
-                    prop_assert_eq!(input.visible, cold.visible);
                 }
             }
             live.push((id, payload(&memo, id)));

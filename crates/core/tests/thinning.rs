@@ -17,8 +17,8 @@ use dpnext_core::applicable_op;
 use dpnext_core::finalize::final_numbers;
 use dpnext_core::optrees::{op_trees, GridPlan, GridSide};
 use dpnext_core::{
-    all_subplans, applied_ops_mask, optimize, stage_apply, Algorithm as A, Memo, OptContext,
-    PlanId, Scratch, StagedApply, ThinBy,
+    all_subplans, optimize, stage_apply, Algorithm as A, Memo, OptContext, PlanId, Scratch,
+    StagedApply, ThinBy,
 };
 use dpnext_hypergraph::{enumerate_ccps, NodeSet};
 use dpnext_query::Query;
@@ -67,11 +67,10 @@ fn cost_card(ctx: &OptContext, memo: &Memo, a: PlanId, b: PlanId) -> bool {
     cost_only(ctx, memo, a, b) && memo[a].card <= memo[b].card
 }
 
-/// The final cost of `t` if it is a complete plan (full set, every
-/// operator applied), what complete plans compete on.
+/// The final cost of `t` if it is a complete plan (the full set), what
+/// complete plans compete on.
 fn final_cost(ctx: &OptContext, memo: &Memo, t: PlanId) -> Option<f64> {
-    let complete = memo[t].set == NodeSet::full(ctx.query.table_count())
-        && memo[t].applied == applied_ops_mask(ctx.cq.ops.len());
+    let complete = memo[t].set == NodeSet::full(ctx.query.table_count());
     complete.then(|| final_numbers(ctx, memo, t).0)
 }
 

@@ -91,7 +91,10 @@ impl AttrOrigins {
     }
 }
 
-/// A complete query.
+/// A complete query. Build one with [`Query::new`], which validates it:
+/// among other things that every operator names only attributes its inputs
+/// expose, which the optimizer relies on instead of checking per plan. A
+/// struct literal skips that validation.
 #[derive(Debug, Clone)]
 pub struct Query {
     pub tables: Vec<QueryTable>,
@@ -173,8 +176,11 @@ impl Query {
         plan
     }
 
-    /// Sanity checks: unique aliases, predicate sides match subtrees,
-    /// grouping attributes visible at the top.
+    /// Sanity checks: unique aliases, predicate sides match subtrees, every
+    /// predicate attribute and groupjoin argument visible in the input on
+    /// its side ([`OpTree::visible_attrs`]: not hidden by a semijoin, an
+    /// antijoin or a groupjoin below it — the rule the SQL binder applies
+    /// to column references), grouping attributes visible at the top.
     fn validate(&self) {
         let mut aliases: Vec<&str> = self.tables.iter().map(|t| t.alias.as_str()).collect();
         aliases.sort_unstable();
@@ -217,6 +223,40 @@ impl Query {
                             "groupjoin aggregate attr {a} not from right subtree"
                         );
                     }
+                }
+            }
+        });
+        // After every origin check, so that an attribute from the wrong
+        // subtree is reported as such.
+        self.tree.visit_ops(&mut |node| {
+            if let OpTree::Binary {
+                op,
+                pred,
+                left,
+                right,
+                gj_aggs,
+                ..
+            } = node
+            {
+                let lvis = left.visible_attrs(&table_attrs);
+                let rvis = right.visible_attrs(&table_attrs);
+                for a in pred.left_attrs() {
+                    assert!(
+                        lvis.contains(&a),
+                        "pred attr {a} of {op} not visible on its left"
+                    );
+                }
+                for a in pred.right_attrs() {
+                    assert!(
+                        rvis.contains(&a),
+                        "pred attr {a} of {op} not visible on its right"
+                    );
+                }
+                for a in gj_aggs.iter().flat_map(|c| c.referenced()) {
+                    assert!(
+                        rvis.contains(&a),
+                        "groupjoin aggregate attr {a} not visible on its right"
+                    );
                 }
             }
         });
@@ -343,6 +383,59 @@ mod tests {
             OpTree::rel(1),
         );
         Query::new(vec![t0, t1], tree, None);
+    }
+
+    /// `r(a0, a1)`, `s(a2, a3)` and `t(a4, a5)`.
+    fn three_tables() -> Vec<QueryTable> {
+        let table = |name, i| QueryTable::new(name, vec![a(i), a(i + 1)], 1.0);
+        vec![table("r", 0), table("s", 2), table("t", 4)]
+    }
+
+    /// `r ⋈_{a0 = a4} (s ◦_{a2 = a5} t)`: the join reads `a4` of `t`, the
+    /// right input of `op`.
+    fn join_over_the_right_of(op: OpKind) -> Query {
+        let below = OpTree::binary(op, JoinPred::eq(a(2), a(5)), OpTree::rel(1), OpTree::rel(2));
+        let tree = OpTree::binary(
+            OpKind::Join,
+            JoinPred::eq(a(0), a(4)),
+            OpTree::rel(0),
+            below,
+        );
+        Query::new(three_tables(), tree, None)
+    }
+
+    #[test]
+    #[should_panic(expected = "pred attr a4 of ⋈ not visible on its right")]
+    fn validation_rejects_a_pred_attr_hidden_by_a_semijoin() {
+        join_over_the_right_of(OpKind::Semi);
+    }
+
+    #[test]
+    #[should_panic(expected = "pred attr a4 of ⋈ not visible on its right")]
+    fn validation_rejects_a_pred_attr_hidden_by_an_antijoin() {
+        join_over_the_right_of(OpKind::Anti);
+    }
+
+    #[test]
+    #[should_panic(expected = "pred attr a4 of ⋈ not visible on its right")]
+    fn validation_rejects_a_pred_attr_hidden_by_a_groupjoin() {
+        join_over_the_right_of(OpKind::GroupJoin);
+    }
+
+    /// A groupjoin of `r` with `s ⋉_{a3 = a5} t` on `a0 = a2` that sums
+    /// `a4` of `t`, which the semijoin hides.
+    #[test]
+    #[should_panic(expected = "groupjoin aggregate attr a4 not visible on its right")]
+    fn validation_rejects_a_hidden_groupjoin_argument() {
+        let semi = OpTree::binary(
+            OpKind::Semi,
+            JoinPred::eq(a(3), a(5)),
+            OpTree::rel(1),
+            OpTree::rel(2),
+        );
+        let sum = AggCall::new(a(50), AggKind::Sum, Expr::attr(a(4)));
+        let tree = OpTree::groupjoin(JoinPred::eq(a(0), a(2)), vec![sum], OpTree::rel(0), semi);
+        Query::new(three_tables(), tree, None);
     }
 
     #[test]
