@@ -152,14 +152,15 @@ pub fn optimize_with(query: &Query, algo: Algorithm, opts: &OptimizeOptions) -> 
 /// It comes back holding the plans of the run, whichever way the run
 /// ended (a panic included); the winning [`crate::FinalPlan`] owns its
 /// compiled expression, so the memo can be recycled immediately after
-/// this returns.
+/// this returns. The run's [`OptContext`] borrows `query`: nothing of the
+/// query is cloned.
 pub fn optimize_into(
     query: &Query,
     algo: Algorithm,
     opts: &OptimizeOptions,
     memo: &mut Memo,
 ) -> Optimized {
-    optimize_prepared(&OptContext::new(query.clone()), algo, opts, memo).0
+    optimize_prepared(&OptContext::new(query), algo, opts, memo).0
 }
 
 /// [`optimize_into`] over a prepared context, returning the winner's memo
@@ -270,8 +271,8 @@ fn keep_best(best: &mut Option<(f64, PlanId)>, ctx: &OptContext, memo: &Memo, id
 /// property tests that validate per-plan claims (keys, duplicate-freeness)
 /// against executed results. Exponential — small queries only. Returns the
 /// memo owning the plans plus every enumerated id (partial and complete).
-pub fn all_subplans(query: &Query) -> (OptContext, Memo, Vec<PlanId>) {
-    let ctx = OptContext::new(query.clone());
+pub fn all_subplans(query: &Query) -> (OptContext<'_>, Memo, Vec<PlanId>) {
+    let ctx = OptContext::new(query);
     let mut memo = Memo::new();
     let mut search = Search::new(&ctx, &mut memo, ThinBy::Nothing, true);
     // No set counts as complete: the plans of the full set are folded into
@@ -307,7 +308,7 @@ pub const UNIT_MAX_PLANS: u64 = 6;
 /// algorithm its `thin_by`/`eager` name. The ladder ([`crate::ladder`])
 /// runs three streams into one search; an exact run one.
 pub(crate) struct Search<'a> {
-    ctx: &'a OptContext,
+    ctx: &'a OptContext<'a>,
     memo: &'a mut Memo,
     scratch: Scratch,
     /// The units of the orientation being applied: class snapshots with
@@ -367,7 +368,7 @@ impl<'a> Search<'a> {
     /// it held. Starts the clock [`Optimized::elapsed`] is read from and
     /// seeds the singleton scan classes.
     pub(crate) fn new(
-        ctx: &'a OptContext,
+        ctx: &'a OptContext<'a>,
         memo: &'a mut Memo,
         thin_by: ThinBy,
         eager: bool,

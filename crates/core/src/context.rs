@@ -13,11 +13,16 @@ use crate::memo::Span;
 use dpnext_algebra::AttrId;
 use dpnext_hypergraph::{FxHashMap, NodeSet};
 use dpnext_query::{AttrOrigins, Query};
+use std::borrow::Cow;
 
 /// Context shared by all plan constructors during one optimization run.
-pub struct OptContext {
+///
+/// It borrows its query when built from a `&Query` (what
+/// [`crate::optimize_into`] does: no clone per request) and owns it when
+/// built from a `Query`.
+pub struct OptContext<'q> {
     /// The query being optimized.
-    pub query: Query,
+    pub query: Cow<'q, Query>,
     /// Conflict-detection result (TES/SES sets) for the query's operators.
     pub cq: ConflictedQuery,
     /// Attribute → node set required for the attribute to exist, as one
@@ -116,10 +121,12 @@ pub(crate) fn gj_args(cq: &ConflictedQuery) -> Vec<Vec<AttrId>> {
         .collect()
 }
 
-impl OptContext {
+impl<'q> OptContext<'q> {
     /// Derive the full optimization context (conflict detection,
-    /// attribute origins, base statistics) for one query.
-    pub fn new(query: Query) -> Self {
+    /// attribute origins, base statistics) for one query, owned or
+    /// borrowed.
+    pub fn new(query: impl Into<Cow<'q, Query>>) -> Self {
+        let query = query.into();
         let mut origins = query.attr_origins();
         let cq = detect(&query, &origins);
         // Operator sets are u64 bitmasks (the operators reading a `G⁺`

@@ -23,7 +23,11 @@
 //!    an aborted exact stream cannot starve rung 3. With a plan limit it
 //!    is attempted only when a capped csg-cmp-pair count
 //!    ([`count_ccps_capped`]) shows the full DPhyp stream plausibly fits
-//!    that half; without one there is no gate.
+//!    that half; without one there is no gate. The count first checks a
+//!    lower bound on the stream, the pairs a spanning forest of the simple
+//!    edges guarantees ([`dpnext_hypergraph::ccp_lower_bound`], `O(n)`),
+//!    and refuses without walking when that alone passes the cap: 12 of
+//!    the 19 refusals on the benchmark's 20–40-relation queries.
 //!    The walk is bounded by the best complete plan — the greedy one
 //!    until it finds a cheaper one: an interior work unit whose inputs
 //!    together cost as much is skipped (not built, not charged), and an
@@ -46,9 +50,10 @@
 //! unit: `plans_built <= plan_budget` holds no matter which rung wins. The
 //! greedy rung is armed with the plan limit alone and reads no clock, so a
 //! deadline that passes during it is overshot by the rest of the greedy
-//! pass (~0.8 ms on the benchmark's 20–40-relation queries, 2-vCPU box),
-//! and the greedy plan ships; one that passes in a later rung is overshot
-//! by at most one unit ([`UNIT_MAX_PLANS`] plans).
+//! pass (a request under a 1 µs deadline takes 0.05–0.24 ms, 0.12 ms on
+//! average, on the benchmark's 20–40-relation queries, best of 7 on a
+//! 2-vCPU box), and the greedy plan ships; one that passes in a later rung
+//! is overshot by at most one unit ([`UNIT_MAX_PLANS`] plans).
 //! [`crate::MemoStats::plan_budget`], [`crate::MemoStats::degradation`]
 //! (gate, or the resource that ran out mid-stream: plans or deadline) and
 //! [`crate::MemoStats::adaptive_mode`] report what happened.
@@ -78,6 +83,13 @@ pub const DEFAULT_PLAN_BUDGET: u64 = 100_000;
 /// exceeds.
 pub fn budget_floor(n: usize) -> u64 {
     128 * n.max(1) as u64
+}
+
+/// The exact rung's gate: the most csg-cmp-pairs the full DPhyp stream may
+/// have for the rung to start under `half` with `spent` plans built, one
+/// per [`UNIT_MAX_PLANS`] plans left; no gate without a plan limit.
+pub(crate) fn gate_cap(half: Budget, spent: u64) -> Option<u64> {
+    half.plans.map(|cap| (cap - spent) / UNIT_MAX_PLANS)
 }
 
 /// The ladder's state between rungs: the one search every rung feeds, and
@@ -199,8 +211,9 @@ pub(crate) fn climb(
             // abort subsumes it.
             let half = full.split(spent);
             let exact_done = ladder.rung("adaptive.rung.exact", half, |search| {
-                let gate = half.plans.map(|cap| (cap - spent) / UNIT_MAX_PLANS);
-                if gate.is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none()) {
+                if gate_cap(half, spent)
+                    .is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none())
+                {
                     return false;
                 }
                 search.enumerate();

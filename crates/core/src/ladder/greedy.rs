@@ -12,6 +12,16 @@
 //! pairs are still scanned in the same order with the same tie-breaking,
 //! so the merges are those of estimating every pair after every merge.
 //!
+//! Nor does a pair ask the graph whether an edge joins it: the pass keeps
+//! the **component links** (`Links`, fixed arrays, no allocation).
+//! Singletons are linked by their simple edges; a merged component's row
+//! is the OR of its two parts' rows, and every complex edge whose one side
+//! only now lies inside the merged component links it to the component
+//! that holds all of the other side — `O(#edges)` per merge instead of an
+//! edge scan per pair. [`Hypergraph::has_connecting_edge`] stays the
+//! reference: a build with debug assertions checks every link the pass
+//! reads against it.
+//!
 //! Two searches run it before walking the DPhyp stream: the ladder, as its
 //! first rung, and EA-Prune, as its seed ([`crate::optimize_prepared`]).
 //! Either way the complete plan it leaves bounds every interior unit of
@@ -34,7 +44,7 @@ use crate::context::OptContext;
 use crate::detect::applicable_op;
 use crate::memo::Memo;
 use crate::plan::{cut_estimate, cut_terms};
-use dpnext_hypergraph::NodeSet;
+use dpnext_hypergraph::{Hypergraph, NodeSet, MAX_RELATIONS};
 use dpnext_query::OpTree;
 
 /// One greedy component: the relations it covers, and the first and the
@@ -45,6 +55,65 @@ struct Component {
     set: NodeSet,
     first: usize,
     last: usize,
+}
+
+/// Which pairs of greedy components a hyperedge joins, kept across merges
+/// so that no pair asks the graph. Per component, by its first relation:
+/// relations of the components it is linked to, a link being recorded on
+/// at least one of its two ends ([`Links::joined`] reads both).
+struct Links {
+    rows: [NodeSet; MAX_RELATIONS],
+    /// Per relation: the first relation of the component that holds it.
+    owner: [usize; MAX_RELATIONS],
+}
+
+impl Links {
+    /// Singletons, linked by their simple edges.
+    fn new(graph: &Hypergraph) -> Links {
+        let mut links = Links {
+            rows: [NodeSet::EMPTY; MAX_RELATIONS],
+            owner: [0; MAX_RELATIONS],
+        };
+        for v in 0..graph.node_count() {
+            links.rows[v] = graph.simple_neighbors(v);
+            links.owner[v] = v;
+        }
+        links
+    }
+
+    /// Whether a hyperedge joins `a` and `b`: what
+    /// [`Hypergraph::has_connecting_edge`] answers for their sets.
+    fn joined(&self, a: &Component, b: &Component) -> bool {
+        self.rows[a.first].intersects(b.set) || self.rows[b.first].intersects(a.set)
+    }
+
+    /// `from` merges into `into` (both as they were before the merge): the
+    /// merged row is the OR of the two, and a complex edge with a side that
+    /// only now lies inside the merged component links it to the component
+    /// that holds all of the other side, if one does. A side that is still
+    /// split links nothing yet; the merge that gathers it records the link
+    /// from its end.
+    fn merge(&mut self, graph: &Hypergraph, into: &Component, from: &Component) {
+        let merged = into.set.union(from.set);
+        for r in from.set.iter() {
+            self.owner[r] = into.first;
+        }
+        let mut row = self.rows[into.first].union(self.rows[from.first]);
+        for e in graph.complex_edges() {
+            for (inside, other) in [(e.left, e.right), (e.right, e.left)] {
+                let gathered = inside.is_subset_of(merged)
+                    && !inside.is_subset_of(into.set)
+                    && !inside.is_subset_of(from.set);
+                if gathered && other.is_disjoint(merged) {
+                    let holder = self.owner[other.min()];
+                    if other.iter().all(|r| self.owner[r] == holder) {
+                        row = row.union(other);
+                    }
+                }
+            }
+        }
+        self.rows[into.first] = row;
+    }
 }
 
 /// Run the greedy pass on `search`. On success the memo holds a complete
@@ -78,6 +147,7 @@ pub(crate) fn greedy_join_with<'s>(
     // Per ordered pair of components, by their first relations: the pair's
     // estimate once taken (`None` inside when nothing joins them).
     let mut estimates: Vec<Option<Option<f64>>> = vec![None; n * n];
+    let mut links = Links::new(graph);
     while comps.len() > 1 && search.exhausted().is_none() {
         // The applicable pair with the smallest estimated join result.
         let mut best: Option<(usize, usize, f64)> = None;
@@ -85,7 +155,15 @@ pub(crate) fn greedy_join_with<'s>(
             for j in i + 1..comps.len() {
                 let (a, b) = (&comps[i], &comps[j]);
                 let card = *estimates[a.first * n + b.first].get_or_insert_with(|| {
-                    if graph.has_connecting_edge(a.set, b.set) {
+                    let linked = links.joined(a, b);
+                    debug_assert_eq!(
+                        graph.has_connecting_edge(a.set, b.set),
+                        linked,
+                        "the links of {} and {} disagree with the graph",
+                        a.set,
+                        b.set
+                    );
+                    if linked {
                         estimate(search, a.set, b.set)
                     } else {
                         None
@@ -111,10 +189,11 @@ pub(crate) fn greedy_join_with<'s>(
         // groupjoins need one); without this the class widths would
         // compound across merges and the greedy floor would not hold.
         search.shrink_class_to_best(union);
-        let Component { first, last, .. } = comps.swap_remove(j);
+        let gone = comps.swap_remove(j);
+        links.merge(graph, &comps[i], &gone);
         let merged = &mut comps[i];
-        next[merged.last] = first;
-        merged.last = last;
+        next[merged.last] = gone.first;
+        merged.last = gone.last;
         merged.set = union;
         // Every other component's class is as it was, so only the merged
         // component's estimates are stale.
@@ -211,4 +290,103 @@ fn class_min_card(memo: &Memo, s: NodeSet) -> Option<f64> {
         .iter()
         .map(|&id| memo[id].card)
         .min_by(f64::total_cmp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpnext_hypergraph::Hyperedge;
+    use dpnext_workload::{generate_query, GenConfig, Topology};
+
+    /// Merge `graph`'s singletons along a pseudo-random order drawn from
+    /// `state` (joined pairs or not), checking after every merge that the
+    /// links answer what [`Hypergraph::has_connecting_edge`] answers for
+    /// every pair of components.
+    fn check_links(graph: &Hypergraph, state: &mut u64, what: &str) {
+        let mut comps: Vec<Component> = (0..graph.node_count())
+            .map(|i| Component {
+                set: NodeSet::single(i),
+                first: i,
+                last: i,
+            })
+            .collect();
+        let mut links = Links::new(graph);
+        loop {
+            for (i, a) in comps.iter().enumerate() {
+                for b in &comps[i + 1..] {
+                    assert_eq!(
+                        graph.has_connecting_edge(a.set, b.set),
+                        links.joined(a, b),
+                        "{what}: {} and {}",
+                        a.set,
+                        b.set
+                    );
+                }
+            }
+            if comps.len() == 1 {
+                break;
+            }
+            let len = comps.len() as u64;
+            let draw = next(state);
+            let (i, j) = (draw % len, (draw >> 32) % (len - 1));
+            let (i, j) = (i.min(j) as usize, if j >= i { j + 1 } else { i } as usize);
+            let gone = comps.swap_remove(j);
+            links.merge(graph, &comps[i], &gone);
+            comps[i].set = comps[i].set.union(gone.set);
+        }
+    }
+
+    /// One xorshift step.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The links agree with the graph after every merge on the graphs of
+    /// `topology(20 | 30 | 40, every kind)` × 4 seeds and `paper(3..=11)` ×
+    /// 4 seeds, and on 300 random hypergraphs whose complex edges have
+    /// sides of up to four nodes each, so that a merge can gather one side
+    /// while the other is still split, or both in turn.
+    #[test]
+    fn links_answer_what_the_graph_answers_after_every_merge() {
+        let kinds = [
+            Topology::Chain,
+            Topology::Star,
+            Topology::Clique,
+            Topology::Mixed,
+        ];
+        let topologies = [20, 30, 40]
+            .into_iter()
+            .flat_map(|n| kinds.map(|t| GenConfig::topology(n, t)));
+        let configs = topologies.chain((3..=11).map(GenConfig::paper));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for (cfg, seed) in configs.flat_map(|cfg| (0..4).map(move |seed| (cfg.clone(), seed))) {
+            let ctx = OptContext::new(generate_query(&cfg, seed));
+            check_links(&ctx.cq.graph, &mut state, &format!("{cfg:?} seed {seed}"));
+        }
+        for round in 0..300 {
+            let n = 4 + (next(&mut state) % 9) as usize;
+            let mut graph = Hypergraph::new(n);
+            let side = |state: &mut u64| {
+                let picks = 1 + next(state) % 4;
+                (0..picks).fold(NodeSet::EMPTY, |s, _| {
+                    s.insert((next(state) % n as u64) as usize)
+                })
+            };
+            for label in 0..n {
+                let (a, b) = (next(&mut state) as usize % n, next(&mut state) as usize % n);
+                if a != b && next(&mut state) & 1 == 0 {
+                    graph.add_simple(a, b, label);
+                }
+                let (left, right) = (side(&mut state), side(&mut state));
+                let right = right.difference(left);
+                if !right.is_empty() && left.len() + right.len() > 2 {
+                    graph.add_edge(Hyperedge::new(left, right, n + label));
+                }
+            }
+            check_links(&graph, &mut state, &format!("random graph {round}"));
+        }
+    }
 }

@@ -78,11 +78,11 @@ fn orient_term(ctx: &OptContext, (l, op, r): Term, left_set: NodeSet) -> Term {
 
 /// The predicate terms of operator `op_idx`, each oriented so its left
 /// attribute comes from `left_set`.
-pub(crate) fn cut_terms(
-    ctx: &OptContext,
+pub(crate) fn cut_terms<'a>(
+    ctx: &'a OptContext<'a>,
     op_idx: usize,
     left_set: NodeSet,
-) -> impl Iterator<Item = Term> + '_ {
+) -> impl Iterator<Item = Term> + 'a {
     let terms = ctx.cq.ops[op_idx].pred.terms.iter();
     terms.map(move |&t| orient_term(ctx, t, left_set))
 }

@@ -45,7 +45,7 @@ fn op_tree_ids(
 
 /// `r0(a0 key, a1) ⋈ r1(a2, a3)`, group by a1, aggregates
 /// `count(*), sum(a3)`.
-fn two_table_ctx(op: OpKind) -> OptContext {
+fn two_table_ctx(op: OpKind) -> OptContext<'static> {
     let t0 = QueryTable::new("r0", vec![a(0), a(1)], 100.0)
         .with_distinct(vec![100.0, 10.0])
         .with_key(vec![a(0)]);
@@ -1461,7 +1461,10 @@ mod engine {
     /// topologies the ladder serves, `topology(20 | 30 | 40, Chain | Star |
     /// Clique | Mixed)` × 4 seeds. Every estimate it asks for is of a pair
     /// an edge connects, and no ordered pair of component sets is
-    /// estimated twice (a merge gives its component a new set).
+    /// estimated twice (a merge gives its component a new set). With debug
+    /// assertions on (the default test build, and CI's release step that
+    /// turns them on), the pass checks every component link it reads on
+    /// this sweep against `has_connecting_edge`.
     #[test]
     fn greedy_picks_the_merges_of_estimating_every_pair_again() {
         let paper = (3..=11).flat_map(|n| (0..20).map(move |seed| (GenConfig::paper(n), seed)));
@@ -1517,6 +1520,107 @@ mod engine {
         assert!(
             kept * 10 < re_estimated,
             "{kept} estimates kept across merges, {re_estimated} taken again"
+        );
+    }
+
+    /// The exact rung's gate on the benchmark's `adaptive-large` requests
+    /// (`topology(20 | 30 | 40, every kind)` × 4 seeds under a 50,000-plan
+    /// budget), its cap taken as the ladder takes it, after the greedy rung:
+    /// it refuses the 19 requests its walk alone refuses, and 12 of them on
+    /// the spanning-forest bound without walking.
+    #[test]
+    fn the_gate_refuses_on_the_spanning_forest_bound_before_it_walks() {
+        use crate::ladder::gate_cap;
+        use dpnext_hypergraph::{ccp_lower_bound, count_ccps_capped, try_enumerate_ccps};
+        use std::ops::ControlFlow;
+        use Topology::{Chain, Clique, Mixed, Star};
+        #[rustfmt::skip]
+        const GATED: [(Topology, usize, u64); 19] = [
+            (Chain, 20, 3),
+            (Star, 20, 0), (Star, 20, 1), (Star, 20, 3),
+            (Star, 30, 0), (Star, 30, 1), (Star, 30, 2), (Star, 30, 3),
+            (Star, 40, 0), (Star, 40, 1), (Star, 40, 2), (Star, 40, 3),
+            (Mixed, 20, 0), (Mixed, 20, 2), (Mixed, 20, 3),
+            (Mixed, 30, 0), (Mixed, 30, 1), (Mixed, 30, 3),
+            (Mixed, 40, 0),
+        ];
+        #[rustfmt::skip]
+        const ON_THE_BOUND: [(Topology, usize, u64); 12] = [
+            (Chain, 20, 3),
+            (Star, 20, 1), (Star, 20, 3),
+            (Star, 30, 0), (Star, 30, 1),
+            (Star, 40, 0), (Star, 40, 1), (Star, 40, 2), (Star, 40, 3),
+            (Mixed, 20, 0), (Mixed, 20, 2),
+            (Mixed, 30, 3),
+        ];
+        let (mut gated, mut on_the_bound) = (Vec::new(), Vec::new());
+        for topology in [Chain, Star, Clique, Mixed] {
+            for (n, seed) in [20, 30, 40]
+                .into_iter()
+                .flat_map(|n| (0..4).map(move |s| (n, s)))
+            {
+                let ctx = OptContext::new(generate_query(&GenConfig::topology(n, topology), seed));
+                let what = format!("{topology:?}({n}) seed {seed}");
+                let full = Budget {
+                    plans: Some(50_000),
+                    ..Budget::default()
+                };
+                let mut memo = Memo::new();
+                let mut search = Search::new(&ctx, &mut memo, ThinBy::dominance(&ctx), true);
+                search.rearm(full);
+                greedy_join(&mut search, &ctx);
+                let spent = search.plans_built();
+                let cap = gate_cap(full.split(spent), spent).expect("a plan limit gates");
+                let graph = &ctx.cq.graph;
+                let mut walked = 0u64;
+                let walk_refuses = try_enumerate_ccps(graph, |_, _| {
+                    walked += 1;
+                    if walked > cap {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .is_break();
+                let refuses = count_ccps_capped(graph, cap).is_none();
+                assert_eq!(walk_refuses, refuses, "{what}: the gate's verdict moved");
+                if refuses {
+                    gated.push((topology, n, seed));
+                }
+                if ccp_lower_bound(graph) > cap {
+                    on_the_bound.push((topology, n, seed));
+                }
+            }
+        }
+        assert_eq!(gated, GATED, "the requests the gate refuses");
+        assert_eq!(
+            on_the_bound, ON_THE_BOUND,
+            "the requests refused on the bound"
+        );
+    }
+
+    /// The spanning-forest bound never passes the DPhyp count of a query
+    /// graph the generator makes: `paper(3..=11)` × 20 seeds.
+    #[test]
+    fn the_spanning_forest_bound_stays_under_every_paper_graphs_count() {
+        use dpnext_hypergraph::{ccp_lower_bound, count_ccps};
+        let (mut exact, mut graphs) = (0, 0);
+        for n in 3..=11 {
+            for seed in 0..20 {
+                let ctx = OptContext::new(generate_query(&GenConfig::paper(n), seed));
+                let graph = &ctx.cq.graph;
+                let (bound, count) = (ccp_lower_bound(graph), count_ccps(graph));
+                assert!(
+                    bound <= count,
+                    "paper({n}) seed {seed}: {bound} over {count} pairs"
+                );
+                exact += u32::from(bound == count);
+                graphs += 1;
+            }
+        }
+        assert!(
+            exact > 0 && exact < graphs,
+            "{exact} of {graphs} graphs exact"
         );
     }
 

@@ -262,7 +262,7 @@ mod tests {
     }
 
     /// `r(a0, a1) ⋈_{a1 = a2} s(a2, a3)` grouped by `a0`.
-    fn ctx2() -> OptContext {
+    fn ctx2() -> OptContext<'static> {
         let t0 = QueryTable::new("r", vec![a(0), a(1)], 10.0);
         let t1 = QueryTable::new("s", vec![a(2), a(3)], 10.0);
         let tree = OpTree::binary(
@@ -308,7 +308,7 @@ mod tests {
 
     /// `(r ⋈_{a1 = a2} s) ⋈_{a3 = a4} t`, with the plans of its scans and
     /// of its lower join (operator 0 of 2) built.
-    fn three_table_plans() -> (OptContext, Memo, [PlanId; 4]) {
+    fn three_table_plans() -> (OptContext<'static>, Memo, [PlanId; 4]) {
         let table = |name, i| QueryTable::new(name, vec![a(i), a(i + 1)], 10.0);
         let tree = OpTree::binary(
             OpKind::Join,

@@ -6,7 +6,7 @@
 //! emitted before pairs producing their union — the invariant dynamic
 //! programming needs.
 
-use crate::bitset::NodeSet;
+use crate::bitset::{NodeSet, MAX_RELATIONS};
 use crate::graph::Hypergraph;
 use std::ops::ControlFlow;
 
@@ -155,8 +155,13 @@ pub fn count_ccps(graph: &Hypergraph) -> u64 {
 /// otherwise. `#ccp` is exponential on dense graphs (a 30-relation star
 /// has billions of pairs), so a budgeted optimizer probing "does exact DP
 /// fit my budget?" must not pay for the full count — the capped walk
-/// stops after at most `cap + 1` emissions.
+/// stops after at most `cap + 1` emissions, and a graph whose
+/// [`ccp_lower_bound`] already exceeds `cap` is refused without a walk.
 pub fn count_ccps_capped(graph: &Hypergraph, cap: u64) -> Option<u64> {
+    let floor = ccp_lower_bound(graph);
+    if floor > cap {
+        return None;
+    }
     let mut count = 0u64;
     let flow = try_enumerate_ccps(graph, |_, _| {
         count += 1;
@@ -166,7 +171,72 @@ pub fn count_ccps_capped(graph: &Hypergraph, cap: u64) -> Option<u64> {
             ControlFlow::Continue(())
         }
     });
+    // A finished walk counted at least the bound; an aborted one passed
+    // `cap`, which is at least the bound.
+    debug_assert!(
+        count >= floor,
+        "{count} pairs walked under the bound {floor}"
+    );
     flow.is_continue().then_some(count)
+}
+
+/// A lower bound on the csg-cmp-pairs of `graph`, in `O(n)`: the pairs a
+/// spanning forest of its simple edges guarantees.
+///
+/// Every subtree `S` of the forest (a connected node set of one of its
+/// trees) is split by each of its `|S| − 1` tree edges into two subtrees
+/// that the edge joins: a csg-cmp-pair of the hypergraph, since simple
+/// edges alone make both sides connected. A pair names its subtree (the
+/// union) and its edge (the one tree edge that crosses it), so the bound is
+/// `Σ_S (|S| − 1)` over the forest's subtrees. The forest is the
+/// breadth-first one from each component's smallest node. The bound is
+/// exact on a tree (a star of `m` leaves: `m·2^(m−1)`; a path of `n` nodes:
+/// `C(n+1, 3)`), and saturates instead of overflowing.
+pub fn ccp_lower_bound(graph: &Hypergraph) -> u64 {
+    let n = graph.node_count();
+    // The forest: nodes in breadth-first order, and each one's parent
+    // (`n` for a root).
+    let mut order = [0usize; MAX_RELATIONS];
+    let mut parent = [n; MAX_RELATIONS];
+    let (mut seen, mut len) = (NodeSet::EMPTY, 0);
+    for root in 0..n {
+        if seen.contains(root) {
+            continue;
+        }
+        seen = seen.insert(root);
+        order[len] = root;
+        let mut head = len;
+        len += 1;
+        while head < len {
+            let v = order[head];
+            head += 1;
+            let fresh = graph.simple_neighbors(v).difference(seen);
+            seen = seen.union(fresh);
+            for c in fresh.iter() {
+                parent[c] = v;
+                order[len] = c;
+                len += 1;
+            }
+        }
+    }
+    // Children before parents: per node, the subtrees whose topmost node it
+    // is, and the tree edges they hold in all. A child's subtrees either
+    // stay out of its parent's or hang below it by one more edge.
+    let mut subtrees = [1u64; MAX_RELATIONS];
+    let mut edges = [0u64; MAX_RELATIONS];
+    let mut bound = 0u64;
+    for &v in order[..n].iter().rev() {
+        bound = bound.saturating_add(edges[v]);
+        let p = parent[v];
+        if p < n {
+            let grow = subtrees[v].saturating_add(1);
+            edges[p] = edges[p]
+                .saturating_mul(grow)
+                .saturating_add(subtrees[p].saturating_mul(edges[v].saturating_add(subtrees[v])));
+            subtrees[p] = subtrees[p].saturating_mul(grow);
+        }
+    }
+    bound
 }
 
 /// Brute-force reference: enumerate all unordered pairs of disjoint,
@@ -337,6 +407,99 @@ mod tests {
         assert_eq!(None, count_ccps_capped(&g, 100));
         assert_eq!(None, count_ccps_capped(&g, 2303));
         assert_eq!(Some(2304), count_ccps_capped(&g, 2304));
+    }
+
+    /// The spanning-forest bound is exact on a tree: a star of `m` leaves
+    /// has `m·2^(m−1)` pairs and a path of `n` nodes `C(n+1, 3)`, up to the
+    /// largest graphs a `NodeSet` holds (the star's count saturates there).
+    #[test]
+    fn spanning_forest_bound_is_exact_on_stars_and_paths() {
+        for m in 1..=63u32 {
+            let want = u64::from(m).saturating_mul(1u64 << (m - 1));
+            assert_eq!(
+                want,
+                ccp_lower_bound(&star(m as usize + 1)),
+                "star of {m} leaves"
+            );
+        }
+        for n in 2..=64u64 {
+            let want = (n + 1) * n * (n - 1) / 6;
+            assert_eq!(
+                want,
+                ccp_lower_bound(&chain(n as usize)),
+                "path of {n} nodes"
+            );
+        }
+        for m in 1..=9 {
+            assert_eq!(count_ccps(&star(m + 1)), ccp_lower_bound(&star(m + 1)));
+            assert_eq!(count_ccps(&chain(m + 1)), ccp_lower_bound(&chain(m + 1)));
+        }
+        assert_eq!(0, ccp_lower_bound(&Hypergraph::new(0)));
+        assert_eq!(0, ccp_lower_bound(&Hypergraph::new(1)));
+    }
+
+    /// On graphs with cycles the forest leaves edges out, so the bound
+    /// falls short of the count, and the capped count refuses on the bound
+    /// alone where it already passes the cap.
+    #[test]
+    fn spanning_forest_bound_stays_below_the_count() {
+        for g in [clique(7), cycle(8), clique(3)] {
+            assert!(ccp_lower_bound(&g) <= count_ccps(&g));
+        }
+        // Two components: a path of 4 (10 pairs) and a star of 3 leaves
+        // (12 pairs).
+        let mut g = Hypergraph::new(8);
+        for i in 0..3 {
+            g.add_simple(i, i + 1, i);
+            g.add_simple(4, 5 + i, 3 + i);
+        }
+        assert_eq!(22, ccp_lower_bound(&g));
+        assert_eq!(22, count_ccps(&g));
+        let big = star(40);
+        assert!(ccp_lower_bound(&big) > 1 << 40);
+        assert_eq!(None, count_ccps_capped(&big, 1 << 40));
+    }
+
+    use proptest::prelude::*;
+
+    /// A random hypergraph on 2..=9 nodes: simple edges between random
+    /// node pairs and complex edges between two random disjoint node sets.
+    fn random_hypergraph() -> impl Strategy<Value = Hypergraph> {
+        let simple = proptest::collection::vec((0usize..9, 0usize..9), 0..14);
+        let complex = proptest::collection::vec((1u64..512, 1u64..512), 0..4);
+        (2usize..=9, simple, complex).prop_map(|(n, simple, complex)| {
+            let mut g = Hypergraph::new(n);
+            let mask = NodeSet::full(n).0;
+            for (label, (a, b)) in simple.into_iter().enumerate() {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    g.add_simple(a, b, label);
+                }
+            }
+            for (label, (l, r)) in complex.into_iter().enumerate() {
+                let left = NodeSet(l & mask);
+                let right = NodeSet(r & mask).difference(left);
+                if !left.is_empty() && !right.is_empty() {
+                    g.add_edge(Hyperedge::new(left, right, 100 + label));
+                }
+            }
+            g
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The bound never passes the DPhyp count, so the capped count
+        /// refuses on it only what the walk would refuse.
+        #[test]
+        fn spanning_forest_bound_never_passes_the_count(g in random_hypergraph()) {
+            let (bound, count) = (ccp_lower_bound(&g), count_ccps(&g));
+            prop_assert!(bound <= count, "bound {} over {} pairs in {:?}", bound, count, g);
+            for cap in [bound.saturating_sub(1), bound, count] {
+                prop_assert_eq!((count <= cap).then_some(count), count_ccps_capped(&g, cap));
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,18 @@ impl Hypergraph {
         &self.edges
     }
 
+    /// The nodes a *simple* edge joins to `v` (both sides singletons).
+    #[inline]
+    pub fn simple_neighbors(&self, v: usize) -> NodeSet {
+        NodeSet(self.simple_adj[v])
+    }
+
+    /// The complex hyperedges (a side of more than one node), from the
+    /// graph's own index, in insertion order.
+    pub fn complex_edges(&self) -> impl Iterator<Item = &Hyperedge> {
+        self.complex.iter().map(|&i| &self.edges[i])
+    }
+
     /// Edges connecting `s1` to `s2`.
     pub fn connecting_edges(&self, s1: NodeSet, s2: NodeSet) -> impl Iterator<Item = &Hyperedge> {
         self.edges.iter().filter(move |e| e.connects(s1, s2))

@@ -13,7 +13,8 @@ pub mod graph;
 
 pub use bitset::{NodeSet, MAX_RELATIONS};
 pub use dphyp::{
-    count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps, try_enumerate_ccps,
+    ccp_lower_bound, count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps,
+    try_enumerate_ccps,
 };
 // perfbench-only
 pub use dphyp::{stratify_ccps, CcpStrata};

@@ -4,6 +4,7 @@ use crate::optree::{OpKind, OpTree};
 use crate::table::QueryTable;
 use dpnext_algebra::{AggCall, AggKind, AlgExpr, AttrGen, AttrId, Expr};
 use dpnext_hypergraph::NodeSet;
+use std::borrow::Cow;
 
 /// The grouping part of a query: `select G, F(…) … group by G`.
 ///
@@ -101,6 +102,22 @@ pub struct Query {
     pub tree: OpTree,
     /// `None` for pure join-ordering queries without grouping.
     pub grouping: Option<GroupSpec>,
+}
+
+/// An owned query as a [`Cow`]: what a consumer that may either own or
+/// borrow its query (the optimizer's context) takes.
+impl From<Query> for Cow<'_, Query> {
+    fn from(query: Query) -> Self {
+        Cow::Owned(query)
+    }
+}
+
+/// A borrowed query as a [`Cow`], for a consumer that outlives no caller:
+/// no clone.
+impl<'q> From<&'q Query> for Cow<'q, Query> {
+    fn from(query: &'q Query) -> Self {
+        Cow::Borrowed(query)
+    }
 }
 
 impl Query {
