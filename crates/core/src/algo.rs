@@ -673,10 +673,10 @@ impl<'a> Search<'a> {
                     // benchmark's ea-prune-paper p99 reads 3–5% higher, and
                     // which module an edit lands in decides whether it does.
                     // Of the key-inference and cost helpers a plan calls,
-                    // `infer_join_keys_presorted`, `join_duplicate_free`,
+                    // `infer_join_keys`, `join_duplicate_free`,
                     // `needs_grouping` and `distinct_in` are `#[inline]`;
                     // `join_card`, `grouping_card`, `KeysRef::implies` and
-                    // `KeysRef::some_key_within_sorted` are not.
+                    // `KeysRef::some_key_within` are not.
                     grid.build(ctx, scratch, memo, staged, (i, j), |memo, t| {
                         if !complete {
                             if !ceiling.is_none_or(|b| memo[t].cost < b) {

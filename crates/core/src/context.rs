@@ -1,5 +1,6 @@
 //! Shared optimization context: the conflicted query, attribute statistics,
-//! grouping attributes `G⁺(S)` and aggregate metadata.
+//! the numbering of the key attributes, grouping attributes `G⁺(S)` and
+//! aggregate metadata.
 //!
 //! [`OptContext`] is immutable after construction. All per-run mutable
 //! state — the fresh-attribute allocator, the memoized `G⁺(S)` cache and
@@ -8,7 +9,7 @@
 
 use crate::aggstate::AggState;
 use crate::detect::{detect, ConflictedQuery};
-use crate::keyset::KeySet;
+use crate::keyset::{bits, KeySet};
 use crate::memo::Span;
 use dpnext_algebra::AttrId;
 use dpnext_hypergraph::{FxHashMap, NodeSet};
@@ -33,11 +34,13 @@ pub struct OptContext<'q> {
     /// infinite for every other id below the highest table attribute
     /// ([`OptContext::distinct`] answers the ids above it).
     distinct: Vec<f64>,
-    /// Grouping attributes `G` of the query as a set: sorted and
-    /// deduplicated once here, so the per-plan `NeedsGrouping` test runs
-    /// on it as it is (empty when no grouping). The query's own `group_by`
-    /// keeps the written order for estimates and output.
-    pub group_by: Vec<AttrId>,
+    /// The key attributes `U` — every attribute of a table's declared key
+    /// and every `G⁺` candidate — sorted by id: `key_attrs[i]` is bit `i`
+    /// of a key mask ([`OptContext::decode_key`]).
+    pub key_attrs: Vec<AttrId>,
+    /// The query's `G` as a key mask, what the top grouping's
+    /// `NeedsGrouping` tests; its length is the key width.
+    pub(crate) group_mask: Vec<u64>,
     /// Per normalized aggregate: the attributes its argument references.
     pub agg_args: Vec<Vec<AttrId>>,
     /// Per normalized aggregate: union of argument origins (empty for
@@ -46,8 +49,8 @@ pub struct OptContext<'q> {
     /// Every attribute `G⁺(S)` can hold, sorted by id: see
     /// [`OptContext::compute_gplus`].
     pub(crate) gplus_candidates: Vec<GplusCandidate>,
-    /// Per table occurrence: its declared candidate keys, normalized and
-    /// minimal — what a scan of it carries.
+    /// Per table occurrence: its declared candidate keys, minimal — what a
+    /// scan of it carries.
     pub(crate) table_keys: Vec<KeySet>,
     /// The aggregation state of a plan without groupings (a scan's): every
     /// aggregate raw, no count columns.
@@ -61,7 +64,8 @@ pub struct OptContext<'q> {
 /// operator's predicate or groupjoin aggregates read — with what decides
 /// whether a set `S` keeps it.
 pub(crate) struct GplusCandidate {
-    attr: AttrId,
+    /// The attribute's bit in a key mask.
+    bit: u32,
     origin: NodeSet,
     /// Whether the attribute is in the query's `G`.
     in_group: bool,
@@ -69,22 +73,25 @@ pub(crate) struct GplusCandidate {
     ops: u64,
 }
 
-/// The `G⁺` candidates of a query: every attribute of `group_by`, of a
-/// predicate term and of `gj_args` — per operator, the attributes its
-/// groupjoin aggregates reference ([`gj_args`]) — that has an origin, once,
-/// sorted by id.
-pub(crate) fn gplus_candidates(
+/// The key attributes `U` of a query — its `G⁺` candidates and the
+/// `keyed` attributes, sorted by id — and the candidates, numbered in `U`:
+/// every attribute of `group_by`, of a predicate term and of `gj_args` (per
+/// operator, what its groupjoin aggregates reference, [`gj_args`]) that
+/// has an origin, once, sorted by id.
+pub(crate) fn key_universe(
     cq: &ConflictedQuery,
     origins: &AttrOrigins,
     group_by: &[AttrId],
     gj_args: &[Vec<AttrId>],
-) -> Vec<GplusCandidate> {
-    // One slot per attribute id, marked with what reads it; an id past the
-    // origin table has no origin, so it is no candidate.
+    keyed: impl IntoIterator<Item = AttrId>,
+) -> (Vec<AttrId>, Vec<GplusCandidate>) {
+    // One slot per attribute id (its `bit` until `U` is known), marked with
+    // what reads it; an id past the origin table has no origin, so it is
+    // no candidate.
     let width = origins.max_attr().map_or(0, |a| a.0 + 1);
     let mut out: Vec<GplusCandidate> = (0..width)
         .map(|id| GplusCandidate {
-            attr: AttrId(id),
+            bit: id,
             origin: origins.get(AttrId(id)).unwrap_or(NodeSet::EMPTY),
             in_group: false,
             ops: 0,
@@ -109,7 +116,30 @@ pub(crate) fn gplus_candidates(
         }
     }
     out.retain(|c| !c.origin.is_empty() && (c.in_group || c.ops != 0));
-    out
+    let mut universe: Vec<AttrId> = out.iter().map(|c| AttrId(c.bit)).chain(keyed).collect();
+    universe.sort_unstable();
+    universe.dedup();
+    for c in &mut out {
+        c.bit = universe.partition_point(|a| a.0 < c.bit) as u32;
+    }
+    (universe, out)
+}
+
+/// Make `mask` the key mask of `attrs` over the sorted key attributes
+/// `key_attrs`, reusing its allocation. An attribute outside them is
+/// dropped: no key holds one.
+pub(crate) fn assign_key_mask<'a>(
+    key_attrs: &[AttrId],
+    mask: &mut Vec<u64>,
+    attrs: impl IntoIterator<Item = &'a AttrId>,
+) {
+    mask.clear();
+    mask.resize(key_attrs.len().div_ceil(64).max(1), 0);
+    for a in attrs {
+        if let Ok(i) = key_attrs.binary_search(a) {
+            mask[i / 64] |= 1 << (i % 64);
+        }
+    }
 }
 
 /// Per operator of `cq`: the attributes its groupjoin aggregates reference
@@ -157,13 +187,11 @@ impl<'q> OptContext<'q> {
             distinct[a.0 as usize] = d;
         }
         let mut max_attr = origins.max_attr().map_or(0, |a| a.0);
-        let (mut group_by, aggs) = match &query.grouping {
-            Some(g) => (g.group_by.clone(), g.aggs.clone()),
-            None => (Vec::new(), Vec::new()),
+        let (group_by, aggs) = match &query.grouping {
+            Some(g) => (g.group_by.as_slice(), g.aggs.as_slice()),
+            None => (&[][..], &[][..]),
         };
-        group_by.sort_unstable();
-        group_by.dedup();
-        for call in &aggs {
+        for call in aggs {
             max_attr = max_attr.max(call.out.0);
         }
         if let Some(g) = &query.grouping {
@@ -184,24 +212,50 @@ impl<'q> OptContext<'q> {
                 })
             })
             .collect();
-        let table_keys = query
+        let keyed = query.tables.iter().flat_map(|t| t.keys.iter().flatten());
+        let (key_attrs, gplus_candidates) =
+            key_universe(&cq, &origins, group_by, &gj_args(&cq), keyed.copied());
+        let (mut group_mask, mut key) = (Vec::new(), Vec::new());
+        assign_key_mask(&key_attrs, &mut group_mask, group_by);
+        let table_keys: Vec<KeySet> = query
             .tables
             .iter()
-            .map(|t| KeySet::from_keys(t.keys.iter().cloned()))
+            .map(|t| {
+                let mut set = KeySet::new(group_mask.len());
+                for k in &t.keys {
+                    assign_key_mask(&key_attrs, &mut key, k);
+                    set.insert(&key);
+                }
+                set
+            })
             .collect();
         OptContext {
-            gplus_candidates: gplus_candidates(&cq, &origins, &group_by, &gj_args(&cq)),
+            key_attrs,
+            group_mask,
+            gplus_candidates,
             table_keys,
             fresh_agg: AggState::fresh(aggs.len()),
             query,
             cq,
             origins,
             distinct,
-            group_by,
             agg_args,
             agg_origin,
             first_fresh: max_attr + 1,
         }
+    }
+
+    /// Words per key mask of this query's keys: `max(1, ⌈|U| / 64⌉)` for
+    /// its key attributes `U`.
+    #[inline]
+    pub fn key_width(&self) -> usize {
+        self.group_mask.len()
+    }
+
+    /// The attributes of the key mask `key`, ascending.
+    #[inline]
+    pub fn decode_key<'a>(&'a self, key: &'a [u64]) -> impl Iterator<Item = AttrId> + 'a {
+        bits(key).map(|i| self.key_attrs[i])
     }
 
     /// The normalized aggregation vector of the query.
@@ -243,8 +297,8 @@ impl<'q> OptContext<'q> {
             .unwrap_or(f64::INFINITY)
     }
 
-    /// `G⁺(S)` computed from scratch (see [`Scratch::gplus`] for the memoized
-    /// variant the plan constructors use): the grouping attributes for a
+    /// `G⁺(S)` computed from scratch (the plan constructors read a mask
+    /// memoized in their [`Scratch`]): the grouping attributes for a
     /// pushed-down grouping over the relation set `S` — the query's grouping
     /// attributes from `S` plus every attribute of `S` referenced by a
     /// predicate (or groupjoin aggregate) of an operator that is not fully
@@ -259,15 +313,17 @@ impl<'q> OptContext<'q> {
     /// and it is in `G` or read by an operator of the mask. `O(#operators +
     /// #candidates)`, no hashing and no sort: the candidates are sorted.
     pub fn compute_gplus(&self, s: NodeSet) -> Vec<AttrId> {
-        let mut attrs = Vec::new();
-        self.push_gplus(s, &mut attrs);
-        attrs
+        let mut mask = Vec::new();
+        self.push_gplus(s, &mut mask);
+        self.decode_key(&mask).collect()
     }
 
-    /// Append `G⁺(S)` ([`OptContext::compute_gplus`]) to `out` and return
-    /// where it landed.
-    fn push_gplus(&self, s: NodeSet, out: &mut Vec<AttrId>) -> Span {
+    /// Append `G⁺(S)` ([`OptContext::compute_gplus`]) to `out` as a key
+    /// mask and return where it landed.
+    fn push_gplus(&self, s: NodeSet, out: &mut Vec<u64>) -> Span {
         let start = out.len();
+        out.resize(start + self.key_width(), 0);
+        let mask = &mut out[start..];
         // An operator is applied inside every plan for S as soon as its
         // hyperedge (L-TES ∪ R-TES) lies within S — that is its earliest
         // application point under reordering, not its original subtree
@@ -282,8 +338,10 @@ impl<'q> OptContext<'q> {
             .gplus_candidates
             .iter()
             .filter(|c| c.origin.is_subset_of(s) && (c.in_group || c.ops & outside != 0));
-        out.extend(kept.map(|c| c.attr));
-        Span::new(start, out.len() - start)
+        for c in kept {
+            mask[c.bit as usize / 64] |= 1 << (c.bit % 64);
+        }
+        Span::new(start, self.key_width())
     }
 
     /// May a plan covering `s` be grouped at all? Every aggregate whose
@@ -316,10 +374,10 @@ impl<'q> OptContext<'q> {
 #[derive(Clone)]
 pub struct Scratch {
     next_attr: u32,
-    /// `S` → where `G⁺(S)` sits in `gplus_attrs`.
+    /// `S` → where `G⁺(S)` sits in `gplus_masks`.
     gplus_cache: FxHashMap<NodeSet, Span>,
-    /// Every memoized `G⁺(S)`, back to back.
-    gplus_attrs: Vec<AttrId>,
+    /// Every memoized `G⁺(S)` as a key mask, back to back.
+    gplus_masks: Vec<u64>,
     /// Plans constructed (joins + groupings) by this scratch's owner.
     pub plans_built: u64,
 }
@@ -331,7 +389,7 @@ impl Scratch {
         Scratch {
             next_attr: ctx.first_fresh_attr(),
             gplus_cache: FxHashMap::default(),
-            gplus_attrs: Vec::new(),
+            gplus_masks: Vec::new(),
             plans_built: 0,
         }
     }
@@ -359,33 +417,22 @@ impl Scratch {
         self.plans_built += 1;
     }
 
-    /// Memoized `G⁺(S)` (§4.2); see [`OptContext::compute_gplus`]. Sorted
-    /// and duplicate-free.
-    ///
-    /// Returns a borrow of the cached attributes: a hit is one map probe,
-    /// a miss one pass over the query's `G⁺` candidates that appends to the
-    /// cache's one attribute vector — no allocation per set.
-    #[inline]
-    pub fn gplus(&mut self, ctx: &OptContext, s: NodeSet) -> &[AttrId] {
-        let span = self.gplus_span(ctx, s);
-        self.gplus_at(span)
-    }
-
-    /// Where [`Scratch::gplus`] keeps `G⁺(S)`: a handle that stays valid for
-    /// the scratch's lifetime, so a grid probes the cache once per side and
-    /// its units read the attributes through [`Scratch::gplus_at`].
+    /// Where the memoized `G⁺(S)` mask sits (§4.2, [`OptContext::compute_gplus`]):
+    /// a handle valid for the scratch's lifetime, so a grid probes the cache
+    /// once per side and its units read it through [`Scratch::gplus_at`]. A
+    /// miss appends one mask to the cache's one word vector.
     #[inline]
     pub(crate) fn gplus_span(&mut self, ctx: &OptContext, s: NodeSet) -> Span {
-        let attrs = &mut self.gplus_attrs;
+        let masks = &mut self.gplus_masks;
         *self
             .gplus_cache
             .entry(s)
-            .or_insert_with(|| ctx.push_gplus(s, attrs))
+            .or_insert_with(|| ctx.push_gplus(s, masks))
     }
 
-    /// The `G⁺(S)` a [`Scratch::gplus_span`] names.
+    /// The `G⁺(S)` mask a [`Scratch::gplus_span`] names.
     #[inline]
-    pub(crate) fn gplus_at(&self, span: Span) -> &[AttrId] {
-        span.of(&self.gplus_attrs)
+    pub(crate) fn gplus_at(&self, span: Span) -> &[u64] {
+        span.of(&self.gplus_masks)
     }
 }

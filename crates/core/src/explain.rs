@@ -43,9 +43,9 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
             }
             out.push(']');
         }
-        PlanNode::Group { attrs, .. } => {
+        PlanNode::Group { .. } => {
             out.push_str("Γ [");
-            write_attrs(out, attrs.of(&plan.lanes.attrs));
+            write_attrs(out, ctx.decode_key(plan.grouping_key()));
             out.push(']');
         }
     }
@@ -65,7 +65,7 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
         let _ = write!(out, "{sep}keys=");
         for (i, key) in plan.keys().iter().enumerate() {
             out.push_str(if i > 0 { " {" } else { "{" });
-            write_attrs(out, key);
+            write_attrs(out, ctx.decode_key(key));
             out.push('}');
         }
         sep = ", ";
@@ -95,8 +95,8 @@ fn walk(ctx: &OptContext, memo: &Memo, id: PlanId, depth: usize, out: &mut Strin
 }
 
 /// Write `attrs` comma-separated.
-fn write_attrs(out: &mut String, attrs: &[AttrId]) {
-    for (i, a) in attrs.iter().enumerate() {
+fn write_attrs(out: &mut String, attrs: impl Iterator<Item = AttrId>) {
+    for (i, a) in attrs.enumerate() {
         let sep = if i > 0 { "," } else { "" };
         let _ = write!(out, "{sep}{a}");
     }

@@ -32,9 +32,9 @@ pub fn compile(ctx: &OptContext, memo: &Memo, id: PlanId) -> AlgExpr {
         PlanNode::Scan { table } => AlgExpr::scan(ctx.query.tables[table as usize].alias.clone()),
         // The node stores no aggregation vector: the two states around it
         // determine the calls.
-        PlanNode::Group { attrs, input } => AlgExpr::GroupBy {
+        PlanNode::Group { input } => AlgExpr::GroupBy {
             input: Box::new(compile(ctx, memo, input)),
-            attrs: attrs.of(&plan.lanes.attrs).to_vec(),
+            attrs: ctx.decode_key(plan.grouping_key()).collect(),
             aggs: group_agg_calls(ctx, memo.plan(input).agg(), plan.agg(), plan.hot.set),
         },
         PlanNode::Apply {
@@ -101,7 +101,7 @@ pub fn final_numbers(ctx: &OptContext, memo: &Memo, id: PlanId) -> (f64, f64, bo
     let Some(g) = &ctx.query.grouping else {
         return (plan.hot.cost, plan.hot.card, false);
     };
-    if needs_grouping(&ctx.group_by, plan.hot.duplicate_free(), plan.keys()) {
+    if needs_grouping(&ctx.group_mask, plan.hot.duplicate_free(), plan.keys()) {
         let gcard = grouping_card(
             plan.hot.card,
             g.group_by

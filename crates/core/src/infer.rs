@@ -1,9 +1,8 @@
 //! Bottom-up key propagation through join operators (§2.3) and the
-//! `NeedsGrouping` test (Fig. 7): the key sets the dominance pruning of
-//! §4.6 compares.
+//! `NeedsGrouping` test (Fig. 7), both on key masks ([`crate::keyset`]):
+//! the key sets the dominance pruning of §4.6 compares.
 
 use crate::keyset::{KeySet, KeysRef};
-use dpnext_algebra::AttrId;
 use dpnext_query::OpKind;
 
 /// Where the key set of a join result comes from (§2.3): two of the
@@ -41,7 +40,7 @@ pub(crate) fn join_duplicate_free(op: OpKind, left: bool, right: bool) -> bool {
 /// (cleared first, its allocation reused); when an input's keys survive
 /// unchanged `built` is not touched and the result names the input.
 #[inline]
-pub(crate) fn infer_join_keys_presorted(
+pub(crate) fn infer_join_keys(
     op: OpKind,
     left: KeysRef<'_>,
     right: KeysRef<'_>,
@@ -73,38 +72,41 @@ pub(crate) fn infer_join_keys_presorted(
 
 /// `NeedsGrouping(G, T)` (Fig. 7): grouping on `G` is needed unless some
 /// key of `T` is contained in `G` *and* `T` is duplicate-free — then every
-/// group holds exactly one tuple (§3.2). `group_attrs` must be sorted and
-/// deduplicated (`G⁺(S)` is by construction; the optimizer sorts the
-/// query's `G` once per run).
+/// group holds exactly one tuple (§3.2). `group_attrs` is `G` as a key
+/// mask (`G⁺(S)` is one by construction; the context masks the query's `G`
+/// once).
 #[inline]
-pub(crate) fn needs_grouping(
-    group_attrs: &[AttrId],
-    duplicate_free: bool,
-    keys: KeysRef<'_>,
-) -> bool {
-    !(duplicate_free && keys.some_key_within_sorted(group_attrs))
+pub(crate) fn needs_grouping(group_attrs: &[u64], duplicate_free: bool, keys: KeysRef<'_>) -> bool {
+    !(duplicate_free && keys.some_key_within(group_attrs))
 }
 
 #[cfg(test)]
 mod tests {
+    //! Keys one word wide, with attribute `i` as bit `i`.
+
     use super::*;
 
-    fn a(i: u32) -> AttrId {
-        AttrId(i)
+    /// The mask of `attrs`.
+    fn m(attrs: &[u32]) -> [u64; 1] {
+        [attrs.iter().fold(0, |w, a| w | 1 << a)]
     }
 
-    fn keyed(attr: AttrId) -> KeySet {
-        KeySet::from_keys([vec![attr]])
+    fn keyed(attr: u32) -> KeySet {
+        let mut s = KeySet::new(1);
+        s.insert(&m(&[attr]));
+        s
+    }
+
+    /// Whether some key of `s` lies within `attrs`.
+    fn within(s: &KeySet, attrs: &[u32]) -> bool {
+        s.as_ref().some_key_within(&m(attrs))
     }
 
     /// `κ(left op right)` on the equality `l = r`.
-    fn join(op: OpKind, left: &KeySet, right: &KeySet, (l, r): (AttrId, AttrId)) -> KeySet {
-        let mut built = KeySet::empty();
-        let (l_covers, r_covers) = (
-            left.as_ref().some_key_within_sorted(&[l]),
-            right.as_ref().some_key_within_sorted(&[r]),
-        );
-        let source = infer_join_keys_presorted(
+    fn join(op: OpKind, left: &KeySet, right: &KeySet, (l, r): (u32, u32)) -> KeySet {
+        let mut built = KeySet::new(1);
+        let (l_covers, r_covers) = (within(left, &[l]), within(right, &[r]));
+        let source = infer_join_keys(
             op,
             left.as_ref(),
             right.as_ref(),
@@ -122,76 +124,77 @@ mod tests {
     #[test]
     fn inner_join_both_keys() {
         // Join on key = key: both sides' keys survive.
-        let (l, r) = (keyed(a(0)), keyed(a(1)));
-        let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
-        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
-        assert!(out.as_ref().some_key_within_sorted(&[a(1)]));
+        let (l, r) = (keyed(0), keyed(1));
+        let out = join(OpKind::Join, &l, &r, (0, 1));
+        assert!(within(&out, &[0]));
+        assert!(within(&out, &[1]));
         assert!(join_duplicate_free(OpKind::Join, true, true));
     }
 
     #[test]
     fn inner_join_fk_to_pk() {
         // e1.fk = e2.pk (pk key of e2): keys of e1 survive.
-        let l = keyed(a(0)); // key a0, join attr a5
-        let r = keyed(a(1));
-        let out = join(OpKind::Join, &l, &r, (a(5), a(1)));
-        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
-        assert!(!out.as_ref().some_key_within_sorted(&[a(1)]));
+        let l = keyed(0); // key a0, join attr a5
+        let r = keyed(1);
+        let out = join(OpKind::Join, &l, &r, (5, 1));
+        assert!(within(&out, &[0]));
+        assert!(!within(&out, &[1]));
     }
 
     #[test]
     fn inner_join_general_pairwise() {
-        let (l, r) = (keyed(a(0)), keyed(a(1)));
+        let (l, r) = (keyed(0), keyed(1));
         // Join on non-key attributes.
-        let out = join(OpKind::Join, &l, &r, (a(5), a(6)));
-        assert!(!out.as_ref().some_key_within_sorted(&[a(0)]));
-        assert!(out.as_ref().some_key_within_sorted(&[a(0), a(1)]));
+        let out = join(OpKind::Join, &l, &r, (5, 6));
+        assert!(!within(&out, &[0]));
+        assert!(within(&out, &[0, 1]));
     }
 
     #[test]
     fn left_outer_key_on_right() {
-        let (l, r) = (keyed(a(0)), keyed(a(1)));
-        let out = join(OpKind::LeftOuter, &l, &r, (a(5), a(1)));
-        assert!(out.as_ref().some_key_within_sorted(&[a(0)]));
+        let (l, r) = (keyed(0), keyed(1));
+        let out = join(OpKind::LeftOuter, &l, &r, (5, 1));
+        assert!(within(&out, &[0]));
     }
 
     #[test]
     fn full_outer_always_pairwise() {
-        let (l, r) = (keyed(a(0)), keyed(a(1)));
-        let out = join(OpKind::FullOuter, &l, &r, (a(0), a(1)));
-        assert!(!out.as_ref().some_key_within_sorted(&[a(0)]));
-        assert!(out.as_ref().some_key_within_sorted(&[a(0), a(1)]));
+        let (l, r) = (keyed(0), keyed(1));
+        let out = join(OpKind::FullOuter, &l, &r, (0, 1));
+        assert!(!within(&out, &[0]));
+        assert!(within(&out, &[0, 1]));
     }
 
     #[test]
     fn semijoin_keeps_left_keys() {
         // The right side is unknown: no keys, not duplicate-free.
-        let (l, r) = (keyed(a(0)), KeySet::empty());
+        let (l, r) = (keyed(0), KeySet::new(1));
         for op in [OpKind::Semi, OpKind::Anti, OpKind::GroupJoin] {
-            let out = join(op, &l, &r, (a(0), a(1)));
-            assert!(out.as_ref().some_key_within_sorted(&[a(0)]), "{op:?}");
+            let out = join(op, &l, &r, (0, 1));
+            assert!(within(&out, &[0]), "{op:?}");
             assert!(join_duplicate_free(op, true, false), "{op:?}");
         }
     }
 
     #[test]
     fn unknown_keys_stay_unknown() {
-        let (l, r) = (KeySet::empty(), keyed(a(1)));
-        let out = join(OpKind::Join, &l, &r, (a(0), a(1)));
+        let (l, r) = (KeySet::new(1), keyed(1));
+        let out = join(OpKind::Join, &l, &r, (0, 1));
         // r covers its key, so left keys (empty) survive → still empty.
-        assert_eq!(KeySet::empty(), out);
+        assert_eq!(KeySet::new(1), out);
         assert!(!join_duplicate_free(OpKind::Join, false, true));
     }
 
     #[test]
     fn needs_grouping_tests() {
         // After `Γ_{a0,a1}`: the grouping attributes form a key, no duplicates.
-        let keys = KeySet::from_keys([vec![a(0), a(1)]]);
+        let mut keys = KeySet::new(1);
+        keys.insert(&m(&[0, 1]));
         // G contains the key {a0,a1}: no grouping needed.
-        assert!(!needs_grouping(&[a(0), a(1), a(2)], true, keys.as_ref()));
+        assert!(!needs_grouping(&m(&[0, 1, 2]), true, keys.as_ref()));
         // G misses part of the key.
-        assert!(needs_grouping(&[a(0)], true, keys.as_ref()));
+        assert!(needs_grouping(&m(&[0]), true, keys.as_ref()));
         // Duplicates possible: grouping needed even if key within G.
-        assert!(needs_grouping(&[a(0)], false, keyed(a(0)).as_ref()));
+        assert!(needs_grouping(&m(&[0]), false, keyed(0).as_ref()));
     }
 }

@@ -1,93 +1,88 @@
 //! Candidate key sets `κ(e)` and their propagation rules (§2.3).
 //!
-//! A key set is stored **flat**: one attribute vector holding every key
-//! back to back plus one [`Span`] per key. The owned form is [`KeySet`];
-//! [`KeysRef`] is the borrowed view every read-only operation runs on, so
-//! the same code serves an owned set and a window into somebody else's
-//! lanes (the optimizer's memo keeps the keys of all its plans in two
-//! shared vectors). Building a derived key set reuses a caller-supplied
-//! `KeySet` as the output buffer — no allocation once it has grown.
+//! A key is a **bit mask** of `W` words ([`crate::OptContext::key_width`])
+//! over the query's key attributes — its tables' declared key attributes
+//! and every attribute `G⁺(S)` can hold, numbered in ascending id order by
+//! [`crate::OptContext::new`] — so `k ⊆ G` is `k & !G == 0` word by word.
+//! Every key is built from declared keys and `G⁺(S)`s, so an attribute
+//! outside the numbering is in no key, and a mask tested against keys (a
+//! cut's join attributes, `G`) leaves it out without changing an answer.
+//!
+//! A key set is stored **flat**, its keys back to back in insertion order:
+//! [`KeySet`] owns one, [`KeysRef`] borrows one (an owned set or a window
+//! into the memo's key lane) for every read-only operation. A derived key
+//! set is built into a caller-supplied `KeySet`, reusing its allocation.
 
-use crate::memo::Span;
-use dpnext_algebra::AttrId;
-
-/// A candidate key: a sorted set of attributes.
-pub(crate) type Key = Vec<AttrId>;
-
-fn normalize(mut k: Key) -> Key {
-    k.sort_unstable();
-    k.dedup();
-    k
-}
-
-fn is_subset(a: &[AttrId], b: &[AttrId]) -> bool {
-    // Both sorted.
-    let mut bi = b.iter();
-    'outer: for x in a {
-        for y in bi.by_ref() {
-            if y == x {
-                continue 'outer;
-            }
-            if y > x {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// The attribute mask of one key: bit `a mod 32` for each attribute `a`.
+/// Is the key `a` within the mask `b`? Both are one key wide.
 #[inline]
-fn key_mask(key: &[AttrId]) -> u32 {
-    key.iter().fold(0, |m, a| m | 1 << (a.0 % 32))
+fn is_within(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
 }
 
-/// A borrowed key set: `spans[i]` delimits key `i` inside `attrs`. `Copy`,
-/// two slices wide.
-#[derive(Debug, Clone, Copy, Default)]
+/// One key folded to 32 bits: bit `i mod 32` for each key attribute `i`,
+/// the OR of every word's two halves. Monotone: `a ⊆ b` gives
+/// `fold(a) ⊆ fold(b)`.
+#[inline]
+fn fold(key: &[u64]) -> u32 {
+    key.iter().fold(0, |m, &w| m | w as u32 | (w >> 32) as u32)
+}
+
+/// The positions of the set bits of `mask`, ascending.
+pub(crate) fn bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(i, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + b
+            })
+        })
+    })
+}
+
+/// A borrowed key set: its keys, `width` words each, back to back. `Copy`.
+#[derive(Debug, Clone, Copy)]
 pub struct KeysRef<'a> {
-    spans: &'a [Span],
-    attrs: &'a [AttrId],
+    pub(crate) width: usize,
+    pub(crate) words: &'a [u64],
 }
 
 impl<'a> KeysRef<'a> {
-    /// View the keys `spans` delimit inside `attrs`. Every key must be
-    /// sorted and deduplicated and the set minimal — what [`KeySet`]
-    /// maintains and what a copy of its keys preserves.
+    /// View the keys of `width` words each in `words`. The set must be
+    /// minimal — what [`KeySet`] maintains and what a copy of its words
+    /// preserves.
     #[inline]
-    pub(crate) fn new(spans: &'a [Span], attrs: &'a [AttrId]) -> KeysRef<'a> {
-        KeysRef { spans, attrs }
+    pub(crate) fn new(width: usize, words: &'a [u64]) -> KeysRef<'a> {
+        debug_assert!(words.len().is_multiple_of(width), "not whole keys");
+        KeysRef { width, words }
     }
 
     /// Number of keys.
     #[inline]
     pub fn len(self) -> usize {
-        self.spans.len()
+        self.words.len() / self.width
     }
 
     /// No key known.
     #[inline]
     pub fn is_empty(self) -> bool {
-        self.spans.is_empty()
+        self.words.is_empty()
     }
 
-    /// The keys, in insertion order.
+    /// The keys as masks, in insertion order; decode one with
+    /// [`crate::OptContext::decode_key`].
     #[inline]
-    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a [AttrId]> + Clone {
-        self.spans.iter().map(move |s| s.of(self.attrs))
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a [u64]> + Clone {
+        self.words.chunks_exact(self.width)
     }
 
-    /// Is there a key contained in `attrs`? (`∃k ∈ κ(T), k ⊆ G` — the
-    /// test of `NeedsGrouping`, Fig. 7.) `attrs` must be sorted and
-    /// deduplicated; the enumeration normalizes a cut's join attributes
-    /// and every `G⁺(S)` once and runs this per plan pair.
-    pub(crate) fn some_key_within_sorted(self, attrs: &[AttrId]) -> bool {
-        debug_assert!(
-            attrs.windows(2).all(|w| w[0] < w[1]),
-            "attrs not normalized"
-        );
-        self.iter().any(|k| is_subset(k, attrs))
+    /// Is there a key contained in the mask `attrs`? (`∃k ∈ κ(T), k ⊆ G` —
+    /// the test of `NeedsGrouping`, Fig. 7.) The enumeration masks a cut's
+    /// join attributes and every `G⁺(S)` once and runs this per plan.
+    #[inline]
+    pub(crate) fn some_key_within(self, attrs: &[u64]) -> bool {
+        self.iter().any(|k| is_within(k, attrs))
     }
 
     /// Key-set implication: every key of `other` is implied by (a subset
@@ -96,20 +91,20 @@ impl<'a> KeysRef<'a> {
     pub(crate) fn implies(self, other: KeysRef<'_>) -> bool {
         other
             .iter()
-            .all(|ko| self.iter().any(|ks| is_subset(ks, ko)))
+            .all(|ko| self.iter().any(|ks| is_within(ks, ko)))
     }
 
-    /// The set's 32-bit implication filter: the AND, over its keys, of
-    /// each key's attribute mask (bit `a mod 32` for each attribute `a`);
+    /// The set's 32-bit implication filter: the AND, over its keys, of each
+    /// key's 32-bit fold (bit `i mod 32` for each key attribute `i`);
     /// all-ones for a set with no key. A bit of `sig(a)` missing from
     /// `sig(b)` proves that `a.implies(b)` fails: if it holds, every key
     /// `kb` of `b` holds a key `ka ⊆ kb` of `a`, so
-    /// `sig(a) ⊆ mask(ka) ⊆ mask(kb)`, and ANDing over `kb` gives
-    /// `sig(a) ⊆ sig(b)`. (The subsumption signatures of SatELite, Eén &
-    /// Biere, SAT 2005.)
+    /// `sig(a) ⊆ fold(ka) ⊆ fold(kb)` because the fold is monotone, and
+    /// ANDing over `kb` gives `sig(a) ⊆ sig(b)`. (The subsumption
+    /// signatures of SatELite, Eén & Biere, SAT 2005.)
     #[inline]
     pub fn signature(self) -> u32 {
-        self.iter().fold(u32::MAX, |s, k| s & key_mask(k))
+        self.iter().fold(u32::MAX, |s, k| s & fold(k))
     }
 }
 
@@ -118,110 +113,88 @@ impl<'a> KeysRef<'a> {
 ///
 /// `κ` is a set of sets; an empty `KeySet` means *no key known* — every
 /// rule below degrades gracefully to that.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct KeySet {
-    spans: Vec<Span>,
-    /// Key attributes back to back. An evicted key leaves its attributes
-    /// behind as a hole; [`KeySet::clear`] reclaims them.
-    attrs: Vec<AttrId>,
+    width: usize,
+    /// The keys' words back to back, with no hole: evicting a key moves the
+    /// later ones down.
+    words: Vec<u64>,
 }
-
-impl PartialEq for KeySet {
-    fn eq(&self, other: &KeySet) -> bool {
-        self.keys().eq(other.keys())
-    }
-}
-
-impl Eq for KeySet {}
 
 impl KeySet {
-    /// The set with no key known.
-    pub fn empty() -> Self {
-        KeySet::default()
-    }
-
-    /// The minimal set of `keys`, each normalized on the way in.
-    pub fn from_keys(keys: impl IntoIterator<Item = Key>) -> Self {
-        let mut s = KeySet::empty();
-        for k in keys {
-            s.insert(k);
+    /// The set with no key known, over keys of `width` words.
+    pub fn new(width: usize) -> Self {
+        KeySet {
+            width,
+            words: Vec::new(),
         }
-        s
     }
 
     /// Forget every key, keeping the allocation.
     pub fn clear(&mut self) {
-        self.spans.clear();
-        self.attrs.clear();
+        self.words.clear();
     }
 
     /// Insert a key, maintaining minimality.
-    pub fn insert(&mut self, key: Key) {
-        self.insert_sorted(&normalize(key));
-    }
-
-    /// [`Self::insert`] for a key that is already sorted and deduplicated.
-    pub fn insert_sorted(&mut self, key: &[AttrId]) {
-        debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "key not normalized");
-        let start = self.attrs.len();
-        self.attrs.extend_from_slice(key);
+    pub fn insert(&mut self, key: &[u64]) {
+        debug_assert_eq!(self.width, key.len(), "key of the wrong width");
+        let start = self.words.len();
+        self.words.extend_from_slice(key);
         self.admit_tail(start);
     }
 
-    /// Insert `k1 ∪ k2` (both sorted and deduplicated).
-    fn insert_union(&mut self, k1: &[AttrId], k2: &[AttrId]) {
-        let start = self.attrs.len();
-        let (mut i, mut j) = (0, 0);
-        while i < k1.len() && j < k2.len() {
-            let (x, y) = (k1[i], k2[j]);
-            self.attrs.push(x.min(y));
-            i += (x <= y) as usize;
-            j += (y <= x) as usize;
-        }
-        self.attrs.extend_from_slice(&k1[i..]);
-        self.attrs.extend_from_slice(&k2[j..]);
-        self.admit_tail(start);
-    }
-
-    /// Make the candidate key `attrs[start..]` a member, or drop it when
-    /// an existing key already implies it.
+    /// Make the candidate key `words[start..]` a member, or drop it when an
+    /// existing key already implies it. The keys it implies go, and the
+    /// rest keep their order.
     fn admit_tail(&mut self, start: usize) {
-        let (held, candidate) = self.attrs.split_at(start);
-        if self.spans.iter().any(|s| is_subset(s.of(held), candidate)) {
-            self.attrs.truncate(start);
+        let w = self.width;
+        let (held, candidate) = self.words.split_at(start);
+        if held.chunks_exact(w).any(|k| is_within(k, candidate)) {
+            self.words.truncate(start);
             return;
         }
-        self.spans.retain(|s| !is_subset(candidate, s.of(held)));
-        self.spans.push(Span::new(start, candidate.len()));
+        // Every held key that stays moves down over the evicted ones, and
+        // the candidate last; a key is only ever written at or below
+        // where it was, so the candidate stays intact until it moves.
+        let mut kept = 0;
+        for at in (0..=start).step_by(w) {
+            let (held, candidate) = self.words.split_at(start);
+            if at == start || !is_within(candidate, &held[at..at + w]) {
+                if kept != at {
+                    self.words.copy_within(at..at + w, kept);
+                }
+                kept += w;
+            }
+        }
+        self.words.truncate(kept);
     }
 
     /// The borrowed view all read-only operations run on.
     #[inline]
     pub fn as_ref(&self) -> KeysRef<'_> {
-        KeysRef::new(&self.spans, &self.attrs)
-    }
-
-    /// The keys, in insertion order.
-    pub fn keys(&self) -> impl ExactSizeIterator<Item = &[AttrId]> + Clone {
-        self.as_ref().iter()
+        KeysRef::new(self.width, &self.words)
     }
 
     /// Become `κ(e1) ∪ κ(e2)`: every key of either side stays a key
     /// (inner equi-join where both sides' join attributes contain keys).
     pub fn assign_union(&mut self, left: KeysRef<'_>, right: KeysRef<'_>) {
+        self.width = left.width;
         self.clear();
         for k in left.iter().chain(right.iter()) {
-            self.insert_sorted(k);
+            self.insert(k);
         }
     }
 
     /// Become `⋃_{k1,k2} k1 ∪ k2`: pairwise key combination (the general
     /// join rule). Empty if either side has no keys.
     pub fn assign_pairwise(&mut self, left: KeysRef<'_>, right: KeysRef<'_>) {
+        self.width = left.width;
         self.clear();
         for k1 in left.iter() {
             for k2 in right.iter() {
-                self.insert_union(k1, k2);
+                let start = self.words.len();
+                self.words.extend(k1.iter().zip(k2).map(|(x, y)| x | y));
+                self.admit_tail(start);
             }
         }
     }
@@ -229,169 +202,356 @@ impl KeySet {
 
 #[cfg(test)]
 mod tests {
+    //! The mask operations against a reference that keeps a key as a
+    //! sorted, deduplicated `Vec` of attribute numbers and tests subsets
+    //! by merging, at one, two and three words per key.
+
     use super::*;
 
-    fn a(i: u32) -> AttrId {
-        AttrId(i)
+    /// A reference key: sorted, deduplicated attribute numbers.
+    type RefKey = Vec<usize>;
+
+    fn ref_within(a: &[usize], b: &[usize]) -> bool {
+        let mut bi = b.iter();
+        a.iter().all(|x| bi.by_ref().any(|y| y == x))
     }
 
-    /// Whether some key of `s` lies within the sorted `attrs`.
-    fn within(s: &KeySet, attrs: &[AttrId]) -> bool {
-        s.as_ref().some_key_within_sorted(attrs)
+    /// The reference insert: drop a key an existing one implies, else evict
+    /// the keys it implies and append it.
+    fn ref_insert(set: &mut Vec<RefKey>, key: RefKey) {
+        if set.iter().any(|k| ref_within(k, &key)) {
+            return;
+        }
+        set.retain(|k| !ref_within(&key, k));
+        set.push(key);
     }
 
-    /// `κ(l) ∪ κ(r)`, built the way a join builds it.
-    fn union(l: &KeySet, r: &KeySet) -> KeySet {
-        let mut out = KeySet::empty();
-        out.assign_union(l.as_ref(), r.as_ref());
+    fn ref_union(l: &[RefKey], r: &[RefKey]) -> Vec<RefKey> {
+        let mut out = Vec::new();
+        for k in l.iter().chain(r) {
+            ref_insert(&mut out, k.clone());
+        }
         out
     }
 
-    /// The pairwise combination of `l` and `r`, built the way a join
-    /// builds it.
-    fn pairwise(l: &KeySet, r: &KeySet) -> KeySet {
-        let mut out = KeySet::empty();
-        out.assign_pairwise(l.as_ref(), r.as_ref());
+    fn ref_pairwise(l: &[RefKey], r: &[RefKey]) -> Vec<RefKey> {
+        let mut out = Vec::new();
+        for k1 in l {
+            for k2 in r {
+                let mut k: RefKey = k1.iter().chain(k2).copied().collect();
+                k.sort_unstable();
+                k.dedup();
+                ref_insert(&mut out, k);
+            }
+        }
         out
     }
 
-    /// Whether `x`'s keys imply `y`'s.
-    fn implies(x: &KeySet, y: &KeySet) -> bool {
-        x.as_ref().implies(y.as_ref())
+    fn ref_implies(x: &[RefKey], y: &[RefKey]) -> bool {
+        y.iter().all(|ky| x.iter().any(|kx| ref_within(kx, ky)))
     }
+
+    /// The mask of `attrs`, `width` words wide.
+    fn mask(width: usize, attrs: &[usize]) -> Vec<u64> {
+        let mut m = vec![0; width];
+        for &a in attrs {
+            m[a / 64] |= 1 << (a % 64);
+        }
+        m
+    }
+
+    fn keyset(width: usize, keys: &[RefKey]) -> KeySet {
+        let mut s = KeySet::new(width);
+        for k in keys {
+            s.insert(&mask(width, k));
+        }
+        s
+    }
+
+    /// The keys of `s`, decoded, in order.
+    fn decoded(s: KeysRef<'_>) -> Vec<RefKey> {
+        s.iter().map(|k| bits(k).collect()).collect()
+    }
+
+    /// A deterministic generator of keys over `width * 64` attributes.
+    struct Keys {
+        state: u64,
+        universe: usize,
+    }
+
+    impl Keys {
+        fn new(width: usize, seed: u64) -> Keys {
+            Keys {
+                state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+                universe: width * 64,
+            }
+        }
+
+        fn next(&mut self, bound: u64) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.state >> 33) % bound
+        }
+
+        /// A key of 0..=3 attributes; one in nine is the empty key (at most
+        /// one row), which implies every key. Attributes are drawn from the
+        /// low 24 and the top 40 of the universe, so keys overlap often and
+        /// reach every word.
+        fn key(&mut self) -> RefKey {
+            let len = self.next(9).div_ceil(3);
+            let mut k: RefKey = (0..len)
+                .map(|_| {
+                    let a = self.next(64) as usize;
+                    if a < 24 {
+                        a
+                    } else {
+                        self.universe - 64 + a
+                    }
+                })
+                .collect();
+            k.sort_unstable();
+            k.dedup();
+            k
+        }
+
+        fn set(&mut self, keys: usize) -> Vec<RefKey> {
+            let mut s = Vec::new();
+            for _ in 0..keys {
+                ref_insert(&mut s, self.key());
+            }
+            s
+        }
+
+        /// A set every key of which is a key of `base` widened, plus keys of
+        /// its own: `base` implies it whenever it adds none.
+        fn widened(&mut self, base: &[RefKey], own: usize) -> Vec<RefKey> {
+            let mut s = Vec::new();
+            for k in base {
+                let mut wider = k.clone();
+                wider.extend(self.key());
+                wider.sort_unstable();
+                wider.dedup();
+                ref_insert(&mut s, wider);
+            }
+            for _ in 0..own {
+                ref_insert(&mut s, self.key());
+            }
+            s
+        }
+    }
+
+    const WIDTHS: [usize; 3] = [1, 2, 3];
 
     #[test]
     fn minimality() {
-        let mut s = KeySet::empty();
-        s.insert(vec![a(0), a(1)]);
-        s.insert(vec![a(0)]); // subsumes the first
-        assert_eq!(1, s.keys().len());
-        assert_eq!(Some(&[a(0)][..]), s.keys().next());
-        s.insert(vec![a(0), a(2)]); // already implied
-        assert_eq!(1, s.keys().len());
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            let mut s = KeySet::new(w);
+            s.insert(&mask(w, &[0, top]));
+            s.insert(&mask(w, &[top])); // subsumes the first
+            assert_eq!(vec![vec![top]], decoded(s.as_ref()), "W={w}");
+            s.insert(&mask(w, &[2, top])); // already implied
+            assert_eq!(1, s.as_ref().len(), "W={w}");
+            // Random insert sequences keep the reference's keys, in its
+            // order.
+            let mut gen = Keys::new(w, 7);
+            for _ in 0..500 {
+                let keys: Vec<RefKey> = (0..6).map(|_| gen.key()).collect();
+                let mut reference = Vec::new();
+                for k in &keys {
+                    ref_insert(&mut reference, k.clone());
+                }
+                assert_eq!(reference, decoded(keyset(w, &keys).as_ref()), "W={w}");
+            }
+        }
     }
 
     #[test]
     fn key_within() {
-        let s = KeySet::from_keys([vec![a(1), a(2)]]);
-        assert!(within(&s, &[a(1), a(2), a(5)]));
-        assert!(!within(&s, &[a(1)]));
-        assert!(!within(&KeySet::empty(), &[a(1)]));
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            let s = keyset(w, &[vec![1, top]]);
+            assert!(s.as_ref().some_key_within(&mask(w, &[1, 5, top])));
+            assert!(!s.as_ref().some_key_within(&mask(w, &[1])));
+            assert!(!KeySet::new(w).as_ref().some_key_within(&mask(w, &[1])));
+            let mut gen = Keys::new(w, 11);
+            for _ in 0..2_000 {
+                let set = gen.set(3);
+                let mut attrs: RefKey = (0..6).flat_map(|_| gen.key()).collect();
+                attrs.sort_unstable();
+                attrs.dedup();
+                assert_eq!(
+                    set.iter().any(|k| ref_within(k, &attrs)),
+                    keyset(w, &set).as_ref().some_key_within(&mask(w, &attrs)),
+                    "W={w}: {set:?} within {attrs:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn pairwise_combination() {
-        let l = KeySet::from_keys([vec![a(0)]]);
-        let r = KeySet::from_keys([vec![a(1)], vec![a(2)]]);
-        let p = pairwise(&l, &r);
-        assert_eq!(2, p.keys().len());
-        assert!(within(&p, &[a(0), a(1)]));
-        assert!(within(&p, &[a(0), a(2)]));
-        assert_eq!(KeySet::empty(), pairwise(&l, &KeySet::empty()));
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            let mut out = KeySet::new(w);
+            let l = keyset(w, &[vec![0]]);
+            let r = keyset(w, &[vec![1], vec![top]]);
+            out.assign_pairwise(l.as_ref(), r.as_ref());
+            assert_eq!(vec![vec![0, 1], vec![0, top]], decoded(out.as_ref()));
+            out.assign_pairwise(l.as_ref(), KeySet::new(w).as_ref());
+            assert_eq!(KeySet::new(w), out);
+            let mut gen = Keys::new(w, 13);
+            for round in 0..1_000 {
+                let (l, r) = (gen.set(round % 4), gen.set(round % 3 + 1));
+                out.assign_pairwise(keyset(w, &l).as_ref(), keyset(w, &r).as_ref());
+                assert_eq!(ref_pairwise(&l, &r), decoded(out.as_ref()), "W={w}");
+            }
+        }
     }
 
     #[test]
     fn implication() {
-        let strong = KeySet::from_keys([vec![a(0)]]);
-        let weak = KeySet::from_keys([vec![a(0), a(1)]]);
-        assert!(implies(&strong, &weak));
-        assert!(!implies(&weak, &strong));
-        assert!(implies(&strong, &KeySet::empty()));
-        assert!(implies(&KeySet::empty(), &KeySet::empty()));
-        assert!(!implies(&KeySet::empty(), &strong));
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            let strong = keyset(w, &[vec![top]]);
+            let weak = keyset(w, &[vec![0, top]]);
+            let none = KeySet::new(w);
+            let implies = |x: &KeySet, y: &KeySet| x.as_ref().implies(y.as_ref());
+            assert!(implies(&strong, &weak));
+            assert!(!implies(&weak, &strong));
+            assert!(implies(&strong, &none));
+            assert!(implies(&none, &none));
+            assert!(!implies(&none, &strong));
+            let mut gen = Keys::new(w, 17);
+            let mut held = 0;
+            for round in 0..2_000 {
+                let x = gen.set(round % 4);
+                let y = if round % 2 == 0 {
+                    gen.widened(&x, round % 3)
+                } else {
+                    gen.set(round % 3)
+                };
+                for (p, q) in [(&x, &y), (&y, &x)] {
+                    let want = ref_implies(p, q);
+                    held += usize::from(want);
+                    assert_eq!(
+                        want,
+                        keyset(w, p).as_ref().implies(keyset(w, q).as_ref()),
+                        "W={w}: {p:?} ⇒ {q:?}"
+                    );
+                }
+            }
+            assert!(held > 1_000, "W={w}: only {held} implications hold");
+        }
+    }
+
+    /// The signature `fold` gives a key set: the AND of its keys' folds.
+    fn signature_by(keys: KeysRef<'_>, fold: fn(&[u64]) -> u32) -> u32 {
+        keys.iter().fold(u32::MAX, |s, k| s & fold(k))
+    }
+
+    /// Over random pairs at every width — half of them `b` derived from `a`
+    /// by widening every key of `a`, so `a ⇒ b` — how often the signatures
+    /// `fold` gives refute an implication that holds, and how often they
+    /// refute one that fails.
+    fn refutations(fold: fn(&[u64]) -> u32) -> (u32, u32) {
+        let (mut wrong, mut right) = (0, 0);
+        for w in WIDTHS {
+            let mut gen = Keys::new(w, 23);
+            for round in 0..4_000 {
+                let x = gen.set(round % 5);
+                let y = if round % 2 == 0 {
+                    gen.widened(&x, round % 3)
+                } else {
+                    gen.set(round % 3)
+                };
+                let (x, y) = (keyset(w, &x), keyset(w, &y));
+                for (p, q) in [(&x, &y), (&y, &x)] {
+                    let (sp, sq) = (
+                        signature_by(p.as_ref(), fold),
+                        signature_by(q.as_ref(), fold),
+                    );
+                    let refuted = sp & !sq != 0;
+                    if p.as_ref().implies(q.as_ref()) {
+                        wrong += u32::from(refuted);
+                    } else {
+                        right += u32::from(refuted);
+                    }
+                }
+            }
+        }
+        (wrong, right)
     }
 
     #[test]
     fn signature_never_refutes_an_implication() {
-        // Attributes 0..96 wrap `mod 32` three times, so unrelated keys
-        // share bits. Half the pairs derive `b` from `a` by widening every
-        // key of `a` (so `a ⇒ b`) and adding keys of its own; the other
-        // half are independent, empty sets included.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |bound: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % bound
-        };
-        // A key of 0..=3 attributes; one in nine is the empty key (at most
-        // one row), which implies every key.
-        let mut random_key = move || -> Key {
-            let width = next(9).div_ceil(3);
-            (0..width).map(|_| a(next(96) as u32)).collect()
-        };
-        let (mut implied, mut refuted) = (0, 0);
-        for round in 0..4_000 {
-            let mut key_a = KeySet::empty();
-            for _ in 0..round % 5 {
-                key_a.insert(random_key());
-            }
-            let mut key_b = KeySet::empty();
-            if round % 2 == 0 {
-                for k in key_a.keys() {
-                    let mut wider = k.to_vec();
-                    wider.extend(random_key());
-                    key_b.insert(wider);
-                }
-            }
-            for _ in 0..round % 3 {
-                key_b.insert(random_key());
-            }
-            for (x, y) in [(&key_a, &key_b), (&key_b, &key_a)] {
-                let may = x.as_ref().signature() & !y.as_ref().signature() == 0;
-                if implies(x, y) {
-                    implied += 1;
-                    assert!(may, "{x:?} implies {y:?}, but the signatures refute it");
-                } else {
-                    refuted += !may as u32;
-                }
-            }
+        let (wrong, right) = refutations(fold);
+        assert_eq!(0, wrong, "the signature refuted a holding implication");
+        assert!(
+            right > 1_000,
+            "the signature refuted only {right} failing ones"
+        );
+        // `KeysRef::signature` is that fold's.
+        let mut gen = Keys::new(2, 29);
+        for _ in 0..200 {
+            let s = keyset(2, &gen.set(3));
+            assert_eq!(signature_by(s.as_ref(), fold), s.as_ref().signature());
         }
-        // Both branches ran often enough to mean something.
-        assert!(implied > 1_000 && refuted > 1_000, "{implied} / {refuted}");
-        assert_eq!(u32::MAX, KeySet::empty().as_ref().signature());
+        assert_eq!(u32::MAX, KeySet::new(3).as_ref().signature());
+        // Attributes 1 and 35 share bit 3 with 3 and 67 only through the
+        // fold; the set's signature is what its two keys share.
         assert_eq!(
             1 << 1 | 1 << 3,
-            KeySet::from_keys([vec![a(1), a(35)], vec![a(3), a(33)]])
+            keyset(2, &[vec![1, 3], vec![1, 35, 67]])
                 .as_ref()
                 .signature()
         );
+        // A fold that is not monotone (XOR of the halves clears a bit a
+        // superset sets twice) must be caught refuting an implication.
+        let xor: fn(&[u64]) -> u32 = |k| k.iter().fold(0, |m, &w| m ^ w as u32 ^ (w >> 32) as u32);
+        assert!(refutations(xor).0 > 0, "a non-monotone fold went unnoticed");
     }
 
     #[test]
     fn union_keeps_both() {
-        let l = KeySet::from_keys([vec![a(0)]]);
-        let r = KeySet::from_keys([vec![a(1)]]);
-        let u = union(&l, &r);
-        assert!(within(&u, &[a(0)]));
-        assert!(within(&u, &[a(1)]));
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            let mut out = KeySet::new(w);
+            let (l, r) = (keyset(w, &[vec![0]]), keyset(w, &[vec![top]]));
+            out.assign_union(l.as_ref(), r.as_ref());
+            assert_eq!(vec![vec![0], vec![top]], decoded(out.as_ref()));
+            let mut gen = Keys::new(w, 31);
+            for round in 0..1_000 {
+                let (l, r) = (gen.set(round % 4), gen.set(round % 3));
+                out.assign_union(keyset(w, &l).as_ref(), keyset(w, &r).as_ref());
+                assert_eq!(ref_union(&l, &r), decoded(out.as_ref()), "W={w}");
+            }
+        }
     }
 
     #[test]
     fn flat_storage_matches_key_by_key_semantics() {
-        // Unsorted, duplicated input is normalized.
-        let mut s = KeySet::empty();
-        s.insert(vec![a(3), a(1), a(3), a(2)]);
-        assert_eq!(vec![&[a(1), a(2), a(3)][..]], s.keys().collect::<Vec<_>>());
-        // Evicting a key leaves a hole in the storage, not in the set:
-        // equality and iteration see keys only.
-        s.insert(vec![a(2)]);
-        assert_eq!(KeySet::from_keys([vec![a(2)]]), s);
-        // Pairwise combination merges sorted keys without duplicates and
-        // keeps the result minimal.
-        let l = KeySet::from_keys([vec![a(0), a(2)], vec![a(5)]]);
-        let r = KeySet::from_keys([vec![a(2), a(4)], vec![a(5)]]);
-        let p = pairwise(&l, &r);
-        assert_eq!(
-            vec![&[a(0), a(2), a(4)][..], &[a(5)][..]],
-            p.keys().collect::<Vec<_>>()
-        );
-        // A borrowed view over foreign storage behaves like the owned set.
-        let attrs = [a(9), a(0), a(2), a(4), a(5)];
-        let spans = [Span::new(1, 3), Span::new(4, 1)];
-        let view = KeysRef::new(&spans, &attrs);
-        assert!(view.implies(p.as_ref()) && p.as_ref().implies(view));
-        assert!(view.some_key_within_sorted(&[a(1), a(5)]));
-        assert!(!view.some_key_within_sorted(&[a(0), a(2)]));
+        for w in WIDTHS {
+            let top = 64 * w - 1;
+            // Evicting a key moves the later ones down: equality and
+            // iteration see keys only, in insertion order.
+            let mut s = keyset(w, &[vec![1, 2, top], vec![5], vec![2, 7]]);
+            s.insert(&mask(w, &[2]));
+            assert_eq!(keyset(w, &[vec![5], vec![2]]), s);
+            // A borrowed view over foreign storage behaves like the owned
+            // set.
+            let mut lane = vec![u64::MAX; w];
+            lane.extend(mask(w, &[0, 2, top]));
+            lane.extend(mask(w, &[5]));
+            let view = KeysRef::new(w, &lane[w..]);
+            let owned = keyset(w, &[vec![0, 2, top], vec![5]]);
+            assert_eq!(2, view.len());
+            assert!(view.implies(owned.as_ref()) && owned.as_ref().implies(view));
+            assert!(view.some_key_within(&mask(w, &[1, 5])));
+            assert!(!view.some_key_within(&mask(w, &[0, 2])));
+            assert_eq!(decoded(view), decoded(owned.as_ref()));
+        }
     }
 }

@@ -8,13 +8,15 @@
 //! key signature — everything the dominance test of Def. 4 reads before
 //! it needs the key sets) and a **cold** row ([`PlanCold`]: the operator
 //! node plus `(start, len)` [`Span`]s naming the plan's key set and
-//! aggregation state). A row holds nothing the search does not read: which
-//! attributes a plan exposes and which operators it applied follow from
-//! its tree, and a valid query ([`dpnext_query::Query::new`]) makes every
-//! cut see what it reads, so [`crate::validate`] derives both from the
-//! tree when a test asks.
+//! aggregation state). A key is a mask of `W` words, set by a run's scans
+//! ([`crate::OptContext::key_width`]), and a `Group` node's grouping
+//! attributes `G⁺(S)` are its one key. A row holds nothing the search does
+//! not read: which attributes a plan exposes and which operators it applied
+//! follow from its tree, and a valid query ([`dpnext_query::Query::new`])
+//! makes every cut see what it reads, so [`crate::validate`] derives both
+//! from the tree when a test asks.
 //! Both rows are `Copy`. The variable-length payloads themselves live in
-//! five append-only **lanes** ([`Lanes`]) owned by the memo, so building a
+//! four append-only **lanes** ([`Lanes`]) owned by the memo, so building a
 //! plan is a handful of `extend_from_slice`s, and rolling plans back
 //! ([`Memo::truncate`]), clearing the memo ([`Memo::reset`]) or dropping it
 //! runs no per-plan destructor. A row whose derived property *is* an
@@ -133,12 +135,11 @@ pub enum PlanNode {
         right: PlanId,
     },
     /// An eager-aggregation grouping `Γ_{G⁺(S); F¹ ∘ (c : count(*))}`. Its
-    /// aggregation vector is not stored: [`crate::finalize::compile`]
-    /// rebuilds it for the one winner from the input's and this plan's
-    /// aggregation state.
+    /// grouping attributes `G⁺(S)` are the plan's one key
+    /// ([`PlanRef::grouping_key`]), and its aggregation vector is not
+    /// stored: [`crate::finalize::compile`] rebuilds it for the one winner
+    /// from the input's and this plan's aggregation state.
     Group {
-        /// Grouping attributes `G⁺(S)`, in [`Lanes::attrs`].
-        attrs: Span,
         /// The plan being grouped.
         input: PlanId,
     },
@@ -171,9 +172,9 @@ impl PlanHot {
     const DUP_FREE: u8 = 2;
     const IS_GROUP: u8 = 4;
 
-    /// A hot row of a plan without keys; `has_grouping`, `duplicate_free`
-    /// and `is_group` are packed into the flag byte. A keyed plan's row
-    /// takes its signature with [`PlanHot::with_key_sig`].
+    /// A hot row of a plan without keys (signature all-ones); the flags are
+    /// packed into one byte. A keyed plan's row takes its signature with
+    /// [`PlanHot::with_key_sig`].
     #[inline]
     pub fn new(
         set: NodeSet,
@@ -190,7 +191,7 @@ impl PlanHot {
             flags: (has_grouping as u8 * Self::HAS_GROUPING)
                 | (duplicate_free as u8 * Self::DUP_FREE)
                 | (is_group as u8 * Self::IS_GROUP),
-            key_sig: KeysRef::default().signature(),
+            key_sig: u32::MAX,
         }
     }
 
@@ -235,7 +236,7 @@ impl PlanHot {
 pub struct PlanCold {
     /// The root operator; children are arena ids.
     pub node: PlanNode,
-    /// Candidate keys: a run of [`Lanes::keys`].
+    /// Candidate keys: a run of [`Lanes::keys`], a whole number of keys.
     pub keys: Span,
     /// Per original aggregate, where it lives: a run of [`Lanes::agg_pos`].
     pub agg_pos: Span,
@@ -259,12 +260,11 @@ const _: () = assert!(size_of::<PlanHot>() == 32);
 pub const ARENA_ROW_BYTES: usize = size_of::<PlanHot>() + size_of::<PlanCold>();
 
 /// Number of payload lanes.
-const LANES: usize = 5;
+const LANES: usize = 4;
 
 /// Element size of each lane, in [`Lanes::lens`] order.
 const LANE_ELEM_BYTES: [usize; LANES] = [
-    size_of::<AttrId>(),
-    size_of::<Span>(),
+    size_of::<u64>(),
     size_of::<AggPos>(),
     size_of::<(NodeSet, AttrId)>(),
     size_of::<Term>(),
@@ -289,11 +289,12 @@ fn lane_bytes(lens: [usize; LANES]) -> usize {
 /// them and rollback is LIFO, so shared data always outlives its sharers.
 #[derive(Debug, Default)]
 pub struct Lanes {
-    /// Key attributes and grouping attributes.
-    pub attrs: Vec<AttrId>,
-    /// One span into `attrs` per candidate key; a key set is a run of
-    /// these.
-    pub keys: Vec<Span>,
+    /// Words per key: the run's [`crate::OptContext::key_width`], set by
+    /// its scans ([`crate::make_scan`]).
+    pub(crate) key_width: usize,
+    /// Candidate keys, `key_width` words each; a key set is a run of
+    /// whole keys.
+    pub keys: Vec<u64>,
     /// Aggregate positions, one run per plan, indexed like the query's
     /// normalized aggregation vector.
     pub agg_pos: Vec<AggPos>,
@@ -307,7 +308,6 @@ impl Lanes {
     /// Current length of every lane.
     pub fn lens(&self) -> [usize; LANES] {
         [
-            self.attrs.len(),
             self.keys.len(),
             self.agg_pos.len(),
             self.counts.len(),
@@ -317,7 +317,6 @@ impl Lanes {
 
     fn capacities(&self) -> [usize; LANES] {
         [
-            self.attrs.capacity(),
             self.keys.capacity(),
             self.agg_pos.capacity(),
             self.counts.capacity(),
@@ -326,17 +325,16 @@ impl Lanes {
     }
 
     fn truncate(&mut self, lens: [usize; LANES]) {
-        self.attrs.truncate(lens[0]);
-        self.keys.truncate(lens[1]);
-        self.agg_pos.truncate(lens[2]);
-        self.counts.truncate(lens[3]);
-        self.terms.truncate(lens[4]);
+        self.keys.truncate(lens[0]);
+        self.agg_pos.truncate(lens[1]);
+        self.counts.truncate(lens[2]);
+        self.terms.truncate(lens[3]);
     }
 
     /// The key set a row's `keys` span names.
     #[inline]
     pub fn key_set(&self, keys: Span) -> KeysRef<'_> {
-        KeysRef::new(keys.of(&self.keys), &self.attrs)
+        KeysRef::new(self.key_width, keys.of(&self.keys))
     }
 
     /// The aggregation state a row's `agg_pos` / `counts` spans name.
@@ -355,20 +353,11 @@ impl Lanes {
         }
     }
 
-    /// Append `attrs` to the attribute lane.
+    /// Append a copy of `keys`, which must be as wide as the run's.
     #[inline]
-    pub(crate) fn push_attrs(&mut self, attrs: &[AttrId]) -> Span {
-        append(&mut self.attrs, attrs)
-    }
-
-    /// Append a copy of `keys` (compacted: one attribute run per key).
     pub(crate) fn push_key_set(&mut self, keys: KeysRef<'_>) -> Span {
-        let span = Span::new(self.keys.len(), keys.len());
-        for k in keys.iter() {
-            let key = self.push_attrs(k);
-            self.keys.push(key);
-        }
-        span
+        debug_assert_eq!(self.key_width, keys.width, "key width of another run");
+        append(&mut self.keys, keys.words)
     }
 }
 
@@ -395,6 +384,13 @@ impl<'a> PlanRef<'a> {
     #[inline]
     pub fn agg(&self) -> AggRef<'a> {
         self.lanes.agg(self.cold)
+    }
+
+    /// A `Group` node's grouping attributes `G⁺(S)` as a mask: its one
+    /// key. Decode it with [`crate::OptContext::decode_key`].
+    pub fn grouping_key(&self) -> &'a [u64] {
+        let key = self.keys().iter().next();
+        key.expect("a grouping's one key is its G⁺(S)")
     }
 }
 
@@ -592,7 +588,8 @@ pub enum ThinBy {
     /// `FD⁺(a) ⊇ FD⁺(b)` suggested in §4.6). The key sets are read only
     /// when the two plans' `DomRow`s pass (`DomRow::may_precede`):
     /// cost, cardinality, duplicate-freeness, the groupjoin guard and 30
-    /// bits of the key signatures (`KeysRef::signature`). Key-set
+    /// bits of the key signatures (`KeysRef::signature`, a monotone fold
+    /// of the key masks). Key-set
     /// implication implies the signature test, so the relation is exactly
     /// this one.
     Dominance {
@@ -848,7 +845,7 @@ pub struct Memo {
     cold: Vec<PlanCold>,
     pub(crate) lanes: Lanes,
     /// Output buffer of the key-set combination rules; a combined key set
-    /// is built here and copied compactly into the lanes.
+    /// is built here and copied into the key lane.
     pub(crate) key_buf: KeySet,
     /// Node set → index of the class in `class_lists`, handed out in
     /// creation order.
@@ -1096,28 +1093,22 @@ impl Memo {
                 written[lane] = written[lane].max(span.end());
                 Ok(())
             };
-            check(1, "keys", cold.keys)?;
-            check(2, "agg_pos", cold.agg_pos)?;
-            check(3, "counts", cold.counts)?;
+            check(0, "keys", cold.keys)?;
+            check(1, "agg_pos", cold.agg_pos)?;
+            check(2, "counts", cold.counts)?;
             let children = match cold.node {
                 PlanNode::Scan { .. } => [None, None],
                 PlanNode::Apply {
                     pred, left, right, ..
                 } => {
                     // Staged before the rows of its grid, shared by all.
-                    if pred.end() > lens[4] {
+                    if pred.end() > lens[3] {
                         return Err(format!("plan {i}: predicate span {pred:?} past its lane"));
                     }
                     [Some(left), Some(right)]
                 }
-                PlanNode::Group { attrs, input } => {
-                    check(0, "grouping attributes", attrs)?;
-                    [Some(input), None]
-                }
+                PlanNode::Group { input } => [Some(input), None],
             };
-            for key in cold.keys.of(&self.lanes.keys) {
-                check(0, "key", *key)?;
-            }
             if let Some(child) = children.into_iter().flatten().find(|c| c.index() >= i) {
                 return Err(format!(
                     "plan {i} has child {} at or after itself",

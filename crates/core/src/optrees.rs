@@ -47,7 +47,7 @@ fn pushable(side: &GridSide, scratch: &Scratch, memo: &Memo, t: PlanId) -> bool 
         return false;
     };
     let hot = &memo[t];
-    // `G⁺(S)` is memoized sorted, which is what the key test wants.
+    // `G⁺(S)` is memoized as a key mask, which is what the key test wants.
     !hot.is_group()
         && needs_grouping(
             scratch.gplus_at(gplus),
@@ -100,9 +100,8 @@ impl GridSide {
         };
         if groups {
             let gplus = scratch.gplus_span(ctx, s);
-            let attrs = scratch.gplus_at(gplus);
-            let key = [Span::new(0, attrs.len())];
-            side.group = side.facts(ctx, staged, KeysRef::new(&key, attrs));
+            let key = KeysRef::new(ctx.key_width(), scratch.gplus_at(gplus));
+            side.group = side.facts(ctx, staged, key);
             side.gplus = Some(gplus);
             side.cols = grouping_columns(ctx, s);
         }

@@ -15,18 +15,20 @@
 
 use crate::aggstate::{merge_one, push_grouped_state, AggPos, AggRef};
 use crate::card::{distinct_in, grouping_card, join_card};
-use crate::context::{OptContext, Scratch};
-use crate::infer::{infer_join_keys_presorted, join_duplicate_free, JoinKeys};
+use crate::context::{assign_key_mask, OptContext, Scratch};
+use crate::infer::{infer_join_keys, join_duplicate_free, JoinKeys};
 use crate::keyset::KeysRef;
 use crate::memo::{Memo, PlanCold, PlanHot, PlanId, PlanNode, Span, Term};
-use dpnext_algebra::{AttrId, CmpOp};
+use dpnext_algebra::CmpOp;
 use dpnext_hypergraph::NodeSet;
 use dpnext_query::OpKind;
 
-/// Build a scan plan for table occurrence `i`.
+/// Build a scan plan for table occurrence `i`. A run's scans come first
+/// and set the memo's key width, so one memo serves any query.
 pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
     let t = &ctx.query.tables[i];
     let keys = ctx.table_keys[i].as_ref();
+    memo.lanes.key_width = ctx.key_width();
     let hot = PlanHot::new(
         NodeSet::single(i),
         t.card,
@@ -59,8 +61,12 @@ pub fn make_scan(ctx: &OptContext, memo: &mut Memo, i: usize) -> PlanId {
 fn key_cap(ctx: &OptContext, keys: KeysRef<'_>) -> f64 {
     let mut cap = f64::INFINITY;
     for key in keys.iter() {
-        // Unknown distinct counts are infinite: no cap from such keys.
-        let bound: f64 = key.iter().map(|&a| ctx.distinct(a).max(1.0)).product();
+        // Unknown distinct counts are infinite: no cap from such keys. The
+        // product runs in ascending attribute order.
+        let bound: f64 = ctx
+            .decode_key(key)
+            .map(|a| ctx.distinct(a).max(1.0))
+            .product();
         cap = cap.min(bound);
     }
     cap
@@ -109,7 +115,7 @@ pub(crate) fn cut_estimate(
 /// The cut-level constants of one operator application: identical for
 /// every plan pair of one orientation, filled in by [`stage_apply`]. The
 /// value is reusable — staging the next cut overwrites it in place and
-/// keeps its two attribute buffers.
+/// keeps its two mask buffers.
 pub struct StagedApply {
     /// Index of the operator into the conflicted query's list.
     pub op_idx: usize,
@@ -127,12 +133,11 @@ pub struct StagedApply {
     /// Is the predicate a non-empty conjunction of equalities? Gates the
     /// key-preserving cases of the §2.3 propagation.
     pub pred_equi: bool,
-    /// Left-side predicate attributes, sorted and deduplicated — the
-    /// per-pair key inference runs its cover tests straight off these
-    /// slices instead of re-collecting and re-sorting per plan.
-    pub left_attrs: Vec<AttrId>,
-    /// Right-side predicate attributes, sorted and deduplicated.
-    pub right_attrs: Vec<AttrId>,
+    /// Left-side predicate attributes as a key mask — the per-plan key
+    /// inference runs its cover tests straight off it.
+    pub left_attrs: Vec<u64>,
+    /// Right-side predicate attributes as a key mask.
+    pub right_attrs: Vec<u64>,
 }
 
 impl Default for StagedApply {
@@ -174,10 +179,11 @@ pub fn stage_apply(
     staged.pred = Span::new(start, terms.len());
     (staged.sel, staged.d_left, staged.d_right) = cut_estimate(ctx, op_idx, terms.iter().copied());
     // Pre-digest the predicate for the per-pair key inference: equi
-    // classification plus sorted, deduplicated per-side attribute sets.
+    // classification plus the per-side attribute masks.
     staged.pred_equi = !terms.is_empty() && terms.iter().all(|&(_, cmp, _)| cmp == CmpOp::Eq);
-    assign_normalized(&mut staged.left_attrs, terms.iter().map(|t| t.0));
-    assign_normalized(&mut staged.right_attrs, terms.iter().map(|t| t.2));
+    let keys = &ctx.key_attrs;
+    assign_key_mask(keys, &mut staged.left_attrs, terms.iter().map(|t| &t.0));
+    assign_key_mask(keys, &mut staged.right_attrs, terms.iter().map(|t| &t.2));
 }
 
 /// What an operator application reads of one input alone, given the cut
@@ -225,22 +231,14 @@ impl StagedApply {
     }
 
     /// The facts of an input on the side whose predicate attributes are
-    /// `attrs`.
+    /// the mask `attrs`.
     #[inline]
-    fn facts(&self, ctx: &OptContext, attrs: &[AttrId], keys: KeysRef<'_>) -> SideFacts {
+    fn facts(&self, ctx: &OptContext, attrs: &[u64], keys: KeysRef<'_>) -> SideFacts {
         SideFacts {
-            covers: self.pred_equi && keys.some_key_within_sorted(attrs),
+            covers: self.pred_equi && keys.some_key_within(attrs),
             cap: key_cap(ctx, keys),
         }
     }
-}
-
-/// Make `side` the sorted, deduplicated set of `attrs`.
-fn assign_normalized(side: &mut Vec<AttrId>, attrs: impl Iterator<Item = AttrId>) {
-    side.clear();
-    side.extend(attrs);
-    side.sort_unstable();
-    side.dedup();
 }
 
 /// Apply a staged operator on two plans, each given with its
@@ -275,7 +273,7 @@ pub fn apply_staged(
         staged.d_right,
     );
     let (lkeys, rkeys) = (lanes.key_set(lcold.keys), lanes.key_set(rcold.keys));
-    let source = infer_join_keys_presorted(
+    let source = infer_join_keys(
         kind,
         lkeys,
         rkeys,
@@ -429,28 +427,21 @@ pub(crate) fn group_over(
     let icold = *memo.plan(input_id).cold;
     let s = input.set;
     let lanes = &mut memo.lanes;
-    // One run of the attribute lane serves twice: `G⁺(S)` is the node's
-    // grouping attributes and its single key.
-    let attrs = lanes.push_attrs(scratch.gplus_at(gplus));
+    // `G⁺(S)` serves twice: it is the node's grouping attributes and its
+    // single key.
+    let gplus = KeysRef::new(ctx.key_width(), scratch.gplus_at(gplus));
     let card = grouping_card(
         input.card,
-        attrs
-            .of(&lanes.attrs)
-            .iter()
-            .map(|&a| distinct_in(ctx.distinct(a), input.card)),
+        ctx.decode_key(gplus.words)
+            .map(|a| distinct_in(ctx.distinct(a), input.card)),
     );
+    let (keys, key_sig) = (lanes.push_key_set(gplus), gplus.signature());
     let (agg_pos, counts) = push_grouped_state(ctx, scratch, lanes, icold.agg_pos, s);
-    let keys = Span::new(lanes.keys.len(), 1);
-    lanes.keys.push(attrs);
-    let key_sig = lanes.key_set(keys).signature();
     scratch.count_plan();
     memo.push_row(
         PlanHot::new(s, card, input.cost + card, true, true, true).with_key_sig(key_sig),
         PlanCold {
-            node: PlanNode::Group {
-                attrs,
-                input: input_id,
-            },
+            node: PlanNode::Group { input: input_id },
             keys,
             agg_pos,
             counts,

@@ -80,10 +80,28 @@ fn two_table_ctx(op: OpKind) -> OptContext<'static> {
 mod context {
     use super::*;
     use crate::algo::{optimize_prepared, Algorithm, OptimizeOptions};
-    use crate::context::{gj_args, gplus_candidates};
+    use crate::context::{gj_args, key_universe};
     use dpnext_hypergraph::enumerate_ccps;
     use dpnext_workload::{ex_query, generate_query, q10, q3, q5, GenConfig, OpWeights, Topology};
     use std::collections::BTreeSet;
+
+    /// The attributes of the memoized `G⁺(S)`.
+    fn gplus(ctx: &OptContext, sc: &mut Scratch, s: NodeSet) -> Vec<AttrId> {
+        let span = sc.gplus_span(ctx, s);
+        ctx.decode_key(sc.gplus_at(span)).collect()
+    }
+
+    /// The query's grouping attributes, sorted and deduplicated.
+    fn sorted_group_by(ctx: &OptContext) -> Vec<AttrId> {
+        let mut g = ctx
+            .query
+            .grouping
+            .as_ref()
+            .map_or(Vec::new(), |g| g.group_by.clone());
+        g.sort_unstable();
+        g.dedup();
+        g
+    }
 
     #[test]
     fn gplus_includes_group_and_crossing_join_attrs() {
@@ -92,13 +110,11 @@ mod context {
         // attribute: one candidate, beside the join's a2.
         assert_eq!(2, ctx.gplus_candidates.len());
         let mut sc = Scratch::new(&ctx);
-        let g0 = sc.gplus(&ctx, NodeSet::single(0));
-        assert_eq!(vec![a(1)], g0);
-        let g1 = sc.gplus(&ctx, NodeSet::single(1));
-        assert_eq!(vec![a(2)], g1); // join attr only
-                                    // Full set: nothing crosses; only the grouping attribute remains.
-        let gf = sc.gplus(&ctx, NodeSet::full(2));
-        assert_eq!(vec![a(1)], gf);
+        assert_eq!(vec![a(1)], gplus(&ctx, &mut sc, NodeSet::single(0)));
+        // Join attribute only.
+        assert_eq!(vec![a(2)], gplus(&ctx, &mut sc, NodeSet::single(1)));
+        // Full set: nothing crosses; only the grouping attribute remains.
+        assert_eq!(vec![a(1)], gplus(&ctx, &mut sc, NodeSet::full(2)));
     }
 
     /// `r0(a0) ⋈ r1(a1) ⋈ r2(a2)` on `a0 = a1` and `a1 = a2`: a1 is read by
@@ -174,7 +190,11 @@ mod context {
         for seed in 0..10 {
             let ctx = OptContext::new(generate_query(&groupjoins, seed));
             let full = NodeSet::full(ctx.query.table_count());
-            assert_eq!(ctx.group_by, ctx.compute_gplus(full), "seed {seed}");
+            assert_eq!(
+                sorted_group_by(&ctx),
+                ctx.compute_gplus(full),
+                "seed {seed}"
+            );
         }
     }
 
@@ -224,7 +244,7 @@ mod context {
                 }
             }
         };
-        for &a in &ctx.group_by {
+        for a in sorted_group_by(ctx) {
             push(a);
         }
         for (op, gj_args) in ctx.cq.ops.iter().zip(gj_args(&ctx.cq)) {
@@ -271,7 +291,7 @@ mod context {
                 if gj_args.any(|a| reference.contains(a)) {
                     self.gj_arg_sets += 1;
                 }
-                let got = sc.gplus(ctx, s);
+                let got = gplus(ctx, &mut sc, s);
                 if self.wrong.is_none() && got != reference {
                     self.wrong = Some(format!("G⁺({s}) = {got:?}, the term walk {reference:?}"));
                 }
@@ -329,11 +349,15 @@ mod context {
                 panic!("{query}: {wrong}");
             }
             // The negative control: the same candidates without the
-            // groupjoin arguments.
+            // groupjoin arguments, numbered in the same key attributes.
             let mut blind = OptContext::new(ctx.query.clone());
             let no_args = vec![Vec::new(); blind.cq.ops.len()];
-            blind.gplus_candidates =
-                gplus_candidates(&blind.cq, &blind.origins, &blind.group_by, &no_args);
+            let group_by = sorted_group_by(&blind);
+            let keyed = blind.key_attrs.iter().copied();
+            let (universe, candidates) =
+                key_universe(&blind.cq, &blind.origins, &group_by, &no_args, keyed);
+            assert_eq!(blind.key_attrs, universe);
+            blind.gplus_candidates = candidates;
             let mut control = GplusSweep::default();
             control.check(&blind, sets);
             blind_failed += usize::from(control.wrong.is_some());
@@ -370,24 +394,24 @@ mod context {
     fn gplus_is_cached() {
         let ctx = two_table_ctx(OpKind::Join);
         let mut sc = Scratch::new(&ctx);
-        let p1 = sc.gplus(&ctx, NodeSet::single(0)).as_ptr();
-        let p2 = sc.gplus(&ctx, NodeSet::single(0)).as_ptr();
-        // A hit returns the memoized attributes, not a recomputation.
+        let p1 = sc.gplus_span(&ctx, NodeSet::single(0));
+        let p2 = sc.gplus_span(&ctx, NodeSet::single(0));
+        // A hit names the memoized mask, not a recomputation appended anew.
         assert_eq!(p1, p2);
     }
 
     #[test]
     fn gplus_hit_borrows_the_memoized_value() {
-        // Every set's `G⁺` sits in the cache's one attribute vector: a
+        // Every set's `G⁺` sits in the cache's one word vector: a
         // hit must agree with the uncached computation, and memoizing a
         // second set must leave the first one's value intact.
         let ctx = two_table_ctx(OpKind::Join);
         let mut sc = Scratch::new(&ctx);
         for s in [NodeSet::single(0), NodeSet::single(1), NodeSet::full(2)] {
-            assert_eq!(ctx.compute_gplus(s), sc.gplus(&ctx, s));
+            assert_eq!(ctx.compute_gplus(s), gplus(&ctx, &mut sc, s));
         }
         for s in [NodeSet::single(0), NodeSet::single(1), NodeSet::full(2)] {
-            assert_eq!(ctx.compute_gplus(s), sc.gplus(&ctx, s));
+            assert_eq!(ctx.compute_gplus(s), gplus(&ctx, &mut sc, s));
         }
     }
 
@@ -576,7 +600,9 @@ mod plans {
         let r = make_scan(&ctx, &mut memo, 1);
         let j = make_apply(&ctx, &mut sc, &mut memo, 0, l, r).unwrap();
         assert!(memo[j].duplicate_free());
-        assert!(memo.plan(j).keys().some_key_within_sorted(&[a(3)]));
+        let mut key = Vec::new();
+        crate::context::assign_key_mask(&ctx.key_attrs, &mut key, &[a(3)]);
+        assert!(memo.plan(j).keys().some_key_within(&key));
         // Raw estimate 100 × 50 × 0.1 = 500; the key {a3} bounds it at
         // d(a3) = 50.
         assert_eq!(50.0, memo[j].card);
@@ -977,8 +1003,8 @@ mod engine {
 
     fn reading(ctx: &OptContext, memo: &Memo, id: PlanId) -> Reading {
         let (hot, full) = (memo[id], NodeSet::full(ctx.query.table_count()));
-        let mut keys: Vec<Vec<AttrId>> = memo.plan(id).keys().iter().map(<[_]>::to_vec).collect();
-        keys.iter_mut().for_each(|k| k.sort_unstable());
+        let keys = memo.plan(id).keys().iter();
+        let mut keys: Vec<Vec<AttrId>> = keys.map(|k| ctx.decode_key(k).collect()).collect();
         keys.sort_unstable();
         let complete = hot.set == full;
         (

@@ -166,7 +166,7 @@ fn walk(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<Derived, String> {
                 visible,
             })
         }
-        PlanNode::Group { attrs, input } => {
+        PlanNode::Group { input } => {
             let applied = walk(ctx, store, input)?.applied;
             let inp = &store[input];
             if inp.is_group() {
@@ -184,8 +184,10 @@ fn walk(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<Derived, String> {
                     hot.set
                 ));
             }
-            let attrs = attrs.of(&plan.lanes.attrs);
-            if attrs != ctx.compute_gplus(hot.set) {
+            // Its grouping attributes are its one key.
+            let mut keys = plan.keys().iter().map(|k| ctx.decode_key(k).collect());
+            let attrs: Vec<AttrId> = keys.next().unwrap_or_default();
+            if keys.next().is_some() || attrs != ctx.compute_gplus(hot.set) {
                 return Err(format!(
                     "grouping attributes {attrs:?} differ from G⁺({})",
                     hot.set
@@ -202,7 +204,7 @@ fn walk(ctx: &OptContext, store: &Memo, id: PlanId) -> Result<Derived, String> {
             }
             Ok(Derived {
                 applied,
-                visible: attrs.to_vec(),
+                visible: attrs,
             })
         }
     }
@@ -251,6 +253,7 @@ pub fn applied_ops_mask(n_ops: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyset::KeySet;
     use crate::memo::{Memo, PlanCold, PlanHot, PlanNode, Span};
     use crate::plan::{make_apply, make_scan};
     use crate::Scratch;
@@ -398,17 +401,28 @@ mod tests {
         let ctx = ctx2();
         let mut memo = Memo::new();
         let l = make_scan(&ctx, &mut memo, 0);
-        // A hand-rolled grouping with the wrong grouping attributes.
+        // A hand-rolled grouping keyed by the scan's keys (none) and one
+        // keyed by the wrong grouping attributes: `a1` alone, where
+        // `G⁺({r})` is `{a0, a1}`.
         let scan = memo[l];
         let hot = PlanHot::new(scan.set, scan.card, scan.cost + scan.card, true, true, true);
         let cold = PlanCold {
-            node: PlanNode::Group {
-                attrs: memo.lanes.push_attrs(&[a(3)]),
-                input: l,
-            },
+            node: PlanNode::Group { input: l },
             ..*memo.plan(l).cold
         };
         let id = memo.push_row(hot, cold);
+        let err = validate_subplan(&ctx, &memo, id).unwrap_err();
+        assert!(err.contains("[] differ from G⁺"), "{err}");
+        let mut wrong = KeySet::new(ctx.key_width());
+        let mut key = Vec::new();
+        crate::context::assign_key_mask(&ctx.key_attrs, &mut key, &[a(1)]);
+        wrong.insert(&key);
+        let id = memo.push_plan(
+            hot,
+            PlanNode::Group { input: l },
+            wrong.as_ref(),
+            ctx.fresh_agg.as_ref(),
+        );
         let err = validate_subplan(&ctx, &memo, id).unwrap_err();
         assert!(err.contains("differ from G⁺"), "{err}");
     }

@@ -35,7 +35,8 @@ fn claimed_keys_hold_on_executed_results() {
                     if !plan.hot.duplicate_free() {
                         continue;
                     }
-                    let proj = dpnext_algebra::ops::project(&rel, key, false);
+                    let key: Vec<_> = ctx.decode_key(key).collect();
+                    let proj = dpnext_algebra::ops::project(&rel, &key, false);
                     assert!(
                         proj.is_duplicate_free(),
                         "claimed key {key:?} violated (n={n}, seed={seed}):\n{}",

@@ -27,9 +27,10 @@ struct Payload {
     card: f64,
     cost: f64,
     flags: (bool, bool, bool),
-    /// `(own attributes or predicate terms, children)` of the root node.
-    node: (Vec<AttrId>, Vec<Term>, Vec<PlanId>),
-    keys: Vec<Vec<AttrId>>,
+    /// `(grouping key mask or predicate terms, children)` of the root
+    /// node.
+    node: (Vec<u64>, Vec<Term>, Vec<PlanId>),
+    keys: Vec<Vec<u64>>,
     pos: Vec<AggPos>,
     counts: Vec<(NodeSet, AttrId)>,
 }
@@ -45,9 +46,7 @@ fn payload(memo: &Memo, id: PlanId) -> Payload {
             pred.of(&plan.lanes.terms).to_vec(),
             vec![left, right],
         ),
-        PlanNode::Group { attrs, input } => {
-            (attrs.of(&plan.lanes.attrs).to_vec(), vec![], vec![input])
-        }
+        PlanNode::Group { input } => (plan.grouping_key().to_vec(), vec![], vec![input]),
     };
     Payload {
         set: plan.hot.set,
@@ -59,7 +58,7 @@ fn payload(memo: &Memo, id: PlanId) -> Payload {
             plan.hot.is_group(),
         ),
         node,
-        keys: plan.keys().iter().map(<[AttrId]>::to_vec).collect(),
+        keys: plan.keys().iter().map(<[u64]>::to_vec).collect(),
         pos: plan.agg().pos.to_vec(),
         counts: plan.agg().counts.to_vec(),
     }

@@ -96,7 +96,11 @@ fn show(ctx: &OptContext, memo: &Memo, t: PlanId) -> String {
         memo[t].cost,
         memo[t].card,
         memo[t].duplicate_free(),
-        memo.plan(t).keys().iter().collect::<Vec<_>>(),
+        memo.plan(t)
+            .keys()
+            .iter()
+            .map(|k| ctx.decode_key(k).collect())
+            .collect::<Vec<Vec<_>>>(),
         final_cost(ctx, memo, t).map_or(String::new(), |c| format!(", final cost {c}"))
     )
 }
