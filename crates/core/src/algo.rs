@@ -7,22 +7,23 @@
 //! they push groupings down (`eager`); the budgeted ladder
 //! ([`crate::ladder`]) is the EA-Prune search under a budget.
 //!
-//! A search is *fed csg-cmp-pair streams*: `Search::enumerate` walks the
-//! whole DPhyp stream in emission order, and the ladder's greedy merges
-//! and interval splits feed `Search::process` pair by pair. Either way the
-//! search builds the plans of each `(orientation, t1, t2)` work unit of the
-//! pair and folds them into their class ([`Memo::fold`]), popping a refused
-//! one off the arena before it builds the next; complete plans compete on
-//! final cost instead. The mirror orientation of an inner join, whose trees
-//! tie the first orientation's, is settled unbuilt under every thinning
-//! but EA-All's and H2's. A search whose budget arms something
-//! asks it before every unit and stops at the first refusal; an exact run
-//! is a search with nothing armed. A dominance search walks the stream
-//! under a complete plan: EA-Prune is seeded with the ladder's greedy
-//! plan (`ladder::greedy`) before its walk, and every interior
-//! unit that could only lie under a costlier plan than the best in hand is
-//! skipped unbuilt. `Search::finish` is the one epilogue:
-//! winner, finalization, elapsed time, EXPLAIN, [`Optimized`].
+//! A search is *fed csg-cmp-pair streams* whose sides have plans:
+//! `Search::enumerate` walks the whole DPhyp stream in emission order, and
+//! the ladder's greedy merges and interval splits feed `Search::process`
+//! pair by pair. Either way the search builds the plans of each
+//! `(orientation, t1, t2)` work unit of the pair and folds them into their
+//! class ([`Memo::fold`]), popping a refused one off the arena before it
+//! builds the next; complete plans compete on final cost instead. The
+//! mirror orientation of an inner join, whose trees tie the first
+//! orientation's, is settled unbuilt under every thinning but EA-All's and
+//! H2's. A search whose budget arms something asks it before every unit
+//! and stops at the first refusal; an exact run is a search with nothing
+//! armed. A dominance search walks the stream under a complete plan:
+//! EA-Prune is seeded with the ladder's greedy plan (`ladder::greedy`)
+//! before its walk, and every interior unit that could only lie under a
+//! costlier plan than the best in hand is skipped unbuilt.
+//! `Search::finish` is the one epilogue: winner, finalization, elapsed
+//! time, [`Optimized`].
 //! [`optimize_into`] is the one runner of every [`Algorithm`].
 
 use crate::budget::{Budget, Exhausted};
@@ -33,7 +34,7 @@ use crate::ladder::greedy::greedy_join;
 use crate::memo::{Memo, MemoStats, PlanId, ThinBy};
 use crate::optrees::Grid;
 use crate::plan::{make_scan, stage_apply, StagedApply};
-use dpnext_hypergraph::{try_enumerate_ccps, NodeSet};
+use dpnext_hypergraph::{try_enumerate_ccps, DpTable, NodeSet};
 use dpnext_query::{OpKind, Query};
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -335,6 +336,29 @@ pub(crate) struct Search<'a> {
     started: Instant,
 }
 
+/// The DP table of a [`Search::enumerate`] walk: a set is held when its
+/// class has plans, and a pair is counted and fed to the search.
+struct Walk<'s, 'a> {
+    search: &'s mut Search<'a>,
+    interior: bool,
+    ccps: u64,
+}
+
+impl DpTable for Walk<'_, '_> {
+    fn holds(&self, s: NodeSet) -> bool {
+        !self.search.memo.class(s).is_empty()
+    }
+
+    fn pair(&mut self, s1: NodeSet, s2: NodeSet) -> ControlFlow<()> {
+        self.ccps += 1;
+        if self.search.pair(s1, s2, self.interior) {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    }
+}
+
 /// What a [`Search`] consults before every pair and, while something is
 /// armed, before every work unit: its budget and why it stopped (once it
 /// has). It only decides; the memo's bytes are booked by whoever holds the
@@ -464,7 +488,8 @@ impl<'a> Search<'a> {
     /// incomplete and downstream results must not claim optimality). A
     /// search with nothing armed pays nothing per unit.
     ///
-    /// Pairs with no applicable operator build nothing and return `true`.
+    /// Both sides must have plans. Pairs with no applicable operator build
+    /// nothing and return `true`.
     pub(crate) fn process(&mut self, s1: NodeSet, s2: NodeSet) -> bool {
         self.pair(s1, s2, false)
     }
@@ -569,9 +594,10 @@ impl<'a> Search<'a> {
         // Units of this pair charged to the budget so far.
         let mut charged = 0u64;
         let (memo, scratch) = (&mut *self.memo, &mut self.scratch);
-        if memo.class(s1).is_empty() || memo.class(s2).is_empty() {
-            return true;
-        }
+        debug_assert!(
+            !memo.class(s1).is_empty() && !memo.class(s2).is_empty(),
+            "{s1} ◦ {s2} fed with a side that has no plans"
+        );
         let Some((op, applies)) = applicable_op(&ctx.cq, s1, s2) else {
             return true;
         };
@@ -701,7 +727,9 @@ impl<'a> Search<'a> {
     }
 
     /// Feed the search the whole DPhyp csg-cmp-pair stream, in emission
-    /// order, up to the first refused pair. Returns whether the stream was
+    /// order, up to the first refused pair. The walk grows a side only into
+    /// a set whose class has plans ([`Walk`]), so it feeds no pair with a
+    /// side that has none. Returns whether the stream was
     /// walked to its end. A search that thins by dominance — EA-Prune,
     /// seeded by the greedy plan, and the ladder's exact rung, which the
     /// greedy rung precedes — bounds interior work too (see
@@ -711,21 +739,20 @@ impl<'a> Search<'a> {
     /// at its end (inert, and free, with tracing off).
     pub(crate) fn enumerate(&mut self) -> bool {
         let mut span = dpnext_obs::span("engine.enumerate");
-        let (mut ccps, units, bounded) = (0u64, self.units, self.bounded);
+        let (units, bounded) = (self.units, self.bounded);
         let interior = matches!(self.thin_by, ThinBy::Dominance { .. });
-        let walk = try_enumerate_ccps(&self.ctx.cq.graph, |s1, s2| {
-            ccps += 1;
-            if self.pair(s1, s2, interior) {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        });
-        span.tag_u64("ccps", ccps);
+        let graph = &self.ctx.cq.graph;
+        let mut walk = Walk {
+            search: self,
+            interior,
+            ccps: 0,
+        };
+        let flow = try_enumerate_ccps(graph, &mut walk);
+        span.tag_u64("ccps", walk.ccps);
         span.tag_u64("units", self.units - units);
         span.tag_u64("bounded", self.bounded - bounded);
         span.tag_u64("plans_built", self.scratch.plans_built);
-        walk.is_continue()
+        flow.is_continue()
     }
 
     /// The cheapest complete plan seen, if any pair produced one.

@@ -227,7 +227,7 @@ pub(crate) fn climb(
             if !exact_done {
                 let best_after_exact = ladder.search.best_cost();
                 let lin_done = ladder.rung("adaptive.rung.linearized", full, |search| {
-                    linearized_dp(search, ctx, &order);
+                    linearized_dp(search, &order);
                     true
                 });
                 let improved = |before: Option<f64>, after: Option<f64>| match (before, after) {

@@ -1,4 +1,4 @@
-//! The linearized-DP rung: exact DP restricted to **connected contiguous
+//! The linearized-DP rung: exact DP restricted to the **contiguous
 //! intervals** of a linear relation order (IKKBZ-flavored — the order
 //! comes from the greedy merge tree, whose every subtree is an interval
 //! of it).
@@ -13,16 +13,14 @@
 //! optimum is never worse than the greedy plan.
 
 use crate::algo::Search;
-use crate::context::OptContext;
 use dpnext_hypergraph::NodeSet;
 
 /// Run interval DP over `order` on `search`, bottom-up by interval
 /// length. Returns `true` when every split was processed within the
 /// budget; `false` when the budget ran out (the search keeps the best
 /// complete plan seen so far, typically the greedy one).
-pub(super) fn linearized_dp(search: &mut Search<'_>, ctx: &OptContext, order: &[usize]) -> bool {
+pub(super) fn linearized_dp(search: &mut Search<'_>, order: &[usize]) -> bool {
     let n = order.len();
-    debug_assert_eq!(n, ctx.query.table_count());
     // prefix[i] = set of the first i relations of the order, so the set
     // of interval [i, j) is prefix[j] \ prefix[i].
     let mut prefix = vec![NodeSet::EMPTY; n + 1];
@@ -30,26 +28,28 @@ pub(super) fn linearized_dp(search: &mut Search<'_>, ctx: &OptContext, order: &[
         prefix[i + 1] = prefix[i].insert(rel);
     }
     let interval = |i: usize, j: usize| prefix[j].difference(prefix[i]);
+    // held[at(i, j)]: the class of interval [i, j) has plans. A single
+    // relation has its scan; a longer interval is read once all its splits
+    // have been processed, and no later split adds to it. Only a split of
+    // two held halves is processed (on a star order, past length 1 only
+    // intervals that hold the hub are held).
+    let at = |i: usize, j: usize| i * (n + 1) + j;
+    let mut held = vec![false; at(n + 1, 0)];
+    for i in 0..n {
+        held[at(i, i + 1)] = true;
+    }
     for len in 2..=n {
         for start in 0..=(n - len) {
             let end = start + len;
-            let s = interval(start, end);
-            // Disconnected intervals can never produce a plan; skipping
-            // them early keeps the probe loop cheap on sparse topologies
-            // (on a star order, only prefixes containing the hub survive).
-            if !ctx.cq.graph.is_connected(s) {
-                continue;
-            }
             for split in start + 1..end {
-                let a = interval(start, split);
-                let b = interval(split, end);
-                if search.memo().class(a).is_empty() || search.memo().class(b).is_empty() {
-                    continue;
-                }
-                if !search.process(a, b) {
+                if held[at(start, split)]
+                    && held[at(split, end)]
+                    && !search.process(interval(start, split), interval(split, end))
+                {
                     return false;
                 }
             }
+            held[at(start, end)] = !search.memo().class(interval(start, end)).is_empty();
         }
     }
     true

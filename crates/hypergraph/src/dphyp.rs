@@ -1,43 +1,63 @@
 //! Enumeration of csg-cmp-pairs (Def. 3) following DPhyp
 //! (Moerkotte & Neumann: *Dynamic Programming Strikes Back*, SIGMOD 2008).
 //!
-//! [`enumerate_ccps`] emits every csg-cmp-pair `(S1, S2)` exactly once (up
-//! to symmetry) in an order that guarantees all pairs for proper subsets are
-//! emitted before pairs producing their union — the invariant dynamic
-//! programming needs.
+//! [`try_enumerate_ccps`] hands its [`DpTable`] every csg-cmp-pair exactly
+//! once (up to symmetry), all pairs producing a set before any pair reading
+//! it, and grows a side only into a set the table holds (`dpTable[S] ≠ ∅`).
+//! [`enumerate_ccps`] and the counts walk the graph alone: their table holds
+//! the unions they have emitted, the *joinable* sets (one relation, or two
+//! joinable halves that an edge connects).
 
 use crate::bitset::{NodeSet, MAX_RELATIONS};
+use crate::fxhash::FxHashSet;
 use crate::graph::Hypergraph;
 use std::ops::ControlFlow;
+
+/// What a DPhyp walk ([`try_enumerate_ccps`]) asks of the DP table it fills.
+pub trait DpTable {
+    /// Whether the table holds `s`, a set of two or more nodes (every single
+    /// node is held). Asked once every pair producing `s` has been taken.
+    fn holds(&self, s: NodeSet) -> bool;
+
+    /// Take the csg-cmp-pair `(s1, s2)`; [`ControlFlow::Break`] stops the walk.
+    fn pair(&mut self, s1: NodeSet, s2: NodeSet) -> ControlFlow<()>;
+}
+
+/// The table of a walk over the graph alone: the unions it has emitted,
+/// next to what takes each pair.
+impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> DpTable for (FxHashSet<NodeSet>, F) {
+    fn holds(&self, s: NodeSet) -> bool {
+        self.0.contains(&s)
+    }
+
+    fn pair(&mut self, s1: NodeSet, s2: NodeSet) -> ControlFlow<()> {
+        self.0.insert(s1.union(s2));
+        (self.1)(s1, s2)
+    }
+}
 
 /// Enumerate all csg-cmp-pairs of `graph`, invoking `emit(s1, s2)` for each.
 ///
 /// Pairs are emitted unordered: `(s1, s2)` is emitted but `(s2, s1)` is not;
 /// the consumer decides about commutativity.
 pub fn enumerate_ccps(graph: &Hypergraph, mut emit: impl FnMut(NodeSet, NodeSet)) {
-    let _ = try_enumerate_ccps(graph, |s1, s2| {
+    let emit = |s1, s2| {
         emit(s1, s2);
         ControlFlow::Continue(())
-    });
+    };
+    let _ = try_enumerate_ccps(graph, &mut (FxHashSet::default(), emit));
 }
 
-/// Abortable variant of [`enumerate_ccps`]: the walk stops as soon as
-/// `emit` returns [`ControlFlow::Break`], and the break value is
-/// propagated. Consumers that cannot afford the full stream — budgeted
-/// plan generators, capped counters — use this to bail out mid-walk
+/// The DPhyp walk over `table`: hand it every csg-cmp-pair of `graph` whose
+/// sides it holds, in DP order, up to the first [`ControlFlow::Break`],
+/// which is propagated. Budgeted plan generators and capped counters break
 /// instead of paying for the (potentially exponential) remainder.
-pub fn try_enumerate_ccps(
-    graph: &Hypergraph,
-    mut emit: impl FnMut(NodeSet, NodeSet) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+pub fn try_enumerate_ccps(graph: &Hypergraph, table: &mut impl DpTable) -> ControlFlow<()> {
     let n = graph.node_count();
     if n == 0 {
         return ControlFlow::Continue(());
     }
-    let mut e = Enumerator {
-        graph,
-        emit: &mut emit,
-    };
+    let mut e = Enumerator { graph, table };
     for v in (0..n).rev() {
         let s1 = NodeSet::single(v);
         e.emit_csg(s1)?;
@@ -49,13 +69,13 @@ pub fn try_enumerate_ccps(
     ControlFlow::Continue(())
 }
 
-struct Enumerator<'a, F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> {
+struct Enumerator<'a, T> {
     graph: &'a Hypergraph,
-    emit: &'a mut F,
+    table: &'a mut T,
 }
 
-impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> Enumerator<'_, F> {
-    /// Grow the connected subgraph `s1` by neighborhood subsets.
+impl<T: DpTable> Enumerator<'_, T> {
+    /// Grow the held set `s1` by neighborhood subsets.
     fn enumerate_csg_rec(&mut self, s1: NodeSet, x: NodeSet) -> ControlFlow<()> {
         let neigh = self.graph.neighborhood(s1, x);
         if neigh.is_empty() {
@@ -63,7 +83,7 @@ impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> Enumerator<'_, F> {
         }
         for sub in neigh.subsets() {
             let grown = s1.union(sub);
-            if self.graph.is_connected(grown) {
+            if self.table.holds(grown) {
                 self.emit_csg(grown)?;
             }
         }
@@ -74,14 +94,14 @@ impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> Enumerator<'_, F> {
         ControlFlow::Continue(())
     }
 
-    /// Find all complements for the connected subgraph `s1`.
+    /// Find all complements for the held set `s1`.
     fn emit_csg(&mut self, s1: NodeSet) -> ControlFlow<()> {
         let x = s1.union(NodeSet::upto(s1.min()));
         let neigh = self.graph.neighborhood(s1, x);
         for v in neigh.iter_desc() {
             let s2 = NodeSet::single(v);
             if self.graph.has_connecting_edge(s1, s2) {
-                (self.emit)(s1, s2)?;
+                self.table.pair(s1, s2)?;
             }
             // Forbid neighbors with index <= v so each complement is found
             // from its minimal representative only.
@@ -99,8 +119,8 @@ impl<F: FnMut(NodeSet, NodeSet) -> ControlFlow<()>> Enumerator<'_, F> {
         }
         for sub in neigh.subsets() {
             let grown = s2.union(sub);
-            if self.graph.is_connected(grown) && self.graph.has_connecting_edge(s1, grown) {
-                (self.emit)(s1, grown)?;
+            if self.table.holds(grown) && self.graph.has_connecting_edge(s1, grown) {
+                self.table.pair(s1, grown)?;
             }
         }
         let x2 = x.union(neigh);
@@ -143,7 +163,8 @@ pub struct CcpStrata {
 }
 
 /// Count the csg-cmp-pairs of a hypergraph (`#ccp` in the paper's complexity
-/// bound `O(2^{2n-1} · #ccp)`).
+/// bound `O(2^{2n-1} · #ccp)`): the pairs of joinable sets that an edge
+/// connects.
 pub fn count_ccps(graph: &Hypergraph) -> u64 {
     let mut count = 0;
     enumerate_ccps(graph, |_, _| count += 1);
@@ -163,14 +184,15 @@ pub fn count_ccps_capped(graph: &Hypergraph, cap: u64) -> Option<u64> {
         return None;
     }
     let mut count = 0u64;
-    let flow = try_enumerate_ccps(graph, |_, _| {
+    let emit = |_, _| {
         count += 1;
         if count > cap {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
-    });
+    };
+    let flow = try_enumerate_ccps(graph, &mut (FxHashSet::default(), emit));
     // A finished walk counted at least the bound; an aborted one passed
     // `cap`, which is at least the bound.
     debug_assert!(
@@ -185,10 +207,10 @@ pub fn count_ccps_capped(graph: &Hypergraph, cap: u64) -> Option<u64> {
 ///
 /// Every subtree `S` of the forest (a connected node set of one of its
 /// trees) is split by each of its `|S| − 1` tree edges into two subtrees
-/// that the edge joins: a csg-cmp-pair of the hypergraph, since simple
-/// edges alone make both sides connected. A pair names its subtree (the
-/// union) and its edge (the one tree edge that crosses it), so the bound is
-/// `Σ_S (|S| − 1)` over the forest's subtrees. The forest is the
+/// that the edge joins: a csg-cmp-pair of the hypergraph, since a subtree
+/// is joinable (split it at a tree edge, and its halves again). A pair
+/// names its subtree (the union) and its edge (the one tree edge that
+/// crosses it), so the bound is `Σ_S (|S| − 1)` over the forest's subtrees. The forest is the
 /// breadth-first one from each component's smallest node. The bound is
 /// exact on a tree (a star of `m` leaves: `m·2^(m−1)`; a path of `n` nodes:
 /// `C(n+1, 3)`), and saturates instead of overflowing.
@@ -239,22 +261,24 @@ pub fn ccp_lower_bound(graph: &Hypergraph) -> u64 {
     bound
 }
 
-/// Brute-force reference: enumerate all unordered pairs of disjoint,
-/// connected, edge-connected subsets. Exponential; for tests only.
+/// Brute-force reference: count the csg-cmp-pairs by the definition, one
+/// per split of a joinable set into two joinable halves that an edge
+/// connects. A half is a smaller number than its set, so one ascending pass
+/// over all `2^n` sets decides each before it is read. For tests only.
 pub fn count_ccps_bruteforce(graph: &Hypergraph) -> u64 {
     let n = graph.node_count();
+    let mut joinable = vec![false; 1 << n];
+    for v in 0..n {
+        joinable[1 << v] = true;
+    }
     let mut count = 0;
-    for s1_bits in 1u64..(1u64 << n) {
-        let s1 = NodeSet(s1_bits);
-        if !graph.is_connected(s1) {
-            continue;
-        }
-        for s2_bits in (s1_bits + 1)..(1u64 << n) {
-            let s2 = NodeSet(s2_bits);
-            if !s1.is_disjoint(s2) || !graph.is_connected(s2) {
-                continue;
-            }
-            if graph.has_connecting_edge(s1, s2) {
+    for s in (1u64..(1u64 << n)).map(NodeSet) {
+        // Each unordered split once: `s2` is the half without `s.min()`.
+        for s2 in s.difference(NodeSet::single(s.min())).subsets() {
+            let s1 = s.difference(s2);
+            let halves = joinable[s1.0 as usize] && joinable[s2.0 as usize];
+            if halves && graph.has_connecting_edge(s1, s2) {
+                joinable[s.0 as usize] = true;
                 count += 1;
             }
         }
@@ -356,34 +380,82 @@ mod tests {
         assert_eq!(count_ccps_bruteforce(&g), count_ccps(&g));
     }
 
-    #[test]
-    fn no_duplicates_and_valid_pairs() {
-        let g = cycle(6);
+    /// Check the stream of `g`: each pair is disjoint, an edge connects it,
+    /// it comes once (up to symmetry), each side is one relation or the
+    /// union of an earlier pair, and no union is produced after a pair has
+    /// read it. Returns the number of pairs.
+    fn check_pairs(g: &Hypergraph) -> u64 {
         let mut seen = FxHashSet::default();
-        enumerate_ccps(&g, |s1, s2| {
-            assert!(s1.is_disjoint(s2));
-            assert!(g.is_connected(s1), "{s1} not connected");
-            assert!(g.is_connected(s2), "{s2} not connected");
-            assert!(g.has_connecting_edge(s1, s2));
+        let (mut unions, mut read) = (FxHashSet::default(), FxHashSet::default());
+        enumerate_ccps(g, |s1, s2| {
+            assert!(s1.is_disjoint(s2), "({s1},{s2}) overlap in {g:?}");
+            assert!(g.has_connecting_edge(s1, s2), "no edge joins ({s1},{s2})");
+            for side in [s1, s2] {
+                let held = side.len() == 1 || unions.contains(&side);
+                assert!(held, "{side} read before a pair built it in {g:?}");
+                read.insert(side);
+            }
             let key = (s1.0.min(s2.0), s1.0.max(s2.0));
-            assert!(seen.insert(key), "duplicate ccp ({s1},{s2})");
+            assert!(seen.insert(key), "duplicate ccp ({s1},{s2}) in {g:?}");
+            let s = s1.union(s2);
+            assert!(
+                !read.contains(&s),
+                "{s} produced after it was read in {g:?}"
+            );
+            unions.insert(s);
         });
+        seen.len() as u64
     }
 
     #[test]
+    fn no_duplicates_and_valid_pairs() {
+        let mut hyper = cycle(6);
+        hyper.add_edge(Hyperedge::new(
+            NodeSet::from_iter([0, 2]),
+            NodeSet::from_iter([4]),
+            6,
+        ));
+        for g in [cycle(6), hyper] {
+            assert_eq!(count_ccps(&g), check_pairs(&g));
+        }
+    }
+
+    /// A DP reads a set only once its value is final: no pair produces a
+    /// set after a pair has read it as a side. On a clique every set is
+    /// produced by the most pairs.
+    #[test]
     fn emission_order_supports_dp() {
-        // When (s1, s2) is emitted, every ccp whose union is a proper
-        // subset of s1 ∪ s2 must already have been emitted. We check the
-        // weaker DP-sufficient property: unions are emitted in
-        // non-decreasing... no — we check directly that for non-singleton
-        // s1/s2 some earlier pair produced exactly that set.
         let g = clique(5);
-        let mut built: FxHashSet<u64> = (0..5).map(|i| 1u64 << i).collect();
+        let mut read = FxHashSet::default();
         enumerate_ccps(&g, |s1, s2| {
-            assert!(built.contains(&s1.0), "s1={s1} not built yet");
-            assert!(built.contains(&s2.0), "s2={s2} not built yet");
-            built.insert(s1.union(s2).0);
+            let s = s1.union(s2);
+            assert!(!read.contains(&s), "{s} produced after it was read");
+            read.extend([s1, s2]);
         });
+    }
+
+    /// A side grows only into a set its table holds: a table that holds
+    /// no set of two or more nodes gets just the edges between single
+    /// nodes.
+    #[test]
+    fn a_side_grows_only_into_a_held_set() {
+        struct Singletons(Vec<(NodeSet, NodeSet)>);
+        impl DpTable for Singletons {
+            fn holds(&self, s: NodeSet) -> bool {
+                assert!(s.len() > 1, "asked for the single node {s}");
+                false
+            }
+            fn pair(&mut self, s1: NodeSet, s2: NodeSet) -> ControlFlow<()> {
+                self.0.push((s1, s2));
+                ControlFlow::Continue(())
+            }
+        }
+        let mut table = Singletons(Vec::new());
+        assert!(try_enumerate_ccps(&cycle(5), &mut table).is_continue());
+        let ends = |&(a, b): &(NodeSet, NodeSet)| (a.union(b).min(), a.union(b).max());
+        let mut edges: Vec<_> = table.0.iter().map(ends).collect();
+        edges.sort_unstable();
+        assert_eq!(vec![(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)], edges);
     }
 
     #[test]
@@ -490,6 +562,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
+        /// The walk's stream is valid on any hypergraph, and it counts
+        /// what the definition counts.
+        #[test]
+        fn dphyp_counts_what_the_definition_counts(g in random_hypergraph()) {
+            let (walked, brute) = (check_pairs(&g), count_ccps_bruteforce(&g));
+            prop_assert_eq!(brute, walked, "{} pairs by definition, {} walked in {:?}", brute, walked, g);
+        }
+
         /// The bound never passes the DPhyp count, so the capped count
         /// refuses on it only what the walk would refuse.
         #[test]
@@ -508,14 +588,15 @@ mod tests {
         // this is what makes budget probes affordable on dense graphs.
         let g = clique(8);
         let mut visited = 0u64;
-        let flow = try_enumerate_ccps(&g, |_, _| {
+        let emit = |_, _| {
             visited += 1;
             if visited > 10 {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             }
-        });
+        };
+        let flow = try_enumerate_ccps(&g, &mut (FxHashSet::default(), emit));
         assert!(flow.is_break());
         assert_eq!(11, visited);
     }

@@ -27,10 +27,14 @@ pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Odd multiplier (from the golden ratio, as used by rustc's FxHash):
-/// spreads single-word keys across the full 64-bit range so the map's
-/// power-of-two bucket mask sees well-mixed high bits.
+/// spreads single-word keys across the full 64-bit range.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
+/// `finish` rotates the product's well-mixed high bits down to the bits a
+/// power-of-two bucket mask reads: the low bits of `word * SEED` depend on
+/// the low bits of `word` alone, so node sets that share their low nodes
+/// would start their probes in one bucket.
+const FINISH_ROTATE: u32 = 26;
 
 /// Multiply-xor hasher: `hash = (rotl5(hash) ^ word) * SEED` per word.
 /// One multiply and two cheap ops per 8 bytes of key.
@@ -49,7 +53,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -149,6 +153,16 @@ mod tests {
         for bits in 0u64..4096 {
             assert!(seen.insert(hash_of(&NodeSet(bits))), "collision at {bits}");
         }
+    }
+
+    /// Node sets that differ only in their high nodes spread over the
+    /// buckets that a power-of-two mask of the low bits picks.
+    #[test]
+    fn sets_that_share_their_low_nodes_spread_over_the_buckets() {
+        let buckets: FxHashSet<u64> = (0u64..1024)
+            .map(|k| hash_of(&NodeSet(k << 20)) & 1023)
+            .collect();
+        assert!(buckets.len() > 512, "{} of 1024 buckets", buckets.len());
     }
 
     #[test]

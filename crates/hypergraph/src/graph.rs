@@ -39,10 +39,9 @@ impl Hyperedge {
 /// Besides the edge list, the graph maintains a word-batched adjacency
 /// index: per-node `u64` neighbor masks for the simple edges (the common
 /// case) and the indices of the complex hyperedges (both-sides-singleton
-/// fails). The enumeration hot paths — [`Hypergraph::neighborhood`],
-/// [`Hypergraph::has_connecting_edge`], [`Hypergraph::component_of`] —
-/// then run word-at-a-time over the masks instead of scanning the whole
-/// edge list per query.
+/// fails). The enumeration hot paths — [`Hypergraph::neighborhood`] and
+/// [`Hypergraph::has_connecting_edge`] — then run word-at-a-time over the
+/// masks instead of scanning the whole edge list per query.
 #[derive(Debug, Clone, Default)]
 pub struct Hypergraph {
     n: usize,
@@ -153,94 +152,29 @@ impl Hypergraph {
         }
         n
     }
-
-    /// The maximal connected component of `s` containing `s.min()`:
-    /// fixpoint closure over the hyperedges fully contained in `s` (a
-    /// hyperedge is traversable once one side lies inside the component
-    /// and both sides lie within `s`).
-    pub fn component_of(&self, s: NodeSet) -> NodeSet {
-        if s.is_empty() {
-            return NodeSet::EMPTY;
-        }
-        let within = s.0;
-        let mut comp = NodeSet::single(s.min()).0;
-        loop {
-            // Simple-edge closure: frontier BFS over the adjacency masks,
-            // restricted to `s`. (`comp ⊆ s` throughout, so a reached
-            // neighbor inside `s` always has its whole edge inside `s`.)
-            let mut frontier = comp;
-            while frontier != 0 {
-                let next = self.simple_union(NodeSet(frontier)) & within & !comp;
-                comp |= next;
-                frontier = next;
-            }
-            // One complex-edge pass; a growth re-enters the closure loop.
-            let mut grown = comp;
-            for &i in &self.complex {
-                let e = &self.edges[i];
-                if (e.left.0 | e.right.0) & !within != 0 {
-                    continue;
-                }
-                if e.left.0 & !grown == 0 {
-                    grown |= e.right.0;
-                }
-                if e.right.0 & !grown == 0 {
-                    grown |= e.left.0;
-                }
-            }
-            if grown == comp {
-                return NodeSet(comp);
-            }
-            comp = grown;
-        }
-    }
-
-    /// True when `s` induces a connected subgraph.
-    ///
-    /// A hyperedge `(u, v)` can be traversed once one side is fully inside
-    /// the current component and the other side lies within `s`; fixpoint
-    /// closure from the minimum element.
-    pub fn is_connected(&self, s: NodeSet) -> bool {
-        if s.is_empty() {
-            return false;
-        }
-        if s.len() == 1 {
-            return true;
-        }
-        self.component_of(s) == s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dphyp::{count_ccps_bruteforce, enumerate_ccps};
 
     fn ns(bits: &[usize]) -> NodeSet {
         bits.iter().copied().collect()
     }
 
-    #[test]
-    fn chain_connectivity() {
-        // 0 - 1 - 2
-        let mut g = Hypergraph::new(3);
-        g.add_simple(0, 1, 0);
-        g.add_simple(1, 2, 1);
-        assert!(g.is_connected(ns(&[0, 1])));
-        assert!(g.is_connected(ns(&[0, 1, 2])));
-        assert!(!g.is_connected(ns(&[0, 2])));
-        assert!(g.is_connected(ns(&[2])));
-        assert!(!g.is_connected(NodeSet::EMPTY));
-    }
-
+    /// The edge `({0,1}, {2})` joins `{2}` to the whole side only: of the
+    /// sets that hold 2 only `{0,1,2}` is joinable, and the graph has the
+    /// two pairs `{0} ◦ {1}` and `{0,1} ◦ {2}`.
     #[test]
     fn hyperedge_requires_full_side() {
-        // Edge ({0,1}, {2}): {0,2} is not connected because side {0,1} is
-        // not fully contained.
         let mut g = Hypergraph::new(3);
         g.add_edge(Hyperedge::new(ns(&[0, 1]), ns(&[2]), 0));
         g.add_simple(0, 1, 1);
-        assert!(!g.is_connected(ns(&[0, 2])));
-        assert!(g.is_connected(ns(&[0, 1, 2])));
+        let mut pairs = Vec::new();
+        enumerate_ccps(&g, |s1, s2| pairs.push((s1, s2)));
+        assert_eq!(vec![(ns(&[0]), ns(&[1])), (ns(&[0, 1]), ns(&[2]))], pairs);
+        assert_eq!(2, count_ccps_bruteforce(&g));
     }
 
     #[test]
@@ -252,20 +186,6 @@ mod tests {
         assert_eq!(ns(&[1, 2]), g.neighborhood(ns(&[0]), NodeSet::EMPTY));
         // Forbidding 2 removes the hyperedge's representative.
         assert_eq!(ns(&[1]), g.neighborhood(ns(&[0]), ns(&[2])));
-    }
-
-    #[test]
-    fn components_partition_the_node_set() {
-        // Two components: 0-1-2 chain and 3-4 edge.
-        let mut g = Hypergraph::new(5);
-        g.add_simple(0, 1, 0);
-        g.add_simple(1, 2, 1);
-        g.add_simple(3, 4, 2);
-        assert_eq!(ns(&[0, 1, 2]), g.component_of(NodeSet::full(5)));
-        // Restricting the node set splits the chain.
-        assert_eq!(ns(&[0]), g.component_of(ns(&[0, 2, 3, 4])));
-        assert_eq!(ns(&[3, 4]), g.component_of(ns(&[3, 4])));
-        assert!(g.component_of(NodeSet::EMPTY).is_empty());
     }
 
     /// Reference implementation of `neighborhood`: the pre-index per-edge

@@ -14,7 +14,7 @@ pub mod graph;
 pub use bitset::{NodeSet, MAX_RELATIONS};
 pub use dphyp::{
     ccp_lower_bound, count_ccps, count_ccps_bruteforce, count_ccps_capped, enumerate_ccps,
-    try_enumerate_ccps,
+    try_enumerate_ccps, DpTable,
 };
 // perfbench-only
 pub use dphyp::{stratify_ccps, CcpStrata};

@@ -21,7 +21,7 @@
 //!    └─ adaptive.optimize             n=20 plan_budget=50000
 //!       ├─ adaptive.rung.greedy
 //!       ├─ adaptive.rung.exact        outcome=budget-aborted
-//!       │  └─ engine.enumerate        ccps=256 units=5922 bounded=3198
+//!       │  └─ engine.enumerate        ccps=230 units=5922 bounded=3198
 //!       └─ adaptive.rung.linearized   outcome=budget-aborted
 //! ```
 //!
