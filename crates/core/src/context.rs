@@ -156,6 +156,7 @@ impl<'q> OptContext<'q> {
     /// attribute origins, base statistics) for one query, owned or
     /// borrowed.
     pub fn new(query: impl Into<Cow<'q, Query>>) -> Self {
+        let _span = dpnext_obs::span("core.context");
         let query = query.into();
         let mut origins = query.attr_origins();
         let cq = detect(&query, &origins);

@@ -27,7 +27,8 @@
 //!    lower bound on the stream, the pairs a spanning forest of the simple
 //!    edges guarantees ([`dpnext_hypergraph::ccp_lower_bound`], `O(n)`),
 //!    and refuses without walking when that alone passes the cap: 12 of
-//!    the 19 refusals on the benchmark's 20–40-relation queries.
+//!    the 19 refusals on the benchmark's 20–40-relation queries. The
+//!    count is a span of its own, `adaptive.gate`, inside the rung's.
 //!    The walk is bounded by the best complete plan — the greedy one
 //!    until it finds a cheaper one: an interior work unit whose inputs
 //!    together cost as much is skipped (not built, not charged), and an
@@ -50,9 +51,12 @@
 //! unit: `plans_built <= plan_budget` holds no matter which rung wins. The
 //! greedy rung is armed with the plan limit alone and reads no clock, so a
 //! deadline that passes during it is overshot by the rest of the greedy
-//! pass (a request under a 1 µs deadline takes 0.05–0.24 ms, 0.12 ms on
-//! average, on the benchmark's 20–40-relation queries, best of 7 on a
-//! 2-vCPU box), and the greedy plan ships; one that passes in a later rung
+//! pass (a request under a 1 µs deadline takes 0.05–0.15 ms, 0.09 ms on
+//! average, on the benchmark's 48 20–40-relation queries, best of 7 per
+//! query in the quickest of six rounds on a 2-vCPU box, whose slower
+//! rounds read up to 0.17 ms on average; the ignored test
+//! `deadline_floor_on_the_benchmark_queries` in `tests/deadline.rs`
+//! prints it), and the greedy plan ships; one that passes in a later rung
 //! is overshot by at most one unit ([`UNIT_MAX_PLANS`] plans).
 //! [`crate::MemoStats::plan_budget`], [`crate::MemoStats::degradation`]
 //! (gate, or the resource that ran out mid-stream: plans or deadline) and
@@ -65,7 +69,7 @@ use crate::algo::{OptimizeOptions, Optimized, Search, UNIT_MAX_PLANS};
 use crate::budget::{Budget, Exhausted};
 use crate::context::OptContext;
 use crate::memo::{AdaptiveMode, Degradation, Memo, PlanId, ThinBy};
-use dpnext_hypergraph::count_ccps_capped;
+use dpnext_hypergraph::{count_ccps_capped, Hypergraph};
 use greedy::greedy_join;
 use linear::linearized_dp;
 use std::time::Instant;
@@ -90,6 +94,20 @@ pub fn budget_floor(n: usize) -> u64 {
 /// per [`UNIT_MAX_PLANS`] plans left; no gate without a plan limit.
 pub(crate) fn gate_cap(half: Budget, spent: u64) -> Option<u64> {
     half.plans.map(|cap| (cap - spent) / UNIT_MAX_PLANS)
+}
+
+/// The exact rung's gate, in its own span (`adaptive.gate`, tagged `cap`,
+/// `gated` and, when it admits, `pairs`): whether the DPhyp stream of
+/// `graph` has at most `cap` csg-cmp-pairs.
+fn gate_admits(graph: &Hypergraph, cap: u64) -> bool {
+    let mut span = dpnext_obs::span("adaptive.gate");
+    span.tag_u64("cap", cap);
+    let pairs = count_ccps_capped(graph, cap);
+    span.tag_str("gated", if pairs.is_some() { "false" } else { "true" });
+    if let Some(pairs) = pairs {
+        span.tag_u64("pairs", pairs);
+    }
+    pairs.is_some()
 }
 
 /// The ladder's state between rungs: the one search every rung feeds, and
@@ -211,9 +229,7 @@ pub(crate) fn climb(
             // abort subsumes it.
             let half = full.split(spent);
             let exact_done = ladder.rung("adaptive.rung.exact", half, |search| {
-                if gate_cap(half, spent)
-                    .is_some_and(|cap| count_ccps_capped(&ctx.cq.graph, cap).is_none())
-                {
+                if gate_cap(half, spent).is_some_and(|cap| !gate_admits(&ctx.cq.graph, cap)) {
                     return false;
                 }
                 search.enumerate();

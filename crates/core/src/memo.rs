@@ -24,12 +24,13 @@
 //! `docs/ARCHITECTURE.md` § "Memo data layout" for why LIFO rollback keeps
 //! that sound.
 //!
-//! A class thinned by dominance also keeps, beside its id list, one
-//! 24-byte `DomRow` per member — cost, cardinality, id and a mask of
-//! the key signature and the two flags Def. 4 reads — sorted by cost. A
-//! fold tests the candidate for rejection against the cheaper prefix of
-//! that array and for eviction against the costlier suffix, in one
-//! contiguous walk each, and reads the arena only for key-set implication.
+//! A class thinned by dominance also keeps, beside its id list, its
+//! members sorted by cost in a `RowStore`: three columns of one buffer —
+//! cost, cardinality, and the id packed with a mask of the key signature
+//! and the two flags Def. 4 reads — 24 bytes a member. A fold tests the
+//! candidate for rejection against the cheaper prefix and for eviction
+//! against the costlier suffix, eight members per branch-free step, and
+//! reads the arena only for key-set implication.
 //!
 //! The memo is the optimizer's single source of truth for DP state; the
 //! enumeration engine in [`crate::algo`] only decides *which* plans to
@@ -150,7 +151,7 @@ pub enum PlanNode {
 /// The operator tree and key sets stay out of the cache until a plan is
 /// combined or materialized. A dominance fold does
 /// not scan these rows: it reads a copy of what Def. 4 needs in its
-/// class's `DomRow` array, and comes back to the arena only for the key
+/// class's `RowStore`, and comes back to the arena only for the key
 /// sets of a pair the rows cannot refute.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanHot {
@@ -602,7 +603,7 @@ pub enum ThinBy {
 impl ThinBy {
     /// Whether `a ≼ b`, for two plans of `memo`. Dominance decides on the
     /// two plans' `DomRow`s first, the test [`Memo::fold`] runs on a
-    /// class's row array; the key sets are read only when the rows pass.
+    /// class's row store; the key sets are read only when the rows pass.
     pub fn precedes(self, memo: &Memo, a: PlanId, b: PlanId) -> bool {
         let (hot, cold) = (&memo.hot, &memo.cold);
         match self {
@@ -626,14 +627,15 @@ fn keys_imply(cold: &[PlanCold], lanes: &Lanes, a: PlanId, b: PlanId) -> bool {
         .implies(lanes.key_set(cold[b.index()].keys))
 }
 
-/// One member of a dominance-thinned class as [`Memo::fold`] reads it: a
-/// copy of everything of Def. 4 that a row can decide, packed into 24
-/// bytes so a class is one contiguous array. A class's rows are sorted by
-/// cost, so a candidate can be preceded only by a prefix of them and can
-/// precede only a suffix.
+/// One member of a dominance-thinned class as [`Memo::fold`] tests it:
+/// everything of Def. 4 that a row can decide. [`RowStore`] keeps a
+/// class's rows as columns; this is one of them gathered, the single
+/// definition of the row test ([`DomRow::may_precede`]) that
+/// [`ThinBy::precedes`], the invariant check and the store's debug
+/// cross-check read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DomRow {
-    /// The plan's cost, with −0 read as +0 so the array's order
+    /// The plan's cost, with −0 read as +0 so the store's order
     /// ([`f64::total_cmp`]) and `<=` agree on every pair that is not NaN.
     pub(crate) cost: f64,
     /// The plan's cardinality.
@@ -645,8 +647,6 @@ pub(crate) struct DomRow {
     /// `a` to precede `b`.
     mask: u32,
 }
-
-const _: () = assert!(size_of::<DomRow>() == 24);
 
 impl DomRow {
     /// Set when the plan's output may hold duplicates: a duplicate-free
@@ -692,28 +692,322 @@ impl DomRow {
         self.cost <= b.cost && self.card <= b.card && self.mask & !b.mask & care == 0
     }
 
+    /// The mask and the id in one word, as the store's third column holds
+    /// them: the mask in the high half, so a mask test is one `&`.
+    #[inline]
+    fn word(self) -> u64 {
+        (self.mask as u64) << 32 | self.id.0 as u64
+    }
+
     /// The row's fields as bits, for an exact comparison.
-    fn bits(self) -> (u64, u64, PlanId, u32) {
-        (self.cost.to_bits(), self.card.to_bits(), self.id, self.mask)
+    fn bits(self) -> (u64, u64, u64) {
+        (self.cost.to_bits(), self.card.to_bits(), self.word())
+    }
+}
+
+/// Rows per lane group: the fold tests one group of a column per step.
+pub(crate) const GROUP: usize = 8;
+
+/// The lanes of one group: bit `k` stands for row `8g + k`.
+type Lanes8 = u32;
+
+/// A dominance-thinned class's members as [`DomRow`]s, sorted by cost
+/// ([`f64::total_cmp`]), stored as three columns of one buffer: the cost
+/// bits, the cardinality bits, and the mask and the id packed into one
+/// word ([`DomRow::word`]), 24 bytes a row. A candidate can be preceded
+/// only by a prefix of the rows and can precede only a suffix, and a fold
+/// tests each of them a group of [`GROUP`] rows at a time: one
+/// branch-free pass over the three columns yields the lanes whose rows
+/// pass the row test, and only those lanes read key sets, in cost order.
+#[derive(Debug, Default)]
+struct RowStore {
+    /// `[cost; cap] [card; cap] [word; cap]` in groups of [`GROUP`], every
+    /// word initialised, so a group read past the last row stays in the
+    /// buffer (its lanes are masked off).
+    buf: Vec<[u64; GROUP]>,
+    /// Rows held.
+    len: u32,
+    /// The most rows the class held in this run, what [`Memo::reset`]
+    /// sizes the buffer it keeps by.
+    peak: u32,
+}
+
+impl RowStore {
+    /// Groups per column.
+    #[inline]
+    fn groups(&self) -> usize {
+        self.buf.len() / 3
+    }
+
+    /// Rows the buffer holds room for: the stride of its columns.
+    #[inline]
+    fn cap(&self) -> usize {
+        self.groups() * GROUP
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The cost of row `i`.
+    #[inline]
+    fn cost(&self, i: usize) -> f64 {
+        f64::from_bits(self.buf[i / GROUP][i % GROUP])
+    }
+
+    /// Row `i`, gathered from the three columns.
+    #[inline]
+    fn row(&self, i: usize) -> DomRow {
+        let (n, g, k) = (self.groups(), i / GROUP, i % GROUP);
+        let word = self.buf[2 * n + g][k];
+        DomRow {
+            cost: f64::from_bits(self.buf[g][k]),
+            card: f64::from_bits(self.buf[n + g][k]),
+            id: PlanId(word as u32),
+            mask: (word >> 32) as u32,
+        }
+    }
+
+    /// Write `r` as row `i`.
+    #[inline]
+    fn set(&mut self, i: usize, r: DomRow) {
+        let (n, g, k) = (self.groups(), i / GROUP, i % GROUP);
+        self.buf[g][k] = r.cost.to_bits();
+        self.buf[n + g][k] = r.card.to_bits();
+        self.buf[2 * n + g][k] = r.word();
+    }
+
+    /// Every row, in cost order.
+    fn iter(&self) -> impl Iterator<Item = DomRow> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// The lanes of group `g` whose row passes `test(cost, card, word)`,
+    /// all eight tested without a branch.
+    ///
+    /// Written this way because of what the compiler makes of it on
+    /// baseline x86-64 (SSE2): a bit mask built lane by lane compiles to
+    /// half the lanes packed and half scalar, ~80 instructions a group,
+    /// while an OR over the eight lanes compiles to packed compares and
+    /// one mask move, ~55, and the mask is then two more instructions.
+    #[inline(always)]
+    fn lanes(&self, g: usize, test: impl Fn(f64, f64, u64) -> bool) -> Lanes8 {
+        let n = self.groups();
+        let (cost, card, word) = (&self.buf[g], &self.buf[n + g], &self.buf[2 * n + g]);
+        let pass = |k: usize| test(f64::from_bits(cost[k]), f64::from_bits(card[k]), word[k]);
+        // Most groups have no lane that passes.
+        let mut any = 0u64;
+        for k in 0..GROUP {
+            any |= 0u64.wrapping_sub(pass(k) as u64);
+        }
+        if any == 0 {
+            return 0;
+        }
+        let mut lanes = 0;
+        for k in 0..GROUP {
+            lanes |= (pass(k) as Lanes8) << k;
+        }
+        lanes
+    }
+
+    /// The lanes among `valid` of group `g` whose row passes `test`,
+    /// decided row by row: what [`RowStore::lanes`] must select.
+    fn lanes_by_row(&self, g: usize, valid: Lanes8, test: impl Fn(DomRow) -> bool) -> Lanes8 {
+        (0..GROUP)
+            .filter(|&k| valid >> k & 1 == 1 && test(self.row(g * GROUP + k)))
+            .fold(0, |lanes, k| lanes | 1 << k)
+    }
+
+    /// The lanes of group `g` that hold a row at or past `from`.
+    #[inline]
+    fn valid(&self, g: usize, from: usize) -> Lanes8 {
+        let at = g * GROUP;
+        let end = (self.len() - at).min(GROUP);
+        let below = from.saturating_sub(at).min(GROUP);
+        ((1 << end) - 1) & !((1 << below) - 1)
+    }
+
+    /// Whether a row `r` with `r.may_precede(new)` and `keys(r.id)`
+    /// exists. Only a row at most as expensive can pass, so the walk ends
+    /// after the group whose last row costs more than `new` (a test on
+    /// `>`, so a NaN row, which precedes nothing, never ends it early).
+    #[inline]
+    fn any_precedes(&self, new: DomRow, care: u32, keys: impl Fn(PlanId) -> bool) -> bool {
+        let foreign = ((!new.mask & care) as u64) << 32;
+        let test = |cost: f64, card: f64, word: u64| {
+            (cost <= new.cost) & (card <= new.card) & (word & foreign == 0)
+        };
+        for g in 0..self.len().div_ceil(GROUP) {
+            let valid = self.valid(g, 0);
+            let mut lanes = self.lanes(g, test) & valid;
+            debug_assert_eq!(
+                lanes,
+                self.lanes_by_row(g, valid, |r| r.may_precede(new, care)),
+                "group {g}: the lane test disagrees with DomRow::may_precede"
+            );
+            while lanes != 0 {
+                let i = g * GROUP + lanes.trailing_zeros() as usize;
+                if keys(self.row(i).id) {
+                    return true;
+                }
+                lanes &= lanes - 1;
+            }
+            if self.cost(g * GROUP + GROUP - 1) > new.cost {
+                break;
+            }
+        }
+        false
+    }
+
+    /// Insert `new` after removing every row `r` with `new.may_precede(r)`
+    /// and `keys(r.id)`, calling `evict(r.id)` for each in cost order;
+    /// returns how many. Only a row at least as expensive can pass, so the
+    /// walk starts at the first row not cheaper than `new`, in the middle
+    /// of its group, and the rows that stay are moved up over the ones
+    /// removed. `new` goes after the rows left there that cost the same.
+    #[inline]
+    fn insert_evicting(
+        &mut self,
+        new: DomRow,
+        care: u32,
+        keys: impl Fn(PlanId) -> bool,
+        mut evict: impl FnMut(PlanId),
+    ) -> u64 {
+        let from = self.partition_point(|c| c.total_cmp(&new.cost).is_lt());
+        let needed = ((new.mask & care) as u64) << 32;
+        let test = |cost: f64, card: f64, word: u64| {
+            (new.cost <= cost) & (new.card <= card) & (!word & needed == 0)
+        };
+        let (mut to, mut removed) = (from, 0);
+        for g in from / GROUP..self.len().div_ceil(GROUP) {
+            let valid = self.valid(g, from);
+            let mut lanes = self.lanes(g, test) & valid;
+            debug_assert_eq!(
+                lanes,
+                self.lanes_by_row(g, valid, |r| new.may_precede(r, care)),
+                "group {g}: the lane test disagrees with DomRow::may_precede"
+            );
+            let mut gone: Lanes8 = 0;
+            while lanes != 0 {
+                let k = lanes.trailing_zeros();
+                let id = self.row(g * GROUP + k as usize).id;
+                if keys(id) {
+                    evict(id);
+                    gone |= 1 << k;
+                }
+                lanes &= lanes - 1;
+            }
+            removed += gone.count_ones() as u64;
+            let mut stay = valid & !gone;
+            if removed == 0 {
+                to += stay.count_ones() as usize;
+                continue;
+            }
+            while stay != 0 {
+                let r = self.row(g * GROUP + stay.trailing_zeros() as usize);
+                self.set(to, r);
+                to += 1;
+                stay &= stay - 1;
+            }
+        }
+        self.len = to as u32;
+        let mut at = from;
+        while at < to && self.cost(at).to_bits() == new.cost.to_bits() {
+            at += 1;
+        }
+        self.insert_at(at, new);
+        removed
+    }
+
+    /// The number of leading rows whose cost passes `pred`, a predicate
+    /// the cost order makes a prefix.
+    #[inline]
+    fn partition_point(&self, pred: impl Fn(f64) -> bool) -> usize {
+        let costs = &self.buf.as_flattened()[..self.len()];
+        costs.partition_point(|&c| pred(f64::from_bits(c)))
+    }
+
+    /// Insert `r` at `at`, after every row at most as expensive, growing
+    /// the buffer (doubling, from one group) when it is full.
+    #[inline]
+    fn insert_at(&mut self, at: usize, r: DomRow) {
+        debug_assert_eq!(at, self.partition_point(|c| c.total_cmp(&r.cost).is_le()));
+        let len = self.len();
+        if len == self.cap() {
+            self.grow();
+        }
+        let cap = self.cap();
+        let flat = self.buf.as_flattened_mut();
+        for column in [0, cap, 2 * cap] {
+            flat.copy_within(column + at..column + len, column + at + 1);
+        }
+        self.set(at, r);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// Double the buffer in one reallocation and move the card and word
+    /// columns to the new stride, the word column first: it moves
+    /// farther, over where the card column lands.
+    fn grow(&mut self) {
+        let (old, len) = (self.groups(), self.len());
+        let new = (2 * old).max(1);
+        self.buf.reserve_exact(3 * new - self.buf.len());
+        self.buf.resize(3 * new, [0; GROUP]);
+        let flat = self.buf.as_flattened_mut();
+        for c in [2, 1] {
+            flat.copy_within(c * old * GROUP..c * old * GROUP + len, c * new * GROUP);
+        }
+    }
+
+    /// The rows of `ids`, sorted by cost (ties in id-list order).
+    fn rebuild(&mut self, hot: &[PlanHot], ids: &[PlanId]) {
+        self.clear();
+        for &m in ids {
+            let r = DomRow::of(hot, m);
+            self.insert_at(self.partition_point(|c| c.total_cmp(&r.cost).is_le()), r);
+        }
+    }
+
+    /// Ready the store for the next run: empty, keeping the buffer only
+    /// while this run held at least two rows and filled at least half of
+    /// it, a one-group buffer counting as half filled by two. Kept
+    /// unconditionally, a recycled class's store would grow to the widest
+    /// class any run put in its slot.
+    fn reset(&mut self) {
+        let peak = self.peak as usize;
+        if peak < 2 || self.cap() > (2 * peak).max(GROUP) {
+            self.buf = Vec::new();
+        }
+        self.len = 0;
+        self.peak = 0;
     }
 }
 
 /// One plan class: its members in insertion order — what
 /// [`Memo::class`] shows, and what grid order, plan ids and ties read —
-/// and, while dominance thins it, the same members as `DomRow`s sorted
-/// by cost. Other relations leave `rows` empty (stale), and the next
-/// dominance fold rebuilds them.
+/// and, while dominance thins it, the same members in a [`RowStore`].
+/// Other relations leave `rows` empty (stale), and the next dominance
+/// fold rebuilds them.
 #[derive(Debug, Default)]
 struct Class {
     ids: Vec<PlanId>,
-    rows: Vec<DomRow>,
-    /// The most rows the class held in this run, what [`Memo::reset`]
-    /// sizes the buffer it keeps by.
-    rows_peak: usize,
+    rows: RowStore,
 }
 
 impl Class {
-    /// `PruneDominatedPlans` (Fig. 13) on the row array: reject `id` if a
+    /// `PruneDominatedPlans` (Fig. 13) on the row store: reject `id` if a
     /// member precedes it, otherwise evict the members it precedes and
     /// insert it. Returns whether `id` is now a member.
     #[inline]
@@ -726,51 +1020,30 @@ impl Class {
         id: PlanId,
         guard_groupjoin: bool,
     ) -> bool {
-        let Class {
-            ids,
-            rows,
-            rows_peak,
-        } = self;
+        let Class { ids, rows } = self;
         if rows.len() != ids.len() {
-            rows.clear();
-            rows.extend(ids.iter().map(|&m| DomRow::of(hot, m)));
-            rows.sort_unstable_by(|a, b| a.cost.total_cmp(&b.cost));
+            rows.rebuild(hot, ids);
         }
         let care = DomRow::care(guard_groupjoin);
         let new = DomRow::of(hot, id);
         stats.prune_attempts += 1;
-        // Only a member at most as expensive can precede the candidate.
-        // Written as a break on `>` so a NaN row, which precedes nothing,
-        // never ends the walk early.
-        for &r in rows.iter() {
-            if r.cost > new.cost {
-                break;
-            }
-            if r.may_precede(new, care) && keys_imply(cold, lanes, r.id, id) {
-                stats.prune_rejected += 1;
-                return false;
-            }
+        if rows.any_precedes(new, care, |m| keys_imply(cold, lanes, m, id)) {
+            stats.prune_rejected += 1;
+            return false;
         }
-        // Only a member at least as expensive can be preceded by it.
         // Evictions are rare (one fold in 25 on the 20-40 relation
-        // ladder), so each is a removal from both arrays, and the id list
-        // keeps its order.
-        let mut i = rows.partition_point(|r| r.cost.total_cmp(&new.cost).is_lt());
-        while i < rows.len() {
-            let r = rows[i];
-            if new.may_precede(r, care) && keys_imply(cold, lanes, id, r.id) {
-                rows.remove(i);
-                let at = ids.iter().position(|&m| m == r.id);
+        // ladder), so each is a removal from the id list, which keeps its
+        // order.
+        stats.prune_evicted += rows.insert_evicting(
+            new,
+            care,
+            |m| keys_imply(cold, lanes, id, m),
+            |m| {
+                let at = ids.iter().position(|&x| x == m);
                 ids.remove(at.expect("a class row names a member"));
-                stats.prune_evicted += 1;
-            } else {
-                i += 1;
-            }
-        }
+            },
+        );
         ids.push(id);
-        let at = rows.partition_point(|r| r.cost.total_cmp(&new.cost).is_le());
-        rows.insert(at, new);
-        *rows_peak = (*rows_peak).max(rows.len());
         true
     }
 
@@ -905,19 +1178,17 @@ impl Memo {
     /// The arena, the lanes, the class map and the class id lists keep
     /// the capacity they have grown to, so a reused memo holds what the
     /// largest run it served needed and a repeat of that run allocates
-    /// nothing. A class's dominance rows are the one exception: they keep
-    /// their buffer only while the run's class filled at least half of it,
-    /// as a repeat of the run will again. Kept unconditionally, a recycled
-    /// class's rows would grow to the widest class any run put in its
-    /// slot, at six times the bytes of its id list.
+    /// nothing. A class's dominance rows are the one exception: their
+    /// store keeps its buffer only while the run's class held at least two
+    /// rows and filled at least half of it (a one-group buffer counts as
+    /// half filled by two), as a repeat of the run will again. Kept
+    /// unconditionally, a recycled class's rows would grow to the widest
+    /// class any run put in its slot, at six times the bytes of its id
+    /// list.
     pub fn reset(&mut self) {
         for class in self.class_lists.iter_mut() {
-            if class.rows.capacity() > 2 * class.rows_peak {
-                class.rows = Vec::new();
-            }
-            class.rows.clear();
+            class.rows.reset();
             class.ids.clear();
-            class.rows_peak = 0;
         }
         self.hot.clear();
         self.cold.clear();
@@ -935,7 +1206,7 @@ impl Memo {
     /// Allocated capacity of every class's dominance rows, in rows
     /// (diagnostic, like [`Memo::arena_capacity`]).
     pub fn class_row_capacity(&self) -> usize {
-        self.class_lists.iter().map(|c| c.rows.capacity()).sum()
+        self.class_lists.iter().map(|c| c.rows.cap()).sum()
     }
 
     /// Store a plan's rows in the arena (does not touch any class). Every
@@ -995,7 +1266,8 @@ impl Memo {
                 .class_lists
                 .iter()
                 .map(|c| {
-                    c.ids.capacity() * size_of::<PlanId>() + c.rows.capacity() * size_of::<DomRow>()
+                    c.ids.capacity() * size_of::<PlanId>()
+                        + c.rows.buf.capacity() * size_of::<[u64; GROUP]>()
                 })
                 .sum::<usize>();
         (rows + lane_bytes(self.lanes.capacities()) + classes) as u64
@@ -1188,14 +1460,15 @@ impl Memo {
                 r.id.index()
             ));
         }
-        if let Some(w) = rows
-            .windows(2)
-            .find(|w| w[0].cost.total_cmp(&w[1].cost).is_gt())
+        if let Some((a, b)) = rows
+            .iter()
+            .zip(rows.iter().skip(1))
+            .find(|(a, b)| a.cost.total_cmp(&b.cost).is_gt())
         {
             return Err(format!(
                 "class {set:?}: rows out of cost order at plans {} and {}",
-                w[0].id.index(),
-                w[1].id.index()
+                a.id.index(),
+                b.id.index()
             ));
         }
         Ok(())
@@ -1217,11 +1490,25 @@ impl Memo {
         }
     }
 
-    /// The dominance rows of the class of `s`, for a test to corrupt.
+    /// A copy of the dominance rows of the class of `s`, in the store's
+    /// order.
     #[cfg(test)]
-    pub(crate) fn class_rows_mut(&mut self, s: NodeSet) -> &mut [DomRow] {
-        let slot = self.classes[&s] as usize;
-        &mut self.class_lists[slot].rows
+    pub(crate) fn class_rows(&self, s: NodeSet) -> Vec<DomRow> {
+        self.class_lists[self.classes[&s] as usize]
+            .rows
+            .iter()
+            .collect()
+    }
+
+    /// Overwrite the dominance rows of the class of `s` with `rows`, as
+    /// they are, for a test to corrupt them.
+    #[cfg(test)]
+    pub(crate) fn set_class_rows(&mut self, s: NodeSet, rows: &[DomRow]) {
+        let store = &mut self.class_lists[self.classes[&s] as usize].rows;
+        assert_eq!(store.len(), rows.len(), "the store keeps its width");
+        for (i, &r) in rows.iter().enumerate() {
+            store.set(i, r);
+        }
     }
 
     /// The one thinning step (`PruneDominatedPlans`, Fig. 13, for any
@@ -1230,7 +1517,7 @@ impl Memo {
     /// append it. Returns whether `id` is now a member. Under the empty
     /// relation this is a push, under a total order the class never
     /// exceeds one plan. Dominance searches the class's cost-sorted
-    /// `DomRow`s, rebuilt first if another relation last edited the
+    /// rows, rebuilt first if another relation last edited the
     /// class. The prune counters of [`MemoStats`] count dominance tests
     /// only.
     #[inline]
@@ -1285,10 +1572,8 @@ impl Memo {
     #[inline]
     pub(crate) fn holds_nan_row(&self, ClassSlot(slot): ClassSlot) -> bool {
         let rows = &self.class_lists[slot as usize].rows;
-        [rows.first(), rows.last()]
-            .into_iter()
-            .flatten()
-            .any(|r| r.cost.is_nan())
+        let ends = [0, rows.len().saturating_sub(1)];
+        !rows.is_empty() && ends.into_iter().any(|i| rows.cost(i).is_nan())
     }
 
     /// Shrink the class of `s` to its representative member(s): the

@@ -1342,7 +1342,7 @@ mod engine {
             .into_iter()
             .max_by_key(|(_, ids)| ids.len())
             .unwrap();
-        let pristine: Vec<_> = memo.class_rows_mut(s).to_vec();
+        let pristine = memo.class_rows(s);
         let costs: Vec<f64> = pristine.iter().map(|r| r.cost).collect();
         assert!(
             costs.windows(2).any(|w| w[0] < w[1]),
@@ -1350,18 +1350,19 @@ mod engine {
         );
         let last = pristine.len() - 1;
         for error in ["is not what plan", "out of cost order", "rows name plans"] {
-            let rows = memo.class_rows_mut(s);
+            let mut rows = pristine.clone();
             match error {
                 "is not what plan" => rows[0].card *= 2.0,
                 "out of cost order" => rows.swap(0, last),
                 _ => rows[0].id = rows[last].id,
             }
+            memo.set_class_rows(s, &rows);
             let got = memo.check_invariants();
             assert!(
                 got.as_ref().is_err_and(|e| e.contains(error)),
                 "{error}: {got:?}"
             );
-            memo.class_rows_mut(s).copy_from_slice(&pristine);
+            memo.set_class_rows(s, &pristine);
             assert_eq!(Ok(()), memo.check_invariants());
         }
     }
@@ -1857,5 +1858,212 @@ mod budget {
         };
         assert_eq!(None, timeless.exhausted_at(10));
         assert_eq!(None, Budget::default().exhausted_at(u64::MAX));
+    }
+}
+
+mod fold_kernel {
+    //! The dominance fold on a class's column store ([`Memo::fold`]) against
+    //! the per-row scan it replaced, kept here as the reference: the same
+    //! candidate stream folded by both must keep, reject and evict the same
+    //! plans, leave the same id list and rows, and count the same.
+    use super::*;
+    use crate::aggstate::AggRef;
+    use crate::keyset::KeysRef;
+    use crate::memo::{PlanHot, PlanNode, ThinBy, GROUP};
+
+    /// A splitmix64 stream: every draw of the test is reproducible.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The per-row fold (`PruneDominatedPlans`, Fig. 13) as it was before
+    /// the column store: `(cost, id)` rows sorted by [`f64::total_cmp`],
+    /// −0 read as +0; a rejection walk over the cheaper prefix that stops
+    /// at the first costlier row, and an eviction walk from the first row
+    /// not cheaper, each testing one row at a time with
+    /// [`ThinBy::precedes`].
+    #[derive(Default)]
+    struct RowScan {
+        ids: Vec<PlanId>,
+        rows: Vec<(f64, PlanId)>,
+        attempts: u64,
+        rejected: u64,
+        evicted: u64,
+        /// Folds that evicted with a walk starting inside a lane group.
+        evicted_mid_group: u64,
+    }
+
+    impl RowScan {
+        /// Fold `id`; returns whether it was kept and whom it evicted.
+        fn fold(&mut self, memo: &Memo, id: PlanId, by: ThinBy) -> (bool, Vec<PlanId>) {
+            let cost = memo[id].cost + 0.0;
+            self.attempts += 1;
+            for &(c, m) in &self.rows {
+                if c > cost {
+                    break;
+                }
+                if by.precedes(memo, m, id) {
+                    self.rejected += 1;
+                    return (false, Vec::new());
+                }
+            }
+            let mut evicted = Vec::new();
+            let start = self.rows.partition_point(|r| r.0.total_cmp(&cost).is_lt());
+            let mut i = start;
+            while i < self.rows.len() {
+                let m = self.rows[i].1;
+                if by.precedes(memo, id, m) {
+                    self.rows.remove(i);
+                    self.ids.retain(|&x| x != m);
+                    evicted.push(m);
+                } else {
+                    i += 1;
+                }
+            }
+            self.evicted += evicted.len() as u64;
+            self.evicted_mid_group += (!evicted.is_empty() && start % GROUP != 0) as u64;
+            self.ids.push(id);
+            let at = self.rows.partition_point(|r| r.0.total_cmp(&cost).is_le());
+            self.rows.insert(at, (cost, id));
+            (true, evicted)
+        }
+    }
+
+    /// Push the next candidate of a stream into `memo`. Costs sit on a
+    /// grid of 1,000 values, so exact ties are common once a class is
+    /// wide, and cardinalities fall as costs rise, so most candidates are
+    /// incomparable and the class grows. One in 60 is cheap in
+    /// cardinality and evicts a run of costlier members, starting
+    /// wherever its cost falls; one in 50 costs a NaN of either sign or a
+    /// zero of either sign; one in 100 has a NaN cardinality. Flags and
+    /// key sets (up to two keys over five attributes, one of them folding
+    /// onto another's signature bit) are drawn at random.
+    fn push_candidate(memo: &mut Memo, rng: &mut Rng, set: NodeSet) -> PlanId {
+        let grid = rng.below(1000) as f64;
+        let (cost, card) = match rng.below(300) {
+            0..=5 => {
+                let specials = [f64::NAN, -f64::NAN, 0.0, -0.0];
+                (specials[rng.below(4) as usize], 3000.0 - 2.0 * grid)
+            }
+            6..=10 => (grid, rng.below(50) as f64),
+            11..=13 => (grid, f64::NAN),
+            _ => (grid, 3000.0 - 2.0 * grid + rng.below(20) as f64),
+        };
+        let attrs = [1u64, 2, 4, 8, 1 << 32];
+        let mut keys: Vec<u64> = Vec::new();
+        for _ in 0..rng.below(3) {
+            let k = (0..5)
+                .filter(|_| rng.below(3) == 0)
+                .fold(0, |k, i| k | attrs[i])
+                .max(1);
+            if keys.iter().all(|&o| o & !k != 0) {
+                keys.retain(|&o| k & !o != 0);
+                keys.push(k);
+            }
+        }
+        let hot = PlanHot::new(set, card, cost, rng.below(3) == 0, rng.below(4) != 0, false);
+        let agg = AggRef {
+            pos: &[],
+            counts: &[],
+        };
+        memo.push_plan(
+            hot,
+            PlanNode::Scan { table: 0 },
+            KeysRef::new(1, &keys),
+            agg,
+        )
+    }
+
+    /// Fold `len` candidates of stream `seed` into one class under both
+    /// the column store and the [`RowScan`], comparing after every fold;
+    /// returns the widest the class grew and how many evictions started
+    /// inside a lane group.
+    fn fold_both(seed: u64, len: usize, guard_groupjoin: bool) -> (usize, u64) {
+        let by = ThinBy::Dominance { guard_groupjoin };
+        let set = NodeSet::single(0);
+        let mut rng = Rng(seed);
+        let mut memo = Memo::new();
+        memo.lanes.key_width = 1;
+        let mut reference = RowScan::default();
+        let mut widest = 0;
+        for step in 0..len {
+            let id = push_candidate(&mut memo, &mut rng, set);
+            let before = memo.class(set).to_vec();
+            let kept = memo.fold(set, id, by);
+            let (ref_kept, ref_evicted) = reference.fold(&memo, id, by);
+            let at = format!("seed {seed}, guard {guard_groupjoin}, step {step}");
+            assert_eq!(ref_kept, kept, "{at}: kept");
+            let after = memo.class(set);
+            let evicted: Vec<PlanId> = before.into_iter().filter(|m| !after.contains(m)).collect();
+            let mut ref_evicted = ref_evicted;
+            ref_evicted.sort_unstable();
+            assert_eq!(ref_evicted, evicted, "{at}: evicted");
+            assert_eq!(reference.ids, after, "{at}: id list");
+            let rows: Vec<(u64, PlanId)> = memo
+                .class_rows(set)
+                .iter()
+                .map(|r| (r.cost.to_bits(), r.id))
+                .collect();
+            let ref_rows: Vec<(u64, PlanId)> = reference
+                .rows
+                .iter()
+                .map(|&(c, m)| (c.to_bits(), m))
+                .collect();
+            assert_eq!(ref_rows, rows, "{at}: rows");
+            let stats = memo.stats();
+            assert_eq!(
+                (reference.attempts, reference.rejected, reference.evicted),
+                (
+                    stats.prune_attempts,
+                    stats.prune_rejected,
+                    stats.prune_evicted
+                ),
+                "{at}: prune counters"
+            );
+            assert_eq!(Ok(()), memo.check_invariants(), "{at}");
+            widest = widest.max(after.len());
+        }
+        (widest, reference.evicted_mid_group)
+    }
+
+    /// Two streams, each under the groupjoin guard and without: the class
+    /// grows past 300 members, so both walks cross dozens of lane groups,
+    /// and evictions start in the middle of a group.
+    #[test]
+    fn the_column_store_folds_as_the_row_scan_did() {
+        for seed in [1, 2] {
+            for guard in [false, true] {
+                let (widest, mid_group) = fold_both(seed, 1_500, guard);
+                assert!(
+                    widest >= 300,
+                    "seed {seed}: the class grew to {widest} only"
+                );
+                assert!(
+                    mid_group >= 10,
+                    "seed {seed}: {mid_group} mid-group evictions"
+                );
+            }
+        }
+    }
+
+    /// The same comparison over 16 longer streams: ~6 s in a release
+    /// build with debug assertions, over a minute in a debug build. The CI
+    /// `slow-oracle` job runs it.
+    #[test]
+    #[ignore]
+    fn the_column_store_folds_as_the_row_scan_did_at_length() {
+        for seed in 10..18 {
+            for guard in [false, true] {
+                fold_both(seed, 4_000, guard);
+            }
+        }
     }
 }

@@ -129,3 +129,49 @@ fn thirty_relation_star_respects_its_deadline() {
         }
     }
 }
+
+/// The deadline floor the ladder's module doc quotes: what a request
+/// under a 1 µs deadline takes (context, the whole greedy pass, which
+/// reads no clock, and the epilogue) on the benchmark's 48
+/// `adaptive-large` queries — `topology(n, t)` for the four topologies,
+/// n = 20, 30, 40 and seeds 0..4 — best of 7 per query. It prints the
+/// range and the mean; a timing, so it is run by hand, in release:
+///
+/// ```text
+/// cargo test --release -p dpnext-core --test deadline -- --ignored --nocapture deadline_floor
+/// ```
+#[test]
+#[ignore]
+fn deadline_floor_on_the_benchmark_queries() {
+    let topologies = [
+        Topology::Chain,
+        Topology::Star,
+        Topology::Clique,
+        Topology::Mixed,
+    ];
+    let queries: Vec<_> = topologies
+        .iter()
+        .flat_map(|&t| [20, 30, 40].map(|n| GenConfig::topology(n, t)))
+        .flat_map(|cfg| (0..4).map(move |seed| generate_query(&cfg, seed)))
+        .collect();
+    let opts = deadlined(Duration::from_micros(1));
+    let mut memo = Memo::new();
+    let mut best = vec![Duration::MAX; queries.len()];
+    for _ in 0..7 {
+        for (q, best) in queries.iter().zip(&mut best) {
+            let start = Instant::now();
+            let run = dpnext_core::optimize_into(q, Algorithm::Adaptive, &opts, &mut memo);
+            *best = (*best).min(start.elapsed());
+            assert!(run.memo.degradation.deadline_aborted);
+            assert_eq!(AdaptiveMode::Greedy, run.memo.adaptive_mode);
+        }
+    }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let mean = best.iter().map(|&d| ms(d)).sum::<f64>() / best.len() as f64;
+    println!(
+        "1 µs deadline, {} queries, best of 7: {:.3}–{:.3} ms, {mean:.3} ms on average",
+        best.len(),
+        ms(*best.iter().min().unwrap()),
+        ms(*best.iter().max().unwrap()),
+    );
+}

@@ -18,9 +18,11 @@
 //! ├─ serve.cache_probe
 //! ├─ serve.admission                  (duration = queue wait)
 //! └─ serve.optimize
+//!    ├─ core.context
 //!    └─ adaptive.optimize             n=20 plan_budget=50000
 //!       ├─ adaptive.rung.greedy
 //!       ├─ adaptive.rung.exact        outcome=budget-aborted
+//!       │  ├─ adaptive.gate           cap=4151 gated=false pairs=287
 //!       │  └─ engine.enumerate        ccps=230 units=5922 bounded=3198
 //!       └─ adaptive.rung.linearized   outcome=budget-aborted
 //! ```

@@ -386,7 +386,7 @@ mod tests {
         // stream of small queries after the outlier then grows nothing and
         // runs in the one parked memo. An EA-Prune run after the outlier
         // leaves dominance rows in the memo's classes; no small EA-All run
-        // fills any, so they go (the `rows_peak` rule).
+        // fills any, so they go (the row store's `peak` rule).
         let pool = MemoPool::new(1);
         let opt = Optimizer::new(Algorithm::EaAll);
         let prune = Optimizer::new(Algorithm::EaPrune);
