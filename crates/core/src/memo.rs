@@ -1572,8 +1572,7 @@ impl Memo {
     #[inline]
     pub(crate) fn holds_nan_row(&self, ClassSlot(slot): ClassSlot) -> bool {
         let rows = &self.class_lists[slot as usize].rows;
-        let ends = [0, rows.len().saturating_sub(1)];
-        !rows.is_empty() && ends.into_iter().any(|i| rows.cost(i).is_nan())
+        !rows.is_empty() && (rows.cost(0).is_nan() || rows.cost(rows.len() - 1).is_nan())
     }
 
     /// Shrink the class of `s` to its representative member(s): the

@@ -1998,12 +1998,11 @@ mod fold_kernel {
             let id = push_candidate(&mut memo, &mut rng, set);
             let before = memo.class(set).to_vec();
             let kept = memo.fold(set, id, by);
-            let (ref_kept, ref_evicted) = reference.fold(&memo, id, by);
+            let (ref_kept, mut ref_evicted) = reference.fold(&memo, id, by);
             let at = format!("seed {seed}, guard {guard_groupjoin}, step {step}");
             assert_eq!(ref_kept, kept, "{at}: kept");
             let after = memo.class(set);
             let evicted: Vec<PlanId> = before.into_iter().filter(|m| !after.contains(m)).collect();
-            let mut ref_evicted = ref_evicted;
             ref_evicted.sort_unstable();
             assert_eq!(ref_evicted, evicted, "{at}: evicted");
             assert_eq!(reference.ids, after, "{at}: id list");
